@@ -8,11 +8,9 @@ the overlapped nonblocking protocol.  For ranks in {1, 2, 4} this bench
 records:
 
 - setup wall-clock and the amortized per-apply wall-clock (>= 3 applies),
-- the per-call time of the seed's ``parallel_evaluate`` path, which
-  rebuilds tree/LET/owners/cache on every call — the amortization
-  baseline,
 - overlap on vs off: identical potentials, compared ``wait``-phase
-  seconds.
+  seconds,
+- the relative error against a sequential ``KIFMM`` apply.
 
 Results land in ``BENCH_papply.json`` at the repository root so the
 performance trajectory is tracked across PRs.  Run directly::
@@ -42,9 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.fmm import FMMOptions
+from repro.core.fmm import KIFMM, FMMOptions
 from repro.kernels import LaplaceKernel
-from repro.parallel.pfmm import ParallelFMM, run_parallel_fmm
+from repro.parallel.pfmm import ParallelFMM
 from repro.util.tables import format_table
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -85,17 +83,8 @@ def _measure_ranks(
     wait_off = _wait_seconds(off) / napply
     assert np.array_equal(pot, pot_off), "overlap must not change bits"
 
-    # The seed path: every call rebuilds tree, LET, owners and plan.
-    t0 = time.perf_counter()
-    legacy = run_parallel_fmm(
-        nranks, kernel, pts, phi,
-        FMMOptions(p=opts.p, max_points=opts.max_points, plan="naive"),
-        cache=op.cache,
-    )
-    t_percall = time.perf_counter() - t0
-    err = float(
-        np.linalg.norm(legacy.potential - pot) / np.linalg.norm(pot)
-    )
+    seq = KIFMM(kernel, opts).setup(pts).apply(phi)
+    err = float(np.linalg.norm(seq - pot) / np.linalg.norm(seq))
     return {
         "ranks": nranks,
         "n": int(pts.shape[0]),
@@ -103,11 +92,9 @@ def _measure_ranks(
         "setup_seconds": round(t_setup, 4),
         "apply_seconds": round(t_apply, 4),
         "apply_seconds_no_overlap": round(t_apply_off, 4),
-        "per_call_evaluate_seconds": round(t_percall, 4),
-        "amortized_speedup_vs_per_call": round(t_percall / t_apply, 2),
         "wait_seconds_overlap_on": round(wait_on, 5),
         "wait_seconds_overlap_off": round(wait_off, 5),
-        "relative_error_vs_per_call": float(f"{err:.3e}"),
+        "relative_error_vs_sequential": float(f"{err:.3e}"),
     }
 
 
@@ -135,15 +122,14 @@ def run(quick: bool = False, out: Path | None = None) -> dict:
             r["ranks"],
             r["setup_seconds"],
             r["apply_seconds"],
-            r["per_call_evaluate_seconds"],
-            r["amortized_speedup_vs_per_call"],
+            r["apply_seconds_no_overlap"],
             r["wait_seconds_overlap_on"],
             r["wait_seconds_overlap_off"],
         )
         for r in results
     ]
     print(format_table(
-        ("ranks", "setup s", "apply s", "per-call s", "speedup",
+        ("ranks", "setup s", "apply s", "no-overlap s",
          "wait on", "wait off"),
         rows,
         title=f"persistent ParallelFMM apply (N={n}, Laplace)",
@@ -244,11 +230,10 @@ def multirhs_sweep(
 
 
 def test_parallel_apply():
-    """Bench smoke: amortized applies must beat per-call evaluation."""
+    """Bench smoke: the parallel operator reproduces the sequential one."""
     report = run(quick=True)
     for r in report["results"]:
-        assert r["relative_error_vs_per_call"] < 1e-9
-        assert r["amortized_speedup_vs_per_call"] > 1.0
+        assert r["relative_error_vs_sequential"] < 1e-12
 
 
 def test_parallel_multirhs():

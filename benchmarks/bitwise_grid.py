@@ -1,0 +1,126 @@
+"""Potential hashes over the executor grid, for commit-to-commit comparison.
+
+Run on two commits (same machine, same BLAS) and diff the JSON::
+
+    PYTHONPATH=src python benchmarks/bitwise_grid.py --out a.json --npz a.npz
+
+Grid: {Laplace, Stokes} x m2l {fft, dense, rsvd, auto} x {uniform,
+corner-clustered, two tight opposite-corner clusters} (N = 3000, p = 4)
+x {sequential KIFMM; ParallelFMM at 1, 2, 4 ranks overlap on; 4 ranks
+overlap off; 4 ranks comm="flat"; 8 ranks}.  The two-cluster set keeps
+two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
+split and its broadcasts.  Each cell records the sha256 of the
+``nrhs = 1`` potential, the sequential cells also the per-phase flop
+counts; ``--npz`` stores the ``nrhs = 8`` potentials so ``--against``
+can report the largest relative difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+
+# One BLAS thread, as in benchmarks/e2e: 8 rank threads each calling a
+# multi-threaded BLAS spin against each other for minutes per cell.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from repro import KIFMM, LaplaceKernel, StokesKernel  # noqa: E402
+from repro.core.fmm import FMMOptions  # noqa: E402
+from repro.geometry.distributions import (  # noqa: E402
+    corner_clusters,
+    uniform_cube,
+)
+from repro.parallel import ParallelFMM  # noqa: E402
+
+N, P, S, NRHS = 3000, 4, 40, 8
+CONFIGS = (
+    ("seq", None),
+    ("p1", dict(nranks=1)),
+    ("p2", dict(nranks=2)),
+    ("p4", dict(nranks=4)),
+    ("p4-nooverlap", dict(nranks=4, overlap=False)),
+    ("p4-flat", dict(nranks=4, comm="flat")),
+    ("p8", dict(nranks=8)),
+)
+
+
+def two_clusters(n: int, rng: np.random.Generator) -> np.ndarray:
+    half = n // 2
+    return np.vstack([
+        rng.uniform(0.0, 0.12, (half, 3)),
+        rng.uniform(0.88, 1.0, (n - half, 3)),
+    ])
+
+
+def run_grid() -> tuple[dict, dict]:
+    cells: dict[str, dict] = {}
+    blocks: dict[str, np.ndarray] = {}
+    for kname, kernel in (("laplace", LaplaceKernel()),
+                          ("stokes", StokesKernel())):
+        for dist, maker in (("uniform", uniform_cube),
+                            ("corners", corner_clusters),
+                            ("two-clusters", two_clusters)):
+            rng = np.random.default_rng(12)
+            pts = maker(N, rng)
+            phi = rng.standard_normal((N, kernel.source_dof))
+            phi8 = rng.standard_normal((N, kernel.source_dof, NRHS))
+            for m2l in ("fft", "dense", "rsvd", "auto"):
+                for cname, par in CONFIGS:
+                    par = dict(par or {})
+                    opts = FMMOptions(
+                        p=P, max_points=S, m2l=m2l,
+                        comm=par.pop("comm", "tree"),
+                    )
+                    if cname == "seq":
+                        fmm = KIFMM(kernel, opts).setup(pts)
+                    else:
+                        fmm = ParallelFMM(
+                            par.pop("nranks"), kernel, opts, **par
+                        ).setup(pts)
+                    key = f"{kname}/{dist}/{m2l}/{cname}"
+                    u = np.ascontiguousarray(fmm.apply(phi))
+                    cell = {"sha256": hashlib.sha256(u.tobytes()).hexdigest()}
+                    if cname == "seq":
+                        cell["flops"] = fmm.statistics()["flops"]
+                    cells[key] = cell
+                    blocks[key] = fmm.apply(phi8)
+                    print(key, cell["sha256"][:16], flush=True)
+    return cells, blocks
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="JSON of hashes and flops")
+    ap.add_argument("--npz", help="store the nrhs=8 potentials here")
+    ap.add_argument("--against", nargs=2, metavar=("JSON", "NPZ"),
+                    help="compare with another run's outputs")
+    args = ap.parse_args()
+    cells, blocks = run_grid()
+    with open(args.out, "w") as fh:
+        json.dump(cells, fh, indent=1, sort_keys=True)
+    if args.npz:
+        np.savez_compressed(args.npz, **blocks)
+    if args.against:
+        with open(args.against[0]) as fh:
+            other = json.load(fh)
+        other_blocks = np.load(args.against[1])
+        differ = [k for k in cells if cells[k] != other.get(k)]
+        worst = max(
+            float(np.abs(blocks[k] - other_blocks[k]).max()
+                  / np.abs(other_blocks[k]).max())
+            for k in blocks
+        )
+        print(f"{len(cells)} cells, {len(differ)} differ (hash or flops); "
+              f"nrhs={NRHS} max relative difference {worst:.3e}")
+        for k in differ:
+            print("  DIFFERS", k)
+        raise SystemExit(1 if differ or worst > 1e-13 else 0)
+
+
+if __name__ == "__main__":
+    main()

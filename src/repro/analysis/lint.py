@@ -146,7 +146,8 @@ class FlopsAccountedRule(Rule):
         "The paper's tables report per-phase Gflop/s; the repo's "
         "performance model and benchmarks trust FlopCounter to be "
         "complete.  Any core/ function that carries a FlopCounter (a "
-        "`flops` parameter or local) and performs a matmul, einsum or "
+        "`flops` parameter, local or attribute) and performs a matmul, "
+        "einsum or "
         "solve without a flops.add*() call silently under-reports work.  "
         "Leaf helpers without a counter in scope are accounted by their "
         "callers and are exempt."
@@ -160,11 +161,8 @@ class FlopsAccountedRule(Rule):
         for func in functions(mod.tree):
             nodes = list(own_nodes(func))
             has_counter = "flops" in _arg_names(func) or any(
-                isinstance(n, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "flops"
-                    for t in n.targets
-                )
+                (isinstance(n, ast.Name) and n.id == "flops")
+                or (isinstance(n, ast.Attribute) and n.attr == "flops")
                 for n in nodes
             )
             if not has_counter:

@@ -406,20 +406,16 @@ def extract_plan_ir(
             x_reads=("phi",),
         )
 
-    if plan.u_boxes.size:
-        u_pairs = int(
-            ((plan.u_trg_stop - plan.u_trg_start) * np.diff(plan.u_seg)).sum()
-        )
+    u_pairs = _near_pairs(plan.u)
+    if u_pairs:
         b.node(
             "near_u", phase="down_u", stage="NearBlocks",
             reads=("phi",), writes=("pot",),
             flops=u_pairs * nrhs * dir_k.flops_per_pair,
         )
-    if plan.w_boxes.size:
-        w_pairs = int(
-            ((plan.w_trg_stop - plan.w_trg_start) * np.diff(plan.w_seg)).sum()
-        )
-        w_levels = sorted({int(lv) for lv in plan.levels[plan.w_idx]})
+    w_pairs = _near_pairs(plan.w)
+    if w_pairs:
+        w_levels = sorted({int(lv) for lv in plan.levels[plan.w.src_pos]})
         b.node(
             "near_w", phase="down_w", stage="NearBlocks",
             reads=tuple(ue_region(lv) for lv in w_levels), writes=("pot",),

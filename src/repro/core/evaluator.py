@@ -24,6 +24,15 @@ Leaf evaluation
 Phase naming matches the legend of the paper's Figure 4.2: ``up``,
 ``down_u``, ``down_v``, ``down_w``, ``down_x`` and ``eval`` (L2L + L2T +
 inversions).
+
+Two implementations live here.  :func:`evaluate` walks the tree box by
+box — the reference every parity test compares against
+(``FMMOptions(plan="naive")``).  :class:`PlanStages` holds the
+level-batched stages over a precomputed
+:class:`~repro.core.plan.ExecutionPlan`, each written once and run by
+two drivers: :func:`evaluate_planned` (sequential) and
+:meth:`repro.parallel.pfmm.RankFMM.apply` (one rank of the parallel
+algorithm, with the exchange between the same calls).
 """
 
 from __future__ import annotations
@@ -38,7 +47,15 @@ from repro.core.m2lschedule import (
     v_stats_from_lists,
     v_stats_from_plan,
 )
-from repro.core.plan import MAX_BLOCK_ENTRIES, ExecutionPlan, chunk_segments
+from repro.core.plan import (
+    MAX_BLOCK_ENTRIES,
+    DownLevel,
+    ExecutionPlan,
+    NearBlocks,
+    UpLevel,
+    VLevel,
+    chunk_segments,
+)
 from repro.core.precompute import OperatorCache
 from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
@@ -99,7 +116,7 @@ def resolve_kernels(
 ) -> tuple[Kernel, Kernel, Kernel]:
     """Resolve and validate the (source, target, direct) kernel triple.
 
-    Shared by the per-box and the planned evaluator; see
+    Shared by the per-box and the planned evaluators; see
     :func:`evaluate` for the meaning of each kernel.
     """
     src_k = source_kernel if source_kernel is not None else kernel
@@ -476,96 +493,77 @@ def _fft_v_list(
             flops.add("down_v", nacc * fft.flops_per_fft(fft.kernel.target_dof))
 
 
-def evaluate_planned(
-    tree: Octree,
-    plan: ExecutionPlan,
-    kernel: Kernel,
-    cache: OperatorCache,
-    density: np.ndarray,
-    m2l_mode: str | M2LSchedule = "fft",
-    fft_m2l: FFTM2L | None = None,
-    flops: FlopCounter | None = None,
-    timer: PhaseTimer | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-    sanitize: bool = False,
-) -> np.ndarray:
-    """Level-batched KIFMM evaluation over a precomputed execution plan.
+class PlanStages:
+    """The stages of a planned apply, each written once.
 
-    Mathematically identical to :func:`evaluate` (same translations, same
-    gating, same flop accounting) but organised around the plan's flat
-    index arrays: per-level stacked GEMMs for M2M/L2L and the
-    check-to-equivalent inversions, offset-class-grouped batched M2L, and
-    per-target-box concatenated near-field blocks.  Requires translation
-    invariant kernels (all constant-coefficient elliptic kernels are);
-    :class:`~repro.core.fmm.KIFMM` falls back to :func:`evaluate` for
-    kernels that declare otherwise.
+    Bound to one apply's plan, operators, kernels and instrumentation;
+    the sequential driver (:func:`evaluate_planned`) and the rank driver
+    (:meth:`repro.parallel.pfmm.RankFMM.apply`) call the same methods
+    and differ only in the operands they pass — all classes and the
+    plan's own near blocks against ``plan.sources_sorted``, or the
+    owned-then-ghost splits against the rank's combined source array —
+    and in what they interleave (the exchange).  Every stage times
+    itself under the paper's phase names, counts its flops, and guards
+    its GEMM stacks when the plan's pool is sanitizing.
 
-    Stacked density blocks (see :func:`coerce_density`) ride the same
-    plan in one pass: the box-major work arrays gain a *leading*
-    ``nrhs`` axis, and every stage hoists its expensive shared factor —
-    kernel-matrix assembly (S2M/U/W/X/L2T), the translation operators,
-    the M2L mixing-tensor slab copies, the DFT operators — out of a
-    per-column inner loop whose gathers/GEMMs/scatters run with exactly
-    the single-RHS shapes.  Column ``r`` of a block apply is therefore
-    *bit-identical* to the single-RHS apply of column ``r`` (same BLAS
-    call shapes, same accumulation order — even through the round-off
-    amplifying ``uc2ue``/``dc2de`` inversion chain), while the per-apply
-    setup cost is paid once per block.
+    Work-array layout, shared by both drivers: densities are point-major
+    ``phi[point, dof, rhs]`` (positions into ``src_points`` for U and X,
+    into the tree's own sorted sources for S2M); upward equivalent
+    densities are box-major ``ue[box, rhs]`` (a rank ships one box's
+    right-hand sides as one contiguous payload); ``dc`` / ``de`` /
+    ``pot`` are RHS-major ``[rhs, row]``.
 
-    ``sanitize`` (or ``REPRO_SANITIZE=1``) enables the runtime
-    sanitizers of :mod:`repro.analysis.sanitize`: BufferPool lifecycle
-    with NaN poisoning of released scratch, finite checks at every
-    phase boundary (naming the phase and box range that first went
-    non-finite), GEMM aliasing guards, and a pool-escape check on the
-    returned potential.
+    Stacked right-hand sides ride one pass: every stage assembles its
+    shared factor — kernel matrices, translation operators, mixing
+    tensors, DFT operators — once.  Stages that feed the regularised
+    ``uc2ue`` / ``dc2de`` inversions then loop the columns over 2-D
+    products with exactly the single-RHS shapes, so column ``r`` of a
+    block apply is *bit-identical* to the single-RHS apply of column
+    ``r`` (the inversions amplify round-off differences by ~1e6, so
+    merely equivalent batched arithmetic would not stay within the
+    1e-12 column-parity budget).  U and W go straight to potentials, so
+    they fold the RHS axis into one GEMM that streams the kernel block
+    once; the ~1e-16 GEMM-vs-GEMV rounding gap stays far below that
+    bound.
     """
-    if isinstance(m2l_mode, M2LSchedule):
-        sched = m2l_mode
-    else:
-        sched = resolve_m2l_schedule(
-            m2l_mode, "float64",
-            stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
-        )
-    src_k, trg_k, dir_k = resolve_kernels(
-        kernel, source_kernel, target_kernel, direct_kernel
-    )
-    flops = flops if flops is not None else FlopCounter()
-    timer = timer if timer is not None else PhaseTimer()
-    md, qd = kernel.source_dof, kernel.target_dof
-    sdof, out_dof = src_k.source_dof, trg_k.target_dof
-    ns, nt = tree.sources.shape[0], tree.targets.shape[0]
-    phi3, nrhs, single = coerce_density(density, ns, sdof)
-    # RHS-major sorted densities: phi_sorted[r] is a contiguous
-    # (ns, sdof) array, shaped exactly like a single-RHS apply's input.
-    phi_sorted = np.ascontiguousarray(
-        phi3.transpose(2, 0, 1)[:, tree.src_perm]
-    )
-    n_surf = cache.n_surf
-    nb = plan.nboxes
-    pool = plan.buffers
-    zero3 = np.zeros(3)
-    san = sanitize or _san.enabled()
-    pool.sanitize = san
-    if san:
-        _san.check_finite(phi3, "input", "density", rows_are="points")
 
-    # RHS-major work arrays: ue[r] / dc[r] / de[r] are contiguous
-    # (nbox, dof) views.  Every stage below assembles its shared factor
-    # once and loops the right-hand sides over 2-D products with the
-    # single-RHS shapes, so column r of a block apply is bit-identical
-    # to the single-RHS apply of column r (this matters: the
-    # uc2ue/dc2de inversions amplify round-off differences by ~1e6, so
-    # merely "equivalent" batched arithmetic would not stay within the
-    # 1e-12 column-parity budget).
-    ue = pool.zeros("ue", (nrhs, nb, n_surf * md))
-    with timer.phase("up"):
-        for ul in plan.up_levels:
+    def __init__(
+        self,
+        plan: ExecutionPlan,
+        kernel: Kernel,
+        cache: OperatorCache,
+        kernels: tuple[Kernel, Kernel, Kernel],
+        sched: M2LSchedule,
+        fft: FFTM2L | None,
+        src_points: np.ndarray,
+        flops: FlopCounter,
+        timer: PhaseTimer,
+    ) -> None:
+        self.plan = plan
+        self.cache = cache
+        self.src_k, self.trg_k, self.dir_k = kernels
+        self.sched = sched
+        self.fft = fft
+        self.src_points = src_points
+        self.flops = flops
+        self.timer = timer
+        self.pool = plan.buffers
+        self.md, self.qd = kernel.source_dof, kernel.target_dof
+        self.n_surf = cache.n_surf
+
+    def up_level(self, ul: UpLevel, phi: np.ndarray, ue: np.ndarray) -> None:
+        """S2M, M2M and ``uc2ue`` of one level's source boxes."""
+        cache, pool, flops = self.cache, self.pool, self.flops
+        src_k, n_surf, qd = self.src_k, self.n_surf, self.qd
+        sdof = src_k.source_dof
+        nrhs = ue.shape[1]
+        with self.timer.phase("up"):
             check = pool.zeros("up_check", (nrhs, ul.boxes.size, n_surf * qd))
             if ul.s2m_rows.size:
-                chk_pts = cache.up_check_points(zero3, ul.level)
-                phi_cat = phi_sorted[:, ul.s2m_src_pos].reshape(nrhs, -1)
+                chk_pts = cache.up_check_points(np.zeros(3), ul.level)
+                phi_cat = phi[ul.s2m_src_pos].transpose(2, 0, 1).reshape(
+                    nrhs, -1
+                )
                 max_pts = max(1, MAX_BLOCK_ENTRIES // (n_surf * qd * sdof))
                 for lo, hi in chunk_segments(ul.s2m_seg, max_pts):
                     p0, p1 = int(ul.s2m_seg[lo]), int(ul.s2m_seg[hi])
@@ -583,172 +581,226 @@ def evaluate_planned(
                 )
             for octant, kids, rows in ul.m2m_groups:
                 M = cache.m2m_check(ul.level + 1, octant)
-                if san:
+                if pool.sanitize:
                     # Fancy-indexed operands materialise copies, so the
                     # aliasing hazard is between the backing stacks.
                     _san.guard_gemm(check, ue, M,
                                     site=f"m2m level {ul.level}")
                 MT = M.T
                 for r in range(nrhs):
-                    check[r][rows] += ue[r][kids] @ MT
+                    check[r][rows] += ue[kids, r] @ MT
                 flops.add("up", kids.size * nrhs * _matvec_flops(M.shape))
             U = cache.uc2ue(ul.level)
-            if san:
-                _san.guard_gemm(ue, check, U,
-                                site=f"uc2ue level {ul.level}")
+            if pool.sanitize:
+                _san.guard_gemm(ue, check, U, site=f"uc2ue level {ul.level}")
             UT = U.T
             for r in range(nrhs):
-                ue[r][ul.boxes] = check[r] @ UT
+                ue[ul.boxes, r] = check[r] @ UT
             flops.add("up", ul.boxes.size * nrhs * _matvec_flops(U.shape))
             pool.release("up_check")
-    if san:
-        _san.check_finite(ue.transpose(1, 0, 2), "up",
-                          "upward equivalent densities")
 
-    # ---------------- V lists (all levels, before the level sweep) -----
-    dc = pool.zeros("dc", (nrhs, nb, n_surf * qd))
-    de = pool.zeros("de", (nrhs, nb, n_surf * md))
-    pot_sorted = pool.zeros("pot", (nrhs, nt, out_dof))
+    def v_direct(
+        self, vl: VLevel, classes: list, ue: np.ndarray, dc: np.ndarray
+    ) -> None:
+        """Dense or rsvd M2L of some offset classes of one level.
 
-    fft = None
-    if sched.needs_fft:
-        fft = fft_m2l if fft_m2l is not None else FFTM2L(cache)
-    with timer.phase("down_v"):
-        for vl in plan.v_levels:
-            backend = sched.backend(vl.level)
-            if backend == "fft":
-                nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
-                if vl.po_groups:
-                    # Parent-pair-blocked Hadamard: an order of magnitude
-                    # less DRAM traffic than the class-major stage on
-                    # pair-rich deep trees.  Its spectra live
-                    # frequency-leading so the forward GEMM-DFTs write,
-                    # the Hadamard gathers/scatters, and the inverse
-                    # GEMM-DFTs read with no transpose passes.
-                    phi_ext = pool.empty(
-                        "v_phi_ext", (nrhs, nfreq, nsb + 1, md),
-                        np.complex128,
-                    )
-                    for r in range(nrhs):
-                        fft.forward_rows_t(
-                            ue[r][vl.src_boxes], phi_ext[r, :, :nsb]
-                        )
-                    acc_ext = pool.zeros(
-                        "v_acc_ext", (nrhs, nfreq, ntb + 1, qd),
-                        np.complex128,
-                    )
-                    fft.hadamard_blocked(
-                        vl.level, vl.po_groups, phi_ext, acc_ext, pool
-                    )
-                    for r in range(nrhs):
-                        dc[r][vl.trg_boxes] += fft.inverse_rows_t(
-                            acc_ext[r, :, :ntb]
-                        )
-                else:
-                    phi_ext = pool.empty(
-                        "v_phi_ext", (nrhs, nsb, md, nfreq), np.complex128
-                    )
-                    for r in range(nrhs):
-                        fft.forward_rows(ue[r][vl.src_boxes], phi_ext[r])
-                    acc = pool.zeros(
-                        "v_acc", (nrhs, ntb, qd, nfreq), np.complex128
-                    )
-                    for offset, src_pos, trg_pos in vl.classes:
-                        tensor = fft.kernel_tensor_hat(vl.level, offset)
-                        for r in range(nrhs):
-                            fft.accumulate_many(
-                                acc[r], tensor,
-                                phi_ext[r][src_pos], trg_pos,
-                            )
-                    for r in range(nrhs):
-                        dc[r][vl.trg_boxes] += fft.inverse_rows(acc[r])
-                flops.add("down_v", nsb * nrhs * fft.flops_per_fft(md))
-                flops.add("down_v", vl.npairs * nrhs * fft.flops_per_pair())
-                flops.add("down_v", ntb * nrhs * fft.flops_per_fft(qd))
-            elif backend == "dense":
-                for offset, src_pos, trg_pos in vl.classes:
+        One stacked GEMM per class (dense) or two through the compressed
+        factors (rsvd).  Mixed precision narrows the source block to the
+        factor dtype; the ``+=`` into the float64 check buffers upcasts,
+        keeping the accumulation double.
+        """
+        cache, pool, sched = self.cache, self.pool, self.sched
+        dense = sched.backend(vl.level) == "dense"
+        nrhs = dc.shape[0]
+        with self.timer.phase("down_v"):
+            for offset, src_pos, trg_pos in classes:
+                sb = vl.src_boxes[src_pos]
+                tb = vl.trg_boxes[trg_pos]
+                if dense:
                     T = cache.m2l_check(vl.level, offset)
-                    if san:
+                    if pool.sanitize:
                         _san.guard_gemm(dc, ue, T,
                                         site=f"m2l level {vl.level}")
                     TT = T.T
-                    sb = vl.src_boxes[src_pos]
-                    tb = vl.trg_boxes[trg_pos]
                     for r in range(nrhs):
-                        dc[r][tb] += ue[r][sb] @ TT
-                    flops.add(
-                        "down_v",
-                        src_pos.size * nrhs * _matvec_flops(T.shape),
-                    )
-            else:
-                # rsvd: each offset class applies as two stacked BLAS-3
-                # GEMMs through the compressed factors.  Mixed precision
-                # narrows the source block to the factor dtype; the +=
-                # into the float64 check buffers upcasts, keeping the
-                # accumulation double.
-                for offset, src_pos, trg_pos in vl.classes:
+                        dc[r][tb] += ue[sb, r] @ TT
+                    pair_flops = _matvec_flops(T.shape)
+                else:
                     uf, vf = cache.m2l_rsvd(vl.level, offset, sched.dtype)
-                    if san:
+                    if pool.sanitize:
                         _san.guard_gemm(dc, ue, uf,
                                         site=f"m2l-rsvd level {vl.level}")
-                    ufT = uf.T
-                    vfT = vf.T
-                    sb = vl.src_boxes[src_pos]
-                    tb = vl.trg_boxes[trg_pos]
+                    ufT, vfT = uf.T, vf.T
                     for r in range(nrhs):
-                        src = ue[r][sb]
+                        src = ue[sb, r]
                         if sched.dtype == "float32":
                             src = src.astype(np.float32)  # lint: allow(dtype-width)
                         dc[r][tb] += (src @ vfT) @ ufT
-                    flops.add(
-                        "down_v",
-                        src_pos.size * nrhs
-                        * _rsvd_pair_flops(vf.shape[0], n_surf, md, qd),
+                    pair_flops = _rsvd_pair_flops(
+                        vf.shape[0], self.n_surf, self.md, self.qd
                     )
-    if san:
-        # The V scratch is dead until the next apply: poison it so a
-        # stale read surfaces in the finite checks below.
-        for scratch in ("v_phi_ext", "v_acc_ext", "v_acc", "v_r"):
-            pool.release(scratch)
-        _san.check_finite(dc.transpose(1, 0, 2), "down_v",
-                          "downward check potentials")
+                self.flops.add("down_v", src_pos.size * nrhs * pair_flops)
 
-    # ---------------- downward sweep ----------------
-    for dl in plan.down_levels:
-        with timer.phase("eval"):
+    def v_fft_blocked(
+        self, vl: VLevel, ue: np.ndarray, dc: np.ndarray
+    ) -> None:
+        """FFT M2L of a whole level through the parent-pair-blocked Hadamard.
+
+        An order of magnitude less DRAM traffic than the class-major
+        stage on pair-rich deep trees.  Its spectra live
+        frequency-leading so the forward GEMM-DFTs write, the Hadamard
+        gathers/scatters, and the inverse GEMM-DFTs read with no
+        transpose passes.  Covers every pair of the level at once, so it
+        cannot serve a rank's owned/ghost split.
+        """
+        fft, pool, flops = self.fft, self.pool, self.flops
+        md, qd = self.md, self.qd
+        nrhs = dc.shape[0]
+        nfreq = fft.m * fft.m * (fft.m // 2 + 1)
+        nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
+        with self.timer.phase("down_v"):
+            phi_ext = pool.empty(
+                "v_phi_ext", (nrhs, nfreq, nsb + 1, md), np.complex128
+            )
+            for r in range(nrhs):
+                fft.forward_rows_t(ue[vl.src_boxes, r], phi_ext[r, :, :nsb])
+            acc_ext = pool.zeros(
+                "v_acc_ext", (nrhs, nfreq, ntb + 1, qd), np.complex128
+            )
+            fft.hadamard_blocked(
+                vl.level, vl.po_groups, phi_ext, acc_ext, pool
+            )
+            for r in range(nrhs):
+                dc[r][vl.trg_boxes] += fft.inverse_rows_t(acc_ext[r, :, :ntb])
+            flops.add("down_v", nsb * nrhs * fft.flops_per_fft(md))
+            flops.add("down_v", vl.npairs * nrhs * fft.flops_per_pair())
+            flops.add("down_v", ntb * nrhs * fft.flops_per_fft(qd))
+
+    def v_fft_state(
+        self, vl: VLevel, nrhs: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Empty source spectra and zeroed accumulators of one fft level.
+
+        Plain arrays, not pool buffers: a rank carries them across the
+        interleaved passes of its overlap window.
+        """
+        nfreq = self.fft.m * self.fft.m * (self.fft.m // 2 + 1)
+        return (
+            np.empty((nrhs, vl.src_boxes.size, self.md, nfreq),
+                     dtype=np.complex128),
+            np.zeros((nrhs, vl.trg_boxes.size, self.qd, nfreq),
+                     dtype=np.complex128),
+        )
+
+    def v_fft_classes(
+        self,
+        vl: VLevel,
+        rows: np.ndarray,
+        classes: list,
+        ue: np.ndarray,
+        phi_hat: np.ndarray,
+        acc: np.ndarray,
+    ) -> None:
+        """Class-major FFT M2L over a subset of one level's pairs.
+
+        Forward-transforms the ``rows`` of ``vl.src_boxes`` into
+        ``phi_hat``, then accumulates ``classes`` — which may read any
+        row transformed so far — into ``acc``.
+        """
+        fft, flops = self.fft, self.flops
+        nrhs = acc.shape[0]
+        with self.timer.phase("down_v"):
+            if rows.size:
+                boxes = vl.src_boxes[rows]
+                for r in range(nrhs):
+                    phi_hat[r][rows] = fft.forward_rows(
+                        ue[boxes, r],
+                        np.empty((rows.size,) + phi_hat.shape[2:],
+                                 dtype=np.complex128),
+                    )
+            flops.add("down_v", rows.size * nrhs * fft.flops_per_fft(self.md))
+            npairs = 0
+            for offset, src_pos, trg_pos in classes:
+                tensor = fft.kernel_tensor_hat(vl.level, offset)
+                for r in range(nrhs):
+                    fft.accumulate_many(
+                        acc[r], tensor, phi_hat[r][src_pos], trg_pos
+                    )
+                npairs += src_pos.size
+            flops.add("down_v", npairs * nrhs * fft.flops_per_pair())
+
+    def v_fft_inverse(
+        self,
+        vl: VLevel,
+        rows: np.ndarray | None,
+        acc: np.ndarray,
+        dc: np.ndarray,
+    ) -> None:
+        """Inverse-transform accumulators into the level's check potentials.
+
+        ``rows`` restricts the transform to those positions of
+        ``vl.trg_boxes`` (``None``: all of them).
+        """
+        fft = self.fft
+        nrhs = dc.shape[0]
+        with self.timer.phase("down_v"):
+            if rows is None:
+                rows = slice(None)
+            boxes = vl.trg_boxes[rows]
+            if boxes.size:
+                for r in range(nrhs):
+                    dc[r][boxes] += fft.inverse_rows(acc[r][rows])
+            self.flops.add(
+                "down_v", boxes.size * nrhs * fft.flops_per_fft(self.qd)
+            )
+
+    def down_level(
+        self,
+        dl: DownLevel,
+        phi: np.ndarray,
+        dc: np.ndarray,
+        de: np.ndarray,
+        pot: np.ndarray,
+    ) -> None:
+        """L2L, X, ``dc2de`` and L2T of one level's target boxes."""
+        cache, pool, flops, plan = self.cache, self.pool, self.flops, self.plan
+        src_k, trg_k = self.src_k, self.trg_k
+        n_surf, md = self.n_surf, self.md
+        out_dof = trg_k.target_dof
+        nrhs = pot.shape[0]
+        zero3 = np.zeros(3)
+        with self.timer.phase("eval"):
             for octant, kids, parents in dl.l2l_groups:
                 L = cache.l2l_check(dl.level, octant)
-                if san:
-                    _san.guard_gemm(dc, de, L,
-                                    site=f"l2l level {dl.level}")
+                if pool.sanitize:
+                    _san.guard_gemm(dc, de, L, site=f"l2l level {dl.level}")
                 LT = L.T
                 for r in range(nrhs):
                     dc[r][kids] += de[r][parents] @ LT
                 flops.add("eval", kids.size * nrhs * _matvec_flops(L.shape))
 
         if dl.x_boxes.size:
-            with timer.phase("down_x"):
+            with self.timer.phase("down_x"):
                 chk_pts = cache.down_check_points(zero3, dl.level)
                 for i, bi in enumerate(dl.x_boxes):
                     p0, p1 = int(dl.x_seg[i]), int(dl.x_seg[i + 1])
                     pos = dl.x_src_pos[p0:p1]
                     K = src_k.matrix_local(
-                        chk_pts, plan.sources_sorted[pos] - plan.centers[bi]
+                        chk_pts, self.src_points[pos] - plan.centers[bi]
                     )
+                    xs = phi[pos].transpose(2, 0, 1).reshape(nrhs, -1)
                     for r in range(nrhs):
-                        dc[r, bi] += K @ phi_sorted[r, pos].reshape(-1)
+                        dc[r, bi] += K @ xs[r]
                 flops.add_pairs(
                     "down_x", n_surf * int(dl.x_seg[-1]) * nrhs,
                     src_k.flops_per_pair,
                 )
 
-        with timer.phase("eval"):
+        with self.timer.phase("eval"):
             if dl.dc_boxes.size:
                 D = cache.dc2de(dl.level)
-                if san:
-                    _san.guard_gemm(de, dc, D,
-                                    site=f"dc2de level {dl.level}")
+                if pool.sanitize:
+                    _san.guard_gemm(de, dc, D, site=f"dc2de level {dl.level}")
                 DT = D.T
                 for r in range(nrhs):
                     de[r][dl.dc_boxes] = dc[r][dl.dc_boxes] @ DT
@@ -772,54 +824,59 @@ def evaluate_planned(
                     boxes = dl.l2t_boxes[row_box[p0:p1]]
                     tp = dl.l2t_trg_pos[p0:p1]
                     for r in range(nrhs):
-                        pot_sorted[r][tp] += np.einsum(
+                        pot[r][tp] += np.einsum(
                             "tqm,tm->tq", K3, de[r][boxes]
                         )
                 flops.add_pairs(
                     "eval", npts * n_surf * nrhs, trg_k.flops_per_pair
                 )
 
-    if san:
-        _san.check_finite(de.transpose(1, 0, 2), "eval",
-                          "downward equivalent densities")
+    def near_u(
+        self, blocks: NearBlocks, phi: np.ndarray, pot: np.ndarray
+    ) -> None:
+        """U list of ``blocks``: partner sources straight to potentials."""
+        plan, dir_k = self.plan, self.dir_k
+        sdof, out_dof = self.src_k.source_dof, self.trg_k.target_dof
+        nrhs = pot.shape[0]
+        with self.timer.phase("down_u"):
+            pairs = 0
+            for i, bi in enumerate(blocks.boxes):
+                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
+                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
+                pos = blocks.src_pos[s0:s1]
+                ctr = plan.centers[bi]
+                trg_pts = plan.targets_sorted[t0:t1] - ctr
+                ntr = t1 - t0
+                step = max(1, MAX_BLOCK_ENTRIES // max(1, ntr * out_dof * sdof))
+                for c0 in range(0, pos.size, step):
+                    c1 = min(pos.size, c0 + step)
+                    K = dir_k.matrix_local(
+                        trg_pts, self.src_points[pos[c0:c1]] - ctr
+                    )
+                    xs = phi[pos[c0:c1]].reshape(-1, nrhs)
+                    pot[:, t0:t1] += (K @ xs).reshape(
+                        ntr, out_dof, nrhs
+                    ).transpose(2, 0, 1)
+                pairs += ntr * pos.size
+            self.flops.add_pairs("down_u", pairs * nrhs, dir_k.flops_per_pair)
 
-    # ---------------- near field: U then W, per target leaf -----------
-    with timer.phase("down_u"):
-        u_pairs = 0
-        for i, bi in enumerate(plan.u_boxes):
-            t0, t1 = int(plan.u_trg_start[i]), int(plan.u_trg_stop[i])
-            s0, s1 = int(plan.u_seg[i]), int(plan.u_seg[i + 1])
-            pos = plan.u_src_pos[s0:s1]
-            ctr = plan.centers[bi]
-            trg_pts = plan.targets_sorted[t0:t1] - ctr
-            ntr = t1 - t0
-            step = max(1, MAX_BLOCK_ENTRIES // max(1, ntr * out_dof * sdof))
-            for c0 in range(0, pos.size, step):
-                c1 = min(pos.size, c0 + step)
-                K = dir_k.matrix_local(
-                    trg_pts, plan.sources_sorted[pos[c0:c1]] - ctr
-                )
-                # Direct to potentials (no ill-conditioned inverse
-                # downstream), so the RHS axis folds into one GEMM that
-                # streams K once; the ~1e-16 GEMM-vs-GEMV rounding gap
-                # stays far below the 1e-12 column-parity bound.
-                xs = phi_sorted[:, pos[c0:c1]].reshape(nrhs, -1)
-                y = K @ xs.T
-                pot_sorted[:, t0:t1] += y.reshape(
-                    ntr, out_dof, nrhs
-                ).transpose(2, 0, 1)
-            u_pairs += ntr * pos.size
-        flops.add_pairs("down_u", u_pairs * nrhs, dir_k.flops_per_pair)
-
-    if plan.w_boxes.size:
-        with timer.phase("down_w"):
+    def near_w(
+        self, blocks: NearBlocks, ue: np.ndarray, pot: np.ndarray
+    ) -> None:
+        """W list of ``blocks``: partner boxes' ``ue`` to potentials."""
+        if blocks.boxes.size == 0:
+            return
+        plan, cache, trg_k = self.plan, self.cache, self.trg_k
+        out_dof = trg_k.target_dof
+        nrhs = pot.shape[0]
+        with self.timer.phase("down_w"):
             sgrid = surface_grid(cache.p)
             hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
-            w_pairs = 0
-            for i, bi in enumerate(plan.w_boxes):
-                t0, t1 = int(plan.w_trg_start[i]), int(plan.w_trg_stop[i])
-                s0, s1 = int(plan.w_seg[i]), int(plan.w_seg[i + 1])
-                partners = plan.w_idx[s0:s1]
+            pairs = 0
+            for i, bi in enumerate(blocks.boxes):
+                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
+                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
+                partners = blocks.src_pos[s0:s1]
                 ctr = plan.centers[bi]
                 rad = cache.inner * hw[plan.levels[partners]]
                 eq_pts = (
@@ -827,28 +884,133 @@ def evaluate_planned(
                     + rad[:, None, None] * sgrid[None, :, :]
                 ).reshape(-1, 3)
                 K = trg_k.matrix_local(plan.targets_sorted[t0:t1] - ctr, eq_pts)
-                # RHS-folded like the U list: W contributions go straight
-                # to target potentials, so one GEMM serves every column.
-                xs = ue[:, partners].reshape(nrhs, -1)
-                y = K @ xs.T
-                pot_sorted[:, t0:t1] += y.reshape(
+                xs = ue[partners].transpose(0, 2, 1).reshape(-1, nrhs)
+                pot[:, t0:t1] += (K @ xs).reshape(
                     t1 - t0, out_dof, nrhs
                 ).transpose(2, 0, 1)
-                w_pairs += (t1 - t0) * partners.size
-            flops.add_pairs(
-                "down_w", n_surf * w_pairs * nrhs, trg_k.flops_per_pair
+                pairs += (t1 - t0) * partners.size
+            self.flops.add_pairs(
+                "down_w", self.n_surf * pairs * nrhs, trg_k.flops_per_pair
             )
 
-    if san:
-        _san.check_finite(pot_sorted.transpose(1, 0, 2),
-                          "down_w" if plan.w_boxes.size else
-                          "down_u", "potentials", rows_are="targets")
+
+def unsort_potential(
+    pot: np.ndarray, trg_perm: np.ndarray, single: bool
+) -> np.ndarray:
+    """RHS-major sorted potentials -> a fresh array in input target order.
+
+    ``(nt, dof)`` for a single density, ``(nt, dof, nrhs)`` for a block.
+    """
+    nrhs, nt, dof = pot.shape
     if single:
-        potential = np.empty((nt, out_dof))
-        potential[tree.trg_perm] = pot_sorted[0]
+        potential = np.empty((nt, dof))
+        potential[trg_perm] = pot[0]
     else:
-        potential = np.empty((nt, out_dof, nrhs))
-        potential[tree.trg_perm] = pot_sorted.transpose(1, 2, 0)
+        potential = np.empty((nt, dof, nrhs))
+        potential[trg_perm] = pot.transpose(1, 2, 0)
+    return potential
+
+
+def evaluate_planned(
+    tree: Octree,
+    plan: ExecutionPlan,
+    kernel: Kernel,
+    cache: OperatorCache,
+    density: np.ndarray,
+    m2l_mode: str | M2LSchedule = "fft",
+    fft_m2l: FFTM2L | None = None,
+    flops: FlopCounter | None = None,
+    timer: PhaseTimer | None = None,
+    source_kernel: Kernel | None = None,
+    target_kernel: Kernel | None = None,
+    direct_kernel: Kernel | None = None,
+    sanitize: bool = False,
+) -> np.ndarray:
+    """Level-batched KIFMM evaluation over a precomputed execution plan.
+
+    Mathematically identical to :func:`evaluate` (same translations, same
+    gating, same flop accounting) but organised around the plan's flat
+    index arrays: per-level stacked GEMMs for M2M/L2L and the
+    check-to-equivalent inversions, offset-class-grouped batched M2L, and
+    per-target-box concatenated near-field blocks.  This is the
+    sequential driver over :class:`PlanStages`: up, V, the downward
+    sweep, U, W — every class, the plan's own blocks, the tree's own
+    sources.  Stacked density blocks (see :func:`coerce_density`) ride
+    the same plan in one pass.
+
+    ``sanitize`` (or ``REPRO_SANITIZE=1``) enables the runtime
+    sanitizers of :mod:`repro.analysis.sanitize`: BufferPool lifecycle
+    with NaN poisoning of released scratch, finite checks at every
+    phase boundary (naming the phase and box range that first went
+    non-finite), GEMM aliasing guards, and a pool-escape check on the
+    returned potential.
+    """
+    if isinstance(m2l_mode, M2LSchedule):
+        sched = m2l_mode
+    else:
+        sched = resolve_m2l_schedule(
+            m2l_mode, "float64",
+            stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
+        )
+    kernels = src_k, trg_k, _ = resolve_kernels(
+        kernel, source_kernel, target_kernel, direct_kernel
+    )
+    flops = flops if flops is not None else FlopCounter()
+    timer = timer if timer is not None else PhaseTimer()
+    md, qd = kernel.source_dof, kernel.target_dof
+    ns, nt = tree.sources.shape[0], tree.targets.shape[0]
+    phi3, nrhs, single = coerce_density(density, ns, src_k.source_dof)
+    n_surf = cache.n_surf
+    nb = plan.nboxes
+    pool = plan.buffers
+    san = sanitize or _san.enabled()
+    pool.sanitize = san
+    if san:
+        _san.check_finite(phi3, "input", "density", rows_are="points")
+    phi = np.ascontiguousarray(phi3[tree.src_perm])
+    fft = None
+    if sched.needs_fft:
+        fft = fft_m2l if fft_m2l is not None else FFTM2L(cache)
+    stages = PlanStages(
+        plan, kernel, cache, kernels, sched, fft, plan.sources_sorted,
+        flops, timer,
+    )
+
+    ue = pool.zeros("ue", (nb, nrhs, n_surf * md))
+    for ul in plan.up_levels:
+        stages.up_level(ul, phi, ue)
+    if san:
+        _san.check_finite(ue, "up", "upward equivalent densities")
+
+    dc = pool.zeros("dc", (nrhs, nb, n_surf * qd))
+    de = pool.zeros("de", (nrhs, nb, n_surf * md))
+    pot = pool.zeros("pot", (nrhs, nt, trg_k.target_dof))
+    for vl in plan.v_levels:
+        if sched.backend(vl.level) == "fft":
+            stages.v_fft_blocked(vl, ue, dc)
+        else:
+            stages.v_direct(vl, vl.classes, ue, dc)
+    if san:
+        # The V scratch is dead until the next apply: poison it so a
+        # stale read surfaces in the finite checks below.
+        for scratch in ("v_phi_ext", "v_acc_ext", "v_r"):
+            pool.release(scratch)
+        _san.check_finite(dc.transpose(1, 0, 2), "down_v",
+                          "downward check potentials")
+
+    for dl in plan.down_levels:
+        stages.down_level(dl, phi, dc, de, pot)
+    if san:
+        _san.check_finite(de.transpose(1, 0, 2), "eval",
+                          "downward equivalent densities")
+
+    stages.near_u(plan.u, phi, pot)
+    stages.near_w(plan.w, ue, pot)
+    if san:
+        _san.check_finite(pot.transpose(1, 0, 2),
+                          "down_w" if plan.w.boxes.size else "down_u",
+                          "potentials", rows_are="targets")
+    potential = unsort_potential(pot, tree.trg_perm, single)
     if san:
         _san.check_escape(potential, pool, "evaluate_planned")
     return potential

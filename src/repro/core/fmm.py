@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.evaluator import evaluate, evaluate_planned, resolve_kernels
+from repro.core.evaluator import evaluate, evaluate_planned
 from repro.core.fftm2l import FFTM2L
 from repro.core.m2lschedule import (
     M2L_DTYPES,
@@ -77,8 +77,8 @@ class FMMOptions:
         ``"batched"`` (default) precomputes a level-major execution plan
         in :meth:`KIFMM.setup` and evaluates with the vectorized
         :func:`~repro.core.evaluator.evaluate_planned`; ``"naive"`` keeps
-        the per-box reference path.  Kernels that are not translation
-        invariant always use the per-box path.
+        the sequential per-box reference path (the parity oracle of the
+        test suite; the parallel operator has no per-box path).
     comm:
         Parallel communication scheme for the owner gather/scatter of
         :mod:`repro.parallel.exchange`: ``"tree"`` (default, hierarchical
@@ -250,12 +250,6 @@ class KIFMM:
         """Route one evaluation through the planned or the per-box path."""
         assert self.tree is not None and self.lists is not None
         assert self.cache is not None
-        kernels = resolve_kernels(
-            self.kernel, source_kernel, target_kernel, direct_kernel
-        )
-        planned = self._plan is not None and all(
-            k.translation_invariant for k in (self.kernel, *kernels)
-        )
         common = dict(
             m2l_mode=self._m2l,
             fft_m2l=self._fft,
@@ -265,7 +259,7 @@ class KIFMM:
             target_kernel=target_kernel,
             direct_kernel=direct_kernel,
         )
-        if planned:
+        if self._plan is not None:
             return evaluate_planned(
                 self.tree, self._plan, self.kernel, self.cache, density,
                 sanitize=self.options.sanitize, **common

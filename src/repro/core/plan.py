@@ -25,11 +25,10 @@ into *level-major index arrays* once, in ``KIFMM.setup()``, so every
   per box *pair*).
 
 The batched S2M/L2T stages shift points into the box-local frame so all
-boxes of a level share one check/equivalent surface; this assumes the
-kernel is translation invariant (``G(x + t, y + t) = G(x, y)``), which
-every kernel of a constant-coefficient elliptic PDE satisfies — see
-:attr:`repro.kernels.base.Kernel.translation_invariant`.  Kernels that
-declare otherwise fall back to the per-box ("naive") evaluator.
+boxes of a level share one check/equivalent surface; this relies on the
+kernel being translation invariant (``G(x + t, y + t) = G(x, y)``), as
+every kernel of a constant-coefficient elliptic PDE is — the
+``(level, offset)``-keyed operator cache relies on the same property.
 
 All gating in the plan is *density independent*: a box carries an upward
 density iff it holds sources, and carries downward data iff it (or an
@@ -333,11 +332,16 @@ class DownLevel:
 class ExecutionPlan:
     """Flattened tree + interaction lists, ready for batched evaluation.
 
-    Built once per geometry by :func:`build_plan`; consumed by
-    :func:`repro.core.evaluator.evaluate_planned`.  Every array indexes
-    either boxes (tree order) or points (Morton-sorted order); densities
-    and potentials are carried in sorted order inside the evaluator and
-    permuted once at entry/exit.
+    Built once per geometry by :func:`build_plan`; consumed by the
+    stage functions of :class:`repro.core.evaluator.PlanStages`.  Every
+    array indexes either boxes (tree order) or points (Morton-sorted
+    order); densities and potentials are carried in sorted order inside
+    the evaluator and permuted once at entry/exit.
+
+    ``u`` / ``w`` group the U and W lists per target leaf (partner
+    source positions / partner boxes).  They are ``None`` on a rank's
+    plan, whose driver runs the owned/ghost splits of
+    :class:`~repro.parallel.pfmm.RankFMM` instead.
     """
 
     nboxes: int
@@ -349,18 +353,8 @@ class ExecutionPlan:
     up_levels: list[UpLevel]
     v_levels: list[VLevel]
     down_levels: list[DownLevel]
-    # U list: per target leaf, concatenated partner sources.
-    u_boxes: np.ndarray
-    u_trg_start: np.ndarray
-    u_trg_stop: np.ndarray
-    u_seg: np.ndarray
-    u_src_pos: np.ndarray
-    # W list: per target leaf, partner boxes (their equivalent surfaces).
-    w_boxes: np.ndarray
-    w_trg_start: np.ndarray
-    w_trg_stop: np.ndarray
-    w_seg: np.ndarray
-    w_idx: np.ndarray
+    u: NearBlocks | None = None
+    w: NearBlocks | None = None
     buffers: BufferPool = field(default_factory=BufferPool, repr=False)
 
     def statistics(self) -> dict[str, float]:
@@ -377,9 +371,9 @@ class ExecutionPlan:
             "plan_v_classes": nclasses,
             "plan_v_pairs": npairs,
             "plan_v_parent_pairs": nparent,
-            "plan_u_boxes": int(self.u_boxes.size),
-            "plan_u_sources": int(self.u_seg[-1]) if self.u_seg.size else 0,
-            "plan_w_pairs": int(self.w_idx.size),
+            "plan_u_boxes": int(self.u.boxes.size),
+            "plan_u_sources": int(self.u.seg[-1]),
+            "plan_w_pairs": int(self.w.src_pos.size),
             "plan_buffer_bytes": self.buffers.nbytes(),
         }
 
@@ -445,14 +439,76 @@ def build_w_blocks(
     return NearBlocks(boxes, trg_start[boxes], trg_stop[boxes], seg, partners)
 
 
-def build_plan(
+@dataclass
+class NearPairs:
+    """Effective U- and W-list pairs of a tree, before grouping.
+
+    ``u`` / ``w`` are ``(target box, partner box)`` arrays in CSR order
+    (grouped by target), gated like every downward list: the target
+    holds targets and the partner holds sources.  ``p_*`` are the
+    partner boxes' point ranges in the numbering U is evaluated against
+    (see ``ext_ranges`` of :func:`compile_plan`), ``trg_*`` the target
+    ranges in sorted order.
+    """
+
+    u: tuple[np.ndarray, np.ndarray]
+    w: tuple[np.ndarray, np.ndarray]
+    p_start: np.ndarray
+    p_stop: np.ndarray
+    trg_start: np.ndarray
+    trg_stop: np.ndarray
+
+    def blocks(
+        self, keep: np.ndarray | None = None
+    ) -> tuple[NearBlocks, NearBlocks]:
+        """The ``(U, W)`` blocks over the pairs whose partner ``keep`` marks.
+
+        ``keep`` is a per-box mask (a rank's owned or ghost boxes);
+        ``None`` keeps every pair.  Pair order is preserved, so the
+        splits of a mask and its complement partition the unsplit
+        blocks' partners in place.
+        """
+        (ut, us), (wt, wp) = self.u, self.w
+        if keep is not None:
+            um, wm = keep[us], keep[wp]
+            ut, us, wt, wp = ut[um], us[um], wt[wm], wp[wm]
+        return (
+            build_near_blocks(
+                ut, us, self.p_start, self.p_stop,
+                self.trg_start, self.trg_stop,
+            ),
+            build_w_blocks(wt, wp, self.trg_start, self.trg_stop),
+        )
+
+
+def _gated_pairs(
+    lists: InteractionLists, which: str, ntrg: np.ndarray, nsrc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(target, partner)`` pairs of one list with both ends active."""
+    ptr, idx = lists.flat(which)
+    trg = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    m = (ntrg[trg] > 0) & (nsrc[idx] > 0)
+    return trg[m], idx[m]
+
+
+def build_plan(tree: Octree, lists: InteractionLists) -> ExecutionPlan:
+    """Flatten ``tree`` and ``lists`` into a sequential plan."""
+    plan, near = compile_plan(tree, lists)
+    plan.u, plan.w = near.blocks()
+    return plan
+
+
+def compile_plan(
     tree: Octree,
     lists: InteractionLists,
     *,
     partner_nsrc: np.ndarray | None = None,
     ext_ranges: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ExecutionPlan:
-    """Flatten ``tree`` and ``lists`` into an :class:`ExecutionPlan`.
+) -> tuple[ExecutionPlan, NearPairs]:
+    """Everything of a plan but the U/W blocks, plus their gated pairs.
+
+    :func:`build_plan` groups the pairs unsplit; a rank groups them by
+    partner ownership (:meth:`NearPairs.blocks`).
 
     Parameters
     ----------
@@ -532,17 +588,12 @@ def build_plan(
         )
 
     # ---------------- downward gating ----------------
-    v_ptr, v_idx = lists.flat("V")
-    x_ptr, x_idx = lists.flat("X")
-    v_trg = np.repeat(np.arange(nb), np.diff(v_ptr))
-    x_trg = np.repeat(np.arange(nb), np.diff(x_ptr))
-    v_good = nsrc_act[v_idx] > 0
-    x_good = nsrc_act[x_idx] > 0
+    # CSR order: both pair sets arrive grouped by target.
+    vt_all, vs_all = _gated_pairs(lists, "V", ntrg, nsrc_act)
+    xt_all, xs_all = _gated_pairs(lists, "X", ntrg, nsrc_act)
     own = np.zeros(nb, dtype=bool)
-    if v_trg.size:
-        own |= np.bincount(v_trg[v_good], minlength=nb).astype(bool)
-    if x_trg.size:
-        own |= np.bincount(x_trg[x_good], minlength=nb).astype(bool)
+    own[vt_all] = True
+    own[xt_all] = True
     # A box carries downward data iff it has targets and it — or an
     # ancestor — receives a V/X contribution (the evaluator's has_dc /
     # has_de gating; boxes are in level order, so parents come first).
@@ -558,8 +609,6 @@ def build_plan(
     nonroot = np.flatnonzero(parent >= 0)
     child_tab[parent[nonroot], octant[nonroot]] = nonroot
 
-    vmask = (ntrg[v_trg] > 0) & v_good
-    vt_all, vs_all = v_trg[vmask], v_idx[vmask]
     vt_level = level_of[vt_all]
     v_levels: list[VLevel] = []
     for level in range(2, tree.depth + 1):
@@ -614,8 +663,6 @@ def build_plan(
         v_levels.append(VLevel(level, src_boxes, trg_boxes, classes, po_groups))
 
     # ---------------- downward levels ----------------
-    xmask = (ntrg[x_trg] > 0) & x_good
-    xt_all, xs_all = x_trg[xmask], x_idx[xmask]  # CSR order: grouped by target
     down_levels: list[DownLevel] = []
     for level in range(1, tree.depth + 1):
         lvl = np.asarray(tree.levels[level], dtype=np.int64)
@@ -655,22 +702,7 @@ def build_plan(
             )
         )
 
-    # ---------------- U list (per target leaf) ----------------
-    u_ptr, u_idx = lists.flat("U")
-    u_trg_rep = np.repeat(np.arange(nb), np.diff(u_ptr))
-    um = (ntrg[u_trg_rep] > 0) & (nsrc_act[u_idx] > 0)
-    # CSR order: grouped by target leaf
-    ub = build_near_blocks(
-        u_trg_rep[um], u_idx[um], p_start, p_stop, trg_start, trg_stop
-    )
-
-    # ---------------- W list (per target leaf) ----------------
-    w_ptr, w_idx_all = lists.flat("W")
-    w_trg_rep = np.repeat(np.arange(nb), np.diff(w_ptr))
-    wm = (ntrg[w_trg_rep] > 0) & (nsrc_act[w_idx_all] > 0)
-    wb = build_w_blocks(w_trg_rep[wm], w_idx_all[wm], trg_start, trg_stop)
-
-    return ExecutionPlan(
+    plan = ExecutionPlan(
         nboxes=nb,
         depth=tree.depth,
         levels=level_of,
@@ -680,14 +712,13 @@ def build_plan(
         up_levels=up_levels,
         v_levels=v_levels,
         down_levels=down_levels,
-        u_boxes=ub.boxes,
-        u_trg_start=ub.trg_start,
-        u_trg_stop=ub.trg_stop,
-        u_seg=ub.seg,
-        u_src_pos=ub.src_pos,
-        w_boxes=wb.boxes,
-        w_trg_start=wb.trg_start,
-        w_trg_stop=wb.trg_stop,
-        w_seg=wb.seg,
-        w_idx=wb.src_pos,
     )
+    near = NearPairs(
+        u=_gated_pairs(lists, "U", ntrg, nsrc_act),
+        w=_gated_pairs(lists, "W", ntrg, nsrc_act),
+        p_start=p_start,
+        p_stop=p_stop,
+        trg_start=trg_start,
+        trg_stop=trg_stop,
+    )
+    return plan, near

@@ -37,12 +37,6 @@ class Kernel(ABC):
         Estimated floating-point operations to evaluate the full
         ``target_dof x source_dof`` interaction block of one point pair;
         feeds the TCS-1 performance model.
-    translation_invariant:
-        ``True`` when ``G(x + t, y + t) = G(x, y)`` for every shift ``t``,
-        as for all constant-coefficient elliptic kernels.  The planned
-        evaluator exploits this to share one origin-centered surface per
-        tree level; kernels that declare ``False`` are evaluated with the
-        per-box path instead.
     """
 
     name: str = "abstract"
@@ -51,7 +45,6 @@ class Kernel(ABC):
     target_dof: int = 1
     homogeneity: float | None = None
     flops_per_pair: int = 0
-    translation_invariant: bool = True
 
     @abstractmethod
     def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from repro.parallel.pfmm import (
     ParallelFMM,
     ParallelFMMResult,
     RankFMM,
-    parallel_evaluate,
     rank_setup,
     run_parallel_fmm,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "morton_order_patches",
     "partition_patches",
     "partition_points",
-    "parallel_evaluate",
     "rank_setup",
     "run_parallel_fmm",
     "ParallelFMM",

@@ -32,17 +32,12 @@ tree-position order (owner first, then the remaining contributors in
 rotated ascending rank order).  Switching the scheme changes the
 message pattern, never a floating-point result.
 
-Two flavours live here:
-
-- the blocking per-call exchanges (:func:`exchange_source_data`,
-  :func:`exchange_equiv_densities`) used by the per-box
-  ``parallel_evaluate`` path, now accounting their time under the
-  ``pack`` (send side) and ``wait`` (receive side) phases;
-- the persistent-operator machinery: :func:`exchange_source_geometry`
-  runs once at setup (positions only), and :class:`ApplyExchange` runs
-  the per-apply density / equivalent-density exchange with
-  ``isend``/``irecv`` so the owner relay and the final ghost waits can
-  be overlapped with owned-data computation.
+Two entry points live here: :func:`exchange_source_geometry` runs once
+at setup (positions only, blocking), and :class:`ApplyExchange` runs the
+per-apply density / equivalent-density exchange with ``isend``/``irecv``
+— timed under the ``pack`` (send side) and ``wait`` (receive side)
+phases — so the owner relay and the final ghost waits can be overlapped
+with owned-data computation.
 """
 
 from __future__ import annotations
@@ -76,8 +71,6 @@ EXCHANGE_SCHEMES = ("tree", "flat")
 # :func:`exchange_tag_families`, so runtime and verifier can never
 # disagree about the tag vocabulary.
 for _kind, _gather_phase, _scatter_phase in (
-    ("src", "ghost_gather", "ghost_scatter"),
-    ("ue", "equiv_gather", "equiv_scatter"),
     ("geo", "geo_gather", "geo_scatter"),
     ("phi", "phi_gather", "phi_scatter"),
     ("pue", "pue_gather", "pue_scatter"),
@@ -124,269 +117,6 @@ def _gather_pieces_flat(
         else:
             pieces.append(comm.recv(int(r), tag=tag))
     return pieces
-
-
-def exchange_source_data(
-    comm: SimComm,
-    boxes: np.ndarray,
-    contrib_src: np.ndarray,
-    users_src: np.ndarray,
-    owner: np.ndarray,
-    local_points: dict[int, np.ndarray],
-    local_density: dict[int, np.ndarray],
-    timer: PhaseTimer | None = None,
-    scheme: str = "tree",
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Algorithm 1: ghost source positions/densities for U/X interactions.
-
-    Parameters
-    ----------
-    boxes:
-        Indices of the (leaf) boxes whose source data must circulate —
-        the union over ranks of ``uses_source`` (identical everywhere).
-    contrib_src, users_src:
-        ``(nranks, nboxes)`` bool matrices.
-    owner:
-        ``(nboxes,)`` owner rank per box.
-    local_points, local_density:
-        This rank's local source points / densities per contributed box.
-    scheme:
-        ``"tree"`` (hierarchical, default) or ``"flat"`` — bitwise
-        identical results, different message patterns.
-
-    Returns
-    -------
-    ``{box: (points, density)}`` with the *global* data for every box
-    this rank uses (including boxes it owns or contributes to).
-    """
-    _check_scheme(scheme)
-    me = comm.rank
-    timer = timer if timer is not None else PhaseTimer()
-    ndof = None
-    for d in local_density.values():
-        ndof = d.shape[1] if d.ndim == 2 else 1
-        break
-
-    def cat(a, b_):
-        return (np.vstack([a[0], b_[0]]), np.vstack([a[1], b_[1]]))
-
-    combined: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if scheme == "tree":
-        # GATHER — pieces combine along the owner-rooted rank tree.
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(contrib_src[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                mine = (
-                    (local_points[b], local_density[b])
-                    if contrib_src[me, b] else None
-                )
-                total = comm.tree_reduce(
-                    mine, o, parts, tag=mk_tag("src", int(b)), combine=cat,
-                    phase="ghost_gather",
-                )
-                if o == me:
-                    combined[int(b)] = (
-                        total if total is not None
-                        else (np.empty((0, 3)),
-                              np.empty((0, ndof if ndof else 1)))
-                    )
-    else:
-        # GATHER — contributors send their pieces to the owner directly;
-        # the owner folds them with the tree association.
-        with timer.phase("pack"):
-            for b in boxes:
-                if contrib_src[me, b] and owner[b] != me:
-                    comm.send(
-                        int(owner[b]),
-                        (local_points[b], local_density[b]),
-                        tag=mk_tag("src", int(b)),
-                        phase="ghost_gather",
-                    )
-        with timer.phase("wait"):
-            for b in boxes:
-                if owner[b] != me:
-                    continue
-                order = tree_order(np.nonzero(contrib_src[:, b])[0], me)
-                pieces = _gather_pieces_flat(
-                    comm, int(b), order,
-                    lambda r, _b=b: bool(contrib_src[r, _b]),
-                    lambda _b=b: (local_points[_b], local_density[_b]),
-                    mk_tag("src", int(b)),
-                )
-                total = combine_tree(pieces, cat)
-                combined[int(b)] = (
-                    total if total is not None
-                    else (np.empty((0, 3)),
-                          np.empty((0, ndof if ndof else 1)))
-                )
-
-    # SCATTER — the owner sends the global data down to every user.
-    result: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if scheme == "tree":
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(users_src[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                data = comm.tree_bcast(
-                    combined[int(b)] if o == me else None, o, parts,
-                    tag=mk_tag("srcg", int(b)), phase="ghost_scatter",
-                )
-                if users_src[me, b]:
-                    result[int(b)] = data
-    else:
-        with timer.phase("pack"):
-            for b in boxes:
-                if owner[b] == me:
-                    for r in np.nonzero(users_src[:, b])[0]:
-                        if r != me:
-                            comm.send(
-                                int(r), combined[int(b)],
-                                tag=mk_tag("srcg", int(b)), phase="ghost_scatter",
-                            )
-        with timer.phase("wait"):
-            for b in boxes:
-                if not users_src[me, b]:
-                    continue
-                if owner[b] == me:
-                    result[int(b)] = combined[int(b)]
-                else:
-                    result[int(b)] = comm.recv(
-                        int(owner[b]), tag=mk_tag("srcg", int(b))
-                    )
-    return result
-
-
-def exchange_equiv_densities(
-    comm: SimComm,
-    boxes: np.ndarray,
-    contrib_src: np.ndarray,
-    users_equiv: np.ndarray,
-    owner: np.ndarray,
-    partial_ue: np.ndarray,
-    has_ue: np.ndarray,
-    timer: PhaseTimer | None = None,
-    scheme: str = "tree",
-) -> dict[int, np.ndarray]:
-    """Reduce partial upward equivalent densities and scatter to users.
-
-    Every contributor's upward pass produced a *partial* equivalent
-    density (linear in its local sources); the partials sum — linearity
-    of equations (2.1)/(2.3) makes the sum the exact global density —
-    along the owner-rooted rank tree (``"tree"``) or at the owner
-    (``"flat"``, folded with the same binomial association), and the
-    owner scatters the global densities to users.
-
-    Returns ``{box: global_ue}`` for every box this rank uses.
-    """
-    _check_scheme(scheme)
-    me = comm.rank
-    timer = timer if timer is not None else PhaseTimer()
-
-    def add(a, b_):
-        return a + b_
-
-    summed: dict[int, np.ndarray] = {}
-    if scheme == "tree":
-        # GATHER — partials sum along the owner-rooted rank tree.  A
-        # source contributor always has a partial density (the upward
-        # pass covers every box with local sources); ``has_ue`` only
-        # guards against sending uninitialised storage.
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(contrib_src[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                mine = None
-                if contrib_src[me, b]:
-                    mine = (
-                        partial_ue[b].copy() if has_ue[b]
-                        else np.zeros_like(partial_ue[b])
-                    )
-                total = comm.tree_reduce(
-                    mine, o, parts, tag=mk_tag("ue", int(b)), combine=add,
-                    phase="equiv_gather",
-                )
-                if o == me:
-                    summed[int(b)] = (
-                        total if total is not None
-                        else np.zeros_like(partial_ue[b])
-                    )
-    else:
-        # GATHER — contributors send directly to the owner, which folds
-        # the pieces with the tree association (bitwise identical).
-        with timer.phase("pack"):
-            for b in boxes:
-                if contrib_src[me, b] and owner[b] != me:
-                    payload = (
-                        partial_ue[b] if has_ue[b]
-                        else np.zeros_like(partial_ue[b])
-                    )
-                    comm.send(int(owner[b]), payload, tag=mk_tag("ue", int(b)),
-                              phase="equiv_gather")
-        with timer.phase("wait"):
-            for b in boxes:
-                if owner[b] != me:
-                    continue
-                order = tree_order(np.nonzero(contrib_src[:, b])[0], me)
-
-                def own_piece(_b=b):
-                    return (
-                        partial_ue[_b].copy() if has_ue[_b]
-                        else np.zeros_like(partial_ue[_b])
-                    )
-
-                pieces = _gather_pieces_flat(
-                    comm, int(b), order,
-                    lambda r, _b=b: bool(contrib_src[r, _b]),
-                    own_piece, mk_tag("ue", int(b)),
-                )
-                total = combine_tree(pieces, add)
-                summed[int(b)] = (
-                    total if total is not None
-                    else np.zeros_like(partial_ue[b])
-                )
-
-    # SCATTER to users.
-    result: dict[int, np.ndarray] = {}
-    if scheme == "tree":
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(users_equiv[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                data = comm.tree_bcast(
-                    summed[int(b)] if o == me else None, o, parts,
-                    tag=mk_tag("ueg", int(b)), phase="equiv_scatter",
-                )
-                if users_equiv[me, b]:
-                    result[int(b)] = data
-    else:
-        with timer.phase("pack"):
-            for b in boxes:
-                if owner[b] == me:
-                    for r in np.nonzero(users_equiv[:, b])[0]:
-                        if r != me:
-                            comm.send(int(r), summed[int(b)],
-                                      tag=mk_tag("ueg", int(b)),
-                                      phase="equiv_scatter")
-        with timer.phase("wait"):
-            for b in boxes:
-                if not users_equiv[me, b]:
-                    continue
-                if owner[b] == me:
-                    result[int(b)] = summed[int(b)]
-                else:
-                    result[int(b)] = comm.recv(
-                        int(owner[b]), tag=mk_tag("ueg", int(b))
-                    )
-    return result
 
 
 def exchange_source_geometry(

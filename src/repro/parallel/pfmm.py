@@ -23,38 +23,34 @@ from dataclasses import field as dataclasses_field
 import numpy as np
 
 from repro.analysis import sanitize as _san
-from repro.core.evaluator import coerce_density, resolve_kernels
+from repro.core.evaluator import (
+    PlanStages,
+    coerce_density,
+    resolve_kernels,
+    unsort_potential,
+)
 from repro.core.fftm2l import FFTM2L
 from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import (
     M2LSchedule,
     coarse_split_levels,
     resolve_m2l_schedule,
-    v_stats_from_lists,
     v_stats_from_plan,
 )
 from repro.core.plan import (
-    MAX_BLOCK_ENTRIES,
     ExecutionPlan,
     NearBlocks,
     StageMeta,
-    build_near_blocks,
-    build_plan,
-    build_w_blocks,
-    chunk_segments,
+    compile_plan,
     plan_stage,
 )
 from repro.core.precompute import OperatorCache
-from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists, build_lists
-from repro.octree.tree import Octree
 from repro.parallel.exchange import (
     ApplyExchange,
     GhostLayout,
     build_exchange_plan,
-    exchange_equiv_densities,
-    exchange_source_data,
     exchange_source_geometry,
 )
 from repro.parallel.let import classify_let, gather_users
@@ -70,6 +66,7 @@ from repro.parallel.simmpi import (
     register_tag_family,
     run_spmd,
 )
+from repro.util.flops import FlopCounter
 from repro.util.timing import PhaseTimer
 
 # Coarse V-split broadcast tags: ``("vsp", level, box)``, one segmented
@@ -78,328 +75,6 @@ from repro.util.timing import PhaseTimer
 register_tag_family(
     "vsp", fields=("level", "box"), phases=("v_split",), kind="split",
 )
-
-
-def _octant(box) -> int:
-    return (
-        (box.anchor[0] & 1)
-        | ((box.anchor[1] & 1) << 1)
-        | ((box.anchor[2] & 1) << 2)
-    )
-
-
-def _upward_local(
-    tree: Octree,
-    kernel: Kernel,
-    cache: OperatorCache,
-    phi: np.ndarray,
-    src_k: Kernel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1: partial upward equivalent densities from local sources."""
-    src_k = src_k if src_k is not None else kernel
-    n_surf = cache.n_surf
-    md = kernel.source_dof
-    nb = tree.nboxes
-    ue = np.zeros((nb, n_surf * md))
-    has_ue = np.zeros(nb, dtype=bool)
-    for level in range(tree.depth, -1, -1):
-        for bi in tree.levels[level]:
-            b = tree.boxes[bi]
-            if b.nsrc == 0:  # no *local* sources in the subtree
-                continue
-            center = tree.center(bi)
-            if b.is_leaf or not any(has_ue[c] for c in b.children):
-                # a non-leaf whose local sources all sit in globally-pruned
-                # octants cannot occur (children cover all occupied
-                # octants globally), so local sources imply a child with a
-                # partial density; the leaf branch handles true leaves.
-                K = src_k.matrix(
-                    cache.up_check_points(center, level), tree.src_points(bi)
-                )
-                check = K @ phi[tree.src_indices(bi)].reshape(-1)
-            else:
-                check = np.zeros(n_surf * kernel.target_dof)
-                for ci in b.children:
-                    if not has_ue[ci]:
-                        continue
-                    child = tree.boxes[ci]
-                    check += cache.m2m_check(child.level, _octant(child)) @ ue[ci]
-            ue[bi] = cache.uc2ue(level) @ check
-            has_ue[bi] = True
-    return ue, has_ue
-
-
-def _downward_local(
-    ptree: ParallelTree,
-    lists,
-    kernel: Kernel,
-    cache: OperatorCache,
-    phi: np.ndarray,
-    global_ue: dict[int, np.ndarray],
-    ghost_src: dict[int, tuple[np.ndarray, np.ndarray]],
-    sched: M2LSchedule,
-    src_k: Kernel | None = None,
-    trg_k: Kernel | None = None,
-    dir_k: Kernel | None = None,
-) -> np.ndarray:
-    """Stage 3: downward computation for boxes with local targets."""
-    src_k = src_k if src_k is not None else kernel
-    trg_k = trg_k if trg_k is not None else kernel
-    dir_k = dir_k if dir_k is not None else kernel
-    tree = ptree.tree
-    boxes = tree.boxes
-    n_surf = cache.n_surf
-    md, qd = kernel.source_dof, kernel.target_dof
-    out_dof = trg_k.target_dof
-    nb = tree.nboxes
-    dc = np.zeros((nb, n_surf * qd))
-    has_dc = np.zeros(nb, dtype=bool)
-    de = np.zeros((nb, n_surf * md))
-    has_de = np.zeros(nb, dtype=bool)
-    potential = np.zeros((tree.targets.shape[0], out_dof))
-    has_global_src = ptree.global_nsrc > 0
-
-    fft = FFTM2L(cache) if sched.needs_fft else None
-    if fft is not None:
-        _fft_v_list_parallel(ptree, lists, fft, sched, global_ue, dc, has_dc)
-
-    for level in range(1, tree.depth + 1):
-        for bi in tree.levels[level]:
-            b = boxes[bi]
-            if b.ntrg == 0:  # no local targets in the subtree
-                continue
-            center = tree.center(bi)
-            if has_de[b.parent]:
-                dc[bi] += cache.l2l_check(level, _octant(b)) @ de[b.parent]
-                has_dc[bi] = True
-            backend = sched.backend(level)
-            if backend != "fft":
-                for ai in lists.V[bi]:
-                    if not has_global_src[ai]:
-                        continue
-                    a = boxes[ai]
-                    offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
-                    if backend == "dense":
-                        dc[bi] += (
-                            cache.m2l_check(level, offset) @ global_ue[int(ai)]
-                        )
-                    else:
-                        uf, vf = cache.m2l_rsvd(level, offset, sched.dtype)
-                        src = global_ue[int(ai)]
-                        if sched.dtype == "float32":
-                            src = src.astype(np.float32)
-                        dc[bi] += uf @ (vf @ src)
-                    has_dc[bi] = True
-            if len(lists.X[bi]):
-                check_pts = cache.down_check_points(center, level)
-                for ai in lists.X[bi]:
-                    if not has_global_src[ai]:
-                        continue
-                    pts, dens = ghost_src[int(ai)]
-                    dc[bi] += src_k.matrix(check_pts, pts) @ dens.reshape(-1)
-                    has_dc[bi] = True
-            if has_dc[bi]:
-                de[bi] = cache.dc2de(level) @ dc[bi]
-                has_de[bi] = True
-            if not b.is_leaf:
-                continue
-            trg_pts = tree.trg_points(bi)
-            trg_idx = tree.trg_indices(bi)
-            local = np.zeros(b.ntrg * out_dof)
-            if has_de[bi]:
-                K = trg_k.matrix(trg_pts, cache.down_equiv_points(center, level))
-                local += K @ de[bi]
-            for ai in lists.U[bi]:
-                if not has_global_src[ai]:
-                    continue
-                pts, dens = ghost_src[int(ai)]
-                local += dir_k.matrix(trg_pts, pts) @ dens.reshape(-1)
-            for ai in lists.W[bi]:
-                if not has_global_src[ai]:
-                    continue
-                a = boxes[ai]
-                K = trg_k.matrix(
-                    trg_pts, cache.up_equiv_points(tree.center(ai), a.level)
-                )
-                local += K @ global_ue[int(ai)]
-            potential[trg_idx] += local.reshape(b.ntrg, out_dof)
-
-    root = boxes[0]
-    if root.is_leaf and root.ntrg > 0 and has_global_src[0]:
-        pts, dens = ghost_src[0]
-        K = dir_k.matrix(tree.trg_points(0), pts)
-        potential[tree.trg_indices(0)] += (
-            K @ dens.reshape(-1)
-        ).reshape(root.ntrg, out_dof)
-    return potential
-
-
-def _fft_v_list_parallel(
-    ptree: ParallelTree,
-    lists,
-    fft: FFTM2L,
-    sched: M2LSchedule,
-    global_ue: dict[int, np.ndarray],
-    dc: np.ndarray,
-    has_dc: np.ndarray,
-) -> None:
-    """FFT-accelerated V-list pass over the rank's LET (fft levels)."""
-    tree = ptree.tree
-    boxes = tree.boxes
-    has_global_src = ptree.global_nsrc > 0
-    for level in range(2, tree.depth + 1):
-        if sched.backend(level) != "fft":
-            continue
-        level_boxes = tree.levels[level]
-        needed: set[int] = set()
-        for bi in level_boxes:
-            if boxes[bi].ntrg == 0:
-                continue
-            for ai in lists.V[bi]:
-                if has_global_src[ai]:
-                    needed.add(int(ai))
-        if not needed:
-            continue
-        phi_hat = {ai: fft.density_hat(global_ue[ai]) for ai in needed}
-        for bi in level_boxes:
-            b = boxes[bi]
-            if b.ntrg == 0 or not len(lists.V[bi]):
-                continue
-            acc = None
-            for ai in lists.V[bi]:
-                if not has_global_src[ai]:
-                    continue
-                a = boxes[ai]
-                offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
-                tensor = fft.kernel_tensor_hat(level, offset)
-                if acc is None:
-                    nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                    acc = np.zeros((tensor.shape[0], nfreq), dtype=np.complex128)
-                fft.accumulate(acc, tensor, phi_hat[int(ai)])
-            if acc is not None:
-                dc[bi] += fft.check_potential(acc)
-                has_dc[bi] = True
-
-
-def parallel_evaluate(
-    comm: SimComm,
-    kernel: Kernel,
-    local_sources: np.ndarray,
-    local_density: np.ndarray,
-    options: FMMOptions | None = None,
-    root: tuple[np.ndarray, float] | None = None,
-    timer: PhaseTimer | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-    cache: OperatorCache | None = None,
-) -> np.ndarray:
-    """SPMD entry point: each rank passes its local particles.
-
-    Sources and targets are the identical local point set (the paper's
-    experimental setup).  Returns the potentials at this rank's local
-    points, in local order.  The variable source/target kernels follow
-    the same rules as the sequential evaluator (see
-    :func:`repro.core.evaluator.evaluate`).
-
-    ``cache`` lets the caller supply a prebuilt (shareable)
-    :class:`~repro.core.precompute.OperatorCache` so repeated calls stop
-    recomputing the pseudoinverse operators; it must have been built
-    with the same kernel, order and root side this call produces
-    (supply ``root`` to pin the cube).
-    """
-    opts = options or FMMOptions()
-    timer = timer if timer is not None else PhaseTimer()
-    src_k = source_kernel if source_kernel is not None else kernel
-    trg_k = target_kernel if target_kernel is not None else kernel
-    if direct_kernel is not None:
-        dir_k = direct_kernel
-    elif src_k is kernel:
-        dir_k = trg_k
-    elif trg_k is kernel:
-        dir_k = src_k
-    else:
-        raise ValueError(
-            "direct_kernel is required when both source_kernel and "
-            "target_kernel are custom"
-        )
-    local_sources = np.asarray(local_sources, dtype=np.float64)
-    phi = np.asarray(local_density, dtype=np.float64).reshape(
-        local_sources.shape[0], src_k.source_dof
-    )
-
-    with timer.phase("tree"):
-        ptree = parallel_build_tree(
-            comm,
-            local_sources,
-            max_points=opts.max_points,
-            max_depth=opts.max_depth,
-            root=root,
-        )
-        tree = ptree.tree
-        lists = build_lists(tree)
-        contrib_src, contrib_trg = gather_contributors(
-            comm, ptree.local_contributes_src(), ptree.local_contributes_trg()
-        )
-        owner = assign_owners(contrib_src | contrib_trg)
-        usage = classify_let(tree, lists, ptree.local_contributes_trg())
-        # data is only needed for boxes that globally hold sources
-        usage.uses_equiv &= ptree.global_nsrc > 0
-        usage.uses_source &= ptree.global_nsrc > 0
-        users_equiv, users_src = gather_users(comm, usage)
-
-    if cache is None:
-        cache = OperatorCache(
-            kernel, opts.p, tree.root_side,
-            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
-        )
-
-    with timer.phase("up"):
-        partial_ue, has_ue = _upward_local(tree, kernel, cache, phi, src_k=src_k)
-
-    # Communication, split into ``pack`` (send side) and ``wait``
-    # (receive side) by the exchange functions themselves.
-    with timer.phase("pack"):
-        src_boxes = np.nonzero(users_src.any(axis=0))[0]
-        local_pts = {
-            int(b): tree.src_points(int(b))
-            for b in src_boxes
-            if contrib_src[comm.rank, b]
-        }
-        local_dens = {
-            int(b): phi[tree.src_indices(int(b))]
-            for b in src_boxes
-            if contrib_src[comm.rank, b]
-        }
-    ghost_src = exchange_source_data(
-        comm, src_boxes, contrib_src, users_src, owner, local_pts, local_dens,
-        timer=timer, scheme=opts.comm,
-    )
-    ue_boxes = np.nonzero(users_equiv.any(axis=0))[0]
-    global_ue = exchange_equiv_densities(
-        comm, ue_boxes, contrib_src, users_equiv, owner, partial_ue, has_ue,
-        timer=timer, scheme=opts.comm,
-    )
-
-    # Backend resolution must gate the V statistics by *global* source
-    # counts — every rank then derives the identical schedule, keeping
-    # the redundant downward passes bitwise consistent across ranks.
-    sched = resolve_m2l_schedule(
-        opts.m2l, opts.dtype,
-        stats=v_stats_from_lists(tree, lists, nsrc=ptree.global_nsrc),
-        cache=cache, kernel=kernel,
-    )
-    with timer.phase("down"):
-        potential = _downward_local(
-            ptree, lists, kernel, cache, phi, global_ue, ghost_src, sched,
-            src_k=src_k, trg_k=trg_k, dir_k=dir_k,
-        )
-    return potential
-
-
-# ---------------------------------------------------------------------------
-# Persistent parallel operator: setup once per geometry, apply many times.
-# ---------------------------------------------------------------------------
 
 
 def _global_root(
@@ -557,8 +232,8 @@ class RankFMM:
         self.src_k, self.trg_k, self.dir_k = resolve_kernels(
             kernel, source_kernel, target_kernel, direct_kernel
         )
-
-    # -- apply ------------------------------------------------------------
+        #: Flops of this rank's applies, by phase (as ``KIFMM.flops``).
+        self.flops = FlopCounter()
 
     def apply(
         self,
@@ -568,6 +243,13 @@ class RankFMM:
         overlap: bool = True,
     ) -> np.ndarray:
         """One planned interaction evaluation over the LET.
+
+        The rank driver over :class:`~repro.core.evaluator.PlanStages`:
+        the sequential stages, run over the owned-then-ghost splits of
+        the LET-local plan with the exchange in the middle — up, post +
+        relay, U/W/V over owned partners, finish, V over ghost partners
+        (with the coarse-split broadcasts), the downward sweep, U/W over
+        ghost partners.
 
         The computation order is identical with and without overlap —
         owned-data passes always run before their ghost counterparts —
@@ -582,10 +264,6 @@ class RankFMM:
         ``sdof * nrhs`` and per-box equivalent-density payloads to
         ``nrhs`` contiguous surface vectors, so latency and coordinate
         traffic are paid once per block instead of once per column.
-        Stages that feed the regularised ``uc2ue``/``dc2de`` inverses
-        loop columns with hoisted operators (bitwise column parity with
-        single-RHS applies); direct-to-potential stages fold the RHS
-        axis into wider GEMMs.
         """
         timer = timer if timer is not None else PhaseTimer()
         tree, plan, cache = self.tree, self.plan, self.cache
@@ -604,350 +282,108 @@ class RankFMM:
         if san:
             _san.check_finite(phi3, "input", "local density",
                               rows_are="points")
+        phi = np.ascontiguousarray(phi3[tree.src_perm])
         # The exchange payload keeps points on the leading axis with all
         # right-hand sides packed into the row: one exchange, nrhs-wide.
-        phi_sorted = np.ascontiguousarray(phi3[tree.src_perm]).reshape(
-            ns, sdof * nrhs
-        )
-        # RHS-major view for the column-looped upward pass.
-        phi_rm = np.ascontiguousarray(
-            phi_sorted.reshape(ns, sdof, nrhs).transpose(2, 0, 1)
-        )
+        phi_sorted = phi.reshape(ns, sdof * nrhs)
         rec = current_recorder()
         if rec is not None:
             rec.register(f"rank{comm.rank}:phi_sorted", phi_sorted)
             rec.write(phi_sorted, "sort-density")
-
-        ue = pool.zeros("p_ue", (nb, nrhs * n_surf * md))
-        ue3 = ue.reshape(nb, nrhs, n_surf * md)
-        with timer.phase("up"):
-            self._upward(ue3, phi_rm)
-        if rec is not None:
-            rec.register(f"rank{comm.rank}:ue", ue)
-            rec.write(ue, "upward-partial")
-        if san:
-            _san.check_finite(ue, "up", "partial upward equivalent densities")
-
-        lay = self.layout
-        ext_phi = pool.empty(
-            "p_ext_phi", (self.ext_points.shape[0], sdof * nrhs)
+        sched = self.m2l_schedule
+        stages = PlanStages(
+            plan, self.kernel, cache, (self.src_k, self.trg_k, self.dir_k),
+            sched, self.fft, self.ext_points, self.flops, timer,
         )
-        ext_phi3 = ext_phi.reshape(self.ext_points.shape[0], sdof, nrhs)
+
+        ue_rows = pool.zeros("ue", (nb, nrhs * n_surf * md))
+        ue = ue_rows.reshape(nb, nrhs, n_surf * md)
+        for ul in plan.up_levels:
+            stages.up_level(ul, phi, ue)
         if rec is not None:
-            rec.register(f"rank{comm.rank}:ext_phi", ext_phi)
+            rec.register(f"rank{comm.rank}:ue", ue_rows)
+            rec.write(ue_rows, "upward-partial")
+        if san:
+            _san.check_finite(ue_rows, "up",
+                              "partial upward equivalent densities")
+
+        ext_rows = pool.empty(
+            "ext_phi", (self.ext_points.shape[0], sdof * nrhs)
+        )
+        ext_phi = ext_rows.reshape(self.ext_points.shape[0], sdof, nrhs)
+        if rec is not None:
+            rec.register(f"rank{comm.rank}:ext_phi", ext_rows)
         exch = ApplyExchange(
-            comm, lay, phi_sorted, self.src_start, self.src_stop, ue,
-            ext_phi, timer,
+            comm, self.layout, phi_sorted, self.src_start, self.src_stop,
+            ue_rows, ext_rows, timer,
         ).start()
         exch.relay()
         if not overlap:
             exch.finish()
 
-        dc3 = pool.zeros("p_dc", (nrhs, nb, n_surf * qd))
-        de3 = pool.zeros("p_de", (nrhs, nb, n_surf * md))
-        pot3 = pool.zeros("p_pot", (nrhs, nt, out_dof))
+        dc = pool.zeros("dc", (nrhs, nb, n_surf * qd))
+        de = pool.zeros("de", (nrhs, nb, n_surf * md))
+        pot = pool.zeros("pot", (nrhs, nt, out_dof))
 
         # Owned-data passes: with overlap on, these run while the
         # equivalent-density/ghost-density scatter is still in flight.
-        self._near_u(self.u_own, ext_phi3, pot3, timer)
-        self._near_w(self.w_own, ue3, pot3, timer)
-        v_state = self._v_owned(ue3, dc3, timer)
+        stages.near_u(self.u_own, ext_phi, pot)
+        stages.near_w(self.w_own, ue, pot)
+        v_state: list[tuple[np.ndarray, np.ndarray] | None] = []
+        for vl, sp in zip(plan.v_levels, self.v_splits):
+            if sched.backend(vl.level) == "fft":
+                v_state.append(stages.v_fft_state(vl, nrhs))
+                stages.v_fft_classes(
+                    vl, sp.own_rows, sp.own_classes, ue, *v_state[-1]
+                )
+            else:
+                v_state.append(None)
+                stages.v_direct(vl, sp.own_classes, ue, dc)
 
         if overlap:
             exch.finish()
         if san:
-            _san.check_finite(ext_phi, "exchange",
+            _san.check_finite(ext_rows, "exchange",
                               "combined ghost source densities",
                               rows_are="points")
-            _san.check_finite(ue, "exchange",
+            _san.check_finite(ue_rows, "exchange",
                               "global upward equivalent densities")
 
-        # Ghost-dependent passes.
-        self._v_ghost(comm, ue3, dc3, v_state, timer)
-        self._downward(ext_phi3, dc3, de3, pot3, timer)
-        self._near_u(self.u_ghost, ext_phi3, pot3, timer)
-        self._near_w(self.w_ghost, ue3, pot3, timer)
+        # Ghost-dependent passes.  At coarse split levels
+        # (``sp.inv_rows is not None``) this rank only carries the boxes
+        # the deterministic cyclic assignment gave it, and the level ends
+        # with the broadcast of each assigned box's downward-check rows.
+        for vl, sp, state in zip(plan.v_levels, self.v_splits, v_state):
+            if state is None:
+                stages.v_direct(vl, sp.ghost_classes, ue, dc)
+            else:
+                stages.v_fft_classes(
+                    vl, sp.ghost_rows, sp.ghost_classes, ue, *state
+                )
+                stages.v_fft_inverse(vl, sp.inv_rows, state[1], dc)
+            with timer.phase("down_v"):
+                self._v_split_bcast(comm, vl, sp, dc)
+        for dl in plan.down_levels:
+            stages.down_level(dl, ext_phi, dc, de, pot)
+        stages.near_u(self.u_ghost, ext_phi, pot)
+        stages.near_w(self.w_ghost, ue, pot)
         if san:
-            _san.check_finite(pot3, "output", "potentials",
+            _san.check_finite(pot, "output", "potentials",
                               rows_are="targets")
 
-        if single:
-            potential = np.empty((nt, out_dof))
-            potential[tree.trg_perm] = pot3[0]
-        else:
-            potential = np.empty((nt, out_dof, nrhs))
-            potential[tree.trg_perm] = pot3.transpose(1, 2, 0)
+        potential = unsort_potential(pot, tree.trg_perm, single)
         if san:
             _san.check_escape(potential, pool, "RankFMM.apply")
         return potential
 
-    # -- stages -----------------------------------------------------------
-
-    def _upward(self, ue3: np.ndarray, phi_rm: np.ndarray) -> None:
-        """Partial upward pass (local sources only), level batched.
-
-        Feeds the regularised ``uc2ue`` inverse, so columns are looped
-        with per-level operators hoisted: every column performs exactly
-        the arithmetic of a single-RHS apply (bitwise column parity).
-        """
-        cache, plan, src_k = self.cache, self.plan, self.src_k
-        n_surf = cache.n_surf
-        qd, sdof = self.kernel.target_dof, src_k.source_dof
-        nrhs = ue3.shape[1]
-        pool = plan.buffers
-        zero3 = np.zeros(3)
-        for ul in plan.up_levels:
-            check = pool.zeros(
-                "p_up_check", (nrhs, ul.boxes.size, n_surf * qd)
-            )
-            if ul.s2m_rows.size:
-                chk_pts = cache.up_check_points(zero3, ul.level)
-                phi_cat = phi_rm[:, ul.s2m_src_pos].reshape(nrhs, -1)
-                max_pts = max(1, MAX_BLOCK_ENTRIES // (n_surf * qd * sdof))
-                for lo, hi in chunk_segments(ul.s2m_seg, max_pts):
-                    p0, p1 = int(ul.s2m_seg[lo]), int(ul.s2m_seg[hi])
-                    K = src_k.matrix_local(chk_pts, ul.s2m_pts[p0:p1])
-                    cols = (ul.s2m_seg[lo:hi] - p0) * sdof
-                    rows = ul.s2m_rows[lo:hi]
-                    for r in range(nrhs):
-                        vals = K * phi_cat[r, p0 * sdof : p1 * sdof][None, :]
-                        check[r][rows] += np.add.reduceat(
-                            vals, cols, axis=1
-                        ).T
-            for octant, kids, rows in ul.m2m_groups:
-                M = cache.m2m_check(ul.level + 1, octant)
-                if pool.sanitize:
-                    _san.guard_gemm(check, ue3, M,
-                                    site=f"p-m2m level {ul.level}")
-                for r in range(nrhs):
-                    check[r][rows] += ue3[kids, r] @ M.T
-            U = cache.uc2ue(ul.level)
-            if pool.sanitize:
-                _san.guard_gemm(ue3, check, U,
-                                site=f"p-uc2ue level {ul.level}")
-            for r in range(nrhs):
-                ue3[ul.boxes, r] = check[r] @ U.T
-            pool.release("p_up_check")
-
-    def _near_u(
-        self,
-        blocks: NearBlocks,
-        ext_phi3: np.ndarray,
-        pot3: np.ndarray,
-        timer: PhaseTimer,
-    ) -> None:
-        """U-list near field over one ownership split of the partners.
-
-        Direct to potentials (no ill-conditioned inverse downstream), so
-        the RHS axis folds into one GEMM per chunk that streams the
-        kernel block once for the whole batch.
-        """
-        if blocks.boxes.size == 0:
-            return
-        plan, dir_k = self.plan, self.dir_k
-        sdof, out_dof = self.src_k.source_dof, self.trg_k.target_dof
-        nrhs = pot3.shape[0]
-        with timer.phase("down_u"):
-            for i, bi in enumerate(blocks.boxes):
-                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
-                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
-                pos = blocks.src_pos[s0:s1]
-                ctr = plan.centers[bi]
-                trg_pts = plan.targets_sorted[t0:t1] - ctr
-                ntr = t1 - t0
-                step = max(1, MAX_BLOCK_ENTRIES // max(1, ntr * out_dof * sdof))
-                for c0 in range(0, pos.size, step):
-                    c1 = min(pos.size, c0 + step)
-                    K = dir_k.matrix_local(
-                        trg_pts, self.ext_points[pos[c0:c1]] - ctr
-                    )
-                    xs = ext_phi3[pos[c0:c1]].reshape(-1, nrhs)
-                    pot3[:, t0:t1] += (K @ xs).reshape(
-                        ntr, out_dof, nrhs
-                    ).transpose(2, 0, 1)
-
-    def _near_w(
-        self,
-        blocks: NearBlocks,
-        ue3: np.ndarray,
-        pot3: np.ndarray,
-        timer: PhaseTimer,
-    ) -> None:
-        """W-list pass over one ownership split of the partner boxes.
-
-        Direct to potentials, so the RHS axis folds like the U list.
-        """
-        if blocks.boxes.size == 0:
-            return
-        plan, cache, trg_k = self.plan, self.cache, self.trg_k
-        out_dof = trg_k.target_dof
-        nrhs = pot3.shape[0]
-        with timer.phase("down_w"):
-            sgrid = surface_grid(cache.p)
-            hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
-            for i, bi in enumerate(blocks.boxes):
-                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
-                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
-                partners = blocks.src_pos[s0:s1]
-                ctr = plan.centers[bi]
-                rad = cache.inner * hw[plan.levels[partners]]
-                eq_pts = (
-                    (plan.centers[partners] - ctr)[:, None, :]
-                    + rad[:, None, None] * sgrid[None, :, :]
-                ).reshape(-1, 3)
-                K = trg_k.matrix_local(plan.targets_sorted[t0:t1] - ctr, eq_pts)
-                xs = ue3[partners].transpose(0, 2, 1).reshape(-1, nrhs)
-                pot3[:, t0:t1] += (K @ xs).reshape(
-                    t1 - t0, out_dof, nrhs
-                ).transpose(2, 0, 1)
-
-    def _v_direct(
-        self, vl, classes, backend: str, ue3: np.ndarray, dc3: np.ndarray
-    ) -> None:
-        """Apply one ownership split of a dense/rsvd level's classes."""
-        cache = self.cache
-        nrhs = dc3.shape[0]
-        dtype = self.m2l_schedule.dtype
-        for offset, spos, tpos in classes:
-            if backend == "dense":
-                T = cache.m2l_check(vl.level, offset)
-                for r in range(nrhs):
-                    dc3[r][vl.trg_boxes[tpos]] += (
-                        ue3[vl.src_boxes[spos], r] @ T.T
-                    )
-            else:
-                uf, vf = cache.m2l_rsvd(vl.level, offset, dtype)
-                ufT, vfT = uf.T, vf.T
-                for r in range(nrhs):
-                    src = ue3[vl.src_boxes[spos], r]
-                    if dtype == "float32":
-                        src = src.astype(np.float32)
-                    dc3[r][vl.trg_boxes[tpos]] += (src @ vfT) @ ufT
-
-    def _v_owned(
-        self, ue3: np.ndarray, dc3: np.ndarray, timer: PhaseTimer
-    ) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """Forward-FFT owned V sources and accumulate owned classes.
-
-        Returns per-level state the ghost pass completes: ``(phi_hat,
-        acc)`` for fft-scheduled levels (plain arrays, not pool buffers:
-        the state must survive the interleaved passes of the overlap
-        window) and ``None`` for dense/rsvd levels, whose owned classes
-        are applied directly here.  Columns are looped with the
-        translation operators hoisted — the V result feeds the
-        ``dc2de`` inverse, so every column must repeat the single-RHS
-        arithmetic exactly.
-        """
-        plan, fft = self.plan, self.fft
-        sched = self.m2l_schedule
-        md, qd = self.kernel.source_dof, self.kernel.target_dof
-        nrhs = dc3.shape[0]
-        state: list[tuple[np.ndarray, np.ndarray] | None] = []
-        with timer.phase("down_v"):
-            for vl, sp in zip(plan.v_levels, self.v_splits):
-                if sched.backend(vl.level) != "fft":
-                    self._v_direct(
-                        vl, sp.own_classes, sched.backend(vl.level), ue3, dc3
-                    )
-                    state.append(None)
-                    continue
-                nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
-                phi_hat = np.empty(
-                    (nrhs, nsb, md, nfreq), dtype=np.complex128
-                )
-                acc = np.zeros((nrhs, ntb, qd, nfreq), dtype=np.complex128)
-                if sp.own_rows.size:
-                    rows = vl.src_boxes[sp.own_rows]
-                    for r in range(nrhs):
-                        phi_hat[r][sp.own_rows] = fft.forward_rows(
-                            ue3[rows, r],
-                            np.empty(
-                                (sp.own_rows.size, md, nfreq),
-                                dtype=np.complex128,
-                            ),
-                        )
-                for offset, spos, tpos in sp.own_classes:
-                    tensor = fft.kernel_tensor_hat(vl.level, offset)
-                    for r in range(nrhs):
-                        fft.accumulate_many(
-                            acc[r], tensor, phi_hat[r][spos], tpos
-                        )
-                state.append((phi_hat, acc))
-        return state
-
-    def _v_ghost(
-        self,
-        comm: SimComm,
-        ue3: np.ndarray,
-        dc3: np.ndarray,
-        state: list[tuple[np.ndarray, np.ndarray] | None],
-        timer: PhaseTimer,
-    ) -> None:
-        """Complete the V pass with ghost-owned source boxes.
-
-        At coarse split levels (``sp.inv_rows is not None``) this rank
-        only carries the boxes the deterministic cyclic assignment gave
-        it — the inverse transform is restricted to ``inv_rows`` — and
-        the level ends with a tree broadcast of each assigned box's
-        downward-check rows to the box's other contributor ranks, which
-        *assign* (not accumulate) the received bytes so the rows stay
-        bitwise identical across participants.
-        """
-        plan, fft = self.plan, self.fft
-        if not plan.v_levels:
-            return
-        sched = self.m2l_schedule
-        md = self.kernel.source_dof
-        nrhs = dc3.shape[0]
-        with timer.phase("down_v"):
-            for (vl, sp), st in zip(
-                zip(plan.v_levels, self.v_splits), state
-            ):
-                if sched.backend(vl.level) != "fft":
-                    self._v_direct(
-                        vl, sp.ghost_classes, sched.backend(vl.level),
-                        ue3, dc3,
-                    )
-                    self._v_split_bcast(comm, vl, sp, dc3)
-                    continue
-                nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-                phi_hat, acc = st
-                if sp.ghost_rows.size:
-                    rows = vl.src_boxes[sp.ghost_rows]
-                    for r in range(nrhs):
-                        phi_hat[r][sp.ghost_rows] = fft.forward_rows(
-                            ue3[rows, r],
-                            np.empty(
-                                (sp.ghost_rows.size, md, nfreq),
-                                dtype=np.complex128,
-                            ),
-                        )
-                for offset, spos, tpos in sp.ghost_classes:
-                    tensor = fft.kernel_tensor_hat(vl.level, offset)
-                    for r in range(nrhs):
-                        fft.accumulate_many(
-                            acc[r], tensor, phi_hat[r][spos], tpos
-                        )
-                if sp.inv_rows is None:
-                    for r in range(nrhs):
-                        dc3[r][vl.trg_boxes] += fft.inverse_rows(acc[r])
-                elif sp.inv_rows.size:
-                    rows = vl.trg_boxes[sp.inv_rows]
-                    for r in range(nrhs):
-                        dc3[r][rows] += fft.inverse_rows(
-                            acc[r][sp.inv_rows]
-                        )
-                self._v_split_bcast(comm, vl, sp, dc3)
-
     def _v_split_bcast(
-        self, comm: SimComm, vl, sp, dc3: np.ndarray
+        self, comm: SimComm, vl, sp, dc: np.ndarray
     ) -> None:
         """Deliver split-level downward-check rows along the rank tree.
 
         Every participant iterates the same ascending ``(level, box)``
         schedule, so the segmented broadcasts match up deadlock-free.
-        At this point ``dc3[:, bx]`` holds exactly the level's V
+        At this point ``dc[:, bx]`` holds exactly the level's V
         contribution (L2L and X accumulate later, own classes are empty
         at split levels), so the root's rows can be assigned verbatim.
         """
@@ -956,86 +392,14 @@ class RankFMM:
         me = comm.rank
         for bx, root, parts in sp.bcast:
             blk = (
-                np.ascontiguousarray(dc3[:, bx]) if me == root else None
+                np.ascontiguousarray(dc[:, bx]) if me == root else None
             )
             out = comm.tree_bcast(
                 blk, root, parts,
                 tag=mk_tag("vsp", int(vl.level), int(bx)), phase="v_split",
             )
             if me != root:
-                dc3[:, bx] = out
-
-    def _downward(
-        self,
-        ext_phi3: np.ndarray,
-        dc3: np.ndarray,
-        de3: np.ndarray,
-        pot3: np.ndarray,
-        timer: PhaseTimer,
-    ) -> None:
-        """L2L / X / dc2de / L2T sweep over the LET (ghost X data).
-
-        Columns loop with per-level/per-box operators hoisted: L2L, X
-        and dc2de all feed the regularised downward inverse, and the
-        L2T einsum beats a strided batched GEMM at leaf sizes.
-        """
-        plan, cache = self.plan, self.cache
-        src_k, trg_k = self.src_k, self.trg_k
-        md = self.kernel.source_dof
-        n_surf = cache.n_surf
-        out_dof = trg_k.target_dof
-        nrhs = pot3.shape[0]
-        zero3 = np.zeros(3)
-        pool = plan.buffers
-        for dl in plan.down_levels:
-            with timer.phase("eval"):
-                for octant, kids, parents in dl.l2l_groups:
-                    L = cache.l2l_check(dl.level, octant)
-                    if pool.sanitize:
-                        _san.guard_gemm(dc3, de3, L,
-                                        site=f"p-l2l level {dl.level}")
-                    for r in range(nrhs):
-                        dc3[r][kids] += de3[r][parents] @ L.T
-            if dl.x_boxes.size:
-                with timer.phase("down_x"):
-                    chk_pts = cache.down_check_points(zero3, dl.level)
-                    for i, bi in enumerate(dl.x_boxes):
-                        p0, p1 = int(dl.x_seg[i]), int(dl.x_seg[i + 1])
-                        pos = dl.x_src_pos[p0:p1]
-                        K = src_k.matrix_local(
-                            chk_pts, self.ext_points[pos] - plan.centers[bi]
-                        )
-                        xs = ext_phi3[pos].transpose(2, 0, 1).reshape(
-                            nrhs, -1
-                        )
-                        for r in range(nrhs):
-                            dc3[r, bi] += K @ xs[r]
-            with timer.phase("eval"):
-                if dl.dc_boxes.size:
-                    D = cache.dc2de(dl.level)
-                    if pool.sanitize:
-                        _san.guard_gemm(de3, dc3, D,
-                                        site=f"p-dc2de level {dl.level}")
-                    for r in range(nrhs):
-                        de3[r][dl.dc_boxes] = dc3[r][dl.dc_boxes] @ D.T
-                if dl.l2t_boxes.size:
-                    eq_pts = cache.down_equiv_points(zero3, dl.level)
-                    reps = np.diff(dl.l2t_seg)
-                    de_rows = [
-                        np.repeat(de3[r][dl.l2t_boxes], reps, axis=0)
-                        for r in range(nrhs)
-                    ]
-                    npts = int(dl.l2t_seg[-1])
-                    step = max(1, MAX_BLOCK_ENTRIES // (out_dof * n_surf * md))
-                    for p0 in range(0, npts, step):
-                        p1 = min(npts, p0 + step)
-                        K = trg_k.matrix_local(dl.l2t_pts[p0:p1], eq_pts)
-                        K3 = K.reshape(p1 - p0, out_dof, n_surf * md)
-                        tp = dl.l2t_trg_pos[p0:p1]
-                        for r in range(nrhs):
-                            pot3[r][tp] += np.einsum(
-                                "tqm,tm->tq", K3, de_rows[r][p0:p1]
-                            )
+                dc[:, bx] = out
 
 
 def rank_setup(
@@ -1126,7 +490,7 @@ def rank_setup(
     )
 
     with timer.phase("plan"):
-        plan = build_plan(
+        plan, near = compile_plan(
             tree, lists,
             partner_nsrc=ptree.global_nsrc,
             ext_ranges=(ext_start, ext_stop),
@@ -1135,31 +499,9 @@ def rank_setup(
         # Ownership splits of the near-field and V-list work: owned
         # partners are computable right after the owner relay, ghost
         # partners only after the scatter completes.
-        boxes = tree.boxes
-        ntrg = np.fromiter((b.ntrg for b in boxes), np.int64, nb)
-        trg_start = np.fromiter((b.trg_start for b in boxes), np.int64, nb)
-        trg_stop = np.fromiter((b.trg_stop for b in boxes), np.int64, nb)
-        gsrc = ptree.global_nsrc
-
-        u_ptr, u_idx = lists.flat("U")
-        u_trg = np.repeat(np.arange(nb), np.diff(u_ptr))
-        um = (ntrg[u_trg] > 0) & (gsrc[u_idx] > 0)
-        ut, us = u_trg[um], u_idx[um]
-        uo = owner[us] == me
-        u_own = build_near_blocks(
-            ut[uo], us[uo], ext_start, ext_stop, trg_start, trg_stop
-        )
-        u_ghost = build_near_blocks(
-            ut[~uo], us[~uo], ext_start, ext_stop, trg_start, trg_stop
-        )
-
-        w_ptr, w_idx = lists.flat("W")
-        w_trg = np.repeat(np.arange(nb), np.diff(w_ptr))
-        wm = (ntrg[w_trg] > 0) & (gsrc[w_idx] > 0)
-        wt, wp = w_trg[wm], w_idx[wm]
-        wo = owner[wp] == me
-        w_own = build_w_blocks(wt[wo], wp[wo], trg_start, trg_stop)
-        w_ghost = build_w_blocks(wt[~wo], wp[~wo], trg_start, trg_stop)
+        owned = owner == me
+        u_own, w_own = near.blocks(owned)
+        u_ghost, w_ghost = near.blocks(~owned)
 
         # Coarse split levels: fewer boxes than ranks, where the fully
         # redundant tree-top V translations leave ranks idle.  Each
@@ -1172,7 +514,8 @@ def rank_setup(
             [len(tree.levels[lvl]) for lvl in range(tree.depth + 1)],
             comm.size,
         )
-        v_compute = ntrg > 0  # default: every box with local targets
+        # default: every box with local targets
+        v_compute = near.trg_stop > near.trg_start
         v_splits: list[_VSplit] = []
         empty_idx = np.empty(0, dtype=np.int64)
         for vl in plan.v_levels:
@@ -1184,7 +527,7 @@ def rank_setup(
                 # some rank contributes targets and some partner holds
                 # global sources.
                 schedule = v_split_bcast_schedule(
-                    lvl_boxes, lists, contrib_trg, gsrc
+                    lvl_boxes, lists, contrib_trg, ptree.global_nsrc
                 )
                 assigned_rank = {
                     bx: root_r for bx, root_r, _ in schedule
@@ -1221,7 +564,7 @@ def rank_setup(
                     )
                 )
                 continue
-            src_owned = owner[vl.src_boxes] == me
+            src_owned = owned[vl.src_boxes]
             own_classes, ghost_classes = [], []
             for offset, spos, tpos in vl.classes:
                 m = src_owned[spos]
@@ -1247,8 +590,8 @@ def rank_setup(
     if fft is None and sched.needs_fft:
         fft = FFTM2L(cache)
 
-    src_start = np.fromiter((b.src_start for b in boxes), np.int64, nb)
-    src_stop = np.fromiter((b.src_stop for b in boxes), np.int64, nb)
+    src_start = np.fromiter((b.src_start for b in tree.boxes), np.int64, nb)
+    src_stop = np.fromiter((b.src_stop for b in tree.boxes), np.int64, nb)
     return RankFMM(
         kernel=kernel,
         options=opts,
@@ -1284,11 +627,12 @@ class ParallelFMMResult:
     nranks: int
 
 
-def _planned_eligible(kernels: tuple[Kernel, ...], opts: FMMOptions) -> bool:
-    """Whether the persistent planned path applies (mirrors KIFMM)."""
-    return opts.plan == "batched" and all(
-        k.translation_invariant for k in kernels
-    )
+def _require_batched_plan(opts: FMMOptions) -> None:
+    if opts.plan != "batched":
+        raise ValueError(
+            "the parallel operator requires plan='batched'; plan='naive' "
+            "selects the sequential per-box reference (KIFMM) only"
+        )
 
 
 def run_parallel_fmm(
@@ -1314,12 +658,12 @@ def run_parallel_fmm(
     returns the potentials in the original point order together with
     per-rank communication statistics.
 
-    With the default batched plan and translation-invariant kernels the
-    run goes through the persistent operator: one :func:`rank_setup`
-    followed by ``napplies`` overlapped planned applies inside a single
-    SPMD region (so a trace covers setup plus every apply).  Otherwise
-    ``napplies`` per-box :func:`parallel_evaluate` calls run, sharing
-    one operator cache.
+    The run goes through the persistent operator: one
+    :func:`rank_setup` followed by ``napplies`` overlapped planned
+    applies inside a single SPMD region (so a trace covers setup plus
+    every apply).  ``cache`` lets the caller supply a prebuilt
+    :class:`~repro.core.precompute.OperatorCache` for the points'
+    bounding cube.
 
     ``trace`` (a :class:`repro.analysis.trace.CommTrace`) records the
     full communication event trace for
@@ -1336,6 +680,7 @@ def run_parallel_fmm(
         kernel, source_kernel, target_kernel, direct_kernel
     )
     opts = options or FMMOptions()
+    _require_batched_plan(opts)
     points = np.asarray(points, dtype=np.float64)
     density3, nrhs, single = coerce_density(
         np.asarray(density, dtype=np.float64),
@@ -1343,56 +688,33 @@ def run_parallel_fmm(
     )
     parts = partition_points(points, nranks)
     timers = [PhaseTimer() for _ in range(nranks)]
-    use_plan = _planned_eligible((kernel, src_k, trg_k, dir_k), opts)
+    corner, side = _global_root(points)
+    shared_cache = cache if cache is not None else OperatorCache(
+        kernel, opts.p, side,
+        inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
+    )
+    # "auto" may schedule fft levels; prebuild so ranks share the
+    # lazily-populated tensors (rank_setup ignores it otherwise).
+    shared_fft = (
+        FFTM2L(shared_cache) if opts.m2l in ("fft", "auto") else None
+    )
 
-    if use_plan:
-        corner, side = _global_root(points)
-        shared_cache = cache if cache is not None else OperatorCache(
-            kernel, opts.p, side,
-            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
+    def rank_main(comm: SimComm, idx: np.ndarray):
+        state = rank_setup(
+            comm, kernel, points[idx], opts,
+            root=(corner, side), cache=shared_cache, fft=shared_fft,
+            source_kernel=source_kernel, target_kernel=target_kernel,
+            direct_kernel=direct_kernel, timer=timers[comm.rank],
         )
-        # "auto" may schedule fft levels; prebuild so ranks share the
-        # lazily-populated tensors (rank_setup ignores it otherwise).
-        shared_fft = (
-            FFTM2L(shared_cache) if opts.m2l in ("fft", "auto") else None
-        )
-
-        def rank_main(comm: SimComm, idx: np.ndarray):
-            state = rank_setup(
-                comm, kernel, points[idx], opts,
-                root=(corner, side), cache=shared_cache, fft=shared_fft,
-                source_kernel=source_kernel, target_kernel=target_kernel,
-                direct_kernel=direct_kernel, timer=timers[comm.rank],
+        dloc = density3[idx]
+        if single:
+            dloc = dloc[:, :, 0]
+        for _ in range(napplies):
+            pot = state.apply(
+                comm, dloc,
+                timer=timers[comm.rank], overlap=overlap,
             )
-            dloc = density3[idx]
-            if single:
-                dloc = dloc[:, :, 0]
-            for _ in range(napplies):
-                pot = state.apply(
-                    comm, dloc,
-                    timer=timers[comm.rank], overlap=overlap,
-                )
-            return pot, comm.stats
-    else:
-
-        def rank_main(comm: SimComm, idx: np.ndarray):
-            # The per-box reference path loops columns (every rank loops
-            # the same count, so the SPMD message rounds stay aligned).
-            dloc = density3[idx]
-            for _ in range(napplies):
-                cols = [
-                    parallel_evaluate(
-                        comm, kernel, points[idx],
-                        np.ascontiguousarray(dloc[:, :, r]),
-                        options=options, timer=timers[comm.rank],
-                        source_kernel=source_kernel,
-                        target_kernel=target_kernel,
-                        direct_kernel=direct_kernel, cache=cache,
-                    )
-                    for r in range(nrhs)
-                ]
-            pot = cols[0] if single else np.stack(cols, axis=2)
-            return pot, comm.stats
+        return pot, comm.stats
 
     outputs = run_spmd(
         nranks, rank_main, PerRank(parts),
@@ -1422,8 +744,7 @@ class ParallelFMM:
     overlapped nonblocking protocol.  Repeated applies of one operator
     are bitwise identical; GMRES drives :meth:`matvec`.
 
-    Requires the batched plan and translation-invariant kernels (the
-    conditions of :func:`~repro.core.evaluator.evaluate_planned`).
+    Requires ``plan="batched"``: there is no per-box parallel path.
     """
 
     def __init__(
@@ -1447,14 +768,7 @@ class ParallelFMM:
         self.src_k, self.trg_k, self.dir_k = resolve_kernels(
             kernel, source_kernel, target_kernel, direct_kernel
         )
-        if not _planned_eligible(
-            (kernel, self.src_k, self.trg_k, self.dir_k), self.options
-        ):
-            raise ValueError(
-                "ParallelFMM requires plan='batched' and translation "
-                "invariant kernels; use run_parallel_fmm for the per-box "
-                "path"
-            )
+        _require_batched_plan(self.options)
         self._states: list[RankFMM] | None = None
         self._parts: list[np.ndarray] | None = None
         self._npoints = 0

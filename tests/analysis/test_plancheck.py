@@ -23,9 +23,11 @@ from repro.analysis.plancheck import (
     seed_reordered_wait,
     sequential_ir,
 )
+from repro.analysis.planir import extract_rank_ir
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.stokes import StokesKernel
+from repro.parallel import ParallelFMM
 
 
 @pytest.fixture(scope="module")
@@ -86,19 +88,44 @@ def test_parallel_certifies_rsvd_and_auto(points, m2l, dtype):
 
 
 def test_ir_flops_match_measured_apply(points):
-    """Static totals equal the dynamic FlopCounter of a real apply."""
+    """Static totals equal the dynamic FlopCounter of a real apply.
+
+    The sequential plan, and every rank of a 2- and a 4-rank operator
+    (the shared stages count flops on the rank path too).  The 4-rank
+    operators run on two tight opposite-corner clusters, whose two
+    boxes per coarse level put V level 2 under the coarse split
+    (restricted inverse transforms, per-box broadcasts).
+    """
     rng = np.random.default_rng(11)
+    clusters = np.vstack([
+        rng.uniform(0.0, 0.12, (150, 3)), rng.uniform(0.88, 1.0, (150, 3))
+    ])
+
+    def assert_equal(ir, flops):
+        totals = ir.flop_totals()
+        assert sum(totals.values()) > 0
+        measured = flops.by_phase()
+        for phase, total in totals.items():
+            assert total == measured.get(phase, 0.0)  # bitwise
+
     for kernel in (LaplaceKernel(), StokesKernel()):
         for m2l in ("fft", "dense", "rsvd", "auto"):
             opts = FMMOptions(p=4, max_points=40, m2l=m2l)
+            phi = rng.standard_normal(points.shape[0] * kernel.source_dof)
             fmm = KIFMM(kernel, opts).setup(points)
-            fmm.apply(
-                rng.standard_normal(points.shape[0] * kernel.source_dof)
-            )
-            ir, _ = sequential_ir(fmm, nrhs=1)
-            measured = fmm.flops.by_phase()
-            for phase, total in ir.flop_totals().items():
-                assert total == measured.get(phase, 0.0)  # bitwise
+            fmm.apply(phi)
+            assert_equal(sequential_ir(fmm, nrhs=1)[0], fmm.flops)
+            for nranks, pts, s in ((2, points, 40), (4, clusters, 20)):
+                opts = FMMOptions(p=4, max_points=s, m2l=m2l)
+                op = ParallelFMM(nranks, kernel, opts).setup(pts)
+                op.apply(
+                    rng.standard_normal(pts.shape[0] * kernel.source_dof)
+                )
+                split = False
+                for state in op._states:
+                    split |= any(sp.bcast for sp in state.v_splits)
+                    assert_equal(extract_rank_ir(state, nrhs=1), state.flops)
+                assert split == (nranks == 4)
 
 
 def test_seeded_wait_reorder_caught_by_schedule_only(parallel_ir):

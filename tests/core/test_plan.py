@@ -119,27 +119,6 @@ def test_planned_matches_naive_custom_stokes_roles(rng):
     )
 
 
-def test_non_invariant_kernel_falls_back_to_per_box(rng):
-    """plan='batched' must route non-invariant kernels to the per-box path.
-
-    The planned evaluator shares translation operators across same-offset
-    box pairs, which is only valid for translation-invariant kernels.
-    The fallback runs the identical per-box code, so the potentials are
-    bitwise equal to an explicit plan='naive' run.
-    """
-
-    class PinnedLaplace(LaplaceKernel):
-        translation_invariant = False
-
-    pts = uniform_cloud(rng, 400)
-    phi = rng.standard_normal((400, 1))
-    opts_b = FMMOptions(p=4, max_points=30, plan="batched")
-    opts_n = FMMOptions(p=4, max_points=30, plan="naive")
-    u_b = KIFMM(PinnedLaplace(), opts_b).setup(pts).apply(phi)
-    u_n = KIFMM(PinnedLaplace(), opts_n).setup(pts).apply(phi)
-    assert np.array_equal(u_b, u_n)
-
-
 def test_planned_accuracy_against_direct(rng):
     """The planned path at default rcond vs O(N^2) truth."""
     n = 700

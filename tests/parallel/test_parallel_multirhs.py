@@ -73,15 +73,19 @@ def test_blocked_apply_matches_sequential_block(rng):
     assert relative_error(par.potential, seq) < 1e-9
 
 
-def test_naive_parallel_path_loops_columns(rng):
+def test_blocked_apply_matches_per_box_column_loop(rng):
+    """The per-box reference loops columns; the planned block must agree."""
     kern, n, mp = KERNELS["laplace"]
     pts = uniform_cloud(rng, 400)
     block = rng.standard_normal((400, 1, 3))
+    opts = FMMOptions(p=4, max_points=mp)
     naive = FMMOptions(p=4, max_points=mp, plan="naive")
-    seq = KIFMM(kern, FMMOptions(p=4, max_points=mp)).setup(pts).apply(block)
-    par = run_parallel_fmm(2, kern, pts, block, naive)
+    seq = KIFMM(kern, opts).setup(pts).apply(block)
+    ref = KIFMM(kern, naive).setup(pts).apply(block)
+    par = run_parallel_fmm(2, kern, pts, block, opts)
     assert par.potential.shape == (400, 1, 3)
-    assert relative_error(par.potential, seq) < 1e-9
+    assert relative_error(par.potential, seq) < 1e-12
+    assert relative_error(par.potential, ref) < 1e-9
 
 
 def test_block_matvec_is_reshape_of_stacked_apply(rng):

@@ -2,7 +2,7 @@
 
 The tentpole claims of the setup/apply split: the LET-local execution
 plan computes the same potentials as the sequential batched evaluator
-and the per-box naive path, repeated applies of one operator are
+and the sequential per-box reference, repeated applies of one operator are
 bitwise identical (the pooled buffers are re-zeroed, the exchange is
 deterministic), and the overlap flag changes scheduling but not a
 single bit of the result.
@@ -110,11 +110,11 @@ def test_rsvd_and_auto_m2l_planned_path(rng, m2l, dtype, tol):
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(3, LaplaceKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq) < tol
-    naive = run_parallel_fmm(
-        3, LaplaceKernel(), pts, phi,
+    naive = KIFMM(
+        LaplaceKernel(),
         FMMOptions(p=4, max_points=30, m2l=m2l, dtype=dtype, plan="naive"),
-    )
-    assert relative_error(naive.potential, seq) < tol
+    ).setup(pts).apply(phi)
+    assert relative_error(par.potential, naive) < tol
 
 
 def test_matvec_shape_for_gmres(rng):
@@ -126,8 +126,13 @@ def test_matvec_shape_for_gmres(rng):
 
 
 def test_parallel_fmm_rejects_naive_plan():
+    """plan="naive" selects the sequential reference only."""
+    naive = FMMOptions(plan="naive")
     with pytest.raises(ValueError, match="batched"):
-        ParallelFMM(2, LaplaceKernel(), FMMOptions(plan="naive"))
+        ParallelFMM(2, LaplaceKernel(), naive)
+    with pytest.raises(ValueError, match="batched"):
+        run_parallel_fmm(2, LaplaceKernel(), np.zeros((4, 3)),
+                         np.zeros((4, 1)), naive)
 
 
 def test_apply_before_setup_raises():
@@ -160,12 +165,11 @@ def test_shared_cache_reused_across_paths(rng):
         pts, root=(corner, side), cache=cache
     ).apply(phi)
     planned = run_parallel_fmm(2, LaplaceKernel(), pts, phi, opts, cache=cache)
-    naive = run_parallel_fmm(
-        2, LaplaceKernel(), pts, phi,
-        FMMOptions(p=4, max_points=30, plan="naive"), cache=cache,
-    )
-    assert relative_error(planned.potential, seq) < 1e-9
-    assert relative_error(naive.potential, seq) < 1e-9
+    op = ParallelFMM(2, LaplaceKernel(), opts)
+    op.cache = cache
+    assert relative_error(planned.potential, seq) < 1e-12
+    assert np.array_equal(op.setup(pts).apply(phi), planned.potential)
+    assert op.cache is cache
 
 
 def test_mismatched_cache_root_rejected(rng):

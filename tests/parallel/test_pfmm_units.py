@@ -1,36 +1,59 @@
-"""Unit tests of the parallel evaluator's building blocks."""
+"""Unit tests of the building blocks the rank driver shares with KIFMM."""
 
 import numpy as np
-import pytest
 
-from repro.core.fmm import FMMOptions, KIFMM
+from repro.core.evaluator import PlanStages
+from repro.core.plan import build_plan
 from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel
-from repro.octree import build_tree
-from repro.parallel.pfmm import _octant, _upward_local
+from repro.octree import build_lists, build_tree
+from repro.util.flops import FlopCounter
+from repro.util.timing import PhaseTimer
 
 from tests.conftest import clustered_cloud
 
 
 class TestOctant:
-    def test_all_children_distinct(self, rng):
+    """The plan's octant numbering (keys of the M2M / L2L operators)."""
+
+    def _groups(self, rng):
         tree = build_tree(rng.uniform(-1, 1, (200, 3)), max_points=20)
-        for b in tree.boxes:
-            if b.is_leaf:
-                continue
-            octants = {_octant(tree.boxes[c]) for c in b.children}
-            assert len(octants) == len(b.children)
-            assert all(0 <= o < 8 for o in octants)
+        plan = build_plan(tree, build_lists(tree))
+        groups = [g for ul in plan.up_levels for g in ul.m2m_groups]
+        groups += [g for dl in plan.down_levels for g in dl.l2l_groups]
+        assert groups
+        return tree, groups
+
+    def test_all_children_distinct(self, rng):
+        tree, groups = self._groups(rng)
+        for octant, kids, _ in groups:
+            assert 0 <= octant < 8
+            # one group holds at most one child of any parent
+            parents = [tree.boxes[k].parent for k in kids]
+            assert len(set(parents)) == len(parents)
 
     def test_matches_anchor_parity(self, rng):
-        tree = build_tree(rng.uniform(-1, 1, (200, 3)), max_points=20)
-        for b in tree.boxes:
-            if b.parent < 0:
-                continue
-            o = _octant(b)
-            assert (o & 1) == (b.anchor[0] & 1)
-            assert ((o >> 1) & 1) == (b.anchor[1] & 1)
-            assert ((o >> 2) & 1) == (b.anchor[2] & 1)
+        tree, groups = self._groups(rng)
+        for o, kids, _ in groups:
+            for k in kids:
+                b = tree.boxes[k]
+                assert (o & 1) == (b.anchor[0] & 1)
+                assert ((o >> 1) & 1) == (b.anchor[1] & 1)
+                assert ((o >> 2) & 1) == (b.anchor[2] & 1)
+
+
+def _upward(tree, kernel, cache, phi):
+    """The shared upward stage alone: ``ue[box]`` of one density."""
+    plan = build_plan(tree, build_lists(tree))
+    stages = PlanStages(
+        plan, kernel, cache, (kernel, kernel, kernel), None, None,
+        plan.sources_sorted, FlopCounter(), PhaseTimer(),
+    )
+    ue = np.zeros((plan.nboxes, 1, cache.n_surf * kernel.source_dof))
+    sorted_phi = phi[tree.src_perm].reshape(-1, kernel.source_dof, 1)
+    for ul in plan.up_levels:
+        stages.up_level(ul, sorted_phi, ue)
+    return ue[:, 0]
 
 
 class TestUpwardLocal:
@@ -42,7 +65,7 @@ class TestUpwardLocal:
         phi = rng.standard_normal((400, 1))
         tree = build_tree(pts, max_points=25)
         cache = OperatorCache(kernel, 4, tree.root_side)
-        ue, has_ue = _upward_local(tree, kernel, cache, phi)
+        ue = _upward(tree, kernel, cache, phi)
         # compare a leaf's density against a direct S2M computation
         leaf = tree.leaves()[0]
         b = tree.boxes[leaf]
@@ -56,7 +79,7 @@ class TestUpwardLocal:
         assert np.allclose(ue[leaf], expected)
         # every box with sources has a density
         for b in tree.boxes:
-            assert has_ue[b.index] == (b.nsrc > 0)
+            assert ue[b.index].any() == (b.nsrc > 0)
 
     def test_linearity_of_partials(self, rng):
         """Partial densities are linear in the local sources — the
@@ -67,7 +90,7 @@ class TestUpwardLocal:
         cache = OperatorCache(kernel, 4, tree.root_side)
         p1 = rng.standard_normal((300, 1))
         p2 = rng.standard_normal((300, 1))
-        ue1, _ = _upward_local(tree, kernel, cache, p1)
-        ue2, _ = _upward_local(tree, kernel, cache, p2)
-        ue12, _ = _upward_local(tree, kernel, cache, p1 + p2)
+        ue1 = _upward(tree, kernel, cache, p1)
+        ue2 = _upward(tree, kernel, cache, p2)
+        ue12 = _upward(tree, kernel, cache, p1 + p2)
         assert np.allclose(ue12, ue1 + ue2, atol=1e-12)

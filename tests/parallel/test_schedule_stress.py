@@ -1,19 +1,22 @@
 """Seeded schedule-perturbation stress tests (satellite of the analysis PR).
 
-The ghost exchange and LET gather protocols must be schedule
+The per-apply exchange (``ApplyExchange``, both payload kinds, both
+communication schemes) and the LET gather protocol must be schedule
 independent: whatever interleaving the thread scheduler produces, every
-rank must end up with bitwise-identical data.  We fuzz 10 perturbed
-schedules per protocol (seeded random yields inside every SimComm call)
-and compare against an unperturbed reference run.
+rank must end up with bitwise-identical data — and the tree and flat
+schemes with the same bytes.  We fuzz 10 perturbed schedules per
+protocol (seeded random yields inside every SimComm call) and compare
+against an unperturbed reference run.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import CommTrace, check_trace, compare_traces
-from repro.parallel.exchange import exchange_equiv_densities, exchange_source_data
 from repro.parallel.let import LETUsage, gather_users
 from repro.parallel.simmpi import run_spmd
+
+from tests.parallel.exchange_harness import flatten, run_exchange
 
 NRANKS = 4
 NBOXES = 24
@@ -31,75 +34,59 @@ def _random_topology(rng):
     return contrib, users, owner
 
 
-def _ghost_exchange_once(contrib, users, owner, seed):
-    boxes = np.arange(NBOXES)
+def _exchange_once(contrib, users, owner, kind, scheme, seed):
+    """One traced ApplyExchange round of one payload kind.
 
-    def main(comm):
-        me = comm.rank
-        pts = {
-            b: np.full((3, 3), 100.0 * me + b)
-            for b in range(NBOXES) if contrib[me, b]
-        }
-        dens = {
-            b: np.full((3, 2), 10.0 * me + b)
-            for b in range(NBOXES) if contrib[me, b]
-        }
-        return exchange_source_data(
-            comm, boxes, contrib, users, owner, pts, dens
-        )
-
+    ``phi`` ships rank- and box-tagged density rows (concatenated at the
+    owner), ``pue`` random partial equivalent densities (summed).
+    """
+    none = np.zeros_like(users)
+    pieces = [{} for _ in range(NRANKS)]
+    partials = np.zeros((NRANKS, NBOXES, 6))
+    if kind == "phi":
+        pieces = [
+            {b: np.full((3, 2), 10.0 * r + b)
+             for b in range(NBOXES) if contrib[r, b]}
+            for r in range(NRANKS)
+        ]
+    else:
+        values = np.random.default_rng(7).standard_normal(partials.shape)
+        partials[contrib] = values[contrib]
     trace = CommTrace()
-    results = run_spmd(
-        NRANKS, main, trace=trace, schedule_seed=seed,
+    results = run_exchange(
+        contrib,
+        users if kind == "phi" else none,
+        users if kind == "pue" else none,
+        owner, pieces, partials, scheme,
+        trace=trace, schedule_seed=seed,
     )
-    assert check_trace(trace).ok
-    return results, trace
+    report = check_trace(trace)
+    assert report.ok, report.summary()
+    return flatten(results), trace
 
 
-def _flatten(results):
-    out = []
-    for rank_result in results:
-        for b in sorted(rank_result):
-            pts, dens = rank_result[b]
-            out.append((b, pts.tobytes(), dens.tobytes()))
-    return out
+def _assert_schedule_and_scheme_independent(contrib, users, owner, kind):
+    reference, _ = _exchange_once(contrib, users, owner, kind, "tree", None)
+    assert reference, "the random topology must move some data"
+    for scheme in ("tree", "flat"):
+        traces = []
+        for seed in range(NSCHEDULES):
+            got, trace = _exchange_once(
+                contrib, users, owner, kind, scheme, seed
+            )
+            assert got == reference, f"{scheme} schedule {seed} diverged"
+            traces.append(trace)
+        assert compare_traces(traces).ok
 
 
 def test_ghost_exchange_bitwise_identical_across_schedules(rng):
     contrib, users, owner = _random_topology(rng)
-    reference, _ = _ghost_exchange_once(contrib, users, owner, seed=None)
-    ref_flat = _flatten(reference)
-    traces = []
-    for seed in range(NSCHEDULES):
-        results, trace = _ghost_exchange_once(contrib, users, owner, seed)
-        assert _flatten(results) == ref_flat, f"schedule {seed} diverged"
-        traces.append(trace)
-    assert compare_traces(traces).ok
+    _assert_schedule_and_scheme_independent(contrib, users, owner, "phi")
 
 
 def test_equiv_density_reduction_bitwise_identical_across_schedules(rng):
     contrib, users, owner = _random_topology(rng)
-    boxes = np.arange(NBOXES)
-    partials = rng.standard_normal((NRANKS, NBOXES, 6))
-
-    def main(comm):
-        me = comm.rank
-        has = contrib[me].copy()
-        return exchange_equiv_densities(
-            comm, boxes, contrib, users, owner, partials[me], has
-        )
-
-    def flat(results):
-        return [
-            (b, r[b].tobytes()) for r in results for b in sorted(r)
-        ]
-
-    reference = flat(run_spmd(NRANKS, main))
-    for seed in range(NSCHEDULES):
-        trace = CommTrace()
-        results = run_spmd(NRANKS, main, trace=trace, schedule_seed=seed)
-        assert flat(results) == reference, f"schedule {seed} diverged"
-        assert check_trace(trace).ok
+    _assert_schedule_and_scheme_independent(contrib, users, owner, "pue")
 
 
 def test_let_gather_users_bitwise_identical_across_schedules(rng):
@@ -128,6 +115,6 @@ def test_let_gather_users_bitwise_identical_across_schedules(rng):
 def test_perturbation_is_reproducible(seed, rng):
     """Same seed, same trace digests: the fuzzing itself is deterministic."""
     contrib, users, owner = _random_topology(rng)
-    _, t1 = _ghost_exchange_once(contrib, users, owner, seed)
-    _, t2 = _ghost_exchange_once(contrib, users, owner, seed)
+    _, t1 = _exchange_once(contrib, users, owner, "phi", "tree", seed)
+    _, t2 = _exchange_once(contrib, users, owner, "phi", "tree", seed)
     assert compare_traces([t1, t2]).ok
