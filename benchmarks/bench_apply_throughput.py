@@ -48,6 +48,31 @@ _ROOT = Path(__file__).resolve().parent.parent
 _KERNELS = {"laplace": LaplaceKernel, "stokes": StokesKernel}
 
 
+def roundoff_bound(fmm: KIFMM) -> float:
+    """How far two correct evaluators of ``fmm`` may sit apart.
+
+    The planned and the per-box path sum the same terms in different
+    orders, and every difference of one ulp in a check potential passes
+    through the regularised ``uc2ue`` / ``dc2de`` inversions, whose
+    condition number grows with ``p`` (Laplace 2e5 / 1e9 / 3e11 and
+    Stokes 5e5 / 2e10 / 9e11 at p = 4 / 6 / 8).  Measured over p in
+    {4, 6, 8}, rcond in {1e-12, 1e-9, 1e-6}, N in {2k, 20k} and both
+    kernels, the disagreement is 0.003-0.011 x eps x that condition
+    number — six decades on one line — so the bound is 0.1 x eps x
+    cond.  A fixed 1e-10 only ever held at p = 4 (the parity tests'
+    1e-12 at N = 3k is p = 4 too); this bench runs the default p = 6,
+    where BENCH_apply.json has always recorded 7e-10 to 3e-8.  A gating
+    difference would show at the method's own truncation error (1e-7
+    Laplace, 1e-5 Stokes at p = 6) or far above it.
+    """
+    cache, zero = fmm.cache, np.zeros(3)
+    forward = fmm.kernel.matrix(
+        cache.up_check_points(zero, 0), cache.up_equiv_points(zero, 0)
+    )
+    cond = np.linalg.norm(forward, 2) * np.linalg.norm(cache.uc2ue(0), 2)
+    return float(0.1 * np.finfo(np.float64).eps * cond)
+
+
 def _measure(kernel_name: str, n: int, plan: str, napply: int) -> dict:
     """Setup once, apply ``napply`` times; return timings and phases."""
     kernel = _KERNELS[kernel_name]()
@@ -79,6 +104,7 @@ def _measure(kernel_name: str, n: int, plan: str, napply: int) -> dict:
         "apply_seconds": round(t_apply, 4),
         "points_per_second": round(n / t_apply, 1),
         "phase_seconds": phases,
+        "roundoff_bound": float(f"{roundoff_bound(fmm):.3e}"),
         "_potential": u,
     }
 
@@ -256,7 +282,7 @@ def test_apply_throughput():
     report = run(quick=True)
     for r in report["results"]:
         if r["plan"] == "batched":
-            assert r["relative_error_vs_naive"] < 1e-10
+            assert r["relative_error_vs_naive"] < r["roundoff_bound"]
             assert r["speedup_vs_naive"] > 1.0
 
 

@@ -18,11 +18,12 @@ tooling" and § "Race detection & sanitizers"):
   guards).
 - :mod:`repro.analysis.lint` — an ``ast``-based lint of repo invariants
   (flop accounting, thread confinement, dtype width, buffer-pool
-  escapes, mutable defaults, request completion, plan-stage metadata)
+  escapes, mutable defaults, request completion, message tags)
   run as ``python -m repro.analysis.lint src/``.
 - :mod:`repro.analysis.planir` / :mod:`repro.analysis.plancheck` — the
-  static plan verifier (``repro plancheck``): compiled execution plans
-  extracted as a dataflow IR and certified without running an apply —
+  static plan verifier (``repro plancheck``): the step list the
+  drivers run, copied into a dataflow IR and certified without running
+  an apply —
   buffer liveness, dtype-flow with explicit-narrowing enforcement,
   overlap-schedule happens-before consistency, and an exact flop-budget
   identity against the performance model, plus seeded-defect self-tests.

@@ -24,9 +24,6 @@ Rule catalog (details in ``docs/architecture.md``):
 - ``mutable-default`` — no mutable default argument values.
 - ``request-waited`` — every ``irecv`` Request in ``repro/parallel/``
   must reach ``wait()``/``waitall()`` or escape to a caller.
-- ``stage-metadata`` — every ``@plan_stage`` class must declare a
-  literal ``stage_meta = StageMeta(reads=..., writes=..., dtype=...)``
-  with all three named keywords (the plan verifier's dataflow source).
 - ``tag-registry`` — every message tag in ``repro/parallel/`` must be
   minted by ``mk_tag`` (the structured-tag registry in ``simmpi.py``)
   or be a plain variable carrying one; ad-hoc literal/constructed tags
@@ -146,8 +143,7 @@ class FlopsAccountedRule(Rule):
         "The paper's tables report per-phase Gflop/s; the repo's "
         "performance model and benchmarks trust FlopCounter to be "
         "complete.  Any core/ function that carries a FlopCounter (a "
-        "`flops` parameter, local or attribute) and performs a matmul, "
-        "einsum or "
+        "`flops` parameter or local) and performs a matmul, einsum or "
         "solve without a flops.add*() call silently under-reports work.  "
         "Leaf helpers without a counter in scope are accounted by their "
         "callers and are exempt."
@@ -161,9 +157,7 @@ class FlopsAccountedRule(Rule):
         for func in functions(mod.tree):
             nodes = list(own_nodes(func))
             has_counter = "flops" in _arg_names(func) or any(
-                (isinstance(n, ast.Name) and n.id == "flops")
-                or (isinstance(n, ast.Attribute) and n.attr == "flops")
-                for n in nodes
+                isinstance(n, ast.Name) and n.id == "flops" for n in nodes
             )
             if not has_counter:
                 continue
@@ -490,93 +484,6 @@ class RequestWaitedRule(Rule):
                     )
 
 
-class StageMetadataRule(Rule):
-    name = "stage-metadata"
-    rationale = (
-        "The static plan verifier (repro plancheck) reconstructs the "
-        "dataflow of compiled plans from each stage class's StageMeta "
-        "declaration; a @plan_stage class without a literal "
-        "`stage_meta = StageMeta(reads=..., writes=..., dtype=...)` "
-        "assignment — all three as named keywords — leaves the IR "
-        "extractor blind to that stage's buffer traffic, so no plan "
-        "containing it can be certified.  The runtime registry rejects "
-        "a missing attribute at import time; this rule enforces the "
-        "full shape statically, before anything is imported."
-    )
-
-    _REQUIRED = ("reads", "writes", "dtype")
-
-    @staticmethod
-    def _is_plan_stage(dec: ast.AST) -> bool:
-        return (isinstance(dec, ast.Name) and dec.id == "plan_stage") or (
-            isinstance(dec, ast.Attribute) and dec.attr == "plan_stage"
-        )
-
-    @staticmethod
-    def _is_stage_meta_call(node: ast.AST) -> bool:
-        return isinstance(node, ast.Call) and (
-            (isinstance(node.func, ast.Name) and node.func.id == "StageMeta")
-            or (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "StageMeta"
-            )
-        )
-
-    def check(self, mod: Module) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(self._is_plan_stage(d) for d in node.decorator_list):
-                continue
-            assign: ast.Assign | ast.AnnAssign | None = None
-            for stmt in node.body:
-                targets: list[ast.AST] = []
-                if isinstance(stmt, ast.Assign):
-                    targets = list(stmt.targets)
-                elif isinstance(stmt, ast.AnnAssign):
-                    targets = [stmt.target]
-                if any(
-                    isinstance(t, ast.Name) and t.id == "stage_meta"
-                    for t in targets
-                ):
-                    assign = stmt
-            if assign is None or assign.value is None:
-                yield self._v(
-                    mod, node.lineno,
-                    f"plan stage {node.name!r} has no "
-                    f"`stage_meta = StageMeta(...)` class attribute",
-                )
-                continue
-            call = assign.value
-            if not self._is_stage_meta_call(call):
-                yield self._v(
-                    mod, assign.lineno,
-                    f"plan stage {node.name!r}: stage_meta must be a "
-                    f"literal StageMeta(...) call",
-                )
-                continue
-            present = {kw.arg for kw in call.keywords if kw.arg}
-            missing = [k for k in self._REQUIRED if k not in present]
-            if missing:
-                yield self._v(
-                    mod, assign.lineno,
-                    f"plan stage {node.name!r}: StageMeta missing named "
-                    f"keyword(s) {', '.join(missing)} — positional or "
-                    f"absent arguments hide the dataflow declaration",
-                )
-            for kw in call.keywords:
-                if (
-                    kw.arg == "dtype"
-                    and isinstance(kw.value, ast.Constant)
-                    and not kw.value.value
-                ):
-                    yield self._v(
-                        mod, kw.value.lineno,
-                        f"plan stage {node.name!r}: StageMeta dtype must "
-                        f"name the stage's output dtype",
-                    )
-
-
 class TagRegistryRule(Rule):
     name = "tag-registry"
     rationale = (
@@ -647,7 +554,6 @@ RULES: tuple[Rule, ...] = (
     BufferPoolEscapeRule(),
     MutableDefaultRule(),
     RequestWaitedRule(),
-    StageMetadataRule(),
     TagRegistryRule(),
 )
 

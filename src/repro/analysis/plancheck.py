@@ -1,6 +1,6 @@
 """Static certification of compiled execution plans.
 
-Five checks run over the plan IR of :mod:`repro.analysis.planir` —
+Four checks run over the plan IR of :mod:`repro.analysis.planir` —
 no apply is executed, yet together they certify the properties a run
 would exhibit:
 
@@ -11,10 +11,10 @@ would exhibit:
     live-out.  Dead stores are compute work a run would silently waste.
 ``types``
     Dtype-flow: each node's output precision class must cover the
-    precision of everything it reads, and must match its stage's
-    declared dtype class, unless the node is explicitly marked
-    ``narrowing`` (no plan stage narrows today, so any narrowing is a
-    failure — the static half of the mixed-precision guardrail).
+    precision of everything it reads and of the buffers it writes,
+    unless the node is explicitly marked ``narrowing`` (only the
+    declared float32 rsvd mode is — the static half of the
+    mixed-precision guardrail).
 ``schedule``
     The dependency DAG is acyclic (every edge points backward in
     program order) and the overlap schedule is happens-before
@@ -28,10 +28,11 @@ would exhibit:
     not approximately: every term is an integer-valued float below
     2**53, so float summation is associative here and ``==`` is the
     correct comparison.
-``metadata``
-    Every stage node traces back to a registered plan-stage class whose
-    :class:`~repro.core.plan.StageMeta` covers the buffer families the
-    node actually touches.
+
+What a step *touches* needs no static check: every apply hands a step
+only the buffer families it declared
+(:class:`repro.core.steps.StepBuffers`), so an undeclared access fails
+at run time, in every test that applies.
 
 There is no waiver mechanism: a finding fails certification.  The
 ``seed_*`` functions plant one defect each (a reordered wait, a
@@ -58,13 +59,11 @@ from repro.analysis.planir import (
     extract_plan_ir,
     extract_rank_ir,
     rebuild_deps,
-    region_family,
 )
 from repro.core.fmm import FMMOptions, KIFMM
-from repro.core.plan import PLAN_STAGES
 from repro.perfmodel.costs import compute_work
 
-CHECKS = ("dataflow", "types", "schedule", "flops", "metadata")
+CHECKS = ("dataflow", "types", "schedule", "flops")
 
 #: Precision class (mantissa width) of each dtype the plans use.
 #: Complex dtypes share the class of their component floats: a
@@ -206,14 +205,6 @@ def check_types(ir: PlanIR) -> list[Finding]:
                     f"silent narrowing: writes {n.dtype} into a "
                     f"{spec.dtype} buffer without narrowing=True",
                 ))
-        if n.stage is not None and n.stage in PLAN_STAGES:
-            meta = PLAN_STAGES[n.stage].stage_meta
-            if out_prec < _precision(meta.dtype) and not n.narrowing:
-                findings.append(Finding(
-                    "types", n.name, "",
-                    f"silent narrowing: stage {n.stage} declares "
-                    f"{meta.dtype}, node writes {n.dtype}",
-                ))
     return findings
 
 
@@ -280,46 +271,12 @@ def check_flops(ir: PlanIR, expected: dict[str, float]) -> list[Finding]:
     return findings
 
 
-def check_metadata(ir: PlanIR) -> list[Finding]:
-    """Stage nodes must match their registered StageMeta declarations."""
-    findings: list[Finding] = []
-    for n in ir.nodes:
-        if n.stage is None:
-            continue
-        cls = PLAN_STAGES.get(n.stage)
-        if cls is None:
-            findings.append(Finding(
-                "metadata", n.name, "",
-                f"stage {n.stage!r} is not a registered plan stage",
-            ))
-            continue
-        meta = cls.stage_meta
-        allowed_reads = set(meta.reads) | set(meta.writes)
-        for r in n.reads:
-            fam = region_family(r)
-            if fam not in allowed_reads:
-                findings.append(Finding(
-                    "metadata", n.name, r,
-                    f"stage {n.stage} does not declare reads of "
-                    f"family {fam!r}",
-                ))
-        for w in n.writes:
-            fam = region_family(w)
-            if fam not in meta.writes:
-                findings.append(Finding(
-                    "metadata", n.name, w,
-                    f"stage {n.stage} does not declare writes of "
-                    f"family {fam!r}",
-                ))
-    return findings
-
-
 def run_checks(
     ir: PlanIR,
     expected_flops: dict[str, float] | None = None,
     name: str = "plan",
 ) -> PlanReport:
-    """All five checks over one IR; ``expected_flops`` enables the
+    """All four checks over one IR; ``expected_flops`` enables the
     flop-budget identity (phases absent from the dict default to 0)."""
     findings: list[Finding] = []
     findings += check_dataflow(ir)
@@ -328,7 +285,6 @@ def run_checks(
     expected = expected_flops if expected_flops is not None else {}
     if expected_flops is not None:
         findings += check_flops(ir, expected)
-    findings += check_metadata(ir)
     counts = {c: 0 for c in CHECKS}
     for f in findings:
         counts[f.check] = counts.get(f.check, 0) + 1
@@ -440,7 +396,7 @@ def rank_ir(
             state.tree.nboxes,
         ),
         nrhs=nrhs, up_nsrc=local_nsrc,
-        v_targets=getattr(state, "v_compute", None),
+        v_targets=state.v_compute,
     ).totals()
     return ir, expected
 

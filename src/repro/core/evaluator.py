@@ -29,24 +29,24 @@ Two implementations live here.  :func:`evaluate` walks the tree box by
 box — the reference every parity test compares against
 (``FMMOptions(plan="naive")``).  :class:`PlanStages` holds the
 level-batched stages over a precomputed
-:class:`~repro.core.plan.ExecutionPlan`, each written once and run by
-two drivers: :func:`evaluate_planned` (sequential) and
+:class:`~repro.core.plan.ExecutionPlan`, each written once, and
+compiles them into the step list (:mod:`repro.core.steps`) that two
+drivers run — :func:`evaluate_planned` (sequential) and
 :meth:`repro.parallel.pfmm.RankFMM.apply` (one rank of the parallel
-algorithm, with the exchange between the same calls).
+algorithm, with the exchange steps in between) — and ``repro
+plancheck`` certifies.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis import sanitize as _san
 from repro.core.fftm2l import FFTM2L
-from repro.core.m2lschedule import (
-    M2LSchedule,
-    resolve_m2l_schedule,
-    v_stats_from_lists,
-    v_stats_from_plan,
-)
+from repro.core.m2lschedule import M2LSchedule
 from repro.core.plan import (
     MAX_BLOCK_ENTRIES,
     DownLevel,
@@ -57,6 +57,7 @@ from repro.core.plan import (
     chunk_segments,
 )
 from repro.core.precompute import OperatorCache
+from repro.core.steps import BufferSpec, Step, StepList, run_steps
 from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists
@@ -160,7 +161,7 @@ def evaluate(
     kernel: Kernel,
     cache: OperatorCache,
     density: np.ndarray,
-    m2l_mode: str | M2LSchedule = "fft",
+    sched: M2LSchedule,
     fft_m2l: FFTM2L | None = None,
     flops: FlopCounter | None = None,
     timer: PhaseTimer | None = None,
@@ -182,10 +183,9 @@ def evaluate(
         *original* (unsorted) point order; stacked blocks
         (``(ns, dof, nrhs)`` or ``(ns * dof, nrhs)``) are evaluated
         column by column on this reference path.
-    m2l_mode:
-        ``"fft"`` (default), ``"dense"``, ``"rsvd"``, ``"auto"`` — or an
-        already-resolved :class:`~repro.core.m2lschedule.M2LSchedule`
-        (strings resolve against this tree's gated V statistics).
+    sched:
+        The resolved per-level M2L backend schedule
+        (:class:`~repro.core.m2lschedule.M2LSchedule`).
     fft_m2l:
         Optional pre-built :class:`FFTM2L` (reused across evaluations).
     flops, timer:
@@ -212,13 +212,6 @@ def evaluate(
     ``(nt, target_kernel.target_dof)`` values in original target order
     (trailing ``nrhs`` axis appended for stacked blocks).
     """
-    if isinstance(m2l_mode, M2LSchedule):
-        sched = m2l_mode
-    else:
-        sched = resolve_m2l_schedule(
-            m2l_mode, "float64",
-            stats=v_stats_from_lists(tree, lists), cache=cache, kernel=kernel,
-        )
     src_k, trg_k, dir_k = resolve_kernels(
         kernel, source_kernel, target_kernel, direct_kernel
     )
@@ -235,7 +228,7 @@ def evaluate(
             evaluate(
                 tree, lists, kernel, cache,
                 np.ascontiguousarray(phi3[:, :, r]),
-                m2l_mode=sched, fft_m2l=fft_m2l, flops=flops,
+                sched, fft_m2l=fft_m2l, flops=flops,
                 timer=timer, source_kernel=source_kernel,
                 target_kernel=target_kernel, direct_kernel=direct_kernel,
             )
@@ -477,7 +470,7 @@ def _fft_v_list(
                     offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
                     tensor = fft.kernel_tensor_hat(level, offset)
                     if acc is None:
-                        nfreq = fft.m * fft.m * (fft.m // 2 + 1)
+                        nfreq = fft.nfreq
                         acc = np.zeros((tensor.shape[0], nfreq),
                                        dtype=np.complex128)
                     fft.accumulate(acc, tensor, phi_hat[ai])
@@ -493,25 +486,58 @@ def _fft_v_list(
             flops.add("down_v", nacc * fft.flops_per_fft(fft.kernel.target_dof))
 
 
+def _near_pairs(blocks: NearBlocks) -> int:
+    """Total (target point × partner) count of a near-field block set."""
+    return int(
+        ((blocks.trg_stop - blocks.trg_start) * np.diff(blocks.seg)).sum()
+    )
+
+
+@dataclass
+class RankOperands:
+    """What a rank compiles in place of the plan's own operands.
+
+    ``near`` holds the ``(U, W)`` blocks over owned and over ghost
+    partners; ``v_splits`` the matching per-V-level row/class splits
+    (``own_*`` / ``ghost_*`` / ``inv_rows``).  The exchange arrives as
+    ready steps — ``post`` / ``relay`` / ``wait`` of each payload kind
+    and, per coarse split level, the ``vsp`` broadcast pair —
+    which :meth:`PlanStages.compile` only places; ``buffers`` declares
+    the split regions those steps deliver.  ``up_region`` names the
+    partial upward densities the ``post`` steps read.
+    """
+
+    near: dict[str, tuple[NearBlocks, NearBlocks]]
+    v_splits: list
+    post: list[Step]
+    relay: list[Step]
+    wait: list[Step]
+    vsp: dict[int, list[Step]]
+    buffers: dict[str, BufferSpec]
+    up_region: Callable[[int], str]
+
+
 class PlanStages:
     """The stages of a planned apply, each written once.
 
-    Bound to one apply's plan, operators, kernels and instrumentation;
-    the sequential driver (:func:`evaluate_planned`) and the rank driver
-    (:meth:`repro.parallel.pfmm.RankFMM.apply`) call the same methods
-    and differ only in the operands they pass — all classes and the
-    plan's own near blocks against ``plan.sources_sorted``, or the
-    owned-then-ghost splits against the rank's combined source array —
-    and in what they interleave (the exchange).  Every stage times
-    itself under the paper's phase names, counts its flops, and guards
-    its GEMM stacks when the plan's pool is sanitizing.
+    Bound to one apply's plan, operators and kernels.  The stage
+    methods hold only the arithmetic; :meth:`compile` orders them into
+    the step list — what each step reads, writes, releases and costs —
+    that :func:`repro.core.steps.run_steps` executes for both drivers
+    and the plan verifier certifies.  The sequential driver
+    (:func:`evaluate_planned`) compiles every class and the plan's own
+    near blocks against ``plan.sources_sorted``; the rank driver
+    (:meth:`repro.parallel.pfmm.RankFMM.apply`) compiles its
+    owned-then-ghost splits against the rank's combined source array,
+    with the exchange steps in between.  Stages guard their GEMM stacks
+    when the plan's pool is sanitizing.
 
     Work-array layout, shared by both drivers: densities are point-major
     ``phi[point, dof, rhs]`` (positions into ``src_points`` for U and X,
     into the tree's own sorted sources for S2M); upward equivalent
     densities are box-major ``ue[box, rhs]`` (a rank ships one box's
-    right-hand sides as one contiguous payload); ``dc`` / ``de`` /
-    ``pot`` are RHS-major ``[rhs, row]``.
+    right-hand sides as one contiguous payload); ``check`` / ``dc`` /
+    ``de`` / ``pot`` are RHS-major ``[rhs, row]``.
 
     Stacked right-hand sides ride one pass: every stage assembles its
     shared factor — kernel matrices, translation operators, mixing
@@ -536,8 +562,6 @@ class PlanStages:
         sched: M2LSchedule,
         fft: FFTM2L | None,
         src_points: np.ndarray,
-        flops: FlopCounter,
-        timer: PhaseTimer,
     ) -> None:
         self.plan = plan
         self.cache = cache
@@ -545,59 +569,289 @@ class PlanStages:
         self.sched = sched
         self.fft = fft
         self.src_points = src_points
-        self.flops = flops
-        self.timer = timer
         self.pool = plan.buffers
         self.md, self.qd = kernel.source_dof, kernel.target_dof
         self.n_surf = cache.n_surf
 
-    def up_level(self, ul: UpLevel, phi: np.ndarray, ue: np.ndarray) -> None:
-        """S2M, M2M and ``uc2ue`` of one level's source boxes."""
-        cache, pool, flops = self.cache, self.pool, self.flops
+    # -- the step list -----------------------------------------------------
+
+    def compile(
+        self, rank: RankOperands | None = None, overlap: bool = True
+    ) -> StepList:
+        """Order the stages of one apply into its step list.
+
+        Sequential (``rank is None``): up, V over every class (fft
+        levels through the parent-pair-blocked Hadamard), the downward
+        sweep, U, W.  A rank: up, ``post`` + ``relay``, U/W/V over
+        owned partners, V over ghost partners (fft levels class-major,
+        split levels ending in their ``vsp`` broadcast), the downward
+        sweep, U/W over ghost partners — with the scatter ``wait``
+        before the owned passes, or after them when ``overlap`` hides
+        the in-flight exchange behind them.  The computation order is
+        the same either way.
+
+        Nothing here builds an operator: flop counts come from the
+        plan's index arrays, and an rsvd step's count is a thunk over
+        ranks its own run has already factored.
+        """
+        plan, sched, cache, fft = self.plan, self.sched, self.cache, self.fft
+        n_surf, md, qd = self.n_surf, self.md, self.qd
+        src_fpp = self.src_k.flops_per_pair
+        trg_fpp = self.trg_k.flops_per_pair
+        matvec = _matvec_flops((n_surf * qd, n_surf * md))
+        # U and X partners index the tree's own sorted densities, or a
+        # rank's combined local + ghost array.
+        density = "ext_phi" if rank else "phi"
+        up_region = rank.up_region if rank else "ue@{}".format
+        steps: list[Step] = []
+        buffers: dict[str, BufferSpec] = dict(rank.buffers) if rank else {}
+        partners = tuple(
+            r for r in (f"{density}:own", f"{density}:ghost") if r in buffers
+        ) if rank else (density,)
+
+        def declare(name, rows, width, dtype="float64"):
+            buffers[name] = BufferSpec(name, (int(rows), int(width)), dtype)
+
+        def emit(name, phase, stage, run, reads, writes, flops, **more):
+            steps.append(Step(
+                name, phase, run, stage=stage, reads=reads, writes=writes,
+                flops=flops, **more,
+            ))
+
+        def tag(base, split, level=None):
+            name = f"{base}:{split}" if split else base
+            return name if level is None else f"{name}@{level}"
+
+        def ue_of(split, levels):
+            if split:
+                return (f"ue:{split}",)
+            return tuple(f"ue@{lvl}" for lvl in levels)
+
+        def up(ul: UpLevel):
+            lvl = ul.level
+            chk, ue = f"check@{lvl}", up_region(lvl)
+            declare(chk, ul.boxes.size, n_surf * qd)
+            declare(ue, ul.boxes.size, n_surf * md)
+
+            def check(b):
+                return b.scratch("check", lambda: self.pool.zeros(
+                    "check", (b.nrhs, ul.boxes.size, n_surf * qd)
+                ))
+
+            if ul.s2m_rows.size:
+                emit(f"s2m@{lvl}", "up", "s2m",
+                     lambda b: self.s2m(ul, b["phi"], check(b)),
+                     ("phi",), (chk,),
+                     n_surf * int(ul.s2m_seg[-1]) * src_fpp)
+            if ul.m2m_groups:
+                emit(f"m2m@{lvl}", "up", "m2m",
+                     lambda b: self.m2m(ul, b["ue"], check(b)),
+                     (up_region(lvl + 1),), (chk,),
+                     sum(k.size for _, k, _ in ul.m2m_groups) * matvec)
+            emit(f"uc2ue@{lvl}", "up", "uc2ue",
+                 lambda b: self.uc2ue(ul, b["check"], b["ue"]),
+                 (chk,), (ue,), ul.boxes.size * matvec, releases=(chk,))
+
+        def v_direct(vl: VLevel, classes, split):
+            npairs = sum(len(s) for _, s, _ in classes)
+            if not npairs:
+                return
+            lvl = vl.level
+            rsvd = sched.backend(lvl) == "rsvd"
+            narrow = rsvd and sched.dtype == "float32"
+
+            def rsvd_flops():
+                return sum(
+                    len(s) * _rsvd_pair_flops(
+                        cache.m2l_rsvd_rank(lvl, offset), n_surf, md, qd
+                    )
+                    for offset, s, _ in classes
+                )
+
+            emit(tag("v", split, lvl), "down_v", "v_direct",
+                 lambda b: self.v_direct(vl, classes, b["ue"], b["dc"]),
+                 ue_of(split, (lvl,)), (f"dc@{lvl}",),
+                 rsvd_flops if rsvd else npairs * matvec,
+                 dtype="float32" if narrow else "float64", narrowing=narrow)
+
+        def declare_vhat(vl: VLevel) -> str:
+            vhat = f"vhat@{vl.level}"
+            declare(vhat, vl.src_boxes.size * md + vl.trg_boxes.size * qd,
+                    fft.nfreq, "complex128")
+            return vhat
+
+        def v_blocked(vl: VLevel):
+            lvl, vhat = vl.level, declare_vhat(vl)
+            emit(f"vfwd@{lvl}", "down_v", "v_blocked_forward",
+                 lambda b: self.v_blocked_forward(vl, b["ue"], b.scratch(
+                     "vhat", lambda: self.v_blocked_state(vl, b.nrhs))[0]),
+                 ue_of("", (lvl,)), (vhat,),
+                 vl.src_boxes.size * fft.flops_per_fft(md),
+                 dtype="complex128")
+            emit(f"vhad@{lvl}", "down_v", "v_blocked_hadamard",
+                 lambda b: self.v_blocked_hadamard(vl, *b["vhat"]),
+                 (vhat,), (vhat,), vl.npairs * fft.flops_per_pair(),
+                 dtype="complex128")
+            emit(f"vinv@{lvl}", "down_v", "v_blocked_inverse",
+                 lambda b: self.v_blocked_inverse(vl, b["vhat"][1], b["dc"]),
+                 (vhat,), (f"dc@{lvl}",),
+                 vl.trg_boxes.size * fft.flops_per_fft(qd), releases=(vhat,))
+
+        def v_classes(vl: VLevel, rows, classes, split):
+            lvl, vhat = vl.level, declare_vhat(vl)
+
+            def state(b):
+                return b.scratch("vhat", lambda: self.v_fft_state(vl, b.nrhs))
+
+            if rows.size:
+                emit(tag("vfwd", split, lvl), "down_v", "v_fft_forward",
+                     lambda b: self.v_fft_forward(
+                         vl, rows, b["ue"], state(b)[0]),
+                     ue_of(split, (lvl,)), (vhat,),
+                     rows.size * fft.flops_per_fft(md), dtype="complex128")
+            npairs = sum(len(s) for _, s, _ in classes)
+            if npairs:
+                emit(tag("vhad", split, lvl), "down_v", "v_fft_hadamard",
+                     lambda b: self.v_fft_hadamard(vl, classes, *state(b)),
+                     (vhat,), (vhat,), npairs * fft.flops_per_pair(),
+                     dtype="complex128")
+
+        def v_inverse(vl: VLevel, rows):
+            lvl, vhat = vl.level, f"vhat@{vl.level}"
+            ninv = vl.trg_boxes.size if rows is None else rows.size
+            if ninv:
+                emit(f"vinv@{lvl}", "down_v", "v_fft_inverse",
+                     lambda b: self.v_fft_inverse(
+                         vl, rows, b["vhat"][1], b["dc"]),
+                     (vhat,), (f"dc@{lvl}",),
+                     ninv * fft.flops_per_fft(qd), releases=(vhat,))
+
+        def down(dl: DownLevel):
+            lvl = dl.level
+            dc, de = f"dc@{lvl}", f"de@{lvl}"
+            if dl.l2l_groups:
+                emit(f"l2l@{lvl}", "eval", "l2l",
+                     lambda b: self.l2l(dl, b["de"], b["dc"]),
+                     (f"de@{lvl - 1}",), (dc,),
+                     sum(k.size for _, k, _ in dl.l2l_groups) * matvec)
+            if dl.x_boxes.size:
+                emit(f"x@{lvl}", "down_x", "x",
+                     lambda b: self.x(dl, b[density], b["dc"]),
+                     partners, (dc,),
+                     n_surf * int(dl.x_seg[-1]) * src_fpp)
+            if dl.dc_boxes.size:
+                emit(f"dc2de@{lvl}", "eval", "dc2de",
+                     lambda b: self.dc2de(dl, b["dc"], b["de"]),
+                     (dc,), (de,), dl.dc_boxes.size * matvec)
+            if dl.l2t_boxes.size:
+                emit(f"l2t@{lvl}", "eval", "l2t",
+                     lambda b: self.l2t(dl, b["de"], b["pot"]),
+                     (de,), ("pot",),
+                     int(dl.l2t_seg[-1]) * n_surf * trg_fpp)
+
+        def near(u: NearBlocks, w: NearBlocks, split):
+            pairs = _near_pairs(u)
+            if pairs:
+                emit(tag("near_u", split), "down_u", "near_u",
+                     lambda b: self.near_u(u, b[density], b["pot"]),
+                     (tag(density, split),), ("pot",),
+                     pairs * self.dir_k.flops_per_pair)
+            pairs = _near_pairs(w)
+            if pairs:
+                emit(tag("near_w", split), "down_w", "near_w",
+                     lambda b: self.near_w(w, b["ue"], b["pot"]),
+                     ue_of(split, np.unique(plan.levels[w.src_pos])),
+                     ("pot",), n_surf * pairs * trg_fpp)
+
+        def v_pass(vl: VLevel, rows, classes, split):
+            if sched.backend(vl.level) != "fft":
+                v_direct(vl, classes, split)
+            elif rank:
+                v_classes(vl, rows, classes, split)
+            else:
+                v_blocked(vl)
+
+        declare("phi", plan.sources_sorted.shape[0], self.src_k.source_dof)
+        declare("pot", plan.targets_sorted.shape[0], self.trg_k.target_dof)
+        counts = np.bincount(plan.levels, minlength=plan.depth + 1)
+        carried = {dl.level for dl in plan.down_levels}
+        carried |= {vl.level for vl in plan.v_levels}
+        carried |= {dl.level - 1 for dl in plan.down_levels if dl.l2l_groups}
+        for lvl in carried:
+            declare(f"dc@{lvl}", counts[lvl], n_surf * qd)
+            declare(f"de@{lvl}", counts[lvl], n_surf * md)
+        live_out = {"pot"}
+
+        for ul in plan.up_levels:
+            up(ul)
+        if rank:
+            steps += rank.post + rank.relay
+            if not overlap:
+                steps += rank.wait
+            near(*rank.near["own"], "own")
+            for vl, sp in zip(plan.v_levels, rank.v_splits):
+                v_pass(vl, sp.own_rows, sp.own_classes, "own")
+            if overlap:
+                steps += rank.wait
+            for vl, sp in zip(plan.v_levels, rank.v_splits):
+                v_pass(vl, sp.ghost_rows, sp.ghost_classes, "ghost")
+                if sched.backend(vl.level) == "fft":
+                    v_inverse(vl, sp.inv_rows)
+                steps += rank.vsp.get(vl.level, [])
+        else:
+            if plan.up_levels:
+                # No V or W partner exists at the tree top: the root
+                # upward density is computed but dead, by design.
+                live_out.add(up_region(plan.up_levels[-1].level))
+            for vl in plan.v_levels:
+                v_pass(vl, None, vl.classes, "")
+        for dl in plan.down_levels:
+            down(dl)
+        if rank:
+            near(*rank.near["ghost"], "ghost")
+        else:
+            near(plan.u, plan.w, "")
+        return StepList(steps, buffers, frozenset(live_out))
+
+    # -- the stages --------------------------------------------------------
+
+    def s2m(self, ul: UpLevel, phi: np.ndarray, check: np.ndarray) -> None:
+        """Leaf sources to their boxes' upward check potentials."""
         src_k, n_surf, qd = self.src_k, self.n_surf, self.qd
         sdof = src_k.source_dof
-        nrhs = ue.shape[1]
-        with self.timer.phase("up"):
-            check = pool.zeros("up_check", (nrhs, ul.boxes.size, n_surf * qd))
-            if ul.s2m_rows.size:
-                chk_pts = cache.up_check_points(np.zeros(3), ul.level)
-                phi_cat = phi[ul.s2m_src_pos].transpose(2, 0, 1).reshape(
-                    nrhs, -1
-                )
-                max_pts = max(1, MAX_BLOCK_ENTRIES // (n_surf * qd * sdof))
-                for lo, hi in chunk_segments(ul.s2m_seg, max_pts):
-                    p0, p1 = int(ul.s2m_seg[lo]), int(ul.s2m_seg[hi])
-                    K = src_k.matrix_local(chk_pts, ul.s2m_pts[p0:p1])
-                    cols = (ul.s2m_seg[lo:hi] - p0) * sdof
-                    rows = ul.s2m_rows[lo:hi]
-                    for r in range(nrhs):
-                        vals = K * phi_cat[r, p0 * sdof : p1 * sdof][None, :]
-                        check[r][rows] += np.add.reduceat(
-                            vals, cols, axis=1
-                        ).T
-                flops.add_pairs(
-                    "up", n_surf * int(ul.s2m_seg[-1]) * nrhs,
-                    src_k.flops_per_pair,
-                )
-            for octant, kids, rows in ul.m2m_groups:
-                M = cache.m2m_check(ul.level + 1, octant)
-                if pool.sanitize:
-                    # Fancy-indexed operands materialise copies, so the
-                    # aliasing hazard is between the backing stacks.
-                    _san.guard_gemm(check, ue, M,
-                                    site=f"m2m level {ul.level}")
-                MT = M.T
-                for r in range(nrhs):
-                    check[r][rows] += ue[kids, r] @ MT
-                flops.add("up", kids.size * nrhs * _matvec_flops(M.shape))
-            U = cache.uc2ue(ul.level)
-            if pool.sanitize:
-                _san.guard_gemm(ue, check, U, site=f"uc2ue level {ul.level}")
-            UT = U.T
+        nrhs = check.shape[0]
+        chk_pts = self.cache.up_check_points(np.zeros(3), ul.level)
+        phi_cat = phi[ul.s2m_src_pos].transpose(2, 0, 1).reshape(nrhs, -1)
+        max_pts = max(1, MAX_BLOCK_ENTRIES // (n_surf * qd * sdof))
+        for lo, hi in chunk_segments(ul.s2m_seg, max_pts):
+            p0, p1 = int(ul.s2m_seg[lo]), int(ul.s2m_seg[hi])
+            K = src_k.matrix_local(chk_pts, ul.s2m_pts[p0:p1])
+            cols = (ul.s2m_seg[lo:hi] - p0) * sdof
+            rows = ul.s2m_rows[lo:hi]
             for r in range(nrhs):
-                ue[ul.boxes, r] = check[r] @ UT
-            flops.add("up", ul.boxes.size * nrhs * _matvec_flops(U.shape))
-            pool.release("up_check")
+                vals = K * phi_cat[r, p0 * sdof : p1 * sdof][None, :]
+                check[r][rows] += np.add.reduceat(vals, cols, axis=1).T
+
+    def m2m(self, ul: UpLevel, ue: np.ndarray, check: np.ndarray) -> None:
+        """Children's upward densities to their parents' check potentials."""
+        for octant, kids, rows in ul.m2m_groups:
+            M = self.cache.m2m_check(ul.level + 1, octant)
+            if self.pool.sanitize:
+                # Fancy-indexed operands materialise copies, so the
+                # aliasing hazard is between the backing stacks.
+                _san.guard_gemm(check, ue, M, site=f"m2m level {ul.level}")
+            MT = M.T
+            for r in range(check.shape[0]):
+                check[r][rows] += ue[kids, r] @ MT
+
+    def uc2ue(self, ul: UpLevel, check: np.ndarray, ue: np.ndarray) -> None:
+        """One regularised inversion per source box of the level."""
+        U = self.cache.uc2ue(ul.level)
+        if self.pool.sanitize:
+            _san.guard_gemm(ue, check, U, site=f"uc2ue level {ul.level}")
+        UT = U.T
+        for r in range(check.shape[0]):
+            ue[ul.boxes, r] = check[r] @ UT
 
     def v_direct(
         self, vl: VLevel, classes: list, ue: np.ndarray, dc: np.ndarray
@@ -612,79 +866,89 @@ class PlanStages:
         cache, pool, sched = self.cache, self.pool, self.sched
         dense = sched.backend(vl.level) == "dense"
         nrhs = dc.shape[0]
-        with self.timer.phase("down_v"):
-            for offset, src_pos, trg_pos in classes:
-                sb = vl.src_boxes[src_pos]
-                tb = vl.trg_boxes[trg_pos]
-                if dense:
-                    T = cache.m2l_check(vl.level, offset)
-                    if pool.sanitize:
-                        _san.guard_gemm(dc, ue, T,
-                                        site=f"m2l level {vl.level}")
-                    TT = T.T
-                    for r in range(nrhs):
-                        dc[r][tb] += ue[sb, r] @ TT
-                    pair_flops = _matvec_flops(T.shape)
-                else:
-                    uf, vf = cache.m2l_rsvd(vl.level, offset, sched.dtype)
-                    if pool.sanitize:
-                        _san.guard_gemm(dc, ue, uf,
-                                        site=f"m2l-rsvd level {vl.level}")
-                    ufT, vfT = uf.T, vf.T
-                    for r in range(nrhs):
-                        src = ue[sb, r]
-                        if sched.dtype == "float32":
-                            src = src.astype(np.float32)  # lint: allow(dtype-width)
-                        dc[r][tb] += (src @ vfT) @ ufT
-                    pair_flops = _rsvd_pair_flops(
-                        vf.shape[0], self.n_surf, self.md, self.qd
-                    )
-                self.flops.add("down_v", src_pos.size * nrhs * pair_flops)
+        for offset, src_pos, trg_pos in classes:
+            sb = vl.src_boxes[src_pos]
+            tb = vl.trg_boxes[trg_pos]
+            if dense:
+                T = cache.m2l_check(vl.level, offset)
+                if pool.sanitize:
+                    _san.guard_gemm(dc, ue, T, site=f"m2l level {vl.level}")
+                TT = T.T
+                for r in range(nrhs):
+                    dc[r][tb] += ue[sb, r] @ TT
+            else:
+                uf, vf = cache.m2l_rsvd(vl.level, offset, sched.dtype)
+                if pool.sanitize:
+                    _san.guard_gemm(dc, ue, uf,
+                                    site=f"m2l-rsvd level {vl.level}")
+                ufT, vfT = uf.T, vf.T
+                for r in range(nrhs):
+                    src = ue[sb, r]
+                    if sched.dtype == "float32":
+                        src = src.astype(np.float32)  # lint: allow(dtype-width)
+                    dc[r][tb] += (src @ vfT) @ ufT
 
-    def v_fft_blocked(
-        self, vl: VLevel, ue: np.ndarray, dc: np.ndarray
+    def v_blocked_state(
+        self, vl: VLevel, nrhs: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pool-drawn spectra of the parent-pair-blocked fft stage.
+
+        Frequency-leading, so the forward GEMM-DFTs write, the Hadamard
+        gathers/scatters, and the inverse GEMM-DFTs read with no
+        transpose passes; each carries the plan's sentinel row.
+        """
+        nfreq = self.fft.nfreq
+        return (
+            self.pool.empty(
+                "vhat.phi", (nrhs, nfreq, vl.src_boxes.size + 1, self.md),
+                np.complex128,
+            ),
+            self.pool.zeros(
+                "vhat.acc", (nrhs, nfreq, vl.trg_boxes.size + 1, self.qd),
+                np.complex128,
+            ),
+        )
+
+    def v_blocked_forward(
+        self, vl: VLevel, ue: np.ndarray, phi_ext: np.ndarray
     ) -> None:
-        """FFT M2L of a whole level through the parent-pair-blocked Hadamard.
+        """Forward-transform every source box of the level."""
+        nsb = vl.src_boxes.size
+        for r in range(phi_ext.shape[0]):
+            self.fft.forward_rows_t(ue[vl.src_boxes, r], phi_ext[r, :, :nsb])
+
+    def v_blocked_hadamard(
+        self, vl: VLevel, phi_ext: np.ndarray, acc_ext: np.ndarray
+    ) -> None:
+        """Every pair of the level through the parent-pair-blocked Hadamard.
 
         An order of magnitude less DRAM traffic than the class-major
-        stage on pair-rich deep trees.  Its spectra live
-        frequency-leading so the forward GEMM-DFTs write, the Hadamard
-        gathers/scatters, and the inverse GEMM-DFTs read with no
-        transpose passes.  Covers every pair of the level at once, so it
-        cannot serve a rank's owned/ghost split.
+        stage on pair-rich deep trees.  Covers the whole level at once,
+        so it cannot serve a rank's owned/ghost split.
         """
-        fft, pool, flops = self.fft, self.pool, self.flops
-        md, qd = self.md, self.qd
-        nrhs = dc.shape[0]
-        nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-        nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
-        with self.timer.phase("down_v"):
-            phi_ext = pool.empty(
-                "v_phi_ext", (nrhs, nfreq, nsb + 1, md), np.complex128
+        self.fft.hadamard_blocked(
+            vl.level, vl.po_groups, phi_ext, acc_ext, self.pool
+        )
+
+    def v_blocked_inverse(
+        self, vl: VLevel, acc_ext: np.ndarray, dc: np.ndarray
+    ) -> None:
+        """Inverse-transform the level's accumulators into ``dc``."""
+        ntb = vl.trg_boxes.size
+        for r in range(dc.shape[0]):
+            dc[r][vl.trg_boxes] += self.fft.inverse_rows_t(
+                acc_ext[r, :, :ntb]
             )
-            for r in range(nrhs):
-                fft.forward_rows_t(ue[vl.src_boxes, r], phi_ext[r, :, :nsb])
-            acc_ext = pool.zeros(
-                "v_acc_ext", (nrhs, nfreq, ntb + 1, qd), np.complex128
-            )
-            fft.hadamard_blocked(
-                vl.level, vl.po_groups, phi_ext, acc_ext, pool
-            )
-            for r in range(nrhs):
-                dc[r][vl.trg_boxes] += fft.inverse_rows_t(acc_ext[r, :, :ntb])
-            flops.add("down_v", nsb * nrhs * fft.flops_per_fft(md))
-            flops.add("down_v", vl.npairs * nrhs * fft.flops_per_pair())
-            flops.add("down_v", ntb * nrhs * fft.flops_per_fft(qd))
 
     def v_fft_state(
         self, vl: VLevel, nrhs: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Empty source spectra and zeroed accumulators of one fft level.
 
-        Plain arrays, not pool buffers: a rank carries them across the
-        interleaved passes of its overlap window.
+        Plain arrays, not pool buffers: a rank carries every level's
+        across the interleaved passes of its overlap window.
         """
-        nfreq = self.fft.m * self.fft.m * (self.fft.m // 2 + 1)
+        nfreq = self.fft.nfreq
         return (
             np.empty((nrhs, vl.src_boxes.size, self.md, nfreq),
                      dtype=np.complex128),
@@ -692,48 +956,36 @@ class PlanStages:
                      dtype=np.complex128),
         )
 
-    def v_fft_classes(
-        self,
-        vl: VLevel,
-        rows: np.ndarray,
-        classes: list,
-        ue: np.ndarray,
+    def v_fft_forward(
+        self, vl: VLevel, rows: np.ndarray, ue: np.ndarray,
         phi_hat: np.ndarray,
+    ) -> None:
+        """Forward-transform the ``rows`` of ``vl.src_boxes``."""
+        boxes = vl.src_boxes[rows]
+        for r in range(phi_hat.shape[0]):
+            phi_hat[r][rows] = self.fft.forward_rows(
+                ue[boxes, r],
+                np.empty((rows.size,) + phi_hat.shape[2:],
+                         dtype=np.complex128),
+            )
+
+    def v_fft_hadamard(
+        self, vl: VLevel, classes: list, phi_hat: np.ndarray,
         acc: np.ndarray,
     ) -> None:
-        """Class-major FFT M2L over a subset of one level's pairs.
+        """Class-major Hadamard over a subset of one level's pairs.
 
-        Forward-transforms the ``rows`` of ``vl.src_boxes`` into
-        ``phi_hat``, then accumulates ``classes`` — which may read any
-        row transformed so far — into ``acc``.
+        ``classes`` may read any row transformed so far.
         """
-        fft, flops = self.fft, self.flops
-        nrhs = acc.shape[0]
-        with self.timer.phase("down_v"):
-            if rows.size:
-                boxes = vl.src_boxes[rows]
-                for r in range(nrhs):
-                    phi_hat[r][rows] = fft.forward_rows(
-                        ue[boxes, r],
-                        np.empty((rows.size,) + phi_hat.shape[2:],
-                                 dtype=np.complex128),
-                    )
-            flops.add("down_v", rows.size * nrhs * fft.flops_per_fft(self.md))
-            npairs = 0
-            for offset, src_pos, trg_pos in classes:
-                tensor = fft.kernel_tensor_hat(vl.level, offset)
-                for r in range(nrhs):
-                    fft.accumulate_many(
-                        acc[r], tensor, phi_hat[r][src_pos], trg_pos
-                    )
-                npairs += src_pos.size
-            flops.add("down_v", npairs * nrhs * fft.flops_per_pair())
+        for offset, src_pos, trg_pos in classes:
+            tensor = self.fft.kernel_tensor_hat(vl.level, offset)
+            for r in range(acc.shape[0]):
+                self.fft.accumulate_many(
+                    acc[r], tensor, phi_hat[r][src_pos], trg_pos
+                )
 
     def v_fft_inverse(
-        self,
-        vl: VLevel,
-        rows: np.ndarray | None,
-        acc: np.ndarray,
+        self, vl: VLevel, rows: np.ndarray | None, acc: np.ndarray,
         dc: np.ndarray,
     ) -> None:
         """Inverse-transform accumulators into the level's check potentials.
@@ -741,95 +993,65 @@ class PlanStages:
         ``rows`` restricts the transform to those positions of
         ``vl.trg_boxes`` (``None``: all of them).
         """
-        fft = self.fft
+        if rows is None:
+            rows = slice(None)
+        boxes = vl.trg_boxes[rows]
+        for r in range(dc.shape[0]):
+            dc[r][boxes] += self.fft.inverse_rows(acc[r][rows])
+
+    def l2l(self, dl: DownLevel, de: np.ndarray, dc: np.ndarray) -> None:
+        """Parents' downward densities to the level's check potentials."""
+        for octant, kids, parents in dl.l2l_groups:
+            L = self.cache.l2l_check(dl.level, octant)
+            if self.pool.sanitize:
+                _san.guard_gemm(dc, de, L, site=f"l2l level {dl.level}")
+            LT = L.T
+            for r in range(dc.shape[0]):
+                dc[r][kids] += de[r][parents] @ LT
+
+    def x(self, dl: DownLevel, phi: np.ndarray, dc: np.ndarray) -> None:
+        """X list: partner sources straight to check potentials."""
+        chk_pts = self.cache.down_check_points(np.zeros(3), dl.level)
         nrhs = dc.shape[0]
-        with self.timer.phase("down_v"):
-            if rows is None:
-                rows = slice(None)
-            boxes = vl.trg_boxes[rows]
-            if boxes.size:
-                for r in range(nrhs):
-                    dc[r][boxes] += fft.inverse_rows(acc[r][rows])
-            self.flops.add(
-                "down_v", boxes.size * nrhs * fft.flops_per_fft(self.qd)
+        for i, bi in enumerate(dl.x_boxes):
+            pos = dl.x_src_pos[int(dl.x_seg[i]) : int(dl.x_seg[i + 1])]
+            K = self.src_k.matrix_local(
+                chk_pts, self.src_points[pos] - self.plan.centers[bi]
             )
+            xs = phi[pos].transpose(2, 0, 1).reshape(nrhs, -1)
+            for r in range(nrhs):
+                dc[r, bi] += K @ xs[r]
 
-    def down_level(
-        self,
-        dl: DownLevel,
-        phi: np.ndarray,
-        dc: np.ndarray,
-        de: np.ndarray,
-        pot: np.ndarray,
-    ) -> None:
-        """L2L, X, ``dc2de`` and L2T of one level's target boxes."""
-        cache, pool, flops, plan = self.cache, self.pool, self.flops, self.plan
-        src_k, trg_k = self.src_k, self.trg_k
-        n_surf, md = self.n_surf, self.md
+    def dc2de(self, dl: DownLevel, dc: np.ndarray, de: np.ndarray) -> None:
+        """One regularised inversion per box carrying downward data."""
+        D = self.cache.dc2de(dl.level)
+        if self.pool.sanitize:
+            _san.guard_gemm(de, dc, D, site=f"dc2de level {dl.level}")
+        DT = D.T
+        for r in range(dc.shape[0]):
+            de[r][dl.dc_boxes] = dc[r][dl.dc_boxes] @ DT
+
+    def l2t(self, dl: DownLevel, de: np.ndarray, pot: np.ndarray) -> None:
+        """Leaf boxes' downward densities to their targets."""
+        trg_k, n_surf, md = self.trg_k, self.n_surf, self.md
         out_dof = trg_k.target_dof
-        nrhs = pot.shape[0]
-        zero3 = np.zeros(3)
-        with self.timer.phase("eval"):
-            for octant, kids, parents in dl.l2l_groups:
-                L = cache.l2l_check(dl.level, octant)
-                if pool.sanitize:
-                    _san.guard_gemm(dc, de, L, site=f"l2l level {dl.level}")
-                LT = L.T
-                for r in range(nrhs):
-                    dc[r][kids] += de[r][parents] @ LT
-                flops.add("eval", kids.size * nrhs * _matvec_flops(L.shape))
-
-        if dl.x_boxes.size:
-            with self.timer.phase("down_x"):
-                chk_pts = cache.down_check_points(zero3, dl.level)
-                for i, bi in enumerate(dl.x_boxes):
-                    p0, p1 = int(dl.x_seg[i]), int(dl.x_seg[i + 1])
-                    pos = dl.x_src_pos[p0:p1]
-                    K = src_k.matrix_local(
-                        chk_pts, self.src_points[pos] - plan.centers[bi]
-                    )
-                    xs = phi[pos].transpose(2, 0, 1).reshape(nrhs, -1)
-                    for r in range(nrhs):
-                        dc[r, bi] += K @ xs[r]
-                flops.add_pairs(
-                    "down_x", n_surf * int(dl.x_seg[-1]) * nrhs,
-                    src_k.flops_per_pair,
-                )
-
-        with self.timer.phase("eval"):
-            if dl.dc_boxes.size:
-                D = cache.dc2de(dl.level)
-                if pool.sanitize:
-                    _san.guard_gemm(de, dc, D, site=f"dc2de level {dl.level}")
-                DT = D.T
-                for r in range(nrhs):
-                    de[r][dl.dc_boxes] = dc[r][dl.dc_boxes] @ DT
-                flops.add(
-                    "eval", dl.dc_boxes.size * nrhs * _matvec_flops(D.shape)
-                )
-            if dl.l2t_boxes.size:
-                eq_pts = cache.down_equiv_points(zero3, dl.level)
-                # Box row of each L2T point (the repeat is equivalent to
-                # np.repeat over the leaf segments, but gathers only the
-                # chunk in flight for each right-hand side).
-                row_box = np.repeat(
-                    np.arange(dl.l2t_boxes.size), np.diff(dl.l2t_seg)
-                )
-                npts = int(dl.l2t_seg[-1])
-                step = max(1, MAX_BLOCK_ENTRIES // (out_dof * n_surf * md))
-                for p0 in range(0, npts, step):
-                    p1 = min(npts, p0 + step)
-                    K = trg_k.matrix_local(dl.l2t_pts[p0:p1], eq_pts)
-                    K3 = K.reshape(p1 - p0, out_dof, n_surf * md)
-                    boxes = dl.l2t_boxes[row_box[p0:p1]]
-                    tp = dl.l2t_trg_pos[p0:p1]
-                    for r in range(nrhs):
-                        pot[r][tp] += np.einsum(
-                            "tqm,tm->tq", K3, de[r][boxes]
-                        )
-                flops.add_pairs(
-                    "eval", npts * n_surf * nrhs, trg_k.flops_per_pair
-                )
+        eq_pts = self.cache.down_equiv_points(np.zeros(3), dl.level)
+        # Box row of each L2T point (the repeat is equivalent to
+        # np.repeat over the leaf segments, but gathers only the
+        # chunk in flight for each right-hand side).
+        row_box = np.repeat(
+            np.arange(dl.l2t_boxes.size), np.diff(dl.l2t_seg)
+        )
+        npts = int(dl.l2t_seg[-1])
+        step = max(1, MAX_BLOCK_ENTRIES // (out_dof * n_surf * md))
+        for p0 in range(0, npts, step):
+            p1 = min(npts, p0 + step)
+            K = trg_k.matrix_local(dl.l2t_pts[p0:p1], eq_pts)
+            K3 = K.reshape(p1 - p0, out_dof, n_surf * md)
+            boxes = dl.l2t_boxes[row_box[p0:p1]]
+            tp = dl.l2t_trg_pos[p0:p1]
+            for r in range(pot.shape[0]):
+                pot[r][tp] += np.einsum("tqm,tm->tq", K3, de[r][boxes])
 
     def near_u(
         self, blocks: NearBlocks, phi: np.ndarray, pot: np.ndarray
@@ -838,60 +1060,48 @@ class PlanStages:
         plan, dir_k = self.plan, self.dir_k
         sdof, out_dof = self.src_k.source_dof, self.trg_k.target_dof
         nrhs = pot.shape[0]
-        with self.timer.phase("down_u"):
-            pairs = 0
-            for i, bi in enumerate(blocks.boxes):
-                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
-                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
-                pos = blocks.src_pos[s0:s1]
-                ctr = plan.centers[bi]
-                trg_pts = plan.targets_sorted[t0:t1] - ctr
-                ntr = t1 - t0
-                step = max(1, MAX_BLOCK_ENTRIES // max(1, ntr * out_dof * sdof))
-                for c0 in range(0, pos.size, step):
-                    c1 = min(pos.size, c0 + step)
-                    K = dir_k.matrix_local(
-                        trg_pts, self.src_points[pos[c0:c1]] - ctr
-                    )
-                    xs = phi[pos[c0:c1]].reshape(-1, nrhs)
-                    pot[:, t0:t1] += (K @ xs).reshape(
-                        ntr, out_dof, nrhs
-                    ).transpose(2, 0, 1)
-                pairs += ntr * pos.size
-            self.flops.add_pairs("down_u", pairs * nrhs, dir_k.flops_per_pair)
+        for i, bi in enumerate(blocks.boxes):
+            t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
+            pos = blocks.src_pos[int(blocks.seg[i]) : int(blocks.seg[i + 1])]
+            ctr = plan.centers[bi]
+            trg_pts = plan.targets_sorted[t0:t1] - ctr
+            ntr = t1 - t0
+            step = max(1, MAX_BLOCK_ENTRIES // max(1, ntr * out_dof * sdof))
+            for c0 in range(0, pos.size, step):
+                c1 = min(pos.size, c0 + step)
+                K = dir_k.matrix_local(
+                    trg_pts, self.src_points[pos[c0:c1]] - ctr
+                )
+                xs = phi[pos[c0:c1]].reshape(-1, nrhs)
+                pot[:, t0:t1] += (K @ xs).reshape(
+                    ntr, out_dof, nrhs
+                ).transpose(2, 0, 1)
 
     def near_w(
         self, blocks: NearBlocks, ue: np.ndarray, pot: np.ndarray
     ) -> None:
         """W list of ``blocks``: partner boxes' ``ue`` to potentials."""
-        if blocks.boxes.size == 0:
-            return
         plan, cache, trg_k = self.plan, self.cache, self.trg_k
         out_dof = trg_k.target_dof
         nrhs = pot.shape[0]
-        with self.timer.phase("down_w"):
-            sgrid = surface_grid(cache.p)
-            hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
-            pairs = 0
-            for i, bi in enumerate(blocks.boxes):
-                t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
-                s0, s1 = int(blocks.seg[i]), int(blocks.seg[i + 1])
-                partners = blocks.src_pos[s0:s1]
-                ctr = plan.centers[bi]
-                rad = cache.inner * hw[plan.levels[partners]]
-                eq_pts = (
-                    (plan.centers[partners] - ctr)[:, None, :]
-                    + rad[:, None, None] * sgrid[None, :, :]
-                ).reshape(-1, 3)
-                K = trg_k.matrix_local(plan.targets_sorted[t0:t1] - ctr, eq_pts)
-                xs = ue[partners].transpose(0, 2, 1).reshape(-1, nrhs)
-                pot[:, t0:t1] += (K @ xs).reshape(
-                    t1 - t0, out_dof, nrhs
-                ).transpose(2, 0, 1)
-                pairs += (t1 - t0) * partners.size
-            self.flops.add_pairs(
-                "down_w", self.n_surf * pairs * nrhs, trg_k.flops_per_pair
-            )
+        sgrid = surface_grid(cache.p)
+        hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
+        for i, bi in enumerate(blocks.boxes):
+            t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
+            partners = blocks.src_pos[
+                int(blocks.seg[i]) : int(blocks.seg[i + 1])
+            ]
+            ctr = plan.centers[bi]
+            rad = cache.inner * hw[plan.levels[partners]]
+            eq_pts = (
+                (plan.centers[partners] - ctr)[:, None, :]
+                + rad[:, None, None] * sgrid[None, :, :]
+            ).reshape(-1, 3)
+            K = trg_k.matrix_local(plan.targets_sorted[t0:t1] - ctr, eq_pts)
+            xs = ue[partners].transpose(0, 2, 1).reshape(-1, nrhs)
+            pot[:, t0:t1] += (K @ xs).reshape(
+                t1 - t0, out_dof, nrhs
+            ).transpose(2, 0, 1)
 
 
 def unsort_potential(
@@ -917,7 +1127,7 @@ def evaluate_planned(
     kernel: Kernel,
     cache: OperatorCache,
     density: np.ndarray,
-    m2l_mode: str | M2LSchedule = "fft",
+    sched: M2LSchedule,
     fft_m2l: FFTM2L | None = None,
     flops: FlopCounter | None = None,
     timer: PhaseTimer | None = None,
@@ -933,10 +1143,11 @@ def evaluate_planned(
     index arrays: per-level stacked GEMMs for M2M/L2L and the
     check-to-equivalent inversions, offset-class-grouped batched M2L, and
     per-target-box concatenated near-field blocks.  This is the
-    sequential driver over :class:`PlanStages`: up, V, the downward
-    sweep, U, W — every class, the plan's own blocks, the tree's own
-    sources.  Stacked density blocks (see :func:`coerce_density`) ride
-    the same plan in one pass.
+    sequential driver: it sorts the density, allocates the work arrays
+    and runs the step list :meth:`PlanStages.compile` gives for every
+    class, the plan's own blocks and the tree's own sources.  Stacked
+    density blocks (see :func:`coerce_density`) ride the same plan in
+    one pass.
 
     ``sanitize`` (or ``REPRO_SANITIZE=1``) enables the runtime
     sanitizers of :mod:`repro.analysis.sanitize`: BufferPool lifecycle
@@ -945,13 +1156,6 @@ def evaluate_planned(
     non-finite), GEMM aliasing guards, and a pool-escape check on the
     returned potential.
     """
-    if isinstance(m2l_mode, M2LSchedule):
-        sched = m2l_mode
-    else:
-        sched = resolve_m2l_schedule(
-            m2l_mode, "float64",
-            stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
-        )
     kernels = src_k, trg_k, _ = resolve_kernels(
         kernel, source_kernel, target_kernel, direct_kernel
     )
@@ -960,57 +1164,26 @@ def evaluate_planned(
     md, qd = kernel.source_dof, kernel.target_dof
     ns, nt = tree.sources.shape[0], tree.targets.shape[0]
     phi3, nrhs, single = coerce_density(density, ns, src_k.source_dof)
-    n_surf = cache.n_surf
-    nb = plan.nboxes
+    n_surf, nb = cache.n_surf, plan.nboxes
     pool = plan.buffers
-    san = sanitize or _san.enabled()
-    pool.sanitize = san
-    if san:
+    pool.sanitize = sanitize or _san.enabled()
+    if pool.sanitize:
         _san.check_finite(phi3, "input", "density", rows_are="points")
-    phi = np.ascontiguousarray(phi3[tree.src_perm])
     fft = None
     if sched.needs_fft:
         fft = fft_m2l if fft_m2l is not None else FFTM2L(cache)
     stages = PlanStages(
-        plan, kernel, cache, kernels, sched, fft, plan.sources_sorted,
-        flops, timer,
+        plan, kernel, cache, kernels, sched, fft, plan.sources_sorted
     )
-
-    ue = pool.zeros("ue", (nb, nrhs, n_surf * md))
-    for ul in plan.up_levels:
-        stages.up_level(ul, phi, ue)
-    if san:
-        _san.check_finite(ue, "up", "upward equivalent densities")
-
-    dc = pool.zeros("dc", (nrhs, nb, n_surf * qd))
-    de = pool.zeros("de", (nrhs, nb, n_surf * md))
-    pot = pool.zeros("pot", (nrhs, nt, trg_k.target_dof))
-    for vl in plan.v_levels:
-        if sched.backend(vl.level) == "fft":
-            stages.v_fft_blocked(vl, ue, dc)
-        else:
-            stages.v_direct(vl, vl.classes, ue, dc)
-    if san:
-        # The V scratch is dead until the next apply: poison it so a
-        # stale read surfaces in the finite checks below.
-        for scratch in ("v_phi_ext", "v_acc_ext", "v_r"):
-            pool.release(scratch)
-        _san.check_finite(dc.transpose(1, 0, 2), "down_v",
-                          "downward check potentials")
-
-    for dl in plan.down_levels:
-        stages.down_level(dl, phi, dc, de, pot)
-    if san:
-        _san.check_finite(de.transpose(1, 0, 2), "eval",
-                          "downward equivalent densities")
-
-    stages.near_u(plan.u, phi, pot)
-    stages.near_w(plan.w, ue, pot)
-    if san:
-        _san.check_finite(pot.transpose(1, 0, 2),
-                          "down_w" if plan.w.boxes.size else "down_u",
-                          "potentials", rows_are="targets")
-    potential = unsort_potential(pot, tree.trg_perm, single)
-    if san:
+    live = {
+        "phi": np.ascontiguousarray(phi3[tree.src_perm]),
+        "ue": pool.zeros("ue", (nb, nrhs, n_surf * md)),
+        "dc": pool.zeros("dc", (nrhs, nb, n_surf * qd)),
+        "de": pool.zeros("de", (nrhs, nb, n_surf * md)),
+        "pot": pool.zeros("pot", (nrhs, nt, trg_k.target_dof)),
+    }
+    run_steps(stages.compile(), live, pool, nrhs, flops, timer)
+    potential = unsort_potential(live["pot"], tree.trg_perm, single)
+    if pool.sanitize:
         _san.check_escape(potential, pool, "evaluate_planned")
     return potential

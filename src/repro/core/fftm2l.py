@@ -74,6 +74,11 @@ class FFTM2L:
         self._dft: tuple[np.ndarray, ...] | None = None
         self._dft_t: tuple[np.ndarray, ...] | None = None
 
+    @property
+    def nfreq(self) -> int:
+        """Stored frequencies of one real ``(2p)^3`` transform."""
+        return self.m * self.m * (self.m // 2 + 1)
+
     def _dft_operators(self) -> tuple[np.ndarray, ...]:
         """Dense surface-node DFT operators (built once, ~a few MB).
 
@@ -183,7 +188,7 @@ class FFTM2L:
         M = self._combos.get(key)
         if M is None:
             qd, md = self.kernel.target_dof, self.kernel.source_dof
-            nfreq = self.m * self.m * (self.m // 2 + 1)
+            nfreq = self.nfreq
             M = np.zeros((nfreq, 8 * qd, 8 * md), dtype=np.complex128)
             pv = np.asarray(key[1], dtype=np.int64)
             for ot in range(8):
@@ -260,7 +265,7 @@ class FFTM2L:
         returns ``(source_dof, nfreq)`` complex.
         """
         md = self.kernel.source_dof
-        nfreq = self.m * self.m * (self.m // 2 + 1)
+        nfreq = self.nfreq
         out = np.empty((1, md, nfreq), dtype=np.complex128)
         return self.forward_rows(ue[None, :], out)[0]
 
@@ -430,7 +435,7 @@ class FFTM2L:
                     # built once per chunk and shared by every RHS
                     ling = foff_s + srcc[c0:c1].reshape(-1)
                     lin = (foff_t + trgc[c0:c1].reshape(-1)).reshape(-1)
-                    r = pool.empty("v_r", (fb, nc, 8 * qd), np.complex128)
+                    r = pool.empty("vhat.r", (fb, nc, 8 * qd), np.complex128)
                     rv = r.view(np.float64)
                     for rh in range(nrhs):
                         gt = phif[rh][ling].reshape(fb, nc, 8 * md)
@@ -441,7 +446,7 @@ class FFTM2L:
 
     def flops_per_pair(self) -> float:
         """Real flops of one Hadamard multiply-accumulate (per box pair)."""
-        nfreq = self.m * self.m * (self.m // 2 + 1)
+        nfreq = self.nfreq
         qd, md = self.kernel.target_dof, self.kernel.source_dof
         return 8.0 * qd * md * nfreq
 
@@ -451,5 +456,5 @@ class FFTM2L:
         Two ``(dof, n_surf) x (n_surf, nfreq)`` real products (the real
         and imaginary DFT parts).
         """
-        nfreq = self.m * self.m * (self.m // 2 + 1)
+        nfreq = self.nfreq
         return 4.0 * nfreq * self.cache.n_surf * dof

@@ -251,7 +251,7 @@ class KIFMM:
         assert self.tree is not None and self.lists is not None
         assert self.cache is not None
         common = dict(
-            m2l_mode=self._m2l,
+            sched=self._m2l,
             fft_m2l=self._fft,
             flops=self.flops,
             timer=self.timer,

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.plan import StageMeta, plan_stage
-
 #: Recognised ``FMMOptions.m2l`` values.
 M2L_MODES = ("fft", "dense", "rsvd", "auto")
 
@@ -46,46 +44,6 @@ M2L_DTYPES = ("float64", "float32")
 #: counts by an achievable-rate estimate.  The fft weight reflects the
 #: class-major Hadamard's strided spectrum traffic.
 _EFFICIENCY = {"dense": 1.0, "rsvd": 1.0, "fft": 0.25}
-
-
-@plan_stage
-@dataclass
-class RsvdLevel:
-    """Marker stage of the rSVD-compressed per-level V-list pass.
-
-    The evaluators dispatch rsvd levels off the shared
-    :class:`~repro.core.plan.VLevel` geometry rather than building a
-    separate stage object; this class exists so the plan verifier's IR
-    nodes can name a registered stage whose
-    :class:`~repro.core.plan.StageMeta` covers their buffer traffic
-    (reads upward equivalent densities, accumulates downward check
-    potentials — float64 accumulation even in the mixed-precision mode,
-    whose narrowing the IR declares on the node, not the stage).
-    """
-
-    level: int
-
-    stage_meta = StageMeta(reads=("ue",), writes=("dc",), dtype="float64")
-
-
-@plan_stage
-@dataclass
-class CoarseSplit:
-    """Marker stage of the coarse-level V-translation split exchange.
-
-    At levels where the box count drops below the rank count, the
-    redundant tree-top V translations are split: each target box is
-    assigned (deterministic cyclic assignment over its contributor
-    ranks) to exactly one rank, which computes the box's downward-check
-    contribution and broadcasts the rows along the binomial rank tree.
-    The plan verifier's ``post:vsp@L`` / ``wait:vsp@L`` IR nodes name
-    this stage: the exchange reads the locally-computed downward check
-    rows and delivers the remotely-computed ones.
-    """
-
-    level: int
-
-    stage_meta = StageMeta(reads=("dc",), writes=("dc",), dtype="float64")
 
 
 def coarse_split_levels(

@@ -59,53 +59,6 @@ OCTANT_VECTORS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class StageMeta:
-    """Static dataflow declaration of one plan-stage class.
-
-    ``reads``/``writes`` name the *buffer families* the stage touches
-    during an apply (``"phi"``, ``"check"``, ``"ue"``, ``"vhat"``,
-    ``"dc"``, ``"de"``, ``"ext_phi"``, ``"pot"``); concrete IR regions
-    are per level or per ownership split (``"ue@3"``, ``"ue:ghost"``).
-    ``dtype`` is the dtype family of the stage's persistent outputs.
-
-    The plan-IR extractor (:mod:`repro.analysis.planir`) cross-checks
-    every emitted IR node against its stage's declaration, and the
-    ``stage-metadata`` lint rule rejects any :func:`plan_stage` class
-    that does not declare a complete ``StageMeta``.
-    """
-
-    reads: tuple[str, ...]
-    writes: tuple[str, ...]
-    dtype: str
-
-
-#: Registry of plan-stage classes, by class name.  Populated by
-#: :func:`plan_stage`; consumed by the static plan verifier.
-PLAN_STAGES: dict[str, type] = {}
-
-
-def plan_stage(cls: type) -> type:
-    """Register ``cls`` as a plan stage (requires ``stage_meta``).
-
-    Validation happens at class-creation time so an incomplete stage
-    declaration is an import error, not a latent verifier blind spot.
-    """
-    meta = cls.__dict__.get("stage_meta")
-    if not isinstance(meta, StageMeta):
-        raise TypeError(
-            f"plan stage {cls.__name__!r} must declare a "
-            f"`stage_meta = StageMeta(...)` class attribute"
-        )
-    if not (meta.reads or meta.writes) or not meta.dtype:
-        raise TypeError(
-            f"plan stage {cls.__name__!r} metadata must name at least one "
-            f"read or write buffer family and a dtype"
-        )
-    PLAN_STAGES[cls.__name__] = cls
-    return cls
-
-
 def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[i], stops[i])`` as one int64 array.
 
@@ -188,8 +141,10 @@ class BufferPool:
     def release(self, name: str) -> None:
         """Declare ``name`` dead for the rest of this apply.
 
-        Sanitize-only: poisons every dtype variant of the buffer with
-        NaN (inexact dtypes; integer scratch cannot carry a poison
+        Covers the buffer ``name`` and the parts of a buffer family
+        drawn as ``name.part`` (``"vhat"`` releases ``"vhat.phi"`` and
+        ``"vhat.acc"``).  Sanitize-only: poisons every dtype variant
+        with NaN (inexact dtypes; integer scratch cannot carry a poison
         value) and raises
         :class:`~repro.analysis.sanitize.DoubleReleaseError` on a
         repeated release without reacquisition.  Unknown names are
@@ -199,21 +154,23 @@ class BufferPool:
         if not self.sanitize:
             return
         entries = [
-            (dt, buf) for (n, dt), buf in self._store.items() if n == name
+            (n, dt, buf) for (n, dt), buf in self._store.items()
+            if n == name or n.startswith(name + ".")
         ]
         if not entries:
             return
-        if name in self._released:
+        names = {n for n, _, _ in entries}
+        if names <= self._released:
             from repro.analysis.sanitize import DoubleReleaseError
 
             raise DoubleReleaseError(
                 f"pool buffer {name!r} released twice without "
                 f"reacquisition"
             )
-        for dt, buf in entries:
+        for _, dt, buf in entries:
             if np.issubdtype(dt, np.inexact):
                 buf.fill(np.nan)
-        self._released.add(name)
+        self._released |= names
 
     def check_live(self, name: str, context: str = "") -> None:
         """Raise ``UseAfterReleaseError`` if ``name`` is released."""
@@ -234,7 +191,6 @@ class BufferPool:
         return sum(b.nbytes for b in self._store.values())
 
 
-@plan_stage
 @dataclass
 class UpLevel:
     """Upward-pass work at one level (source boxes only).
@@ -255,12 +211,7 @@ class UpLevel:
     s2m_seg: np.ndarray
     m2m_groups: list[tuple[int, np.ndarray, np.ndarray]]
 
-    stage_meta = StageMeta(
-        reads=("phi", "ue"), writes=("check", "ue"), dtype="float64"
-    )
 
-
-@plan_stage
 @dataclass
 class VLevel:
     """All effective V-list pairs of one level, grouped two ways.
@@ -288,16 +239,11 @@ class VLevel:
     classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
     po_groups: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
 
-    stage_meta = StageMeta(
-        reads=("ue", "vhat"), writes=("vhat", "dc"), dtype="float64"
-    )
-
     @property
     def npairs(self) -> int:
         return sum(len(s) for _, s, _ in self.classes)
 
 
-@plan_stage
 @dataclass
 class DownLevel:
     """Downward-pass work at one level (target boxes only).
@@ -321,19 +267,13 @@ class DownLevel:
     x_seg: np.ndarray
     x_src_pos: np.ndarray
 
-    stage_meta = StageMeta(
-        reads=("phi", "ext_phi", "dc", "de"),
-        writes=("dc", "de", "pot"),
-        dtype="float64",
-    )
-
 
 @dataclass
 class ExecutionPlan:
     """Flattened tree + interaction lists, ready for batched evaluation.
 
     Built once per geometry by :func:`build_plan`; consumed by the
-    stage functions of :class:`repro.core.evaluator.PlanStages`.  Every
+    stage methods of :class:`repro.core.evaluator.PlanStages`.  Every
     array indexes either boxes (tree order) or points (Morton-sorted
     order); densities and potentials are carried in sorted order inside
     the evaluator and permuted once at entry/exit.
@@ -378,7 +318,6 @@ class ExecutionPlan:
         }
 
 
-@plan_stage
 @dataclass
 class NearBlocks:
     """Per-target-box grouping of near-field (U/W/X style) pairs.
@@ -393,10 +332,6 @@ class NearBlocks:
     trg_stop: np.ndarray
     seg: np.ndarray
     src_pos: np.ndarray
-
-    stage_meta = StageMeta(
-        reads=("phi", "ext_phi", "ue"), writes=("pot",), dtype="float64"
-    )
 
 
 def build_near_blocks(

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.plan import StageMeta, plan_stage
 from repro.parallel.simmpi import (
     Request,
     SimComm,
@@ -233,7 +232,6 @@ def _tree_edges(
     return parent, children
 
 
-@plan_stage
 @dataclass
 class ExchangePlan:
     """One rank's role in the per-apply exchange of one payload kind.
@@ -271,10 +269,6 @@ class ExchangePlan:
     #: ``(box, parent_rank_or_None, child_ranks, self_uses)``.
     scatter: list[tuple[int, int | None, list[int], bool]] = field(
         default_factory=list
-    )
-
-    stage_meta = StageMeta(
-        reads=("phi", "ue"), writes=("ue", "ext_phi"), dtype="float64"
     )
 
 
@@ -337,12 +331,15 @@ class GhostLayout:
 class ApplyExchange:
     """One apply's in-flight nonblocking exchange.
 
-    ``start`` posts every send and receive of both sub-exchanges up
-    front (buffered ``isend`` + posted ``irecv``, so the protocol cannot
-    deadlock).  ``relay`` completes the gather side: owners reduce the
-    contributor pieces — concatenation for densities, summation for
-    partial equivalent densities (linearity of eq. 2.1/2.3) — scatter
-    the combined data to users and store locally-owned data.  ``finish``
+    Each method runs one payload kind (``"phi"`` then ``"pue"``, the
+    order every rank shares); together they are the ``post`` / ``relay``
+    / ``wait`` steps of a rank's apply.  ``start`` posts every send and
+    receive of a sub-exchange up front (buffered ``isend`` + posted
+    ``irecv``, so the protocol cannot deadlock).  ``relay`` completes
+    the gather side: owners reduce the contributor pieces —
+    concatenation for densities, summation for partial equivalent
+    densities (linearity of eq. 2.1/2.3) — scatter the combined data
+    to users and store locally-owned data.  ``finish``
     completes the scatter side, filling the ghost rows.  Between
     ``relay`` and ``finish`` the receive queues fill while the caller
     computes on owned data — the communication/computation overlap
@@ -371,16 +368,17 @@ class ApplyExchange:
         #: Race-detector hook: the per-rank recorder installed by
         #: ``run_spmd(race=...)``, or None on uninstrumented runs.
         self._rec = current_recorder()
-        # Flat-scheme state: owner-side gathers and user-side scatters.
-        self._gathers: list[tuple[ExchangePlan, int, list[Request],
-                                  bool, list[int], bool]] = []
-        self._scatters: list[tuple[ExchangePlan, int, Request]] = []
+        # Per payload kind.  Flat-scheme state: owner-side gathers and
+        # user-side scatters.
+        self._gathers: dict[str, list[tuple[int, list[Request], bool,
+                                            list[int], bool]]] = {}
+        self._scatters: dict[str, list[tuple[int, Request]]] = {}
         # Tree-scheme state: interior/root gather nodes, non-root
         # scatter nodes, and the scatter roots' (children, self_uses).
-        self._gnodes: list[tuple[ExchangePlan, int, int | None,
-                                 list[Request], bool]] = []
-        self._snodes: list[tuple[ExchangePlan, int, Request,
-                                 list[int], bool]] = []
+        self._gnodes: dict[str, list[tuple[int, int | None,
+                                           list[Request], bool]]] = {}
+        self._snodes: dict[str, list[tuple[int, Request,
+                                           list[int], bool]]] = {}
         self._sroots: dict[tuple[str, int], tuple[list[int], bool]] = {}
 
     def _combiner(self, plan: ExchangePlan):
@@ -431,8 +429,8 @@ class ApplyExchange:
                 self._rec.write(self._ue[b], f"store:global-ue box {b}")
             self._ue[b] = data
 
-    def start(self) -> "ApplyExchange":
-        """Post every send and receive of both sub-exchanges.
+    def start(self, kind: str) -> None:
+        """Post every send and receive of the ``kind`` sub-exchange.
 
         Flat scheme: contributors ship their pieces to the owner and
         users post a receive from the owner.  Tree scheme: every node
@@ -441,51 +439,51 @@ class ApplyExchange:
         can start folding during the overlap window.
         """
         comm = self._comm
+        plan = getattr(self._layout, kind)
+        gphase, sphase = f"{kind}_gather", f"{kind}_scatter"
+        gathers = self._gathers[kind] = []
+        scatters = self._scatters[kind] = []
+        gnodes = self._gnodes[kind] = []
+        snodes = self._snodes[kind] = []
         with self._timer.phase("pack"):
-            for plan in (self._layout.phi, self._layout.pue):
-                gphase, sphase = f"{plan.kind}_gather", f"{plan.kind}_scatter"
-                if plan.scheme == "tree":
-                    for b, parent, children, selfc in plan.gather:
-                        reqs = [
-                            comm.irecv(r, tag=mk_tag(plan.kind, b), phase=gphase)
-                            for r in children
-                        ]
-                        if parent is not None and not children:
-                            comm.isend(
-                                parent, self._piece(plan, b),
-                                tag=mk_tag(plan.kind, b), phase=gphase,
-                            )
-                        else:
-                            self._gnodes.append((plan, b, parent, reqs, selfc))
-                    for b, parent, children, selfu in plan.scatter:
-                        if parent is None:
-                            self._sroots[(plan.kind, b)] = (children, selfu)
-                        else:
-                            req = comm.irecv(
-                                parent, tag=mk_tag(plan.kind + "g", b), phase=sphase
-                            )
-                            self._snodes.append((plan, b, req, children, selfu))
-                    continue
-                for b, o in plan.send_to_owner:
-                    comm.isend(o, self._piece(plan, b), tag=mk_tag(plan.kind, b),
-                               phase=gphase)
-                for b, peers_c, selfc, peers_u, selfu in plan.owned:
+            if plan.scheme == "tree":
+                for b, parent, children, selfc in plan.gather:
                     reqs = [
-                        comm.irecv(r, tag=mk_tag(plan.kind, b), phase=gphase)
-                        for r in peers_c
+                        comm.irecv(r, tag=mk_tag(kind, b), phase=gphase)
+                        for r in children
                     ]
-                    self._gathers.append(
-                        (plan, b, reqs, selfc, peers_u, selfu)
-                    )
-                for b, o in plan.recv_from:
-                    self._scatters.append(
-                        (plan, b,
-                         comm.irecv(o, tag=mk_tag(plan.kind + "g", b), phase=sphase))
-                    )
-        return self
+                    if parent is not None and not children:
+                        comm.isend(
+                            parent, self._piece(plan, b),
+                            tag=mk_tag(kind, b), phase=gphase,
+                        )
+                    else:
+                        gnodes.append((b, parent, reqs, selfc))
+                for b, parent, children, selfu in plan.scatter:
+                    if parent is None:
+                        self._sroots[(kind, b)] = (children, selfu)
+                    else:
+                        req = comm.irecv(
+                            parent, tag=mk_tag(kind + "g", b), phase=sphase
+                        )
+                        snodes.append((b, req, children, selfu))
+                return
+            for b, o in plan.send_to_owner:
+                comm.isend(o, self._piece(plan, b), tag=mk_tag(kind, b),
+                           phase=gphase)
+            for b, peers_c, selfc, peers_u, selfu in plan.owned:
+                reqs = [
+                    comm.irecv(r, tag=mk_tag(kind, b), phase=gphase)
+                    for r in peers_c
+                ]
+                gathers.append((b, reqs, selfc, peers_u, selfu))
+            for b, o in plan.recv_from:
+                scatters.append(
+                    (b, comm.irecv(o, tag=mk_tag(kind + "g", b), phase=sphase))
+                )
 
-    def relay(self) -> None:
-        """Complete gathers, reduce, and launch the scatter.
+    def relay(self, kind: str) -> None:
+        """Complete the ``kind`` gathers, reduce, and launch the scatter.
 
         Flat scheme: the owner folds the contributor pieces — laid out
         in tree-position order — with :func:`combine_tree` and sends the
@@ -509,8 +507,9 @@ class ApplyExchange:
         (``repro commir``) checks exactly this property at P=4096.
         """
         comm = self._comm
+        plan = getattr(self._layout, kind)
         with self._timer.phase("wait"):
-            for plan, b, parent, reqs, selfc in self._gnodes:
+            for b, parent, reqs, selfc in self._gnodes[kind]:
                 child_pieces = [r.wait() for r in reqs]
                 if self._rec is not None:
                     # Child pieces arrive by reference: reading them is
@@ -527,19 +526,19 @@ class ApplyExchange:
                     # Interior node: forward the partial fold upward.
                     if self._rec is not None:
                         self._rec.write(acc, f"relay:partial box {b}")
-                    comm.isend(parent, acc, tag=mk_tag(plan.kind, b),
-                               phase=f"{plan.kind}_gather")
+                    comm.isend(parent, acc, tag=mk_tag(kind, b),
+                               phase=f"{kind}_gather")
                     continue
                 data = self._finalize(plan, acc, npieces)
                 if self._rec is not None:
                     self._rec.write(data, f"relay:combine box {b}")
-                s_children, selfu = self._sroots[(plan.kind, b)]
+                s_children, selfu = self._sroots[(kind, b)]
                 for r in s_children:
-                    comm.isend(r, data, tag=mk_tag(plan.kind + "g", b),
-                               phase=f"{plan.kind}_scatter")
+                    comm.isend(r, data, tag=mk_tag(kind + "g", b),
+                               phase=f"{kind}_scatter")
                 if selfu:
                     self._store(plan, b, data)
-            for plan, b, reqs, selfc, peers_u, selfu in self._gathers:
+            for b, reqs, selfc, peers_u, selfu in self._gathers[kind]:
                 peer_pieces = [r.wait() for r in reqs]
                 if self._rec is not None:
                     for p in peer_pieces:
@@ -554,28 +553,29 @@ class ApplyExchange:
                 if self._rec is not None:
                     self._rec.write(data, f"relay:combine box {b}")
                 for r in peers_u:
-                    comm.isend(r, data, tag=mk_tag(plan.kind + "g", b),
-                               phase=f"{plan.kind}_scatter")
+                    comm.isend(r, data, tag=mk_tag(kind + "g", b),
+                               phase=f"{kind}_scatter")
                 if selfu:
                     self._store(plan, b, data)
 
-    def finish(self) -> None:
-        """Complete the scatter side: fill the ghost rows.
+    def finish(self, kind: str) -> None:
+        """Complete the ``kind`` scatter side: fill the ghost rows.
 
         Tree scheme: non-root scatter nodes receive the combined data
         from their parent, forward it to their scatter children, and
         store their own ghost rows.
         """
         comm = self._comm
+        plan = getattr(self._layout, kind)
         with self._timer.phase("wait"):
-            for plan, b, req, children, selfu in self._snodes:
+            for b, req, children, selfu in self._snodes[kind]:
                 data = req.wait()
                 if self._rec is not None:
                     self._rec.read(data, f"finish:recv box {b}")
                 for r in children:
-                    comm.isend(r, data, tag=mk_tag(plan.kind + "g", b),
-                               phase=f"{plan.kind}_scatter")
+                    comm.isend(r, data, tag=mk_tag(kind + "g", b),
+                               phase=f"{kind}_scatter")
                 if selfu:
                     self._store(plan, b, data)
-            for plan, b, req in self._scatters:
+            for b, req in self._scatters[kind]:
                 self._store(plan, b, req.wait())

@@ -25,6 +25,7 @@ import numpy as np
 from repro.analysis import sanitize as _san
 from repro.core.evaluator import (
     PlanStages,
+    RankOperands,
     coerce_density,
     resolve_kernels,
     unsort_potential,
@@ -37,14 +38,9 @@ from repro.core.m2lschedule import (
     resolve_m2l_schedule,
     v_stats_from_plan,
 )
-from repro.core.plan import (
-    ExecutionPlan,
-    NearBlocks,
-    StageMeta,
-    compile_plan,
-    plan_stage,
-)
+from repro.core.plan import ExecutionPlan, NearBlocks, compile_plan
 from repro.core.precompute import OperatorCache
+from repro.core.steps import BufferSpec, Step, StepList, run_steps
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists, build_lists
 from repro.parallel.exchange import (
@@ -126,7 +122,6 @@ def v_split_bcast_schedule(
     return schedule
 
 
-@plan_stage
 @dataclass
 class _VSplit:
     """One V level's pairs split by source-box ownership.
@@ -154,10 +149,6 @@ class _VSplit:
     inv_rows: np.ndarray | None = None
     bcast: list[tuple[int, int, tuple[int, ...]]] = dataclasses_field(
         default_factory=list
-    )
-
-    stage_meta = StageMeta(
-        reads=("ue", "vhat"), writes=("vhat", "dc"), dtype="float64"
     )
 
 
@@ -198,8 +189,8 @@ class RankFMM:
         source_kernel: Kernel | None,
         target_kernel: Kernel | None,
         direct_kernel: Kernel | None,
-        m2l_schedule: M2LSchedule | None = None,
-        v_compute: np.ndarray | None = None,
+        m2l_schedule: M2LSchedule,
+        v_compute: np.ndarray,
     ) -> None:
         self.kernel = kernel
         self.options = options
@@ -221,19 +212,145 @@ class RankFMM:
         # Which boxes this rank performs V target-side work for.  Every
         # box with local targets, except at coarse split levels, where
         # only the cyclically-assigned boxes remain (the flop model's
-        # ``v_targets`` mask — ``None`` means fully redundant).
+        # ``v_targets`` mask).
         self.v_compute = v_compute
-        if m2l_schedule is None:
-            m2l_schedule = resolve_m2l_schedule(
-                options.m2l, options.dtype,
-                stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
-            )
         self.m2l_schedule = m2l_schedule
         self.src_k, self.trg_k, self.dir_k = resolve_kernels(
             kernel, source_kernel, target_kernel, direct_kernel
         )
         #: Flops of this rank's applies, by phase (as ``KIFMM.flops``).
         self.flops = FlopCounter()
+
+    def compile(
+        self,
+        overlap: bool = True,
+        comm: SimComm | None = None,
+        exch: ApplyExchange | None = None,
+        timer: PhaseTimer | None = None,
+    ) -> StepList:
+        """This rank's apply as a step list.
+
+        The shared stages over the owned-then-ghost splits of the
+        LET-local plan (:meth:`PlanStages.compile` orders them) plus
+        the exchange as steps: ``post`` / ``relay`` / ``wait`` of each
+        payload kind and the ``vsp`` broadcast pair of each coarse split
+        level.  ``comm`` / ``exch`` / ``timer`` bind those steps to one
+        apply; the plan verifier compiles without them and reads only
+        the declarations.
+        """
+        plan, lay = self.plan, self.layout
+        width = self.cache.n_surf * self.kernel.source_dof
+        partial = "ue:partial@{}".format
+        # What each payload kind ships, and the split regions it
+        # delivers: owner-relayed rows (own) and scattered rows (ghost).
+        sent = {
+            "phi": ("phi",),
+            "pue": tuple(partial(ul.level) for ul in plan.up_levels),
+        }
+        buffers: dict[str, BufferSpec] = {}
+        delivers: dict[tuple[str, str], tuple[str, ...]] = {}
+        for kind, family in (("phi", "ext_phi"), ("pue", "ue")):
+            ex = getattr(lay, kind)
+            for split, boxes in (
+                ("own", [bx for bx, _, _, _, selfu in ex.owned if selfu]),
+                ("ghost", [bx for bx, _ in ex.recv_from]),
+            ):
+                delivers[kind, split] = ()
+                if not boxes:
+                    continue
+                shape = (len(boxes), width)
+                if kind == "phi":
+                    shape = (
+                        int(sum(lay.ext_stop[bx] - lay.ext_start[bx]
+                                for bx in boxes)),
+                        self.src_k.source_dof,
+                    )
+                name = f"{family}:{split}"
+                buffers[name] = BufferSpec(name, shape, "float64")
+                delivers[kind, split] = (name,)
+
+        def exchange_step(call, method, kind, reads=(), writes=()) -> Step:
+            # The exchange holds its own views of phi / ue / ext_phi
+            # (bound in ``apply``) and times itself as pack / wait.
+            return Step(
+                f"{call}:{kind}", "exchange", lambda b: method(exch, kind),
+                kind=call, stage=f"ApplyExchange.{method.__name__}",
+                reads=reads, writes=writes,
+            )
+
+        rank = RankOperands(
+            near={"own": (self.u_own, self.w_own),
+                  "ghost": (self.u_ghost, self.w_ghost)},
+            v_splits=self.v_splits,
+            post=[
+                exchange_step("post", ApplyExchange.start, k, reads=sent[k])
+                for k in sent
+            ],
+            relay=[
+                exchange_step("relay", ApplyExchange.relay, k, reads=sent[k],
+                              writes=delivers[k, "own"])
+                for k in sent
+            ],
+            wait=[
+                exchange_step("wait", ApplyExchange.finish, k,
+                              writes=delivers[k, "ghost"])
+                for k in sent
+            ],
+            vsp={
+                int(vl.level): self._v_split_steps(comm, timer, vl, sp)
+                for vl, sp in zip(plan.v_levels, self.v_splits) if sp.bcast
+            },
+            buffers=buffers,
+            up_region=partial,
+        )
+        stages = PlanStages(
+            plan, self.kernel, self.cache,
+            (self.src_k, self.trg_k, self.dir_k),
+            self.m2l_schedule, self.fft, self.ext_points,
+        )
+        return stages.compile(rank, overlap)
+
+    def _v_split_steps(
+        self, comm: SimComm | None, timer: PhaseTimer | None, vl, sp
+    ) -> list[Step]:
+        """The broadcast of one split level's downward-check rows.
+
+        ``post`` packs the rows of the boxes assigned to this rank;
+        ``wait`` runs the segmented broadcasts along the rank tree and
+        stores the other participants' rows.  Every participant
+        iterates the same ascending ``(level, box)`` schedule, so the
+        broadcasts match up deadlock-free.  At this point ``dc[:, bx]``
+        holds exactly the level's V contribution (L2L and X accumulate
+        later, own classes are empty at split levels), so the root's
+        rows can be assigned verbatim.
+        """
+        lvl = int(vl.level)
+        packed: dict[int, np.ndarray] = {}
+
+        def post(b) -> None:
+            with timer.phase("down_v"):
+                for bx, root, _ in sp.bcast:
+                    if comm.rank == root:
+                        # A copy: the payload travels by reference and
+                        # the downward sweep keeps writing these rows.
+                        packed[bx] = b["dc"][:, bx].copy()
+
+        def wait(b) -> None:
+            with timer.phase("down_v"):
+                for bx, root, parts in sp.bcast:
+                    out = comm.tree_bcast(
+                        packed.pop(bx, None), root, parts,
+                        tag=mk_tag("vsp", lvl, int(bx)), phase="v_split",
+                    )
+                    if comm.rank != root:
+                        b["dc"][:, bx] = out
+
+        return [
+            Step(f"post:vsp@{lvl}", "down_v", post, kind="post",
+                 stage="tree_bcast", reads=(f"dc@{lvl}",)),
+            Step(f"wait:vsp@{lvl}", "down_v", wait, kind="wait",
+                 stage="tree_bcast", writes=(f"dc@{lvl}",)),
+        ]
 
     def apply(
         self,
@@ -244,12 +361,9 @@ class RankFMM:
     ) -> np.ndarray:
         """One planned interaction evaluation over the LET.
 
-        The rank driver over :class:`~repro.core.evaluator.PlanStages`:
-        the sequential stages, run over the owned-then-ghost splits of
-        the LET-local plan with the exchange in the middle — up, post +
-        relay, U/W/V over owned partners, finish, V over ghost partners
-        (with the coarse-split broadcasts), the downward sweep, U/W over
-        ghost partners.
+        The rank driver: it sorts the density, allocates the work
+        arrays, binds the exchange to them and runs the step list of
+        :meth:`compile`.
 
         The computation order is identical with and without overlap —
         owned-data passes always run before their ghost counterparts —
@@ -266,140 +380,56 @@ class RankFMM:
         traffic are paid once per block instead of once per column.
         """
         timer = timer if timer is not None else PhaseTimer()
-        tree, plan, cache = self.tree, self.plan, self.cache
+        tree, plan = self.tree, self.plan
         md, qd = self.kernel.source_dof, self.kernel.target_dof
         sdof, out_dof = self.src_k.source_dof, self.trg_k.target_dof
-        n_surf = cache.n_surf
-        nb = plan.nboxes
-        ns = tree.sources.shape[0]
-        nt = tree.targets.shape[0]
+        n_surf, nb = self.cache.n_surf, plan.nboxes
+        ns, nt = tree.sources.shape[0], tree.targets.shape[0]
+        n_ext = self.ext_points.shape[0]
         pool = plan.buffers
-        san = self.options.sanitize or _san.enabled()
-        pool.sanitize = san
+        pool.sanitize = self.options.sanitize or _san.enabled()
         phi3, nrhs, single = coerce_density(
             np.asarray(local_density, dtype=np.float64), ns, sdof
         )
-        if san:
+        if pool.sanitize:
             _san.check_finite(phi3, "input", "local density",
                               rows_are="points")
         phi = np.ascontiguousarray(phi3[tree.src_perm])
-        # The exchange payload keeps points on the leading axis with all
-        # right-hand sides packed into the row: one exchange, nrhs-wide.
-        phi_sorted = phi.reshape(ns, sdof * nrhs)
+        # The exchange payloads keep points / boxes on the leading axis
+        # with all right-hand sides packed into the row: one exchange,
+        # nrhs-wide.
+        phi_rows = phi.reshape(ns, sdof * nrhs)
+        ue_rows = pool.zeros("ue", (nb, nrhs * n_surf * md))
+        ext_rows = pool.empty("ext_phi", (n_ext, sdof * nrhs))
         rec = current_recorder()
         if rec is not None:
-            rec.register(f"rank{comm.rank}:phi_sorted", phi_sorted)
-            rec.write(phi_sorted, "sort-density")
-        sched = self.m2l_schedule
-        stages = PlanStages(
-            plan, self.kernel, cache, (self.src_k, self.trg_k, self.dir_k),
-            sched, self.fft, self.ext_points, self.flops, timer,
-        )
-
-        ue_rows = pool.zeros("ue", (nb, nrhs * n_surf * md))
-        ue = ue_rows.reshape(nb, nrhs, n_surf * md)
-        for ul in plan.up_levels:
-            stages.up_level(ul, phi, ue)
-        if rec is not None:
+            # No message separates these records from the upward pass,
+            # so they carry the clock of its writes.
+            rec.register(f"rank{comm.rank}:phi_sorted", phi_rows)
+            rec.write(phi_rows, "sort-density")
             rec.register(f"rank{comm.rank}:ue", ue_rows)
             rec.write(ue_rows, "upward-partial")
-        if san:
-            _san.check_finite(ue_rows, "up",
-                              "partial upward equivalent densities")
-
-        ext_rows = pool.empty(
-            "ext_phi", (self.ext_points.shape[0], sdof * nrhs)
-        )
-        ext_phi = ext_rows.reshape(self.ext_points.shape[0], sdof, nrhs)
-        if rec is not None:
             rec.register(f"rank{comm.rank}:ext_phi", ext_rows)
         exch = ApplyExchange(
-            comm, self.layout, phi_sorted, self.src_start, self.src_stop,
+            comm, self.layout, phi_rows, self.src_start, self.src_stop,
             ue_rows, ext_rows, timer,
-        ).start()
-        exch.relay()
-        if not overlap:
-            exch.finish()
-
-        dc = pool.zeros("dc", (nrhs, nb, n_surf * qd))
-        de = pool.zeros("de", (nrhs, nb, n_surf * md))
-        pot = pool.zeros("pot", (nrhs, nt, out_dof))
-
-        # Owned-data passes: with overlap on, these run while the
-        # equivalent-density/ghost-density scatter is still in flight.
-        stages.near_u(self.u_own, ext_phi, pot)
-        stages.near_w(self.w_own, ue, pot)
-        v_state: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for vl, sp in zip(plan.v_levels, self.v_splits):
-            if sched.backend(vl.level) == "fft":
-                v_state.append(stages.v_fft_state(vl, nrhs))
-                stages.v_fft_classes(
-                    vl, sp.own_rows, sp.own_classes, ue, *v_state[-1]
-                )
-            else:
-                v_state.append(None)
-                stages.v_direct(vl, sp.own_classes, ue, dc)
-
-        if overlap:
-            exch.finish()
-        if san:
-            _san.check_finite(ext_rows, "exchange",
-                              "combined ghost source densities",
-                              rows_are="points")
-            _san.check_finite(ue_rows, "exchange",
-                              "global upward equivalent densities")
-
-        # Ghost-dependent passes.  At coarse split levels
-        # (``sp.inv_rows is not None``) this rank only carries the boxes
-        # the deterministic cyclic assignment gave it, and the level ends
-        # with the broadcast of each assigned box's downward-check rows.
-        for vl, sp, state in zip(plan.v_levels, self.v_splits, v_state):
-            if state is None:
-                stages.v_direct(vl, sp.ghost_classes, ue, dc)
-            else:
-                stages.v_fft_classes(
-                    vl, sp.ghost_rows, sp.ghost_classes, ue, *state
-                )
-                stages.v_fft_inverse(vl, sp.inv_rows, state[1], dc)
-            with timer.phase("down_v"):
-                self._v_split_bcast(comm, vl, sp, dc)
-        for dl in plan.down_levels:
-            stages.down_level(dl, ext_phi, dc, de, pot)
-        stages.near_u(self.u_ghost, ext_phi, pot)
-        stages.near_w(self.w_ghost, ue, pot)
-        if san:
-            _san.check_finite(pot, "output", "potentials",
-                              rows_are="targets")
-
-        potential = unsort_potential(pot, tree.trg_perm, single)
-        if san:
+        )
+        live = {
+            "phi": phi,
+            "ue": ue_rows.reshape(nb, nrhs, n_surf * md),
+            "ext_phi": ext_rows.reshape(n_ext, sdof, nrhs),
+            "dc": pool.zeros("dc", (nrhs, nb, n_surf * qd)),
+            "de": pool.zeros("de", (nrhs, nb, n_surf * md)),
+            "pot": pool.zeros("pot", (nrhs, nt, out_dof)),
+        }
+        run_steps(
+            self.compile(overlap, comm, exch, timer),
+            live, pool, nrhs, self.flops, timer,
+        )
+        potential = unsort_potential(live["pot"], tree.trg_perm, single)
+        if pool.sanitize:
             _san.check_escape(potential, pool, "RankFMM.apply")
         return potential
-
-    def _v_split_bcast(
-        self, comm: SimComm, vl, sp, dc: np.ndarray
-    ) -> None:
-        """Deliver split-level downward-check rows along the rank tree.
-
-        Every participant iterates the same ascending ``(level, box)``
-        schedule, so the segmented broadcasts match up deadlock-free.
-        At this point ``dc[:, bx]`` holds exactly the level's V
-        contribution (L2L and X accumulate later, own classes are empty
-        at split levels), so the root's rows can be assigned verbatim.
-        """
-        if not sp.bcast:
-            return
-        me = comm.rank
-        for bx, root, parts in sp.bcast:
-            blk = (
-                np.ascontiguousarray(dc[:, bx]) if me == root else None
-            )
-            out = comm.tree_bcast(
-                blk, root, parts,
-                tag=mk_tag("vsp", int(vl.level), int(bx)), phase="v_split",
-            )
-            if me != root:
-                dc[:, bx] = out
 
 
 def rank_setup(

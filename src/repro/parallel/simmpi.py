@@ -91,9 +91,8 @@ class RankAbortedError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Message-tag registry.  Every point-to-point tag in the repo is a
 # structured tuple ``(family, *discriminators)`` minted through
-# :func:`mk_tag` from a family registered here — the communication
-# analogue of the ``@plan_stage`` registry: a single source of truth the
-# static verifier (:mod:`repro.analysis.commir`) introspects to know
+# :func:`mk_tag` from a family registered here: a single source of truth
+# the static verifier (:mod:`repro.analysis.commir`) introspects to know
 # which tag families exist, how many discriminator fields each carries
 # and which trace phases its messages appear in.  Ad-hoc literal tags
 # are rejected statically by the ``tag-registry`` lint rule.

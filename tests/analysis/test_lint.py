@@ -15,7 +15,6 @@ EXPECTED = {
     ("mutable-default", "bad_default.py"),
     ("thread-confinement", "bad_threading.py"),
     ("request-waited", "bad_request.py"),
-    ("stage-metadata", "bad_stage.py"),
     ("tag-registry", "bad_tag.py"),
 }
 

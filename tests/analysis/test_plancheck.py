@@ -24,6 +24,7 @@ from repro.analysis.plancheck import (
     sequential_ir,
 )
 from repro.analysis.planir import extract_rank_ir
+from repro.core.evaluator import PlanStages
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.stokes import StokesKernel
@@ -57,7 +58,7 @@ def test_sequential_certifies_clean(kernel, points, m2l, dtype):
         report = certify_sequential(kernel, points, opts, nrhs=nrhs)
         assert report.ok, [str(f) for f in report.findings]
         assert set(report.counts) == {
-            "dataflow", "types", "schedule", "flops", "metadata",
+            "dataflow", "types", "schedule", "flops",
         }
         assert all(d == 0.0 for d in report.flop_deltas().values())
 
@@ -87,13 +88,37 @@ def test_parallel_certifies_rsvd_and_auto(points, m2l, dtype):
         assert report.ok, [str(f) for f in report.findings]
 
 
-def test_ir_flops_match_measured_apply(points):
-    """Static totals equal the dynamic FlopCounter of a real apply.
+@pytest.fixture
+def compiled(monkeypatch):
+    """Every step list ``PlanStages.compile`` hands out, as
+    ``(plan, names of the steps that have run since)``."""
+    log = []
+    compile_ = PlanStages.compile
 
-    The sequential plan, and every rank of a 2- and a 4-rank operator
-    (the shared stages count flops on the rank path too).  The 4-rank
-    operators run on two tight opposite-corner clusters, whose two
-    boxes per coarse level put V level 2 under the coarse split
+    def spy(self, *args, **kwargs):
+        program = compile_(self, *args, **kwargs)
+        ran = []
+        for step in program.steps:
+            def run(bufs, run=step.run, name=step.name):
+                ran.append(name)
+                run(bufs)
+            step.run = run
+        log.append((self.plan, ran))
+        return program
+
+    monkeypatch.setattr(PlanStages, "compile", spy)
+    return log
+
+
+def test_ir_flops_match_measured_apply(points, compiled):
+    """The IR is the step list a real apply runs, flop for flop.
+
+    Drivers and extractors obtain the step list from the same function:
+    the executed step names equal the IR node names in order, and the
+    static totals equal the dynamic FlopCounter of the apply.  The
+    sequential plan, and every rank of a 2- and a 4-rank operator.  The
+    4-rank operators run on two tight opposite-corner clusters, whose
+    two boxes per coarse level put V level 2 under the coarse split
     (restricted inverse transforms, per-box broadcasts).
     """
     rng = np.random.default_rng(11)
@@ -101,7 +126,12 @@ def test_ir_flops_match_measured_apply(points):
         rng.uniform(0.0, 0.12, (150, 3)), rng.uniform(0.88, 1.0, (150, 3))
     ])
 
-    def assert_equal(ir, flops):
+    def assert_equal(plan, extract, flops):
+        (ran,) = [names for p, names in compiled if p is plan]
+        ir = extract()
+        # The extractor compiled through the same function and ran nothing.
+        assert [names for p, names in compiled if p is plan] == [ran, []]
+        assert [n.name for n in ir.nodes[1:-1]] == ran
         totals = ir.flop_totals()
         assert sum(totals.values()) > 0
         measured = flops.by_phase()
@@ -114,7 +144,9 @@ def test_ir_flops_match_measured_apply(points):
             phi = rng.standard_normal(points.shape[0] * kernel.source_dof)
             fmm = KIFMM(kernel, opts).setup(points)
             fmm.apply(phi)
-            assert_equal(sequential_ir(fmm, nrhs=1)[0], fmm.flops)
+            assert_equal(
+                fmm._plan, lambda: sequential_ir(fmm, nrhs=1)[0], fmm.flops
+            )
             for nranks, pts, s in ((2, points, 40), (4, clusters, 20)):
                 opts = FMMOptions(p=4, max_points=s, m2l=m2l)
                 op = ParallelFMM(nranks, kernel, opts).setup(pts)
@@ -124,7 +156,10 @@ def test_ir_flops_match_measured_apply(points):
                 split = False
                 for state in op._states:
                     split |= any(sp.bcast for sp in state.v_splits)
-                    assert_equal(extract_rank_ir(state, nrhs=1), state.flops)
+                    assert_equal(
+                        state.plan, lambda: extract_rank_ir(state, nrhs=1),
+                        state.flops,
+                    )
                 assert split == (nranks == 4)
 
 

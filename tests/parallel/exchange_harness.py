@@ -21,7 +21,7 @@ def run_exchange(
     contrib, users_src, users_equiv, owner, pieces, partials,
     scheme="tree", **spmd,
 ):
-    """One start/relay/finish round on every rank.
+    """One start/relay/finish round (both payload kinds) on every rank.
 
     ``pieces[r][b]`` are the density rows rank ``r`` contributes to box
     ``b`` (the ``phi`` kind: concatenated at the owner) and
@@ -68,9 +68,10 @@ def run_exchange(
         exch = ApplyExchange(
             comm, layout, phi_sorted, src_start, src_stop, ue, ext_phi,
             PhaseTimer(),
-        ).start()
-        exch.relay()
-        exch.finish()
+        )
+        for call in (exch.start, exch.relay, exch.finish):
+            for kind in ("phi", "pue"):
+                call(kind)
         ghost = {
             int(b): ext_phi[ext_start[b]:ext_stop[b]].copy()
             for b in boxes if users_src[me, b]

@@ -7,8 +7,6 @@ from repro.core.plan import build_plan
 from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel
 from repro.octree import build_lists, build_tree
-from repro.util.flops import FlopCounter
-from repro.util.timing import PhaseTimer
 
 from tests.conftest import clustered_cloud
 
@@ -47,12 +45,15 @@ def _upward(tree, kernel, cache, phi):
     plan = build_plan(tree, build_lists(tree))
     stages = PlanStages(
         plan, kernel, cache, (kernel, kernel, kernel), None, None,
-        plan.sources_sorted, FlopCounter(), PhaseTimer(),
+        plan.sources_sorted,
     )
     ue = np.zeros((plan.nboxes, 1, cache.n_surf * kernel.source_dof))
     sorted_phi = phi[tree.src_perm].reshape(-1, kernel.source_dof, 1)
     for ul in plan.up_levels:
-        stages.up_level(ul, sorted_phi, ue)
+        check = np.zeros((1, ul.boxes.size, cache.n_surf * kernel.target_dof))
+        stages.s2m(ul, sorted_phi, check)
+        stages.m2m(ul, ue, check)
+        stages.uc2ue(ul, check, ue)
     return ue[:, 0]
 
 
