@@ -12,7 +12,11 @@ two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
 split and its broadcasts.  Each cell records the sha256 of the
 ``nrhs = 1`` potential, the sequential cells also the per-phase flop
 counts; ``--npz`` stores the ``nrhs = 8`` potentials so ``--against``
-can report the largest relative difference.
+can report the largest relative difference.  ``--against`` gives its
+verdict per M2L column (an ``auto`` cell is filed under the backend
+whose cell it equals bit for bit), so a change that means to alter one
+backend's arithmetic shows which columns it left alone; any difference
+anywhere still exits 1.
 """
 
 from __future__ import annotations
@@ -93,6 +97,22 @@ def run_grid() -> tuple[dict, dict]:
     return cells, blocks
 
 
+def m2l_column(key: str, cells: dict) -> str:
+    """The M2L column of a cell; ``auto`` by the backend it resolved to.
+
+    An ``auto`` cell that ran one backend on every level has the hash of
+    that backend's cell for the same kernel, points and ranks.
+    """
+    kname, dist, m2l, cname = key.split("/")
+    if m2l != "auto":
+        return m2l
+    for backend in ("fft", "dense", "rsvd"):
+        same = cells[f"{kname}/{dist}/{backend}/{cname}"]
+        if same["sha256"] == cells[key]["sha256"]:
+            return f"auto={backend}"
+    return "auto=mixed"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="JSON of hashes and flops")
@@ -110,13 +130,22 @@ def main() -> None:
             other = json.load(fh)
         other_blocks = np.load(args.against[1])
         differ = [k for k in cells if cells[k] != other.get(k)]
-        worst = max(
-            float(np.abs(blocks[k] - other_blocks[k]).max()
-                  / np.abs(other_blocks[k]).max())
+        rel = {
+            k: float(np.abs(blocks[k] - other_blocks[k]).max()
+                     / np.abs(other_blocks[k]).max())
             for k in blocks
-        )
+        }
+        worst = max(rel.values())
         print(f"{len(cells)} cells, {len(differ)} differ (hash or flops); "
               f"nrhs={NRHS} max relative difference {worst:.3e}")
+        columns: dict[str, list[str]] = {}
+        for k in cells:
+            columns.setdefault(m2l_column(k, cells), []).append(k)
+        for name, keys in sorted(columns.items()):
+            equal = sum(k not in differ for k in keys)
+            print(f"  {name:<11}{equal:>3}/{len(keys)} cells equal, "
+                  f"{len(keys) - equal} differ; nrhs={NRHS} max relative "
+                  f"difference {max(rel[k] for k in keys):.3e}")
         for k in differ:
             print("  DIFFERS", k)
         raise SystemExit(1 if differ or worst > 1e-13 else 0)

@@ -93,13 +93,19 @@ class StokesSingleLayer:
         self._self_blocks = (a / (8.0 * self.kernel.mu))[:, None, None] * (
             3.0 * eye - nn
         )
+        # The previous geometry's operators carry over, rescaled to the
+        # new bounding cube: only the first time step pays the precompute.
+        previous = self._pfmm or self._fmm
+        cache = previous.cache if previous is not None else None
         if self.use_fmm and self.parallel_ranks > 0:
             self._pfmm = ParallelFMM(
                 self.parallel_ranks, self.kernel, self.options,
                 overlap=self.overlap,
-            ).setup(self.points)
+            ).setup(self.points, cache=cache)
         elif self.use_fmm:
-            self._fmm = KIFMM(self.kernel, self.options).setup(self.points)
+            self._fmm = KIFMM(self.kernel, self.options).setup(
+                self.points, cache=cache
+            )
 
     def matvec(self, phi: np.ndarray) -> np.ndarray:
         """Apply the discrete single-layer operator to flat densities.

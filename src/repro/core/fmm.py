@@ -184,10 +184,13 @@ class KIFMM:
         is designed to achieve maximum efficiency in the multiplication
         phase").  Returns ``self`` for chaining.
 
-        ``cache`` reuses a caller-supplied :class:`OperatorCache` (its
-        ``root_side`` must match the tree's — pin it via ``root``), so
-        multi-kernel BIE runs and repeated setups skip the pseudoinverse
-        recomputation.
+        ``cache`` reuses a caller-supplied :class:`OperatorCache`, so
+        multi-kernel BIE runs and repeated setups skip the operator
+        precompute.  If its ``root_side`` differs from the tree's, a
+        homogeneous kernel's operators are rescaled to the new root
+        (:meth:`OperatorCache.for_root`; ``self.cache`` is then a new
+        object); for an inhomogeneous kernel the sides must match — pin
+        the cube via ``root``.
         """
         opts = self.options
         with self.timer.phase("tree"):
@@ -204,13 +207,7 @@ class KIFMM:
                 self.tree = balance_tree(self.tree)
             self.lists = build_lists(self.tree)
         if cache is not None:
-            if cache.root_side != self.tree.root_side:
-                raise ValueError(
-                    f"supplied cache root_side {cache.root_side} does not "
-                    f"match tree root_side {self.tree.root_side}; pin the "
-                    f"cube via the root argument"
-                )
-            self.cache = cache
+            self.cache = cache.for_root(self.tree.root_side)
         else:
             self.cache = OperatorCache(
                 self.kernel,

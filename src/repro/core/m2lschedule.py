@@ -155,6 +155,8 @@ def resolve_m2l_schedule(
     - dense: ``npairs * 2 (n_surf md)(n_surf qd)``
     - rsvd:  ``npairs * 2 k n_surf (md + qd)`` with ``k`` probed from
       the compression rank of the reference offset class ``(2, 0, 0)``
+      (the canonical offset of its symmetry class, so the probe pays
+      for a factorisation the first rsvd apply then finds in the cache)
     - fft:   per-box forward/inverse transforms plus the per-pair
       Hadamard, down-weighted by the fft efficiency factor
 

@@ -11,6 +11,13 @@ i.e. Laplace, Stokes, Navier) the operators at any level are rescalings
 of a reference level: evaluation matrices scale by ``a^h`` and the
 pseudo-inverses by ``a^-h``, where ``a`` is the box half-width ratio.
 Inhomogeneous kernels (modified Laplace) are precomputed per level.
+
+The surfaces are a regular cube lattice, so the 316 V-list offsets fall
+into 16 orbits of the cube's 48 signed axis permutations.  For a kernel
+that declares how it transforms under them (``Kernel.symmetry``) the
+compressed M2L factors are computed for the one offset ``a >= b >= c >=
+0`` of each orbit and carried to the others by a node permutation (and,
+for tensor kernels, a signed component permutation).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.core.surfaces import (
     OUTER_RADIUS,
     scaled_surface,
     surface_grid,
+    surface_node_permutation,
 )
 from repro.kernels.base import Kernel
 from repro.linalg.pinv import regularized_pinv
@@ -43,6 +51,25 @@ def octant_offset(octant: int) -> np.ndarray:
             0.5 if (octant >> 1) & 1 else -0.5,
             0.5 if (octant >> 2) & 1 else -0.5,
         ]
+    )
+
+
+def canonical_offset(
+    offset: tuple[int, int, int],
+) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:
+    """The symmetry class of a box offset and the way back from it.
+
+    Returns ``(canonical, axes, signs)``: ``canonical`` holds the
+    magnitudes of ``offset`` in non-increasing order, and the signed
+    axis permutation ``(Q x)[a] = signs[a] * x[axes[a]]`` maps it onto
+    ``offset``.  Ties and zeros are broken the same way every time, so
+    the pair is a pure function of the offset.
+    """
+    order = sorted(range(3), key=lambda a: -abs(offset[a]))
+    return (
+        tuple(abs(int(offset[a])) for a in order),
+        tuple(order.index(a) for a in range(3)),
+        tuple(-1 if o < 0 else 1 for o in offset),
     )
 
 
@@ -80,6 +107,19 @@ class OperatorCache:
             )
         if root_side <= 0:
             raise ValueError(f"root_side must be positive, got {root_side}")
+        if kernel.symmetry not in (None, "scalar", "tensor"):
+            raise ValueError(
+                f"kernel symmetry must be None, 'scalar' or 'tensor', "
+                f"got {kernel.symmetry!r}"
+            )
+        if kernel.symmetry == "tensor" and (
+            kernel.source_dof != 3 or kernel.target_dof != 3
+        ):
+            raise ValueError(
+                "a kernel with symmetry='tensor' needs 3 source and 3 "
+                f"target components, got {kernel.source_dof} and "
+                f"{kernel.target_dof}"
+            )
         self.kernel = kernel
         self.p = int(p)
         self.root_side = float(root_side)
@@ -135,6 +175,42 @@ class OperatorCache:
     def _scale(self, level: int, ref: int) -> float:
         """Half-width ratio ``a = r(level) / r(ref)``."""
         return 2.0 ** (ref - level)
+
+    def for_root(self, root_side: float) -> "OperatorCache":
+        """These operators for a tree whose root box has side ``root_side``.
+
+        The same cache when the side matches.  Otherwise, for a
+        homogeneous kernel, a new cache holding every operator computed
+        so far rescaled by the root ratio ``a`` — evaluation matrices by
+        ``a^h``, pseudo-inverses by ``a^-h``, the factors that already
+        carry the reference level to the other levels — so a moved
+        geometry pays no precompute again.  An inhomogeneous kernel's
+        operators belong to one root, and a mismatch is an error.
+        """
+        if root_side == self.root_side:
+            return self
+        h = self._homog
+        if h is None:
+            raise ValueError(
+                f"supplied cache root_side {self.root_side} does not "
+                f"match tree root_side {root_side} and the "
+                f"{self.kernel.name} kernel is not homogeneous; pin the "
+                f"cube via the root argument"
+            )
+        out = OperatorCache(
+            self.kernel, self.p, root_side,
+            inner=self.inner, outer=self.outer, rcond=self.rcond,
+        )
+        up = (root_side / self.root_side) ** h
+        out._uc2ue = {k: m / up for k, m in self._uc2ue.items()}
+        out._dc2de = {k: m / up for k, m in self._dc2de.items()}
+        out._m2m = {k: m * up for k, m in self._m2m.items()}
+        out._l2l = {k: m * up for k, m in self._l2l.items()}
+        out._m2l = {k: m * up for k, m in self._m2l.items()}
+        out._m2l_rsvd = {
+            k: (uf * up, vf) for k, (uf, vf) in self._m2l_rsvd.items()
+        }
+        return out
 
     # -- inversion operators -----------------------------------------------
 
@@ -247,28 +323,69 @@ class OperatorCache:
     def _m2l_rsvd_base(
         self, level: int, offset: tuple[int, int, int]
     ) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-        """Reference-level rSVD factors ``(uf, vf)`` of one offset class.
+        """Reference-level rSVD factors ``(uf, vf)`` of one offset.
 
         ``uf = u * s`` is ``(n_surf * target_dof, k)`` and ``vf = vt`` is
         ``(k, n_surf * source_dof)``, so ``m2l_check ≈ uf @ vf`` to the
-        cache's ``rsvd_tol``.  The sketch seed is a base-7 encoding of
-        the offset (components lie in [-3, 3]), making the factors a
-        pure function of the offset class — bitwise identical across
+        cache's ``rsvd_tol``.  Only the canonical offset of a symmetry
+        class (:func:`canonical_offset`) is factored; with ``o = Q c``
+        the check matrix is ``M_o = T M_c T^T`` for the signed
+        permutation ``T`` of :meth:`_moved`, so the class's other
+        offsets get ``(T uf_c, vf_c T^T)`` — same rank, same singular
+        values.  A kernel without a declared symmetry has every offset
+        as its own class.  The sketch seed is a base-7 encoding of the
+        canonical offset (components lie in [-3, 3]), making the factors
+        a pure function of the offset — bitwise identical across
         setups, call orders and processes.
         """
         if max(abs(o) for o in offset) < 2:
             raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
         h = self._homog
         key = 0 if h is not None else level
-        cache_key = (key, tuple(int(o) for o in offset))
+        offset = tuple(int(o) for o in offset)
+        cache_key = (key, offset)
         if cache_key not in self._m2l_rsvd:
-            o0, o1, o2 = cache_key[1]
-            seed = 1 + (o0 + 3) * 49 + (o1 + 3) * 7 + (o2 + 3)
-            u, s, vt = randomized_svd(
-                self.m2l_check(key, cache_key[1]), self.rsvd_tol, seed=seed
-            )
-            self._m2l_rsvd[cache_key] = (u * s, vt)
+            if self.kernel.symmetry is None:
+                canonical = offset
+            else:
+                canonical, axes, signs = canonical_offset(offset)
+            if canonical == offset:
+                o0, o1, o2 = offset
+                seed = 1 + (o0 + 3) * 49 + (o1 + 3) * 7 + (o2 + 3)
+                u, s, vt = randomized_svd(
+                    self.m2l_check(key, offset), self.rsvd_tol, seed=seed
+                )
+                factors = (u * s, vt)
+            else:
+                uf, vf = self._m2l_rsvd_base(key, canonical)[1]
+                factors = (
+                    self._moved(uf, axes, signs),
+                    np.ascontiguousarray(self._moved(vf.T, axes, signs).T),
+                )
+            self._m2l_rsvd[cache_key] = factors
         return key, self._m2l_rsvd[cache_key]
+
+    def _moved(
+        self,
+        rows: np.ndarray,
+        axes: tuple[int, int, int],
+        signs: tuple[int, int, int],
+    ) -> np.ndarray:
+        """``T @ rows`` for the cube symmetry ``(Q x)[a] = signs[a] x[axes[a]]``.
+
+        ``rows`` is point-major ``(n_surf * dof, k)``.  ``T`` sends the
+        block of node ``i`` to node ``pi[i]`` (where ``Q`` carries it)
+        and, for a tensor kernel, applies ``Q`` to the ``dof = 3``
+        components inside the block.
+        """
+        pi = surface_node_permutation(self.p, axes, signs)
+        blocks = rows.reshape(self.n_surf, -1, rows.shape[1])
+        out = np.empty_like(blocks)
+        if self.kernel.symmetry == "tensor":
+            out[pi] = blocks[:, axes, :] * np.array(signs, np.float64)[:, None]
+        else:
+            out[pi] = blocks
+        return out.reshape(rows.shape)
 
     def m2l_rsvd(
         self,

@@ -79,6 +79,41 @@ def surface_grid(p: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=512)
+def surface_node_permutation(
+    p: int, axes: tuple[int, int, int], signs: tuple[int, int, int]
+) -> np.ndarray:
+    """How a symmetry of the cube permutes the surface nodes.
+
+    The group element is the signed axis permutation ``Q`` with
+    ``(Q x)[a] = signs[a] * x[axes[a]]`` (``axes`` a permutation of
+    ``(0, 1, 2)``, ``signs`` entries ``+1`` or ``-1``; 48 elements in
+    all).  The lattice is symmetric under every one of them, so ``Q``
+    maps node ``i`` onto a node ``pi[i]``:
+    ``surface_grid(p)[pi[i]] == Q @ surface_grid(p)[i]`` (to the last
+    bit of the coordinates ``2 i / (p - 1) - 1``, which mirror about 0
+    only up to rounding).  Returns the read-only ``(n_surf,)`` int
+    array ``pi``.
+    """
+    if sorted(axes) != [0, 1, 2] or any(s not in (1, -1) for s in signs):
+        raise ValueError(
+            f"not a signed axis permutation: axes={axes}, signs={signs}"
+        )
+    idx = surface_lattice_indices(p)
+    image = np.stack(
+        [
+            idx[:, axes[a]] if signs[a] > 0 else p - 1 - idx[:, axes[a]]
+            for a in range(3)
+        ],
+        axis=1,
+    )
+    node_of = np.full(p**3, -1, dtype=np.intp)
+    node_of[surface_flat_indices(p)] = np.arange(idx.shape[0])
+    out = node_of[image[:, 0] * p * p + image[:, 1] * p + image[:, 2]]
+    out.setflags(write=False)
+    return out
+
+
 def scaled_surface(
     p: int, center: np.ndarray, half_width: float, radius: float
 ) -> np.ndarray:

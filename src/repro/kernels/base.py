@@ -33,6 +33,16 @@ class Kernel(ABC):
         Degree ``h`` with ``G(a*x, a*y) = a**h * G(x, y)`` for ``a > 0``,
         or ``None`` for inhomogeneous kernels (modified Laplace).  Used to
         rescale precomputed translation operators between tree levels.
+    symmetry:
+        How ``G`` transforms under the 48 signed axis permutations ``Q``
+        of the cube: ``"scalar"`` — ``G(Qx, Qy) = G(x, y)`` (Laplace,
+        modified Laplace); ``"tensor"`` — ``G(Qx, Qy) = Q G(x, y) Q^T``
+        with ``source_dof = target_dof = 3`` (Stokes, Navier); ``None``
+        — no such rule.  Like ``homogeneity`` it only saves precompute:
+        the compressed M2L factors of a kernel that declares a rule are
+        computed for one offset per symmetry class and permuted onto
+        the others (``docs/architecture.md``, "Operator precompute and
+        cube symmetry"); with ``None`` every offset is factored itself.
     flops_per_pair:
         Estimated floating-point operations to evaluate the full
         ``target_dof x source_dof`` interaction block of one point pair;
@@ -44,6 +54,7 @@ class Kernel(ABC):
     source_dof: int = 1
     target_dof: int = 1
     homogeneity: float | None = None
+    symmetry: str | None = None
     flops_per_pair: int = 0
 
     @abstractmethod

@@ -21,6 +21,7 @@ class LaplaceKernel(Kernel):
     source_dof = 1
     target_dof = 1
     homogeneity = -1.0
+    symmetry = "scalar"
     # 3 subs + 3 mults + 2 adds (r^2), rsqrt, scale, multiply-accumulate
     flops_per_pair = 13
 

@@ -32,6 +32,7 @@ class ModifiedLaplaceKernel(Kernel):
     source_dof = 1
     target_dof = 1
     homogeneity = None
+    symmetry = "scalar"
     # Laplace cost plus the exponential: exp costs ~15-20 cycles even
     # with the CXML fast math library the paper uses, which is why the
     # paper reports ~200K cycles/particle vs Laplace's 160K.

@@ -38,6 +38,7 @@ class NavierKernel(Kernel):
     source_dof = 3
     target_dof = 3
     homogeneity = -1.0
+    symmetry = "tensor"
     flops_per_pair = 50
 
     def __init__(self, mu: float = 1.0, nu: float = 0.3) -> None:

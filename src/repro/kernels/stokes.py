@@ -32,6 +32,7 @@ class StokesKernel(Kernel):
     source_dof = 3
     target_dof = 3
     homogeneity = -1.0
+    symmetry = "tensor"
     # r^2 (8), rsqrt (1), inv_r3 (2), 9 tensor entries (~3 flops each),
     # scaling — matches the paper's observation that Stokes carries roughly
     # 4x the per-pair work of Laplace.

@@ -8,11 +8,11 @@ randomized range sketch with power iteration, truncated at a relative
 singular-value tolerance with the same inclusive-keep boundary as
 :func:`repro.linalg.pinv.svd_rank`.
 
-Determinism contract: the Gaussian test matrix is regenerated from the
-caller-provided ``seed`` on every adaptive sketch attempt, so the
-accepted factorisation is a pure function of ``(matrix, tol, seed,
-oversample, power_iters)`` — independent of call order, of how many
-rank-doubling attempts ran, and of any process-global RNG state.  Two
+Determinism contract: every Gaussian test column is drawn from one
+stream seeded with the caller-provided ``seed``, and the sketch widths
+follow a fixed schedule, so the accepted factorisation is a pure
+function of ``(matrix, tol, seed, oversample, power_iters)`` —
+independent of call order and of any process-global RNG state.  Two
 setups with the same seed produce bitwise-identical factors, which is
 what makes rsvd-backed applies bitwise reproducible.
 """
@@ -56,11 +56,14 @@ def randomized_svd(
     :func:`~repro.linalg.pinv.truncated_svd`.  Degenerate inputs (empty
     or exactly-zero matrices) yield rank-0 float64 factors.
 
-    The sketch width starts at 16 and doubles until the truncation
-    boundary is resolved *inside* the sketched spectrum (``rank < sketch
-    width``); if the sketch would be as wide as the matrix, the exact
-    :func:`~repro.linalg.pinv.truncated_svd` is used instead — same
-    boundary, same contract, no sketching noise.
+    The sketch starts ``16 + oversample`` columns wide and grows (rank
+    guess doubling) until the truncation boundary is resolved *inside*
+    the sketched spectrum (``rank < sketch width``).  Growing keeps the
+    orthonormal block already built: only the new columns are drawn,
+    power-iterated and orthogonalised against it, so the work is that
+    of one pass at the final width.  If the sketch would be as wide as
+    the matrix, the exact :func:`~repro.linalg.pinv.truncated_svd` is
+    used instead — same boundary, same contract, no sketching noise.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
@@ -75,18 +78,23 @@ def randomized_svd(
             np.zeros(0, dtype=np.float64),
             np.zeros((0, n), dtype=np.float64),
         )
+    rng = np.random.default_rng(seed)
+    q = np.empty((m, 0), dtype=np.float64)
+    b = np.empty((0, n), dtype=np.float64)  # q.T @ a, grown with q
     k = min(16, full)
     while True:
         width = min(k + oversample, full)
         if width >= full:
             return truncated_svd(a, tol)
-        rng = np.random.default_rng(seed)
-        sketch = a @ rng.standard_normal((n, width))
-        q, _ = np.linalg.qr(sketch)
+        block = _orthonormal_outside(
+            q, a @ rng.standard_normal((n, width - q.shape[1]))
+        )
         for _ in range(power_iters):
-            q, _ = np.linalg.qr(a.T @ q)
-            q, _ = np.linalg.qr(a @ q)
-        ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+            z, _ = np.linalg.qr(a.T @ block)
+            block = _orthonormal_outside(q, a @ z)
+        q = np.hstack([q, block])
+        b = np.vstack([b, block.T @ a])
+        ub, s, vt = np.linalg.svd(b, full_matrices=False)
         keep = svd_rank(s, tol)
         if keep < width:
             return (
@@ -95,3 +103,19 @@ def randomized_svd(
                 np.ascontiguousarray(vt[:keep]),
             )
         k = min(2 * k, full)
+
+
+def _orthonormal_outside(q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ``range(y)`` made orthogonal to ``q``.
+
+    Project-then-QR, twice: power-iterated columns lean towards the
+    dominant subspace ``q`` already spans, so one projection leaves an
+    ``eps * cond`` component behind, and where ``y`` is numerically
+    rank deficient the first QR fills in directions that are not
+    orthogonal to ``q`` at all.
+    """
+    if q.shape[1] == 0:
+        return np.linalg.qr(y)[0]
+    for _ in range(2):
+        y = np.linalg.qr(y - q @ (q.T @ y))[0]
+    return y

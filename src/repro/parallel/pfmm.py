@@ -692,8 +692,9 @@ def run_parallel_fmm(
     :func:`rank_setup` followed by ``napplies`` overlapped planned
     applies inside a single SPMD region (so a trace covers setup plus
     every apply).  ``cache`` lets the caller supply a prebuilt
-    :class:`~repro.core.precompute.OperatorCache` for the points'
-    bounding cube.
+    :class:`~repro.core.precompute.OperatorCache` (taken through
+    :meth:`~repro.core.precompute.OperatorCache.for_root` to the points'
+    bounding cube).
 
     ``trace`` (a :class:`repro.analysis.trace.CommTrace`) records the
     full communication event trace for
@@ -719,10 +720,12 @@ def run_parallel_fmm(
     parts = partition_points(points, nranks)
     timers = [PhaseTimer() for _ in range(nranks)]
     corner, side = _global_root(points)
-    shared_cache = cache if cache is not None else OperatorCache(
-        kernel, opts.p, side,
-        inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
-    )
+    if cache is None:
+        cache = OperatorCache(
+            kernel, opts.p, side,
+            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
+        )
+    shared_cache = cache.for_root(side)
     # "auto" may schedule fft levels; prebuild so ranks share the
     # lazily-populated tensors (rank_setup ignores it otherwise).
     shared_fft = (
@@ -813,17 +816,28 @@ class ParallelFMM:
         points: np.ndarray,
         trace=None,
         schedule_seed: int | None = None,
+        cache: OperatorCache | None = None,
     ) -> "ParallelFMM":
-        """Build the per-rank persistent states for ``points``."""
+        """Build the per-rank persistent states for ``points``.
+
+        ``cache`` (default: this operator's own from an earlier setup)
+        is taken through :meth:`OperatorCache.for_root`, so operators
+        computed for another bounding cube are rescaled, not rebuilt.
+        """
         points = np.asarray(points, dtype=np.float64)
         opts = self.options
         corner, side = _global_root(points)
-        if self.cache is None:
-            self.cache = OperatorCache(
+        if cache is None:
+            cache = self.cache
+        if cache is None:
+            cache = OperatorCache(
                 self.kernel, opts.p, side,
                 inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
             )
-        if self.fft is None and opts.m2l in ("fft", "auto"):
+        self.cache = cache.for_root(side)
+        if opts.m2l in ("fft", "auto") and (
+            self.fft is None or self.fft.cache is not self.cache
+        ):
             self.fft = FFTM2L(self.cache)
         parts = partition_points(points, self.nranks)
 

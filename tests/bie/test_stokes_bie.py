@@ -13,6 +13,8 @@ from repro.bie import (
 )
 from repro.core.fmm import FMMOptions
 
+from tests.conftest import count_factorisations
+
 
 @pytest.fixture(scope="module")
 def unit_sphere_op():
@@ -99,6 +101,36 @@ class TestFMMPath:
         u_d = direct.matvec(phi)
         u_f = fmm.matvec(phi)
         assert np.linalg.norm(u_f - u_d) / np.linalg.norm(u_d) < 1e-4
+
+    @pytest.mark.parametrize("parallel_ranks", [0, 2])
+    def test_refresh_geometry_keeps_the_operators(self, rng, parallel_ranks):
+        """A time step's moved surfaces reuse the previous step's precompute.
+
+        The bounding cube changes with the geometry, so the operators
+        are rescaled to it; nothing is factored again, and the matvec is
+        that of an operator built cold on the moved surfaces.  p = 3:
+        the rescaling's round-off passes through the regularised
+        inversions, whose condition number puts it at 1e-12 from p = 4.
+        """
+        falling = SphereSurface(np.array([0.6, 0.0, 2.2]), 0.4, 200)
+        held = SphereSurface(np.zeros(3), 1.0, 300)
+        opts = FMMOptions(p=3, max_points=40, m2l="rsvd")
+        op = StokesSingleLayer(
+            [falling, held], options=opts, parallel_ranks=parallel_ranks
+        )
+        phi = rng.standard_normal(3 * op.n)
+        op.matvec(phi)
+        side = (op._pfmm or op._fmm).cache.root_side
+        falling.translate(np.array([0.05, -0.02, 0.3]))
+        with count_factorisations() as calls:
+            op.refresh_geometry()
+            moved = op.matvec(phi)
+        assert calls == {"randomized_svd": 0, "regularized_pinv": 0}
+        assert (op._pfmm or op._fmm).cache.root_side != side
+        cold = StokesSingleLayer(
+            [falling, held], options=opts, parallel_ranks=parallel_ranks
+        ).matvec(phi)
+        assert np.linalg.norm(moved - cold) < 1e-12 * np.linalg.norm(cold)
 
     def test_two_bodies_interaction(self):
         """Drag on a sphere increases near another (held) sphere."""

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.core.precompute as precompute
 from repro.kernels import (
     LaplaceKernel,
     ModifiedLaplaceKernel,
@@ -54,3 +58,26 @@ def clustered_cloud(rng: np.random.Generator, n: int) -> np.ndarray:
         c + 0.08 * np.abs(rng.standard_normal((per, 3))) for c in corners
     ]
     return np.vstack(blocks)[:n]
+
+
+@contextmanager
+def count_factorisations():
+    """Count the factorisations :class:`OperatorCache` runs inside the block.
+
+    Yields a dict ``{"randomized_svd": n, "regularized_pinv": n}`` that
+    counting wrappers around the two functions (as ``core.precompute``
+    calls them) keep up to date; the wrappers forward every call.
+    """
+    calls = {"randomized_svd": 0, "regularized_pinv": 0}
+
+    def counting(name):
+        inner = getattr(precompute, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return mock.patch.object(precompute, name, wrapper)
+
+    with counting("randomized_svd"), counting("regularized_pinv"):
+        yield calls

@@ -11,9 +11,12 @@ float64 result, and repeated setups produce bitwise identical rsvd
 potentials (the factorisation is deterministically seeded).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.core.precompute as precompute
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.core.m2lschedule import (
     M2LSchedule,
@@ -23,6 +26,7 @@ from repro.core.m2lschedule import (
 )
 from repro.kernels.direct import relative_error
 from repro.kernels.laplace import LaplaceKernel
+from repro.kernels.modified_laplace import ModifiedLaplaceKernel
 from repro.kernels.stokes import StokesKernel
 
 DEPTHS = (3, 4, 5)
@@ -126,6 +130,44 @@ def test_auto_uses_gated_stats_consistently(points):
     s2 = resolve_m2l_schedule("auto", "float64", stats=from_lists,
                               cache=fmm.cache, kernel=kernel)
     assert s1.backends == s2.backends
+
+
+@pytest.mark.parametrize(
+    "kernel", [LaplaceKernel(), ModifiedLaplaceKernel(lam=1.5)],
+    ids=["laplace", "modified_laplace"],
+)
+def test_auto_probe_is_the_factorisation_the_apply_uses(kernel, points):
+    """The picker's probe of class (2, 0, 0) is not paid for twice.
+
+    ``(2, 0, 0)`` is the canonical offset of its symmetry class, so the
+    rank probe of ``resolve_m2l_schedule`` factors exactly the matrix the
+    first apply needs for that class (and for the five offsets derived
+    from it): once per reference level — one for a homogeneous kernel,
+    one per V level otherwise — and no class is ever factored twice.
+    """
+    seeds = []
+    inner = precompute.randomized_svd
+
+    def recording(matrix, tol, *, seed):
+        seeds.append(seed)
+        return inner(matrix, tol, seed=seed)
+
+    opts = FMMOptions(p=6, max_points=20, max_depth=4, m2l="auto")
+    rng = np.random.default_rng(13)
+    phi = rng.standard_normal((points.shape[0], 1))
+    with mock.patch.object(precompute, "randomized_svd", recording):
+        fmm = KIFMM(kernel, opts).setup(points)
+        probed = list(seeds)
+        fmm.apply(phi)
+    levels = fmm.m2l_schedule.describe()["levels"]
+    reference_levels = 1 if kernel.homogeneity is not None else len(levels)
+    seed_200 = 1 + (2 + 3) * 49 + 3 * 7 + 3
+    assert probed == [seed_200] * reference_levels
+    assert "rsvd" in levels.values()  # the apply did use compressed factors
+    per_seed = {s: seeds.count(s) for s in seeds}
+    assert per_seed[seed_200] == reference_levels
+    assert max(per_seed.values()) <= reference_levels
+    assert len(per_seed) <= 16
 
 
 def test_rejects_unknown_mode_and_dtype(points):

@@ -1,11 +1,26 @@
 """Operator cache tests: shapes, homogeneous rescaling, validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.precompute import OperatorCache, octant_offset
+from repro.core.precompute import (
+    OperatorCache,
+    canonical_offset,
+    octant_offset,
+)
 from repro.core.surfaces import n_surface_points
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
+from repro.kernels.base import Kernel
+
+from tests.conftest import count_factorisations
+
+#: Every V-list offset: components in [-3, 3], at least one of size >= 2.
+V_OFFSETS = [
+    o for o in itertools.product(range(-3, 4), repeat=3)
+    if max(abs(c) for c in o) >= 2
+]
 
 
 def _fresh_cache(kernel, p=4, root=2.0, **kw):
@@ -162,3 +177,155 @@ class TestInversionQuality:
         exact = kernel.matrix(far, src) @ phi
         approx = kernel.matrix(far, cache.up_equiv_points(center, level)) @ ue
         assert np.allclose(approx, exact, rtol=1e-6)
+
+
+class _StretchedLaplace(Kernel):
+    """``1 / (4 pi |D (x - y)|)`` with ``D = diag(1, 1.3, 0.7)``.
+
+    Homogeneous like Laplace, but exchanging two axes changes it, and
+    it declares no ``symmetry``: every offset is factored for itself.
+    """
+
+    name = "stretched_laplace"
+    homogeneity = -1.0
+    flops_per_pair = 16
+    _stretch = np.array([1.0, 1.3, 0.7])
+
+    def matrix(self, targets, sources):
+        _, inv_r = self._displacements(
+            np.asarray(targets) * self._stretch,
+            np.asarray(sources) * self._stretch,
+        )
+        return inv_r / (4.0 * np.pi)
+
+
+def _spectral_error(cache, level, offset):
+    uf, vf = cache.m2l_rsvd(level, offset)
+    exact = cache.m2l_check(level, offset)
+    return np.linalg.norm(uf @ vf - exact, 2) / np.linalg.norm(exact, 2)
+
+
+#: The truncation keeps the singular values >= rsvd_tol * s_max of the
+#: *sketched* matrix, so a reconstruction is off by rsvd_tol plus the
+#: sketch's own error (1.2e-7 at worst over all offsets and kernels).
+_RECONSTRUCTION = 2.0
+
+
+class TestCubeSymmetry:
+    """Compressed M2L factors are computed per symmetry class."""
+
+    def test_sixteen_classes(self):
+        assert len(V_OFFSETS) == 316
+        classes = set()
+        for o in V_OFFSETS:
+            c, axes, signs = canonical_offset(o)
+            assert c[0] >= c[1] >= c[2] >= 0
+            assert sorted(axes) == [0, 1, 2]
+            assert tuple(signs[a] * c[axes[a]] for a in range(3)) == o
+            assert canonical_offset(c) == (c, (0, 1, 2), (1, 1, 1))
+            classes.add(c)
+        assert len(classes) == 16
+
+    def test_derived_factors_reproduce_every_offset(self, kernel):
+        """All 316 offsets, two levels: accuracy, shared rank, <= 16 rSVDs."""
+        cache = _fresh_cache(kernel)
+        levels = (2, 3)
+        with count_factorisations() as calls:
+            for level in levels:
+                for o in V_OFFSETS:
+                    cache.m2l_rsvd(level, o)
+        reference_levels = 1 if kernel.homogeneity is not None else len(levels)
+        assert calls["randomized_svd"] == 16 * reference_levels
+        for level in levels:
+            for o in V_OFFSETS:
+                assert (
+                    _spectral_error(cache, level, o)
+                    < _RECONSTRUCTION * cache.rsvd_tol
+                ), (level, o)
+                assert cache.m2l_rsvd_rank(level, o) == cache.m2l_rsvd_rank(
+                    level, canonical_offset(o)[0]
+                )
+
+    def test_derived_factors_keep_layout_and_variants(self):
+        """What the evaluator relies on beyond the values."""
+        cache = _fresh_cache(StokesKernel())
+        o = (-1, 3, -2)
+        uf, vf = cache.m2l_rsvd(0, o)
+        assert uf.flags.c_contiguous and vf.flags.c_contiguous
+        assert uf.dtype == vf.dtype == np.float64
+        assert cache.m2l_rsvd(0, o)[0] is uf  # materialised once per offset
+        uf3, vf3 = cache.m2l_rsvd(3, o)
+        assert np.array_equal(uf3, uf * 8.0) and vf3 is vf
+        uf32, vf32 = cache.m2l_rsvd(0, o, dtype="float32")
+        assert np.array_equal(uf32, uf.astype(np.float32))
+        assert np.array_equal(vf32, vf.astype(np.float32))
+
+    def test_kernel_without_symmetry_is_factored_per_offset(self):
+        kernel = _StretchedLaplace()
+        assert kernel.symmetry is None
+        cache = _fresh_cache(kernel)
+        with count_factorisations() as calls:
+            for o in V_OFFSETS:
+                cache.m2l_rsvd(2, o)
+        assert calls["randomized_svd"] == len(V_OFFSETS)
+        assert all(
+            _spectral_error(cache, 2, o) < _RECONSTRUCTION * cache.rsvd_tol
+            for o in V_OFFSETS
+        )
+        # and it had to be: its x and y offsets are different operators
+        sx = np.linalg.svd(cache.m2l_check(2, (2, 0, 0)), compute_uv=False)
+        sy = np.linalg.svd(cache.m2l_check(2, (0, 2, 0)), compute_uv=False)
+        assert abs(sx[0] - sy[0]) > 0.05 * sx[0]
+
+    def test_rejects_undeclared_transformation_rules(self):
+        class Odd(LaplaceKernel):
+            symmetry = "vector"
+
+        class ShortTensor(LaplaceKernel):
+            symmetry = "tensor"  # but one component
+
+        for bad in (Odd(), ShortTensor()):
+            with pytest.raises(ValueError, match="symmetry"):
+                _fresh_cache(bad)
+
+
+class TestForRoot:
+    """Carrying computed operators to a tree with another root box."""
+
+    def test_same_root_is_same_cache(self):
+        cache = _fresh_cache(LaplaceKernel(), root=2.0)
+        assert cache.for_root(2.0) is cache
+
+    def test_homogeneous_operators_are_rescaled_not_recomputed(self):
+        kernel = StokesKernel()
+        cache = _fresh_cache(kernel, root=2.0)
+        o = (2, -1, 3)
+        cache.uc2ue(2), cache.dc2de(2), cache.m2m_check(2, 5)
+        cache.l2l_check(2, 3), cache.m2l_check(2, o), cache.m2l_rsvd(2, o)
+        with count_factorisations() as calls:
+            moved = cache.for_root(3.4)
+            got = (
+                moved.uc2ue(2), moved.dc2de(2), moved.m2m_check(2, 5),
+                moved.l2l_check(2, 3), moved.m2l_check(2, o),
+                moved.m2l_rsvd(2, o), moved.m2l_rsvd(2, o, dtype="float32"),
+            )
+        assert calls == {"randomized_svd": 0, "regularized_pinv": 0}
+        assert moved.root_side == 3.4 and moved.rcond == cache.rcond
+        cold = _fresh_cache(kernel, root=3.4)
+        for mine, theirs in zip(got[2:5], (
+            cold.m2m_check(2, 5), cold.l2l_check(2, 3), cold.m2l_check(2, o)
+        )):
+            assert np.allclose(mine, theirs, rtol=1e-13, atol=0.0)
+        # h = -1: pseudo-inverses grow with the box, evaluations shrink
+        assert np.allclose(got[0], cache.uc2ue(2) * 1.7, rtol=1e-15)
+        assert np.allclose(got[1], cache.dc2de(2) * 1.7, rtol=1e-15)
+        uf, vf = got[5]
+        assert np.allclose(uf @ vf, cache.m2l_check(2, o) / 1.7, rtol=1e-6,
+                           atol=1e-6 * np.abs(uf @ vf).max())
+        assert got[6][0].dtype == np.float32
+
+    def test_inhomogeneous_kernel_keeps_the_error(self):
+        cache = _fresh_cache(ModifiedLaplaceKernel(lam=2.0), root=2.0)
+        assert cache.for_root(2.0) is cache
+        with pytest.raises(ValueError, match="root_side"):
+            cache.for_root(2.5)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.surfaces import (
     INNER_RADIUS,
@@ -11,6 +13,7 @@ from repro.core.surfaces import (
     surface_flat_indices,
     surface_grid,
     surface_lattice_indices,
+    surface_node_permutation,
 )
 
 
@@ -103,3 +106,36 @@ class TestPaperConstraints:
 
     def test_down_equiv_encloses_down_check(self):
         assert OUTER_RADIUS > INNER_RADIUS
+
+
+class TestCubeSymmetry:
+    """The node permutation a signed axis permutation ``Q`` induces."""
+
+    @given(
+        p=st.integers(2, 8),
+        axes=st.permutations((0, 1, 2)),
+        signs=st.tuples(*[st.sampled_from((1, -1))] * 3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_permutation_follows_group_element(self, p, axes, signs):
+        """``g[pi[i]] = Q g[i]``: the lattice is mapped onto itself."""
+        g = surface_grid(p)
+        pi = surface_node_permutation(p, tuple(axes), signs)
+        q = np.zeros((3, 3))
+        q[np.arange(3), list(axes)] = signs
+        assert np.array_equal(np.sort(pi), np.arange(g.shape[0]))
+        # coordinates 2i/(p-1) - 1 mirror about 0 only to the last bit
+        assert np.abs(g[pi] - g @ q.T).max() < 1e-15
+
+    def test_identity_and_cached(self):
+        pi = surface_node_permutation(5, (0, 1, 2), (1, 1, 1))
+        assert np.array_equal(pi, np.arange(n_surface_points(5)))
+        assert surface_node_permutation(5, (0, 1, 2), (1, 1, 1)) is pi
+        assert not pi.flags.writeable
+
+    @pytest.mark.parametrize(
+        "axes, signs", [((0, 0, 1), (1, 1, 1)), ((0, 1, 2), (1, 0, 1))]
+    )
+    def test_rejects_non_group_elements(self, axes, signs):
+        with pytest.raises(ValueError):
+            surface_node_permutation(4, axes, signs)

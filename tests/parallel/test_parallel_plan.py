@@ -13,12 +13,16 @@ import pytest
 
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.core.precompute import OperatorCache
-from repro.kernels import LaplaceKernel, StokesKernel
+from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 from repro.kernels.direct import relative_error
 from repro.parallel import ParallelFMM, run_parallel_fmm
 from repro.parallel.pfmm import _global_root
 
-from tests.conftest import clustered_cloud, uniform_cloud
+from tests.conftest import (
+    clustered_cloud,
+    count_factorisations,
+    uniform_cloud,
+)
 
 
 def _cloud(rng, dist, n):
@@ -173,7 +177,40 @@ def test_shared_cache_reused_across_paths(rng):
 
 
 def test_mismatched_cache_root_rejected(rng):
+    """An inhomogeneous kernel's operators belong to one root cube."""
     pts = uniform_cloud(rng, 200)
-    cache = OperatorCache(LaplaceKernel(), 4, 123.0)
+    kernel = ModifiedLaplaceKernel(lam=1.5)
+    cache = OperatorCache(kernel, 4, 123.0)
     with pytest.raises(ValueError, match="root_side"):
-        KIFMM(LaplaceKernel(), FMMOptions(p=4)).setup(pts, cache=cache)
+        KIFMM(kernel, FMMOptions(p=4)).setup(pts, cache=cache)
+    with pytest.raises(ValueError, match="root_side"):
+        ParallelFMM(2, kernel, FMMOptions(p=4)).setup(pts, cache=cache)
+
+
+def test_mismatched_cache_root_rescaled(rng, fast_kernel):
+    """A homogeneous kernel's operators follow the tree to a new root.
+
+    Every operator the first geometry built is reused (no factorisation
+    runs again), and the potentials are those of a cold setup up to the
+    round-off of one multiplication by ``a^h`` passing through the
+    regularised inversions (p = 3 keeps their condition number, and so
+    this bound, small).
+    """
+    kernel = fast_kernel
+    opts = FMMOptions(p=3, max_points=30, m2l="rsvd")
+    pts = uniform_cloud(rng, 500)
+    phi = rng.standard_normal((500, kernel.source_dof))
+    warm = KIFMM(kernel, opts).setup(pts)
+    warm.apply(phi)
+    moved = 1.7 * pts + 0.3
+    with count_factorisations() as calls:
+        seq = KIFMM(kernel, opts).setup(moved, cache=warm.cache)
+        useq = seq.apply(phi)
+        par = ParallelFMM(2, kernel, opts).setup(moved, cache=warm.cache)
+        upar = par.apply(phi)
+    assert calls == {"randomized_svd": 0, "regularized_pinv": 0}
+    assert seq.cache is not warm.cache
+    assert seq.cache.root_side == seq.tree.root_side != warm.cache.root_side
+    cold = KIFMM(kernel, opts).setup(moved).apply(phi)
+    assert relative_error(useq, cold) < 1e-12
+    assert relative_error(upar, cold) < 1e-12
