@@ -21,10 +21,8 @@ the properties an execution at that rank count would exhibit:
     Deadlock-freedom of the wait graph: nodes are the per-rank ops in
     program order; edges are program order (an op runs only after its
     predecessor) plus completion -> matching send (FIFO pairing per
-    channel, covering the segmented ``tree_reduce``/``tree_bcast``
-    parent-child edges, whose blocking receives the IR expands to
-    post+complete pairs).  A cycle is a schedule that cannot make
-    progress under *any* interleaving.
+    channel).  A cycle is a schedule that cannot make progress under
+    *any* interleaving.
 ``conservation``
     Payload conservation of the tree scheme against the flat scheme:
     interpreting the message edges per exchanged box, every
@@ -38,14 +36,15 @@ the properties an execution at that rank count would exhibit:
     to exactly one check.
 ``conformance``
     Every *dynamic* :class:`~repro.analysis.trace.CommTrace` of the
-    same configuration must be a linearization of the IR: per rank, the
-    traced protocol events (sends, receive posts, receive completions
-    of the :data:`~repro.analysis.commir.PROTOCOL_FAMILIES` tag
-    families) must equal the rank's static op sequence exactly.  The
-    per-rank sequence is deterministic — rank code is sequential and
-    waits requests in posted order — so equality, not subsequence
-    matching, is the correct test.  Requires in-memory traces (JSONL
-    round-trips stringify tags).
+    same configuration must replay the IR: per rank, the traced
+    protocol events (sends, receive posts, receive completions of the
+    :data:`~repro.analysis.commir.PROTOCOL_FAMILIES` tag families) must
+    equal the rank's program op for op.  A rank interprets its slice of
+    the very program the IR holds, so a divergence means a driver ran
+    the phases in another order than
+    :func:`~repro.parallel.pfmm.exchange_schedule`, or the offline plan
+    inputs differ from what the ranks assembled.  Requires in-memory
+    traces (JSONL round-trips stringify tags).
 
 There is no waiver mechanism: a finding fails certification.  The
 ``seed_*`` functions plant one defect each (a dropped relay forward, a
@@ -61,13 +60,9 @@ import copy
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from repro.analysis.commir import (
-    PROTOCOL_FAMILIES,
-    CommIR,
-    CommOp,
-    gc_paused,
-)
+from repro.analysis.commir import PROTOCOL_FAMILIES, CommIR, gc_paused
 from repro.analysis.trace import CommTrace
+from repro.parallel.exchange import CommOp
 from repro.parallel.simmpi import TAG_FAMILIES, mk_tag
 
 CHECKS = ("matching", "tags", "deadlock", "conservation", "conformance")
@@ -623,7 +618,7 @@ def trace_protocol_events(
 
 def check_conformance(ir: CommIR, trace: CommTrace) -> list[Finding]:
     """Every rank's dynamic protocol event sequence must equal its
-    static op sequence — the trace is a linearization of the IR."""
+    program, op for op."""
     findings: list[Finding] = []
     if trace.nranks != ir.nranks:
         return [Finding(
@@ -834,11 +829,13 @@ def traced_run(
     schedule_seed: int = 0,
     overlap: bool = True,
     napplies: int = 1,
+    cache=None,
 ) -> CommTrace:
     """One traced parallel run for the conformance cross-check.
 
     Returns the in-memory trace (tags intact — a JSONL round-trip would
-    stringify them and break matching against the IR).
+    stringify them and break matching against the IR).  ``cache`` shares
+    one operator cache between the runs of a sweep.
     """
     from repro.parallel.pfmm import run_parallel_fmm
 
@@ -846,6 +843,6 @@ def traced_run(
     run_parallel_fmm(
         nranks, kernel, points, density, opts,
         trace=trace, schedule_seed=schedule_seed,
-        napplies=napplies, overlap=overlap,
+        napplies=napplies, overlap=overlap, cache=cache,
     )
     return trace

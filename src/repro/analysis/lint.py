@@ -503,8 +503,7 @@ class TagRegistryRule(Rule):
     )
 
     _COMM_OPS = {
-        "send", "isend", "recv", "irecv",
-        "tree_reduce", "tree_bcast", "bcast", "reduce",
+        "send", "isend", "recv", "irecv", "bcast", "reduce",
     }
 
     @staticmethod

@@ -278,8 +278,7 @@ def _cmd_commcheck(args: argparse.Namespace) -> int:
               f"{total.bytes_received} B received")
         if args.collectives:
             print("  collectives:")
-            for prim in ("allreduce", "bcast", "reduce_scatter",
-                         "tree_reduce", "tree_bcast"):
+            for prim in ("allreduce", "bcast", "reduce_scatter"):
                 calls = getattr(total, f"{prim}_calls")
                 nbytes = getattr(total, f"{prim}_bytes")
                 print(f"    {prim:>14}: {calls} calls / {nbytes} B")
@@ -563,25 +562,35 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _unknown_scheme(command: str, schemes: list[str]) -> bool:
+    """Print what is wrong with ``--schemes`` (the caller exits 2)."""
+    from repro.parallel.exchange import EXCHANGE_SCHEMES
+
+    unknown = [s for s in schemes if s not in EXCHANGE_SCHEMES]
+    if unknown:
+        print(f"{command}: unknown comm scheme {unknown[0]!r} "
+              f"(choose from {', '.join(EXCHANGE_SCHEMES)})")
+    return bool(unknown)
+
+
 def _cmd_commir(args: argparse.Namespace) -> int:
     """Statically certify the full communication schedule — no apply.
 
-    Extracts the complete message schedule (every p2p send/receive
-    post/completion with source, destination and structured tag, every
-    segmented-collective hop, in per-rank program order) directly from
-    the plan inputs for each requested rank count — including counts
-    far beyond what the simulated runtime can execute, e.g. P=4096 —
-    and certifies matching, tag discipline, deadlock-freedom and
-    cross-scheme payload conservation.  The schedule depends only on
-    the point set, the rank count and the comm scheme, not on the
-    kernel, the RHS width or overlap (which reorders compute against a
-    fixed comm order), so each (ranks, scheme) pair is extracted and
-    checked once and reported for every swept configuration.
+    Compiles the complete message schedule (every p2p send/receive
+    post/completion with source, destination and structured tag, in
+    per-rank program order — the programs the ranks themselves
+    interpret) from the plan inputs for each requested rank count —
+    including counts far beyond what the simulated runtime can execute,
+    e.g. P=4096 — and certifies matching, tag discipline,
+    deadlock-freedom and cross-scheme payload conservation.  The
+    schedule depends only on the point set, the rank count and the comm
+    scheme, so each (ranks, scheme) pair is one certified schedule and
+    one reported row.
 
     For rank counts small enough to execute (``--conform-ranks``), a
-    traced run on ``--conform-n`` points cross-checks conformance:
-    the dynamic trace must replay each rank's static op sequence
-    exactly.  The seeded-defect self-tests (dropped relay, reused tag,
+    traced run on ``--conform-n`` points per listed kernel, overlap on
+    and off, cross-checks conformance: the dynamic trace must equal
+    each rank's program op for op.  The seeded-defect self-tests (dropped relay, reused tag,
     swapped post/wait) run at ``--selftest-ranks`` unless
     ``--no-selftest``.  There is no waiver mechanism.
     """
@@ -596,21 +605,24 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         run_selftests,
         traced_run,
     )
-    from repro.analysis.commir import extract_comm_ir, static_plan_inputs
+    from repro.analysis.commir import (
+        extract_comm_ir,
+        gc_paused,
+        static_plan_inputs,
+    )
+    from repro.core.precompute import OperatorCache
+    from repro.parallel.pfmm import _global_root
 
     rng = np.random.default_rng(args.seed)
     kernels = [k for k in args.kernels.split(",") if k]
     ranks_list = _parse_ints(args.ranks)
-    nrhs_list = _parse_ints(args.nrhs)
     schemes = [s for s in args.schemes.split(",") if s]
     if not ranks_list or not kernels or not schemes:
         print("commir: nothing to certify "
               "(empty --ranks, --kernels or --schemes)")
         return 2
-    for s in schemes:
-        if s not in ("tree", "flat"):
-            print(f"commir: unknown comm scheme {s!r}")
-            return 2
+    if _unknown_scheme("commir", schemes):
+        return 2
     pts = _WORKLOADS[args.workload](args.n, rng)
     conform_pts = _WORKLOADS[args.workload](args.conform_n, rng)
     conform_ranks = set(_parse_ints(args.conform_ranks))
@@ -642,17 +654,21 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         # lets allocator churn dominate the <60 s budget.  Each scheme
         # is certified standalone, condensed to a ConservationSummary,
         # and freed; the cross-scheme payload comparison then runs on
-        # the two compact summaries.
+        # the two compact summaries.  The collector stays paused across
+        # the whole rank count — resuming it between the steps costs a
+        # full scan of the live IR each time, resuming it after the IR
+        # is freed (by reference count) costs nothing.
         reports = {}
         summaries = {}
-        for scheme in schemes:
-            ir = extract_comm_ir(inputs, scheme=scheme)
-            index = build_index(ir)
-            reports[scheme] = run_checks(
-                ir, name=f"ranks{nranks}/{scheme}", index=index,
-            )
-            summaries[scheme] = conservation_summary(ir, index)
-            del ir, index
+        with gc_paused():
+            for scheme in schemes:
+                ir = extract_comm_ir(inputs, scheme=scheme)
+                index = build_index(ir)
+                reports[scheme] = run_checks(
+                    ir, name=f"ranks{nranks}/{scheme}", index=index,
+                )
+                summaries[scheme] = conservation_summary(ir, index)
+                del ir, index
         if len(schemes) == 2:
             cross = cross_scheme_conservation(
                 summaries[schemes[0]], summaries[schemes[1]]
@@ -661,49 +677,46 @@ def _cmd_commir(args: argparse.Namespace) -> int:
                 report.findings.extend(cross)
                 report.counts["conservation"] += len(cross)
         for scheme in schemes:
-            report = reports[scheme]
-            # One certification covers the whole kernel x overlap x
-            # nrhs block: the schedule is invariant across them.
-            for kname in kernels:
-                for overlap in (True, False):
-                    for nrhs in nrhs_list:
-                        record(report, {
-                            "kernel": kname, "ranks": nranks,
-                            "scheme": scheme, "overlap": overlap,
-                            "nrhs": nrhs,
-                        })
+            record(reports[scheme], {"ranks": nranks, "scheme": scheme})
 
-    conform_rows: list[dict] = []
+    # One operator cache per kernel serves every traced run: they all
+    # solve on the same points, hence the same root cube.
+    side = _global_root(conform_pts)[1]
+    traced = []
+    for kname in kernels:
+        kernel = _make_kernel(kname)
+        traced.append((
+            kname, kernel,
+            rng.random((conform_pts.shape[0], kernel.source_dof)),
+            OperatorCache(kernel, args.p, side),
+        ))
     for nranks in sorted(conform_ranks):
         inputs = static_plan_inputs(
             conform_pts, nranks,
             options=FMMOptions(p=args.p, max_points=args.s),
         )
-        kernel = _make_kernel(kernels[0])
-        density = rng.random((conform_pts.shape[0], kernel.source_dof))
         for scheme in schemes:
-            for overlap in (True, False):
-                ir = extract_comm_ir(inputs, scheme=scheme,
-                                     overlap=overlap)
-                trace = traced_run(
-                    kernel, conform_pts, density,
-                    FMMOptions(p=args.p, max_points=args.s,
-                               comm=scheme),
-                    nranks, schedule_seed=args.seed,
-                    overlap=overlap,
-                )
-                ov = "on" if overlap else "off"
-                report = run_checks(
-                    ir, traces=(trace,),
-                    name=(f"conform/ranks{nranks}/{scheme}/"
-                          f"overlap-{ov}"),
-                )
-                record(report, {
-                    "kernel": kernels[0], "ranks": nranks,
-                    "scheme": scheme, "overlap": overlap,
-                    "nrhs": 1, "conformance": True,
-                })
-                conform_rows.append(configs[-1])
+            ir = extract_comm_ir(inputs, scheme=scheme)
+            for kname, kernel, density, cache in traced:
+                for overlap in (True, False):
+                    trace = traced_run(
+                        kernel, conform_pts, density,
+                        FMMOptions(p=args.p, max_points=args.s,
+                                   comm=scheme),
+                        nranks, schedule_seed=args.seed,
+                        overlap=overlap, cache=cache,
+                    )
+                    ov = "on" if overlap else "off"
+                    report = run_checks(
+                        ir, traces=(trace,),
+                        name=(f"conform/{kname}/ranks{nranks}/{scheme}/"
+                              f"overlap-{ov}"),
+                    )
+                    record(report, {
+                        "kernel": kname, "ranks": nranks,
+                        "scheme": scheme, "overlap": overlap,
+                        "conformance": True,
+                    })
 
     selftests: list[dict] = []
     if not args.no_selftest:
@@ -754,8 +767,10 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"commir: JSON report written to {args.json}")
+    nconform = sum(1 for c in configs if c.get("conformance"))
     print("commir:", "FAILED" if failed
-          else f"all {len(configs)} configurations certified "
+          else f"all {len(configs) - nconform} schedules certified, "
+               f"{nconform} traced runs conform "
                f"(zero waivers) in {elapsed:.1f}s")
     return 1 if failed else 0
 
@@ -781,6 +796,8 @@ def _cmd_dpor(args: argparse.Namespace) -> int:
     schemes = [s for s in args.schemes.split(",") if s]
     if not ranks_list or not schemes:
         print("dpor: nothing to explore (empty --ranks or --schemes)")
+        return 2
+    if _unknown_scheme("dpor", schemes):
         return 2
     if args.n <= 0:
         print(f"dpor: need a positive point count, got {args.n}")
@@ -1160,15 +1177,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(pci)
     pci.add_argument("--n", type=int, default=20000)
     pci.add_argument("--kernels", default="laplace,stokes",
-                     help="comma-separated kernels to report (the "
-                          "schedule itself is kernel-invariant)")
+                     help="comma-separated kernels of the traced "
+                          "conformance runs (the schedule itself takes "
+                          "no kernel)")
     pci.add_argument("--ranks", default="2,4,8,64,4096",
                      help="comma-separated rank counts to certify")
     pci.add_argument("--schemes", default="tree,flat",
                      help="comma-separated comm schemes")
-    pci.add_argument("--nrhs", default="1,8",
-                     help="comma-separated multi-RHS block widths "
-                          "(reported; schedule-invariant)")
     pci.add_argument("--conform-ranks", default="2,4,8",
                      help="rank counts for the dynamic-trace "
                           "conformance cross-check (must be small "

@@ -129,10 +129,10 @@ class FMMOptions:
             raise ValueError(
                 f"plan must be 'batched' or 'naive', got {self.plan!r}"
             )
-        if self.comm not in ("tree", "flat"):
-            raise ValueError(
-                f"comm must be 'tree' or 'flat', got {self.comm!r}"
-            )
+        # Imported here: repro.parallel imports this module.
+        from repro.parallel.exchange import check_scheme
+
+        check_scheme(self.comm, "comm")
 
 
 class KIFMM:

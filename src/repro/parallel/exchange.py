@@ -1,52 +1,60 @@
 """The communication stage between the upward and downward passes.
 
-Implements Algorithm 1 of the paper (gather/scatter of leaf source
-positions and densities) and its equivalent-density variant ("the
-procedure ... is similar to Algorithm 1 with two modifications: (1) we
-iterate over all boxes in the LET instead of just the leaf boxes, and
-(2) the owner of a box sums up the received upward equivalent densities
-to obtain the global upward equivalent densities for that box").
+Algorithm 1 of the paper — gather a box's data to its owner, scatter
+the combined data to the box's users — and its equivalent-density
+variant ("the procedure ... is similar to Algorithm 1 with two
+modifications: (1) we iterate over all boxes in the LET instead of just
+the leaf boxes, and (2) the owner of a box sums up the received upward
+equivalent densities") are one protocol, written once here as a
+*compile function*: :func:`compile_exchange` turns the replicated roles
+of one payload kind (owner, contributors, users of every circulating
+box) into every participant's :class:`CommOp` program, grouped into the
+three phases ``post`` / ``relay`` / ``wait``.  A rank keeps its own
+slice and :class:`ApplyExchange` interprets it against a payload
+:class:`Binding`; the static verifier (:mod:`repro.analysis.commir`)
+keeps all slices and certifies the very same ops.
 
-All sends are buffered (MPI_Isend semantics), and within each box the
-dependency edges form a rooted tree, processed in ascending box order on
-every rank — the protocol is deadlock-free under both schemes below.
+The communication *scheme* is data, read in one place
+(:func:`tree_edges`): the rooted tree over a box's participants in
+:func:`~repro.parallel.simmpi.tree_order` (owner first).
 
-Every exchange supports two *communication schemes*:
-
-``"flat"``
-    The paper's literal Algorithm 1: every contributor sends its piece
-    point-to-point to the box owner, the owner reduces and sends the
-    combined data point-to-point to every user.  The owner of a coarse
-    box handles O(P) messages.
 ``"tree"`` (default)
-    The hierarchical tree-top reduction: contributors combine partial
-    data along the deterministic binomial rank tree of
-    :func:`repro.parallel.simmpi.tree_order` rooted at the owner, so
-    each rank — the owner included — touches O(log P) messages per box;
-    the scatter mirrors the same tree downward from the owner.
+    The binomial tree of :func:`~repro.parallel.simmpi.tree_children`:
+    every rank — the owner included — touches O(log P) messages per box.
+``"flat"``
+    A star rooted at the owner — the paper's literal Algorithm 1; the
+    owner of a coarse box handles O(P) messages.
 
-The two schemes are **bitwise identical**: both reduce with the fixed
-binomial association of :func:`~repro.parallel.simmpi.combine_tree`
-over the same participant layout, and both concatenate source pieces in
-tree-position order (owner first, then the remaining contributors in
-rotated ascending rank order).  Switching the scheme changes the
-message pattern, never a floating-point result.
+One fold rule serves both shapes: a gather node places its own piece in
+slot 0 and each child's piece in the slot of the child's relative tree
+position, and folds the slots with
+:func:`~repro.parallel.simmpi.combine_tree`.  Under either shape this
+equals ``combine_tree`` over all pieces in tree-position order, bit for
+bit, so switching the scheme changes the message pattern and never a
+floating-point result.
 
-Two entry points live here: :func:`exchange_source_geometry` runs once
-at setup (positions only, blocking), and :class:`ApplyExchange` runs the
-per-apply density / equivalent-density exchange with ``isend``/``irecv``
-— timed under the ``pack`` (send side) and ``wait`` (receive side)
-phases — so the owner relay and the final ghost waits can be overlapped
-with owned-data computation.
+All sends are buffered (MPI_Isend semantics) and every rank walks the
+boxes in the same ascending order, waiting, folding and forwarding *per
+node*; the wait chains are therefore well-founded and the protocol is
+deadlock-free (``repro commir`` checks exactly this at P=4096).
+
+Four bindings run on the one interpreter: ``geo`` once at setup (source
+positions), ``phi`` and ``pue`` per apply (densities, partial upward
+equivalent densities) and ``vsp`` (the coarse-split broadcast — a
+scatter whose root is the assigned rank).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.parallel.simmpi import (
+    TAG_FAMILIES,
     Request,
     SimComm,
     combine_tree,
@@ -62,520 +70,411 @@ from repro.util.timing import PhaseTimer
 #: Recognised communication schemes (see module docstring).
 EXCHANGE_SCHEMES = ("tree", "flat")
 
-# Tag families of the owner-centric box exchanges.  Each payload kind
+#: The phases of a program, in the order a driver runs them.
+PHASES = ("post", "relay", "wait")
+
+# Tag families of the payload kinds.  Each owner-centric box exchange
 # owns a gather family (contributor -> owner direction) and a scatter
-# family (owner -> user direction, suffixed ``g``); each tag carries the
-# box index as its single discriminator.  The static communication
-# verifier introspects this registration via
-# :func:`exchange_tag_families`, so runtime and verifier can never
-# disagree about the tag vocabulary.
-for _kind, _gather_phase, _scatter_phase in (
-    ("geo", "geo_gather", "geo_scatter"),
-    ("phi", "phi_gather", "phi_scatter"),
-    ("pue", "pue_gather", "pue_scatter"),
-):
-    register_tag_family(_kind, fields=("box",), phases=(_gather_phase,))
+# family (owner -> user direction, suffixed ``g``), its tags carrying
+# the box index; the coarse-split broadcast ``("vsp", level, box)`` only
+# scatters.
+for _kind in ("geo", "phi", "pue"):
+    register_tag_family(_kind, fields=("box",), phases=(f"{_kind}_gather",))
     register_tag_family(
-        _kind + "g", fields=("box",), phases=(_scatter_phase,)
+        _kind + "g", fields=("box",), phases=(f"{_kind}_scatter",)
     )
+register_tag_family(
+    "vsp", fields=("level", "box"), phases=("v_split",), kind="split",
+)
 
 
 def exchange_tag_families(kind: str) -> tuple[str, str]:
-    """The ``(gather, scatter)`` tag families of one exchange kind."""
-    mk_tag(kind, 0), mk_tag(kind + "g", 0)  # validate registration
-    return kind, kind + "g"
+    """The ``(gather, scatter)`` tag families of one payload kind.
+
+    A scatter-only kind (``vsp``) has a single family, its own name.
+    """
+    return kind, (kind + "g" if kind + "g" in TAG_FAMILIES else kind)
 
 
-def _check_scheme(scheme: str) -> str:
+def check_scheme(scheme: str, who: str = "exchange scheme") -> str:
+    """``scheme`` if it is one of :data:`EXCHANGE_SCHEMES`."""
     if scheme not in EXCHANGE_SCHEMES:
         raise ValueError(
-            f"exchange scheme must be one of {EXCHANGE_SCHEMES}, "
-            f"got {scheme!r}"
+            f"{who} must be one of {EXCHANGE_SCHEMES}, got {scheme!r}"
         )
     return scheme
 
 
-def _gather_pieces_flat(
-    comm: SimComm,
-    b: int,
-    order: list[int],
-    is_contrib,
-    own_piece,
-    tag: tuple,
-) -> list:
-    """Flat gather in tree-position order: one ``None``-padded piece
-    per participant position, ready for :func:`combine_tree` (which
-    reproduces the hierarchical scheme's association exactly)."""
-    me = comm.rank
-    pieces = []
-    for r in order:
-        if not is_contrib(r):
-            pieces.append(None)
-        elif r == me:
-            pieces.append(own_piece())
-        else:
-            pieces.append(comm.recv(int(r), tag=tag))
-    return pieces
-
-
-def exchange_source_geometry(
-    comm: SimComm,
-    boxes: np.ndarray,
-    contrib_src: np.ndarray,
-    users_src: np.ndarray,
-    owner: np.ndarray,
-    local_points: dict[int, np.ndarray],
-    timer: PhaseTimer | None = None,
-    scheme: str = "tree",
-) -> dict[int, np.ndarray]:
-    """Setup-time Algorithm 1 over source *positions* only.
-
-    The persistent operator exchanges ghost geometry once: positions
-    never change between applies, so each :class:`ApplyExchange` moves
-    only densities.  Contributor pieces concatenate in tree-position
-    order (:func:`~repro.parallel.simmpi.tree_order` rooted at the
-    owner, restricted to contributors) under **both** schemes —
-    :class:`ApplyExchange` reassembles densities in the identical
-    order, so the combined points and the combined densities stay row
-    aligned across applies and across schemes.
-
-    Returns ``{box: global_points}`` for every box this rank uses.
-    """
-    _check_scheme(scheme)
-    me = comm.rank
-    timer = timer if timer is not None else PhaseTimer()
-
-    def cat(a, b_):
-        return np.vstack([a, b_])
-
-    combined: dict[int, np.ndarray] = {}
-    if scheme == "tree":
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(contrib_src[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                mine = local_points[b] if contrib_src[me, b] else None
-                total = comm.tree_reduce(
-                    mine, o, parts, tag=mk_tag("geo", int(b)), combine=cat,
-                    phase="geo_gather",
-                )
-                if o == me:
-                    combined[int(b)] = (
-                        total if total is not None else np.empty((0, 3))
-                    )
-    else:
-        with timer.phase("pack"):
-            for b in boxes:
-                if contrib_src[me, b] and owner[b] != me:
-                    comm.send(int(owner[b]), local_points[b],
-                              tag=mk_tag("geo", int(b)), phase="geo_gather")
-        with timer.phase("wait"):
-            for b in boxes:
-                if owner[b] != me:
-                    continue
-                order = tree_order(np.nonzero(contrib_src[:, b])[0], me)
-                pieces = _gather_pieces_flat(
-                    comm, int(b), order,
-                    lambda r, _b=b: bool(contrib_src[r, _b]),
-                    lambda _b=b: local_points[_b], mk_tag("geo", int(b)),
-                )
-                total = combine_tree(pieces, cat)
-                combined[int(b)] = (
-                    total if total is not None else np.empty((0, 3))
-                )
-
-    result: dict[int, np.ndarray] = {}
-    if scheme == "tree":
-        with timer.phase("wait"):
-            for b in boxes:
-                o = int(owner[b])
-                parts = set(np.nonzero(users_src[:, b])[0].tolist()) | {o}
-                if me not in parts:
-                    continue
-                data = comm.tree_bcast(
-                    combined[int(b)] if o == me else None, o, parts,
-                    tag=mk_tag("geog", int(b)), phase="geo_scatter",
-                )
-                if users_src[me, b]:
-                    result[int(b)] = data
-    else:
-        with timer.phase("pack"):
-            for b in boxes:
-                if owner[b] == me:
-                    for r in np.nonzero(users_src[:, b])[0]:
-                        if r != me:
-                            comm.send(int(r), combined[int(b)],
-                                      tag=mk_tag("geog", int(b)),
-                                      phase="geo_scatter")
-        with timer.phase("wait"):
-            for b in boxes:
-                if not users_src[me, b]:
-                    continue
-                if owner[b] == me:
-                    result[int(b)] = combined[int(b)]
-                else:
-                    result[int(b)] = comm.recv(
-                        int(owner[b]), tag=mk_tag("geog", int(b))
-                    )
-    return result
-
-
-def _tree_edges(
-    order: list[int], me: int
+def tree_edges(
+    scheme: str, pos: int, n: int
 ) -> tuple[int | None, list[int]]:
-    """This rank's (parent, children) in the binomial tree over ``order``."""
-    pos = order.index(me)
-    parent = None if pos == 0 else order[tree_parent(pos)]
-    children = [order[c] for c in tree_children(pos, len(order))]
-    return parent, children
+    """``(parent, children)`` of position ``pos`` in the rooted tree a
+    scheme lays over ``n`` participants (position 0 is the root)."""
+    if scheme == "flat":
+        return (None, list(range(1, n))) if pos == 0 else (0, [])
+    return (None if pos == 0 else tree_parent(pos)), tree_children(pos, n)
 
 
-@dataclass
-class ExchangePlan:
-    """One rank's role in the per-apply exchange of one payload kind.
+@dataclass(slots=True)
+class CommOp:
+    """One operation of a rank's exchange program.
 
-    Precomputed at setup from the contributor/user matrices and the
-    owner map; every list is in ascending box order and every rank list
-    in the *tree-position* order of
-    :func:`~repro.parallel.simmpi.tree_order` rooted at the owner, so
-    message posting order — and therefore the reduction order — is
-    schedule independent and identical under both schemes.
+    The communication kinds are ``"send"`` (buffered, nonblocking),
+    ``"post"`` (receive posted) and ``"complete"`` (the wait that
+    consumes the message — blocking); ``group`` is the tag family,
+    ``ids`` the tag discriminators (box, or ``(level, box)`` for the
+    coarse-split broadcast).  ``note`` is the payload role of a send:
+    ``"inject"`` own piece, ``"relay"`` partial fold forward,
+    ``"scatter"`` combined data downward.  ``slot`` is, for the
+    completion of a gather message, the child's relative tree position —
+    the slot its piece folds at — and 0 otherwise.
 
-    ``send_to_owner`` / ``owned`` / ``recv_from`` describe the flat
-    owner-centric roles and are filled under both schemes (the plan IR
-    derives ghost-row layouts from them); ``gather`` / ``scatter`` hold
-    the per-box binomial-tree edges and drive the ``"tree"`` scheme.
+    Two *local* kinds carry no message (``peer`` -1, ``tag`` None) and
+    are what the static schedule drops: ``"fold"`` combines the slots
+    (with the rank's own piece in slot 0 when ``note`` is ``"own"``)
+    into the box's data, ``"store"`` hands that data to the binding.
     """
 
-    kind: str  # "phi" (source densities) or "pue" (partial equiv dens.)
-    #: Boxes this rank contributes to but does not own: ``(box, owner)``.
-    send_to_owner: list[tuple[int, int]]
-    #: Boxes this rank owns:
-    #: ``(box, peer_contributors, self_contributes, peer_users, self_uses)``.
-    owned: list[tuple[int, list[int], bool, list[int], bool]]
-    #: Boxes this rank uses but does not own: ``(box, owner)``.
-    recv_from: list[tuple[int, int]]
-    #: Communication scheme driving :class:`ApplyExchange` (see module
-    #: docstring).
-    scheme: str = "tree"
-    #: Gather-tree nodes this rank occupies (contributors ∪ owner):
-    #: ``(box, parent_rank_or_None, child_ranks, self_contributes)``.
-    gather: list[tuple[int, int | None, list[int], bool]] = field(
-        default_factory=list
-    )
-    #: Scatter-tree nodes this rank occupies (users ∪ owner):
-    #: ``(box, parent_rank_or_None, child_ranks, self_uses)``.
-    scatter: list[tuple[int, int | None, list[int], bool]] = field(
-        default_factory=list
-    )
+    kind: str
+    peer: int
+    tag: tuple | None
+    group: str
+    ids: tuple
+    note: str = ""
+    slot: int = 0
 
 
-def build_exchange_plan(
-    kind: str,
-    me: int,
+class Program(NamedTuple):
+    """One rank's ops of one payload kind, by phase (box-ascending)."""
+
+    post: list[CommOp]
+    relay: list[CommOp]
+    wait: list[CommOp]
+
+
+#: Per circulating box: ``(ids, owner, contributors, users)``.
+Roles = list[tuple[tuple, int, list[int], list[int]]]
+
+
+def box_roles(
     boxes: np.ndarray,
-    contrib_src: np.ndarray,
-    users: np.ndarray,
     owner: np.ndarray,
-    scheme: str = "tree",
-) -> ExchangePlan:
-    """Split the circulating ``boxes`` by this rank's role."""
-    _check_scheme(scheme)
-    send_to_owner: list[tuple[int, int]] = []
-    owned: list[tuple[int, list[int], bool, list[int], bool]] = []
-    recv_from: list[tuple[int, int]] = []
-    gather: list[tuple[int, int | None, list[int], bool]] = []
-    scatter: list[tuple[int, int | None, list[int], bool]] = []
-    for b in boxes:
-        b = int(b)
-        o = int(owner[b])
-        contribs = np.nonzero(contrib_src[:, b])[0]
-        user_rs = np.nonzero(users[:, b])[0]
-        order_g = tree_order(contribs, o)
-        order_s = tree_order(user_rs, o)
-        if o == me:
-            owned.append(
-                (b, [r for r in order_g if r != me],
-                 bool(contrib_src[me, b]),
-                 [r for r in order_s if r != me],
-                 bool(users[me, b]))
+    contrib: np.ndarray,
+    users: np.ndarray,
+) -> Roles:
+    """The roles of the circulating ``boxes`` from the replicated
+    ``(nranks, nboxes)`` contributor and user matrices."""
+    contrib_t = np.ascontiguousarray(contrib[:, boxes].T)
+    users_t = np.ascontiguousarray(users[:, boxes].T)
+    return [
+        ((int(b),), int(owner[b]),
+         np.flatnonzero(contrib_t[j]).tolist(),
+         np.flatnonzero(users_t[j]).tolist())
+        for j, b in enumerate(boxes)
+    ]
+
+
+def compile_exchange(
+    kind: str, roles: Roles, scheme: str, only: int | None = None
+) -> dict[int, Program]:
+    """Every participant's program of one payload kind, box-major.
+
+    Per box, the gather tree spans the contributors and the scatter tree
+    the users, both rooted at the owner and shaped by ``scheme``:
+
+    - ``post``: a gather node posts a receive per child, a gather leaf
+      ships its piece at once (so interior nodes can fold during the
+      overlap window), a scatter node posts the receive from its parent;
+    - ``relay``: an interior or root gather node completes its
+      children, folds, and forwards the partial to its parent — per
+      node, never all waits before any forward: two ranks can each be
+      an interior node of a box the other is a child of, and each
+      forward would then sit behind the wait for the other's.  The root
+      instead sends the combined data to its scatter children and
+      stores it if the owner is a user;
+    - ``wait``: a scatter node completes its parent's data, forwards it
+      to its own children and stores it.
+
+    ``only`` keeps a single rank's slice (what that rank runs); without
+    it every rank's program is returned (what the verifier certifies).
+    """
+    check_scheme(scheme)
+    fam_g, fam_s = exchange_tag_families(kind)
+    programs: dict[int, Program] = defaultdict(lambda: Program([], [], []))
+    trees: dict[int, list] = {}  # participants -> every position's edges
+
+    def tree(n: int) -> list[tuple[int | None, list[int]]]:
+        if n not in trees:
+            trees[n] = [tree_edges(scheme, pos, n) for pos in range(n)]
+        return trees[n]
+
+    for ids, owner, contribs, users in roles:
+        if not contribs:
+            raise ValueError(
+                f"{kind} box {ids} circulates with no contributor: "
+                f"owner {owner} has nothing to gather"
             )
-        else:
-            if contrib_src[me, b]:
-                send_to_owner.append((b, o))
-            if users[me, b]:
-                recv_from.append((b, o))
-        if me == o or contrib_src[me, b]:
-            parent, children = _tree_edges(order_g, me)
-            gather.append((b, parent, children, bool(contrib_src[me, b])))
-        if me == o or users[me, b]:
-            parent, children = _tree_edges(order_s, me)
-            scatter.append((b, parent, children, bool(users[me, b])))
-    return ExchangePlan(
-        kind, send_to_owner, owned, recv_from, scheme, gather, scatter
-    )
+        if only is not None and only != owner and (
+            only not in contribs and only not in users
+        ):
+            continue
+        tag_g, tag_s = mk_tag(fam_g, *ids), mk_tag(fam_s, *ids)
+        # The local ops of a box are the same on every rank: shared.
+        fold_own = CommOp("fold", -1, None, fam_g, ids, "own")
+        fold_bare = CommOp("fold", -1, None, fam_g, ids)
+        store = CommOp("store", -1, None, fam_s, ids)
+        gather = tree_order(contribs, owner)
+        edges = tree(len(gather))
+        for pos, m in enumerate(gather):
+            if only is not None and m != only:
+                continue
+            parent, kids = edges[pos]
+            post, relay, _ = programs[m]
+            for c in kids:
+                post.append(CommOp("post", gather[c], tag_g, fam_g, ids))
+            if parent is not None and not kids:
+                post.append(CommOp(
+                    "send", gather[parent], tag_g, fam_g, ids, "inject"
+                ))
+                continue
+            for c in kids:
+                relay.append(CommOp(
+                    "complete", gather[c], tag_g, fam_g, ids, slot=c - pos
+                ))
+            # Every member but the owner is there because it contributes.
+            relay.append(
+                fold_own if pos > 0 or owner in contribs else fold_bare
+            )
+            if parent is not None:
+                relay.append(CommOp(
+                    "send", gather[parent], tag_g, fam_g, ids, "relay"
+                ))
+        scatter = tree_order(users, owner)
+        edges = tree(len(scatter))
+        for pos, m in enumerate(scatter):
+            if only is not None and m != only:
+                continue
+            parent, kids = edges[pos]
+            post, relay, wait = programs[m]
+            if parent is None:
+                phase = relay
+            else:
+                post.append(CommOp("post", scatter[parent], tag_s, fam_s, ids))
+                wait.append(
+                    CommOp("complete", scatter[parent], tag_s, fam_s, ids)
+                )
+                phase = wait
+            for c in kids:
+                phase.append(CommOp(
+                    "send", scatter[c], tag_s, fam_s, ids, "scatter"
+                ))
+            if pos > 0 or owner in users:
+                phase.append(store)
+    return programs
+
+
+def fold_slots(own, pieces: dict[int, object], combine):
+    """The fold rule of a gather node: its own piece (or None) in slot
+    0, each child's piece in the slot of the child's relative tree
+    position, folded with the binomial association."""
+    slots = [None] * (max(pieces, default=0) + 1)
+    slots[0] = own
+    for slot, value in pieces.items():
+        slots[slot] = value
+    return combine_tree(slots, combine)
+
+
+class Binding(NamedTuple):
+    """What one payload kind ships: ``piece(ids)`` is this rank's own
+    contribution to a box, ``combine(a, b)`` the pairwise combiner of
+    the owner's reduction, ``store(ids, data)`` places the combined data
+    of a box this rank uses."""
+
+    piece: Callable[[tuple], np.ndarray]
+    #: None for a kind with one contributor per box: nothing to reduce.
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    store: Callable[[tuple, np.ndarray], None]
+
+
+def _concatenate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.vstack([a, b])
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a + b
+
+
+def geo_binding(
+    local_points: Callable[[int], np.ndarray], out: dict[int, np.ndarray]
+) -> Binding:
+    """Setup-time source *positions*: concatenated in tree-position
+    order — the order ``phi`` reassembles densities in, so combined
+    points and combined densities stay row aligned across applies and
+    schemes — into ``out[box]``."""
+
+    def store(ids, data):
+        out[ids[0]] = data
+
+    return Binding(lambda ids: local_points(ids[0]), _concatenate, store)
+
+
+def phi_binding(
+    phi_sorted: np.ndarray,
+    src_start: np.ndarray,
+    src_stop: np.ndarray,
+    ext_phi: np.ndarray,
+    ext_start: np.ndarray,
+    ext_stop: np.ndarray,
+) -> Binding:
+    """Source densities: concatenated into the ghost rows of
+    ``ext_phi``.  The slices of ``phi_sorted`` are never written during
+    an apply, so they ship as views."""
+    rec = current_recorder()
+
+    def piece(ids):
+        b = ids[0]
+        rows = phi_sorted[src_start[b]:src_stop[b]]
+        if rec is not None:
+            rec.read(rows, f"piece:phi box {b}")
+        return rows
+
+    def store(ids, data):
+        b = ids[0]
+        dst = ext_phi[ext_start[b]:ext_stop[b]]
+        if rec is not None:
+            rec.read(data, f"store:recv box {b}")
+            rec.write(dst, f"store:ghost-phi box {b}")
+        dst[...] = data
+
+    return Binding(piece, _concatenate, store)
+
+
+def pue_binding(ue: np.ndarray) -> Binding:
+    """Partial upward equivalent densities: summed (linearity of
+    eq. 2.1/2.3) into the global ``ue[box]``.
+
+    The piece is a copy: the simulated MPI passes object references,
+    and ``store`` later overwrites ``ue[b]`` with the *global*
+    densities — an uncopied row view would let a slow receiver observe
+    the mutated value.
+    """
+    rec = current_recorder()
+
+    def piece(ids):
+        b = ids[0]
+        if rec is not None:
+            rec.read(ue[b], f"piece:pue box {b}")
+        return ue[b].copy()
+
+    def store(ids, data):
+        b = ids[0]
+        if rec is not None:
+            rec.read(data, f"store:recv box {b}")
+            rec.write(ue[b], f"store:global-ue box {b}")
+        ue[b] = data
+
+    return Binding(piece, _add, store)
+
+
+def vsp_binding(dc: np.ndarray) -> Binding:
+    """Coarse-split downward-check rows ``dc[:, box]``, from the
+    assigned rank to the other target contributors (no reduction: the
+    root is the one contributor, and its single-piece fold copies the
+    rows the downward sweep keeps writing)."""
+
+    def store(ids, data):
+        dc[:, ids[1]] = data
+
+    return Binding(lambda ids: dc[:, ids[1]], None, store)
 
 
 @dataclass
 class GhostLayout:
     """Persistent layout of the per-apply exchange (one rank's view)."""
 
-    phi: ExchangePlan  # combined source densities over ``uses_source`` boxes
-    pue: ExchangePlan  # global upward equivalent densities over ``uses_equiv``
+    phi: Program  # combined source densities over ``uses_source`` boxes
+    pue: Program  # global upward equivalent densities over ``uses_equiv``
+    vsp: dict[int, Program]  # per coarse split level this rank takes part in
     ext_start: np.ndarray  # per-box rows into the combined source arrays
     ext_stop: np.ndarray
 
 
 class ApplyExchange:
-    """One apply's in-flight nonblocking exchange.
+    """The interpreter: runs a phase of a program against a binding.
 
-    Each method runs one payload kind (``"phi"`` then ``"pue"``, the
-    order every rank shares); together they are the ``post`` / ``relay``
-    / ``wait`` steps of a rank's apply.  ``start`` posts every send and
-    receive of a sub-exchange up front (buffered ``isend`` + posted
-    ``irecv``, so the protocol cannot deadlock).  ``relay`` completes
-    the gather side: owners reduce the contributor pieces —
-    concatenation for densities, summation for partial equivalent
-    densities (linearity of eq. 2.1/2.3) — scatter the combined data
-    to users and store locally-owned data.  ``finish``
-    completes the scatter side, filling the ghost rows.  Between
-    ``relay`` and ``finish`` the receive queues fill while the caller
+    ``bound`` maps a program name to ``(program, binding)``; each
+    :meth:`run` walks one phase of one program.  Between a kind's
+    ``relay`` and ``wait`` the receive queues fill while the caller
     computes on owned data — the communication/computation overlap
-    window of the persistent operator.
+    window of the persistent operator.  One instance serves one round
+    (a setup, or one apply): a channel carries one message per round.
     """
+
+    _TIMED = {"post": "pack", "relay": "wait", "wait": "wait"}
 
     def __init__(
         self,
         comm: SimComm,
-        layout: GhostLayout,
-        phi_sorted: np.ndarray,
-        src_start: np.ndarray,
-        src_stop: np.ndarray,
-        ue: np.ndarray,
-        ext_phi: np.ndarray,
         timer: PhaseTimer,
+        bound: dict[str, tuple[Program, Binding]],
     ) -> None:
         self._comm = comm
-        self._layout = layout
-        self._phi_sorted = phi_sorted
-        self._src_start = src_start
-        self._src_stop = src_stop
-        self._ue = ue
-        self._ext_phi = ext_phi
         self._timer = timer
+        self._bound = bound
         #: Race-detector hook: the per-rank recorder installed by
         #: ``run_spmd(race=...)``, or None on uninstrumented runs.
         self._rec = current_recorder()
-        # Per payload kind.  Flat-scheme state: owner-side gathers and
-        # user-side scatters.
-        self._gathers: dict[str, list[tuple[int, list[Request], bool,
-                                            list[int], bool]]] = {}
-        self._scatters: dict[str, list[tuple[int, Request]]] = {}
-        # Tree-scheme state: interior/root gather nodes, non-root
-        # scatter nodes, and the scatter roots' (children, self_uses).
-        self._gnodes: dict[str, list[tuple[int, int | None,
-                                           list[Request], bool]]] = {}
-        self._snodes: dict[str, list[tuple[int, Request,
-                                           list[int], bool]]] = {}
-        self._sroots: dict[tuple[str, int], tuple[list[int], bool]] = {}
+        self._requests: dict[tuple, Request] = {}
+        #: Per (program name, ids): the gathered pieces by slot, then
+        #: the box's data.
+        self._slots: dict[tuple, dict[int, np.ndarray]] = defaultdict(dict)
+        self._data: dict[tuple, np.ndarray] = {}
 
-    def _combiner(self, plan: ExchangePlan):
-        """Pairwise combiner: concatenation for phi, summation for pue."""
-        if plan.kind == "phi":
-            return lambda a, c: np.vstack([a, c])
-        return lambda a, c: a + c
-
-    def _finalize(self, plan: ExchangePlan, total, npieces: int):
-        """Owner-side combined data: guard the empty box, and copy when
-        the binomial fold degenerated to a single piece so the combined
-        array is always freshly allocated (the single piece may be a
-        view of ``phi_sorted`` or a peer's buffer)."""
-        if total is None:
-            return np.empty((0, self._phi_sorted.shape[1]))
-        return total.copy() if npieces == 1 else total
-
-    def _piece(self, plan: ExchangePlan, b: int) -> np.ndarray:
-        """This rank's local contribution to box ``b``.
-
-        Equivalent-density rows are copied: the simulated MPI passes
-        object references, and ``_store`` later overwrites ``ue[b]``
-        with the *global* densities — an uncopied row view would let a
-        slow receiver observe the mutated value.  ``phi`` slices are
-        never written during an apply, so they ship as views.
-        """
-        if plan.kind == "phi":
-            piece = self._phi_sorted[self._src_start[b]:self._src_stop[b]]
-            if self._rec is not None:
-                self._rec.read(piece, f"piece:phi box {b}")
-            return piece
-        if self._rec is not None:
-            self._rec.read(self._ue[b], f"piece:pue box {b}")
-        return self._ue[b].copy()
-
-    def _store(self, plan: ExchangePlan, b: int, data: np.ndarray) -> None:
-        """Place combined data for a used box into the apply arrays."""
-        if self._rec is not None:
-            self._rec.read(data, f"store:recv box {b}")
-        if plan.kind == "phi":
-            lay = self._layout
-            dst = self._ext_phi[lay.ext_start[b]:lay.ext_stop[b]]
-            if self._rec is not None:
-                self._rec.write(dst, f"store:ghost-phi box {b}")
-            dst[...] = data
-        else:
-            if self._rec is not None:
-                self._rec.write(self._ue[b], f"store:global-ue box {b}")
-            self._ue[b] = data
-
-    def start(self, kind: str) -> None:
-        """Post every send and receive of the ``kind`` sub-exchange.
-
-        Flat scheme: contributors ship their pieces to the owner and
-        users post a receive from the owner.  Tree scheme: every node
-        posts receives from its gather children and its scatter parent;
-        gather *leaves* ship their piece immediately so interior nodes
-        can start folding during the overlap window.
-        """
-        comm = self._comm
-        plan = getattr(self._layout, kind)
-        gphase, sphase = f"{kind}_gather", f"{kind}_scatter"
-        gathers = self._gathers[kind] = []
-        scatters = self._scatters[kind] = []
-        gnodes = self._gnodes[kind] = []
-        snodes = self._snodes[kind] = []
-        with self._timer.phase("pack"):
-            if plan.scheme == "tree":
-                for b, parent, children, selfc in plan.gather:
-                    reqs = [
-                        comm.irecv(r, tag=mk_tag(kind, b), phase=gphase)
-                        for r in children
-                    ]
-                    if parent is not None and not children:
-                        comm.isend(
-                            parent, self._piece(plan, b),
-                            tag=mk_tag(kind, b), phase=gphase,
-                        )
+    def run(self, name: str, phase: str, timed: str | None = None) -> None:
+        """Walk ``phase`` of program ``name``, timed under ``pack``
+        (post) / ``wait`` (relay, wait) unless ``timed`` names a phase."""
+        program, bind = self._bound[name]
+        comm, rec, data = self._comm, self._rec, self._data
+        with self._timer.phase(timed or self._TIMED[phase]):
+            for op in getattr(program, phase):
+                kind, ids = op.kind, op.ids
+                if kind == "post":
+                    self._requests[op.peer, op.tag] = comm.irecv(
+                        op.peer, tag=op.tag,
+                        phase=TAG_FAMILIES[op.group].phases[0],
+                    )
+                elif kind == "complete":
+                    value = self._requests.pop((op.peer, op.tag)).wait()
+                    if rec is not None:
+                        # Pieces arrive by reference: reading one is a
+                        # cross-rank access on the sender's arrays,
+                        # ordered by the message.
+                        rec.read(value, f"{phase}:recv {name} {ids}")
+                    if op.slot:
+                        self._slots[name, ids][op.slot] = value
                     else:
-                        gnodes.append((b, parent, reqs, selfc))
-                for b, parent, children, selfu in plan.scatter:
-                    if parent is None:
-                        self._sroots[(kind, b)] = (children, selfu)
-                    else:
-                        req = comm.irecv(
-                            parent, tag=mk_tag(kind + "g", b), phase=sphase
-                        )
-                        snodes.append((b, req, children, selfu))
-                return
-            for b, o in plan.send_to_owner:
-                comm.isend(o, self._piece(plan, b), tag=mk_tag(kind, b),
-                           phase=gphase)
-            for b, peers_c, selfc, peers_u, selfu in plan.owned:
-                reqs = [
-                    comm.irecv(r, tag=mk_tag(kind, b), phase=gphase)
-                    for r in peers_c
-                ]
-                gathers.append((b, reqs, selfc, peers_u, selfu))
-            for b, o in plan.recv_from:
-                scatters.append(
-                    (b, comm.irecv(o, tag=mk_tag(kind + "g", b), phase=sphase))
-                )
-
-    def relay(self, kind: str) -> None:
-        """Complete the ``kind`` gathers, reduce, and launch the scatter.
-
-        Flat scheme: the owner folds the contributor pieces — laid out
-        in tree-position order — with :func:`combine_tree` and sends the
-        combined data to every user.  Tree scheme: interior gather nodes
-        fold their subtree (own piece first, then children in
-        ascending-mask order — the identical association) and forward
-        the partial upward; the root finalizes and feeds the scatter
-        tree.  Both folds are bitwise identical by construction.
-
-        The tree scheme must wait, fold and forward *per node*, in the
-        (kind, box) order every rank shares — never wait all nodes'
-        children before forwarding any accumulation.  Two ranks can
-        each be an interior gather node in a box the *other* is a child
-        of (first possible once gather trees reach four participants,
-        i.e. at large rank counts); under wait-all-then-forward each
-        rank's forward is program-ordered behind its wait for the
-        other's forward — a deadlock cycle.  With the shared ascending
-        order, a node's forward for box ``b`` waits only on ``b``'s own
-        subtree and on boxes strictly earlier in the shared order, so
-        every wait chain is well-founded.  The static verifier
-        (``repro commir``) checks exactly this property at P=4096.
-        """
-        comm = self._comm
-        plan = getattr(self._layout, kind)
-        with self._timer.phase("wait"):
-            for b, parent, reqs, selfc in self._gnodes[kind]:
-                child_pieces = [r.wait() for r in reqs]
-                if self._rec is not None:
-                    # Child pieces arrive by reference: reading them is
-                    # a cross-rank access on the sender's arrays,
-                    # ordered by the gather message.
-                    for p in child_pieces:
-                        self._rec.read(p, f"relay:piece box {b}")
-                combine = self._combiner(plan)
-                acc = self._piece(plan, b) if selfc else None
-                npieces = (1 if selfc else 0) + len(child_pieces)
-                for p in child_pieces:
-                    acc = p if acc is None else combine(acc, p)
-                if parent is not None:
-                    # Interior node: forward the partial fold upward.
-                    if self._rec is not None:
-                        self._rec.write(acc, f"relay:partial box {b}")
-                    comm.isend(parent, acc, tag=mk_tag(kind, b),
-                               phase=f"{kind}_gather")
-                    continue
-                data = self._finalize(plan, acc, npieces)
-                if self._rec is not None:
-                    self._rec.write(data, f"relay:combine box {b}")
-                s_children, selfu = self._sroots[(kind, b)]
-                for r in s_children:
-                    comm.isend(r, data, tag=mk_tag(kind + "g", b),
-                               phase=f"{kind}_scatter")
-                if selfu:
-                    self._store(plan, b, data)
-            for b, reqs, selfc, peers_u, selfu in self._gathers[kind]:
-                peer_pieces = [r.wait() for r in reqs]
-                if self._rec is not None:
-                    for p in peer_pieces:
-                        self._rec.read(p, f"relay:piece box {b}")
-                pieces = [
-                    self._piece(plan, b) if selfc else None
-                ] + peer_pieces
-                total = combine_tree(pieces, self._combiner(plan))
-                data = self._finalize(
-                    plan, total, sum(p is not None for p in pieces)
-                )
-                if self._rec is not None:
-                    self._rec.write(data, f"relay:combine box {b}")
-                for r in peers_u:
-                    comm.isend(r, data, tag=mk_tag(kind + "g", b),
-                               phase=f"{kind}_scatter")
-                if selfu:
-                    self._store(plan, b, data)
-
-    def finish(self, kind: str) -> None:
-        """Complete the ``kind`` scatter side: fill the ghost rows.
-
-        Tree scheme: non-root scatter nodes receive the combined data
-        from their parent, forward it to their scatter children, and
-        store their own ghost rows.
-        """
-        comm = self._comm
-        plan = getattr(self._layout, kind)
-        with self._timer.phase("wait"):
-            for b, req, children, selfu in self._snodes[kind]:
-                data = req.wait()
-                if self._rec is not None:
-                    self._rec.read(data, f"finish:recv box {b}")
-                for r in children:
-                    comm.isend(r, data, tag=mk_tag(kind + "g", b),
-                               phase=f"{kind}_scatter")
-                if selfu:
-                    self._store(plan, b, data)
-            for b, req in self._scatters[kind]:
-                self._store(plan, b, req.wait())
+                        data[name, ids] = value
+                elif kind == "send":
+                    comm.isend(
+                        op.peer,
+                        bind.piece(ids) if op.note == "inject"
+                        else data[name, ids],
+                        tag=op.tag, phase=TAG_FAMILIES[op.group].phases[0],
+                    )
+                elif kind == "fold":
+                    pieces = self._slots.pop((name, ids), {})
+                    own = op.note == "own"
+                    total = fold_slots(
+                        bind.piece(ids) if own else None, pieces,
+                        bind.combine,
+                    )
+                    # A fold of a single piece returns that piece — a
+                    # view of this rank's arrays or of a peer's buffer;
+                    # copy it so the data is always freshly allocated.
+                    if len(pieces) + own == 1:
+                        total = total.copy()
+                    if rec is not None:
+                        rec.write(total, f"relay:fold {name} {ids}")
+                    data[name, ids] = total
+                else:  # store
+                    bind.store(ids, data[name, ids])

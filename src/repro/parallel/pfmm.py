@@ -44,10 +44,17 @@ from repro.core.steps import BufferSpec, Step, StepList, run_steps
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists, build_lists
 from repro.parallel.exchange import (
+    PHASES,
     ApplyExchange,
     GhostLayout,
-    build_exchange_plan,
-    exchange_source_geometry,
+    Program,
+    Roles,
+    box_roles,
+    compile_exchange,
+    geo_binding,
+    phi_binding,
+    pue_binding,
+    vsp_binding,
 )
 from repro.parallel.let import classify_let, gather_users
 from repro.parallel.owners import assign_owners, gather_contributors
@@ -58,19 +65,13 @@ from repro.parallel.simmpi import (
     PerRank,
     SimComm,
     current_recorder,
-    mk_tag,
-    register_tag_family,
     run_spmd,
 )
 from repro.util.flops import FlopCounter
 from repro.util.timing import PhaseTimer
 
-# Coarse V-split broadcast tags: ``("vsp", level, box)``, one segmented
-# tree_bcast per assigned box at each coarse split level (see
-# :func:`v_split_bcast_schedule`).
-register_tag_family(
-    "vsp", fields=("level", "box"), phases=("v_split",), kind="split",
-)
+#: Payload kinds of one apply, in the order every rank runs each phase.
+APPLY_KINDS = ("phi", "pue")
 
 
 def _global_root(
@@ -122,6 +123,35 @@ def v_split_bcast_schedule(
     return schedule
 
 
+def vsp_roles(
+    level: int, schedule: list[tuple[int, int, tuple[int, ...]]]
+) -> Roles:
+    """Exchange roles of one split level's broadcasts: the assigned
+    rank owns and alone contributes the rows, the other target
+    contributors use them."""
+    return [
+        ((level, bx), root, [root], [r for r in parts if r != root])
+        for bx, root, parts in schedule
+    ]
+
+
+def exchange_schedule(
+    vsp_levels: list[int], napplies: int = 1, include_setup: bool = True
+) -> list[tuple[str, str]]:
+    """``(program name, phase)`` in the order a rank runs them:
+    :func:`rank_setup` the ``geo`` phases; every apply each phase over
+    :data:`APPLY_KINDS` (the ``post`` / ``relay`` / ``wait`` steps of
+    :meth:`RankFMM.compile`) and then, split level by split level, the
+    ``vsp`` phases."""
+    calls = [("geo", phase) for phase in PHASES] if include_setup else []
+    for _ in range(napplies):
+        calls += [(kind, phase) for phase in PHASES for kind in APPLY_KINDS]
+        calls += [
+            (f"vsp@{lvl}", phase) for lvl in vsp_levels for phase in PHASES
+        ]
+    return calls
+
+
 @dataclass
 class _VSplit:
     """One V level's pairs split by source-box ownership.
@@ -138,7 +168,8 @@ class _VSplit:
     the assigned positions into ``vl.trg_boxes`` (the only rows this
     rank inverse-transforms), and ``bcast`` holds the per-box
     ``(box, root_rank, participant_ranks)`` broadcast schedule that
-    delivers every participant the assigned rank's downward-check rows.
+    delivers every participant the assigned rank's downward-check rows
+    (compiled into ``GhostLayout.vsp[level]``).
     ``inv_rows is None`` means the level is not split (all rows local).
     """
 
@@ -222,11 +253,7 @@ class RankFMM:
         self.flops = FlopCounter()
 
     def compile(
-        self,
-        overlap: bool = True,
-        comm: SimComm | None = None,
-        exch: ApplyExchange | None = None,
-        timer: PhaseTimer | None = None,
+        self, overlap: bool = True, exch: ApplyExchange | None = None
     ) -> StepList:
         """This rank's apply as a step list.
 
@@ -234,9 +261,8 @@ class RankFMM:
         LET-local plan (:meth:`PlanStages.compile` orders them) plus
         the exchange as steps: ``post`` / ``relay`` / ``wait`` of each
         payload kind and the ``vsp`` broadcast pair of each coarse split
-        level.  ``comm`` / ``exch`` / ``timer`` bind those steps to one
-        apply; the plan verifier compiles without them and reads only
-        the declarations.
+        level.  ``exch`` binds those steps to one apply; the plan
+        verifier compiles without it and reads only the declarations.
         """
         plan, lay = self.plan, self.layout
         width = self.cache.n_surf * self.kernel.source_dof
@@ -250,11 +276,12 @@ class RankFMM:
         buffers: dict[str, BufferSpec] = {}
         delivers: dict[tuple[str, str], tuple[str, ...]] = {}
         for kind, family in (("phi", "ext_phi"), ("pue", "ue")):
-            ex = getattr(lay, kind)
-            for split, boxes in (
-                ("own", [bx for bx, _, _, _, selfu in ex.owned if selfu]),
-                ("ghost", [bx for bx, _ in ex.recv_from]),
-            ):
+            program = getattr(lay, kind)
+            for split, phase in (("own", "relay"), ("ghost", "wait")):
+                boxes = [
+                    op.ids[0] for op in getattr(program, phase)
+                    if op.kind == "store"
+                ]
                 delivers[kind, split] = ()
                 if not boxes:
                     continue
@@ -269,12 +296,13 @@ class RankFMM:
                 buffers[name] = BufferSpec(name, shape, "float64")
                 delivers[kind, split] = (name,)
 
-        def exchange_step(call, method, kind, reads=(), writes=()) -> Step:
+        def exchange_step(phase, kind, reads=(), writes=()) -> Step:
             # The exchange holds its own views of phi / ue / ext_phi
             # (bound in ``apply``) and times itself as pack / wait.
             return Step(
-                f"{call}:{kind}", "exchange", lambda b: method(exch, kind),
-                kind=call, stage=f"ApplyExchange.{method.__name__}",
+                f"{phase}:{kind}", "exchange",
+                lambda b: exch.run(kind, phase),
+                kind=phase, stage="ApplyExchange.run",
                 reads=reads, writes=writes,
             )
 
@@ -283,23 +311,18 @@ class RankFMM:
                   "ghost": (self.u_ghost, self.w_ghost)},
             v_splits=self.v_splits,
             post=[
-                exchange_step("post", ApplyExchange.start, k, reads=sent[k])
-                for k in sent
+                exchange_step("post", k, reads=sent[k]) for k in APPLY_KINDS
             ],
             relay=[
-                exchange_step("relay", ApplyExchange.relay, k, reads=sent[k],
+                exchange_step("relay", k, reads=sent[k],
                               writes=delivers[k, "own"])
-                for k in sent
+                for k in APPLY_KINDS
             ],
             wait=[
-                exchange_step("wait", ApplyExchange.finish, k,
-                              writes=delivers[k, "ghost"])
-                for k in sent
+                exchange_step("wait", k, writes=delivers[k, "ghost"])
+                for k in APPLY_KINDS
             ],
-            vsp={
-                int(vl.level): self._v_split_steps(comm, timer, vl, sp)
-                for vl, sp in zip(plan.v_levels, self.v_splits) if sp.bcast
-            },
+            vsp={lvl: self._v_split_steps(exch, lvl) for lvl in lay.vsp},
             buffers=buffers,
             up_region=partial,
         )
@@ -311,45 +334,30 @@ class RankFMM:
         return stages.compile(rank, overlap)
 
     def _v_split_steps(
-        self, comm: SimComm | None, timer: PhaseTimer | None, vl, sp
+        self, exch: ApplyExchange | None, lvl: int
     ) -> list[Step]:
         """The broadcast of one split level's downward-check rows.
 
-        ``post`` packs the rows of the boxes assigned to this rank;
-        ``wait`` runs the segmented broadcasts along the rank tree and
-        stores the other participants' rows.  Every participant
-        iterates the same ascending ``(level, box)`` schedule, so the
-        broadcasts match up deadlock-free.  At this point ``dc[:, bx]``
-        holds exactly the level's V contribution (L2L and X accumulate
-        later, own classes are empty at split levels), so the root's
-        rows can be assigned verbatim.
+        ``post`` posts the receives and, on the assigned rank, packs
+        and ships the rows; ``wait`` completes, forwards along the rank
+        tree and stores the other participants' rows.  At this point
+        ``dc[:, bx]`` holds exactly the level's V contribution (L2L and
+        X accumulate later, own classes are empty at split levels), so
+        the root's rows can be assigned verbatim.
         """
-        lvl = int(vl.level)
-        packed: dict[int, np.ndarray] = {}
+        name = f"vsp@{lvl}"
 
         def post(b) -> None:
-            with timer.phase("down_v"):
-                for bx, root, _ in sp.bcast:
-                    if comm.rank == root:
-                        # A copy: the payload travels by reference and
-                        # the downward sweep keeps writing these rows.
-                        packed[bx] = b["dc"][:, bx].copy()
-
-        def wait(b) -> None:
-            with timer.phase("down_v"):
-                for bx, root, parts in sp.bcast:
-                    out = comm.tree_bcast(
-                        packed.pop(bx, None), root, parts,
-                        tag=mk_tag("vsp", lvl, int(bx)), phase="v_split",
-                    )
-                    if comm.rank != root:
-                        b["dc"][:, bx] = out
+            exch.run(name, "post", timed="down_v")
+            exch.run(name, "relay", timed="down_v")
 
         return [
-            Step(f"post:vsp@{lvl}", "down_v", post, kind="post",
-                 stage="tree_bcast", reads=(f"dc@{lvl}",)),
-            Step(f"wait:vsp@{lvl}", "down_v", wait, kind="wait",
-                 stage="tree_bcast", writes=(f"dc@{lvl}",)),
+            Step(f"post:{name}", "down_v", post, kind="post",
+                 stage="ApplyExchange.run", reads=(f"dc@{lvl}",)),
+            Step(f"wait:{name}", "down_v",
+                 lambda b: exch.run(name, "wait", timed="down_v"),
+                 kind="wait", stage="ApplyExchange.run",
+                 writes=(f"dc@{lvl}",)),
         ]
 
     def apply(
@@ -410,10 +418,6 @@ class RankFMM:
             rec.register(f"rank{comm.rank}:ue", ue_rows)
             rec.write(ue_rows, "upward-partial")
             rec.register(f"rank{comm.rank}:ext_phi", ext_rows)
-        exch = ApplyExchange(
-            comm, self.layout, phi_rows, self.src_start, self.src_stop,
-            ue_rows, ext_rows, timer,
-        )
         live = {
             "phi": phi,
             "ue": ue_rows.reshape(nb, nrhs, n_surf * md),
@@ -422,9 +426,18 @@ class RankFMM:
             "de": pool.zeros("de", (nrhs, nb, n_surf * md)),
             "pot": pool.zeros("pot", (nrhs, nt, out_dof)),
         }
+        lay = self.layout
+        vsp = vsp_binding(live["dc"])
+        exch = ApplyExchange(comm, timer, {
+            "phi": (lay.phi, phi_binding(
+                phi_rows, self.src_start, self.src_stop,
+                ext_rows, lay.ext_start, lay.ext_stop,
+            )),
+            "pue": (lay.pue, pue_binding(ue_rows)),
+            **{f"vsp@{lvl}": (prog, vsp) for lvl, prog in lay.vsp.items()},
+        })
         run_steps(
-            self.compile(overlap, comm, exch, timer),
-            live, pool, nrhs, self.flops, timer,
+            self.compile(overlap, exch), live, pool, nrhs, self.flops, timer,
         )
         potential = unsort_potential(live["pot"], tree.trg_perm, single)
         if pool.sanitize:
@@ -494,30 +507,31 @@ def rank_setup(
     ext_stop[used] = stops
     ext_total = int(stops[-1]) if used.size else 0
 
-    # Setup-time geometry exchange (Algorithm 1 over positions).
-    src_boxes = np.nonzero(users_src.any(axis=0))[0]
-    ue_boxes = np.nonzero(users_equiv.any(axis=0))[0]
-    local_pts = {
-        int(b): tree.src_points(int(b))
-        for b in src_boxes
-        if contrib_src[me, b]
-    }
-    ghost_pts = exchange_source_geometry(
-        comm, src_boxes, contrib_src, users_src, owner, local_pts, timer=timer,
-        scheme=opts.comm,
+    # This rank's slice of each payload kind's program; positions and
+    # densities circulate under the same roles.
+    src_roles = box_roles(
+        np.nonzero(users_src.any(axis=0))[0], owner, contrib_src, users_src
     )
+    ue_roles = box_roles(
+        np.nonzero(users_equiv.any(axis=0))[0], owner, contrib_src,
+        users_equiv,
+    )
+
+    def my_program(kind: str, roles: Roles, scheme: str = opts.comm):
+        return compile_exchange(kind, roles, scheme, only=me)[me]
+
+    # Setup-time geometry exchange (Algorithm 1 over positions).
+    ghost_pts: dict[int, np.ndarray] = {}
+    geo = ApplyExchange(comm, timer, {"geo": (
+        my_program("geo", src_roles), geo_binding(tree.src_points, ghost_pts)
+    )})
+    for phase in PHASES:
+        geo.run("geo", phase)
     ext_points = np.empty((ext_total, 3))
     for b in used:
         ext_points[ext_start[b]:ext_stop[b]] = ghost_pts[int(b)]
 
-    layout = GhostLayout(
-        phi=build_exchange_plan("phi", me, src_boxes, contrib_src,
-                                users_src, owner, scheme=opts.comm),
-        pue=build_exchange_plan("pue", me, ue_boxes, contrib_src,
-                                users_equiv, owner, scheme=opts.comm),
-        ext_start=ext_start,
-        ext_stop=ext_stop,
-    )
+    vsp_programs: dict[int, Program] = {}
 
     with timer.phase("plan"):
         plan, near = compile_plan(
@@ -566,6 +580,11 @@ def rank_setup(
                     (bx, root_r, parts)
                     for bx, root_r, parts in schedule if me in parts
                 ]
+                if bcast:
+                    # The broadcast always runs the binomial shape.
+                    vsp_programs[int(vl.level)] = my_program(
+                        "vsp", vsp_roles(int(vl.level), schedule), "tree"
+                    )
                 assigned = np.fromiter(
                     (assigned_rank[int(bx)] == me for bx in vl.trg_boxes),
                     bool, vl.trg_boxes.size,
@@ -630,7 +649,13 @@ def rank_setup(
         cache=cache,
         fft=fft,
         plan=plan,
-        layout=layout,
+        layout=GhostLayout(
+            phi=my_program("phi", src_roles),
+            pue=my_program("pue", ue_roles),
+            vsp=vsp_programs,
+            ext_start=ext_start,
+            ext_stop=ext_stop,
+        ),
         ext_points=ext_points,
         u_own=u_own,
         u_ghost=u_ghost,

@@ -13,15 +13,13 @@ messages per call instead of the O(P) fan-in of a flat root-style
 reduce — the tree-top pattern the paper needs at thousands of ranks.
 Every internal message is a first-class traced/accounted send, so the
 commcheck/racecheck analyzers certify the collectives like any other
-traffic.  The segmented variants :meth:`SimComm.tree_reduce` /
-:meth:`SimComm.tree_bcast` run the same binomial pattern over an
-arbitrary rank *subset* rooted at a chosen rank (the owner of a box, in
-the exchange layer) without any global synchronisation.
+traffic.  The exchange layer (:mod:`repro.parallel.exchange`) lays the
+same binomial shape (:func:`tree_order` / :func:`tree_children`) over a
+rank *subset* rooted at a box's owner.
 
-The binomial association is fixed (``_combine_tree`` reproduces it
+The binomial association is fixed (:func:`combine_tree` reproduces it
 locally), so reduction results are bitwise independent of the thread
-schedule, and a flat code path that combines the same pieces with
-:func:`combine_tree` matches the message-passing path bit for bit.
+schedule.
 
 This is the DESIGN.md substitution for the paper's MPI/Quadrics stack:
 the algorithm exchanges real messages between ranks, only the transport
@@ -202,10 +200,6 @@ class CommStats:
     bcast_bytes: int = 0
     reduce_scatter_calls: int = 0
     reduce_scatter_bytes: int = 0
-    tree_reduce_calls: int = 0
-    tree_reduce_bytes: int = 0
-    tree_bcast_calls: int = 0
-    tree_bcast_bytes: int = 0
     #: Wall seconds this rank spent blocked waiting for messages (the
     #: receive side of :meth:`SimComm.recv` / :meth:`Request.wait`).
     #: Together with the ``pack``/``wait`` timer phases this makes
@@ -240,14 +234,6 @@ class CommStats:
         self.reduce_scatter_calls += 1
         self.reduce_scatter_bytes += nbytes
 
-    def record_tree_reduce(self, nbytes: int) -> None:
-        self.tree_reduce_calls += 1
-        self.tree_reduce_bytes += nbytes
-
-    def record_tree_bcast(self, nbytes: int) -> None:
-        self.tree_bcast_calls += 1
-        self.tree_bcast_bytes += nbytes
-
     #: Counter fields accumulated by :meth:`merge` — every integer/float
     #: counter above except the ``by_phase`` dict.  Enumerated once so a
     #: newly added collective counter cannot be silently dropped from
@@ -257,8 +243,6 @@ class CommStats:
         "bytes_received", "allreduce_calls", "allreduce_bytes",
         "bcast_calls", "bcast_bytes",
         "reduce_scatter_calls", "reduce_scatter_bytes",
-        "tree_reduce_calls", "tree_reduce_bytes",
-        "tree_bcast_calls", "tree_bcast_bytes",
         "recv_wait_seconds",
     )
 
@@ -371,10 +355,9 @@ def combine_tree(values: list, combine: Callable[[Any, Any], Any]):
     """Combine ``values`` (indexed by tree position) with the *exact*
     association of the binomial-tree message pattern.
 
-    ``None`` entries mark absent contributions and are skipped.  A flat
-    communication path that gathers the same pieces and folds them with
-    this helper is bitwise identical to the hierarchical path, which is
-    how the exchange layer keeps its two schemes interchangeable.
+    ``None`` entries mark absent contributions and are skipped.  The
+    exchange layer folds every gather node's slots with this helper,
+    which is how its two schemes stay bitwise interchangeable.
     """
     vals = list(values)
     n = len(vals)
@@ -739,82 +722,6 @@ class SimComm:
         if self._tracer is not None:
             self._coll_clock_sync("reduce_scatter")
         return out
-
-    def tree_reduce(
-        self,
-        value: Any,
-        root: int,
-        ranks: Iterable[int],
-        tag: Any,
-        combine: Callable[[Any, Any], Any] | None = None,
-        phase: str | None = None,
-    ) -> Any:
-        """Segmented binomial reduction over a rank *subset*.
-
-        Every rank in ``ranks`` (plus ``root``) calls this with its
-        contribution (``None`` for a participant with nothing to add —
-        e.g. a box owner that holds no local data); the combined value
-        is returned at ``root`` and ``None`` everywhere else.  The
-        association is the fixed binomial-tree order of
-        :func:`combine_tree`, so the result is bitwise identical to a
-        flat gather folded with that helper.
-
-        This is deliberately *not* a global collective: participation
-        is data dependent (keyed by box owner in the exchange layer),
-        so no collective trace events are emitted — the internal
-        messages are ordinary traced sends on the caller's ``tag``.
-        Callers must invoke per-key reductions in the same key order on
-        every participant (the exchange iterates boxes ascending).
-        """
-        order = tree_order(ranks, root)
-        n = len(order)
-        pos = order.index(self.rank)  # ValueError for a non-participant
-        if combine is None:
-            combine = _ALLREDUCE_OPS["sum"]
-        self.stats.record_tree_reduce(0)
-        acc = value
-        mask = 1
-        while mask < n:
-            if pos & mask:
-                self.stats.tree_reduce_bytes += _payload_bytes(acc)
-                self.send(order[pos - mask], acc, tag=tag, phase=phase)
-                return None
-            child = pos + mask
-            if child < n:
-                piece = self.recv(order[child], tag=tag, phase=phase)
-                if acc is None:
-                    acc = piece
-                elif piece is not None:
-                    acc = combine(acc, piece)
-            mask <<= 1
-        return acc
-
-    def tree_bcast(
-        self,
-        value: Any,
-        root: int,
-        ranks: Iterable[int],
-        tag: Any,
-        phase: str | None = None,
-    ) -> Any:
-        """Segmented binomial broadcast over a rank subset (see
-        :meth:`tree_reduce` for the participation contract).
-
-        Interior participants forward the payload *by reference*, so
-        the returned object must be treated as read-only on every rank
-        except ``root``.
-        """
-        order = tree_order(ranks, root)
-        n = len(order)
-        pos = order.index(self.rank)  # ValueError for a non-participant
-        if pos != 0:
-            value = self.recv(order[tree_parent(pos)], tag=tag, phase=phase)
-        self.stats.record_tree_bcast(
-            _payload_bytes(value) if pos == 0 else 0
-        )
-        for child in reversed(tree_children(pos, n)):
-            self.send(order[child], value, tag=tag, phase=phase)
-        return value
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per rank, everywhere."""

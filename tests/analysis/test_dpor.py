@@ -95,6 +95,12 @@ class TestCLI:
     def test_empty_schemes_exits_2(self):
         assert cli_main(["dpor", "--schemes", ""]) == 2
 
+    def test_unknown_scheme_exits_2(self, capsys):
+        assert cli_main(["dpor", "--schemes", "bogus"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown comm scheme 'bogus'" in out
+        assert "tree, flat" in out
+
     def test_nonpositive_n_exits_2(self, capsys):
         assert cli_main(["dpor", "--n", "0"]) == 2
         assert "positive point count" in capsys.readouterr().out

@@ -8,26 +8,63 @@ so its gather, reduction and scatter can be checked value by value.
 
 import numpy as np
 
+from repro.analysis.commir import CommIR, role_table
 from repro.parallel.exchange import (
+    PHASES,
     ApplyExchange,
-    GhostLayout,
-    build_exchange_plan,
+    box_roles,
+    compile_exchange,
+    phi_binding,
+    pue_binding,
 )
 from repro.parallel.simmpi import run_spmd
 from repro.util.timing import PhaseTimer
+
+
+KINDS = ("phi", "pue")
+
+
+def _roles(kind, contrib, users_src, users_equiv, owner):
+    """As in ``rank_setup``, only boxes some rank uses circulate."""
+    users = users_src if kind == "phi" else users_equiv
+    boxes = np.flatnonzero(users.any(axis=0))
+    return box_roles(boxes, owner, contrib, users)
+
+
+def exchange_ir(contrib, users_src, users_equiv, owner, scheme="tree"):
+    """The static schedule of the round :func:`run_exchange` runs:
+    every rank's compiled programs, phase by phase over both kinds."""
+    nranks = contrib.shape[0]
+    roles = {
+        kind: _roles(kind, contrib, users_src, users_equiv, owner)
+        for kind in KINDS
+    }
+    compiled = {
+        kind: compile_exchange(kind, roles[kind], scheme) for kind in KINDS
+    }
+    return CommIR(
+        nranks=nranks,
+        programs=[
+            [op for phase in PHASES for kind in KINDS
+             for op in getattr(compiled[kind][rank], phase)
+             if op.tag is not None]
+            for rank in range(nranks)
+        ],
+        roles={kind: role_table(roles[kind]) for kind in KINDS},
+        meta={"scheme": scheme},
+    )
 
 
 def run_exchange(
     contrib, users_src, users_equiv, owner, pieces, partials,
     scheme="tree", **spmd,
 ):
-    """One start/relay/finish round (both payload kinds) on every rank.
+    """One post/relay/wait round (both payload kinds) on every rank.
 
     ``pieces[r][b]`` are the density rows rank ``r`` contributes to box
     ``b`` (the ``phi`` kind: concatenated at the owner) and
     ``partials[r]`` its ``(nboxes, width)`` partial equivalent densities
-    (the ``pue`` kind: summed).  As in ``rank_setup``, only boxes some
-    rank uses circulate.  Returns per rank ``(ghost, equiv)``: the
+    (the ``pue`` kind: summed).  Returns per rank ``(ghost, equiv)``: the
     combined rows / the global density of every box that rank uses.
     """
     nranks, nboxes = contrib.shape
@@ -39,6 +76,10 @@ def run_exchange(
         [len(pieces[r].get(b, ())) for b in boxes]
         for r in range(nranks)
     ]).reshape(nranks, nboxes)
+    roles = {
+        kind: _roles(kind, contrib, users_src, users_equiv, owner)
+        for kind in KINDS
+    }
 
     def main(comm):
         me = comm.rank
@@ -53,25 +94,22 @@ def run_exchange(
         ext_start = ext_stop - ext_size
         ext_phi = np.full((int(ext_size.sum()), width), np.nan)
         ue = partials[me].copy()
-        layout = GhostLayout(
-            phi=build_exchange_plan(
-                "phi", me, boxes[users_src.any(axis=0)], contrib,
-                users_src, owner, scheme=scheme,
+        bindings = {
+            "phi": phi_binding(
+                phi_sorted, src_start, src_stop, ext_phi, ext_start, ext_stop
             ),
-            pue=build_exchange_plan(
-                "pue", me, boxes[users_equiv.any(axis=0)], contrib,
-                users_equiv, owner, scheme=scheme,
-            ),
-            ext_start=ext_start,
-            ext_stop=ext_stop,
-        )
-        exch = ApplyExchange(
-            comm, layout, phi_sorted, src_start, src_stop, ue, ext_phi,
-            PhaseTimer(),
-        )
-        for call in (exch.start, exch.relay, exch.finish):
-            for kind in ("phi", "pue"):
-                call(kind)
+            "pue": pue_binding(ue),
+        }
+        exch = ApplyExchange(comm, PhaseTimer(), {
+            kind: (
+                compile_exchange(kind, roles[kind], scheme, only=me)[me],
+                bindings[kind],
+            )
+            for kind in KINDS
+        })
+        for phase in PHASES:
+            for kind in KINDS:
+                exch.run(kind, phase)
         ghost = {
             int(b): ext_phi[ext_start[b]:ext_stop[b]].copy()
             for b in boxes if users_src[me, b]

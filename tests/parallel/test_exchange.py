@@ -1,10 +1,31 @@
 """Algorithm 1 gather/scatter tests on synthetic data (ApplyExchange)."""
 
+import copy
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.parallel.exchange import EXCHANGE_SCHEMES
+from repro.analysis import CommTrace
+from repro.analysis.commcheck_static import (
+    check_deadlock,
+    run_checks,
+    trace_protocol_events,
+)
+from repro.parallel.exchange import (
+    EXCHANGE_SCHEMES,
+    compile_exchange,
+    fold_slots,
+    tree_edges,
+)
+from repro.parallel.simmpi import combine_tree, tree_order
 
-from tests.parallel.exchange_harness import flatten, run_exchange
+from tests.parallel.exchange_harness import (
+    exchange_ir,
+    flatten,
+    run_exchange,
+)
 
 
 def test_source_data_gather_scatter():
@@ -80,3 +101,132 @@ def test_empty_exchange():
     )
     assert results == [({}, {}), ({}, {})]
     assert flatten(results) == []
+
+
+# -- the compiled program: certified, run, and traced --------------------
+
+
+@st.composite
+def role_matrices(draw):
+    """Random roles: up to 12 ranks and 6 boxes; every box has a
+    contributor and a user, and an owner that need be neither."""
+    nranks = draw(st.integers(1, 12))
+    nboxes = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    contrib = rng.random((nranks, nboxes)) < 0.4
+    users = rng.random((nranks, nboxes)) < 0.4
+    cols = np.arange(nboxes)
+    contrib[rng.integers(0, nranks, nboxes), cols] = True
+    users[rng.integers(0, nranks, nboxes), cols] = True
+    return contrib, users, rng.integers(0, nranks, nboxes), rng
+
+
+@settings(max_examples=25, deadline=None)
+@given(role_matrices())
+def test_compiled_program_is_certified_run_and_traced(case):
+    contrib, users, owner, rng = case
+    nranks, nboxes = contrib.shape
+    pieces = [
+        {b: rng.standard_normal((int(rng.integers(1, 4)), 2))
+         for b in range(nboxes) if contrib[r, b]}
+        for r in range(nranks)
+    ]
+    partials = rng.standard_normal((nranks, nboxes, 5))
+    results = {}
+    irs = {
+        scheme: exchange_ir(contrib, users, users, owner, scheme)
+        for scheme in EXCHANGE_SCHEMES
+    }
+    for scheme, ir in irs.items():
+        other = irs["flat" if scheme == "tree" else "tree"]
+        trace = CommTrace()
+        results[scheme] = run_exchange(
+            contrib, users, users, owner, pieces, partials, scheme,
+            trace=trace,
+        )
+        # matching, tags, deadlock, conservation — and the traced
+        # send/post/complete sequence of every rank IS its program.
+        report = run_checks(ir, reference=other, traces=(trace,))
+        assert report.ok, [str(f) for f in report.findings[:5]]
+        for rank in range(nranks):
+            assert trace_protocol_events(trace, rank) == [
+                (op.kind, op.peer, op.tag) for op in ir.programs[rank]
+            ]
+    assert flatten(results["tree"]) == flatten(results["flat"])
+    for b in range(nboxes):
+        order = tree_order(np.flatnonzero(contrib[:, b]), owner[b])
+        held = [r for r in order if contrib[r, b]]
+        rows = np.vstack([pieces[r][b] for r in held])
+        total = combine_tree(
+            [partials[r][b] if contrib[r, b] else None for r in order],
+            lambda a, c: a + c,
+        )
+        for r in np.flatnonzero(users[:, b]):
+            ghost, equiv = results["tree"][r]
+            assert ghost[b].tobytes() == rows.tobytes()
+            assert equiv[b].tobytes() == total.tobytes()
+
+
+def test_mutually_interior_gather_nodes_do_not_deadlock():
+    """Ranks 0 and 2 each own a box in which the other is an interior
+    gather node (position 2 of 4, with its own child): each waits for
+    the other's forward.  Waiting all of a rank's nodes before
+    forwarding any is a cycle; per node in box order is not."""
+    contrib = np.ones((4, 2), dtype=bool)
+    users = np.eye(4, 2, dtype=bool)
+    owner = np.array([0, 2])
+    none = np.zeros_like(users)
+    ir = exchange_ir(contrib, none, users, owner, "tree")
+    for rank, box in ((2, 0), (0, 1)):
+        assert [
+            (op.kind, op.note) for op in ir.programs[rank]
+            if op.ids == (box,) and op.kind != "post"
+        ] == [("complete", ""), ("send", "relay")]
+    assert check_deadlock(ir) == []
+    # The same ops with every wait hoisted before every forward: stuck.
+    hoisted = copy.deepcopy(ir)
+    for prog in hoisted.programs:
+        prog.sort(key=lambda op: op.kind == "send" and op.note != "inject")
+    assert [f.check for f in check_deadlock(hoisted)] == ["deadlock"]
+
+    partials = np.random.default_rng(5).standard_normal((4, 2, 3))
+    reference = None
+    for seed in range(10):
+        got = flatten(run_exchange(
+            contrib, none, users, owner, [{}] * 4, partials, "tree",
+            schedule_seed=seed, recv_timeout=20.0,
+        ))
+        assert got == (reference := reference or got)
+
+
+@pytest.mark.parametrize("scheme", EXCHANGE_SCHEMES)
+def test_fold_rule_is_combine_tree_over_all_pieces(scheme, rng):
+    """Slots + combine_tree at every node == combine_tree over all
+    pieces: the same association (checked symbolically) and the same
+    bits, with any pieces absent."""
+    for n in range(1, 41):
+        present = rng.random(n) < 0.7
+        for pieces, combine in (
+            ([str(i) if present[i] else None for i in range(n)],
+             lambda a, c: f"({a}+{c})"),
+            ([rng.standard_normal(3) if present[i] else None
+              for i in range(n)],
+             lambda a, c: a + c),
+        ):
+            def fold(pos):
+                _, kids = tree_edges(scheme, pos, n)
+                return fold_slots(
+                    pieces[pos], {c - pos: fold(c) for c in kids}, combine
+                )
+
+            want, got = combine_tree(pieces, combine), fold(0)
+            if isinstance(want, np.ndarray):
+                want, got = want.tobytes(), got.tobytes()
+            assert got == want, (scheme, n)
+
+
+@pytest.mark.parametrize("kind", ["phi", "pue"])
+def test_circulating_box_without_contributor_is_rejected(kind):
+    roles = [((7,), 0, [], [0, 1])]
+    with pytest.raises(ValueError, match=rf"{kind} box \(7,\).*contributor"):
+        compile_exchange(kind, roles, "tree")

@@ -190,64 +190,6 @@ class TestCollectives:
         with pytest.raises(ValueError, match="one row per rank"):
             run_spmd(3, main)
 
-    @pytest.mark.parametrize("nranks,root", [(1, 0), (4, 2), (7, 5)])
-    def test_tree_reduce_and_bcast_subset(self, nranks, root):
-        from repro.parallel.simmpi import combine_tree
-
-        def main(comm):
-            parts = [r for r in range(comm.size) if r != 1 or comm.size < 3]
-            if comm.rank not in parts and comm.rank != root:
-                return None
-            mine = np.full(2, float(comm.rank + 1))
-            total = comm.tree_reduce(mine, root, parts, tag="tr")
-            got = comm.tree_bcast(total, root, parts, tag="tb")
-            return np.array(got)
-
-        results = run_spmd(nranks, main)
-        parts = sorted({r for r in range(nranks) if r != 1 or nranks < 3} | {root})
-        expected = combine_tree(
-            [np.full(2, float(r + 1)) for r in parts], lambda a, b: a + b
-        )
-        for r in range(nranks):
-            if r in parts:
-                assert np.array_equal(results[r], expected)
-            else:
-                assert results[r] is None
-
-    def test_tree_reduce_matches_combine_tree_bitwise(self):
-        """The message-passing reduction and the local simulation use
-        the identical association — bit-for-bit, not just to roundoff."""
-        from repro.parallel.simmpi import combine_tree, tree_order
-
-        root = 3
-        parts = [0, 2, 3, 4, 6]
-
-        def main(comm):
-            if comm.rank not in parts:
-                return None
-            rng = np.random.default_rng(comm.rank)
-            mine = rng.standard_normal(5)
-            return comm.tree_reduce(mine, root, parts, tag="x")
-
-        results = run_spmd(7, main)
-        pieces = [
-            np.random.default_rng(r).standard_normal(5)
-            for r in tree_order(parts, root)
-        ]
-        expected = combine_tree(pieces, lambda a, b: a + b)
-        assert np.array_equal(results[root], expected)
-        assert all(results[r] is None for r in parts if r != root)
-
-    def test_tree_reduce_none_contribution(self):
-        """A root that holds no local piece still collects the total."""
-
-        def main(comm):
-            mine = None if comm.rank == 0 else np.array([float(comm.rank)])
-            return comm.tree_reduce(mine, 0, range(comm.size), tag="n")
-
-        results = run_spmd(4, main)
-        assert results[0] == np.array([6.0])
-
 
 class TestRunner:
     def test_single_rank(self):
