@@ -12,7 +12,10 @@ two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
 split and its broadcasts.  Each cell records the sha256 of the
 ``nrhs = 1`` potential, the sequential cells also the per-phase flop
 counts; ``--npz`` stores the ``nrhs = 8`` potentials so ``--against``
-can report the largest relative difference.  ``--against`` gives its
+can report the largest relative difference.  Every run also checks the
+invariant of the one driver — the sequential operator is the one-rank
+operator, so each ``seq`` cell has the hash of the ``p1`` cell of its
+row — and exits 1 if it does not hold.  ``--against`` gives its
 verdict per M2L column (an ``auto`` cell is filed under the backend
 whose cell it equals bit for bit), so a change that means to alter one
 backend's arithmetic shows which columns it left alone; any difference
@@ -125,6 +128,15 @@ def main() -> None:
         json.dump(cells, fh, indent=1, sort_keys=True)
     if args.npz:
         np.savez_compressed(args.npz, **blocks)
+    broken = [
+        k for k in cells if k.endswith("/seq")
+        and cells[k]["sha256"] != cells[k[:-3] + "p1"]["sha256"]
+    ]
+    print(f"seq == p1 in {len(cells) // len(CONFIGS) - len(broken)}/"
+          f"{len(cells) // len(CONFIGS)} rows")
+    for k in broken:
+        print("  SEQ != P1", k)
+    failed = bool(broken)
     if args.against:
         with open(args.against[0]) as fh:
             other = json.load(fh)
@@ -148,7 +160,8 @@ def main() -> None:
                   f"difference {max(rel[k] for k in keys):.3e}")
         for k in differ:
             print("  DIFFERS", k)
-        raise SystemExit(1 if differ or worst > 1e-13 else 0)
+        failed = failed or bool(differ) or worst > 1e-13
+    raise SystemExit(1 if failed else 0)
 
 
 if __name__ == "__main__":

@@ -48,11 +48,9 @@ from repro.analysis.trace import CommTrace, TraceEvent, payload_digest
 # resolve lazily (PEP 562) to keep the import graph acyclic.
 _PLAN_EXPORTS = {
     "PlanIR": "planir",
-    "extract_plan_ir": "planir",
     "extract_rank_ir": "planir",
     "PlanReport": "plancheck",
     "certify_parallel": "plancheck",
-    "certify_sequential": "plancheck",
     "run_checks": "plancheck",
     "run_selftests": "plancheck",
     "CommIR": "commir",
@@ -93,11 +91,9 @@ __all__ = [
     "SanitizerError",
     "TraceEvent",
     "certify_parallel",
-    "certify_sequential",
     "check_trace",
     "compare_traces",
     "extract_comm_ir",
-    "extract_plan_ir",
     "extract_rank_ir",
     "static_plan_inputs",
     "payload_digest",

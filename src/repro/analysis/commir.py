@@ -54,7 +54,7 @@ import numpy as np
 from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import coarse_split_levels
 from repro.octree.lists import InteractionLists, build_lists
-from repro.octree.tree import Octree, build_tree
+from repro.octree.tree import Octree, _root_cube, build_tree
 from repro.parallel.exchange import (
     CommOp,
     Roles,
@@ -64,7 +64,6 @@ from repro.parallel.exchange import (
 from repro.parallel.owners import assign_owners, static_contributors
 from repro.parallel.partition import partition_points
 from repro.parallel.pfmm import (
-    _global_root,
     exchange_schedule,
     v_split_bcast_schedule,
     vsp_roles,
@@ -220,7 +219,7 @@ def static_plan_inputs(
         raise ValueError(f"nranks must be >= 1, got {nranks}")
     if points.shape[0] == 0:
         raise ValueError("cannot extract a schedule for zero points")
-    corner, side = _global_root(points)
+    corner, side = _root_cube(points)
     parts = partition_points(points, nranks)
     tree = build_tree(
         points,

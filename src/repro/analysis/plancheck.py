@@ -56,11 +56,10 @@ from repro.analysis.planir import (
     FLOP_PHASES,
     PlanIR,
     StageNode,
-    extract_plan_ir,
     extract_rank_ir,
     rebuild_deps,
 )
-from repro.core.fmm import FMMOptions, KIFMM
+from repro.core.fmm import FMMOptions
 from repro.perfmodel.costs import compute_work
 
 CHECKS = ("dataflow", "types", "schedule", "flops")
@@ -296,86 +295,26 @@ def run_checks(
 
 # ---------------------------------------------------------------------------
 # Certification entry points: build real setups (never an apply) and
-# verify their extracted IR against the performance model.
+# verify their extracted IR against the performance model.  The
+# sequential operator is certified as its one-rank state.
 # ---------------------------------------------------------------------------
 
 
-def sequential_ir(fmm: KIFMM, nrhs: int = 1) -> tuple[PlanIR, dict[str, float]]:
-    """IR + expected work volumes of an already-set-up sequential operator.
-
-    Split out from :func:`certify_sequential` so a certification sweep
-    can reuse one setup across the ``nrhs`` axis of its matrix.
-    """
-    if fmm._plan is None:
-        raise ValueError("configuration does not produce a batched plan")
-    opts = fmm.options
-    sched = fmm.m2l_schedule
-    ir = extract_plan_ir(
-        fmm._plan, fmm.kernel, fmm.cache, m2l_mode=sched, nrhs=nrhs,
-    )
-    expected = compute_work(
-        fmm.tree, fmm.lists, fmm.kernel, opts.p, m2l=sched, nrhs=nrhs,
-        rsvd_rank=fmm.cache.m2l_rsvd_rank,
-    ).totals()
-    return ir, expected
-
-
-def certify_sequential(
-    kernel,
-    points: np.ndarray,
-    opts: FMMOptions,
-    *,
-    nrhs: int = 1,
-    name: str = "sequential",
-) -> PlanReport:
-    """Certify the sequential batched plan for one configuration."""
-    ir, expected = sequential_ir(KIFMM(kernel, opts).setup(points), nrhs)
-    return run_checks(ir, expected, name=name)
-
-
 def rank_states(
-    kernel,
-    points: np.ndarray,
-    opts: FMMOptions,
-    nranks: int,
-    *,
-    cache=None,
-    fft=None,
+    kernel, points: np.ndarray, opts: FMMOptions, nranks: int, *, cache=None
 ) -> list:
-    """Every rank's persistent state (setup only — no apply, no density).
+    """Every rank's persistent state (setup only — no apply, no density),
+    set up exactly as a real parallel run would."""
+    from repro.parallel.pfmm import ParallelFMM
 
-    Runs :func:`~repro.parallel.pfmm.rank_setup` under the simulated
-    SPMD runtime exactly as a real parallel run would.
-    """
-    from repro.core.fftm2l import FFTM2L
-    from repro.core.precompute import OperatorCache
-    from repro.parallel.partition import partition_points
-    from repro.parallel.pfmm import _global_root, rank_setup
-    from repro.parallel.simmpi import PerRank, run_spmd
-
-    corner, side = _global_root(points)
-    if cache is None:
-        cache = OperatorCache(
-            kernel, opts.p, side,
-            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
-        )
-    if fft is None and opts.m2l in ("fft", "auto"):
-        fft = FFTM2L(cache)
-    parts = partition_points(points, nranks)
-
-    def rank_main(comm, idx):
-        return rank_setup(
-            comm, kernel, points[idx], opts,
-            root=(corner, side), cache=cache, fft=fft,
-        )
-
-    return run_spmd(nranks, rank_main, PerRank(parts))
+    return ParallelFMM(nranks, kernel, opts).setup(points, cache=cache).states
 
 
 def rank_ir(
     state, nrhs: int = 1, overlap: bool = True
 ) -> tuple[PlanIR, dict[str, float]]:
-    """One rank's IR and expected work volumes.
+    """One rank's IR and expected work volumes (``KIFMM.state`` is the
+    one rank of the sequential operator).
 
     The expected volumes gate the rank's downward partners by *global*
     source counts and its partial upward pass by its *local* counts —
@@ -401,26 +340,6 @@ def rank_ir(
     return ir, expected
 
 
-def rank_irs(
-    kernel,
-    points: np.ndarray,
-    opts: FMMOptions,
-    nranks: int,
-    *,
-    nrhs: int = 1,
-    overlap: bool = True,
-    cache=None,
-    fft=None,
-) -> list[tuple[PlanIR, dict[str, float]]]:
-    """Setup plus per-rank IR extraction in one call (see the parts)."""
-    return [
-        rank_ir(state, nrhs=nrhs, overlap=overlap)
-        for state in rank_states(
-            kernel, points, opts, nranks, cache=cache, fft=fft,
-        )
-    ]
-
-
 def certify_parallel(
     kernel,
     points: np.ndarray,
@@ -431,16 +350,13 @@ def certify_parallel(
     overlap: bool = True,
     name: str = "parallel",
     cache=None,
-    fft=None,
 ) -> list[PlanReport]:
     """Certify every rank's LET-local plan plus overlap schedule."""
     return [
-        run_checks(ir, expected, name=f"{name}:rank{r}")
-        for r, (ir, expected) in enumerate(
-            rank_irs(
-                kernel, points, opts, nranks,
-                nrhs=nrhs, overlap=overlap, cache=cache, fft=fft,
-            )
+        run_checks(*rank_ir(state, nrhs=nrhs, overlap=overlap),
+                   name=f"{name}:rank{r}")
+        for r, state in enumerate(
+            rank_states(kernel, points, opts, nranks, cache=cache)
         )
     ]
 

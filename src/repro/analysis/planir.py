@@ -1,26 +1,27 @@
-"""Plan IR: compiled applies as a static dataflow graph.
+"""Plan IR: a compiled apply as a static dataflow graph.
 
-The planned evaluators (:func:`repro.core.evaluator.evaluate_planned`
-and :meth:`repro.parallel.pfmm.RankFMM.apply`) run a *fixed* sequence of
-steps over precompiled index arrays — the program is data, so it can be
-verified without being run.  The program is the step list of
-:mod:`repro.core.steps`: each step already declares which buffer
+The planned apply (:meth:`repro.parallel.pfmm.RankFMM.apply`, for
+:class:`~repro.core.fmm.KIFMM` and for every rank) runs a *fixed*
+sequence of steps over precompiled index arrays — the program is data,
+so it can be verified without being run.  The program is the step list
+of :mod:`repro.core.steps`: each step already declares which buffer
 *regions* it reads, writes and releases, the dtype of the values it
-produces and its flop count per right-hand side.  The two extractors
-here compile that list exactly as the drivers do and copy each
-declaration into a :class:`StageNode`; they know no stage, no order and
-no flop formula of their own.
+produces and its flop count per right-hand side.
+:func:`extract_rank_ir` compiles that list exactly as the driver does
+and copies each declaration into a :class:`StageNode`; it knows no
+stage, no order and no flop formula of its own.
 
 Regions are level-granular slices of the apply-time buffers, named
-``family@level`` (``"ue@3"``, ``"dc@2"``) or, on the parallel path,
-``family:split`` for the exchange-defined parts (``"ue:own"``,
-``"ue:ghost"``, ``"ext_phi:ghost"``); ``"phi"`` and ``"pot"`` are the
-sorted input densities and output potentials.  Communication appears as
-explicit ``post``/``relay``/``wait`` nodes, so the overlap schedule —
-which reads may run before the scatter wait — is part of the graph.
+``family@level`` (``"ue@3"``, ``"dc@2"``) or ``family:split`` for the
+parts the exchange delivers (``"ue:own"``, ``"ue:ghost"``,
+``"phi:ghost"``); ``"phi"`` and ``"pot"`` are the sorted input
+densities and output potentials.  Communication appears as explicit
+``post``/``relay``/``wait`` nodes, so the overlap schedule — which
+reads may run before the scatter wait — is part of the graph; at one
+rank those nodes deliver nothing.
 
 The checks themselves live in :mod:`repro.analysis.plancheck`; this
-module only defines the IR and the two extractors, plus
+module only defines the IR and the extractor, plus
 :func:`rebuild_deps`, which recomputes the dependency edges from node
 order and the read/write sets (used after seeding defects for the
 verifier's self-tests).
@@ -30,13 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.evaluator import PlanStages, resolve_kernels
-from repro.core.fftm2l import FFTM2L
-from repro.core.m2lschedule import M2LSchedule, as_schedule, v_stats_from_plan
-from repro.core.plan import ExecutionPlan
-from repro.core.precompute import OperatorCache
-from repro.core.steps import BufferSpec, StepList
-from repro.kernels.base import Kernel
+from repro.core.steps import BufferSpec
 
 #: Flop phases compared against the performance model (the evaluator's
 #: FlopCounter phases; ``exchange``/``io`` nodes carry no flops).
@@ -83,8 +78,7 @@ class PlanIR:
 
     buffers: dict[str, BufferSpec]
     nodes: list[StageNode]
-    #: Regions legitimately written but never read (the output potential
-    #: and, sequentially, the root upward density nothing consumes).
+    #: Regions legitimately written but never read (the output potential).
     live_out: frozenset[str]
     meta: dict = field(default_factory=dict)
 
@@ -127,12 +121,31 @@ def rebuild_deps(ir: PlanIR) -> PlanIR:
     return ir
 
 
-def _program_ir(program: StepList, nrhs: int, meta: dict) -> PlanIR:
-    """Copy a compiled step list into the IR, one node per step.
+def extract_rank_ir(state, *, nrhs: int = 1, overlap: bool = True) -> PlanIR:
+    """The dataflow IR of one rank's LET-local plan plus its exchange.
 
-    The sorted densities enter through an ``input`` node and the
-    potentials leave through an ``output`` node — the drivers' prologue
-    and epilogue, which are not steps.
+    Compiled by the :meth:`~repro.parallel.pfmm.RankFMM.compile` call
+    :meth:`~repro.parallel.pfmm.RankFMM.apply` makes, so the per-phase
+    flop totals of the returned IR are bit-identical to the counter of
+    a real apply (asserted by ``tests/analysis/test_plancheck.py``):
+    upward pass, ``post``/``relay`` of both exchange kinds, the
+    owned-data passes (U/W/V over owner-relayed data), the scatter
+    ``wait`` — *after* the owned passes when ``overlap`` is on, before
+    them otherwise — then the ghost passes and the downward sweep.
+    Exchange-delivered data lives in the split regions ``"ue:own"`` /
+    ``"ue:ghost"`` / ``"phi:own"`` / ``"phi:ghost"``, written by the
+    ``relay``/``wait`` nodes; every compute read of those regions must
+    be ordered after its communication writer, which is precisely the
+    happens-before condition the schedule check certifies.
+    rsvd-scheduled levels record the factor precision as the node
+    dtype, with ``narrowing=True`` for the declared float32
+    mixed-precision mode (accumulation stays float64, so the ``dc``
+    buffers keep their dtype).  ``state`` is any rank's
+    :class:`~repro.parallel.pfmm.RankFMM` — ``KIFMM.state`` for the
+    sequential operator.  One node per step; the sorted densities enter
+    through an ``input`` node and the potentials leave through an
+    ``output`` node — the driver's prologue and epilogue, which are not
+    steps.
     """
     def io(name, kind, reads=(), writes=()) -> StageNode:
         return StageNode(
@@ -141,6 +154,8 @@ def _program_ir(program: StepList, nrhs: int, meta: dict) -> PlanIR:
             dtype="float64",
         )
 
+    program = state.compile(overlap)
+    sched, kernel = state.m2l_schedule, state.kernel
     nodes = [io("input", "input", writes=("phi",))]
     nodes += [
         StageNode(
@@ -152,76 +167,13 @@ def _program_ir(program: StepList, nrhs: int, meta: dict) -> PlanIR:
         for step in program.steps
     ]
     nodes.append(io("output", "output", reads=("pot",)))
-    return rebuild_deps(
-        PlanIR(
-            buffers=dict(program.buffers), nodes=nodes,
-            live_out=program.live_out, meta=meta,
-        )
-    )
-
-
-def extract_plan_ir(
-    plan: ExecutionPlan,
-    kernel: Kernel,
-    cache: OperatorCache,
-    *,
-    m2l_mode: str | M2LSchedule = "fft",
-    nrhs: int = 1,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-) -> PlanIR:
-    """The dataflow IR of one sequential execution plan.
-
-    Compiled by the :meth:`~repro.core.evaluator.PlanStages.compile`
-    call :func:`~repro.core.evaluator.evaluate_planned` makes, so the
-    per-phase flop totals of the returned IR are bit-identical to the
-    counter of a real apply (asserted by
-    ``tests/analysis/test_plancheck.py``).  ``m2l_mode`` accepts a mode
-    string or a resolved :class:`~repro.core.m2lschedule.M2LSchedule`;
-    rsvd-scheduled levels record the factor precision as the node
-    dtype, with ``narrowing=True`` for the declared float32
-    mixed-precision mode (accumulation stays float64, so the ``dc``
-    buffers keep their dtype).
-    """
-    sched = as_schedule(
-        m2l_mode, stats=v_stats_from_plan(plan), cache=cache, kernel=kernel
-    )
-    stages = PlanStages(
-        plan, kernel, cache,
-        resolve_kernels(kernel, source_kernel, target_kernel, direct_kernel),
-        sched, FFTM2L(cache) if sched.needs_fft else None,
-        plan.sources_sorted,
-    )
-    return _program_ir(stages.compile(), nrhs, {
-        "mode": "sequential", "kernel": type(kernel).__name__,
-        "p": cache.p, "depth": plan.depth, "m2l": sched.mode,
-        "m2l_schedule": sched.describe(),
-        "nrhs": nrhs, "n_surf": cache.n_surf,
-        "md": kernel.source_dof, "qd": kernel.target_dof,
-    })
-
-
-def extract_rank_ir(state, *, nrhs: int = 1, overlap: bool = True) -> PlanIR:
-    """The dataflow IR of one rank's LET-local plan plus its exchange.
-
-    Compiled by the :meth:`~repro.parallel.pfmm.RankFMM.compile` call
-    :meth:`~repro.parallel.pfmm.RankFMM.apply` makes: partial upward
-    pass, ``post``/``relay`` of both exchange kinds, the owned-data
-    passes (U/W/V over owner-relayed data), the scatter ``wait`` —
-    *after* the owned passes when ``overlap`` is on, before them
-    otherwise — then the ghost passes and the downward sweep.
-    Exchange-delivered data lives in the split regions ``"ue:own"`` /
-    ``"ue:ghost"`` / ``"ext_phi:own"`` / ``"ext_phi:ghost"``, written by
-    the ``relay``/``wait`` nodes; every compute read of those regions
-    must be ordered after its communication writer, which is precisely
-    the happens-before condition the schedule check certifies.
-    """
-    sched, kernel = state.m2l_schedule, state.kernel
-    return _program_ir(state.compile(overlap), nrhs, {
-        "mode": "parallel", "kernel": type(kernel).__name__,
-        "p": state.cache.p, "depth": state.plan.depth, "m2l": sched.mode,
-        "m2l_schedule": sched.describe(),
-        "nrhs": nrhs, "overlap": overlap, "n_surf": state.cache.n_surf,
-        "md": kernel.source_dof, "qd": kernel.target_dof,
-    })
+    return rebuild_deps(PlanIR(
+        buffers=dict(program.buffers), nodes=nodes, live_out=program.live_out,
+        meta={
+            "kernel": type(kernel).__name__,
+            "p": state.cache.p, "depth": state.plan.depth, "m2l": sched.mode,
+            "m2l_schedule": sched.describe(),
+            "nrhs": nrhs, "overlap": overlap, "n_surf": state.cache.n_surf,
+            "md": kernel.source_dof, "qd": kernel.target_dof,
+        },
+    ))

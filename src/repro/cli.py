@@ -454,11 +454,9 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
         rank_states,
         run_checks,
         run_selftests,
-        sequential_ir,
     )
-    from repro.core.fftm2l import FFTM2L
     from repro.core.precompute import OperatorCache
-    from repro.parallel.pfmm import _global_root
+    from repro.octree.tree import _root_cube
 
     rng = np.random.default_rng(args.seed)
     pts = _WORKLOADS[args.workload](args.n, rng)
@@ -485,21 +483,21 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
 
     for kname in kernels:
         kernel = _make_kernel(kname)
-        corner, side = _global_root(pts)
+        corner, side = _root_cube(pts)
         # One operator cache per kernel: every backend's operators
         # (pseudoinverses, dense/rsvd translations, FFT tensors) are
         # keyed independently, so all configurations can share it.
         shared_cache = OperatorCache(kernel, args.p, side)
-        shared_fft = FFTM2L(shared_cache)
         for m2l, dtype in (("fft", "float64"), ("dense", "float64"),
                            ("rsvd", "float64"), ("rsvd", "float32"),
                            ("auto", "float64")):
             conf = f"{m2l}-{dtype}" if dtype != "float64" else m2l
             opts = FMMOptions(p=args.p, max_points=args.s, m2l=m2l,
                               dtype=dtype)
-            fmm = KIFMM(kernel, opts).setup(pts)
+            # The sequential operator is the rank operator at one rank.
+            fmm = KIFMM(kernel, opts).setup(pts, cache=shared_cache)
             for nrhs in nrhs_list:
-                ir, expected = sequential_ir(fmm, nrhs)
+                ir, expected = rank_ir(fmm.state, nrhs=nrhs)
                 name = f"{kname}/{conf}/sequential/nrhs{nrhs}"
                 record(run_checks(ir, expected, name=name), {
                     "kernel": kname, "m2l": m2l, "dtype": dtype,
@@ -509,9 +507,7 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
                 })
             for nranks in ranks_list:
                 states = rank_states(
-                    kernel, pts, opts, nranks,
-                    cache=shared_cache,
-                    fft=shared_fft if m2l in ("fft", "auto") else None,
+                    kernel, pts, opts, nranks, cache=shared_cache,
                 )
                 for nrhs in nrhs_list:
                     for overlap in (True, False):
@@ -611,7 +607,7 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         static_plan_inputs,
     )
     from repro.core.precompute import OperatorCache
-    from repro.parallel.pfmm import _global_root
+    from repro.octree.tree import _root_cube
 
     rng = np.random.default_rng(args.seed)
     kernels = [k for k in args.kernels.split(",") if k]
@@ -681,7 +677,7 @@ def _cmd_commir(args: argparse.Namespace) -> int:
 
     # One operator cache per kernel serves every traced run: they all
     # solve on the same points, hence the same root cube.
-    side = _global_root(conform_pts)[1]
+    side = _root_cube(conform_pts)[1]
     traced = []
     for kname in kernels:
         kernel = _make_kernel(kname)
@@ -866,7 +862,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.core.precompute import OperatorCache
     from repro.kernels.direct import relative_error
-    from repro.parallel.pfmm import _global_root
+    from repro.octree.tree import _root_cube
 
     kernels = [k for k in args.kernels.split(",") if k]
     orders = _parse_ints(args.orders)
@@ -890,7 +886,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             pts = _WORKLOADS[args.workload](n, rng)
             kernel = _make_kernel(kname)
             density = rng.random((pts.shape[0], kernel.source_dof))
-            corner, side = _global_root(pts)
+            corner, side = _root_cube(pts)
             for p in orders:
                 cache = OperatorCache(kernel, p, side)
                 point = f"{kname}/p{p}/n{n}"

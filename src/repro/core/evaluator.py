@@ -30,16 +30,15 @@ box — the reference every parity test compares against
 (``FMMOptions(plan="naive")``).  :class:`PlanStages` holds the
 level-batched stages over a precomputed
 :class:`~repro.core.plan.ExecutionPlan`, each written once, and
-compiles them into the step list (:mod:`repro.core.steps`) that two
-drivers run — :func:`evaluate_planned` (sequential) and
-:meth:`repro.parallel.pfmm.RankFMM.apply` (one rank of the parallel
-algorithm, with the exchange steps in between) — and ``repro
-plancheck`` certifies.
+compiles them into the step list (:mod:`repro.core.steps`) that the one
+driver, :meth:`repro.parallel.pfmm.RankFMM.apply`, runs — for every
+rank of the parallel algorithm and, at one rank with nothing to
+exchange, for :class:`~repro.core.fmm.KIFMM` — and ``repro plancheck``
+certifies.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +53,12 @@ from repro.core.plan import (
     NearBlocks,
     UpLevel,
     VLevel,
+    VPass,
+    VSplit,
     chunk_segments,
 )
 from repro.core.precompute import OperatorCache
-from repro.core.steps import BufferSpec, Step, StepList, run_steps
+from repro.core.steps import BufferSpec, Step, StepList
 from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists
@@ -493,28 +494,39 @@ def _near_pairs(blocks: NearBlocks) -> int:
     )
 
 
+#: Region suffix by delivery code: left in place by this rank's own
+#: prologue / upward pass, stored by the owner ``relay``, stored by the
+#: scatter ``wait``.
+_DELIVERED = ("", ":own", ":ghost")
+
+
 @dataclass
 class RankOperands:
-    """What a rank compiles in place of the plan's own operands.
+    """What a rank's apply runs over, beside the plan.
 
     ``near`` holds the ``(U, W)`` blocks over owned and over ghost
-    partners; ``v_splits`` the matching per-V-level row/class splits
-    (``own_*`` / ``ghost_*`` / ``inv_rows``).  The exchange arrives as
-    ready steps — ``post`` / ``relay`` / ``wait`` of each payload kind
-    and, per coarse split level, the ``vsp`` broadcast pair —
-    which :meth:`PlanStages.compile` only places; ``buffers`` declares
-    the split regions those steps deliver.  ``up_region`` names the
-    partial upward densities the ``post`` steps read.
+    partners; ``v_splits`` the matching per-V-level passes.  The
+    exchange arrives as ready steps — ``post`` / ``relay`` / ``wait`` of
+    each payload kind and, per coarse split level, the ``vsp``
+    broadcast pair — which :meth:`PlanStages.compile` only places;
+    ``buffers`` declares the split regions those steps deliver.
+    ``phi_kind`` and ``ue_kind`` hold, per box, the delivery code of
+    the source densities / upward densities a pass reads there (index
+    into ``("", ":own", ":ghost")``), so every step declares exactly
+    the regions its partners live in.  At one rank every code
+    is 0, the ghost blocks are empty and the exchange steps walk empty
+    programs: the sequential apply.
     """
 
     near: dict[str, tuple[NearBlocks, NearBlocks]]
-    v_splits: list
+    v_splits: list[VSplit]
     post: list[Step]
     relay: list[Step]
     wait: list[Step]
     vsp: dict[int, list[Step]]
     buffers: dict[str, BufferSpec]
-    up_region: Callable[[int], str]
+    phi_kind: np.ndarray
+    ue_kind: np.ndarray
 
 
 class PlanStages:
@@ -523,21 +535,16 @@ class PlanStages:
     Bound to one apply's plan, operators and kernels.  The stage
     methods hold only the arithmetic; :meth:`compile` orders them into
     the step list — what each step reads, writes, releases and costs —
-    that :func:`repro.core.steps.run_steps` executes for both drivers
-    and the plan verifier certifies.  The sequential driver
-    (:func:`evaluate_planned`) compiles every class and the plan's own
-    near blocks against ``plan.sources_sorted``; the rank driver
-    (:meth:`repro.parallel.pfmm.RankFMM.apply`) compiles its
-    owned-then-ghost splits against the rank's combined source array,
-    with the exchange steps in between.  Stages guard their GEMM stacks
-    when the plan's pool is sanitizing.
+    that :func:`repro.core.steps.run_steps` executes and the plan
+    verifier certifies.  Stages guard their GEMM stacks when the plan's
+    pool is sanitizing.
 
-    Work-array layout, shared by both drivers: densities are point-major
-    ``phi[point, dof, rhs]`` (positions into ``src_points`` for U and X,
-    into the tree's own sorted sources for S2M); upward equivalent
-    densities are box-major ``ue[box, rhs]`` (a rank ships one box's
-    right-hand sides as one contiguous payload); ``check`` / ``dc`` /
-    ``de`` / ``pot`` are RHS-major ``[rhs, row]``.
+    Work-array layout: densities are point-major ``phi[point, dof,
+    rhs]`` over the combined source array — the rank's own sorted
+    sources (the S2M positions), then the ghost boxes; upward
+    equivalent densities are box-major ``ue[box, rhs]`` (a rank ships
+    one box's right-hand sides as one contiguous payload); ``check`` /
+    ``dc`` / ``de`` / ``pot`` are RHS-major ``[rhs, row]``.
 
     Stacked right-hand sides ride one pass: every stage assembles its
     shared factor — kernel matrices, translation operators, mixing
@@ -575,20 +582,17 @@ class PlanStages:
 
     # -- the step list -----------------------------------------------------
 
-    def compile(
-        self, rank: RankOperands | None = None, overlap: bool = True
-    ) -> StepList:
+    def compile(self, rank: RankOperands, overlap: bool) -> StepList:
         """Order the stages of one apply into its step list.
 
-        Sequential (``rank is None``): up, V over every class (fft
-        levels through the parent-pair-blocked Hadamard), the downward
-        sweep, U, W.  A rank: up, ``post`` + ``relay``, U/W/V over
-        owned partners, V over ghost partners (fft levels class-major,
-        split levels ending in their ``vsp`` broadcast), the downward
-        sweep, U/W over ghost partners — with the scatter ``wait``
-        before the owned passes, or after them when ``overlap`` hides
-        the in-flight exchange behind them.  The computation order is
-        the same either way.
+        Up, ``post`` + ``relay``, U/W/V over owned partners, V over
+        ghost partners (split levels ending in their ``vsp``
+        broadcast), the downward sweep, U/W over ghost partners — with
+        the scatter ``wait`` before the owned passes, or after them
+        when ``overlap`` hides the in-flight exchange behind them.  The
+        computation order is the same either way.  An fft level keeps
+        its spectra from its first pass to its last, whose inverse
+        transform releases them.
 
         Nothing here builds an operator: flop counts come from the
         plan's index arrays, and an rsvd step's count is a thunk over
@@ -599,15 +603,8 @@ class PlanStages:
         src_fpp = self.src_k.flops_per_pair
         trg_fpp = self.trg_k.flops_per_pair
         matvec = _matvec_flops((n_surf * qd, n_surf * md))
-        # U and X partners index the tree's own sorted densities, or a
-        # rank's combined local + ghost array.
-        density = "ext_phi" if rank else "phi"
-        up_region = rank.up_region if rank else "ue@{}".format
         steps: list[Step] = []
-        buffers: dict[str, BufferSpec] = dict(rank.buffers) if rank else {}
-        partners = tuple(
-            r for r in (f"{density}:own", f"{density}:ghost") if r in buffers
-        ) if rank else (density,)
+        buffers: dict[str, BufferSpec] = dict(rank.buffers)
 
         def declare(name, rows, width, dtype="float64"):
             buffers[name] = BufferSpec(name, (int(rows), int(width)), dtype)
@@ -618,18 +615,21 @@ class PlanStages:
                 flops=flops, **more,
             ))
 
-        def tag(base, split, level=None):
-            name = f"{base}:{split}" if split else base
-            return name if level is None else f"{name}@{level}"
+        def phi_of(boxes):
+            return tuple(
+                "phi" + _DELIVERED[k] for k in np.unique(rank.phi_kind[boxes])
+            )
 
-        def ue_of(split, levels):
-            if split:
-                return (f"ue:{split}",)
-            return tuple(f"ue@{lvl}" for lvl in levels)
+        def ue_of(boxes):
+            kind = rank.ue_kind[boxes]
+            here = np.unique(plan.levels[boxes[kind == 0]])
+            return tuple(f"ue@{lvl}" for lvl in here) + tuple(
+                "ue" + _DELIVERED[k] for k in np.unique(kind[kind > 0])
+            )
 
         def up(ul: UpLevel):
             lvl = ul.level
-            chk, ue = f"check@{lvl}", up_region(lvl)
+            chk, ue = f"check@{lvl}", f"ue@{lvl}"
             declare(chk, ul.boxes.size, n_surf * qd)
             declare(ue, ul.boxes.size, n_surf * md)
 
@@ -646,17 +646,14 @@ class PlanStages:
             if ul.m2m_groups:
                 emit(f"m2m@{lvl}", "up", "m2m",
                      lambda b: self.m2m(ul, b["ue"], check(b)),
-                     (up_region(lvl + 1),), (chk,),
+                     (f"ue@{lvl + 1}",), (chk,),
                      sum(k.size for _, k, _ in ul.m2m_groups) * matvec)
             emit(f"uc2ue@{lvl}", "up", "uc2ue",
                  lambda b: self.uc2ue(ul, b["check"], b["ue"]),
                  (chk,), (ue,), ul.boxes.size * matvec, releases=(chk,))
 
-        def v_direct(vl: VLevel, classes, split):
-            npairs = sum(len(s) for _, s, _ in classes)
-            if not npairs:
-                return
-            lvl = vl.level
+        def v_direct(vl: VLevel, vp: VPass, split):
+            lvl, classes = vl.level, vp.classes
             rsvd = sched.backend(lvl) == "rsvd"
             narrow = rsvd and sched.dtype == "float32"
 
@@ -668,63 +665,51 @@ class PlanStages:
                     for offset, s, _ in classes
                 )
 
-            emit(tag("v", split, lvl), "down_v", "v_direct",
+            emit(f"v:{split}@{lvl}", "down_v", "v_direct",
                  lambda b: self.v_direct(vl, classes, b["ue"], b["dc"]),
-                 ue_of(split, (lvl,)), (f"dc@{lvl}",),
-                 rsvd_flops if rsvd else npairs * matvec,
+                 ue_of(vl.src_boxes[vp.rows]), (f"dc@{lvl}",),
+                 rsvd_flops if rsvd else vp.npairs * matvec,
                  dtype="float32" if narrow else "float64", narrowing=narrow)
 
-        def declare_vhat(vl: VLevel) -> str:
-            vhat = f"vhat@{vl.level}"
-            declare(vhat, vl.src_boxes.size * md + vl.trg_boxes.size * qd,
+        def v_fft(vl: VLevel, sp: VSplit, vp: VPass, split):
+            lvl, vhat = vl.level, f"vhat@{vl.level}"
+            lo = sp.own.rows.size if split == "ghost" else 0
+            declare(vhat, sp.nrows * md + (sp.inv_rows.size + 1) * qd,
                     fft.nfreq, "complex128")
-            return vhat
-
-        def v_blocked(vl: VLevel):
-            lvl, vhat = vl.level, declare_vhat(vl)
-            emit(f"vfwd@{lvl}", "down_v", "v_blocked_forward",
-                 lambda b: self.v_blocked_forward(vl, b["ue"], b.scratch(
-                     "vhat", lambda: self.v_blocked_state(vl, b.nrhs))[0]),
-                 ue_of("", (lvl,)), (vhat,),
-                 vl.src_boxes.size * fft.flops_per_fft(md),
-                 dtype="complex128")
-            emit(f"vhad@{lvl}", "down_v", "v_blocked_hadamard",
-                 lambda b: self.v_blocked_hadamard(vl, *b["vhat"]),
-                 (vhat,), (vhat,), vl.npairs * fft.flops_per_pair(),
-                 dtype="complex128")
-            emit(f"vinv@{lvl}", "down_v", "v_blocked_inverse",
-                 lambda b: self.v_blocked_inverse(vl, b["vhat"][1], b["dc"]),
-                 (vhat,), (f"dc@{lvl}",),
-                 vl.trg_boxes.size * fft.flops_per_fft(qd), releases=(vhat,))
-
-        def v_classes(vl: VLevel, rows, classes, split):
-            lvl, vhat = vl.level, declare_vhat(vl)
 
             def state(b):
-                return b.scratch("vhat", lambda: self.v_fft_state(vl, b.nrhs))
+                return b.scratch("vhat", lambda: self.v_state(sp, b.nrhs))
 
-            if rows.size:
-                emit(tag("vfwd", split, lvl), "down_v", "v_fft_forward",
-                     lambda b: self.v_fft_forward(
-                         vl, rows, b["ue"], state(b)[0]),
-                     ue_of(split, (lvl,)), (vhat,),
-                     rows.size * fft.flops_per_fft(md), dtype="complex128")
-            npairs = sum(len(s) for _, s, _ in classes)
-            if npairs:
-                emit(tag("vhad", split, lvl), "down_v", "v_fft_hadamard",
-                     lambda b: self.v_fft_hadamard(vl, classes, *state(b)),
-                     (vhat,), (vhat,), npairs * fft.flops_per_pair(),
+            if vp.rows.size:
+                emit(f"vfwd:{split}@{lvl}", "down_v", "v_forward",
+                     lambda b: self.v_forward(
+                         vl, vp.rows, lo, b["ue"], state(b)[0]),
+                     ue_of(vl.src_boxes[vp.rows]), (vhat,),
+                     vp.rows.size * fft.flops_per_fft(md),
                      dtype="complex128")
-
-        def v_inverse(vl: VLevel, rows):
-            lvl, vhat = vl.level, f"vhat@{vl.level}"
-            ninv = vl.trg_boxes.size if rows is None else rows.size
-            if ninv:
-                emit(f"vinv@{lvl}", "down_v", "v_fft_inverse",
-                     lambda b: self.v_fft_inverse(
-                         vl, rows, b["vhat"][1], b["dc"]),
+            if vp.npairs:
+                emit(f"vhad:{split}@{lvl}", "down_v", "v_hadamard",
+                     lambda b: self.v_hadamard(vl, vp.po_groups, *state(b)),
+                     (vhat,), (vhat,), vp.npairs * fft.flops_per_pair(),
+                     dtype="complex128")
+            last = "ghost" if sp.ghost.rows.size else "own"
+            if split == last and sp.inv_rows.size:
+                emit(f"vinv@{lvl}", "down_v", "v_inverse",
+                     lambda b: self.v_inverse(
+                         vl, sp.inv_rows, b["vhat"][1], b["dc"]),
                      (vhat,), (f"dc@{lvl}",),
-                     ninv * fft.flops_per_fft(qd), releases=(vhat,))
+                     sp.inv_rows.size * fft.flops_per_fft(qd),
+                     releases=(vhat,))
+
+        def v_pass(split):
+            for vl, sp in zip(plan.v_levels, rank.v_splits):
+                vp = getattr(sp, split)
+                if sched.backend(vl.level) == "fft":
+                    v_fft(vl, sp, vp, split)
+                elif vp.npairs:
+                    v_direct(vl, vp, split)
+                if split == "ghost":
+                    steps.extend(rank.vsp.get(vl.level, []))
 
         def down(dl: DownLevel):
             lvl = dl.level
@@ -736,8 +721,8 @@ class PlanStages:
                      sum(k.size for _, k, _ in dl.l2l_groups) * matvec)
             if dl.x_boxes.size:
                 emit(f"x@{lvl}", "down_x", "x",
-                     lambda b: self.x(dl, b[density], b["dc"]),
-                     partners, (dc,),
+                     lambda b: self.x(dl, b["phi"], b["dc"]),
+                     phi_of(dl.x_partners), (dc,),
                      n_surf * int(dl.x_seg[-1]) * src_fpp)
             if dl.dc_boxes.size:
                 emit(f"dc2de@{lvl}", "eval", "dc2de",
@@ -749,27 +734,19 @@ class PlanStages:
                      (de,), ("pot",),
                      int(dl.l2t_seg[-1]) * n_surf * trg_fpp)
 
-        def near(u: NearBlocks, w: NearBlocks, split):
+        def near(split):
+            u, w = rank.near[split]
             pairs = _near_pairs(u)
             if pairs:
-                emit(tag("near_u", split), "down_u", "near_u",
-                     lambda b: self.near_u(u, b[density], b["pot"]),
-                     (tag(density, split),), ("pot",),
+                emit(f"near_u:{split}", "down_u", "near_u",
+                     lambda b: self.near_u(u, b["phi"], b["pot"]),
+                     phi_of(u.partners), ("pot",),
                      pairs * self.dir_k.flops_per_pair)
             pairs = _near_pairs(w)
             if pairs:
-                emit(tag("near_w", split), "down_w", "near_w",
+                emit(f"near_w:{split}", "down_w", "near_w",
                      lambda b: self.near_w(w, b["ue"], b["pot"]),
-                     ue_of(split, np.unique(plan.levels[w.src_pos])),
-                     ("pot",), n_surf * pairs * trg_fpp)
-
-        def v_pass(vl: VLevel, rows, classes, split):
-            if sched.backend(vl.level) != "fft":
-                v_direct(vl, classes, split)
-            elif rank:
-                v_classes(vl, rows, classes, split)
-            else:
-                v_blocked(vl)
+                     ue_of(w.partners), ("pot",), n_surf * pairs * trg_fpp)
 
         declare("phi", plan.sources_sorted.shape[0], self.src_k.source_dof)
         declare("pot", plan.targets_sorted.shape[0], self.trg_k.target_dof)
@@ -780,38 +757,21 @@ class PlanStages:
         for lvl in carried:
             declare(f"dc@{lvl}", counts[lvl], n_surf * qd)
             declare(f"de@{lvl}", counts[lvl], n_surf * md)
-        live_out = {"pot"}
 
         for ul in plan.up_levels:
             up(ul)
-        if rank:
-            steps += rank.post + rank.relay
-            if not overlap:
-                steps += rank.wait
-            near(*rank.near["own"], "own")
-            for vl, sp in zip(plan.v_levels, rank.v_splits):
-                v_pass(vl, sp.own_rows, sp.own_classes, "own")
-            if overlap:
-                steps += rank.wait
-            for vl, sp in zip(plan.v_levels, rank.v_splits):
-                v_pass(vl, sp.ghost_rows, sp.ghost_classes, "ghost")
-                if sched.backend(vl.level) == "fft":
-                    v_inverse(vl, sp.inv_rows)
-                steps += rank.vsp.get(vl.level, [])
-        else:
-            if plan.up_levels:
-                # No V or W partner exists at the tree top: the root
-                # upward density is computed but dead, by design.
-                live_out.add(up_region(plan.up_levels[-1].level))
-            for vl in plan.v_levels:
-                v_pass(vl, None, vl.classes, "")
+        steps += rank.post + rank.relay
+        if not overlap:
+            steps += rank.wait
+        near("own")
+        v_pass("own")
+        if overlap:
+            steps += rank.wait
+        v_pass("ghost")
         for dl in plan.down_levels:
             down(dl)
-        if rank:
-            near(*rank.near["ghost"], "ghost")
-        else:
-            near(plan.u, plan.w, "")
-        return StepList(steps, buffers, frozenset(live_out))
+        near("ghost")
+        return StepList(steps, buffers, frozenset({"pot"}))
 
     # -- the stages --------------------------------------------------------
 
@@ -888,116 +848,62 @@ class PlanStages:
                         src = src.astype(np.float32)  # lint: allow(dtype-width)
                     dc[r][tb] += (src @ vfT) @ ufT
 
-    def v_blocked_state(
-        self, vl: VLevel, nrhs: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pool-drawn spectra of the parent-pair-blocked fft stage.
+    def v_state(self, sp: VSplit, nrhs: int) -> tuple[np.ndarray, np.ndarray]:
+        """Source spectra and zeroed accumulators of one fft level.
 
         Frequency-leading, so the forward GEMM-DFTs write, the Hadamard
         gathers/scatters, and the inverse GEMM-DFTs read with no
-        transpose passes; each carries the plan's sentinel row.
+        transpose passes; each ends in the split's sentinel row.  Plain
+        arrays, not pool buffers: a rank carries every level's across
+        the owned passes, the scatter wait and the ghost passes; at one
+        rank each level's are dropped before the next level's are made.
         """
         nfreq = self.fft.nfreq
         return (
-            self.pool.empty(
-                "vhat.phi", (nrhs, nfreq, vl.src_boxes.size + 1, self.md),
-                np.complex128,
-            ),
-            self.pool.zeros(
-                "vhat.acc", (nrhs, nfreq, vl.trg_boxes.size + 1, self.qd),
-                np.complex128,
-            ),
+            np.empty((nrhs, nfreq, sp.nrows, self.md), dtype=np.complex128),
+            np.zeros((nrhs, nfreq, sp.inv_rows.size + 1, self.qd),
+                     dtype=np.complex128),
         )
 
-    def v_blocked_forward(
-        self, vl: VLevel, ue: np.ndarray, phi_ext: np.ndarray
+    def v_forward(
+        self, vl: VLevel, rows: np.ndarray, lo: int, ue: np.ndarray,
+        phi_ext: np.ndarray,
     ) -> None:
-        """Forward-transform every source box of the level."""
-        nsb = vl.src_boxes.size
+        """Forward-transform the ``rows`` of ``vl.src_boxes`` into the
+        spectrum rows from ``lo`` on."""
+        boxes = vl.src_boxes[rows]
         for r in range(phi_ext.shape[0]):
-            self.fft.forward_rows_t(ue[vl.src_boxes, r], phi_ext[r, :, :nsb])
+            self.fft.forward_rows_t(
+                ue[boxes, r], phi_ext[r, :, lo : lo + rows.size]
+            )
 
-    def v_blocked_hadamard(
-        self, vl: VLevel, phi_ext: np.ndarray, acc_ext: np.ndarray
+    def v_hadamard(
+        self, vl: VLevel, po_groups: list, phi_ext: np.ndarray,
+        acc_ext: np.ndarray,
     ) -> None:
-        """Every pair of the level through the parent-pair-blocked Hadamard.
+        """The pairs of one pass through the parent-pair-blocked Hadamard.
 
-        An order of magnitude less DRAM traffic than the class-major
-        stage on pair-rich deep trees.  Covers the whole level at once,
-        so it cannot serve a rank's owned/ghost split.
+        An order of magnitude less DRAM traffic than a class-major
+        multiply on pair-rich deep trees.  Rows the pass does not cover
+        sit behind the sentinels of its ``po_groups``, so it reads only
+        spectra transformed so far.
         """
         self.fft.hadamard_blocked(
-            vl.level, vl.po_groups, phi_ext, acc_ext, self.pool
+            vl.level, po_groups, phi_ext, acc_ext, self.pool
         )
 
-    def v_blocked_inverse(
-        self, vl: VLevel, acc_ext: np.ndarray, dc: np.ndarray
-    ) -> None:
-        """Inverse-transform the level's accumulators into ``dc``."""
-        ntb = vl.trg_boxes.size
-        for r in range(dc.shape[0]):
-            dc[r][vl.trg_boxes] += self.fft.inverse_rows_t(
-                acc_ext[r, :, :ntb]
-            )
-
-    def v_fft_state(
-        self, vl: VLevel, nrhs: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Empty source spectra and zeroed accumulators of one fft level.
-
-        Plain arrays, not pool buffers: a rank carries every level's
-        across the interleaved passes of its overlap window.
-        """
-        nfreq = self.fft.nfreq
-        return (
-            np.empty((nrhs, vl.src_boxes.size, self.md, nfreq),
-                     dtype=np.complex128),
-            np.zeros((nrhs, vl.trg_boxes.size, self.qd, nfreq),
-                     dtype=np.complex128),
-        )
-
-    def v_fft_forward(
-        self, vl: VLevel, rows: np.ndarray, ue: np.ndarray,
-        phi_hat: np.ndarray,
-    ) -> None:
-        """Forward-transform the ``rows`` of ``vl.src_boxes``."""
-        boxes = vl.src_boxes[rows]
-        for r in range(phi_hat.shape[0]):
-            phi_hat[r][rows] = self.fft.forward_rows(
-                ue[boxes, r],
-                np.empty((rows.size,) + phi_hat.shape[2:],
-                         dtype=np.complex128),
-            )
-
-    def v_fft_hadamard(
-        self, vl: VLevel, classes: list, phi_hat: np.ndarray,
-        acc: np.ndarray,
-    ) -> None:
-        """Class-major Hadamard over a subset of one level's pairs.
-
-        ``classes`` may read any row transformed so far.
-        """
-        for offset, src_pos, trg_pos in classes:
-            tensor = self.fft.kernel_tensor_hat(vl.level, offset)
-            for r in range(acc.shape[0]):
-                self.fft.accumulate_many(
-                    acc[r], tensor, phi_hat[r][src_pos], trg_pos
-                )
-
-    def v_fft_inverse(
-        self, vl: VLevel, rows: np.ndarray | None, acc: np.ndarray,
+    def v_inverse(
+        self, vl: VLevel, rows: np.ndarray, acc_ext: np.ndarray,
         dc: np.ndarray,
     ) -> None:
-        """Inverse-transform accumulators into the level's check potentials.
-
-        ``rows`` restricts the transform to those positions of
-        ``vl.trg_boxes`` (``None``: all of them).
-        """
-        if rows is None:
-            rows = slice(None)
+        """Inverse-transform the accumulators into ``dc`` at the ``rows``
+        of ``vl.trg_boxes`` (all of them, or at a coarse split level the
+        assigned ones)."""
         boxes = vl.trg_boxes[rows]
         for r in range(dc.shape[0]):
-            dc[r][boxes] += self.fft.inverse_rows(acc[r][rows])
+            dc[r][boxes] += self.fft.inverse_rows_t(
+                acc_ext[r, :, : rows.size]
+            )
 
     def l2l(self, dl: DownLevel, de: np.ndarray, dc: np.ndarray) -> None:
         """Parents' downward densities to the level's check potentials."""
@@ -1118,72 +1024,4 @@ def unsort_potential(
     else:
         potential = np.empty((nt, dof, nrhs))
         potential[trg_perm] = pot.transpose(1, 2, 0)
-    return potential
-
-
-def evaluate_planned(
-    tree: Octree,
-    plan: ExecutionPlan,
-    kernel: Kernel,
-    cache: OperatorCache,
-    density: np.ndarray,
-    sched: M2LSchedule,
-    fft_m2l: FFTM2L | None = None,
-    flops: FlopCounter | None = None,
-    timer: PhaseTimer | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-    sanitize: bool = False,
-) -> np.ndarray:
-    """Level-batched KIFMM evaluation over a precomputed execution plan.
-
-    Mathematically identical to :func:`evaluate` (same translations, same
-    gating, same flop accounting) but organised around the plan's flat
-    index arrays: per-level stacked GEMMs for M2M/L2L and the
-    check-to-equivalent inversions, offset-class-grouped batched M2L, and
-    per-target-box concatenated near-field blocks.  This is the
-    sequential driver: it sorts the density, allocates the work arrays
-    and runs the step list :meth:`PlanStages.compile` gives for every
-    class, the plan's own blocks and the tree's own sources.  Stacked
-    density blocks (see :func:`coerce_density`) ride the same plan in
-    one pass.
-
-    ``sanitize`` (or ``REPRO_SANITIZE=1``) enables the runtime
-    sanitizers of :mod:`repro.analysis.sanitize`: BufferPool lifecycle
-    with NaN poisoning of released scratch, finite checks at every
-    phase boundary (naming the phase and box range that first went
-    non-finite), GEMM aliasing guards, and a pool-escape check on the
-    returned potential.
-    """
-    kernels = src_k, trg_k, _ = resolve_kernels(
-        kernel, source_kernel, target_kernel, direct_kernel
-    )
-    flops = flops if flops is not None else FlopCounter()
-    timer = timer if timer is not None else PhaseTimer()
-    md, qd = kernel.source_dof, kernel.target_dof
-    ns, nt = tree.sources.shape[0], tree.targets.shape[0]
-    phi3, nrhs, single = coerce_density(density, ns, src_k.source_dof)
-    n_surf, nb = cache.n_surf, plan.nboxes
-    pool = plan.buffers
-    pool.sanitize = sanitize or _san.enabled()
-    if pool.sanitize:
-        _san.check_finite(phi3, "input", "density", rows_are="points")
-    fft = None
-    if sched.needs_fft:
-        fft = fft_m2l if fft_m2l is not None else FFTM2L(cache)
-    stages = PlanStages(
-        plan, kernel, cache, kernels, sched, fft, plan.sources_sorted
-    )
-    live = {
-        "phi": np.ascontiguousarray(phi3[tree.src_perm]),
-        "ue": pool.zeros("ue", (nb, nrhs, n_surf * md)),
-        "dc": pool.zeros("dc", (nrhs, nb, n_surf * qd)),
-        "de": pool.zeros("de", (nrhs, nb, n_surf * md)),
-        "pot": pool.zeros("pot", (nrhs, nt, trg_k.target_dof)),
-    }
-    run_steps(stages.compile(), live, pool, nrhs, flops, timer)
-    potential = unsort_potential(live["pot"], tree.trg_perm, single)
-    if pool.sanitize:
-        _san.check_escape(potential, pool, "evaluate_planned")
     return potential

@@ -346,25 +346,6 @@ class FFTM2L:
         pm_t -= np.matmul(G_im_t, np.ascontiguousarray(flat.imag))
         return pm_t.reshape(-1, n, qd).transpose(1, 0, 2).reshape(n, -1)
 
-    def accumulate_many(
-        self,
-        acc: np.ndarray,
-        tensor_hat: np.ndarray,
-        phi_hat_rows: np.ndarray,
-        trg_pos: np.ndarray,
-    ) -> None:
-        """Apply one translation class to a stack of source transforms.
-
-        All pairs of a class share ``tensor_hat`` (grid-shaped); the
-        ``trg_pos`` rows of ``acc`` (shape ``(ntrg, target_dof, nfreq)``)
-        receive the products of the ``(n, source_dof, nfreq)`` transform
-        rows.  Within a class every target occurs at most once, so plain
-        fancy-indexed ``+=`` accumulation is exact.
-        """
-        qd, md = tensor_hat.shape[0], tensor_hat.shape[1]
-        th = tensor_hat.reshape(qd, md, -1)
-        acc[trg_pos] += np.einsum("qmf,nmf->nqf", th, phi_hat_rows)
-
     def hadamard_blocked(
         self,
         level: int,
@@ -375,14 +356,16 @@ class FFTM2L:
     ) -> None:
         """Parent-pair-blocked Hadamard stage, frequency-leading.
 
-        The class-major stage streams ~5 full-spectrum passes per box
+        A class-major multiply streams ~5 full-spectrum passes per box
         pair; here each gathered parent-pair slab (8 source + 8 target
         child rows) covers up to 64 pairs through per-frequency batched
         real-form mixing GEMMs (:meth:`combo_tensor_real`), cutting DRAM
-        traffic by an order of magnitude.  Both spectra are *frequency-leading* per RHS:
+        traffic by an order of magnitude.  ``po_groups`` may be a whole
+        level's blocks or one pass's (:func:`repro.core.plan.split_v_level`).
+        Both spectra are *frequency-leading* per RHS:
         ``phi_ext`` is ``(nrhs, nfreq, n + 1, source_dof)`` and
         ``acc_ext`` is ``(nrhs, nfreq, n + 1, target_dof)`` (the last
-        box row of each is the plan's sentinel — zero source / discarded
+        box row of each is the sentinel — zero source / discarded
         target).  In that layout a pair chunk's matmul operand is one
         trailing-axis fancy gather — frequency rows are contiguous, so
         the gather needs no transpose pass and stays cache-resident —
@@ -435,7 +418,7 @@ class FFTM2L:
                     # built once per chunk and shared by every RHS
                     ling = foff_s + srcc[c0:c1].reshape(-1)
                     lin = (foff_t + trgc[c0:c1].reshape(-1)).reshape(-1)
-                    r = pool.empty("vhat.r", (fb, nc, 8 * qd), np.complex128)
+                    r = pool.empty("hadamard", (fb, nc, 8 * qd), np.complex128)
                     rv = r.view(np.float64)
                     for rh in range(nrhs):
                         gt = phif[rh][ling].reshape(fb, nc, 8 * md)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.evaluator import evaluate, evaluate_planned
+from repro.core.evaluator import evaluate, resolve_kernels
 from repro.core.fftm2l import FFTM2L
 from repro.core.m2lschedule import (
     M2L_DTYPES,
@@ -26,9 +26,7 @@ from repro.core.m2lschedule import (
     M2LSchedule,
     resolve_m2l_schedule,
     v_stats_from_lists,
-    v_stats_from_plan,
 )
-from repro.core.plan import ExecutionPlan, build_plan
 from repro.core.precompute import OperatorCache
 from repro.core.surfaces import INNER_RADIUS, OUTER_RADIUS
 from repro.kernels.base import Kernel
@@ -72,13 +70,14 @@ class FMMOptions:
     balance:
         Apply 2:1 tree balancing after construction (optional; the
         adaptive lists handle unbalanced trees — see
-        :mod:`repro.octree.balance`).
+        :mod:`repro.octree.balance`).  One rank only: balancing needs
+        the complete tree.
     plan:
         ``"batched"`` (default) precomputes a level-major execution plan
-        in :meth:`KIFMM.setup` and evaluates with the vectorized
-        :func:`~repro.core.evaluator.evaluate_planned`; ``"naive"`` keeps
-        the sequential per-box reference path (the parity oracle of the
-        test suite; the parallel operator has no per-box path).
+        in :meth:`KIFMM.setup` and evaluates it with the one planned
+        driver, :meth:`repro.parallel.pfmm.RankFMM.apply`, at one rank;
+        ``"naive"`` keeps the sequential per-box reference path (the
+        parity oracle of the test suite; no rank runs it).
     comm:
         Parallel communication scheme for the owner gather/scatter of
         :mod:`repro.parallel.exchange`: ``"tree"`` (default, hierarchical
@@ -86,7 +85,7 @@ class FMMOptions:
         or ``"flat"`` (the paper's literal Algorithm 1 — O(P) at coarse
         boxes).  Bitwise-identical results; ignored by the serial path.
     sanitize:
-        Run the planned evaluators under the runtime sanitizers
+        Run the planned applies under the runtime sanitizers
         (:mod:`repro.analysis.sanitize`): BufferPool lifecycle with
         NaN poisoning, finite checks at every plan phase boundary, and
         GEMM aliasing guards.  Equivalent to setting ``REPRO_SANITIZE=1``
@@ -138,6 +137,13 @@ class FMMOptions:
 class KIFMM:
     """Kernel-independent fast multipole evaluator.
 
+    With the default batched plan this is the one-rank instance of the
+    parallel operator: :meth:`setup` builds the tree, wraps it as a
+    one-rank :class:`~repro.parallel.ptree.ParallelTree` and runs the
+    setup every rank runs (:func:`repro.parallel.pfmm.setup_on_tree`);
+    :meth:`apply` is that rank's apply, whose exchange programs are
+    empty.
+
     Parameters
     ----------
     kernel:
@@ -167,8 +173,11 @@ class KIFMM:
         self.flops = FlopCounter()
         self.timer = PhaseTimer()
         self._fft: FFTM2L | None = None
-        self._plan: ExecutionPlan | None = None
         self._m2l: M2LSchedule | None = None
+        #: The one-rank :class:`~repro.parallel.pfmm.RankFMM` behind a
+        #: batched plan (``None`` before setup and for ``plan="naive"``).
+        self.state = None
+        self._comm = None
 
     def setup(
         self,
@@ -192,20 +201,23 @@ class KIFMM:
         object); for an inhomogeneous kernel the sides must match — pin
         the cube via ``root``.
         """
+        # Imported here: repro.parallel imports this module.
+        from repro.parallel.pfmm import one_rank_tree, setup_on_tree
+        from repro.parallel.simmpi import single_rank_comm
+
         opts = self.options
         with self.timer.phase("tree"):
-            self.tree = build_tree(
-                sources,
-                targets,
-                max_points=opts.max_points,
-                max_depth=opts.max_depth,
-                root=root,
+            ptree = one_rank_tree(
+                build_tree(
+                    sources,
+                    targets,
+                    max_points=opts.max_points,
+                    max_depth=opts.max_depth,
+                    root=root,
+                ),
+                opts.balance,
             )
-            if opts.balance:
-                from repro.octree.balance import balance_tree
-
-                self.tree = balance_tree(self.tree)
-            self.lists = build_lists(self.tree)
+        self.tree = ptree.tree
         if cache is not None:
             self.cache = cache.for_root(self.tree.root_side)
         else:
@@ -218,51 +230,50 @@ class KIFMM:
                 rcond=opts.rcond,
             )
         if opts.plan == "batched":
-            with self.timer.phase("plan"):
-                self._plan = build_plan(self.tree, self.lists)
-        else:
-            self._plan = None
-        # Both evaluators resolve backends from the same gated V
-        # statistics, so resolving once here fixes the schedule for
-        # every apply (and for the plan verifier's flop model).
-        stats = (
-            v_stats_from_plan(self._plan)
-            if self._plan is not None
-            else v_stats_from_lists(self.tree, self.lists)
-        )
+            self._comm = single_rank_comm()
+            self.state = state = setup_on_tree(
+                self._comm, self.kernel, ptree, opts, cache=self.cache,
+                timer=self.timer,
+            )
+            state.flops = self.flops
+            self.lists = state.lists
+            self._m2l, self._fft = state.m2l_schedule, state.fft
+            return self
+        # The per-box reference resolves its backends from the same
+        # gated V statistics the plan holds.
+        self.state = None
+        with self.timer.phase("tree"):
+            self.lists = build_lists(self.tree)
         self._m2l = resolve_m2l_schedule(
             opts.m2l, opts.dtype,
-            stats=stats, cache=self.cache, kernel=self.kernel,
+            stats=v_stats_from_lists(self.tree, self.lists),
+            cache=self.cache, kernel=self.kernel,
         )
         self._fft = FFTM2L(self.cache) if self._m2l.needs_fft else None
         return self
 
-    def _dispatch(
+    def _evaluate(
         self,
         density: np.ndarray,
         source_kernel: Kernel | None,
         target_kernel: Kernel | None,
         direct_kernel: Kernel | None,
     ) -> np.ndarray:
-        """Route one evaluation through the planned or the per-box path."""
-        assert self.tree is not None and self.lists is not None
-        assert self.cache is not None
-        common = dict(
-            sched=self._m2l,
-            fft_m2l=self._fft,
-            flops=self.flops,
-            timer=self.timer,
-            source_kernel=source_kernel,
-            target_kernel=target_kernel,
-            direct_kernel=direct_kernel,
-        )
-        if self._plan is not None:
-            return evaluate_planned(
-                self.tree, self._plan, self.kernel, self.cache, density,
-                sanitize=self.options.sanitize, **common
+        """One evaluation: the rank apply, or the per-box reference."""
+        if self.tree is None or self.lists is None or self.cache is None:
+            raise RuntimeError("call setup() before applying")
+        if self.state is not None:
+            return self.state.apply(
+                self._comm, density, timer=self.timer,
+                kernels=resolve_kernels(
+                    self.kernel, source_kernel, target_kernel, direct_kernel
+                ),
             )
         return evaluate(
-            self.tree, self.lists, self.kernel, self.cache, density, **common
+            self.tree, self.lists, self.kernel, self.cache, density,
+            sched=self._m2l, fft_m2l=self._fft, flops=self.flops,
+            timer=self.timer, source_kernel=source_kernel,
+            target_kernel=target_kernel, direct_kernel=direct_kernel,
         )
 
     def apply(self, density: np.ndarray) -> np.ndarray:
@@ -282,9 +293,7 @@ class KIFMM:
         ``(nt, target_dof)`` potentials in input target order, with a
         trailing ``nrhs`` axis for stacked blocks.
         """
-        if self.tree is None or self.lists is None or self.cache is None:
-            raise RuntimeError("call setup() before apply()")
-        return self._dispatch(
+        return self._evaluate(
             density, self.source_kernel, self.target_kernel, self.direct_kernel
         )
 
@@ -298,14 +307,12 @@ class KIFMM:
         """
         from repro.kernels.derived import gradient_kernel_for
 
-        if self.tree is None or self.cache is None:
-            raise RuntimeError("call setup() before apply_gradient()")
         if self.source_kernel is not None or self.target_kernel is not None:
             raise RuntimeError(
                 "apply_gradient() requires default source/target kernels; "
                 "construct a dedicated KIFMM with explicit kernels instead"
             )
-        return self._dispatch(
+        return self._evaluate(
             density, None, gradient_kernel_for(self.kernel), None
         )
 
@@ -334,8 +341,8 @@ class KIFMM:
             raise RuntimeError("call setup() first")
         stats: dict[str, object] = dict(self.tree.statistics())
         stats.update({f"{k}_list": v for k, v in self.lists.counts().items()})
-        if self._plan is not None:
-            stats.update(self._plan.statistics())
+        if self.state is not None:
+            stats.update(self.state.statistics())
         if self._m2l is not None:
             stats["m2l_schedule"] = self._m2l.describe()
         stats["flops"] = self.flops.by_phase()

@@ -6,7 +6,8 @@ built once per geometry, then reused across tens of interaction
 evaluations (Krylov loops).  The seed evaluator walked boxes one at a
 time in Python, so interpreter overhead — not flops — dominated
 ``KIFMM.apply()``.  This module flattens the tree and the U/V/W/X lists
-into *level-major index arrays* once, in ``KIFMM.setup()``, so every
+into *level-major index arrays* once per setup (of ``KIFMM`` and of
+every rank alike — :func:`repro.parallel.pfmm.setup_on_tree`), so every
 ``apply()`` reduces to a short sequence of large vectorized operations:
 
 - **Upward pass** — per level, one batched kernel-matrix block per chunk
@@ -14,15 +15,18 @@ into *level-major index arrays* once, in ``KIFMM.setup()``, so every
   stacked GEMM per occupied child octant (M2M), and one stacked GEMM for
   the ``uc2ue`` inversion of every source box at the level.
 - **M2L** — V-list pairs grouped by the ≤316 translation-offset classes
-  of a level; FFT mode performs one batched ``rfftn`` over all needed
-  source boxes, one Hadamard ``einsum`` per class, and one batched
-  ``irfftn`` per level; dense mode performs one stacked GEMM per class.
+  of a level (dense and rsvd modes: one stacked GEMM, or two through
+  the factors, per class) and by the ≤26 parent-pair offsets (FFT mode:
+  batched GEMM-DFTs of the source boxes, the parent-pair-blocked
+  Hadamard, batched inverse GEMM-DFTs); :func:`split_v_level` divides
+  both groupings into a rank's owned and ghost passes.
 - **Downward pass** — stacked GEMMs per (level, octant) for L2L and per
   level for ``dc2de``; L2T as chunked kernel blocks over concatenated
   leaf targets.
 - **Near field** — U/W/X interactions evaluated with one kernel matrix
   per *target box* over the concatenated partner sources (instead of one
-  per box *pair*).
+  per box *pair*); the U/W pairs leave here ungrouped
+  (:class:`NearPairs`) and are grouped by partner ownership.
 
 The batched S2M/L2T stages shift points into the box-local frame so all
 boxes of a level share one check/equivalent surface; this relies on the
@@ -245,6 +249,106 @@ class VLevel:
 
 
 @dataclass
+class VPass:
+    """The pairs of a V level one pass covers (owned or ghost sources).
+
+    ``rows`` are the positions into ``src_boxes`` the pass reads (and,
+    on an fft level, forward-transforms); ``classes`` its pairs by
+    offset class — the dense/rsvd GEMMs and every flop count;
+    ``po_groups`` the same pairs as parent-pair blocks over the split's
+    spectrum rows (fft levels only, else empty).
+    """
+
+    rows: np.ndarray
+    classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
+    po_groups: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
+
+    @property
+    def npairs(self) -> int:
+        return sum(len(s) for _, s, _ in self.classes)
+
+
+@dataclass
+class VSplit:
+    """One V level's pairs split by source-box ownership.
+
+    Pairs over sources this rank owns can be processed inside the
+    overlap window (their global equivalent densities are on hand right
+    after the owner relay); pairs over ghost sources wait for the
+    scatter.  At one rank everything is owned.
+
+    At *coarse split levels* (box count below the rank count — see
+    :func:`repro.core.m2lschedule.coarse_split_levels`) the redundant
+    tree-top translations are divided instead: ``own`` is empty,
+    ``ghost`` is restricted to the target boxes *assigned* to this rank
+    by the deterministic cyclic assignment, ``inv_rows`` lists the
+    assigned positions into ``trg_boxes`` (elsewhere: all of them — the
+    rows this rank accumulates and inverse-transforms), and ``bcast``
+    holds the per-box ``(box, root_rank, participant_ranks)`` broadcast
+    schedule that delivers every participant the assigned rank's
+    downward-check rows.
+
+    The fft spectra of a split hold the ``own`` rows, then the
+    ``ghost`` rows, then the zero sentinel; the accumulators the
+    ``inv_rows``, then the discarded sentinel.
+    """
+
+    own: VPass
+    ghost: VPass
+    inv_rows: np.ndarray
+    bcast: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
+
+    @property
+    def nrows(self) -> int:
+        """Spectrum rows, sentinel included."""
+        return self.own.rows.size + self.ghost.rows.size + 1
+
+
+def split_v_level(
+    vl: VLevel, src_own: np.ndarray, trg_keep: np.ndarray, blocked: bool
+) -> VSplit:
+    """Split ``vl``'s pairs by ``src_own`` (a mask over ``src_boxes``),
+    dropping those whose target ``trg_keep`` (over ``trg_boxes``) does
+    not mark.
+
+    Pair order within a class is preserved.  With ``blocked`` each pass
+    also gets the level's parent-pair blocks renumbered to the split's
+    spectrum rows: every source child row outside the pass and every
+    target child row outside ``trg_keep`` points at the sentinel, and
+    blocks left without a source or without a target are dropped — so a
+    pass gathers only rows transformed so far, and the two passes cover
+    each kept pair exactly once.
+    """
+    nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
+    inv_rows = np.flatnonzero(trg_keep)
+    passes = []
+    for mine in (src_own, ~src_own):
+        classes = []
+        used = np.zeros(nsb, dtype=bool)
+        for offset, spos, tpos in vl.classes:
+            m = mine[spos] & trg_keep[tpos]
+            if m.any():
+                classes.append((offset, spos[m], tpos[m]))
+                used[spos[m]] = True
+        passes.append(VPass(np.flatnonzero(used), classes, []))
+    split = VSplit(passes[0], passes[1], inv_rows)
+    if not blocked:
+        return split
+    src_none, trg_none = split.nrows - 1, inv_rows.size  # the sentinels
+    trg_map = np.full(ntb + 1, trg_none, dtype=np.int64)
+    trg_map[inv_rows] = np.arange(inv_rows.size)
+    for vp, lo in ((split.own, 0), (split.ghost, split.own.rows.size)):
+        src_map = np.full(nsb + 1, src_none, dtype=np.int64)
+        src_map[vp.rows] = lo + np.arange(vp.rows.size)
+        for po, src_rows, trg_rows in vl.po_groups:
+            s, t = src_map[src_rows], trg_map[trg_rows]
+            keep = (s != src_none).any(axis=1) & (t != trg_none).any(axis=1)
+            if keep.any():
+                vp.po_groups.append((po, s[keep], t[keep]))
+    return split
+
+
+@dataclass
 class DownLevel:
     """Downward-pass work at one level (target boxes only).
 
@@ -253,7 +357,7 @@ class DownLevel:
     ``dc2de`` rows); ``l2t_*`` describe the leaf targets (box-frame
     coordinates, sorted-order positions, per-leaf offsets); ``x_*`` hold,
     per X-list target box, the concatenated sorted positions of the
-    partner sources.
+    partner sources, and the unique partner boxes.
     """
 
     level: int
@@ -266,22 +370,20 @@ class DownLevel:
     x_boxes: np.ndarray
     x_seg: np.ndarray
     x_src_pos: np.ndarray
+    x_partners: np.ndarray
 
 
 @dataclass
 class ExecutionPlan:
     """Flattened tree + interaction lists, ready for batched evaluation.
 
-    Built once per geometry by :func:`build_plan`; consumed by the
+    Built once per geometry by :func:`compile_plan`; consumed by the
     stage methods of :class:`repro.core.evaluator.PlanStages`.  Every
     array indexes either boxes (tree order) or points (Morton-sorted
     order); densities and potentials are carried in sorted order inside
-    the evaluator and permuted once at entry/exit.
-
-    ``u`` / ``w`` group the U and W lists per target leaf (partner
-    source positions / partner boxes).  They are ``None`` on a rank's
-    plan, whose driver runs the owned/ghost splits of
-    :class:`~repro.parallel.pfmm.RankFMM` instead.
+    the evaluator and permuted once at entry/exit.  The U and W lists
+    are not here: :class:`~repro.parallel.pfmm.RankFMM` groups their
+    gated pairs (:class:`NearPairs`) by partner ownership.
     """
 
     nboxes: int
@@ -293,8 +395,6 @@ class ExecutionPlan:
     up_levels: list[UpLevel]
     v_levels: list[VLevel]
     down_levels: list[DownLevel]
-    u: NearBlocks | None = None
-    w: NearBlocks | None = None
     buffers: BufferPool = field(default_factory=BufferPool, repr=False)
 
     def statistics(self) -> dict[str, float]:
@@ -311,9 +411,6 @@ class ExecutionPlan:
             "plan_v_classes": nclasses,
             "plan_v_pairs": npairs,
             "plan_v_parent_pairs": nparent,
-            "plan_u_boxes": int(self.u.boxes.size),
-            "plan_u_sources": int(self.u.seg[-1]),
-            "plan_w_pairs": int(self.w.src_pos.size),
             "plan_buffer_bytes": self.buffers.nbytes(),
         }
 
@@ -324,7 +421,9 @@ class NearBlocks:
 
     ``boxes`` are the unique target boxes; ``seg`` holds cumulative
     partner-point (or partner-box) offsets; ``src_pos`` concatenates the
-    partner point positions (U/X) or partner box indices (W).
+    partner point positions (U/X) or partner box indices (W);
+    ``partners`` are the unique partner boxes (what a step over the
+    blocks declares it reads).
     """
 
     boxes: np.ndarray
@@ -332,6 +431,7 @@ class NearBlocks:
     trg_stop: np.ndarray
     seg: np.ndarray
     src_pos: np.ndarray
+    partners: np.ndarray
 
 
 def build_near_blocks(
@@ -355,7 +455,9 @@ def build_near_blocks(
     np.add.at(counts, np.searchsorted(boxes, trg), p_stop[src] - p_start[src])
     seg = np.zeros(boxes.size + 1, dtype=np.int64)
     np.cumsum(counts, out=seg[1:])
-    return NearBlocks(boxes, trg_start[boxes], trg_stop[boxes], seg, src_pos)
+    return NearBlocks(
+        boxes, trg_start[boxes], trg_stop[boxes], seg, src_pos, np.unique(src)
+    )
 
 
 def build_w_blocks(
@@ -371,7 +473,10 @@ def build_w_blocks(
     ).astype(np.int64)
     seg = np.zeros(boxes.size + 1, dtype=np.int64)
     np.cumsum(counts, out=seg[1:])
-    return NearBlocks(boxes, trg_start[boxes], trg_stop[boxes], seg, partners)
+    return NearBlocks(
+        boxes, trg_start[boxes], trg_stop[boxes], seg, partners,
+        np.unique(partners),
+    )
 
 
 @dataclass
@@ -393,20 +498,16 @@ class NearPairs:
     trg_start: np.ndarray
     trg_stop: np.ndarray
 
-    def blocks(
-        self, keep: np.ndarray | None = None
-    ) -> tuple[NearBlocks, NearBlocks]:
+    def blocks(self, keep: np.ndarray) -> tuple[NearBlocks, NearBlocks]:
         """The ``(U, W)`` blocks over the pairs whose partner ``keep`` marks.
 
-        ``keep`` is a per-box mask (a rank's owned or ghost boxes);
-        ``None`` keeps every pair.  Pair order is preserved, so the
-        splits of a mask and its complement partition the unsplit
-        blocks' partners in place.
+        ``keep`` is a per-box mask (a rank's owned or ghost boxes).
+        Pair order is preserved, so the splits of a mask and its
+        complement partition the pairs in place.
         """
         (ut, us), (wt, wp) = self.u, self.w
-        if keep is not None:
-            um, wm = keep[us], keep[wp]
-            ut, us, wt, wp = ut[um], us[um], wt[wm], wp[wm]
+        um, wm = keep[us], keep[wp]
+        ut, us, wt, wp = ut[um], us[um], wt[wm], wp[wm]
         return (
             build_near_blocks(
                 ut, us, self.p_start, self.p_stop,
@@ -427,10 +528,8 @@ def _gated_pairs(
 
 
 def build_plan(tree: Octree, lists: InteractionLists) -> ExecutionPlan:
-    """Flatten ``tree`` and ``lists`` into a sequential plan."""
-    plan, near = compile_plan(tree, lists)
-    plan.u, plan.w = near.blocks()
-    return plan
+    """Flatten ``tree`` and ``lists`` into a plan (the plan alone)."""
+    return compile_plan(tree, lists)[0]
 
 
 def compile_plan(
@@ -440,10 +539,8 @@ def compile_plan(
     partner_nsrc: np.ndarray | None = None,
     ext_ranges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ExecutionPlan, NearPairs]:
-    """Everything of a plan but the U/W blocks, plus their gated pairs.
-
-    :func:`build_plan` groups the pairs unsplit; a rank groups them by
-    partner ownership (:meth:`NearPairs.blocks`).
+    """The plan, plus the gated U/W pairs a rank groups by partner
+    ownership (:meth:`NearPairs.blocks`).
 
     Parameters
     ----------
@@ -634,6 +731,7 @@ def compile_plan(
                 x_boxes=xb.boxes,
                 x_seg=xb.seg,
                 x_src_pos=xb.src_pos,
+                x_partners=xb.partners,
             )
         )
 

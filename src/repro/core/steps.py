@@ -10,8 +10,8 @@ that ``repro plancheck`` certifies.  There is no second description to
 keep in step.
 
 Regions are level-granular slices of the apply-time buffers, named
-``family@level`` (``"ue@3"``, ``"dc@2"``) or, on a rank, ``family:split``
-for the parts the exchange defines (``"ue:own"``, ``"ext_phi:ghost"``).
+``family@level`` (``"ue@3"``, ``"dc@2"``) or ``family:split``
+for the parts the exchange delivers (``"ue:own"``, ``"phi:ghost"``).
 A step's ``run`` receives a :class:`StepBuffers` holding only the
 *families* it declared, so a stage that touches anything else fails on
 the first apply that reaches it.
@@ -32,7 +32,7 @@ _FINITE_CHECKS = {
     "ue": ("upward equivalent densities", "boxes", 0),
     "dc": ("downward check potentials", "boxes", 1),
     "de": ("downward equivalent densities", "boxes", 1),
-    "ext_phi": ("combined ghost source densities", "points", 0),
+    "phi": ("combined own + ghost source densities", "points", 0),
     "pot": ("potentials", "targets", 1),
 }
 
@@ -90,7 +90,7 @@ class StepList:
     """A compiled apply: the steps, every region's shape, the live-outs.
 
     ``live_out`` are regions legitimately written but never read (the
-    output potential and, sequentially, the root upward density).
+    output potential).
     """
 
     steps: list[Step]

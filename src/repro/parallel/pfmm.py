@@ -13,12 +13,22 @@ The redundant computation this design accepts near the root (every rank
 computes partial upward densities and full downward passes for the
 ancestors of its boxes) is reproduced faithfully; as the paper notes, the
 number of such boxes is small.
+
+Because each stage ignores the other processors, one rank's apply *is*
+the sequential algorithm over its local essential tree, and the
+sequential apply is the one-rank case.  The module is organised that
+way: :func:`setup_on_tree` turns a :class:`ParallelTree` — built by
+:func:`parallel_build_tree` on a rank, wrapped around a sequential tree
+by :func:`one_rank_tree` for :class:`~repro.core.fmm.KIFMM` — into a
+:class:`RankFMM`, whose :meth:`~RankFMM.apply` is the one driver of
+every planned evaluation.  At one rank no box circulates, the exchange
+programs are empty and the combined source array is the sorted source
+array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from dataclasses import field as dataclasses_field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +48,19 @@ from repro.core.m2lschedule import (
     resolve_m2l_schedule,
     v_stats_from_plan,
 )
-from repro.core.plan import ExecutionPlan, NearBlocks, compile_plan
+from repro.core.plan import (
+    ExecutionPlan,
+    NearBlocks,
+    VSplit,
+    compile_plan,
+    split_v_level,
+)
 from repro.core.precompute import OperatorCache
 from repro.core.steps import BufferSpec, Step, StepList, run_steps
 from repro.kernels.base import Kernel
+from repro.octree.balance import balance_tree
 from repro.octree.lists import InteractionLists, build_lists
+from repro.octree.tree import Octree, _root_cube
 from repro.parallel.exchange import (
     PHASES,
     ApplyExchange,
@@ -50,6 +68,7 @@ from repro.parallel.exchange import (
     Program,
     Roles,
     box_roles,
+    circulating,
     compile_exchange,
     geo_binding,
     phi_binding,
@@ -72,22 +91,6 @@ from repro.util.timing import PhaseTimer
 
 #: Payload kinds of one apply, in the order every rank runs each phase.
 APPLY_KINDS = ("phi", "pue")
-
-
-def _global_root(
-    points: np.ndarray, pad: float = 1e-6
-) -> tuple[np.ndarray, float]:
-    """Bounding cube over all points, matching :func:`agree_root_cube`.
-
-    The driver holds the full point set, so it can compute the cube the
-    ranks would have agreed on collectively (elementwise min/max commute
-    with the Allreduce) and share one operator cache across ranks.
-    """
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    side = float((hi - lo).max())
-    side = side * (1.0 + pad) if side > 0 else 1.0
-    center = (lo + hi) / 2.0
-    return center - side / 2.0, side
 
 
 def v_split_bcast_schedule(
@@ -152,108 +155,70 @@ def exchange_schedule(
     return calls
 
 
-@dataclass
-class _VSplit:
-    """One V level's pairs split by source-box ownership.
-
-    Rows/classes over sources this rank owns can be processed inside the
-    overlap window (their global equivalent densities are on hand right
-    after the owner relay); ghost rows wait for the scatter.
-
-    At *coarse split levels* (box count below the rank count — see
-    :func:`repro.core.m2lschedule.coarse_split_levels`) the redundant
-    tree-top translations are divided instead: ``own_*`` is empty, the
-    ``ghost_*`` classes are restricted to the target boxes *assigned* to
-    this rank by the deterministic cyclic assignment, ``inv_rows`` lists
-    the assigned positions into ``vl.trg_boxes`` (the only rows this
-    rank inverse-transforms), and ``bcast`` holds the per-box
-    ``(box, root_rank, participant_ranks)`` broadcast schedule that
-    delivers every participant the assigned rank's downward-check rows
-    (compiled into ``GhostLayout.vsp[level]``).
-    ``inv_rows is None`` means the level is not split (all rows local).
-    """
-
-    own_rows: np.ndarray
-    ghost_rows: np.ndarray
-    own_classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
-    ghost_classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
-    inv_rows: np.ndarray | None = None
-    bcast: list[tuple[int, int, tuple[int, ...]]] = dataclasses_field(
-        default_factory=list
-    )
-
-
+@dataclass(eq=False)
 class RankFMM:
-    """One rank's persistent parallel FMM state (the setup product).
+    """One rank's persistent FMM state (the setup product) and its apply.
 
-    Mirrors the sequential ``KIFMM`` setup/apply split over the rank's
-    local essential tree: :func:`rank_setup` builds the parallel tree,
-    the LET-local :class:`~repro.core.plan.ExecutionPlan` (partner
-    gating by *global* source counts, U/X positions into the combined
-    local+ghost source array), the ghost geometry, and the owned/ghost
-    work splits that define the overlap window.  :meth:`apply` then runs
-    one batched interaction evaluation, exchanging only densities.
+    :func:`setup_on_tree` builds, over the rank's local essential tree,
+    the :class:`~repro.core.plan.ExecutionPlan` (partner gating by
+    *global* source counts, U/X positions into the combined local+ghost
+    source array), the ghost geometry, the compiled exchange programs
+    and the owned/ghost work splits that define the overlap window.
+    :meth:`apply` then runs one batched interaction evaluation,
+    exchanging only densities.  :class:`~repro.core.fmm.KIFMM` holds
+    the one-rank instance.
 
     The object deliberately holds no communicator — each apply receives
     one, so the same states can be reused across ``run_spmd`` calls
     (each GMRES matvec is one such call).
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        options: FMMOptions,
-        ptree: ParallelTree,
-        lists: InteractionLists,
-        cache: OperatorCache,
-        fft: FFTM2L | None,
-        plan: ExecutionPlan,
-        layout: GhostLayout,
-        ext_points: np.ndarray,
-        u_own: NearBlocks,
-        u_ghost: NearBlocks,
-        w_own: NearBlocks,
-        w_ghost: NearBlocks,
-        v_splits: list[_VSplit],
-        src_start: np.ndarray,
-        src_stop: np.ndarray,
-        source_kernel: Kernel | None,
-        target_kernel: Kernel | None,
-        direct_kernel: Kernel | None,
-        m2l_schedule: M2LSchedule,
-        v_compute: np.ndarray,
-    ) -> None:
-        self.kernel = kernel
-        self.options = options
-        self.ptree = ptree
-        self.tree = ptree.tree
-        self.lists = lists
-        self.cache = cache
-        self.fft = fft
-        self.plan = plan
-        self.layout = layout
-        self.ext_points = ext_points
-        self.u_own = u_own
-        self.u_ghost = u_ghost
-        self.w_own = w_own
-        self.w_ghost = w_ghost
-        self.v_splits = v_splits
-        self.src_start = src_start
-        self.src_stop = src_stop
-        # Which boxes this rank performs V target-side work for.  Every
-        # box with local targets, except at coarse split levels, where
-        # only the cyclically-assigned boxes remain (the flop model's
-        # ``v_targets`` mask).
-        self.v_compute = v_compute
-        self.m2l_schedule = m2l_schedule
-        self.src_k, self.trg_k, self.dir_k = resolve_kernels(
-            kernel, source_kernel, target_kernel, direct_kernel
+    kernel: Kernel
+    options: FMMOptions
+    ptree: ParallelTree
+    lists: InteractionLists
+    cache: OperatorCache
+    fft: FFTM2L | None
+    plan: ExecutionPlan
+    layout: GhostLayout
+    #: The rank's sorted sources, then the ghost boxes' (the geometry
+    #: of the combined source array).
+    ext_points: np.ndarray
+    #: ``(U, W)`` blocks over ``"own"`` and over ``"ghost"`` partners.
+    near: dict[str, tuple[NearBlocks, NearBlocks]]
+    v_splits: list[VSplit]
+    #: The (source, target, direct) kernels an apply uses unless it
+    #: names its own.
+    kernels: tuple[Kernel, Kernel, Kernel]
+    m2l_schedule: M2LSchedule
+    #: Which boxes this rank performs V target-side work for.  Every
+    #: box with local targets, except at coarse split levels, where
+    #: only the cyclically-assigned boxes remain (the flop model's
+    #: ``v_targets`` mask).
+    v_compute: np.ndarray
+    #: Flops of this rank's applies, by phase.
+    flops: FlopCounter = field(default_factory=FlopCounter)
+
+    @property
+    def tree(self) -> Octree:
+        return self.ptree.tree
+
+    def statistics(self) -> dict[str, float]:
+        """The plan's shape plus the near-field blocks, own and ghost."""
+        (u_own, w_own), (u_ghost, w_ghost) = self.near["own"], self.near["ghost"]
+        stats = self.plan.statistics()
+        stats.update(
+            plan_u_boxes=int(np.union1d(u_own.boxes, u_ghost.boxes).size),
+            plan_u_sources=int(u_own.seg[-1] + u_ghost.seg[-1]),
+            plan_w_pairs=int(w_own.src_pos.size + w_ghost.src_pos.size),
         )
-        #: Flops of this rank's applies, by phase (as ``KIFMM.flops``).
-        self.flops = FlopCounter()
+        return stats
 
     def compile(
-        self, overlap: bool = True, exch: ApplyExchange | None = None
+        self,
+        overlap: bool = True,
+        exch: ApplyExchange | None = None,
+        kernels: tuple[Kernel, Kernel, Kernel] | None = None,
     ) -> StepList:
         """This rank's apply as a step list.
 
@@ -263,21 +228,26 @@ class RankFMM:
         payload kind and the ``vsp`` broadcast pair of each coarse split
         level.  ``exch`` binds those steps to one apply; the plan
         verifier compiles without it and reads only the declarations.
+        ``kernels`` replaces the state's own triple for this apply (the
+        gradient apply shares the plan).
         """
         plan, lay = self.plan, self.layout
+        kernels = kernels or self.kernels
         width = self.cache.n_surf * self.kernel.source_dof
-        partial = "ue:partial@{}".format
         # What each payload kind ships, and the split regions it
         # delivers: owner-relayed rows (own) and scattered rows (ghost).
         sent = {
             "phi": ("phi",),
-            "pue": tuple(partial(ul.level) for ul in plan.up_levels),
+            "pue": tuple(f"ue@{ul.level}" for ul in plan.up_levels),
         }
         buffers: dict[str, BufferSpec] = {}
         delivers: dict[tuple[str, str], tuple[str, ...]] = {}
-        for kind, family in (("phi", "ext_phi"), ("pue", "ue")):
+        kinds = {k: np.zeros(plan.nboxes, dtype=np.int8) for k in APPLY_KINDS}
+        for kind, family in (("phi", "phi"), ("pue", "ue")):
             program = getattr(lay, kind)
-            for split, phase in (("own", "relay"), ("ghost", "wait")):
+            for code, (split, phase) in enumerate(
+                (("own", "relay"), ("ghost", "wait")), start=1
+            ):
                 boxes = [
                     op.ids[0] for op in getattr(program, phase)
                     if op.kind == "store"
@@ -285,20 +255,20 @@ class RankFMM:
                 delivers[kind, split] = ()
                 if not boxes:
                     continue
+                kinds[kind][boxes] = code
                 shape = (len(boxes), width)
                 if kind == "phi":
                     shape = (
-                        int(sum(lay.ext_stop[bx] - lay.ext_start[bx]
-                                for bx in boxes)),
-                        self.src_k.source_dof,
+                        int((lay.ext_stop[boxes] - lay.ext_start[boxes]).sum()),
+                        kernels[0].source_dof,
                     )
                 name = f"{family}:{split}"
                 buffers[name] = BufferSpec(name, shape, "float64")
                 delivers[kind, split] = (name,)
 
         def exchange_step(phase, kind, reads=(), writes=()) -> Step:
-            # The exchange holds its own views of phi / ue / ext_phi
-            # (bound in ``apply``) and times itself as pack / wait.
+            # The exchange holds its own views of phi / ue (bound in
+            # ``apply``) and times itself as pack / wait.
             return Step(
                 f"{phase}:{kind}", "exchange",
                 lambda b: exch.run(kind, phase),
@@ -307,8 +277,7 @@ class RankFMM:
             )
 
         rank = RankOperands(
-            near={"own": (self.u_own, self.w_own),
-                  "ghost": (self.u_ghost, self.w_ghost)},
+            near=self.near,
             v_splits=self.v_splits,
             post=[
                 exchange_step("post", k, reads=sent[k]) for k in APPLY_KINDS
@@ -324,11 +293,11 @@ class RankFMM:
             ],
             vsp={lvl: self._v_split_steps(exch, lvl) for lvl in lay.vsp},
             buffers=buffers,
-            up_region=partial,
+            phi_kind=kinds["phi"],
+            ue_kind=kinds["pue"],
         )
         stages = PlanStages(
-            plan, self.kernel, self.cache,
-            (self.src_k, self.trg_k, self.dir_k),
+            plan, self.kernel, self.cache, kernels,
             self.m2l_schedule, self.fft, self.ext_points,
         )
         return stages.compile(rank, overlap)
@@ -366,10 +335,12 @@ class RankFMM:
         local_density: np.ndarray,
         timer: PhaseTimer | None = None,
         overlap: bool = True,
+        kernels: tuple[Kernel, Kernel, Kernel] | None = None,
     ) -> np.ndarray:
         """One planned interaction evaluation over the LET.
 
-        The rank driver: it sorts the density, allocates the work
+        The driver of every planned apply: it sorts the density into
+        the head of the combined source array, allocates the work
         arrays, binds the exchange to them and runs the step list of
         :meth:`compile`.
 
@@ -386,63 +357,80 @@ class RankFMM:
         ``sdof * nrhs`` and per-box equivalent-density payloads to
         ``nrhs`` contiguous surface vectors, so latency and coordinate
         traffic are paid once per block instead of once per column.
+
+        ``options.sanitize`` (or ``REPRO_SANITIZE=1``) enables the
+        runtime sanitizers of :mod:`repro.analysis.sanitize`: BufferPool
+        lifecycle with NaN poisoning of released scratch, finite checks
+        at every phase boundary (naming the phase and box range that
+        first went non-finite), GEMM aliasing guards, and a pool-escape
+        check on the returned potential.
         """
         timer = timer if timer is not None else PhaseTimer()
-        tree, plan = self.tree, self.plan
+        kernels = kernels or self.kernels
+        tree, plan, lay = self.tree, self.plan, self.layout
         md, qd = self.kernel.source_dof, self.kernel.target_dof
-        sdof, out_dof = self.src_k.source_dof, self.trg_k.target_dof
+        sdof, out_dof = kernels[0].source_dof, kernels[1].target_dof
         n_surf, nb = self.cache.n_surf, plan.nboxes
         ns, nt = tree.sources.shape[0], tree.targets.shape[0]
-        n_ext = self.ext_points.shape[0]
         pool = plan.buffers
         pool.sanitize = self.options.sanitize or _san.enabled()
-        phi3, nrhs, single = coerce_density(
-            np.asarray(local_density, dtype=np.float64), ns, sdof
-        )
+        phi3, nrhs, single = coerce_density(local_density, ns, sdof)
         if pool.sanitize:
-            _san.check_finite(phi3, "input", "local density",
-                              rows_are="points")
-        phi = np.ascontiguousarray(phi3[tree.src_perm])
+            _san.check_finite(phi3, "input", "density", rows_are="points")
+        # A fresh array per apply: its head ships to peers as views.
+        phi = np.empty((self.ext_points.shape[0], sdof, nrhs))
+        phi[:ns] = phi3[tree.src_perm]
         # The exchange payloads keep points / boxes on the leading axis
         # with all right-hand sides packed into the row: one exchange,
         # nrhs-wide.
-        phi_rows = phi.reshape(ns, sdof * nrhs)
+        phi_rows = phi.reshape(-1, sdof * nrhs)
         ue_rows = pool.zeros("ue", (nb, nrhs * n_surf * md))
-        ext_rows = pool.empty("ext_phi", (n_ext, sdof * nrhs))
         rec = current_recorder()
         if rec is not None:
             # No message separates these records from the upward pass,
             # so they carry the clock of its writes.
-            rec.register(f"rank{comm.rank}:phi_sorted", phi_rows)
-            rec.write(phi_rows, "sort-density")
+            rec.register(f"rank{comm.rank}:phi", phi_rows)
+            rec.write(phi_rows[:ns], "sort-density")
             rec.register(f"rank{comm.rank}:ue", ue_rows)
             rec.write(ue_rows, "upward-partial")
-            rec.register(f"rank{comm.rank}:ext_phi", ext_rows)
         live = {
             "phi": phi,
             "ue": ue_rows.reshape(nb, nrhs, n_surf * md),
-            "ext_phi": ext_rows.reshape(n_ext, sdof, nrhs),
             "dc": pool.zeros("dc", (nrhs, nb, n_surf * qd)),
             "de": pool.zeros("de", (nrhs, nb, n_surf * md)),
             "pot": pool.zeros("pot", (nrhs, nt, out_dof)),
         }
-        lay = self.layout
         vsp = vsp_binding(live["dc"])
         exch = ApplyExchange(comm, timer, {
             "phi": (lay.phi, phi_binding(
-                phi_rows, self.src_start, self.src_stop,
-                ext_rows, lay.ext_start, lay.ext_stop,
+                phi_rows[:ns], lay.src_start, lay.src_stop,
+                phi_rows, lay.ext_start, lay.ext_stop,
             )),
             "pue": (lay.pue, pue_binding(ue_rows)),
             **{f"vsp@{lvl}": (prog, vsp) for lvl, prog in lay.vsp.items()},
         })
         run_steps(
-            self.compile(overlap, exch), live, pool, nrhs, self.flops, timer,
+            self.compile(overlap, exch, kernels), live, pool, nrhs,
+            self.flops, timer,
         )
         potential = unsort_potential(live["pot"], tree.trg_perm, single)
         if pool.sanitize:
             _san.check_escape(potential, pool, "RankFMM.apply")
         return potential
+
+
+def one_rank_tree(tree: Octree, balance: bool = False) -> ParallelTree:
+    """A sequential tree as the one-rank :class:`ParallelTree`: every
+    count is global.  The one place ``FMMOptions.balance`` is honoured —
+    2:1 balancing rebuilds the tree from one rank's complete view."""
+    if balance:
+        tree = balance_tree(tree)
+    nb = tree.nboxes
+    return ParallelTree(
+        tree=tree,
+        global_nsrc=np.fromiter((b.nsrc for b in tree.boxes), np.int64, nb),
+        global_ntrg=np.fromiter((b.ntrg for b in tree.boxes), np.int64, nb),
+    )
 
 
 def rank_setup(
@@ -454,31 +442,55 @@ def rank_setup(
     root: tuple[np.ndarray, float] | None = None,
     cache: OperatorCache | None = None,
     fft: FFTM2L | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
+    kernels: tuple[Kernel, Kernel, Kernel] | None = None,
     timer: PhaseTimer | None = None,
 ) -> RankFMM:
-    """Per-rank setup of the persistent parallel operator.
-
-    Runs once per geometry: parallel tree + lists, LET classification,
-    owner assignment, the LET-local execution plan, the setup-time ghost
-    *geometry* exchange, and the owned/ghost work splits.  ``cache`` and
-    ``fft`` may be shared across ranks (their lazy per-level entries are
-    deterministic, so concurrent population is benign); when omitted
-    they are built locally from the agreed root cube.
-    """
+    """Per-rank setup of the persistent parallel operator: the parallel
+    tree, then :func:`setup_on_tree`."""
     opts = options or FMMOptions()
+    _require_one_rank_balance(opts, comm.size)
     timer = timer if timer is not None else PhaseTimer()
-    me = comm.rank
-    local_points = np.asarray(local_points, dtype=np.float64)
-
     with timer.phase("tree"):
         ptree = parallel_build_tree(
-            comm, local_points,
+            comm, np.asarray(local_points, dtype=np.float64),
             max_points=opts.max_points, max_depth=opts.max_depth, root=root,
         )
-        tree = ptree.tree
+        if opts.balance:
+            ptree = one_rank_tree(ptree.tree, balance=True)
+    return setup_on_tree(
+        comm, kernel, ptree, opts,
+        cache=cache, fft=fft, kernels=kernels, timer=timer,
+    )
+
+
+def setup_on_tree(
+    comm: SimComm,
+    kernel: Kernel,
+    ptree: ParallelTree,
+    opts: FMMOptions,
+    *,
+    cache: OperatorCache | None = None,
+    fft: FFTM2L | None = None,
+    kernels: tuple[Kernel, Kernel, Kernel] | None = None,
+    timer: PhaseTimer | None = None,
+) -> RankFMM:
+    """Everything of a setup downstream of the tree, on every rank count.
+
+    Runs once per geometry: lists, LET classification, owner
+    assignment, the exchange programs, the setup-time ghost *geometry*
+    exchange, the LET-local execution plan, the M2L schedule and the
+    owned/ghost work splits.  ``cache`` and ``fft`` may be shared across
+    ranks (their lazy per-level entries are deterministic, so concurrent
+    population is benign); when omitted they are built locally from the
+    tree's root cube.  ``kernels`` is the resolved (source, target,
+    direct) triple applies default to — the translation kernel thrice
+    if omitted.
+    """
+    timer = timer if timer is not None else PhaseTimer()
+    me = comm.rank
+    tree = ptree.tree
+
+    with timer.phase("tree"):
         lists = build_lists(tree)
         contrib_src, contrib_trg = gather_contributors(
             comm, ptree.local_contributes_src(), ptree.local_contributes_trg()
@@ -495,27 +507,31 @@ def rank_setup(
             inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
         )
     nb = tree.nboxes
-    # Layout of the combined (local + ghost) source array: used boxes in
-    # ascending order, each holding its *global* sources in the owner's
-    # concatenation order.
-    used = np.flatnonzero(usage.uses_source)
-    sizes = ptree.global_nsrc[used]
-    ext_start = np.zeros(nb, dtype=np.int64)
-    ext_stop = np.zeros(nb, dtype=np.int64)
-    stops = np.cumsum(sizes)
-    ext_start[used] = stops - sizes
-    ext_stop[used] = stops
-    ext_total = int(stops[-1]) if used.size else 0
-
-    # This rank's slice of each payload kind's program; positions and
-    # densities circulate under the same roles.
+    # What circulates — positions and densities under the same roles —
+    # are the used boxes some other rank contributes to or uses.  The
+    # rest never leave their owner, whose passes read them in place.
+    moves_src = users_src.any(axis=0) & circulating(
+        owner, contrib_src, users_src
+    )
+    moves_ue = users_equiv.any(axis=0) & circulating(
+        owner, contrib_src, users_equiv
+    )
     src_roles = box_roles(
-        np.nonzero(users_src.any(axis=0))[0], owner, contrib_src, users_src
+        np.nonzero(moves_src)[0], owner, contrib_src, users_src
     )
     ue_roles = box_roles(
-        np.nonzero(users_equiv.any(axis=0))[0], owner, contrib_src,
-        users_equiv,
+        np.nonzero(moves_ue)[0], owner, contrib_src, users_equiv
     )
+    # Layout of the combined source array: this rank's sorted sources,
+    # then the circulating boxes it uses in ascending order, each
+    # holding its *global* sources in the owner's concatenation order.
+    src_start = np.fromiter((b.src_start for b in tree.boxes), np.int64, nb)
+    src_stop = np.fromiter((b.src_stop for b in tree.boxes), np.int64, nb)
+    ghost = np.flatnonzero(usage.uses_source & moves_src)
+    stops = tree.sources.shape[0] + np.cumsum(ptree.global_nsrc[ghost])
+    ext_start, ext_stop = src_start.copy(), src_stop.copy()
+    ext_start[ghost] = stops - ptree.global_nsrc[ghost]
+    ext_stop[ghost] = stops
 
     def my_program(kind: str, roles: Roles, scheme: str = opts.comm):
         return compile_exchange(kind, roles, scheme, only=me)[me]
@@ -527,9 +543,6 @@ def rank_setup(
     )})
     for phase in PHASES:
         geo.run("geo", phase)
-    ext_points = np.empty((ext_total, 3))
-    for b in used:
-        ext_points[ext_start[b]:ext_stop[b]] = ghost_pts[int(b)]
 
     vsp_programs: dict[int, Program] = {}
 
@@ -539,13 +552,17 @@ def rank_setup(
             partner_nsrc=ptree.global_nsrc,
             ext_ranges=(ext_start, ext_stop),
         )
+        # The plan's V statistics are gated by global source counts
+        # (via partner_nsrc), so every rank resolves the same schedule.
+        sched = resolve_m2l_schedule(
+            opts.m2l, opts.dtype,
+            stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
+        )
 
         # Ownership splits of the near-field and V-list work: owned
         # partners are computable right after the owner relay, ghost
         # partners only after the scatter completes.
         owned = owner == me
-        u_own, w_own = near.blocks(owned)
-        u_ghost, w_ghost = near.blocks(~owned)
 
         # Coarse split levels: fewer boxes than ranks, where the fully
         # redundant tree-top V translations leave ranks idle.  Each
@@ -560,87 +577,39 @@ def rank_setup(
         )
         # default: every box with local targets
         v_compute = near.trg_stop > near.trg_start
-        v_splits: list[_VSplit] = []
-        empty_idx = np.empty(0, dtype=np.int64)
+        v_splits: list[VSplit] = []
         for vl in plan.v_levels:
-            if vl.level in split_levels:
-                lvl_boxes = np.asarray(
-                    tree.levels[vl.level], dtype=np.int64
-                )
-                # The level's global V target set, gated like build_plan:
-                # some rank contributes targets and some partner holds
-                # global sources.
-                schedule = v_split_bcast_schedule(
-                    lvl_boxes, lists, contrib_trg, ptree.global_nsrc
-                )
-                assigned_rank = {
-                    bx: root_r for bx, root_r, _ in schedule
-                }
-                bcast = [
-                    (bx, root_r, parts)
-                    for bx, root_r, parts in schedule if me in parts
-                ]
-                if bcast:
-                    # The broadcast always runs the binomial shape.
-                    vsp_programs[int(vl.level)] = my_program(
-                        "vsp", vsp_roles(int(vl.level), schedule), "tree"
-                    )
-                assigned = np.fromiter(
-                    (assigned_rank[int(bx)] == me for bx in vl.trg_boxes),
-                    bool, vl.trg_boxes.size,
-                )
-                v_compute[lvl_boxes] = False
-                v_compute[[bx for bx, r in assigned_rank.items()
-                           if r == me]] = True
-                ghost_classes = []
-                used_src: list[np.ndarray] = []
-                for offset, spos, tpos in vl.classes:
-                    m = assigned[tpos]
-                    if m.any():
-                        ghost_classes.append((offset, spos[m], tpos[m]))
-                        used_src.append(spos[m])
-                v_splits.append(
-                    _VSplit(
-                        own_rows=empty_idx,
-                        ghost_rows=(
-                            np.unique(np.concatenate(used_src))
-                            if used_src else empty_idx
-                        ),
-                        own_classes=[],
-                        ghost_classes=ghost_classes,
-                        inv_rows=np.flatnonzero(assigned),
-                        bcast=bcast,
-                    )
-                )
+            blocked = sched.backend(vl.level) == "fft"
+            if vl.level not in split_levels:
+                v_splits.append(split_v_level(
+                    vl, owned[vl.src_boxes],
+                    np.ones(vl.trg_boxes.size, dtype=bool), blocked,
+                ))
                 continue
-            src_owned = owned[vl.src_boxes]
-            own_classes, ghost_classes = [], []
-            for offset, spos, tpos in vl.classes:
-                m = src_owned[spos]
-                if m.any():
-                    own_classes.append((offset, spos[m], tpos[m]))
-                if not m.all():
-                    ghost_classes.append((offset, spos[~m], tpos[~m]))
-            v_splits.append(
-                _VSplit(
-                    own_rows=np.flatnonzero(src_owned),
-                    ghost_rows=np.flatnonzero(~src_owned),
-                    own_classes=own_classes,
-                    ghost_classes=ghost_classes,
-                )
+            lvl_boxes = np.asarray(tree.levels[vl.level], dtype=np.int64)
+            # The level's global V target set, gated like the plan:
+            # some rank contributes targets and some partner holds
+            # global sources.
+            schedule = v_split_bcast_schedule(
+                lvl_boxes, lists, contrib_trg, ptree.global_nsrc
             )
+            mine = [bx for bx, root_r, _ in schedule if root_r == me]
+            v_compute[lvl_boxes] = False
+            v_compute[mine] = True
+            split = split_v_level(
+                vl, np.zeros(vl.src_boxes.size, dtype=bool),
+                np.isin(vl.trg_boxes, mine), blocked,
+            )
+            split.bcast = [row for row in schedule if me in row[2]]
+            if split.bcast:
+                # The broadcast always runs the binomial shape.
+                vsp_programs[int(vl.level)] = my_program(
+                    "vsp", vsp_roles(int(vl.level), schedule), "tree"
+                )
+            v_splits.append(split)
 
-    # The plan's V statistics are gated by global source counts (via
-    # partner_nsrc), so every rank resolves the identical schedule.
-    sched = resolve_m2l_schedule(
-        opts.m2l, opts.dtype,
-        stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
-    )
     if fft is None and sched.needs_fft:
         fft = FFTM2L(cache)
-
-    src_start = np.fromiter((b.src_start for b in tree.boxes), np.int64, nb)
-    src_stop = np.fromiter((b.src_stop for b in tree.boxes), np.int64, nb)
     return RankFMM(
         kernel=kernel,
         options=opts,
@@ -653,20 +622,17 @@ def rank_setup(
             phi=my_program("phi", src_roles),
             pue=my_program("pue", ue_roles),
             vsp=vsp_programs,
+            src_start=src_start,
+            src_stop=src_stop,
             ext_start=ext_start,
             ext_stop=ext_stop,
         ),
-        ext_points=ext_points,
-        u_own=u_own,
-        u_ghost=u_ghost,
-        w_own=w_own,
-        w_ghost=w_ghost,
+        ext_points=np.vstack(
+            [plan.sources_sorted] + [ghost_pts[int(b)] for b in ghost]
+        ),
+        near={"own": near.blocks(owned), "ghost": near.blocks(~owned)},
         v_splits=v_splits,
-        src_start=src_start,
-        src_stop=src_stop,
-        source_kernel=source_kernel,
-        target_kernel=target_kernel,
-        direct_kernel=direct_kernel,
+        kernels=kernels or (kernel, kernel, kernel),
         m2l_schedule=sched,
         v_compute=v_compute,
     )
@@ -688,6 +654,54 @@ def _require_batched_plan(opts: FMMOptions) -> None:
             "the parallel operator requires plan='batched'; plan='naive' "
             "selects the sequential per-box reference (KIFMM) only"
         )
+
+
+def _require_one_rank_balance(opts: FMMOptions, nranks: int) -> None:
+    if opts.balance and nranks > 1:
+        raise ValueError(
+            "balance=True needs one rank's complete view of the tree "
+            f"(KIFMM, or one rank); got {nranks} ranks"
+        )
+
+
+def _shared_setup(
+    nranks: int,
+    kernel: Kernel,
+    points: np.ndarray,
+    opts: FMMOptions,
+    cache: OperatorCache | None,
+    fft: FFTM2L | None = None,
+):
+    """What a driver holding the full point set hands every rank: the
+    agreed root cube, one operator cache taken to it
+    (:meth:`OperatorCache.for_root`), the FFT tensors ``"auto"`` may
+    schedule (so ranks share the lazily-populated entries), and the
+    Morton partition."""
+    # The cube the ranks would agree on collectively (elementwise min/max
+    # commute with the Allreduce of agree_root_cube) — and KIFMM's own.
+    corner, side = _root_cube(points)
+    if cache is None:
+        cache = OperatorCache(
+            kernel, opts.p, side,
+            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
+        )
+    cache = cache.for_root(side)
+    if opts.m2l not in ("fft", "auto"):
+        fft = None
+    elif fft is None or fft.cache is not cache:
+        fft = FFTM2L(cache)
+    return (corner, side), cache, fft, partition_points(points, nranks)
+
+
+def _in_point_order(
+    parts: list[np.ndarray], pots: list[np.ndarray], single: bool
+) -> np.ndarray:
+    """The ranks' ``(n_r, dof, nrhs)`` potentials as one array in the
+    original point order (the RHS axis dropped for a single density)."""
+    out = np.zeros((sum(map(len, parts)),) + pots[0].shape[1:])
+    for idx, pot in zip(parts, pots):
+        out[idx] = pot
+    return out[:, :, 0] if single else out
 
 
 def run_parallel_fmm(
@@ -716,7 +730,9 @@ def run_parallel_fmm(
     The run goes through the persistent operator: one
     :func:`rank_setup` followed by ``napplies`` overlapped planned
     applies inside a single SPMD region (so a trace covers setup plus
-    every apply).  ``cache`` lets the caller supply a prebuilt
+    every apply — which :meth:`ParallelFMM.setup` followed by
+    :meth:`ParallelFMM.apply`, one region each, cannot give).  ``cache``
+    lets the caller supply a prebuilt
     :class:`~repro.core.precompute.OperatorCache` (taken through
     :meth:`~repro.core.precompute.OperatorCache.for_root` to the points'
     bounding cube).
@@ -732,44 +748,30 @@ def run_parallel_fmm(
     """
     if napplies < 1:
         raise ValueError(f"napplies must be >= 1, got {napplies}")
-    src_k, trg_k, dir_k = resolve_kernels(
+    kernels = resolve_kernels(
         kernel, source_kernel, target_kernel, direct_kernel
     )
     opts = options or FMMOptions()
     _require_batched_plan(opts)
+    _require_one_rank_balance(opts, nranks)
     points = np.asarray(points, dtype=np.float64)
-    density3, nrhs, single = coerce_density(
-        np.asarray(density, dtype=np.float64),
-        points.shape[0], src_k.source_dof,
+    density3, _, single = coerce_density(
+        density, points.shape[0], kernels[0].source_dof
     )
-    parts = partition_points(points, nranks)
     timers = [PhaseTimer() for _ in range(nranks)]
-    corner, side = _global_root(points)
-    if cache is None:
-        cache = OperatorCache(
-            kernel, opts.p, side,
-            inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
-        )
-    shared_cache = cache.for_root(side)
-    # "auto" may schedule fft levels; prebuild so ranks share the
-    # lazily-populated tensors (rank_setup ignores it otherwise).
-    shared_fft = (
-        FFTM2L(shared_cache) if opts.m2l in ("fft", "auto") else None
+    root, shared_cache, shared_fft, parts = _shared_setup(
+        nranks, kernel, points, opts, cache
     )
 
     def rank_main(comm: SimComm, idx: np.ndarray):
         state = rank_setup(
             comm, kernel, points[idx], opts,
-            root=(corner, side), cache=shared_cache, fft=shared_fft,
-            source_kernel=source_kernel, target_kernel=target_kernel,
-            direct_kernel=direct_kernel, timer=timers[comm.rank],
+            root=root, cache=shared_cache, fft=shared_fft,
+            kernels=kernels, timer=timers[comm.rank],
         )
-        dloc = density3[idx]
-        if single:
-            dloc = dloc[:, :, 0]
         for _ in range(napplies):
             pot = state.apply(
-                comm, dloc,
+                comm, density3[idx],
                 timer=timers[comm.rank], overlap=overlap,
             )
         return pot, comm.stats
@@ -778,12 +780,10 @@ def run_parallel_fmm(
         nranks, rank_main, PerRank(parts),
         trace=trace, schedule_seed=schedule_seed, race=race,
     )
-    out_shape = (points.shape[0], trg_k.target_dof)
-    potential = np.zeros(out_shape if single else out_shape + (nrhs,))
-    for idx, (pot, _) in zip(parts, outputs):
-        potential[idx] = pot
     return ParallelFMMResult(
-        potential=potential,
+        potential=_in_point_order(
+            parts, [pot for pot, _ in outputs], single
+        ),
         comm_stats=[stats for _, stats in outputs],
         timers=[t.by_phase() for t in timers],
         nranks=nranks,
@@ -793,7 +793,7 @@ def run_parallel_fmm(
 class ParallelFMM:
     """Persistent parallel FMM operator with a setup/apply split.
 
-    The parallel analogue of :class:`~repro.core.fmm.KIFMM`:
+    :class:`~repro.core.fmm.KIFMM` over several ranks:
     :meth:`setup` partitions the points, builds every rank's
     :class:`RankFMM` (parallel tree, LET, owners, LET-local execution
     plan, ghost geometry) and the shared operator cache — once.
@@ -820,13 +820,11 @@ class ParallelFMM:
         self.kernel = kernel
         self.options = options or FMMOptions()
         self.overlap = overlap
-        self.source_kernel = source_kernel
-        self.target_kernel = target_kernel
-        self.direct_kernel = direct_kernel
-        self.src_k, self.trg_k, self.dir_k = resolve_kernels(
+        self.kernels = resolve_kernels(
             kernel, source_kernel, target_kernel, direct_kernel
         )
         _require_batched_plan(self.options)
+        _require_one_rank_balance(self.options, nranks)
         self._states: list[RankFMM] | None = None
         self._parts: list[np.ndarray] | None = None
         self._npoints = 0
@@ -851,29 +849,16 @@ class ParallelFMM:
         """
         points = np.asarray(points, dtype=np.float64)
         opts = self.options
-        corner, side = _global_root(points)
-        if cache is None:
-            cache = self.cache
-        if cache is None:
-            cache = OperatorCache(
-                self.kernel, opts.p, side,
-                inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
-            )
-        self.cache = cache.for_root(side)
-        if opts.m2l in ("fft", "auto") and (
-            self.fft is None or self.fft.cache is not self.cache
-        ):
-            self.fft = FFTM2L(self.cache)
-        parts = partition_points(points, self.nranks)
+        root, self.cache, self.fft, parts = _shared_setup(
+            self.nranks, self.kernel, points, opts,
+            cache if cache is not None else self.cache, self.fft,
+        )
 
         def rank_main(comm: SimComm, idx: np.ndarray):
             state = rank_setup(
                 comm, self.kernel, points[idx], opts,
-                root=(corner, side), cache=self.cache, fft=self.fft,
-                source_kernel=self.source_kernel,
-                target_kernel=self.target_kernel,
-                direct_kernel=self.direct_kernel,
-                timer=self.timers[comm.rank],
+                root=root, cache=self.cache, fft=self.fft,
+                kernels=self.kernels, timer=self.timers[comm.rank],
             )
             return state, comm.stats
 
@@ -887,6 +872,13 @@ class ParallelFMM:
         self._parts = parts
         self._npoints = points.shape[0]
         return self
+
+    @property
+    def states(self) -> list[RankFMM]:
+        """Every rank's persistent state, in rank order (after setup)."""
+        if self._states is None:
+            raise RuntimeError("ParallelFMM.states before setup()")
+        return self._states
 
     def apply(
         self,
@@ -904,18 +896,14 @@ class ParallelFMM:
         """
         if self._states is None or self._parts is None:
             raise RuntimeError("ParallelFMM.apply before setup()")
-        density3, nrhs, single = coerce_density(
-            np.asarray(density, dtype=np.float64),
-            self._npoints, self.src_k.source_dof,
+        density3, _, single = coerce_density(
+            density, self._npoints, self.kernels[0].source_dof
         )
         overlap = self.overlap
 
         def rank_main(comm: SimComm, state: RankFMM, idx: np.ndarray):
-            dloc = density3[idx]
-            if single:
-                dloc = dloc[:, :, 0]
             pot = state.apply(
-                comm, dloc,
+                comm, density3[idx],
                 timer=self.timers[comm.rank], overlap=overlap,
             )
             return pot, comm.stats
@@ -927,11 +915,9 @@ class ParallelFMM:
         for mine, (_, stats) in zip(self.comm_stats, outputs):
             mine.merge(stats)
         self.napplies += 1
-        out_shape = (self._npoints, self.trg_k.target_dof)
-        potential = np.zeros(out_shape if single else out_shape + (nrhs,))
-        for idx, (pot, _) in zip(self._parts, outputs):
-            potential[idx] = pot
-        return potential
+        return _in_point_order(
+            self._parts, [pot for pot, _ in outputs], single
+        )
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
         """Flat-vector apply, the shape GMRES wants.

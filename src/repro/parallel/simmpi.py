@@ -877,6 +877,12 @@ def run_spmd(
     return results
 
 
+def single_rank_comm() -> SimComm:
+    """The communicator of a one-rank run, for the calling thread: its
+    collectives return at once and nothing is ever sent."""
+    return SimComm(_World(1), 0)
+
+
 @dataclass
 class PerRank:
     """Wrapper marking an argument as per-rank in :func:`run_spmd`."""

@@ -14,14 +14,13 @@ import pytest
 from repro.analysis.plancheck import (
     SEEDS,
     certify_parallel,
-    certify_sequential,
-    rank_irs,
+    rank_ir,
+    rank_states,
     run_checks,
     run_selftests,
     seed_dead_store,
     seed_narrowed_dtype,
     seed_reordered_wait,
-    sequential_ir,
 )
 from repro.analysis.planir import extract_rank_ir
 from repro.core.evaluator import PlanStages
@@ -41,7 +40,7 @@ def points():
 def parallel_ir(points):
     """One rank's IR (+expected flops) of an overlapped 2-rank setup."""
     opts = FMMOptions(p=4, max_points=40, m2l="fft")
-    return rank_irs(LaplaceKernel(), points, opts, 2, overlap=True)[0]
+    return rank_ir(rank_states(LaplaceKernel(), points, opts, 2)[0])
 
 
 @pytest.mark.parametrize(
@@ -54,8 +53,10 @@ def parallel_ir(points):
 )
 def test_sequential_certifies_clean(kernel, points, m2l, dtype):
     opts = FMMOptions(p=4, max_points=40, m2l=m2l, dtype=dtype)
+    fmm = KIFMM(kernel, opts).setup(points)
     for nrhs in (1, 8):
-        report = certify_sequential(kernel, points, opts, nrhs=nrhs)
+        # The sequential operator certifies as its one-rank state.
+        report = run_checks(*rank_ir(fmm.state, nrhs=nrhs))
         assert report.ok, [str(f) for f in report.findings]
         assert set(report.counts) == {
             "dataflow", "types", "schedule", "flops",
@@ -145,7 +146,8 @@ def test_ir_flops_match_measured_apply(points, compiled):
             fmm = KIFMM(kernel, opts).setup(points)
             fmm.apply(phi)
             assert_equal(
-                fmm._plan, lambda: sequential_ir(fmm, nrhs=1)[0], fmm.flops
+                fmm.state.plan, lambda: extract_rank_ir(fmm.state, nrhs=1),
+                fmm.flops,
             )
             for nranks, pts, s in ((2, points, 40), (4, clusters, 20)):
                 opts = FMMOptions(p=4, max_points=s, m2l=m2l)
@@ -154,7 +156,7 @@ def test_ir_flops_match_measured_apply(points, compiled):
                     rng.standard_normal(pts.shape[0] * kernel.source_dof)
                 )
                 split = False
-                for state in op._states:
+                for state in op.states:
                     split |= any(sp.bcast for sp in state.v_splits)
                     assert_equal(
                         state.plan, lambda: extract_rank_ir(state, nrhs=1),

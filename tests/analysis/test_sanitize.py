@@ -113,13 +113,13 @@ class TestEscapeCheck:
     def test_pool_backed_result_fires(self):
         pool = BufferPool()
         result = pool.zeros("potential", (10, 1))
-        with pytest.raises(BufferEscapeError, match="evaluate_planned"):
-            check_escape(result, pool, "evaluate_planned")
+        with pytest.raises(BufferEscapeError, match="RankFMM.apply"):
+            check_escape(result, pool, "RankFMM.apply")
 
     def test_copied_result_passes(self):
         pool = BufferPool()
         result = pool.zeros("potential", (10, 1)).copy()
-        check_escape(result, pool, "evaluate_planned")
+        check_escape(result, pool, "RankFMM.apply")
 
 
 class TestSanitizedApply:

@@ -122,7 +122,7 @@ def test_auto_uses_gated_stats_consistently(points):
     kernel = LaplaceKernel()
     opts = FMMOptions(p=3, max_points=20, max_depth=4, m2l="auto")
     fmm = KIFMM(kernel, opts).setup(points)
-    from_plan = v_stats_from_plan(fmm._plan)
+    from_plan = v_stats_from_plan(fmm.state.plan)
     from_lists = v_stats_from_lists(fmm.tree, fmm.lists)
     assert from_plan == from_lists
     s1 = resolve_m2l_schedule("auto", "float64", stats=from_plan,
@@ -188,7 +188,7 @@ def test_rsvd_compression_actually_compresses(points):
     full = cache.n_surf  # square operator for a scalar kernel
     ranks = [
         cache.m2l_rsvd_rank(vl.level, offset)
-        for vl in fmm._plan.v_levels
+        for vl in fmm.state.plan.v_levels
         for offset, _, _ in vl.classes
     ]
     assert ranks

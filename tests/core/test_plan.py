@@ -19,12 +19,19 @@ import numpy as np
 import pytest
 
 from repro.core.fmm import FMMOptions, KIFMM
-from repro.core.plan import BufferPool, build_plan, chunk_segments, multi_arange
+from repro.core.plan import (
+    OCTANT_VECTORS,
+    BufferPool,
+    build_plan,
+    chunk_segments,
+    multi_arange,
+    split_v_level,
+)
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.kernels.derived import LaplaceDipoleKernel, LaplaceGradientKernel
 from repro.kernels.direct import direct_evaluate, relative_error
 
-from tests.conftest import uniform_cloud
+from tests.conftest import clustered_cloud, uniform_cloud
 
 
 def ellipse_surface(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -145,7 +152,7 @@ def test_po_groups_structure(rng):
     """Parent-pair rows index the extended (sentinel-padded) slabs."""
     pts = ellipse_surface(rng, 800)
     fmm = KIFMM(LaplaceKernel(), FMMOptions(p=4, max_points=25)).setup(pts)
-    plan = fmm._plan
+    plan = fmm.state.plan
     assert plan is not None
     saw_group = False
     for vl in plan.v_levels:
@@ -163,6 +170,74 @@ def test_po_groups_structure(rng):
             real = trg_rows[trg_rows < ntrg]
             assert np.unique(real).size == real.size
     assert saw_group
+
+
+def _block_pairs(vp, lo, sp, vl):
+    """``(target row, source row)`` of ``vl`` reachable through the
+    non-sentinel entries of one pass's blocks (spectrum rows from ``lo``
+    on are the pass's ``rows``; accumulator rows are ``inv_rows``)."""
+    pairs = []
+    for po, src, trg in vp.po_groups:
+        # No block is all sentinel on either side.
+        assert (src < sp.nrows - 1).any(axis=1).all()
+        assert (trg < sp.inv_rows.size).any(axis=1).all()
+        # A pass gathers only the spectrum rows it transformed itself.
+        real = src[src < sp.nrows - 1]
+        assert real.min() >= lo and real.max() < lo + vp.rows.size
+        for ot in range(8):
+            for os_ in range(8):
+                off = 2 * np.array(po) + OCTANT_VECTORS[ot] - OCTANT_VECTORS[os_]
+                if np.abs(off).max() < 2:
+                    continue  # adjacent: the mixing tensor is zero there
+                m = (trg[:, ot] < sp.inv_rows.size) & (src[:, os_] < sp.nrows - 1)
+                pairs += zip(
+                    sp.inv_rows[trg[m, ot]].tolist(),
+                    vp.rows[src[m, os_] - lo].tolist(),
+                )
+    assert len(set(pairs)) == len(pairs)
+    return set(pairs)
+
+
+@pytest.mark.parametrize("cloud", [uniform_cloud, clustered_cloud])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_po_groups_partition_the_level(cloud, seed):
+    """The own and the ghost blocks of a split cover each kept pair of
+    the level exactly once, for any ownership mask — and, as at a coarse
+    split level, for any set of assigned targets."""
+    rng = np.random.default_rng(seed)
+    fmm = KIFMM(LaplaceKernel(), FMMOptions(p=3, max_points=12))
+    plan = fmm.setup(cloud(rng, 500)).state.plan
+    assert plan.v_levels
+    for vl in plan.v_levels:
+        nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
+        everything = np.ones(ntb, dtype=bool)
+        for src_own, trg_keep in (
+            (rng.random(nsb) < 0.5, everything),           # a rank
+            (np.ones(nsb, dtype=bool), everything),        # one rank
+            (np.zeros(nsb, dtype=bool), rng.random(ntb) < 0.4),  # coarse
+        ):
+            sp = split_v_level(vl, src_own, trg_keep, blocked=True)
+            assert np.array_equal(sp.inv_rows, np.flatnonzero(trg_keep))
+            own = _block_pairs(sp.own, 0, sp, vl)
+            ghost = _block_pairs(sp.ghost, sp.own.rows.size, sp, vl)
+            assert not own & ghost
+            for vp, pairs, mine in (
+                (sp.own, own, src_own), (sp.ghost, ghost, ~src_own)
+            ):
+                assert pairs == {
+                    (t, s)
+                    for _, spos, tpos in vp.classes
+                    for s, t in zip(spos.tolist(), tpos.tolist())
+                }
+                assert all(mine[s] and trg_keep[t] for t, s in pairs)
+            assert own | ghost == {
+                (t, s)
+                for _, spos, tpos in vl.classes
+                for s, t in zip(spos.tolist(), tpos.tolist())
+                if trg_keep[t]
+            }
+            unblocked = split_v_level(vl, src_own, trg_keep, blocked=False)
+            assert not unblocked.own.po_groups + unblocked.ghost.po_groups
 
 
 def test_multi_arange():
@@ -208,7 +283,7 @@ def test_plan_builds_for_single_leaf(rng):
     """Degenerate tree (root is a leaf): empty V/W/X, U covers everything."""
     pts = uniform_cloud(rng, 20)
     fmm = KIFMM(LaplaceKernel(), FMMOptions(p=4, max_points=64)).setup(pts)
-    plan = fmm._plan
+    plan = fmm.state.plan
     assert plan is not None
     assert not plan.v_levels or all(vl.npairs == 0 for vl in plan.v_levels)
     phi = rng.standard_normal((20, 1))

@@ -11,7 +11,7 @@ depth 3–5 exercises a different level structure.
 import numpy as np
 import pytest
 
-from repro.analysis.planir import extract_plan_ir
+from repro.analysis.planir import extract_rank_ir
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.stokes import StokesKernel
@@ -45,10 +45,7 @@ def _setup_ir(kernel, points, depth, nrhs, m2l="fft"):
     opts = FMMOptions(p=3, max_points=20, max_depth=depth, m2l=m2l)
     fmm = KIFMM(kernel, opts).setup(points)
     assert fmm.tree.depth == depth
-    ir = extract_plan_ir(
-        fmm._plan, kernel, fmm.cache, m2l_mode=fmm.m2l_schedule, nrhs=nrhs,
-    )
-    return fmm, ir
+    return fmm, extract_rank_ir(fmm.state, nrhs=nrhs)
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
@@ -72,9 +69,7 @@ def test_resetup_of_one_operator_is_stable(points, depth):
     irs = []
     for _ in range(2):
         fmm.setup(points)
-        irs.append(extract_plan_ir(
-            fmm._plan, kernel, fmm.cache, m2l_mode=fmm.m2l_schedule, nrhs=1,
-        ))
+        irs.append(extract_rank_ir(fmm.state, nrhs=1))
     assert _fingerprint(irs[0]) == _fingerprint(irs[1])
 
 
@@ -82,7 +77,7 @@ def test_resetup_of_one_operator_is_stable(points, depth):
 def test_per_level_buffer_shapes_match_plan(points, depth):
     kernel = LaplaceKernel()
     fmm, ir = _setup_ir(kernel, points, depth, nrhs=1)
-    plan, n_surf = fmm._plan, fmm.cache.n_surf
+    plan, n_surf = fmm.state.plan, fmm.cache.n_surf
     md, qd = kernel.source_dof, kernel.target_dof
     for ul in plan.up_levels:
         assert ir.buffers[f"ue@{ul.level}"].shape == (

@@ -16,7 +16,7 @@ from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 from repro.kernels.direct import relative_error
 from repro.parallel import ParallelFMM, run_parallel_fmm
-from repro.parallel.pfmm import _global_root
+from repro.octree.tree import _root_cube
 
 from tests.conftest import (
     clustered_cloud,
@@ -139,6 +139,51 @@ def test_parallel_fmm_rejects_naive_plan():
                          np.zeros((4, 1)), naive)
 
 
+def test_parallel_fmm_rejects_balance_beyond_one_rank():
+    """2:1 balancing needs one rank's complete tree; it used to be
+    ignored silently (every rank of 2 built the unbalanced 437 boxes)."""
+    balanced = FMMOptions(balance=True)
+    with pytest.raises(ValueError, match="balance"):
+        ParallelFMM(2, LaplaceKernel(), balanced)
+    with pytest.raises(ValueError, match="balance"):
+        run_parallel_fmm(2, LaplaceKernel(), np.zeros((4, 3)),
+                         np.zeros((4, 1)), balanced)
+
+
+def test_one_rank_balances_like_kifmm(rng):
+    """The shared driver honours ``balance`` in one place, for both
+    one-rank operators."""
+    pts = clustered_cloud(rng, 1500)
+    phi = rng.standard_normal((1500, 1))
+    opts = FMMOptions(p=4, max_points=30, balance=True)
+    plain = KIFMM(LaplaceKernel(), FMMOptions(p=4, max_points=30)).setup(pts)
+    seq = KIFMM(LaplaceKernel(), opts).setup(pts)
+    one = ParallelFMM(1, LaplaceKernel(), opts).setup(pts)
+    assert seq.tree.nboxes > plain.tree.nboxes
+    assert one.states[0].tree.nboxes == seq.tree.nboxes
+    assert np.array_equal(seq.apply(phi), one.apply(phi))
+
+
+def test_rank_statistics_sum_to_the_sequential_ones(rng):
+    """``statistics()`` of a rank's plan used to raise (it read the U/W
+    blocks only the sequential plan carried); the near-field entries
+    now come from the state's own + ghost blocks.  Two clusters, one
+    per rank, so no target leaf is shared and the per-target-box counts
+    add up exactly."""
+    half = 300
+    pts = np.vstack([
+        rng.uniform(0.0, 0.3, (half, 3)), rng.uniform(0.7, 1.0, (half, 3))
+    ])
+    opts = FMMOptions(p=4, max_points=20)
+    seq = KIFMM(LaplaceKernel(), opts).setup(pts).statistics()
+    states = ParallelFMM(2, LaplaceKernel(), opts).setup(pts).states
+    assert all("plan_v_pairs" in st.plan.statistics() for st in states)
+    per_rank = [st.statistics() for st in states]
+    assert seq["plan_u_sources"] > 0 and seq["plan_w_pairs"] > 0
+    for key in ("plan_u_boxes", "plan_u_sources", "plan_w_pairs"):
+        assert sum(stats[key] for stats in per_rank) == seq[key]
+
+
 def test_apply_before_setup_raises():
     op = ParallelFMM(2, LaplaceKernel(), FMMOptions())
     with pytest.raises(RuntimeError, match="setup"):
@@ -163,7 +208,7 @@ def test_shared_cache_reused_across_paths(rng):
     pts = uniform_cloud(rng, 400)
     phi = rng.standard_normal((400, 1))
     opts = FMMOptions(p=4, max_points=30)
-    corner, side = _global_root(pts)
+    corner, side = _root_cube(pts)
     cache = OperatorCache(LaplaceKernel(), opts.p, side)
     seq = KIFMM(LaplaceKernel(), opts).setup(
         pts, root=(corner, side), cache=cache

@@ -113,10 +113,10 @@ class TestCoarseSplitRuntime:
         for r, st in enumerate(states):
             for vl, sp in zip(st.plan.v_levels, st.v_splits):
                 if vl.level not in split:
-                    assert sp.inv_rows is None and not sp.bcast
+                    assert sp.inv_rows.size == vl.trg_boxes.size
+                    assert not sp.bcast
                     continue
-                assert sp.inv_rows is not None
-                assert not sp.own_classes and not sp.own_rows.size
+                assert not sp.own.classes and not sp.own.rows.size
                 for bx, root, parts in sp.bcast:
                     saw_bcast = True
                     assert root in parts
