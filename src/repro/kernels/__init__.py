@@ -14,7 +14,10 @@ linear elastostatics.
 The KIFMM algorithm never needs anything from a kernel beyond point
 evaluation — that is the paper's headline property — so the interface in
 :mod:`repro.kernels.base` is just "assemble the dense pair-interaction
-matrix between two point sets".
+matrix between two point sets".  That assembly is also where an apply
+spends its time (S2M, U, W, X, L2T), so the module writes it once for
+all kernels: exact difference planes for the tensor kernels, one GEMM
+for the radial kernels' box-local distances.
 """
 
 from repro.kernels.base import Kernel

@@ -8,6 +8,25 @@ between arbitrary target and source point sets, plus metadata the
 implementation uses for efficiency (degrees of freedom, homogeneity degree
 for operator rescaling across tree levels, flop cost for the performance
 model).
+
+That one operation sits under S2M, the U/W/X lists and L2T, so it is
+written here once, against a *pass budget*: a kernel matrix is a few
+full-size array passes, and every pass or temporary beyond the ones the
+formula needs is the cost (``docs/architecture.md``, "Kernel evaluation:
+the pass budget").  Two distance primitives carry all eight kernels:
+
+- :func:`difference_planes` — exact differences as three contiguous
+  ``(nt, ns)`` planes plus ``r^2`` reduced from them; the tensor kernels
+  (:func:`kelvin_matrix` for Stokes/Navier, the gradient and dipole
+  kernels of :mod:`repro.kernels.derived`) are products of those planes,
+  taken over cache-sized slabs of the targets (:func:`plane_matrix`);
+- :func:`local_r2` — ``r^2`` alone from one augmented GEMM with a sparse
+  close-pair repair, valid in box-local frames; the radial kernels
+  (:class:`RadialKernel`) need nothing else.
+
+Both write ``inf`` into ``r^2`` at coincident pairs, so the square root
+and the reciprocal that follow run in place and the pair's entry comes
+out as the exact zero the :meth:`Kernel.matrix` contract asks for.
 """
 
 from __future__ import annotations
@@ -15,6 +34,155 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
+
+#: Kernel-matrix entries assembled at a time (1 MB): the source tiles of
+#: :meth:`Kernel.apply` and the target slabs of :func:`plane_matrix`.  A
+#: plane assembly holds 4-7 pair-sized planes next to its output, and
+#: passes over them run at L2 speed only while the set fits: a Stokes
+#: block costs 31 ns/pair up to ~250 000 pairs in a warm loop but 52-67
+#: inside an apply or beyond, and 256 x 50 000 direct sums read 6.8
+#: (Laplace) and 35 ns/pair (Stokes) tiled against 17 and 66 untiled.
+TILE_ENTRIES = 1 << 17
+
+#: :func:`local_r2` recomputes entries with ``r^2 <= CLOSE_PAIR * scale^2``
+#: from exact differences.  The GEMM form carries an absolute error of a
+#: few ``eps * scale^2``, so every entry it keeps has a relative error
+#: below ``eps / CLOSE_PAIR`` ~ 1e-13 in ``r^2``, while in a box-local
+#: frame only O(1e-3) of the entries fall under the threshold.
+CLOSE_PAIR = 4e-3
+
+
+def _points(points: np.ndarray, name: str) -> np.ndarray:
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"{name} must be (n, 3), got {points.shape}")
+    return points
+
+
+def difference_planes(
+    targets: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact pairwise differences as planes, and ``r^2`` reduced from them.
+
+    Returns ``(d, r2)``: ``d[k, t, s] = targets[t, k] - sources[s, k]`` as
+    a contiguous ``(3, nt, ns)`` array and ``r2 = d[0]^2 + d[1]^2 + d[2]^2``
+    with ``inf`` written where the pair is coincident (``r2 == 0``), so
+    that ``1 / sqrt(r2)`` is the exact zero that drops singular self-pairs
+    out of every kernel.  Both arrays are fresh; callers finish in place.
+    """
+    t = _points(targets, "targets")
+    s = _points(sources, "sources")
+    nt, ns = t.shape[0], s.shape[0]
+    # [t_k, 1] @ [1; -s_k] per axis: a product by one is exact and the
+    # two-term sum rounds once, so this *is* the subtraction — at GEMM
+    # speed instead of numpy's stride-0 broadcasting loop (3x slower).
+    left = np.ones((3, nt, 2))
+    left[:, :, 0] = t.T
+    right = np.ones((3, 2, ns))
+    np.negative(s.T, out=right[:, 1, :])
+    d = np.empty((3, nt, ns))
+    np.matmul(left, right, out=d)
+    r2 = np.einsum("kts,kts->ts", d, d)
+    zero = np.flatnonzero(r2 == 0.0)
+    if zero.size:
+        r2.reshape(-1)[zero] = np.inf
+    return d, r2
+
+
+def plane_matrix(
+    targets: np.ndarray, sources: np.ndarray, q: int, m: int, fill
+) -> np.ndarray:
+    """A point-major ``(nt q, ns m)`` matrix assembled from difference planes.
+
+    Runs :func:`difference_planes` over slabs of the targets sized so that
+    a slab of the output stays under ``TILE_ENTRIES``, and has
+    ``fill(out, d, r2)`` write each slab's ``(rows, q, ns, m)`` view of the
+    output — so whatever the block size, the planes and the temporaries
+    ``fill`` makes of them stay cache-sized.
+    """
+    t = _points(targets, "targets")
+    s = _points(sources, "sources")
+    nt, ns = t.shape[0], s.shape[0]
+    out = np.empty((nt, q, ns, m))
+    step = max(1, TILE_ENTRIES // max(1, q * m * ns))
+    for start in range(0, nt, step):
+        rows = slice(start, start + step)
+        fill(out[rows], *difference_planes(t[rows], s))
+    return out.reshape(nt * q, ns * m)
+
+
+def local_r2(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """``r^2`` of every pair in a *box-local* frame, from one GEMM.
+
+    ``r^2 = |t|^2 + |s|^2 - 2 t.s`` is the single product
+    ``[-2t, |t|^2, 1] @ [s, 1, |s|^2]^T`` (inner dimension 5).  The sum
+    cancels for close pairs, so entries at or below
+    ``CLOSE_PAIR * (max|t|^2 + max|s|^2)`` — among them every coincident
+    pair, whose computed ``r^2`` is a rounding residual rather than an
+    exact zero — are recomputed from exact differences, sparsely through
+    their flat indices.  Like :func:`difference_planes` it returns a
+    fresh ``(nt, ns)`` array with ``inf`` at coincident pairs.  Only
+    valid when coordinates are of the order of the distances wanted:
+    the repair covers O(1e-3) of a box-local block and all of a block
+    far from the origin.
+    """
+    t = _points(targets, "targets")
+    s = _points(sources, "sources")
+    nt, ns = t.shape[0], s.shape[0]
+    if nt == 0 or ns == 0:
+        return np.empty((nt, ns))
+    left = np.empty((nt, 5))
+    np.multiply(t, -2.0, out=left[:, :3])
+    t2 = np.einsum("id,id->i", t, t, out=left[:, 3])
+    left[:, 4] = 1.0
+    right = np.empty((5, ns))
+    right[:3] = s.T
+    right[3] = 1.0
+    s2 = np.einsum("id,id->i", s, s, out=right[4])
+    r2 = left @ right
+    # fmax skips NaN: a NaN coordinate stays in its own row or column
+    # (the comparison is false there) and the rest is repaired as usual.
+    scale2 = np.fmax.reduce(t2) + np.fmax.reduce(s2)
+    close = np.flatnonzero(r2 <= CLOSE_PAIR * scale2)
+    if close.size:
+        ti, si = np.divmod(close, ns)
+        d = t[ti] - s[si]
+        exact = np.einsum("id,id->i", d, d)
+        exact[exact == 0.0] = np.inf
+        r2.reshape(-1)[close] = exact
+    return r2
+
+
+def kelvin_matrix(
+    targets: np.ndarray, sources: np.ndarray, a: float, b: float
+) -> np.ndarray:
+    """Kelvin-form tensor kernel ``a delta_ij / r + b d_i d_j / r^3``.
+
+    The shared shape of the Stokeslet (``a = b``) and the Kelvin solution
+    of elastostatics, as a :func:`plane_matrix`: the six distinct
+    products are formed plane by plane and copied straight into the
+    point-major output, the three off-diagonal ones to both of their
+    places.  Returns the ``(3 nt, 3 ns)`` matrix.
+    """
+
+    def fill(out: np.ndarray, d: np.ndarray, r2: np.ndarray) -> None:
+        r = np.sqrt(r2)
+        r2 *= r
+        b_r3 = np.divide(b, r2, out=r2)
+        a_r = np.divide(a, r, out=r)
+        scaled = np.empty_like(r)
+        entry = np.empty_like(r)
+        for i in range(3):
+            np.multiply(d[i], b_r3, out=scaled)
+            np.multiply(scaled, d[i], out=entry)
+            entry += a_r
+            out[:, i, :, i] = entry
+            for j in range(i + 1, 3):
+                np.multiply(scaled, d[j], out=entry)
+                out[:, i, :, j] = entry
+                out[:, j, :, i] = entry
+
+    return plane_matrix(targets, sources, 3, 3, fill)
 
 
 class Kernel(ABC):
@@ -46,7 +214,8 @@ class Kernel(ABC):
     flops_per_pair:
         Estimated floating-point operations to evaluate the full
         ``target_dof x source_dof`` interaction block of one point pair;
-        feeds the TCS-1 performance model.
+        feeds the TCS-1 performance model.  It is the paper's model cost
+        of a fused per-pair evaluation, not a count of numpy passes.
     """
 
     name: str = "abstract"
@@ -82,12 +251,14 @@ class Kernel(ABC):
     ) -> np.ndarray:
         """:meth:`matrix` for *box-local* coordinate frames.
 
-        The planned evaluator shifts every interaction block into the
-        frame of its box (coordinates of order the box half-width), which
-        lets kernels substitute cancellation-sensitive fast paths — e.g.
-        assembling ``r^2 = |x|^2 + |y|^2 - 2 x.y`` with one GEMM instead
-        of materialising the ``(nt, ns, 3)`` displacement tensor.  The
-        default is the exact reference implementation.
+        The planned evaluator shifts every interaction block (S2M, U, W,
+        X, L2T) into the frame of its box, so coordinates are of the
+        order of the box half-width and a kernel may use a form that
+        would cancel elsewhere.  The radial kernels do
+        (:class:`RadialKernel`: ``r^2`` from :func:`local_r2`'s one
+        GEMM).  A tensor kernel needs the exact differences themselves,
+        so its fast form *is* :meth:`matrix` and this default delegates.
+        Same shape, ordering and zero pattern as :meth:`matrix`.
         """
         return self.matrix(targets, sources)
 
@@ -98,15 +269,21 @@ class Kernel(ABC):
         density: np.ndarray,
         block: int = 2048,
     ) -> np.ndarray:
-        """Matrix-free evaluation ``u = K @ phi`` blocked over targets.
+        """Matrix-free evaluation ``u = K @ phi``, tiled over both sets.
 
-        Avoids materialising the full ``O(nt * ns)`` matrix; used for the
-        direct near-field (U-list) interactions and the O(N^2) baseline.
+        Never materialises more than one ``TILE_ENTRIES`` tile of
+        the ``O(nt * ns)`` matrix: targets are taken ``block`` at a time
+        and, for each, sources in runs sized so that the tile stays under
+        that cap; the partial products are accumulated in float64.  The
+        O(N^2) baseline, the accuracy oracle and the dense BIE operator
+        all come through here.
 
         Parameters
         ----------
         density:
             ``(ns, source_dof)`` or flat ``(ns * source_dof,)`` densities.
+        block:
+            Targets per tile row.
 
         Returns
         -------
@@ -115,41 +292,22 @@ class Kernel(ABC):
         targets = np.ascontiguousarray(targets, dtype=np.float64)
         sources = np.ascontiguousarray(sources, dtype=np.float64)
         phi = np.asarray(density, dtype=np.float64).reshape(-1)
-        if phi.shape[0] != sources.shape[0] * self.source_dof:
+        nt, ns = targets.shape[0], sources.shape[0]
+        q, m = self.target_dof, self.source_dof
+        if phi.shape[0] != ns * m:
             raise ValueError(
-                f"density has {phi.shape[0]} entries, expected "
-                f"{sources.shape[0] * self.source_dof}"
+                f"density has {phi.shape[0]} entries, expected {ns * m}"
             )
-        out = np.empty(targets.shape[0] * self.target_dof, dtype=np.float64)
-        for start in range(0, targets.shape[0], block):
-            stop = min(start + block, targets.shape[0])
-            sub = self.matrix(targets[start:stop], sources)
-            out[start * self.target_dof : stop * self.target_dof] = sub @ phi
-        return out.reshape(targets.shape[0], self.target_dof)
-
-    # -- helpers shared by the concrete kernels ---------------------------
-
-    @staticmethod
-    def _displacements(
-        targets: np.ndarray, sources: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pairwise displacement vectors and safe inverse distances.
-
-        Returns ``(diff, inv_r)`` with ``diff`` of shape ``(nt, ns, 3)``
-        and ``inv_r`` of shape ``(nt, ns)``; ``inv_r`` is 0 where the pair
-        is coincident so singular self-pairs drop out of all kernels.
-        """
-        targets = np.asarray(targets, dtype=np.float64)
-        sources = np.asarray(sources, dtype=np.float64)
-        if targets.ndim != 2 or targets.shape[1] != 3:
-            raise ValueError(f"targets must be (nt, 3), got {targets.shape}")
-        if sources.ndim != 2 or sources.shape[1] != 3:
-            raise ValueError(f"sources must be (ns, 3), got {sources.shape}")
-        diff = targets[:, None, :] - sources[None, :, :]
-        r2 = np.einsum("tsd,tsd->ts", diff, diff)
-        with np.errstate(divide="ignore"):
-            inv_r = np.where(r2 > 0.0, 1.0 / np.sqrt(r2), 0.0)
-        return diff, inv_r
+        out = np.zeros(nt * q, dtype=np.float64)
+        width = max(1, TILE_ENTRIES // (max(1, min(block, nt)) * q * m))
+        for start in range(0, nt, block):
+            stop = min(start + block, nt)
+            rows = out[start * q : stop * q]
+            for c0 in range(0, ns, width):
+                c1 = min(c0 + width, ns)
+                tile = self.matrix(targets[start:stop], sources[c0:c1])
+                rows += tile @ phi[c0 * m : c1 * m]
+        return out.reshape(nt, q)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -159,3 +317,34 @@ class Kernel(ABC):
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, tuple(sorted(self.__dict__.items()))))
+
+
+class RadialKernel(Kernel):
+    """A scalar kernel that depends on the distance alone, ``G = g(r)``.
+
+    A subclass writes the profile ``g`` once (:meth:`_radial`); both
+    assemblies are then distance-then-profile.  :meth:`matrix` takes the
+    distances from exact differences and is the definition;
+    :meth:`matrix_local` takes them from :func:`local_r2` and is what
+    the planned evaluator calls, tested against the former.
+    """
+
+    symmetry = "scalar"
+
+    @abstractmethod
+    def _radial(self, r: np.ndarray) -> np.ndarray:
+        """``g(r)`` for a fresh ``(nt, ns)`` array of distances.
+
+        ``r`` is ``inf`` at coincident pairs, where ``g`` must come out
+        zero; the array is the caller's to overwrite and return.
+        """
+
+    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        _, r2 = difference_planes(targets, sources)
+        return self._radial(np.sqrt(r2, out=r2))
+
+    def matrix_local(
+        self, targets: np.ndarray, sources: np.ndarray
+    ) -> np.ndarray:
+        r2 = local_r2(targets, sources)
+        return self._radial(np.sqrt(r2, out=r2))

@@ -27,14 +27,68 @@ Laplace equations:
 
 from __future__ import annotations
 
+from abc import abstractmethod
+
 import numpy as np
 
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, plane_matrix
 
 _FOUR_PI = 4.0 * np.pi
 
 
-class LaplaceGradientKernel(Kernel):
+class _WeightedDifference(Kernel):
+    """``K = (x - y) w(r)``: the difference vector under a radial weight.
+
+    The three components are the target's (a gradient, ``target_dof = 3``)
+    or the source's (a dipole, ``source_dof = 3``); either way the matrix
+    is the three difference planes scaled by one weight plane and written
+    to their places in the point-major output.
+    """
+
+    @abstractmethod
+    def _weight(self, r2: np.ndarray) -> np.ndarray:
+        """``w`` from a fresh ``r^2`` holding ``inf`` at coincident pairs,
+        where ``w`` must come out zero."""
+
+    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        def fill(out: np.ndarray, d: np.ndarray, r2: np.ndarray) -> None:
+            if self.target_dof == 3:
+                components = out[:, :, :, 0].transpose(1, 0, 2)
+            else:
+                components = out[:, 0, :, :].transpose(2, 0, 1)
+            np.multiply(d, self._weight(r2), out=components)
+
+        return plane_matrix(
+            targets, sources, self.target_dof, self.source_dof, fill
+        )
+
+
+def _laplace_weight(r2: np.ndarray, c: float) -> np.ndarray:
+    """``c / r^3``."""
+    r3 = np.sqrt(r2)
+    r3 *= r2
+    return np.divide(c, r3, out=r3)
+
+
+def _screened_weight(r2: np.ndarray, lam: float, c: float) -> np.ndarray:
+    """``c (1 + lam r) exp(-lam r) / r^3``.
+
+    Taken as ``exp(-lam r) (1/r)^2 (1/r + lam) c`` so that a coincident
+    pair (``r = inf``) gives ``0 * 0 * lam`` and not ``inf * 0``.
+    """
+    r = np.sqrt(r2, out=r2)
+    weight = np.multiply(r, -lam)
+    np.exp(weight, out=weight)
+    inv_r = np.divide(1.0, r, out=r)
+    weight *= inv_r
+    weight *= inv_r
+    inv_r += lam
+    inv_r *= c
+    weight *= inv_r
+    return weight
+
+
+class LaplaceGradientKernel(_WeightedDifference):
     """Gradient of the Laplace single-layer kernel at the target.
 
     ``K_i(x, y) = d/dx_i [1/(4 pi r)] = -r_i / (4 pi r^3)``.
@@ -46,14 +100,11 @@ class LaplaceGradientKernel(Kernel):
     homogeneity = -2.0
     flops_per_pair = 20
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        diff, inv_r = self._displacements(targets, sources)
-        nt, ns = inv_r.shape
-        grad = -diff * (inv_r**3)[:, :, None] / _FOUR_PI
-        return grad.transpose(0, 2, 1).reshape(nt * 3, ns)
+    def _weight(self, r2: np.ndarray) -> np.ndarray:
+        return _laplace_weight(r2, -1.0 / _FOUR_PI)
 
 
-class LaplaceDipoleKernel(Kernel):
+class LaplaceDipoleKernel(_WeightedDifference):
     """Laplace dipole (double-layer style) source kernel.
 
     The density is the dipole vector ``d``; the potential is
@@ -67,14 +118,11 @@ class LaplaceDipoleKernel(Kernel):
     homogeneity = -2.0
     flops_per_pair = 20
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        diff, inv_r = self._displacements(targets, sources)
-        nt, ns = inv_r.shape
-        block = diff * (inv_r**3)[:, :, None] / _FOUR_PI
-        return block.reshape(nt, ns * 3)
+    def _weight(self, r2: np.ndarray) -> np.ndarray:
+        return _laplace_weight(r2, 1.0 / _FOUR_PI)
 
 
-class ModifiedLaplaceGradientKernel(Kernel):
+class ModifiedLaplaceGradientKernel(_WeightedDifference):
     """Gradient of ``exp(-lam r)/(4 pi r)`` at the target.
 
     ``K_i = -r_i (1 + lam r) exp(-lam r) / (4 pi r^3)``.
@@ -91,20 +139,14 @@ class ModifiedLaplaceGradientKernel(Kernel):
             raise ValueError(f"screening parameter must be positive, got {lam}")
         self.lam = float(lam)
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        diff, inv_r = self._displacements(targets, sources)
-        nt, ns = inv_r.shape
-        with np.errstate(divide="ignore"):
-            r = np.where(inv_r > 0.0, 1.0 / inv_r, 0.0)
-        factor = -(1.0 + self.lam * r) * np.exp(-self.lam * r) * inv_r**3
-        grad = diff * factor[:, :, None] / _FOUR_PI
-        return grad.transpose(0, 2, 1).reshape(nt * 3, ns)
+    def _weight(self, r2: np.ndarray) -> np.ndarray:
+        return _screened_weight(r2, self.lam, -1.0 / _FOUR_PI)
 
     def __repr__(self) -> str:
         return f"ModifiedLaplaceGradientKernel(lam={self.lam})"
 
 
-class ModifiedLaplaceDipoleKernel(Kernel):
+class ModifiedLaplaceDipoleKernel(_WeightedDifference):
     """Screened dipole source kernel: ``d . grad_y [exp(-lam r)/(4 pi r)]``."""
 
     name = "modified_laplace_dipole"
@@ -118,14 +160,8 @@ class ModifiedLaplaceDipoleKernel(Kernel):
             raise ValueError(f"screening parameter must be positive, got {lam}")
         self.lam = float(lam)
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        diff, inv_r = self._displacements(targets, sources)
-        nt, ns = inv_r.shape
-        with np.errstate(divide="ignore"):
-            r = np.where(inv_r > 0.0, 1.0 / inv_r, 0.0)
-        factor = (1.0 + self.lam * r) * np.exp(-self.lam * r) * inv_r**3
-        block = diff * factor[:, :, None] / _FOUR_PI
-        return block.reshape(nt, ns * 3)
+    def _weight(self, r2: np.ndarray) -> np.ndarray:
+        return _screened_weight(r2, self.lam, 1.0 / _FOUR_PI)
 
     def __repr__(self) -> str:
         return f"ModifiedLaplaceDipoleKernel(lam={self.lam})"

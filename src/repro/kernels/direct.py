@@ -34,8 +34,10 @@ def direct_evaluate(
     density:
         ``(ns, source_dof)`` or flat source densities ``phi_j``.
     block:
-        Target block size bounding peak memory at ``block * ns`` kernel
-        entries.
+        Targets per tile row.  It does not set the peak memory:
+        :meth:`Kernel.apply` tiles the sources as well, so no more than
+        ``TILE_ENTRIES`` kernel entries exist at once whatever
+        ``nt``, ``ns`` and ``block`` are.
     flops:
         Optional counter credited with ``nt * ns`` pair evaluations under
         phase ``"direct"``.

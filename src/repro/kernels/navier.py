@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, kelvin_matrix
 
 _SIXTEEN_PI = 16.0 * np.pi
 
@@ -39,6 +39,8 @@ class NavierKernel(Kernel):
     target_dof = 3
     homogeneity = -1.0
     symmetry = "tensor"
+    # The paper's model cost, not numpy passes: the Stokeslet's count
+    # plus the scaled diagonal.
     flops_per_pair = 50
 
     def __init__(self, mu: float = 1.0, nu: float = 0.3) -> None:
@@ -50,14 +52,8 @@ class NavierKernel(Kernel):
         self.nu = float(nu)
 
     def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        diff, inv_r = self._displacements(targets, sources)
-        nt, ns = inv_r.shape
-        inv_r3 = inv_r**3
-        blocks = np.einsum("tsi,tsj->tsij", diff, diff) * inv_r3[:, :, None, None]
-        idx = np.arange(3)
-        blocks[:, :, idx, idx] += (3.0 - 4.0 * self.nu) * inv_r[:, :, None]
-        blocks /= _SIXTEEN_PI * self.mu * (1.0 - self.nu)
-        return blocks.transpose(0, 2, 1, 3).reshape(nt * 3, ns * 3)
+        c = 1.0 / (_SIXTEEN_PI * self.mu * (1.0 - self.nu))
+        return kelvin_matrix(targets, sources, (3.0 - 4.0 * self.nu) * c, c)
 
     def __repr__(self) -> str:
         return f"NavierKernel(mu={self.mu}, nu={self.nu})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, kelvin_matrix
 
 _EIGHT_PI = 8.0 * np.pi
 
@@ -33,9 +33,10 @@ class StokesKernel(Kernel):
     target_dof = 3
     homogeneity = -1.0
     symmetry = "tensor"
-    # r^2 (8), rsqrt (1), inv_r3 (2), 9 tensor entries (~3 flops each),
-    # scaling — matches the paper's observation that Stokes carries roughly
-    # 4x the per-pair work of Laplace.
+    # The paper's model cost, not numpy passes: r^2 (8), rsqrt (1),
+    # inv_r3 (2), 9 tensor entries (~3 flops each), scaling — matches its
+    # observation that Stokes carries roughly 4x the per-pair work of
+    # Laplace.
     flops_per_pair = 49
 
     def __init__(self, mu: float = 1.0) -> None:
@@ -44,16 +45,8 @@ class StokesKernel(Kernel):
         self.mu = float(mu)
 
     def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        diff, inv_r = self._displacements(targets, sources)
-        nt, ns = inv_r.shape
-        inv_r3 = inv_r**3
-        # (nt, ns, 3, 3) blocks: delta_ij / r + r_i r_j / r^3
-        blocks = np.einsum("tsi,tsj->tsij", diff, diff) * inv_r3[:, :, None, None]
-        idx = np.arange(3)
-        blocks[:, :, idx, idx] += inv_r[:, :, None]
-        blocks /= _EIGHT_PI * self.mu
-        # reorder to point-major (nt*3, ns*3)
-        return blocks.transpose(0, 2, 1, 3).reshape(nt * 3, ns * 3)
+        c = 1.0 / (_EIGHT_PI * self.mu)
+        return kelvin_matrix(targets, sources, c, c)
 
     def __repr__(self) -> str:
         return f"StokesKernel(mu={self.mu})"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -42,6 +43,22 @@ def kernel(request):
 def fast_kernel(request):
     """A scalar and a vector kernel, for the more expensive tests."""
     return request.param
+
+
+def traced_peak(call):
+    """``(peak bytes allocated, result)`` of ``call()`` under ``tracemalloc``.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    every temporary alive at once — a deterministic stand-in for "how many
+    full-size passes does this make".
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def uniform_cloud(rng: np.random.Generator, n: int) -> np.ndarray:

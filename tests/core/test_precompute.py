@@ -12,7 +12,7 @@ from repro.core.precompute import (
 )
 from repro.core.surfaces import n_surface_points
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, difference_planes
 
 from tests.conftest import count_factorisations
 
@@ -192,11 +192,11 @@ class _StretchedLaplace(Kernel):
     _stretch = np.array([1.0, 1.3, 0.7])
 
     def matrix(self, targets, sources):
-        _, inv_r = self._displacements(
+        _, r2 = difference_planes(
             np.asarray(targets) * self._stretch,
             np.asarray(sources) * self._stretch,
         )
-        return inv_r / (4.0 * np.pi)
+        return 1.0 / (4.0 * np.pi * np.sqrt(r2))
 
 
 def _spectral_error(cache, level, offset):

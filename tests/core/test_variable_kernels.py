@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel
+from repro.kernels.base import difference_planes
 from repro.kernels.derived import (
     LaplaceDipoleKernel,
     LaplaceGradientKernel,
@@ -130,7 +131,8 @@ class TestCombined:
             flops_per_pair = 40
 
             def matrix(self, targets, sources):
-                diff, inv_r = self._displacements(targets, sources)
+                planes, r2 = difference_planes(targets, sources)
+                diff, inv_r = np.moveaxis(planes, 0, -1), 1.0 / np.sqrt(r2)
                 nt, ns = inv_r.shape
                 inv_r3 = inv_r**3
                 inv_r5 = inv_r**5

@@ -7,6 +7,8 @@ from repro.kernels import LaplaceKernel, StokesKernel
 from repro.kernels.direct import direct_evaluate, relative_error
 from repro.util.flops import FlopCounter
 
+from tests.conftest import traced_peak
+
 
 class TestDirectEvaluate:
     def test_matches_manual_loop(self, rng):
@@ -35,6 +37,20 @@ class TestDirectEvaluate:
         a = direct_evaluate(kernel, pts, pts, phi, block=7)
         b = direct_evaluate(kernel, pts, pts, phi, block=1000)
         assert np.allclose(a, b)
+
+    def test_sources_are_tiled_too(self, rng):
+        """The benchmark oracle's shape: 256 targets against 50 000 sources.
+
+        Untiled that is a 100 MB matrix plus its temporaries (627 MB
+        traced at the parent commit); tiled, a few MB.
+        """
+        kern = LaplaceKernel()
+        pts = rng.uniform(-1.0, 1.0, (50_000, 3))
+        phi = rng.standard_normal(50_000)
+        peak, u = traced_peak(lambda: direct_evaluate(kern, pts[:256], pts, phi))
+        assert peak < 64e6
+        untiled = kern.matrix(pts[:256], pts) @ phi
+        assert relative_error(u, untiled) < 1e-13
 
     def test_linearity(self, rng, kernel):
         x = rng.standard_normal((10, 3))
