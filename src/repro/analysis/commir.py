@@ -179,7 +179,7 @@ def _vectorized_users(
     # Box-major throughout: a box's activity across ranks is one
     # contiguous row, and so is every users row it is or-ed into.
     active = np.ascontiguousarray(contrib_trg.T)
-    leaf = np.fromiter((b.is_leaf for b in tree.boxes), bool, count=nb)
+    leaf = tree.topology.is_leaf
     active_leaf = active & leaf[:, None]
     users_equiv = np.zeros((nb, nranks), dtype=bool)
     users_src = np.zeros((nb, nranks), dtype=bool)
@@ -230,24 +230,21 @@ def static_plan_inputs(
     lists = build_lists(tree)
     contrib_src, contrib_trg = static_contributors(tree, parts)
     owner = assign_owners(contrib_src | contrib_trg)
-    gsrc = np.fromiter(
-        (b.nsrc for b in tree.boxes), np.int64, count=tree.nboxes
-    )
+    gsrc = tree.topology.nsrc
     users_equiv, users_src = _vectorized_users(
         tree, lists, contrib_trg, gsrc
     )
     src_boxes = np.nonzero(users_src.any(axis=0))[0]
     ue_boxes = np.nonzero(users_equiv.any(axis=0))[0]
     split_levels = coarse_split_levels(
-        [len(tree.levels[lvl]) for lvl in range(tree.depth + 1)], nranks
+        np.diff(tree.topology.level_ptr), nranks
     )
     vsp_levels = []
     for lvl in range(2, tree.depth + 1):
         if lvl not in split_levels:
             continue
-        lvl_boxes = np.asarray(tree.levels[lvl], dtype=np.int64)
         schedule = v_split_bcast_schedule(
-            lvl_boxes, lists, contrib_trg, gsrc
+            tree.topology.level_boxes(lvl), lists, contrib_trg, gsrc
         )
         if schedule:
             vsp_levels.append((lvl, schedule))

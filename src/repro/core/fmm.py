@@ -242,7 +242,7 @@ class KIFMM:
         # The per-box reference resolves its backends from the same
         # gated V statistics the plan holds.
         self.state = None
-        with self.timer.phase("tree"):
+        with self.timer.phase("lists"):
             self.lists = build_lists(self.tree)
         self._m2l = resolve_m2l_schedule(
             opts.m2l, opts.dtype,

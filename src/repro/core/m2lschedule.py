@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.segments import distinct
+
 #: Recognised ``FMMOptions.m2l`` values.
 M2L_MODES = ("fft", "dense", "rsvd", "auto")
 
@@ -115,26 +117,21 @@ def v_stats_from_lists(tree, lists, nsrc=None) -> dict[int, tuple[int, int, int]
     the local per-box source counts (the parallel LET passes global
     counts here, mirroring ``build_plan(partner_nsrc=...)``).
     """
+    topo = tree.topology
     if nsrc is None:
-        nsrc = np.fromiter(
-            (b.nsrc for b in tree.boxes), np.float64, tree.nboxes
-        )
-    npairs: dict[int, int] = {}
-    src_boxes: dict[int, set[int]] = {}
-    trg_boxes: dict[int, set[int]] = {}
-    for b in tree.boxes:
-        if b.ntrg == 0:
-            continue
-        partners = [int(a) for a in lists.V[b.index] if nsrc[int(a)] > 0]
-        if not partners:
-            continue
-        level = b.level
-        npairs[level] = npairs.get(level, 0) + len(partners)
-        trg_boxes.setdefault(level, set()).add(b.index)
-        src_boxes.setdefault(level, set()).update(partners)
+        nsrc = topo.nsrc
+    trg, src = lists.pairs("V")
+    keep = (topo.ntrg[trg] > 0) & (np.asarray(nsrc)[src] > 0)
+    trg, src = trg[keep], src[keep]
+    # A V pair joins two boxes of one level, so one level split of the
+    # pairs counts them and both of their box sets.
+    nb, nlevels = topo.nboxes, topo.level_ptr.size - 1
+    npairs = np.bincount(topo.level[trg], minlength=nlevels)
+    ntrg_boxes = np.bincount(topo.level[distinct(trg, nb)], minlength=nlevels)
+    nsrc_boxes = np.bincount(topo.level[distinct(src, nb)], minlength=nlevels)
     return {
-        level: (npairs[level], len(src_boxes[level]), len(trg_boxes[level]))
-        for level in npairs
+        int(lvl): (int(npairs[lvl]), int(nsrc_boxes[lvl]), int(ntrg_boxes[lvl]))
+        for lvl in np.flatnonzero(npairs)
     }
 
 

@@ -48,57 +48,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.octree.lists import InteractionLists
+# OCTANT_VECTORS and chunk_segments are read from here by fftm2l and
+# the evaluator.
+from repro.octree.topology import OCTANT_VECTORS
 from repro.octree.tree import Octree
+from repro.util.segments import (
+    chunk_segments,
+    distinct,
+    multi_arange,
+    run_bounds,
+)
 
 #: Soft cap on the scalar entries of one batched kernel matrix; level-wide
 #: S2M/L2T/U blocks are split into chunks that respect it, bounding the
 #: transient memory of an ``apply()`` regardless of problem size.
 MAX_BLOCK_ENTRIES = 2_000_000
-
-#: Child-anchor offset of each octant (row ``o`` satisfies
-#: ``anchor(child) = 2 * anchor(parent) + OCTANT_VECTORS[o]`` for the
-#: octant numbering ``o = x | y << 1 | z << 2`` used throughout).
-OCTANT_VECTORS = np.array(
-    [[o & 1, (o >> 1) & 1, (o >> 2) & 1] for o in range(8)], dtype=np.int64
-)
-
-
-def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(starts[i], stops[i])`` as one int64 array.
-
-    Empty ranges are skipped.  The classic cumsum construction — no
-    Python-level loop over the ranges.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    counts = stops - starts
-    keep = counts > 0
-    starts, counts = starts[keep], counts[keep]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out = np.ones(int(ends[-1]), dtype=np.int64)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
-    return np.cumsum(out)
-
-
-def chunk_segments(seg: np.ndarray, max_points: int) -> list[tuple[int, int]]:
-    """Split CSR segments into runs of at most ``max_points`` points.
-
-    ``seg`` holds cumulative point offsets (length ``nsegments + 1``).
-    Returns ``(lo, hi)`` segment-index ranges; a single segment larger
-    than ``max_points`` gets its own run (never split).
-    """
-    n = len(seg) - 1
-    out: list[tuple[int, int]] = []
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(seg, seg[lo] + max_points, side="right")) - 1
-        hi = min(max(hi, lo + 1), n)
-        out.append((lo, hi))
-        lo = hi
-    return out
 
 
 class BufferPool:
@@ -449,14 +413,14 @@ def build_near_blocks(
     whatever point numbering the caller evaluates against (the local
     Morton-sorted sources, or a rank's combined ghost array).
     """
-    boxes = np.unique(trg)
+    bounds = run_bounds(trg)
+    boxes = trg[bounds[:-1]]
     src_pos = multi_arange(p_start[src], p_stop[src])
-    counts = np.zeros(boxes.size, dtype=np.int64)
-    np.add.at(counts, np.searchsorted(boxes, trg), p_stop[src] - p_start[src])
-    seg = np.zeros(boxes.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=seg[1:])
+    points = np.zeros(trg.size + 1, dtype=np.int64)
+    np.cumsum(p_stop[src] - p_start[src], out=points[1:])
     return NearBlocks(
-        boxes, trg_start[boxes], trg_stop[boxes], seg, src_pos, np.unique(src)
+        boxes, trg_start[boxes], trg_stop[boxes], points[bounds], src_pos,
+        distinct(src, p_start.size),
     )
 
 
@@ -467,15 +431,11 @@ def build_w_blocks(
     trg_stop: np.ndarray,
 ) -> NearBlocks:
     """Group W-list pairs by target box (partners kept as box indices)."""
-    boxes = np.unique(trg)
-    counts = np.bincount(
-        np.searchsorted(boxes, trg), minlength=boxes.size
-    ).astype(np.int64)
-    seg = np.zeros(boxes.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=seg[1:])
+    bounds = run_bounds(trg)
+    boxes = trg[bounds[:-1]]
     return NearBlocks(
-        boxes, trg_start[boxes], trg_stop[boxes], seg, partners,
-        np.unique(partners),
+        boxes, trg_start[boxes], trg_stop[boxes], bounds, partners,
+        distinct(partners, trg_start.size),
     )
 
 
@@ -521,8 +481,7 @@ def _gated_pairs(
     lists: InteractionLists, which: str, ntrg: np.ndarray, nsrc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(target, partner)`` pairs of one list with both ends active."""
-    ptr, idx = lists.flat(which)
-    trg = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    trg, idx = lists.pairs(which)
     m = (ntrg[trg] > 0) & (nsrc[idx] > 0)
     return trg[m], idx[m]
 
@@ -557,21 +516,15 @@ def compile_plan(
         parallel evaluator passes the layout of its combined
         local+ghost source array; sequential callers omit it.
     """
-    nb = tree.nboxes
-    boxes = tree.boxes
-    level_of = np.fromiter((b.level for b in boxes), np.int64, nb)
-    parent = np.fromiter((b.parent for b in boxes), np.int64, nb)
-    is_leaf = np.fromiter((b.is_leaf for b in boxes), bool, nb)
-    nsrc = np.fromiter((b.nsrc for b in boxes), np.int64, nb)
-    ntrg = np.fromiter((b.ntrg for b in boxes), np.int64, nb)
-    src_start = np.fromiter((b.src_start for b in boxes), np.int64, nb)
-    src_stop = np.fromiter((b.src_stop for b in boxes), np.int64, nb)
-    trg_start = np.fromiter((b.trg_start for b in boxes), np.int64, nb)
-    trg_stop = np.fromiter((b.trg_stop for b in boxes), np.int64, nb)
-    anchors = np.array([b.anchor for b in boxes], dtype=np.int64).reshape(nb, 3)
-    octant = (anchors[:, 0] & 1) | ((anchors[:, 1] & 1) << 1) | (
-        (anchors[:, 2] & 1) << 2
+    topo = tree.topology
+    nb = topo.nboxes
+    level_of, parent, octant, anchors = (
+        topo.level, topo.parent, topo.octant, topo.anchor
     )
+    is_leaf, child_tab = topo.is_leaf, topo.child
+    nsrc, ntrg = topo.nsrc, topo.ntrg
+    src_start, src_stop = topo.src_start, topo.src_stop
+    trg_start, trg_stop = topo.trg_start, topo.trg_stop
     side = tree.root_side / np.power(2.0, level_of)
     centers = tree.root_corner[None, :] + (anchors + 0.5) * side[:, None]
     sources_sorted = np.ascontiguousarray(tree.sources[tree.src_perm])
@@ -582,8 +535,8 @@ def compile_plan(
     # ---------------- upward pass ----------------
     up_levels: list[UpLevel] = []
     for level in range(tree.depth, -1, -1):
-        lvl = np.asarray(tree.levels[level], dtype=np.int64)
-        sel = lvl[nsrc[lvl] > 0]  # level arrays are ascending by box index
+        lvl = topo.level_boxes(level)
+        sel = lvl[nsrc[lvl] > 0]
         if sel.size == 0:
             continue
         leaf_sel = sel[is_leaf[sel]]
@@ -598,9 +551,8 @@ def compile_plan(
         groups: list[tuple[int, np.ndarray, np.ndarray]] = []
         nonleaf = sel[~is_leaf[sel]]
         if nonleaf.size:
-            kids = np.concatenate(
-                [np.asarray(boxes[b].children, dtype=np.int64) for b in nonleaf]
-            )
+            kids = child_tab[nonleaf]  # by parent, then octant
+            kids = kids[kids >= 0]
             kids = kids[nsrc[kids] > 0]
             rows = np.searchsorted(sel, parent[kids])
             for o in range(8):
@@ -628,19 +580,13 @@ def compile_plan(
     own[xt_all] = True
     # A box carries downward data iff it has targets and it — or an
     # ancestor — receives a V/X contribution (the evaluator's has_dc /
-    # has_de gating; boxes are in level order, so parents come first).
+    # has_de gating), level by level so parents come first.
     has_de = np.zeros(nb, dtype=bool)
-    for b in boxes:
-        i = b.index
-        if b.level >= 1 and ntrg[i] > 0:
-            has_de[i] = own[i] or has_de[parent[i]]
+    for level in range(1, tree.depth + 1):
+        lvl = topo.level_boxes(level)
+        has_de[lvl] = (ntrg[lvl] > 0) & (own[lvl] | has_de[parent[lvl]])
 
     # ---------------- V levels, grouped by translation-offset class ----
-    # Child lookup by (parent, octant); -1 where the child is absent.
-    child_tab = np.full((nb, 8), -1, dtype=np.int64)
-    nonroot = np.flatnonzero(parent >= 0)
-    child_tab[parent[nonroot], octant[nonroot]] = nonroot
-
     vt_level = level_of[vt_all]
     v_levels: list[VLevel] = []
     for level in range(2, tree.depth + 1):
@@ -648,18 +594,22 @@ def compile_plan(
         if not m.any():
             continue
         t, s = vt_all[m], vs_all[m]
-        src_boxes = np.unique(s)
-        trg_boxes = np.unique(t)
-        src_pos = np.searchsorted(src_boxes, s)
-        trg_pos = np.searchsorted(trg_boxes, t)
+        trg_boxes = t[run_bounds(t)[:-1]]  # CSR order: t is ascending
+        src_boxes = distinct(s, nb)
+        # Row of a box in the level's stacks; nb (what child_tab's -1
+        # wraps to) and every other box point at the sentinel row.
+        src_row_of = np.full(nb + 1, src_boxes.size, dtype=np.int64)
+        src_row_of[src_boxes] = np.arange(src_boxes.size)
+        trg_row_of = np.full(nb + 1, trg_boxes.size, dtype=np.int64)
+        trg_row_of[trg_boxes] = np.arange(trg_boxes.size)
+        src_pos, trg_pos = src_row_of[s], trg_row_of[t]
         off = anchors[t] - anchors[s]  # components in [-3, 3]
         key = (off[:, 0] + 3) * 49 + (off[:, 1] + 3) * 7 + (off[:, 2] + 3)
         order = np.argsort(key, kind="stable")
         sk = key[order]
-        starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-        bounds = np.append(starts, sk.size)
+        bounds = run_bounds(sk)
         classes = []
-        for ci in range(starts.size):
+        for ci in range(bounds.size - 1):
             rows = order[bounds[ci] : bounds[ci + 1]]
             k = int(sk[bounds[ci]])
             offset = (k // 49 - 3, (k % 49) // 7 - 3, k % 7 - 3)
@@ -670,21 +620,16 @@ def compile_plan(
         # to exactly one parent pair, and every child pair of a parent
         # pair whose offset is non-adjacent is itself an effective pair
         # (or points at a sentinel row when the child is absent/inactive).
-        src_row_of = np.full(nb + 1, src_boxes.size, dtype=np.int64)
-        src_row_of[src_boxes] = np.arange(src_boxes.size)
-        trg_row_of = np.full(nb + 1, trg_boxes.size, dtype=np.int64)
-        trg_row_of[trg_boxes] = np.arange(trg_boxes.size)
-        pair_key = parent[t] * nb + parent[s]
-        uniq = np.unique(pair_key)
+        pair_key = np.sort(parent[t] * nb + parent[s])
+        uniq = pair_key[run_bounds(pair_key)[:-1]]
         upt, ups = uniq // nb, uniq % nb
         po = anchors[upt] - anchors[ups]  # components in [-1, 1], never 0
         pkey = (po[:, 0] + 1) * 9 + (po[:, 1] + 1) * 3 + (po[:, 2] + 1)
         porder = np.argsort(pkey, kind="stable")
         spk = pkey[porder]
-        pstarts = np.flatnonzero(np.r_[True, spk[1:] != spk[:-1]])
-        pbounds = np.append(pstarts, spk.size)
+        pbounds = run_bounds(spk)
         po_groups = []
-        for gi in range(pstarts.size):
+        for gi in range(pbounds.size - 1):
             rows = porder[pbounds[gi] : pbounds[gi + 1]]
             k = int(spk[pbounds[gi]])
             po_vec = (k // 9 - 1, (k // 3) % 3 - 1, k % 3 - 1)
@@ -697,7 +642,7 @@ def compile_plan(
     # ---------------- downward levels ----------------
     down_levels: list[DownLevel] = []
     for level in range(1, tree.depth + 1):
-        lvl = np.asarray(tree.levels[level], dtype=np.int64)
+        lvl = topo.level_boxes(level)
         act = lvl[ntrg[lvl] > 0]
         if act.size == 0:
             continue

@@ -15,11 +15,13 @@ from repro.octree.morton import (
     key_to_anchor,
     MAX_DEPTH,
 )
+from repro.octree.topology import TreeTopology
 from repro.octree.tree import Octree, build_tree
 
 __all__ = [
     "Box",
     "Octree",
+    "TreeTopology",
     "build_tree",
     "InteractionLists",
     "build_lists",

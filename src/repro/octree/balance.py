@@ -96,7 +96,7 @@ def balance_tree(tree: Octree) -> Octree:
 
     frontier = [0]
     level = 0
-    while frontier:
+    while frontier and level < MAX_DEPTH:  # no key bits below the cap
         next_frontier: list[int] = []
         shift = _U(3 * (MAX_DEPTH - level - 1))
         for bi in frontier:

@@ -14,114 +14,202 @@ Quoting the paper's definitions for a box ``B``:
 - **X list** — "contains all boxes A such that B is in A's W list".
   Handled by evaluating A's sources onto B's downward check surface.
 
-The construction walks, for every leaf ``C``, the subtrees rooted at C's
-colleagues, descending only through boxes adjacent to ``C``:
+The construction is array code over :attr:`Octree.topology`, a chunk
+of consecutive boxes (so: level by level) at a time
+(``docs/architecture.md``, "Setup as array code"):
 
-- an adjacent leaf is a U partner (the relation is symmetric, so the
-  coarser side of a level-jumping pair is recorded at the same time);
-- a non-adjacent box whose parent was adjacent joins ``W(C)`` and,
-  dually, ``C`` joins its X list.
+- **V** — the children of a parent's 27 colleagues are the ``6**3`` cells
+  ``[2P - 2, 2P + 3]**3`` around the parent anchor ``P``; which of them
+  are not adjacent to a child depends only on the child's octant (a
+  fixed ``(8, 216)`` table), so a level's V lists are one colleague
+  lookup per parent, one gather through the child table and one row
+  sort.
+- **U, W, X** — a frontier of ``(leaf, box)`` pairs starts at the
+  leaves' colleagues and descends only through boxes adjacent to the
+  leaf: an adjacent leaf is a U partner (the relation is symmetric, so
+  the coarser side of a level-jumping pair is recorded at the same
+  time); a non-adjacent box whose parent was adjacent joins ``W(leaf)``
+  and, dually, the leaf joins its X list; an adjacent non-leaf is
+  replaced by its children.  At most ``depth`` rounds.
 
 This yields exactly the classical adaptive lists of Greengard [7] and
-Cheng-Greengard-Rokhlin [4] without requiring a 2:1-balanced tree.
+Cheng-Greengard-Rokhlin [4] without requiring a 2:1-balanced tree; the
+per-box set-based walk it replaced is kept as the test oracle
+(``tests/octree/reference_lists.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.octree.box import boxes_adjacent
+from repro.octree.topology import (
+    COLLEAGUE_OFFSETS,
+    OCTANT_VECTORS,
+    SELF_OFFSET,
+    TreeTopology,
+)
 from repro.octree.tree import Octree
+from repro.util.segments import chunk_segments
+
+_FAMILIES = ("U", "V", "W", "X")
+
+#: Boxes plus their children one chunk of the tree may hold.  A chunk's
+#: scratch is 27 colleague lookups per box, ``6**3`` V candidates per
+#: child and the U/W/X frontier of its leaves: ~15 MB at this size,
+#: whatever the tree's.
+_CHUNK = 4096
+
+#: ``_FAR[o, 8 * j + c]``: whether child ``c`` of colleague ``j`` of a
+#: parent is *not* adjacent to the parent's own child in octant ``o``.
+_CELLS = (2 * COLLEAGUE_OFFSETS[:, None, :] + OCTANT_VECTORS).reshape(216, 3)
+_FAR = (np.abs(_CELLS - OCTANT_VECTORS[:, None, :]) > 1).any(axis=2)
 
 
-@dataclass
 class InteractionLists:
-    """Per-box interaction lists; entries are box indices."""
+    """The four lists of every box, each one CSR pair ``(ptr, idx)``.
 
-    U: list[np.ndarray]
-    V: list[np.ndarray]
-    W: list[np.ndarray]
-    X: list[np.ndarray]
-    _flat: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    ``idx[ptr[b] : ptr[b + 1]]`` are the partners of box ``b``, int64,
+    ascending and duplicate-free.  The arrays are stored as handed in
+    (read-only from then on): :meth:`flat` returns them, and ``.U``,
+    ``.V``, ``.W``, ``.X`` are per-box views into them, split on first
+    use, for code that walks boxes one at a time.
+    """
+
+    def __init__(self, csr: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+        self._csr = {which: csr[which] for which in _FAMILIES}
+        for ptr, idx in self._csr.values():
+            if ptr.dtype != np.int64 or idx.dtype != np.int64:
+                raise TypeError("interaction lists are int64 CSR arrays")
+            ptr.setflags(write=False)
+            idx.setflags(write=False)
 
     def flat(self, which: str) -> tuple[np.ndarray, np.ndarray]:
-        """CSR view ``(ptr, idx)`` of one list family, cached.
-
-        ``idx[ptr[b] : ptr[b + 1]]`` are the partners of box ``b`` (each
-        per-box list is already sorted ascending).  The flat form is what
-        the execution plan's vectorized gating and grouping operate on.
-        """
-        if which not in ("U", "V", "W", "X"):
+        """CSR arrays ``(ptr, idx)`` of one list family (not copies)."""
+        if which not in _FAMILIES:
             raise ValueError(f"which must be one of U, V, W, X, got {which!r}")
-        if which not in self._flat:
-            per_box = getattr(self, which)
-            counts = np.fromiter((len(x) for x in per_box), np.int64, len(per_box))
-            ptr = np.zeros(len(per_box) + 1, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
-            if ptr[-1]:
-                idx = np.concatenate(per_box).astype(np.int64, copy=False)
-            else:
-                idx = np.empty(0, dtype=np.int64)
-            self._flat[which] = (ptr, idx)
-        return self._flat[which]
+        return self._csr[which]
+
+    def pairs(self, which: str) -> tuple[np.ndarray, np.ndarray]:
+        """One family as ``(box, partner)`` index arrays, in CSR order."""
+        ptr, idx = self.flat(which)
+        return np.repeat(np.arange(ptr.size - 1), np.diff(ptr)), idx
+
+    def _per_box(self, which: str) -> list[np.ndarray]:
+        ptr, idx = self._csr[which]
+        return np.split(idx, ptr[1:-1])
+
+    @cached_property
+    def U(self) -> list[np.ndarray]:
+        return self._per_box("U")
+
+    @cached_property
+    def V(self) -> list[np.ndarray]:
+        return self._per_box("V")
+
+    @cached_property
+    def W(self) -> list[np.ndarray]:
+        return self._per_box("W")
+
+    @cached_property
+    def X(self) -> list[np.ndarray]:
+        return self._per_box("X")
 
     def counts(self) -> dict[str, int]:
         """Total list entries, the raw material of the flop model."""
-        return {
-            "U": sum(len(u) for u in self.U),
-            "V": sum(len(v) for v in self.V),
-            "W": sum(len(w) for w in self.W),
-            "X": sum(len(x) for x in self.X),
-        }
+        return {which: int(ptr[-1]) for which, (ptr, _) in self._csr.items()}
+
+
+def _adjacent(
+    topo: TreeTopology, coarse: np.ndarray, fine: np.ndarray
+) -> np.ndarray:
+    """Whether the closed cubes of box pairs touch, ``fine`` being at
+    the same or a deeper level: integer extents at the finer level."""
+    shift = (topo.level[fine] - topo.level[coarse])[:, None]
+    lo = topo.anchor[coarse] << shift
+    at = topo.anchor[fine]
+    return ((lo <= at + 1) & (at <= lo + (1 << shift))).all(axis=1)
+
+
+def _csr(
+    trg: np.ndarray, partner: np.ndarray, nb: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(box, partner)`` pairs as CSR, partners ascending."""
+    key = trg * nb + partner
+    key.sort()
+    trg = key // nb
+    ptr = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(trg, minlength=nb), out=ptr[1:])
+    return ptr, key - trg * nb
 
 
 def build_lists(tree: Octree) -> InteractionLists:
     """Construct U, V, W, X lists for every box of ``tree``."""
-    nb = tree.nboxes
-    U: list[set[int]] = [set() for _ in range(nb)]
-    V: list[set[int]] = [set() for _ in range(nb)]
-    W: list[set[int]] = [set() for _ in range(nb)]
-    X: list[set[int]] = [set() for _ in range(nb)]
-    boxes = tree.boxes
+    topo = tree.topology
+    nb = topo.nboxes
+    none = np.empty(0, dtype=np.int64)
+    # Row -1 (a missing colleague) has no children.
+    child = np.vstack([topo.child, np.full((1, 8), -1)])
+    weight = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(1 + (topo.child >= 0).sum(axis=1), out=weight[1:])
+    cells = np.arange(216)
 
-    for b in boxes:
-        # V list: children of parent's colleagues not adjacent to B.
-        if b.parent >= 0:
-            for pc in tree.colleagues(b.parent, include_self=True):
-                for child in boxes[pc].children:
-                    if child != b.index and not boxes_adjacent(boxes[child], b):
-                        V[b.index].add(child)
+    v_count = np.zeros(nb, dtype=np.int64)
+    v_idx = [none]
+    u_pairs, w_pairs = [(none, none)], [(none, none)]
+    # Boxes are stored in ascending uid order, so the children of
+    # consecutive boxes are consecutive too: chunk after chunk, V fills
+    # in box order.
+    for lo, hi in chunk_segments(weight, _CHUNK):
+        boxes = np.arange(lo, hi)
+        coll = topo.colleagues(boxes)
 
-        if not b.is_leaf:
-            continue
+        # V of the chunk's children.
+        kids = topo.child[boxes]
+        has = kids >= 0
+        row, kid = np.nonzero(has)[0], kids[has]
+        cand = child[coll[row]].reshape(kid.size, 216)
+        cand = np.where(_FAR[topo.octant[kid]] & (cand >= 0), cand, nb)
+        cand.sort(axis=1)
+        v_count[kid] = found = (cand < nb).sum(axis=1)
+        v_idx.append(cand[cells < found[:, None]])
 
-        # U and W lists by descending through adjacent colleagues.
-        U[b.index].add(b.index)
-        for col in tree.colleagues(b.index):
-            stack = [col]
-            while stack:
-                a = stack.pop()
-                abox = boxes[a]
-                if boxes_adjacent(abox, b):
-                    if abox.is_leaf:
-                        U[b.index].add(a)
-                        U[a].add(b.index)  # coarse side of a level jump
-                    else:
-                        stack.extend(abox.children)
-                else:
-                    # parent was adjacent to B (we descended through it),
-                    # A itself is not: the definition of W membership.
-                    W[b.index].add(a)
-                    X[a].add(b.index)
+        # U, W, X of the chunk's leaves.
+        leaf = topo.is_leaf[boxes]
+        near = coll[leaf]
+        near[:, SELF_OFFSET] = -1
+        has = near >= 0
+        trg, box = np.broadcast_to(boxes[leaf, None], near.shape)[has], near[has]
+        while trg.size:
+            adj = _adjacent(topo, trg, box)
+            w_pairs.append((trg[~adj], box[~adj]))
+            trg, box = trg[adj], box[adj]
+            ends = topo.is_leaf[box]
+            u_pairs.append((trg[ends], box[ends]))
+            kids = topo.child[box[~ends]]
+            has = kids >= 0
+            trg, box = np.broadcast_to(trg[~ends, None], kids.shape)[has], kids[has]
 
-    def _freeze(sets: list[set[int]]) -> list[np.ndarray]:
-        return [np.array(sorted(s), dtype=np.int64) for s in sets]
-
-    return InteractionLists(U=_freeze(U), V=_freeze(V), W=_freeze(W), X=_freeze(X))
+    v_ptr = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(v_count, out=v_ptr[1:])
+    ut, us = (np.concatenate(side) for side in zip(*u_pairs))
+    wt, ws = (np.concatenate(side) for side in zip(*w_pairs))
+    # Leaves of one level find each other from both sides; across a
+    # level jump only the coarser leaf's descent reaches the finer one.
+    jump = topo.level[us] > topo.level[ut]
+    leaves = np.flatnonzero(topo.is_leaf)
+    return InteractionLists({
+        "U": _csr(
+            np.concatenate([leaves, ut, us[jump]]),
+            np.concatenate([leaves, us, ut[jump]]),
+            nb,
+        ),
+        "V": (v_ptr, np.concatenate(v_idx)),
+        "W": _csr(wt, ws, nb),
+        "X": _csr(ws, wt, nb),
+    })
 
 
 def verify_lists(tree: Octree, lists: InteractionLists) -> None:

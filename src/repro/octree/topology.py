@@ -1,0 +1,152 @@
+"""The tree as arrays: one struct-of-arrays view of ``Octree.boxes``.
+
+:class:`~repro.octree.box.Box` objects are the per-box public view of
+the tree; everything that works on *all* boxes at once — the interaction
+lists, the execution plan, the rank setup — reads this view instead,
+derived once per tree by :func:`derive_topology` (cached as
+``Octree.topology``) in one C-level pass over the boxes.
+
+The lookup ``(level, anchor) -> box`` is a binary search: a box's *uid*
+is its Morton key at its own level plus the number of cells of all
+coarser levels, ``(8**level - 1) / 7``, so the uids of one level fill
+their own interval and every builder's storage order — level by level,
+children in Morton order under parents in Morton order — is the
+ascending uid order (checked here, once).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
+
+from repro.octree.morton import MAX_DEPTH, anchor_to_key
+
+#: Child-anchor offset of each octant (row ``o`` satisfies
+#: ``anchor(child) = 2 * anchor(parent) + OCTANT_VECTORS[o]`` for the
+#: octant numbering ``o = x | y << 1 | z << 2`` used throughout).
+OCTANT_VECTORS = np.array(
+    [[o & 1, (o >> 1) & 1, (o >> 2) & 1] for o in range(8)], dtype=np.int64
+)
+
+#: Anchor offsets of a box's 27 same-level neighbours, itself included
+#: (row :data:`SELF_OFFSET`).
+COLLEAGUE_OFFSETS = np.array(
+    [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
+    dtype=np.int64,
+)
+SELF_OFFSET = 13
+
+#: Cells of all levels coarser than ``l``: the first uid of level ``l``.
+#: The last uid of level 21 is below ``2**64``.
+_LEVEL_BASE = np.array(
+    [(8**lvl - 1) // 7 for lvl in range(MAX_DEPTH + 1)], dtype=np.uint64
+)
+
+_BOX_FIELDS = attrgetter(
+    "level", "parent", "src_start", "src_stop", "trg_start", "trg_stop"
+)
+
+
+@dataclass(frozen=True)
+class TreeTopology:
+    """Per-box arrays of one tree, all of length ``nboxes`` (tree order).
+
+    ``child[b, o]`` is the child of ``b`` in octant ``o`` or ``-1``;
+    ``level_ptr[l] : level_ptr[l + 1]`` is the index range of level
+    ``l``; ``uid`` is ascending (see the module docstring).  The arrays
+    are shared by every reader and must not be written.
+    """
+
+    level: np.ndarray
+    parent: np.ndarray
+    anchor: np.ndarray
+    octant: np.ndarray
+    child: np.ndarray
+    is_leaf: np.ndarray
+    src_start: np.ndarray
+    src_stop: np.ndarray
+    trg_start: np.ndarray
+    trg_stop: np.ndarray
+    level_ptr: np.ndarray
+    uid: np.ndarray
+
+    @property
+    def nboxes(self) -> int:
+        return self.level.size
+
+    @property
+    def nsrc(self) -> np.ndarray:
+        return self.src_stop - self.src_start
+
+    @property
+    def ntrg(self) -> np.ndarray:
+        return self.trg_stop - self.trg_start
+
+    def level_boxes(self, level: int) -> np.ndarray:
+        """Box indices of one level, ascending."""
+        return np.arange(self.level_ptr[level], self.level_ptr[level + 1])
+
+    def find(self, level, anchor: np.ndarray) -> np.ndarray:
+        """Index of the box at ``(level, anchor)``, ``-1`` where there
+        is none (outside the root cube, or a pruned or unrefined cell).
+
+        ``anchor`` is ``(..., 3)``; ``level`` broadcasts against its
+        leading axes.
+        """
+        anchor = np.asarray(anchor)
+        level = np.asarray(level)
+        inside = ((anchor >= 0) & (anchor < (1 << level)[..., None])).all(axis=-1)
+        cell = np.where(inside[..., None], anchor, 0)
+        uid = _LEVEL_BASE[level] + anchor_to_key(
+            cell[..., 0], cell[..., 1], cell[..., 2]
+        )
+        pos = np.minimum(np.searchsorted(self.uid, uid), self.uid.size - 1)
+        return np.where(inside & (self.uid[pos] == uid), pos, -1)
+
+    def colleagues(self, boxes: np.ndarray) -> np.ndarray:
+        """``(len(boxes), 27)`` same-level neighbours of ``boxes`` in
+        :data:`COLLEAGUE_OFFSETS` order (column :data:`SELF_OFFSET` is
+        the box itself), ``-1`` where the neighbour does not exist."""
+        return self.find(
+            self.level[boxes, None],
+            self.anchor[boxes, None, :] + COLLEAGUE_OFFSETS,
+        )
+
+
+def derive_topology(boxes: list) -> TreeTopology:
+    """Flatten ``Octree.boxes`` into a :class:`TreeTopology`."""
+    nb = len(boxes)
+    level, parent, src_start, src_stop, trg_start, trg_stop = np.ascontiguousarray(
+        np.array(list(map(_BOX_FIELDS, boxes)), dtype=np.int64).reshape(nb, 6).T
+    )
+    anchor = np.array(
+        list(map(attrgetter("anchor"), boxes)), dtype=np.int64
+    ).reshape(nb, 3)
+    uid = _LEVEL_BASE[level] + anchor_to_key(anchor[:, 0], anchor[:, 1], anchor[:, 2])
+    if np.any(uid[1:] <= uid[:-1]):
+        raise ValueError(
+            "tree boxes must be stored level by level in Morton order "
+            "(parents in order, children by octant)"
+        )
+    octant = (anchor & 1) @ np.array([1, 2, 4])
+    child = np.full((nb, 8), -1, dtype=np.int64)
+    child[parent[1:], octant[1:]] = np.arange(1, nb)
+    out = TreeTopology(
+        level=level,
+        parent=parent,
+        anchor=anchor,
+        octant=octant,
+        child=child,
+        is_leaf=(child < 0).all(axis=1),
+        src_start=src_start,
+        src_stop=src_stop,
+        trg_start=trg_start,
+        trg_stop=trg_stop,
+        level_ptr=np.searchsorted(level, np.arange(level[-1] + 2)),
+        uid=uid,
+    )
+    for arr in vars(out).values():
+        arr.setflags(write=False)
+    return out

@@ -13,11 +13,13 @@ parallel Morton-curve partitioning of Section 3.1 relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.octree.box import Box
 from repro.octree.morton import MAX_DEPTH, anchor_to_key, encode_points
+from repro.octree.topology import TreeTopology, derive_topology
 
 _U = np.uint64
 
@@ -53,6 +55,16 @@ class Octree:
     @property
     def nboxes(self) -> int:
         return len(self.boxes)
+
+    @cached_property
+    def topology(self) -> TreeTopology:
+        """The finished tree as per-box arrays, derived on first use.
+
+        What the interaction lists, the execution plan and the rank
+        setup read; ``boxes`` must not change afterwards (no builder
+        touches a tree it has returned).
+        """
+        return derive_topology(self.boxes)
 
     def leaves(self) -> list[int]:
         return [b.index for b in self.boxes if b.is_leaf]
@@ -124,6 +136,19 @@ class Octree:
         }
 
 
+def require_finite(points: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first point of ``what`` that has
+    a NaN or infinite coordinate — before a bounding cube or a Morton
+    key is computed from it (a NaN casts to an arbitrary cell and the
+    apply is silently wrong)."""
+    finite = np.isfinite(points)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(
+            f"{what} contain a non-finite coordinate: point {i} is {points[i]}"
+        )
+
+
 def _root_cube(points: np.ndarray, pad: float = 1e-6) -> tuple[np.ndarray, float]:
     """Smallest axis-aligned cube (slightly padded) containing the points."""
     lo = points.min(axis=0)
@@ -175,6 +200,9 @@ def build_tree(
         raise ValueError(f"max_points must be >= 1, got {max_points}")
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}], got {max_depth}")
+    require_finite(sources, "sources")
+    if not shared:
+        require_finite(targets_arr, "targets")
 
     if root is None:
         allpts = sources if shared else np.vstack([sources, targets_arr])

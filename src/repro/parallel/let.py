@@ -49,15 +49,14 @@ def classify_let(
     uses_equiv = np.zeros(nb, dtype=bool)
     uses_source = np.zeros(nb, dtype=bool)
     active = np.asarray(local_trg, dtype=bool)
-    leaf = np.fromiter((b.is_leaf for b in tree.boxes), dtype=bool, count=nb)
+    leaf = tree.topology.is_leaf
     for which, out, gate in (
         ("V", uses_equiv, active),
         ("X", uses_source, active),
         ("W", uses_equiv, active & leaf),
         ("U", uses_source, active & leaf),
     ):
-        ptr, idx = lists.flat(which)
-        trg = np.repeat(np.arange(nb), np.diff(ptr))
+        trg, idx = lists.pairs(which)
         out[idx[gate[trg]]] = True
     return LETUsage(uses_equiv=uses_equiv, uses_source=uses_source)
 

@@ -60,7 +60,7 @@ from repro.core.steps import BufferSpec, Step, StepList, run_steps
 from repro.kernels.base import Kernel
 from repro.octree.balance import balance_tree
 from repro.octree.lists import InteractionLists, build_lists
-from repro.octree.tree import Octree, _root_cube
+from repro.octree.tree import Octree, _root_cube, require_finite
 from repro.parallel.exchange import (
     PHASES,
     ApplyExchange,
@@ -112,16 +112,13 @@ def v_split_bcast_schedule(
     communication verifier (:mod:`repro.analysis.commir`), so the
     runtime schedule and the certified one cannot drift apart.
     """
-    cand = [
-        int(bx) for bx in lvl_boxes
-        if contrib_trg[:, bx].any()
-        and any(gsrc[int(a)] > 0 for a in lists.V[int(bx)])
-    ]
+    trg, idx = lists.pairs("V")
+    fed = np.zeros(gsrc.size, dtype=bool)  # some V partner has sources
+    fed[trg[gsrc[idx] > 0]] = True
+    cand = lvl_boxes[fed[lvl_boxes] & contrib_trg[:, lvl_boxes].any(axis=0)]
     schedule: list[tuple[int, int, tuple[int, ...]]] = []
-    for j, bx in enumerate(cand):
-        parts = tuple(
-            int(r) for r in np.nonzero(contrib_trg[:, bx])[0]
-        )
+    for j, bx in enumerate(cand.tolist()):
+        parts = tuple(np.flatnonzero(contrib_trg[:, bx]).tolist())
         schedule.append((bx, parts[j % len(parts)], parts))
     return schedule
 
@@ -425,12 +422,8 @@ def one_rank_tree(tree: Octree, balance: bool = False) -> ParallelTree:
     2:1 balancing rebuilds the tree from one rank's complete view."""
     if balance:
         tree = balance_tree(tree)
-    nb = tree.nboxes
-    return ParallelTree(
-        tree=tree,
-        global_nsrc=np.fromiter((b.nsrc for b in tree.boxes), np.int64, nb),
-        global_ntrg=np.fromiter((b.ntrg for b in tree.boxes), np.int64, nb),
-    )
+    topo = tree.topology
+    return ParallelTree(tree=tree, global_nsrc=topo.nsrc, global_ntrg=topo.ntrg)
 
 
 def rank_setup(
@@ -490,8 +483,9 @@ def setup_on_tree(
     me = comm.rank
     tree = ptree.tree
 
-    with timer.phase("tree"):
+    with timer.phase("lists"):
         lists = build_lists(tree)
+    with timer.phase("tree"):
         contrib_src, contrib_trg = gather_contributors(
             comm, ptree.local_contributes_src(), ptree.local_contributes_trg()
         )
@@ -506,7 +500,6 @@ def setup_on_tree(
             kernel, opts.p, tree.root_side,
             inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
         )
-    nb = tree.nboxes
     # What circulates — positions and densities under the same roles —
     # are the used boxes some other rank contributes to or uses.  The
     # rest never leave their owner, whose passes read them in place.
@@ -525,8 +518,7 @@ def setup_on_tree(
     # Layout of the combined source array: this rank's sorted sources,
     # then the circulating boxes it uses in ascending order, each
     # holding its *global* sources in the owner's concatenation order.
-    src_start = np.fromiter((b.src_start for b in tree.boxes), np.int64, nb)
-    src_stop = np.fromiter((b.src_stop for b in tree.boxes), np.int64, nb)
+    src_start, src_stop = tree.topology.src_start, tree.topology.src_stop
     ghost = np.flatnonzero(usage.uses_source & moves_src)
     stops = tree.sources.shape[0] + np.cumsum(ptree.global_nsrc[ghost])
     ext_start, ext_stop = src_start.copy(), src_stop.copy()
@@ -572,8 +564,7 @@ def setup_on_tree(
         # — every quantity below derives from replicated matrices, so
         # all ranks agree without communication.
         split_levels = coarse_split_levels(
-            [len(tree.levels[lvl]) for lvl in range(tree.depth + 1)],
-            comm.size,
+            np.diff(tree.topology.level_ptr), comm.size
         )
         # default: every box with local targets
         v_compute = near.trg_stop > near.trg_start
@@ -586,7 +577,7 @@ def setup_on_tree(
                     np.ones(vl.trg_boxes.size, dtype=bool), blocked,
                 ))
                 continue
-            lvl_boxes = np.asarray(tree.levels[vl.level], dtype=np.int64)
+            lvl_boxes = tree.topology.level_boxes(vl.level)
             # The level's global V target set, gated like the plan:
             # some rank contributes targets and some partner holds
             # global sources.
@@ -677,6 +668,7 @@ def _shared_setup(
     (:meth:`OperatorCache.for_root`), the FFT tensors ``"auto"`` may
     schedule (so ranks share the lazily-populated entries), and the
     Morton partition."""
+    require_finite(points, "sources")
     # The cube the ranks would agree on collectively (elementwise min/max
     # commute with the Allreduce of agree_root_cube) — and KIFMM's own.
     corner, side = _root_cube(points)

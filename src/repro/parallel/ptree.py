@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.octree.box import Box
 from repro.octree.morton import MAX_DEPTH, anchor_to_key, encode_points
-from repro.octree.tree import Octree
+from repro.octree.tree import Octree, require_finite
 from repro.parallel.simmpi import SimComm
 
 _U = np.uint64
@@ -44,10 +44,10 @@ class ParallelTree:
 
     def local_contributes_src(self) -> np.ndarray:
         """Boxes holding local sources (rank is a source contributor)."""
-        return np.array([b.nsrc > 0 for b in self.tree.boxes])
+        return self.tree.topology.nsrc > 0
 
     def local_contributes_trg(self) -> np.ndarray:
-        return np.array([b.ntrg > 0 for b in self.tree.boxes])
+        return self.tree.topology.ntrg > 0
 
 
 def agree_root_cube(
@@ -61,8 +61,14 @@ def agree_root_cube(
         hi = np.full(3, -np.inf)
     lo = comm.allreduce(lo, op="min")
     hi = comm.allreduce(hi, op="max")
-    if not np.all(np.isfinite(lo)):
+    if np.all(np.isposinf(lo)) and np.all(np.isneginf(hi)):
         raise ValueError("no rank contributed any points")
+    # Every rank sees the same reduced bounds, so all raise together.
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(
+            "points contain a non-finite coordinate: the ranks' bounds "
+            f"reduce to {lo} .. {hi}"
+        )
     side = float((hi - lo).max())
     side = side * (1.0 + pad) if side > 0 else 1.0
     center = (lo + hi) / 2.0
@@ -88,6 +94,9 @@ def parallel_build_tree(
     targets_arr = (
         local_sources if shared else np.ascontiguousarray(local_targets, np.float64)
     )
+    require_finite(local_sources, f"rank {comm.rank}'s sources")
+    if not shared:
+        require_finite(targets_arr, f"rank {comm.rank}'s targets")
     if root is None:
         allpts = (
             local_sources if shared else np.vstack([local_sources, targets_arr])

@@ -22,11 +22,15 @@ from repro.core.fmm import FMMOptions, KIFMM
 from repro.core.plan import (
     OCTANT_VECTORS,
     BufferPool,
+    build_near_blocks,
     build_plan,
+    build_w_blocks,
     chunk_segments,
+    compile_plan,
     multi_arange,
     split_v_level,
 )
+from repro.geometry.distributions import corner_clusters, uniform_cube
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.kernels.derived import LaplaceDipoleKernel, LaplaceGradientKernel
 from repro.kernels.direct import direct_evaluate, relative_error
@@ -261,6 +265,84 @@ def test_chunk_segments():
             assert seg[hi] - seg[lo] <= 40
     # An oversized single segment still gets its own run.
     assert (3, 4) in runs
+
+
+def test_run_bounds():
+    from repro.util.segments import run_bounds
+
+    values = np.array([4, 4, 9, 2, 2, 2, 7])
+    assert run_bounds(values).tolist() == [0, 2, 3, 6, 7]
+    assert run_bounds(np.array([5])).tolist() == [0, 1]
+    assert run_bounds(np.array([], dtype=np.int64)).tolist() == [0]
+
+
+def _two_clusters(n, rng):
+    half = n // 2
+    return np.vstack([
+        rng.uniform(0.0, 0.12, (half, 3)),
+        rng.uniform(0.88, 1.0, (n - half, 3)),
+    ])
+
+
+@pytest.mark.parametrize(
+    "maker", [uniform_cube, corner_clusters, _two_clusters],
+    ids=["uniform", "corners", "two-clusters"],
+)
+def test_grouping_without_unique_matches_unique(maker):
+    """The plan's box sets and near blocks, written with run boundaries
+    and box masks, are what ``np.unique`` + ``searchsorted`` + ``add.at``
+    gave — on the three point sets of ``benchmarks/bitwise_grid.py``."""
+    from repro.octree import build_lists, build_tree
+
+    tree = build_tree(maker(3000, np.random.default_rng(12)), max_points=40)
+    lists = build_lists(tree)
+    plan, near = compile_plan(tree, lists)
+    topo = tree.topology
+    nb = topo.nboxes
+    trg, src = lists.pairs("V")
+    keep = (topo.ntrg[trg] > 0) & (topo.nsrc[src] > 0)
+    trg, src = trg[keep], src[keep]
+    assert plan.v_levels
+    for vl in plan.v_levels:
+        m = topo.level[trg] == vl.level
+        t, s = trg[m], src[m]
+        assert np.array_equal(vl.src_boxes, np.unique(s))
+        assert np.array_equal(vl.trg_boxes, np.unique(t))
+        pairs = {
+            (int(vl.trg_boxes[tp]), int(vl.src_boxes[sp]))
+            for _, spos, tpos in vl.classes
+            for sp, tp in zip(spos.tolist(), tpos.tolist())
+        }
+        assert pairs == set(zip(t.tolist(), s.tolist()))
+        parent_pairs = np.unique(topo.parent[t] * nb + topo.parent[s])
+        assert sum(len(rows) for _, rows, _ in vl.po_groups) == parent_pairs.size
+
+    def unique_blocks(t, s, weights):
+        boxes = np.unique(t)
+        counts = np.zeros(boxes.size, dtype=np.int64)
+        np.add.at(counts, np.searchsorted(boxes, t), weights)
+        return boxes, np.concatenate([[0], np.cumsum(counts)]), np.unique(s)
+
+    (ut, us), (wt, ws) = near.u, near.w
+    for keep in (np.arange(nb) % 2 == 0, np.ones(nb, bool), np.zeros(nb, bool)):
+        mu, mw = keep[us], keep[ws]
+        ub, wb = near.blocks(keep)
+        got = build_near_blocks(
+            ut[mu], us[mu], near.p_start, near.p_stop,
+            near.trg_start, near.trg_stop,
+        )
+        for blocks in (ub, got):
+            boxes, seg, partners = unique_blocks(
+                ut[mu], us[mu], (near.p_stop - near.p_start)[us[mu]]
+            )
+            assert np.array_equal(blocks.boxes, boxes)
+            assert np.array_equal(blocks.seg, seg) and blocks.seg.dtype == np.int64
+            assert np.array_equal(blocks.partners, partners)
+        boxes, seg, partners = unique_blocks(wt[mw], ws[mw], 1)
+        for blocks in (wb, build_w_blocks(wt[mw], ws[mw], near.trg_start, near.trg_stop)):
+            assert np.array_equal(blocks.boxes, boxes)
+            assert np.array_equal(blocks.seg, seg) and blocks.seg.dtype == np.int64
+            assert np.array_equal(blocks.partners, partners)
 
 
 def test_buffer_pool_reuse():

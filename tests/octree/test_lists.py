@@ -8,13 +8,23 @@ leaf onto some target ancestor's check surface).  Double counting or
 omission would silently corrupt potentials.
 """
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry.distributions import corner_clusters, uniform_cube
 from repro.octree import build_lists, build_tree
-from repro.octree.lists import verify_lists
+from repro.octree.balance import balance_tree
+from repro.octree.lists import InteractionLists, verify_lists
+from repro.parallel.partition import partition_points
+from repro.parallel.ptree import parallel_build_tree
+from repro.parallel.simmpi import PerRank, run_spmd
 
-from tests.conftest import clustered_cloud, uniform_cloud
+from tests.conftest import clustered_cloud, traced_peak, uniform_cloud
+from tests.octree.reference_lists import build_lists_reference
 
 
 def _ancestors_or_self(tree, i):
@@ -126,3 +136,164 @@ def test_counts_reports_totals(rng):
     c = lists.counts()
     assert c["U"] == sum(len(u) for u in lists.U)
     assert c["V"] == sum(len(v) for v in lists.V)
+
+
+# -- the array construction against the per-box walk it replaced ------------
+
+
+def _two_clusters(n, rng):
+    """Two tight opposite-corner clusters (the bitwise grid's third set)."""
+    half = n // 2
+    return np.vstack([
+        rng.uniform(0.0, 0.12, (half, 3)),
+        rng.uniform(0.88, 1.0, (n - half, 3)),
+    ])
+
+
+def _sphere(n, rng):
+    d = rng.standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _coincident(n, rng):
+    """A few distinct sites, so only ``max_depth`` stops the refinement."""
+    return np.repeat(rng.uniform(-1.0, 1.0, (3, 3)), -(-n // 3), axis=0)[:n]
+
+
+_CLOUDS = {
+    "uniform": uniform_cube,
+    "corners": corner_clusters,
+    "two-clusters": _two_clusters,
+    "sphere": _sphere,
+    "coincident": _coincident,
+}
+
+
+def _assert_lists_equal_reference(tree):
+    lists = build_lists(tree)
+    ref = build_lists_reference(tree)
+    for which in "UVWX":
+        for got, want in zip(lists.flat(which), ref.flat(which)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), f"{which} list differs"
+    verify_lists(tree, lists)
+    return lists
+
+
+@st.composite
+def adaptive_tree(draw):
+    cloud = draw(st.sampled_from(sorted(_CLOUDS)))
+    n = draw(st.integers(min_value=1, max_value=700))
+    s = draw(st.sampled_from([1, 7, 60]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**20)))
+    # max_points=1 on coincident points refines to the cap: keep it low
+    # enough for the per-box reference, high enough to cross levels.
+    depth_cap = draw(st.sampled_from([3, 6, 21])) if cloud != "coincident" else 6
+    sources = _CLOUDS[cloud](n, rng)
+    targets = None
+    if draw(st.booleans()):
+        targets = _CLOUDS[draw(st.sampled_from(sorted(_CLOUDS)))](
+            draw(st.integers(min_value=1, max_value=300)), rng
+        )
+        # corner_clusters lives in [-1, 1], two-clusters in [0, 1]: any
+        # mix is fine, the root cube covers both.
+    return sources, targets, s, depth_cap
+
+
+class TestArrayListsEqualReference:
+    @given(adaptive_tree(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_any_adaptive_tree(self, case, balance):
+        sources, targets, s, depth_cap = case
+        tree = build_tree(sources, targets, max_points=s, max_depth=depth_cap)
+        if balance:
+            tree = balance_tree(tree)
+        _assert_lists_equal_reference(tree)
+
+    @given(
+        st.sampled_from(["uniform", "corners", "two-clusters"]),
+        st.sampled_from([2, 4]),
+        st.integers(min_value=0, max_value=2**20),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_every_ranks_parallel_tree(self, cloud, nranks, seed):
+        pts = _CLOUDS[cloud](600, np.random.default_rng(seed))
+        parts = partition_points(pts, nranks)
+
+        def main(comm, idx):
+            return parallel_build_tree(comm, pts[idx], max_points=20)
+
+        for ptree in run_spmd(nranks, main, PerRank(parts)):
+            _assert_lists_equal_reference(ptree.tree)
+
+    def test_fewer_points_than_a_leaf_holds(self, rng):
+        lists = _assert_lists_equal_reference(build_tree(uniform_cloud(rng, 7)))
+        assert lists.counts() == {"U": 1, "V": 0, "W": 0, "X": 0}
+
+    def test_coincident_points_at_the_key_capacity(self):
+        """Level-21 anchors: the uid of the deepest level fits a uint64."""
+        pts = np.repeat([[0.3, 0.3, 0.3], [0.3, 0.3, 0.3000001]], 2, axis=0)
+        tree = build_tree(pts, max_points=1)
+        assert tree.depth == 21
+        _assert_lists_equal_reference(tree)
+        # balance_tree used to shift by a negative bit count here (found
+        # by the property above).
+        balanced = balance_tree(tree)
+        assert balanced.depth == 21
+        _assert_lists_equal_reference(balanced)
+
+
+class TestListsAreArrays:
+    def test_per_box_views_are_read_only_and_flat_is_not_a_copy(self, rng):
+        tree = build_tree(clustered_cloud(rng, 800), max_points=15)
+        lists = build_lists(tree)
+        for which in "UVWX":
+            ptr, idx = lists.flat(which)
+            assert lists.flat(which)[0] is ptr and lists.flat(which)[1] is idx
+            per_box = getattr(lists, which)
+            assert len(per_box) == tree.nboxes
+            busiest = int(np.argmax(np.diff(ptr)))
+            view = per_box[busiest]
+            assert view.size and np.shares_memory(view, idx)
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0
+            with pytest.raises(ValueError):
+                idx[0] = 0
+        with pytest.raises(ValueError):
+            lists.flat("Y")
+        handed = {w: tuple(a.copy() for a in lists.flat(w)) for w in "UVWX"}
+        stored = InteractionLists(handed)
+        for which, (ptr, idx) in handed.items():
+            assert stored.flat(which)[0] is ptr and stored.flat(which)[1] is idx
+        assert stored.counts() == lists.counts()
+
+    @pytest.mark.parametrize("n", [3_000, 30_000])
+    def test_python_calls_do_not_grow_with_boxes(self, n):
+        """``build_lists`` (topology derivation included) makes a few
+        dozen Python-level calls per chunk of 4096 boxes and frontier
+        round (121 at 3k points, 159 at 30k); the per-box walk made
+        6 721 at 3k and about a million at 50k."""
+        tree = build_tree(uniform_cube(n, np.random.default_rng(n)))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            lists = build_lists(tree)
+        finally:
+            sys.setprofile(None)
+        assert lists.counts()["V"] > 0
+        assert calls <= 60 * (tree.depth + 1), (calls, tree.depth, tree.nboxes)
+
+    def test_scratch_stays_bounded_at_50k(self):
+        tree = build_tree(uniform_cube(50_000, np.random.default_rng(0)))
+        tree.topology  # the tree's arrays, shared with the plan: not list scratch
+        peak, lists = traced_peak(lambda: build_lists(tree))
+        assert lists.counts()["V"] > 600_000
+        # 17 MB: 2 x 5 MB of V partners while the chunks are joined plus
+        # one chunk's candidates.
+        assert peak <= 32 * 2**20, f"{peak / 2**20:.1f} MB"

@@ -59,6 +59,75 @@ class TestDegenerateInputs:
         assert sorted(leaf_src.tolist()) == list(range(200))
 
 
+class TestNonFiniteCoordinates:
+    """A NaN coordinate used to cast to an arbitrary Morton cell (a
+    21-box tree, ``root_side = 1.0``, a ``RuntimeWarning`` and a silently
+    wrong apply); every setup path now names the first offending point
+    before a key is computed."""
+
+    BAD = (np.nan, np.inf, -np.inf)
+
+    @staticmethod
+    def _poisoned(rng, value, n=200, at=37):
+        pts = rng.uniform(-1.0, 1.0, (n, 3))
+        pts[at, 1] = value
+        pts[at + 5, 2] = value  # the *first* bad point is reported
+        return pts
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_build_tree_names_sources_and_targets(self, rng, value):
+        bad, good = self._poisoned(rng, value), rng.uniform(-1.0, 1.0, (50, 3))
+        with pytest.raises(ValueError, match=r"sources contain .* point 37 "):
+            build_tree(bad)
+        with pytest.raises(ValueError, match=r"targets contain .* point 37 "):
+            build_tree(good, bad)
+        with pytest.raises(ValueError, match=r"sources contain .* point 37 "):
+            build_tree(bad, good, root=(np.full(3, -1.0), 2.0))
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_every_setup_path_raises_the_same_error(self, rng, value):
+        from repro.bie.stokes_bie import StokesSingleLayer
+        from repro.bie.surfaces import SphereSurface
+        from repro.core.fmm import FMMOptions, KIFMM
+        from repro.kernels import LaplaceKernel
+        from repro.parallel.pfmm import ParallelFMM, run_parallel_fmm
+
+        bad = self._poisoned(rng, value)
+        message = r"sources contain a non-finite coordinate: point 37 "
+        opts = FMMOptions(p=3, max_points=30)
+        with pytest.raises(ValueError, match=message):
+            KIFMM(LaplaceKernel(), opts).setup(bad)
+        with pytest.raises(ValueError, match=message):
+            KIFMM(LaplaceKernel(), FMMOptions(p=3, plan="naive")).setup(bad)
+        with pytest.raises(ValueError, match=message):
+            ParallelFMM(2, LaplaceKernel(), opts).setup(bad)
+        with pytest.raises(ValueError, match=message):
+            run_parallel_fmm(2, LaplaceKernel(), bad, np.ones(len(bad)), opts)
+        for ranks in (0, 2):
+            sphere = SphereSurface(np.zeros(3), 1.0, 120)
+            op = StokesSingleLayer([sphere], options=opts, parallel_ranks=ranks)
+            sphere.points[37, 1] = value
+            with pytest.raises(ValueError, match=message):
+                op.refresh_geometry()
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_ranks_given_local_points_raise_too(self, rng, value):
+        from repro.parallel.ptree import agree_root_cube, parallel_build_tree
+        from repro.parallel.simmpi import PerRank, run_spmd
+
+        bad = self._poisoned(rng, value)
+        halves = [bad[:100], bad[100:]]
+        with pytest.raises(ValueError, match=r"rank 0's sources contain .* point 37 "):
+            run_spmd(
+                2, lambda comm, pts: parallel_build_tree(comm, pts),
+                PerRank(halves),
+            )
+        with pytest.raises(ValueError, match=r"non-finite coordinate: the ranks'"):
+            run_spmd(2, agree_root_cube, PerRank(halves))
+        with pytest.raises(ValueError, match="no rank contributed any points"):
+            run_spmd(2, agree_root_cube, PerRank([bad[:0], bad[:0]]))
+
+
 class TestListsAfterEdgeCases:
     def test_fmm_on_line_distribution(self, rng):
         from repro.core.fmm import FMMOptions, KIFMM
