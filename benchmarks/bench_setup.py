@@ -77,8 +77,9 @@ def measure(repeats: int = REPEATS) -> list[dict]:
         pts = maker(n, np.random.default_rng(0))
         row = {"set": name, "n": len(pts)}
         row["tree"], tree = _best(lambda: build_tree(pts), repeats)
-        # A fresh tree per repeat: the lists pay for the topology they
-        # are the first to read.
+        # A fresh tree per repeat: at commits before the builder wrote
+        # ``Octree.topology`` itself (``--against``), the lists paid for
+        # the topology they were the first to read.
         trees = iter([build_tree(pts) for _ in range(repeats)])
         row["lists"], lists = _best(lambda: build_lists(next(trees)), repeats)
         row["flat"], _ = _best(lambda: [lists.flat(w) for w in "UVWX"], 1)

@@ -1,4 +1,5 @@
-"""Potential hashes over the executor grid, for commit-to-commit comparison.
+"""Potential, tree and list hashes over the executor grid, for
+commit-to-commit comparison.
 
 Run on two commits (same machine, same BLAS) and diff the JSON::
 
@@ -10,9 +11,11 @@ x {sequential KIFMM; ParallelFMM at 1, 2, 4 ranks overlap on; 4 ranks
 overlap off; 4 ranks comm="flat"; 8 ranks}.  The two-cluster set keeps
 two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
 split and its broadcasts.  Each cell records the sha256 of the
-``nrhs = 1`` potential, the sequential cells also the per-phase flop
-counts; ``--npz`` stores the ``nrhs = 8`` potentials so ``--against``
-can report the largest relative difference.  Every run also checks the
+``nrhs = 1`` potential, of the tree (every ``TreeTopology`` array of
+every rank plus the global counts) and of the four CSR interaction lists
+of every rank, the sequential cells also the per-phase flop counts;
+``--npz`` stores the ``nrhs = 8`` potentials so ``--against`` can report
+the largest relative difference.  Every run also checks the
 invariant of the one driver — the sequential operator is the one-rank
 operator, so each ``seq`` cell has the hash of the ``p1`` cell of its
 row — and exits 1 if it does not hold.  ``--against`` gives its
@@ -25,6 +28,7 @@ anywhere still exits 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,6 +68,28 @@ def two_clusters(n: int, rng: np.random.Generator) -> np.ndarray:
     ])
 
 
+def structure_hashes(states) -> dict[str, str]:
+    """sha256 of the ranks' trees and of their interaction lists, read
+    through ``tree.topology`` and ``lists.flat`` (dtype and shape
+    included, so a silently widened or reshaped array differs too)."""
+    tree, lists = hashlib.sha256(), hashlib.sha256()
+
+    def feed(digest, arr: np.ndarray) -> None:
+        digest.update(repr((arr.dtype.str, arr.shape)).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+
+    for state in states:
+        topo = state.tree.topology
+        for field in dataclasses.fields(topo):
+            feed(tree, getattr(topo, field.name))
+        feed(tree, state.ptree.global_nsrc)
+        feed(tree, state.ptree.global_ntrg)
+        for which in "UVWX":
+            for arr in state.lists.flat(which):
+                feed(lists, arr)
+    return {"tree_sha256": tree.hexdigest(), "lists_sha256": lists.hexdigest()}
+
+
 def run_grid() -> tuple[dict, dict]:
     cells: dict[str, dict] = {}
     blocks: dict[str, np.ndarray] = {}
@@ -92,6 +118,9 @@ def run_grid() -> tuple[dict, dict]:
                     key = f"{kname}/{dist}/{m2l}/{cname}"
                     u = np.ascontiguousarray(fmm.apply(phi))
                     cell = {"sha256": hashlib.sha256(u.tobytes()).hexdigest()}
+                    cell.update(structure_hashes(
+                        [fmm.state] if cname == "seq" else fmm.states
+                    ))
                     if cname == "seq":
                         cell["flops"] = fmm.statistics()["flops"]
                     cells[key] = cell
@@ -148,8 +177,14 @@ def main() -> None:
             for k in blocks
         }
         worst = max(rel.values())
-        print(f"{len(cells)} cells, {len(differ)} differ (hash or flops); "
-              f"nrhs={NRHS} max relative difference {worst:.3e}")
+        print(f"{len(cells)} cells, {len(differ)} differ (potential, tree or "
+              f"list hash, or flops); nrhs={NRHS} max relative difference "
+              f"{worst:.3e}")
+        for what in ("tree_sha256", "lists_sha256"):
+            same = sum(
+                cells[k][what] == other.get(k, {}).get(what) for k in cells
+            )
+            print(f"  {what:<13}{same:>3}/{len(cells)} cells equal")
         columns: dict[str, list[str]] = {}
         for k in cells:
             columns.setdefault(m2l_column(k, cells), []).append(k)

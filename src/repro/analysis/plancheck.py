@@ -323,18 +323,13 @@ def rank_ir(
     """
     ir = extract_rank_ir(state, nrhs=nrhs, overlap=overlap)
     kernel, opts = state.kernel, state.options
-    local_nsrc = np.fromiter(
-        (b.nsrc for b in state.tree.boxes), np.float64, state.tree.nboxes,
-    )
+    topo = state.tree.topology
     expected = compute_work(
         state.tree, state.lists, kernel, opts.p, m2l=state.m2l_schedule,
         rsvd_rank=state.cache.m2l_rsvd_rank,
         global_nsrc=state.ptree.global_nsrc,
-        global_ntrg=np.fromiter(
-            (b.ntrg for b in state.tree.boxes), np.float64,
-            state.tree.nboxes,
-        ),
-        nrhs=nrhs, up_nsrc=local_nsrc,
+        global_ntrg=topo.ntrg,
+        nrhs=nrhs, up_nsrc=topo.nsrc,
         v_targets=state.v_compute,
     ).totals()
     return ir, expected

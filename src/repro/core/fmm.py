@@ -31,7 +31,7 @@ from repro.core.precompute import OperatorCache
 from repro.core.surfaces import INNER_RADIUS, OUTER_RADIUS
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists, build_lists
-from repro.octree.tree import Octree, build_tree
+from repro.octree.tree import Octree, build_tree, check_tree_parameters
 from repro.util.flops import FlopCounter
 from repro.util.timing import PhaseTimer
 
@@ -66,7 +66,7 @@ class FMMOptions:
     rcond:
         SVD cutoff for the regularised inversions.
     max_depth:
-        Tree refinement cut-off.
+        Tree refinement cut-off, 1 to 21 (the Morton key capacity).
     balance:
         Apply 2:1 tree balancing after construction (optional; the
         adaptive lists handle unbalanced trees — see
@@ -109,8 +109,7 @@ class FMMOptions:
     def __post_init__(self) -> None:
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.max_points < 1:
-            raise ValueError(f"max_points must be >= 1, got {self.max_points}")
+        check_tree_parameters(self.max_points, self.max_depth)
         if self.m2l not in M2L_MODES:
             raise ValueError(
                 f"m2l must be one of {M2L_MODES}, got {self.m2l!r}"

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box:
-    """One node of the adaptive computation tree.
+    """One node of the adaptive computation tree, as a read-only record.
 
-    Point membership is stored as *ranges into the Morton-sorted point
-    permutations* held by the owning :class:`~repro.octree.tree.Octree`,
-    so a box's sources/targets are always contiguous slices.
+    The tree is stored as arrays (:class:`~repro.octree.topology.
+    TreeTopology`); ``Octree.boxes`` derives these records from them for
+    code that walks boxes one at a time.  Point membership is *ranges
+    into the Morton-sorted point permutations* held by the owning
+    :class:`~repro.octree.tree.Octree`, so a box's sources/targets are
+    always contiguous slices.
 
     Attributes
     ----------
@@ -27,12 +28,13 @@ class Box:
         in ``[0, 2**level)``.
     parent:
         Index of the parent box, or ``-1`` for the root.
-    children:
-        Indices of existing (non-empty) children; empty tuple for leaves.
     src_start, src_stop:
         Slice of the tree's Morton-sorted *source* permutation.
     trg_start, trg_stop:
         Slice of the tree's Morton-sorted *target* permutation.
+    children:
+        Indices of the existing children in octant order; empty for
+        leaves.
     """
 
     index: int
@@ -43,7 +45,7 @@ class Box:
     src_stop: int
     trg_start: int
     trg_stop: int
-    children: tuple[int, ...] = field(default_factory=tuple)
+    children: tuple[int, ...] = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -56,15 +58,6 @@ class Box:
     @property
     def ntrg(self) -> int:
         return self.trg_stop - self.trg_start
-
-    def center(self, root_corner: np.ndarray, root_side: float) -> np.ndarray:
-        """Center of the box in physical coordinates."""
-        side = root_side / (1 << self.level)
-        return root_corner + (np.asarray(self.anchor, dtype=np.float64) + 0.5) * side
-
-    def half_width(self, root_side: float) -> float:
-        """Half the side length (the ``r`` of Section 2.1)."""
-        return root_side / (1 << self.level) / 2.0
 
 
 def boxes_adjacent(a: Box, b: Box) -> bool:

@@ -44,7 +44,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.octree.box import boxes_adjacent
 from repro.octree.topology import (
     COLLEAGUE_OFFSETS,
     OCTANT_VECTORS,
@@ -215,33 +214,36 @@ def build_lists(tree: Octree) -> InteractionLists:
 def verify_lists(tree: Octree, lists: InteractionLists) -> None:
     """Check the structural invariants of Section 2.1 / 3.1.
 
-    Raises ``AssertionError`` on the first violation.  Used by the test
-    suite and available to users as a debugging aid.
+    Raises ``AssertionError`` naming the first violating pair.  Used by
+    the test suite and available to users as a debugging aid.
     """
-    boxes = tree.boxes
-    for b in boxes:
-        i = b.index
-        if b.is_leaf:
-            assert i in set(lists.U[i]), f"U list of leaf {i} must contain itself"
-        else:
-            assert len(lists.U[i]) == 0, f"U list of non-leaf {i} must be empty"
-            assert len(lists.W[i]) == 0, f"W list of non-leaf {i} must be empty"
-        for u in lists.U[i]:
-            assert boxes[u].is_leaf, f"U list of {i} contains non-leaf {u}"
-            assert boxes_adjacent(boxes[u], b), f"U box {u} not adjacent to {i}"
-        for v in lists.V[i]:
-            vb = boxes[v]
-            assert vb.level == b.level, f"V box {v} not at level of {i}"
-            assert not boxes_adjacent(vb, b), f"V box {v} adjacent to {i}"
-            assert boxes_adjacent(boxes[vb.parent], boxes[b.parent]), (
-                f"V box {v}'s parent not adjacent to {i}'s parent"
-            )
-        for w in lists.W[i]:
-            wb = boxes[w]
-            assert wb.level > b.level, f"W box {w} not finer than {i}"
-            assert not boxes_adjacent(wb, b), f"W box {w} adjacent to {i}"
-            assert boxes_adjacent(boxes[wb.parent], b), (
-                f"W box {w}'s parent not adjacent to {i}"
-            )
-        for x in lists.X[i]:
-            assert i in set(lists.W[x]), f"X/W duality violated for {i}, {x}"
+    topo = tree.topology
+    level, parent, leaf, nb = topo.level, topo.parent, topo.is_leaf, topo.nboxes
+
+    def touching(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        deeper = level[a] > level[b]
+        return _adjacent(topo, np.where(deeper, b, a), np.where(deeper, a, b))
+
+    def check(ok: np.ndarray, box: np.ndarray, partner: np.ndarray, claim: str):
+        bad = np.flatnonzero(~ok)
+        assert not bad.size, (
+            f"{claim}: box {box[bad[0]]}, partner {partner[bad[0]]}"
+        )
+
+    b, u = lists.pairs("U")
+    leaves = np.flatnonzero(leaf)
+    check(np.isin(leaves, b[b == u]), leaves, leaves, "a leaf is in its own U list")
+    check(leaf[b], b, u, "the U list of a non-leaf is empty")
+    check(leaf[u], b, u, "U boxes are leaves")
+    check(touching(b, u), b, u, "U boxes are adjacent")
+    b, v = lists.pairs("V")
+    check(level[v] == level[b], b, v, "V boxes are at the box's level")
+    check(~touching(b, v), b, v, "V boxes are not adjacent")
+    check(touching(parent[b], parent[v]), b, v, "V boxes' parents are adjacent")
+    b, w = lists.pairs("W")
+    check(leaf[b], b, w, "the W list of a non-leaf is empty")
+    check(level[w] > level[b], b, w, "W boxes are finer")
+    check(~touching(b, w), b, w, "W boxes are not adjacent")
+    check(touching(b, parent[w]), b, w, "W boxes' parents are adjacent")
+    x, a = lists.pairs("X")
+    check(np.isin(a * nb + x, b * nb + w), x, a, "X is the dual of W")

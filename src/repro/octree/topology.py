@@ -1,23 +1,22 @@
-"""The tree as arrays: one struct-of-arrays view of ``Octree.boxes``.
+"""The tree as arrays: what the builder builds and everything reads.
 
-:class:`~repro.octree.box.Box` objects are the per-box public view of
-the tree; everything that works on *all* boxes at once — the interaction
-lists, the execution plan, the rank setup — reads this view instead,
-derived once per tree by :func:`derive_topology` (cached as
-``Octree.topology``) in one C-level pass over the boxes.
+A tree *is* its :class:`TreeTopology` — one struct of per-box arrays that
+the one level loop (:func:`repro.octree.tree.grow_tree`) appends row by
+row and that the interaction lists, the execution plan, the LET, the
+owner assignment and the communication IR read.  ``Octree.boxes``
+(:class:`~repro.octree.box.Box` records) is a view derived from it for
+code that walks boxes one at a time.
 
-The lookup ``(level, anchor) -> box`` is a binary search: a box's *uid*
-is its Morton key at its own level plus the number of cells of all
-coarser levels, ``(8**level - 1) / 7``, so the uids of one level fill
-their own interval and every builder's storage order — level by level,
-children in Morton order under parents in Morton order — is the
-ascending uid order (checked here, once).
+Boxes are stored level by level, children in Morton order under parents
+in Morton order.  A box's *uid* is its Morton key at its own level plus
+the number of cells of all coarser levels, ``(8**level - 1) / 7``, so the
+uids of one level fill their own interval, storage order is ascending
+uid order, and the lookup ``(level, anchor) -> box`` is a binary search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -40,13 +39,18 @@ SELF_OFFSET = 13
 
 #: Cells of all levels coarser than ``l``: the first uid of level ``l``.
 #: The last uid of level 21 is below ``2**64``.
-_LEVEL_BASE = np.array(
+LEVEL_BASE = np.array(
     [(8**lvl - 1) // 7 for lvl in range(MAX_DEPTH + 1)], dtype=np.uint64
 )
 
-_BOX_FIELDS = attrgetter(
-    "level", "parent", "src_start", "src_stop", "trg_start", "trg_stop"
-)
+
+def cell_uid(level, anchor: np.ndarray) -> np.ndarray:
+    """uid of the cells ``(level, anchor)``; ``anchor`` is ``(..., 3)``
+    inside the root cube and ``level`` broadcasts against its leading
+    axes."""
+    return LEVEL_BASE[level] + anchor_to_key(
+        anchor[..., 0], anchor[..., 1], anchor[..., 2]
+    )
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class TreeTopology:
     ``child[b, o]`` is the child of ``b`` in octant ``o`` or ``-1``;
     ``level_ptr[l] : level_ptr[l + 1]`` is the index range of level
     ``l``; ``uid`` is ascending (see the module docstring).  The arrays
-    are shared by every reader and must not be written.
+    are shared by every reader and made read-only on construction.
     """
 
     level: np.ndarray
@@ -72,9 +76,18 @@ class TreeTopology:
     level_ptr: np.ndarray
     uid: np.ndarray
 
+    def __post_init__(self) -> None:
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
     @property
     def nboxes(self) -> int:
         return self.level.size
+
+    @property
+    def depth(self) -> int:
+        """Deepest level with boxes."""
+        return self.level_ptr.size - 2
 
     @property
     def nsrc(self) -> np.ndarray:
@@ -98,10 +111,7 @@ class TreeTopology:
         anchor = np.asarray(anchor)
         level = np.asarray(level)
         inside = ((anchor >= 0) & (anchor < (1 << level)[..., None])).all(axis=-1)
-        cell = np.where(inside[..., None], anchor, 0)
-        uid = _LEVEL_BASE[level] + anchor_to_key(
-            cell[..., 0], cell[..., 1], cell[..., 2]
-        )
+        uid = cell_uid(level, np.where(inside[..., None], anchor, 0))
         pos = np.minimum(np.searchsorted(self.uid, uid), self.uid.size - 1)
         return np.where(inside & (self.uid[pos] == uid), pos, -1)
 
@@ -113,40 +123,3 @@ class TreeTopology:
             self.level[boxes, None],
             self.anchor[boxes, None, :] + COLLEAGUE_OFFSETS,
         )
-
-
-def derive_topology(boxes: list) -> TreeTopology:
-    """Flatten ``Octree.boxes`` into a :class:`TreeTopology`."""
-    nb = len(boxes)
-    level, parent, src_start, src_stop, trg_start, trg_stop = np.ascontiguousarray(
-        np.array(list(map(_BOX_FIELDS, boxes)), dtype=np.int64).reshape(nb, 6).T
-    )
-    anchor = np.array(
-        list(map(attrgetter("anchor"), boxes)), dtype=np.int64
-    ).reshape(nb, 3)
-    uid = _LEVEL_BASE[level] + anchor_to_key(anchor[:, 0], anchor[:, 1], anchor[:, 2])
-    if np.any(uid[1:] <= uid[:-1]):
-        raise ValueError(
-            "tree boxes must be stored level by level in Morton order "
-            "(parents in order, children by octant)"
-        )
-    octant = (anchor & 1) @ np.array([1, 2, 4])
-    child = np.full((nb, 8), -1, dtype=np.int64)
-    child[parent[1:], octant[1:]] = np.arange(1, nb)
-    out = TreeTopology(
-        level=level,
-        parent=parent,
-        anchor=anchor,
-        octant=octant,
-        child=child,
-        is_leaf=(child < 0).all(axis=1),
-        src_start=src_start,
-        src_stop=src_stop,
-        trg_start=trg_start,
-        trg_stop=trg_stop,
-        level_ptr=np.searchsorted(level, np.arange(level[-1] + 2)),
-        uid=uid,
-    )
-    for arr in vars(out).values():
-        arr.setflags(write=False)
-    return out

@@ -1,36 +1,58 @@
-"""Adaptive octree construction.
+"""Adaptive octree construction: the one level loop of Section 3.1.
 
-Follows Section 2.1 ("we construct the hierarchical octree so that each
-box contains no more than a prescribed number of points s") with the
-level-by-level construction of Section 3.1: the tree is grown one level at
-a time, splitting every box whose global point count exceeds ``s`` and
-keeping only children that actually contain points.  Points are sorted
+Section 2.1: "we construct the hierarchical octree so that each box
+contains no more than a prescribed number of points s".  Section 3.1
+grows it level by level: every rank counts its points in the candidate
+children of the boxes that split, one ``MPI_Allreduce`` sums the counts
+(the level's slice of the paper's *global tree array*), and every rank
+takes the same decisions from the same global counts.  Points are sorted
 once by deep Morton key, which makes every box's sources and targets
-contiguous ranges of the sorted permutation — the same property the
-parallel Morton-curve partitioning of Section 3.1 relies on.
+contiguous ranges of the sorted permutation — the property the parallel
+Morton-curve partitioning of Section 3.1 relies on too.
+
+:func:`grow_tree` is that loop, written once over the sorted keys and
+appending rows of the :class:`~repro.octree.topology.TreeTopology`
+arrays.  What varies between the builders is passed in: the reduction
+(the identity for :func:`build_tree`, ``comm.allreduce`` for
+:func:`repro.parallel.ptree.parallel_build_tree` — the sequential tree
+is the one-rank build) and two rules, *which boxes split* and *which
+children are kept* (:func:`occupancy_rules` here, the 2:1-closed split
+set of :func:`repro.octree.balance.balance_tree`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
 from repro.octree.box import Box
-from repro.octree.morton import MAX_DEPTH, anchor_to_key, encode_points
-from repro.octree.topology import TreeTopology, derive_topology
+from repro.octree.morton import MAX_DEPTH, encode_points, key_to_anchor
+from repro.octree.topology import LEVEL_BASE, TreeTopology
 
 _U = np.uint64
+
+#: ``splits(uid, counts) -> (n,) bool`` and ``keeps(counts) -> (n, 8)
+#: bool``: which boxes of a level split, given their uids and ``(n, 2)``
+#: global source/target counts, and which of a splitting box's eight
+#: candidate children exist, given their ``(n, 8, 2)`` global counts.
+Rules = tuple[
+    Callable[[np.ndarray, np.ndarray], np.ndarray],
+    Callable[[np.ndarray], np.ndarray],
+]
 
 
 @dataclass
 class Octree:
     """The computation tree over a set of source and target points.
 
-    Boxes are stored level-by-level (``boxes[0]`` is the root), mirroring
-    the paper's *global tree array* ordering, and indexed by
-    ``(level, anchor)`` for colleague lookup.
+    The tree is :attr:`topology`: per-box arrays in the paper's *global
+    tree array* order (level by level; box 0 is the root).  ``boxes``,
+    ``levels`` and ``leaves()`` are read-only views derived from it on
+    first use, for code that walks boxes one at a time.
     """
 
     sources: np.ndarray
@@ -39,83 +61,70 @@ class Octree:
     root_side: float
     max_points: int
     shared_points: bool
-    boxes: list[Box] = field(default_factory=list)
-    levels: list[list[int]] = field(default_factory=list)
-    src_perm: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    trg_perm: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    index: dict[tuple[int, tuple[int, int, int]], int] = field(default_factory=dict)
+    src_perm: np.ndarray
+    trg_perm: np.ndarray
+    topology: TreeTopology
 
     # -- structure queries -------------------------------------------------
 
     @property
     def depth(self) -> int:
         """Depth ``L`` of the tree (deepest level with boxes)."""
-        return len(self.levels) - 1
+        return self.topology.depth
 
     @property
     def nboxes(self) -> int:
-        return len(self.boxes)
+        return self.topology.nboxes
 
     @cached_property
-    def topology(self) -> TreeTopology:
-        """The finished tree as per-box arrays, derived on first use.
+    def boxes(self) -> tuple[Box, ...]:
+        """One :class:`Box` record per box, in tree order."""
+        t = self.topology
+        columns = (
+            t.level, t.anchor, t.parent, t.src_start, t.src_stop,
+            t.trg_start, t.trg_stop, t.child,
+        )
+        return tuple(
+            Box(i, level, tuple(anchor), parent, s0, s1, t0, t1,
+                tuple(c for c in kids if c >= 0))
+            for i, (level, anchor, parent, s0, s1, t0, t1, kids) in enumerate(
+                zip(*(column.tolist() for column in columns))
+            )
+        )
 
-        What the interaction lists, the execution plan and the rank
-        setup read; ``boxes`` must not change afterwards (no builder
-        touches a tree it has returned).
-        """
-        return derive_topology(self.boxes)
+    @cached_property
+    def levels(self) -> tuple[range, ...]:
+        """Box indices of each level."""
+        return tuple(
+            range(lo, hi) for lo, hi in pairwise(self.topology.level_ptr.tolist())
+        )
 
     def leaves(self) -> list[int]:
-        return [b.index for b in self.boxes if b.is_leaf]
-
-    def box_at(self, level: int, anchor: tuple[int, int, int]) -> int | None:
-        """Index of the existing box at ``(level, anchor)``, else None."""
-        return self.index.get((level, anchor))
-
-    def colleagues(self, index: int, include_self: bool = False) -> list[int]:
-        """Existing same-level boxes whose anchors differ by at most 1.
-
-        These are the (up to 26) adjacent boxes at the box's own level,
-        the building block of the U/V/W/X list construction.
-        """
-        box = self.boxes[index]
-        n = 1 << box.level
-        out = []
-        ix, iy, iz = box.anchor
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        if include_self:
-                            out.append(index)
-                        continue
-                    jx, jy, jz = ix + dx, iy + dy, iz + dz
-                    if 0 <= jx < n and 0 <= jy < n and 0 <= jz < n:
-                        hit = self.index.get((box.level, (jx, jy, jz)))
-                        if hit is not None:
-                            out.append(hit)
-        return out
+        return np.flatnonzero(self.topology.is_leaf).tolist()
 
     # -- geometry ----------------------------------------------------------
 
     def center(self, index: int) -> np.ndarray:
-        return self.boxes[index].center(self.root_corner, self.root_side)
+        """Center of a box in physical coordinates."""
+        t = self.topology
+        side = self.root_side / (1 << int(t.level[index]))
+        return self.root_corner + (t.anchor[index] + 0.5) * side
 
     def half_width(self, index: int) -> float:
-        return self.boxes[index].half_width(self.root_side)
+        """Half the side length of a box (the ``r`` of Section 2.1)."""
+        return self.root_side / (1 << int(self.topology.level[index])) / 2.0
 
     # -- point access ------------------------------------------------------
 
     def src_indices(self, index: int) -> np.ndarray:
         """Original indices of the sources in a box's subtree."""
-        b = self.boxes[index]
-        return self.src_perm[b.src_start : b.src_stop]
+        t = self.topology
+        return self.src_perm[t.src_start[index] : t.src_stop[index]]
 
     def trg_indices(self, index: int) -> np.ndarray:
         """Original indices of the targets in a box's subtree."""
-        b = self.boxes[index]
-        return self.trg_perm[b.trg_start : b.trg_stop]
+        t = self.topology
+        return self.trg_perm[t.trg_start[index] : t.trg_stop[index]]
 
     def src_points(self, index: int) -> np.ndarray:
         return self.sources[self.src_indices(index)]
@@ -125,15 +134,18 @@ class Octree:
 
     def statistics(self) -> dict[str, float]:
         """Tree shape summary used by the performance model and reports."""
-        leaves = self.leaves()
-        pts = [self.boxes[i].nsrc for i in leaves]
+        t = self.topology
+        leaf_src = t.nsrc[t.is_leaf]
         return {
             "nboxes": self.nboxes,
-            "nleaves": len(leaves),
+            "nleaves": leaf_src.size,
             "depth": self.depth,
-            "max_leaf_src": max(pts) if pts else 0,
-            "mean_leaf_src": float(np.mean(pts)) if pts else 0.0,
+            "max_leaf_src": int(leaf_src.max()),
+            "mean_leaf_src": float(leaf_src.mean()),
         }
+
+
+# -- input validation: one for every builder ------------------------------
 
 
 def require_finite(points: np.ndarray, what: str) -> None:
@@ -149,14 +161,178 @@ def require_finite(points: np.ndarray, what: str) -> None:
         )
 
 
-def _root_cube(points: np.ndarray, pad: float = 1e-6) -> tuple[np.ndarray, float]:
-    """Smallest axis-aligned cube (slightly padded) containing the points."""
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+def check_tree_parameters(max_points: int, max_depth: int) -> None:
+    """The ranges every builder (and ``FMMOptions``) accepts: a leaf
+    holds at least one point and a Morton key has 21 levels of bits."""
+    if max_points < 1:
+        raise ValueError(f"max_points must be >= 1, got {max_points}")
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}], got {max_depth}")
+
+
+def _one_rank(array: np.ndarray, op: str = "sum") -> np.ndarray:
+    """``allreduce`` over one rank."""
+    return array
+
+
+def _root_cube(
+    points: np.ndarray, pad: float = 1e-6, allreduce=_one_rank
+) -> tuple[np.ndarray, float]:
+    """Smallest axis-aligned cube (slightly padded) containing the
+    points of every rank; all ranks get the same cube and raise
+    together."""
+    lo = allreduce(points.min(axis=0, initial=np.inf), op="min")
+    hi = allreduce(points.max(axis=0, initial=-np.inf), op="max")
+    if np.all(np.isposinf(lo)) and np.all(np.isneginf(hi)):
+        raise ValueError(
+            "cannot bound an empty point set: no rank contributed any points"
+        )
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(
+            "points contain a non-finite coordinate: the ranks' bounds "
+            f"reduce to {lo} .. {hi}"
+        )
     side = float((hi - lo).max())
     side = side * (1.0 + pad) if side > 0 else 1.0
     center = (lo + hi) / 2.0
     return center - side / 2.0, side
+
+
+# -- the level loop --------------------------------------------------------
+
+
+def occupancy_rules(max_points: int) -> Rules:
+    """The adaptive tree of Section 2.1: a box splits while it holds
+    more than ``s`` sources or targets, and empty octants are pruned —
+    globally, so every rank takes the same decisions."""
+    return (
+        lambda uid, counts: (counts > max_points).any(axis=1),
+        lambda counts: counts.any(axis=2),
+    )
+
+
+def grow_tree(
+    keys: list[np.ndarray],
+    max_depth: int,
+    rules: Rules,
+    allreduce: Callable[[np.ndarray], np.ndarray] = _one_rank,
+) -> tuple[TreeTopology, np.ndarray]:
+    """Grow the tree over Morton-sorted deep keys, one level per round.
+
+    ``keys`` holds this rank's sorted source keys and, unless sources
+    are the targets, its sorted target keys.  Per level: one
+    ``searchsorted`` of the nine child bounds of every splitting box (a
+    level's boxes are in ascending key order, so all their bounds are
+    monotone), one ``allreduce`` of the ``(nsplit, 8, 2)`` source/target
+    counts, and one row appended per kept child.  Returns the topology —
+    point ranges local, everything else global — and the ``(2, nboxes)``
+    global source/target counts.
+    """
+    splits, keeps = rules
+    octants = np.arange(9, dtype=np.uint64)
+    npoints = np.array([keys[0].size, keys[-1].size])
+    key = np.zeros(1, dtype=np.uint64)
+    count = allreduce(npoints)[None, :]
+    rows = [(
+        key, np.array([-1]), np.array([0]), np.zeros((1, 2), dtype=np.int64),
+        npoints[None, :], count,
+    )]
+    first = 0  # index of the level's first box
+    for level in range(max_depth):
+        split = np.flatnonzero(splits(LEVEL_BASE[level] + key, count))
+        if not split.size:
+            break
+        bounds = ((key[split, None] << _U(3)) + octants) << _U(
+            3 * (MAX_DEPTH - level - 1)
+        )
+        found = [np.searchsorted(sorted_keys, bounds) for sorted_keys in keys]
+        cuts = np.stack([found[0], found[-1]], axis=-1)
+        counts = allreduce(np.diff(cuts, axis=1))
+        row, octant = np.nonzero(keeps(counts))
+        parent = first + split[row]
+        first += key.size
+        key = (key[split[row]] << _U(3)) + octant.astype(np.uint64)
+        count = counts[row, octant]
+        rows.append(
+            (key, parent, octant, cuts[row, octant], cuts[row, octant + 1], count)
+        )
+
+    sizes = [row[0].size for row in rows]
+    key, parent, octant, start, stop, count = map(np.concatenate, zip(*rows))
+    level = np.repeat(np.arange(len(rows)), sizes)
+    child = np.full((key.size, 8), -1, dtype=np.int64)
+    child[parent[1:], octant[1:]] = np.arange(1, key.size)
+    (src_start, trg_start), (src_stop, trg_stop) = (
+        np.ascontiguousarray(cut.T) for cut in (start, stop)
+    )
+    topology = TreeTopology(
+        level=level,
+        parent=parent,
+        anchor=np.stack(key_to_anchor(key), axis=1).astype(np.int64),
+        octant=octant,
+        child=child,
+        is_leaf=(child < 0).all(axis=1),
+        src_start=src_start,
+        src_stop=src_stop,
+        trg_start=trg_start,
+        trg_stop=trg_stop,
+        level_ptr=np.concatenate([[0], np.cumsum(sizes)]),
+        uid=LEVEL_BASE[level] + key,
+    )
+    return topology, np.ascontiguousarray(count.T)
+
+
+def build_global_tree(
+    sources: np.ndarray,
+    targets: np.ndarray | None,
+    max_points: int,
+    max_depth: int,
+    root: tuple[np.ndarray, float] | None,
+    rules: Rules | None = None,
+    allreduce=_one_rank,
+    who: str = "",
+) -> tuple[Octree, np.ndarray]:
+    """What every builder is: validate this rank's points (``who`` names
+    the rank in errors), agree on the root cube unless ``root`` pins it,
+    sort by Morton key and grow the tree — adaptively unless ``rules``
+    says otherwise.  Returns the :class:`Octree` and :func:`grow_tree`'s
+    global counts."""
+    sources = np.ascontiguousarray(sources, dtype=np.float64)
+    targets = sources if targets is None else np.ascontiguousarray(targets, np.float64)
+    point_sets = [("sources", sources)]
+    if targets is not sources:
+        point_sets.append(("targets", targets))
+    for what, points in point_sets:
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"{who}{what} must be (n, 3), got {points.shape}")
+        require_finite(points, who + what)
+    check_tree_parameters(max_points, max_depth)
+    if root is None:
+        root = _root_cube(
+            sources if targets is sources else np.vstack([sources, targets]),
+            allreduce=allreduce,
+        )
+    corner, side = np.asarray(root[0], dtype=np.float64), float(root[1])
+    perms, keys = [], []
+    for _, points in point_sets:
+        key = encode_points(points, corner, side)
+        perms.append(np.argsort(key, kind="stable"))
+        keys.append(key[perms[-1]])
+    topology, counts = grow_tree(
+        keys, max_depth, rules or occupancy_rules(max_points), allreduce
+    )
+    tree = Octree(
+        sources=sources,
+        targets=targets,
+        root_corner=corner,
+        root_side=side,
+        max_points=max_points,
+        shared_points=targets is sources,
+        src_perm=perms[0],
+        trg_perm=perms[-1],
+        topology=topology,
+    )
+    return tree, counts
 
 
 def build_tree(
@@ -189,109 +365,4 @@ def build_tree(
     -------
     A fully built :class:`Octree`.
     """
-    sources = np.ascontiguousarray(sources, dtype=np.float64)
-    if sources.ndim != 2 or sources.shape[1] != 3:
-        raise ValueError(f"sources must be (n, 3), got {sources.shape}")
-    shared = targets is None
-    targets_arr = sources if shared else np.ascontiguousarray(targets, np.float64)
-    if targets_arr.ndim != 2 or targets_arr.shape[1] != 3:
-        raise ValueError(f"targets must be (n, 3), got {targets_arr.shape}")
-    if max_points < 1:
-        raise ValueError(f"max_points must be >= 1, got {max_points}")
-    if not 1 <= max_depth <= MAX_DEPTH:
-        raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}], got {max_depth}")
-    require_finite(sources, "sources")
-    if not shared:
-        require_finite(targets_arr, "targets")
-
-    if root is None:
-        allpts = sources if shared else np.vstack([sources, targets_arr])
-        corner, side = _root_cube(allpts)
-    else:
-        corner = np.asarray(root[0], dtype=np.float64)
-        side = float(root[1])
-
-    src_keys = encode_points(sources, corner, side)
-    src_perm = np.argsort(src_keys, kind="stable")
-    src_sorted = src_keys[src_perm]
-    if shared:
-        trg_keys, trg_perm, trg_sorted = src_keys, src_perm, src_sorted
-    else:
-        trg_keys = encode_points(targets_arr, corner, side)
-        trg_perm = np.argsort(trg_keys, kind="stable")
-        trg_sorted = trg_keys[trg_perm]
-
-    tree = Octree(
-        sources=sources,
-        targets=targets_arr,
-        root_corner=corner,
-        root_side=side,
-        max_points=max_points,
-        shared_points=shared,
-        src_perm=src_perm,
-        trg_perm=trg_perm,
-    )
-
-    root_box = Box(
-        index=0,
-        level=0,
-        anchor=(0, 0, 0),
-        parent=-1,
-        src_start=0,
-        src_stop=len(sources),
-        trg_start=0,
-        trg_stop=len(targets_arr),
-    )
-    tree.boxes.append(root_box)
-    tree.index[(0, (0, 0, 0))] = 0
-    tree.levels.append([0])
-
-    frontier = [0]
-    level = 0
-    while frontier and level < max_depth:
-        next_frontier: list[int] = []
-        shift = _U(3 * (MAX_DEPTH - level - 1))
-        for bi in frontier:
-            box = tree.boxes[bi]
-            if box.nsrc <= max_points and box.ntrg <= max_points:
-                continue  # stays a leaf
-            ix, iy, iz = box.anchor
-            parent_key = anchor_to_key(ix, iy, iz)
-            base = _U(parent_key) << _U(3)
-            # 9 split boundaries delimiting the 8 children in Morton order
-            bounds = (base + np.arange(9, dtype=np.uint64)) << shift
-            s_cuts = box.src_start + np.searchsorted(
-                src_sorted[box.src_start : box.src_stop], bounds, side="left"
-            )
-            t_cuts = box.trg_start + np.searchsorted(
-                trg_sorted[box.trg_start : box.trg_stop], bounds, side="left"
-            )
-            kids = []
-            for c in range(8):
-                if s_cuts[c] == s_cuts[c + 1] and t_cuts[c] == t_cuts[c + 1]:
-                    continue  # empty octant: pruned, as in the paper
-                child_anchor = (
-                    2 * ix + (c & 1),
-                    2 * iy + ((c >> 1) & 1),
-                    2 * iz + ((c >> 2) & 1),
-                )
-                child = Box(
-                    index=len(tree.boxes),
-                    level=level + 1,
-                    anchor=child_anchor,
-                    parent=bi,
-                    src_start=int(s_cuts[c]),
-                    src_stop=int(s_cuts[c + 1]),
-                    trg_start=int(t_cuts[c]),
-                    trg_stop=int(t_cuts[c + 1]),
-                )
-                tree.boxes.append(child)
-                tree.index[(level + 1, child_anchor)] = child.index
-                kids.append(child.index)
-            box.children = tuple(kids)
-            next_frontier.extend(kids)
-        if next_frontier:
-            tree.levels.append(next_frontier)
-        frontier = next_frontier
-        level += 1
-    return tree
+    return build_global_tree(sources, targets, max_points, max_depth, root)[0]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.parallel.simmpi import SimComm
+from repro.util.segments import multi_arange
 
 
 def gather_contributors(
@@ -58,16 +59,16 @@ def static_contributors(
     rank_of = np.empty(tree.sources.shape[0], dtype=np.int64)
     for r, idx in enumerate(parts):
         rank_of[idx] = r
-    by_src_pos = rank_of[tree.src_perm]
-    by_trg_pos = rank_of[tree.trg_perm]
-    contrib_src = np.zeros((nranks, tree.nboxes), dtype=bool)
-    contrib_trg = np.zeros((nranks, tree.nboxes), dtype=bool)
-    for b in tree.boxes:
-        contrib_src[np.unique(by_src_pos[b.src_start:b.src_stop]),
-                    b.index] = True
-        contrib_trg[np.unique(by_trg_pos[b.trg_start:b.trg_stop]),
-                    b.index] = True
-    return contrib_src, contrib_trg
+    topo = tree.topology
+    boxes = np.arange(topo.nboxes)
+    contrib = np.zeros((2, nranks, topo.nboxes), dtype=bool)
+    for out, perm, start, stop in (
+        (contrib[0], tree.src_perm, topo.src_start, topo.src_stop),
+        (contrib[1], tree.trg_perm, topo.trg_start, topo.trg_stop),
+    ):
+        out[rank_of[perm][multi_arange(start, stop)],
+            np.repeat(boxes, stop - start)] = True
+    return contrib[0], contrib[1]
 
 
 def assign_owners(contrib: np.ndarray) -> np.ndarray:

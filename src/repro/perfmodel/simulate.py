@@ -362,12 +362,7 @@ def _uniform_intervals(tree: Octree, P: int) -> tuple[np.ndarray, np.ndarray]:
     tree's leaf count, which the 4096-rank projection needs.
     """
     N = max(1, tree.sources.shape[0])
-    starts = np.fromiter(
-        (b.src_start for b in tree.boxes), np.int64, tree.nboxes
-    )
-    stops = np.fromiter(
-        (b.src_stop for b in tree.boxes), np.int64, tree.nboxes
-    )
+    starts, stops = tree.topology.src_start, tree.topology.src_stop
     lo = np.clip(starts * P // N, 0, P - 1)
     hi = np.clip(np.maximum(stops - 1, starts) * P // N, 0, P - 1)
     return lo, np.maximum(hi, lo)

@@ -2,7 +2,9 @@
 
 This walk was ``repro.octree.lists.build_lists`` until the construction
 became array code; it moved here unchanged (only its output is packed
-into CSR, the way ``InteractionLists.flat`` used to).  It walks, for
+into CSR, the way ``InteractionLists.flat`` used to, and the colleagues
+it starts from come from ``TreeTopology.colleagues``, itself checked
+against brute force in ``test_tree.py``).  It walks, for
 every leaf ``C``, the subtrees rooted at C's colleagues, descending only
 through boxes adjacent to ``C``:
 
@@ -29,11 +31,16 @@ def build_lists_reference(tree: Octree) -> InteractionLists:
     W: list[set[int]] = [set() for _ in range(nb)]
     X: list[set[int]] = [set() for _ in range(nb)]
     boxes = tree.boxes
+    # Existing same-level neighbours of every box, itself included.
+    colleagues = [
+        row[row >= 0].tolist()
+        for row in tree.topology.colleagues(np.arange(nb))
+    ]
 
     for b in boxes:
         # V list: children of parent's colleagues not adjacent to B.
         if b.parent >= 0:
-            for pc in tree.colleagues(b.parent, include_self=True):
+            for pc in colleagues[b.parent]:
                 for child in boxes[pc].children:
                     if child != b.index and not boxes_adjacent(boxes[child], b):
                         V[b.index].add(child)
@@ -43,7 +50,9 @@ def build_lists_reference(tree: Octree) -> InteractionLists:
 
         # U and W lists by descending through adjacent colleagues.
         U[b.index].add(b.index)
-        for col in tree.colleagues(b.index):
+        for col in colleagues[b.index]:
+            if col == b.index:
+                continue
             stack = [col]
             while stack:
                 a = stack.pop()

@@ -39,9 +39,8 @@ class TestBalance:
 
     def test_split_set_is_superset(self, unbalanced):
         split = balanced_split_set(unbalanced)
-        for b in unbalanced.boxes:
-            if not b.is_leaf:
-                assert (b.level, b.anchor) in split
+        topo = unbalanced.topology
+        assert np.isin(topo.uid[~topo.is_leaf], split).all()
 
     def test_points_preserved(self, unbalanced):
         balanced = balance_tree(unbalanced)

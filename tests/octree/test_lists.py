@@ -270,10 +270,10 @@ class TestListsAreArrays:
 
     @pytest.mark.parametrize("n", [3_000, 30_000])
     def test_python_calls_do_not_grow_with_boxes(self, n):
-        """``build_lists`` (topology derivation included) makes a few
-        dozen Python-level calls per chunk of 4096 boxes and frontier
-        round (121 at 3k points, 159 at 30k); the per-box walk made
-        6 721 at 3k and about a million at 50k."""
+        """``build_lists`` makes a few dozen Python-level calls per
+        chunk of 4096 boxes and frontier round (104 at 3k points, 143
+        at 30k); the per-box walk made 6 721 at 3k and about a million
+        at 50k."""
         tree = build_tree(uniform_cube(n, np.random.default_rng(n)))
         calls = 0
 
@@ -291,7 +291,6 @@ class TestListsAreArrays:
 
     def test_scratch_stays_bounded_at_50k(self):
         tree = build_tree(uniform_cube(50_000, np.random.default_rng(0)))
-        tree.topology  # the tree's arrays, shared with the plan: not list scratch
         peak, lists = traced_peak(lambda: build_lists(tree))
         assert lists.counts()["V"] > 600_000
         # 17 MB: 2 x 5 MB of V partners while the chunks are joined plus

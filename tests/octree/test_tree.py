@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.octree import build_tree
 from repro.octree.box import box_contains, boxes_adjacent
+from repro.octree.topology import SELF_OFFSET
 
 from tests.conftest import clustered_cloud, uniform_cloud
 
@@ -31,8 +32,8 @@ def _check_invariants(tree):
             assert sum(k.ntrg for k in kids) == b.ntrg
             for k in kids:
                 assert k.parent == b.index
-        # index lookup agrees
-        assert tree.index[(b.level, b.anchor)] == b.index
+        # cell lookup agrees
+        assert tree.topology.find(b.level, b.anchor) == b.index
     # every source index appears exactly once across leaves
     leaf_src = np.concatenate(
         [tree.src_indices(i) for i in tree.leaves()]
@@ -120,29 +121,35 @@ class TestConstruction:
             build_tree(np.zeros((5, 3)), max_depth=0)
 
 
+def _colleagues(tree):
+    """Per box, the existing colleagues (itself included)."""
+    coll = tree.topology.colleagues(np.arange(tree.nboxes))
+    return [row[row >= 0].tolist() for row in coll]
+
+
 class TestColleagues:
     def test_against_brute_force(self, rng):
         tree = build_tree(uniform_cloud(rng, 600), max_points=20)
-        for b in tree.boxes:
+        for b, found in zip(tree.boxes, _colleagues(tree)):
             expected = {
                 o.index
                 for o in tree.boxes
                 if o.level == b.level
-                and o.index != b.index
                 and all(abs(o.anchor[d] - b.anchor[d]) <= 1 for d in range(3))
             }
-            assert set(tree.colleagues(b.index)) == expected
+            assert set(found) == expected and len(found) == len(expected)
 
     def test_include_self(self, rng):
         tree = build_tree(uniform_cloud(rng, 200), max_points=20)
-        i = tree.leaves()[0]
-        assert i in tree.colleagues(i, include_self=True)
-        assert i not in tree.colleagues(i)
+        coll = tree.topology.colleagues(np.arange(tree.nboxes))
+        assert np.array_equal(coll[:, SELF_OFFSET], np.arange(tree.nboxes))
+        assert not (np.delete(coll, SELF_OFFSET, axis=1)
+                    == np.arange(tree.nboxes)[:, None]).any()
 
     def test_colleagues_are_adjacent(self, rng):
         tree = build_tree(clustered_cloud(rng, 500), max_points=20)
-        for b in tree.boxes:
-            for c in tree.colleagues(b.index):
+        for b, found in zip(tree.boxes, _colleagues(tree)):
+            for c in found:
                 assert boxes_adjacent(tree.boxes[c], b)
 
 

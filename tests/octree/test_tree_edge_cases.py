@@ -128,6 +128,77 @@ class TestNonFiniteCoordinates:
             run_spmd(2, agree_root_cube, PerRank([bad[:0], bad[:0]]))
 
 
+class TestOneValidation:
+    """Every builder and every setup path runs the one validation of
+    ``build_global_tree``.  ``parallel_build_tree`` used to check nothing:
+    ``ParallelFMM(2, k, FMMOptions(max_depth=0))`` built a root-only tree
+    and applied in O(N^2), ``max_depth=25`` died in a rank thread with an
+    ``OverflowError`` from a negative bit shift."""
+
+    @pytest.mark.parametrize("nranks", [1, 2])
+    @pytest.mark.parametrize("max_depth", [0, 25])
+    def test_every_setup_path_rejects_a_bad_depth(self, rng, max_depth, nranks):
+        from repro.core.fmm import FMMOptions, KIFMM
+        from repro.kernels import LaplaceKernel
+        from repro.parallel.pfmm import ParallelFMM, rank_setup, run_parallel_fmm
+        from repro.parallel.ptree import parallel_build_tree
+        from repro.parallel.simmpi import PerRank, run_spmd
+
+        pts = np.repeat(rng.uniform(-1.0, 1.0, (4, 3)), 50, axis=0)
+        halves = PerRank(np.array_split(pts, nranks))
+        message = rf"max_depth must be in \[1, 21\], got {max_depth}"
+        with pytest.raises(ValueError, match=message):
+            FMMOptions(max_depth=max_depth)
+        # Past ``__post_init__`` (options are mutable): the builders check.
+        opts = FMMOptions(p=3, max_points=30)
+        opts.max_depth = max_depth
+        with pytest.raises(ValueError, match=message):
+            build_tree(pts, max_depth=max_depth)
+        with pytest.raises(ValueError, match=message):
+            KIFMM(LaplaceKernel(), opts).setup(pts)
+        with pytest.raises(ValueError, match=message):
+            ParallelFMM(nranks, LaplaceKernel(), opts).setup(pts)
+        with pytest.raises(ValueError, match=message):
+            run_parallel_fmm(nranks, LaplaceKernel(), pts, np.ones(len(pts)), opts)
+        with pytest.raises(ValueError, match=message):
+            run_spmd(
+                nranks, lambda comm, p: rank_setup(comm, LaplaceKernel(), p, opts),
+                halves,
+            )
+        with pytest.raises(ValueError, match=message):
+            run_spmd(
+                nranks,
+                lambda comm, p: parallel_build_tree(comm, p, max_depth=max_depth),
+                halves,
+            )
+
+    def test_ranks_check_shapes_and_leaf_capacity(self, rng):
+        from repro.parallel.ptree import parallel_build_tree
+        from repro.parallel.simmpi import single_rank_comm
+
+        comm, pts = single_rank_comm(), rng.uniform(-1.0, 1.0, (20, 3))
+        with pytest.raises(ValueError, match=r"rank 0's sources must be \(n, 3\)"):
+            parallel_build_tree(comm, pts[:, :2])
+        with pytest.raises(ValueError, match=r"rank 0's targets must be \(n, 3\)"):
+            parallel_build_tree(comm, pts, pts.ravel())
+        with pytest.raises(ValueError, match="max_points must be >= 1, got 0"):
+            parallel_build_tree(comm, pts, max_points=0)
+
+    def test_zero_points_is_a_named_error(self):
+        """Was numpy's "zero-size array to reduction operation minimum
+        which has no identity" from the bounding cube."""
+        from repro.core.fmm import KIFMM
+        from repro.kernels import LaplaceKernel
+
+        none = np.empty((0, 3))
+        with pytest.raises(ValueError, match="no rank contributed any points"):
+            build_tree(none)
+        with pytest.raises(ValueError, match="no rank contributed any points"):
+            build_tree(none, none)
+        with pytest.raises(ValueError, match="no rank contributed any points"):
+            KIFMM(LaplaceKernel()).setup(none)
+
+
 class TestListsAfterEdgeCases:
     def test_fmm_on_line_distribution(self, rng):
         from repro.core.fmm import FMMOptions, KIFMM
