@@ -652,21 +652,29 @@ class PlanStages:
                  lambda b: self.uc2ue(ul, b["check"], b["ue"]),
                  (chk,), (ue,), ul.boxes.size * matvec, releases=(chk,))
 
-        def v_direct(vl: VLevel, vp: VPass, split):
-            lvl, classes = vl.level, vp.classes
+        def v_direct(vl: VLevel, sp: VSplit, vp: VPass, split):
+            lvl = vl.level
             rsvd = sched.backend(lvl) == "rsvd"
             narrow = rsvd and sched.dtype == "float32"
+            lo = sp.own.rows.size if split == "ghost" else 0
 
             def rsvd_flops():
+                # The pairs, whichever layout runs them: an empty slot
+                # of a block is not counted.
                 return sum(
-                    len(s) * _rsvd_pair_flops(
+                    n * _rsvd_pair_flops(
                         cache.m2l_rsvd_rank(lvl, offset), n_surf, md, qd
                     )
-                    for offset, s, _ in classes
+                    for offset, n in vp.counts.items()
                 )
 
-            emit(f"v:{split}@{lvl}", "down_v", "v_direct",
-                 lambda b: self.v_direct(vl, classes, b["ue"], b["dc"]),
+            if rsvd and sched.blocked:
+                stage = "v_blocked", lambda b: self.v_blocked(
+                    vl, sp, vp, lo, b["ue"], b["dc"])
+            else:
+                stage = "v_direct", lambda b: self.v_direct(
+                    vl, vp.classes, b["ue"], b["dc"])
+            emit(f"v:{split}@{lvl}", "down_v", *stage,
                  ue_of(vl.src_boxes[vp.rows]), (f"dc@{lvl}",),
                  rsvd_flops if rsvd else vp.npairs * matvec,
                  dtype="float32" if narrow else "float64", narrowing=narrow)
@@ -707,7 +715,7 @@ class PlanStages:
                 if sched.backend(vl.level) == "fft":
                     v_fft(vl, sp, vp, split)
                 elif vp.npairs:
-                    v_direct(vl, vp, split)
+                    v_direct(vl, sp, vp, split)
                 if split == "ghost":
                     steps.extend(rank.vsp.get(vl.level, []))
 
@@ -816,16 +824,19 @@ class PlanStages:
     def v_direct(
         self, vl: VLevel, classes: list, ue: np.ndarray, dc: np.ndarray
     ) -> None:
-        """Dense or rsvd M2L of some offset classes of one level.
+        """Dense or class-major rsvd M2L of some offset classes of one
+        level.
 
         One stacked GEMM per class (dense) or two through the compressed
-        factors (rsvd).  Mixed precision narrows the source block to the
-        factor dtype; the ``+=`` into the float64 check buffers upcasts,
-        keeping the accumulation double.
+        factors (rsvd: the reference level's, the level factor applied
+        to the narrow intermediate).  Mixed precision narrows the source
+        block to the factor dtype; the ``+=`` into the float64 check
+        buffers upcasts, keeping the accumulation double.
         """
         cache, pool, sched = self.cache, self.pool, self.sched
         dense = sched.backend(vl.level) == "dense"
         nrhs = dc.shape[0]
+        key, scale = cache.m2l_reference(vl.level)
         for offset, src_pos, trg_pos in classes:
             sb = vl.src_boxes[src_pos]
             tb = vl.trg_boxes[trg_pos]
@@ -837,7 +848,7 @@ class PlanStages:
                 for r in range(nrhs):
                     dc[r][tb] += ue[sb, r] @ TT
             else:
-                uf, vf = cache.m2l_rsvd(vl.level, offset, sched.dtype)
+                uf, vf = cache.m2l_rsvd(key, offset, sched.dtype)
                 if pool.sanitize:
                     _san.guard_gemm(dc, ue, uf,
                                     site=f"m2l-rsvd level {vl.level}")
@@ -846,7 +857,87 @@ class PlanStages:
                     src = ue[sb, r]
                     if sched.dtype == "float32":
                         src = src.astype(np.float32)  # lint: allow(dtype-width)
-                    dc[r][tb] += (src @ vfT) @ ufT
+                    mid = src @ vfT
+                    if scale != 1.0:
+                        mid *= scale
+                    dc[r][tb] += mid @ ufT
+
+    def v_blocked(
+        self, vl: VLevel, sp: VSplit, vp: VPass, lo: int, ue: np.ndarray,
+        dc: np.ndarray,
+    ) -> None:
+        """Rsvd M2L of one pass of a level, parent-pair blocked.
+
+        Per direction and chunk of parent pairs: gather the source
+        parents' sibling slabs (the zero sentinel row stands in for a
+        child that is missing, inactive or outside the pass), eight
+        GEMMs through the ``V`` stack — one per source octant, every
+        target octant's factor at once — a slab reorder of the
+        rank-major intermediate from ``[o_s][o_t]`` to ``[o_t][o_s]``,
+        eight GEMMs through the ``UT`` stack, one slab scatter-add (a
+        real target row occurs once per direction).  Adjacent child
+        pairs have no slot: a full block costs the flops of its pairs.
+
+        Stacks exist for non-negative directions
+        (:meth:`~repro.core.precompute.OperatorCache.m2l_stacks`);
+        the others run mirrored: octants relabel by XOR with the sign
+        mask, the pass's rows are mirrored once per mask going in and
+        the mask's accumulator once coming out, where a homogeneous
+        kernel's level factor is applied too.  Right-hand sides loop
+        outermost over identical shapes, so columns are bit-identical
+        to single applies; mixed precision narrows the rows to the
+        stack dtype and the scatter-add into float64 upcasts.
+        """
+        cache, pool, dtype = self.cache, self.pool, self.sched.dtype
+        key, scale = cache.m2l_reference(vl.level)
+        boxes, targets = vl.src_boxes[vp.rows], vl.trg_boxes[sp.inv_rows]
+        nr, nt = boxes.size, targets.size
+        wm, wq = self.n_surf * self.md, self.n_surf * self.qd
+        by_mask: dict[int, list] = {}
+        for po, src_rows, trg_rows in vp.po_groups:
+            mask, *stacks = cache.m2l_stacks(key, po, dtype)
+            octants = np.arange(8) ^ mask
+            by_mask.setdefault(mask, []).append((
+                stacks, np.minimum(src_rows - lo, nr)[:, octants],
+                trg_rows[:, octants],
+            ))
+        # ~1.2 MB of source slabs per chunk keeps them and the
+        # intermediate L2-resident (level 4 of the 50k-point Laplace
+        # tree: 128 parent pairs 0.32 s, 205 0.36 s, 411 0.38 s).
+        step = max(1, 160_000 // (8 * max(wm, wq)))
+        # Plain arrays, not pool buffers: freed with the stage, they do
+        # not sit under the upward pass's peak.
+        ext = np.zeros((nr + 1, wm), dtype)
+        acc = np.empty((nt + 1, wq))
+        for r in range(dc.shape[0]):
+            src = ue[boxes, r]
+            total = np.zeros((nt, wq))
+            for mask, groups in sorted(by_mask.items()):
+                ext[:nr] = cache.reflect(src, mask)
+                acc[...] = 0.0
+                for (V, UT, vcut, ucut, moves), src_rows, trg_rows in groups:
+                    if pool.sanitize:
+                        _san.guard_gemm(acc, ext, V, UT,
+                                        site=f"m2l-blocked level {vl.level}")
+                    for c0 in range(0, src_rows.shape[0], step):
+                        s, t = src_rows[c0 : c0 + step], trg_rows[c0 : c0 + step]
+                        shape = (V.shape[0], s.shape[0])
+                        x = ext[s]
+                        y, yt = np.empty(shape, dtype), np.empty(shape, dtype)
+                        out = np.empty(s.shape + (wq,), dtype)
+                        for o in range(8):  # every octant has slots
+                            a, b = vcut[o], vcut[o + 1]
+                            np.matmul(V[a:b], x[:, o].T, out=y[a:b])
+                        for a, b, c in moves:
+                            yt[a:b] = y[c : c + b - a]
+                        for o in range(8):
+                            a, b = ucut[o], ucut[o + 1]
+                            np.matmul(yt[a:b].T, UT[a:b], out=out[:, o])
+                        acc[t] += out
+                total += cache.reflect(acc[:nt], mask)
+            if scale != 1.0:
+                total *= scale
+            dc[r][targets] += total
 
     def v_state(self, sp: VSplit, nrhs: int) -> tuple[np.ndarray, np.ndarray]:
         """Source spectra and zeroed accumulators of one fft level.

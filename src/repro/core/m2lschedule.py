@@ -10,12 +10,13 @@ The V-list translation (M2L) has three interchangeable backends:
     the Hadamard stage streams full spectra per pair and reaches only a
     fraction of BLAS-3 throughput at the paper's ``p``.
 ``rsvd``
-    Randomized-SVD-compressed operators applied as two stacked BLAS-3
-    GEMMs per offset class (arXiv:2408.07436) — between the two in
-    flops, at dense-GEMM rate.
+    Randomized-SVD-compressed operators (arXiv:2408.07436) — between
+    the two in flops.  Two layouts run them: parent-pair *blocked*
+    (sibling slabs through direction-stacked factors, fat GEMMs) or
+    *class-major* (two skinny GEMMs per offset class), one per operator.
 
 An :class:`M2LSchedule` fixes one backend *per tree level* plus the
-factor precision of the rsvd levels.  The uniform modes map every level
+factor precision and the layout of the rsvd levels.  The uniform modes map every level
 to the same backend; ``auto`` picks per level from the level's V-list
 statistics with the cost model below.  Both evaluators (planned and
 per-box) resolve their schedule from the *same* gated statistics
@@ -43,9 +44,20 @@ M2L_DTYPES = ("float64", "float32")
 #: (fraction of large-GEMM rate each backend achieves at the paper's
 #: operating points), NOT part of the certified flop identity: the
 #: plancheck flop check compares exact counts; the picker divides those
-#: counts by an achievable-rate estimate.  The fft weight reflects the
-#: class-major Hadamard's strided spectrum traffic.
+#: counts by an achievable-rate estimate.  The fft weight is hand-set
+#: (ROADMAP item 2(b): the blocked Hadamard has not been re-measured
+#: against it).
 _EFFICIENCY = {"dense": 1.0, "rsvd": 1.0, "fft": 0.25}
+
+#: Rates of the rsvd layout decision (:func:`rsvd_layout_seconds`) —
+#: picker heuristics like the weights above, not part of the flop
+#: identity.  Flop/s of the GEMM shapes each layout runs at p = 6 on the
+#: 2-vCPU host, 1 thread (in cache: class-major 1568x152x26 ≈ 37e9,
+#: stacked 512x152x630 ≈ 66e9 and 512x5028x152 ≈ 64e9; inside the
+#: stages, operands streaming: 25e9 and 45-52e9), then B/s at which a
+#: stage reads its operators through once and at which its gathers and
+#: scatters move one copy of a row.
+_SKINNY_RATE, _STACKED_RATE, _STREAM_RATE, _MOVE_RATE = 25e9, 45e9, 10e9, 5e9
 
 
 def coarse_split_levels(
@@ -71,11 +83,15 @@ class M2LSchedule:
     ``mode`` is the requested ``FMMOptions.m2l`` value, ``dtype`` the
     rsvd factor precision, and ``backends`` maps each level that has
     effective V-list pairs to ``"fft"``, ``"dense"`` or ``"rsvd"``.
+    ``blocked`` is the layout every rsvd level runs
+    (:func:`rsvd_layout_seconds`): parent-pair blocks through
+    direction stacks, or class-major.
     """
 
     mode: str
     dtype: str
     backends: dict[int, str]
+    blocked: bool = False
 
     def backend(self, level: int) -> str:
         """Backend of one level (levels without V pairs default dense)."""
@@ -92,36 +108,55 @@ class M2LSchedule:
             "mode": self.mode,
             "dtype": self.dtype,
             "levels": {int(k): v for k, v in sorted(self.backends.items())},
+            "rsvd_layout": "blocked" if self.blocked else "class-major",
         }
 
 
-def v_stats_from_plan(plan) -> dict[int, tuple[int, int, int]]:
-    """``level -> (npairs, n_src_boxes, n_trg_boxes)`` of a compiled plan.
+#: V slots of a parent pair by the non-zero components of its offset
+#: (face, edge, corner): the 64 child pairs less the adjacent ones.
+_BLOCK_SLOTS = np.array([0, 48, 60, 63])
+
+
+def v_stats_from_plan(plan) -> dict[int, tuple[int, int, int, int, int]]:
+    """``level -> (npairs, n_src_boxes, n_trg_boxes, n_parent_pairs,
+    n_block_slots)`` of a compiled plan.
 
     The plan's :class:`~repro.core.plan.VLevel` stages already hold the
-    effective (gated) pair set, so the stats are a direct read-off.
+    effective (gated) pairs as parent-pair blocks, so the stats are a
+    direct read-off.  A block has a slot per non-adjacent child pair,
+    filled or not.
     """
     return {
-        vl.level: (int(vl.npairs), int(vl.src_boxes.size), int(vl.trg_boxes.size))
+        vl.level: (
+            int(vl.npairs), int(vl.src_boxes.size), int(vl.trg_boxes.size),
+            sum(len(rows) for _, rows, _ in vl.po_groups),
+            sum(
+                len(rows) * int(_BLOCK_SLOTS[np.count_nonzero(po)])
+                for po, rows, _ in vl.po_groups
+            ),
+        )
         for vl in plan.v_levels
         if vl.npairs
     }
 
 
-def v_stats_from_lists(tree, lists, nsrc=None) -> dict[int, tuple[int, int, int]]:
+def v_stats_from_lists(
+    tree, lists, nsrc=None, ntrg=None
+) -> dict[int, tuple[int, int, int, int, int]]:
     """The same statistics from raw interaction lists (the per-box view).
 
     Gating matches ``build_plan`` exactly — a pair counts iff the target
     box has targets and the source box has sources — so the per-box and
-    planned evaluators resolve identical schedules.  ``nsrc`` overrides
-    the local per-box source counts (the parallel LET passes global
-    counts here, mirroring ``build_plan(partner_nsrc=...)``).
+    planned evaluators resolve identical schedules.  ``nsrc`` / ``ntrg``
+    override the local per-box counts: the parallel LET passes global
+    source counts, mirroring ``build_plan(partner_nsrc=...)``, and both
+    global counts for statistics every rank of a tree agrees on.
     """
     topo = tree.topology
-    if nsrc is None:
-        nsrc = topo.nsrc
+    nsrc = topo.nsrc if nsrc is None else np.asarray(nsrc)
+    ntrg = topo.ntrg if ntrg is None else np.asarray(ntrg)
     trg, src = lists.pairs("V")
-    keep = (topo.ntrg[trg] > 0) & (np.asarray(nsrc)[src] > 0)
+    keep = (ntrg[trg] > 0) & (nsrc[src] > 0)
     trg, src = trg[keep], src[keep]
     # A V pair joins two boxes of one level, so one level split of the
     # pairs counts them and both of their box sets.
@@ -129,17 +164,60 @@ def v_stats_from_lists(tree, lists, nsrc=None) -> dict[int, tuple[int, int, int]
     npairs = np.bincount(topo.level[trg], minlength=nlevels)
     ntrg_boxes = np.bincount(topo.level[distinct(trg, nb)], minlength=nlevels)
     nsrc_boxes = np.bincount(topo.level[distinct(src, nb)], minlength=nlevels)
+    blocks = np.unique(topo.parent[trg] * nb + topo.parent[src])
+    pt, ps = blocks // nb, blocks % nb
+    block_level = topo.level[pt] + 1
+    nparent = np.bincount(block_level, minlength=nlevels)
+    nslots = np.bincount(
+        block_level, minlength=nlevels, weights=_BLOCK_SLOTS[
+            np.count_nonzero(topo.anchor[pt] - topo.anchor[ps], axis=1)
+        ],
+    )
     return {
-        int(lvl): (int(npairs[lvl]), int(nsrc_boxes[lvl]), int(ntrg_boxes[lvl]))
+        int(lvl): (
+            int(npairs[lvl]), int(nsrc_boxes[lvl]), int(ntrg_boxes[lvl]),
+            int(nparent[lvl]), int(nslots[lvl]),
+        )
         for lvl in np.flatnonzero(npairs)
     }
+
+
+def rsvd_layout_seconds(
+    stats: tuple[int, int, int, int, int], width: int, rank: float
+) -> tuple[float, float]:
+    """Modelled ``(class-major, blocked)`` seconds of one rsvd level.
+
+    ``width`` is ``n_surf (md + qd)``, the doubles a pair reads plus
+    writes; a factor pair holds ``rank`` (the classes' mean) times as
+    many.  Flops at the rate the layout's GEMM shapes reach, plus what
+    it moves: class-major streams a factor pair per class present and
+    gathers / scatters a row per pair; blocked multiplies every slot of
+    its blocks, filled or not, streams a direction stack (~58 slots)
+    per direction present, moves a sibling slab per parent pair and
+    (stacks for 7 of the 26 directions) mirrors the level's rows once
+    per sign mask.
+    """
+    npairs, nsb, ntb, nparent, nslots = stats
+    pair = 2.0 * rank * width
+    factors, row = 8.0 * rank * width, 8.0 * width
+    by_class = (
+        npairs * pair / _SKINNY_RATE
+        + min(npairs, 316) * factors / _STREAM_RATE
+        + npairs * row / _MOVE_RATE
+    )
+    blocked = (
+        nslots * pair / _STACKED_RATE
+        + min(nparent, 26) * 58 * factors / _STREAM_RATE
+        + (nparent * 8 + 7 * (nsb + ntb) / 2) * row / _MOVE_RATE
+    )
+    return by_class, blocked
 
 
 def resolve_m2l_schedule(
     mode: str,
     dtype: str,
     *,
-    stats: dict[int, tuple[int, int, int]],
+    stats: dict[int, tuple[int, int, int, int, int]],
     cache,
     kernel,
 ) -> M2LSchedule:
@@ -157,9 +235,13 @@ def resolve_m2l_schedule(
     - fft:   per-box forward/inverse transforms plus the per-pair
       Hadamard, down-weighted by the fft efficiency factor
 
+    The rsvd levels then share one layout — a cache holds direction
+    stacks or per-class factors, not both: blocked iff
+    :func:`rsvd_layout_seconds` sums lower over them.
+
     The decision is deterministic (ties break by backend name) and
-    depends only on the gated V statistics, so every code path that sees
-    the same tree resolves the same schedule.
+    depends only on the gated V statistics and the operator's sizes, so
+    every code path that sees the same tree resolves the same schedule.
     """
     if mode not in M2L_MODES:
         raise ValueError(
@@ -169,19 +251,21 @@ def resolve_m2l_schedule(
         raise ValueError(
             f"dtype must be one of {M2L_DTYPES}, got {dtype!r}"
         )
-    if mode != "auto":
-        return M2LSchedule(mode, dtype, {level: mode for level in stats})
+    backends = {level: mode for level in stats}
+    if mode in ("fft", "dense"):
+        return M2LSchedule(mode, dtype, backends)
+    ranks = {level: cache.m2l_rsvd_rank(level, (2, 0, 0)) for level in stats}
     ns = cache.n_surf
     md, qd = kernel.source_dof, kernel.target_dof
     grid = 2 * cache.p
     nfreq = grid * grid * (grid // 2 + 1)
-    backends: dict[int, str] = {}
-    for level, (npairs, nsb, ntb) in sorted(stats.items()):
-        khat = cache.m2l_rsvd_rank(level, (2, 0, 0))
+    for level, (npairs, nsb, ntb, _, _) in sorted(stats.items()):
+        if mode == "rsvd":
+            continue
         scores = {
             "dense": npairs * 2.0 * (ns * md) * (ns * qd)
             / _EFFICIENCY["dense"],
-            "rsvd": npairs * 2.0 * khat * ns * (md + qd)
+            "rsvd": npairs * 2.0 * ranks[level] * ns * (md + qd)
             / _EFFICIENCY["rsvd"],
             "fft": (
                 (nsb * md + ntb * qd) * 4.0 * nfreq * ns
@@ -190,29 +274,10 @@ def resolve_m2l_schedule(
             / _EFFICIENCY["fft"],
         }
         backends[level] = min(scores, key=lambda b: (scores[b], b))
-    return M2LSchedule("auto", dtype, backends)
-
-
-def as_schedule(
-    m2l,
-    *,
-    dtype: str = "float64",
-    stats=None,
-    cache=None,
-    kernel=None,
-) -> M2LSchedule:
-    """Coerce a mode string or an already-resolved schedule.
-
-    Evaluator entry points accept either; resolving a string requires
-    the V statistics plus the cache/kernel pair (for the ``auto`` probe).
-    """
-    if isinstance(m2l, M2LSchedule):
-        return m2l
-    if stats is None:
-        raise ValueError(
-            f"resolving m2l={m2l!r} needs V-list statistics; pass a "
-            f"resolved M2LSchedule or the stats/cache/kernel triple"
-        )
-    return resolve_m2l_schedule(
-        m2l, dtype, stats=stats, cache=cache, kernel=kernel
-    )
+    # The probed class is the closest one; at p = 6 its rank is about
+    # twice the mean of the 316 (56 vs 26.6 Laplace, 161 vs 78 Stokes).
+    by_class, blocked = np.sum([(0.0, 0.0)] + [
+        rsvd_layout_seconds(stats[level], ns * (md + qd), ranks[level] / 2)
+        for level, backend in backends.items() if backend == "rsvd"
+    ], axis=0)
+    return M2LSchedule(mode, dtype, backends, bool(blocked < by_class))

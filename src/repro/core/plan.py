@@ -14,12 +14,14 @@ every rank alike — :func:`repro.parallel.pfmm.setup_on_tree`), so every
   of concatenated leaf sources (S2M via segment-summed columns), one
   stacked GEMM per occupied child octant (M2M), and one stacked GEMM for
   the ``uc2ue`` inversion of every source box at the level.
-- **M2L** — V-list pairs grouped by the ≤316 translation-offset classes
-  of a level (dense and rsvd modes: one stacked GEMM, or two through
-  the factors, per class) and by the ≤26 parent-pair offsets (FFT mode:
-  batched GEMM-DFTs of the source boxes, the parent-pair-blocked
-  Hadamard, batched inverse GEMM-DFTs); :func:`split_v_level` divides
-  both groupings into a rank's owned and ghost passes.
+- **M2L** — V-list pairs grouped by (target parent, source parent) in
+  the ≤26 parent-pair directions: FFT levels run these blocks through
+  batched GEMM-DFTs and the blocked Hadamard, rsvd levels through
+  direction-stacked factors.  The ≤316 translation-offset classes of a
+  level (dense: one stacked GEMM per class; class-major rsvd, for trees
+  whose blocks are mostly empty: two skinny ones) are derived from the
+  blocks on first use; :func:`split_v_level` divides a level into a
+  rank's owned and ghost passes.
 - **Downward pass** — stacked GEMMs per (level, octant) for L2L and per
   level for ``dc2de``; L2T as chunked kernel blocks over concatenated
   leaf targets.
@@ -44,13 +46,14 @@ would have touched, and the two paths produce identical flop statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from repro.octree.lists import InteractionLists
 # OCTANT_VECTORS and chunk_segments are read from here by fftm2l and
 # the evaluator.
-from repro.octree.topology import OCTANT_VECTORS
+from repro.octree.topology import OCTANT_VECTORS, child_pair_offsets
 from repro.octree.tree import Octree
 from repro.util.segments import (
     chunk_segments,
@@ -180,36 +183,94 @@ class UpLevel:
     m2m_groups: list[tuple[int, np.ndarray, np.ndarray]]
 
 
+@lru_cache(maxsize=None)
+def block_slots(parent_offset: tuple[int, int, int]) -> np.ndarray:
+    """Offset class of every child pair of one parent-pair direction:
+    entry ``[o_t, o_s]`` is the base-7 key of ``2 parent_offset + v(o_t)
+    - v(o_s)``, or -1 where the children are adjacent — no V pair, no
+    slot."""
+    off = child_pair_offsets(parent_offset)
+    key = ((off + 3) * (49, 7, 1)).sum(axis=2)
+    key[np.abs(off).max(axis=2) < 2] = -1
+    key.setflags(write=False)
+    return key
+
+
+def _class_offset(key: int) -> tuple[int, int, int]:
+    return (key // 49 - 3, (key % 49) // 7 - 3, key % 7 - 3)
+
+
+def _class_counts(po_groups: list, src_ok: np.ndarray, trg_ok: np.ndarray) -> dict:
+    """Pairs per offset class that parent-pair blocks cover, counting a
+    slot where ``src_ok`` / ``trg_ok`` mark its rows."""
+    counts = np.zeros(343, dtype=np.int64)
+    for po, src_rows, trg_rows in po_groups:
+        slots = block_slots(po)
+        n = trg_ok[trg_rows].T.astype(np.int64) @ src_ok[src_rows]
+        np.add.at(counts, slots[slots >= 0], n[slots >= 0])
+    return {_class_offset(int(k)): int(counts[k]) for k in np.flatnonzero(counts)}
+
+
 @dataclass
 class VLevel:
-    """All effective V-list pairs of one level, grouped two ways.
+    """All effective V-list pairs of one level, as parent-pair blocks.
 
     ``src_boxes``/``trg_boxes`` are the unique source (forward-FFT) and
-    target (inverse-FFT / accumulator) boxes.  Each class is
-    ``(offset, src_pos, trg_pos)`` with positions into those arrays; for
-    a fixed offset every target appears at most once, so class
-    accumulation is a plain fancy-indexed ``+=``.
+    target (inverse-FFT / accumulator) boxes.
 
-    ``po_groups`` regroup the same pairs by *parent* pair for the blocked
-    Hadamard stage: one entry per parent-anchor offset (≤26 directions),
-    holding the ``(npp, 8)`` positions of the eight child octants of
-    every unique (target-parent, source-parent) pair of that direction.
-    Missing or inactive children point at the sentinel rows
+    ``po_groups`` hold one entry per parent-anchor offset (≤26
+    directions): the ``(npp, 8)`` positions of the eight child octants
+    of every unique (target-parent, source-parent) pair of that
+    direction.  Missing or inactive children point at the sentinel rows
     ``len(src_boxes)`` / ``len(trg_boxes)`` (a zero source row and a
     discarded target row), so a block covers exactly the effective pairs.
     Within one group every target parent occurs once, hence every target
     child row occurs at most once and fancy ``+=`` stays exact.
+
+    ``counts`` are the pairs per translation-offset class — every flop
+    count.  ``classes`` regroup the pairs class-major, ``(offset,
+    src_pos, trg_pos)`` with positions into the box arrays, targets
+    ascending; for a fixed offset every target appears at most once, so
+    class accumulation is a plain fancy-indexed ``+=``.  Built on first
+    use: a blocked level never asks.
     """
 
     level: int
     src_boxes: np.ndarray
     trg_boxes: np.ndarray
-    classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
     po_groups: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
+    counts: dict[tuple[int, int, int], int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        nsb, ntb = self.src_boxes.size, self.trg_boxes.size
+        self.counts = _class_counts(
+            self.po_groups, np.arange(nsb + 1) < nsb, np.arange(ntb + 1) < ntb
+        )
 
     @property
     def npairs(self) -> int:
-        return sum(len(s) for _, s, _ in self.classes)
+        return sum(self.counts.values())
+
+    @cached_property
+    def classes(self) -> list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]:
+        nsb, ntb = self.src_boxes.size, self.trg_boxes.size
+        keys, spos, tpos = [], [], []
+        for po, src_rows, trg_rows in self.po_groups:
+            slots = block_slots(po)
+            ot, os_ = np.nonzero(slots >= 0)
+            s, t = src_rows[:, os_], trg_rows[:, ot]
+            m = (s < nsb) & (t < ntb)
+            keys.append(np.broadcast_to(slots[ot, os_], m.shape)[m])
+            spos.append(s[m])
+            tpos.append(t[m])
+        key, spos, tpos = map(np.concatenate, (keys, spos, tpos))
+        order = np.argsort(key * (ntb + 1) + tpos, kind="stable")
+        bounds = run_bounds(key[order])
+        return [
+            (_class_offset(int(key[order[lo]])), spos[order[lo:hi]],
+             tpos[order[lo:hi]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
 
 @dataclass
@@ -217,19 +278,30 @@ class VPass:
     """The pairs of a V level one pass covers (owned or ghost sources).
 
     ``rows`` are the positions into ``src_boxes`` the pass reads (and,
-    on an fft level, forward-transforms); ``classes`` its pairs by
-    offset class — the dense/rsvd GEMMs and every flop count;
-    ``po_groups`` the same pairs as parent-pair blocks over the split's
-    spectrum rows (fft levels only, else empty).
+    on an fft level, forward-transforms); ``counts`` its pairs per
+    offset class; ``po_groups`` the pairs as parent-pair blocks over
+    the split's rows (blocked levels only, else empty); ``classes`` the
+    same pairs class-major in the level's positions, filtered from the
+    level's on first use.
     """
 
     rows: np.ndarray
-    classes: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
+    counts: dict[tuple[int, int, int], int]
     po_groups: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
+    of: tuple[VLevel, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
     def npairs(self) -> int:
-        return sum(len(s) for _, s, _ in self.classes)
+        return sum(self.counts.values())
+
+    @cached_property
+    def classes(self) -> list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]:
+        vl, mine, trg_keep = self.of
+        kept = (
+            (offset, spos, tpos, mine[spos] & trg_keep[tpos])
+            for offset, spos, tpos in vl.classes
+        )
+        return [(o, s[m], t[m]) for o, s, t, m in kept if m.any()]
 
 
 @dataclass
@@ -252,9 +324,9 @@ class VSplit:
     schedule that delivers every participant the assigned rank's
     downward-check rows.
 
-    The fft spectra of a split hold the ``own`` rows, then the
-    ``ghost`` rows, then the zero sentinel; the accumulators the
-    ``inv_rows``, then the discarded sentinel.
+    The source rows of a blocked split (fft spectra, rsvd slabs) are
+    the ``own`` rows, then the ``ghost`` rows, then the zero sentinel;
+    the accumulator rows the ``inv_rows``, then the discarded sentinel.
     """
 
     own: VPass
@@ -264,7 +336,7 @@ class VSplit:
 
     @property
     def nrows(self) -> int:
-        """Spectrum rows, sentinel included."""
+        """Source rows, sentinel included."""
         return self.own.rows.size + self.ghost.rows.size + 1
 
 
@@ -275,26 +347,29 @@ def split_v_level(
     dropping those whose target ``trg_keep`` (over ``trg_boxes``) does
     not mark.
 
-    Pair order within a class is preserved.  With ``blocked`` each pass
-    also gets the level's parent-pair blocks renumbered to the split's
-    spectrum rows: every source child row outside the pass and every
-    target child row outside ``trg_keep`` points at the sentinel, and
-    blocks left without a source or without a target are dropped — so a
-    pass gathers only rows transformed so far, and the two passes cover
-    each kept pair exactly once.
+    A pass reads the sources of its mask that meet a kept target in
+    some slot of a block.  With ``blocked`` each pass also gets the
+    level's parent-pair blocks renumbered to the split's rows: every
+    source child row outside the pass and every target child row
+    outside ``trg_keep`` points at the sentinel, and blocks left
+    without a source or without a target are dropped — so a pass
+    gathers only rows on hand so far, and the two passes cover each
+    kept pair exactly once.
     """
     nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
     inv_rows = np.flatnonzero(trg_keep)
+    trg_ok = np.append(trg_keep, False)
     passes = []
     for mine in (src_own, ~src_own):
-        classes = []
-        used = np.zeros(nsb, dtype=bool)
-        for offset, spos, tpos in vl.classes:
-            m = mine[spos] & trg_keep[tpos]
-            if m.any():
-                classes.append((offset, spos[m], tpos[m]))
-                used[spos[m]] = True
-        passes.append(VPass(np.flatnonzero(used), classes, []))
+        used = np.zeros(nsb + 1, dtype=bool)
+        for po, src_rows, trg_rows in vl.po_groups:
+            met = trg_ok[trg_rows] @ (block_slots(po) >= 0)  # [pair, o_s]
+            used[src_rows[met]] = True
+        used &= np.append(mine, False)
+        passes.append(VPass(
+            np.flatnonzero(used), _class_counts(vl.po_groups, used, trg_ok),
+            [], (vl, mine, trg_keep),
+        ))
     split = VSplit(passes[0], passes[1], inv_rows)
     if not blocked:
         return split
@@ -363,7 +438,7 @@ class ExecutionPlan:
 
     def statistics(self) -> dict[str, float]:
         """Plan-shape summary (batch sizes drive achievable throughput)."""
-        nclasses = sum(len(vl.classes) for vl in self.v_levels)
+        nclasses = sum(len(vl.counts) for vl in self.v_levels)
         npairs = sum(vl.npairs for vl in self.v_levels)
         nparent = sum(
             sum(len(rows) for _, rows, _ in vl.po_groups)
@@ -586,7 +661,7 @@ def compile_plan(
         lvl = topo.level_boxes(level)
         has_de[lvl] = (ntrg[lvl] > 0) & (own[lvl] | has_de[parent[lvl]])
 
-    # ---------------- V levels, grouped by translation-offset class ----
+    # ---------------- V levels, as parent-pair blocks ----
     vt_level = level_of[vt_all]
     v_levels: list[VLevel] = []
     for level in range(2, tree.depth + 1):
@@ -602,18 +677,6 @@ def compile_plan(
         src_row_of[src_boxes] = np.arange(src_boxes.size)
         trg_row_of = np.full(nb + 1, trg_boxes.size, dtype=np.int64)
         trg_row_of[trg_boxes] = np.arange(trg_boxes.size)
-        src_pos, trg_pos = src_row_of[s], trg_row_of[t]
-        off = anchors[t] - anchors[s]  # components in [-3, 3]
-        key = (off[:, 0] + 3) * 49 + (off[:, 1] + 3) * 7 + (off[:, 2] + 3)
-        order = np.argsort(key, kind="stable")
-        sk = key[order]
-        bounds = run_bounds(sk)
-        classes = []
-        for ci in range(bounds.size - 1):
-            rows = order[bounds[ci] : bounds[ci + 1]]
-            k = int(sk[bounds[ci]])
-            offset = (k // 49 - 3, (k % 49) // 7 - 3, k % 7 - 3)
-            classes.append((offset, src_pos[rows], trg_pos[rows]))
 
         # Parent-pair blocks: the unique (parent(t), parent(s)) pairs
         # grouped by their anchor offset.  Every effective pair belongs
@@ -637,7 +700,7 @@ def compile_plan(
             src_rows = src_row_of[child_tab[ups[rows]]]
             trg_rows = trg_row_of[child_tab[upt[rows]]]
             po_groups.append((po_vec, src_rows, trg_rows))
-        v_levels.append(VLevel(level, src_boxes, trg_boxes, classes, po_groups))
+        v_levels.append(VLevel(level, src_boxes, trg_boxes, po_groups))
 
     # ---------------- downward levels ----------------
     down_levels: list[DownLevel] = []

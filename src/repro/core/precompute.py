@@ -34,6 +34,7 @@ from repro.core.surfaces import (
 from repro.kernels.base import Kernel
 from repro.linalg.pinv import regularized_pinv
 from repro.linalg.rsvd import randomized_svd
+from repro.octree.topology import child_pair_offsets
 
 
 def octant_offset(octant: int) -> np.ndarray:
@@ -145,6 +146,8 @@ class OperatorCache:
         self._m2l_rsvd_f32: dict[
             tuple[int, tuple[int, int, int]], tuple[np.ndarray, np.ndarray]
         ] = {}
+        self._m2l_stacks: dict[tuple[int, tuple[int, int, int], str], tuple] = {}
+        self._m2l_rank: dict[tuple[int, tuple[int, int, int]], int] = {}
 
     # -- geometry ----------------------------------------------------------
 
@@ -209,6 +212,11 @@ class OperatorCache:
         out._m2l = {k: m * up for k, m in self._m2l.items()}
         out._m2l_rsvd = {
             k: (uf * up, vf) for k, (uf, vf) in self._m2l_rsvd.items()
+        }
+        out._m2l_stacks = {
+            k: (V, UT * up, *cuts)
+            for k, (V, UT, *cuts) in self._m2l_stacks.items()
+            if k[2] == "float64"
         }
         return out
 
@@ -320,72 +328,76 @@ class OperatorCache:
             return base
         return base * self._scale(level, key) ** h
 
-    def _m2l_rsvd_base(
-        self, level: int, offset: tuple[int, int, int]
-    ) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+    def m2l_reference(self, level: int) -> tuple[int, float]:
+        """The level whose M2L factors serve ``level``, and the factor
+        that carries their output there (``a^h``; 1 at that level)."""
+        h = self._homog
+        if h is None:
+            return level, 1.0
+        return 0, self._scale(level, 0) ** h
+
+    def _m2l_rsvd_factors(
+        self, key: int, offset: tuple[int, int, int]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Reference-level rSVD factors ``(uf, vf)`` of one offset.
 
         ``uf = u * s`` is ``(n_surf * target_dof, k)`` and ``vf = vt`` is
         ``(k, n_surf * source_dof)``, so ``m2l_check ≈ uf @ vf`` to the
         cache's ``rsvd_tol``.  Only the canonical offset of a symmetry
-        class (:func:`canonical_offset`) is factored; with ``o = Q c``
-        the check matrix is ``M_o = T M_c T^T`` for the signed
-        permutation ``T`` of :meth:`_moved`, so the class's other
-        offsets get ``(T uf_c, vf_c T^T)`` — same rank, same singular
-        values.  A kernel without a declared symmetry has every offset
-        as its own class.  The sketch seed is a base-7 encoding of the
-        canonical offset (components lie in [-3, 3]), making the factors
-        a pure function of the offset — bitwise identical across
-        setups, call orders and processes.
+        class (:func:`canonical_offset`) is factored and kept; with
+        ``o = Q c`` the check matrix is ``M_o = T M_c T^T`` for the
+        signed permutation ``T`` of :meth:`_moved`, so the class's other
+        offsets get a fresh ``(T uf_c, vf_c T^T)`` — same rank, same
+        singular values.  A kernel without a declared symmetry has
+        every offset as its own class.  The sketch seed is a base-7
+        encoding of the canonical offset (components lie in [-3, 3]),
+        making the factors a pure function of the offset — bitwise
+        identical across setups, call orders and processes.
         """
         if max(abs(o) for o in offset) < 2:
             raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
-        h = self._homog
-        key = 0 if h is not None else level
-        offset = tuple(int(o) for o in offset)
-        cache_key = (key, offset)
-        if cache_key not in self._m2l_rsvd:
-            if self.kernel.symmetry is None:
-                canonical = offset
-            else:
-                canonical, axes, signs = canonical_offset(offset)
-            if canonical == offset:
-                o0, o1, o2 = offset
-                seed = 1 + (o0 + 3) * 49 + (o1 + 3) * 7 + (o2 + 3)
-                u, s, vt = randomized_svd(
-                    self.m2l_check(key, offset), self.rsvd_tol, seed=seed
-                )
-                factors = (u * s, vt)
-            else:
-                uf, vf = self._m2l_rsvd_base(key, canonical)[1]
-                factors = (
+        if self.kernel.symmetry is not None:
+            canonical, axes, signs = canonical_offset(offset)
+            if canonical != offset:
+                uf, vf = self._m2l_rsvd_factors(key, canonical)
+                return (
                     self._moved(uf, axes, signs),
-                    np.ascontiguousarray(self._moved(vf.T, axes, signs).T),
+                    self._moved(vf, axes, signs, axis=1),
                 )
-            self._m2l_rsvd[cache_key] = factors
-        return key, self._m2l_rsvd[cache_key]
+        if (key, offset) not in self._m2l_rsvd:
+            o0, o1, o2 = offset
+            seed = 1 + (o0 + 3) * 49 + (o1 + 3) * 7 + (o2 + 3)
+            u, s, vt = randomized_svd(
+                self.m2l_check(key, offset), self.rsvd_tol, seed=seed
+            )
+            self._m2l_rsvd[key, offset] = (u * s, vt)
+        return self._m2l_rsvd[key, offset]
 
     def _moved(
         self,
         rows: np.ndarray,
         axes: tuple[int, int, int],
         signs: tuple[int, int, int],
+        axis: int = 0,
     ) -> np.ndarray:
         """``T @ rows`` for the cube symmetry ``(Q x)[a] = signs[a] x[axes[a]]``.
 
-        ``rows`` is point-major ``(n_surf * dof, k)``.  ``T`` sends the
-        block of node ``i`` to node ``pi[i]`` (where ``Q`` carries it)
-        and, for a tensor kernel, applies ``Q`` to the ``dof = 3``
-        components inside the block.
+        ``rows`` is point-major ``(n_surf * dof, k)`` — or, with
+        ``axis=1``, holds surface vectors as rows and the result is
+        ``rows @ T^T``.  ``T`` sends the block of node ``i`` to node
+        ``pi[i]`` (where ``Q`` carries it) and, for a tensor kernel,
+        applies ``Q`` to the ``dof = 3`` components inside the block.
         """
         pi = surface_node_permutation(self.p, axes, signs)
-        blocks = rows.reshape(self.n_surf, -1, rows.shape[1])
-        out = np.empty_like(blocks)
+        shape = rows.shape
+        blocks = rows.reshape(
+            shape[:axis] + (self.n_surf, -1) + shape[axis + 1:]
+        )
         if self.kernel.symmetry == "tensor":
-            out[pi] = blocks[:, axes, :] * np.array(signs, np.float64)[:, None]
-        else:
-            out[pi] = blocks
-        return out.reshape(rows.shape)
+            blocks = np.take(blocks, axes, axis=axis + 1) * np.array(
+                signs, np.float64
+            ).reshape((3,) + (1,) * (1 - axis))
+        return np.take(blocks, np.argsort(pi), axis=axis).reshape(shape)
 
     def m2l_rsvd(
         self,
@@ -395,34 +407,124 @@ class OperatorCache:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Compressed M2L factors: ``m2l_check(level, offset) ≈ uf @ vf``.
 
-        The rSVD backend applies a V-list class as two stacked BLAS-3
-        GEMMs, ``(ue @ vf.T) @ uf.T``.  Homogeneous kernels rescale like
-        :meth:`m2l_check`, with the level factor folded into ``uf``.
-        ``dtype="float32"`` returns single-precision factors — the
-        mixed-precision mode's declared narrowing; accumulation into the
-        downward-check buffers stays float64 at the call sites.
+        The class-major rsvd stage applies a V-list class as two
+        stacked BLAS-3 GEMMs, ``(ue @ vf.T) @ uf.T``; every offset's
+        pair is kept once asked for.  Homogeneous kernels rescale like
+        :meth:`m2l_check`, the level factor folded into a fresh ``uf``
+        — the stage asks for the level of :meth:`m2l_reference` and
+        scales its narrow intermediate instead.  ``dtype="float32"``
+        returns single-precision factors — the mixed-precision mode's
+        declared narrowing; accumulation into the downward-check
+        buffers stays float64 at the call sites.
         """
-        key, (uf, vf) = self._m2l_rsvd_base(level, offset)
-        h = self._homog
+        if dtype not in ("float64", "float32"):
+            raise ValueError(
+                f"m2l_rsvd dtype must be 'float64' or 'float32', got {dtype!r}"
+            )
+        key, scale = self.m2l_reference(level)
+        cache_key = (key, tuple(int(o) for o in offset))
+        if cache_key not in self._m2l_rsvd:
+            self._m2l_rsvd[cache_key] = self._m2l_rsvd_factors(*cache_key)
+        uf, vf = self._m2l_rsvd[cache_key]
         if dtype == "float32":
-            cache_key = (key, tuple(int(o) for o in offset))
             if cache_key not in self._m2l_rsvd_f32:
                 self._m2l_rsvd_f32[cache_key] = (
                     uf.astype(np.float32),  # lint: allow(dtype-width)
                     vf.astype(np.float32),  # lint: allow(dtype-width)
                 )
-            uf32, vf32 = self._m2l_rsvd_f32[cache_key]
-            if h is None or level == key:
-                return uf32, vf32
-            return uf32 * np.float32(self._scale(level, key) ** h), vf32
-        if dtype != "float64":
-            raise ValueError(
-                f"m2l_rsvd dtype must be 'float64' or 'float32', got {dtype!r}"
-            )
-        if h is None or level == key:
-            return uf, vf
-        return uf * self._scale(level, key) ** h, vf
+            uf, vf = self._m2l_rsvd_f32[cache_key]
+        return (uf, vf) if scale == 1.0 else (uf * uf.dtype.type(scale), vf)
 
     def m2l_rsvd_rank(self, level: int, offset: tuple[int, int, int]) -> int:
-        """Compression rank of one offset class (dtype independent)."""
-        return int(self._m2l_rsvd_base(level, offset)[1][1].shape[0])
+        """Compression rank of one offset class (dtype independent),
+        read off the class's canonical factor: no moved pair is built.
+        Remembered — an rsvd step asks for every class on every apply."""
+        key = (self.m2l_reference(level)[0], offset)
+        if key not in self._m2l_rank:
+            offset = tuple(int(o) for o in offset)
+            if self.kernel.symmetry is not None:
+                offset = canonical_offset(offset)[0]
+            self._m2l_rank[key] = int(
+                self._m2l_rsvd_factors(key[0], offset)[1].shape[0]
+            )
+        return self._m2l_rank[key]
+
+    # -- parent-pair blocked rsvd ------------------------------------------
+
+    def reflect(self, rows: np.ndarray, mask: int) -> np.ndarray:
+        """Surface vectors (the rows) mirrored in the axes of ``mask``:
+        ``M_o x = R M_{Ro} R x`` with those components of ``o`` negated."""
+        if not mask:
+            return rows
+        signs = tuple(-1 if mask >> a & 1 else 1 for a in range(3))
+        return self._moved(rows, (0, 1, 2), signs, axis=1)
+
+    def m2l_stacks(
+        self, key: int, direction: tuple[int, int, int], dtype: str = "float64"
+    ) -> tuple:
+        """Direction-stacked rsvd factors of one parent-pair direction.
+
+        A target parent ``direction`` cells from a source parent joins
+        child ``o_t`` to child ``o_s`` at offset ``2 direction + v(o_t)
+        - v(o_s)`` — a V pair unless adjacent, which has no slot.
+        Returns ``(mask, V, UT, vcut, ucut, moves)`` at reference level
+        ``key`` (:meth:`m2l_reference`).  Stacks exist for the 7
+        non-negative directions; another one runs through the stack of
+        its magnitudes with the axes of ``mask`` mirrored
+        (:meth:`reflect`: rows going in and coming out, octants XOR
+        ``mask``) — without a declared symmetry all 26 are stored and
+        the mask is 0.  ``V[vcut[o_s]:vcut[o_s + 1]]`` stacks the ``vf``
+        of the slots of source octant ``o_s`` (by ``o_t``),
+        ``UT[ucut[o_t]:ucut[o_t + 1]]`` the ``uf.T`` of the slots of
+        target octant ``o_t`` (by ``o_s``), and ``moves`` lists the
+        ``(dst, stop, src)`` row slabs taking the first order to the
+        second.  Cut from the canonical factors the class-major stage
+        moves too; a cache serves one layout, so builds one.
+        """
+        mask = 0
+        if self.kernel.symmetry is not None:
+            mask = sum(1 << a for a in range(3) if direction[a] < 0)
+            direction = tuple(abs(c) for c in direction)
+        cache_key = (key, direction, dtype)
+        if cache_key not in self._m2l_stacks:
+            self._m2l_stacks[cache_key] = self._stacked(*cache_key)
+        return (mask, *self._m2l_stacks[cache_key])
+
+    def _stacked(self, key: int, direction: tuple[int, int, int], dtype: str):
+        """The stored ``(V, UT, vcut, ucut, moves)`` of :meth:`m2l_stacks`."""
+        if dtype == "float32":
+            _, V, UT, *cuts = self.m2l_stacks(key, direction)
+            return (
+                V.astype(np.float32),  # lint: allow(dtype-width)
+                UT.astype(np.float32),  # lint: allow(dtype-width)
+                *cuts,
+            )
+        offs = child_pair_offsets(direction)  # [o_t, o_s]
+        slots = [
+            (ot, os_) for ot in range(8) for os_ in range(8)
+            if np.abs(offs[ot, os_]).max() >= 2
+        ]
+        by_source = sorted(slots, key=lambda slot: slot[::-1])
+        pair = {
+            slot: self._m2l_rsvd_factors(key, tuple(offs[slot].tolist()))
+            for slot in slots
+        }
+        rank = [pair[slot][1].shape[0] for slot in slots]
+        at = dict(zip(
+            by_source, np.cumsum([0] + [pair[sl][1].shape[0] for sl in by_source])
+        ))
+        cuts = [
+            np.concatenate([[0], np.cumsum(
+                np.bincount([slot[side] for slot in slots], rank, 8)
+            )]).astype(np.int64)
+            for side in (1, 0)
+        ]
+        return (
+            np.concatenate([pair[slot][1] for slot in by_source]),
+            np.concatenate([pair[slot][0].T for slot in slots]),
+            *cuts,
+            [
+                (int(stop - r), int(stop), int(at[slot]))
+                for slot, r, stop in zip(slots, rank, np.cumsum(rank))
+            ],
+        )

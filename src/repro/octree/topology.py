@@ -29,6 +29,18 @@ OCTANT_VECTORS = np.array(
     [[o & 1, (o >> 1) & 1, (o >> 2) & 1] for o in range(8)], dtype=np.int64
 )
 
+
+def child_pair_offsets(parent_offset) -> np.ndarray:
+    """Anchor offset of child ``o_t`` of a box from child ``o_s`` of the
+    box ``parent_offset`` cells away, as ``[o_t, o_s, axis]``: ``2
+    parent_offset + v(o_t) - v(o_s)``.  A V pair unless every component
+    is below 2 in magnitude (the children are adjacent)."""
+    return (
+        2 * np.asarray(parent_offset)
+        + OCTANT_VECTORS[:, None] - OCTANT_VECTORS[None, :]
+    )
+
+
 #: Anchor offsets of a box's 27 same-level neighbours, itself included
 #: (row :data:`SELF_OFFSET`).
 COLLEAGUE_OFFSETS = np.array(

@@ -46,6 +46,7 @@ from repro.core.m2lschedule import (
     M2LSchedule,
     coarse_split_levels,
     resolve_m2l_schedule,
+    v_stats_from_lists,
     v_stats_from_plan,
 )
 from repro.core.plan import (
@@ -544,11 +545,16 @@ def setup_on_tree(
             partner_nsrc=ptree.global_nsrc,
             ext_ranges=(ext_start, ext_stop),
         )
-        # The plan's V statistics are gated by global source counts
-        # (via partner_nsrc), so every rank resolves the same schedule.
+        # Every rank resolves the schedule of the whole tree — the
+        # ranks of a process share one operator cache, which serves one
+        # rsvd layout.  At one rank the plan's statistics are the tree's.
         sched = resolve_m2l_schedule(
             opts.m2l, opts.dtype,
-            stats=v_stats_from_plan(plan), cache=cache, kernel=kernel,
+            stats=v_stats_from_plan(plan) if comm.size == 1
+            else v_stats_from_lists(
+                tree, lists, ptree.global_nsrc, ptree.global_ntrg
+            ),
+            cache=cache, kernel=kernel,
         )
 
         # Ownership splits of the near-field and V-list work: owned
@@ -570,7 +576,8 @@ def setup_on_tree(
         v_compute = near.trg_stop > near.trg_start
         v_splits: list[VSplit] = []
         for vl in plan.v_levels:
-            blocked = sched.backend(vl.level) == "fft"
+            backend = sched.backend(vl.level)
+            blocked = backend == "fft" or (backend == "rsvd" and sched.blocked)
             if vl.level not in split_levels:
                 v_splits.append(split_v_level(
                     vl, owned[vl.src_boxes],
