@@ -6,9 +6,11 @@ times each stage on the three Laplace point sets of the end-to-end
 workloads (20 000 and 50 000 uniform points, 30 000 corner-clustered,
 ``s = 60``), best of three: ``build_tree``, ``build_lists``, the four
 ``lists.flat`` calls, ``compile_plan``, then ``KIFMM.setup`` and
-``ParallelFMM(2).setup`` whole (operators are lazy, so neither pays a
-precompute).  ``docs/architecture.md``, "Setup as array code", holds the
-before/after table.
+``ParallelFMM(2).setup`` whole (both now end in the ``operators``
+phase — the precompute that used to sit under the first apply — so
+``--against`` a checkout older than that reads them higher by it).
+``docs/architecture.md``, "Setup as array code", holds the before/after
+table.
 
 Gates (exit 1): ``build_lists`` at 50 000 uniform points within 0.35 s
 (the per-box walk took 0.93-1.09 s, the array code 0.04-0.05 s), and on

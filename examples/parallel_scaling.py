@@ -1,23 +1,28 @@
-"""The SC'03 parallel algorithm, two ways.
+"""The SC'03 parallel algorithm, three ways.
 
 1. For real: the three-stage compute/communicate/compute algorithm runs
-   on in-process logical ranks (simulated MPI), exchanging actual
+   on logical ranks (simulated MPI, rank threads), exchanging actual
    messages; results are verified against the sequential evaluator.
-2. At scale: the TCS-1 performance model extrapolates the same
+2. Measured: strong scaling of the persistent operator on this host's
+   cores — beyond one rank its applies run on rank processes — next to
+   what the performance model predicts for the same tree.
+3. At scale: the TCS-1 performance model extrapolates the same
    data structures to the paper's 3.2M-particle fixed-size experiment
    (Table 4.1).
 
-Run:  python examples/parallel_scaling.py
+Run:  OPENBLAS_NUM_THREADS=1 python examples/parallel_scaling.py
+(one BLAS thread per rank, so that ranks are what uses the cores)
 """
 
+import os
 import time
 
 import numpy as np
 
 from repro import KIFMM, FMMOptions, LaplaceKernel
-from repro.geometry import corner_clusters
+from repro.geometry import corner_clusters, uniform_cube
 from repro.kernels.direct import relative_error
-from repro.parallel import run_parallel_fmm
+from repro.parallel import ParallelFMM, run_parallel_fmm
 from repro.perfmodel import TCS1, simulate_run
 from repro.perfmodel.costs import compute_work
 from repro.octree import build_lists, build_tree
@@ -50,7 +55,42 @@ def main() -> None:
         rows,
     ))
 
-    # ---- part 2: TCS-1 model at paper scale ----
+    # ---- part 2: measured strong scaling on this host's cores ----
+    cores = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    n = 30_000
+    pts = uniform_cube(n, rng)
+    phi = rng.standard_normal((n, 1))
+    tree = build_tree(pts, max_points=opts.max_points)
+    lists = build_lists(tree)
+    work = compute_work(tree, lists, kernel, opts.p)
+    print(f"\nMeasured strong scaling, N={n} uniform, {cores} core(s) "
+          f"(best of 3 applies; model: TCS-1 on the same tree):")
+    rows, base, model_base = [], None, None
+    for nranks in range(1, cores + 1):
+        with ParallelFMM(nranks, kernel, opts) as op:
+            op.setup(pts).apply(phi)  # forks the ranks, warms their buffers
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                op.apply(phi)
+                best = min(best, time.perf_counter() - t0)
+        model = simulate_run(
+            tree, lists, kernel, opts.p, nranks, TCS1, work=work
+        ).total
+        base, model_base = base or best, model_base or model
+        rows.append((
+            nranks, best, base / best, base / best / nranks,
+            model_base / model,
+        ))
+    print(format_table(
+        ("ranks", "apply s", "speedup", "efficiency", "model speedup"),
+        rows,
+    ))
+
+    # ---- part 3: TCS-1 model at paper scale ----
     n_model = 120_000
     print(f"\nTCS-1 model, fixed-size 3.2M particles "
           f"(tree measured at {n_model:,}):")

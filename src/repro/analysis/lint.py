@@ -17,7 +17,9 @@ Rule catalog (details in ``docs/architecture.md``):
 - ``flops-accounted`` — evaluation-core functions that carry a
   ``FlopCounter`` must account every matmul/einsum/solve they perform.
 - ``thread-confinement`` — ``threading``/``queue``/``multiprocessing``
-  imports are confined to ``repro/parallel/simmpi.py``.
+  (``shared_memory`` included)/``mmap`` imports and ``os.fork`` are
+  confined to the two transports, ``repro/parallel/simmpi.py`` (rank
+  threads) and ``repro/parallel/procworld.py`` (rank processes).
 - ``dtype-width`` — no narrowing numpy dtypes in ``core/``/``linalg/``.
 - ``bufferpool-escape`` — ``BufferPool`` scratch buffers must not be
   returned from the function that drew them.
@@ -197,33 +199,43 @@ class FlopsAccountedRule(Rule):
 class ThreadConfinementRule(Rule):
     name = "thread-confinement"
     rationale = (
-        "All concurrency lives in the simulated MPI transport "
-        "(parallel/simmpi.py); numerics, tree code and the analyzers are "
-        "single-threaded by contract, which is what makes the comm-trace "
-        "analysis sound (per-rank event lists need no locks) and keeps "
-        "the rest of the codebase schedule independent."
+        "All concurrency lives in the two transports under SimComm — "
+        "rank threads in parallel/simmpi.py, rank processes and their "
+        "shared-memory mailbox in parallel/procworld.py; numerics, tree "
+        "code and the analyzers are single-threaded by contract, which "
+        "is what makes the comm-trace analysis sound (per-rank event "
+        "lists need no locks) and keeps the rest of the codebase "
+        "schedule independent.  A fork or a shared mapping elsewhere is "
+        "a second process world no verifier knows about."
     )
 
-    _MODULES = {"threading", "queue", "multiprocessing", "concurrent"}
-    _ALLOWED = "repro/parallel/simmpi.py"
+    #: Top-level modules, and the one function, only a transport may use.
+    _BANNED = {
+        "threading", "queue", "multiprocessing", "concurrent", "mmap",
+        "os.fork",
+    }
+    _ALLOWED = ("repro/parallel/simmpi.py", "repro/parallel/procworld.py")
 
     def check(self, mod: Module) -> Iterator[Violation]:
-        if mod.rel == self._ALLOWED:
+        if mod.rel in self._ALLOWED:
             return
         for node in ast.walk(mod.tree):
-            names: list[str] = []
+            used: list[str] = []
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                used = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                used = [f"os.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module]
-            for name in names:
-                root = name.split(".")[0]
-                if root in self._MODULES:
+                used = [node.module.split(".")[0]]
+            elif isinstance(node, ast.Attribute) and node.attr == "fork":
+                used = ["os.fork"]
+            for name in used:
+                if name in self._BANNED:
                     yield self._v(
                         mod, node.lineno,
-                        f"import of {root!r} outside {self._ALLOWED} — "
-                        f"concurrency is confined to the simulated MPI "
-                        f"runtime",
+                        f"use of {name!r} outside "
+                        f"{' and '.join(self._ALLOWED)} — concurrency is "
+                        f"confined to the transports under SimComm",
                     )
 
 

@@ -1,7 +1,7 @@
 """Runtime sanitizers for the planned evaluation path.
 
 Enabled via the ``REPRO_SANITIZE=1`` environment variable or the
-``FMMOptions.sanitize`` flag, three checkers run inside the core and
+``FMMOptions.sanitize`` flag, four checkers run inside the core and
 parallel evaluators (see ``docs/architecture.md`` § "Race detection &
 sanitizers"):
 
@@ -20,6 +20,12 @@ sanitizers"):
   a plan GEMM stack shares no memory with its inputs
   (``np.may_share_memory``); writing through an aliased output corrupts
   later rows of the same batched product.
+
+- **Operator invariant** — a sanitized apply reads its operators
+  through sealed views of the caches
+  (:meth:`~repro.core.precompute.OperatorCache.sealed`): one that setup
+  did not build raises :class:`OperatorMissError` instead of being built
+  under the apply.
 
 All checkers raise subclasses of :class:`SanitizerError`, so callers
 (and CI) can catch the whole family.  The module is dependency-free by
@@ -59,6 +65,10 @@ class NonFiniteError(SanitizerError):
 
 class GemmAliasError(SanitizerError):
     """A GEMM stack's output aliases one of its inputs."""
+
+
+class OperatorMissError(SanitizerError):
+    """An apply asked for an operator its setup did not build."""
 
 
 def check_finite(

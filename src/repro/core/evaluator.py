@@ -595,8 +595,10 @@ class PlanStages:
         transform releases them.
 
         Nothing here builds an operator: flop counts come from the
-        plan's index arrays, and an rsvd step's count is a thunk over
-        ranks its own run has already factored.
+        plan's index arrays, an rsvd step's count is a thunk over the
+        ranks of its factors, and a step that reads cached operators
+        names them in its ``operators`` thunk, which setup runs
+        (``RankFMM.build_operators``).
         """
         plan, sched, cache, fft = self.plan, self.sched, self.cache, self.fft
         n_surf, md, qd = self.n_surf, self.md, self.qd
@@ -647,10 +649,15 @@ class PlanStages:
                 emit(f"m2m@{lvl}", "up", "m2m",
                      lambda b: self.m2m(ul, b["ue"], check(b)),
                      (f"ue@{lvl + 1}",), (chk,),
-                     sum(k.size for _, k, _ in ul.m2m_groups) * matvec)
+                     sum(k.size for _, k, _ in ul.m2m_groups) * matvec,
+                     operators=lambda: [
+                         cache.m2m_check(lvl + 1, octant)
+                         for octant, _, _ in ul.m2m_groups
+                     ])
             emit(f"uc2ue@{lvl}", "up", "uc2ue",
                  lambda b: self.uc2ue(ul, b["check"], b["ue"]),
-                 (chk,), (ue,), ul.boxes.size * matvec, releases=(chk,))
+                 (chk,), (ue,), ul.boxes.size * matvec, releases=(chk,),
+                 operators=lambda: cache.uc2ue(lvl))
 
         def v_direct(vl: VLevel, sp: VSplit, vp: VPass, split):
             lvl = vl.level
@@ -668,16 +675,33 @@ class PlanStages:
                     for offset, n in vp.counts.items()
                 )
 
+            # The factors live at the reference level; the stages scale.
+            key = cache.m2l_reference(lvl)[0]
             if rsvd and sched.blocked:
                 stage = "v_blocked", lambda b: self.v_blocked(
                     vl, sp, vp, lo, b["ue"], b["dc"])
             else:
                 stage = "v_direct", lambda b: self.v_direct(
                     vl, vp.classes, b["ue"], b["dc"])
+
+            def operators():
+                if not rsvd:
+                    for offset, _, _ in vp.classes:
+                        cache.m2l_check(key, offset)
+                    return
+                if sched.blocked:
+                    for po, _, _ in vp.po_groups:
+                        cache.m2l_stacks(key, po, sched.dtype)
+                else:
+                    for offset, _, _ in vp.classes:
+                        cache.m2l_rsvd(key, offset, sched.dtype)
+                rsvd_flops()  # the ranks the count reads
+
             emit(f"v:{split}@{lvl}", "down_v", *stage,
                  ue_of(vl.src_boxes[vp.rows]), (f"dc@{lvl}",),
                  rsvd_flops if rsvd else vp.npairs * matvec,
-                 dtype="float32" if narrow else "float64", narrowing=narrow)
+                 dtype="float32" if narrow else "float64", narrowing=narrow,
+                 operators=operators)
 
         def v_fft(vl: VLevel, sp: VSplit, vp: VPass, split):
             lvl, vhat = vl.level, f"vhat@{vl.level}"
@@ -694,12 +718,16 @@ class PlanStages:
                          vl, vp.rows, lo, b["ue"], state(b)[0]),
                      ue_of(vl.src_boxes[vp.rows]), (vhat,),
                      vp.rows.size * fft.flops_per_fft(md),
-                     dtype="complex128")
+                     dtype="complex128", operators=fft._dft_operators_t)
             if vp.npairs:
+                key = cache.m2l_reference(lvl)[0]
                 emit(f"vhad:{split}@{lvl}", "down_v", "v_hadamard",
                      lambda b: self.v_hadamard(vl, vp.po_groups, *state(b)),
                      (vhat,), (vhat,), vp.npairs * fft.flops_per_pair(),
-                     dtype="complex128")
+                     dtype="complex128", operators=lambda: [
+                         fft.combo_tensor_real(key, po)
+                         for po, _, _ in vp.po_groups
+                     ])
             last = "ghost" if sp.ghost.rows.size else "own"
             if split == last and sp.inv_rows.size:
                 emit(f"vinv@{lvl}", "down_v", "v_inverse",
@@ -707,7 +735,7 @@ class PlanStages:
                          vl, sp.inv_rows, b["vhat"][1], b["dc"]),
                      (vhat,), (f"dc@{lvl}",),
                      sp.inv_rows.size * fft.flops_per_fft(qd),
-                     releases=(vhat,))
+                     releases=(vhat,), operators=fft._dft_operators_t)
 
         def v_pass(split):
             for vl, sp in zip(plan.v_levels, rank.v_splits):
@@ -726,7 +754,11 @@ class PlanStages:
                 emit(f"l2l@{lvl}", "eval", "l2l",
                      lambda b: self.l2l(dl, b["de"], b["dc"]),
                      (f"de@{lvl - 1}",), (dc,),
-                     sum(k.size for _, k, _ in dl.l2l_groups) * matvec)
+                     sum(k.size for _, k, _ in dl.l2l_groups) * matvec,
+                     operators=lambda: [
+                         cache.l2l_check(lvl, octant)
+                         for octant, _, _ in dl.l2l_groups
+                     ])
             if dl.x_boxes.size:
                 emit(f"x@{lvl}", "down_x", "x",
                      lambda b: self.x(dl, b["phi"], b["dc"]),
@@ -735,7 +767,8 @@ class PlanStages:
             if dl.dc_boxes.size:
                 emit(f"dc2de@{lvl}", "eval", "dc2de",
                      lambda b: self.dc2de(dl, b["dc"], b["de"]),
-                     (dc,), (de,), dl.dc_boxes.size * matvec)
+                     (dc,), (de,), dl.dc_boxes.size * matvec,
+                     operators=lambda: cache.dc2de(lvl))
             if dl.l2t_boxes.size:
                 emit(f"l2t@{lvl}", "eval", "l2t",
                      lambda b: self.l2t(dl, b["de"], b["pot"]),
@@ -797,7 +830,11 @@ class PlanStages:
             cols = (ul.s2m_seg[lo:hi] - p0) * sdof
             rows = ul.s2m_rows[lo:hi]
             for r in range(nrhs):
-                vals = K * phi_cat[r, p0 * sdof : p1 * sdof][None, :]
+                # The last column's products overwrite the block itself.
+                vals = np.multiply(
+                    K, phi_cat[r, p0 * sdof : p1 * sdof][None, :],
+                    out=K if r == nrhs - 1 else None,
+                )
                 check[r][rows] += np.add.reduceat(vals, cols, axis=1).T
 
     def m2m(self, ul: UpLevel, ue: np.ndarray, check: np.ndarray) -> None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.plan import OCTANT_VECTORS, BufferPool
-from repro.core.precompute import OperatorCache
+from repro.core.precompute import LazyTables, OperatorCache
 from repro.core.surfaces import surface_lattice_indices
 
 #: Frequency-block and parent-pair chunk sizes of the blocked Hadamard
@@ -50,7 +50,7 @@ HADAMARD_FREQ_BLOCK = 48
 HADAMARD_CHUNK = 512
 
 
-class FFTM2L:
+class FFTM2L(LazyTables):
     """Kernel-tensor cache and grid scatter/gather for FFT M2L."""
 
     def __init__(self, cache: OperatorCache) -> None:
@@ -71,8 +71,7 @@ class FFTM2L:
         self._combos_real: dict[
             tuple[int, tuple[int, int, int]], np.ndarray
         ] = {}
-        self._dft: tuple[np.ndarray, ...] | None = None
-        self._dft_t: tuple[np.ndarray, ...] | None = None
+        self._dft: dict[str, tuple[np.ndarray, ...]] = {}
 
     @property
     def nfreq(self) -> int:
@@ -93,7 +92,8 @@ class FFTM2L:
           G_re - Im(acc) @ G_im`` equals ``irfftn`` sampled at the
           surface nodes.
         """
-        if self._dft is None:
+
+        def build():
             m, mf = self.m, self.m // 2 + 1
             kx, ky, kz = np.meshgrid(
                 np.arange(m), np.arange(m), np.arange(mf), indexing="ij"
@@ -106,13 +106,14 @@ class FFTM2L:
             # those frequencies count twice in the inverse sum.
             w = np.where((freqs[:, 2] == 0) | (freqs[:, 2] == m // 2), 1.0, 2.0)
             G = (np.conj(F) * w[None, :]).T / float(m**3)  # (nfreq, n_surf)
-            self._dft = (
+            return (
                 np.ascontiguousarray(F.real),
                 np.ascontiguousarray(F.imag),
                 np.ascontiguousarray(G.real),
                 np.ascontiguousarray(G.imag),
             )
-        return self._dft
+
+        return self._entry("dft", "point-major", build)
 
     def _dft_operators_t(self) -> tuple[np.ndarray, ...]:
         """Contiguous transposes of the DFT operators.
@@ -122,11 +123,9 @@ class FFTM2L:
         the DFT operator on the *left*, which wants the transposed
         factors contiguous.
         """
-        if self._dft_t is None:
-            self._dft_t = tuple(
-                np.ascontiguousarray(a.T) for a in self._dft_operators()
-            )
-        return self._dft_t
+        return self._entry("dft", "frequency-major", lambda: tuple(
+            np.ascontiguousarray(a.T) for a in self._dft_operators()
+        ))
 
     # -- kernel tensors ------------------------------------------------------
 
@@ -142,10 +141,10 @@ class FFTM2L:
             raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
         h = self.kernel.homogeneity
         key_level = 0 if h is not None else level
-        key = (key_level, tuple(int(o) for o in offset))
-        if key not in self._tensors:
-            self._tensors[key] = self._build_tensor(key_level, offset)
-        base = self._tensors[key]
+        base = self._entry(
+            "tensors", (key_level, tuple(int(o) for o in offset)),
+            lambda: self._build_tensor(key_level, offset),
+        )
         if h is None or level == key_level:
             return base
         return base * (2.0 ** (key_level - level)) ** h
@@ -185,8 +184,8 @@ class FFTM2L:
         h = self.kernel.homogeneity
         key_level = 0 if h is not None else level
         key = (key_level, tuple(int(x) for x in po))
-        M = self._combos.get(key)
-        if M is None:
+
+        def build():
             qd, md = self.kernel.target_dof, self.kernel.source_dof
             nfreq = self.nfreq
             M = np.zeros((nfreq, 8 * qd, 8 * md), dtype=np.complex128)
@@ -200,7 +199,9 @@ class FFTM2L:
                     M[:, ot * qd : (ot + 1) * qd, os_ * md : (os_ + 1) * md] = (
                         T.reshape(qd, md, nfreq).transpose(2, 0, 1)
                     )
-            self._combos[key] = M
+            return M
+
+        M = self._entry("combos", key, build)
         if h is None or level == key_level:
             return M
         return M * (2.0 ** (key_level - level)) ** h
@@ -225,15 +226,17 @@ class FFTM2L:
         h = self.kernel.homogeneity
         key_level = 0 if h is not None else level
         key = (key_level, tuple(int(x) for x in po))
-        C = self._combos_real.get(key)
-        if C is None:
+
+        def build():
             B = self.combo_tensor_hat(key_level, key[1]).transpose(0, 2, 1)
             C = np.empty((B.shape[0], 2 * B.shape[1], 2 * B.shape[2]))
             C[:, 0::2, 0::2] = B.real
             C[:, 1::2, 1::2] = B.real
             C[:, 0::2, 1::2] = B.imag
             C[:, 1::2, 0::2] = -B.imag
-            self._combos_real[key] = C
+            return C
+
+        C = self._entry("combos_real", key, build)
         if h is None or level == key_level:
             return C
         return C * (2.0 ** (key_level - level)) ** h

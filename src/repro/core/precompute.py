@@ -22,8 +22,12 @@ for tensor kernels, a signed component permutation).
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Callable, Hashable
+
 import numpy as np
 
+from repro.analysis.sanitize import OperatorMissError
 from repro.core.surfaces import (
     INNER_RADIUS,
     OUTER_RADIUS,
@@ -74,7 +78,36 @@ def canonical_offset(
     )
 
 
-class OperatorCache:
+class LazyTables:
+    """Operator tables (dict attributes ``_<name>``) that fill on first
+    use.  A setup asks for everything its applies will read
+    (``RankFMM.build_operators``), so an apply builds nothing; sanitized
+    applies read through :meth:`sealed`, where a miss is a named error.
+    """
+
+    kernel: Kernel
+    _sealed = False
+
+    def _entry(self, name: str, key: Hashable, build: Callable[[], object]):
+        """Entry ``key`` of table ``name``, built unless sealed."""
+        table = getattr(self, "_" + name)
+        if key not in table:
+            if self._sealed:
+                raise OperatorMissError(
+                    f"{self.kernel.name} operator {name}[{key!r}] was not "
+                    f"built at setup: an apply must build no operator"
+                )
+            table[key] = build()
+        return table[key]
+
+    def sealed(self):
+        """A view sharing every table that builds nothing."""
+        view = copy.copy(self)
+        view._sealed = True
+        return view
+
+
+class OperatorCache(LazyTables):
     """Per-level KIFMM operator factory with homogeneous-kernel rescaling.
 
     Parameters
@@ -226,13 +259,13 @@ class OperatorCache:
         """Upward check potential -> upward equivalent density (eq. 2.1)."""
         h = self._homog
         key = 0 if h is not None else level
-        if key not in self._uc2ue:
-            zero = np.zeros(3)
-            K = self.kernel.matrix(
-                self.up_check_points(zero, key), self.up_equiv_points(zero, key)
-            )
-            self._uc2ue[key] = regularized_pinv(K, self.rcond)
-        base = self._uc2ue[key]
+        base = self._entry("uc2ue", key, lambda: regularized_pinv(
+            self.kernel.matrix(
+                self.up_check_points(np.zeros(3), key),
+                self.up_equiv_points(np.zeros(3), key),
+            ),
+            self.rcond,
+        ))
         if h is None or level == key:
             return base
         return base * self._scale(level, key) ** (-h)
@@ -241,13 +274,13 @@ class OperatorCache:
         """Downward check potential -> downward equivalent density (eq. 2.2)."""
         h = self._homog
         key = 0 if h is not None else level
-        if key not in self._dc2de:
-            zero = np.zeros(3)
-            K = self.kernel.matrix(
-                self.down_check_points(zero, key), self.down_equiv_points(zero, key)
-            )
-            self._dc2de[key] = regularized_pinv(K, self.rcond)
-        base = self._dc2de[key]
+        base = self._entry("dc2de", key, lambda: regularized_pinv(
+            self.kernel.matrix(
+                self.down_check_points(np.zeros(3), key),
+                self.down_equiv_points(np.zeros(3), key),
+            ),
+            self.rcond,
+        ))
         if h is None or level == key:
             return base
         return base * self._scale(level, key) ** (-h)
@@ -265,16 +298,12 @@ class OperatorCache:
             raise ValueError(f"child_level must be >= 1, got {child_level}")
         h = self._homog
         key = 1 if h is not None else child_level
-        cache_key = (key, octant)
-        if cache_key not in self._m2m:
-            parent_r = self.half_width(key - 1)
-            child_center = octant_offset(octant) * parent_r
-            K = self.kernel.matrix(
-                self.up_check_points(np.zeros(3), key - 1),
-                self.up_equiv_points(child_center, key),
-            )
-            self._m2m[cache_key] = K
-        base = self._m2m[cache_key]
+        base = self._entry("m2m", (key, octant), lambda: self.kernel.matrix(
+            self.up_check_points(np.zeros(3), key - 1),
+            self.up_equiv_points(
+                octant_offset(octant) * self.half_width(key - 1), key
+            ),
+        ))
         if h is None or child_level == key:
             return base
         return base * self._scale(child_level, key) ** h
@@ -288,16 +317,12 @@ class OperatorCache:
             raise ValueError(f"child_level must be >= 1, got {child_level}")
         h = self._homog
         key = 1 if h is not None else child_level
-        cache_key = (key, octant)
-        if cache_key not in self._l2l:
-            parent_r = self.half_width(key - 1)
-            child_center = octant_offset(octant) * parent_r
-            K = self.kernel.matrix(
-                self.down_check_points(child_center, key),
-                self.down_equiv_points(np.zeros(3), key - 1),
-            )
-            self._l2l[cache_key] = K
-        base = self._l2l[cache_key]
+        base = self._entry("l2l", (key, octant), lambda: self.kernel.matrix(
+            self.down_check_points(
+                octant_offset(octant) * self.half_width(key - 1), key
+            ),
+            self.down_equiv_points(np.zeros(3), key - 1),
+        ))
         if h is None or child_level == key:
             return base
         return base * self._scale(child_level, key) ** h
@@ -314,16 +339,17 @@ class OperatorCache:
             raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
         h = self._homog
         key = 0 if h is not None else level
-        cache_key = (key, tuple(int(o) for o in offset))
-        if cache_key not in self._m2l:
-            side = 2.0 * self.half_width(key)
-            delta = np.asarray(offset, dtype=np.float64) * side
-            K = self.kernel.matrix(
-                self.down_check_points(delta, key),
+        base = self._entry(
+            "m2l", (key, tuple(int(o) for o in offset)),
+            lambda: self.kernel.matrix(
+                self.down_check_points(
+                    np.asarray(offset, dtype=np.float64)
+                    * (2.0 * self.half_width(key)),
+                    key,
+                ),
                 self.up_equiv_points(np.zeros(3), key),
-            )
-            self._m2l[cache_key] = K
-        base = self._m2l[cache_key]
+            ),
+        )
         if h is None or level == key:
             return base
         return base * self._scale(level, key) ** h
@@ -364,14 +390,16 @@ class OperatorCache:
                     self._moved(uf, axes, signs),
                     self._moved(vf, axes, signs, axis=1),
                 )
-        if (key, offset) not in self._m2l_rsvd:
+
+        def factor():
             o0, o1, o2 = offset
             seed = 1 + (o0 + 3) * 49 + (o1 + 3) * 7 + (o2 + 3)
             u, s, vt = randomized_svd(
                 self.m2l_check(key, offset), self.rsvd_tol, seed=seed
             )
-            self._m2l_rsvd[key, offset] = (u * s, vt)
-        return self._m2l_rsvd[key, offset]
+            return u * s, vt
+
+        return self._entry("m2l_rsvd", (key, offset), factor)
 
     def _moved(
         self,
@@ -423,31 +451,29 @@ class OperatorCache:
             )
         key, scale = self.m2l_reference(level)
         cache_key = (key, tuple(int(o) for o in offset))
-        if cache_key not in self._m2l_rsvd:
-            self._m2l_rsvd[cache_key] = self._m2l_rsvd_factors(*cache_key)
-        uf, vf = self._m2l_rsvd[cache_key]
+        uf, vf = self._entry(
+            "m2l_rsvd", cache_key, lambda: self._m2l_rsvd_factors(*cache_key)
+        )
         if dtype == "float32":
-            if cache_key not in self._m2l_rsvd_f32:
-                self._m2l_rsvd_f32[cache_key] = (
-                    uf.astype(np.float32),  # lint: allow(dtype-width)
-                    vf.astype(np.float32),  # lint: allow(dtype-width)
-                )
-            uf, vf = self._m2l_rsvd_f32[cache_key]
+            uf, vf = self._entry("m2l_rsvd_f32", cache_key, lambda: (
+                uf.astype(np.float32),  # lint: allow(dtype-width)
+                vf.astype(np.float32),  # lint: allow(dtype-width)
+            ))
         return (uf, vf) if scale == 1.0 else (uf * uf.dtype.type(scale), vf)
 
     def m2l_rsvd_rank(self, level: int, offset: tuple[int, int, int]) -> int:
         """Compression rank of one offset class (dtype independent),
         read off the class's canonical factor: no moved pair is built.
         Remembered — an rsvd step asks for every class on every apply."""
-        key = (self.m2l_reference(level)[0], offset)
-        if key not in self._m2l_rank:
-            offset = tuple(int(o) for o in offset)
+        key = self.m2l_reference(level)[0]
+
+        def rank():
+            exact = tuple(int(o) for o in offset)
             if self.kernel.symmetry is not None:
-                offset = canonical_offset(offset)[0]
-            self._m2l_rank[key] = int(
-                self._m2l_rsvd_factors(key[0], offset)[1].shape[0]
-            )
-        return self._m2l_rank[key]
+                exact = canonical_offset(exact)[0]
+            return int(self._m2l_rsvd_factors(key, exact)[1].shape[0])
+
+        return self._entry("m2l_rank", (key, offset), rank)
 
     # -- parent-pair blocked rsvd ------------------------------------------
 
@@ -486,9 +512,9 @@ class OperatorCache:
             mask = sum(1 << a for a in range(3) if direction[a] < 0)
             direction = tuple(abs(c) for c in direction)
         cache_key = (key, direction, dtype)
-        if cache_key not in self._m2l_stacks:
-            self._m2l_stacks[cache_key] = self._stacked(*cache_key)
-        return (mask, *self._m2l_stacks[cache_key])
+        return (mask, *self._entry(
+            "m2l_stacks", cache_key, lambda: self._stacked(*cache_key)
+        ))
 
     def _stacked(self, key: int, direction: tuple[int, int, int], dtype: str):
         """The stored ``(V, UT, vcut, ucut, moves)`` of :meth:`m2l_stacks`."""

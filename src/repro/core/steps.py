@@ -64,9 +64,11 @@ class Step:
     flops).  ``stage`` names the :class:`PlanStages` method or exchange
     call behind ``run``.  ``flops`` is per right-hand side; a callable
     is evaluated after the step ran (rsvd ranks are only known once the
-    factors exist, and compiling must not build operators).  A step
-    whose output is of lower precision than its inputs sets
-    ``narrowing`` — the declared mixed-precision mode.
+    factors exist, and compiling must not build operators).
+    ``operators`` asks the caches for every operator ``run`` reads: a
+    setup calls it, so that no apply builds one.  A step whose output is
+    of lower precision than its inputs sets ``narrowing`` — the declared
+    mixed-precision mode.
     """
 
     name: str
@@ -78,6 +80,7 @@ class Step:
     writes: tuple[str, ...] = ()
     releases: tuple[str, ...] = ()
     flops: float | Callable[[], float] = 0.0
+    operators: Callable[[], object] | None = field(default=None, repr=False)
     dtype: str = "float64"
     narrowing: bool = False
 

@@ -1,4 +1,4 @@
-"""The SC'03 parallel algorithm (Section 3) on an in-process runtime.
+"""The SC'03 parallel algorithm (Section 3) on a one-host runtime.
 
 The paper's MPI implementation is reproduced verbatim at the algorithm
 level — Morton-curve partitioning of surface patches, level-by-level
@@ -6,12 +6,15 @@ global tree array construction with Allreduce, local essential trees,
 contributor/owner/user assignment, the Algorithm-1 gather/scatter of
 ghost sources and the reduction of partial upward equivalent densities,
 and the three-stage compute / communicate / compute interaction
-calculation — but runs over :mod:`repro.parallel.simmpi`, an in-process
-message-passing runtime with logical ranks on threads (the substitution
-for real MPI hardware documented in DESIGN.md).
+calculation — but runs over :mod:`repro.parallel.simmpi`, a
+message-passing runtime with logical ranks on threads (setup, the
+verifiers) or, for the applies of a persistent operator, on forked
+processes (:mod:`repro.parallel.procworld`) — the substitution for real
+MPI hardware documented in DESIGN.md.
 """
 
 from repro.parallel.simmpi import CommStats, MailboxLeakError, SimComm, run_spmd
+from repro.parallel.procworld import RankDiedError
 from repro.parallel.partition import morton_order_patches, partition_patches, partition_points
 from repro.parallel.pfmm import (
     ParallelFMM,
@@ -26,6 +29,7 @@ __all__ = [
     "run_spmd",
     "CommStats",
     "MailboxLeakError",
+    "RankDiedError",
     "morton_order_patches",
     "partition_patches",
     "partition_points",

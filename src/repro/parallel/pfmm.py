@@ -79,6 +79,7 @@ from repro.parallel.exchange import (
 from repro.parallel.let import classify_let, gather_users
 from repro.parallel.owners import assign_owners, gather_contributors
 from repro.parallel.partition import partition_points
+from repro.parallel.procworld import MESSAGE_OVERHEAD, RankProcesses
 from repro.parallel.ptree import ParallelTree, parallel_build_tree
 from repro.parallel.simmpi import (
     CommStats,
@@ -294,11 +295,23 @@ class RankFMM:
             phi_kind=kinds["phi"],
             ue_kind=kinds["pue"],
         )
+        cache, fft = self.cache, self.fft
+        if exch is not None and plan.buffers.sanitize:
+            # A sanitized apply reads operators, it builds none.
+            cache, fft = cache.sealed(), fft and fft.sealed()
         stages = PlanStages(
-            plan, self.kernel, self.cache, kernels,
-            self.m2l_schedule, self.fft, self.ext_points,
+            plan, self.kernel, cache, kernels,
+            self.m2l_schedule, fft, self.ext_points,
         )
         return stages.compile(rank, overlap)
+
+    def build_operators(self, timer: PhaseTimer) -> None:
+        """Build every operator this rank's applies read, under the
+        ``operators`` phase: each compiled step names its own."""
+        with timer.phase("operators"):
+            for step in self.compile().steps:
+                if step.operators is not None:
+                    step.operators()
 
     def _v_split_steps(
         self, exch: ApplyExchange | None, lvl: int
@@ -438,6 +451,7 @@ def rank_setup(
     fft: FFTM2L | None = None,
     kernels: tuple[Kernel, Kernel, Kernel] | None = None,
     timer: PhaseTimer | None = None,
+    operators: bool = True,
 ) -> RankFMM:
     """Per-rank setup of the persistent parallel operator: the parallel
     tree, then :func:`setup_on_tree`."""
@@ -454,6 +468,7 @@ def rank_setup(
     return setup_on_tree(
         comm, kernel, ptree, opts,
         cache=cache, fft=fft, kernels=kernels, timer=timer,
+        operators=operators,
     )
 
 
@@ -467,18 +482,23 @@ def setup_on_tree(
     fft: FFTM2L | None = None,
     kernels: tuple[Kernel, Kernel, Kernel] | None = None,
     timer: PhaseTimer | None = None,
+    operators: bool = True,
 ) -> RankFMM:
     """Everything of a setup downstream of the tree, on every rank count.
 
     Runs once per geometry: lists, LET classification, owner
     assignment, the exchange programs, the setup-time ghost *geometry*
-    exchange, the LET-local execution plan, the M2L schedule and the
-    owned/ghost work splits.  ``cache`` and ``fft`` may be shared across
-    ranks (their lazy per-level entries are deterministic, so concurrent
-    population is benign); when omitted they are built locally from the
-    tree's root cube.  ``kernels`` is the resolved (source, target,
-    direct) triple applies default to — the translation kernel thrice
-    if omitted.
+    exchange, the LET-local execution plan, the M2L schedule, the
+    owned/ghost work splits and — the schedule and the plan being known
+    — every operator the rank's applies read
+    (:meth:`RankFMM.build_operators`), so that an apply builds none.
+    ``cache`` and ``fft`` may be shared across ranks (their entries are
+    deterministic, so concurrent population is benign); when omitted
+    they are built locally from the tree's root cube.  A driver that
+    holds every rank's state passes ``operators=False`` and builds them
+    itself, once (:meth:`ParallelFMM.setup`).  ``kernels`` is the
+    resolved (source, target, direct) triple applies default to — the
+    translation kernel thrice if omitted.
     """
     timer = timer if timer is not None else PhaseTimer()
     me = comm.rank
@@ -608,7 +628,7 @@ def setup_on_tree(
 
     if fft is None and sched.needs_fft:
         fft = FFTM2L(cache)
-    return RankFMM(
+    state = RankFMM(
         kernel=kernel,
         options=opts,
         ptree=ptree,
@@ -634,6 +654,58 @@ def setup_on_tree(
         m2l_schedule=sched,
         v_compute=v_compute,
     )
+    if operators:
+        state.build_operators(timer)
+    return state
+
+
+def exchange_traffic(states: list[RankFMM]) -> tuple[np.ndarray, np.ndarray]:
+    """What one apply sends, per ordered rank pair: ``(messages,
+    bytes)``, the second an upper bound per right-hand side.
+
+    Read off the send ops of every rank's compiled programs: an
+    equivalent-density or check-potential message is one surface
+    vector, a density message at most the box's global sources.  This
+    is what sizes the process world's channels, and the message counts
+    are what its ``CommStats`` must read.
+    """
+    shape = (len(states), len(states))
+    messages = np.zeros(shape, dtype=np.int64)
+    nbytes = np.zeros(shape, dtype=np.int64)
+    for src, st in enumerate(states):
+        lay, n_surf = st.layout, st.cache.n_surf
+        nsrc, sdof = st.ptree.global_nsrc, st.kernels[0].source_dof
+        # Doubles per message; a density message's depend on its box.
+        sized = [
+            (lay.phi, None),
+            (lay.pue, n_surf * st.kernel.source_dof),
+            *((program, n_surf * st.kernel.target_dof)
+              for program in lay.vsp.values()),
+        ]
+        for program, doubles in sized:
+            for op in (op for phase in program for op in phase):
+                if op.kind == "send":
+                    messages[src, op.peer] += 1
+                    nbytes[src, op.peer] += 8 * (
+                        int(nsrc[op.ids[0]]) * sdof if doubles is None
+                        else doubles
+                    )
+    return messages, nbytes
+
+
+def _rank_server(states: list[RankFMM]):
+    """What a rank process answers an apply with: its slice of the
+    density and the overlap flag in; the potential and the apply's own
+    timer, flop counter and traffic out."""
+
+    def serve(comm: SimComm, message):
+        density, overlap = message
+        state, timer = states[comm.rank], PhaseTimer()
+        state.flops = FlopCounter()
+        potential = state.apply(comm, density, timer=timer, overlap=overlap)
+        return potential, timer, state.flops, comm.stats
+
+    return serve
 
 
 @dataclass
@@ -673,8 +745,8 @@ def _shared_setup(
     """What a driver holding the full point set hands every rank: the
     agreed root cube, one operator cache taken to it
     (:meth:`OperatorCache.for_root`), the FFT tensors ``"auto"`` may
-    schedule (so ranks share the lazily-populated entries), and the
-    Morton partition."""
+    schedule (one set of entries for all ranks), and the Morton
+    partition."""
     require_finite(points, "sources")
     # The cube the ranks would agree on collectively (elementwise min/max
     # commute with the Allreduce of agree_root_cube) — and KIFMM's own.
@@ -795,11 +867,25 @@ class ParallelFMM:
     :class:`~repro.core.fmm.KIFMM` over several ranks:
     :meth:`setup` partitions the points, builds every rank's
     :class:`RankFMM` (parallel tree, LET, owners, LET-local execution
-    plan, ghost geometry) and the shared operator cache — once.
+    plan, ghost geometry) on the thread world and then, in the calling
+    thread, every operator of the shared cache — once.
     :meth:`apply` then evaluates the operator for a new density,
     exchanging only densities and equivalent densities with the
     overlapped nonblocking protocol.  Repeated applies of one operator
     are bitwise identical; GMRES drives :meth:`matvec`.
+
+    Beyond one rank the applies run on rank *processes*
+    (:mod:`repro.parallel.procworld`), forked from this one at the
+    first apply: they inherit the states and operators copy-on-write
+    and keep their work buffers from apply to apply.  ``states`` and
+    ``cache`` stay this process's objects; each apply's timings, flops
+    and traffic are merged into ``timers``, ``states[r].flops`` and
+    ``comm_stats``.  The potentials are bit for bit those of the
+    thread world, which still runs an apply given ``trace`` or
+    ``schedule_seed`` (its instruments), every setup, and everything on
+    a host that cannot fork.  The processes end with :meth:`close`
+    (also on leaving a ``with`` block), with the next :meth:`setup`,
+    and with this object.
 
     Requires ``plan="batched"``: there is no per-box parallel path.
     """
@@ -832,6 +918,19 @@ class ParallelFMM:
         self.timers = [PhaseTimer() for _ in range(nranks)]
         self.comm_stats = [CommStats() for _ in range(nranks)]
         self.napplies = 0
+        self._ranks = RankProcesses(nranks)
+        self._traffic: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __enter__(self) -> "ParallelFMM":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End the rank processes; the next apply forks new ones."""
+        with self._ranks.lock:
+            self._ranks.stop()
 
     def setup(
         self,
@@ -848,28 +947,36 @@ class ParallelFMM:
         """
         points = np.asarray(points, dtype=np.float64)
         opts = self.options
-        root, self.cache, self.fft, parts = _shared_setup(
-            self.nranks, self.kernel, points, opts,
-            cache if cache is not None else self.cache, self.fft,
-        )
-
-        def rank_main(comm: SimComm, idx: np.ndarray):
-            state = rank_setup(
-                comm, self.kernel, points[idx], opts,
-                root=root, cache=self.cache, fft=self.fft,
-                kernels=self.kernels, timer=self.timers[comm.rank],
+        with self._ranks.lock:
+            self._ranks.stop()  # the ranks of the previous geometry
+            root, self.cache, self.fft, parts = _shared_setup(
+                self.nranks, self.kernel, points, opts,
+                cache if cache is not None else self.cache, self.fft,
             )
-            return state, comm.stats
 
-        outputs = run_spmd(
-            self.nranks, rank_main, PerRank(parts),
-            trace=trace, schedule_seed=schedule_seed,
-        )
-        self._states = [state for state, _ in outputs]
-        for mine, (_, stats) in zip(self.comm_stats, outputs):
-            mine.merge(stats)
-        self._parts = parts
-        self._npoints = points.shape[0]
+            def rank_main(comm: SimComm, idx: np.ndarray):
+                state = rank_setup(
+                    comm, self.kernel, points[idx], opts,
+                    root=root, cache=self.cache, fft=self.fft,
+                    kernels=self.kernels, timer=self.timers[comm.rank],
+                    operators=False,
+                )
+                return state, comm.stats
+
+            outputs = run_spmd(
+                self.nranks, rank_main, PerRank(parts),
+                trace=trace, schedule_seed=schedule_seed,
+            )
+            self._states = [state for state, _ in outputs]
+            for mine, (_, stats) in zip(self.comm_stats, outputs):
+                mine.merge(stats)
+            # One thread fills the shared cache: a forked rank finds
+            # every operator there.
+            for state, timer in zip(self._states, self.timers):
+                state.build_operators(timer)
+            self._traffic = exchange_traffic(self._states)
+            self._parts = parts
+            self._npoints = points.shape[0]
         return self
 
     @property
@@ -892,12 +999,37 @@ class ParallelFMM:
         batched SPMD pass: each rank's whole RHS block rides a single
         overlapped exchange.  Returns ``(n, target_dof)`` potentials,
         with a trailing ``nrhs`` axis for stacked blocks.
+
+        ``trace`` and ``schedule_seed`` are the thread world's
+        instruments: an apply given either runs there.  Concurrent
+        calls on one operator take turns.
         """
         if self._states is None or self._parts is None:
             raise RuntimeError("ParallelFMM.apply before setup()")
-        density3, _, single = coerce_density(
+        density3, nrhs, single = coerce_density(
             density, self._npoints, self.kernels[0].source_dof
         )
+        on_threads = (
+            self.nranks == 1 or trace is not None
+            or schedule_seed is not None or not RankProcesses.available
+        )
+        with self._ranks.lock:
+            if on_threads:
+                outputs = self._apply_on_threads(
+                    density3, trace, schedule_seed
+                )
+            else:
+                outputs = self._apply_on_processes(density3, nrhs)
+            for mine, (_, stats) in zip(self.comm_stats, outputs):
+                mine.merge(stats)
+            self.napplies += 1
+        return _in_point_order(
+            self._parts, [pot for pot, _ in outputs], single
+        )
+
+    def _apply_on_threads(self, density3, trace, schedule_seed) -> list:
+        """Every rank's ``(potential, traffic)`` from one SPMD region of
+        rank threads over this process's states."""
         overlap = self.overlap
 
         def rank_main(comm: SimComm, state: RankFMM, idx: np.ndarray):
@@ -907,16 +1039,28 @@ class ParallelFMM:
             )
             return pot, comm.stats
 
-        outputs = run_spmd(
+        return run_spmd(
             self.nranks, rank_main, PerRank(self._states),
             PerRank(self._parts), trace=trace, schedule_seed=schedule_seed,
         )
-        for mine, (_, stats) in zip(self.comm_stats, outputs):
-            mine.merge(stats)
-        self.napplies += 1
-        return _in_point_order(
-            self._parts, [pot for pot, _ in outputs], single
+
+    def _apply_on_processes(self, density3, nrhs: int) -> list:
+        """The same from the rank processes, forked if none is alive or
+        their channels are too small for ``nrhs`` right-hand sides."""
+        messages, nbytes = self._traffic
+        capacity = messages * MESSAGE_OVERHEAD + nbytes * nrhs
+        if not self._ranks.fits(capacity):
+            self._ranks.start(_rank_server(self._states), capacity)
+        replies = self._ranks.call(
+            [(density3[idx], self.overlap) for idx in self._parts]
         )
+        for state, mine, (_, timer, flops, _) in zip(
+            self._states, self.timers, replies
+        ):
+            for phase, seconds in timer.by_phase().items():
+                mine.add(phase, seconds)
+            state.flops.merge(flops)
+        return [(pot, stats) for pot, _, _, stats in replies]
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
         """Flat-vector apply, the shape GMRES wants.

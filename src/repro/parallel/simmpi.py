@@ -1,10 +1,21 @@
-"""Simulated MPI: logical ranks on threads, message-passing semantics.
+"""Simulated MPI: logical ranks, message-passing semantics.
 
 Provides the MPI subset the paper's implementation uses — blocking
 send/recv, buffered isend, ``Allreduce``, ``Bcast``, ``Reduce_scatter``,
 ``Allgather`` and barriers — with per-rank traffic accounting so tests
 and the performance model can inspect communication volumes.
-Point-to-point messages go through per-``(src, dst, tag)`` queues.
+Point-to-point messages go through per-``(src, dst, tag)`` mailboxes.
+
+The communicator (:class:`SimComm`, :class:`Request`,
+:class:`CommStats`, tag matching, the collectives) is written once over
+a *world* whose whole contract is the mailbox — ``box(src, dst, tag)``
+with ``put`` / ``get`` — and the abort flag.  Two worlds exist.  The
+one here puts ranks on threads of this process (:func:`run_spmd`):
+``queue.Queue`` mailboxes, payloads by reference, deterministic and
+instrumented — every setup and every verifier runs on it.
+:mod:`repro.parallel.procworld` puts them in forked processes with
+shared-memory mailboxes: what :class:`~repro.parallel.pfmm.ParallelFMM`
+applies on beyond one rank.
 
 Collectives are *hierarchical*: ``allreduce``, ``bcast`` and
 ``reduce_scatter`` move data along a deterministic binomial tree of
@@ -22,8 +33,10 @@ locally), so reduction results are bitwise independent of the thread
 schedule.
 
 This is the DESIGN.md substitution for the paper's MPI/Quadrics stack:
-the algorithm exchanges real messages between ranks, only the transport
-is in-process.
+the algorithm exchanges real messages between ranks; the transport is
+threads under one interpreter lock here, and processes on one host in
+``procworld`` — message passing between address spaces, shared memory
+inside one, never a network.
 
 Correctness tooling (see ``docs/architecture.md``):
 

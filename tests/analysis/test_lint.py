@@ -7,13 +7,15 @@ from repro.analysis.lint import RULES, main, run_lint
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[2] / "src"
 
-#: Expected (rule, fixture file) pairs — exactly one seeded violation per rule.
+#: Expected (rule, fixture file) pairs — one seeded fixture per rule, two for
+#: thread-confinement (threads; fork and shared mappings).
 EXPECTED = {
     ("flops-accounted", "bad_flops.py"),
     ("dtype-width", "bad_dtype.py"),
     ("bufferpool-escape", "bad_pool.py"),
     ("mutable-default", "bad_default.py"),
     ("thread-confinement", "bad_threading.py"),
+    ("thread-confinement", "bad_fork.py"),
     ("request-waited", "bad_request.py"),
     ("tag-registry", "bad_tag.py"),
 }

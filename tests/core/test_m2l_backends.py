@@ -144,6 +144,8 @@ def test_auto_probe_is_the_factorisation_the_apply_uses(kernel, points):
     first apply needs for that class (and for the five offsets derived
     from it): once per reference level — one for a homogeneous kernel,
     one per V level otherwise — and no class is ever factored twice.
+    Setup builds every operator after the probe; the apply factors
+    nothing.
     """
     seeds = []
     inner = precompute.randomized_svd
@@ -157,12 +159,13 @@ def test_auto_probe_is_the_factorisation_the_apply_uses(kernel, points):
     phi = rng.standard_normal((points.shape[0], 1))
     with mock.patch.object(precompute, "randomized_svd", recording):
         fmm = KIFMM(kernel, opts).setup(points)
-        probed = list(seeds)
+        at_setup = list(seeds)
         fmm.apply(phi)
+    assert seeds == at_setup
     levels = fmm.m2l_schedule.describe()["levels"]
     reference_levels = 1 if kernel.homogeneity is not None else len(levels)
     seed_200 = 1 + (2 + 3) * 49 + 3 * 7 + 3
-    assert probed == [seed_200] * reference_levels
+    assert at_setup[:reference_levels] == [seed_200] * reference_levels
     assert "rsvd" in levels.values()  # the apply did use compressed factors
     per_seed = {s: seeds.count(s) for s in seeds}
     assert per_seed[seed_200] == reference_levels

@@ -7,9 +7,10 @@ from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel
 from repro.kernels.derived import LaplaceDipoleKernel, LaplaceGradientKernel
 from repro.kernels.direct import direct_evaluate, relative_error
-from repro.parallel import run_parallel_fmm
+from repro.parallel import ParallelFMM, run_parallel_fmm
 
 from tests.conftest import clustered_cloud
+from tests.parallel.transports import apply_on_both
 
 
 def test_parallel_gradient_targets(rng):
@@ -25,6 +26,8 @@ def test_parallel_gradient_targets(rng):
     )
     assert par.potential.shape == (400, 3)
     assert relative_error(par.potential, seq) < 1e-12
+    with ParallelFMM(3, LaplaceKernel(), opts, target_kernel=grad_k) as op:
+        assert np.array_equal(apply_on_both(op.setup(pts), phi), par.potential)
 
 
 def test_parallel_dipole_sources(rng):
@@ -41,6 +44,10 @@ def test_parallel_dipole_sources(rng):
         LaplaceKernel(), opts, source_kernel=dip_k
     ).setup(pts).apply(dipoles)
     assert relative_error(par.potential, seq) < 1e-12
+    with ParallelFMM(4, LaplaceKernel(), opts, source_kernel=dip_k) as op:
+        assert np.array_equal(
+            apply_on_both(op.setup(pts), dipoles), par.potential
+        )
 
 
 def test_parallel_both_custom_requires_direct(rng):

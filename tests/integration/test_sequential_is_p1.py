@@ -25,6 +25,7 @@ from repro.parallel.ptree import parallel_build_tree
 from repro.parallel.simmpi import run_spmd
 
 from tests.conftest import clustered_cloud, uniform_cloud
+from tests.parallel.transports import apply_on_both
 
 BACKENDS = [
     ("fft", "float64"), ("dense", "float64"),
@@ -119,11 +120,12 @@ def two_clusters(rng, n):
 )
 def test_fft_on_ranks(fast_kernel, nranks, make):
     """The blocked FFT stage under the owned/ghost split and the coarse
-    split: the per-box reference to 1e-9, overlap on ≡ off bit for bit,
-    and column ``r`` of a block against the single apply of column
-    ``r``.  The V stage is bit-identical per column; U and W fold the
-    block into one GEMM (5e-16 measured), while a V stage that was
-    merely equivalent would show ~1e-10 after the ``dc2de`` inversion."""
+    split: the per-box reference to 1e-9, overlap on ≡ off and rank
+    processes ≡ rank threads bit for bit, and column ``r`` of a block
+    against the single apply of column ``r``.  The V stage is
+    bit-identical per column; U and W fold the block into one GEMM
+    (5e-16 measured), while a V stage that was merely equivalent would
+    show ~1e-10 after the ``dc2de`` inversion."""
     rng = np.random.default_rng(44)
     kernel, n = fast_kernel, 640
     pts = make(rng, n)
@@ -135,12 +137,11 @@ def test_fft_on_ranks(fast_kernel, nranks, make):
     on = ParallelFMM(nranks, kernel, opts, overlap=True).setup(pts)
     if nranks == 8:
         assert any(sp.bcast for st in on.states for sp in st.v_splits)
-    off = ParallelFMM(nranks, kernel, opts, overlap=False).setup(
-        pts, cache=on.cache
-    )
     u8 = on.apply(block)
-    assert np.array_equal(u8, off.apply(block))
-    for r in (0, 5):
-        u = on.apply(block[:, :, r])
+    on.overlap = False  # read by each apply
+    assert np.array_equal(u8, on.apply(block))
+    on.overlap = True
+    for r, apply in ((0, apply_on_both), (5, ParallelFMM.apply)):
+        u = apply(on, block[:, :, r])
         assert relative_error(u8[:, :, r], u) < 1e-13
         assert relative_error(u, ref.apply(block[:, :, r])) < 1e-9

@@ -7,7 +7,8 @@ parallel apply to strict round-off (≤1e-12) on ranks 1/2/4 with overlap
 on and off, the overlap flag still changes no bit of the blocked
 result, and the certified invariants (race freedom, clean traces,
 schedule independence) hold for blocked applies exactly as for single
-ones.
+ones.  The persistent operator applies on rank processes beyond one
+rank; ``apply_on_both`` pins each block to the rank threads' bits.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.parallel import ParallelFMM, run_parallel_fmm
 from repro.parallel.simmpi import CommStats
 
 from tests.conftest import clustered_cloud, uniform_cloud
+from tests.parallel.transports import apply_on_both
 
 KERNELS = {
     "laplace": (LaplaceKernel(), 700, 30),
@@ -29,7 +31,7 @@ KERNELS = {
 
 
 def _block_parity(op, block, nrhs):
-    out = op.apply(block)
+    out = apply_on_both(op, block)
     assert out.shape == block.shape[:2] + (nrhs,)
     for r in range(nrhs):
         single = op.apply(np.ascontiguousarray(block[:, :, r]))
@@ -58,7 +60,7 @@ def test_blocked_overlap_on_off_bitwise_identical(rng, kname, nranks):
     on = ParallelFMM(nranks, kern, opts, overlap=True).setup(pts)
     off = ParallelFMM(nranks, kern, opts, overlap=False).setup(pts)
     out_on = _block_parity(on, block, 3)
-    out_off = off.apply(block)
+    out_off = apply_on_both(off, block)
     assert np.array_equal(out_on, out_off)
 
 

@@ -5,7 +5,8 @@ plan computes the same potentials as the sequential batched evaluator
 and the sequential per-box reference, repeated applies of one operator are
 bitwise identical (the pooled buffers are re-zeroed, the exchange is
 deterministic), and the overlap flag changes scheduling but not a
-single bit of the result.
+single bit of the result.  Beyond one rank the operator applies on rank
+processes; ``apply_on_both`` pins them to the rank threads bit for bit.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from tests.conftest import (
     count_factorisations,
     uniform_cloud,
 )
+from tests.parallel.transports import apply_on_both
 
 
 def _cloud(rng, dist, n):
@@ -62,10 +64,10 @@ def test_repeated_applies_bitwise_identical(rng):
     phi = rng.standard_normal((600, 1))
     op = ParallelFMM(4, LaplaceKernel(), FMMOptions(p=4, max_points=30))
     op.setup(pts)
-    p1, p2, p3 = op.apply(phi), op.apply(phi), op.apply(phi)
+    p1, p2, p3 = apply_on_both(op, phi), op.apply(phi), op.apply(phi)
     assert np.array_equal(p1, p2)
     assert np.array_equal(p2, p3)
-    assert op.napplies == 3
+    assert op.napplies == 4  # one of them on threads
 
 
 def test_overlap_on_off_bitwise_identical(rng):
@@ -74,7 +76,56 @@ def test_overlap_on_off_bitwise_identical(rng):
     opts = FMMOptions(p=4, max_points=30)
     on = ParallelFMM(3, StokesKernel(), opts, overlap=True).setup(pts)
     off = ParallelFMM(3, StokesKernel(), opts, overlap=False).setup(pts)
-    assert np.array_equal(on.apply(phi), off.apply(phi))
+    assert np.array_equal(apply_on_both(on, phi), apply_on_both(off, phi))
+
+
+_BACKENDS = [
+    ("rsvd", "float64"), ("rsvd", "float32"), ("fft", "float64"),
+    ("dense", "float64"),
+]
+
+
+@pytest.fixture(scope="module")
+def transport_case():
+    """Points, an 8-column density block per kernel, and one operator
+    cache per (kernel, backend) for the rank counts to share."""
+    rng = np.random.default_rng(22)
+    pts = uniform_cloud(rng, 400)
+    kernels = {"laplace": LaplaceKernel(), "stokes": StokesKernel(mu=0.7)}
+    blocks = {
+        name: rng.standard_normal((400, k.source_dof, 8))
+        for name, k in kernels.items()
+    }
+    caches = {
+        (name, *backend): OperatorCache(k, 3, _root_cube(pts)[1])
+        for name, k in kernels.items() for backend in _BACKENDS
+    }
+    return pts, kernels, blocks, caches
+
+
+@pytest.mark.parametrize("nranks", [2, 4, 8])
+@pytest.mark.parametrize("m2l,dtype", _BACKENDS)
+@pytest.mark.parametrize("kname", ["laplace", "stokes"])
+def test_rank_processes_equal_rank_threads(
+    transport_case, kname, m2l, dtype, nranks
+):
+    """The two worlds under one interpreter of one compiled exchange:
+    potentials bit for bit, per-rank flops, per-rank messages and bytes
+    (and those the op counts of the programs), for a block and a single
+    density, overlap on and off.  The rank threads are the slow side
+    (one interpreter lock), so they run the block with the overlap and
+    the single density without; the other two pairings are pinned
+    through the processes' own on == off."""
+    pts, kernels, blocks, caches = transport_case
+    opts = FMMOptions(p=3, max_points=12, m2l=m2l, dtype=dtype)
+    block, single = blocks[kname], blocks[kname][:, :, 3]
+    with ParallelFMM(nranks, kernels[kname], opts) as op:
+        op.setup(pts, cache=caches[kname, m2l, dtype])
+        block_on = apply_on_both(op, block)
+        single_on = op.apply(single)
+        op.overlap = False
+        assert np.array_equal(op.apply(block), block_on)
+        assert np.array_equal(apply_on_both(op, single), single_on)
 
 
 def test_napplies_driver_matches_single_apply(rng):
