@@ -24,9 +24,9 @@ or through pytest (uses --quick sizes)::
 With ``--nrhs 8`` (a comma-separated width list) the bench instead
 measures blocked multi-RHS applies on the persistent operator: one
 overlapped exchange carries the whole block, timed against ``nrhs``
-looped single-RHS applies on the same operator.  These results feed the
-combined ``BENCH_multirhs.json`` artifact written by
-``bench_apply_throughput.py --nrhs``.
+looped single-RHS applies on the same operator.  (The sequential half
+of the multi-RHS claim is carried by the end-to-end ledger rows
+``core.evaluator.apply_nrhs8_s`` / ``nrhs8_speedup``.)
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ sedimentation runs, so setup is a figure the user feels.  This bench
 times each stage on the three Laplace point sets of the end-to-end
 workloads (20 000 and 50 000 uniform points, 30 000 corner-clustered,
 ``s = 60``), best of three: ``build_tree``, ``build_lists``, the four
-``lists.flat`` calls, ``compile_plan``, then ``KIFMM.setup`` and
+``lists.flat`` calls, ``compile_plan``, the performance model of the
+same tree and lists (``compute_work`` + one ``simulate_run`` at
+P = 1024), then ``KIFMM.setup`` and
 ``ParallelFMM(2).setup`` whole (both now end in the ``operators``
 phase — the precompute that used to sit under the first apply — so
 ``--against`` a checkout older than that reads them higher by it).
@@ -13,9 +15,15 @@ phase — the precompute that used to sit under the first apply — so
 table.
 
 Gates (exit 1): ``build_lists`` at 50 000 uniform points within 0.35 s
-(the per-box walk took 0.93-1.09 s, the array code 0.04-0.05 s), and on
-every set lists no slower than the plan compiled from them (they take
-a third to a half of it).  ``--quick`` times every stage once instead of
+(the per-box walk took 0.93-1.09 s, the array code 0.04-0.05 s), and
+on the largest set the model within twice
+the tree and lists it prices (as a per-box walk it took 13-20 times
+them; as array code about as long) — a ratio of two stages timed in the
+same loop, so it does not depend on the runner's speed.  (A third gate,
+lists no slower than the plan compiled from them, held while
+``compile_plan`` sorted the V pairs by offset class; since that sort left
+the default path the plan takes 24-30 ms at 50 000 points against
+28-34 ms of lists, the gate failed on every run, and it is gone.)  ``--quick`` times every stage once instead of
 three times — a few seconds in all.  Run directly::
 
     python benchmarks/bench_setup.py [--quick] [--json OUT] [--against OTHER_CHECKOUT]
@@ -51,6 +59,8 @@ from repro.geometry.distributions import (  # noqa: E402
 )
 from repro.octree import build_lists, build_tree  # noqa: E402
 from repro.parallel import ParallelFMM  # noqa: E402
+from repro.perfmodel import TCS1, simulate_run  # noqa: E402
+from repro.perfmodel.costs import compute_work  # noqa: E402
 from repro.util.tables import format_table  # noqa: E402
 
 SETS = (
@@ -58,8 +68,10 @@ SETS = (
     ("uniform_50k", uniform_cube, 50_000),
     ("corner_30k", corner_clusters, 30_000),
 )
-STAGES = ("tree", "lists", "flat", "plan", "kifmm_setup", "pfmm2_setup")
+STAGES = ("tree", "lists", "flat", "plan", "model", "kifmm_setup", "pfmm2_setup")
 LISTS_GATE = ("uniform_50k", 0.35)
+MODEL_GATE = ("uniform_50k", 2.0)  # x (tree + lists)
+KERNEL = LaplaceKernel()
 REPEATS = 3
 
 
@@ -88,11 +100,15 @@ def measure(repeats: int = REPEATS) -> list[dict]:
         tree = build_tree(pts)
         lists = build_lists(tree)
         row["plan"], _ = _best(lambda: compile_plan(tree, lists), repeats)
+        row["model"], _ = _best(lambda: simulate_run(
+            tree, lists, KERNEL, 6, 1024, TCS1,
+            work=compute_work(tree, lists, KERNEL, 6),
+        ), repeats)
         row["kifmm_setup"], _ = _best(
-            lambda: KIFMM(LaplaceKernel()).setup(pts), repeats
+            lambda: KIFMM(KERNEL).setup(pts), repeats
         )
         row["pfmm2_setup"], _ = _best(
-            lambda: ParallelFMM(2, LaplaceKernel()).setup(pts), repeats
+            lambda: ParallelFMM(2, KERNEL).setup(pts), repeats
         )
         row.update(nboxes=tree.nboxes, depth=tree.depth, **{
             f"{w.lower()}_pairs": c for w, c in lists.counts().items()
@@ -109,10 +125,12 @@ def failed_gates(rows: list[dict]) -> list[str]:
                 f"build_lists on {r['set']}: {r['lists']:.3f} s, "
                 f"gate {LISTS_GATE[1]} s"
             )
-        if r["lists"] > r["plan"]:
+        priced = r["tree"] + r["lists"]
+        if r["set"] == MODEL_GATE[0] and r["model"] > MODEL_GATE[1] * priced:
             out.append(
-                f"{r['set']}: lists {r['lists']:.3f} s slower than the "
-                f"plan compiled from them ({r['plan']:.3f} s)"
+                f"{r['set']}: the model takes {r['model']:.3f} s, over "
+                f"{MODEL_GATE[1]:g} x the tree and lists it prices "
+                f"({priced:.3f} s)"
             )
     return out
 

@@ -10,12 +10,10 @@ documented rationale (``--list-rules`` prints the catalog) and every
 violation can be locally waived with a trailing comment on the offending
 line::
 
-    x = fancy_matmul(a, b)  # lint: allow(flops-accounted)
+    x = a.astype(np.float32)  # lint: allow(dtype-width)
 
 Rule catalog (details in ``docs/architecture.md``):
 
-- ``flops-accounted`` — evaluation-core functions that carry a
-  ``FlopCounter`` must account every matmul/einsum/solve they perform.
 - ``thread-confinement`` — ``threading``/``queue``/``multiprocessing``
   (``shared_memory`` included)/``mmap`` imports and ``os.fork`` are
   confined to the two transports, ``repro/parallel/simmpi.py`` (rank
@@ -117,15 +115,6 @@ def functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionD
             yield node
 
 
-def _arg_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    a = func.args
-    return {
-        arg.arg
-        for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
-        if arg is not None
-    }
-
-
 class Rule:
     """Base class: subclasses set ``name``/``rationale`` and ``check``."""
 
@@ -137,63 +126,6 @@ class Rule:
 
     def _v(self, mod: Module, line: int, message: str) -> Violation:
         return Violation(rule=self.name, path=mod.path, line=line, message=message)
-
-
-class FlopsAccountedRule(Rule):
-    name = "flops-accounted"
-    rationale = (
-        "The paper's tables report per-phase Gflop/s; the repo's "
-        "performance model and benchmarks trust FlopCounter to be "
-        "complete.  Any core/ function that carries a FlopCounter (a "
-        "`flops` parameter or local) and performs a matmul, einsum or "
-        "solve without a flops.add*() call silently under-reports work.  "
-        "Leaf helpers without a counter in scope are accounted by their "
-        "callers and are exempt."
-    )
-
-    _NUMERIC_ATTRS = {"einsum", "solve", "lstsq", "tensordot"}
-
-    def check(self, mod: Module) -> Iterator[Violation]:
-        if not mod.in_package("core"):
-            return
-        for func in functions(mod.tree):
-            nodes = list(own_nodes(func))
-            has_counter = "flops" in _arg_names(func) or any(
-                isinstance(n, ast.Name) and n.id == "flops" for n in nodes
-            )
-            if not has_counter:
-                continue
-            accounted = any(
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr.startswith("add")
-                and (
-                    (isinstance(n.func.value, ast.Name)
-                     and n.func.value.id == "flops")
-                    or (isinstance(n.func.value, ast.Attribute)
-                        and n.func.value.attr == "flops")
-                )
-                for n in nodes
-            )
-            if accounted:
-                continue
-            for n in nodes:
-                numeric = (
-                    (isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult))
-                    or (isinstance(n, ast.AugAssign)
-                        and isinstance(n.op, ast.MatMult))
-                    or (isinstance(n, ast.Call)
-                        and isinstance(n.func, ast.Attribute)
-                        and n.func.attr in self._NUMERIC_ATTRS)
-                )
-                if numeric:
-                    yield self._v(
-                        mod, n.lineno,
-                        f"function {func.name!r} holds a FlopCounter but "
-                        f"performs unaccounted numerical work (matmul/"
-                        f"einsum/solve without flops.add*)",
-                    )
-                    break
 
 
 class ThreadConfinementRule(Rule):
@@ -559,7 +491,6 @@ class TagRegistryRule(Rule):
 
 
 RULES: tuple[Rule, ...] = (
-    FlopsAccountedRule(),
     ThreadConfinementRule(),
     DtypeWidthRule(),
     BufferPoolEscapeRule(),

@@ -71,7 +71,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     pts = _WORKLOADS[args.workload](args.n, rng)
     density = rng.random((pts.shape[0], kernel.source_dof))
     opts = FMMOptions(p=args.p, max_points=args.s, m2l=args.m2l,
-                      dtype=args.dtype, plan=args.plan)
+                      dtype=args.dtype)
     fmm = KIFMM(kernel, opts)
     t0 = time.perf_counter()
     fmm.setup(pts)
@@ -81,7 +81,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     t_eval = time.perf_counter() - t0
     stats = fmm.tree.statistics()
     print(f"kernel={kernel.name} N={pts.shape[0]} p={args.p} s={args.s} "
-          f"m2l={args.m2l} dtype={args.dtype} plan={args.plan}")
+          f"m2l={args.m2l} dtype={args.dtype}")
     print(f"m2l schedule: {fmm.m2l_schedule.describe()}")
     print(f"tree: {stats['nboxes']} boxes, {stats['nleaves']} leaves, "
           f"depth {stats['depth']}")
@@ -1008,10 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(pe)
     pe.add_argument("--n", type=int, default=10_000)
     m2l_flags(pe)
-    pe.add_argument("--plan", default="batched",
-                    choices=("batched", "naive"),
-                    help="evaluator: precomputed level-batched plan or "
-                         "the per-box reference path")
     pe.add_argument("--check", action="store_true",
                     help="verify against direct summation")
     pe.add_argument("--gradient", action="store_true",

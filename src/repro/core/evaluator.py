@@ -1,4 +1,4 @@
-"""The sequential adaptive KIFMM evaluator.
+"""The stages of a KIFMM apply, and the step list they compile to.
 
 Implements the classical FMM control flow (Section 2: "Our algorithm has
 exactly the same structure as the original FMM") with the paper's density
@@ -25,16 +25,14 @@ Phase naming matches the legend of the paper's Figure 4.2: ``up``,
 ``down_u``, ``down_v``, ``down_w``, ``down_x`` and ``eval`` (L2L + L2T +
 inversions).
 
-Two implementations live here.  :func:`evaluate` walks the tree box by
-box — the reference every parity test compares against
-(``FMMOptions(plan="naive")``).  :class:`PlanStages` holds the
-level-batched stages over a precomputed
+:class:`PlanStages` holds the level-batched stages over a precomputed
 :class:`~repro.core.plan.ExecutionPlan`, each written once, and
 compiles them into the step list (:mod:`repro.core.steps`) that the one
 driver, :meth:`repro.parallel.pfmm.RankFMM.apply`, runs — for every
 rank of the parallel algorithm and, at one rank with nothing to
 exchange, for :class:`~repro.core.fmm.KIFMM` — and ``repro plancheck``
-certifies.
+certifies.  There is no second evaluator: the box-by-box walk the
+parity tests compare against is theirs (``tests/core/perbox.py``).
 """
 
 from __future__ import annotations
@@ -61,10 +59,6 @@ from repro.core.precompute import OperatorCache
 from repro.core.steps import BufferSpec, Step, StepList
 from repro.core.surfaces import surface_grid
 from repro.kernels.base import Kernel
-from repro.octree.lists import InteractionLists
-from repro.octree.tree import Octree
-from repro.util.flops import FlopCounter
-from repro.util.timing import PhaseTimer
 
 
 def _matvec_flops(matrix_shape: tuple[int, int]) -> float:
@@ -118,8 +112,16 @@ def resolve_kernels(
 ) -> tuple[Kernel, Kernel, Kernel]:
     """Resolve and validate the (source, target, direct) kernel triple.
 
-    Shared by the per-box and the planned evaluators; see
-    :func:`evaluate` for the meaning of each kernel.
+    ``source_kernel`` maps the user's densities to check potentials
+    (S2M and X-list evaluations; enables dipole/double-layer sources)
+    and must produce the translation kernel's potential type.
+    ``target_kernel`` maps the translation kernel's single-layer
+    densities to the user's target quantity (L2T and W-list
+    evaluations; enables gradient/force output) and must consume its
+    densities.  ``direct_kernel`` evaluates the near-field U list (user
+    density -> user target); it is inferred when at most one of the
+    other two is custom and required when both are.  Each defaults to
+    the translation kernel.
     """
     src_k = source_kernel if source_kernel is not None else kernel
     trg_k = target_kernel if target_kernel is not None else kernel
@@ -154,337 +156,6 @@ def resolve_kernels(
             f"{dir_k.source_dof} -> {dir_k.target_dof}"
         )
     return src_k, trg_k, dir_k
-
-
-def evaluate(
-    tree: Octree,
-    lists: InteractionLists,
-    kernel: Kernel,
-    cache: OperatorCache,
-    density: np.ndarray,
-    sched: M2LSchedule,
-    fft_m2l: FFTM2L | None = None,
-    flops: FlopCounter | None = None,
-    timer: PhaseTimer | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-) -> np.ndarray:
-    """Evaluate ``u_i = sum_j G(x_i, y_j) phi_j`` with the KIFMM.
-
-    Parameters
-    ----------
-    tree, lists:
-        The computation tree and its interaction lists.
-    kernel, cache:
-        The *translation* kernel (builds and moves equivalent densities)
-        and its operator cache (must share ``tree.root_side``).
-    density:
-        ``(ns, source_kernel.source_dof)`` or flat source densities in
-        *original* (unsorted) point order; stacked blocks
-        (``(ns, dof, nrhs)`` or ``(ns * dof, nrhs)``) are evaluated
-        column by column on this reference path.
-    sched:
-        The resolved per-level M2L backend schedule
-        (:class:`~repro.core.m2lschedule.M2LSchedule`).
-    fft_m2l:
-        Optional pre-built :class:`FFTM2L` (reused across evaluations).
-    flops, timer:
-        Optional instrumentation sinks.
-    source_kernel:
-        Kernel mapping the user's densities to check potentials (S2M and
-        X-list evaluations); enables dipole/double-layer sources.  Must
-        produce the translation kernel's potential type
-        (``target_dof`` equal to ``kernel.target_dof``).  Defaults to
-        the translation kernel.
-    target_kernel:
-        Kernel mapping single-layer densities of the translation kernel
-        to the user's target quantity (L2T and W-list evaluations);
-        enables gradient/force output.  Must consume the translation
-        kernel's densities (``source_dof`` equal to
-        ``kernel.source_dof``).  Defaults to the translation kernel.
-    direct_kernel:
-        Kernel for the near-field U-list (user density -> user target).
-        Inferred when at most one of source/target kernel is custom;
-        required when both are.
-
-    Returns
-    -------
-    ``(nt, target_kernel.target_dof)`` values in original target order
-    (trailing ``nrhs`` axis appended for stacked blocks).
-    """
-    src_k, trg_k, dir_k = resolve_kernels(
-        kernel, source_kernel, target_kernel, direct_kernel
-    )
-    flops = flops if flops is not None else FlopCounter()
-    timer = timer if timer is not None else PhaseTimer()
-    md, qd = kernel.source_dof, kernel.target_dof
-    out_dof = trg_k.target_dof
-    ns, nt = tree.sources.shape[0], tree.targets.shape[0]
-    phi3, nrhs, single = coerce_density(density, ns, src_k.source_dof)
-    if not single:
-        # The per-box reference path stays single-RHS: a stacked block
-        # loops column by column (the planned path is the batched one).
-        cols = [
-            evaluate(
-                tree, lists, kernel, cache,
-                np.ascontiguousarray(phi3[:, :, r]),
-                sched, fft_m2l=fft_m2l, flops=flops,
-                timer=timer, source_kernel=source_kernel,
-                target_kernel=target_kernel, direct_kernel=direct_kernel,
-            )
-            for r in range(nrhs)
-        ]
-        return np.stack(cols, axis=-1)
-    phi = phi3[:, :, 0]
-    n_surf = cache.n_surf
-    nb = tree.nboxes
-    boxes = tree.boxes
-
-    ue = np.zeros((nb, n_surf * md))
-    has_ue = np.zeros(nb, dtype=bool)
-
-    # ---------------- upward pass ----------------
-    with timer.phase("up"):
-        for level in range(tree.depth, -1, -1):
-            for bi in tree.levels[level]:
-                b = boxes[bi]
-                if b.nsrc == 0:
-                    continue
-                center = tree.center(bi)
-                if b.is_leaf:
-                    K = src_k.matrix(
-                        cache.up_check_points(center, level), tree.src_points(bi)
-                    )
-                    check = K @ phi[tree.src_indices(bi)].reshape(-1)
-                    flops.add_pairs("up", n_surf * b.nsrc, src_k.flops_per_pair)
-                else:
-                    check = np.zeros(n_surf * qd)
-                    for ci in b.children:
-                        if not has_ue[ci]:
-                            continue
-                        child = boxes[ci]
-                        octant = (
-                            (child.anchor[0] & 1)
-                            | ((child.anchor[1] & 1) << 1)
-                            | ((child.anchor[2] & 1) << 2)
-                        )
-                        M = cache.m2m_check(child.level, octant)
-                        check += M @ ue[ci]
-                        flops.add("up", _matvec_flops(M.shape))
-                U = cache.uc2ue(level)
-                ue[bi] = U @ check
-                has_ue[bi] = True
-                flops.add("up", _matvec_flops(U.shape))
-
-    # ---------------- downward pass ----------------
-    dc = np.zeros((nb, n_surf * qd))
-    has_dc = np.zeros(nb, dtype=bool)
-    de = np.zeros((nb, n_surf * md))
-    has_de = np.zeros(nb, dtype=bool)
-    potential = np.zeros((nt, out_dof))
-
-    fft = None
-    if sched.needs_fft:
-        fft = fft_m2l if fft_m2l is not None else FFTM2L(cache)
-        _fft_v_list(
-            tree, lists, fft, sched, ue, has_ue, dc, has_dc, flops, timer
-        )
-
-    for level in range(1, tree.depth + 1):
-        for bi in tree.levels[level]:
-            b = boxes[bi]
-            if b.ntrg == 0:
-                continue
-            center = tree.center(bi)
-
-            # L2L from the parent's downward equivalent density.
-            if has_de[b.parent]:
-                octant = (
-                    (b.anchor[0] & 1)
-                    | ((b.anchor[1] & 1) << 1)
-                    | ((b.anchor[2] & 1) << 2)
-                )
-                with timer.phase("eval"):
-                    L = cache.l2l_check(level, octant)
-                    dc[bi] += L @ de[b.parent]
-                    has_dc[bi] = True
-                    flops.add("eval", _matvec_flops(L.shape))
-
-            # V list (dense/rsvd backends; fft levels accumulated above).
-            backend = sched.backend(level)
-            if backend != "fft" and len(lists.V[bi]):
-                with timer.phase("down_v"):
-                    for ai in lists.V[bi]:
-                        if not has_ue[ai]:
-                            continue
-                        a = boxes[ai]
-                        offset = tuple(
-                            b.anchor[d] - a.anchor[d] for d in range(3)
-                        )
-                        if backend == "dense":
-                            T = cache.m2l_check(level, offset)
-                            dc[bi] += T @ ue[ai]
-                            flops.add("down_v", _matvec_flops(T.shape))
-                        else:
-                            uf, vf = cache.m2l_rsvd(
-                                level, offset, sched.dtype
-                            )
-                            src = ue[ai]
-                            if sched.dtype == "float32":
-                                src = src.astype(np.float32)  # lint: allow(dtype-width)
-                            # Factor precision may be float32; the +=
-                            # upcasts, keeping the accumulator float64.
-                            dc[bi] += uf @ (vf @ src)
-                            flops.add(
-                                "down_v",
-                                _rsvd_pair_flops(
-                                    vf.shape[0], n_surf, md, qd
-                                ),
-                            )
-                        has_dc[bi] = True
-
-            # X list: direct sources -> downward check surface.
-            if len(lists.X[bi]):
-                with timer.phase("down_x"):
-                    check_pts = cache.down_check_points(center, level)
-                    for ai in lists.X[bi]:
-                        a = boxes[ai]
-                        if a.nsrc == 0:
-                            continue
-                        K = src_k.matrix(check_pts, tree.src_points(ai))
-                        dc[bi] += K @ phi[tree.src_indices(ai)].reshape(-1)
-                        has_dc[bi] = True
-                        flops.add_pairs(
-                            "down_x", n_surf * a.nsrc, src_k.flops_per_pair
-                        )
-
-            # One inversion per box.
-            if has_dc[bi]:
-                with timer.phase("eval"):
-                    D = cache.dc2de(level)
-                    de[bi] = D @ dc[bi]
-                    has_de[bi] = True
-                    flops.add("eval", _matvec_flops(D.shape))
-
-            if not b.is_leaf:
-                continue
-
-            trg_pts = tree.trg_points(bi)
-            trg_idx = tree.trg_indices(bi)
-            local = np.zeros(b.ntrg * out_dof)
-
-            # L2T: downward equivalent density -> targets.
-            if has_de[bi]:
-                with timer.phase("eval"):
-                    K = trg_k.matrix(trg_pts, cache.down_equiv_points(center, level))
-                    local += K @ de[bi]
-                    flops.add_pairs("eval", b.ntrg * n_surf, trg_k.flops_per_pair)
-
-            # U list: dense near interactions.
-            if len(lists.U[bi]):
-                with timer.phase("down_u"):
-                    for ai in lists.U[bi]:
-                        a = boxes[ai]
-                        if a.nsrc == 0:
-                            continue
-                        K = dir_k.matrix(trg_pts, tree.src_points(ai))
-                        local += K @ phi[tree.src_indices(ai)].reshape(-1)
-                        flops.add_pairs(
-                            "down_u", b.ntrg * a.nsrc, dir_k.flops_per_pair
-                        )
-
-            # W list: far (smaller) boxes' upward equivalent densities.
-            if len(lists.W[bi]):
-                with timer.phase("down_w"):
-                    for ai in lists.W[bi]:
-                        if not has_ue[ai]:
-                            continue
-                        a = boxes[ai]
-                        K = trg_k.matrix(
-                            trg_pts, cache.up_equiv_points(tree.center(ai), a.level)
-                        )
-                        local += K @ ue[ai]
-                        flops.add_pairs(
-                            "down_w", b.ntrg * n_surf, trg_k.flops_per_pair
-                        )
-
-            potential[trg_idx] += local.reshape(b.ntrg, out_dof)
-
-    # Degenerate single-box tree: root is a leaf, handled by its U list —
-    # but the downward loop starts at level 1, so cover it here.
-    root = boxes[0]
-    if root.is_leaf and root.ntrg > 0 and root.nsrc > 0:
-        with timer.phase("down_u"):
-            K = dir_k.matrix(tree.trg_points(0), tree.src_points(0))
-            potential[tree.trg_indices(0)] += (
-                K @ phi[tree.src_indices(0)].reshape(-1)
-            ).reshape(root.ntrg, out_dof)
-            flops.add_pairs("down_u", root.ntrg * root.nsrc, dir_k.flops_per_pair)
-
-    return potential
-
-
-def _fft_v_list(
-    tree: Octree,
-    lists: InteractionLists,
-    fft: FFTM2L,
-    sched: M2LSchedule,
-    ue: np.ndarray,
-    has_ue: np.ndarray,
-    dc: np.ndarray,
-    has_dc: np.ndarray,
-    flops: FlopCounter,
-    timer: PhaseTimer,
-) -> None:
-    """Apply the fft-scheduled V-list levels in Fourier space."""
-    boxes = tree.boxes
-    with timer.phase("down_v"):
-        for level in range(2, tree.depth + 1):
-            if sched.backend(level) != "fft":
-                continue
-            level_boxes = tree.levels[level]
-            # Which source boxes at this level feed some V list?
-            needed: set[int] = set()
-            for bi in level_boxes:
-                if boxes[bi].ntrg == 0:
-                    continue
-                for ai in lists.V[bi]:
-                    if has_ue[ai]:
-                        needed.add(ai)
-            if not needed:
-                continue
-            md = fft.kernel.source_dof
-            phi_hat = {ai: fft.density_hat(ue[ai]) for ai in needed}
-            flops.add("down_v", len(needed) * fft.flops_per_fft(md))
-            npairs = 0
-            nacc = 0
-            for bi in level_boxes:
-                b = boxes[bi]
-                if b.ntrg == 0 or not len(lists.V[bi]):
-                    continue
-                acc = None
-                for ai in lists.V[bi]:
-                    if not has_ue[ai]:
-                        continue
-                    a = boxes[ai]
-                    offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
-                    tensor = fft.kernel_tensor_hat(level, offset)
-                    if acc is None:
-                        nfreq = fft.nfreq
-                        acc = np.zeros((tensor.shape[0], nfreq),
-                                       dtype=np.complex128)
-                    fft.accumulate(acc, tensor, phi_hat[ai])
-                    npairs += 1
-                if acc is not None:
-                    dc[bi] += fft.check_potential(acc)
-                    has_dc[bi] = True
-                    nacc += 1
-            # One add per (level, term) so the planned evaluator — which
-            # performs the same three batched operations — accumulates a
-            # bit-identical per-phase total.
-            flops.add("down_v", npairs * fft.flops_per_pair())
-            flops.add("down_v", nacc * fft.flops_per_fft(fft.kernel.target_dof))
 
 
 def _near_pairs(blocks: NearBlocks) -> int:

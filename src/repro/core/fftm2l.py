@@ -78,19 +78,24 @@ class FFTM2L(LazyTables):
         """Stored frequencies of one real ``(2p)^3`` transform."""
         return self.m * self.m * (self.m // 2 + 1)
 
-    def _dft_operators(self) -> tuple[np.ndarray, ...]:
-        """Dense surface-node DFT operators (built once, ~a few MB).
+    def _dft_operators_t(self) -> tuple[np.ndarray, ...]:
+        """Dense surface-node DFT operators, frequency-major (built
+        once, ~a few MB).
 
         Returns ``(F_re, F_im, G_re, G_im)``:
 
-        - ``F_* (n_surf, nfreq)``: forward map, ``hat = vals @ (F_re +
-          i F_im)`` equals ``rfftn`` of the surface-scattered grid
-          (only surface nodes are non-zero, so the DFT sum collapses to
-          these columns of the full transform).
-        - ``G_* (nfreq, n_surf)``: inverse map with the Hermitian
-          weights of the real transform folded in, ``vals = Re(acc) @
-          G_re - Im(acc) @ G_im`` equals ``irfftn`` sampled at the
+        - ``F_* (nfreq, n_surf)``: forward map, ``hat = (F_re + i F_im)
+          @ vals`` equals ``rfftn`` of the surface-scattered grid (only
+          surface nodes are non-zero, so the DFT sum collapses to these
+          columns of the full transform).
+        - ``G_* (n_surf, nfreq)``: inverse map with the Hermitian
+          weights of the real transform folded in, ``vals = G_re @
+          Re(acc) - G_im @ Im(acc)`` equals ``irfftn`` sampled at the
           surface nodes.
+
+        The blocked Hadamard stage keeps its spectra frequency-leading
+        (``(nfreq, ...)``), so the forward/inverse GEMMs put the DFT
+        operator on the *left*.
         """
 
         def build():
@@ -106,26 +111,11 @@ class FFTM2L(LazyTables):
             # those frequencies count twice in the inverse sum.
             w = np.where((freqs[:, 2] == 0) | (freqs[:, 2] == m // 2), 1.0, 2.0)
             G = (np.conj(F) * w[None, :]).T / float(m**3)  # (nfreq, n_surf)
-            return (
-                np.ascontiguousarray(F.real),
-                np.ascontiguousarray(F.imag),
-                np.ascontiguousarray(G.real),
-                np.ascontiguousarray(G.imag),
+            return tuple(
+                np.ascontiguousarray(a.T) for a in (F.real, F.imag, G.real, G.imag)
             )
 
-        return self._entry("dft", "point-major", build)
-
-    def _dft_operators_t(self) -> tuple[np.ndarray, ...]:
-        """Contiguous transposes of the DFT operators.
-
-        The blocked Hadamard stage keeps its spectra frequency-leading
-        (``(nfreq, ...)``); the matching forward/inverse GEMMs then put
-        the DFT operator on the *left*, which wants the transposed
-        factors contiguous.
-        """
-        return self._entry("dft", "frequency-major", lambda: tuple(
-            np.ascontiguousarray(a.T) for a in self._dft_operators()
-        ))
+        return self._entry("dft", "frequency-major", build)
 
     # -- kernel tensors ------------------------------------------------------
 
@@ -241,75 +231,7 @@ class FFTM2L(LazyTables):
             return C
         return C * (2.0 ** (key_level - level)) ** h
 
-    # -- surface transforms ---------------------------------------------------
-
-    def forward_rows(self, ue_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Forward transforms of many boxes' upward equivalent densities.
-
-        ``ue_rows`` is ``(n, n_surf * source_dof)`` flat point-major
-        densities; ``out`` is a contiguous complex array
-        ``(n, source_dof, nfreq)`` that receives the transforms (the
-        GEMM-DFT of each box's surface-scattered grid).  Returns ``out``.
-        """
-        md = self.kernel.source_dof
-        n = ue_rows.shape[0]
-        F_re, F_im, _, _ = self._dft_operators()
-        vals = ue_rows.reshape(n, -1, md)
-        A = np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, F_re.shape[0])
-        flat = out.reshape(n * md, -1)
-        np.matmul(A, F_re, out=flat.real)
-        np.matmul(A, F_im, out=flat.imag)
-        return out
-
-    def density_hat(self, ue: np.ndarray) -> np.ndarray:
-        """Forward transform of one box's upward equivalent density.
-
-        ``ue`` is the flat point-major density ``(n_surf * source_dof,)``;
-        returns ``(source_dof, nfreq)`` complex.
-        """
-        md = self.kernel.source_dof
-        nfreq = self.nfreq
-        out = np.empty((1, md, nfreq), dtype=np.complex128)
-        return self.forward_rows(ue[None, :], out)[0]
-
-    def accumulate(
-        self,
-        acc: np.ndarray,
-        tensor_hat: np.ndarray,
-        phi_hat: np.ndarray,
-    ) -> None:
-        """``acc += tensor_hat applied to phi_hat`` in Fourier space.
-
-        ``acc`` has shape ``(target_dof, nfreq)``; ``tensor_hat`` is the
-        grid-shaped ``(target_dof, source_dof, m, m, m//2+1)`` kernel
-        transform.
-        """
-        qd, md = tensor_hat.shape[0], tensor_hat.shape[1]
-        th = tensor_hat.reshape(qd, md, -1)
-        acc += np.einsum("qmf,mf->qf", th, phi_hat)
-
-    def check_potential(self, acc: np.ndarray) -> np.ndarray:
-        """Inverse transform and surface-node gather for one box.
-
-        ``acc`` is ``(target_dof, nfreq)``; returns the flat point-major
-        downward check potential ``(n_surf * target_dof,)``.
-        """
-        return self.inverse_rows(acc[None])[0]
-
-    # -- batched variants (the planned evaluator's per-level operations) -----
-
-    def inverse_rows(self, acc: np.ndarray) -> np.ndarray:
-        """Inverse transforms and surface gathers for a stack of boxes.
-
-        ``acc`` is ``(n, target_dof, nfreq)`` complex; returns
-        ``(n, n_surf * target_dof)`` flat point-major check potentials.
-        """
-        n, qd = acc.shape[0], acc.shape[1]
-        _, _, G_re, G_im = self._dft_operators()
-        flat = acc.reshape(n * qd, -1)
-        pm = np.matmul(np.ascontiguousarray(flat.real), G_re)
-        pm -= np.matmul(np.ascontiguousarray(flat.imag), G_im)
-        return pm.reshape(n, qd, -1).transpose(0, 2, 1).reshape(n, -1)
+    # -- surface transforms (the planned evaluator's per-level operations) ----
 
     def forward_rows_t(self, ue_rows: np.ndarray, out_t: np.ndarray) -> None:
         """Forward transforms into a frequency-leading stack.
@@ -318,9 +240,8 @@ class FFTM2L(LazyTables):
         densities; ``out_t`` is a ``(nfreq, n, source_dof)`` complex view
         (its last two axes must be memory-contiguous — e.g. one RHS slab
         of the blocked Hadamard's ``(nfreq, nrhs, n, source_dof)``
-        stack).  Mathematically identical to :meth:`forward_rows` up to
-        GEMM rounding; its output feeds :meth:`hadamard_blocked` without
-        any transpose pass.
+        stack): the GEMM-DFT of each box's surface-scattered grid.  Its
+        output feeds :meth:`hadamard_blocked` without any transpose pass.
         """
         md = self.kernel.source_dof
         n = ue_rows.shape[0]
@@ -340,7 +261,7 @@ class FFTM2L(LazyTables):
         ``acc_t`` is ``(nfreq, n, target_dof)`` complex (any leading-axis
         stride, e.g. one RHS slab of the blocked Hadamard accumulator);
         returns ``(n, n_surf * target_dof)`` flat point-major check
-        potentials, matching :meth:`inverse_rows` up to GEMM rounding.
+        potentials.
         """
         nfreq, n, qd = acc_t.shape
         _, _, G_re_t, G_im_t = self._dft_operators_t()

@@ -18,19 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.evaluator import evaluate, resolve_kernels
-from repro.core.fftm2l import FFTM2L
-from repro.core.m2lschedule import (
-    M2L_DTYPES,
-    M2L_MODES,
-    M2LSchedule,
-    resolve_m2l_schedule,
-    v_stats_from_lists,
-)
+from repro.core.evaluator import resolve_kernels
+from repro.core.m2lschedule import M2L_DTYPES, M2L_MODES, M2LSchedule
 from repro.core.precompute import OperatorCache
 from repro.core.surfaces import INNER_RADIUS, OUTER_RADIUS
 from repro.kernels.base import Kernel
-from repro.octree.lists import InteractionLists, build_lists
+from repro.octree.lists import InteractionLists
 from repro.octree.tree import Octree, build_tree, check_tree_parameters
 from repro.util.flops import FlopCounter
 from repro.util.timing import PhaseTimer
@@ -53,8 +46,13 @@ class FMMOptions:
         V-list translation backend: ``"fft"`` (the paper's accelerated
         scheme), ``"dense"``, ``"rsvd"`` (randomized-SVD-compressed
         operators applied as stacked BLAS-3 GEMMs), or ``"auto"``
-        (default) which picks per tree level from the level's V-list
-        statistics — see :mod:`repro.core.m2lschedule`.
+        (default), which prices the three per tree level from the
+        level's V-list statistics and the operator cache's measured
+        ranks (:mod:`repro.core.m2lschedule`).  With the rates that
+        module holds, ``auto`` schedules ``rsvd`` at ``p = 6`` and
+        ``dense`` at ``p = 4`` and never the FFT — on all six benchmark
+        workloads ``levels_fft`` is 0 — so the paper's FFT M2L runs only
+        when asked for by name.
     dtype:
         Arithmetic precision of the rsvd M2L factors: ``"float64"``
         (default) or ``"float32"`` (mixed precision — single-precision
@@ -72,12 +70,6 @@ class FMMOptions:
         adaptive lists handle unbalanced trees — see
         :mod:`repro.octree.balance`).  One rank only: balancing needs
         the complete tree.
-    plan:
-        ``"batched"`` (default) precomputes a level-major execution plan
-        in :meth:`KIFMM.setup` and evaluates it with the one planned
-        driver, :meth:`repro.parallel.pfmm.RankFMM.apply`, at one rank;
-        ``"naive"`` keeps the sequential per-box reference path (the
-        parity oracle of the test suite; no rank runs it).
     comm:
         Parallel communication scheme for the owner gather/scatter of
         :mod:`repro.parallel.exchange`: ``"tree"`` (default, hierarchical
@@ -102,7 +94,6 @@ class FMMOptions:
     rcond: float = 1e-12
     max_depth: int = 21
     balance: bool = False
-    plan: str = "batched"
     comm: str = "tree"
     sanitize: bool = False
 
@@ -123,10 +114,6 @@ class FMMOptions:
                 f"surface radii must satisfy 1 < inner < outer < 3, "
                 f"got inner={self.inner}, outer={self.outer}"
             )
-        if self.plan not in ("batched", "naive"):
-            raise ValueError(
-                f"plan must be 'batched' or 'naive', got {self.plan!r}"
-            )
         # Imported here: repro.parallel imports this module.
         from repro.parallel.exchange import check_scheme
 
@@ -136,12 +123,12 @@ class FMMOptions:
 class KIFMM:
     """Kernel-independent fast multipole evaluator.
 
-    With the default batched plan this is the one-rank instance of the
-    parallel operator: :meth:`setup` builds the tree, wraps it as a
-    one-rank :class:`~repro.parallel.ptree.ParallelTree` and runs the
-    setup every rank runs (:func:`repro.parallel.pfmm.setup_on_tree`);
-    :meth:`apply` is that rank's apply, whose exchange programs are
-    empty.
+    The one-rank instance of the parallel operator: :meth:`setup`
+    builds the tree, wraps it as a one-rank
+    :class:`~repro.parallel.ptree.ParallelTree` and runs the setup every
+    rank runs (:func:`repro.parallel.pfmm.setup_on_tree` — lists, M2L
+    schedule, level-major execution plan, operators); :meth:`apply` is
+    that rank's apply, whose exchange programs are empty.
 
     Parameters
     ----------
@@ -149,8 +136,10 @@ class KIFMM:
         Any :class:`~repro.kernels.base.Kernel`; the algorithm uses only
         kernel evaluations (the paper's central claim).
     options:
-        :class:`FMMOptions`; defaults follow the paper (s=60, 1e-5-ish
-        accuracy, FFT M2L).
+        :class:`FMMOptions`; the defaults are the paper's ``s = 60`` and
+        ``p = 6`` (1e-5-ish accuracy for Laplace) with ``m2l="auto"``,
+        which at that order resolves to the compressed ``rsvd``
+        translations, not the paper's FFT M2L (see ``FMMOptions.m2l``).
     """
 
     def __init__(
@@ -171,10 +160,8 @@ class KIFMM:
         self.cache: OperatorCache | None = None
         self.flops = FlopCounter()
         self.timer = PhaseTimer()
-        self._fft: FFTM2L | None = None
-        self._m2l: M2LSchedule | None = None
-        #: The one-rank :class:`~repro.parallel.pfmm.RankFMM` behind a
-        #: batched plan (``None`` before setup and for ``plan="naive"``).
+        #: The one-rank :class:`~repro.parallel.pfmm.RankFMM` (``None``
+        #: before setup).
         self.state = None
         self._comm = None
 
@@ -228,27 +215,13 @@ class KIFMM:
                 outer=opts.outer,
                 rcond=opts.rcond,
             )
-        if opts.plan == "batched":
-            self._comm = single_rank_comm()
-            self.state = state = setup_on_tree(
-                self._comm, self.kernel, ptree, opts, cache=self.cache,
-                timer=self.timer,
-            )
-            state.flops = self.flops
-            self.lists = state.lists
-            self._m2l, self._fft = state.m2l_schedule, state.fft
-            return self
-        # The per-box reference resolves its backends from the same
-        # gated V statistics the plan holds.
-        self.state = None
-        with self.timer.phase("lists"):
-            self.lists = build_lists(self.tree)
-        self._m2l = resolve_m2l_schedule(
-            opts.m2l, opts.dtype,
-            stats=v_stats_from_lists(self.tree, self.lists),
-            cache=self.cache, kernel=self.kernel,
+        self._comm = single_rank_comm()
+        self.state = state = setup_on_tree(
+            self._comm, self.kernel, ptree, opts, cache=self.cache,
+            timer=self.timer,
         )
-        self._fft = FFTM2L(self.cache) if self._m2l.needs_fft else None
+        state.flops = self.flops
+        self.lists = state.lists
         return self
 
     def _evaluate(
@@ -258,21 +231,14 @@ class KIFMM:
         target_kernel: Kernel | None,
         direct_kernel: Kernel | None,
     ) -> np.ndarray:
-        """One evaluation: the rank apply, or the per-box reference."""
-        if self.tree is None or self.lists is None or self.cache is None:
+        """One evaluation: the one rank's apply."""
+        if self.state is None:
             raise RuntimeError("call setup() before applying")
-        if self.state is not None:
-            return self.state.apply(
-                self._comm, density, timer=self.timer,
-                kernels=resolve_kernels(
-                    self.kernel, source_kernel, target_kernel, direct_kernel
-                ),
-            )
-        return evaluate(
-            self.tree, self.lists, self.kernel, self.cache, density,
-            sched=self._m2l, fft_m2l=self._fft, flops=self.flops,
-            timer=self.timer, source_kernel=source_kernel,
-            target_kernel=target_kernel, direct_kernel=direct_kernel,
+        return self.state.apply(
+            self._comm, density, timer=self.timer,
+            kernels=resolve_kernels(
+                self.kernel, source_kernel, target_kernel, direct_kernel
+            ),
         )
 
     def apply(self, density: np.ndarray) -> np.ndarray:
@@ -284,8 +250,7 @@ class KIFMM:
             ``(ns, source_dof)`` or flat densities in input point order.
             Stacked blocks — ``(ns, source_dof, nrhs)`` or a flat block
             ``(ns * source_dof, nrhs)`` — evaluate all right-hand sides
-            in one batched pass over the execution plan (the per-box
-            path loops columns).
+            in one batched pass over the execution plan.
 
         Returns
         -------
@@ -330,20 +295,18 @@ class KIFMM:
     @property
     def m2l_schedule(self) -> M2LSchedule:
         """The resolved per-level M2L backend schedule (after setup)."""
-        if self._m2l is None:
+        if self.state is None:
             raise RuntimeError("call setup() first")
-        return self._m2l
+        return self.state.m2l_schedule
 
     def statistics(self) -> dict[str, object]:
         """Tree/list/instrumentation summary for reports and benchmarks."""
-        if self.tree is None or self.lists is None:
+        if self.state is None:
             raise RuntimeError("call setup() first")
         stats: dict[str, object] = dict(self.tree.statistics())
         stats.update({f"{k}_list": v for k, v in self.lists.counts().items()})
-        if self.state is not None:
-            stats.update(self.state.statistics())
-        if self._m2l is not None:
-            stats["m2l_schedule"] = self._m2l.describe()
+        stats.update(self.state.statistics())
+        stats["m2l_schedule"] = self.m2l_schedule.describe()
         stats["flops"] = self.flops.by_phase()
         stats["seconds"] = self.timer.by_phase()
         return stats

@@ -18,11 +18,11 @@ The V-list translation (M2L) has three interchangeable backends:
 An :class:`M2LSchedule` fixes one backend *per tree level* plus the
 factor precision and the layout of the rsvd levels.  The uniform modes map every level
 to the same backend; ``auto`` picks per level from the level's V-list
-statistics with the cost model below.  Both evaluators (planned and
-per-box) resolve their schedule from the *same* gated statistics
-(:func:`v_stats_from_plan` / :func:`v_stats_from_lists` — parity is
-pinned by test), so the two paths always agree on the backends and
-their potentials match to backend roundoff.
+statistics with the cost model below.  The statistics can be read off a
+compiled plan or off the raw lists (:func:`v_stats_from_plan` /
+:func:`v_stats_from_lists` — parity is pinned by test), so the planned
+apply and the tests' per-box oracle resolve the same backends and their
+potentials match to backend roundoff.
 """
 
 from __future__ import annotations
@@ -143,11 +143,11 @@ def v_stats_from_plan(plan) -> dict[int, tuple[int, int, int, int, int]]:
 def v_stats_from_lists(
     tree, lists, nsrc=None, ntrg=None
 ) -> dict[int, tuple[int, int, int, int, int]]:
-    """The same statistics from raw interaction lists (the per-box view).
+    """The same statistics from raw interaction lists.
 
     Gating matches ``build_plan`` exactly — a pair counts iff the target
-    box has targets and the source box has sources — so the per-box and
-    planned evaluators resolve identical schedules.  ``nsrc`` / ``ntrg``
+    box has targets and the source box has sources — so a schedule
+    resolved before any plan exists is the plan's.  ``nsrc`` / ``ntrg``
     override the local per-box counts: the parallel LET passes global
     source counts, mirroring ``build_plan(partner_nsrc=...)``, and both
     global counts for statistics every rank of a tree agrees on.

@@ -39,8 +39,9 @@ every kernel of a constant-coefficient elliptic PDE is — the
 All gating in the plan is *density independent*: a box carries an upward
 density iff it holds sources, and carries downward data iff it (or an
 ancestor) receives a V- or X-list contribution from a source-bearing
-box.  The plan therefore encodes exactly the boxes the per-box evaluator
-would have touched, and the two paths produce identical flop statistics.
+box.  The plan therefore encodes exactly the boxes a box-by-box walk of
+the tree touches (the tests' oracle, ``tests/core/perbox.py``), and the
+two produce identical flop statistics.
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ MAX_BLOCK_ENTRIES = 2_000_000
 class BufferPool:
     """Grow-only scratch buffers, zeroed in place on reuse.
 
-    The per-box evaluator allocated a fresh accumulator per box per
-    ``apply()``; the planned evaluator instead draws its level-wide work
-    arrays from this pool, which lives on the plan and is reused across
-    the many ``apply()`` calls of a Krylov loop.
+    The planned evaluator draws its level-wide work arrays from this
+    pool, which lives on the plan and is reused across the many
+    ``apply()`` calls of a Krylov loop.
 
     Under the sanitizer (``REPRO_SANITIZE=1`` / ``FMMOptions.sanitize``;
     the evaluator toggles :attr:`sanitize` per apply) the pool enforces

@@ -6,7 +6,6 @@ adaptive FMM (Section 3.1, following refs [4] and [7] of the paper):
 U (near/dense), V (M2L), W and X (the adaptive lists).
 """
 
-from repro.octree.box import Box
 from repro.octree.lists import InteractionLists, build_lists
 from repro.octree.morton import (
     anchor_to_key,
@@ -19,7 +18,6 @@ from repro.octree.topology import TreeTopology
 from repro.octree.tree import Octree, build_tree
 
 __all__ = [
-    "Box",
     "Octree",
     "TreeTopology",
     "build_tree",

@@ -40,8 +40,6 @@ per-box set-based walk it replaced is kept as the test oracle
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from repro.octree.topology import (
@@ -72,9 +70,8 @@ class InteractionLists:
 
     ``idx[ptr[b] : ptr[b + 1]]`` are the partners of box ``b``, int64,
     ascending and duplicate-free.  The arrays are stored as handed in
-    (read-only from then on): :meth:`flat` returns them, and ``.U``,
-    ``.V``, ``.W``, ``.X`` are per-box views into them, split on first
-    use, for code that walks boxes one at a time.
+    (read-only from then on): :meth:`flat` returns them, :meth:`pairs`
+    expands them to one ``(box, partner)`` entry per interaction.
     """
 
     def __init__(self, csr: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
@@ -95,26 +92,6 @@ class InteractionLists:
         """One family as ``(box, partner)`` index arrays, in CSR order."""
         ptr, idx = self.flat(which)
         return np.repeat(np.arange(ptr.size - 1), np.diff(ptr)), idx
-
-    def _per_box(self, which: str) -> list[np.ndarray]:
-        ptr, idx = self._csr[which]
-        return np.split(idx, ptr[1:-1])
-
-    @cached_property
-    def U(self) -> list[np.ndarray]:
-        return self._per_box("U")
-
-    @cached_property
-    def V(self) -> list[np.ndarray]:
-        return self._per_box("V")
-
-    @cached_property
-    def W(self) -> list[np.ndarray]:
-        return self._per_box("W")
-
-    @cached_property
-    def X(self) -> list[np.ndarray]:
-        return self._per_box("X")
 
     def counts(self) -> dict[str, int]:
         """Total list entries, the raw material of the flop model."""

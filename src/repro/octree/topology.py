@@ -3,9 +3,10 @@
 A tree *is* its :class:`TreeTopology` — one struct of per-box arrays that
 the one level loop (:func:`repro.octree.tree.grow_tree`) appends row by
 row and that the interaction lists, the execution plan, the LET, the
-owner assignment and the communication IR read.  ``Octree.boxes``
-(:class:`~repro.octree.box.Box` records) is a view derived from it for
-code that walks boxes one at a time.
+owner assignment, the communication IR and the performance model read.
+There is no per-box record type under ``src/``; the test oracles, which
+walk boxes one at a time on purpose, derive theirs from these arrays
+(``tests/boxview.py``).
 
 Boxes are stored level by level, children in Morton order under parents
 in Morton order.  A box's *uid* is its Morton key at its own level plus

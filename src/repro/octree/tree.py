@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import pairwise
 
 import numpy as np
 
-from repro.octree.box import Box
 from repro.octree.morton import MAX_DEPTH, encode_points, key_to_anchor
 from repro.octree.topology import LEVEL_BASE, TreeTopology
 
@@ -50,9 +47,9 @@ class Octree:
     """The computation tree over a set of source and target points.
 
     The tree is :attr:`topology`: per-box arrays in the paper's *global
-    tree array* order (level by level; box 0 is the root).  ``boxes``,
-    ``levels`` and ``leaves()`` are read-only views derived from it on
-    first use, for code that walks boxes one at a time.
+    tree array* order (level by level; box 0 is the root).  A box's
+    sources and targets are ranges of the Morton-sorted permutations
+    ``src_perm`` / ``trg_perm``.
     """
 
     sources: np.ndarray
@@ -75,32 +72,6 @@ class Octree:
     @property
     def nboxes(self) -> int:
         return self.topology.nboxes
-
-    @cached_property
-    def boxes(self) -> tuple[Box, ...]:
-        """One :class:`Box` record per box, in tree order."""
-        t = self.topology
-        columns = (
-            t.level, t.anchor, t.parent, t.src_start, t.src_stop,
-            t.trg_start, t.trg_stop, t.child,
-        )
-        return tuple(
-            Box(i, level, tuple(anchor), parent, s0, s1, t0, t1,
-                tuple(c for c in kids if c >= 0))
-            for i, (level, anchor, parent, s0, s1, t0, t1, kids) in enumerate(
-                zip(*(column.tolist() for column in columns))
-            )
-        )
-
-    @cached_property
-    def levels(self) -> tuple[range, ...]:
-        """Box indices of each level."""
-        return tuple(
-            range(lo, hi) for lo, hi in pairwise(self.topology.level_ptr.tolist())
-        )
-
-    def leaves(self) -> list[int]:
-        return np.flatnonzero(self.topology.is_leaf).tolist()
 
     # -- geometry ----------------------------------------------------------
 

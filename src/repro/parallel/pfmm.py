@@ -718,14 +718,6 @@ class ParallelFMMResult:
     nranks: int
 
 
-def _require_batched_plan(opts: FMMOptions) -> None:
-    if opts.plan != "batched":
-        raise ValueError(
-            "the parallel operator requires plan='batched'; plan='naive' "
-            "selects the sequential per-box reference (KIFMM) only"
-        )
-
-
 def _require_one_rank_balance(opts: FMMOptions, nranks: int) -> None:
     if opts.balance and nranks > 1:
         raise ValueError(
@@ -823,7 +815,6 @@ def run_parallel_fmm(
         kernel, source_kernel, target_kernel, direct_kernel
     )
     opts = options or FMMOptions()
-    _require_batched_plan(opts)
     _require_one_rank_balance(opts, nranks)
     points = np.asarray(points, dtype=np.float64)
     density3, _, single = coerce_density(
@@ -886,8 +877,6 @@ class ParallelFMM:
     a host that cannot fork.  The processes end with :meth:`close`
     (also on leaving a ``with`` block), with the next :meth:`setup`,
     and with this object.
-
-    Requires ``plan="batched"``: there is no per-box parallel path.
     """
 
     def __init__(
@@ -908,7 +897,6 @@ class ParallelFMM:
         self.kernels = resolve_kernels(
             kernel, source_kernel, target_kernel, direct_kernel
         )
-        _require_batched_plan(self.options)
         _require_one_rank_balance(self.options, nranks)
         self._states: list[RankFMM] | None = None
         self._parts: list[np.ndarray] | None = None

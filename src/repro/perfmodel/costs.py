@@ -19,6 +19,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -103,35 +104,36 @@ def compute_work(
     split passes its per-rank assignment mask (``RankFMM.v_compute``)
     so the per-rank flop identity stays exact.
     """
+    if not nrhs >= 1:
+        raise ValueError(f"nrhs must be >= 1, got {nrhs}")
+    topo = tree.topology
+    nb, level, parent, leaf = topo.nboxes, topo.level, topo.parent, topo.is_leaf
     if isinstance(m2l, M2LSchedule):
-        backend_of = m2l.backend
+        backends = [m2l.backend(lvl) for lvl in range(topo.depth + 1)]
     elif m2l in ("fft", "dense", "rsvd"):
-        backend_of = lambda level, _b=m2l: _b  # noqa: E731
+        backends = [m2l] * (topo.depth + 1)
     else:
         raise ValueError(
             f"m2l must be 'fft', 'dense', 'rsvd' or a resolved "
             f"M2LSchedule, got {m2l}"
         )
-    nb = tree.nboxes
-    boxes = tree.boxes
+    # Per box: does its level run this backend?
+    dense, fft, rsvd = (
+        np.array([b == name for b in backends])[level]
+        for name in ("dense", "fft", "rsvd")
+    )
     n_surf = n_surface_points(p)
     md, qd = kernel.source_dof, kernel.target_dof
     fpp = float(kernel.flops_per_pair)
-    nsrc = (
-        np.asarray(global_nsrc, dtype=np.float64)
-        if global_nsrc is not None
-        else np.array([b.nsrc for b in boxes], dtype=np.float64)
-    )
-    ntrg = (
-        np.asarray(global_ntrg, dtype=np.float64)
-        if global_ntrg is not None
-        else np.array([b.ntrg for b in boxes], dtype=np.float64)
-    )
-    unsrc = (
-        np.asarray(up_nsrc, dtype=np.float64)
-        if up_nsrc is not None
-        else nsrc
-    )
+
+    def counts(given, own):
+        return np.asarray(own if given is None else given, dtype=np.float64)
+
+    nsrc = counts(global_nsrc, topo.nsrc)
+    ntrg = counts(global_ntrg, topo.ntrg)
+    unsrc = counts(up_nsrc, nsrc)
+    has_trg = ntrg > 0
+    vtm = has_trg if v_targets is None else np.asarray(v_targets, dtype=bool)
 
     pinv_flops = 2.0 * (n_surf * md) * (n_surf * qd)
     m2m_flops = 2.0 * (n_surf * qd) * (n_surf * md)  # per child matvec
@@ -144,100 +146,82 @@ def compute_work(
     # nodes (two real GEMMs each), matching FFTM2L.flops_per_fft.
     fft_flops = 4.0 * nfreq * n_surf
 
-    up = np.zeros(nb)
-    down_u = np.zeros(nb)
-    down_v = np.zeros(nb)
-    down_w = np.zeros(nb)
-    down_x = np.zeros(nb)
-    evalw = np.zeros(nb)
+    def per_box(box, weight=None):
+        """Segment sum over pairs: every term is an integer-valued
+        float, so the order ``bincount`` adds them in does not matter."""
+        return np.bincount(box, weights=weight, minlength=nb).astype(np.float64)
 
-    vtm = (
-        np.asarray(v_targets, dtype=bool)
-        if v_targets is not None
-        else ntrg > 0
+    def live(box, partner):
+        """The pairs whose partner holds (global) sources."""
+        keep = nsrc[partner] > 0
+        return box[keep], partner[keep]
+
+    v_pairs = lists.pairs("V")
+    vb, va = live(*v_pairs)
+    xb, xa = live(*lists.pairs("X"))
+    ub, ua = live(*lists.pairs("U"))
+    wb, _ = live(*lists.pairs("W"))
+
+    # Upward pass, over the local counts: S2M at the leaves, one M2M per
+    # child that carries a density, one uc2ue inversion per box.
+    carries = unsrc > 0
+    kids = per_box(parent[1:][carries[1:]])
+    up = carries * (
+        np.where(leaf, n_surf * unsrc * fpp, kids * m2m_flops) + pinv_flops
     )
 
-    # Which V-graph source boxes feed at least one target this rank
-    # performs V work for *on an fft-scheduled level*: exactly those get
-    # a forward transform (once per level) in the planned evaluator,
-    # attributed here to the source box that performs it.  V lists are
-    # same-level, so the target's level is the source's.
-    v_feeds = np.zeros(nb, dtype=bool)
-    for b in boxes:
-        if vtm[b.index] and backend_of(b.level) == "fft":
-            for a in lists.V[b.index]:
-                v_feeds[a] = True
-
-    # Which boxes actually carry downward data: a box inverts its check
-    # potential (and a leaf evaluates L2T) only if it or an ancestor
-    # received a V- or X-list contribution — matching the evaluator's
-    # has_dc/has_de gating.
-    has_down = np.zeros(nb, dtype=bool)
-    for b in boxes:  # boxes are in level order, so parents come first
-        i = b.index
-        own = any(nsrc[a] > 0 for a in lists.V[i]) or any(
-            nsrc[a] > 0 for a in lists.X[i]
+    # V list.  Target side: the live pairs of every box this rank
+    # computes for, priced by its level's backend; an rsvd pair costs
+    # two stacked GEMMs through its offset class's rank-k factors
+    # (mirrors _rsvd_pair_flops), looked up once per class.
+    fed = per_box(vb)
+    nv = fed * vtm
+    down_v = nv * (dense * m2l_dense_flops + fft * hadamard_flops)
+    down_v += (nv > 0) * fft * (qd * fft_flops)  # inverse DFT
+    compressed = (vtm & rsvd)[vb]
+    if compressed.any():
+        if rsvd_rank is None:
+            raise ValueError(
+                "rsvd-scheduled levels need rsvd_rank, a "
+                "(level, offset) -> rank callable (e.g. "
+                "OperatorCache.m2l_rsvd_rank)"
+            )
+        tb, sb = vb[compressed], va[compressed]
+        shape = (topo.depth + 1, 7, 7, 7)  # level, offset + 3 per axis
+        offset = topo.anchor[tb] - topo.anchor[sb]
+        classes, which = np.unique(
+            np.ravel_multi_index((level[tb], *(offset.T + 3)), shape),
+            return_inverse=True,
         )
-        has_down[i] = own or (b.parent >= 0 and has_down[b.parent])
+        lvl, *cell = np.unravel_index(classes, shape)
+        rank = np.array([
+            rsvd_rank(at, tuple(o))
+            for at, o in zip(lvl.tolist(), (np.stack(cell, axis=1) - 3).tolist())
+        ])
+        down_v += per_box(tb, 2.0 * rank[which] * n_surf * (md + qd))
+    # Source side: a box is forward-transformed (once per level) iff it
+    # holds sources and feeds a target this rank computes for on an
+    # fft-scheduled level (V lists are same-level).
+    feeds = np.zeros(nb, dtype=bool)
+    feeds[v_pairs[1][(vtm & fft)[v_pairs[0]]]] = True
+    down_v += (feeds & (nsrc > 0)) * (md * fft_flops)
 
-    for b in boxes:
-        i = b.index
-        has_trg = ntrg[i] > 0
-        if unsrc[i] > 0:
-            if b.is_leaf:
-                up[i] += n_surf * unsrc[i] * fpp  # S2M check evaluation
-            else:
-                nkids = sum(1 for c in b.children if unsrc[c] > 0)
-                up[i] += nkids * m2m_flops
-            up[i] += pinv_flops  # uc2ue inversion
-        if nsrc[i] > 0 and v_feeds[i]:
-            down_v[i] += md * fft_flops  # forward transform of this source
+    # Which boxes carry downward data: a box inverts its check potential
+    # (and a leaf evaluates L2T) only if it or an ancestor received a V-
+    # or X-list contribution — one sweep down the levels.
+    has_down = (fed + per_box(xb)) > 0
+    for lo, hi in pairwise(topo.level_ptr[1:].tolist()):
+        has_down[lo:hi] |= has_down[parent[lo:hi]]
+    from_parent = np.zeros(nb, dtype=bool)
+    from_parent[1:] = has_down[parent[1:]]
+    evalw = has_trg * (
+        from_parent * l2l_flops
+        + has_down * (pinv_flops + leaf * (ntrg * n_surf * fpp))  # + L2T
+    )
 
-        nv = sum(1 for a in lists.V[i] if nsrc[a] > 0)
-        if nv and vtm[i]:
-            backend = backend_of(b.level)
-            if backend == "dense":
-                down_v[i] += nv * m2l_dense_flops
-            elif backend == "rsvd":
-                if rsvd_rank is None:
-                    raise ValueError(
-                        "rsvd-scheduled levels need rsvd_rank, a "
-                        "(level, offset) -> rank callable (e.g. "
-                        "OperatorCache.m2l_rsvd_rank)"
-                    )
-                # Two stacked GEMMs through the rank-k factors; the
-                # rank is an offset-class property, so each pair is
-                # priced individually (mirrors _rsvd_pair_flops).
-                for a in lists.V[i]:
-                    if nsrc[a] > 0:
-                        ab = boxes[a]
-                        offset = tuple(
-                            b.anchor[d] - ab.anchor[d] for d in range(3)
-                        )
-                        down_v[i] += (
-                            2.0 * rsvd_rank(b.level, offset)
-                            * n_surf * (md + qd)
-                        )
-            else:
-                down_v[i] += nv * hadamard_flops + qd * fft_flops  # + inverse DFT
-        if not has_trg:
-            continue
-        if b.level >= 1 and b.parent >= 0 and has_down[b.parent]:
-            evalw[i] += l2l_flops  # L2L from the parent's density
-        if has_down[i]:
-            evalw[i] += pinv_flops  # dc2de inversion
-        for a in lists.X[i]:
-            if nsrc[a] > 0:
-                down_x[i] += n_surf * nsrc[a] * fpp
-        if b.is_leaf:
-            if has_down[i]:
-                evalw[i] += ntrg[i] * n_surf * fpp  # L2T
-            for a in lists.U[i]:
-                if nsrc[a] > 0:
-                    down_u[i] += ntrg[i] * nsrc[a] * fpp
-            for a in lists.W[i]:
-                if nsrc[a] > 0:
-                    down_w[i] += ntrg[i] * n_surf * fpp
+    down_x = has_trg * per_box(xb, n_surf * nsrc[xa] * fpp)
+    down_u = per_box(ub, ntrg[ub] * nsrc[ua] * fpp)
+    down_w = per_box(wb, ntrg[wb] * n_surf * fpp)
 
     return PhaseWork(
         up=up * nrhs, down_u=down_u * nrhs, down_v=down_v * nrhs,
@@ -251,38 +235,35 @@ def communication_volumes(
     kernel: Kernel,
     p: int,
     nrhs: int = 1,
-) -> tuple[list[list[int]], list[list[int]], np.ndarray, np.ndarray]:
+) -> tuple[
+    tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray],
+    np.ndarray, np.ndarray,
+]:
     """Raw material for the communication model.
 
-    Returns ``(equiv_uses, source_uses, equiv_bytes, source_bytes)``:
-    for every box, which *target* boxes consume its upward equivalent
-    density (V/W lists) or its ghost source data (U/X lists), plus the
-    per-box message sizes in bytes.  ``nrhs`` widens the per-box
+    Returns ``(equiv_uses, source_uses, equiv_bytes, source_bytes)``.
+    The two ``uses`` are ``(box, user)`` index arrays, one entry per
+    list pair: *target* box ``user`` consumes ``box``'s upward
+    equivalent density (V/W lists) or its ghost source data (U/X lists,
+    a leaf's own U entry excluded).  The byte arrays are the per-box
+    message sizes.  ``nrhs`` widens the per-box
     density payloads (equivalent densities and ghost source strengths
     carry one column per right-hand side) while coordinates are sent
     once regardless of the block width — the reason a blocked exchange
     beats ``nrhs`` single-RHS exchanges on latency *and* volume.
     """
-    nb = tree.nboxes
     n_surf = n_surface_points(p)
     md = kernel.source_dof
-    equiv_uses: list[list[int]] = [[] for _ in range(nb)]
-    source_uses: list[list[int]] = [[] for _ in range(nb)]
-    for b in tree.boxes:
-        i = b.index
-        for a in lists.V[i]:
-            equiv_uses[a].append(i)
-        for a in lists.X[i]:
-            source_uses[a].append(i)
-        if b.is_leaf:
-            for a in lists.W[i]:
-                equiv_uses[a].append(i)
-            for a in lists.U[i]:
-                if a != i:
-                    source_uses[a].append(i)
-    equiv_bytes = np.full(nb, 8.0 * n_surf * md * nrhs)
-    source_bytes = np.array(
-        [8.0 * b.nsrc * (3 + md * nrhs) for b in tree.boxes],
-        dtype=np.float64,
-    )
-    return equiv_uses, source_uses, equiv_bytes, source_bytes
+
+    def uses(*families):
+        user, box = (
+            np.concatenate(side)
+            for side in zip(*(lists.pairs(which) for which in families))
+        )
+        other = box != user
+        return box[other], user[other]
+
+    topo = tree.topology
+    equiv_bytes = np.full(topo.nboxes, 8.0 * n_surf * md * nrhs)
+    source_bytes = 8.0 * topo.nsrc * (3 + md * nrhs)
+    return uses("V", "W"), uses("X", "U"), equiv_bytes, source_bytes

@@ -22,7 +22,6 @@ with its 2/3 power (surface-to-volume), documented in DESIGN.md.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -32,6 +31,8 @@ from repro.core.surfaces import n_surface_points
 from repro.geometry.patches import partition_weights
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists
+from repro.octree.morton import MAX_DEPTH
+from repro.octree.topology import LEVEL_BASE
 from repro.octree.tree import Octree
 from repro.perfmodel.costs import PhaseWork, communication_volumes, compute_work
 from repro.perfmodel.machine import MachineModel
@@ -97,52 +98,73 @@ class RunReport:
         return best
 
 
-def _leaf_ranks(tree: Octree, P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition leaves over ranks; return (leaf indices, starts, rank)."""
-    leaves = np.array(tree.leaves(), dtype=np.int64)
-    starts = np.array([tree.boxes[i].src_start for i in leaves], dtype=np.int64)
-    order = np.argsort(starts, kind="stable")
-    leaves, starts = leaves[order], starts[order]
-    weights = np.array(
-        [max(tree.boxes[i].nsrc, tree.boxes[i].ntrg) for i in leaves], float
-    )
-    rank = partition_weights(weights, P)
-    return leaves, starts, rank
+def _check_ranks(P) -> None:
+    if isinstance(P, bool) or not isinstance(P, (int, np.integer)) or P < 1:
+        raise ValueError(f"P must be an integer >= 1, got {P!r}")
+
+
+def _deep_keys(topo) -> tuple[np.ndarray, np.ndarray]:
+    """First and last deepest-level Morton key inside every box: the
+    box's stretch of the curve, whatever points it holds."""
+    shift = (3 * (MAX_DEPTH - topo.level)).astype(np.uint64)
+    first = (topo.uid - LEVEL_BASE[topo.level]) << shift
+    return first, first + ((np.uint64(1) << shift) - np.uint64(1))
+
+
+def _leaf_ranks(tree: Octree, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves in Morton order and the rank owning each: contiguous
+    runs of near-equal particle weight along the curve (Section 3.1)."""
+    topo = tree.topology
+    leaves = np.flatnonzero(topo.is_leaf)
+    leaves = leaves[np.argsort(_deep_keys(topo)[0][leaves])]
+    weights = np.maximum(topo.nsrc, topo.ntrg)[leaves]
+    return leaves, partition_weights(weights, P)
 
 
 def _box_rank_intervals(
-    tree: Octree, leaf_starts: np.ndarray, leaf_rank: np.ndarray
+    tree: Octree, leaves: np.ndarray, leaf_rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Contributor rank interval [lo, hi] per box (inclusive)."""
-    nb = tree.nboxes
-    lo = np.zeros(nb, dtype=np.int64)
-    hi = np.zeros(nb, dtype=np.int64)
-    for b in tree.boxes:
-        first = np.searchsorted(leaf_starts, b.src_start, side="left")
-        last = np.searchsorted(leaf_starts, b.src_stop, side="left") - 1
-        last = max(last, first)
-        lo[b.index] = leaf_rank[min(first, len(leaf_rank) - 1)]
-        hi[b.index] = leaf_rank[min(last, len(leaf_rank) - 1)]
-    return lo, hi
+    """Contributor rank interval [lo, hi] per box (inclusive): the ranks
+    of the first and the last leaf on the box's stretch of the curve."""
+    first, last = _deep_keys(tree.topology)
+    at = first[leaves]
+    return (
+        leaf_rank[np.searchsorted(at, first)],
+        leaf_rank[np.searchsorted(at, last, side="right") - 1],
+    )
 
 
-def _interval_add(diff: np.ndarray, lo: int, hi: int, value: float) -> None:
-    """Add ``value`` to ranks ``lo..hi`` via a difference array."""
-    diff[lo] += value
-    diff[hi + 1] -= value
+def _over_ranks(P: int, lo: np.ndarray, hi: np.ndarray, value) -> np.ndarray:
+    """Per-rank sums of ``value[i]`` added to every rank of ``lo[i] ..
+    hi[i]`` (nothing where ``hi < lo``): the cumulative sum of a
+    difference array."""
+    value = np.broadcast_to(value, lo.shape)
+    diff = np.bincount(lo, weights=value, minlength=P + 1)
+    diff -= np.bincount(hi + 1, weights=value, minlength=P + 1)
+    return np.cumsum(diff[:-1])
 
 
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    if not intervals:
-        return []
-    intervals.sort()
-    merged = [list(intervals[0])]
-    for lo, hi in intervals[1:]:
-        if lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+def _merged_users(
+    uses: tuple[np.ndarray, np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rank intervals of every box's users, merged where they touch
+    or overlap: ``(box, lo, hi, holds_owner)`` per merged interval, the
+    last saying whether the box's owner (its first contributor) is one
+    of the users.  A sort by ``(box, lo)`` and a running maximum of
+    ``hi`` that restarts with each box."""
+    box, user = uses
+    stride = hi.max(initial=0) + 2
+    # One integer sort: the hi of equal (box, lo) may come in any order.
+    key = (box * stride + lo[user]) * stride + hi[user]
+    key.sort()
+    key, uhi = np.divmod(key, stride)
+    box, ulo = np.divmod(key, stride)
+    reach = np.maximum.accumulate(box * stride + uhi) - box * stride
+    opens = np.ones(box.size, dtype=bool)
+    opens[1:] = (box[1:] != box[:-1]) | (ulo[1:] > reach[:-1] + 1)
+    # An interval closes where the next one opens (the last: at the end).
+    box, ulo, uhi = box[opens], ulo[opens], reach[np.roll(opens, -1)]
+    return box, ulo, uhi, (ulo <= lo[box]) & (lo[box] <= uhi)
 
 
 def simulate_run(
@@ -178,76 +200,52 @@ def simulate_run(
     n_override:
         Report this N instead of the model tree's particle count.
     """
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    if grain_scale <= 0:
-        raise ValueError(f"grain_scale must be positive, got {grain_scale}")
+    _check_ranks(P)
+    if not (np.isfinite(grain_scale) and grain_scale > 0):
+        raise ValueError(
+            f"grain_scale must be finite and positive, got {grain_scale}"
+        )
     if work is None:
         work = compute_work(tree, lists, kernel, p, m2l=m2l)
     N = n_override if n_override is not None else tree.sources.shape[0]
 
-    leaves, leaf_starts, leaf_rank = _leaf_ranks(tree, P)
-    box_lo, box_hi = _box_rank_intervals(tree, leaf_starts, leaf_rank)
+    box_lo, box_hi = _box_rank_intervals(tree, *_leaf_ranks(tree, P))
 
     # ---- per-rank flops (redundant work on shared boxes included) ----
-    phase_arrays = {
-        "up": work.up, "down_u": work.down_u, "down_v": work.down_v,
-        "down_w": work.down_w, "down_x": work.down_x, "eval": work.eval,
-    }
-    rank_flops = np.zeros((P, len(PHASES)))
-    for pi, phase in enumerate(PHASES):
-        diff = np.zeros(P + 1)
-        arr = phase_arrays[phase]
-        for b in range(tree.nboxes):
-            if arr[b] > 0:
-                _interval_add(diff, box_lo[b], box_hi[b], arr[b])
-        rank_flops[:, pi] = np.cumsum(diff[:-1])
+    rank_flops = np.stack(
+        [_over_ranks(P, box_lo, box_hi, getattr(work, ph)) for ph in PHASES],
+        axis=1,
+    )
     rank_flops *= grain_scale
 
     # ---- communication (owner gather/scatter, Algorithm 1) ----
     equiv_uses, source_uses, equiv_bytes, source_bytes = communication_volumes(
         tree, lists, kernel, p
     )
-    bytes_in = np.zeros(P + 1)
-    bytes_out = np.zeros(P + 1)
-    msgs_in = np.zeros(P + 1)
-    msgs_out = np.zeros(P + 1)
+    traffic = np.zeros((2, 2, P))  # [bytes | messages][received | sent]
     for uses, size in ((equiv_uses, equiv_bytes), (source_uses, source_bytes)):
-        for a in range(tree.nboxes):
-            if not uses[a]:
-                continue
-            owner = int(box_lo[a])
-            nbytes = float(size[a])
-            # gather: non-owner contributors -> owner
-            ncontrib = int(box_hi[a] - box_lo[a])
-            if ncontrib > 0:
-                _interval_add(bytes_out, box_lo[a] + 1, box_hi[a], nbytes)
-                _interval_add(msgs_out, box_lo[a] + 1, box_hi[a], 1.0)
-                bytes_in[owner] += ncontrib * nbytes
-                bytes_in[owner + 1] -= ncontrib * nbytes  # keep diff form
-                msgs_in[owner] += ncontrib
-                msgs_in[owner + 1] -= ncontrib
-            # scatter: owner -> user ranks (excluding itself)
-            merged = _merge_intervals([(int(box_lo[t]), int(box_hi[t]))
-                                       for t in uses[a]])
-            nusers = 0
-            for lo, hi in merged:
-                _interval_add(bytes_in, lo, hi, nbytes)
-                _interval_add(msgs_in, lo, hi, 1.0)
-                nusers += hi - lo + 1
-                if lo <= owner <= hi:
-                    _interval_add(bytes_in, owner, owner, -nbytes)
-                    _interval_add(msgs_in, owner, owner, -1.0)
-                    nusers -= 1
-            bytes_out[owner] += nusers * nbytes
-            bytes_out[owner + 1] -= nusers * nbytes
-            msgs_out[owner] += nusers
-            msgs_out[owner + 1] -= nusers
+        used = np.zeros(tree.nboxes, dtype=bool)
+        used[uses[0]] = True
+        box, lo, hi, holds_owner = _merged_users(uses, box_lo, box_hi)
+        owner = box_lo[box]
+        nusers = np.bincount(
+            box, weights=hi - lo + 1 - holds_owner, minlength=tree.nboxes
+        )
+        for unit, (received, sent) in zip((size * used, 1.0 * used), traffic):
+            # gather: the other contributors -> the owner, the first one
+            sent += _over_ranks(P, box_lo + 1, box_hi, unit)
+            received += np.bincount(
+                box_lo, weights=(box_hi - box_lo) * unit, minlength=P
+            )
+            # scatter: the owner -> every user rank but itself
+            received += _over_ranks(P, lo, hi, unit[box])
+            received -= np.bincount(
+                owner, weights=unit[box] * holds_owner, minlength=P
+            )
+            sent += np.bincount(box_lo, weights=nusers * unit, minlength=P)
     scale23 = grain_scale ** (2.0 / 3.0)
-    rank_bytes_in = np.cumsum(bytes_in[:-1]) * scale23
-    rank_bytes_out = np.cumsum(bytes_out[:-1]) * scale23
-    rank_msgs_in = np.cumsum(msgs_in[:-1])
-    rank_msgs_out = np.cumsum(msgs_out[:-1])
+    (rank_bytes_in, rank_bytes_out), (rank_msgs_in, rank_msgs_out) = traffic
+    rank_bytes_in, rank_bytes_out = rank_bytes_in * scale23, rank_bytes_out * scale23
 
     # ---- convert to time ----
     rank_phase_sec = rank_flops / np.array(
@@ -381,131 +379,110 @@ def tree_top_model(
     """Model the tree-top exchange and coarse V work at ``P`` ranks.
 
     Produces the flat-vs-hierarchical comparison of one processor
-    count: per-rank time and message-count arrays are accumulated box
-    by box over the shared boxes (difference arrays over rank
-    intervals, so the sweep stays cheap at thousands of ranks), then
-    reduced to the critical rank.
+    count: per-rank time and message-count arrays are accumulated over
+    all shared boxes at once (difference arrays over rank intervals, so
+    the sweep stays cheap at thousands of ranks), then reduced to the
+    critical rank.
     """
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    _check_ranks(P)
     if work is None:
         work = compute_work(tree, lists, kernel, p, nrhs=nrhs)
+    topo = tree.topology
     lo, hi = _uniform_intervals(tree, P)
     equiv_uses, _, equiv_bytes, _ = communication_volumes(
         tree, lists, kernel, p, nrhs=nrhs
     )
 
-    flat_t = np.zeros(P + 1)
-    tree_t = np.zeros(P + 1)
-    flat_m = np.zeros(P + 1)
-    tree_m = np.zeros(P + 1)
-    total_msgs = 0
-    shared = 0
-    for b in range(tree.nboxes):
-        C = int(hi[b] - lo[b] + 1)
-        if C <= 1:
-            continue  # unshared: identical under both schemes
-        shared += 1
-        owner = int(lo[b])
-        unit = machine.latency + float(equiv_bytes[b]) / machine.bandwidth
-        users = _merge_intervals(
-            [(int(lo[t]), int(hi[t])) for t in equiv_uses[b]]
+    def rounds(n):
+        """``ceil(log2(n))`` for integers ``n >= 1``: bits of ``n - 1``."""
+        return np.frexp(n - 1.0)[1]
+
+    # Unshared boxes are identical under both schemes: leave them out.
+    shared = np.flatnonzero(hi > lo)
+    owner = lo[shared]
+    C = (hi - lo + 1)[shared]
+    box, user = equiv_uses
+    mine = hi[box] > lo[box]
+    ubox, ulo, uhi, holds_owner = _merged_users(
+        (box[mine], user[mine]), lo, hi
+    )
+    u_other = np.bincount(
+        ubox, weights=uhi - ulo + 1 - holds_owner, minlength=topo.nboxes
+    )
+    unit = machine.latency + equiv_bytes / machine.bandwidth
+    endpoints = C - 1 + u_other[shared]
+
+    def flat_cost(unit):
+        """Per rank, at ``unit[box]`` per message: the owner serialises
+        every gather receive and scatter send; each peer pays one
+        transfer."""
+        return (
+            np.bincount(owner, weights=endpoints * unit[shared], minlength=P)
+            + _over_ranks(P, lo[shared] + 1, hi[shared], unit[shared])
+            + _over_ranks(P, ulo, uhi, unit[ubox])
+            - np.bincount(lo[ubox], weights=unit[ubox] * holds_owner, minlength=P)
         )
-        nusers = sum(h - l + 1 for l, h in users)
-        u_other = nusers - sum(
-            1 for l, h in users if l <= owner <= h
+
+    # tree: segmented binomial reduce + broadcast over the same C-1
+    # edges.  Each edge has two endpoints, so total per-rank traffic is
+    # conserved (2(C-1) message endpoints, like flat); what changes is
+    # the distribution — the root handles at most ceil(log2 C) edges
+    # instead of C-1, the rest amortise over the other participants.
+    # Scatter participants are the owner plus the other user ranks.
+    gather_rounds = rounds(C)
+    gather_share = (2.0 * (C - 1) - gather_rounds) / (C - 1)
+    scatters = np.flatnonzero(u_other)
+    scatter_rounds = np.zeros(topo.nboxes)
+    scatter_rounds[scatters] = rounds(u_other[scatters] + 1)
+    scatter_share = np.zeros(topo.nboxes)
+    scatter_share[scatters] = (
+        2.0 * u_other[scatters] - scatter_rounds[scatters]
+    ) / u_other[scatters]
+
+    def tree_cost(unit):
+        return (
+            _over_ranks(P, lo[shared], hi[shared], gather_share * unit[shared])
+            + np.bincount(
+                owner, weights=(gather_rounds - gather_share) * unit[shared],
+                minlength=P,
+            )
+            + np.bincount(lo, weights=scatter_rounds * unit, minlength=P)
+            + _over_ranks(P, ulo, uhi, scatter_share[ubox] * unit[ubox])
+            - np.bincount(
+                lo[ubox], weights=scatter_share[ubox] * unit[ubox] * holds_owner,
+                minlength=P,
+            )
         )
-        total_msgs += (C - 1) + u_other
-
-        # flat: the owner serialises every gather receive and scatter
-        # send; each peer pays one transfer.
-        _interval_add(flat_t, owner, owner, (C - 1 + u_other) * unit)
-        _interval_add(flat_m, owner, owner, C - 1 + u_other)
-        _interval_add(flat_t, int(lo[b]), int(hi[b]), unit)
-        _interval_add(flat_m, int(lo[b]), int(hi[b]), 1.0)
-        _interval_add(flat_t, owner, owner, -unit)
-        _interval_add(flat_m, owner, owner, -1.0)
-        for l, h in users:
-            _interval_add(flat_t, l, h, unit)
-            _interval_add(flat_m, l, h, 1.0)
-            if l <= owner <= h:
-                _interval_add(flat_t, owner, owner, -unit)
-                _interval_add(flat_m, owner, owner, -1.0)
-
-        # tree: segmented binomial reduce + broadcast over the same
-        # C-1 edges.  Each edge has two endpoints, so total per-rank
-        # traffic is conserved (2(C-1) message endpoints, like flat);
-        # what changes is the distribution — the root handles at most
-        # ceil(log2 C) edges instead of C-1, the rest amortise over the
-        # other participants.
-        def charge(diff_t, diff_m, l, h, root, n):
-            if n <= 1:
-                return
-            rounds = math.ceil(math.log2(n))
-            per_other = (2.0 * (n - 1) - rounds) / (n - 1)
-            _interval_add(diff_t, l, h, per_other * unit)
-            _interval_add(diff_m, l, h, per_other)
-            _interval_add(diff_t, root, root, (rounds - per_other) * unit)
-            _interval_add(diff_m, root, root, rounds - per_other)
-
-        charge(tree_t, tree_m, int(lo[b]), int(hi[b]), owner, C)
-        if u_other:
-            # scatter participants: the owner plus the other user ranks
-            # (their intervals may be disjoint, so charge per interval
-            # with the owner's correction applied once).
-            S = u_other + 1
-            rounds = math.ceil(math.log2(S))
-            per_other = (2.0 * (S - 1) - rounds) / (S - 1)
-            _interval_add(tree_t, owner, owner, rounds * unit)
-            _interval_add(tree_m, owner, owner, float(rounds))
-            for l, h in users:
-                _interval_add(tree_t, l, h, per_other * unit)
-                _interval_add(tree_m, l, h, per_other)
-                if l <= owner <= h:
-                    _interval_add(tree_t, owner, owner, -per_other * unit)
-                    _interval_add(tree_m, owner, owner, -per_other)
 
     # Coarse-level V translation: fully redundant (every contributor
     # computes every shared box it touches) versus the deterministic
     # cyclic split (one assignee computes, then tree-broadcasts the
     # downward-check rows to the other contributors).
-    level_counts = [len(lv) for lv in tree.levels]
-    split = sorted(coarse_split_levels(level_counts, P))
-    v_red = np.zeros(P + 1)
-    v_spl = np.zeros(P + 1)
-    rate = machine.rate("down_v", kernel.name)
+    split = sorted(coarse_split_levels(np.diff(topo.level_ptr).tolist(), P))
+    boxes = np.flatnonzero(np.isin(topo.level, split) & (work.down_v > 0))
+    sec = work.down_v[boxes] / machine.rate("down_v", kernel.name)
     dc_bytes = 8.0 * n_surface_points(p) * kernel.target_dof * nrhs
-    next_assignee = 0
-    for lvl in split:
-        for b in tree.levels[lvl]:
-            fl = float(work.down_v[b])
-            if fl <= 0:
-                continue
-            C = int(hi[b] - lo[b] + 1)
-            sec = fl / rate
-            _interval_add(v_red, int(lo[b]), int(hi[b]), sec)
-            assignee = int(lo[b]) + next_assignee % C
-            next_assignee += 1
-            _interval_add(v_spl, assignee, assignee, sec)
-            _interval_add(
-                v_spl, int(lo[b]), int(hi[b]),
-                machine.tree_collective_time(dc_bytes, C),
-            )
+    span = (hi - lo + 1)[boxes]
+    v_red = _over_ranks(P, lo[boxes], hi[boxes], sec)
+    v_spl = np.bincount(
+        lo[boxes] + np.arange(boxes.size) % span, weights=sec, minlength=P
+    ) + _over_ranks(
+        P, lo[boxes], hi[boxes],
+        rounds(span) * (machine.latency + dc_bytes / machine.bandwidth),
+    )
 
-    def peak(diff: np.ndarray) -> float:
-        return float(np.cumsum(diff[:-1]).max()) if P > 0 else 0.0
-
+    ones = np.ones(topo.nboxes)
     return TreeTopPoint(
         P=P,
-        shared_boxes=shared,
+        shared_boxes=shared.size,
         split_levels=[int(lv) for lv in split],
-        flat_seconds=peak(flat_t),
-        tree_seconds=peak(tree_t),
-        flat_max_rank_msgs=int(round(peak(flat_m))),
-        tree_max_rank_msgs=int(round(peak(tree_m))),
-        total_msgs=int(total_msgs),
-        v_redundant_seconds=peak(v_red),
-        v_split_seconds=peak(v_spl),
+        flat_seconds=float(flat_cost(unit).max()),
+        tree_seconds=float(tree_cost(unit).max()),
+        flat_max_rank_msgs=int(round(flat_cost(ones).max())),
+        tree_max_rank_msgs=int(round(tree_cost(ones).max())),
+        total_msgs=int(endpoints.sum()),
+        v_redundant_seconds=float(v_red.max()),
+        v_split_seconds=float(v_spl.max()),
     )
 
 
@@ -591,8 +568,8 @@ def simulate_tree_time(
     # global tree array is grain_scale times larger per level.
     allreduce = sum(
         machine.allreduce_time(
-            len(lv) * grain_scale * machine.tree_entry_bytes, P
+            count * grain_scale * machine.tree_entry_bytes, P
         )
-        for lv in tree.levels
+        for count in np.diff(tree.topology.level_ptr).tolist()
     )
     return local + gather + allreduce

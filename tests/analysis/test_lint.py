@@ -10,7 +10,6 @@ SRC = Path(__file__).parents[2] / "src"
 #: Expected (rule, fixture file) pairs — one seeded fixture per rule, two for
 #: thread-confinement (threads; fork and shared mappings).
 EXPECTED = {
-    ("flops-accounted", "bad_flops.py"),
     ("dtype-width", "bad_dtype.py"),
     ("bufferpool-escape", "bad_pool.py"),
     ("mutable-default", "bad_default.py"),
@@ -93,9 +92,9 @@ def test_rule_catalog_documented(capsys):
 
 
 def test_violations_carry_location():
-    violations = run_lint([FIXTURES / "repro" / "core" / "bad_flops.py"])
+    violations = run_lint([FIXTURES / "repro" / "core" / "bad_dtype.py"])
     assert len(violations) == 1
     v = violations[0]
     assert v.line > 0
-    assert "bad_flops.py" in str(v)
-    assert "flops-accounted" in str(v)
+    assert "bad_dtype.py" in str(v)
+    assert "dtype-width" in str(v)

@@ -1,4 +1,9 @@
-"""FFT M2L must agree with the dense M2L operator to machine precision."""
+"""FFT M2L must agree with the dense M2L operator to machine precision.
+
+One box pair at a time, through the per-box transforms of the oracle
+(``tests/core/perbox.py``) over the DFT operators and kernel tensors the
+planned stages hold.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ import pytest
 from repro.core.fftm2l import FFTM2L
 from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
+
+from tests.core.perbox import accumulate, check_potential, density_hat
 
 OFFSETS = [(2, 0, 0), (0, -2, 1), (3, 3, 3), (-3, 2, -1), (0, 0, 2)]
 
@@ -25,8 +32,8 @@ def test_fft_matches_dense(kernel, offset, rng):
     dense = cache.m2l_check(level, offset) @ ue
     nfreq = fft.m * fft.m * (fft.m // 2 + 1)
     acc = np.zeros((kernel.target_dof, nfreq), dtype=np.complex128)
-    fft.accumulate(acc, fft.kernel_tensor_hat(level, offset), fft.density_hat(ue))
-    via_fft = fft.check_potential(acc)
+    accumulate(acc, fft.kernel_tensor_hat(level, offset), density_hat(fft, ue))
+    via_fft = check_potential(fft, acc)
     assert np.allclose(via_fft, dense, atol=1e-10 * max(1.0, np.abs(dense).max()))
 
 
@@ -40,9 +47,9 @@ def test_accumulation_is_additive(rng):
     ue2 = rng.standard_normal(cache.n_surf)
     o1, o2 = (2, 0, 0), (0, 3, -1)
     acc = np.zeros((1, fft.m * fft.m * (fft.m // 2 + 1)), dtype=np.complex128)
-    fft.accumulate(acc, fft.kernel_tensor_hat(level, o1), fft.density_hat(ue1))
-    fft.accumulate(acc, fft.kernel_tensor_hat(level, o2), fft.density_hat(ue2))
-    combined = fft.check_potential(acc)
+    accumulate(acc, fft.kernel_tensor_hat(level, o1), density_hat(fft, ue1))
+    accumulate(acc, fft.kernel_tensor_hat(level, o2), density_hat(fft, ue2))
+    combined = check_potential(fft, acc)
     expected = (
         cache.m2l_check(level, o1) @ ue1 + cache.m2l_check(level, o2) @ ue2
     )

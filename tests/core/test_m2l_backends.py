@@ -29,6 +29,8 @@ from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.modified_laplace import ModifiedLaplaceKernel
 from repro.kernels.stokes import StokesKernel
 
+from tests.core.perbox import PerBoxFMM
+
 DEPTHS = (3, 4, 5)
 
 
@@ -40,10 +42,10 @@ def points():
     return np.vstack([cluster, rng.random((300, 3))])
 
 
-def _apply(kernel, points, depth, m2l, dtype="float64", plan="batched"):
+def _apply(kernel, points, depth, m2l, dtype="float64", fmm=KIFMM):
     opts = FMMOptions(p=3, max_points=20, max_depth=depth, m2l=m2l,
-                      dtype=dtype, plan=plan)
-    fmm = KIFMM(kernel, opts).setup(points)
+                      dtype=dtype)
+    fmm = fmm(kernel, opts).setup(points)
     assert fmm.tree.depth == depth
     rng = np.random.default_rng(13)
     phi = rng.standard_normal((points.shape[0], kernel.source_dof))
@@ -67,8 +69,8 @@ def test_backend_parity_with_dense(kernel, points, depth, m2l):
 @pytest.mark.parametrize("m2l", ["dense", "rsvd"])
 def test_naive_and_planned_paths_agree(points, depth, m2l):
     kernel = LaplaceKernel()
-    _, batched = _apply(kernel, points, depth, m2l, plan="batched")
-    _, naive = _apply(kernel, points, depth, m2l, plan="naive")
+    _, batched = _apply(kernel, points, depth, m2l)
+    _, naive = _apply(kernel, points, depth, m2l, fmm=PerBoxFMM)
     # same operators, different GEMM shapes: roundoff-level agreement
     assert relative_error(batched, naive) < 1e-10
 

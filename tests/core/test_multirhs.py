@@ -18,6 +18,7 @@ from repro.kernels import LaplaceKernel, StokesKernel
 from repro.kernels.direct import relative_error
 
 from tests.conftest import clustered_cloud, uniform_cloud
+from tests.core.perbox import PerBoxFMM
 
 KERNELS = {
     "laplace": LaplaceKernel(),
@@ -48,7 +49,7 @@ def test_planned_columns_match_single_rhs(rng, kname, m2l):
 def test_naive_path_loops_columns(rng, kname):
     kern = KERNELS[kname]
     pts = uniform_cloud(rng, 400)
-    op = KIFMM(kern, FMMOptions(p=4, max_points=30, plan="naive")).setup(pts)
+    op = PerBoxFMM(kern, FMMOptions(p=4, max_points=30)).setup(pts)
     _column_parity(op, rng, 400, kern.source_dof, 3)
 
 

@@ -149,7 +149,7 @@ def test_sanitized_apply_names_the_operator_setup_missed(rng, m2l):
     opts = FMMOptions(p=3, max_points=20, m2l=m2l)
     plain = KIFMM(LaplaceKernel(), opts).setup(pts)
     expected = plain.apply(phi)
-    table = plain.cache._dc2de if m2l == "rsvd" else plain._fft._combos_real
+    table = plain.cache._dc2de if m2l == "rsvd" else plain.state.fft._combos_real
     table.clear()
     assert np.array_equal(plain.apply(phi), expected)  # built under the apply
     table.clear()

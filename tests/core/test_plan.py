@@ -36,6 +36,7 @@ from repro.kernels.derived import LaplaceDipoleKernel, LaplaceGradientKernel
 from repro.kernels.direct import direct_evaluate, relative_error
 
 from tests.conftest import clustered_cloud, uniform_cloud
+from tests.core.perbox import PerBoxFMM
 
 
 def ellipse_surface(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -51,13 +52,11 @@ def ellipse_surface(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _run_both(kernel, pts, phi, m2l, **kernel_roles):
-    """Apply with plan='batched' and plan='naive'; return both results."""
+    """Apply with the planned driver and the per-box oracle; return both."""
     out = {}
-    for plan in ("batched", "naive"):
-        opts = FMMOptions(
-            p=4, max_points=25, m2l=m2l, rcond=1e-5, plan=plan
-        )
-        fmm = KIFMM(kernel, opts, **kernel_roles).setup(pts)
+    opts = FMMOptions(p=4, max_points=25, m2l=m2l, rcond=1e-5)
+    for plan, make in (("batched", KIFMM), ("naive", PerBoxFMM)):
+        fmm = make(kernel, opts, **kernel_roles).setup(pts)
         out[plan] = (fmm.apply(phi), fmm.flops.by_phase())
     return out
 
@@ -381,8 +380,6 @@ def test_options_validation():
         FMMOptions(inner=2.9, outer=2.9)  # inner < outer strictly
     with pytest.raises(ValueError, match="inner"):
         FMMOptions(outer=3.0)  # must be strictly < 3
-    with pytest.raises(ValueError, match="plan"):
-        FMMOptions(plan="vectorised")
     # The defaults and a legal custom pair survive.
     FMMOptions()
     FMMOptions(inner=1.2, outer=2.8)

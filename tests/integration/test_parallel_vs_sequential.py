@@ -16,6 +16,7 @@ from repro.kernels.direct import direct_evaluate, relative_error
 from repro.parallel import ParallelFMM, run_parallel_fmm
 
 from tests.conftest import clustered_cloud, uniform_cloud
+from tests.core.perbox import PerBoxFMM
 from tests.parallel.transports import apply_on_both
 
 
@@ -31,7 +32,7 @@ def _assert_parity(kernel, pts, phi, nranks, planned_tol=1e-12, **opts):
     """
     batched = FMMOptions(**opts)
     seq = KIFMM(kernel, batched).setup(pts).apply(phi)
-    ref = KIFMM(kernel, FMMOptions(plan="naive", **opts)).setup(pts).apply(phi)
+    ref = PerBoxFMM(kernel, batched).setup(pts).apply(phi)
     par = run_parallel_fmm(nranks, kernel, pts, phi, batched)
     assert relative_error(par.potential, seq) < planned_tol
     assert relative_error(par.potential, ref) < 1e-11

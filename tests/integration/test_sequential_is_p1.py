@@ -25,6 +25,7 @@ from repro.parallel.ptree import parallel_build_tree
 from repro.parallel.simmpi import run_spmd
 
 from tests.conftest import clustered_cloud, uniform_cloud
+from tests.core.perbox import PerBoxFMM
 from tests.parallel.transports import apply_on_both
 
 BACKENDS = [
@@ -131,9 +132,7 @@ def test_fft_on_ranks(fast_kernel, nranks, make):
     pts = make(rng, n)
     block = rng.standard_normal((n, kernel.source_dof, 8))
     opts = FMMOptions(p=4, max_points=20, m2l="fft")
-    ref = KIFMM(
-        kernel, FMMOptions(p=4, max_points=20, m2l="fft", plan="naive")
-    ).setup(pts)
+    ref = PerBoxFMM(kernel, opts).setup(pts)
     on = ParallelFMM(nranks, kernel, opts, overlap=True).setup(pts)
     if nranks == 8:
         assert any(sp.bcast for st in on.states for sp in st.v_splits)

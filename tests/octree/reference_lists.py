@@ -2,9 +2,10 @@
 
 This walk was ``repro.octree.lists.build_lists`` until the construction
 became array code; it moved here unchanged (only its output is packed
-into CSR, the way ``InteractionLists.flat`` used to, and the colleagues
-it starts from come from ``TreeTopology.colleagues``, itself checked
-against brute force in ``test_tree.py``).  It walks, for
+into CSR, the way ``InteractionLists.flat`` used to, the box records it
+walks are rebuilt from the arrays by ``tests/boxview.py``, and the
+colleagues it starts from come from ``TreeTopology.colleagues``, itself
+checked against brute force in ``test_tree.py``).  It walks, for
 every leaf ``C``, the subtrees rooted at C's colleagues, descending only
 through boxes adjacent to ``C``:
 
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.octree.box import boxes_adjacent
 from repro.octree.lists import InteractionLists
 from repro.octree.tree import Octree
+
+from tests.boxview import boxes as box_records, boxes_adjacent
 
 
 def build_lists_reference(tree: Octree) -> InteractionLists:
@@ -30,7 +32,7 @@ def build_lists_reference(tree: Octree) -> InteractionLists:
     V: list[set[int]] = [set() for _ in range(nb)]
     W: list[set[int]] = [set() for _ in range(nb)]
     X: list[set[int]] = [set() for _ in range(nb)]
-    boxes = tree.boxes
+    boxes = box_records(tree)
     # Existing same-level neighbours of every box, itself included.
     colleagues = [
         row[row >= 0].tolist()

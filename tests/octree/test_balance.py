@@ -14,6 +14,7 @@ from repro.octree.balance import (
 )
 from repro.octree.lists import verify_lists
 
+from tests import boxview
 from tests.conftest import clustered_cloud, uniform_cloud
 
 
@@ -45,7 +46,7 @@ class TestBalance:
     def test_points_preserved(self, unbalanced):
         balanced = balance_tree(unbalanced)
         seq = np.concatenate(
-            [balanced.src_indices(i) for i in balanced.leaves()]
+            [balanced.src_indices(i) for i in boxview.leaves(balanced)]
         )
         assert sorted(seq.tolist()) == list(range(unbalanced.sources.shape[0]))
 
@@ -57,9 +58,9 @@ class TestBalance:
         assert balanced.nboxes >= tree.nboxes
         lists_b = build_lists(balanced)
         # with 2:1 balance every W box is exactly one level finer
-        for i, w in enumerate(lists_b.W):
-            for a in w:
-                assert balanced.boxes[a].level == balanced.boxes[i].level + 1
+        level = balanced.topology.level
+        leaf, w = lists_b.pairs("W")
+        assert np.array_equal(level[w], level[leaf] + 1)
 
     def test_lists_valid_on_balanced_tree(self, unbalanced):
         balanced = balance_tree(unbalanced)

@@ -23,14 +23,16 @@ from repro.parallel.partition import partition_points
 from repro.parallel.ptree import parallel_build_tree
 from repro.parallel.simmpi import PerRank, run_spmd
 
+from tests import boxview
 from tests.conftest import clustered_cloud, traced_peak, uniform_cloud
 from tests.octree.reference_lists import build_lists_reference
 
 
 def _ancestors_or_self(tree, i):
+    parent = tree.topology.parent
     out = [i]
-    while tree.boxes[out[-1]].parent >= 0:
-        out.append(tree.boxes[out[-1]].parent)
+    while parent[out[-1]] >= 0:
+        out.append(int(parent[out[-1]]))
     return out
 
 
@@ -66,8 +68,8 @@ def test_completeness(rng, cloud):
         uniform_cloud(rng, 400) if cloud == "uniform" else clustered_cloud(rng, 400)
     )
     tree = build_tree(pts, max_points=15)
-    lists = build_lists(tree)
-    leaves = tree.leaves()
+    lists = boxview.per_box(build_lists(tree))
+    leaves = boxview.leaves(tree)
     for t in leaves:
         for s in leaves:
             assert _coverage_count(tree, lists, s, t) == 1, (
@@ -90,7 +92,7 @@ def test_v_list_size_bound(rng):
     """At most 189 V-list entries (6^3 - 3^3) per box."""
     tree = build_tree(uniform_cloud(rng, 2000), max_points=20)
     lists = build_lists(tree)
-    assert max((len(v) for v in lists.V), default=0) <= 189
+    assert np.diff(lists.flat("V")[0]).max() <= 189
 
 
 def test_uniform_tree_has_no_w_or_x(rng):
@@ -99,11 +101,10 @@ def test_uniform_tree_has_no_w_or_x(rng):
     g = np.linspace(0.05, 0.95, 8)
     pts = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T
     tree = build_tree(pts, max_points=10)
-    levels = {tree.boxes[i].level for i in tree.leaves()}
-    if len(levels) == 1:  # sanity: uniform refinement happened
-        lists = build_lists(tree)
-        assert all(len(w) == 0 for w in lists.W)
-        assert all(len(x) == 0 for x in lists.X)
+    topo = tree.topology
+    if np.unique(topo.level[topo.is_leaf]).size == 1:  # uniform refinement
+        counts = build_lists(tree).counts()
+        assert counts["W"] == counts["X"] == 0
 
 
 def test_clustered_tree_has_w_and_x(rng):
@@ -117,25 +118,26 @@ def test_clustered_tree_has_w_and_x(rng):
 
 def test_u_symmetry(rng):
     tree = build_tree(clustered_cloud(rng, 500), max_points=15)
-    lists = build_lists(tree)
-    for i in tree.leaves():
-        for j in lists.U[i]:
-            assert i in set(lists.U[j]), f"U not symmetric for ({i}, {j})"
+    U = boxview.per_box(build_lists(tree)).U
+    for i in boxview.leaves(tree):
+        for j in U[i]:
+            assert i in set(U[j]), f"U not symmetric for ({i}, {j})"
 
 
 def test_single_box_tree(rng):
     tree = build_tree(uniform_cloud(rng, 5), max_points=60)
     lists = build_lists(tree)
-    assert list(lists.U[0]) == [0]
-    assert len(lists.V[0]) == len(lists.W[0]) == len(lists.X[0]) == 0
+    assert lists.flat("U")[1].tolist() == [0]
+    assert lists.counts() == {"U": 1, "V": 0, "W": 0, "X": 0}
 
 
 def test_counts_reports_totals(rng):
     tree = build_tree(uniform_cloud(rng, 300), max_points=20)
     lists = build_lists(tree)
     c = lists.counts()
-    assert c["U"] == sum(len(u) for u in lists.U)
-    assert c["V"] == sum(len(v) for v in lists.V)
+    view = boxview.per_box(lists)
+    assert c["U"] == sum(len(u) for u in view.U)
+    assert c["V"] == sum(len(v) for v in view.V)
 
 
 # -- the array construction against the per-box walk it replaced ------------
@@ -247,10 +249,11 @@ class TestListsAreArrays:
     def test_per_box_views_are_read_only_and_flat_is_not_a_copy(self, rng):
         tree = build_tree(clustered_cloud(rng, 800), max_points=15)
         lists = build_lists(tree)
+        views = boxview.per_box(lists)
         for which in "UVWX":
             ptr, idx = lists.flat(which)
             assert lists.flat(which)[0] is ptr and lists.flat(which)[1] is idx
-            per_box = getattr(lists, which)
+            per_box = getattr(views, which)
             assert len(per_box) == tree.nboxes
             busiest = int(np.argmax(np.diff(ptr)))
             view = per_box[busiest]

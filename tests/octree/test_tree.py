@@ -6,28 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.octree import build_tree
-from repro.octree.box import box_contains, boxes_adjacent
 from repro.octree.topology import SELF_OFFSET
 
+from tests import boxview
+from tests.boxview import Box, box_contains, boxes_adjacent
 from tests.conftest import clustered_cloud, uniform_cloud
 
 
 def _check_invariants(tree):
     """Structural invariants every tree must satisfy."""
+    boxes, leaves = boxview.boxes(tree), boxview.leaves(tree)
     # root covers everything
-    root = tree.boxes[0]
+    root = boxes[0]
     assert root.src_start == 0 and root.src_stop == tree.sources.shape[0]
-    for b in tree.boxes:
+    for b in boxes:
         # ranges are well-formed
         assert b.src_start <= b.src_stop
         assert b.trg_start <= b.trg_stop
         if b.parent >= 0:
-            p = tree.boxes[b.parent]
+            p = boxes[b.parent]
             assert p.level == b.level - 1
             assert box_contains(p, b)
         if not b.is_leaf:
             # children tile the parent's point ranges
-            kids = [tree.boxes[c] for c in b.children]
+            kids = [boxes[c] for c in b.children]
             assert sum(k.nsrc for k in kids) == b.nsrc
             assert sum(k.ntrg for k in kids) == b.ntrg
             for k in kids:
@@ -36,12 +38,12 @@ def _check_invariants(tree):
         assert tree.topology.find(b.level, b.anchor) == b.index
     # every source index appears exactly once across leaves
     leaf_src = np.concatenate(
-        [tree.src_indices(i) for i in tree.leaves()]
-    ) if tree.leaves() else np.empty(0)
+        [tree.src_indices(i) for i in leaves]
+    ) if leaves else np.empty(0)
     assert sorted(leaf_src.tolist()) == list(range(tree.sources.shape[0]))
     # points geometrically inside their leaf
-    for i in tree.leaves():
-        b = tree.boxes[i]
+    for i in leaves:
+        b = boxes[i]
         side = tree.root_side / (1 << b.level)
         lo = tree.root_corner + np.array(b.anchor) * side
         pts = tree.src_points(i)
@@ -62,14 +64,13 @@ class TestConstruction:
 
     def test_leaf_capacity(self, rng):
         tree = build_tree(uniform_cloud(rng, 1000), max_points=40)
-        for i in tree.leaves():
-            b = tree.boxes[i]
-            assert b.nsrc <= 40
+        topo = tree.topology
+        assert topo.nsrc[topo.is_leaf].max() <= 40
 
     def test_single_box_when_few_points(self, rng):
         tree = build_tree(uniform_cloud(rng, 10), max_points=60)
         assert tree.nboxes == 1
-        assert tree.boxes[0].is_leaf
+        assert tree.topology.is_leaf[0]
 
     def test_max_depth_respected(self, rng):
         pts = np.zeros((100, 3))
@@ -83,7 +84,7 @@ class TestConstruction:
         tree = build_tree(src, trg, max_points=20)
         _check_invariants(tree)
         assert not tree.shared_points
-        trg_leaf = np.concatenate([tree.trg_indices(i) for i in tree.leaves()])
+        trg_leaf = np.concatenate([tree.trg_indices(i) for i in boxview.leaves(tree)])
         assert sorted(trg_leaf.tolist()) == list(range(200))
 
     def test_deterministic(self, rng):
@@ -91,7 +92,7 @@ class TestConstruction:
         t1 = build_tree(pts, max_points=30)
         t2 = build_tree(pts, max_points=30)
         assert t1.nboxes == t2.nboxes
-        assert [b.anchor for b in t1.boxes] == [b.anchor for b in t2.boxes]
+        assert [b.anchor for b in boxview.boxes(t1)] == [b.anchor for b in boxview.boxes(t2)]
 
     def test_explicit_root(self, rng):
         pts = rng.random((100, 3)) * 0.5 + 0.25
@@ -101,9 +102,8 @@ class TestConstruction:
 
     def test_levels_ordering(self, rng):
         tree = build_tree(uniform_cloud(rng, 600), max_points=20)
-        for level, ids in enumerate(tree.levels):
-            for i in ids:
-                assert tree.boxes[i].level == level
+        for level, ids in enumerate(boxview.levels(tree)):
+            assert np.all(tree.topology.level[ids] == level)
 
     @given(st.integers(min_value=1, max_value=400))
     @settings(max_examples=20, deadline=None)
@@ -130,10 +130,11 @@ def _colleagues(tree):
 class TestColleagues:
     def test_against_brute_force(self, rng):
         tree = build_tree(uniform_cloud(rng, 600), max_points=20)
-        for b, found in zip(tree.boxes, _colleagues(tree)):
+        boxes = boxview.boxes(tree)
+        for b, found in zip(boxes, _colleagues(tree)):
             expected = {
                 o.index
-                for o in tree.boxes
+                for o in boxes
                 if o.level == b.level
                 and all(abs(o.anchor[d] - b.anchor[d]) <= 1 for d in range(3))
             }
@@ -148,20 +149,22 @@ class TestColleagues:
 
     def test_colleagues_are_adjacent(self, rng):
         tree = build_tree(clustered_cloud(rng, 500), max_points=20)
-        for b, found in zip(tree.boxes, _colleagues(tree)):
+        boxes = boxview.boxes(tree)
+        for b, found in zip(boxes, _colleagues(tree)):
             for c in found:
-                assert boxes_adjacent(tree.boxes[c], b)
+                assert boxes_adjacent(boxes[c], b)
 
 
 class TestGeometry:
     def test_center_and_half_width(self, rng):
         tree = build_tree(uniform_cloud(rng, 300), max_points=30)
-        root = tree.boxes[0]
+        boxes = boxview.boxes(tree)
+        root = boxes[0]
         assert np.allclose(
             tree.center(0), tree.root_corner + tree.root_side / 2
         )
         assert tree.half_width(0) == pytest.approx(tree.root_side / 2)
-        for b in tree.boxes:
+        for b in boxes:
             if b.parent >= 0:
                 assert tree.half_width(b.index) == pytest.approx(
                     tree.half_width(b.parent) / 2
@@ -172,25 +175,24 @@ class TestGeometry:
         tree = build_tree(uniform_cloud(rng, 400), max_points=25)
         st_ = tree.statistics()
         assert st_["nboxes"] == tree.nboxes
-        assert st_["nleaves"] == len(tree.leaves())
+        assert st_["nleaves"] == len(boxview.leaves(tree))
         assert st_["max_leaf_src"] <= 25
 
 
 class TestAdjacency:
     def test_self_adjacent(self, rng):
         tree = build_tree(uniform_cloud(rng, 100), max_points=20)
-        b = tree.boxes[0]
+        b = boxview.boxes(tree)[0]
         assert boxes_adjacent(b, b)
 
     def test_parent_child_adjacent(self, rng):
         tree = build_tree(uniform_cloud(rng, 300), max_points=20)
-        for b in tree.boxes:
+        boxes = boxview.boxes(tree)
+        for b in boxes:
             if b.parent >= 0:
-                assert boxes_adjacent(tree.boxes[b.parent], b)
+                assert boxes_adjacent(boxes[b.parent], b)
 
     def test_cross_level_adjacency(self):
-        from repro.octree.box import Box
-
         big = Box(0, 1, (0, 0, 0), -1, 0, 0, 0, 0)
         small_touching = Box(1, 2, (2, 0, 0), -1, 0, 0, 0, 0)
         small_far = Box(2, 2, (3, 3, 3), -1, 0, 0, 0, 0)

@@ -6,6 +6,8 @@ import pytest
 from repro.octree import build_lists, build_tree
 from repro.octree.lists import verify_lists
 
+from tests import boxview
+
 
 class TestDegenerateInputs:
     def test_single_point(self):
@@ -19,7 +21,7 @@ class TestDegenerateInputs:
         tree = build_tree(pts, max_points=1, max_depth=4)
         # coincident points cannot be separated: the depth cap applies
         assert tree.depth <= 4
-        leaf_src = np.concatenate([tree.src_indices(i) for i in tree.leaves()])
+        leaf_src = np.concatenate([tree.src_indices(i) for i in boxview.leaves(tree)])
         assert sorted(leaf_src.tolist()) == [0, 1]
 
     def test_collinear_points(self, rng):
@@ -30,7 +32,7 @@ class TestDegenerateInputs:
         verify_lists(tree, lists)
         # a line along x refines essentially one-dimensionally: children
         # per box never exceed 2 occupied octants beyond the root level
-        for b in tree.boxes:
+        for b in boxview.boxes(tree):
             if not b.is_leaf and b.level >= 1:
                 assert len(b.children) <= 2
 
@@ -39,15 +41,15 @@ class TestDegenerateInputs:
         tree = build_tree(pts, max_points=25)
         # bounding cube side must cover the largest extent
         assert tree.root_side >= 99.0
-        leaf_src = np.concatenate([tree.src_indices(i) for i in tree.leaves()])
+        leaf_src = np.concatenate([tree.src_indices(i) for i in boxview.leaves(tree)])
         assert len(leaf_src) == 300
 
     def test_zero_sources_with_targets(self, rng):
         src = rng.random((50, 3))
         trg = rng.random((0, 3))
         tree = build_tree(src, trg, max_points=10)
-        assert tree.boxes[0].ntrg == 0
-        for i in tree.leaves():
+        assert tree.topology.ntrg[0] == 0
+        for i in boxview.leaves(tree):
             assert tree.trg_points(i).shape == (0, 3)
 
     def test_duplicated_cloud(self, rng):
@@ -55,7 +57,7 @@ class TestDegenerateInputs:
         base = rng.random((40, 3))
         pts = np.repeat(base, 5, axis=0)
         tree = build_tree(pts, max_points=8, max_depth=6)
-        leaf_src = np.concatenate([tree.src_indices(i) for i in tree.leaves()])
+        leaf_src = np.concatenate([tree.src_indices(i) for i in boxview.leaves(tree)])
         assert sorted(leaf_src.tolist()) == list(range(200))
 
 
@@ -97,8 +99,6 @@ class TestNonFiniteCoordinates:
         opts = FMMOptions(p=3, max_points=30)
         with pytest.raises(ValueError, match=message):
             KIFMM(LaplaceKernel(), opts).setup(bad)
-        with pytest.raises(ValueError, match=message):
-            KIFMM(LaplaceKernel(), FMMOptions(p=3, plan="naive")).setup(bad)
         with pytest.raises(ValueError, match=message):
             ParallelFMM(2, LaplaceKernel(), opts).setup(bad)
         with pytest.raises(ValueError, match=message):

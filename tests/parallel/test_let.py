@@ -5,6 +5,7 @@ import numpy as np
 from repro.octree import build_lists, build_tree
 from repro.parallel.let import classify_let
 
+from tests import boxview
 from tests.conftest import clustered_cloud
 
 
@@ -13,26 +14,27 @@ def test_usage_matches_definitions(rng):
     lists = build_lists(tree)
     # pretend this rank owns the targets of the first half of the leaves
     local_trg = np.zeros(tree.nboxes, dtype=bool)
-    leaves = tree.leaves()
+    boxes, leaves = boxview.boxes(tree), boxview.leaves(tree)
     for leaf in leaves[: len(leaves) // 2]:
         b = leaf
         while b >= 0:
             local_trg[b] = True
-            b = tree.boxes[b].parent
+            b = boxes[b].parent
 
     usage = classify_let(tree, lists, local_trg)
 
     expected_equiv = np.zeros(tree.nboxes, dtype=bool)
     expected_src = np.zeros(tree.nboxes, dtype=bool)
+    view = boxview.per_box(lists)
     for b in np.nonzero(local_trg)[0]:
-        for a in lists.V[b]:
+        for a in view.V[b]:
             expected_equiv[a] = True
-        for a in lists.X[b]:
+        for a in view.X[b]:
             expected_src[a] = True
-        if tree.boxes[b].is_leaf:
-            for a in lists.W[b]:
+        if boxes[b].is_leaf:
+            for a in view.W[b]:
                 expected_equiv[a] = True
-            for a in lists.U[b]:
+            for a in view.U[b]:
                 expected_src[a] = True
     assert np.array_equal(usage.uses_equiv, expected_equiv)
     assert np.array_equal(usage.uses_source, expected_src)
@@ -51,7 +53,7 @@ def test_own_leaf_in_own_u_list_usage(rng):
     tree = build_tree(clustered_cloud(rng, 300), max_points=20)
     lists = build_lists(tree)
     local_trg = np.zeros(tree.nboxes, dtype=bool)
-    leaf = tree.leaves()[0]
+    leaf = boxview.leaves(tree)[0]
     local_trg[leaf] = True
     usage = classify_let(tree, lists, local_trg)
     assert usage.uses_source[leaf]  # B is in its own U list

@@ -22,6 +22,7 @@ from repro.parallel import ParallelFMM, run_parallel_fmm
 from repro.parallel.simmpi import CommStats
 
 from tests.conftest import clustered_cloud, uniform_cloud
+from tests.core.perbox import PerBoxFMM
 from tests.parallel.transports import apply_on_both
 
 KERNELS = {
@@ -81,9 +82,8 @@ def test_blocked_apply_matches_per_box_column_loop(rng):
     pts = uniform_cloud(rng, 400)
     block = rng.standard_normal((400, 1, 3))
     opts = FMMOptions(p=4, max_points=mp)
-    naive = FMMOptions(p=4, max_points=mp, plan="naive")
     seq = KIFMM(kern, opts).setup(pts).apply(block)
-    ref = KIFMM(kern, naive).setup(pts).apply(block)
+    ref = PerBoxFMM(kern, opts).setup(pts).apply(block)
     par = run_parallel_fmm(2, kern, pts, block, opts)
     assert par.potential.shape == (400, 1, 3)
     assert relative_error(par.potential, seq) < 1e-12

@@ -24,6 +24,7 @@ from tests.conftest import (
     count_factorisations,
     uniform_cloud,
 )
+from tests.core.perbox import PerBoxFMM
 from tests.parallel.transports import apply_on_both
 
 
@@ -38,8 +39,7 @@ def test_laplace_parity(rng, nranks, dist):
     phi = rng.standard_normal((700, 1))
     opts = FMMOptions(p=4, max_points=30)
     seq_batched = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
-    naive = FMMOptions(p=4, max_points=30, plan="naive")
-    seq_naive = KIFMM(LaplaceKernel(), naive).setup(pts).apply(phi)
+    seq_naive = PerBoxFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(nranks, LaplaceKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq_batched) < 1e-9
     assert relative_error(par.potential, seq_naive) < 1e-9
@@ -52,8 +52,7 @@ def test_stokes_parity(rng, nranks, dist):
     phi = rng.standard_normal((500, 3))
     opts = FMMOptions(p=4, max_points=35)
     seq_batched = KIFMM(StokesKernel(), opts).setup(pts).apply(phi)
-    naive = FMMOptions(p=4, max_points=35, plan="naive")
-    seq_naive = KIFMM(StokesKernel(), naive).setup(pts).apply(phi)
+    seq_naive = PerBoxFMM(StokesKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(nranks, StokesKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq_batched) < 1e-9
     assert relative_error(par.potential, seq_naive) < 1e-9
@@ -165,10 +164,7 @@ def test_rsvd_and_auto_m2l_planned_path(rng, m2l, dtype, tol):
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = run_parallel_fmm(3, LaplaceKernel(), pts, phi, opts)
     assert relative_error(par.potential, seq) < tol
-    naive = KIFMM(
-        LaplaceKernel(),
-        FMMOptions(p=4, max_points=30, m2l=m2l, dtype=dtype, plan="naive"),
-    ).setup(pts).apply(phi)
+    naive = PerBoxFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     assert relative_error(par.potential, naive) < tol
 
 
@@ -178,16 +174,6 @@ def test_matvec_shape_for_gmres(rng):
     op.setup(pts)
     out = op.matvec(rng.standard_normal(900))
     assert out.shape == (900,)
-
-
-def test_parallel_fmm_rejects_naive_plan():
-    """plan="naive" selects the sequential reference only."""
-    naive = FMMOptions(plan="naive")
-    with pytest.raises(ValueError, match="batched"):
-        ParallelFMM(2, LaplaceKernel(), naive)
-    with pytest.raises(ValueError, match="batched"):
-        run_parallel_fmm(2, LaplaceKernel(), np.zeros((4, 3)),
-                         np.zeros((4, 1)), naive)
 
 
 def test_parallel_fmm_rejects_balance_beyond_one_rank():

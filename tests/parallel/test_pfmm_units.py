@@ -27,17 +27,14 @@ class TestOctant:
         for octant, kids, _ in groups:
             assert 0 <= octant < 8
             # one group holds at most one child of any parent
-            parents = [tree.boxes[k].parent for k in kids]
-            assert len(set(parents)) == len(parents)
+            parents = tree.topology.parent[kids]
+            assert np.unique(parents).size == parents.size
 
     def test_matches_anchor_parity(self, rng):
         tree, groups = self._groups(rng)
         for o, kids, _ in groups:
-            for k in kids:
-                b = tree.boxes[k]
-                assert (o & 1) == (b.anchor[0] & 1)
-                assert ((o >> 1) & 1) == (b.anchor[1] & 1)
-                assert ((o >> 2) & 1) == (b.anchor[2] & 1)
+            for axis in range(3):
+                assert np.all(tree.topology.anchor[kids, axis] & 1 == (o >> axis) & 1)
 
 
 def _upward(tree, kernel, cache, phi):
@@ -68,19 +65,19 @@ class TestUpwardLocal:
         cache = OperatorCache(kernel, 4, tree.root_side)
         ue = _upward(tree, kernel, cache, phi)
         # compare a leaf's density against a direct S2M computation
-        leaf = tree.leaves()[0]
-        b = tree.boxes[leaf]
+        topo = tree.topology
+        leaf = np.flatnonzero(topo.is_leaf)[0]
+        level = int(topo.level[leaf])
         K = kernel.matrix(
-            cache.up_check_points(tree.center(leaf), b.level),
+            cache.up_check_points(tree.center(leaf), level),
             tree.src_points(leaf),
         )
-        expected = cache.uc2ue(b.level) @ (
+        expected = cache.uc2ue(level) @ (
             K @ phi[tree.src_indices(leaf)].reshape(-1)
         )
         assert np.allclose(ue[leaf], expected)
         # every box with sources has a density
-        for b in tree.boxes:
-            assert ue[b.index].any() == (b.nsrc > 0)
+        assert np.array_equal(ue.any(axis=1), topo.nsrc > 0)
 
     def test_linearity_of_partials(self, rng):
         """Partial densities are linear in the local sources — the

@@ -32,21 +32,18 @@ def test_topology_matches_sequential(rng, nranks, cloud):
     for ptree in results:
         t = ptree.tree
         assert t.nboxes == seq.nboxes
-        assert [b.anchor for b in t.boxes] == [b.anchor for b in seq.boxes]
-        assert [b.level for b in t.boxes] == [b.level for b in seq.boxes]
-        assert [b.children for b in t.boxes] == [b.children for b in seq.boxes]
+        for field in ("anchor", "level", "child"):
+            assert np.array_equal(
+                getattr(t.topology, field), getattr(seq.topology, field)
+            )
         # global counts equal the sequential (full-data) counts
-        assert np.array_equal(
-            ptree.global_nsrc, np.array([b.nsrc for b in seq.boxes])
-        )
+        assert np.array_equal(ptree.global_nsrc, seq.topology.nsrc)
 
 
 def test_local_counts_sum_to_global(rng):
     pts = clustered_cloud(rng, 600)
     results, _ = _build_everywhere(pts, 4, 20)
-    local_sum = np.sum(
-        [[b.nsrc for b in r.tree.boxes] for r in results], axis=0
-    )
+    local_sum = np.sum([r.tree.topology.nsrc for r in results], axis=0)
     assert np.array_equal(local_sum, results[0].global_nsrc)
 
 
@@ -95,5 +92,4 @@ def test_contribution_masks(rng):
         mask = ptree.local_contributes_src()
         # root contains every local point
         assert mask[0] == (len(parts[r]) > 0)
-        for b in ptree.tree.boxes:
-            assert mask[b.index] == (b.nsrc > 0)
+        assert np.array_equal(mask, ptree.tree.topology.nsrc > 0)

@@ -101,7 +101,7 @@ class TestCoarseSplitRuntime:
         pts, kern, opts, states = self._states(rng)
         nranks = len(states)
         split = coarse_split_levels(
-            [len(lv) for lv in states[0].tree.levels], nranks
+            np.diff(states[0].tree.topology.level_ptr).tolist(), nranks
         )
         assert split, "clustered fixture no longer has coarse levels"
         # Every rank's bcast schedule must agree box-by-box on the

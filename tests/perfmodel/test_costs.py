@@ -8,7 +8,6 @@ times the work the implementation performs.
 import numpy as np
 import pytest
 
-from repro.core.evaluator import evaluate
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.octree import build_lists, build_tree
@@ -58,8 +57,8 @@ def test_count_override(rng):
     lists = build_lists(tree)
     kernel = LaplaceKernel()
     base = compute_work(tree, lists, kernel, 4)
-    nsrc = np.array([b.nsrc for b in tree.boxes], dtype=float) * 2
-    ntrg = np.array([b.ntrg for b in tree.boxes], dtype=float) * 2
+    nsrc = tree.topology.nsrc * 2.0
+    ntrg = tree.topology.ntrg * 2.0
     scaled = compute_work(
         tree, lists, kernel, 4, global_nsrc=nsrc, global_ntrg=ntrg
     )
@@ -92,12 +91,10 @@ def test_communication_volumes_duality(rng):
     equiv_uses, source_uses, equiv_bytes, source_bytes = communication_volumes(
         tree, lists, LaplaceKernel(), 4
     )
-    n_equiv_pairs = sum(len(u) for u in equiv_uses)
-    expected = sum(len(v) for v in lists.V) + sum(
-        len(w) for i, w in enumerate(lists.W) if tree.boxes[i].is_leaf
-    )
-    assert n_equiv_pairs == expected
+    counts = lists.counts()
+    assert equiv_uses[0].size == counts["V"] + counts["W"]
+    nleaves = int(tree.topology.is_leaf.sum())  # a leaf's own U entry is no use
+    assert source_uses[0].size == counts["X"] + counts["U"] - nleaves
     assert np.all(equiv_bytes > 0)
     # source bytes proportional to leaf population
-    for b in tree.boxes:
-        assert source_bytes[b.index] == 8.0 * b.nsrc * 4
+    assert np.array_equal(source_bytes, 8.0 * tree.topology.nsrc * 4)

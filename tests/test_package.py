@@ -32,6 +32,29 @@ class TestPublicAPI:
         assert rel < 1e-3
 
 
+class TestTheArraysAreTheOnlyTree:
+    def test_no_per_box_view_and_no_plan_option(self, rng):
+        """Nothing under ``src/`` keeps a per-box representation or a
+        second evaluator to select: the oracles' views live under
+        ``tests/`` (``tests/boxview.py``, ``tests/core/perbox.py``)."""
+        import dataclasses
+        import importlib.util
+
+        from repro.octree import build_lists, build_tree
+
+        assert importlib.util.find_spec("repro.octree.box") is None
+        tree = build_tree(rng.random((200, 3)), max_points=20)
+        lists = build_lists(tree)
+        for name in ("boxes", "levels", "leaves"):
+            assert not hasattr(tree, name), name
+        for name in "UVWX":
+            assert not hasattr(lists, name), name
+        fields = [f.name for f in dataclasses.fields(repro.FMMOptions)]
+        assert len(fields) == 11 and "plan" not in fields
+        with pytest.raises(TypeError):
+            repro.FMMOptions(plan="naive")
+
+
 class TestPerfmodelRobustness:
     def test_more_ranks_than_leaves(self, rng):
         """Idle ranks must not break the simulation (finite ratio)."""
