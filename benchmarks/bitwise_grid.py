@@ -8,7 +8,7 @@ Run on two commits (same machine, same BLAS) and diff the JSON::
 Grid: {Laplace, Stokes} x m2l {fft, dense, rsvd, auto} x {uniform,
 corner-clustered, two tight opposite-corner clusters} (N = 3000, p = 4)
 x {sequential KIFMM; ParallelFMM at 1, 2, 4 ranks overlap on; 4 ranks
-overlap off; 4 ranks comm="flat"; 8 ranks}.  The two-cluster set keeps
+overlap off; 8 ranks}.  The two-cluster set keeps
 two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
 split and its broadcasts.  Each cell records the sha256 of the
 ``nrhs = 1`` potential, of the tree (every ``TreeTopology`` array of
@@ -22,7 +22,9 @@ row — and exits 1 if it does not hold.  ``--against`` gives its
 verdict per M2L column (an ``auto`` cell is filed under the backend
 whose cell it equals bit for bit), so a change that means to alter one
 backend's arithmetic shows which columns it left alone; any difference
-anywhere still exits 1.
+anywhere still exits 1.  Cells the other run has and this one lacks are
+listed per rank column as dropped, not as a failure, so a removed
+column shows in the log.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ CONFIGS = (
     ("p2", dict(nranks=2)),
     ("p4", dict(nranks=4)),
     ("p4-nooverlap", dict(nranks=4, overlap=False)),
-    ("p4-flat", dict(nranks=4, comm="flat")),
     ("p8", dict(nranks=8)),
 )
 
@@ -105,10 +106,7 @@ def run_grid() -> tuple[dict, dict]:
             for m2l in ("fft", "dense", "rsvd", "auto"):
                 for cname, par in CONFIGS:
                     par = dict(par or {})
-                    opts = FMMOptions(
-                        p=P, max_points=S, m2l=m2l,
-                        comm=par.pop("comm", "tree"),
-                    )
+                    opts = FMMOptions(p=P, max_points=S, m2l=m2l)
                     if cname == "seq":
                         fmm = KIFMM(kernel, opts).setup(pts)
                     else:
@@ -195,6 +193,12 @@ def main() -> None:
                   f"difference {max(rel[k] for k in keys):.3e}")
         for k in differ:
             print("  DIFFERS", k)
+        dropped: dict[str, list[str]] = {}
+        for k in sorted(set(other) - set(cells)):
+            dropped.setdefault(k.rsplit("/", 1)[1], []).append(k)
+        for cname, keys in sorted(dropped.items()):
+            print(f"  dropped  {cname:<13}{len(keys):>3} cells of the other "
+                  f"run not in this one (not a failure)")
         failed = failed or bool(differ) or worst > 1e-13
     raise SystemExit(1 if failed else 0)
 

@@ -32,10 +32,11 @@ tooling" and § "Race detection & sanitizers"):
   (``repro commir``): the complete message schedule extracted from the
   plan inputs as a CommIR for arbitrary rank counts (P=4096 included)
   and certified without executing an apply — send/recv matching, tag
-  discipline, deadlock-freedom, cross-scheme payload conservation, and
-  conformance of dynamic traces — plus exhaustive schedule-space model
-  checking (``repro dpor``) proving deadlock-freedom and observable
-  determinism over *every* interleaving at small rank counts.
+  discipline, deadlock-freedom, payload conservation against the box
+  roles, and conformance of dynamic traces — plus exhaustive
+  schedule-space model checking (``repro dpor``) proving deadlock-freedom
+  and observable determinism over *every* interleaving at small rank
+  counts.
 """
 
 from repro.analysis.commcheck import CommReport, Finding, check_trace, compare_traces

@@ -24,16 +24,14 @@ the properties an execution at that rank count would exhibit:
     channel).  A cycle is a schedule that cannot make progress under
     *any* interleaving.
 ``conservation``
-    Payload conservation of the tree scheme against the flat scheme:
-    interpreting the message edges per exchanged box, every
-    contributor's piece must reach the owner and the owner's combined
-    data must reach every user — and the delivered sets must be
-    identical under both schemes.  Since both schemes concatenate
-    pieces in the same tree-position order, set equality here is
-    multiset equality of the delivered payload rows.  Boxes already
-    reported by ``matching`` are skipped (an unmatched schedule has no
-    well-defined payload flow), keeping each seeded defect attributable
-    to exactly one check.
+    Payload conservation against the roles the programs were compiled
+    from (``CommIR.roles``): interpreting the message edges per
+    exchanged box, every contributor's piece must reach the owner
+    through the gather edges and the owner's combined data must reach
+    every user through the scatter edges.  Boxes already reported by
+    ``matching`` are skipped (an unmatched schedule has no well-defined
+    payload flow), keeping each seeded defect attributable to exactly
+    one check.
 ``conformance``
     Every *dynamic* :class:`~repro.analysis.trace.CommTrace` of the
     same configuration must replay the IR: per rank, the traced
@@ -49,9 +47,9 @@ the properties an execution at that rank count would exhibit:
 There is no waiver mechanism: a finding fails certification.  The
 ``seed_*`` functions plant one defect each (a dropped relay forward, a
 gather message retagged into a concurrent phase's family, a leaf's
-gather send reordered after its scatter wait) and
-:func:`run_selftests` asserts each is caught by *exactly* the intended
-check.  CLI: ``python -m repro commir``.
+gather send reordered after its scatter wait, a scatter edge deleted
+whole) and :func:`run_selftests` asserts each is caught by *exactly*
+the intended check.  CLI: ``python -m repro commir``.
 """
 
 from __future__ import annotations
@@ -118,16 +116,13 @@ class IRIndex:
 
     An IR at P=4096 holds millions of ops; each full program walk costs
     seconds in pure Python, so the per-channel op counts and the
-    per-box message-edge lists are built in one pass and reused — by
-    every check of the IR itself and again when the IR serves as the
-    cross-scheme ``reference``.  Build with :func:`build_index`; pass
-    to :func:`run_checks` when certifying both schemes of one
-    configuration (each IR is indexed once instead of up to six walks).
+    per-box message-edge lists are built in one pass and reused by
+    every check of the IR.
     """
 
     __slots__ = (
         "sends", "posts", "completes", "gather_edges", "scatter_edges",
-        "_flows", "_bad",
+        "_bad",
     )
 
     def __init__(self, ir: CommIR) -> None:
@@ -136,7 +131,6 @@ class IRIndex:
         self.completes: dict[tuple, int] = {}
         self.gather_edges: dict[tuple, list] = defaultdict(list)
         self.scatter_edges: dict[tuple, list] = defaultdict(list)
-        self._flows: dict | None = None
         self._bad: set[tuple] | None = None
         for rank, prog in enumerate(ir.programs):
             for op in prog:
@@ -179,12 +173,6 @@ class IRIndex:
                 bad.add(chan)
         self._bad = bad
         return bad
-
-
-def build_index(ir: CommIR) -> IRIndex:
-    """Index an IR once for repeated certification (see IRIndex)."""
-    with gc_paused():
-        return IRIndex(ir)
 
 
 def _mismatched_boxes(
@@ -397,201 +385,59 @@ def check_deadlock(
     )]
 
 
-def _payload_flow(
-    ir: CommIR, index: IRIndex | None = None
-) -> dict[tuple[str, tuple], tuple[frozenset, frozenset]]:
-    """Per exchanged box: ``(reach, delivered)`` rank sets from the
-    message edges — who can feed the owner through the gather graph,
-    and whom the owner's combined data reaches through the scatter
-    graph.  This is the payload interpretation of the IR: the delivered
-    payload rows of a user are exactly the pieces of ``reach``."""
-    index = index or IRIndex(ir)
-    if index._flows is not None:
-        return index._flows
-    gather_edges = index.gather_edges
-    scatter_edges = index.scatter_edges
-    flows: dict[tuple[str, tuple], tuple[frozenset, frozenset]] = {}
-    for kind, boxes in ir.roles.items():
-        for ids, (owner, _contribs, _users) in boxes.items():
-            fwd: dict[int, list[int]] = defaultdict(list)
-            rev: dict[int, list[int]] = defaultdict(list)
-            for s, d in gather_edges.get((kind, ids), ()):
-                rev[d].append(s)
-            for s, d in scatter_edges.get((kind, ids), ()):
-                fwd[s].append(d)
-            reach = {owner}
-            stack = [owner]
-            while stack:
-                for s in rev.get(stack.pop(), ()):
-                    if s not in reach:
-                        reach.add(s)
-                        stack.append(s)
-            delivered = {owner}
-            stack = [owner]
-            while stack:
-                for d in fwd.get(stack.pop(), ()):
-                    if d not in delivered:
-                        delivered.add(d)
-                        stack.append(d)
-            flows[(kind, ids)] = (frozenset(reach), frozenset(delivered))
-    index._flows = flows
-    return flows
+def _reachable(start: int, edges: dict[int, list[int]]) -> set[int]:
+    """The ranks ``edges`` leads to from ``start``, ``start`` included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def check_conservation(
     ir: CommIR,
-    reference: CommIR | None = None,
     skip: set[tuple[str, tuple]] | None = None,
     index: IRIndex | None = None,
-    reference_index: IRIndex | None = None,
 ) -> list[Finding]:
-    """Endpoint payload conservation, optionally against the other
-    scheme's IR (``reference``).  ``skip`` holds the boxes ``matching``
-    already reported."""
+    """Endpoint payload conservation against the roles.
+
+    Per exchanged box, the ranks that can feed the owner through the
+    gather edges must include every contributor, and the ranks the
+    owner's combined data reaches through the scatter edges every user.
+    ``skip`` holds the boxes ``matching`` already reported.
+    """
+    index = index or IRIndex(ir)
     skip = skip or set()
     findings: list[Finding] = []
-    flows = _payload_flow(ir, index)
-    if reference is not None:
-        reference_index = reference_index or IRIndex(reference)
-        ref_flows = _payload_flow(reference, reference_index)
-        ref_skip = (
-            _mismatched_boxes(reference, reference_index)
-            if reference_index.bad_channels() else set()
-        )
-    else:
-        ref_flows = None
-        ref_skip = set()
     for kind, boxes in ir.roles.items():
         for ids, (owner, contribs, users) in sorted(
             boxes.items(), key=repr
         ):
             if (kind, ids) in skip:
                 continue
+            to_owner: dict[int, list[int]] = defaultdict(list)
+            for s, d in index.gather_edges.get((kind, ids), ()):
+                to_owner[d].append(s)
+            from_owner: dict[int, list[int]] = defaultdict(list)
+            for s, d in index.scatter_edges.get((kind, ids), ()):
+                from_owner[s].append(d)
             where = f"{kind} box {ids}"
-            reach, delivered = flows[(kind, ids)]
-            lost = contribs - reach
+            lost = contribs - _reachable(owner, to_owner)
             if lost:
                 findings.append(Finding(
                     "conservation", where,
                     f"contributor piece(s) of rank(s) {sorted(lost)} "
                     f"never reach owner {owner}",
                 ))
-            starved = users - delivered
+            starved = users - _reachable(owner, from_owner)
             if starved:
                 findings.append(Finding(
                     "conservation", where,
                     f"combined data never delivered to user rank(s) "
                     f"{sorted(starved)}",
                 ))
-            if ref_flows is None or (kind, ids) in ref_skip:
-                continue
-            ref = ref_flows.get((kind, ids))
-            if ref is None:
-                findings.append(Finding(
-                    "conservation", where,
-                    f"box exchanged under {ir.meta.get('scheme')!r} but "
-                    f"absent from the "
-                    f"{reference.meta.get('scheme')!r} schedule",
-                ))
-            elif (reach & contribs, delivered & users) != (
-                ref[0] & contribs, ref[1] & users
-            ):
-                findings.append(Finding(
-                    "conservation", where,
-                    f"schemes deliver different payload row multisets: "
-                    f"{ir.meta.get('scheme')} gathers {sorted(reach & contribs)} "
-                    f"/ delivers to {sorted(delivered & users)}, "
-                    f"{reference.meta.get('scheme')} gathers "
-                    f"{sorted(ref[0] & contribs)} / delivers to "
-                    f"{sorted(ref[1] & users)}",
-                ))
-    return findings
-
-
-@dataclass(frozen=True)
-class ConservationSummary:
-    """Everything the cross-scheme conservation comparison needs from
-    one scheme's IR, in O(boxes) memory.
-
-    A P=4096 IR is millions of ops (gigabytes live); certifying both
-    schemes with each as the other's ``reference`` keeps two of them
-    alive at once, and the resulting allocator churn dominates wall
-    time.  Summarize each scheme right after its own certification,
-    free the IR, and compare the summaries instead — the payload flows,
-    the matching-dirty boxes to skip, and the box roles are all the
-    comparison reads.
-    """
-
-    scheme: str
-    flows: dict[tuple[str, tuple], tuple[frozenset, frozenset]]
-    skip: frozenset
-    roles: dict
-
-
-def conservation_summary(
-    ir: CommIR, index: IRIndex | None = None
-) -> ConservationSummary:
-    """Condense one IR to its cross-scheme comparison surface."""
-    index = index or IRIndex(ir)
-    skip = (
-        _mismatched_boxes(ir, index) if index.bad_channels() else set()
-    )
-    return ConservationSummary(
-        scheme=str(ir.meta.get("scheme")),
-        flows=_payload_flow(ir, index),
-        skip=frozenset(skip),
-        roles=ir.roles,
-    )
-
-
-def cross_scheme_conservation(
-    a: ConservationSummary, b: ConservationSummary
-) -> list[Finding]:
-    """Symmetric payload comparison of two schemes from summaries.
-
-    Same findings as the ``reference`` path of
-    :func:`check_conservation`, both directions at once, without either
-    IR staying alive.  Boxes either scheme's ``matching`` already
-    reported are skipped.
-    """
-    findings: list[Finding] = []
-    for kind, boxes in a.roles.items():
-        for ids, (owner, contribs, users) in sorted(
-            boxes.items(), key=repr
-        ):
-            key = (kind, ids)
-            if key in a.skip or key in b.skip:
-                continue
-            where = f"{kind} box {ids}"
-            fa = a.flows.get(key)
-            fb = b.flows.get(key)
-            if fa is None or fb is None:
-                absent = a.scheme if fa is None else b.scheme
-                findings.append(Finding(
-                    "conservation", where,
-                    f"box exchanged under one scheme but absent from "
-                    f"the {absent!r} schedule",
-                ))
-                continue
-            if (fa[0] & contribs, fa[1] & users) != (
-                fb[0] & contribs, fb[1] & users
-            ):
-                findings.append(Finding(
-                    "conservation", where,
-                    f"schemes deliver different payload row multisets: "
-                    f"{a.scheme} gathers {sorted(fa[0] & contribs)} "
-                    f"/ delivers to {sorted(fa[1] & users)}, "
-                    f"{b.scheme} gathers {sorted(fb[0] & contribs)} "
-                    f"/ delivers to {sorted(fb[1] & users)}",
-                ))
-    for key in sorted(set(b.flows) - set(a.flows), key=repr):
-        if key in a.skip or key in b.skip:
-            continue
-        findings.append(Finding(
-            "conservation", f"{key[0]} box {key[1]}",
-            f"box exchanged under one scheme but absent from "
-            f"the {a.scheme!r} schedule",
-        ))
     return findings
 
 
@@ -650,29 +496,21 @@ def check_conformance(ir: CommIR, trace: CommTrace) -> list[Finding]:
 def run_checks(
     ir: CommIR,
     *,
-    reference: CommIR | None = None,
     traces: tuple[CommTrace, ...] = (),
     name: str = "commir",
-    index: IRIndex | None = None,
-    reference_index: IRIndex | None = None,
 ) -> StaticCommReport:
-    """All checks over one IR.  ``reference`` (the other scheme's IR of
-    the same inputs) enables the cross-scheme conservation comparison;
-    ``traces`` enables conformance.  When certifying both schemes of
-    one configuration, :func:`build_index` each IR once and pass the
-    indexes (swapped for the second call) — at P=4096 the redundant
-    program walks dominate otherwise."""
+    """All checks over one IR (one :class:`IRIndex` shared by all);
+    ``traces`` enables conformance."""
     with gc_paused():
-        index = index or IRIndex(ir)
+        index = IRIndex(ir)
         findings: list[Finding] = []
         matching = check_matching(ir, index)
         findings += matching
         findings += check_tags(ir)
         findings += check_deadlock(ir, index)
         findings += check_conservation(
-            ir, reference,
-            skip=_mismatched_boxes(ir, index) if matching else set(),
-            index=index, reference_index=reference_index,
+            ir, skip=_mismatched_boxes(ir, index) if matching else set(),
+            index=index,
         )
         for trace in traces:
             findings += check_conformance(ir, trace)
@@ -703,8 +541,8 @@ def seed_dropped_relay(ir: CommIR) -> CommIR:
                 del prog[i]
                 return out
     raise ValueError(
-        "IR has no interior relay send to drop — needs the tree scheme "
-        "with a box of >= 3 gather participants"
+        "IR has no interior relay send to drop — needs a box whose "
+        "binomial gather tree has an interior node (>= 4 participants)"
     )
 
 
@@ -767,16 +605,34 @@ def seed_swapped_post_wait(ir: CommIR) -> CommIR:
     )
 
 
+def seed_starved_user(ir: CommIR) -> CommIR:
+    """Delete one scatter edge whole: the parent's send, the child's
+    posted receive and its completion.  Every remaining channel still
+    matches, no tag changes family and no wait is added, but the box's
+    combined data never reaches that child — only ``conservation``
+    sees it."""
+    out = copy.deepcopy(ir)
+    target = next((
+        _channel(op, rank)
+        for rank, prog in enumerate(out.programs) for op in prog
+        if op.kind == "send" and op.note == "scatter"
+    ), None)
+    if target is None:
+        raise ValueError("IR scatters no combined data to starve a user of")
+    for rank, prog in enumerate(out.programs):
+        prog[:] = [op for op in prog if _channel(op, rank) != target]
+    return out
+
+
 SEEDS = {
     "dropped-relay": (seed_dropped_relay, "matching"),
     "reused-tag": (seed_reused_tag, "tags"),
     "swapped-post-wait": (seed_swapped_post_wait, "deadlock"),
+    "starved-user": (seed_starved_user, "conservation"),
 }
 
 
-def run_selftests(
-    ir: CommIR, reference: CommIR | None = None
-) -> list[tuple[str, bool, str]]:
+def run_selftests(ir: CommIR) -> list[tuple[str, bool, str]]:
     """Plant each seeded defect and verify exactly its check catches it.
 
     Returns ``(seed name, passed, detail)`` rows.  A self-test passes
@@ -785,7 +641,7 @@ def run_selftests(
     that flags everything (or nothing) fails its own certification.
     """
     results: list[tuple[str, bool, str]] = []
-    base = run_checks(ir, reference=reference, name="selftest-base")
+    base = run_checks(ir, name="selftest-base")
     if not base.ok:
         return [(
             "baseline", False,
@@ -799,9 +655,7 @@ def run_selftests(
                 seed_name, False, f"defect not plantable: {exc}"
             ))
             continue
-        report = run_checks(
-            seeded, reference=reference, name=f"seed:{seed_name}"
-        )
+        report = run_checks(seeded, name=f"seed:{seed_name}")
         fired = {f.check for f in report.findings}
         if not report.findings:
             results.append((seed_name, False, "defect not detected"))

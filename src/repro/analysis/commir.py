@@ -10,8 +10,11 @@ schedule** — every point-to-point send, receive post and receive
 completion with ``(src, dst, tag)``, in the program order of every
 rank — as a static ``CommIR``, directly from the plan inputs
 (partition, contributor matrix, owner map, LET usage, coarse-split
-schedule, ``comm="tree"|"flat"``), **without executing an apply**, for
-arbitrary rank counts including P=4096.
+schedule), **without executing an apply**, for arbitrary rank counts
+including P=4096.  Next to the programs it keeps the roles they were
+compiled from — per exchanged box its owner, contributors and users —
+which is what the ``conservation`` check reads the message edges
+against.
 
 The schedule is not a description of the runtime, it *is* the runtime's
 program: :func:`~repro.parallel.exchange.compile_exchange` writes the
@@ -153,9 +156,8 @@ class CommIR:
     def summary(self) -> str:
         m = self.meta
         return (
-            f"commir: scheme={m.get('scheme')} P={self.nranks} "
-            f"nboxes={m.get('nboxes')} — {self.nmessages()} messages / "
-            f"{self.nops()} ops"
+            f"commir: P={self.nranks} nboxes={m.get('nboxes')} — "
+            f"{self.nmessages()} messages / {self.nops()} ops"
         )
 
 
@@ -278,7 +280,6 @@ def role_table(
 def extract_comm_ir(
     inputs: StaticPlanInputs,
     *,
-    scheme: str = "tree",
     napplies: int = 1,
     include_setup: bool = True,
 ) -> CommIR:
@@ -309,12 +310,11 @@ def extract_comm_ir(
             for lvl, schedule in inputs.vsp_levels
         }
         compiled = {
-            kind: compile_exchange(kind, roles, scheme)
+            kind: compile_exchange(kind, roles)
             for kind, roles in (("geo", src), ("phi", src), ("pue", ue))
         }
         for lvl, roles in vsp.items():
-            # The broadcast always runs the binomial shape.
-            compiled[f"vsp@{lvl}"] = compile_exchange("vsp", roles, "tree")
+            compiled[f"vsp@{lvl}"] = compile_exchange("vsp", roles)
         programs: list[list[CommOp]] = [[] for _ in range(inputs.nranks)]
         for name, phase in exchange_schedule(
             list(vsp), napplies, include_setup
@@ -336,7 +336,6 @@ def extract_comm_ir(
         programs=programs,
         roles=role_tables,
         meta={
-            "scheme": scheme,
             "napplies": napplies,
             "include_setup": include_setup,
             "npoints": int(inputs.tree.sources.shape[0]),

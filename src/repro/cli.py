@@ -164,10 +164,12 @@ def _cmd_project(args: argparse.Namespace) -> int:
     """Project tree-top exchange cost to thousands of simulated ranks.
 
     Builds a real model tree, then sweeps simulated processor counts in
-    powers of two, comparing the flat owner gather/scatter (per-box
-    fan-in grows O(P) at the critical rank) against the hierarchical
-    scheme (segmented binomial collectives plus the coarse-level V
-    split, O(log P) fan-in).  ``--out`` writes ``BENCH_scaling.json``;
+    powers of two, comparing the flat owner gather/scatter (the paper's
+    Algorithm 1 as published, priced by the model only — no rank runs
+    it; per-box fan-in grows O(P) at the critical rank) against the
+    hierarchical exchange the ranks run (segmented binomial collectives
+    plus the coarse-level V split, O(log P) fan-in).  ``--out`` writes
+    ``BENCH_scaling.json``;
     ``--min-speedup`` / ``--max-crossover`` turn the report into CI
     assertions.
     """
@@ -558,17 +560,6 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _unknown_scheme(command: str, schemes: list[str]) -> bool:
-    """Print what is wrong with ``--schemes`` (the caller exits 2)."""
-    from repro.parallel.exchange import EXCHANGE_SCHEMES
-
-    unknown = [s for s in schemes if s not in EXCHANGE_SCHEMES]
-    if unknown:
-        print(f"{command}: unknown comm scheme {unknown[0]!r} "
-              f"(choose from {', '.join(EXCHANGE_SCHEMES)})")
-    return bool(unknown)
-
-
 def _cmd_commir(args: argparse.Namespace) -> int:
     """Statically certify the full communication schedule — no apply.
 
@@ -578,25 +569,22 @@ def _cmd_commir(args: argparse.Namespace) -> int:
     interpret) from the plan inputs for each requested rank count —
     including counts far beyond what the simulated runtime can execute,
     e.g. P=4096 — and certifies matching, tag discipline,
-    deadlock-freedom and cross-scheme payload conservation.  The
-    schedule depends only on the point set, the rank count and the comm
-    scheme, so each (ranks, scheme) pair is one certified schedule and
-    one reported row.
+    deadlock-freedom and payload conservation against the roles.  The
+    schedule depends only on the point set and the rank count, so each
+    rank count is one certified schedule and one reported row.
 
     For rank counts small enough to execute (``--conform-ranks``), a
     traced run on ``--conform-n`` points per listed kernel, overlap on
     and off, cross-checks conformance: the dynamic trace must equal
-    each rank's program op for op.  The seeded-defect self-tests (dropped relay, reused tag,
-    swapped post/wait) run at ``--selftest-ranks`` unless
-    ``--no-selftest``.  There is no waiver mechanism.
+    each rank's program op for op.  The seeded-defect self-tests
+    (dropped relay, reused tag, swapped post/wait, starved user) run at
+    ``--selftest-ranks`` unless ``--no-selftest``.  There is no waiver
+    mechanism.
     """
     import json
     import time
 
     from repro.analysis.commcheck_static import (
-        build_index,
-        conservation_summary,
-        cross_scheme_conservation,
         run_checks,
         run_selftests,
         traced_run,
@@ -612,12 +600,8 @@ def _cmd_commir(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     kernels = [k for k in args.kernels.split(",") if k]
     ranks_list = _parse_ints(args.ranks)
-    schemes = [s for s in args.schemes.split(",") if s]
-    if not ranks_list or not kernels or not schemes:
-        print("commir: nothing to certify "
-              "(empty --ranks, --kernels or --schemes)")
-        return 2
-    if _unknown_scheme("commir", schemes):
+    if not ranks_list or not kernels:
+        print("commir: nothing to certify (empty --ranks or --kernels)")
         return 2
     pts = _WORKLOADS[args.workload](args.n, rng)
     conform_pts = _WORKLOADS[args.workload](args.conform_n, rng)
@@ -645,35 +629,15 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         inputs = static_plan_inputs(
             pts, nranks, options=FMMOptions(p=args.p, max_points=args.s)
         )
-        # One scheme's IR at a time: a P=4096 IR is gigabytes, and
-        # holding both schemes (plus both indexes) doubles the peak and
-        # lets allocator churn dominate the <60 s budget.  Each scheme
-        # is certified standalone, condensed to a ConservationSummary,
-        # and freed; the cross-scheme payload comparison then runs on
-        # the two compact summaries.  The collector stays paused across
-        # the whole rank count — resuming it between the steps costs a
-        # full scan of the live IR each time, resuming it after the IR
-        # is freed (by reference count) costs nothing.
-        reports = {}
-        summaries = {}
+        # The collector stays paused from extraction to certification:
+        # resuming it in between costs a full scan of the live IR (at
+        # P=4096, millions of ops), resuming it once the IR is freed (by
+        # reference count) costs nothing.
         with gc_paused():
-            for scheme in schemes:
-                ir = extract_comm_ir(inputs, scheme=scheme)
-                index = build_index(ir)
-                reports[scheme] = run_checks(
-                    ir, name=f"ranks{nranks}/{scheme}", index=index,
-                )
-                summaries[scheme] = conservation_summary(ir, index)
-                del ir, index
-        if len(schemes) == 2:
-            cross = cross_scheme_conservation(
-                summaries[schemes[0]], summaries[schemes[1]]
+            report = run_checks(
+                extract_comm_ir(inputs), name=f"ranks{nranks}"
             )
-            for report in reports.values():
-                report.findings.extend(cross)
-                report.counts["conservation"] += len(cross)
-        for scheme in schemes:
-            record(reports[scheme], {"ranks": nranks, "scheme": scheme})
+        record(report, {"ranks": nranks})
 
     # One operator cache per kernel serves every traced run: they all
     # solve on the same points, hence the same root cube.
@@ -691,28 +655,24 @@ def _cmd_commir(args: argparse.Namespace) -> int:
             conform_pts, nranks,
             options=FMMOptions(p=args.p, max_points=args.s),
         )
-        for scheme in schemes:
-            ir = extract_comm_ir(inputs, scheme=scheme)
-            for kname, kernel, density, cache in traced:
-                for overlap in (True, False):
-                    trace = traced_run(
-                        kernel, conform_pts, density,
-                        FMMOptions(p=args.p, max_points=args.s,
-                                   comm=scheme),
-                        nranks, schedule_seed=args.seed,
-                        overlap=overlap, cache=cache,
-                    )
-                    ov = "on" if overlap else "off"
-                    report = run_checks(
-                        ir, traces=(trace,),
-                        name=(f"conform/{kname}/ranks{nranks}/{scheme}/"
-                              f"overlap-{ov}"),
-                    )
-                    record(report, {
-                        "kernel": kname, "ranks": nranks,
-                        "scheme": scheme, "overlap": overlap,
-                        "conformance": True,
-                    })
+        ir = extract_comm_ir(inputs)
+        for kname, kernel, density, cache in traced:
+            for overlap in (True, False):
+                trace = traced_run(
+                    kernel, conform_pts, density,
+                    FMMOptions(p=args.p, max_points=args.s),
+                    nranks, schedule_seed=args.seed,
+                    overlap=overlap, cache=cache,
+                )
+                ov = "on" if overlap else "off"
+                report = run_checks(
+                    ir, traces=(trace,),
+                    name=f"conform/{kname}/ranks{nranks}/overlap-{ov}",
+                )
+                record(report, {
+                    "kernel": kname, "ranks": nranks, "overlap": overlap,
+                    "conformance": True,
+                })
 
     selftests: list[dict] = []
     if not args.no_selftest:
@@ -722,31 +682,29 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         # (an interior relay node needs a box with >= 4 gather
         # participants); probe increasing rank counts until every seed
         # is plantable.
-        st_tree = st_flat = None
+        st_ir = None
         cand = args.selftest_ranks
         for _ in range(5):
             st_inputs = static_plan_inputs(
                 conform_pts, cand,
                 options=FMMOptions(p=args.p, max_points=args.s),
             )
-            ir = extract_comm_ir(st_inputs, scheme="tree")
+            ir = extract_comm_ir(st_inputs)
             try:
                 for seed_fn, _intended in SEEDS.values():
                     seed_fn(ir)
             except ValueError:
                 cand *= 2
                 continue
-            st_tree = ir
-            st_flat = extract_comm_ir(st_inputs, scheme="flat")
+            st_ir = ir
             break
-        if st_tree is None:
+        if st_ir is None:
             print(f"commir: no rank count up to {cand // 2} hosts the "
                   f"seeded defects on this workload")
             return 1
         if cand != args.selftest_ranks:
             print(f"commir: self-tests host at ranks={cand}")
-        for name, ok, detail in run_selftests(st_tree,
-                                              reference=st_flat):
+        for name, ok, detail in run_selftests(st_ir):
             print(f"selftest {name}: {'ok' if ok else 'FAILED'} "
                   f"({detail})")
             selftests.append({"seed": name, "ok": ok, "detail": detail})
@@ -789,11 +747,8 @@ def _cmd_dpor(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(args.seed)
     ranks_list = _parse_ints(args.ranks)
-    schemes = [s for s in args.schemes.split(",") if s]
-    if not ranks_list or not schemes:
-        print("dpor: nothing to explore (empty --ranks or --schemes)")
-        return 2
-    if _unknown_scheme("dpor", schemes):
+    if not ranks_list:
+        print("dpor: nothing to explore (empty --ranks)")
         return 2
     if args.n <= 0:
         print(f"dpor: need a positive point count, got {args.n}")
@@ -807,23 +762,21 @@ def _cmd_dpor(args: argparse.Namespace) -> int:
         inputs = static_plan_inputs(
             pts, nranks, options=FMMOptions(p=args.p, max_points=args.s)
         )
-        for scheme in schemes:
-            ir = extract_comm_ir(inputs, scheme=scheme)
-            report = explore(ir, max_states=args.max_states)
-            print(f"ranks{nranks}/{scheme}: {report.summary()}")
-            for d in report.deadlocks:
-                print(f"  deadlock: {d}")
-            for v in report.persistence_violations:
-                print(f"  persistence: {v}")
-            rows.append({
-                "ranks": nranks, "scheme": scheme, "ok": report.ok,
-                "states": report.nstates,
-                "interleavings": str(report.ninterleavings),
-                "classes": report.nclasses,
-                "deadlocks": report.deadlocks,
-                "persistence_violations": report.persistence_violations,
-            })
-            failed |= not report.ok
+        report = explore(extract_comm_ir(inputs), max_states=args.max_states)
+        print(f"ranks{nranks}: {report.summary()}")
+        for d in report.deadlocks:
+            print(f"  deadlock: {d}")
+        for v in report.persistence_violations:
+            print(f"  persistence: {v}")
+        rows.append({
+            "ranks": nranks, "ok": report.ok,
+            "states": report.nstates,
+            "interleavings": str(report.ninterleavings),
+            "classes": report.nclasses,
+            "deadlocks": report.deadlocks,
+            "persistence_violations": report.persistence_violations,
+        })
+        failed |= not report.ok
         same, diff = bitwise_determinism(
             kernel, pts, density,
             FMMOptions(p=args.p, max_points=args.s),
@@ -1162,9 +1115,9 @@ def build_parser() -> argparse.ArgumentParser:
     pci = sub.add_parser(
         "commir",
         help="statically certify the complete message schedule "
-             "(matching, tags, deadlock-freedom, cross-scheme payload "
-             "conservation, trace conformance) without running an "
-             "apply — works at rank counts like 4096",
+             "(matching, tags, deadlock-freedom, payload conservation, "
+             "trace conformance) without running an apply — works at "
+             "rank counts like 4096",
     )
     common(pci)
     pci.add_argument("--n", type=int, default=20000)
@@ -1174,8 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "no kernel)")
     pci.add_argument("--ranks", default="2,4,8,64,4096",
                      help="comma-separated rank counts to certify")
-    pci.add_argument("--schemes", default="tree,flat",
-                     help="comma-separated comm schemes")
     pci.add_argument("--conform-ranks", default="2,4,8",
                      help="rank counts for the dynamic-trace "
                           "conformance cross-check (must be small "
@@ -1205,8 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--ranks", default="2,3",
                     help="comma-separated rank counts to explore "
                          "(state space grows fast; keep tiny)")
-    pd.add_argument("--schemes", default="tree,flat",
-                    help="comma-separated comm schemes")
     pd.add_argument("--max-states", type=int, default=2_000_000,
                     help="abort exploration beyond this many scheduler "
                          "states")

@@ -70,12 +70,6 @@ class FMMOptions:
         adaptive lists handle unbalanced trees — see
         :mod:`repro.octree.balance`).  One rank only: balancing needs
         the complete tree.
-    comm:
-        Parallel communication scheme for the owner gather/scatter of
-        :mod:`repro.parallel.exchange`: ``"tree"`` (default, hierarchical
-        binomial reduction — O(log P) messages per rank at the tree top)
-        or ``"flat"`` (the paper's literal Algorithm 1 — O(P) at coarse
-        boxes).  Bitwise-identical results; ignored by the serial path.
     sanitize:
         Run the planned applies under the runtime sanitizers
         (:mod:`repro.analysis.sanitize`): BufferPool lifecycle with
@@ -94,7 +88,6 @@ class FMMOptions:
     rcond: float = 1e-12
     max_depth: int = 21
     balance: bool = False
-    comm: str = "tree"
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -114,10 +107,6 @@ class FMMOptions:
                 f"surface radii must satisfy 1 < inner < outer < 3, "
                 f"got inner={self.inner}, outer={self.outer}"
             )
-        # Imported here: repro.parallel imports this module.
-        from repro.parallel.exchange import check_scheme
-
-        check_scheme(self.comm, "comm")
 
 
 class KIFMM:

@@ -14,24 +14,20 @@ slice and :class:`ApplyExchange` interprets it against a payload
 :class:`Binding`; the static verifier (:mod:`repro.analysis.commir`)
 keeps all slices and certifies the very same ops.
 
-The communication *scheme* is data, read in one place
-(:func:`tree_edges`): the rooted tree over a box's participants in
-:func:`~repro.parallel.simmpi.tree_order` (owner first).
+The gather and the scatter of a box run over one shape: the binomial
+tree of :func:`~repro.parallel.simmpi.tree_parent` /
+:func:`~repro.parallel.simmpi.tree_children` over its participants in
+:func:`~repro.parallel.simmpi.tree_order` (owner first), the edges the
+collectives use too.  Every rank — the owner included — touches
+O(log P) messages per box.  The paper's literal star (the owner of a
+coarse box handles O(P) messages) survives only as the baseline the
+performance model prices (:func:`~repro.perfmodel.simulate.tree_top_model`);
+no rank runs it.
 
-``"tree"`` (default)
-    The binomial tree of :func:`~repro.parallel.simmpi.tree_children`:
-    every rank — the owner included — touches O(log P) messages per box.
-``"flat"``
-    A star rooted at the owner — the paper's literal Algorithm 1; the
-    owner of a coarse box handles O(P) messages.
-
-One fold rule serves both shapes: a gather node places its own piece in
-slot 0 and each child's piece in the slot of the child's relative tree
-position, and folds the slots with
-:func:`~repro.parallel.simmpi.combine_tree`.  Under either shape this
-equals ``combine_tree`` over all pieces in tree-position order, bit for
-bit, so switching the scheme changes the message pattern and never a
-floating-point result.
+A gather node places its own piece in slot 0 and each child's piece in
+the slot of the child's relative tree position, and folds the slots
+with :func:`~repro.parallel.simmpi.combine_tree`; this equals
+``combine_tree`` over all pieces in tree-position order, bit for bit.
 
 All sends are buffered (MPI_Isend semantics) and every rank walks the
 boxes in the same ascending order, waiting, folding and forwarding *per
@@ -67,9 +63,6 @@ from repro.parallel.simmpi import (
 )
 from repro.util.timing import PhaseTimer
 
-#: Recognised communication schemes (see module docstring).
-EXCHANGE_SCHEMES = ("tree", "flat")
-
 #: The phases of a program, in the order a driver runs them.
 PHASES = ("post", "relay", "wait")
 
@@ -94,25 +87,6 @@ def exchange_tag_families(kind: str) -> tuple[str, str]:
     A scatter-only kind (``vsp``) has a single family, its own name.
     """
     return kind, (kind + "g" if kind + "g" in TAG_FAMILIES else kind)
-
-
-def check_scheme(scheme: str, who: str = "exchange scheme") -> str:
-    """``scheme`` if it is one of :data:`EXCHANGE_SCHEMES`."""
-    if scheme not in EXCHANGE_SCHEMES:
-        raise ValueError(
-            f"{who} must be one of {EXCHANGE_SCHEMES}, got {scheme!r}"
-        )
-    return scheme
-
-
-def tree_edges(
-    scheme: str, pos: int, n: int
-) -> tuple[int | None, list[int]]:
-    """``(parent, children)`` of position ``pos`` in the rooted tree a
-    scheme lays over ``n`` participants (position 0 is the root)."""
-    if scheme == "flat":
-        return (None, list(range(1, n))) if pos == 0 else (0, [])
-    return (None if pos == 0 else tree_parent(pos)), tree_children(pos, n)
 
 
 @dataclass(slots=True)
@@ -190,12 +164,12 @@ def circulating(
 
 
 def compile_exchange(
-    kind: str, roles: Roles, scheme: str, only: int | None = None
+    kind: str, roles: Roles, only: int | None = None
 ) -> dict[int, Program]:
     """Every participant's program of one payload kind, box-major.
 
     Per box, the gather tree spans the contributors and the scatter tree
-    the users, both rooted at the owner and shaped by ``scheme``:
+    the users, both binomial and rooted at the owner:
 
     - ``post``: a gather node posts a receive per child, a gather leaf
       ships its piece at once (so interior nodes can fold during the
@@ -213,16 +187,8 @@ def compile_exchange(
     ``only`` keeps a single rank's slice (what that rank runs); without
     it every rank's program is returned (what the verifier certifies).
     """
-    check_scheme(scheme)
     fam_g, fam_s = exchange_tag_families(kind)
     programs: dict[int, Program] = defaultdict(lambda: Program([], [], []))
-    trees: dict[int, list] = {}  # participants -> every position's edges
-
-    def tree(n: int) -> list[tuple[int | None, list[int]]]:
-        if n not in trees:
-            trees[n] = [tree_edges(scheme, pos, n) for pos in range(n)]
-        return trees[n]
-
     for ids, owner, contribs, users in roles:
         if not contribs:
             raise ValueError(
@@ -239,17 +205,17 @@ def compile_exchange(
         fold_bare = CommOp("fold", -1, None, fam_g, ids)
         store = CommOp("store", -1, None, fam_s, ids)
         gather = tree_order(contribs, owner)
-        edges = tree(len(gather))
         for pos, m in enumerate(gather):
             if only is not None and m != only:
                 continue
-            parent, kids = edges[pos]
+            kids = tree_children(pos, len(gather))
             post, relay, _ = programs[m]
             for c in kids:
                 post.append(CommOp("post", gather[c], tag_g, fam_g, ids))
-            if parent is not None and not kids:
+            if pos and not kids:
                 post.append(CommOp(
-                    "send", gather[parent], tag_g, fam_g, ids, "inject"
+                    "send", gather[tree_parent(pos)], tag_g, fam_g, ids,
+                    "inject",
                 ))
                 continue
             for c in kids:
@@ -257,33 +223,28 @@ def compile_exchange(
                     "complete", gather[c], tag_g, fam_g, ids, slot=c - pos
                 ))
             # Every member but the owner is there because it contributes.
-            relay.append(
-                fold_own if pos > 0 or owner in contribs else fold_bare
-            )
-            if parent is not None:
+            relay.append(fold_own if pos or owner in contribs else fold_bare)
+            if pos:
                 relay.append(CommOp(
-                    "send", gather[parent], tag_g, fam_g, ids, "relay"
+                    "send", gather[tree_parent(pos)], tag_g, fam_g, ids,
+                    "relay",
                 ))
         scatter = tree_order(users, owner)
-        edges = tree(len(scatter))
         for pos, m in enumerate(scatter):
             if only is not None and m != only:
                 continue
-            parent, kids = edges[pos]
             post, relay, wait = programs[m]
-            if parent is None:
-                phase = relay
-            else:
-                post.append(CommOp("post", scatter[parent], tag_s, fam_s, ids))
-                wait.append(
-                    CommOp("complete", scatter[parent], tag_s, fam_s, ids)
-                )
+            phase = relay
+            if pos:
+                parent = scatter[tree_parent(pos)]
+                post.append(CommOp("post", parent, tag_s, fam_s, ids))
+                wait.append(CommOp("complete", parent, tag_s, fam_s, ids))
                 phase = wait
-            for c in kids:
+            for c in tree_children(pos, len(scatter)):
                 phase.append(CommOp(
                     "send", scatter[c], tag_s, fam_s, ids, "scatter"
                 ))
-            if pos > 0 or owner in users:
+            if pos or owner in users:
                 phase.append(store)
     return programs
 
@@ -324,8 +285,8 @@ def geo_binding(
 ) -> Binding:
     """Setup-time source *positions*: concatenated in tree-position
     order — the order ``phi`` reassembles densities in, so combined
-    points and combined densities stay row aligned across applies and
-    schemes — into ``out[box]``."""
+    points and combined densities stay row aligned across applies —
+    into ``out[box]``."""
 
     def store(ids, data):
         out[ids[0]] = data

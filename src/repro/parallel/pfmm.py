@@ -28,6 +28,7 @@ array.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -546,8 +547,8 @@ def setup_on_tree(
     ext_start[ghost] = stops - ptree.global_nsrc[ghost]
     ext_stop[ghost] = stops
 
-    def my_program(kind: str, roles: Roles, scheme: str = opts.comm):
-        return compile_exchange(kind, roles, scheme, only=me)[me]
+    def my_program(kind: str, roles: Roles) -> Program:
+        return compile_exchange(kind, roles, only=me)[me]
 
     # Setup-time geometry exchange (Algorithm 1 over positions).
     ghost_pts: dict[int, np.ndarray] = {}
@@ -620,9 +621,8 @@ def setup_on_tree(
             )
             split.bcast = [row for row in schedule if me in row[2]]
             if split.bcast:
-                # The broadcast always runs the binomial shape.
                 vsp_programs[int(vl.level)] = my_program(
-                    "vsp", vsp_roles(int(vl.level), schedule), "tree"
+                    "vsp", vsp_roles(int(vl.level), schedule)
                 )
             v_splits.append(split)
 
@@ -718,6 +718,13 @@ class ParallelFMMResult:
     nranks: int
 
 
+def _require_nranks(nranks: int) -> None:
+    if isinstance(nranks, bool) or not isinstance(
+        nranks, numbers.Integral
+    ) or nranks < 1:
+        raise ValueError(f"nranks must be an integer >= 1, got {nranks!r}")
+
+
 def _require_one_rank_balance(opts: FMMOptions, nranks: int) -> None:
     if opts.balance and nranks > 1:
         raise ValueError(
@@ -809,6 +816,7 @@ def run_parallel_fmm(
     shared-array access records during the run for the offline
     happens-before analysis of ``repro racecheck``.
     """
+    _require_nranks(nranks)
     if napplies < 1:
         raise ValueError(f"napplies must be >= 1, got {napplies}")
     kernels = resolve_kernels(
@@ -890,6 +898,7 @@ class ParallelFMM:
         target_kernel: Kernel | None = None,
         direct_kernel: Kernel | None = None,
     ) -> None:
+        _require_nranks(nranks)
         self.nranks = nranks
         self.kernel = kernel
         self.options = options or FMMOptions()

@@ -369,8 +369,9 @@ def combine_tree(values: list, combine: Callable[[Any, Any], Any]):
     association of the binomial-tree message pattern.
 
     ``None`` entries mark absent contributions and are skipped.  The
-    exchange layer folds every gather node's slots with this helper,
-    which is how its two schemes stay bitwise interchangeable.
+    exchange layer folds every gather node's slots with this helper, so
+    a box's combined data is ``combine_tree`` over all its pieces in
+    tree-position order, whatever the schedule.
     """
     vals = list(values)
     n = len(vals)

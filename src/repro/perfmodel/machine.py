@@ -108,6 +108,9 @@ class MachineModel:
         The owner serialises ``C-1`` point-to-point receives (sends),
         so its cost grows linearly in the participant count — the
         coarse-level scalability barrier the tree collectives remove.
+        Modelled, not executed: the star is the paper's Algorithm 1 as
+        published, priced as the baseline of the tree-top projection;
+        the ranks run only the binomial exchange.
         """
         if nprocs <= 1:
             return 0.0

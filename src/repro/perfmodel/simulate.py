@@ -310,15 +310,18 @@ class TreeTopPoint:
     "Tree top" means the shared boxes — boxes whose leaf descendants
     span more than one rank, i.e. the boxes whose partial upward
     densities ride the owner gather/scatter and whose coarse V
-    translations are performed redundantly.  The point compares the two
-    exchange schemes on identical traffic: ``flat`` (owner serialises
+    translations are performed redundantly.  The point compares two
+    exchange shapes on identical traffic: ``flat`` (owner serialises
     ``C-1`` point-to-point transfers per box) against ``tree``
     (segmented binomial collectives, ``ceil(log2 C)`` rounds) plus the
     coarse-level V split (assigned-rank compute + row broadcast instead
     of fully redundant translation).  Total message counts are
     identical by construction — a binomial tree over ``C`` participants
     has exactly ``C-1`` edges — only the critical path and the per-rank
-    fan-in change.
+    fan-in change.  ``tree`` is what the ranks execute
+    (:func:`~repro.parallel.exchange.compile_exchange`); ``flat`` is
+    modelled only, the paper's Algorithm 1 as published and the
+    baseline the crossover and speedup are quoted against.
     """
 
     P: int
@@ -382,7 +385,8 @@ def tree_top_model(
     count: per-rank time and message-count arrays are accumulated over
     all shared boxes at once (difference arrays over rank intervals, so
     the sweep stays cheap at thousands of ranks), then reduced to the
-    critical rank.
+    critical rank.  The flat side is a modelled baseline, not a second
+    executor path (see :class:`TreeTopPoint`).
     """
     _check_ranks(P)
     if work is None:

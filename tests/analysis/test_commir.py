@@ -6,19 +6,16 @@ seeded defect with exactly the intended check, and agree with real
 traced executions at small rank counts.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.analysis.commcheck_static import (
     SEEDS,
-    build_index,
-    conservation_summary,
-    cross_scheme_conservation,
     run_checks,
     run_selftests,
     seed_dropped_relay,
-    seed_reused_tag,
-    seed_swapped_post_wait,
     traced_run,
 )
 from repro.analysis.commir import (
@@ -50,10 +47,9 @@ class TestExtraction:
         for fam in PROTOCOL_FAMILIES:
             assert fam in TAG_FAMILIES
 
-    @pytest.mark.parametrize("scheme", ["tree", "flat"])
-    def test_programs_cover_every_rank(self, cloud, scheme):
+    def test_programs_cover_every_rank(self, cloud):
         inputs = static_plan_inputs(cloud, 8, OPTS)
-        ir = extract_comm_ir(inputs, scheme=scheme)
+        ir = extract_comm_ir(inputs)
         assert ir.nranks == 8
         assert len(ir.programs) == 8
         assert ir.nops() == sum(len(p) for p in ir.programs)
@@ -65,16 +61,9 @@ class TestExtraction:
 
     def test_napplies_repeats_the_exchange(self, cloud):
         inputs = static_plan_inputs(cloud, 4, OPTS)
-        one = extract_comm_ir(inputs, scheme="tree", include_setup=False)
-        two = extract_comm_ir(
-            inputs, scheme="tree", include_setup=False, napplies=2
-        )
+        one = extract_comm_ir(inputs, include_setup=False)
+        two = extract_comm_ir(inputs, include_setup=False, napplies=2)
         assert two.nops() == 2 * one.nops()
-
-    def test_unknown_scheme_rejected(self, cloud):
-        inputs = static_plan_inputs(cloud, 2, OPTS)
-        with pytest.raises(ValueError, match="scheme"):
-            extract_comm_ir(inputs, scheme="ring")
 
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError, match="zero points"):
@@ -83,14 +72,9 @@ class TestExtraction:
 
 class TestFiveChecksClean:
     @pytest.mark.parametrize("nranks", [2, 4, 8])
-    @pytest.mark.parametrize("scheme", ["tree", "flat"])
-    def test_small_p_certifies(self, cloud, nranks, scheme):
+    def test_small_p_certifies(self, cloud, nranks):
         inputs = static_plan_inputs(cloud, nranks, OPTS)
-        ir = extract_comm_ir(inputs, scheme=scheme)
-        other = extract_comm_ir(
-            inputs, scheme="flat" if scheme == "tree" else "tree"
-        )
-        report = run_checks(ir, reference=other)
+        report = run_checks(extract_comm_ir(inputs))
         assert report.ok, [str(f) for f in report.findings[:5]]
         assert set(report.counts) == {
             "matching", "tags", "deadlock", "conservation", "conformance"
@@ -104,66 +88,38 @@ class TestFiveChecksClean:
         boxes, single-participant exchanges, deep gather trees — the
         schedule must still extract and certify (satellite c)."""
         inputs = static_plan_inputs(cloud, nranks, OPTS)
-        summaries = {}
-        for scheme in ("tree", "flat"):
-            ir = extract_comm_ir(inputs, scheme=scheme)
-            assert ir.nranks == nranks
-            index = build_index(ir)
-            report = run_checks(ir, index=index)
-            assert report.ok, [str(f) for f in report.findings[:5]]
-            summaries[scheme] = conservation_summary(ir, index)
-        assert cross_scheme_conservation(
-            summaries["tree"], summaries["flat"]
-        ) == []
+        ir = extract_comm_ir(inputs)
+        assert ir.nranks == nranks
+        report = run_checks(ir)
+        assert report.ok, [str(f) for f in report.findings[:5]]
 
     def test_more_ranks_than_points(self):
         pts = np.random.default_rng(2).uniform(-1, 1, (40, 3))
         inputs = static_plan_inputs(pts, 64, OPTS)
-        for scheme in ("tree", "flat"):
-            ir = extract_comm_ir(inputs, scheme=scheme)
-            assert run_checks(ir).ok
+        assert run_checks(extract_comm_ir(inputs)).ok
 
     def test_single_rank_is_silent(self, cloud):
         inputs = static_plan_inputs(cloud, 1, OPTS)
-        ir = extract_comm_ir(inputs, scheme="tree")
+        ir = extract_comm_ir(inputs)
         assert ir.nmessages() == 0
         assert run_checks(ir).ok
-
-    def test_summary_path_equals_reference_path(self, cloud):
-        """The compact ConservationSummary comparison must reproduce
-        the heavyweight reference=CommIR comparison exactly."""
-        inputs = static_plan_inputs(cloud, 8, OPTS)
-        tree = extract_comm_ir(inputs, scheme="tree")
-        flat = extract_comm_ir(inputs, scheme="flat")
-        ix_t, ix_f = build_index(tree), build_index(flat)
-        heavy = run_checks(
-            tree, reference=flat, index=ix_t, reference_index=ix_f
-        )
-        lean = cross_scheme_conservation(
-            conservation_summary(tree, ix_t),
-            conservation_summary(flat, ix_f),
-        )
-        assert heavy.ok and lean == []
 
 
 class TestConformance:
     @pytest.mark.parametrize("nranks", [2, 4, 8])
-    @pytest.mark.parametrize("scheme", ["tree", "flat"])
     @pytest.mark.parametrize("overlap", [True, False])
     def test_dynamic_trace_is_linearization(
-        self, cloud, density, nranks, scheme, overlap
+        self, cloud, density, nranks, overlap
     ):
         inputs = static_plan_inputs(cloud, nranks, OPTS)
-        ir = extract_comm_ir(inputs, scheme=scheme)
+        ir = extract_comm_ir(inputs)
         trace = traced_run(
-            LaplaceKernel(), cloud, density,
-            FMMOptions(p=4, comm=scheme), nranks, overlap=overlap,
+            LaplaceKernel(), cloud, density, OPTS, nranks, overlap=overlap,
         )
         report = run_checks(ir, traces=(trace,))
         assert report.ok, [str(f) for f in report.findings[:5]]
 
-    @pytest.mark.parametrize("scheme", ["tree", "flat"])
-    def test_coarse_split_broadcast_conforms(self, scheme):
+    def test_coarse_split_broadcast_conforms(self):
         """Two tight clusters at 8 ranks split V level 2: the ``vsp``
         programs run, twice, after the owner exchange of each apply."""
         rng = np.random.default_rng(12)
@@ -171,9 +127,9 @@ class TestConformance:
             rng.uniform(0.0, 0.12, (300, 3)),
             rng.uniform(0.88, 1.0, (300, 3)),
         ])
-        opts = FMMOptions(p=4, max_points=20, comm=scheme)
+        opts = FMMOptions(p=4, max_points=20)
         inputs = static_plan_inputs(pts, 8, opts)
-        ir = extract_comm_ir(inputs, scheme=scheme, napplies=2)
+        ir = extract_comm_ir(inputs, napplies=2)
         assert any(op.group == "vsp" for p in ir.programs for op in p)
         trace = traced_run(
             LaplaceKernel(), pts, rng.standard_normal(600), opts, 8,
@@ -182,19 +138,30 @@ class TestConformance:
         report = run_checks(ir, traces=(trace,))
         assert report.ok, [str(f) for f in report.findings[:5]]
 
-    def test_wrong_scheme_trace_diverges(self, cloud, density):
-        """A flat-scheme trace is NOT a linearization of the tree IR —
-        the conformance check must localize the first divergence."""
+    def test_swapped_sends_diverge_from_the_trace(self, cloud, density):
+        """Seeded defect of ``conformance``: one rank's two consecutive
+        sends on distinct channels swap places in the IR.  Counts,
+        tags, waits and payload flows are untouched, so a real trace is
+        the only witness — and the check must name that rank and op."""
         inputs = static_plan_inputs(cloud, 4, OPTS)
-        ir = extract_comm_ir(inputs, scheme="tree")
-        trace = traced_run(
-            LaplaceKernel(), cloud, density,
-            FMMOptions(p=4, comm="flat"), 4,
+        ir = extract_comm_ir(inputs)
+        trace = traced_run(LaplaceKernel(), cloud, density, OPTS, 4)
+        assert run_checks(ir, traces=(trace,)).ok
+        seeded = copy.deepcopy(ir)
+        rank, i = next(
+            (r, i) for r, prog in enumerate(seeded.programs)
+            for i in range(len(prog) - 1)
+            if prog[i].kind == prog[i + 1].kind == "send"
+            and (prog[i].peer, prog[i].tag)
+            != (prog[i + 1].peer, prog[i + 1].tag)
         )
-        report = run_checks(ir, traces=(trace,))
-        assert not report.ok
-        assert report.counts["conformance"] > 0
-        assert all(f.check == "conformance" for f in report.findings)
+        prog = seeded.programs[rank]
+        prog[i], prog[i + 1] = prog[i + 1], prog[i]
+        report = run_checks(seeded, traces=(trace,))
+        assert {c for c, n in report.counts.items() if n} == {"conformance"}
+        assert [f.where for f in report.findings] == [
+            f"rank {rank} event {i}"
+        ]
 
 
 class TestSeededDefects:
@@ -202,22 +169,21 @@ class TestSeededDefects:
     def deep(self, cloud):
         """P=32 hosts every seed (interior relay nodes need a box with
         >= 4 gather participants)."""
-        inputs = static_plan_inputs(cloud, 32, OPTS)
-        return (
-            extract_comm_ir(inputs, scheme="tree"),
-            extract_comm_ir(inputs, scheme="flat"),
-        )
+        return extract_comm_ir(static_plan_inputs(cloud, 32, OPTS))
 
     def test_each_seed_caught_by_exactly_its_check(self, deep):
-        ir, ref = deep
+        """One seed per IR-only check (``conformance`` needs a trace:
+        ``test_swapped_sends_diverge_from_the_trace``)."""
+        assert {intended for _, intended in SEEDS.values()} == {
+            "matching", "tags", "deadlock", "conservation"
+        }
         for name, (seed_fn, intended) in SEEDS.items():
-            report = run_checks(seed_fn(ir), reference=ref)
+            report = run_checks(seed_fn(deep))
             fired = {c for c, n in report.counts.items() if n}
             assert fired == {intended}, (name, fired)
 
     def test_run_selftests_all_pass(self, deep):
-        ir, ref = deep
-        rows = run_selftests(ir, reference=ref)
+        rows = run_selftests(deep)
         assert {name for name, _, _ in rows} == set(SEEDS)
         assert all(ok for _, ok, _ in rows)
 
@@ -225,7 +191,7 @@ class TestSeededDefects:
         """At P=2 no gather tree has an interior node; the seed must
         refuse rather than silently plant nothing."""
         inputs = static_plan_inputs(cloud, 2, OPTS)
-        ir = extract_comm_ir(inputs, scheme="tree")
+        ir = extract_comm_ir(inputs)
         with pytest.raises(ValueError, match="relay"):
             seed_dropped_relay(ir)
         rows = dict(
@@ -234,13 +200,11 @@ class TestSeededDefects:
         assert rows["dropped-relay"] is False
 
     def test_seeds_do_not_mutate_the_input(self, deep):
-        ir, ref = deep
-        before = [list(p) for p in ir.programs]
-        for seed_fn in (seed_dropped_relay, seed_reused_tag,
-                        seed_swapped_post_wait):
-            seed_fn(ir)
-        assert [list(p) for p in ir.programs] == before
-        assert run_checks(ir, reference=ref).ok
+        before = [list(p) for p in deep.programs]
+        for seed_fn, _ in SEEDS.values():
+            seed_fn(deep)
+        assert [list(p) for p in deep.programs] == before
+        assert run_checks(deep).ok
 
 
 class TestCLI:
@@ -249,10 +213,11 @@ class TestCLI:
         assert "nothing to certify" in capsys.readouterr().out
 
     def test_unknown_scheme_exits_2(self, capsys):
-        assert cli_main(["commir", "--schemes", "ring"]) == 2
-        out = capsys.readouterr().out
-        assert "unknown comm scheme 'ring'" in out
-        assert "tree, flat" in out
+        """There is one exchange shape: ``--schemes`` is not an option."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["commir", "--schemes", "tree"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --schemes" in capsys.readouterr().err
 
     def test_empty_kernels_exits_2(self):
         assert cli_main(["commir", "--kernels", ""]) == 2

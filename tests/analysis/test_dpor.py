@@ -29,10 +29,9 @@ def cloud():
 
 class TestExhaustiveExploration:
     @pytest.mark.parametrize("nranks", [2, 3])
-    @pytest.mark.parametrize("scheme", ["tree", "flat"])
-    def test_full_space_certifies(self, cloud, nranks, scheme):
+    def test_full_space_certifies(self, cloud, nranks):
         inputs = static_plan_inputs(cloud, nranks, OPTS)
-        ir = extract_comm_ir(inputs, scheme=scheme)
+        ir = extract_comm_ir(inputs)
         report = explore(ir)
         assert report.ok, report.summary()
         assert not report.truncated
@@ -47,7 +46,7 @@ class TestExhaustiveExploration:
         """The DP count covers astronomically more schedules than any
         sampled perturbation campaign — that is the point."""
         inputs = static_plan_inputs(cloud, 3, OPTS)
-        ir = extract_comm_ir(inputs, scheme="tree")
+        ir = extract_comm_ir(inputs)
         report = explore(ir)
         assert report.ninterleavings > 10**6
 
@@ -55,7 +54,7 @@ class TestExhaustiveExploration:
         """A post/wait swap deadlocks only under *some* interleavings;
         the exhaustive explorer must find it at P=3."""
         inputs = static_plan_inputs(cloud, 3, OPTS)
-        ir = extract_comm_ir(inputs, scheme="tree")
+        ir = extract_comm_ir(inputs)
         bad = seed_swapped_post_wait(ir)
         report = explore(bad)
         assert not report.ok
@@ -67,7 +66,7 @@ class TestExhaustiveExploration:
 
     def test_state_budget_reports_truncation(self, cloud):
         inputs = static_plan_inputs(cloud, 3, OPTS)
-        ir = extract_comm_ir(inputs, scheme="flat")
+        ir = extract_comm_ir(inputs)
         report = explore(ir, max_states=5)
         assert report.truncated
         assert not report.ok
@@ -92,14 +91,20 @@ class TestCLI:
         assert cli_main(["dpor", "--ranks", ""]) == 2
         assert "nothing to explore" in capsys.readouterr().out
 
-    def test_empty_schemes_exits_2(self):
-        assert cli_main(["dpor", "--schemes", ""]) == 2
+    def test_empty_schemes_exits_2(self, capsys):
+        """There is one exchange shape: ``--schemes`` is not an option."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["dpor", "--schemes", ""])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --schemes" in capsys.readouterr().err
 
     def test_unknown_scheme_exits_2(self, capsys):
-        assert cli_main(["dpor", "--schemes", "bogus"]) == 2
-        out = capsys.readouterr().out
-        assert "unknown comm scheme 'bogus'" in out
-        assert "tree, flat" in out
+        """A scheme name is rejected before any exploration starts."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["dpor", "--schemes", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --schemes bogus" in err
 
     def test_nonpositive_n_exits_2(self, capsys):
         assert cli_main(["dpor", "--n", "0"]) == 2
@@ -108,7 +113,7 @@ class TestCLI:
     def test_small_exploration_certifies(self, capsys, tmp_path):
         json_path = tmp_path / "dpor.json"
         rc = cli_main([
-            "dpor", "--n", "60", "--ranks", "2", "--schemes", "tree",
+            "dpor", "--n", "60", "--ranks", "2",
             "--schedules", "2", "--json", str(json_path),
         ])
         out = capsys.readouterr().out

@@ -31,7 +31,7 @@ def _roles(kind, contrib, users_src, users_equiv, owner):
     return box_roles(boxes, owner, contrib, users)
 
 
-def exchange_ir(contrib, users_src, users_equiv, owner, scheme="tree"):
+def exchange_ir(contrib, users_src, users_equiv, owner):
     """The static schedule of the round :func:`run_exchange` runs:
     every rank's compiled programs, phase by phase over both kinds."""
     nranks = contrib.shape[0]
@@ -40,7 +40,7 @@ def exchange_ir(contrib, users_src, users_equiv, owner, scheme="tree"):
         for kind in KINDS
     }
     compiled = {
-        kind: compile_exchange(kind, roles[kind], scheme) for kind in KINDS
+        kind: compile_exchange(kind, roles[kind]) for kind in KINDS
     }
     return CommIR(
         nranks=nranks,
@@ -51,13 +51,11 @@ def exchange_ir(contrib, users_src, users_equiv, owner, scheme="tree"):
             for rank in range(nranks)
         ],
         roles={kind: role_table(roles[kind]) for kind in KINDS},
-        meta={"scheme": scheme},
     )
 
 
 def run_exchange(
-    contrib, users_src, users_equiv, owner, pieces, partials,
-    scheme="tree", **spmd,
+    contrib, users_src, users_equiv, owner, pieces, partials, **spmd
 ):
     """One post/relay/wait round (both payload kinds) on every rank.
 
@@ -102,7 +100,7 @@ def run_exchange(
         }
         exch = ApplyExchange(comm, PhaseTimer(), {
             kind: (
-                compile_exchange(kind, roles[kind], scheme, only=me)[me],
+                compile_exchange(kind, roles[kind], only=me)[me],
                 bindings[kind],
             )
             for kind in KINDS

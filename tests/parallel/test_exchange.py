@@ -13,13 +13,8 @@ from repro.analysis.commcheck_static import (
     run_checks,
     trace_protocol_events,
 )
-from repro.parallel.exchange import (
-    EXCHANGE_SCHEMES,
-    compile_exchange,
-    fold_slots,
-    tree_edges,
-)
-from repro.parallel.simmpi import combine_tree, tree_order
+from repro.parallel.exchange import compile_exchange, fold_slots
+from repro.parallel.simmpi import combine_tree, tree_children, tree_order
 
 from tests.parallel.exchange_harness import (
     exchange_ir,
@@ -30,12 +25,7 @@ from tests.parallel.exchange_harness import (
 
 def test_source_data_gather_scatter():
     """3 ranks, 2 boxes: contributions concatenate at the owner and
-    reach every user, under both schemes."""
-    for scheme in EXCHANGE_SCHEMES:
-        _check_source_data_gather_scatter(scheme)
-
-
-def _check_source_data_gather_scatter(scheme):
+    reach every user."""
     contrib = np.array(
         [[True, False], [True, True], [False, True]]
     )  # (ranks, boxes)
@@ -48,7 +38,7 @@ def _check_source_data_gather_scatter(scheme):
     ]
     none = np.zeros_like(users)
     results = run_exchange(
-        contrib, users, none, owner, pieces, np.zeros((3, 2, 1)), scheme
+        contrib, users, none, owner, pieces, np.zeros((3, 2, 1))
     )
     # every user of box 0 sees contributions from ranks {0, 1}
     for r in (0, 2):
@@ -68,11 +58,6 @@ def _check_source_data_gather_scatter(scheme):
 
 def test_equiv_density_reduction():
     """Partial densities sum at the owner; users receive the total."""
-    for scheme in EXCHANGE_SCHEMES:
-        _check_equiv_density_reduction(scheme)
-
-
-def _check_equiv_density_reduction(scheme):
     contrib = np.array([[True, True, False], [True, False, True]])
     users = np.array([[True, False, True], [True, True, False]])
     owner = np.array([0, 0, 1])
@@ -81,7 +66,7 @@ def _check_equiv_density_reduction(scheme):
         partials[r][contrib[r]] = r + 1.0  # rank 0 -> 1s, rank 1 -> 2s
     none = np.zeros_like(users)
     results = run_exchange(
-        contrib, none, users, owner, [{}, {}], partials, scheme
+        contrib, none, users, owner, [{}, {}], partials
     )
     equiv = [eq for _, eq in results]
     # box 0: contributors both ranks -> total 3
@@ -132,27 +117,19 @@ def test_compiled_program_is_certified_run_and_traced(case):
         for r in range(nranks)
     ]
     partials = rng.standard_normal((nranks, nboxes, 5))
-    results = {}
-    irs = {
-        scheme: exchange_ir(contrib, users, users, owner, scheme)
-        for scheme in EXCHANGE_SCHEMES
-    }
-    for scheme, ir in irs.items():
-        other = irs["flat" if scheme == "tree" else "tree"]
-        trace = CommTrace()
-        results[scheme] = run_exchange(
-            contrib, users, users, owner, pieces, partials, scheme,
-            trace=trace,
-        )
-        # matching, tags, deadlock, conservation — and the traced
-        # send/post/complete sequence of every rank IS its program.
-        report = run_checks(ir, reference=other, traces=(trace,))
-        assert report.ok, [str(f) for f in report.findings[:5]]
-        for rank in range(nranks):
-            assert trace_protocol_events(trace, rank) == [
-                (op.kind, op.peer, op.tag) for op in ir.programs[rank]
-            ]
-    assert flatten(results["tree"]) == flatten(results["flat"])
+    ir = exchange_ir(contrib, users, users, owner)
+    trace = CommTrace()
+    results = run_exchange(
+        contrib, users, users, owner, pieces, partials, trace=trace
+    )
+    # matching, tags, deadlock, conservation — and the traced
+    # send/post/complete sequence of every rank IS its program.
+    report = run_checks(ir, traces=(trace,))
+    assert report.ok, [str(f) for f in report.findings[:5]]
+    for rank in range(nranks):
+        assert trace_protocol_events(trace, rank) == [
+            (op.kind, op.peer, op.tag) for op in ir.programs[rank]
+        ]
     for b in range(nboxes):
         order = tree_order(np.flatnonzero(contrib[:, b]), owner[b])
         held = [r for r in order if contrib[r, b]]
@@ -162,7 +139,7 @@ def test_compiled_program_is_certified_run_and_traced(case):
             lambda a, c: a + c,
         )
         for r in np.flatnonzero(users[:, b]):
-            ghost, equiv = results["tree"][r]
+            ghost, equiv = results[r]
             assert ghost[b].tobytes() == rows.tobytes()
             assert equiv[b].tobytes() == total.tobytes()
 
@@ -176,7 +153,7 @@ def test_mutually_interior_gather_nodes_do_not_deadlock():
     users = np.eye(4, 2, dtype=bool)
     owner = np.array([0, 2])
     none = np.zeros_like(users)
-    ir = exchange_ir(contrib, none, users, owner, "tree")
+    ir = exchange_ir(contrib, none, users, owner)
     for rank, box in ((2, 0), (0, 1)):
         assert [
             (op.kind, op.note) for op in ir.programs[rank]
@@ -193,14 +170,13 @@ def test_mutually_interior_gather_nodes_do_not_deadlock():
     reference = None
     for seed in range(10):
         got = flatten(run_exchange(
-            contrib, none, users, owner, [{}] * 4, partials, "tree",
+            contrib, none, users, owner, [{}] * 4, partials,
             schedule_seed=seed, recv_timeout=20.0,
         ))
         assert got == (reference := reference or got)
 
 
-@pytest.mark.parametrize("scheme", EXCHANGE_SCHEMES)
-def test_fold_rule_is_combine_tree_over_all_pieces(scheme, rng):
+def test_fold_rule_is_combine_tree_over_all_pieces(rng):
     """Slots + combine_tree at every node == combine_tree over all
     pieces: the same association (checked symbolically) and the same
     bits, with any pieces absent."""
@@ -214,19 +190,20 @@ def test_fold_rule_is_combine_tree_over_all_pieces(scheme, rng):
              lambda a, c: a + c),
         ):
             def fold(pos):
-                _, kids = tree_edges(scheme, pos, n)
                 return fold_slots(
-                    pieces[pos], {c - pos: fold(c) for c in kids}, combine
+                    pieces[pos],
+                    {c - pos: fold(c) for c in tree_children(pos, n)},
+                    combine,
                 )
 
             want, got = combine_tree(pieces, combine), fold(0)
             if isinstance(want, np.ndarray):
                 want, got = want.tobytes(), got.tobytes()
-            assert got == want, (scheme, n)
+            assert got == want, n
 
 
 @pytest.mark.parametrize("kind", ["phi", "pue"])
 def test_circulating_box_without_contributor_is_rejected(kind):
     roles = [((7,), 0, [], [0, 1])]
     with pytest.raises(ValueError, match=rf"{kind} box \(7,\).*contributor"):
-        compile_exchange(kind, roles, "tree")
+        compile_exchange(kind, roles)

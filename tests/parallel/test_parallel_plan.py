@@ -187,6 +187,19 @@ def test_parallel_fmm_rejects_balance_beyond_one_rank():
                          np.zeros((4, 1)), balanced)
 
 
+@pytest.mark.parametrize("nranks", [0, -1, 2.5, "2", True, None])
+def test_entry_points_reject_a_bad_rank_count(nranks):
+    """Checked where ``ParallelFMM`` / ``run_parallel_fmm`` are entered,
+    not first inside the thread world: ``ParallelFMM(0, ...)`` used to
+    construct, and a float or a string died with a bare ``TypeError``
+    from ``range``."""
+    with pytest.raises(ValueError, match="nranks"):
+        ParallelFMM(nranks, LaplaceKernel())
+    with pytest.raises(ValueError, match="nranks"):
+        run_parallel_fmm(nranks, LaplaceKernel(), np.zeros((4, 3)),
+                         np.zeros((4, 1)))
+
+
 def test_one_rank_balances_like_kifmm(rng):
     """The shared driver honours ``balance`` in one place, for both
     one-rank operators."""

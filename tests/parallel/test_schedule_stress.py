@@ -1,10 +1,9 @@
 """Seeded schedule-perturbation stress tests (satellite of the analysis PR).
 
-The per-apply exchange (``ApplyExchange``, both payload kinds, both
-communication schemes) and the LET gather protocol must be schedule
-independent: whatever interleaving the thread scheduler produces, every
-rank must end up with bitwise-identical data — and the tree and flat
-schemes with the same bytes.  We fuzz 10 perturbed schedules per
+The per-apply exchange (``ApplyExchange``, both payload kinds) and the
+LET gather protocol must be schedule independent: whatever interleaving
+the thread scheduler produces, every rank must end up with
+bitwise-identical data.  We fuzz 10 perturbed schedules per
 protocol (seeded random yields inside every SimComm call) and compare
 against an unperturbed reference run.
 """
@@ -34,7 +33,7 @@ def _random_topology(rng):
     return contrib, users, owner
 
 
-def _exchange_once(contrib, users, owner, kind, scheme, seed):
+def _exchange_once(contrib, users, owner, kind, seed):
     """One traced ApplyExchange round of one payload kind.
 
     ``phi`` ships rank- and box-tagged density rows (concatenated at the
@@ -57,7 +56,7 @@ def _exchange_once(contrib, users, owner, kind, scheme, seed):
         contrib,
         users if kind == "phi" else none,
         users if kind == "pue" else none,
-        owner, pieces, partials, scheme,
+        owner, pieces, partials,
         trace=trace, schedule_seed=seed,
     )
     report = check_trace(trace)
@@ -65,28 +64,25 @@ def _exchange_once(contrib, users, owner, kind, scheme, seed):
     return flatten(results), trace
 
 
-def _assert_schedule_and_scheme_independent(contrib, users, owner, kind):
-    reference, _ = _exchange_once(contrib, users, owner, kind, "tree", None)
+def _assert_schedule_independent(contrib, users, owner, kind):
+    reference, _ = _exchange_once(contrib, users, owner, kind, None)
     assert reference, "the random topology must move some data"
-    for scheme in ("tree", "flat"):
-        traces = []
-        for seed in range(NSCHEDULES):
-            got, trace = _exchange_once(
-                contrib, users, owner, kind, scheme, seed
-            )
-            assert got == reference, f"{scheme} schedule {seed} diverged"
-            traces.append(trace)
-        assert compare_traces(traces).ok
+    traces = []
+    for seed in range(NSCHEDULES):
+        got, trace = _exchange_once(contrib, users, owner, kind, seed)
+        assert got == reference, f"schedule {seed} diverged"
+        traces.append(trace)
+    assert compare_traces(traces).ok
 
 
 def test_ghost_exchange_bitwise_identical_across_schedules(rng):
     contrib, users, owner = _random_topology(rng)
-    _assert_schedule_and_scheme_independent(contrib, users, owner, "phi")
+    _assert_schedule_independent(contrib, users, owner, "phi")
 
 
 def test_equiv_density_reduction_bitwise_identical_across_schedules(rng):
     contrib, users, owner = _random_topology(rng)
-    _assert_schedule_and_scheme_independent(contrib, users, owner, "pue")
+    _assert_schedule_independent(contrib, users, owner, "pue")
 
 
 def test_let_gather_users_bitwise_identical_across_schedules(rng):
@@ -115,6 +111,6 @@ def test_let_gather_users_bitwise_identical_across_schedules(rng):
 def test_perturbation_is_reproducible(seed, rng):
     """Same seed, same trace digests: the fuzzing itself is deterministic."""
     contrib, users, owner = _random_topology(rng)
-    _, t1 = _exchange_once(contrib, users, owner, "phi", "tree", seed)
-    _, t2 = _exchange_once(contrib, users, owner, "phi", "tree", seed)
+    _, t1 = _exchange_once(contrib, users, owner, "phi", seed)
+    _, t2 = _exchange_once(contrib, users, owner, "phi", seed)
     assert compare_traces([t1, t2]).ok

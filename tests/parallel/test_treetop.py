@@ -1,25 +1,30 @@
 """Hierarchical tree-top reduction tests.
 
-Covers the two tentpole behaviours end to end:
+Covers the two tentpole behaviours:
 
-- the ``comm`` option ("tree" binomial collectives vs "flat" direct
-  owner gather/scatter) must be *bitwise* invisible in the potentials,
-  for Laplace and Stokes, across rank counts, overlap modes and
-  multi-RHS widths;
+- the owner gather/scatter runs over binomial trees: in the compiled
+  programs, at rank counts far beyond execution, the owner of a box
+  handles ceil(log2 C) of its messages over C participants, and no rank
+  more;
 - the coarse-level V split (levels with fewer boxes than ranks) must
   activate on clustered distributions, partition the level's V targets
   exactly once across contributor ranks, and stay race-free and
   trace-clean.
 """
 
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
+from repro.analysis.commir import extract_comm_ir, static_plan_inputs
 from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import coarse_split_levels
-from repro.kernels import LaplaceKernel, StokesKernel
+from repro.geometry.distributions import uniform_cube
+from repro.kernels import LaplaceKernel
 from repro.kernels.direct import direct_evaluate
 from repro.parallel import pfmm
+from repro.parallel.exchange import exchange_tag_families
 from repro.parallel.partition import partition_points
 from repro.parallel.pfmm import run_parallel_fmm
 from repro.parallel.simmpi import run_spmd
@@ -34,43 +39,57 @@ def clustered_points(n_per_corner: int, rng) -> np.ndarray:
     return np.vstack([a, b])
 
 
-class TestCommSchemeParity:
-    """comm="tree" and comm="flat" must agree to the bit."""
+class TestExchangeFanIn:
+    """The O(log P) claim on the compiled programs themselves: per
+    circulating box, the owner completes exactly ceil(log2 C) gather
+    messages over its C gather participants and sends exactly
+    ceil(log2 U) scatter messages over its U scatter participants, and
+    no rank handles more of that box's messages than the owner does."""
 
-    @pytest.mark.parametrize("nranks", [1, 2, 4, 8])
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_laplace_bitwise(self, nranks, overlap, rng):
-        pts = clustered_points(150, rng)
-        dens = rng.standard_normal(len(pts))
-        kern = LaplaceKernel()
-        out = {}
-        for scheme in ("tree", "flat"):
-            opts = FMMOptions(p=4, max_points=20, comm=scheme)
-            out[scheme] = run_parallel_fmm(
-                nranks, kern, pts, dens, opts, overlap=overlap
-            ).potential
-        assert np.array_equal(out["tree"], out["flat"])
+    @staticmethod
+    def _points(name):
+        rng = np.random.default_rng(0)
+        if name == "uniform":
+            return uniform_cube(20_000, rng)
+        return clustered_points(3_000, rng)
 
-    @pytest.mark.parametrize("nrhs", [1, 8])
-    def test_stokes_multirhs_bitwise(self, nrhs, rng):
-        pts = clustered_points(90, rng)
-        kern = StokesKernel()
-        dens = (
-            rng.standard_normal((len(pts), kern.source_dof))
-            if nrhs == 1
-            else rng.standard_normal((len(pts), kern.source_dof, nrhs))
+    @pytest.mark.parametrize("nranks", [64, 1024])
+    @pytest.mark.parametrize("points", ["uniform", "two-clusters"])
+    def test_owner_handles_ceil_log2_messages_per_box(self, points, nranks):
+        inputs = static_plan_inputs(
+            self._points(points), nranks, FMMOptions(p=4, max_points=60)
         )
-        out = {}
-        for scheme in ("tree", "flat"):
-            opts = FMMOptions(p=4, max_points=20, comm=scheme)
-            out[scheme] = run_parallel_fmm(
-                4, kern, pts, dens, opts
-            ).potential
-        assert np.array_equal(out["tree"], out["flat"])
-
-    def test_comm_option_validated(self):
-        with pytest.raises(ValueError, match="comm"):
-            FMMOptions(comm="ring")
+        ir = extract_comm_ir(inputs)
+        # A gather message is counted where it completes, a scatter
+        # message where it is sent (the vsp broadcast only scatters).
+        counted = {}
+        for kind in ir.roles:
+            gather, scatter = exchange_tag_families(kind)
+            counted[gather] = (kind, "gather", "complete")
+            counted[scatter] = (kind, "scatter", "send")
+        per_rank = Counter()
+        for rank, program in enumerate(ir.programs):
+            for op in program:
+                kind, side, counts = counted[op.group]
+                if op.kind == counts:
+                    per_rank[kind, side, op.ids, rank] += 1
+        busiest = defaultdict(int)
+        for (kind, side, ids, _), n in per_rank.items():
+            busiest[kind, side, ids] = max(busiest[kind, side, ids], n)
+        widest = 0
+        for kind, boxes in ir.roles.items():
+            for ids, (owner, contribs, users) in boxes.items():
+                for side, members in (("gather", contribs),
+                                      ("scatter", users)):
+                    n = len(members | {owner})
+                    rounds = (n - 1).bit_length()  # ceil(log2 n)
+                    where = (kind, side, ids, n)
+                    assert per_rank[kind, side, ids, owner] == rounds, where
+                    assert busiest[kind, side, ids] <= rounds, where
+                    widest = max(widest, n)
+        # Not vacuous: some box spans enough ranks that a star rooted at
+        # its owner would take C - 1 > ceil(log2 C) messages there.
+        assert widest - 1 > (widest - 1).bit_length()
 
 
 class TestCoarseSplitLevels:

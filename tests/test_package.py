@@ -50,9 +50,36 @@ class TestTheArraysAreTheOnlyTree:
         for name in "UVWX":
             assert not hasattr(lists, name), name
         fields = [f.name for f in dataclasses.fields(repro.FMMOptions)]
-        assert len(fields) == 11 and "plan" not in fields
+        assert len(fields) == 10 and "plan" not in fields
         with pytest.raises(TypeError):
             repro.FMMOptions(plan="naive")
+
+
+class TestOneOwnerExchangeShape:
+    def test_no_comm_option_and_no_scheme_argument(self):
+        """The owner gather/scatter has one shape, the binomial tree:
+        nothing selects another, and the verifiers take no second IR to
+        compare against."""
+        import inspect
+
+        from repro.analysis import commcheck_static, commir
+        from repro.parallel import exchange
+
+        with pytest.raises(TypeError):
+            repro.FMMOptions(comm="tree")
+        for name in ("EXCHANGE_SCHEMES", "check_scheme", "tree_edges"):
+            assert not hasattr(exchange, name), name
+        for name in ("ConservationSummary", "conservation_summary",
+                     "cross_scheme_conservation"):
+            assert not hasattr(commcheck_static, name), name
+        for fn in (exchange.compile_exchange, commir.extract_comm_ir,
+                   commcheck_static.check_conservation,
+                   commcheck_static.run_checks,
+                   commcheck_static.run_selftests):
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"scheme", "reference", "reference_index"}, (
+                fn.__name__, params,
+            )
 
 
 class TestPerfmodelRobustness:
