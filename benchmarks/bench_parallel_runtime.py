@@ -1,11 +1,14 @@
 """The in-process parallel runtime, measured for real.
 
 Runs the full three-stage SC'03 algorithm (Morton partitioning, global
-tree array via Allreduce, LETs, owners, Algorithm 1 exchanges) on the
-simulated-MPI runtime with actual logical ranks, reporting wall-clock
-time, communication volumes and correctness against the sequential
-evaluator.  This complements the machine-model benches: volumes here are
-exchanged, not estimated.
+tree array via Allreduce, LETs, owners, Algorithm 1 exchanges) through
+``ParallelFMM`` at 1/2/4/8 logical ranks — setup on rank threads, the
+apply on rank processes beyond one rank — reporting per-phase time,
+communication volumes (setup and one apply) and correctness against the
+sequential evaluator.  This complements the machine-model benches:
+volumes here are exchanged, not estimated.
+
+Run:  python -m pytest benchmarks/bench_parallel_runtime.py -q -s
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.core.fmm import FMMOptions, KIFMM
 from repro.geometry import corner_clusters
 from repro.kernels import LaplaceKernel
 from repro.kernels.direct import relative_error
-from repro.parallel import run_parallel_fmm
+from repro.parallel import ParallelFMM
 from repro.util.tables import format_table
 
 N = 4000
@@ -32,20 +35,22 @@ def _run_all():
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     rows, errs = [], []
     for nr in RANKS:
-        res = run_parallel_fmm(nr, LaplaceKernel(), pts, phi, opts)
-        total_bytes = sum(s.bytes_sent for s in res.comm_stats)
-        total_msgs = sum(s.messages_sent for s in res.comm_stats)
-        up = float(np.mean([t["up"] for t in res.timers]))
+        with ParallelFMM(nr, LaplaceKernel(), opts) as op:
+            pot = op.setup(pts).apply(phi)
+        total_bytes = sum(s.bytes_sent for s in op.comm_stats)
+        total_msgs = sum(s.messages_sent for s in op.comm_stats)
+        timers = [t.by_phase() for t in op.timers]
+        up = float(np.mean([t["up"] for t in timers]))
         down = float(np.mean([
             sum(v for k, v in t.items()
                 if k.startswith("down") or k == "eval")
-            for t in res.timers
+            for t in timers
         ]))
         comm = float(np.mean([
-            t.get("pack", 0.0) + t.get("wait", 0.0) for t in res.timers
+            t.get("pack", 0.0) + t.get("wait", 0.0) for t in timers
         ]))
         rows.append((nr, up, comm, down, total_msgs, total_bytes / 1e3))
-        errs.append(relative_error(res.potential, seq))
+        errs.append(relative_error(pot, seq))
     return rows, errs
 
 

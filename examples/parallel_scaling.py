@@ -1,8 +1,9 @@
 """The SC'03 parallel algorithm, three ways.
 
 1. For real: the three-stage compute/communicate/compute algorithm runs
-   on logical ranks (simulated MPI, rank threads), exchanging actual
-   messages; results are verified against the sequential evaluator.
+   on logical ranks (simulated MPI: setup on rank threads, the apply on
+   rank processes), exchanging actual messages; results are verified
+   against the sequential evaluator.
 2. Measured: strong scaling of the persistent operator on this host's
    cores — beyond one rank its applies run on rank processes — next to
    what the performance model predicts for the same tree.
@@ -22,7 +23,7 @@ import numpy as np
 from repro import KIFMM, FMMOptions, LaplaceKernel
 from repro.geometry import corner_clusters, uniform_cube
 from repro.kernels.direct import relative_error
-from repro.parallel import ParallelFMM, run_parallel_fmm
+from repro.parallel import ParallelFMM
 from repro.perfmodel import TCS1, simulate_run
 from repro.perfmodel.costs import compute_work
 from repro.octree import build_lists, build_tree
@@ -44,11 +45,12 @@ def main() -> None:
     rows = []
     for nranks in (1, 2, 4, 8):
         t0 = time.perf_counter()
-        res = run_parallel_fmm(nranks, kernel, pts, phi, opts)
+        with ParallelFMM(nranks, kernel, opts) as op:
+            pot = op.setup(pts).apply(phi)
         dt = time.perf_counter() - t0
-        err = relative_error(res.potential, seq)
-        nbytes = sum(s.bytes_sent for s in res.comm_stats)
-        msgs = sum(s.messages_sent for s in res.comm_stats)
+        err = relative_error(pot, seq)
+        nbytes = sum(s.bytes_sent for s in op.comm_stats)
+        msgs = sum(s.messages_sent for s in op.comm_stats)
         rows.append((nranks, dt, err, msgs, nbytes / 1e3))
     print(format_table(
         ("ranks", "wall s", "err vs sequential", "messages", "KB exchanged"),

@@ -8,7 +8,7 @@ alone:
   and never received (cross-checked against the runtime's mailbox-leak
   report);
 - **wait-for deadlock cycles** — ranks whose final event is a blocked
-  receive or collective entry, with the cycle's blocked
+  receive (a collective is receives too), with the cycle's blocked
   ``(src, dst, tag)`` edges named;
 - **collective divergence** — ranks entering different collectives (or
   the same collective with different op/shape) at the same collective
@@ -18,7 +18,7 @@ alone:
   happens-before (each channel has a single sending rank, so concurrent
   sends would mean the runtime's ordering guarantee is broken);
 - **request leaks** — nonblocking receives posted but not completed
-  before a barrier entry (or, on runs whose ranks all returned, never
+  before a collective entry (or, on runs whose ranks all returned, never
   completed at all): the dynamic complement of the ``request-waited``
   lint rule;
 - **stats mismatches** — event counts inconsistent with the
@@ -163,106 +163,52 @@ def _check_channels(trace: CommTrace, report: CommReport) -> None:
             ))
 
 
-def _pending_ops(trace: CommTrace) -> dict[int, TraceEvent | None]:
-    """The blocking operation each rank was stuck in at exit, if any.
-
-    A rank is blocked when its final event is a ``recv-post`` or
-    ``coll-enter`` with no matching completion event.
-    """
-    pending: dict[int, TraceEvent | None] = {}
-    for rank, evs in enumerate(trace.events_by_rank):
-        pending[rank] = None
-        if evs and evs[-1].kind in ("recv-post", "coll-enter"):
-            pending[rank] = evs[-1]
-    return pending
-
-
 def _check_deadlock(trace: CommTrace, report: CommReport) -> None:
     if trace.completed:
         return
-    pending = _pending_ops(trace)
-    blocked = {r: ev for r, ev in pending.items() if ev is not None}
-    if not blocked:
-        return
-    coll_counts = {
-        r: sum(1 for e in evs if e.kind == "coll-exit")
-        for r, evs in enumerate(trace.events_by_rank)
+    # A rank was stuck at exit when its final event is a ``recv-post``
+    # with no completion; one stuck in a collective is stuck in one of
+    # its receives.
+    blocked = {
+        r: evs[-1] for r, evs in enumerate(trace.events_by_rank)
+        if evs and evs[-1].kind == "recv-post"
     }
-    # Wait-for graph: rank -> ranks it cannot proceed without.
-    waits: dict[int, dict[int, str]] = {}
-    for r, ev in blocked.items():
-        edges: dict[int, str] = {}
-        if ev.kind == "recv-post":
-            src, dst, tag = ev.channel()
-            edges[src] = f"recv {src}->{dst} tag={tag!r}"
-        else:
-            # coll-enter: waits on every rank that has not reached this
-            # collective.  A peer blocked in the *same* collective index
-            # is a fellow waiter, not an obstacle — the collective would
-            # complete if everyone were there.
-            for q in range(trace.nranks):
-                if q == r or coll_counts[q] > coll_counts[r]:
-                    continue
-                qev = blocked.get(q)
-                if (
-                    qev is not None
-                    and qev.kind == "coll-enter"
-                    and qev.coll_index == ev.coll_index
-                ):
-                    continue
-                edges[q] = f"{ev.coll}[{ev.coll_index}]"
-        waits[r] = edges
-
-    # Cycle detection over the blocked subgraph.
-    def find_cycle(start: int) -> list[int] | None:
-        path, on_path = [], set()
-
-        def dfs(u: int) -> list[int] | None:
-            if u in on_path:
-                return path[path.index(u):]
-            if u not in waits:
-                return None
-            path.append(u)
-            on_path.add(u)
-            for v in waits[u]:
-                cyc = dfs(v)
-                if cyc is not None:
-                    return cyc
-            path.pop()
-            on_path.discard(u)
-            return None
-
-        return dfs(start)
-
+    # Wait-for graph: a blocked rank waits on the one rank it receives
+    # from, so walking those edges from each rank finds every cycle.
+    waits = {r: ev.peer for r, ev in blocked.items()}
     reported: set[frozenset[int]] = set()
     for r in sorted(blocked):
-        cycle = find_cycle(r)
-        if cycle and frozenset(cycle) not in reported:
-            reported.add(frozenset(cycle))
-            edges = []
-            for i, u in enumerate(cycle):
-                v = cycle[(i + 1) % len(cycle)]
-                label = waits[u].get(v, "?")
-                edges.append(f"rank {u} blocked in {label} waiting on rank {v}")
-            report.findings.append(Finding(
-                "deadlock-cycle",
-                "wait-for cycle: " + "; ".join(edges),
-                ranks=tuple(cycle),
-            ))
+        path: list[int] = []
+        u = r
+        while u in waits and u not in path:
+            path.append(u)
+            u = waits[u]
+        if u not in path:
+            continue
+        cycle = path[path.index(u):]
+        if frozenset(cycle) in reported:
+            continue
+        reported.add(frozenset(cycle))
+        report.findings.append(Finding(
+            "deadlock-cycle",
+            "wait-for cycle: " + "; ".join(
+                f"rank {v} blocked in {blocked[v].describe()} waiting on "
+                f"rank {waits[v]}" for v in cycle
+            ),
+            ranks=tuple(cycle),
+        ))
     # Blocked on a peer that terminated: no cycle, still a fatal wait.
     for r in sorted(blocked):
         if any(r in c for c in reported):
             continue
         ev = blocked[r]
-        if ev.kind == "recv-post":
-            src = ev.peer
-            if pending.get(src) is None and src not in blocked:
-                report.findings.append(Finding(
-                    "orphan-wait",
-                    f"rank {r} blocked in {ev.describe()} but rank {src} "
-                    f"finished without sending",
-                    ranks=(r, src),
-                ))
+        if ev.peer not in blocked:
+            report.findings.append(Finding(
+                "orphan-wait",
+                f"rank {r} blocked in {ev.describe()} but rank {ev.peer} "
+                f"finished without sending",
+                ranks=(r, ev.peer),
+            ))
 
 
 def _check_collectives(trace: CommTrace, report: CommReport) -> None:
@@ -339,16 +285,16 @@ def _check_clocks(trace: CommTrace, report: CommReport) -> None:
 
 
 def _check_requests(trace: CommTrace, report: CommReport) -> None:
-    """Every posted nonblocking receive must complete before a barrier.
+    """Every posted nonblocking receive must complete before a collective.
 
     Walks each rank's event stream counting outstanding ``recv-post``
     events per channel (a ``recv`` completes the oldest post on its
     channel — FIFO, matching the runtime).  Outstanding posts at a
-    collective entry mean a ``Request`` crossed the apply's final
-    barrier un-waited; outstanding posts at the end of a run whose ranks
-    all returned (``completed``, or failed only by the exit-time mailbox
-    leak check — no per-rank ``error``) mean a request was posted and
-    never waited at all.  Runs where a rank died are left to the
+    collective entry mean a ``Request`` crossed it un-waited;
+    outstanding posts at the end of a run whose ranks all returned
+    (``completed``, or failed only by the exit-time mailbox leak check
+    — no per-rank ``error``) mean a request was posted and never waited
+    at all.  Runs where a rank died are left to the
     deadlock checker: a rank blocked in its last ``recv-post`` is a
     wait, not a leak.
     """
@@ -423,7 +369,7 @@ def check_trace(trace: CommTrace, stats: Sequence[Any] | None = None) -> CommRep
     """Run every single-trace analysis; optionally cross-check ``stats``.
 
     ``stats`` is the per-rank :class:`~repro.parallel.simmpi.CommStats`
-    list of the same run (e.g. ``ParallelFMMResult.comm_stats``).
+    list of the same run (e.g. ``ParallelFMM.comm_stats``).
     """
     report = CommReport(nevents=trace.nevents(), nranks=trace.nranks)
     _check_channels(trace, report)

@@ -691,12 +691,11 @@ def traced_run(
     stringify them and break matching against the IR).  ``cache`` shares
     one operator cache between the runs of a sweep.
     """
-    from repro.parallel.pfmm import run_parallel_fmm
+    from repro.parallel.pfmm import ParallelFMM
 
     trace = CommTrace()
-    run_parallel_fmm(
-        nranks, kernel, points, density, opts,
-        trace=trace, schedule_seed=schedule_seed,
-        napplies=napplies, overlap=overlap, cache=cache,
-    )
+    op = ParallelFMM(nranks, kernel, opts, overlap=overlap)
+    op.setup(points, trace=trace, schedule_seed=schedule_seed, cache=cache)
+    for _ in range(napplies):
+        op.apply(density, trace=trace, schedule_seed=schedule_seed)
     return trace

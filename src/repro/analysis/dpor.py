@@ -247,16 +247,15 @@ def bitwise_determinism(
 
     Returns ``(identical, max_abs_diff)``.
     """
-    from repro.parallel.pfmm import run_parallel_fmm
+    from repro.parallel.pfmm import ParallelFMM
 
     ref = None
     worst = 0.0
     identical = True
     for seed in seeds:
-        pot = run_parallel_fmm(
-            nranks, kernel, points, density, opts,
-            schedule_seed=seed, overlap=overlap,
-        ).potential
+        op = ParallelFMM(nranks, kernel, opts, overlap=overlap)
+        op.setup(points, schedule_seed=seed)
+        pot = op.apply(density, schedule_seed=seed)
         if ref is None:
             ref = pot
             continue

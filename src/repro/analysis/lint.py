@@ -446,9 +446,7 @@ class TagRegistryRule(Rule):
         "site is checked where the tag is created)."
     )
 
-    _COMM_OPS = {
-        "send", "isend", "recv", "irecv", "bcast", "reduce",
-    }
+    _COMM_OPS = {"send", "isend", "recv", "irecv"}
 
     @staticmethod
     def _is_mk_tag(node: ast.AST) -> bool:

@@ -10,10 +10,13 @@ proves it from first principles for any traced execution:
   (byte ranges of shared-array reads/writes, with the rank's vector
   clock at access time) through a per-rank :class:`RankRecorder`;
 - the happens-before order between accesses is derived from the vector
-  clocks the runtime already maintains for every send/recv/collective
+  clocks the runtime already maintains for every send/recv
   (:mod:`repro.analysis.trace`) — ``Request.wait`` completions merge the
   sender's clock exactly like blocking receives, so wait edges come for
-  free;
+  free, and the collectives are such messages.  One detector spans
+  several ``run_spmd`` regions (a setup and its applies): the join
+  between two regions orders everything before it before everything
+  after it (:meth:`~repro.analysis.trace.CommTrace.begin_region`);
 - two accesses to overlapping bytes from different ranks, at least one
   a write, with neither ordered before the other, are a data race.
   The report names both access sites and the last ``(src, dst, tag)``
@@ -207,35 +210,35 @@ def _ordered(a: AccessRecord, b: AccessRecord) -> bool:
     return b.clock[a.rank] > a.clock[a.rank]
 
 
-class RaceDetector:
-    """Collects per-rank access records and reports race pairs.
+class RaceDetector(CommTrace):
+    """A comm trace that also records shared-array accesses.
 
-    Pass an instance to :func:`repro.parallel.simmpi.run_spmd` via
-    ``race=``; the runtime resets it, installs a :class:`RankRecorder`
-    in each rank thread (reachable from instrumented code through
-    :func:`repro.parallel.simmpi.current_recorder`), and after the run
-    :meth:`report` performs the offline pairwise analysis.
+    Pass an instance as the ``trace=`` of
+    :func:`repro.parallel.simmpi.run_spmd` (or of
+    :meth:`~repro.parallel.pfmm.ParallelFMM.setup` / ``apply``): the
+    runtime installs a :class:`RankRecorder` in each rank thread
+    (reachable from instrumented code through
+    :func:`repro.parallel.simmpi.current_recorder`), ordered by this
+    trace's vector clocks, and after the run :meth:`report` performs the
+    offline pairwise analysis over every region recorded.
     """
 
-    def __init__(self) -> None:
-        self.nranks = 0
-        self.trace: CommTrace | None = None
-        self._recorders: list[RankRecorder | None] = []
-
-    def reset(self, nranks: int, trace: CommTrace | None) -> None:
-        self.nranks = nranks
-        self.trace = trace
-        self._recorders = [None] * nranks
+    def reset(self, nranks: int) -> None:
+        super().reset(nranks)
+        #: Per rank, one recorder per region.
+        self._recorders: list[list[RankRecorder]] = [
+            [] for _ in range(nranks)
+        ]
 
     def recorder_for(self, rank: int, tracer: Any) -> RankRecorder:
         rec = RankRecorder(rank, tracer)
-        self._recorders[rank] = rec
+        self._recorders[rank].append(rec)
         return rec
 
     # -- offline analysis --------------------------------------------------
 
     def report(self) -> RaceReport:
-        recs = [r for r in self._recorders if r is not None]
+        recs = [rec for per_rank in self._recorders for rec in per_rank]
         names: dict[int, str] = {}
         for rec in recs:
             for rid, name in rec.regions:
@@ -288,11 +291,9 @@ class RaceDetector:
         channel was the stale edge and that nothing later ordered the
         pair.
         """
-        if self.trace is None or b.rank >= len(self.trace.events_by_rank):
-            return "no trace available to locate the missing edge"
         last_recv = None
         last_coll = None
-        for ev in self.trace.events_by_rank[b.rank][:b.pos]:
+        for ev in self.events_by_rank[b.rank][:b.pos]:
             if ev.kind == "recv" and ev.peer == a.rank:
                 last_recv = ev
             elif ev.kind == "coll-exit":

@@ -9,11 +9,12 @@ explicit send/recv matching, so ordering bugs (dropped messages,
 wait-for cycles, diverging collectives) are diagnosed from the trace
 alone, without re-running the program.
 
-Blocking operations emit *two* events: a post event when the operation
-starts (``recv-post`` / ``coll-enter``) and a completion event when it
-finishes (``recv`` / ``coll-exit``).  A rank whose final event is a post
-event was blocked there when the run ended — that is exactly the
-information the deadlock detector needs.
+A receive emits *two* events: ``recv-post`` when it is posted and
+``recv`` when it completes.  A rank whose final event is a
+``recv-post`` was blocked there when the run ended — that is exactly
+the information the deadlock detector needs.  A collective is
+point-to-point messages between a ``coll-enter`` and a ``coll-exit``
+event, so a rank stuck in one ends on a named ``recv-post`` too.
 
 This module is runtime-agnostic: it only defines the event model and
 clock bookkeeping.  The instrumentation hooks live in
@@ -89,7 +90,7 @@ class TraceEvent:
     nbytes: int = 0
     lamport: int = 0
     clock: tuple[int, ...] = ()
-    coll: str | None = None  # barrier / allreduce / allgather
+    coll: str | None = None  # allreduce / allgather
     coll_index: int | None = None
     op: str | None = None
     shape: tuple[int, ...] | None = None
@@ -129,15 +130,15 @@ class RankTracer:
     """Per-rank clock state and event emitter.
 
     Owned by exactly one rank thread; appends to that rank's private
-    event list, so no locking is needed.
+    event list, so no locking is needed.  Starts from the
+    ``(lamport, vector clock, collective index)`` its region opens at
+    (:meth:`CommTrace.begin_region`).
     """
 
-    def __init__(self, trace: "CommTrace", rank: int, nranks: int) -> None:
-        self.trace = trace
+    def __init__(self, trace: "CommTrace", rank: int, start: tuple) -> None:
         self.rank = rank
-        self.lamport = 0
-        self.clock = [0] * nranks
-        self.coll_index = 0
+        self.lamport, clock, self.coll_index = start
+        self.clock = list(clock)
         self._events = trace.events_by_rank[rank]
 
     def _emit(self, kind: str, **fields: Any) -> TraceEvent:
@@ -192,6 +193,10 @@ class RankTracer:
         )
 
     # -- collectives -------------------------------------------------------
+    #
+    # A collective is messages (``simmpi.SimComm._collective``): its
+    # enter and exit events bracket the sends and receives that carry
+    # every clock merge, so neither merges anything itself.
 
     def on_coll_enter(
         self,
@@ -210,22 +215,10 @@ class RankTracer:
             shape=shape,
         )
 
-    def on_coll_exit(self, coll: str, peer_clocks: list[Any]) -> None:
-        """Record collective completion, merging every participant's clock."""
-        for pc in peer_clocks:
-            if pc is None:
-                continue
-            self.lamport = max(self.lamport, pc[0])
-            for i, c in enumerate(pc[1]):
-                self.clock[i] = max(self.clock[i], c)
-        self.lamport += 1
-        self.clock[self.rank] += 1
+    def on_coll_exit(self, coll: str) -> None:
+        self._tick()
         self._emit("coll-exit", coll=coll, coll_index=self.coll_index)
         self.coll_index += 1
-
-    def clock_snapshot(self) -> tuple[int, tuple[int, ...]]:
-        """``(lamport, vector clock)`` pair deposited for collective merges."""
-        return (self.lamport, tuple(self.clock))
 
     def position(self) -> int:
         """Number of events emitted so far — this rank's event cursor.
@@ -238,29 +231,88 @@ class RankTracer:
 
 
 class CommTrace:
-    """A full multi-rank execution trace plus runtime exit metadata.
+    """A multi-rank execution trace plus runtime exit metadata.
 
     Pass an instance to :func:`repro.parallel.simmpi.run_spmd` via
-    ``trace=``; the runtime resets and fills it, including on abnormal
-    exits (timeouts, deadlocks, rank exceptions), which is when the
-    analyzer is most useful.
+    ``trace=``; the runtime fills it, including on abnormal exits
+    (timeouts, deadlocks, rank exceptions), which is when the analyzer
+    is most useful.  Passed to several runs — a
+    :class:`~repro.parallel.pfmm.ParallelFMM` setup and its applies —
+    it appends each as one *region* of a single execution.
     """
 
     def __init__(self) -> None:
-        self.nranks = 0
-        self.events_by_rank: list[list[TraceEvent]] = []
+        self.reset(0)
+
+    def reset(self, nranks: int) -> None:
+        self.nranks = nranks
+        self.events_by_rank: list[list[TraceEvent]] = [
+            [] for _ in range(nranks)
+        ]
         #: Messages left in mailboxes at exit: ``((src, dst, tag), count)``.
         self.leaked: list[tuple[tuple[int, int, Any], int]] = []
         #: ``repr`` of the first per-rank exception, if the run failed.
         self.error: str | None = None
+        #: Whether every region so far ran to a clean exit.
         self.completed = False
+        #: Regions recorded so far.
+        self.regions = 0
+        #: ``(lamport, vector clock, collective index)`` the open
+        #: region's ranks start from, and the ranks' tracers.
+        self._start = (0, (0,) * nranks, 0)
+        self._tracers: list[RankTracer | None] = []
 
-    def reset(self, nranks: int) -> None:
-        self.nranks = nranks
-        self.events_by_rank = [[] for _ in range(nranks)]
-        self.leaked = []
-        self.error = None
-        self.completed = False
+    def begin_region(self, nranks: int) -> None:
+        """Open one ``run_spmd`` region of ``nranks`` ranks.
+
+        The first region sizes the trace; later ones must match it.  A
+        region boundary joins every rank thread and spawns new ones:
+        each rank's exit is an event, and every rank of the next region
+        starts after all of them — one tick past the element-wise
+        maximum of the ranks' final clocks, at the largest collective
+        index reached.  That is the happens-before edge the boundary
+        provides, and without it accesses of consecutive regions would
+        read as concurrent.
+        """
+        if self.nranks == 0:
+            self.reset(nranks)
+        elif nranks != self.nranks:
+            raise ValueError(
+                f"a {self.nranks}-rank trace cannot record a "
+                f"{nranks}-rank region"
+            )
+        done = [t for t in self._tracers if t is not None]
+        if done:
+            self._start = (
+                max(t.lamport for t in done) + 1,
+                tuple(max(c) + 1 for c in zip(*(t.clock for t in done))),
+                max(t.coll_index for t in done),
+            )
+        self._tracers = [None] * nranks
+        self.regions += 1
+
+    def tracer(self, rank: int) -> RankTracer:
+        """Rank ``rank``'s event emitter for the open region."""
+        tracer = RankTracer(self, rank, self._start)
+        self._tracers[rank] = tracer
+        return tracer
+
+    def recorder_for(self, rank: int, tracer: RankTracer) -> Any:
+        """The access recorder the runtime installs on ``rank``'s thread:
+        none for a plain trace (the race detector overrides this)."""
+        return None
+
+    def end_region(
+        self,
+        leaked: list[tuple[tuple[int, int, Any], int]],
+        error: BaseException | None,
+        completed: bool,
+    ) -> None:
+        """Close the open region with the runtime's exit report."""
+        self.leaked += leaked
+        if self.error is None and error is not None:
+            self.error = repr(error)
+        self.completed = completed and (self.regions == 1 or self.completed)
 
     def events(self) -> Iterator[TraceEvent]:
         """All events, ordered by Lamport time (ties by rank, seq)."""

@@ -235,6 +235,20 @@ def _block_density(rng, n: int, kernel, nrhs: int) -> np.ndarray:
     return rng.random((n, kernel.source_dof, nrhs))
 
 
+def _traced_run(args, kernel, pts, density, opts, trace, seed, overlap):
+    """One ``ParallelFMM`` setup and ``--applies`` applies at
+    ``--ranks``, each a region of ``trace`` under schedule ``seed``:
+    the operator and its last potential (``None`` without applies)."""
+    from repro.parallel.pfmm import ParallelFMM
+
+    op = ParallelFMM(args.ranks, kernel, opts, overlap=overlap)
+    op.setup(pts, trace=trace, schedule_seed=seed)
+    potential = None
+    for _ in range(args.applies):
+        potential = op.apply(density, trace=trace, schedule_seed=seed)
+    return op, potential
+
+
 def _cmd_commcheck(args: argparse.Namespace) -> int:
     """Run the parallel FMM under perturbed schedules; verify the traces.
 
@@ -245,7 +259,6 @@ def _cmd_commcheck(args: argparse.Namespace) -> int:
     asserted bitwise identical across schedules.
     """
     from repro.analysis import CommTrace, check_trace, compare_traces
-    from repro.parallel.pfmm import run_parallel_fmm
     from repro.parallel.simmpi import CommStats
 
     if args.traces:
@@ -267,23 +280,22 @@ def _cmd_commcheck(args: argparse.Namespace) -> int:
     reference = None
     for i in range(args.schedules):
         trace = CommTrace()
-        result = run_parallel_fmm(
-            args.ranks, kernel, pts, density, opts,
-            trace=trace, schedule_seed=args.seed + i,
-            napplies=args.applies, overlap=args.overlap == "on",
+        op, potential = _traced_run(
+            args, kernel, pts, density, opts, trace, args.seed + i,
+            overlap=args.overlap == "on",
         )
-        report = check_trace(trace, stats=result.comm_stats)
-        total = CommStats.total(result.comm_stats)
+        report = check_trace(trace, stats=op.comm_stats)
+        total = CommStats.total(op.comm_stats)
         print(f"schedule {i}: {report.summary()}")
         print(f"  traffic: {total.messages_sent} msgs / {total.bytes_sent} B "
               f"sent, {total.messages_received} msgs / "
               f"{total.bytes_received} B received")
         if args.collectives:
             print("  collectives:")
-            for prim in ("allreduce", "bcast", "reduce_scatter"):
+            for prim in CommStats.COLLECTIVES:
                 calls = getattr(total, f"{prim}_calls")
                 nbytes = getattr(total, f"{prim}_bytes")
-                print(f"    {prim:>14}: {calls} calls / {nbytes} B")
+                print(f"    {prim:>9}: {calls} calls / {nbytes} B")
             phases = sorted(total.by_phase.items())
             if phases:
                 print("  p2p bytes by phase: "
@@ -291,8 +303,8 @@ def _cmd_commcheck(args: argparse.Namespace) -> int:
         failed |= not report.ok
         traces.append(trace)
         if reference is None:
-            reference = result.potential
-        elif not np.array_equal(reference, result.potential):
+            reference = potential
+        elif not np.array_equal(reference, potential):
             print(f"schedule {i}: potentials differ from schedule 0 "
                   f"(nondeterministic result)")
             failed = True
@@ -307,7 +319,8 @@ def _cmd_commcheck(args: argparse.Namespace) -> int:
 
 
 def _seeded_race_main(comm) -> None:
-    """Deliberate use-after-send: rank 0 mutates a buffer it just sent.
+    """Deliberate use-after-send, run under a race detector: rank 0
+    mutates a buffer it just sent.
 
     The simulated MPI passes payloads by reference, so rank 1's read of
     the received array is a cross-rank access on rank 0's allocation.
@@ -320,18 +333,14 @@ def _seeded_race_main(comm) -> None:
     rec = current_recorder()
     if comm.rank == 0:
         buf = np.arange(8.0)
-        if rec is not None:
-            rec.register("seeded:buf", buf)
+        rec.register("seeded:buf", buf)
         comm.isend(1, buf, tag="race")
-        if rec is not None:
-            rec.write(buf, "mutate-after-send")
+        rec.write(buf, "mutate-after-send")
         buf[:4] = -1.0
     elif comm.rank == 1:
-        req = comm.irecv(0, tag="race")
-        payload = req.wait()
-        if rec is not None:
-            rec.read(payload, "read-received-payload")
-    comm.barrier()
+        payload = comm.irecv(0, tag="race").wait()
+        rec.read(payload, "read-received-payload")
+    comm.allreduce(np.zeros(1))
 
 
 def _cmd_racecheck(args: argparse.Namespace) -> int:
@@ -344,14 +353,13 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
     runs a deliberately racy SPMD fixture and verifies the detector
     flags it — the self-test that proves the certification can fail.
     """
-    from repro.analysis import CommTrace, RaceDetector
-    from repro.parallel.pfmm import run_parallel_fmm
+    from repro.analysis import RaceDetector
 
     if args.seed_race:
         from repro.parallel.simmpi import run_spmd
 
         det = RaceDetector()
-        run_spmd(max(2, args.ranks), _seeded_race_main, race=det)
+        run_spmd(max(2, args.ranks), _seeded_race_main, trace=det)
         report = det.report()
         print(report.summary())
         if report.ok:
@@ -370,12 +378,8 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
     for overlap in (True, False):
         for i in range(args.schedules):
             det = RaceDetector()
-            trace = CommTrace()
-            run_parallel_fmm(
-                args.ranks, kernel, pts, density, opts,
-                trace=trace, schedule_seed=args.seed + i,
-                napplies=args.applies, overlap=overlap, race=det,
-            )
+            _traced_run(args, kernel, pts, density, opts, det,
+                        args.seed + i, overlap)
             report = det.report()
             print(f"overlap={'on' if overlap else 'off'} schedule {i}: "
                   f"{report.summary()}")
@@ -1026,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
     m2l_flags(pc, default="fft")
     pc.add_argument("--applies", type=int, default=1,
                     help="persistent-operator applies per schedule (setup "
-                         "once, apply N times inside one traced region)")
+                         "once, apply N times, each a region of one trace)")
     pc.add_argument("--overlap", default="on", choices=("on", "off"),
                     help="overlap the equivalent-density exchange with "
                          "owned-data compute in the planned applies")
@@ -1038,8 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write schedule 0's event trace as JSON lines")
     pc.add_argument("--collectives", action="store_true",
                     help="print the per-primitive collective summary "
-                         "(allreduce/bcast/reduce-scatter/tree-reduce/"
-                         "tree-bcast call and byte counts)")
+                         "(allreduce/allgather call and byte counts)")
     pc.add_argument("--traces", nargs="+", default=None, metavar="PATH",
                     help="offline mode: analyze saved *.jsonl traces "
                          "(files or directories) instead of running; "

@@ -10,19 +10,18 @@ calculation — but runs over :mod:`repro.parallel.simmpi`, a
 message-passing runtime with logical ranks on threads (setup, the
 verifiers) or, for the applies of a persistent operator, on forked
 processes (:mod:`repro.parallel.procworld`) — the substitution for real
-MPI hardware documented in DESIGN.md.
+MPI hardware documented in DESIGN.md.  Every message, the two
+collectives included, is a point-to-point send.
+
+There is one driver, :class:`ParallelFMM` (setup once, apply many), and
+one rank operator, :class:`RankFMM`, which is also the sequential
+:class:`~repro.core.fmm.KIFMM` at one rank.
 """
 
 from repro.parallel.simmpi import CommStats, MailboxLeakError, SimComm, run_spmd
 from repro.parallel.procworld import RankDiedError
 from repro.parallel.partition import morton_order_patches, partition_patches, partition_points
-from repro.parallel.pfmm import (
-    ParallelFMM,
-    ParallelFMMResult,
-    RankFMM,
-    rank_setup,
-    run_parallel_fmm,
-)
+from repro.parallel.pfmm import ParallelFMM, RankFMM, rank_setup
 
 __all__ = [
     "SimComm",
@@ -34,8 +33,6 @@ __all__ = [
     "partition_patches",
     "partition_points",
     "rank_setup",
-    "run_parallel_fmm",
     "ParallelFMM",
     "RankFMM",
-    "ParallelFMMResult",
 ]

@@ -399,8 +399,8 @@ class ApplyExchange:
         self._comm = comm
         self._timer = timer
         self._bound = bound
-        #: Race-detector hook: the per-rank recorder installed by
-        #: ``run_spmd(race=...)``, or None on uninstrumented runs.
+        #: Race-detector hook: the per-rank recorder of a run traced by
+        #: a ``RaceDetector``, or None on uninstrumented runs.
         self._rec = current_recorder()
         self._requests: dict[tuple, Request] = {}
         #: Per (program name, ids): the gathered pieces by slot, then

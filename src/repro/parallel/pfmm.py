@@ -708,16 +708,6 @@ def _rank_server(states: list[RankFMM]):
     return serve
 
 
-@dataclass
-class ParallelFMMResult:
-    """Aggregate result of a driver-level parallel run."""
-
-    potential: np.ndarray
-    comm_stats: list[CommStats]
-    timers: list[dict[str, float]]
-    nranks: int
-
-
 def _require_nranks(nranks: int) -> None:
     if isinstance(nranks, bool) or not isinstance(
         nranks, numbers.Integral
@@ -774,92 +764,6 @@ def _in_point_order(
     return out[:, :, 0] if single else out
 
 
-def run_parallel_fmm(
-    nranks: int,
-    kernel: Kernel,
-    points: np.ndarray,
-    density: np.ndarray,
-    options: FMMOptions | None = None,
-    source_kernel: Kernel | None = None,
-    target_kernel: Kernel | None = None,
-    direct_kernel: Kernel | None = None,
-    trace=None,
-    schedule_seed: int | None = None,
-    napplies: int = 1,
-    overlap: bool = True,
-    cache: OperatorCache | None = None,
-    race=None,
-) -> ParallelFMMResult:
-    """Convenience driver: partition, run SPMD, reassemble.
-
-    Partitions ``points`` over ``nranks`` logical ranks with Morton-curve
-    partitioning, runs the full three-stage parallel algorithm, and
-    returns the potentials in the original point order together with
-    per-rank communication statistics.
-
-    The run goes through the persistent operator: one
-    :func:`rank_setup` followed by ``napplies`` overlapped planned
-    applies inside a single SPMD region (so a trace covers setup plus
-    every apply — which :meth:`ParallelFMM.setup` followed by
-    :meth:`ParallelFMM.apply`, one region each, cannot give).  ``cache``
-    lets the caller supply a prebuilt
-    :class:`~repro.core.precompute.OperatorCache` (taken through
-    :meth:`~repro.core.precompute.OperatorCache.for_root` to the points'
-    bounding cube).
-
-    ``trace`` (a :class:`repro.analysis.trace.CommTrace`) records the
-    full communication event trace for
-    :func:`repro.analysis.commcheck.check_trace`; ``schedule_seed``
-    perturbs the rank interleaving with seeded yields (the result must
-    be — and is asserted by tests to be — schedule independent).
-    ``race`` (a :class:`repro.analysis.racecheck.RaceDetector`) records
-    shared-array access records during the run for the offline
-    happens-before analysis of ``repro racecheck``.
-    """
-    _require_nranks(nranks)
-    if napplies < 1:
-        raise ValueError(f"napplies must be >= 1, got {napplies}")
-    kernels = resolve_kernels(
-        kernel, source_kernel, target_kernel, direct_kernel
-    )
-    opts = options or FMMOptions()
-    _require_one_rank_balance(opts, nranks)
-    points = np.asarray(points, dtype=np.float64)
-    density3, _, single = coerce_density(
-        density, points.shape[0], kernels[0].source_dof
-    )
-    timers = [PhaseTimer() for _ in range(nranks)]
-    root, shared_cache, shared_fft, parts = _shared_setup(
-        nranks, kernel, points, opts, cache
-    )
-
-    def rank_main(comm: SimComm, idx: np.ndarray):
-        state = rank_setup(
-            comm, kernel, points[idx], opts,
-            root=root, cache=shared_cache, fft=shared_fft,
-            kernels=kernels, timer=timers[comm.rank],
-        )
-        for _ in range(napplies):
-            pot = state.apply(
-                comm, density3[idx],
-                timer=timers[comm.rank], overlap=overlap,
-            )
-        return pot, comm.stats
-
-    outputs = run_spmd(
-        nranks, rank_main, PerRank(parts),
-        trace=trace, schedule_seed=schedule_seed, race=race,
-    )
-    return ParallelFMMResult(
-        potential=_in_point_order(
-            parts, [pot for pot, _ in outputs], single
-        ),
-        comm_stats=[stats for _, stats in outputs],
-        timers=[t.by_phase() for t in timers],
-        nranks=nranks,
-    )
-
-
 class ParallelFMM:
     """Persistent parallel FMM operator with a setup/apply split.
 
@@ -885,6 +789,12 @@ class ParallelFMM:
     a host that cannot fork.  The processes end with :meth:`close`
     (also on leaving a ``with`` block), with the next :meth:`setup`,
     and with this object.
+
+    The verifiers drive it like any caller: one
+    :class:`~repro.analysis.trace.CommTrace` (or
+    :class:`~repro.analysis.racecheck.RaceDetector`) passed to
+    :meth:`setup` and to every :meth:`apply` records them as the
+    consecutive regions of one execution.
     """
 
     def __init__(
@@ -941,6 +851,8 @@ class ParallelFMM:
         ``cache`` (default: this operator's own from an earlier setup)
         is taken through :meth:`OperatorCache.for_root`, so operators
         computed for another bounding cube are rescaled, not rebuilt.
+        ``trace`` records the setup's rank threads as one region and
+        ``schedule_seed`` perturbs their interleaving.
         """
         points = np.asarray(points, dtype=np.float64)
         opts = self.options
@@ -998,8 +910,9 @@ class ParallelFMM:
         with a trailing ``nrhs`` axis for stacked blocks.
 
         ``trace`` and ``schedule_seed`` are the thread world's
-        instruments: an apply given either runs there.  Concurrent
-        calls on one operator take turns.
+        instruments: an apply given either runs there, and the trace
+        appends it as one region.  Concurrent calls on one operator take
+        turns.
         """
         if self._states is None or self._parts is None:
             raise RuntimeError("ParallelFMM.apply before setup()")

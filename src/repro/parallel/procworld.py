@@ -210,15 +210,13 @@ class ProcessWorld:
 
     ``capacity[src][dst]`` is the bytes rank ``src`` may send rank
     ``dst`` in one round.  The instruments of the thread world
-    (``trace``, ``race``, ``schedule_seed``) have no meaning across
-    address spaces and stay ``None``, a receive times out after
-    ``SimComm.TIMEOUT``; the collectives that run on
-    point-to-point messages work here within those capacities, while
-    ``barrier`` and ``allgather`` belong to the thread world — setup
-    runs there.
+    (``trace``, ``schedule_seed``) have no meaning across address spaces
+    and stay ``None``, a receive times out after ``SimComm.TIMEOUT``;
+    the collectives are point-to-point messages and work here within
+    those capacities.
     """
 
-    trace = race = schedule_seed = recv_timeout = None
+    trace = schedule_seed = recv_timeout = None
 
     def __init__(self, ctx, capacity) -> None:
         self.size = len(capacity)

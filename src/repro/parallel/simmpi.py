@@ -1,9 +1,10 @@
 """Simulated MPI: logical ranks, message-passing semantics.
 
-Provides the MPI subset the paper's implementation uses — blocking
-send/recv, buffered isend, ``Allreduce``, ``Bcast``, ``Reduce_scatter``,
-``Allgather`` and barriers — with per-rank traffic accounting so tests
-and the performance model can inspect communication volumes.
+Provides the MPI subset the paper's implementation uses — buffered
+send, blocking and nonblocking receives, ``Allreduce`` over the global
+tree array (Section 3.1) and ``Allgather`` of the per-box contributor
+and user masks (Section 3.2) — with per-rank traffic accounting so
+tests and the performance model can inspect communication volumes.
 Point-to-point messages go through per-``(src, dst, tag)`` mailboxes.
 
 The communicator (:class:`SimComm`, :class:`Request`,
@@ -17,13 +18,14 @@ instrumented — every setup and every verifier runs on it.
 shared-memory mailboxes: what :class:`~repro.parallel.pfmm.ParallelFMM`
 applies on beyond one rank.
 
-Collectives are *hierarchical*: ``allreduce``, ``bcast`` and
-``reduce_scatter`` move data along a deterministic binomial tree of
-real point-to-point messages, so each rank sends and receives O(log P)
-messages per call instead of the O(P) fan-in of a flat root-style
-reduce — the tree-top pattern the paper needs at thousands of ranks.
-Every internal message is a first-class traced/accounted send, so the
-commcheck/racecheck analyzers certify the collectives like any other
+Every collective is messages: ``allreduce`` and ``allgather`` are a
+reduction to rank 0 along a deterministic binomial tree of real
+point-to-point messages followed by a broadcast down the same edges, so
+each rank sends and receives O(log P) messages per call instead of the
+O(P) fan-in of a flat root-style reduce — the tree-top pattern the
+paper needs at thousands of ranks.  Every internal message is a
+first-class traced/accounted send, so the collectives run on either
+world and the commcheck/racecheck analyzers certify them like any other
 traffic.  The exchange layer (:mod:`repro.parallel.exchange`) lays the
 same binomial shape (:func:`tree_order` / :func:`tree_children`) over a
 rank *subset* rooted at a box's owner.
@@ -42,21 +44,23 @@ Correctness tooling (see ``docs/architecture.md``):
 
 - pass ``trace=CommTrace()`` to :func:`run_spmd` to record every
   communication event with Lamport/vector clocks for the offline
-  analyzer in :mod:`repro.analysis.commcheck`;
+  analyzer in :mod:`repro.analysis.commcheck`; a trace passed to
+  several runs appends them as regions of one execution;
+- pass a :class:`repro.analysis.racecheck.RaceDetector` as the trace to
+  also install a per-rank access recorder (reachable from instrumented
+  code via :func:`current_recorder`) for the happens-before race
+  analysis;
 - pass ``schedule_seed=`` to perturb the thread interleaving with
   seeded random yields, so tests can fuzz schedules reproducibly;
 - at exit, :func:`run_spmd` asserts every mailbox is drained and raises
   :class:`MailboxLeakError` naming the leaked ``(src, dst, tag)`` keys —
-  a dropped message is an algorithmic bug, never silent;
-- pass ``race=RaceDetector()`` to install a per-rank access recorder
-  (reachable from instrumented code via :func:`current_recorder`) for
-  the happens-before race analysis in :mod:`repro.analysis.racecheck`.
+  a dropped message is an algorithmic bug, never silent.
 
 Error propagation is deterministic: when any rank fails, the others are
-aborted (their blocked receives raise :class:`RankAbortedError`, their
-collectives ``BrokenBarrierError``), and the caller receives the first
-*primary* exception in rank order — never a secondary abort artifact —
-so racecheck/sanitizer failures reproduce identically across schedules.
+aborted (their blocked receives raise :class:`RankAbortedError`), and
+the caller receives the first *primary* exception in rank order — never
+a secondary abort artifact — so racecheck/sanitizer failures reproduce
+identically across schedules.
 """
 
 from __future__ import annotations
@@ -75,8 +79,9 @@ from repro.analysis.trace import CommTrace, Envelope, RankTracer
 
 #: Thread-local context of the executing rank.  Lives here — not in the
 #: analysis layer — because ``threading`` imports are confined to this
-#: module (the ``thread-confinement`` lint rule); the race detector is
-#: passed in duck-typed so this module never imports the analyzer.
+#: module (the ``thread-confinement`` lint rule); the trace's
+#: ``recorder_for`` hook supplies the recorder, so this module never
+#: imports the race analyzer.
 _thread_ctx = threading.local()
 
 
@@ -84,8 +89,9 @@ def current_recorder():
     """The calling rank thread's race-access recorder, if installed.
 
     Instrumented code (``exchange.py``/``pfmm.py``) fetches the recorder
-    through this accessor; outside a race-checked :func:`run_spmd` it
-    returns ``None`` and instrumentation costs one attribute lookup.
+    through this accessor; outside a :func:`run_spmd` traced by a race
+    detector it returns ``None`` and instrumentation costs one attribute
+    lookup.
     """
     return getattr(_thread_ctx, "recorder", None)
 
@@ -178,18 +184,8 @@ def mk_tag(family: str, *ids) -> tuple:
     return (family, *ids)
 
 
-def coll_scatter_tag(tag: tuple) -> tuple:
-    """The scatter-leg tag derived from a collective's reduce-leg tag."""
-    if not (isinstance(tag, tuple) and tag and tag[0] == "__coll__"):
-        raise ValueError(f"not a collective tag: {tag!r}")
-    return mk_tag("__coll_scatter__", *tag[1:])
-
-
 register_tag_family(
     "__coll__", fields=("primitive", "seq"), kind="collective",
-)
-register_tag_family(
-    "__coll_scatter__", fields=("primitive", "seq"), kind="collective",
 )
 
 
@@ -209,10 +205,10 @@ class CommStats:
     bytes_received: int = 0
     allreduce_calls: int = 0
     allreduce_bytes: int = 0
-    bcast_calls: int = 0
-    bcast_bytes: int = 0
-    reduce_scatter_calls: int = 0
-    reduce_scatter_bytes: int = 0
+    #: Calls and this rank's contributed bytes; the messages that carry
+    #: them are counted above like any other.
+    allgather_calls: int = 0
+    allgather_bytes: int = 0
     #: Wall seconds this rank spent blocked waiting for messages (the
     #: receive side of :meth:`SimComm.recv` / :meth:`Request.wait`).
     #: Together with the ``pack``/``wait`` timer phases this makes
@@ -239,13 +235,13 @@ class CommStats:
         self.allreduce_calls += 1
         self.allreduce_bytes += nbytes
 
-    def record_bcast(self, nbytes: int) -> None:
-        self.bcast_calls += 1
-        self.bcast_bytes += nbytes
+    def record_allgather(self, nbytes: int) -> None:
+        self.allgather_calls += 1
+        self.allgather_bytes += nbytes
 
-    def record_reduce_scatter(self, nbytes: int) -> None:
-        self.reduce_scatter_calls += 1
-        self.reduce_scatter_bytes += nbytes
+    #: The collectives, by the name their ``<name>_calls`` /
+    #: ``<name>_bytes`` counters and their trace events carry.
+    COLLECTIVES = ("allreduce", "allgather")
 
     #: Counter fields accumulated by :meth:`merge` — every integer/float
     #: counter above except the ``by_phase`` dict.  Enumerated once so a
@@ -254,9 +250,7 @@ class CommStats:
     _SUM_FIELDS = (
         "messages_sent", "bytes_sent", "messages_received",
         "bytes_received", "allreduce_calls", "allreduce_bytes",
-        "bcast_calls", "bcast_bytes",
-        "reduce_scatter_calls", "reduce_scatter_bytes",
-        "recv_wait_seconds",
+        "allgather_calls", "allgather_bytes", "recv_wait_seconds",
     )
 
     def merge(self, other: "CommStats") -> None:
@@ -395,18 +389,13 @@ class _World:
         trace: CommTrace | None = None,
         schedule_seed: int | None = None,
         recv_timeout: float | None = None,
-        race=None,
     ) -> None:
         self.size = size
-        self.barrier = threading.Barrier(size)
         self.mailbox: dict[tuple[int, int, Any], queue.Queue] = {}
         self._mailbox_lock = threading.Lock()
-        self.slots: list[Any] = [None] * size
-        self.clock_slots: list[Any] = [None] * size
         self.trace = trace
         self.schedule_seed = schedule_seed
         self.recv_timeout = recv_timeout
-        self.race = race
         #: Set when any rank fails; blocked receives poll it so they can
         #: abort promptly instead of timing out minutes later.
         self.aborted = threading.Event()
@@ -449,16 +438,12 @@ class SimComm:
         self._timeout = (
             world.recv_timeout if world.recv_timeout is not None else self.TIMEOUT
         )
-        self._tracer = (
-            RankTracer(world.trace, rank, world.size)
-            if world.trace is not None
-            else None
-        )
-        if world.race is not None and self._tracer is not None:
-            # Install this rank's access recorder in the thread context;
-            # run_spmd guarantees a trace whenever a detector is given
-            # (the vector clocks are what order the accesses).
-            _thread_ctx.recorder = world.race.recorder_for(rank, self._tracer)
+        self._tracer: RankTracer | None = None
+        if world.trace is not None:
+            self._tracer = world.trace.tracer(rank)
+            # A race detector's trace hands out this rank's access
+            # recorder (its vector clocks order the accesses).
+            _thread_ctx.recorder = world.trace.recorder_for(rank, self._tracer)
         if world.schedule_seed is not None:
             self._rng: random.Random | None = random.Random(
                 world.schedule_seed * 1_000_003 + rank * 7_919
@@ -564,74 +549,61 @@ class SimComm:
 
     # -- collectives ---------------------------------------------------------
 
-    def _coll_clock_sync(self, coll: str) -> None:
-        """Deposit/merge vector clocks across one extra barrier phase.
-
-        Reading between the two waits is generation safe: a peer cannot
-        overwrite its slot for the *next* collective until every rank
-        (including this one) has passed the second wait.
-        """
-        w = self._world
-        w.clock_slots[self.rank] = self._tracer.clock_snapshot()
-        w.barrier.wait()
-        peers = [w.clock_slots[r] for r in range(self.size) if r != self.rank]
-        self._tracer.on_coll_exit(coll, peers)
-        w.barrier.wait()
-
-    def barrier(self) -> None:
-        self._jitter()
-        if self._tracer is not None:
-            self._tracer.on_coll_enter("barrier")
-            self._coll_clock_sync("barrier")
-            return
-        self._world.barrier.wait()
-
     def _next_coll_tag(self, name: str) -> tuple:
         tag = mk_tag("__coll__", name, self._coll_seq)
         self._coll_seq += 1
         return tag
 
     def _reduce_to_root(
-        self, array: np.ndarray, op: str, tag: Any, coll: str
-    ) -> np.ndarray | None:
-        """Binomial reduce of ``array`` to rank 0; returns the total
-        there, ``None`` elsewhere.  Shape agreement is verified edge by
-        edge, so a mismatch surfaces at the first tree node that sees
-        both shapes."""
-        acc = array
+        self, value: Any, tag: Any, combine: Callable[[Any, Any, int], Any]
+    ) -> Any:
+        """Binomial reduction of ``value`` to rank 0: each node folds
+        its children's partials in ascending-mask order with
+        ``combine(acc, partial, child)``, then sends the result to its
+        parent.  Returns the total on rank 0, ``None`` elsewhere."""
         pos, n = self.rank, self.size
         mask = 1
         while mask < n:
             if pos & mask:
-                self.send(pos - mask, acc, tag=tag)
+                self.send(pos - mask, value, tag=tag)
                 return None
-            child = pos + mask
-            if child < n:
-                other = np.asarray(self.recv(child, tag=tag))
-                if other.shape != acc.shape:
-                    raise ValueError(
-                        f"{coll} shape mismatch across ranks: rank "
-                        f"{self.rank} contributed {acc.shape}, rank {child} "
-                        f"contributed {other.shape} (every rank must "
-                        f"contribute the same shape)"
-                    )
-                acc = _ALLREDUCE_OPS[op](acc, other)
+            if pos + mask < n:
+                value = combine(
+                    value, self.recv(pos + mask, tag=tag), pos + mask
+                )
             mask <<= 1
-        return acc
+        return value
 
-    def _bcast_from_root(self, value: Any, root: int, tag: Any) -> Any:
-        """Binomial broadcast over the full world from ``root``.
+    def _bcast_from_root(self, value: Any, tag: Any) -> Any:
+        """Binomial broadcast of rank 0's ``value`` over the world.
 
         Forwards the payload *by reference*; callers that hand the
         result to user code must copy mutable payloads first.
         """
-        n = self.size
-        pos = (self.rank - root) % n
-        if pos != 0:
-            value = self.recv((tree_parent(pos) + root) % n, tag=tag)
-        for child in reversed(tree_children(pos, n)):
-            self.send((child + root) % n, value, tag=tag)
+        if self.rank:
+            value = self.recv(tree_parent(self.rank), tag=tag)
+        for child in reversed(tree_children(self.rank, self.size)):
+            self.send(child, value, tag=tag)
         return value
+
+    def _collective(
+        self, name: str, value: Any, combine: Callable[[Any, Any, int], Any],
+        **meta: Any,
+    ) -> Any:
+        """Every collective: the reduction of ``value`` to rank 0, then
+        the broadcast of the total down the same edges — O(log P)
+        messages per rank, traced between a ``coll-enter`` and a
+        ``coll-exit`` whose clocks those messages already merge."""
+        self._jitter()
+        if self._tracer is not None:
+            self._tracer.on_coll_enter(name, **meta)
+        tag = self._next_coll_tag(name)
+        total = self._bcast_from_root(
+            self._reduce_to_root(value, tag, combine), tag
+        )
+        if self._tracer is not None:
+            self._tracer.on_coll_exit(name)
+        return total
 
     def allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
         """MPI_Allreduce over numpy arrays (sum/max/min).
@@ -640,11 +612,9 @@ class SimComm:
         construction relies on ("an MPI_Allreduce is used over all local
         copies of the global tree array", Section 3.1).  ``op`` is
         validated before any rank synchronisation so an unsupported
-        reduction fails fast with a clear error on every rank.
-
-        Runs as a binomial-tree reduce to rank 0 followed by a tree
-        broadcast: O(log P) point-to-point messages per rank, each
-        traced and accounted like ordinary traffic.  The combine
+        reduction fails fast with a clear error on every rank.  Shape
+        agreement is verified edge by edge, so a mismatch surfaces at
+        the first tree node that sees both shapes.  The combine
         association is fixed by the tree shape, so results are bitwise
         schedule independent.
         """
@@ -654,102 +624,40 @@ class SimComm:
                 f"{', '.join(sorted(_ALLREDUCE_OPS))}"
             )
         array = np.asarray(array)
-        self._jitter()
+        fold = _ALLREDUCE_OPS[op]
+
+        def combine(acc: np.ndarray, other: Any, child: int) -> np.ndarray:
+            other = np.asarray(other)
+            if other.shape != acc.shape:
+                raise ValueError(
+                    f"allreduce shape mismatch across ranks: rank "
+                    f"{self.rank} contributed {acc.shape}, rank {child} "
+                    f"contributed {other.shape} (every rank must "
+                    f"contribute the same shape)"
+                )
+            return fold(acc, other)
+
         self.stats.record_allreduce(array.nbytes)
-        if self._tracer is not None:
-            self._tracer.on_coll_enter(
-                "allreduce", nbytes=array.nbytes, op=op, shape=array.shape
-            )
-        tag = self._next_coll_tag("allreduce")
-        total = self._reduce_to_root(array, op, tag, "allreduce")
-        total = self._bcast_from_root(total, 0, tag)
-        if self._tracer is not None:
-            self._coll_clock_sync("allreduce")
+        total = self._collective(
+            "allreduce", array, combine,
+            nbytes=array.nbytes, op=op, shape=array.shape,
+        )
         return np.array(total, copy=True)
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """MPI_Bcast: every rank returns ``root``'s object.
-
-        Binomial tree rooted at ``root`` — O(log P) messages per rank.
-        Array payloads are copied on receiving ranks so no two ranks
-        share a mutable buffer; other payload types are forwarded by
-        reference and must be treated as read-only.
-        """
-        if not 0 <= root < self.size:
-            raise ValueError(f"invalid bcast root {root}")
-        self._jitter()
-        if self._tracer is not None:
-            self._tracer.on_coll_enter(
-                "bcast", nbytes=_payload_bytes(obj) if self.rank == root else 0
-            )
-        tag = self._next_coll_tag("bcast")
-        value = self._bcast_from_root(
-            obj if self.rank == root else None, root, tag
-        )
-        self.stats.record_bcast(_payload_bytes(value))
-        if self._tracer is not None:
-            self._coll_clock_sync("bcast")
-        if self.rank != root and isinstance(value, np.ndarray):
-            value = np.array(value, copy=True)
-        return value
-
-    def reduce_scatter(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
-        """MPI_Reduce_scatter_block: reduce a ``(P, ...)`` contribution
-        elementwise across ranks, return row ``rank`` of the total.
-
-        Tree-reduce of the full block to rank 0, then a binomial
-        *scatter*: each tree edge carries only the rows of the child's
-        subtree, so per-rank traffic stays O(log P) messages.
-        """
-        if op not in _ALLREDUCE_OPS:
-            raise ValueError(
-                f"unsupported reduce_scatter op {op!r}; supported ops: "
-                f"{', '.join(sorted(_ALLREDUCE_OPS))}"
-            )
-        array = np.asarray(array)
-        if array.shape[0] != self.size:
-            raise ValueError(
-                f"reduce_scatter needs a leading axis of length "
-                f"{self.size} (one row per rank), got shape {array.shape}"
-            )
-        self._jitter()
-        self.stats.record_reduce_scatter(array.nbytes)
-        if self._tracer is not None:
-            self._tracer.on_coll_enter(
-                "reduce_scatter", nbytes=array.nbytes, op=op, shape=array.shape
-            )
-        tag = self._next_coll_tag("reduce_scatter")
-        stag = coll_scatter_tag(tag)
-        total = self._reduce_to_root(array, op, tag, "reduce_scatter")
-        pos, n = self.rank, self.size
-        if pos == 0:
-            block, lo = total, 0
-        else:
-            block = self.recv(tree_parent(pos), tag=stag)
-            lo = pos
-        for child in reversed(tree_children(pos, n)):
-            # The child's subtree spans positions [child, child + m)
-            # where m is the mask that attached it (its lowest set bit).
-            hi = min(child + (child & -child), n)
-            self.send(child, block[child - lo: hi - lo], tag=stag)
-        out = np.array(block[pos - lo], copy=True)
-        if self._tracer is not None:
-            self._coll_clock_sync("reduce_scatter")
-        return out
-
     def allgather(self, obj: Any) -> list[Any]:
-        """Gather one object per rank, everywhere."""
-        self._jitter()
-        if self._tracer is not None:
-            self._tracer.on_coll_enter("allgather", nbytes=_payload_bytes(obj))
-        w = self._world
-        w.slots[self.rank] = obj
-        w.barrier.wait()
-        out = list(w.slots)
-        w.barrier.wait()
-        if self._tracer is not None:
-            self._coll_clock_sync("allgather")
-        return out
+        """MPI_Allgather: every rank's ``obj``, in rank order, everywhere.
+
+        The reduction's combine is list concatenation: a node's partial
+        lists its subtree's consecutive ranks, so appending each child's
+        keeps rank order.  The objects travel by reference on the thread
+        world and must be treated as read-only.
+        """
+        nbytes = _payload_bytes(obj)
+        self.stats.record_allgather(nbytes)
+        return list(self._collective(
+            "allgather", [obj], lambda acc, part, _: acc + part,
+            nbytes=nbytes,
+        ))
 
 
 class Request:
@@ -793,17 +701,20 @@ def run_spmd(
     trace: CommTrace | None = None,
     schedule_seed: int | None = None,
     recv_timeout: float | None = None,
-    race=None,
 ) -> list[Any]:
     """Run ``fn(comm, rank_args...)`` on ``nranks`` logical ranks.
 
     ``args`` may contain per-rank sequences wrapped in :class:`PerRank`;
     other arguments are broadcast.  Returns the per-rank return values.
-    Any rank exception is re-raised in the caller.
+    Any rank exception is re-raised in the caller.  ``timeout`` bounds
+    the whole run, not each rank's join.
 
-    ``trace`` (a :class:`~repro.analysis.trace.CommTrace`) records every
-    communication event for offline analysis; it is filled even when the
-    run fails, which is when the analyzer matters most.
+    ``trace`` (a :class:`~repro.analysis.trace.CommTrace`, or the
+    :class:`~repro.analysis.racecheck.RaceDetector` that extends it with
+    per-rank shared-array access recorders) records every communication
+    event for offline analysis; it is filled even when the run fails,
+    which is when the analyzer matters most.  A trace passed to several
+    runs appends each as one region (:meth:`CommTrace.begin_region`).
     ``schedule_seed`` enables seeded schedule perturbation (random
     yields before every communication call).  ``recv_timeout`` overrides
     :attr:`SimComm.TIMEOUT` — deadlock-detection tests use a small value
@@ -812,23 +723,14 @@ def run_spmd(
     After a successful run every mailbox must be empty; leftover
     messages raise :class:`MailboxLeakError` naming the leaked
     ``(src, dst, tag)`` keys.
-
-    ``race`` (a :class:`repro.analysis.racecheck.RaceDetector`) installs
-    a per-rank shared-array access recorder for happens-before race
-    analysis; a trace is created automatically if none was passed, since
-    the detector orders accesses by the trace's vector clocks.
     """
     if nranks < 1:
         raise ValueError(f"nranks must be >= 1, got {nranks}")
-    if race is not None and trace is None:
-        trace = CommTrace()
     if trace is not None:
-        trace.reset(nranks)
-    if race is not None:
-        race.reset(nranks, trace)
+        trace.begin_region(nranks)
     world = _World(
         nranks, trace=trace, schedule_seed=schedule_seed,
-        recv_timeout=recv_timeout, race=race,
+        recv_timeout=recv_timeout,
     )
     results: list[Any] = [None] * nranks
     errors: list[BaseException | None] = [None] * nranks
@@ -841,7 +743,6 @@ def run_spmd(
         except BaseException as exc:  # noqa: BLE001 - re-raised in caller
             errors[rank] = exc
             world.aborted.set()  # interrupt peers blocked in receives
-            world.barrier.abort()  # release ranks blocked in collectives
         finally:
             _thread_ctx.recorder = None
 
@@ -851,42 +752,33 @@ def run_spmd(
     ]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + timeout
     try:
         for t in threads:
-            t.join(timeout=timeout)
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
             if t.is_alive():
                 world.aborted.set()
-                world.barrier.abort()
                 raise TimeoutError(f"SPMD run exceeded {timeout}s ({t.name} alive)")
     finally:
         leaked = world.leaked_messages()
-        # Secondary failures (a peer aborted this rank's collective or
-        # receive) never outrank the primary exception: propagation is
-        # by rank order over primaries, so the same root cause surfaces
-        # under every schedule.
-        secondary = (threading.BrokenBarrierError, RankAbortedError)
-        primary = next(
-            (e for e in errors if e is not None
-             and not isinstance(e, secondary)),
-            None,
+        # Secondary failures (a peer aborted this rank's receive) never
+        # outrank the primary exception: propagation is by rank order
+        # over primaries, so the same root cause surfaces under every
+        # schedule.
+        failed = [e for e in errors if e is not None]
+        first = next(
+            (e for e in failed if not isinstance(e, RankAbortedError)),
+            failed[0] if failed else None,
         )
         if trace is not None:
-            trace.leaked = leaked
-            first = primary if primary is not None else next(
-                (e for e in errors if e is not None), None
+            trace.end_region(
+                leaked, first,
+                completed=first is None and not leaked
+                and not any(t.is_alive() for t in threads),
             )
-            trace.error = repr(first) if first is not None else None
-            trace.completed = first is None and all(
-                not t.is_alive() for t in threads
-            )
-    if primary is not None:
-        raise primary
-    broken = [r for r, e in enumerate(errors) if e is not None]
-    if broken:
-        raise RuntimeError(f"ranks {broken} failed with broken barriers")
+    if first is not None:
+        raise first
     if leaked:
-        if trace is not None:
-            trace.completed = False
         raise MailboxLeakError(leaked)
     return results
 

@@ -6,8 +6,6 @@ message, and must report the real 4-rank parallel FMM trace clean under
 at least 5 perturbed schedules.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from repro.analysis import CommTrace, check_trace, compare_traces
 from repro.analysis.commcheck import main as commcheck_main
 from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
-from repro.parallel.pfmm import run_parallel_fmm
+from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import MailboxLeakError, run_spmd
 
 from tests.conftest import clustered_cloud
@@ -115,16 +113,16 @@ class TestRequestLeak:
         assert "0->1" in leaks[0].message and "'fire-and-forget'" in leaks[0].message
 
     def test_request_outstanding_across_collective_flagged(self):
-        """Entering a barrier with an un-waited irecv is flagged even
-        though the run completes (the wait lands after the barrier)."""
+        """Entering a collective with an un-waited irecv is flagged even
+        though the run completes (the wait lands after the collective)."""
 
         def straddler(comm):
             if comm.rank == 0:
                 comm.send(1, np.ones(2), tag="late")
-                comm.barrier()
+                comm.allreduce(np.zeros(1))
             elif comm.rank == 1:
                 req = comm.irecv(0, tag="late")
-                comm.barrier()
+                comm.allreduce(np.zeros(1))
                 req.wait()
 
         trace = CommTrace()
@@ -133,7 +131,7 @@ class TestRequestLeak:
         leaks = check_trace(trace).by_rule("request-leak")
         assert len(leaks) == 1
         assert leaks[0].ranks == (1,)
-        assert "barrier" in leaks[0].message
+        assert "allreduce[0]" in leaks[0].message
 
     def test_promptly_waited_requests_are_clean(self):
         def clean(comm):
@@ -141,7 +139,7 @@ class TestRequestLeak:
             comm.isend(other, np.full(3, comm.rank), tag="x")
             req = comm.irecv(other, tag="x")
             got = req.wait()
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
             return got
 
         trace = CommTrace()
@@ -151,22 +149,27 @@ class TestRequestLeak:
 
 class TestCollectiveDivergence:
     def test_different_collectives_at_same_index(self):
+        """Two collectives at one index mint different tags, so each
+        rank waits for a message of its own primitive that never comes:
+        a bounded failure, diagnosed by name."""
+
         def diverge(comm):
             if comm.rank == 0:
                 comm.allreduce(np.zeros(2))
             else:
                 comm.allgather(0)
 
-        # Depending on which rank draws barrier index 0 this either raises
-        # (the reducer sees the bogus slot mix) or "completes" with garbage;
-        # the analyzer must flag the divergence either way.
         trace = CommTrace()
-        with contextlib.suppress(Exception):
-            run_spmd(2, diverge, trace=trace, timeout=5)
+        with pytest.raises(TimeoutError):
+            run_spmd(2, diverge, trace=trace, recv_timeout=0.2)
         found = check_trace(trace).by_rule("collective-divergence")
         assert len(found) == 1
         assert "allreduce" in found[0].message
         assert "allgather" in found[0].message
+        # rank 1's gather leg reached rank 0 on a tag nobody received
+        assert [key for key, _ in trace.leaked] == [
+            (1, 0, ("__coll__", "allgather", 0))
+        ]
 
     def test_mismatched_allreduce_shapes_flagged(self):
         def shapes(comm):
@@ -186,7 +189,7 @@ class TestCleanTraces:
             nxt = (comm.rank + 1) % comm.size
             comm.send(nxt, np.full(4, comm.rank), tag="ring")
             got = comm.recv((comm.rank - 1) % comm.size, tag="ring")
-            comm.barrier()
+            comm.allgather(comm.rank)
             total = comm.allreduce(got)
             return total
 
@@ -223,15 +226,15 @@ class TestParallelFMMClean:
         traces, potentials = [], []
         for seed in range(5):
             trace = CommTrace()
-            res = run_parallel_fmm(
-                4, LaplaceKernel(), pts, phi, opts,
-                trace=trace, schedule_seed=seed,
+            op = ParallelFMM(4, LaplaceKernel(), opts)
+            op.setup(pts, trace=trace, schedule_seed=seed)
+            potentials.append(
+                op.apply(phi, trace=trace, schedule_seed=seed)
             )
-            report = check_trace(trace, stats=res.comm_stats)
+            report = check_trace(trace, stats=op.comm_stats)
             assert report.ok, f"seed {seed}: {report.summary()}"
-            assert trace.completed
+            assert trace.completed and trace.regions == 2
             traces.append(trace)
-            potentials.append(res.potential)
         # observable determinism across schedules
         cross = compare_traces(traces)
         assert cross.ok, cross.summary()
@@ -242,13 +245,11 @@ class TestParallelFMMClean:
         pts = clustered_cloud(rng, 300)
         phi = rng.standard_normal((300, 1))
         trace = CommTrace()
-        res = run_parallel_fmm(
-            2, LaplaceKernel(), pts, phi, FMMOptions(p=3, max_points=30),
-            trace=trace,
-        )
-        assert check_trace(trace, stats=res.comm_stats).ok
-        res.comm_stats[0].messages_sent += 1  # tamper
-        tampered = check_trace(trace, stats=res.comm_stats)
+        op = ParallelFMM(2, LaplaceKernel(), FMMOptions(p=3, max_points=30))
+        op.setup(pts, trace=trace).apply(phi, trace=trace)
+        assert check_trace(trace, stats=op.comm_stats).ok
+        op.comm_stats[0].messages_sent += 1  # tamper
+        tampered = check_trace(trace, stats=op.comm_stats)
         assert tampered.by_rule("stats-mismatch")
 
 
@@ -257,7 +258,7 @@ class TestCLI:
         def main(comm):
             comm.send((comm.rank + 1) % 2, np.ones(2), tag="t")
             comm.recv((comm.rank + 1) % 2, tag="t")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         trace = CommTrace()
         run_spmd(2, main, trace=trace)
@@ -297,7 +298,7 @@ class TestCLI:
         def main(comm):
             comm.send((comm.rank + 1) % 2, np.ones(2), tag="t")
             comm.recv((comm.rank + 1) % 2, tag="t")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         trace = CommTrace()
         run_spmd(2, main, trace=trace)

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis import CommTrace, RaceDetector
 from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
-from repro.parallel.pfmm import run_parallel_fmm
+from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import current_recorder, run_spmd
 
 from tests.conftest import clustered_cloud
@@ -32,10 +32,10 @@ class TestSeededRaces:
                 shared[:4] = 1.0
             else:
                 rec.read(shared[:4], "consumer")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(2, main, race=det)
+        run_spmd(2, main, trace=det)
         report = det.report()
         assert not report.ok
         assert len(report.races) == 1
@@ -70,10 +70,10 @@ class TestSeededRaces:
                 req = comm.irecv(0, tag="uas")
                 payload = req.wait()
                 rec.read(payload, "reader")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(2, main, race=det)
+        run_spmd(2, main, trace=det)
         report = det.report()
         assert len(report.races) == 1
         edge = report.races[0].missing_edge
@@ -89,10 +89,10 @@ class TestSeededRaces:
             half = shared[:4] if comm.rank == 0 else shared[4:]
             rec.write(half, "mine")
             half[:] = comm.rank
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(2, main, race=det)
+        run_spmd(2, main, trace=det)
         assert det.report().ok
 
     def test_read_read_sharing_is_not_a_race(self):
@@ -102,10 +102,10 @@ class TestSeededRaces:
             rec = current_recorder()
             rec.register("shared", shared)
             rec.read(shared, "reader")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(3, main, race=det)
+        run_spmd(3, main, trace=det)
         assert det.report().ok
 
 
@@ -124,10 +124,10 @@ class TestOrderedAccesses:
             else:
                 comm.recv(0, tag="sync")
                 rec.read(shared, "consumer")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(2, main, race=det)
+        run_spmd(2, main, trace=det)
         assert det.report().ok
 
     def test_wait_completion_merges_the_senders_clock(self):
@@ -144,10 +144,10 @@ class TestOrderedAccesses:
             else:
                 comm.irecv(0, tag="sync").wait()
                 rec.read(shared, "consumer")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(2, main, race=det)
+        run_spmd(2, main, trace=det)
         assert det.report().ok
 
     def test_collective_orders_the_pair(self):
@@ -159,13 +159,13 @@ class TestOrderedAccesses:
             if comm.rank == 0:
                 rec.write(shared, "producer")
                 shared[:] = 2.0
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
             if comm.rank == 1:
                 rec.read(shared, "consumer")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(2, main, race=det)
+        run_spmd(2, main, trace=det)
         assert det.report().ok
 
     def test_race_detection_is_region_based_not_name_based(self):
@@ -180,58 +180,110 @@ class TestOrderedAccesses:
                 shared.reshape(-1)[2:6] = 1.0
             else:
                 rec.read(shared[1], "row-view")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         det = RaceDetector()
-        run_spmd(2, main, race=det)
+        run_spmd(2, main, trace=det)
         report = det.report()
         # flat [2:6] overlaps row 1 (bytes 32:64 vs 16:48)
         assert len(report.races) == 1
         assert report.races[0].region == "matrix"
 
 
+class TestRegions:
+    """One detector over several ``run_spmd`` regions: the join between
+    regions orders them, and races inside a later region still fire."""
+
+    def test_use_after_send_in_a_later_region_is_flagged(self):
+        def quiet(comm):
+            comm.allreduce(np.zeros(1))
+
+        def racy(comm):
+            rec = current_recorder()
+            if comm.rank == 0:
+                buf = np.arange(6.0)
+                rec.register("buf", buf)
+                comm.isend(1, buf, tag="uas")
+                rec.write(buf, "mutate-after-send")
+                buf[:] = -1.0
+            else:
+                rec.read(comm.irecv(0, tag="uas").wait(), "reader")
+
+        det = RaceDetector()
+        run_spmd(2, quiet, trace=det)
+        run_spmd(2, racy, trace=det)
+        report = det.report()
+        assert det.regions == 2
+        assert len(report.races) == 1
+        assert "channel 0->1 tag='uas'" in report.races[0].missing_edge
+
+    def test_join_orders_a_read_before_a_later_write(self):
+        """Rank 1 reads rank 0's buffer and nothing follows; in the next
+        region rank 0 overwrites it.  Only the join orders the pair."""
+        shared = np.zeros(4)
+
+        def reader(comm):
+            rec = current_recorder()
+            rec.register("shared", shared)
+            if comm.rank == 1:
+                rec.read(shared, "region-1 read")
+
+        def writer(comm):
+            if comm.rank == 0:
+                current_recorder().write(shared, "region-2 write")
+                shared[:] = 1.0
+
+        det = RaceDetector()
+        run_spmd(2, reader, trace=det)
+        run_spmd(2, writer, trace=det)
+        report = det.report()
+        assert report.ok, report.summary()
+        assert report.naccesses == 2
+
+
 class TestRealParallelApply:
     @pytest.mark.parametrize("overlap", [True, False], ids=["on", "off"])
     def test_overlapped_apply_certifies_race_free(self, rng, overlap):
-        """The tentpole certification: 4 ranks, 2 applies, real tree."""
+        """The certification: 4 ranks, a traced setup and 2 applies,
+        real tree."""
         pts = clustered_cloud(rng, 500)
         density = rng.random(500)
         det = RaceDetector()
-        trace = CommTrace()
-        result = run_parallel_fmm(
-            4, LaplaceKernel(), pts, density,
-            FMMOptions(p=4, max_points=30),
-            trace=trace, race=det, overlap=overlap, napplies=2,
+        op = ParallelFMM(
+            4, LaplaceKernel(), FMMOptions(p=4, max_points=30),
+            overlap=overlap,
         )
+        op.setup(pts, trace=det)
+        for _ in range(2):
+            potential = op.apply(density, trace=det)
         report = det.report()
         assert report.ok, report.summary()
+        assert det.regions == 3
         assert report.naccesses > 0
         assert report.nregions >= 4  # every rank registered shared arrays
-        assert np.all(np.isfinite(result.potential))
+        assert np.all(np.isfinite(potential))
 
     def test_perturbed_schedules_stay_race_free(self, rng):
         pts = clustered_cloud(rng, 400)
         density = rng.random(400)
         for seed in range(3):
             det = RaceDetector()
-            run_parallel_fmm(
-                4, LaplaceKernel(), pts, density,
-                FMMOptions(p=4, max_points=30),
-                trace=CommTrace(), race=det, schedule_seed=seed,
-            )
+            op = ParallelFMM(4, LaplaceKernel(), FMMOptions(p=4, max_points=30))
+            op.setup(pts, trace=det, schedule_seed=seed)
+            op.apply(density, trace=det, schedule_seed=seed)
             assert det.report().ok
 
     def test_race_arg_without_trace_builds_one(self, rng):
-        """race= alone must still get clock/event data (implicit trace)."""
+        """The detector alone, with no separate CommTrace, still gets
+        clock and event data: it is the trace."""
         pts = clustered_cloud(rng, 300)
         det = RaceDetector()
-        run_parallel_fmm(
-            2, LaplaceKernel(), pts, rng.random(300),
-            FMMOptions(p=4, max_points=30), race=det,
-        )
+        op = ParallelFMM(2, LaplaceKernel(), FMMOptions(p=4, max_points=30))
+        op.setup(pts, trace=det).apply(rng.random(300), trace=det)
         report = det.report()
         assert report.ok
         assert report.naccesses > 0
+        assert isinstance(det, CommTrace) and det.nevents() > 0
 
 
 class TestCLI:

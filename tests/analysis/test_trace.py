@@ -1,7 +1,9 @@
 """Event-trace recording: clocks, matching metadata, serialisation."""
 
 import numpy as np
+import pytest
 
+from repro.analysis.commcheck import check_trace
 from repro.analysis.trace import CommTrace, payload_digest
 from repro.parallel.simmpi import run_spmd
 
@@ -10,11 +12,11 @@ def _pingpong(comm):
     if comm.rank == 0:
         comm.send(1, np.arange(4.0), tag="a")
         back = comm.recv(1, tag="b")
-        comm.barrier()
+        comm.allreduce(np.zeros(1))
         return back
     got = comm.recv(0, tag="a")
     comm.send(0, got * 2, tag="b")
-    comm.barrier()
+    comm.allreduce(np.zeros(1))
     return got
 
 
@@ -24,10 +26,14 @@ def test_events_recorded_per_rank():
     assert trace.completed
     assert trace.error is None
     assert trace.leaked == []
+    # the allreduce is messages between its enter and exit events: rank
+    # 1 sends its partial up the tree, rank 0 broadcasts the total down
     kinds0 = [e.kind for e in trace.events_by_rank[0]]
-    assert kinds0 == ["send", "recv-post", "recv", "coll-enter", "coll-exit"]
+    assert kinds0 == ["send", "recv-post", "recv", "coll-enter",
+                      "recv-post", "recv", "send", "coll-exit"]
     kinds1 = [e.kind for e in trace.events_by_rank[1]]
-    assert kinds1 == ["recv-post", "recv", "send", "coll-enter", "coll-exit"]
+    assert kinds1 == ["recv-post", "recv", "send", "coll-enter",
+                      "send", "recv-post", "recv", "coll-exit"]
 
 
 def test_lamport_clock_monotone_and_merged():
@@ -53,7 +59,7 @@ def test_collective_exit_merges_all_clocks():
         if comm.rank == 0:
             for _ in range(3):
                 comm.recv(2, tag="pre")
-        comm.barrier()
+        comm.allreduce(np.zeros(1))
         return None
 
     trace = CommTrace()
@@ -62,13 +68,36 @@ def test_collective_exit_merges_all_clocks():
         [e for e in evs if e.kind == "coll-exit"][0]
         for evs in trace.events_by_rank
     ]
-    # after the barrier every rank's clock dominates every pre-barrier event
+    # after the collective every rank's clock dominates every event
+    # before it: its reduce and broadcast messages carry the merges
     for evs in trace.events_by_rank:
         for ev in evs:
-            if ev.kind == "coll-exit":
-                continue
             for ex in exits:
                 assert all(x >= y for x, y in zip(ex.clock, ev.clock))
+            if ev.kind == "coll-enter":
+                break
+
+
+def test_regions_append_and_start_after_the_join():
+    """A trace passed to two runs records both; the second region's
+    ranks start strictly after every event of the first."""
+    trace = CommTrace()
+    run_spmd(2, _pingpong, trace=trace)
+    split = [len(evs) for evs in trace.events_by_rank]
+    last = [evs[-1] for evs in trace.events_by_rank]
+    run_spmd(2, _pingpong, trace=trace)
+    assert trace.regions == 2 and trace.completed
+    for rank, evs in enumerate(trace.events_by_rank):
+        assert len(evs) == 2 * split[rank]
+        assert [e.seq for e in evs] == list(range(len(evs)))
+        first = evs[split[rank]]
+        for end in last:
+            assert all(x > y for x, y in zip(first.clock, end.clock))
+            assert first.lamport > end.lamport
+        assert [e.coll_index for e in evs if e.kind == "coll-enter"] == [0, 1]
+    assert check_trace(trace).ok
+    with pytest.raises(ValueError, match="2-rank trace"):
+        run_spmd(3, _pingpong, trace=trace)
 
 
 def test_payload_digest_distinguishes_content():

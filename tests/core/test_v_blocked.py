@@ -33,7 +33,6 @@ from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 from repro.kernels.direct import relative_error
 from repro.octree import build_lists, build_tree
 from repro.parallel import ParallelFMM
-from repro.parallel.pfmm import run_parallel_fmm
 
 
 class UndeclaredLaplace(LaplaceKernel):
@@ -255,11 +254,10 @@ def test_coarse_split_level_and_sanitized_ghost_rows(layout):
     par = ParallelFMM(8, LaplaceKernel(), opts).setup(pts)
     assert any(s.layout.vsp for s in par.states)
     assert relative_error(par.apply(phi), seq) < 1e-12
-    clean = run_parallel_fmm(
-        4, LaplaceKernel(), pts, phi,
-        dataclasses.replace(opts, sanitize=True),
-    )
-    assert relative_error(clean.potential, seq) < 1e-12
+    clean = ParallelFMM(
+        4, LaplaceKernel(), dataclasses.replace(opts, sanitize=True)
+    ).setup(pts).apply(phi)
+    assert relative_error(clean, seq) < 1e-12
 
 
 def test_blocked_steps_declare_like_class_major(layout):

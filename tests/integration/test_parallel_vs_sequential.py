@@ -13,7 +13,7 @@ import pytest
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 from repro.kernels.direct import direct_evaluate, relative_error
-from repro.parallel import ParallelFMM, run_parallel_fmm
+from repro.parallel import ParallelFMM
 
 from tests.conftest import clustered_cloud, uniform_cloud
 from tests.core.perbox import PerBoxFMM
@@ -27,18 +27,17 @@ def _assert_parity(kernel, pts, phi, nranks, planned_tol=1e-12, **opts):
     owned/ghost summation order, so it matches the planned apply to
     roundoff; the per-box reference also orders the accumulations
     inside a box differently (measured <= 1.1e-12 on these cases).
-    The one-region driver runs on rank threads; the persistent
-    operator's rank processes must give its bits.
+    The rank processes must give the rank threads' bits
+    (``apply_on_both``).  Returns the operator.
     """
     batched = FMMOptions(**opts)
     seq = KIFMM(kernel, batched).setup(pts).apply(phi)
     ref = PerBoxFMM(kernel, batched).setup(pts).apply(phi)
-    par = run_parallel_fmm(nranks, kernel, pts, phi, batched)
-    assert relative_error(par.potential, seq) < planned_tol
-    assert relative_error(par.potential, ref) < 1e-11
     with ParallelFMM(nranks, kernel, batched) as op:
-        assert np.array_equal(apply_on_both(op.setup(pts), phi), par.potential)
-    return par
+        par = apply_on_both(op.setup(pts), phi)
+    assert relative_error(par, seq) < planned_tol
+    assert relative_error(par, ref) < 1e-11
+    return op
 
 
 @pytest.mark.parametrize("nranks", [2, 3, 6])
@@ -67,30 +66,32 @@ def test_modified_laplace_dense_m2l(rng):
 def test_single_rank_equals_sequential(rng):
     pts = uniform_cloud(rng, 300)
     phi = rng.standard_normal((300, 1))
-    par = _assert_parity(
+    op = _assert_parity(
         LaplaceKernel(), pts, phi, 1, planned_tol=1e-14,
         p=4, max_points=30,
     )
-    assert par.comm_stats[0].bytes_sent == 0  # nothing to exchange
+    assert op.comm_stats[0].bytes_sent == 0  # nothing to exchange
 
 
 def test_accuracy_against_direct(rng):
     """Parallel FMM vs O(N^2) truth, not just vs the sequential FMM."""
     pts = clustered_cloud(rng, 500)
     phi = rng.standard_normal((500, 1))
-    par = run_parallel_fmm(
-        4, LaplaceKernel(), pts, phi, FMMOptions(p=6, max_points=25)
-    )
+    par = ParallelFMM(
+        4, LaplaceKernel(), FMMOptions(p=6, max_points=25)
+    ).setup(pts).apply(phi)
     exact = direct_evaluate(LaplaceKernel(), pts, pts, phi)
-    assert relative_error(par.potential, exact) < 5e-4
+    assert relative_error(par, exact) < 5e-4
 
 
 def test_communication_happens_and_scales(rng):
     pts = uniform_cloud(rng, 600)
     phi = rng.standard_normal((600, 1))
     opts = FMMOptions(p=4, max_points=25)
-    r2 = run_parallel_fmm(2, LaplaceKernel(), pts, phi, opts)
-    r6 = run_parallel_fmm(6, LaplaceKernel(), pts, phi, opts)
+    r2 = ParallelFMM(2, LaplaceKernel(), opts).setup(pts)
+    r6 = ParallelFMM(6, LaplaceKernel(), opts).setup(pts)
+    r2.apply(phi)
+    r6.apply(phi)
     b2 = sum(s.bytes_sent for s in r2.comm_stats)
     b6 = sum(s.bytes_sent for s in r6.comm_stats)
     assert b2 > 0
@@ -100,9 +101,9 @@ def test_communication_happens_and_scales(rng):
 def test_timers_populated(rng):
     pts = uniform_cloud(rng, 300)
     phi = rng.standard_normal((300, 1))
-    res = run_parallel_fmm(2, LaplaceKernel(), pts, phi,
-                           FMMOptions(p=4, max_points=30))
-    for t in res.timers:
+    op = ParallelFMM(2, LaplaceKernel(), FMMOptions(p=4, max_points=30))
+    op.setup(pts).apply(phi)
+    for t in (t.by_phase() for t in op.timers):
         assert t["up"] > 0
         assert "pack" in t and "wait" in t
         assert any(k.startswith("down") for k in t)

@@ -92,7 +92,7 @@ class TestNonFiniteCoordinates:
         from repro.bie.surfaces import SphereSurface
         from repro.core.fmm import FMMOptions, KIFMM
         from repro.kernels import LaplaceKernel
-        from repro.parallel.pfmm import ParallelFMM, run_parallel_fmm
+        from repro.parallel.pfmm import ParallelFMM
 
         bad = self._poisoned(rng, value)
         message = r"sources contain a non-finite coordinate: point 37 "
@@ -101,8 +101,6 @@ class TestNonFiniteCoordinates:
             KIFMM(LaplaceKernel(), opts).setup(bad)
         with pytest.raises(ValueError, match=message):
             ParallelFMM(2, LaplaceKernel(), opts).setup(bad)
-        with pytest.raises(ValueError, match=message):
-            run_parallel_fmm(2, LaplaceKernel(), bad, np.ones(len(bad)), opts)
         for ranks in (0, 2):
             sphere = SphereSurface(np.zeros(3), 1.0, 120)
             op = StokesSingleLayer([sphere], options=opts, parallel_ranks=ranks)
@@ -140,7 +138,7 @@ class TestOneValidation:
     def test_every_setup_path_rejects_a_bad_depth(self, rng, max_depth, nranks):
         from repro.core.fmm import FMMOptions, KIFMM
         from repro.kernels import LaplaceKernel
-        from repro.parallel.pfmm import ParallelFMM, rank_setup, run_parallel_fmm
+        from repro.parallel.pfmm import ParallelFMM, rank_setup
         from repro.parallel.ptree import parallel_build_tree
         from repro.parallel.simmpi import PerRank, run_spmd
 
@@ -158,8 +156,6 @@ class TestOneValidation:
             KIFMM(LaplaceKernel(), opts).setup(pts)
         with pytest.raises(ValueError, match=message):
             ParallelFMM(nranks, LaplaceKernel(), opts).setup(pts)
-        with pytest.raises(ValueError, match=message):
-            run_parallel_fmm(nranks, LaplaceKernel(), pts, np.ones(len(pts)), opts)
         with pytest.raises(ValueError, match=message):
             run_spmd(
                 nranks, lambda comm, p: rank_setup(comm, LaplaceKernel(), p, opts),

@@ -14,11 +14,11 @@ rank; ``apply_on_both`` pins each block to the rank threads' bits.
 import numpy as np
 import pytest
 
-from repro.analysis import CommTrace, RaceDetector, check_trace
+from repro.analysis import RaceDetector, check_trace
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.kernels.direct import relative_error
-from repro.parallel import ParallelFMM, run_parallel_fmm
+from repro.parallel import ParallelFMM
 from repro.parallel.simmpi import CommStats
 
 from tests.conftest import clustered_cloud, uniform_cloud
@@ -71,9 +71,9 @@ def test_blocked_apply_matches_sequential_block(rng):
     block = rng.standard_normal((n, 3, 4))
     opts = FMMOptions(p=4, max_points=mp)
     seq = KIFMM(kern, opts).setup(pts).apply(block)
-    par = run_parallel_fmm(2, kern, pts, block, opts)
-    assert par.potential.shape == (n, 3, 4)
-    assert relative_error(par.potential, seq) < 1e-9
+    par = ParallelFMM(2, kern, opts).setup(pts).apply(block)
+    assert par.shape == (n, 3, 4)
+    assert relative_error(par, seq) < 1e-9
 
 
 def test_blocked_apply_matches_per_box_column_loop(rng):
@@ -84,10 +84,10 @@ def test_blocked_apply_matches_per_box_column_loop(rng):
     opts = FMMOptions(p=4, max_points=mp)
     seq = KIFMM(kern, opts).setup(pts).apply(block)
     ref = PerBoxFMM(kern, opts).setup(pts).apply(block)
-    par = run_parallel_fmm(2, kern, pts, block, opts)
-    assert par.potential.shape == (400, 1, 3)
-    assert relative_error(par.potential, seq) < 1e-12
-    assert relative_error(par.potential, ref) < 1e-9
+    par = ParallelFMM(2, kern, opts).setup(pts).apply(block)
+    assert par.shape == (400, 1, 3)
+    assert relative_error(par, seq) < 1e-12
+    assert relative_error(par, ref) < 1e-9
 
 
 def test_block_matvec_is_reshape_of_stacked_apply(rng):
@@ -110,8 +110,9 @@ def test_blocked_exchange_message_count_matches_single(rng):
     opts = FMMOptions(p=4, max_points=mp)
 
     def traffic(density):
-        res = run_parallel_fmm(4, kern, pts, density, opts)
-        total = CommStats.total(res.comm_stats)
+        op = ParallelFMM(4, kern, opts).setup(pts)
+        op.apply(density)
+        total = CommStats.total(op.comm_stats)
         return total.messages_sent, total.bytes_sent
 
     single_msgs, single_bytes = traffic(rng.standard_normal((n, 1)))
@@ -128,14 +129,12 @@ def test_blocked_apply_race_free_and_trace_clean(rng):
     opts = FMMOptions(p=4, max_points=mp)
     for overlap in (True, False):
         det = RaceDetector()
-        trace = CommTrace()
-        res = run_parallel_fmm(
-            4, kern, pts, block, opts,
-            trace=trace, schedule_seed=3, napplies=2,
-            overlap=overlap, race=det,
-        )
+        op = ParallelFMM(4, kern, opts, overlap=overlap)
+        op.setup(pts, trace=det, schedule_seed=3)
+        for _ in range(2):
+            op.apply(block, trace=det, schedule_seed=3)
         assert det.report().ok
-        assert check_trace(trace, stats=res.comm_stats).ok
+        assert check_trace(det, stats=op.comm_stats).ok
 
 
 def test_blocked_schedule_independence(rng):
@@ -144,9 +143,9 @@ def test_blocked_schedule_independence(rng):
     block = rng.standard_normal((400, 1, 3))
     opts = FMMOptions(p=4, max_points=mp)
     results = [
-        run_parallel_fmm(
-            4, kern, pts, block, opts, schedule_seed=s
-        ).potential
+        ParallelFMM(4, kern, opts).setup(pts, schedule_seed=s).apply(
+            block, schedule_seed=s
+        )
         for s in (0, 1, 2)
     ]
     assert np.array_equal(results[0], results[1])
@@ -158,8 +157,8 @@ def test_sanitized_blocked_apply(rng):
     pts = uniform_cloud(rng, 400)
     block = rng.standard_normal((400, 1, 3))
     opts = FMMOptions(p=4, max_points=mp, sanitize=True)
-    res = run_parallel_fmm(2, kern, pts, block, opts)
-    assert np.isfinite(res.potential).all()
+    pot = ParallelFMM(2, kern, opts).setup(pts).apply(block)
+    assert np.isfinite(pot).all()
 
 
 def test_varying_nrhs_across_applies_reuses_states(rng):

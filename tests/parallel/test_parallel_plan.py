@@ -12,11 +12,12 @@ processes; ``apply_on_both`` pins them to the rank threads bit for bit.
 import numpy as np
 import pytest
 
+from repro.analysis import CommTrace
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 from repro.kernels.direct import relative_error
-from repro.parallel import ParallelFMM, run_parallel_fmm
+from repro.parallel import ParallelFMM
 from repro.octree.tree import _root_cube
 
 from tests.conftest import (
@@ -40,9 +41,9 @@ def test_laplace_parity(rng, nranks, dist):
     opts = FMMOptions(p=4, max_points=30)
     seq_batched = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     seq_naive = PerBoxFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
-    par = run_parallel_fmm(nranks, LaplaceKernel(), pts, phi, opts)
-    assert relative_error(par.potential, seq_batched) < 1e-9
-    assert relative_error(par.potential, seq_naive) < 1e-9
+    par = ParallelFMM(nranks, LaplaceKernel(), opts).setup(pts).apply(phi)
+    assert relative_error(par, seq_batched) < 1e-9
+    assert relative_error(par, seq_naive) < 1e-9
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 4])
@@ -53,9 +54,9 @@ def test_stokes_parity(rng, nranks, dist):
     opts = FMMOptions(p=4, max_points=35)
     seq_batched = KIFMM(StokesKernel(), opts).setup(pts).apply(phi)
     seq_naive = PerBoxFMM(StokesKernel(), opts).setup(pts).apply(phi)
-    par = run_parallel_fmm(nranks, StokesKernel(), pts, phi, opts)
-    assert relative_error(par.potential, seq_batched) < 1e-9
-    assert relative_error(par.potential, seq_naive) < 1e-9
+    par = ParallelFMM(nranks, StokesKernel(), opts).setup(pts).apply(phi)
+    assert relative_error(par, seq_batched) < 1e-9
+    assert relative_error(par, seq_naive) < 1e-9
 
 
 def test_repeated_applies_bitwise_identical(rng):
@@ -128,12 +129,18 @@ def test_rank_processes_equal_rank_threads(
 
 
 def test_napplies_driver_matches_single_apply(rng):
+    """A setup and three applies recorded as the regions of one trace
+    give the potential of an untraced operator's one apply."""
     pts = uniform_cloud(rng, 500)
     phi = rng.standard_normal((500, 1))
     opts = FMMOptions(p=4, max_points=30)
-    one = run_parallel_fmm(2, LaplaceKernel(), pts, phi, opts)
-    three = run_parallel_fmm(2, LaplaceKernel(), pts, phi, opts, napplies=3)
-    assert np.array_equal(one.potential, three.potential)
+    one = ParallelFMM(2, LaplaceKernel(), opts).setup(pts).apply(phi)
+    trace = CommTrace()
+    op = ParallelFMM(2, LaplaceKernel(), opts).setup(pts, trace=trace)
+    three = [op.apply(phi, trace=trace) for _ in range(3)]
+    assert trace.regions == 4 and trace.completed
+    for pot in three:
+        assert np.array_equal(one, pot)
 
 
 def test_dense_m2l_planned_path(rng):
@@ -141,8 +148,8 @@ def test_dense_m2l_planned_path(rng):
     phi = rng.standard_normal((500, 1))
     opts = FMMOptions(p=4, max_points=30, m2l="dense")
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
-    par = run_parallel_fmm(3, LaplaceKernel(), pts, phi, opts)
-    assert relative_error(par.potential, seq) < 1e-9
+    par = ParallelFMM(3, LaplaceKernel(), opts).setup(pts).apply(phi)
+    assert relative_error(par, seq) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -162,10 +169,10 @@ def test_rsvd_and_auto_m2l_planned_path(rng, m2l, dtype, tol):
     phi = rng.standard_normal((500, 1))
     opts = FMMOptions(p=4, max_points=30, m2l=m2l, dtype=dtype)
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
-    par = run_parallel_fmm(3, LaplaceKernel(), pts, phi, opts)
-    assert relative_error(par.potential, seq) < tol
+    par = ParallelFMM(3, LaplaceKernel(), opts).setup(pts).apply(phi)
+    assert relative_error(par, seq) < tol
     naive = PerBoxFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
-    assert relative_error(par.potential, naive) < tol
+    assert relative_error(par, naive) < tol
 
 
 def test_matvec_shape_for_gmres(rng):
@@ -182,22 +189,15 @@ def test_parallel_fmm_rejects_balance_beyond_one_rank():
     balanced = FMMOptions(balance=True)
     with pytest.raises(ValueError, match="balance"):
         ParallelFMM(2, LaplaceKernel(), balanced)
-    with pytest.raises(ValueError, match="balance"):
-        run_parallel_fmm(2, LaplaceKernel(), np.zeros((4, 3)),
-                         np.zeros((4, 1)), balanced)
 
 
 @pytest.mark.parametrize("nranks", [0, -1, 2.5, "2", True, None])
 def test_entry_points_reject_a_bad_rank_count(nranks):
-    """Checked where ``ParallelFMM`` / ``run_parallel_fmm`` are entered,
-    not first inside the thread world: ``ParallelFMM(0, ...)`` used to
-    construct, and a float or a string died with a bare ``TypeError``
-    from ``range``."""
+    """Checked where ``ParallelFMM`` is entered, not first inside the
+    thread world: ``ParallelFMM(0, ...)`` used to construct, and a float
+    or a string died with a bare ``TypeError`` from ``range``."""
     with pytest.raises(ValueError, match="nranks"):
         ParallelFMM(nranks, LaplaceKernel())
-    with pytest.raises(ValueError, match="nranks"):
-        run_parallel_fmm(nranks, LaplaceKernel(), np.zeros((4, 3)),
-                         np.zeros((4, 1)))
 
 
 def test_one_rank_balances_like_kifmm(rng):
@@ -254,7 +254,8 @@ def test_timer_phases_include_pack_and_wait(rng):
 
 
 def test_shared_cache_reused_across_paths(rng):
-    """The hoisted cache is accepted by both drivers and KIFMM.setup."""
+    """The hoisted cache is accepted by ``ParallelFMM.setup``, as the
+    operator's own cache, and by ``KIFMM.setup``."""
     pts = uniform_cloud(rng, 400)
     phi = rng.standard_normal((400, 1))
     opts = FMMOptions(p=4, max_points=30)
@@ -263,11 +264,13 @@ def test_shared_cache_reused_across_paths(rng):
     seq = KIFMM(LaplaceKernel(), opts).setup(
         pts, root=(corner, side), cache=cache
     ).apply(phi)
-    planned = run_parallel_fmm(2, LaplaceKernel(), pts, phi, opts, cache=cache)
+    planned = ParallelFMM(2, LaplaceKernel(), opts).setup(
+        pts, cache=cache
+    ).apply(phi)
     op = ParallelFMM(2, LaplaceKernel(), opts)
     op.cache = cache
-    assert relative_error(planned.potential, seq) < 1e-12
-    assert np.array_equal(op.setup(pts).apply(phi), planned.potential)
+    assert relative_error(planned, seq) < 1e-12
+    assert np.array_equal(op.setup(pts).apply(phi), planned)
     assert op.cache is cache
 
 

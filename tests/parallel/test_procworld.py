@@ -114,7 +114,8 @@ def test_send_that_does_not_fit_is_an_error_not_a_wait():
 
 def test_point_to_point_and_binomial_collectives_cross_processes():
     """One communicator implementation, two worlds: tag matching,
-    irecv/wait and an allreduce between three forked ranks."""
+    irecv/wait, an allreduce and an allgather between three forked
+    ranks — every collective is messages, so none needs the threads."""
 
     def serve(comm, scale):
         right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
@@ -123,18 +124,21 @@ def test_point_to_point_and_binomial_collectives_cross_processes():
         comm.send(right, np.full(2, 1.0 + comm.rank), tag="early")
         early = comm.recv(left, tag="early")
         total = comm.allreduce(np.array([scale * (comm.rank + 1)]))
-        return early, late.wait(), total, comm.stats.messages_sent
+        masks = comm.allgather(np.full(2, comm.rank, dtype=np.uint8))
+        return early, late.wait(), total, masks, comm.stats
 
     ranks = RankProcesses(3)
     ranks.start(serve, np.full((3, 3), 4096))
     try:
         with deadline():
             replies = ranks.call([2.0, 2.0, 2.0])
-        for rank, (early, late, total, sent) in enumerate(replies):
+        for rank, (early, late, total, masks, stats) in enumerate(replies):
             left = (rank - 1) % 3
             assert np.array_equal(early, np.full(2, 1.0 + left))
             assert np.array_equal(late, np.full(3, 10.0 * left))
-            assert total[0] == 2.0 * 6 and sent >= 2
+            assert total[0] == 2.0 * 6 and stats.messages_sent >= 2
+            assert np.array_equal(np.stack(masks)[:, 0], [0, 1, 2])
+            assert stats.allgather_calls == 1 and stats.allgather_bytes == 2
         assert len(rank_pids()) == 3
     finally:
         ranks.stop()

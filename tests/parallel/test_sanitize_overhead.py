@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel, StokesKernel
-from repro.parallel.pfmm import run_parallel_fmm
+from repro.parallel.pfmm import ParallelFMM
 
 from tests.conftest import clustered_cloud
 
@@ -33,12 +33,12 @@ def test_sanitized_parallel_apply_is_clean_and_exact(rng, kernel, nranks):
     pts = clustered_cloud(rng, 400)
     phi = rng.standard_normal((400, kernel.source_dof))
     opts = FMMOptions(p=4, max_points=30)
-    plain = run_parallel_fmm(nranks, kernel, pts, phi, opts)
-    sanitized = run_parallel_fmm(
-        nranks, kernel, pts, phi, FMMOptions(p=4, max_points=30, sanitize=True)
-    )
-    assert np.isfinite(sanitized.potential).all()
-    assert np.array_equal(plain.potential, sanitized.potential), (
+    plain = ParallelFMM(nranks, kernel, opts).setup(pts).apply(phi)
+    sanitized = ParallelFMM(
+        nranks, kernel, FMMOptions(p=4, max_points=30, sanitize=True)
+    ).setup(pts).apply(phi)
+    assert np.isfinite(sanitized).all()
+    assert np.array_equal(plain, sanitized), (
         "sanitizers must observe, never perturb"
     )
 
@@ -56,7 +56,10 @@ def test_sanitizer_overhead_under_two_x(rng):
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            run_parallel_fmm(4, LaplaceKernel(), pts, phi, opts, napplies=2)
+            with ParallelFMM(4, LaplaceKernel(), opts) as op:
+                op.setup(pts)
+                op.apply(phi)
+                op.apply(phi)
             times.append(time.perf_counter() - start)
         return min(times)
 

@@ -139,56 +139,31 @@ class TestCollectives:
         total = CommStats.total(stats)
         assert total.messages_sent == total.messages_received == 2 * (nranks - 1)
 
-    def test_bcast(self):
-        def main(comm):
-            payload = np.arange(6.0) if comm.rank == 1 else None
-            out = comm.bcast(payload, root=1)
-            out[0] = comm.rank  # returned buffers are private per rank
-            return out
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 5, 8])
+    def test_allgather_keeps_rank_order(self, nranks):
+        """The binomial gather concatenates subtree lists: every rank
+        gets every object in rank order, over 2 * (P - 1) messages."""
 
-        results = run_spmd(4, main)
-        for r, out in enumerate(results):
-            assert out[0] == r
-            assert np.array_equal(out[1:], np.arange(6.0)[1:])
-
-    def test_bcast_counts_per_primitive(self):
         def main(comm):
-            comm.bcast(np.zeros(10), root=0)
+            out = comm.allgather(np.full(3, float(comm.rank)))
+            return out, comm.stats
+
+        results = run_spmd(nranks, main)
+        for out, _ in results:
+            assert [float(a[0]) for a in out] == list(range(nranks))
+        total = CommStats.total(stats for _, stats in results)
+        assert total.messages_sent == 2 * (nranks - 1)
+
+    def test_allgather_counts_per_primitive(self):
+        def main(comm):
+            comm.allgather(np.zeros(10))
             return comm.stats
 
         stats = run_spmd(4, main)
         for s in stats:
-            assert s.bcast_calls == 1
-            assert s.bcast_bytes == 80
+            assert s.allgather_calls == 1
+            assert s.allgather_bytes == 80
             assert s.allreduce_calls == 0
-
-    def test_bcast_invalid_root(self):
-        def main(comm):
-            comm.bcast(1, root=9)
-
-        with pytest.raises(ValueError, match="root"):
-            run_spmd(2, main)
-
-    @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 5, 8])
-    def test_reduce_scatter(self, nranks):
-        def main(comm):
-            block = np.arange(comm.size * 3.0).reshape(comm.size, 3)
-            out = comm.reduce_scatter(block * (comm.rank + 1))
-            assert comm.stats.reduce_scatter_calls == 1
-            return out
-
-        results = run_spmd(nranks, main)
-        scale = sum(range(1, nranks + 1))
-        full = np.arange(nranks * 3.0).reshape(nranks, 3) * scale
-        for r, out in enumerate(results):
-            assert np.array_equal(out, full[r])
-
-    def test_reduce_scatter_needs_per_rank_rows(self):
-        def main(comm):
-            comm.reduce_scatter(np.zeros((comm.size + 1, 2)))
-
-        with pytest.raises(ValueError, match="one row per rank"):
-            run_spmd(3, main)
 
 
 class TestRunner:
@@ -206,10 +181,25 @@ class TestRunner:
         def main(comm):
             if comm.rank == 1:
                 raise RuntimeError("rank 1 died")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         with pytest.raises(RuntimeError, match="rank 1 died"):
             run_spmd(3, main)
+
+    def test_timeout_bounds_the_whole_run(self):
+        """One deadline for all joins: rank 0 finishing late must not
+        restart the clock for rank 1, blocked in a receive."""
+
+        def main(comm):
+            if comm.rank == 0:
+                time.sleep(0.6)
+                return None
+            comm.recv(0, tag="never-sent")
+
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="exceeded 1.0s"):
+            run_spmd(2, main, timeout=1.0)
+        assert time.monotonic() - start < 1.0 + 0.3
 
     def test_rejects_bad_nranks(self):
         with pytest.raises(ValueError):
@@ -239,7 +229,7 @@ class TestRunner:
                 raise KeyError("rank 0")
             if comm.rank == 2:
                 raise ValueError("rank 2")
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
 
         # rank 2 fails *first* in wall-clock; rank 0 still wins
         for _ in range(3):
@@ -247,8 +237,8 @@ class TestRunner:
                 run_spmd(3, main, PerRank([0.2, 0.0, 0.0]))
 
     def test_secondary_abort_errors_are_suppressed(self):
-        """Ranks killed by the abort (RankAbortedError / broken
-        barriers) never mask the primary exception."""
+        """Ranks killed by the abort (RankAbortedError, in a receive or
+        inside a collective) never mask the primary exception."""
 
         def main(comm):
             if comm.rank == 1:
@@ -256,7 +246,7 @@ class TestRunner:
             if comm.rank == 0:
                 comm.recv(1, tag="x")  # aborted mid-recv
             else:
-                comm.barrier()  # broken barrier
+                comm.allreduce(np.zeros(1))  # aborted in the collective
 
         for _ in range(3):
             with pytest.raises(RuntimeError, match="the real bug"):
@@ -408,17 +398,18 @@ class TestNonblockingReceive:
     def test_recv_wait_seconds_accounted(self):
         def main(comm):
             if comm.rank == 0:
-                comm.barrier()
+                comm.allreduce(np.zeros(1))
                 comm.send(1, "x")
                 return None
             req = comm.irecv(0)
-            comm.barrier()
+            comm.allreduce(np.zeros(1))
             req.wait()
             return comm.stats
 
         stats = run_spmd(2, main)[1]
         assert stats.recv_wait_seconds >= 0.0
-        assert stats.messages_received == 1
+        # the message, plus the allreduce's broadcast from rank 0
+        assert stats.messages_received == 2
 
     def test_unwaited_request_leaks_mailbox(self):
         def main(comm):

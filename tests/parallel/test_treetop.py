@@ -26,7 +26,7 @@ from repro.kernels.direct import direct_evaluate
 from repro.parallel import pfmm
 from repro.parallel.exchange import exchange_tag_families
 from repro.parallel.partition import partition_points
-from repro.parallel.pfmm import run_parallel_fmm
+from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import run_spmd
 
 
@@ -159,29 +159,26 @@ class TestCoarseSplitRuntime:
         dens = rng.standard_normal(len(pts))
         kern = LaplaceKernel()
         opts = FMMOptions(p=4, max_points=20)
-        res = run_parallel_fmm(8, kern, pts, dens, opts)
+        pot = ParallelFMM(8, kern, opts).setup(pts).apply(dens)
         ref = direct_evaluate(kern, pts, pts, dens)
         err = (
-            np.abs(res.potential[:, 0] - ref[:, 0]).max()
+            np.abs(pot[:, 0] - ref[:, 0]).max()
             / np.abs(ref).max()
         )
         assert err < 5e-3
 
     def test_split_trace_and_race_clean(self, rng):
-        from repro.analysis import CommTrace, RaceDetector, check_trace
+        from repro.analysis import RaceDetector, check_trace
 
         pts = clustered_points(120, rng)
         dens = rng.standard_normal(len(pts))
         kern = LaplaceKernel()
         opts = FMMOptions(p=4, max_points=20)
         for overlap in (True, False):
-            trace = CommTrace()
             race = RaceDetector()
-            res = run_parallel_fmm(
-                8, kern, pts, dens, opts,
-                trace=trace, overlap=overlap, race=race,
-            )
-            assert check_trace(trace, res.comm_stats).ok
+            op = ParallelFMM(8, kern, opts, overlap=overlap)
+            op.setup(pts, trace=race).apply(dens, trace=race)
+            assert check_trace(race, op.comm_stats).ok
             assert race.report().ok
 
     def test_split_certifies_statically(self, rng):

@@ -1,5 +1,7 @@
 """Command-line interface tests."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -74,6 +76,25 @@ class TestEvaluate:
         )
         assert rc == 0
         assert "dtype=float32" in capsys.readouterr().out
+
+
+class TestCommcheck:
+    def test_collectives_prints_the_commstats_counters(self, capsys):
+        """``--collectives`` prints one row per ``CommStats`` collective
+        counter pair — allreduce, then allgather at 2 calls per rank —
+        and nothing else."""
+        assert main([
+            "commcheck", "--ranks", "4", "--n", "300", "--schedules", "1",
+            "--collectives",
+        ]) == 0
+        out = capsys.readouterr().out
+        rows = [
+            line.split(":")[0].strip() for line in out.splitlines()
+            if " calls / " in line
+        ]
+        assert rows == ["allreduce", "allgather"]
+        assert re.search(r"allreduce: \d+ calls / \d+ B", out)
+        assert re.search(r"allgather: 8 calls / \d+ B", out)
 
 
 class TestBench:

@@ -82,6 +82,59 @@ class TestOneOwnerExchangeShape:
             )
 
 
+class TestOneParallelDriver:
+    def test_one_driver_and_only_the_collectives_setup_calls(self):
+        """``ParallelFMM`` is the one parallel driver; the runtime has
+        the two collectives a setup calls; the race detector is a trace,
+        not a runtime argument."""
+        import dataclasses
+        import inspect
+
+        from repro import parallel
+        from repro.analysis import CommTrace, RaceDetector
+        from repro.parallel import pfmm, simmpi
+
+        for name in ("run_parallel_fmm", "ParallelFMMResult"):
+            assert not hasattr(parallel, name), name
+            assert not hasattr(pfmm, name), name
+        for name in ("bcast", "reduce_scatter", "barrier"):
+            assert not hasattr(simmpi.SimComm, name), name
+        assert not hasattr(simmpi, "coll_scatter_tag")
+        assert "__coll_scatter__" not in simmpi.TAG_FAMILIES
+        assert "race" not in inspect.signature(simmpi.run_spmd).parameters
+        assert issubclass(RaceDetector, CommTrace)
+        for fn in (parallel.ParallelFMM.setup, parallel.ParallelFMM.apply):
+            assert set(inspect.signature(fn).parameters) <= {
+                "self", "points", "density", "trace", "schedule_seed",
+                "cache",
+            }, fn.__name__
+        assert len(dataclasses.fields(repro.FMMOptions)) == 10
+
+    @pytest.mark.parametrize("nranks", [2, 4])
+    def test_setup_collective_sequence(self, rng, nranks):
+        """Per rank, a traced setup runs the root's counts and one
+        allreduce per level (the driver pins the root cube), then one
+        allgather of the contributor masks and one of the user masks —
+        each ``2 x nboxes`` bytes."""
+        from repro.analysis import CommTrace, check_trace
+        from repro.parallel import ParallelFMM
+
+        pts = rng.uniform(-1.0, 1.0, (600, 3))
+        trace = CommTrace()
+        op = ParallelFMM(
+            nranks, repro.LaplaceKernel(), repro.FMMOptions(p=3, max_points=20)
+        ).setup(pts, trace=trace)
+        tree = op.states[0].tree
+        assert check_trace(trace, stats=op.comm_stats).ok
+        for stats, events in zip(op.comm_stats, trace.events_by_rank):
+            assert stats.allreduce_calls == 1 + tree.depth
+            assert stats.allgather_calls == 2
+            assert stats.allgather_bytes == 2 * (2 * tree.nboxes)
+            assert [e.coll for e in events if e.kind == "coll-enter"] == (
+                ["allreduce"] * (1 + tree.depth) + ["allgather"] * 2
+            )
+
+
 class TestPerfmodelRobustness:
     def test_more_ranks_than_leaves(self, rng):
         """Idle ranks must not break the simulation (finite ratio)."""
