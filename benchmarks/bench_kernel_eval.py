@@ -15,7 +15,16 @@ any ``1/r`` kernel must make, ``np.sqrt(out=)`` + ``np.divide(out=)`` on
 an ``(nt, ns)`` array, measured in the same loop.  Laplace
 ``matrix_local`` at 39x1053 must stay within 3.0 of that floor (7.5
 before the pass budget) and Stokes ``matrix`` at 70x900 within 35 (88
-before).  Run directly::
+before).
+
+Where the host built the compiled near-field loops
+(``repro.kernels.native``; the header says whether it did), two more rows
+per U block shape, 39x1053 and 12x324, time a U block both ways, per
+block of a level of ``U_BLOCKS`` such blocks as the apply meets them: the
+numpy node's work (gather and shift into the box frame,
+``matrix_local``, GEMV, add into the potentials) and one call of the
+compiled loop over the level.  The compiled block must take at most 0.5
+of the numpy one, measured in the same loop.  Run directly::
 
     python benchmarks/bench_kernel_eval.py [--json OUT] [--against OTHER.json]
 
@@ -41,12 +50,14 @@ from repro.kernels import (
     NavierKernel,
     StokesKernel,
 )
+from repro.kernels import native
 from repro.kernels.derived import (
     LaplaceDipoleKernel,
     LaplaceGradientKernel,
     ModifiedLaplaceDipoleKernel,
     ModifiedLaplaceGradientKernel,
 )
+from repro.core.plan import NearBlocks
 from repro.util.tables import format_table
 
 KERNELS = (
@@ -62,6 +73,11 @@ KERNELS = (
 SHAPES = ((39, 1053), (12, 324), (152, 600), (70, 900))
 #: (kernel name, shape) -> largest allowed ratio to the sqrt + divide floor.
 GATES = {("laplace", (39, 1053)): 3.0, ("stokes", (70, 900)): 35.0}
+#: Block shapes of the compiled-U rows, and the largest allowed ratio of
+#: the compiled block to the numpy one (``matrix_local`` + GEMV).
+U_SHAPES = ((39, 1053), (12, 324))
+U_GATE = 0.5
+U_BLOCKS = 64
 REPEATS = 40
 
 
@@ -84,8 +100,53 @@ def _best(call, repeats: int = REPEATS) -> float:
     return best
 
 
+def _row(name: str, nt: int, ns: int, entries: int, call_s: float,
+         floor_s: float) -> dict:
+    return {
+        "kernel": name, "nt": nt, "ns": ns,
+        "call_us": call_s * 1e6,
+        "ns_per_entry": call_s / entries * 1e9,
+        "ns_per_pair": call_s / (nt * ns) * 1e9,
+        "floor_ns_per_pair": floor_s / (nt * ns) * 1e9,
+        "ratio_to_floor": call_s / floor_s,
+    }
+
+
+def _u_level(rng: np.random.Generator, nt: int, ns: int):
+    """``U_BLOCKS`` U blocks of ``nt`` targets against ``ns`` sources
+    drawn around box centres, and the level both ways: ``(numpy, compiled)``
+    callables that add its potentials into one array."""
+    nb = U_BLOCKS
+    centers = rng.uniform(-8.0, 8.0, (nb, 3))
+    parts = [_block(rng, nt, ns) for _ in range(nb)]
+    targets = np.concatenate([t + c for (t, _), c in zip(parts, centers)])
+    sources = np.concatenate([s + c for (_, s), c in zip(parts, centers)])
+    edges = np.arange(nb + 1, dtype=np.int64)
+    blocks = NearBlocks(
+        edges[:-1], edges[:-1] * nt, edges[1:] * nt, edges * ns,
+        np.arange(nb * ns, dtype=np.int64), edges[:-1],
+    )
+    laplace = LaplaceKernel()
+    phi = rng.standard_normal(nb * ns)
+    phi3, pot = phi.reshape(-1, 1, 1), np.zeros((1, nb * nt, 1))
+    run_u = native.loops_for(laplace).u(
+        blocks, centers, targets, sources, False
+    )
+
+    def numpy_level():
+        for i in range(nb):
+            t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
+            pos = blocks.src_pos[int(blocks.seg[i]) : int(blocks.seg[i + 1])]
+            ctr = centers[i]
+            K = laplace.matrix_local(targets[t0:t1] - ctr, sources[pos] - ctr)
+            pot[0, t0:t1, 0] += K @ phi[pos]
+
+    return numpy_level, lambda: run_u(phi3, pot)
+
+
 def measure(repeats: int = REPEATS) -> list[dict]:
     rng = np.random.default_rng(17)
+    compiled = native.loops_for(LaplaceKernel()) is not None
     rows = []
     for nt, ns in SHAPES:
         targets, sources = _block(rng, nt, ns)
@@ -100,19 +161,23 @@ def measure(repeats: int = REPEATS) -> list[dict]:
             floor_s = _best(floor, repeats)
             call_s = _best(lambda: kernel.matrix_local(targets, sources), repeats)
             entries = nt * ns * kernel.target_dof * kernel.source_dof
-            rows.append({
-                "kernel": kernel.name, "nt": nt, "ns": ns,
-                "call_us": call_s * 1e6,
-                "ns_per_entry": call_s / entries * 1e9,
-                "ns_per_pair": call_s / (nt * ns) * 1e9,
-                "floor_ns_per_pair": floor_s / (nt * ns) * 1e9,
-                "ratio_to_floor": call_s / floor_s,
-            })
+            rows.append(_row(kernel.name, nt, ns, entries, call_s, floor_s))
+        if not (compiled and (nt, ns) in U_SHAPES):
+            continue
+        numpy_level, compiled_level = _u_level(np.random.default_rng(29), nt, ns)
+        floor_s = _best(floor, repeats)
+        numpy_s = _best(numpy_level, repeats) / U_BLOCKS
+        compiled_s = _best(compiled_level, repeats) / U_BLOCKS
+        rows.append(_row("laplace U numpy", nt, ns, nt * ns, numpy_s, floor_s))
+        rows.append(
+            _row("laplace U compiled", nt, ns, nt * ns, compiled_s, floor_s)
+        )
     return rows
 
 
 def failed_gates(rows: list[dict]) -> list[str]:
     out = []
+    by_key = {(r["kernel"], r["nt"], r["ns"]): r for r in rows}
     for r in rows:
         limit = GATES.get((r["kernel"], (r["nt"], r["ns"])))
         if limit is not None and r["ratio_to_floor"] > limit:
@@ -120,7 +185,23 @@ def failed_gates(rows: list[dict]) -> list[str]:
                 f"{r['kernel']} {r['nt']}x{r['ns']}: {r['ratio_to_floor']:.1f}x "
                 f"the sqrt+divide floor, gate {limit}"
             )
+        if r["kernel"] == "laplace U compiled":
+            base = by_key["laplace U numpy", r["nt"], r["ns"]]
+            ratio = r["call_us"] / base["call_us"]
+            if ratio > U_GATE:
+                out.append(
+                    f"compiled U {r['nt']}x{r['ns']}: {ratio:.2f}x the numpy "
+                    f"matrix_local + GEMV block, gate {U_GATE}"
+                )
     return out
+
+
+def header() -> str:
+    """Whether the compiled near-field loops are in use on this host."""
+    lib = native.library()
+    if lib is None:
+        return "compiled pair loops: not in use (no working C compiler)"
+    return f"compiled pair loops: in use ({lib._name})"
 
 
 def report(rows: list[dict], against: list[dict] | None = None) -> None:
@@ -145,9 +226,11 @@ def report(rows: list[dict], against: list[dict] | None = None) -> None:
 
 
 def test_kernel_eval_stays_near_its_floor():
-    """Bench smoke: the two gated blocks stay within their pass budget."""
+    """Bench smoke: the two gated blocks stay within their pass budget,
+    and a compiled U block takes at most half the numpy one."""
     rows = measure()
     print()
+    print(header())
     report(rows)
     assert not failed_gates(rows)
 
@@ -159,6 +242,7 @@ if __name__ == "__main__":
                     help="rows of another commit (its --json): print ratios to them")
     ap.add_argument("--repeats", type=int, default=REPEATS)
     args = ap.parse_args()
+    print(header())
     rows = measure(args.repeats)
     report(rows, json.loads(args.against.read_text()) if args.against else None)
     if args.json:

@@ -7,8 +7,10 @@ Run on two commits (same machine, same BLAS) and diff the JSON::
 
 Grid: {Laplace, Stokes} x m2l {fft, dense, rsvd, auto} x {uniform,
 corner-clustered, two tight opposite-corner clusters} (N = 3000, p = 4)
-x {sequential KIFMM; ParallelFMM at 1, 2, 4 ranks overlap on; 4 ranks
-overlap off; 8 ranks}.  The two-cluster set keeps
+x {sequential KIFMM; sequential KIFMM on the numpy near-field stages
+(``seq-numpy``: the compiled pair loops of ``repro.kernels.native``
+patched out); ParallelFMM at 1, 2, 4 ranks overlap on; 4 ranks overlap
+off; 8 ranks}.  The two-cluster set keeps
 two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
 split and its broadcasts.  Each cell records the sha256 of the
 ``nrhs = 1`` potential, of the tree (every ``TreeTopology`` array of
@@ -24,7 +26,11 @@ whose cell it equals bit for bit), so a change that means to alter one
 backend's arithmetic shows which columns it left alone; any difference
 anywhere still exits 1.  Cells the other run has and this one lacks are
 listed per rank column as dropped, not as a failure, so a removed
-column shows in the log.
+column shows in the log.  A ``seq-numpy`` cell is compared with the
+other run's ``seq`` cell of its row when the other run has no
+``seq-numpy`` column (a commit before the compiled loops, whose every
+step was numpy): that pins the numpy stages' bits across a change that
+moves the compiled ones.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 
 # One BLAS thread, as in benchmarks/e2e: 8 rank threads each calling a
 # multi-threaded BLAS spin against each other for minutes per cell.
@@ -50,9 +57,15 @@ from repro.geometry.distributions import (  # noqa: E402
 )
 from repro.parallel import ParallelFMM  # noqa: E402
 
+try:
+    from repro.kernels import native  # noqa: E402
+except ImportError:  # a commit before the compiled pair loops
+    native = None
+
 N, P, S, NRHS = 3000, 4, 40, 8
 CONFIGS = (
     ("seq", None),
+    ("seq-numpy", None),
     ("p1", dict(nranks=1)),
     ("p2", dict(nranks=2)),
     ("p4", dict(nranks=4)),
@@ -67,6 +80,29 @@ def two_clusters(n: int, rng: np.random.Generator) -> np.ndarray:
         rng.uniform(0.0, 0.12, (half, 3)),
         rng.uniform(0.88, 1.0, (n - half, 3)),
     ])
+
+
+@contextmanager
+def numpy_nodes(on: bool):
+    """With ``on``, every kernel runs its numpy near-field stages inside
+    the block: the compiled loops are selected at setup and at every
+    apply, so both must run inside it."""
+    if not on or native is None:
+        yield
+        return
+    saved = native.loops_for
+    native.loops_for = lambda kernel: None
+    try:
+        yield
+    finally:
+        native.loops_for = saved
+
+
+def counterpart(key: str, other: dict) -> str:
+    """The other run's cell to compare ``key`` with."""
+    if key.endswith("/seq-numpy") and key not in other:
+        return key[: -len("-numpy")]
+    return key
 
 
 def structure_hashes(states) -> dict[str, str]:
@@ -107,22 +143,24 @@ def run_grid() -> tuple[dict, dict]:
                 for cname, par in CONFIGS:
                     par = dict(par or {})
                     opts = FMMOptions(p=P, max_points=S, m2l=m2l)
-                    if cname == "seq":
-                        fmm = KIFMM(kernel, opts).setup(pts)
-                    else:
-                        fmm = ParallelFMM(
-                            par.pop("nranks"), kernel, opts, **par
-                        ).setup(pts)
+                    seq = cname.startswith("seq")
                     key = f"{kname}/{dist}/{m2l}/{cname}"
-                    u = np.ascontiguousarray(fmm.apply(phi))
+                    with numpy_nodes(cname == "seq-numpy"):
+                        if seq:
+                            fmm = KIFMM(kernel, opts).setup(pts)
+                        else:
+                            fmm = ParallelFMM(
+                                par.pop("nranks"), kernel, opts, **par
+                            ).setup(pts)
+                        u = np.ascontiguousarray(fmm.apply(phi))
+                        blocks[key] = fmm.apply(phi8)
                     cell = {"sha256": hashlib.sha256(u.tobytes()).hexdigest()}
                     cell.update(structure_hashes(
-                        [fmm.state] if cname == "seq" else fmm.states
+                        [fmm.state] if seq else fmm.states
                     ))
-                    if cname == "seq":
+                    if seq:
                         cell["flops"] = fmm.statistics()["flops"]
                     cells[key] = cell
-                    blocks[key] = fmm.apply(phi8)
                     print(key, cell["sha256"][:16], flush=True)
     return cells, blocks
 
@@ -168,10 +206,11 @@ def main() -> None:
         with open(args.against[0]) as fh:
             other = json.load(fh)
         other_blocks = np.load(args.against[1])
-        differ = [k for k in cells if cells[k] != other.get(k)]
+        twin = {k: counterpart(k, other) for k in cells}
+        differ = [k for k in cells if cells[k] != other.get(twin[k])]
         rel = {
-            k: float(np.abs(blocks[k] - other_blocks[k]).max()
-                     / np.abs(other_blocks[k]).max())
+            k: float(np.abs(blocks[k] - other_blocks[twin[k]]).max()
+                     / np.abs(other_blocks[twin[k]]).max())
             for k in blocks
         }
         worst = max(rel.values())
@@ -180,9 +219,21 @@ def main() -> None:
               f"{worst:.3e}")
         for what in ("tree_sha256", "lists_sha256"):
             same = sum(
-                cells[k][what] == other.get(k, {}).get(what) for k in cells
+                cells[k][what] == other.get(twin[k], {}).get(what)
+                for k in cells
             )
             print(f"  {what:<13}{same:>3}/{len(cells)} cells equal")
+        numpy_rows = [k for k in cells if k.endswith("/seq-numpy")]
+        base = twin[numpy_rows[0]].rsplit("/", 1)[1]
+        equal = sum(k not in differ for k in numpy_rows)
+        print(f"  seq-numpy == the other run's {base} in "
+              f"{equal}/{len(numpy_rows)} rows")
+        for kname in sorted({k.split("/", 1)[0] for k in cells}):
+            keys = [k for k in cells if k.startswith(kname + "/")]
+            equal = sum(k not in differ for k in keys)
+            print(f"  {kname:<11}{equal:>3}/{len(keys)} cells equal; "
+                  f"nrhs={NRHS} max relative difference "
+                  f"{max(rel[k] for k in keys):.3e}")
         columns: dict[str, list[str]] = {}
         for k in cells:
             columns.setdefault(m2l_column(k, cells), []).append(k)

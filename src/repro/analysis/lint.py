@@ -18,6 +18,10 @@ Rule catalog (details in ``docs/architecture.md``):
   (``shared_memory`` included)/``mmap`` imports and ``os.fork`` are
   confined to the two transports, ``repro/parallel/simmpi.py`` (rank
   threads) and ``repro/parallel/procworld.py`` (rank processes).
+- ``native-confinement`` — ``ctypes``/``cffi`` imports and
+  ``subprocess`` (the compiler's) are confined to
+  ``repro/kernels/native.py``, the one module that builds and loads
+  foreign code.
 - ``dtype-width`` — no narrowing numpy dtypes in ``core/``/``linalg/``.
 - ``bufferpool-escape`` — ``BufferPool`` scratch buffers must not be
   returned from the function that drew them.
@@ -168,6 +172,39 @@ class ThreadConfinementRule(Rule):
                         f"use of {name!r} outside "
                         f"{' and '.join(self._ALLOWED)} — concurrency is "
                         f"confined to the transports under SimComm",
+                    )
+
+
+class NativeConfinementRule(Rule):
+    name = "native-confinement"
+    rationale = (
+        "Foreign code enters in one place: repro/kernels/native.py builds "
+        "the compiled pair loops with the host's compiler, loads them "
+        "with ctypes and checks every index and array layout before a "
+        "call, because a C loop given a bad index corrupts memory instead "
+        "of raising.  A ctypes/cffi import or a subprocess (a compiler "
+        "run) anywhere else is foreign code no bounds check guards."
+    )
+
+    _BANNED = {"ctypes", "cffi", "subprocess"}
+    _ALLOWED = "repro/kernels/native.py"
+
+    def check(self, mod: Module) -> Iterator[Violation]:
+        if mod.rel == self._ALLOWED:
+            return
+        for node in ast.walk(mod.tree):
+            used: list[str] = []
+            if isinstance(node, ast.Import):
+                used = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                used = [node.module.split(".")[0]]
+            for name in used:
+                if name in self._BANNED:
+                    yield self._v(
+                        mod, node.lineno,
+                        f"use of {name!r} outside {self._ALLOWED} — "
+                        f"foreign code is built, loaded and bounds-checked "
+                        f"there only",
                     )
 
 
@@ -490,6 +527,7 @@ class TagRegistryRule(Rule):
 
 RULES: tuple[Rule, ...] = (
     ThreadConfinementRule(),
+    NativeConfinementRule(),
     DtypeWidthRule(),
     BufferPoolEscapeRule(),
     MutableDefaultRule(),

@@ -38,6 +38,7 @@ parity tests compare against is theirs (``tests/core/perbox.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from repro.core.plan import (
 from repro.core.precompute import OperatorCache
 from repro.core.steps import BufferSpec, Step, StepList
 from repro.core.surfaces import surface_grid
+from repro.kernels import native
 from repro.kernels.base import Kernel
 
 
@@ -226,9 +228,17 @@ class PlanStages:
     ``r`` (the inversions amplify round-off differences by ~1e6, so
     merely equivalent batched arithmetic would not stay within the
     1e-12 column-parity budget).  U and W go straight to potentials, so
-    they fold the RHS axis into one GEMM that streams the kernel block
-    once; the ~1e-16 GEMM-vs-GEMV rounding gap stays far below that
-    bound.
+    their numpy stages fold the RHS axis into one GEMM that streams the
+    kernel block once; the ~1e-16 GEMM-vs-GEMV rounding gap stays far
+    below that bound.
+
+    U, W and X of a kernel with a compiled pair loop
+    (:func:`repro.kernels.native.loops_for`: the ``1/r`` kernel on a host
+    with a C compiler) run that loop instead, bound to the step's blocks
+    when :meth:`compile` places the step — which is where their indices
+    are checked, once, and again before every call of a sanitized apply.
+    Its columns are the single-RHS sums bit for bit.  The numpy stage
+    methods stay the path of every other kernel and the loops' oracle.
     """
 
     def __init__(
@@ -250,6 +260,13 @@ class PlanStages:
         self.pool = plan.buffers
         self.md, self.qd = kernel.source_dof, kernel.target_dof
         self.n_surf = cache.n_surf
+        # The compiled pair loops of each kernel of the triple: None for
+        # a kernel without a radial profile, or on a host without a C
+        # compiler, whose U / W / X steps run the numpy stages below —
+        # the loops' oracle.
+        self.src_loops, self.trg_loops, self.dir_loops = map(
+            native.loops_for, kernels
+        )
 
     # -- the step list -----------------------------------------------------
 
@@ -269,10 +286,12 @@ class PlanStages:
         plan's index arrays, an rsvd step's count is a thunk over the
         ranks of its factors, and a step that reads cached operators
         names them in its ``operators`` thunk, which setup runs
-        (``RankFMM.build_operators``).
+        (``RankFMM.build_operators``).  A U, W or X step with a compiled
+        pair loop gets it bound here, with the same declarations.
         """
         plan, sched, cache, fft = self.plan, self.sched, self.cache, self.fft
         n_surf, md, qd = self.n_surf, self.md, self.qd
+        sanitize = self.pool.sanitize
         src_fpp = self.src_k.flops_per_pair
         trg_fpp = self.trg_k.flops_per_pair
         matvec = _matvec_flops((n_surf * qd, n_surf * md))
@@ -430,11 +449,17 @@ class PlanStages:
                          cache.l2l_check(lvl, octant)
                          for octant, _, _ in dl.l2l_groups
                      ])
-            if dl.x_boxes.size:
+            if dl.x.boxes.size:
+                x = partial(self.x, dl)
+                if self.src_loops is not None:
+                    x = self.src_loops.x(
+                        dl.x, plan.centers, self.src_points,
+                        cache.down_check_points(np.zeros(3), lvl), sanitize,
+                    )
                 emit(f"x@{lvl}", "down_x", "x",
-                     lambda b: self.x(dl, b["phi"], b["dc"]),
-                     phi_of(dl.x_partners), (dc,),
-                     n_surf * int(dl.x_seg[-1]) * src_fpp)
+                     lambda b: x(b["phi"], b["dc"]),
+                     phi_of(dl.x.partners), (dc,),
+                     n_surf * int(dl.x.seg[-1]) * src_fpp)
             if dl.dc_boxes.size:
                 emit(f"dc2de@{lvl}", "eval", "dc2de",
                      lambda b: self.dc2de(dl, b["dc"], b["de"]),
@@ -450,14 +475,26 @@ class PlanStages:
             u, w = rank.near[split]
             pairs = _near_pairs(u)
             if pairs:
+                near_u = partial(self.near_u, u)
+                if self.dir_loops is not None:
+                    near_u = self.dir_loops.u(
+                        u, plan.centers, plan.targets_sorted,
+                        self.src_points, sanitize,
+                    )
                 emit(f"near_u:{split}", "down_u", "near_u",
-                     lambda b: self.near_u(u, b["phi"], b["pot"]),
+                     lambda b: near_u(b["phi"], b["pot"]),
                      phi_of(u.partners), ("pot",),
                      pairs * self.dir_k.flops_per_pair)
             pairs = _near_pairs(w)
             if pairs:
+                near_w = partial(self.near_w, w)
+                if self.trg_loops is not None:
+                    near_w = self.trg_loops.w(
+                        w, plan.centers, self.w_radius(),
+                        surface_grid(cache.p), plan.targets_sorted, sanitize,
+                    )
                 emit(f"near_w:{split}", "down_w", "near_w",
-                     lambda b: self.near_w(w, b["ue"], b["pot"]),
+                     lambda b: near_w(b["ue"], b["pot"]),
                      ue_of(w.partners), ("pot",), n_surf * pairs * trg_fpp)
 
         declare("phi", plan.sources_sorted.shape[0], self.src_k.source_dof)
@@ -717,9 +754,10 @@ class PlanStages:
     def x(self, dl: DownLevel, phi: np.ndarray, dc: np.ndarray) -> None:
         """X list: partner sources straight to check potentials."""
         chk_pts = self.cache.down_check_points(np.zeros(3), dl.level)
+        blocks = dl.x
         nrhs = dc.shape[0]
-        for i, bi in enumerate(dl.x_boxes):
-            pos = dl.x_src_pos[int(dl.x_seg[i]) : int(dl.x_seg[i + 1])]
+        for i, bi in enumerate(blocks.boxes):
+            pos = blocks.src_pos[int(blocks.seg[i]) : int(blocks.seg[i + 1])]
             K = self.src_k.matrix_local(
                 chk_pts, self.src_points[pos] - self.plan.centers[bi]
             )
@@ -782,22 +820,29 @@ class PlanStages:
                     ntr, out_dof, nrhs
                 ).transpose(2, 0, 1)
 
+    def w_radius(self) -> np.ndarray:
+        """Per box, the radius of its upward equivalent surface (the W
+        list's sources)."""
+        cache, plan = self.cache, self.plan
+        hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
+        return cache.inner * hw[plan.levels]
+
     def near_w(
         self, blocks: NearBlocks, ue: np.ndarray, pot: np.ndarray
     ) -> None:
         """W list of ``blocks``: partner boxes' ``ue`` to potentials."""
-        plan, cache, trg_k = self.plan, self.cache, self.trg_k
+        plan, trg_k = self.plan, self.trg_k
         out_dof = trg_k.target_dof
         nrhs = pot.shape[0]
-        sgrid = surface_grid(cache.p)
-        hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
+        sgrid = surface_grid(self.cache.p)
+        radius = self.w_radius()
         for i, bi in enumerate(blocks.boxes):
             t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
             partners = blocks.src_pos[
                 int(blocks.seg[i]) : int(blocks.seg[i + 1])
             ]
             ctr = plan.centers[bi]
-            rad = cache.inner * hw[plan.levels[partners]]
+            rad = radius[partners]
             eq_pts = (
                 (plan.centers[partners] - ctr)[:, None, :]
                 + rad[:, None, None] * sgrid[None, :, :]

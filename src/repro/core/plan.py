@@ -394,9 +394,9 @@ class DownLevel:
     ``l2l_groups`` stack the level's boxes by octant against their
     parents; ``dc_boxes`` are the boxes carrying downward data (the
     ``dc2de`` rows); ``l2t_*`` describe the leaf targets (box-frame
-    coordinates, sorted-order positions, per-leaf offsets); ``x_*`` hold,
-    per X-list target box, the concatenated sorted positions of the
-    partner sources, and the unique partner boxes.
+    coordinates, sorted-order positions, per-leaf offsets); ``x`` holds
+    the X-list pairs as per-target-box blocks of partner source
+    positions.
     """
 
     level: int
@@ -406,10 +406,7 @@ class DownLevel:
     l2t_pts: np.ndarray
     l2t_trg_pos: np.ndarray
     l2t_seg: np.ndarray
-    x_boxes: np.ndarray
-    x_seg: np.ndarray
-    x_src_pos: np.ndarray
-    x_partners: np.ndarray
+    x: NearBlocks
 
 
 @dataclass
@@ -462,7 +459,9 @@ class NearBlocks:
     partner-point (or partner-box) offsets; ``src_pos`` concatenates the
     partner point positions (U/X) or partner box indices (W);
     ``partners`` are the unique partner boxes (what a step over the
-    blocks declares it reads).
+    blocks declares it reads).  ``checked`` records the extents the
+    compiled pair loops have checked these indices against
+    (:func:`repro.kernels.native.check_blocks`), so that happens once.
     """
 
     boxes: np.ndarray
@@ -471,6 +470,7 @@ class NearBlocks:
     seg: np.ndarray
     src_pos: np.ndarray
     partners: np.ndarray
+    checked: set = field(default_factory=set, repr=False, compare=False)
 
 
 def build_near_blocks(
@@ -726,7 +726,6 @@ def compile_plan(
         )
         lm = level_of[xt_all] == level
         xt, xs = xt_all[lm], xs_all[lm]  # ascending, matching CSR pair order
-        xb = build_near_blocks(xt, xs, p_start, p_stop, trg_start, trg_stop)
         down_levels.append(
             DownLevel(
                 level=level,
@@ -736,10 +735,9 @@ def compile_plan(
                 l2t_pts=l2t_pts,
                 l2t_trg_pos=l2t_trg_pos,
                 l2t_seg=l2t_seg,
-                x_boxes=xb.boxes,
-                x_seg=xb.seg,
-                x_src_pos=xb.src_pos,
-                x_partners=xb.partners,
+                x=build_near_blocks(
+                    xt, xs, p_start, p_stop, trg_start, trg_stop
+                ),
             )
         )
 

@@ -339,6 +339,17 @@ class RadialKernel(Kernel):
         zero; the array is the caller's to overwrite and return.
         """
 
+    def profile(self) -> tuple[str, float] | None:
+        """``g`` as the compiled near-field loops name it, or None.
+
+        ``("inv_r", c)`` is ``c / r``.  Where the host built the loops
+        (:mod:`repro.kernels.native`), U, W and X of a kernel with a
+        profile run compiled; the numpy stages stay their oracle.  A
+        subclass that overrides :meth:`_radial` must name its own
+        profile, or it keeps the numpy stages.
+        """
+        return None
+
     def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
         _, r2 = difference_planes(targets, sources)
         return self._radial(np.sqrt(r2, out=r2))

@@ -25,3 +25,6 @@ class LaplaceKernel(RadialKernel):
 
     def _radial(self, r: np.ndarray) -> np.ndarray:
         return np.divide(1.0 / _FOUR_PI, r, out=r)
+
+    def profile(self) -> tuple[str, float]:
+        return ("inv_r", 1.0 / _FOUR_PI)

@@ -1,0 +1,383 @@
+"""The compiled near-field pair loops, and the one module that loads
+foreign code.
+
+``native.c`` (beside this file, shipped as package data) holds the U, W
+and X lists of the ``c / r`` kernel as fused C loops over the blocks the
+execution plan already holds (``docs/architecture.md``, "The compiled
+pair loop").  This module finds the host's C compiler, builds the source
+once per host into a content-addressed cache, loads the result with
+:mod:`ctypes` — whose calls release the interpreter lock — and binds the
+three loops for one kernel (:class:`PairLoops`).
+
+Selection is observed, not configured.  A :class:`~repro.kernels.base.
+RadialKernel` whose profile is the one the C source implements (``c /
+r``: :class:`~repro.kernels.laplace.LaplaceKernel`) gets the loops
+(:func:`loops_for`); every other kernel, and every kernel on a host
+without a working compiler, keeps the numpy stages of
+:class:`~repro.core.evaluator.PlanStages`, which are the loops' oracle.
+Nothing here is an option.
+
+The build is keyed by a hash of the C source, the compile flags, the
+compiler's ``--version`` and the host CPU's flag set, and lives in
+``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` without it).  It is
+published atomically — compiled to a temporary file in the cache, then
+renamed over the final name — so processes that build at once all load a
+whole library.  An unwritable cache falls back to a temporary directory
+of this process.  The flags never include ``-ffast-math``: the loops'
+zero at coincident pairs and their NaN propagation need IEEE arithmetic.
+
+The loops dereference the blocks' indices unchecked, so :class:`PairLoops`
+checks every index against the arrays it will pass — once per block set
+and extents, and again before every call of a sanitized apply — and the
+dtype, contiguity and shape of every array before each call.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import importlib.resources
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+
+from repro.kernels.base import Kernel, RadialKernel
+
+#: Compile flags.  ``-fopenmp-simd`` honours the loops' ``omp simd``
+#: pragmas (a reduction may then be vectorised) without an OpenMP runtime.
+FLAGS = (
+    "-O3", "-march=native", "-fno-math-errno", "-fopenmp-simd",
+    "-shared", "-fPIC",
+)
+#: Compilers tried, in order.
+COMPILERS = ("cc", "gcc", "clang")
+#: The radial profile ``native.c`` implements, as a kernel's
+#: :meth:`~repro.kernels.base.RadialKernel.profile` names it.  The
+#: modified Laplace profile ``c e^(-lam r) / r`` is not here: with libm's
+#: scalar ``exp`` its loops ran slower than its numpy stages.
+PROFILE = "inv_r"
+
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+_HEAD = [ctypes.c_double, _I64]
+_SIGNATURES = {
+    "near_u": _HEAD + [_PTR] * 10 + [_I64, _I64],
+    "near_w": _HEAD + [_PTR] * 8 + [_I64, _PTR, _PTR, _PTR, _I64, _I64],
+    "near_x": _HEAD + [_PTR] * 7 + [_I64, _PTR, _I64, _I64],
+}
+
+
+class NativeIndexError(IndexError):
+    """An index a compiled pair loop would dereference is out of range."""
+
+
+def source() -> bytes:
+    """The C source of the loops."""
+    return (
+        importlib.resources.files("repro.kernels")
+        .joinpath("native.c").read_bytes()
+    )
+
+
+def find_compiler() -> str | None:
+    """Path of the first C compiler on ``PATH``, or None."""
+    for name in COMPILERS:
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    return None
+
+
+def cache_dir() -> Path:
+    """Where built libraries are kept."""
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro"
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
+def build_key(compiler: str) -> str:
+    """Hash of everything the built library depends on."""
+    version = subprocess.run(
+        [compiler, "--version"], capture_output=True, check=True, timeout=60,
+    ).stdout
+    digest = hashlib.sha256()
+    for part in (source(), " ".join(FLAGS).encode(), version,
+                 _cpu_flags().encode()):
+        digest.update(part)
+        digest.update(b"\0")
+    return digest.hexdigest()[:32]
+
+
+def build(compiler: str, directory: Path) -> Path:
+    """The library for this host in ``directory``, compiled unless present.
+
+    Raises :class:`OSError` when ``directory`` cannot be written and
+    :class:`subprocess.SubprocessError` when the compiler fails.
+    """
+    target = directory / f"pairloops-{build_key(compiler)}.so"
+    if target.exists():
+        return target
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            input=source(), capture_output=True, check=True, timeout=300,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+@lru_cache(maxsize=None)
+def library() -> ctypes.CDLL | None:
+    """The loaded loops of this host, built on first use; None without a
+    working compiler (the callers then run their numpy stages)."""
+    compiler = find_compiler()
+    if compiler is None:
+        return None
+    scratch = None
+    try:
+        try:
+            path = build(compiler, cache_dir())
+        except OSError:
+            scratch = tempfile.mkdtemp(prefix="repro-native-")
+            path = build(compiler, Path(scratch))
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        if scratch is not None:
+            # A loaded library keeps its mapping after the file is gone.
+            shutil.rmtree(scratch, ignore_errors=True)
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int
+    return lib
+
+
+def loops_for(kernel: Kernel) -> PairLoops | None:
+    """The compiled loops of ``kernel``, or None where it keeps numpy.
+
+    Only a radial kernel whose profile the C source implements qualifies,
+    and only when it evaluates the profile it names: a subclass that
+    overrides ``_radial`` without naming its own profile keeps numpy.
+    """
+    if not isinstance(kernel, RadialKernel):
+        return None
+    owner = next(c for c in type(kernel).__mro__ if "_radial" in vars(c))
+    if "profile" not in vars(owner):
+        return None
+    profile = kernel.profile()
+    if profile is None or profile[0] != PROFILE:
+        return None
+    lib = library()
+    if lib is None:
+        return None
+    return PairLoops(lib, float(profile[1]))
+
+
+def _ptr(arr: np.ndarray) -> int:
+    return arr.ctypes.data
+
+
+def _array(arr: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``arr`` if it is C-contiguous float64 of ``shape``; else a
+    :class:`ValueError` — a loop must never see a wrong layout."""
+    if (
+        not isinstance(arr, np.ndarray) or arr.dtype != np.float64
+        or not arr.flags.c_contiguous or arr.shape != shape
+    ):
+        got = (getattr(arr, "dtype", type(arr)), getattr(arr, "shape", None))
+        raise ValueError(
+            f"compiled pair loop: {what} must be C-contiguous float64 of "
+            f"shape {shape}, got {got}"
+        )
+    return arr
+
+
+def _in_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
+    if values.size and (values.min() < lo or values.max() >= hi):
+        bad = int(np.flatnonzero((values < lo) | (values >= hi))[0])
+        raise NativeIndexError(
+            f"compiled pair loop: {what}[{bad}] = {int(values[bad])} is "
+            f"outside [{lo}, {hi})"
+        )
+
+
+def check_blocks(
+    blocks, n_partners: int, nboxes: int, n_targets: int | None,
+    again: bool = False,
+) -> None:
+    """Check every index a loop reads from ``blocks`` (a
+    :class:`~repro.core.plan.NearBlocks`) against the extents it will run
+    over: target boxes ``< nboxes``, a monotone ``seg`` covering
+    ``src_pos``, partners (points, or boxes for W) ``< n_partners``, and
+    target ranges inside ``[0, n_targets]`` (None: not read, as in X).
+
+    Each set of extents is checked once per block set unless ``again``;
+    raises :class:`NativeIndexError` or :class:`ValueError`.
+    """
+    extents = (n_partners, nboxes, n_targets)
+    if extents in blocks.checked and not again:
+        return
+    arrays = ["boxes", "seg", "src_pos"]
+    if n_targets is not None:
+        arrays += ["trg_start", "trg_stop"]
+    for name in arrays:
+        arr = getattr(blocks, name)
+        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"compiled pair loop: blocks.{name} must be C-contiguous "
+                f"int64, got {arr.dtype}"
+            )
+    nblk, seg = blocks.boxes.size, blocks.seg
+    if (
+        seg.shape != (nblk + 1,) or seg[0] != 0
+        or (np.diff(seg) < 0).any() or seg[-1] > blocks.src_pos.size
+    ):
+        raise NativeIndexError(
+            f"compiled pair loop: blocks.seg must rise from 0 to at most "
+            f"len(src_pos) = {blocks.src_pos.size} over {nblk} blocks"
+        )
+    _in_range(blocks.boxes, 0, nboxes, "blocks.boxes")
+    _in_range(blocks.src_pos, 0, n_partners, "blocks.src_pos")
+    if n_targets is not None:
+        start, stop = blocks.trg_start, blocks.trg_stop
+        if start.shape != (nblk,) or stop.shape != (nblk,):
+            raise NativeIndexError(
+                "compiled pair loop: one target range per block expected"
+            )
+        _in_range(start, 0, n_targets + 1, "blocks.trg_start")
+        _in_range(stop, 0, n_targets + 1, "blocks.trg_stop")
+        _in_range(stop - start, 0, n_targets + 1, "blocks.trg_stop - trg_start")
+    blocks.checked.add(extents)
+
+
+@dataclass(frozen=True)
+class PairLoops:
+    """The compiled U, W and X loops of the kernel ``scale / r``.
+
+    :meth:`u`, :meth:`w` and :meth:`x` bind a loop to one block set and
+    its geometry, checking both now (:func:`check_blocks`), and return
+    its ``run``.
+    Each run checks the layout of its density and output arrays — the
+    apply's ``phi[point, 1, rhs]``, ``ue[box, rhs, surface]``,
+    ``pot[rhs, target, 1]`` and ``dc[rhs, box, surface]`` — repeats the
+    index checks when bound with ``recheck`` (a sanitized apply), and
+    makes one foreign call, during which the interpreter lock is
+    released.
+    """
+
+    lib: ctypes.CDLL
+    scale: float
+
+    def _call(self, name: str, blocks, targets: bool, *args) -> None:
+        ranges = (blocks.trg_start, blocks.trg_stop) if targets else ()
+        status = getattr(self.lib, name)(
+            self.scale, blocks.boxes.size,
+            *map(_ptr, (blocks.boxes, *ranges, blocks.seg, blocks.src_pos)),
+            *args,
+        )
+        if status:
+            raise MemoryError(f"compiled pair loop {name}: no scratch memory")
+
+    def u(
+        self, blocks, centers: np.ndarray, targets: np.ndarray,
+        sources: np.ndarray, recheck: bool,
+    ) -> Callable[[np.ndarray, np.ndarray], None]:
+        """U list: ``run(phi, pot)`` adds ``K(targets, partner sources)
+        phi`` into ``pot``."""
+        nb, nt, ns = centers.shape[0], targets.shape[0], sources.shape[0]
+        _array(centers, (nb, 3), "centers")
+        _array(targets, (nt, 3), "targets")
+        _array(sources, (ns, 3), "sources")
+        check_blocks(blocks, ns, nb, nt)
+
+        def run(phi: np.ndarray, pot: np.ndarray) -> None:
+            nrhs = pot.shape[0]
+            if recheck:
+                check_blocks(blocks, ns, nb, nt, again=True)
+            self._call(
+                "near_u", blocks, True,
+                _ptr(centers), _ptr(targets), _ptr(sources),
+                _ptr(_array(phi, (ns, 1, nrhs), "phi")),
+                _ptr(_array(pot, (nrhs, nt, 1), "pot")), nt, nrhs,
+            )
+
+        return run
+
+    def w(
+        self, blocks, centers: np.ndarray, radius: np.ndarray,
+        grid: np.ndarray, targets: np.ndarray, recheck: bool,
+    ) -> Callable[[np.ndarray, np.ndarray], None]:
+        """W list: ``run(ue, pot)`` adds ``K(targets, partner surfaces)
+        ue`` into ``pot``; box ``b``'s surface is ``centers[b] +
+        radius[b] * grid``."""
+        nb, nt, nsurf = centers.shape[0], targets.shape[0], grid.shape[0]
+        _array(centers, (nb, 3), "centers")
+        _array(radius, (nb,), "radius")
+        _array(grid, (nsurf, 3), "grid")
+        _array(targets, (nt, 3), "targets")
+        check_blocks(blocks, nb, nb, nt)
+
+        def run(ue: np.ndarray, pot: np.ndarray) -> None:
+            nrhs = pot.shape[0]
+            if recheck:
+                check_blocks(blocks, nb, nb, nt, again=True)
+            self._call(
+                "near_w", blocks, True,
+                _ptr(centers), _ptr(radius), _ptr(grid), nsurf,
+                _ptr(targets), _ptr(_array(ue, (nb, nrhs, nsurf), "ue")),
+                _ptr(_array(pot, (nrhs, nt, 1), "pot")), nt, nrhs,
+            )
+
+        return run
+
+    def x(
+        self, blocks, centers: np.ndarray, sources: np.ndarray,
+        check: np.ndarray, recheck: bool,
+    ) -> Callable[[np.ndarray, np.ndarray], None]:
+        """X list: ``run(phi, dc)`` adds ``K(check, partner sources)
+        phi`` into each target box's row of ``dc``; ``check`` is the
+        level's box-local check surface."""
+        nb, ns, nsurf = centers.shape[0], sources.shape[0], check.shape[0]
+        _array(centers, (nb, 3), "centers")
+        _array(sources, (ns, 3), "sources")
+        _array(check, (nsurf, 3), "check")
+        check_blocks(blocks, ns, nb, None)
+
+        def run(phi: np.ndarray, dc: np.ndarray) -> None:
+            nrhs = dc.shape[0]
+            if recheck:
+                check_blocks(blocks, ns, nb, None, again=True)
+            self._call(
+                "near_x", blocks, False,
+                _ptr(centers), _ptr(sources),
+                _ptr(_array(phi, (ns, 1, nrhs), "phi")), _ptr(check), nsurf,
+                _ptr(_array(dc, (nrhs, nb, nsurf), "dc")), nb, nrhs,
+            )
+
+        return run

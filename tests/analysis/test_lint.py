@@ -10,6 +10,7 @@ SRC = Path(__file__).parents[2] / "src"
 #: Expected (rule, fixture file) pairs — one seeded fixture per rule, two for
 #: thread-confinement (threads; fork and shared mappings).
 EXPECTED = {
+    ("native-confinement", "bad_ctypes.py"),
     ("dtype-width", "bad_dtype.py"),
     ("bufferpool-escape", "bad_pool.py"),
     ("mutable-default", "bad_default.py"),

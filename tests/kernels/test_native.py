@@ -1,0 +1,409 @@
+"""The compiled near-field pair loops against their numpy oracle.
+
+``repro.kernels.native`` runs the U, W and X steps of a ``1/r`` kernel as
+fused C loops; the numpy stages of ``PlanStages`` are what they must
+reproduce.  Every test here compares the two through the step lists a
+rank really compiles — sequential and both ranks of P = 2, whose owned
+and ghost splits are separate blocks — or calls a bound loop directly.
+The build and fallback rules are tested at the end.  Tests that need the
+loops skip on a host without a C compiler, where every step runs numpy.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import KIFMM, FMMOptions
+from repro.core.plan import NearBlocks
+from repro.core.steps import StepBuffers
+from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
+from repro.kernels import native
+from repro.parallel import ParallelFMM
+from tests.conftest import clustered_cloud, uniform_cloud
+
+pytestmark = pytest.mark.skipif(
+    native.library() is None, reason="no C compiler on this host"
+)
+
+SRC = Path(__file__).parents[2] / "src"
+NODES = ("near_u", "near_w", "x")
+OPTS = FMMOptions(p=4, max_points=30)
+
+
+@contextmanager
+def numpy_only():
+    """Every kernel keeps its numpy stages inside the block."""
+    saved = native.loops_for
+    native.loops_for = lambda kernel: None
+    try:
+        yield
+    finally:
+        native.loops_for = saved
+
+
+def node_steps(state, compiled: bool) -> dict:
+    """The U / W / X steps of one rank's apply, by name."""
+    if compiled:
+        steps = state.compile().steps
+    else:
+        with numpy_only():
+            steps = state.compile().steps
+    return {s.name: s for s in steps if s.stage in NODES}
+
+
+def work_arrays(state, nrhs: int, rng) -> dict:
+    """Random densities and zeroed outputs in the apply's layouts."""
+    plan, n_surf = state.plan, state.cache.n_surf
+    return {
+        "phi": rng.standard_normal((state.ext_points.shape[0], 1, nrhs)),
+        "ue": rng.standard_normal((plan.nboxes, nrhs, n_surf)),
+        "dc": np.zeros((nrhs, plan.nboxes, n_surf)),
+        "pot": np.zeros((nrhs, plan.targets_sorted.shape[0], 1)),
+    }
+
+
+def run(step, live: dict) -> np.ndarray:
+    """Run ``step`` on copies of ``live``; what it wrote."""
+    live = {k: v.copy() for k, v in live.items()}
+    step.run(StepBuffers(step, live, live["pot"].shape[0]))
+    return live["dc" if step.stage == "x" else "pot"]
+
+
+def states(points: np.ndarray):
+    """One rank, then both ranks of P = 2."""
+    yield KIFMM(LaplaceKernel(), OPTS).setup(points).state
+    with ParallelFMM(2, LaplaceKernel(), OPTS) as pf:
+        yield from pf.setup(points).states
+
+
+@pytest.fixture(scope="module", params=["uniform", "corners"])
+def trees(request):
+    rng = np.random.default_rng(7)
+    make = uniform_cloud if request.param == "uniform" else clustered_cloud
+    return list(states(make(rng, 2500)))
+
+
+class TestAgainstTheOracle:
+    @pytest.mark.parametrize("nrhs", [1, 8])
+    def test_every_node_per_target(self, trees, nrhs):
+        """|compiled - numpy| <= 1e-13 sum |K phi| at every target (or
+        check point), for every U, W and X step of every rank."""
+        seen = set()
+        for state in trees:
+            live = work_arrays(state, nrhs, np.random.default_rng(3))
+            magnitude = {k: np.abs(v) for k, v in live.items()}
+            compiled, oracle = node_steps(state, True), node_steps(state, False)
+            assert compiled.keys() == oracle.keys()
+            for name, step in compiled.items():
+                got, want = run(step, live), run(oracle[name], live)
+                bound = run(oracle[name], magnitude)  # K >= 0 for 1/r
+                assert np.all(np.abs(got - want) <= 1e-13 * bound), name
+                seen.add(name.split(":")[0].split("@")[0])
+        assert seen >= {"near_u"}
+
+    def test_corner_tree_has_every_node_and_both_splits(self):
+        rng = np.random.default_rng(7)
+        names = set()
+        for state in states(clustered_cloud(rng, 2500)):
+            names |= set(node_steps(state, True))
+        kinds = {n.split("@")[0] for n in names}
+        assert {"near_u:own", "near_u:ghost", "near_w:own", "near_w:ghost",
+                "x"} <= kinds
+
+    def test_steps_keep_their_declarations(self, trees):
+        """Names, regions and flops are the numpy steps' exactly."""
+        for state in trees:
+            compiled, oracle = node_steps(state, True), node_steps(state, False)
+            for name, step in compiled.items():
+                other = oracle[name]
+                assert (step.phase, step.stage, step.reads, step.writes,
+                        step.flops) == (other.phase, other.stage,
+                                        other.reads, other.writes,
+                                        other.flops)
+
+    def test_column_of_a_block_is_the_single_rhs_column(self, trees):
+        """Column r of an nrhs = 8 block is bit for bit the nrhs = 1 run."""
+        for state in trees:
+            live = work_arrays(state, 8, np.random.default_rng(5))
+            for step in node_steps(state, True).values():
+                block = run(step, live)
+                for r in range(8):
+                    single = {
+                        k: np.ascontiguousarray(
+                            v[:, :, r : r + 1] if k == "phi"
+                            else v[:, r : r + 1] if k == "ue"
+                            else v[r : r + 1]
+                        )
+                        for k, v in live.items()
+                    }
+                    assert np.array_equal(run(step, single)[0], block[r])
+
+    def test_nan_density_poisons_only_what_it_reaches(self, trees):
+        """A NaN source reaches exactly the targets whose blocks hold it,
+        in the compiled loop as in the oracle."""
+        state = trees[0]
+        live = work_arrays(state, 1, np.random.default_rng(9))
+        compiled, oracle = node_steps(state, True), node_steps(state, False)
+        u, _ = state.near["own"]
+        bad = int(u.src_pos[u.seg[1] - 1])  # a partner of the first block
+        live["phi"][bad] = np.nan
+        live["ue"][int(state.near["own"][1].src_pos[0]) if
+                   state.near["own"][1].src_pos.size else 0] = np.nan
+        for name, step in compiled.items():
+            got, want = run(step, live), run(oracle[name], live)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        got = run(compiled["near_u:own"], live)[0, :, 0]
+        reached = np.zeros(got.size, dtype=bool)
+        for i in range(u.boxes.size):
+            if bad in u.src_pos[u.seg[i] : u.seg[i + 1]]:
+                reached[u.trg_start[i] : u.trg_stop[i]] = True
+        assert reached.any() and not reached.all()
+        assert np.array_equal(np.isnan(got), reached)
+
+
+def one_block(targets, sources):
+    """One U block: box 0 at the origin, all targets against all sources."""
+    nt, ns = len(targets), len(sources)
+    return NearBlocks(
+        boxes=np.zeros(1, dtype=np.int64),
+        trg_start=np.zeros(1, dtype=np.int64),
+        trg_stop=np.full(1, nt, dtype=np.int64),
+        seg=np.array([0, ns], dtype=np.int64),
+        src_pos=np.arange(ns, dtype=np.int64),
+        partners=np.zeros(1, dtype=np.int64),
+    )
+
+
+def bound_u(targets, sources, recheck=False):
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    sources = np.ascontiguousarray(sources, dtype=np.float64)
+    blocks = one_block(targets, sources)
+    loops = native.loops_for(LaplaceKernel())
+    return blocks, loops.u(blocks, np.zeros((1, 3)), targets, sources, recheck)
+
+
+class TestPairs:
+    def test_coincident_pair_contributes_exactly_zero(self):
+        point = np.array([[0.1, -0.2, 0.3]])
+        far = np.array([[0.4, 0.1, -0.3]])
+        _, run_u = bound_u(point, np.vstack([point, far]))
+        pot = np.zeros((1, 1, 1))
+        run_u(np.array([1e300, 1.0]).reshape(2, 1, 1), pot)
+        _, alone = bound_u(point, far)
+        expected = np.zeros((1, 1, 1))
+        alone(np.ones((1, 1, 1)), expected)
+        assert pot[0, 0, 0] == expected[0, 0, 0] != 0.0
+
+        _, self_only = bound_u(point, point)
+        pot = np.zeros((1, 1, 1))
+        self_only(np.full((1, 1, 1), 7.0), pot)
+        assert pot[0, 0, 0] == 0.0
+
+    def test_matches_the_kernel_matrix(self, rng):
+        targets = rng.uniform(-0.5, 0.5, (39, 3))
+        sources = rng.uniform(-1.5, 1.5, (1053, 3))
+        sources[:10] = targets[:10]
+        phi = rng.standard_normal(1053)
+        _, run_u = bound_u(targets, sources)
+        pot = np.zeros((1, 39, 1))
+        run_u(phi.reshape(-1, 1, 1), pot)
+        K = LaplaceKernel().matrix(targets, sources)
+        gap = np.abs(pot[0, :, 0] - K @ phi)
+        assert np.all(gap <= 1e-13 * (K @ np.abs(phi)))
+
+
+class TestSelection:
+    def test_only_the_inverse_r_profile_is_compiled(self):
+        assert native.loops_for(LaplaceKernel()) is not None
+        for kernel in (ModifiedLaplaceKernel(1.5), StokesKernel()):
+            assert native.loops_for(kernel) is None
+
+    def test_a_subclass_that_changes_the_profile_keeps_numpy(self):
+        class Scaled(LaplaceKernel):
+            def _radial(self, r):
+                return 2.0 * super()._radial(r)
+
+        class Undeclared(LaplaceKernel):
+            symmetry = None
+
+        assert native.loops_for(Scaled()) is None
+        assert native.loops_for(Undeclared()) is not None
+
+
+class TestForeignCallSafety:
+    def test_corrupted_src_pos_is_refused_at_binding(self):
+        targets = np.zeros((2, 3))
+        sources = np.ones((4, 3))
+        blocks = one_block(targets, sources)
+        blocks.src_pos[2] = 4
+        with pytest.raises(native.NativeIndexError, match="src_pos"):
+            native.loops_for(LaplaceKernel()).u(
+                blocks, np.zeros((1, 3)), targets, sources, False
+            )
+
+    def test_sanitized_run_rechecks_before_each_call(self):
+        blocks, run_u = bound_u(np.zeros((2, 3)), np.ones((4, 3)),
+                                recheck=True)
+        run_u(np.ones((4, 1, 1)), np.zeros((1, 2, 1)))
+        blocks.src_pos[1] = 10**12
+        with pytest.raises(native.NativeIndexError, match="src_pos"):
+            run_u(np.ones((4, 1, 1)), np.zeros((1, 2, 1)))
+
+    def test_sanitized_apply_names_a_corrupted_index(self, rng):
+        points = uniform_cloud(rng, 1500)
+        fmm = KIFMM(LaplaceKernel(), FMMOptions(p=4, max_points=30,
+                                                sanitize=True))
+        fmm.setup(points)
+        phi = rng.standard_normal(1500)
+        fmm.apply(phi)
+        u, _ = fmm.state.near["own"]
+        u.src_pos[u.src_pos.size // 2] = -3
+        with pytest.raises(native.NativeIndexError, match="src_pos"):
+            fmm.apply(phi)
+
+    def test_target_ranges_and_layouts_are_checked(self):
+        targets, sources = np.zeros((2, 3)), np.ones((4, 3))
+        loops = native.loops_for(LaplaceKernel())
+        blocks = one_block(targets, sources)
+        blocks.trg_stop[0] = 3
+        with pytest.raises(native.NativeIndexError, match="trg_stop"):
+            loops.u(blocks, np.zeros((1, 3)), targets, sources, False)
+        blocks = one_block(targets, sources)
+        blocks.boxes[0] = 1
+        with pytest.raises(native.NativeIndexError, match="boxes"):
+            loops.u(blocks, np.zeros((1, 3)), targets, sources, False)
+        _, run_u = bound_u(targets, sources)
+        with pytest.raises(ValueError, match="phi"):
+            run_u(np.ones((4, 1, 1), dtype=np.float32), np.zeros((1, 2, 1)))
+        with pytest.raises(ValueError, match="pot"):
+            run_u(np.ones((4, 1, 1)), np.zeros((1, 2, 1))[:, ::-1])
+        with pytest.raises(ValueError, match="blocks.seg"):
+            blocks = one_block(targets, sources)
+            blocks.seg = blocks.seg.astype(np.int32)
+            loops.u(blocks, np.zeros((1, 3)), targets, sources, False)
+
+    def test_concurrent_calls_of_one_bound_loop(self, rng):
+        """Four threads on one bound loop give the serial result bit for
+        bit: the C code keeps no state and the call drops the GIL."""
+        targets = rng.uniform(-0.5, 0.5, (200, 3))
+        sources = rng.uniform(-1.5, 1.5, (3000, 3))
+        _, run_u = bound_u(targets, sources)
+        phis = [rng.standard_normal((3000, 1, 2)) for _ in range(4)]
+        serial = []
+        for phi in phis:
+            pot = np.zeros((2, 200, 1))
+            run_u(phi, pot)
+            serial.append(pot)
+        outs = [np.zeros((2, 200, 1)) for _ in range(4)]
+
+        def work(i):
+            for _ in range(20):
+                outs[i][...] = 0.0
+                run_u(phis[i], outs[i])
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        for got, want in zip(outs, serial):
+            assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def fresh_library():
+    """Forget the loaded library around a test; reload it afterwards."""
+    native.library.cache_clear()
+    yield
+    native.library.cache_clear()
+
+
+class TestBuildAndFallback:
+    def test_no_compiler_runs_the_numpy_nodes(self, monkeypatch,
+                                              fresh_library, rng):
+        points = clustered_cloud(rng, 1500)
+        phi = rng.standard_normal((1500, 1, 3))
+        compiled = KIFMM(LaplaceKernel(), OPTS).setup(points).apply(phi)
+        with numpy_only():
+            numpy_run = KIFMM(LaplaceKernel(), OPTS).setup(points).apply(phi)
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        native.library.cache_clear()
+        assert native.loops_for(LaplaceKernel()) is None
+        fallback = KIFMM(LaplaceKernel(), OPTS).setup(points).apply(phi)
+        assert np.array_equal(fallback, numpy_run)
+        assert not np.array_equal(compiled, numpy_run)
+        gap = np.abs(compiled - numpy_run).max() / np.abs(numpy_run).max()
+        assert gap < 1e-9
+
+    def test_failed_build_runs_the_numpy_nodes(self, monkeypatch,
+                                               fresh_library, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "source", lambda: b"not C at all\n")
+        assert native.library() is None
+        assert native.loops_for(LaplaceKernel()) is None
+        assert not list((tmp_path / "repro").glob("*"))
+
+    def test_unwritable_cache_falls_back_to_a_temporary_dir(
+        self, monkeypatch, fresh_library, tmp_path
+    ):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        lib = native.library()
+        assert lib is not None
+        assert not Path(lib._name).is_relative_to(blocker)
+        point = np.array([[0.0, 0.0, 0.0]])
+        _, run_u = bound_u(point, np.array([[0.0, 0.0, 2.0]]))
+        pot = np.zeros((1, 1, 1))
+        run_u(np.ones((1, 1, 1)), pot)
+        assert pot[0, 0, 0] == LaplaceKernel().matrix(
+            point, np.array([[0.0, 0.0, 2.0]]))[0, 0]
+
+    def test_two_processes_building_one_cache_both_load(self, tmp_path):
+        script = (
+            "import numpy as np\n"
+            "from repro.kernels import LaplaceKernel, native\n"
+            "loops = native.loops_for(LaplaceKernel())\n"
+            "assert loops is not None\n"
+            "print(native.library()._name)\n"
+        )
+        env = {"XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(SRC),
+               "PATH": os.environ.get("PATH", "")}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], outs
+        assert outs[0][0] == outs[1][0]
+        built = sorted(p.name for p in (tmp_path / "repro").iterdir())
+        assert len(built) == 1 and built[0].startswith("pairloops-")
+
+    def test_changed_source_forces_a_rebuild(self, monkeypatch, tmp_path):
+        compiler = native.find_compiler()
+        first = native.build(compiler, tmp_path)
+        stamp = first.stat().st_mtime_ns
+        assert native.build(compiler, tmp_path) == first
+        assert first.stat().st_mtime_ns == stamp
+        original = native.source()
+        monkeypatch.setattr(native, "source",
+                            lambda: original + b"\n/* revised */\n")
+        second = native.build(compiler, tmp_path)
+        assert second != first and second.exists() and first.exists()

@@ -135,6 +135,30 @@ class TestOneParallelDriver:
             )
 
 
+class TestCompiledPairLoopSource:
+    def test_native_source_is_package_data(self):
+        """``native.c`` ships inside the package (``pyproject.toml``
+        package data) and is read through ``importlib.resources``, so an
+        installed copy builds the same loops as a checkout."""
+        import importlib.resources
+        from pathlib import Path
+
+        from repro.kernels import native
+
+        resource = importlib.resources.files("repro.kernels") / "native.c"
+        assert resource.is_file()
+        text = resource.read_text(encoding="utf-8")
+        for loop in ("near_u", "near_w", "near_x"):
+            assert f"int {loop}(" in text
+        assert native.source() == resource.read_bytes()
+        assert "-ffast-math" not in native.FLAGS
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        package_data = data["tool"]["setuptools"]["package-data"]
+        assert "native.c" in package_data["repro.kernels"]
+
+
 class TestPerfmodelRobustness:
     def test_more_ranks_than_leaves(self, rng):
         """Idle ranks must not break the simulation (finite ratio)."""
