@@ -5,7 +5,7 @@ Run on two commits (same machine, same BLAS) and diff the JSON::
 
     PYTHONPATH=src python benchmarks/bitwise_grid.py --out a.json --npz a.npz
 
-Grid: {Laplace, Stokes} x m2l {fft, dense, rsvd, auto} x {uniform,
+Grid: {Laplace, Stokes} x m2l {dense, rsvd, auto} x {uniform,
 corner-clustered, two tight opposite-corner clusters} (N = 3000, p = 4)
 x {sequential KIFMM; sequential KIFMM on the numpy near-field stages
 (``seq-numpy``: the compiled pair loops of ``repro.kernels.native``
@@ -25,8 +25,8 @@ verdict per M2L column (an ``auto`` cell is filed under the backend
 whose cell it equals bit for bit), so a change that means to alter one
 backend's arithmetic shows which columns it left alone; any difference
 anywhere still exits 1.  Cells the other run has and this one lacks are
-listed per rank column as dropped, not as a failure, so a removed
-column shows in the log.  A ``seq-numpy`` cell is compared with the
+listed per M2L and rank column as dropped, not as a failure, so a
+removed column shows in the log.  A ``seq-numpy`` cell is compared with the
 other run's ``seq`` cell of its row when the other run has no
 ``seq-numpy`` column (a commit before the compiled loops, whose every
 step was numpy): that pins the numpy stages' bits across a change that
@@ -139,7 +139,7 @@ def run_grid() -> tuple[dict, dict]:
             pts = maker(N, rng)
             phi = rng.standard_normal((N, kernel.source_dof))
             phi8 = rng.standard_normal((N, kernel.source_dof, NRHS))
-            for m2l in ("fft", "dense", "rsvd", "auto"):
+            for m2l in ("dense", "rsvd", "auto"):
                 for cname, par in CONFIGS:
                     par = dict(par or {})
                     opts = FMMOptions(p=P, max_points=S, m2l=m2l)
@@ -174,7 +174,7 @@ def m2l_column(key: str, cells: dict) -> str:
     kname, dist, m2l, cname = key.split("/")
     if m2l != "auto":
         return m2l
-    for backend in ("fft", "dense", "rsvd"):
+    for backend in ("dense", "rsvd"):
         same = cells[f"{kname}/{dist}/{backend}/{cname}"]
         if same["sha256"] == cells[key]["sha256"]:
             return f"auto={backend}"
@@ -246,9 +246,9 @@ def main() -> None:
             print("  DIFFERS", k)
         dropped: dict[str, list[str]] = {}
         for k in sorted(set(other) - set(cells)):
-            dropped.setdefault(k.rsplit("/", 1)[1], []).append(k)
-        for cname, keys in sorted(dropped.items()):
-            print(f"  dropped  {cname:<13}{len(keys):>3} cells of the other "
+            dropped.setdefault(k.split("/", 2)[2], []).append(k)
+        for column, keys in sorted(dropped.items()):
+            print(f"  dropped  {column:<18}{len(keys):>3} cells of the other "
                   f"run not in this one (not a failure)")
         failed = failed or bool(differ) or worst > 1e-13
     raise SystemExit(1 if failed else 0)

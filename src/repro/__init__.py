@@ -10,8 +10,8 @@ The package is organised bottom-up:
 - :mod:`repro.octree` — adaptive hierarchical octree and the U/V/W/X
   interaction lists of the adaptive FMM.
 - :mod:`repro.core` — the kernel-independent FMM itself: equivalent/check
-  surfaces, density translations, FFT-accelerated M2L, and the public
-  :class:`~repro.core.fmm.KIFMM` driver.
+  surfaces, density translations, dense and rsvd-compressed M2L, and the
+  public :class:`~repro.core.fmm.KIFMM` driver.
 - :mod:`repro.parallel` — the SC'03 parallel algorithm (Morton partitioning,
   local essential trees, owner assignment, Algorithm-1 gather/scatter) on an
   in-process simulated MPI.

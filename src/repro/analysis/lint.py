@@ -211,8 +211,8 @@ class NativeConfinementRule(Rule):
 class DtypeWidthRule(Rule):
     name = "dtype-width"
     rationale = (
-        "The solver stack (regularised pseudo-inverses, FFT M2L, GMRES) "
-        "assumes float64/complex128 end to end; a narrowing constructor "
+        "The solver stack (regularised pseudo-inverses, M2L, GMRES) "
+        "assumes float64 end to end; a narrowing constructor "
         "in core/ or linalg/ silently degrades the 1e-5 accuracy target "
         "of the paper's experiments.  Narrow dtypes are fine elsewhere "
         "(e.g. the uint8 usage-mask compression in parallel/let.py)."

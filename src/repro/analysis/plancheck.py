@@ -65,13 +65,7 @@ from repro.perfmodel.costs import compute_work
 CHECKS = ("dataflow", "types", "schedule", "flops")
 
 #: Precision class (mantissa width) of each dtype the plans use.
-#: Complex dtypes share the class of their component floats: a
-#: float64 → complex128 transform loses nothing.
-_PRECISION = {
-    "float64": 64, "complex128": 64,
-    "float32": 32, "complex64": 32,
-    "float16": 16,
-}
+_PRECISION = {"float64": 64, "float32": 32, "float16": 16}
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.error import estimate_error
 from repro.core.fmm import FMMOptions, KIFMM
+from repro.core.m2lschedule import M2L_DTYPES, M2L_MODES
 from repro.geometry import corner_clusters, sphere_grid_points, uniform_cube
 from repro.kernels import (
     LaplaceKernel,
@@ -491,12 +492,11 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
         kernel = _make_kernel(kname)
         corner, side = _root_cube(pts)
         # One operator cache per kernel: every backend's operators
-        # (pseudoinverses, dense/rsvd translations, FFT tensors) are
-        # keyed independently, so all configurations can share it.
+        # (pseudoinverses, dense/rsvd translations) are keyed
+        # independently, so all configurations can share it.
         shared_cache = OperatorCache(kernel, args.p, side)
-        for m2l, dtype in (("fft", "float64"), ("dense", "float64"),
-                           ("rsvd", "float64"), ("rsvd", "float32"),
-                           ("auto", "float64")):
+        for m2l, dtype in (("dense", "float64"), ("rsvd", "float64"),
+                           ("rsvd", "float32"), ("auto", "float64")):
             conf = f"{m2l}-{dtype}" if dtype != "float64" else m2l
             opts = FMMOptions(p=args.p, max_points=args.s, m2l=m2l,
                               dtype=dtype)
@@ -804,126 +804,6 @@ def _cmd_dpor(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Measured 3-way M2L ablation (dense / fft / rsvd) across the grid.
-
-    For every (kernel, p, N) grid point the three backends evaluate the
-    identical problem from one shared operator cache; the report records
-    wall-clock, V-list flop volume, achieved rate and the relative
-    deviation from the dense reference, plus what the ``auto`` picker
-    would have chosen.  ``--out`` writes the machine-readable JSON
-    (consumed by CI, which asserts rsvd stays competitive with fft via
-    ``--rsvd-factor``).
-    """
-    import json
-
-    from repro.core.precompute import OperatorCache
-    from repro.kernels.direct import relative_error
-    from repro.octree.tree import _root_cube
-
-    kernels = [k for k in args.kernels.split(",") if k]
-    orders = _parse_ints(args.orders)
-    sizes = _parse_ints(args.sizes)
-    if args.m2l == "auto":  # full 3-way ablation (the default)
-        backends = [("dense", "float64"), ("fft", "float64"),
-                    ("rsvd", "float64")]
-    else:  # restricted sweep: the dense reference plus the chosen backend
-        backends = [("dense", "float64")]
-        if args.m2l != "dense":
-            backends.append((args.m2l, "float64"))
-    if args.f32 or args.dtype == "float32":
-        backends.append(("rsvd", "float32"))
-    entries: list[dict] = []
-    rsvd_wins: list[str] = []
-    best_ratio: float | None = None
-    rows = []
-    for kname in kernels:
-        for n in sizes:
-            rng = np.random.default_rng(args.seed)
-            pts = _WORKLOADS[args.workload](n, rng)
-            kernel = _make_kernel(kname)
-            density = rng.random((pts.shape[0], kernel.source_dof))
-            corner, side = _root_cube(pts)
-            for p in orders:
-                cache = OperatorCache(kernel, p, side)
-                point = f"{kname}/p{p}/n{n}"
-                times: dict[str, float] = {}
-                reference = None
-                for m2l, dtype in backends:
-                    fmm = KIFMM(
-                        kernel,
-                        FMMOptions(p=p, max_points=args.s, m2l=m2l,
-                                   dtype=dtype),
-                    ).setup(pts, root=(corner, side), cache=cache)
-                    fmm.apply(density)  # warm the operator caches
-                    fmm.flops.reset()
-                    dt = float("inf")
-                    for _ in range(args.repeats):
-                        fmm.flops.reset()
-                        t0 = time.perf_counter()
-                        u = fmm.apply(density)
-                        dt = min(dt, time.perf_counter() - t0)
-                    if reference is None:
-                        reference = u  # dense runs first
-                    flop = fmm.flops.get("down_v")
-                    err = float(relative_error(u, reference))
-                    conf = m2l if dtype == "float64" else f"{m2l}-{dtype}"
-                    times[conf] = dt
-                    entries.append({
-                        "kernel": kname, "p": p, "n": n,
-                        "m2l": m2l, "dtype": dtype,
-                        "eval_seconds": dt,
-                        "down_v_gflop": flop / 1e9,
-                        "achieved_gflops": flop / dt / 1e9,
-                        "rel_err_vs_dense": err,
-                        "schedule": fmm.m2l_schedule.describe(),
-                    })
-                    rows.append((point, conf, dt, flop / 1e9,
-                                 flop / dt / 1e9, err))
-                auto = KIFMM(
-                    kernel, FMMOptions(p=p, max_points=args.s, m2l="auto"),
-                ).setup(pts, root=(corner, side), cache=cache)
-                entries.append({
-                    "kernel": kname, "p": p, "n": n, "m2l": "auto",
-                    "dtype": "float64", "eval_seconds": None,
-                    "schedule": auto.m2l_schedule.describe(),
-                })
-                measured = {c: t for c, t in times.items()
-                            if c in ("dense", "fft", "rsvd")}
-                if min(measured, key=measured.get) == "rsvd":
-                    rsvd_wins.append(point)
-                if "rsvd" in times and "fft" in times:
-                    ratio = times["rsvd"] / times["fft"]
-                    best_ratio = (ratio if best_ratio is None
-                                  else min(best_ratio, ratio))
-    print(format_table(
-        ("grid point", "M2L", "eval sec", "V Gflop", "GF/s",
-         "err vs dense"),
-        rows, title="M2L backend ablation",
-    ))
-    print(f"rsvd fastest at: {', '.join(rsvd_wins) if rsvd_wins else '-'}")
-    if best_ratio is not None:
-        print(f"best rsvd/fft time ratio: {best_ratio:.2f}")
-    if args.out:
-        payload = {
-            "workload": args.workload, "s": args.s, "seed": args.seed,
-            "entries": entries, "rsvd_wins": rsvd_wins,
-            "best_rsvd_over_fft": best_ratio,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"bench: JSON report written to {args.out}")
-    if args.rsvd_factor is not None and (
-        best_ratio is None or best_ratio > args.rsvd_factor
-    ):
-        detail = ("no rsvd+fft grid point measured" if best_ratio is None
-                  else f"best rsvd/fft ratio {best_ratio:.2f} exceeds "
-                       f"{args.rsvd_factor:.2f} at every grid point")
-        print(f"bench: FAILED ({detail})")
-        return 1
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import main as lint_main
 
@@ -951,15 +831,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max points per leaf")
         p.add_argument("--seed", type=int, default=0)
 
-    def m2l_flags(p: argparse.ArgumentParser, default: str = "auto") -> None:
-        p.add_argument("--m2l", default=default,
-                       choices=("fft", "dense", "rsvd", "auto"),
+    def m2l_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--m2l", default="auto", choices=M2L_MODES,
                        help="V-list translation backend (auto picks per "
                             "tree level)")
-        p.add_argument("--dtype", default="float64",
-                       choices=("float64", "float32"),
+        p.add_argument("--dtype", default="float64", choices=M2L_DTYPES,
                        help="rsvd factor precision (float32 = mixed "
-                            "precision; ignored by fft/dense)")
+                            "precision; ignored by dense)")
 
     pe = sub.add_parser("evaluate", help="run one interaction evaluation")
     common(pe)
@@ -1027,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--ranks", type=int, default=4)
     pc.add_argument("--schedules", type=int, default=5,
                     help="number of perturbed schedules to fuzz")
-    m2l_flags(pc, default="fft")
+    m2l_flags(pc)
     pc.add_argument("--applies", type=int, default=1,
                     help="persistent-operator applies per schedule (setup "
                          "once, apply N times, each a region of one trace)")
@@ -1060,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--ranks", type=int, default=4)
     pr.add_argument("--schedules", type=int, default=5,
                     help="perturbed schedules per overlap mode")
-    m2l_flags(pr, default="fft")
+    m2l_flags(pr)
     pr.add_argument("--applies", type=int, default=2,
                     help="persistent-operator applies per schedule")
     pr.add_argument("--nrhs", type=int, default=1,
@@ -1168,33 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--json", default=None, metavar="PATH",
                     help="write the machine-readable report")
     pd.set_defaults(func=_cmd_dpor, p=4, s=40)
-
-    pb = sub.add_parser(
-        "bench",
-        help="measured 3-way M2L backend ablation (dense/fft/rsvd) "
-             "across kernels, orders and sizes, writing a JSON report",
-    )
-    common(pb)
-    m2l_flags(pb)  # --m2l restricts the sweep; --dtype float32 adds
-    # the mixed-precision rsvd entry (same as --f32)
-    pb.add_argument("--kernels", default="laplace,stokes",
-                    help="comma-separated kernels to sweep")
-    pb.add_argument("--orders", default="4,6",
-                    help="comma-separated surface orders")
-    pb.add_argument("--sizes", default="4000,12000",
-                    help="comma-separated problem sizes")
-    pb.add_argument("--repeats", type=int, default=3,
-                    help="timed applies per configuration (best-of)")
-    pb.add_argument("--f32", action="store_true",
-                    help="also measure the rsvd float32 mixed-precision "
-                         "mode")
-    pb.add_argument("--out", default="BENCH_m2l.json", metavar="PATH",
-                    help="JSON report path (empty string disables)")
-    pb.add_argument("--rsvd-factor", type=float, default=None,
-                    help="fail (exit 1) unless rsvd reaches this multiple "
-                         "of the fft time at some grid point — the CI "
-                         "competitiveness assertion")
-    pb.set_defaults(func=_cmd_bench)
 
     pl = sub.add_parser(
         "lint", help="run the repo-invariant AST lint over source trees"

@@ -3,9 +3,11 @@
 Equivalent densities on cube surfaces replace analytic multipole/local
 expansions; the M2M/M2L/L2L translations of classical FMM become kernel
 evaluations followed by regularised integral-equation inversions
-(equations 2.1–2.5).  The M2L translations are additionally accelerated
-with local FFTs, exploiting the regular-grid structure of the surface
-discretisation (Section 1).
+(equations 2.1–2.5).  The paper accelerates the M2L translations with
+local FFTs (Section 1); here they run as dense or randomized-SVD
+compressed GEMMs — on every benchmark tree the one the ``auto`` picker
+chooses measured faster than the FFT — and only the performance model
+prices the FFT.
 """
 
 from repro.core.fmm import KIFMM, FMMOptions

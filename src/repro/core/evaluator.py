@@ -11,7 +11,7 @@ Upward pass (bottom-up)
 
 Downward pass (top-down)
     every box accumulates its downward *check potential* from the parent
-    (L2L, eq. 2.5), its V list (M2L, eq. 2.4 — dense or FFT-accelerated)
+    (L2L, eq. 2.5), its V list (M2L, eq. 2.4 — dense or rsvd-compressed)
     and its X list (direct sources -> check surface), then inverts once
     (the "one inversion per box" optimisation; same mathematics as
     performing it per translation).
@@ -43,7 +43,6 @@ from functools import partial
 import numpy as np
 
 from repro.analysis import sanitize as _san
-from repro.core.fftm2l import FFTM2L
 from repro.core.m2lschedule import M2LSchedule
 from repro.core.plan import (
     MAX_BLOCK_ENTRIES,
@@ -54,13 +53,13 @@ from repro.core.plan import (
     VLevel,
     VPass,
     VSplit,
-    chunk_segments,
 )
 from repro.core.precompute import OperatorCache
 from repro.core.steps import BufferSpec, Step, StepList
 from repro.core.surfaces import surface_grid
 from repro.kernels import native
 from repro.kernels.base import Kernel
+from repro.util.segments import chunk_segments
 
 
 def _matvec_flops(matrix_shape: tuple[int, int]) -> float:
@@ -220,12 +219,12 @@ class PlanStages:
     ``dc`` / ``de`` / ``pot`` are RHS-major ``[rhs, row]``.
 
     Stacked right-hand sides ride one pass: every stage assembles its
-    shared factor — kernel matrices, translation operators, mixing
-    tensors, DFT operators — once.  Stages that feed the regularised
-    ``uc2ue`` / ``dc2de`` inversions then loop the columns over 2-D
-    products with exactly the single-RHS shapes, so column ``r`` of a
-    block apply is *bit-identical* to the single-RHS apply of column
-    ``r`` (the inversions amplify round-off differences by ~1e6, so
+    shared factor — kernel matrices, translation operators — once.
+    Stages that feed the regularised ``uc2ue`` / ``dc2de`` inversions
+    then loop the columns over 2-D products with exactly the single-RHS
+    shapes, so column ``r`` of a block apply is *bit-identical* to the
+    single-RHS apply of column ``r`` (the inversions amplify round-off
+    differences by ~1e6, so
     merely equivalent batched arithmetic would not stay within the
     1e-12 column-parity budget).  U and W go straight to potentials, so
     their numpy stages fold the RHS axis into one GEMM that streams the
@@ -248,14 +247,12 @@ class PlanStages:
         cache: OperatorCache,
         kernels: tuple[Kernel, Kernel, Kernel],
         sched: M2LSchedule,
-        fft: FFTM2L | None,
         src_points: np.ndarray,
     ) -> None:
         self.plan = plan
         self.cache = cache
         self.src_k, self.trg_k, self.dir_k = kernels
         self.sched = sched
-        self.fft = fft
         self.src_points = src_points
         self.pool = plan.buffers
         self.md, self.qd = kernel.source_dof, kernel.target_dof
@@ -278,9 +275,7 @@ class PlanStages:
         broadcast), the downward sweep, U/W over ghost partners — with
         the scatter ``wait`` before the owned passes, or after them
         when ``overlap`` hides the in-flight exchange behind them.  The
-        computation order is the same either way.  An fft level keeps
-        its spectra from its first pass to its last, whose inverse
-        transform releases them.
+        computation order is the same either way.
 
         Nothing here builds an operator: flop counts come from the
         plan's index arrays, an rsvd step's count is a thunk over the
@@ -289,7 +284,7 @@ class PlanStages:
         (``RankFMM.build_operators``).  A U, W or X step with a compiled
         pair loop gets it bound here, with the same declarations.
         """
-        plan, sched, cache, fft = self.plan, self.sched, self.cache, self.fft
+        plan, sched, cache = self.plan, self.sched, self.cache
         n_surf, md, qd = self.n_surf, self.md, self.qd
         sanitize = self.pool.sanitize
         src_fpp = self.src_k.flops_per_pair
@@ -393,46 +388,10 @@ class PlanStages:
                  dtype="float32" if narrow else "float64", narrowing=narrow,
                  operators=operators)
 
-        def v_fft(vl: VLevel, sp: VSplit, vp: VPass, split):
-            lvl, vhat = vl.level, f"vhat@{vl.level}"
-            lo = sp.own.rows.size if split == "ghost" else 0
-            declare(vhat, sp.nrows * md + (sp.inv_rows.size + 1) * qd,
-                    fft.nfreq, "complex128")
-
-            def state(b):
-                return b.scratch("vhat", lambda: self.v_state(sp, b.nrhs))
-
-            if vp.rows.size:
-                emit(f"vfwd:{split}@{lvl}", "down_v", "v_forward",
-                     lambda b: self.v_forward(
-                         vl, vp.rows, lo, b["ue"], state(b)[0]),
-                     ue_of(vl.src_boxes[vp.rows]), (vhat,),
-                     vp.rows.size * fft.flops_per_fft(md),
-                     dtype="complex128", operators=fft._dft_operators_t)
-            if vp.npairs:
-                key = cache.m2l_reference(lvl)[0]
-                emit(f"vhad:{split}@{lvl}", "down_v", "v_hadamard",
-                     lambda b: self.v_hadamard(vl, vp.po_groups, *state(b)),
-                     (vhat,), (vhat,), vp.npairs * fft.flops_per_pair(),
-                     dtype="complex128", operators=lambda: [
-                         fft.combo_tensor_real(key, po)
-                         for po, _, _ in vp.po_groups
-                     ])
-            last = "ghost" if sp.ghost.rows.size else "own"
-            if split == last and sp.inv_rows.size:
-                emit(f"vinv@{lvl}", "down_v", "v_inverse",
-                     lambda b: self.v_inverse(
-                         vl, sp.inv_rows, b["vhat"][1], b["dc"]),
-                     (vhat,), (f"dc@{lvl}",),
-                     sp.inv_rows.size * fft.flops_per_fft(qd),
-                     releases=(vhat,), operators=fft._dft_operators_t)
-
         def v_pass(split):
             for vl, sp in zip(plan.v_levels, rank.v_splits):
                 vp = getattr(sp, split)
-                if sched.backend(vl.level) == "fft":
-                    v_fft(vl, sp, vp, split)
-                elif vp.npairs:
+                if vp.npairs:
                     v_direct(vl, sp, vp, split)
                 if split == "ghost":
                     steps.extend(rank.vsp.get(vl.level, []))
@@ -683,63 +642,6 @@ class PlanStages:
             if scale != 1.0:
                 total *= scale
             dc[r][targets] += total
-
-    def v_state(self, sp: VSplit, nrhs: int) -> tuple[np.ndarray, np.ndarray]:
-        """Source spectra and zeroed accumulators of one fft level.
-
-        Frequency-leading, so the forward GEMM-DFTs write, the Hadamard
-        gathers/scatters, and the inverse GEMM-DFTs read with no
-        transpose passes; each ends in the split's sentinel row.  Plain
-        arrays, not pool buffers: a rank carries every level's across
-        the owned passes, the scatter wait and the ghost passes; at one
-        rank each level's are dropped before the next level's are made.
-        """
-        nfreq = self.fft.nfreq
-        return (
-            np.empty((nrhs, nfreq, sp.nrows, self.md), dtype=np.complex128),
-            np.zeros((nrhs, nfreq, sp.inv_rows.size + 1, self.qd),
-                     dtype=np.complex128),
-        )
-
-    def v_forward(
-        self, vl: VLevel, rows: np.ndarray, lo: int, ue: np.ndarray,
-        phi_ext: np.ndarray,
-    ) -> None:
-        """Forward-transform the ``rows`` of ``vl.src_boxes`` into the
-        spectrum rows from ``lo`` on."""
-        boxes = vl.src_boxes[rows]
-        for r in range(phi_ext.shape[0]):
-            self.fft.forward_rows_t(
-                ue[boxes, r], phi_ext[r, :, lo : lo + rows.size]
-            )
-
-    def v_hadamard(
-        self, vl: VLevel, po_groups: list, phi_ext: np.ndarray,
-        acc_ext: np.ndarray,
-    ) -> None:
-        """The pairs of one pass through the parent-pair-blocked Hadamard.
-
-        An order of magnitude less DRAM traffic than a class-major
-        multiply on pair-rich deep trees.  Rows the pass does not cover
-        sit behind the sentinels of its ``po_groups``, so it reads only
-        spectra transformed so far.
-        """
-        self.fft.hadamard_blocked(
-            vl.level, po_groups, phi_ext, acc_ext, self.pool
-        )
-
-    def v_inverse(
-        self, vl: VLevel, rows: np.ndarray, acc_ext: np.ndarray,
-        dc: np.ndarray,
-    ) -> None:
-        """Inverse-transform the accumulators into ``dc`` at the ``rows``
-        of ``vl.trg_boxes`` (all of them, or at a coarse split level the
-        assigned ones)."""
-        boxes = vl.trg_boxes[rows]
-        for r in range(dc.shape[0]):
-            dc[r][boxes] += self.fft.inverse_rows_t(
-                acc_ext[r, :, : rows.size]
-            )
 
     def l2l(self, dl: DownLevel, de: np.ndarray, dc: np.ndarray) -> None:
         """Parents' downward densities to the level's check potentials."""

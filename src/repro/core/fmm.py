@@ -43,21 +43,20 @@ class FMMOptions:
     max_points:
         The ``s`` of the paper — maximum sources (or targets) per leaf.
     m2l:
-        V-list translation backend: ``"fft"`` (the paper's accelerated
-        scheme), ``"dense"``, ``"rsvd"`` (randomized-SVD-compressed
-        operators applied as stacked BLAS-3 GEMMs), or ``"auto"``
-        (default), which prices the three per tree level from the
-        level's V-list statistics and the operator cache's measured
-        ranks (:mod:`repro.core.m2lschedule`).  With the rates that
-        module holds, ``auto`` schedules ``rsvd`` at ``p = 6`` and
-        ``dense`` at ``p = 4`` and never the FFT — on all six benchmark
-        workloads ``levels_fft`` is 0 — so the paper's FFT M2L runs only
-        when asked for by name.
+        V-list translation backend: ``"dense"``, ``"rsvd"``
+        (randomized-SVD-compressed operators applied as stacked BLAS-3
+        GEMMs), or ``"auto"`` (default), which prices the two per tree
+        level from the level's V-list statistics and the operator
+        cache's measured ranks (:mod:`repro.core.m2lschedule`): ``rsvd``
+        at ``p = 6`` and ``dense`` at ``p = 4``.  The paper's FFT M2L
+        was measured slower than that choice on every level of the
+        benchmark trees and is not executed; the performance model
+        still prices it (:mod:`repro.perfmodel.costs`).
     dtype:
         Arithmetic precision of the rsvd M2L factors: ``"float64"``
         (default) or ``"float32"`` (mixed precision — single-precision
         factors and multiplies, float64 accumulation into the downward
-        check buffers).  Ignored by the fft and dense backends.
+        check buffers).  Ignored by the dense backend.
     inner, outer:
         Equivalent/check surface radius factors (Section 2.1 constraints
         require ``1 < inner < outer < 3``).
@@ -128,7 +127,7 @@ class KIFMM:
         :class:`FMMOptions`; the defaults are the paper's ``s = 60`` and
         ``p = 6`` (1e-5-ish accuracy for Laplace) with ``m2l="auto"``,
         which at that order resolves to the compressed ``rsvd``
-        translations, not the paper's FFT M2L (see ``FMMOptions.m2l``).
+        translations (see ``FMMOptions.m2l``).
     """
 
     def __init__(

@@ -1,28 +1,31 @@
 """Per-level M2L backend schedules and the ``auto`` picker.
 
-The V-list translation (M2L) has three interchangeable backends:
+The V-list translation (M2L) has two interchangeable backends:
 
 ``dense``
     One ``(n_surf*qd, n_surf*md)`` GEMM per offset class — highest flop
     count, highest achieved rate.
-``fft``
-    The paper's circulant-embedded convolution — lowest flop count, but
-    the Hadamard stage streams full spectra per pair and reaches only a
-    fraction of BLAS-3 throughput at the paper's ``p``.
 ``rsvd``
-    Randomized-SVD-compressed operators (arXiv:2408.07436) — between
-    the two in flops.  Two layouts run them: parent-pair *blocked*
+    Randomized-SVD-compressed operators (arXiv:2408.07436) — fewer
+    flops at ``p >= 6``.  Two layouts run them: parent-pair *blocked*
     (sibling slabs through direction-stacked factors, fat GEMMs) or
     *class-major* (two skinny GEMMs per offset class), one per operator.
 
+The paper's circulant-embedded FFT convolution has the lowest flop
+count, but executed as the blocked Hadamard it measured slower than
+the backend ``auto`` picks on every V level of the benchmark trees
+(Laplace p = 4, 6, 8; Stokes p = 6; uniform and corner-clustered), so
+only the performance model prices it (:mod:`repro.perfmodel.costs`).
+
 An :class:`M2LSchedule` fixes one backend *per tree level* plus the
-factor precision and the layout of the rsvd levels.  The uniform modes map every level
-to the same backend; ``auto`` picks per level from the level's V-list
-statistics with the cost model below.  The statistics can be read off a
-compiled plan or off the raw lists (:func:`v_stats_from_plan` /
-:func:`v_stats_from_lists` — parity is pinned by test), so the planned
-apply and the tests' per-box oracle resolve the same backends and their
-potentials match to backend roundoff.
+factor precision and the layout of the rsvd levels.  The uniform modes
+map every level to the same backend; ``auto`` picks per level from the
+level's V-list statistics with the cost model below.  The statistics
+can be read off a compiled plan or off the raw lists
+(:func:`v_stats_from_plan` / :func:`v_stats_from_lists` — parity is
+pinned by test), so the planned apply and the tests' per-box oracle
+resolve the same backends and their potentials match to backend
+roundoff.
 """
 
 from __future__ import annotations
@@ -34,29 +37,19 @@ import numpy as np
 from repro.util.segments import distinct
 
 #: Recognised ``FMMOptions.m2l`` values.
-M2L_MODES = ("fft", "dense", "rsvd", "auto")
+M2L_MODES = ("dense", "rsvd", "auto")
 
 #: Recognised ``FMMOptions.dtype`` values (rsvd factor precision).
 M2L_DTYPES = ("float64", "float32")
 
-#: Relative achieved-throughput weights of the ``auto`` picker.  These
-#: are *picker heuristics* calibrated from the BENCH_m2l ablation
-#: (fraction of large-GEMM rate each backend achieves at the paper's
-#: operating points), NOT part of the certified flop identity: the
-#: plancheck flop check compares exact counts; the picker divides those
-#: counts by an achievable-rate estimate.  The fft weight is hand-set
-#: (ROADMAP item 2(b): the blocked Hadamard has not been re-measured
-#: against it).
-_EFFICIENCY = {"dense": 1.0, "rsvd": 1.0, "fft": 0.25}
-
 #: Rates of the rsvd layout decision (:func:`rsvd_layout_seconds`) —
-#: picker heuristics like the weights above, not part of the flop
-#: identity.  Flop/s of the GEMM shapes each layout runs at p = 6 on the
-#: 2-vCPU host, 1 thread (in cache: class-major 1568x152x26 ≈ 37e9,
-#: stacked 512x152x630 ≈ 66e9 and 512x5028x152 ≈ 64e9; inside the
-#: stages, operands streaming: 25e9 and 45-52e9), then B/s at which a
-#: stage reads its operators through once and at which its gathers and
-#: scatters move one copy of a row.
+#: picker heuristics, not part of the certified flop identity (the
+#: plancheck flop check compares exact counts).  Flop/s of the GEMM
+#: shapes each layout runs at p = 6 on the 2-vCPU host, 1 thread (in
+#: cache: class-major 1568x152x26 ≈ 37e9, stacked 512x152x630 ≈ 66e9
+#: and 512x5028x152 ≈ 64e9; inside the stages, operands streaming: 25e9
+#: and 45-52e9), then B/s at which a stage reads its operators through
+#: once and at which its gathers and scatters move one copy of a row.
 _SKINNY_RATE, _STACKED_RATE, _STREAM_RATE, _MOVE_RATE = 25e9, 45e9, 10e9, 5e9
 
 
@@ -82,7 +75,7 @@ class M2LSchedule:
 
     ``mode`` is the requested ``FMMOptions.m2l`` value, ``dtype`` the
     rsvd factor precision, and ``backends`` maps each level that has
-    effective V-list pairs to ``"fft"``, ``"dense"`` or ``"rsvd"``.
+    effective V-list pairs to ``"dense"`` or ``"rsvd"``.
     ``blocked`` is the layout every rsvd level runs
     (:func:`rsvd_layout_seconds`): parent-pair blocks through
     direction stacks, or class-major.
@@ -96,11 +89,6 @@ class M2LSchedule:
     def backend(self, level: int) -> str:
         """Backend of one level (levels without V pairs default dense)."""
         return self.backends.get(level, "dense")
-
-    @property
-    def needs_fft(self) -> bool:
-        """Whether any level runs the FFT backend (gates FFTM2L setup)."""
-        return any(b == "fft" for b in self.backends.values())
 
     def describe(self) -> dict:
         """JSON-friendly summary for plan-IR metadata and reports."""
@@ -224,22 +212,20 @@ def resolve_m2l_schedule(
     """Resolve an ``FMMOptions`` backend request into a per-level schedule.
 
     Uniform modes assign their backend to every level with V pairs.
-    ``auto`` scores each level's three candidates as ``modelled flops /
-    achievable-rate weight`` and keeps the cheapest:
+    ``auto`` scores each level's two candidates by modelled flops and
+    keeps the cheaper:
 
     - dense: ``npairs * 2 (n_surf md)(n_surf qd)``
     - rsvd:  ``npairs * 2 k n_surf (md + qd)`` with ``k`` probed from
       the compression rank of the reference offset class ``(2, 0, 0)``
       (the canonical offset of its symmetry class, so the probe pays
       for a factorisation the first rsvd apply then finds in the cache)
-    - fft:   per-box forward/inverse transforms plus the per-pair
-      Hadamard, down-weighted by the fft efficiency factor
 
     The rsvd levels then share one layout — a cache holds direction
     stacks or per-class factors, not both: blocked iff
     :func:`rsvd_layout_seconds` sums lower over them.
 
-    The decision is deterministic (ties break by backend name) and
+    The decision is deterministic (a tie goes to dense) and
     depends only on the gated V statistics and the operator's sizes, so
     every code path that sees the same tree resolves the same schedule.
     """
@@ -252,28 +238,16 @@ def resolve_m2l_schedule(
             f"dtype must be one of {M2L_DTYPES}, got {dtype!r}"
         )
     backends = {level: mode for level in stats}
-    if mode in ("fft", "dense"):
+    if mode == "dense":
         return M2LSchedule(mode, dtype, backends)
     ranks = {level: cache.m2l_rsvd_rank(level, (2, 0, 0)) for level in stats}
     ns = cache.n_surf
     md, qd = kernel.source_dof, kernel.target_dof
-    grid = 2 * cache.p
-    nfreq = grid * grid * (grid // 2 + 1)
-    for level, (npairs, nsb, ntb, _, _) in sorted(stats.items()):
-        if mode == "rsvd":
-            continue
-        scores = {
-            "dense": npairs * 2.0 * (ns * md) * (ns * qd)
-            / _EFFICIENCY["dense"],
-            "rsvd": npairs * 2.0 * ranks[level] * ns * (md + qd)
-            / _EFFICIENCY["rsvd"],
-            "fft": (
-                (nsb * md + ntb * qd) * 4.0 * nfreq * ns
-                + npairs * 8.0 * qd * md * nfreq
-            )
-            / _EFFICIENCY["fft"],
-        }
-        backends[level] = min(scores, key=lambda b: (scores[b], b))
+    if mode == "auto":
+        for level, (npairs, *_) in stats.items():
+            dense = npairs * 2.0 * (ns * md) * (ns * qd)
+            rsvd = npairs * 2.0 * ranks[level] * ns * (md + qd)
+            backends[level] = "dense" if dense <= rsvd else "rsvd"
     # The probed class is the closest one; at p = 6 its rank is about
     # twice the mean of the 316 (56 vs 26.6 Laplace, 161 vs 78 Stokes).
     by_class, blocked = np.sum([(0.0, 0.0)] + [

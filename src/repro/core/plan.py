@@ -15,13 +15,12 @@ every rank alike — :func:`repro.parallel.pfmm.setup_on_tree`), so every
   stacked GEMM per occupied child octant (M2M), and one stacked GEMM for
   the ``uc2ue`` inversion of every source box at the level.
 - **M2L** — V-list pairs grouped by (target parent, source parent) in
-  the ≤26 parent-pair directions: FFT levels run these blocks through
-  batched GEMM-DFTs and the blocked Hadamard, rsvd levels through
-  direction-stacked factors.  The ≤316 translation-offset classes of a
-  level (dense: one stacked GEMM per class; class-major rsvd, for trees
-  whose blocks are mostly empty: two skinny ones) are derived from the
-  blocks on first use; :func:`split_v_level` divides a level into a
-  rank's owned and ghost passes.
+  the ≤26 parent-pair directions: blocked rsvd levels run these blocks
+  through direction-stacked factors.  The ≤316 translation-offset
+  classes of a level (dense: one stacked GEMM per class; class-major
+  rsvd, for trees whose blocks are mostly empty: two skinny ones) are
+  derived from the blocks on first use; :func:`split_v_level` divides a
+  level into a rank's owned and ghost passes.
 - **Downward pass** — stacked GEMMs per (level, octant) for L2L and per
   level for ``dc2de``; L2T as chunked kernel blocks over concatenated
   leaf targets.
@@ -52,16 +51,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.octree.lists import InteractionLists
-# OCTANT_VECTORS and chunk_segments are read from here by fftm2l and
-# the evaluator.
-from repro.octree.topology import OCTANT_VECTORS, child_pair_offsets
+from repro.octree.topology import child_pair_offsets
 from repro.octree.tree import Octree
-from repro.util.segments import (
-    chunk_segments,
-    distinct,
-    multi_arange,
-    run_bounds,
-)
+from repro.util.segments import distinct, multi_arange, run_bounds
 
 #: Soft cap on the scalar entries of one batched kernel matrix; level-wide
 #: S2M/L2T/U blocks are split into chunks that respect it, bounding the
@@ -112,10 +104,8 @@ class BufferPool:
     def release(self, name: str) -> None:
         """Declare ``name`` dead for the rest of this apply.
 
-        Covers the buffer ``name`` and the parts of a buffer family
-        drawn as ``name.part`` (``"vhat"`` releases ``"vhat.phi"`` and
-        ``"vhat.acc"``).  Sanitize-only: poisons every dtype variant
-        with NaN (inexact dtypes; integer scratch cannot carry a poison
+        Sanitize-only: poisons every dtype variant of the buffer with
+        NaN (inexact dtypes; integer scratch cannot carry a poison
         value) and raises
         :class:`~repro.analysis.sanitize.DoubleReleaseError` on a
         repeated release without reacquisition.  Unknown names are
@@ -125,23 +115,21 @@ class BufferPool:
         if not self.sanitize:
             return
         entries = [
-            (n, dt, buf) for (n, dt), buf in self._store.items()
-            if n == name or n.startswith(name + ".")
+            (dt, buf) for (n, dt), buf in self._store.items() if n == name
         ]
         if not entries:
             return
-        names = {n for n, _, _ in entries}
-        if names <= self._released:
+        if name in self._released:
             from repro.analysis.sanitize import DoubleReleaseError
 
             raise DoubleReleaseError(
                 f"pool buffer {name!r} released twice without "
                 f"reacquisition"
             )
-        for _, dt, buf in entries:
+        for dt, buf in entries:
             if np.issubdtype(dt, np.inexact):
                 buf.fill(np.nan)
-        self._released |= names
+        self._released.add(name)
 
     def check_live(self, name: str, context: str = "") -> None:
         """Raise ``UseAfterReleaseError`` if ``name`` is released."""
@@ -215,8 +203,8 @@ def _class_counts(po_groups: list, src_ok: np.ndarray, trg_ok: np.ndarray) -> di
 class VLevel:
     """All effective V-list pairs of one level, as parent-pair blocks.
 
-    ``src_boxes``/``trg_boxes`` are the unique source (forward-FFT) and
-    target (inverse-FFT / accumulator) boxes.
+    ``src_boxes``/``trg_boxes`` are the unique source and target
+    (accumulator) boxes.
 
     ``po_groups`` hold one entry per parent-anchor offset (≤26
     directions): the ``(npp, 8)`` positions of the eight child octants
@@ -277,12 +265,11 @@ class VLevel:
 class VPass:
     """The pairs of a V level one pass covers (owned or ghost sources).
 
-    ``rows`` are the positions into ``src_boxes`` the pass reads (and,
-    on an fft level, forward-transforms); ``counts`` its pairs per
-    offset class; ``po_groups`` the pairs as parent-pair blocks over
-    the split's rows (blocked levels only, else empty); ``classes`` the
-    same pairs class-major in the level's positions, filtered from the
-    level's on first use.
+    ``rows`` are the positions into ``src_boxes`` the pass reads;
+    ``counts`` its pairs per offset class; ``po_groups`` the pairs as
+    parent-pair blocks over the split's rows (blocked levels only, else
+    empty); ``classes`` the same pairs class-major in the level's
+    positions, filtered from the level's on first use.
     """
 
     rows: np.ndarray
@@ -319,14 +306,13 @@ class VSplit:
     ``ghost`` is restricted to the target boxes *assigned* to this rank
     by the deterministic cyclic assignment, ``inv_rows`` lists the
     assigned positions into ``trg_boxes`` (elsewhere: all of them — the
-    rows this rank accumulates and inverse-transforms), and ``bcast``
-    holds the per-box ``(box, root_rank, participant_ranks)`` broadcast
-    schedule that delivers every participant the assigned rank's
-    downward-check rows.
+    rows this rank accumulates), and ``bcast`` holds the per-box
+    ``(box, root_rank, participant_ranks)`` broadcast schedule that
+    delivers every participant the assigned rank's downward-check rows.
 
-    The source rows of a blocked split (fft spectra, rsvd slabs) are
-    the ``own`` rows, then the ``ghost`` rows, then the zero sentinel;
-    the accumulator rows the ``inv_rows``, then the discarded sentinel.
+    The source rows of a blocked split (the rsvd slabs) are the ``own``
+    rows, then the ``ghost`` rows, then the zero sentinel; the
+    accumulator rows the ``inv_rows``, then the discarded sentinel.
     """
 
     own: VPass

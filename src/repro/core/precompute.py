@@ -78,37 +78,13 @@ def canonical_offset(
     )
 
 
-class LazyTables:
-    """Operator tables (dict attributes ``_<name>``) that fill on first
-    use.  A setup asks for everything its applies will read
+class OperatorCache:
+    """Per-level KIFMM operator factory with homogeneous-kernel rescaling.
+
+    The operator tables (dict attributes ``_<name>``) fill on first use.
+    A setup asks for everything its applies will read
     (``RankFMM.build_operators``), so an apply builds nothing; sanitized
     applies read through :meth:`sealed`, where a miss is a named error.
-    """
-
-    kernel: Kernel
-    _sealed = False
-
-    def _entry(self, name: str, key: Hashable, build: Callable[[], object]):
-        """Entry ``key`` of table ``name``, built unless sealed."""
-        table = getattr(self, "_" + name)
-        if key not in table:
-            if self._sealed:
-                raise OperatorMissError(
-                    f"{self.kernel.name} operator {name}[{key!r}] was not "
-                    f"built at setup: an apply must build no operator"
-                )
-            table[key] = build()
-        return table[key]
-
-    def sealed(self):
-        """A view sharing every table that builds nothing."""
-        view = copy.copy(self)
-        view._sealed = True
-        return view
-
-
-class OperatorCache(LazyTables):
-    """Per-level KIFMM operator factory with homogeneous-kernel rescaling.
 
     Parameters
     ----------
@@ -181,6 +157,26 @@ class OperatorCache(LazyTables):
         ] = {}
         self._m2l_stacks: dict[tuple[int, tuple[int, int, int], str], tuple] = {}
         self._m2l_rank: dict[tuple[int, tuple[int, int, int]], int] = {}
+
+    _sealed = False
+
+    def _entry(self, name: str, key: Hashable, build: Callable[[], object]):
+        """Entry ``key`` of table ``name``, built unless sealed."""
+        table = getattr(self, "_" + name)
+        if key not in table:
+            if self._sealed:
+                raise OperatorMissError(
+                    f"{self.kernel.name} operator {name}[{key!r}] was not "
+                    f"built at setup: an apply must build no operator"
+                )
+            table[key] = build()
+        return table[key]
+
+    def sealed(self) -> "OperatorCache":
+        """A view sharing every table that builds nothing."""
+        view = copy.copy(self)
+        view._sealed = True
+        return view
 
     # -- geometry ----------------------------------------------------------
 

@@ -106,7 +106,7 @@ class StepBuffers:
 
     ``bufs[family]`` is the live array: writable iff the step declared a
     write of that family, a read-only view otherwise.  Scratch a step
-    creates (``check``, ``vhat``) lives under the region the step
+    creates (``check``) lives under the region the step
     declared written, from :meth:`scratch` until a step declares the
     region released.
     """

@@ -45,7 +45,7 @@ def surface_lattice_indices(p: int) -> np.ndarray:
 
     Returns an ``(n_surf, 3)`` int array of lattice coordinates in
     ``[0, p)^3``, ordered lexicographically (C order); this ordering is
-    shared by :func:`surface_grid` and by the FFT M2L scatter/gather.
+    :func:`surface_grid`'s.
     """
     if p < 2:
         raise ValueError(f"surface order p must be >= 2, got {p}")

@@ -41,7 +41,6 @@ from repro.core.evaluator import (
     resolve_kernels,
     unsort_potential,
 )
-from repro.core.fftm2l import FFTM2L
 from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import (
     M2LSchedule,
@@ -178,7 +177,6 @@ class RankFMM:
     ptree: ParallelTree
     lists: InteractionLists
     cache: OperatorCache
-    fft: FFTM2L | None
     plan: ExecutionPlan
     layout: GhostLayout
     #: The rank's sorted sources, then the ghost boxes' (the geometry
@@ -296,13 +294,13 @@ class RankFMM:
             phi_kind=kinds["phi"],
             ue_kind=kinds["pue"],
         )
-        cache, fft = self.cache, self.fft
+        cache = self.cache
         if exch is not None and plan.buffers.sanitize:
             # A sanitized apply reads operators, it builds none.
-            cache, fft = cache.sealed(), fft and fft.sealed()
+            cache = cache.sealed()
         stages = PlanStages(
             plan, self.kernel, cache, kernels,
-            self.m2l_schedule, fft, self.ext_points,
+            self.m2l_schedule, self.ext_points,
         )
         return stages.compile(rank, overlap)
 
@@ -449,7 +447,6 @@ def rank_setup(
     *,
     root: tuple[np.ndarray, float] | None = None,
     cache: OperatorCache | None = None,
-    fft: FFTM2L | None = None,
     kernels: tuple[Kernel, Kernel, Kernel] | None = None,
     timer: PhaseTimer | None = None,
     operators: bool = True,
@@ -468,7 +465,7 @@ def rank_setup(
             ptree = one_rank_tree(ptree.tree, balance=True)
     return setup_on_tree(
         comm, kernel, ptree, opts,
-        cache=cache, fft=fft, kernels=kernels, timer=timer,
+        cache=cache, kernels=kernels, timer=timer,
         operators=operators,
     )
 
@@ -480,7 +477,6 @@ def setup_on_tree(
     opts: FMMOptions,
     *,
     cache: OperatorCache | None = None,
-    fft: FFTM2L | None = None,
     kernels: tuple[Kernel, Kernel, Kernel] | None = None,
     timer: PhaseTimer | None = None,
     operators: bool = True,
@@ -493,9 +489,9 @@ def setup_on_tree(
     owned/ghost work splits and — the schedule and the plan being known
     — every operator the rank's applies read
     (:meth:`RankFMM.build_operators`), so that an apply builds none.
-    ``cache`` and ``fft`` may be shared across ranks (their entries are
-    deterministic, so concurrent population is benign); when omitted
-    they are built locally from the tree's root cube.  A driver that
+    ``cache`` may be shared across ranks (its entries are
+    deterministic, so concurrent population is benign); when omitted it
+    is built locally from the tree's root cube.  A driver that
     holds every rank's state passes ``operators=False`` and builds them
     itself, once (:meth:`ParallelFMM.setup`).  ``kernels`` is the
     resolved (source, target, direct) triple applies default to — the
@@ -598,7 +594,7 @@ def setup_on_tree(
         v_splits: list[VSplit] = []
         for vl in plan.v_levels:
             backend = sched.backend(vl.level)
-            blocked = backend == "fft" or (backend == "rsvd" and sched.blocked)
+            blocked = backend == "rsvd" and sched.blocked
             if vl.level not in split_levels:
                 v_splits.append(split_v_level(
                     vl, owned[vl.src_boxes],
@@ -626,15 +622,12 @@ def setup_on_tree(
                 )
             v_splits.append(split)
 
-    if fft is None and sched.needs_fft:
-        fft = FFTM2L(cache)
     state = RankFMM(
         kernel=kernel,
         options=opts,
         ptree=ptree,
         lists=lists,
         cache=cache,
-        fft=fft,
         plan=plan,
         layout=GhostLayout(
             phi=my_program("phi", src_roles),
@@ -729,13 +722,10 @@ def _shared_setup(
     points: np.ndarray,
     opts: FMMOptions,
     cache: OperatorCache | None,
-    fft: FFTM2L | None = None,
 ):
     """What a driver holding the full point set hands every rank: the
     agreed root cube, one operator cache taken to it
-    (:meth:`OperatorCache.for_root`), the FFT tensors ``"auto"`` may
-    schedule (one set of entries for all ranks), and the Morton
-    partition."""
+    (:meth:`OperatorCache.for_root`), and the Morton partition."""
     require_finite(points, "sources")
     # The cube the ranks would agree on collectively (elementwise min/max
     # commute with the Allreduce of agree_root_cube) — and KIFMM's own.
@@ -745,12 +735,9 @@ def _shared_setup(
             kernel, opts.p, side,
             inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
         )
-    cache = cache.for_root(side)
-    if opts.m2l not in ("fft", "auto"):
-        fft = None
-    elif fft is None or fft.cache is not cache:
-        fft = FFTM2L(cache)
-    return (corner, side), cache, fft, partition_points(points, nranks)
+    return (
+        (corner, side), cache.for_root(side), partition_points(points, nranks)
+    )
 
 
 def _in_point_order(
@@ -821,7 +808,6 @@ class ParallelFMM:
         self._parts: list[np.ndarray] | None = None
         self._npoints = 0
         self.cache: OperatorCache | None = None
-        self.fft: FFTM2L | None = None
         self.timers = [PhaseTimer() for _ in range(nranks)]
         self.comm_stats = [CommStats() for _ in range(nranks)]
         self.napplies = 0
@@ -858,15 +844,15 @@ class ParallelFMM:
         opts = self.options
         with self._ranks.lock:
             self._ranks.stop()  # the ranks of the previous geometry
-            root, self.cache, self.fft, parts = _shared_setup(
+            root, self.cache, parts = _shared_setup(
                 self.nranks, self.kernel, points, opts,
-                cache if cache is not None else self.cache, self.fft,
+                cache if cache is not None else self.cache,
             )
 
             def rank_main(comm: SimComm, idx: np.ndarray):
                 state = rank_setup(
                     comm, self.kernel, points[idx], opts,
-                    root=root, cache=self.cache, fft=self.fft,
+                    root=root, cache=self.cache,
                     kernels=self.kernels, timer=self.timers[comm.rank],
                     operators=False,
                 )

@@ -8,12 +8,13 @@ implementation actually performs, not asymptotic estimates.
 
 Downward-phase work is attributed to the *target* box (whose contributor
 ranks redundantly perform it in the parallel algorithm) and upward work
-to the *source* box.  The one exception is the V-list forward transform:
-the planned evaluator forward-FFTs each effective source box once per
-level, so its cost sits on the *source* box — this keeps the per-phase
-totals an exact identity with the evaluator's flop counter, which the
-static plan verifier (``repro plancheck``) certifies configuration by
-configuration.
+to the *source* box.  For the executed backends (dense, rsvd) the
+per-phase totals are an exact identity with the evaluator's flop
+counter, which the static plan verifier (``repro plancheck``) certifies
+configuration by configuration.  The paper's FFT M2L is priced here
+only — the evaluator does not run it: its forward transform is done
+once per effective source box per level, so that cost sits on the
+*source* box.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def compute_work(
     nfreq = grid * grid * (grid // 2 + 1)
     hadamard_flops = 8.0 * qd * md * nfreq
     # Forward/inverse transforms are GEMM-DFTs over the n_surf surface
-    # nodes (two real GEMMs each), matching FFTM2L.flops_per_fft.
+    # nodes (two real GEMMs each).
     fft_flops = 4.0 * nfreq * n_surf
 
     def per_box(box, weight=None):

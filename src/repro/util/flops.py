@@ -2,8 +2,8 @@
 
 The paper reports aggregate Gflop/s rates per phase of the interaction
 computation (Tables 4.1–4.3).  We track floating-point work analytically:
-every phase of the evaluator reports how many kernel pair-evaluations,
-matrix-vector products and FFTs it performed, and the counter converts
+every phase of the evaluator reports how many kernel pair-evaluations
+and matrix-vector products it performed, and the counter converts
 those to flops using the kernel's per-pair cost.
 """
 

@@ -4,15 +4,10 @@ This walk was ``repro.core.evaluator.evaluate`` behind
 ``FMMOptions(plan="naive")`` until the option went; no rank, example or
 benchmark ran it, only these tests.  It is the classical FMM control
 flow box by box — upward pass bottom-up, then per box L2L, V list
-(dense, rsvd or FFT), X list, one inversion, and at the leaves L2T, U
-and W — over the :mod:`tests.boxview` records, sharing the operator
-cache and the flop formulas with the planned path and nothing of its
-plan, stages or step list.  :class:`PerBoxFMM` gives it ``KIFMM``'s call
-shape.
-
-The per-box FFT transforms (``density_hat`` … ``check_potential``) moved
-here with it: the planned stages only use the frequency-leading
-``forward_rows_t`` / ``inverse_rows_t``.
+(dense or rsvd), X list, one inversion, and at the leaves L2T, U and W —
+over the :mod:`tests.boxview` records, sharing the operator cache and
+the flop formulas with the planned path and nothing of its plan, stages
+or step list.  :class:`PerBoxFMM` gives it ``KIFMM``'s call shape.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from repro.core.evaluator import (
     coerce_density,
     resolve_kernels,
 )
-from repro.core.fftm2l import FFTM2L
 from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import (
     M2LSchedule,
@@ -49,7 +43,6 @@ def evaluate(
     cache: OperatorCache,
     density: np.ndarray,
     sched: M2LSchedule,
-    fft_m2l: FFTM2L | None = None,
     flops: FlopCounter | None = None,
     timer: PhaseTimer | None = None,
     source_kernel: Kernel | None = None,
@@ -73,8 +66,6 @@ def evaluate(
     sched:
         The resolved per-level M2L backend schedule
         (:class:`~repro.core.m2lschedule.M2LSchedule`).
-    fft_m2l:
-        Optional pre-built :class:`FFTM2L` (reused across evaluations).
     flops, timer:
         Optional instrumentation sinks.
     source_kernel:
@@ -115,7 +106,7 @@ def evaluate(
             evaluate(
                 tree, lists, kernel, cache,
                 np.ascontiguousarray(phi3[:, :, r]),
-                sched, fft_m2l=fft_m2l, flops=flops,
+                sched, flops=flops,
                 timer=timer, source_kernel=source_kernel,
                 target_kernel=target_kernel, direct_kernel=direct_kernel,
             )
@@ -172,14 +163,6 @@ def evaluate(
     has_de = np.zeros(nb, dtype=bool)
     potential = np.zeros((nt, out_dof))
 
-    fft = None
-    if sched.needs_fft:
-        fft = fft_m2l if fft_m2l is not None else FFTM2L(cache)
-        _fft_v_list(
-            boxes, levels, view.V, fft, sched, ue, has_ue, dc, has_dc, flops,
-            timer,
-        )
-
     for level in range(1, tree.depth + 1):
         for bi in levels[level]:
             b = boxes[bi]
@@ -200,9 +183,9 @@ def evaluate(
                     has_dc[bi] = True
                     flops.add("eval", _matvec_flops(L.shape))
 
-            # V list (dense/rsvd backends; fft levels accumulated above).
+            # V list.
             backend = sched.backend(level)
-            if backend != "fft" and len(view.V[bi]):
+            if len(view.V[bi]):
                 with timer.phase("down_v"):
                     for ai in view.V[bi]:
                         if not has_ue[ai]:
@@ -314,108 +297,6 @@ def evaluate(
     return potential
 
 
-def _fft_v_list(
-    boxes: tuple[boxview.Box, ...],
-    levels: tuple[range, ...],
-    V: list[np.ndarray],
-    fft: FFTM2L,
-    sched: M2LSchedule,
-    ue: np.ndarray,
-    has_ue: np.ndarray,
-    dc: np.ndarray,
-    has_dc: np.ndarray,
-    flops: FlopCounter,
-    timer: PhaseTimer,
-) -> None:
-    """Apply the fft-scheduled V-list levels in Fourier space."""
-    with timer.phase("down_v"):
-        for level in range(2, len(levels)):
-            if sched.backend(level) != "fft":
-                continue
-            level_boxes = levels[level]
-            # Which source boxes at this level feed some V list?
-            needed: set[int] = set()
-            for bi in level_boxes:
-                if boxes[bi].ntrg == 0:
-                    continue
-                for ai in V[bi]:
-                    if has_ue[ai]:
-                        needed.add(ai)
-            if not needed:
-                continue
-            md = fft.kernel.source_dof
-            phi_hat = {ai: density_hat(fft, ue[ai]) for ai in needed}
-            flops.add("down_v", len(needed) * fft.flops_per_fft(md))
-            npairs = 0
-            nacc = 0
-            for bi in level_boxes:
-                b = boxes[bi]
-                if b.ntrg == 0 or not len(V[bi]):
-                    continue
-                acc = None
-                for ai in V[bi]:
-                    if not has_ue[ai]:
-                        continue
-                    a = boxes[ai]
-                    offset = tuple(b.anchor[d] - a.anchor[d] for d in range(3))
-                    tensor = fft.kernel_tensor_hat(level, offset)
-                    if acc is None:
-                        nfreq = fft.nfreq
-                        acc = np.zeros((tensor.shape[0], nfreq),
-                                       dtype=np.complex128)
-                    accumulate(acc, tensor, phi_hat[ai])
-                    npairs += 1
-                if acc is not None:
-                    dc[bi] += check_potential(fft, acc)
-                    has_dc[bi] = True
-                    nacc += 1
-            # One add per (level, term) so the planned evaluator — which
-            # performs the same three batched operations — accumulates a
-            # bit-identical per-phase total.
-            flops.add("down_v", npairs * fft.flops_per_pair())
-            flops.add("down_v", nacc * fft.flops_per_fft(fft.kernel.target_dof))
-
-
-# -- per-box surface transforms ------------------------------------------
-
-
-def _dft_operators(fft: FFTM2L) -> tuple[np.ndarray, ...]:
-    """Point-major ``(F_re, F_im, G_re, G_im)``: ``F_* (n_surf, nfreq)``
-    maps surface values to the ``rfftn`` of the surface-scattered grid,
-    ``G_* (nfreq, n_surf)`` is the inverse sampled at the surface nodes
-    (Hermitian weights folded in) — the transposes of the
-    frequency-leading operators the planned stages hold."""
-    return tuple(np.ascontiguousarray(a.T) for a in fft._dft_operators_t())
-
-
-def density_hat(fft: FFTM2L, ue: np.ndarray) -> np.ndarray:
-    """Forward transform of one box's flat point-major upward equivalent
-    density ``(n_surf * source_dof,)``: ``(source_dof, nfreq)`` complex."""
-    F_re, F_im, _, _ = _dft_operators(fft)
-    vals = np.ascontiguousarray(ue.reshape(-1, fft.kernel.source_dof).T)
-    return vals @ F_re + 1j * (vals @ F_im)
-
-
-def accumulate(
-    acc: np.ndarray, tensor_hat: np.ndarray, phi_hat: np.ndarray
-) -> None:
-    """``acc += tensor_hat applied to phi_hat`` in Fourier space:
-    ``acc`` is ``(target_dof, nfreq)``, ``tensor_hat`` the grid-shaped
-    ``(target_dof, source_dof, m, m, m//2+1)`` kernel transform."""
-    qd, md = tensor_hat.shape[:2]
-    acc += np.einsum("qmf,mf->qf", tensor_hat.reshape(qd, md, -1), phi_hat)
-
-
-def check_potential(fft: FFTM2L, acc: np.ndarray) -> np.ndarray:
-    """Inverse transform and surface gather of one box's
-    ``(target_dof, nfreq)`` accumulator: the flat point-major downward
-    check potential ``(n_surf * target_dof,)``."""
-    _, _, G_re, G_im = _dft_operators(fft)
-    vals = np.ascontiguousarray(acc.real) @ G_re
-    vals -= np.ascontiguousarray(acc.imag) @ G_im
-    return vals.T.reshape(-1)
-
-
 class PerBoxFMM:
     """:func:`evaluate` with :class:`~repro.core.fmm.KIFMM`'s call shape:
     ``PerBoxFMM(kernel, opts, source_kernel=...).setup(pts, trg)
@@ -464,13 +345,12 @@ class PerBoxFMM:
             stats=v_stats_from_lists(self.tree, self.lists),
             cache=self.cache, kernel=self.kernel,
         )
-        self._fft = FFTM2L(self.cache) if self.m2l_schedule.needs_fft else None
         return self
 
     def _evaluate(self, density, source_kernel, target_kernel, direct_kernel):
         return evaluate(
             self.tree, self.lists, self.kernel, self.cache, density,
-            sched=self.m2l_schedule, fft_m2l=self._fft, flops=self.flops,
+            sched=self.m2l_schedule, flops=self.flops,
             timer=self.timer, source_kernel=source_kernel,
             target_kernel=target_kernel, direct_kernel=direct_kernel,
         )

@@ -32,7 +32,7 @@ def test_w_and_x_lists_are_exercised(rng, two_scale):
     assert flops.get("down_x", 0) > 0
 
 
-@pytest.mark.parametrize("m2l", ["fft", "dense"])
+@pytest.mark.parametrize("m2l", ["dense"])
 def test_two_scale_accuracy(rng, two_scale, m2l):
     phi = rng.standard_normal((500, 1))
     fmm = KIFMM(

@@ -1,87 +1,60 @@
-"""FFT M2L must agree with the dense M2L operator to machine precision.
-
-One box pair at a time, through the per-box transforms of the oracle
-(``tests/core/perbox.py``) over the DFT operators and kernel tensors the
-planned stages hold.
-"""
+"""The identity the performance model prices for the paper's FFT M2L: a
+V-list translation, a convolution with ``T[d] = G(2 r offset + h d)``
+through a ``(2p)^3`` circulant and ``numpy.fft``, is the dense operator."""
 
 import numpy as np
 import pytest
 
-from repro.core.fftm2l import FFTM2L
 from repro.core.precompute import OperatorCache
+from repro.core.surfaces import surface_lattice_indices
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
 
-from tests.core.perbox import accumulate, check_potential, density_hat
-
+KERNELS = {"laplace": LaplaceKernel(), "stokes": StokesKernel(),
+           "modified_laplace": ModifiedLaplaceKernel(lam=1.0)}
 OFFSETS = [(2, 0, 0), (0, -2, 1), (3, 3, 3), (-3, 2, -1), (0, 0, 2)]
+AXES = (0, 1, 2)
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [LaplaceKernel(), ModifiedLaplaceKernel(lam=1.0), StokesKernel()],
-    ids=["laplace", "modified_laplace", "stokes"],
-)
+def tensor_hat(cache, level, offset):
+    k, p, m, r = cache.kernel, cache.p, 2 * cache.p, cache.half_width(level)
+    d = np.fft.fftfreq(m, 1.0 / m) * (2.0 * cache.inner * r / (p - 1))
+    pts = np.stack(np.meshgrid(d, d, d, indexing="ij"), -1).reshape(-1, 3)
+    T = k.matrix(pts + np.multiply(offset, 2.0 * r), np.zeros((1, 3)))
+    return np.fft.rfftn(T.reshape(m, m, m, k.target_dof, -1), axes=AXES)
+
+
+def fft_m2l(cache, level, pairs):
+    """Check potential of the ``(offset, ue)`` sources, by FFT."""
+    m, at = 2 * cache.p, tuple(surface_lattice_indices(cache.p).T)
+    acc = 0.0
+    for offset, ue in pairs:
+        grid = np.zeros((m, m, m, cache.kernel.source_dof))
+        grid[at] = ue.reshape(-1, grid.shape[-1])
+        acc = acc + np.einsum("xyzqs,xyzs->xyzq", tensor_hat(
+            cache, level, offset), np.fft.rfftn(grid, axes=AXES))
+    return np.fft.irfftn(acc, s=(m, m, m), axes=AXES)[at].reshape(-1)
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_fft_matches_dense(kernel, offset, rng):
-    p = 4
-    cache = OperatorCache(kernel, p, root_side=2.0)
-    fft = FFTM2L(cache)
-    level = 2
+    cache = OperatorCache(kernel, 4, root_side=2.0)
     ue = rng.standard_normal(cache.n_surf * kernel.source_dof)
-    dense = cache.m2l_check(level, offset) @ ue
-    nfreq = fft.m * fft.m * (fft.m // 2 + 1)
-    acc = np.zeros((kernel.target_dof, nfreq), dtype=np.complex128)
-    accumulate(acc, fft.kernel_tensor_hat(level, offset), density_hat(fft, ue))
-    via_fft = check_potential(fft, acc)
-    assert np.allclose(via_fft, dense, atol=1e-10 * max(1.0, np.abs(dense).max()))
+    dense = cache.m2l_check(2, offset) @ ue
+    np.testing.assert_allclose(fft_m2l(cache, 2, [(offset, ue)]), dense,
+                               rtol=0, atol=1e-10 * max(1.0, abs(dense).max()))
 
 
 def test_accumulation_is_additive(rng):
-    """Hadamard accumulation over two sources equals sum of singles."""
-    kernel = LaplaceKernel()
-    cache = OperatorCache(kernel, 4, root_side=1.0)
-    fft = FFTM2L(cache)
-    level = 3
-    ue1 = rng.standard_normal(cache.n_surf)
-    ue2 = rng.standard_normal(cache.n_surf)
-    o1, o2 = (2, 0, 0), (0, 3, -1)
-    acc = np.zeros((1, fft.m * fft.m * (fft.m // 2 + 1)), dtype=np.complex128)
-    accumulate(acc, fft.kernel_tensor_hat(level, o1), density_hat(fft, ue1))
-    accumulate(acc, fft.kernel_tensor_hat(level, o2), density_hat(fft, ue2))
-    combined = check_potential(fft, acc)
-    expected = (
-        cache.m2l_check(level, o1) @ ue1 + cache.m2l_check(level, o2) @ ue2
-    )
-    assert np.allclose(combined, expected)
+    """Two sources' spectra summed, then one inverse transform."""
+    cache = OperatorCache(LaplaceKernel(), 4, root_side=1.0)
+    pairs = [(o, rng.standard_normal(cache.n_surf)) for o in OFFSETS[:2]]
+    expected = sum(cache.m2l_check(3, o) @ ue for o, ue in pairs)
+    np.testing.assert_allclose(fft_m2l(cache, 3, pairs), expected, atol=1e-10)
 
 
-def test_homogeneous_level_scaling(rng):
-    kernel = LaplaceKernel()
-    cache = OperatorCache(kernel, 3, root_side=2.0)
-    fft = FFTM2L(cache)
-    t2 = fft.kernel_tensor_hat(2, (2, 1, 0))
-    t5 = fft.kernel_tensor_hat(5, (2, 1, 0))
-    # degree -1 homogeneity: level 5 boxes are 8x smaller -> kernel 8x larger
-    assert np.allclose(t5, t2 * 8.0)
-
-
-def test_inhomogeneous_tensors_cached_per_level():
-    kernel = ModifiedLaplaceKernel(lam=1.0)
-    cache = OperatorCache(kernel, 3, root_side=2.0)
-    fft = FFTM2L(cache)
-    fft.kernel_tensor_hat(2, (2, 0, 0))
-    fft.kernel_tensor_hat(3, (2, 0, 0))
-    assert len(fft._tensors) == 2
-
-
-def test_rejects_adjacent_offset():
-    fft = FFTM2L(OperatorCache(LaplaceKernel(), 3, 1.0))
-    with pytest.raises(ValueError):
-        fft.kernel_tensor_hat(2, (1, 1, 0))
-
-
-def test_flop_estimates_positive():
-    fft = FFTM2L(OperatorCache(StokesKernel(), 4, 1.0))
-    assert fft.flops_per_pair() > 0
-    assert fft.flops_per_fft() > 0
+def test_homogeneous_level_scaling():
+    """Degree -1: level-5 boxes are 8x smaller, their tensor 8x larger."""
+    cache = OperatorCache(LaplaceKernel(), 3, root_side=2.0)
+    np.testing.assert_allclose(tensor_hat(cache, 5, (2, 1, 0)),
+                               8.0 * tensor_hat(cache, 2, (2, 1, 0)))

@@ -29,17 +29,6 @@ class TestAccuracy:
         exact = direct_evaluate(kernel, pts, pts, phi)
         assert relative_error(u, exact) < 5e-4
 
-    def test_dense_and_fft_m2l_agree(self, rng, fast_kernel):
-        pts = clustered_cloud(rng, 500)
-        phi = rng.standard_normal((500, fast_kernel.source_dof))
-        u_fft = KIFMM(
-            fast_kernel, FMMOptions(p=4, max_points=30, m2l="fft")
-        ).setup(pts).apply(phi)
-        u_dense = KIFMM(
-            fast_kernel, FMMOptions(p=4, max_points=30, m2l="dense")
-        ).setup(pts).apply(phi)
-        assert relative_error(u_fft, u_dense) < 1e-10
-
     def test_p_refinement_converges(self, rng):
         """Accuracy is controlled by p (the paper's accuracy knob)."""
         kernel = LaplaceKernel()

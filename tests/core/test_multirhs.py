@@ -1,10 +1,10 @@
 """Multi-RHS batched applies: column parity with single-RHS applies.
 
 The tentpole claim of the batched-density path: stacking ``nrhs``
-densities into one apply changes the schedule (nrhs-fold wider GEMMs,
-pseudo-box FFT rows) but not the mathematics — every column of the
+densities into one apply changes the schedule (nrhs-fold wider GEMMs)
+but not the mathematics — every column of the
 stacked result matches the corresponding single-RHS apply to strict
-round-off (≤1e-12), on both M2L modes and on the per-box reference
+round-off (≤1e-12), on the planned path and on the per-box reference
 path, and the flat-block matvec interface is a pure reshape of the
 stacked one.
 """
@@ -37,7 +37,7 @@ def _column_parity(op, rng, n, dof, nrhs):
 
 
 @pytest.mark.parametrize("kname", ["laplace", "stokes"])
-@pytest.mark.parametrize("m2l", ["fft", "dense"])
+@pytest.mark.parametrize("m2l", ["dense"])
 def test_planned_columns_match_single_rhs(rng, kname, m2l):
     kern = KERNELS[kname]
     pts = clustered_cloud(rng, 700)

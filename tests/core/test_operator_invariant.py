@@ -13,7 +13,6 @@ import pytest
 from repro.analysis.sanitize import OperatorMissError
 from repro.bie.stokes_bie import StokesSingleLayer
 from repro.bie.surfaces import SphereSurface
-from repro.core.fftm2l import FFTM2L
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.core.m2lschedule import resolve_m2l_schedule, v_stats_from_lists
 from repro.core.precompute import OperatorCache
@@ -25,19 +24,16 @@ from tests.conftest import clustered_cloud, count_factorisations, uniform_cloud
 from tests.parallel.transports import thread_world
 
 
-def table_keys(operators):
-    """The keys of every operator table (dict attribute) of a cache;
-    nothing for the FFT tensors of an operator that schedules no FFT."""
-    if operators is None:
-        return {}
+def table_keys(cache):
+    """The keys of every operator table (dict attribute) of a cache."""
     return {
-        name: set(table) for name, table in vars(operators).items()
+        name: set(table) for name, table in vars(cache).items()
         if isinstance(table, dict)
     }
 
 
 def tables(states):
-    return table_keys(states[0].cache), table_keys(states[0].fft)
+    return table_keys(states[0].cache)
 
 
 def lazily_filled(states, apply):
@@ -48,7 +44,6 @@ def lazily_filled(states, apply):
         cache.kernel, cache.p, cache.root_side,
         inner=cache.inner, outer=cache.outer, rcond=cache.rcond,
     )
-    cold_fft = FFTM2L(cold) if states[0].fft is not None else None
     # Every rank resolved its schedule from the whole tree's statistics.
     st = states[0]
     resolve_m2l_schedule(
@@ -57,20 +52,19 @@ def lazily_filled(states, apply):
             st.tree, st.lists, st.ptree.global_nsrc, st.ptree.global_ntrg
         ),
     )
-    warm = [(state.cache, state.fft) for state in states]
+    warm = [state.cache for state in states]
     for state in states:
-        state.cache, state.fft = cold, cold_fft
+        state.cache = cold
     try:
         apply()
     finally:
-        for state, (cache, fft) in zip(states, warm):
-            state.cache, state.fft = cache, fft
-    return table_keys(cold), table_keys(cold_fft)
+        for state, cache in zip(states, warm):
+            state.cache = cache
+    return table_keys(cold)
 
 
 CASES = [
     ("laplace-auto", LaplaceKernel(), uniform_cloud, {}),
-    ("laplace-fft", LaplaceKernel(), clustered_cloud, {"m2l": "fft"}),
     ("laplace-rsvd32", LaplaceKernel(), clustered_cloud,
      {"m2l": "rsvd", "dtype": "float32"}),
     ("stokes-dense", StokesKernel(), clustered_cloud, {"m2l": "dense"}),
@@ -93,7 +87,7 @@ def test_setup_builds_what_an_apply_reads(rng, kernel, make, m2l, nranks):
         op = ParallelFMM(nranks, kernel, opts).setup(pts)
         states = op.states
     built = tables(states)
-    assert any(built[0].values())
+    assert any(built.values())
     with thread_world():  # the cold cache fills in this process
         assert built == lazily_filled(states, lambda: op.apply(phi))
     with count_factorisations() as calls, thread_world():
@@ -118,8 +112,7 @@ def test_stokes_operator_keeps_the_invariant_across_refresh_geometry():
         read = lazily_filled(states, lambda: op.matvec(b))
         if not moved:
             assert built == read
-        for have, need in zip(built, read):
-            assert all(need[name] <= have[name] for name in need)
+        assert all(read[name] <= built[name] for name in read)
         op.matvec(b)
         assert tables(states) == built
         surfaces[0].points[:] += 0.05  # a time step moves a body
@@ -142,18 +135,18 @@ def test_serve_register_is_the_only_slow_call(rng):
     assert tables(states) == built
 
 
-@pytest.mark.parametrize("m2l", ["rsvd", "fft"])
+@pytest.mark.parametrize("m2l", ["rsvd"])
 def test_sanitized_apply_names_the_operator_setup_missed(rng, m2l):
     pts = uniform_cloud(rng, 400)
     phi = rng.standard_normal((400, 1))
     opts = FMMOptions(p=3, max_points=20, m2l=m2l)
     plain = KIFMM(LaplaceKernel(), opts).setup(pts)
     expected = plain.apply(phi)
-    table = plain.cache._dc2de if m2l == "rsvd" else plain.state.fft._combos_real
+    table = plain.cache._dc2de
     table.clear()
     assert np.array_equal(plain.apply(phi), expected)  # built under the apply
     table.clear()
     plain.options.sanitize = True
-    with pytest.raises(OperatorMissError, match="dc2de|combos_real"):
+    with pytest.raises(OperatorMissError, match="dc2de"):
         plain.apply(phi)
     assert not table  # and the sealed view built nothing

@@ -41,7 +41,7 @@ def _fingerprint(ir):
     return buffers, nodes
 
 
-def _setup_ir(kernel, points, depth, nrhs, m2l="fft"):
+def _setup_ir(kernel, points, depth, nrhs, m2l="rsvd"):
     opts = FMMOptions(p=3, max_points=20, max_depth=depth, m2l=m2l)
     fmm = KIFMM(kernel, opts).setup(points)
     assert fmm.tree.depth == depth
@@ -64,7 +64,7 @@ def test_ir_bitwise_stable_across_setups(kernel, points, depth):
 def test_resetup_of_one_operator_is_stable(points, depth):
     """setup() called twice on the same KIFMM recompiles identically."""
     kernel = LaplaceKernel()
-    opts = FMMOptions(p=3, max_points=20, max_depth=depth, m2l="fft")
+    opts = FMMOptions(p=3, max_points=20, max_depth=depth, m2l="rsvd")
     fmm = KIFMM(kernel, opts)
     irs = []
     for _ in range(2):
@@ -93,11 +93,13 @@ def test_per_level_buffer_shapes_match_plan(points, depth):
         )
     assert ir.buffers["phi"].dtype == "float64"
     for vl in plan.v_levels:
-        assert ir.buffers[f"vhat@{vl.level}"].dtype == "complex128"
+        assert ir.buffers[f"dc@{vl.level}"].shape == (
+            int(counts[vl.level]), n_surf * qd,
+        )
 
 
 @pytest.mark.parametrize("nrhs", [1, 4])
-@pytest.mark.parametrize("m2l", ["fft", "dense", "rsvd", "auto"])
+@pytest.mark.parametrize("m2l", ["dense", "rsvd", "auto"])
 def test_flop_totals_match_performance_model(points, m2l, nrhs):
     """The summed stage estimates ARE the model volumes — exactly."""
     for kernel in (LaplaceKernel(), StokesKernel()):

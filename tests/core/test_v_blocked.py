@@ -93,7 +93,7 @@ def v_contributions(fmm, ue, dtype="float64"):
             state.m2l_schedule, blocked=blocked, dtype=dtype
         )
         stages = PlanStages(
-            plan, state.kernel, cache, state.kernels, sched, None,
+            plan, state.kernel, cache, state.kernels, sched,
             state.ext_points,
         )
         dc = np.zeros((nrhs, plan.nboxes, cache.n_surf * state.kernel.target_dof))

@@ -79,10 +79,7 @@ def test_overlap_on_off_bitwise_identical(rng):
     assert np.array_equal(apply_on_both(on, phi), apply_on_both(off, phi))
 
 
-_BACKENDS = [
-    ("rsvd", "float64"), ("rsvd", "float32"), ("fft", "float64"),
-    ("dense", "float64"),
-]
+_BACKENDS = [("rsvd", "float64"), ("rsvd", "float32"), ("dense", "float64")]
 
 
 @pytest.fixture(scope="module")

@@ -41,7 +41,7 @@ def _upward(tree, kernel, cache, phi):
     """The shared upward stage alone: ``ue[box]`` of one density."""
     plan = build_plan(tree, build_lists(tree))
     stages = PlanStages(
-        plan, kernel, cache, (kernel, kernel, kernel), None, None,
+        plan, kernel, cache, (kernel, kernel, kernel), None,
         plan.sources_sorted,
     )
     ue = np.zeros((plan.nboxes, 1, cache.n_surf * kernel.source_dof))

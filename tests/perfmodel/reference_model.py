@@ -95,7 +95,7 @@ def compute_work(
     nfreq = grid * grid * (grid // 2 + 1)
     hadamard_flops = 8.0 * qd * md * nfreq
     # Forward/inverse transforms are GEMM-DFTs over the n_surf surface
-    # nodes (two real GEMMs each), matching FFTM2L.flops_per_fft.
+    # nodes (two real GEMMs each).
     fft_flops = 4.0 * nfreq * n_surf
 
     up = np.zeros(nb)

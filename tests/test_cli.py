@@ -17,7 +17,7 @@ class TestParser:
             main(["evaluate", "--kernel", "warp", "--n", "10"])
 
     @pytest.mark.parametrize(
-        "command", ["evaluate", "commcheck", "racecheck", "serve", "bench"]
+        "command", ["evaluate", "commcheck", "racecheck", "serve"]
     )
     @pytest.mark.parametrize("flag", ["--m2l", "--dtype"])
     def test_unknown_backend_exits_2_naming_choices(
@@ -28,10 +28,24 @@ class TestParser:
             main([command, flag, "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        expected = ("fft", "dense", "rsvd", "auto") if flag == "--m2l" \
+        expected = ("dense", "rsvd", "auto") if flag == "--m2l" \
             else ("float64", "float32")
         for choice in expected:
             assert choice in err
+
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "commcheck", "racecheck", "serve"]
+    )
+    def test_fft_m2l_exits_2_naming_the_remaining_choices(
+        self, command, capsys
+    ):
+        """The FFT M2L is priced by the model only: not a choice."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--m2l", "fft"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fft'" in err
+        assert re.search(r"choose from '?dense'?, '?rsvd'?, '?auto'?\)", err)
 
 
 class TestEvaluate:
@@ -95,37 +109,6 @@ class TestCommcheck:
         assert rows == ["allreduce", "allgather"]
         assert re.search(r"allreduce: \d+ calls / \d+ B", out)
         assert re.search(r"allgather: 8 calls / \d+ B", out)
-
-
-class TestBench:
-    def test_quick_ablation_writes_json(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_m2l.json"
-        rc = main(
-            ["bench", "--kernels", "laplace", "--orders", "3",
-             "--sizes", "500", "--s", "40", "--repeats", "1",
-             "--out", str(out_path)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "M2L backend ablation" in out
-        import json
-
-        payload = json.loads(out_path.read_text())
-        confs = {(e["m2l"], e["dtype"]) for e in payload["entries"]}
-        assert {("dense", "float64"), ("fft", "float64"),
-                ("rsvd", "float64"), ("auto", "float64")} <= confs
-        for e in payload["entries"]:
-            if e["m2l"] != "auto":
-                assert e["rel_err_vs_dense"] < 1e-5
-
-    def test_rsvd_factor_assertion_can_fail(self, capsys, tmp_path):
-        rc = main(
-            ["bench", "--kernels", "laplace", "--orders", "3",
-             "--sizes", "500", "--s", "40", "--repeats", "1",
-             "--out", "", "--rsvd-factor", "0.0"]
-        )
-        assert rc == 1
-        assert "FAILED" in capsys.readouterr().out
 
 
 class TestAccuracy:
