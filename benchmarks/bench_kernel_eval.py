@@ -17,14 +17,15 @@ an ``(nt, ns)`` array, measured in the same loop.  Laplace
 before the pass budget) and Stokes ``matrix`` at 70x900 within 35 (88
 before).
 
-Where the host built the compiled near-field loops
-(``repro.kernels.native``; the header says whether it did), two more rows
-per U block shape, 39x1053 and 12x324, time a U block both ways, per
-block of a level of ``U_BLOCKS`` such blocks as the apply meets them: the
-numpy node's work (gather and shift into the box frame,
-``matrix_local``, GEMV, add into the potentials) and one call of the
-compiled loop over the level.  The compiled block must take at most 0.5
-of the numpy one, measured in the same loop.  Run directly::
+Where the host built the compiled pair loops (``repro.kernels.native``;
+the header says whether it did), two more rows per compiled profile —
+Laplace (``inv_r``) and Stokes (``kelvin``) — and U block shape, 39x1053
+and 12x324, time a U block both ways, per block of a level of
+``U_BLOCKS`` such blocks as the apply meets them: the numpy node's work
+(gather and shift into the box frame, ``matrix_local``, GEMV, add into
+the potentials) and one call of the compiled loop over the level.  The
+compiled block must take at most 0.5 of the numpy one, measured in the
+same loop.  Run directly::
 
     python benchmarks/bench_kernel_eval.py [--json OUT] [--against OTHER.json]
 
@@ -73,8 +74,10 @@ KERNELS = (
 SHAPES = ((39, 1053), (12, 324), (152, 600), (70, 900))
 #: (kernel name, shape) -> largest allowed ratio to the sqrt + divide floor.
 GATES = {("laplace", (39, 1053)): 3.0, ("stokes", (70, 900)): 35.0}
-#: Block shapes of the compiled-U rows, and the largest allowed ratio of
-#: the compiled block to the numpy one (``matrix_local`` + GEMV).
+#: Kernels and block shapes of the compiled-U rows, and the largest
+#: allowed ratio of the compiled block to the numpy one (``matrix_local``
+#: + GEMV).
+U_KERNELS = (LaplaceKernel(), StokesKernel(0.8))
 U_SHAPES = ((39, 1053), (12, 324))
 U_GATE = 0.5
 U_BLOCKS = 64
@@ -112,10 +115,11 @@ def _row(name: str, nt: int, ns: int, entries: int, call_s: float,
     }
 
 
-def _u_level(rng: np.random.Generator, nt: int, ns: int):
+def _u_level(rng: np.random.Generator, kernel, nt: int, ns: int):
     """``U_BLOCKS`` U blocks of ``nt`` targets against ``ns`` sources
-    drawn around box centres, and the level both ways: ``(numpy, compiled)``
-    callables that add its potentials into one array."""
+    drawn around box centres, and the level of ``kernel`` both ways:
+    ``(numpy, compiled)`` callables that add its potentials into one
+    array."""
     nb = U_BLOCKS
     centers = rng.uniform(-8.0, 8.0, (nb, 3))
     parts = [_block(rng, nt, ns) for _ in range(nb)]
@@ -126,10 +130,10 @@ def _u_level(rng: np.random.Generator, nt: int, ns: int):
         edges[:-1], edges[:-1] * nt, edges[1:] * nt, edges * ns,
         np.arange(nb * ns, dtype=np.int64), edges[:-1],
     )
-    laplace = LaplaceKernel()
-    phi = rng.standard_normal(nb * ns)
-    phi3, pot = phi.reshape(-1, 1, 1), np.zeros((1, nb * nt, 1))
-    run_u = native.loops_for(laplace).u(
+    dof = kernel.source_dof
+    phi3 = rng.standard_normal((nb * ns, dof, 1))
+    pot = np.zeros((1, nb * nt, dof))
+    run_u = native.loops_for(kernel).u(
         blocks, centers, targets, sources, False
     )
 
@@ -138,8 +142,8 @@ def _u_level(rng: np.random.Generator, nt: int, ns: int):
             t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
             pos = blocks.src_pos[int(blocks.seg[i]) : int(blocks.seg[i + 1])]
             ctr = centers[i]
-            K = laplace.matrix_local(targets[t0:t1] - ctr, sources[pos] - ctr)
-            pot[0, t0:t1, 0] += K @ phi[pos]
+            K = kernel.matrix_local(targets[t0:t1] - ctr, sources[pos] - ctr)
+            pot[0, t0:t1] += (K @ phi3[pos].reshape(-1)).reshape(t1 - t0, dof)
 
     return numpy_level, lambda: run_u(phi3, pot)
 
@@ -164,14 +168,17 @@ def measure(repeats: int = REPEATS) -> list[dict]:
             rows.append(_row(kernel.name, nt, ns, entries, call_s, floor_s))
         if not (compiled and (nt, ns) in U_SHAPES):
             continue
-        numpy_level, compiled_level = _u_level(np.random.default_rng(29), nt, ns)
-        floor_s = _best(floor, repeats)
-        numpy_s = _best(numpy_level, repeats) / U_BLOCKS
-        compiled_s = _best(compiled_level, repeats) / U_BLOCKS
-        rows.append(_row("laplace U numpy", nt, ns, nt * ns, numpy_s, floor_s))
-        rows.append(
-            _row("laplace U compiled", nt, ns, nt * ns, compiled_s, floor_s)
-        )
+        for kernel in U_KERNELS:
+            numpy_level, compiled_level = _u_level(
+                np.random.default_rng(29), kernel, nt, ns
+            )
+            floor_s = _best(floor, repeats)
+            numpy_s = _best(numpy_level, repeats) / U_BLOCKS
+            compiled_s = _best(compiled_level, repeats) / U_BLOCKS
+            entries = nt * ns * kernel.target_dof * kernel.source_dof
+            for way, seconds in (("numpy", numpy_s), ("compiled", compiled_s)):
+                rows.append(_row(f"{kernel.name} U {way}", nt, ns, entries,
+                                 seconds, floor_s))
     return rows
 
 
@@ -185,13 +192,14 @@ def failed_gates(rows: list[dict]) -> list[str]:
                 f"{r['kernel']} {r['nt']}x{r['ns']}: {r['ratio_to_floor']:.1f}x "
                 f"the sqrt+divide floor, gate {limit}"
             )
-        if r["kernel"] == "laplace U compiled":
-            base = by_key["laplace U numpy", r["nt"], r["ns"]]
+        if r["kernel"].endswith(" U compiled"):
+            numpy_name = r["kernel"].replace("compiled", "numpy")
+            base = by_key[numpy_name, r["nt"], r["ns"]]
             ratio = r["call_us"] / base["call_us"]
             if ratio > U_GATE:
                 out.append(
-                    f"compiled U {r['nt']}x{r['ns']}: {ratio:.2f}x the numpy "
-                    f"matrix_local + GEMV block, gate {U_GATE}"
+                    f"{r['kernel']} {r['nt']}x{r['ns']}: {ratio:.2f}x the "
+                    f"numpy matrix_local + GEMV block, gate {U_GATE}"
                 )
     return out
 
@@ -227,7 +235,8 @@ def report(rows: list[dict], against: list[dict] | None = None) -> None:
 
 def test_kernel_eval_stays_near_its_floor():
     """Bench smoke: the two gated blocks stay within their pass budget,
-    and a compiled U block takes at most half the numpy one."""
+    and a compiled U block of each profile takes at most half the numpy
+    one."""
     rows = measure()
     print()
     print(header())

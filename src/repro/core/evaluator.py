@@ -159,6 +159,13 @@ def resolve_kernels(
     return src_k, trg_k, dir_k
 
 
+def _scaled(product: np.ndarray, factor: float) -> np.ndarray:
+    """A level operator's ``product`` carried to its level, in place."""
+    if factor != 1.0:
+        product *= factor
+    return product
+
+
 def _near_pairs(blocks: NearBlocks) -> int:
     """Total (target point × partner) count of a near-field block set."""
     return int(
@@ -231,13 +238,21 @@ class PlanStages:
     kernel block once; the ~1e-16 GEMM-vs-GEMV rounding gap stays far
     below that bound.
 
-    U, W and X of a kernel with a compiled pair loop
-    (:func:`repro.kernels.native.loops_for`: the ``1/r`` kernel on a host
-    with a C compiler) run that loop instead, bound to the step's blocks
-    when :meth:`compile` places the step — which is where their indices
-    are checked, once, and again before every call of a sanitized apply.
-    Its columns are the single-RHS sums bit for bit.  The numpy stage
-    methods stay the path of every other kernel and the loops' oracle.
+    S2M, U, W, X and L2T of a kernel with compiled pair loops
+    (:func:`repro.kernels.native.loops_for`: Laplace, Stokes and Navier
+    on a host with a C compiler) run those loops instead — S2M as an X
+    loop, L2T as a W loop, each leaf its own partner — bound to the
+    step's blocks when :meth:`compile` places the step, which is where
+    their indices are checked, once, and again before every call of a
+    sanitized apply.  Their columns are the single-RHS sums bit for bit.
+    The numpy stage methods stay the path of every other kernel and the
+    loops' oracle.
+
+    The level operators (``m2m``, ``uc2ue``, ``l2l``, ``dc2de``) are read
+    at their reference level (:meth:`~repro.core.precompute.
+    OperatorCache.reference`), and the stages scale their products by
+    the level factor — a power of two for the homogeneous kernels, so
+    the result is the rescaled operator's bit for bit.
     """
 
     def __init__(
@@ -258,8 +273,8 @@ class PlanStages:
         self.md, self.qd = kernel.source_dof, kernel.target_dof
         self.n_surf = cache.n_surf
         # The compiled pair loops of each kernel of the triple: None for
-        # a kernel without a radial profile, or on a host without a C
-        # compiler, whose U / W / X steps run the numpy stages below —
+        # a kernel without a profile, or on a host without a C compiler,
+        # whose S2M / U / W / X / L2T steps run the numpy stages below —
         # the loops' oracle.
         self.src_loops, self.trg_loops, self.dir_loops = map(
             native.loops_for, kernels
@@ -281,8 +296,9 @@ class PlanStages:
         plan's index arrays, an rsvd step's count is a thunk over the
         ranks of its factors, and a step that reads cached operators
         names them in its ``operators`` thunk, which setup runs
-        (``RankFMM.build_operators``).  A U, W or X step with a compiled
-        pair loop gets it bound here, with the same declarations.
+        (``RankFMM.build_operators``).  An S2M, U, W, X or L2T step with
+        a compiled pair loop gets it bound here, with the same
+        declarations.
         """
         plan, sched, cache = self.plan, self.sched, self.cache
         n_surf, md, qd = self.n_surf, self.md, self.qd
@@ -326,8 +342,15 @@ class PlanStages:
                 ))
 
             if ul.s2m_rows.size:
+                s2m = partial(self.s2m, ul)
+                if self.src_loops is not None:
+                    s2m = self.src_loops.x(
+                        ul.s2m, np.ascontiguousarray(plan.centers[ul.boxes]),
+                        self.src_points, cache.up_check_points(np.zeros(3), lvl),
+                        sanitize,
+                    )
                 emit(f"s2m@{lvl}", "up", "s2m",
-                     lambda b: self.s2m(ul, b["phi"], check(b)),
+                     lambda b: s2m(b["phi"], check(b)),
                      ("phi",), (chk,),
                      n_surf * int(ul.s2m_seg[-1]) * src_fpp)
             if ul.m2m_groups:
@@ -336,13 +359,13 @@ class PlanStages:
                      (f"ue@{lvl + 1}",), (chk,),
                      sum(k.size for _, k, _ in ul.m2m_groups) * matvec,
                      operators=lambda: [
-                         cache.m2m_check(lvl + 1, octant)
+                         cache.reference("m2m_check", lvl + 1, octant)
                          for octant, _, _ in ul.m2m_groups
                      ])
             emit(f"uc2ue@{lvl}", "up", "uc2ue",
                  lambda b: self.uc2ue(ul, b["check"], b["ue"]),
                  (chk,), (ue,), ul.boxes.size * matvec, releases=(chk,),
-                 operators=lambda: cache.uc2ue(lvl))
+                 operators=lambda: cache.reference("uc2ue", lvl))
 
         def v_direct(vl: VLevel, sp: VSplit, vp: VPass, split):
             lvl = vl.level
@@ -405,7 +428,7 @@ class PlanStages:
                      (f"de@{lvl - 1}",), (dc,),
                      sum(k.size for _, k, _ in dl.l2l_groups) * matvec,
                      operators=lambda: [
-                         cache.l2l_check(lvl, octant)
+                         cache.reference("l2l_check", lvl, octant)
                          for octant, _, _ in dl.l2l_groups
                      ])
             if dl.x.boxes.size:
@@ -423,10 +446,17 @@ class PlanStages:
                 emit(f"dc2de@{lvl}", "eval", "dc2de",
                      lambda b: self.dc2de(dl, b["dc"], b["de"]),
                      (dc,), (de,), dl.dc_boxes.size * matvec,
-                     operators=lambda: cache.dc2de(lvl))
+                     operators=lambda: cache.reference("dc2de", lvl))
             if dl.l2t_boxes.size:
+                l2t = partial(self.l2t, dl)
+                if self.trg_loops is not None:
+                    l2t = self.trg_loops.w(
+                        dl.l2t, plan.centers, self.surface_radius(cache.outer),
+                        surface_grid(cache.p), plan.targets_sorted, sanitize,
+                        rhs_major=True,
+                    )
                 emit(f"l2t@{lvl}", "eval", "l2t",
-                     lambda b: self.l2t(dl, b["de"], b["pot"]),
+                     lambda b: l2t(b["de"], b["pot"]),
                      (de,), ("pot",),
                      int(dl.l2t_seg[-1]) * n_surf * trg_fpp)
 
@@ -449,7 +479,7 @@ class PlanStages:
                 near_w = partial(self.near_w, w)
                 if self.trg_loops is not None:
                     near_w = self.trg_loops.w(
-                        w, plan.centers, self.w_radius(),
+                        w, plan.centers, self.surface_radius(cache.inner),
                         surface_grid(cache.p), plan.targets_sorted, sanitize,
                     )
                 emit(f"near_w:{split}", "down_w", "near_w",
@@ -507,23 +537,23 @@ class PlanStages:
     def m2m(self, ul: UpLevel, ue: np.ndarray, check: np.ndarray) -> None:
         """Children's upward densities to their parents' check potentials."""
         for octant, kids, rows in ul.m2m_groups:
-            M = self.cache.m2m_check(ul.level + 1, octant)
+            M, f = self.cache.reference("m2m_check", ul.level + 1, octant)
             if self.pool.sanitize:
                 # Fancy-indexed operands materialise copies, so the
                 # aliasing hazard is between the backing stacks.
                 _san.guard_gemm(check, ue, M, site=f"m2m level {ul.level}")
             MT = M.T
             for r in range(check.shape[0]):
-                check[r][rows] += ue[kids, r] @ MT
+                check[r][rows] += _scaled(ue[kids, r] @ MT, f)
 
     def uc2ue(self, ul: UpLevel, check: np.ndarray, ue: np.ndarray) -> None:
         """One regularised inversion per source box of the level."""
-        U = self.cache.uc2ue(ul.level)
+        U, f = self.cache.reference("uc2ue", ul.level)
         if self.pool.sanitize:
             _san.guard_gemm(ue, check, U, site=f"uc2ue level {ul.level}")
         UT = U.T
         for r in range(check.shape[0]):
-            ue[ul.boxes, r] = check[r] @ UT
+            ue[ul.boxes, r] = _scaled(check[r] @ UT, f)
 
     def v_direct(
         self, vl: VLevel, classes: list, ue: np.ndarray, dc: np.ndarray
@@ -646,12 +676,12 @@ class PlanStages:
     def l2l(self, dl: DownLevel, de: np.ndarray, dc: np.ndarray) -> None:
         """Parents' downward densities to the level's check potentials."""
         for octant, kids, parents in dl.l2l_groups:
-            L = self.cache.l2l_check(dl.level, octant)
+            L, f = self.cache.reference("l2l_check", dl.level, octant)
             if self.pool.sanitize:
                 _san.guard_gemm(dc, de, L, site=f"l2l level {dl.level}")
             LT = L.T
             for r in range(dc.shape[0]):
-                dc[r][kids] += de[r][parents] @ LT
+                dc[r][kids] += _scaled(de[r][parents] @ LT, f)
 
     def x(self, dl: DownLevel, phi: np.ndarray, dc: np.ndarray) -> None:
         """X list: partner sources straight to check potentials."""
@@ -669,12 +699,12 @@ class PlanStages:
 
     def dc2de(self, dl: DownLevel, dc: np.ndarray, de: np.ndarray) -> None:
         """One regularised inversion per box carrying downward data."""
-        D = self.cache.dc2de(dl.level)
+        D, f = self.cache.reference("dc2de", dl.level)
         if self.pool.sanitize:
             _san.guard_gemm(de, dc, D, site=f"dc2de level {dl.level}")
         DT = D.T
         for r in range(dc.shape[0]):
-            de[r][dl.dc_boxes] = dc[r][dl.dc_boxes] @ DT
+            de[r][dl.dc_boxes] = _scaled(dc[r][dl.dc_boxes] @ DT, f)
 
     def l2t(self, dl: DownLevel, de: np.ndarray, pot: np.ndarray) -> None:
         """Leaf boxes' downward densities to their targets."""
@@ -722,12 +752,13 @@ class PlanStages:
                     ntr, out_dof, nrhs
                 ).transpose(2, 0, 1)
 
-    def w_radius(self) -> np.ndarray:
-        """Per box, the radius of its upward equivalent surface (the W
-        list's sources)."""
+    def surface_radius(self, factor: float) -> np.ndarray:
+        """Per box, the radius of its surface of radius ``factor``: the
+        upward equivalent surface (``inner``, the W list's sources) or
+        the downward equivalent one (``outer``, L2T's)."""
         cache, plan = self.cache, self.plan
         hw = cache.root_side / np.power(2.0, np.arange(plan.depth + 1)) / 2.0
-        return cache.inner * hw[plan.levels]
+        return factor * hw[plan.levels]
 
     def near_w(
         self, blocks: NearBlocks, ue: np.ndarray, pot: np.ndarray
@@ -737,7 +768,7 @@ class PlanStages:
         out_dof = trg_k.target_dof
         nrhs = pot.shape[0]
         sgrid = surface_grid(self.cache.p)
-        radius = self.w_radius()
+        radius = self.surface_radius(self.cache.inner)
         for i, bi in enumerate(blocks.boxes):
             t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
             partners = blocks.src_pos[

@@ -170,6 +170,19 @@ class UpLevel:
     s2m_seg: np.ndarray
     m2m_groups: list[tuple[int, np.ndarray, np.ndarray]]
 
+    @cached_property
+    def s2m(self) -> NearBlocks:
+        """The leaves as X-list blocks, each its own partner: target rows
+        into ``boxes`` (the check rows), their source positions."""
+        leaves = self.boxes[self.s2m_rows]
+        return NearBlocks(
+            self.s2m_rows, _EMPTY, _EMPTY, self.s2m_seg, self.s2m_src_pos,
+            leaves,
+        )
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
 
 @lru_cache(maxsize=None)
 def block_slots(parent_offset: tuple[int, int, int]) -> np.ndarray:
@@ -393,6 +406,17 @@ class DownLevel:
     l2t_trg_pos: np.ndarray
     l2t_seg: np.ndarray
     x: NearBlocks
+
+    @cached_property
+    def l2t(self) -> NearBlocks:
+        """The leaves as W-list blocks, each its own partner: a leaf's
+        targets against its own downward equivalent surface."""
+        start = self.l2t_trg_pos[self.l2t_seg[:-1]]
+        return NearBlocks(
+            self.l2t_boxes, start, start + np.diff(self.l2t_seg),
+            np.arange(self.l2t_boxes.size + 1, dtype=np.int64),
+            self.l2t_boxes, self.l2t_boxes,
+        )
 
 
 @dataclass

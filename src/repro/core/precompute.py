@@ -350,6 +350,25 @@ class OperatorCache:
             return base
         return base * self._scale(level, key) ** h
 
+    def reference(
+        self, name: str, level: int, *octant: int
+    ) -> tuple[np.ndarray, float]:
+        """Level operator ``name`` (``"uc2ue"``, ``"dc2de"``,
+        ``"m2m_check"`` or ``"l2l_check"``) of ``level`` as its
+        reference-level matrix and the factor that carries its products
+        to ``level`` — :meth:`m2l_reference`'s rule, so a stage scales
+        its product instead of the operator.  The factor is ``a^-h`` for
+        the inversions, ``a^h`` for the evaluations, and 1 for an
+        inhomogeneous kernel, whose operators are per level.
+        """
+        h = self._homog
+        if h is None:
+            return getattr(self, name)(level, *octant), 1.0
+        ref, sign = {"uc2ue": (0, -1), "dc2de": (0, -1),
+                     "m2m_check": (1, 1), "l2l_check": (1, 1)}[name]
+        base = getattr(self, name)(ref, *octant)
+        return base, self._scale(level, ref) ** (sign * h)
+
     def m2l_reference(self, level: int) -> tuple[int, float]:
         """The level whose M2L factors serve ``level``, and the factor
         that carries their output there (``a^h``; 1 at that level)."""
@@ -515,7 +534,9 @@ class OperatorCache:
     def _stacked(self, key: int, direction: tuple[int, int, int], dtype: str):
         """The stored ``(V, UT, vcut, ucut, moves)`` of :meth:`m2l_stacks`."""
         if dtype == "float32":
-            _, V, UT, *cuts = self.m2l_stacks(key, direction)
+            # Cast from a transient float64 build: a float32 cache keeps
+            # one copy of the stacks.
+            V, UT, *cuts = self._stacked(key, direction, "float64")
             return (
                 V.astype(np.float32),  # lint: allow(dtype-width)
                 UT.astype(np.float32),  # lint: allow(dtype-width)

@@ -13,7 +13,14 @@ That one operation sits under S2M, the U/W/X lists and L2T, so it is
 written here once, against a *pass budget*: a kernel matrix is a few
 full-size array passes, and every pass or temporary beyond the ones the
 formula needs is the cost (``docs/architecture.md``, "Kernel evaluation:
-the pass budget").  Two distance primitives carry all eight kernels:
+the pass budget").  Where the host has a C compiler, a kernel that names
+a :meth:`Kernel.profile` — Laplace, Stokes, Navier — runs those five
+stages as the compiled pair loops of :mod:`repro.kernels.native`
+instead, and assembles here only its precomputed operators and the
+direct sums; modified Laplace, the derived kernels and every kernel on a
+host without a compiler assemble every stage here, and these assemblies
+are the compiled loops' oracle.  Two distance primitives carry all eight
+kernels:
 
 - :func:`difference_planes` — exact differences as three contiguous
   ``(nt, ns)`` planes plus ``r^2`` reduced from them; the tensor kernels
@@ -262,6 +269,19 @@ class Kernel(ABC):
         """
         return self.matrix(targets, sources)
 
+    def profile(self) -> tuple | None:
+        """The kernel as the compiled pair loops name it, or None.
+
+        ``("inv_r", c)`` is ``c / r``; ``("kelvin", a, b)`` is ``a
+        delta_ij / r + b d_i d_j / r^3``.  Where the host built the loops
+        (:mod:`repro.kernels.native`), S2M, U, W, X and L2T of a kernel
+        with a profile run compiled; the numpy stages stay their oracle.
+        A subclass that overrides the evaluation — :meth:`matrix`, or
+        :meth:`RadialKernel._radial` — must name its own profile, or it
+        keeps the numpy stages.
+        """
+        return None
+
     def apply(
         self,
         targets: np.ndarray,
@@ -338,17 +358,6 @@ class RadialKernel(Kernel):
         ``r`` is ``inf`` at coincident pairs, where ``g`` must come out
         zero; the array is the caller's to overwrite and return.
         """
-
-    def profile(self) -> tuple[str, float] | None:
-        """``g`` as the compiled near-field loops name it, or None.
-
-        ``("inv_r", c)`` is ``c / r``.  Where the host built the loops
-        (:mod:`repro.kernels.native`), U, W and X of a kernel with a
-        profile run compiled; the numpy stages stay their oracle.  A
-        subclass that overrides :meth:`_radial` must name its own
-        profile, or it keeps the numpy stages.
-        """
-        return None
 
     def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
         _, r2 = difference_planes(targets, sources)

@@ -1,17 +1,20 @@
-"""The compiled near-field pair loops, and the one module that loads
-foreign code.
+"""The compiled pair loops, and the one module that loads foreign code.
 
 ``native.c`` (beside this file, shipped as package data) holds the U, W
-and X lists of the ``c / r`` kernel as fused C loops over the blocks the
-execution plan already holds (``docs/architecture.md``, "The compiled
-pair loop").  This module finds the host's C compiler, builds the source
-once per host into a content-addressed cache, loads the result with
-:mod:`ctypes` — whose calls release the interpreter lock — and binds the
-three loops for one kernel (:class:`PairLoops`).
+and X lists of two kernel profiles — ``a / r`` and the Kelvin tensor ``a
+delta_ij / r + b d_i d_j / r^3`` — as fused C loops over the blocks the
+execution plan already holds; S2M runs as an X loop and L2T as a W loop
+(``docs/architecture.md``, "The compiled pair loop").  This module finds
+the host's C compiler, builds the source once per host into a
+content-addressed cache, loads the result with :mod:`ctypes` — whose
+calls release the interpreter lock — and binds the three loops for one
+kernel (:class:`PairLoops`).
 
-Selection is observed, not configured.  A :class:`~repro.kernels.base.
-RadialKernel` whose profile is the one the C source implements (``c /
-r``: :class:`~repro.kernels.laplace.LaplaceKernel`) gets the loops
+Selection is observed, not configured.  A kernel whose
+:meth:`~repro.kernels.base.Kernel.profile` is one the C source implements
+(``inv_r``: :class:`~repro.kernels.laplace.LaplaceKernel`; ``kelvin``:
+:class:`~repro.kernels.stokes.StokesKernel`,
+:class:`~repro.kernels.navier.NavierKernel`) gets the loops
 (:func:`loops_for`); every other kernel, and every kernel on a host
 without a working compiler, keeps the numpy stages of
 :class:`~repro.core.evaluator.PlanStages`, which are the loops' oracle.
@@ -59,18 +62,20 @@ FLAGS = (
 )
 #: Compilers tried, in order.
 COMPILERS = ("cc", "gcc", "clang")
-#: The radial profile ``native.c`` implements, as a kernel's
-#: :meth:`~repro.kernels.base.RadialKernel.profile` names it.  The
-#: modified Laplace profile ``c e^(-lam r) / r`` is not here: with libm's
-#: scalar ``exp`` its loops ran slower than its numpy stages.
-PROFILE = "inv_r"
+#: The profiles ``native.c`` implements, as a kernel's
+#: :meth:`~repro.kernels.base.Kernel.profile` names them: the C code of
+#: each, and its components per point.  The modified Laplace profile ``c
+#: e^(-lam r) / r`` is not here: with libm's scalar ``exp`` its loops ran
+#: slower than its numpy stages.
+PROFILES = {"inv_r": (0, 1), "kelvin": (1, 3)}
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
-_HEAD = [ctypes.c_double, _I64]
+_HEAD = [_I64, ctypes.c_double, ctypes.c_double, _I64]
 _SIGNATURES = {
     "near_u": _HEAD + [_PTR] * 10 + [_I64, _I64],
-    "near_w": _HEAD + [_PTR] * 8 + [_I64, _PTR, _PTR, _PTR, _I64, _I64],
+    "near_w": _HEAD + [_PTR] * 8 + [_I64, _PTR, _PTR, _I64, _I64, _PTR,
+                                    _I64, _I64],
     "near_x": _HEAD + [_PTR] * 7 + [_I64, _PTR, _I64, _I64],
 }
 
@@ -181,22 +186,26 @@ def library() -> ctypes.CDLL | None:
 def loops_for(kernel: Kernel) -> PairLoops | None:
     """The compiled loops of ``kernel``, or None where it keeps numpy.
 
-    Only a radial kernel whose profile the C source implements qualifies,
-    and only when it evaluates the profile it names: a subclass that
-    overrides ``_radial`` without naming its own profile keeps numpy.
+    Only a kernel whose profile the C source implements qualifies, and
+    only when it evaluates the profile it names: a subclass that
+    overrides the evaluation — ``_radial`` of a radial kernel, ``matrix``
+    of any other — without naming its own profile keeps numpy.
     """
-    if not isinstance(kernel, RadialKernel):
-        return None
-    owner = next(c for c in type(kernel).__mro__ if "_radial" in vars(c))
-    if "profile" not in vars(owner):
+    method = "_radial" if isinstance(kernel, RadialKernel) else "matrix"
+    mro = type(kernel).__mro__
+    owner = next(c for c in mro if method in vars(c))
+    named = next(c for c in mro if "profile" in vars(c))
+    if not issubclass(named, owner):
         return None
     profile = kernel.profile()
-    if profile is None or profile[0] != PROFILE:
+    if profile is None or profile[0] not in PROFILES:
         return None
     lib = library()
     if lib is None:
         return None
-    return PairLoops(lib, float(profile[1]))
+    kind, dof = PROFILES[profile[0]]
+    a, b = (float(c) for c in (*profile[1:], 0.0)[:2])
+    return PairLoops(lib, kind, dof, a, b)
 
 
 def _ptr(arr: np.ndarray) -> int:
@@ -278,26 +287,30 @@ def check_blocks(
 
 @dataclass(frozen=True)
 class PairLoops:
-    """The compiled U, W and X loops of the kernel ``scale / r``.
+    """The compiled U, W and X loops of one profile (:data:`PROFILES`):
+    C code ``kind``, ``dof`` components per point, constants ``a``, ``b``.
 
     :meth:`u`, :meth:`w` and :meth:`x` bind a loop to one block set and
     its geometry, checking both now (:func:`check_blocks`), and return
     its ``run``.
     Each run checks the layout of its density and output arrays — the
-    apply's ``phi[point, 1, rhs]``, ``ue[box, rhs, surface]``,
-    ``pot[rhs, target, 1]`` and ``dc[rhs, box, surface]`` — repeats the
-    index checks when bound with ``recheck`` (a sanitized apply), and
-    makes one foreign call, during which the interpreter lock is
-    released.
+    apply's ``phi[point, dof, rhs]``, ``ue[box, rhs, surface * dof]`` (or
+    ``de[rhs, box, surface * dof]``), ``pot[rhs, target, dof]`` and
+    ``dc[rhs, box, surface * dof]`` — repeats the index checks when bound
+    with ``recheck`` (a sanitized apply), and makes one foreign call,
+    during which the interpreter lock is released.
     """
 
     lib: ctypes.CDLL
-    scale: float
+    kind: int
+    dof: int
+    a: float
+    b: float
 
     def _call(self, name: str, blocks, targets: bool, *args) -> None:
         ranges = (blocks.trg_start, blocks.trg_stop) if targets else ()
         status = getattr(self.lib, name)(
-            self.scale, blocks.boxes.size,
+            self.kind, self.a, self.b, blocks.boxes.size,
             *map(_ptr, (blocks.boxes, *ranges, blocks.seg, blocks.src_pos)),
             *args,
         )
@@ -311,6 +324,7 @@ class PairLoops:
         """U list: ``run(phi, pot)`` adds ``K(targets, partner sources)
         phi`` into ``pot``."""
         nb, nt, ns = centers.shape[0], targets.shape[0], sources.shape[0]
+        dof = self.dof
         _array(centers, (nb, 3), "centers")
         _array(targets, (nt, 3), "targets")
         _array(sources, (ns, 3), "sources")
@@ -323,8 +337,8 @@ class PairLoops:
             self._call(
                 "near_u", blocks, True,
                 _ptr(centers), _ptr(targets), _ptr(sources),
-                _ptr(_array(phi, (ns, 1, nrhs), "phi")),
-                _ptr(_array(pot, (nrhs, nt, 1), "pot")), nt, nrhs,
+                _ptr(_array(phi, (ns, dof, nrhs), "phi")),
+                _ptr(_array(pot, (nrhs, nt, dof), "pot")), nt, nrhs,
             )
 
         return run
@@ -332,26 +346,36 @@ class PairLoops:
     def w(
         self, blocks, centers: np.ndarray, radius: np.ndarray,
         grid: np.ndarray, targets: np.ndarray, recheck: bool,
+        rhs_major: bool = False,
     ) -> Callable[[np.ndarray, np.ndarray], None]:
         """W list: ``run(ue, pot)`` adds ``K(targets, partner surfaces)
         ue`` into ``pot``; box ``b``'s surface is ``centers[b] +
-        radius[b] * grid``."""
+        radius[b] * grid``.  ``rhs_major`` reads the densities as
+        ``de[rhs, box, surface]`` (L2T) instead of ``ue[box, rhs,
+        surface]``."""
         nb, nt, nsurf = centers.shape[0], targets.shape[0], grid.shape[0]
+        width = nsurf * self.dof
         _array(centers, (nb, 3), "centers")
         _array(radius, (nb,), "radius")
         _array(grid, (nsurf, 3), "grid")
         _array(targets, (nt, 3), "targets")
         check_blocks(blocks, nb, nb, nt)
 
-        def run(ue: np.ndarray, pot: np.ndarray) -> None:
+        def run(dens: np.ndarray, pot: np.ndarray) -> None:
             nrhs = pot.shape[0]
             if recheck:
                 check_blocks(blocks, nb, nb, nt, again=True)
+            if rhs_major:
+                _array(dens, (nrhs, nb, width), "de")
+                strides = width, nb * width
+            else:
+                _array(dens, (nb, nrhs, width), "ue")
+                strides = nrhs * width, width
             self._call(
                 "near_w", blocks, True,
                 _ptr(centers), _ptr(radius), _ptr(grid), nsurf,
-                _ptr(targets), _ptr(_array(ue, (nb, nrhs, nsurf), "ue")),
-                _ptr(_array(pot, (nrhs, nt, 1), "pot")), nt, nrhs,
+                _ptr(targets), _ptr(dens), *strides,
+                _ptr(_array(pot, (nrhs, nt, self.dof), "pot")), nt, nrhs,
             )
 
         return run
@@ -364,6 +388,7 @@ class PairLoops:
         phi`` into each target box's row of ``dc``; ``check`` is the
         level's box-local check surface."""
         nb, ns, nsurf = centers.shape[0], sources.shape[0], check.shape[0]
+        dof = self.dof
         _array(centers, (nb, 3), "centers")
         _array(sources, (ns, 3), "sources")
         _array(check, (nsurf, 3), "check")
@@ -376,8 +401,8 @@ class PairLoops:
             self._call(
                 "near_x", blocks, False,
                 _ptr(centers), _ptr(sources),
-                _ptr(_array(phi, (ns, 1, nrhs), "phi")), _ptr(check), nsurf,
-                _ptr(_array(dc, (nrhs, nb, nsurf), "dc")), nb, nrhs,
+                _ptr(_array(phi, (ns, dof, nrhs), "phi")), _ptr(check), nsurf,
+                _ptr(_array(dc, (nrhs, nb, nsurf * dof), "dc")), nb, nrhs,
             )
 
         return run

@@ -51,9 +51,15 @@ class NavierKernel(Kernel):
         self.mu = float(mu)
         self.nu = float(nu)
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    def _kelvin(self) -> tuple[float, float]:
         c = 1.0 / (_SIXTEEN_PI * self.mu * (1.0 - self.nu))
-        return kelvin_matrix(targets, sources, (3.0 - 4.0 * self.nu) * c, c)
+        return (3.0 - 4.0 * self.nu) * c, c
+
+    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        return kelvin_matrix(targets, sources, *self._kelvin())
+
+    def profile(self) -> tuple[str, float, float]:
+        return ("kelvin", *self._kelvin())
 
     def __repr__(self) -> str:
         return f"NavierKernel(mu={self.mu}, nu={self.nu})"

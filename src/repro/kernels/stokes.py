@@ -44,9 +44,15 @@ class StokesKernel(Kernel):
             raise ValueError(f"viscosity must be positive, got {mu}")
         self.mu = float(mu)
 
-    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    def _kelvin(self) -> tuple[float, float]:
         c = 1.0 / (_EIGHT_PI * self.mu)
-        return kelvin_matrix(targets, sources, c, c)
+        return c, c
+
+    def matrix(self, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        return kelvin_matrix(targets, sources, *self._kelvin())
+
+    def profile(self) -> tuple[str, float, float]:
+        return ("kelvin", *self._kelvin())
 
     def __repr__(self) -> str:
         return f"StokesKernel(mu={self.mu})"

@@ -2,13 +2,16 @@
 
 A serving scenario evaluates the same persistent operator for many
 independent densities arriving at unpredictable times.  Applying them
-one by one runs every stage at BLAS-2 intensity and pays full
-per-request amortisation cost; stacking them into multi-RHS blocks is
-exactly the batched apply the evaluator provides.  The service bridges
-the two: requests enqueue per operator, a per-operator batcher drains
-up to ``max_batch`` requests — waiting at most ``max_delay`` seconds
-after the first — and issues ONE blocked apply whose columns answer
-the individual requests.
+one by one pays the per-apply overhead (step-list compile, buffer
+setup, Python dispatch per step) once per request; a multi-RHS block
+pays it once per batch.  That is all a block saves: to keep every
+column bit for bit the single-RHS apply, the stages loop over the
+columns with the single-RHS shapes, so the arithmetic runs at the same
+intensity either way (``core.evaluator.nrhs8_speedup`` reads ~1 on
+``serve_poisson``).  The service bridges the two: requests enqueue per
+operator, a per-operator batcher drains up to ``max_batch`` requests —
+waiting at most ``max_delay`` seconds after the first — and issues ONE
+blocked apply whose columns answer the individual requests.
 
 Everything is single-threaded asyncio: the apply itself runs inline on
 the event loop (the repo's thread-confinement invariant bans worker

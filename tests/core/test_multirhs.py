@@ -1,12 +1,12 @@
 """Multi-RHS batched applies: column parity with single-RHS applies.
 
-The tentpole claim of the batched-density path: stacking ``nrhs``
-densities into one apply changes the schedule (nrhs-fold wider GEMMs)
-but not the mathematics — every column of the
-stacked result matches the corresponding single-RHS apply to strict
-round-off (≤1e-12), on the planned path and on the per-box reference
-path, and the flat-block matvec interface is a pure reshape of the
-stacked one.
+The claim of the batched-density path: stacking ``nrhs`` densities
+into one apply amortises the per-apply overhead and changes nothing
+else — the stages loop over the columns with the single-RHS shapes, so
+every column of the stacked result matches the corresponding
+single-RHS apply to strict round-off (≤1e-12), on the planned path and
+on the per-box reference path, and the flat-block matvec interface is
+a pure reshape of the stacked one.
 """
 
 import numpy as np

@@ -329,3 +329,51 @@ class TestForRoot:
         assert cache.for_root(2.0) is cache
         with pytest.raises(ValueError, match="root_side"):
             cache.for_root(2.5)
+
+
+class TestReference:
+    """Level operators read at their reference level: the stages scale
+    the product, never the operator, and lose no bit doing so."""
+
+    NAMES = (("uc2ue",), ("dc2de",), ("m2m_check", 5), ("l2l_check", 3))
+
+    @pytest.mark.parametrize("kernel", [LaplaceKernel(), StokesKernel(0.7)],
+                             ids=["laplace", "stokes"])
+    def test_scaled_product_is_the_scaled_operator_bit_for_bit(self, kernel):
+        rng = np.random.default_rng(3)
+        for cache in (_fresh_cache(kernel), _fresh_cache(kernel).for_root(3.4)):
+            for name, *octant in self.NAMES:
+                for level in (1, 2, 5):
+                    base, factor = cache.reference(name, level, *octant)
+                    scaled = getattr(cache, name)(level, *octant)
+                    assert np.array_equal(base * factor, scaled)
+                    assert factor == 2.0 ** round(np.log2(factor))
+                    x = rng.standard_normal((7, base.shape[1]))
+                    product = x @ base.T
+                    product *= factor
+                    assert np.array_equal(product, x @ scaled.T)
+
+    def test_inhomogeneous_kernel_reads_its_own_level(self):
+        cache = _fresh_cache(ModifiedLaplaceKernel(lam=2.0))
+        base, factor = cache.reference("m2m_check", 3, 4)
+        assert factor == 1.0 and base is cache.m2m_check(3, 4)
+        assert (3, 4) in cache._m2m and (1, 4) not in cache._m2m
+
+    def test_apply_builds_no_rescaled_copy(self, monkeypatch):
+        """Potentials on a depth-5 corner tree are those of the stages
+        fed the rescaled operators, bit for bit, for Laplace and Stokes."""
+        from repro.core.fmm import FMMOptions, KIFMM
+        from repro.geometry.distributions import corner_clusters
+
+        rng = np.random.default_rng(6)
+        pts = corner_clusters(2000, rng)
+        for kernel in (LaplaceKernel(), StokesKernel(0.7)):
+            phi = rng.standard_normal((2000, kernel.source_dof))
+            fmm = KIFMM(kernel, FMMOptions(p=4, max_points=10)).setup(pts)
+            assert fmm.state.plan.depth >= 5
+            u = fmm.apply(phi)
+            with monkeypatch.context() as m:
+                m.setattr(OperatorCache, "reference",
+                          lambda self, name, level, *o: (
+                              getattr(self, name)(level, *o), 1.0))
+                assert np.array_equal(fmm.apply(phi), u)

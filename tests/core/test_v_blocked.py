@@ -218,6 +218,27 @@ def test_rescaled_cache_reproduces_a_fresh_one(layout):
     assert all(moved.cache._m2l_stacks[k] is v for k, v in stacks.items())
 
 
+def test_float32_cache_keeps_one_copy_of_the_stacks(layout):
+    """A float32 blocked cache casts its stacks from a transient float64
+    build: it holds no float64 stacks, and the ones it holds are the
+    float64 stacks cast, bit for bit — so its potentials are too."""
+    layout(True)
+    rng = np.random.default_rng(13)
+    pts = uniform_cube(800, rng)
+    phi = rng.standard_normal((800, 1))
+    opts = FMMOptions(p=4, max_points=12, m2l="rsvd", dtype="float32")
+    fmm = KIFMM(LaplaceKernel(), opts).setup(pts)
+    u = fmm.apply(phi)
+    stacks = dict(fmm.cache._m2l_stacks)
+    assert stacks and {k[2] for k in stacks} == {"float32"}
+    for (key, direction, _), (V, UT, *cuts) in stacks.items():
+        _, V64, UT64, *cuts64 = fmm.cache.m2l_stacks(key, direction)
+        assert np.array_equal(V, V64.astype(np.float32))
+        assert np.array_equal(UT, UT64.astype(np.float32))
+        assert all(np.array_equal(a, b) for a, b in zip(cuts[:2], cuts64[:2]))
+    assert np.array_equal(KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi), u)
+
+
 @pytest.mark.parametrize("nranks", [2, 4])
 def test_owned_and_ghost_passes_match_sequential(nranks, layout):
     layout(True)

@@ -1,12 +1,13 @@
-"""The compiled near-field pair loops against their numpy oracle.
+"""The compiled pair loops against their numpy oracle.
 
-``repro.kernels.native`` runs the U, W and X steps of a ``1/r`` kernel as
-fused C loops; the numpy stages of ``PlanStages`` are what they must
-reproduce.  Every test here compares the two through the step lists a
-rank really compiles — sequential and both ranks of P = 2, whose owned
-and ghost splits are separate blocks — or calls a bound loop directly.
-The build and fallback rules are tested at the end.  Tests that need the
-loops skip on a host without a C compiler, where every step runs numpy.
+``repro.kernels.native`` runs the S2M, U, W, X and L2T steps of the ``1/r``
+and the Kelvin (Stokes, Navier) profiles as fused C loops; the numpy
+stages of ``PlanStages`` are what they must reproduce.  Every test here
+compares the two through the step lists a rank really compiles —
+sequential and both ranks of P = 2, whose owned and ghost splits are
+separate blocks — or calls a bound loop directly.  The build and
+fallback rules are tested at the end.  Tests that need the loops skip on
+a host without a C compiler, where every step runs numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +23,19 @@ import numpy as np
 import pytest
 
 from repro import KIFMM, FMMOptions
+from repro.bie.stokes_bie import StokesSingleLayer
+from repro.bie.surfaces import SphereSurface
 from repro.core.plan import NearBlocks
 from repro.core.steps import StepBuffers
-from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
+from repro.kernels import (
+    LaplaceKernel,
+    ModifiedLaplaceKernel,
+    NavierKernel,
+    StokesKernel,
+)
 from repro.kernels import native
+from repro.kernels.base import Kernel
+from repro.kernels.derived import LaplaceGradientKernel
 from repro.parallel import ParallelFMM
 from tests.conftest import clustered_cloud, uniform_cloud
 
@@ -34,8 +44,31 @@ pytestmark = pytest.mark.skipif(
 )
 
 SRC = Path(__file__).parents[2] / "src"
-NODES = ("near_u", "near_w", "x")
+NODES = ("s2m", "near_u", "near_w", "x", "l2t")
 OPTS = FMMOptions(p=4, max_points=30)
+KERNELS = {
+    "laplace": LaplaceKernel(), "stokes": StokesKernel(0.7),
+    "navier": NavierKernel(1.3, 0.2),  # a != b
+}
+
+
+class Magnitude(Kernel):
+    """``|K|`` entrywise: its numpy stages over ``|density|`` bound the
+    round-off of any evaluation order of ``K``."""
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self.source_dof, self.target_dof = kernel.source_dof, kernel.target_dof
+
+    def matrix(self, targets, sources):
+        return np.abs(self.kernel.matrix(targets, sources))
+
+
+class DoubledStokes(StokesKernel):
+    """A derived tensor kernel: overrides ``matrix``, names no profile."""
+
+    def matrix(self, targets, sources):
+        return 2.0 * super().matrix(targets, sources)
 
 
 @contextmanager
@@ -49,24 +82,42 @@ def numpy_only():
         native.loops_for = saved
 
 
-def node_steps(state, compiled: bool) -> dict:
-    """The U / W / X steps of one rank's apply, by name."""
+def node_steps(state, compiled: bool, kernels=None) -> dict:
+    """The S2M / U / W / X / L2T steps of one rank's apply, by name."""
     if compiled:
-        steps = state.compile().steps
+        steps = state.compile(kernels=kernels).steps
     else:
         with numpy_only():
-            steps = state.compile().steps
+            steps = state.compile(kernels=kernels).steps
     return {s.name: s for s in steps if s.stage in NODES}
 
 
 def work_arrays(state, nrhs: int, rng) -> dict:
     """Random densities and zeroed outputs in the apply's layouts."""
     plan, n_surf = state.plan, state.cache.n_surf
+    dof = state.kernel.source_dof
+    width = n_surf * dof
+    live = {
+        "phi": rng.standard_normal((state.ext_points.shape[0], dof, nrhs)),
+        "ue": rng.standard_normal((plan.nboxes, nrhs, width)),
+        "de": rng.standard_normal((nrhs, plan.nboxes, width)),
+        "dc": np.zeros((nrhs, plan.nboxes, width)),
+        "pot": np.zeros((nrhs, plan.targets_sorted.shape[0], dof)),
+    }
+    for ul in plan.up_levels:
+        live[f"check@{ul.level}"] = np.zeros((nrhs, ul.boxes.size, width))
+    return live
+
+
+def column(live: dict, r: int) -> dict:
+    """Right-hand side ``r`` of a block's work arrays, as nrhs = 1."""
     return {
-        "phi": rng.standard_normal((state.ext_points.shape[0], 1, nrhs)),
-        "ue": rng.standard_normal((plan.nboxes, nrhs, n_surf)),
-        "dc": np.zeros((nrhs, plan.nboxes, n_surf)),
-        "pot": np.zeros((nrhs, plan.targets_sorted.shape[0], 1)),
+        k: np.ascontiguousarray(
+            v[:, :, r : r + 1] if k == "phi"
+            else v[:, r : r + 1] if k == "ue"
+            else v[r : r + 1]
+        )
+        for k, v in live.items()
     }
 
 
@@ -74,49 +125,62 @@ def run(step, live: dict) -> np.ndarray:
     """Run ``step`` on copies of ``live``; what it wrote."""
     live = {k: v.copy() for k, v in live.items()}
     step.run(StepBuffers(step, live, live["pot"].shape[0]))
-    return live["dc" if step.stage == "x" else "pot"]
+    out = {"x": "dc", "s2m": step.writes[0]}.get(step.stage, "pot")
+    return live[out]
 
 
-def states(points: np.ndarray):
+def states(kernel: Kernel, points: np.ndarray):
     """One rank, then both ranks of P = 2."""
-    yield KIFMM(LaplaceKernel(), OPTS).setup(points).state
-    with ParallelFMM(2, LaplaceKernel(), OPTS) as pf:
+    yield KIFMM(kernel, OPTS).setup(points).state
+    with ParallelFMM(2, kernel, OPTS) as pf:
         yield from pf.setup(points).states
 
 
-@pytest.fixture(scope="module", params=["uniform", "corners"])
+@pytest.fixture(
+    scope="module",
+    params=[("laplace", "uniform"), ("laplace", "corners"),
+            ("stokes", "uniform"), ("stokes", "corners"),
+            ("navier", "corners")],
+    ids=["uniform", "corners", "stokes-uniform", "stokes-corners",
+         "navier-corners"],
+)
 def trees(request):
+    name, cloud = request.param
     rng = np.random.default_rng(7)
-    make = uniform_cloud if request.param == "uniform" else clustered_cloud
-    return list(states(make(rng, 2500)))
+    make = uniform_cloud if cloud == "uniform" else clustered_cloud
+    return list(states(KERNELS[name], make(rng, 2500)))
 
 
 class TestAgainstTheOracle:
     @pytest.mark.parametrize("nrhs", [1, 8])
     def test_every_node_per_target(self, trees, nrhs):
-        """|compiled - numpy| <= 1e-13 sum |K phi| at every target (or
-        check point), for every U, W and X step of every rank."""
+        """|compiled - numpy| <= 1e-13 sum |K| |phi| at every target (or
+        check point) component, for every S2M, U, W, X and L2T step of
+        every rank."""
         seen = set()
         for state in trees:
             live = work_arrays(state, nrhs, np.random.default_rng(3))
             magnitude = {k: np.abs(v) for k, v in live.items()}
             compiled, oracle = node_steps(state, True), node_steps(state, False)
-            assert compiled.keys() == oracle.keys()
+            absolute = node_steps(
+                state, False, (Magnitude(state.kernel),) * 3
+            )
+            assert compiled.keys() == oracle.keys() == absolute.keys()
             for name, step in compiled.items():
                 got, want = run(step, live), run(oracle[name], live)
-                bound = run(oracle[name], magnitude)  # K >= 0 for 1/r
+                bound = run(absolute[name], magnitude)
                 assert np.all(np.abs(got - want) <= 1e-13 * bound), name
                 seen.add(name.split(":")[0].split("@")[0])
-        assert seen >= {"near_u"}
+        assert seen >= {"s2m", "near_u", "l2t"}
 
     def test_corner_tree_has_every_node_and_both_splits(self):
         rng = np.random.default_rng(7)
         names = set()
-        for state in states(clustered_cloud(rng, 2500)):
+        for state in states(LaplaceKernel(), clustered_cloud(rng, 2500)):
             names |= set(node_steps(state, True))
         kinds = {n.split("@")[0] for n in names}
         assert {"near_u:own", "near_u:ghost", "near_w:own", "near_w:ghost",
-                "x"} <= kinds
+                "x", "s2m", "l2t"} <= kinds
 
     def test_steps_keep_their_declarations(self, trees):
         """Names, regions and flops are the numpy steps' exactly."""
@@ -136,15 +200,9 @@ class TestAgainstTheOracle:
             for step in node_steps(state, True).values():
                 block = run(step, live)
                 for r in range(8):
-                    single = {
-                        k: np.ascontiguousarray(
-                            v[:, :, r : r + 1] if k == "phi"
-                            else v[:, r : r + 1] if k == "ue"
-                            else v[r : r + 1]
-                        )
-                        for k, v in live.items()
-                    }
-                    assert np.array_equal(run(step, single)[0], block[r])
+                    assert np.array_equal(
+                        run(step, column(live, r))[0], block[r]
+                    )
 
     def test_nan_density_poisons_only_what_it_reaches(self, trees):
         """A NaN source reaches exactly the targets whose blocks hold it,
@@ -160,8 +218,8 @@ class TestAgainstTheOracle:
         for name, step in compiled.items():
             got, want = run(step, live), run(oracle[name], live)
             assert np.array_equal(np.isnan(got), np.isnan(want)), name
-        got = run(compiled["near_u:own"], live)[0, :, 0]
-        reached = np.zeros(got.size, dtype=bool)
+        got = run(compiled["near_u:own"], live)[0]
+        reached = np.zeros(got.shape, dtype=bool)
         for i in range(u.boxes.size):
             if bad in u.src_pos[u.seg[i] : u.seg[i + 1]]:
                 reached[u.trg_start[i] : u.trg_stop[i]] = True
@@ -221,10 +279,17 @@ class TestPairs:
 
 
 class TestSelection:
-    def test_only_the_inverse_r_profile_is_compiled(self):
-        assert native.loops_for(LaplaceKernel()) is not None
-        for kernel in (ModifiedLaplaceKernel(1.5), StokesKernel()):
+    def test_the_inverse_r_and_kelvin_profiles_are_compiled(self):
+        for kernel in (LaplaceKernel(), StokesKernel(0.7), NavierKernel()):
+            assert native.loops_for(kernel) is not None
+        for kernel in (ModifiedLaplaceKernel(1.5), LaplaceGradientKernel()):
             assert native.loops_for(kernel) is None
+        stokes, navier = StokesKernel(0.7), NavierKernel(1.3, 0.2)
+        loops = native.loops_for(navier)
+        assert (loops.kind, loops.dof) == (1, 3)
+        assert ("kelvin", loops.a, loops.b) == navier.profile()
+        assert loops.a != loops.b
+        assert stokes.profile()[1] == stokes.profile()[2]
 
     def test_a_subclass_that_changes_the_profile_keeps_numpy(self):
         class Scaled(LaplaceKernel):
@@ -236,6 +301,37 @@ class TestSelection:
 
         assert native.loops_for(Scaled()) is None
         assert native.loops_for(Undeclared()) is not None
+        assert native.loops_for(DoubledStokes()) is None
+
+    def test_derived_tensor_kernel_runs_the_numpy_stages(self, rng):
+        points = clustered_cloud(rng, 1200)
+        phi = rng.standard_normal((1200, 3))
+        fmm = KIFMM(DoubledStokes(), OPTS).setup(points)
+        steps = fmm.state.compile().steps
+        with numpy_only():
+            oracle = fmm.state.compile().steps
+        for step, other in zip(steps, oracle):
+            if step.stage in NODES:
+                assert step.run.__code__ is other.run.__code__
+        with numpy_only():
+            want = KIFMM(DoubledStokes(), OPTS).setup(points).apply(phi)
+        assert np.array_equal(fmm.apply(phi), want)
+
+    def test_refreshed_stokes_operator_matches_the_numpy_oracle(self):
+        """A moved geometry's matvec, compiled, against the numpy stages
+        on the same refreshed operator."""
+        falling = SphereSurface(np.array([0.6, 0.0, 2.2]), 0.4, 200)
+        held = SphereSurface(np.zeros(3), 1.0, 300)
+        op = StokesSingleLayer([falling, held], options=OPTS)
+        phi = np.random.default_rng(4).standard_normal(3 * op.n)
+        op.matvec(phi)
+        falling.translate(np.array([0.05, -0.02, 0.3]))
+        op.refresh_geometry()
+        moved = op.matvec(phi)
+        with numpy_only():
+            oracle = op.matvec(phi)
+        assert not np.array_equal(moved, oracle)
+        assert np.linalg.norm(moved - oracle) < 1e-9 * np.linalg.norm(oracle)
 
 
 class TestForeignCallSafety:
@@ -267,6 +363,25 @@ class TestForeignCallSafety:
         u, _ = fmm.state.near["own"]
         u.src_pos[u.src_pos.size // 2] = -3
         with pytest.raises(native.NativeIndexError, match="src_pos"):
+            fmm.apply(phi)
+
+    @pytest.mark.parametrize("block", ["s2m", "x", "l2t"])
+    def test_sanitized_stokes_apply_names_a_corrupted_block(self, rng, block):
+        points = clustered_cloud(rng, 1500)
+        fmm = KIFMM(StokesKernel(), FMMOptions(p=4, max_points=30,
+                                               sanitize=True))
+        fmm.setup(points)
+        phi = rng.standard_normal((1500, 3))
+        fmm.apply(phi)
+        plan = fmm.state.plan
+        if block == "s2m":
+            blocks = plan.up_levels[0].s2m
+        else:
+            level = next(dl for dl in plan.down_levels
+                         if getattr(dl, block).boxes.size)
+            blocks = getattr(level, block)
+        blocks.src_pos[0] = 10**9  # L2T: the partner is the box itself
+        with pytest.raises(native.NativeIndexError, match="blocks"):
             fmm.apply(phi)
 
     def test_target_ranges_and_layouts_are_checked(self):
