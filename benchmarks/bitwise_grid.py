@@ -12,7 +12,10 @@ x {sequential KIFMM; sequential KIFMM on the numpy near-field stages
 patched out); ParallelFMM at 1, 2, 4 ranks overlap on; 4 ranks overlap
 off; 8 ranks}.  The two-cluster set keeps
 two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
-split and its broadcasts.  Each cell records the sha256 of the
+split and its broadcasts.  The plane adds {Laplace2D, Stokes2D} x m2l
+{dense, rsvd, auto} x {uniform, corner-clustered square} x {sequential
+KIFMM, ParallelFMM at 1 and 2 ranks}: the same tree, plan and evaluator
+at ``dim = 2`` (which has no compiled loops to patch out).  Each cell records the sha256 of the
 ``nrhs = 1`` potential, of the tree (every ``TreeTopology`` array of
 every rank plus the global counts) and of the four CSR interaction lists
 of every rank, the sequential cells also the per-phase flop counts;
@@ -25,8 +28,9 @@ verdict per M2L column (an ``auto`` cell is filed under the backend
 whose cell it equals bit for bit), so a change that means to alter one
 backend's arithmetic shows which columns it left alone; any difference
 anywhere still exits 1.  Cells the other run has and this one lacks are
-listed per M2L and rank column as dropped, not as a failure, so a
-removed column shows in the log.  A ``seq-numpy`` cell is compared with the
+listed per M2L and rank column as dropped, and cells this run has and
+the other lacks as new — neither is a failure — so a removed or an added
+column shows in the log.  A ``seq-numpy`` cell is compared with the
 other run's ``seq`` cell of its row when the other run has no
 ``seq-numpy`` column (a commit before the compiled loops, whose every
 step was numpy): that pins the numpy stages' bits across a change that
@@ -62,6 +66,11 @@ try:
 except ImportError:  # a commit before the compiled pair loops
     native = None
 
+try:
+    from repro.kernels import Laplace2DKernel, Stokes2DKernel  # noqa: E402
+except ImportError:  # a commit before the dimension-generic core
+    Laplace2DKernel = Stokes2DKernel = None
+
 N, P, S, NRHS = 3000, 4, 40, 8
 CONFIGS = (
     ("seq", None),
@@ -72,6 +81,7 @@ CONFIGS = (
     ("p4-nooverlap", dict(nranks=4, overlap=False)),
     ("p8", dict(nranks=8)),
 )
+CONFIGS_2D = tuple(c for c in CONFIGS if c[0] in ("seq", "p1", "p2"))
 
 
 def two_clusters(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,6 +90,33 @@ def two_clusters(n: int, rng: np.random.Generator) -> np.ndarray:
         rng.uniform(0.0, 0.12, (half, 3)),
         rng.uniform(0.88, 1.0, (n - half, 3)),
     ])
+
+
+def uniform_square(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(0.0, 1.0, (n, 2))
+
+
+def corner_squares(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Points piled into the four corners of the unit square."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    pts = corners[rng.integers(0, 4, n)]
+    return np.abs(pts - 0.05 * np.abs(rng.standard_normal((n, 2))))
+
+
+#: (kernel name, kernel, point sets, configurations) of every row.
+ROWS = (
+    ("laplace", LaplaceKernel(), (("uniform", uniform_cube),
+                                  ("corners", corner_clusters),
+                                  ("two-clusters", two_clusters)), CONFIGS),
+    ("stokes", StokesKernel(), (("uniform", uniform_cube),
+                                ("corners", corner_clusters),
+                                ("two-clusters", two_clusters)), CONFIGS),
+) + (() if Laplace2DKernel is None else (
+    ("laplace2d", Laplace2DKernel(), (("uniform", uniform_square),
+                                      ("corners", corner_squares)), CONFIGS_2D),
+    ("stokes2d", Stokes2DKernel(), (("uniform", uniform_square),
+                                    ("corners", corner_squares)), CONFIGS_2D),
+))
 
 
 @contextmanager
@@ -130,17 +167,14 @@ def structure_hashes(states) -> dict[str, str]:
 def run_grid() -> tuple[dict, dict]:
     cells: dict[str, dict] = {}
     blocks: dict[str, np.ndarray] = {}
-    for kname, kernel in (("laplace", LaplaceKernel()),
-                          ("stokes", StokesKernel())):
-        for dist, maker in (("uniform", uniform_cube),
-                            ("corners", corner_clusters),
-                            ("two-clusters", two_clusters)):
+    for kname, kernel, point_sets, configs in ROWS:
+        for dist, maker in point_sets:
             rng = np.random.default_rng(12)
             pts = maker(N, rng)
             phi = rng.standard_normal((N, kernel.source_dof))
             phi8 = rng.standard_normal((N, kernel.source_dof, NRHS))
             for m2l in ("dense", "rsvd", "auto"):
-                for cname, par in CONFIGS:
+                for cname, par in configs:
                     par = dict(par or {})
                     opts = FMMOptions(p=P, max_points=S, m2l=m2l)
                     seq = cname.startswith("seq")
@@ -193,12 +227,11 @@ def main() -> None:
         json.dump(cells, fh, indent=1, sort_keys=True)
     if args.npz:
         np.savez_compressed(args.npz, **blocks)
+    rows = [k for k in cells if k.endswith("/seq")]
     broken = [
-        k for k in cells if k.endswith("/seq")
-        and cells[k]["sha256"] != cells[k[:-3] + "p1"]["sha256"]
+        k for k in rows if cells[k]["sha256"] != cells[k[:-3] + "p1"]["sha256"]
     ]
-    print(f"seq == p1 in {len(cells) // len(CONFIGS) - len(broken)}/"
-          f"{len(cells) // len(CONFIGS)} rows")
+    print(f"seq == p1 in {len(rows) - len(broken)}/{len(rows)} rows")
     for k in broken:
         print("  SEQ != P1", k)
     failed = bool(broken)
@@ -207,35 +240,34 @@ def main() -> None:
             other = json.load(fh)
         other_blocks = np.load(args.against[1])
         twin = {k: counterpart(k, other) for k in cells}
-        differ = [k for k in cells if cells[k] != other.get(twin[k])]
+        new = [k for k in cells if twin[k] not in other]
+        ours = {k: cells[k] for k in cells if k not in new}
+        differ = [k for k in ours if ours[k] != other[twin[k]]]
         rel = {
             k: float(np.abs(blocks[k] - other_blocks[twin[k]]).max()
                      / np.abs(other_blocks[twin[k]]).max())
-            for k in blocks
+            for k in ours
         }
         worst = max(rel.values())
-        print(f"{len(cells)} cells, {len(differ)} differ (potential, tree or "
+        print(f"{len(ours)} cells, {len(differ)} differ (potential, tree or "
               f"list hash, or flops); nrhs={NRHS} max relative difference "
               f"{worst:.3e}")
         for what in ("tree_sha256", "lists_sha256"):
-            same = sum(
-                cells[k][what] == other.get(twin[k], {}).get(what)
-                for k in cells
-            )
-            print(f"  {what:<13}{same:>3}/{len(cells)} cells equal")
-        numpy_rows = [k for k in cells if k.endswith("/seq-numpy")]
+            same = sum(ours[k][what] == other[twin[k]][what] for k in ours)
+            print(f"  {what:<13}{same:>3}/{len(ours)} cells equal")
+        numpy_rows = [k for k in ours if k.endswith("/seq-numpy")]
         base = twin[numpy_rows[0]].rsplit("/", 1)[1]
         equal = sum(k not in differ for k in numpy_rows)
         print(f"  seq-numpy == the other run's {base} in "
               f"{equal}/{len(numpy_rows)} rows")
-        for kname in sorted({k.split("/", 1)[0] for k in cells}):
-            keys = [k for k in cells if k.startswith(kname + "/")]
+        for kname in sorted({k.split("/", 1)[0] for k in ours}):
+            keys = [k for k in ours if k.startswith(kname + "/")]
             equal = sum(k not in differ for k in keys)
             print(f"  {kname:<11}{equal:>3}/{len(keys)} cells equal; "
                   f"nrhs={NRHS} max relative difference "
                   f"{max(rel[k] for k in keys):.3e}")
         columns: dict[str, list[str]] = {}
-        for k in cells:
+        for k in ours:
             columns.setdefault(m2l_column(k, cells), []).append(k)
         for name, keys in sorted(columns.items()):
             equal = sum(k not in differ for k in keys)
@@ -250,6 +282,12 @@ def main() -> None:
         for column, keys in sorted(dropped.items()):
             print(f"  dropped  {column:<18}{len(keys):>3} cells of the other "
                   f"run not in this one (not a failure)")
+        added: dict[str, list[str]] = {}
+        for k in new:
+            added.setdefault(k.split("/", 2)[2], []).append(k)
+        for column, keys in sorted(added.items()):
+            print(f"  new      {column:<18}{len(keys):>3} cells not in the "
+                  f"other run (not a failure)")
         failed = failed or bool(differ) or worst > 1e-13
     raise SystemExit(1 if failed else 0)
 

@@ -1,7 +1,8 @@
 """2D Stokes flow — a vortex-sheet-like interaction in the plane.
 
 Section 2 of the paper poses the method for d = 2, 3; this example runs
-the 2D instantiation (`repro.twod`): point forces arranged on concentric
+the one `KIFMM` on the plane's kernels (`repro.kernels.planar`, whose
+`dim = 2` makes the tree a quadtree): point forces arranged on concentric
 rings (a discretised rotor wake) interacting through the 2D Stokeslet,
 plus a screened-interaction comparison with the Bessel-K0 kernel — a
 kernel no analytic FMM expansion ships for.
@@ -13,14 +14,14 @@ import time
 
 import numpy as np
 
-from repro.twod import (
-    FMM2DOptions,
-    KIFMM2D,
+from repro import KIFMM
+from repro.core.fmm import FMMOptions
+from repro.kernels import (
     Laplace2DKernel,
     ModifiedLaplace2DKernel,
     Stokes2DKernel,
-    direct_evaluate_2d,
 )
+from repro.kernels.direct import direct_evaluate
 
 
 def ring_wake(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -49,13 +50,13 @@ def main() -> None:
     forces = np.stack([-radial[:, 1], radial[:, 0]], axis=1)
 
     kernel = Stokes2DKernel(mu=1.0)
-    fmm = KIFMM2D(kernel, FMM2DOptions(p=8, max_points=40)).setup(points)
+    fmm = KIFMM(kernel, FMMOptions(p=8, max_points=40)).setup(points)
     t0 = time.perf_counter()
     velocity = fmm.apply(forces)
     t_fmm = time.perf_counter() - t0
 
     sample = rng.choice(n, size=300, replace=False)
-    exact = direct_evaluate_2d(kernel, points[sample], points, forces)
+    exact = direct_evaluate(kernel, points[sample], points, forces)
     err = np.linalg.norm(velocity[sample] - exact) / np.linalg.norm(exact)
     print(f"2D Stokes, {n} sheet points: FMM {t_fmm:.2f}s, "
           f"rel error {err:.2e}")
@@ -67,11 +68,11 @@ def main() -> None:
     # kernel independence in 2D: swap in the Bessel-K0 screened kernel
     for kern in (Laplace2DKernel(), ModifiedLaplace2DKernel(lam=8.0)):
         phi = rng.random((n, 1))
-        f2 = KIFMM2D(kern, FMM2DOptions(p=8, max_points=40)).setup(points)
+        f2 = KIFMM(kern, FMMOptions(p=8, max_points=40)).setup(points)
         t0 = time.perf_counter()
         u = f2.apply(phi)
         dt = time.perf_counter() - t0
-        ex = direct_evaluate_2d(kern, points[sample], points, phi)
+        ex = direct_evaluate(kern, points[sample], points, phi)
         e = np.linalg.norm(u[sample] - ex) / np.linalg.norm(ex)
         print(f"{kern.name:22s} FMM {dt:.2f}s, rel error {e:.2e}")
 

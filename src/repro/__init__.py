@@ -6,9 +6,13 @@ kernel-independent fast multipole method*, SC 2003.
 The package is organised bottom-up:
 
 - :mod:`repro.kernels` — single-layer kernels of second-order elliptic PDEs
-  (Laplace, modified Laplace, Stokes, Navier) plus the direct O(N^2) baseline.
+  (Laplace, modified Laplace, Stokes, Navier; the plane's Laplace,
+  Bessel-K0 and Stokeslet kernels) plus the direct O(N^2) baseline.
 - :mod:`repro.octree` — adaptive hierarchical octree and the U/V/W/X
-  interaction lists of the adaptive FMM.
+  interaction lists of the adaptive FMM.  Everything from here to the
+  parallel driver takes its dimension from its input — the points'
+  column count, ``Kernel.dim`` — so a 2D kernel runs the same code on a
+  quadtree (Section 2 poses the method for ``d = 2, 3``).
 - :mod:`repro.core` — the kernel-independent FMM itself: equivalent/check
   surfaces, density translations, dense and rsvd-compressed M2L, and the
   public :class:`~repro.core.fmm.KIFMM` driver.
@@ -22,8 +26,6 @@ The package is organised bottom-up:
 - :mod:`repro.linalg` — restarted GMRES and regularised pseudo-inverses.
 - :mod:`repro.bie` — Stokes boundary-integral application layer
   (the Figure 4.1 fluid-structure showcase).
-- :mod:`repro.twod` — the complete 2D instantiation (quadtree, square
-  surfaces, 2D kernels, :class:`~repro.twod.fmm.KIFMM2D`).
 """
 
 from repro.core.fmm import KIFMM, FMMOptions

@@ -444,7 +444,9 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
     """Statically certify every CI plan configuration — no apply runs.
 
     Sweeps the full configuration matrix (kernels × m2l modes × nrhs ×
-    sequential + every rank count × overlap on/off), extracts each
+    sequential + every rank count × overlap on/off), plus the sequential
+    plans of the plane's Laplace and Stokes kernels over the workload's
+    points projected to ``dim = 2``, extracts each
     compiled plan's dataflow IR and certifies buffer liveness,
     dtype-flow, overlap-schedule happens-before consistency and the
     exact flop-budget identity against the performance model.  There is
@@ -463,6 +465,7 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
         run_selftests,
     )
     from repro.core.precompute import OperatorCache
+    from repro.kernels import Laplace2DKernel, Stokes2DKernel
     from repro.octree.tree import _root_cube
 
     rng = np.random.default_rng(args.seed)
@@ -488,9 +491,14 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
             print(f"  {f}")
         failed |= not report.ok
 
-    for kname in kernels:
-        kernel = _make_kernel(kname)
-        corner, side = _root_cube(pts)
+    # The plane: the one plan compiler and cost model at dim = 2.
+    plane = np.ascontiguousarray(pts[:, :2])
+    sweeps = [(k, _make_kernel(k), pts, ranks_list) for k in kernels] + [
+        ("laplace2d", Laplace2DKernel(), plane, []),
+        ("stokes2d", Stokes2DKernel(), plane, []),
+    ]
+    for kname, kernel, points, kernel_ranks in sweeps:
+        corner, side = _root_cube(points)
         # One operator cache per kernel: every backend's operators
         # (pseudoinverses, dense/rsvd translations) are keyed
         # independently, so all configurations can share it.
@@ -501,19 +509,19 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
             opts = FMMOptions(p=args.p, max_points=args.s, m2l=m2l,
                               dtype=dtype)
             # The sequential operator is the rank operator at one rank.
-            fmm = KIFMM(kernel, opts).setup(pts, cache=shared_cache)
+            fmm = KIFMM(kernel, opts).setup(points, cache=shared_cache)
             for nrhs in nrhs_list:
                 ir, expected = rank_ir(fmm.state, nrhs=nrhs)
                 name = f"{kname}/{conf}/sequential/nrhs{nrhs}"
                 record(run_checks(ir, expected, name=name), {
-                    "kernel": kname, "m2l": m2l, "dtype": dtype,
-                    "mode": "sequential",
+                    "kernel": kname, "dim": kernel.dim, "m2l": m2l,
+                    "dtype": dtype, "mode": "sequential",
                     "depth": ir.meta["depth"], "p": args.p, "nrhs": nrhs,
                     "ranks": 1, "overlap": None,
                 })
-            for nranks in ranks_list:
+            for nranks in kernel_ranks:
                 states = rank_states(
-                    kernel, pts, opts, nranks, cache=shared_cache,
+                    kernel, points, opts, nranks, cache=shared_cache,
                 )
                 for nrhs in nrhs_list:
                     for overlap in (True, False):
@@ -525,7 +533,8 @@ def _cmd_plancheck(args: argparse.Namespace) -> int:
                             name = (f"{kname}/{conf}/ranks{nranks}/"
                                     f"overlap-{ov}/nrhs{nrhs}/rank{r}")
                             record(run_checks(ir, expected, name=name), {
-                                "kernel": kname, "m2l": m2l,
+                                "kernel": kname, "dim": kernel.dim,
+                                "m2l": m2l,
                                 "dtype": dtype,
                                 "mode": "parallel",
                                 "depth": ir.meta["depth"], "p": args.p,
@@ -599,6 +608,7 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         static_plan_inputs,
     )
     from repro.core.precompute import OperatorCache
+    from repro.kernels import Laplace2DKernel, Stokes2DKernel
     from repro.octree.tree import _root_cube
 
     rng = np.random.default_rng(args.seed)

@@ -346,7 +346,8 @@ class PlanStages:
                 if self.src_loops is not None:
                     s2m = self.src_loops.x(
                         ul.s2m, np.ascontiguousarray(plan.centers[ul.boxes]),
-                        self.src_points, cache.up_check_points(np.zeros(3), lvl),
+                        self.src_points,
+                        cache.up_check_points(cache.origin, lvl),
                         sanitize,
                     )
                 emit(f"s2m@{lvl}", "up", "s2m",
@@ -436,7 +437,7 @@ class PlanStages:
                 if self.src_loops is not None:
                     x = self.src_loops.x(
                         dl.x, plan.centers, self.src_points,
-                        cache.down_check_points(np.zeros(3), lvl), sanitize,
+                        cache.down_check_points(cache.origin, lvl), sanitize,
                     )
                 emit(f"x@{lvl}", "down_x", "x",
                      lambda b: x(b["phi"], b["dc"]),
@@ -452,7 +453,7 @@ class PlanStages:
                 if self.trg_loops is not None:
                     l2t = self.trg_loops.w(
                         dl.l2t, plan.centers, self.surface_radius(cache.outer),
-                        surface_grid(cache.p), plan.targets_sorted, sanitize,
+                        surface_grid(cache.p, cache.dim), plan.targets_sorted, sanitize,
                         rhs_major=True,
                     )
                 emit(f"l2t@{lvl}", "eval", "l2t",
@@ -480,7 +481,7 @@ class PlanStages:
                 if self.trg_loops is not None:
                     near_w = self.trg_loops.w(
                         w, plan.centers, self.surface_radius(cache.inner),
-                        surface_grid(cache.p), plan.targets_sorted, sanitize,
+                        surface_grid(cache.p, cache.dim), plan.targets_sorted, sanitize,
                     )
                 emit(f"near_w:{split}", "down_w", "near_w",
                      lambda b: near_w(b["ue"], b["pot"]),
@@ -518,7 +519,7 @@ class PlanStages:
         src_k, n_surf, qd = self.src_k, self.n_surf, self.qd
         sdof = src_k.source_dof
         nrhs = check.shape[0]
-        chk_pts = self.cache.up_check_points(np.zeros(3), ul.level)
+        chk_pts = self.cache.up_check_points(self.cache.origin, ul.level)
         phi_cat = phi[ul.s2m_src_pos].transpose(2, 0, 1).reshape(nrhs, -1)
         max_pts = max(1, MAX_BLOCK_ENTRIES // (n_surf * qd * sdof))
         for lo, hi in chunk_segments(ul.s2m_seg, max_pts):
@@ -604,11 +605,11 @@ class PlanStages:
 
         Per direction and chunk of parent pairs: gather the source
         parents' sibling slabs (the zero sentinel row stands in for a
-        child that is missing, inactive or outside the pass), eight
+        child that is missing, inactive or outside the pass), ``2^d``
         GEMMs through the ``V`` stack — one per source octant, every
         target octant's factor at once — a slab reorder of the
         rank-major intermediate from ``[o_s][o_t]`` to ``[o_t][o_s]``,
-        eight GEMMs through the ``UT`` stack, one slab scatter-add (a
+        ``2^d`` GEMMs through the ``UT`` stack, one slab scatter-add (a
         real target row occurs once per direction).  Adjacent child
         pairs have no slot: a full block costs the flops of its pairs.
 
@@ -627,10 +628,11 @@ class PlanStages:
         boxes, targets = vl.src_boxes[vp.rows], vl.trg_boxes[sp.inv_rows]
         nr, nt = boxes.size, targets.size
         wm, wq = self.n_surf * self.md, self.n_surf * self.qd
+        nchild = 1 << cache.dim
         by_mask: dict[int, list] = {}
         for po, src_rows, trg_rows in vp.po_groups:
             mask, *stacks = cache.m2l_stacks(key, po, dtype)
-            octants = np.arange(8) ^ mask
+            octants = np.arange(nchild) ^ mask
             by_mask.setdefault(mask, []).append((
                 stacks, np.minimum(src_rows - lo, nr)[:, octants],
                 trg_rows[:, octants],
@@ -638,7 +640,7 @@ class PlanStages:
         # ~1.2 MB of source slabs per chunk keeps them and the
         # intermediate L2-resident (level 4 of the 50k-point Laplace
         # tree: 128 parent pairs 0.32 s, 205 0.36 s, 411 0.38 s).
-        step = max(1, 160_000 // (8 * max(wm, wq)))
+        step = max(1, 160_000 // (nchild * max(wm, wq)))
         # Plain arrays, not pool buffers: freed with the stage, they do
         # not sit under the upward pass's peak.
         ext = np.zeros((nr + 1, wm), dtype)
@@ -659,12 +661,12 @@ class PlanStages:
                         x = ext[s]
                         y, yt = np.empty(shape, dtype), np.empty(shape, dtype)
                         out = np.empty(s.shape + (wq,), dtype)
-                        for o in range(8):  # every octant has slots
+                        for o in range(nchild):  # every octant has slots
                             a, b = vcut[o], vcut[o + 1]
                             np.matmul(V[a:b], x[:, o].T, out=y[a:b])
                         for a, b, c in moves:
                             yt[a:b] = y[c : c + b - a]
-                        for o in range(8):
+                        for o in range(nchild):
                             a, b = ucut[o], ucut[o + 1]
                             np.matmul(yt[a:b].T, UT[a:b], out=out[:, o])
                         acc[t] += out
@@ -685,7 +687,7 @@ class PlanStages:
 
     def x(self, dl: DownLevel, phi: np.ndarray, dc: np.ndarray) -> None:
         """X list: partner sources straight to check potentials."""
-        chk_pts = self.cache.down_check_points(np.zeros(3), dl.level)
+        chk_pts = self.cache.down_check_points(self.cache.origin, dl.level)
         blocks = dl.x
         nrhs = dc.shape[0]
         for i, bi in enumerate(blocks.boxes):
@@ -710,7 +712,7 @@ class PlanStages:
         """Leaf boxes' downward densities to their targets."""
         trg_k, n_surf, md = self.trg_k, self.n_surf, self.md
         out_dof = trg_k.target_dof
-        eq_pts = self.cache.down_equiv_points(np.zeros(3), dl.level)
+        eq_pts = self.cache.down_equiv_points(self.cache.origin, dl.level)
         # Box row of each L2T point (the repeat is equivalent to
         # np.repeat over the leaf segments, but gathers only the
         # chunk in flight for each right-hand side).
@@ -767,7 +769,7 @@ class PlanStages:
         plan, trg_k = self.plan, self.trg_k
         out_dof = trg_k.target_dof
         nrhs = pot.shape[0]
-        sgrid = surface_grid(self.cache.p)
+        sgrid = surface_grid(self.cache.p, self.cache.dim)
         radius = self.surface_radius(self.cache.inner)
         for i, bi in enumerate(blocks.boxes):
             t0, t1 = int(blocks.trg_start[i]), int(blocks.trg_stop[i])
@@ -779,7 +781,7 @@ class PlanStages:
             eq_pts = (
                 (plan.centers[partners] - ctr)[:, None, :]
                 + rad[:, None, None] * sgrid[None, :, :]
-            ).reshape(-1, 3)
+            ).reshape(-1, sgrid.shape[1])
             K = trg_k.matrix_local(plan.targets_sorted[t0:t1] - ctr, eq_pts)
             xs = ue[partners].transpose(0, 2, 1).reshape(-1, nrhs)
             pot[:, t0:t1] += (K @ xs).reshape(

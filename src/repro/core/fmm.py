@@ -188,6 +188,7 @@ class KIFMM:
                     max_points=opts.max_points,
                     max_depth=opts.max_depth,
                     root=root,
+                    dim=self.kernel.dim,
                 ),
                 opts.balance,
             )

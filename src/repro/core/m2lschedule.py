@@ -31,6 +31,7 @@ roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,9 +101,14 @@ class M2LSchedule:
         }
 
 
-#: V slots of a parent pair by the non-zero components of its offset
-#: (face, edge, corner): the 64 child pairs less the adjacent ones.
-_BLOCK_SLOTS = np.array([0, 48, 60, 63])
+@lru_cache(maxsize=None)
+def block_slot_counts(dim: int) -> np.ndarray:
+    """V slots of a parent pair by the number ``k`` of non-zero
+    components of its offset: the ``4^d`` child pairs less the ``4^(d-k)``
+    adjacent ones (face, edge, corner in 3D: 48, 60, 63)."""
+    slots = np.array([4**dim - 4 ** (dim - k) for k in range(dim + 1)])
+    slots.setflags(write=False)
+    return slots
 
 
 def v_stats_from_plan(plan) -> dict[int, tuple[int, int, int, int, int]]:
@@ -119,7 +125,7 @@ def v_stats_from_plan(plan) -> dict[int, tuple[int, int, int, int, int]]:
             int(vl.npairs), int(vl.src_boxes.size), int(vl.trg_boxes.size),
             sum(len(rows) for _, rows, _ in vl.po_groups),
             sum(
-                len(rows) * int(_BLOCK_SLOTS[np.count_nonzero(po)])
+                len(rows) * int(block_slot_counts(len(po))[np.count_nonzero(po)])
                 for po, rows, _ in vl.po_groups
             ),
         )
@@ -157,7 +163,7 @@ def v_stats_from_lists(
     block_level = topo.level[pt] + 1
     nparent = np.bincount(block_level, minlength=nlevels)
     nslots = np.bincount(
-        block_level, minlength=nlevels, weights=_BLOCK_SLOTS[
+        block_level, minlength=nlevels, weights=block_slot_counts(topo.dim)[
             np.count_nonzero(topo.anchor[pt] - topo.anchor[ps], axis=1)
         ],
     )
@@ -171,32 +177,37 @@ def v_stats_from_lists(
 
 
 def rsvd_layout_seconds(
-    stats: tuple[int, int, int, int, int], width: int, rank: float
+    stats: tuple[int, int, int, int, int], width: int, rank: float, dim: int
 ) -> tuple[float, float]:
-    """Modelled ``(class-major, blocked)`` seconds of one rsvd level.
+    """Modelled ``(class-major, blocked)`` seconds of one rsvd level
+    in ``dim`` dimensions.
 
     ``width`` is ``n_surf (md + qd)``, the doubles a pair reads plus
     writes; a factor pair holds ``rank`` (the classes' mean) times as
     many.  Flops at the rate the layout's GEMM shapes reach, plus what
-    it moves: class-major streams a factor pair per class present and
-    gathers / scatters a row per pair; blocked multiplies every slot of
-    its blocks, filled or not, streams a direction stack (~58 slots)
-    per direction present, moves a sibling slab per parent pair and
-    (stacks for 7 of the 26 directions) mirrors the level's rows once
-    per sign mask.
+    it moves: class-major streams a factor pair per class present (at
+    most ``7^d - 3^d``) and gathers / scatters a row per pair; blocked
+    multiplies every slot of its blocks, filled or not, streams a
+    direction stack (the mean slots of a direction, ~58 in 3D) per
+    direction present (at most ``3^d - 1``), moves a sibling slab of
+    ``2^d`` rows per parent pair and (stacks for the ``2^d - 1``
+    non-negative directions) mirrors the level's rows once per sign
+    mask.
     """
     npairs, nsb, ntb, nparent, nslots = stats
+    # The slots of all 3^d - 1 directions sum to 12^d - 6^d.
+    stack_slots = round((12**dim - 6**dim) / (3**dim - 1))
     pair = 2.0 * rank * width
     factors, row = 8.0 * rank * width, 8.0 * width
     by_class = (
         npairs * pair / _SKINNY_RATE
-        + min(npairs, 316) * factors / _STREAM_RATE
+        + min(npairs, 7**dim - 3**dim) * factors / _STREAM_RATE
         + npairs * row / _MOVE_RATE
     )
     blocked = (
         nslots * pair / _STACKED_RATE
-        + min(nparent, 26) * 58 * factors / _STREAM_RATE
-        + (nparent * 8 + 7 * (nsb + ntb) / 2) * row / _MOVE_RATE
+        + min(nparent, 3**dim - 1) * stack_slots * factors / _STREAM_RATE
+        + (nparent * 2**dim + (2**dim - 1) * (nsb + ntb) / 2) * row / _MOVE_RATE
     )
     return by_class, blocked
 
@@ -218,6 +229,7 @@ def resolve_m2l_schedule(
     - dense: ``npairs * 2 (n_surf md)(n_surf qd)``
     - rsvd:  ``npairs * 2 k n_surf (md + qd)`` with ``k`` probed from
       the compression rank of the reference offset class ``(2, 0, 0)``
+      (``(2, 0)`` in 2D)
       (the canonical offset of its symmetry class, so the probe pays
       for a factorisation the first rsvd apply then finds in the cache)
 
@@ -240,7 +252,8 @@ def resolve_m2l_schedule(
     backends = {level: mode for level in stats}
     if mode == "dense":
         return M2LSchedule(mode, dtype, backends)
-    ranks = {level: cache.m2l_rsvd_rank(level, (2, 0, 0)) for level in stats}
+    probe = (2,) + (0,) * (cache.dim - 1)
+    ranks = {level: cache.m2l_rsvd_rank(level, probe) for level in stats}
     ns = cache.n_surf
     md, qd = kernel.source_dof, kernel.target_dof
     if mode == "auto":
@@ -251,7 +264,9 @@ def resolve_m2l_schedule(
     # The probed class is the closest one; at p = 6 its rank is about
     # twice the mean of the 316 (56 vs 26.6 Laplace, 161 vs 78 Stokes).
     by_class, blocked = np.sum([(0.0, 0.0)] + [
-        rsvd_layout_seconds(stats[level], ns * (md + qd), ranks[level] / 2)
+        rsvd_layout_seconds(
+            stats[level], ns * (md + qd), ranks[level] / 2, cache.dim
+        )
         for level, backend in backends.items() if backend == "rsvd"
     ], axis=0)
     return M2LSchedule(mode, dtype, backends, bool(blocked < by_class))

@@ -15,9 +15,10 @@ every rank alike — :func:`repro.parallel.pfmm.setup_on_tree`), so every
   stacked GEMM per occupied child octant (M2M), and one stacked GEMM for
   the ``uc2ue`` inversion of every source box at the level.
 - **M2L** — V-list pairs grouped by (target parent, source parent) in
-  the ≤26 parent-pair directions: blocked rsvd levels run these blocks
-  through direction-stacked factors.  The ≤316 translation-offset
-  classes of a level (dense: one stacked GEMM per class; class-major
+  the ≤ ``3^d - 1`` parent-pair directions (26 in 3D): blocked rsvd
+  levels run these blocks through direction-stacked factors.  The ≤
+  ``7^d - 3^d`` translation-offset classes of a level (316 in 3D;
+  dense: one stacked GEMM per class; class-major
   rsvd, for trees whose blocks are mostly empty: two skinny ones) are
   derived from the blocks on first use; :func:`split_v_level` divides a
   level into a rank's owned and ghost passes.
@@ -45,6 +46,7 @@ two produce identical flop statistics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -185,31 +187,42 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
-def block_slots(parent_offset: tuple[int, int, int]) -> np.ndarray:
+def block_slots(parent_offset: tuple[int, ...]) -> np.ndarray:
     """Offset class of every child pair of one parent-pair direction:
     entry ``[o_t, o_s]`` is the base-7 key of ``2 parent_offset + v(o_t)
     - v(o_s)``, or -1 where the children are adjacent — no V pair, no
     slot."""
     off = child_pair_offsets(parent_offset)
-    key = ((off + 3) * (49, 7, 1)).sum(axis=2)
+    key = (off + 3) @ _place_values(7, len(parent_offset))
     key[np.abs(off).max(axis=2) < 2] = -1
     key.setflags(write=False)
     return key
 
 
-def _class_offset(key: int) -> tuple[int, int, int]:
-    return (key // 49 - 3, (key % 49) // 7 - 3, key % 7 - 3)
+def _place_values(base: int, dim: int) -> np.ndarray:
+    """Digit weights of a ``dim``-digit key, the first axis highest."""
+    return base ** np.arange(dim - 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _offsets(base: int, dim: int) -> tuple[tuple[int, ...], ...]:
+    """The offset every :func:`_place_values` key encodes, by key:
+    digits centred on zero (``base // 2`` is offset 0)."""
+    half = base // 2
+    return tuple(itertools.product(range(-half, half + 1), repeat=dim))
 
 
 def _class_counts(po_groups: list, src_ok: np.ndarray, trg_ok: np.ndarray) -> dict:
     """Pairs per offset class that parent-pair blocks cover, counting a
     slot where ``src_ok`` / ``trg_ok`` mark its rows."""
-    counts = np.zeros(343, dtype=np.int64)
+    dim = len(po_groups[0][0]) if po_groups else 0
+    counts = np.zeros(7**dim, dtype=np.int64)
     for po, src_rows, trg_rows in po_groups:
         slots = block_slots(po)
         n = trg_ok[trg_rows].T.astype(np.int64) @ src_ok[src_rows]
         np.add.at(counts, slots[slots >= 0], n[slots >= 0])
-    return {_class_offset(int(k)): int(counts[k]) for k in np.flatnonzero(counts)}
+    offsets = _offsets(7, dim)
+    return {offsets[k]: int(counts[k]) for k in np.flatnonzero(counts)}
 
 
 @dataclass
@@ -219,8 +232,8 @@ class VLevel:
     ``src_boxes``/``trg_boxes`` are the unique source and target
     (accumulator) boxes.
 
-    ``po_groups`` hold one entry per parent-anchor offset (≤26
-    directions): the ``(npp, 8)`` positions of the eight child octants
+    ``po_groups`` hold one entry per parent-anchor offset (≤ ``3^d - 1``
+    directions): the ``(npp, 2^d)`` positions of the child octants
     of every unique (target-parent, source-parent) pair of that
     direction.  Missing or inactive children point at the sentinel rows
     ``len(src_boxes)`` / ``len(trg_boxes)`` (a zero source row and a
@@ -239,8 +252,8 @@ class VLevel:
     level: int
     src_boxes: np.ndarray
     trg_boxes: np.ndarray
-    po_groups: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
-    counts: dict[tuple[int, int, int], int] = field(init=False)
+    po_groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]
+    counts: dict[tuple[int, ...], int] = field(init=False)
 
     def __post_init__(self) -> None:
         nsb, ntb = self.src_boxes.size, self.trg_boxes.size
@@ -253,7 +266,7 @@ class VLevel:
         return sum(self.counts.values())
 
     @cached_property
-    def classes(self) -> list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]:
+    def classes(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
         nsb, ntb = self.src_boxes.size, self.trg_boxes.size
         keys, spos, tpos = [], [], []
         for po, src_rows, trg_rows in self.po_groups:
@@ -267,8 +280,9 @@ class VLevel:
         key, spos, tpos = map(np.concatenate, (keys, spos, tpos))
         order = np.argsort(key * (ntb + 1) + tpos, kind="stable")
         bounds = run_bounds(key[order])
+        offsets = _offsets(7, len(self.po_groups[0][0]))
         return [
-            (_class_offset(int(key[order[lo]])), spos[order[lo:hi]],
+            (offsets[key[order[lo]]], spos[order[lo:hi]],
              tpos[order[lo:hi]])
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
@@ -286,8 +300,8 @@ class VPass:
     """
 
     rows: np.ndarray
-    counts: dict[tuple[int, int, int], int]
-    po_groups: list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]
+    counts: dict[tuple[int, ...], int]
+    po_groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]
     of: tuple[VLevel, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
@@ -295,7 +309,7 @@ class VPass:
         return sum(self.counts.values())
 
     @cached_property
-    def classes(self) -> list[tuple[tuple[int, int, int], np.ndarray, np.ndarray]]:
+    def classes(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
         vl, mine, trg_keep = self.of
         kept = (
             (offset, spos, tpos, mine[spos] & trg_keep[tpos])
@@ -602,7 +616,8 @@ def compile_plan(
         local+ghost source array; sequential callers omit it.
     """
     topo = tree.topology
-    nb = topo.nboxes
+    nb, dim = topo.nboxes, topo.dim
+    nchild = 1 << dim
     level_of, parent, octant, anchors = (
         topo.level, topo.parent, topo.octant, topo.anchor
     )
@@ -640,7 +655,7 @@ def compile_plan(
             kids = kids[kids >= 0]
             kids = kids[nsrc[kids] > 0]
             rows = np.searchsorted(sel, parent[kids])
-            for o in range(8):
+            for o in range(nchild):
                 m = octant[kids] == o
                 if m.any():
                     groups.append((o, kids[m], rows[m]))
@@ -697,7 +712,7 @@ def compile_plan(
         uniq = pair_key[run_bounds(pair_key)[:-1]]
         upt, ups = uniq // nb, uniq % nb
         po = anchors[upt] - anchors[ups]  # components in [-1, 1], never 0
-        pkey = (po[:, 0] + 1) * 9 + (po[:, 1] + 1) * 3 + (po[:, 2] + 1)
+        pkey = (po + 1) @ _place_values(3, dim)
         porder = np.argsort(pkey, kind="stable")
         spk = pkey[porder]
         pbounds = run_bounds(spk)
@@ -705,7 +720,7 @@ def compile_plan(
         for gi in range(pbounds.size - 1):
             rows = porder[pbounds[gi] : pbounds[gi + 1]]
             k = int(spk[pbounds[gi]])
-            po_vec = (k // 9 - 1, (k // 3) % 3 - 1, k % 3 - 1)
+            po_vec = _offsets(3, dim)[k]
             # child_tab == -1 wraps to the last (sentinel) row entry.
             src_rows = src_row_of[child_tab[ups[rows]]]
             trg_rows = trg_row_of[child_tab[upt[rows]]]
@@ -721,7 +736,7 @@ def compile_plan(
             continue
         l2l_sel = act[has_de[parent[act]]]
         groups = []
-        for o in range(8):
+        for o in range(nchild):
             m = octant[l2l_sel] == o
             if m.any():
                 groups.append((o, l2l_sel[m], parent[l2l_sel[m]]))

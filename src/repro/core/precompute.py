@@ -12,12 +12,14 @@ of a reference level: evaluation matrices scale by ``a^h`` and the
 pseudo-inverses by ``a^-h``, where ``a`` is the box half-width ratio.
 Inhomogeneous kernels (modified Laplace) are precomputed per level.
 
-The surfaces are a regular cube lattice, so the 316 V-list offsets fall
-into 16 orbits of the cube's 48 signed axis permutations.  For a kernel
-that declares how it transforms under them (``Kernel.symmetry``) the
-compressed M2L factors are computed for the one offset ``a >= b >= c >=
-0`` of each orbit and carried to the others by a node permutation (and,
-for tensor kernels, a signed component permutation).
+The surfaces are a regular cube lattice, so the ``7^d - 3^d`` V-list
+offsets (316 in 3D) fall into orbits of the cube's ``2^d d!`` signed
+axis permutations (16 orbits of 48 in 3D).  For a kernel that declares
+how it transforms under them (``Kernel.symmetry``) the compressed M2L
+factors are computed for the one offset ``a >= b >= c >= 0`` of each
+orbit and carried to the others by a node permutation (and, for tensor
+kernels, a signed component permutation).  Everything here is in the
+kernel's dimension ``Kernel.dim``.
 """
 
 from __future__ import annotations
@@ -38,30 +40,24 @@ from repro.core.surfaces import (
 from repro.kernels.base import Kernel
 from repro.linalg.pinv import regularized_pinv
 from repro.linalg.rsvd import randomized_svd
-from repro.octree.topology import child_pair_offsets
+from repro.octree.topology import child_pair_offsets, octant_vectors
 
 
-def octant_offset(octant: int) -> np.ndarray:
+def octant_offset(octant: int, dim: int) -> np.ndarray:
     """Child-center offset from the parent center, in parent half-widths.
 
     Octant bit 0/1/2 selects the x/y/z half; bit value 0 means the lower
     half (offset ``-1/2``), 1 the upper half (``+1/2``), matching the
     Morton child indexing of :mod:`repro.octree.morton`.
     """
-    if not 0 <= octant < 8:
-        raise ValueError(f"octant must be in [0, 8), got {octant}")
-    return np.array(
-        [
-            0.5 if octant & 1 else -0.5,
-            0.5 if (octant >> 1) & 1 else -0.5,
-            0.5 if (octant >> 2) & 1 else -0.5,
-        ]
-    )
+    if not 0 <= octant < 1 << dim:
+        raise ValueError(f"octant must be in [0, {1 << dim}), got {octant}")
+    return octant_vectors(dim)[octant] - 0.5
 
 
 def canonical_offset(
-    offset: tuple[int, int, int],
-) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:
+    offset: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The symmetry class of a box offset and the way back from it.
 
     Returns ``(canonical, axes, signs)``: ``canonical`` holds the
@@ -70,10 +66,10 @@ def canonical_offset(
     ``offset``.  Ties and zeros are broken the same way every time, so
     the pair is a pure function of the offset.
     """
-    order = sorted(range(3), key=lambda a: -abs(offset[a]))
+    order = sorted(range(len(offset)), key=lambda a: -abs(offset[a]))
     return (
         tuple(abs(int(offset[a])) for a in order),
-        tuple(order.index(a) for a in range(3)),
+        tuple(order.index(a) for a in range(len(offset))),
         tuple(-1 if o < 0 else 1 for o in offset),
     )
 
@@ -89,7 +85,7 @@ class OperatorCache:
     Parameters
     ----------
     kernel:
-        The interaction kernel.
+        The interaction kernel; its ``dim`` is the operators'.
     p:
         Surface discretisation order (points per cube edge); the paper's
         "degree of discretization for equivalent densities".
@@ -122,15 +118,16 @@ class OperatorCache:
                 f"kernel symmetry must be None, 'scalar' or 'tensor', "
                 f"got {kernel.symmetry!r}"
             )
-        if kernel.symmetry == "tensor" and (
-            kernel.source_dof != 3 or kernel.target_dof != 3
+        if kernel.symmetry == "tensor" and not (
+            kernel.source_dof == kernel.target_dof == kernel.dim
         ):
             raise ValueError(
-                "a kernel with symmetry='tensor' needs 3 source and 3 "
-                f"target components, got {kernel.source_dof} and "
-                f"{kernel.target_dof}"
+                f"a {kernel.dim}-D kernel with symmetry='tensor' needs "
+                f"{kernel.dim} source and target components, got "
+                f"{kernel.source_dof} and {kernel.target_dof}"
             )
         self.kernel = kernel
+        self.dim = kernel.dim
         self.p = int(p)
         self.root_side = float(root_side)
         self.inner = float(inner)
@@ -143,20 +140,20 @@ class OperatorCache:
         # a box's full V list while staying well below the
         # p-discretisation error at the paper's operating points.
         self.rsvd_tol = float(0.1 * np.sqrt(self.rcond))
-        self.n_surf = surface_grid(p).shape[0]
+        self.n_surf = surface_grid(p, self.dim).shape[0]
         self._uc2ue: dict[int, np.ndarray] = {}
         self._dc2de: dict[int, np.ndarray] = {}
         self._m2m: dict[tuple[int, int], np.ndarray] = {}
         self._l2l: dict[tuple[int, int], np.ndarray] = {}
-        self._m2l: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
+        self._m2l: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._m2l_rsvd: dict[
-            tuple[int, tuple[int, int, int]], tuple[np.ndarray, np.ndarray]
+            tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]
         ] = {}
         self._m2l_rsvd_f32: dict[
-            tuple[int, tuple[int, int, int]], tuple[np.ndarray, np.ndarray]
+            tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]
         ] = {}
-        self._m2l_stacks: dict[tuple[int, tuple[int, int, int], str], tuple] = {}
-        self._m2l_rank: dict[tuple[int, tuple[int, int, int]], int] = {}
+        self._m2l_stacks: dict[tuple[int, tuple[int, ...], str], tuple] = {}
+        self._m2l_rank: dict[tuple[int, tuple[int, ...]], int] = {}
 
     _sealed = False
 
@@ -179,6 +176,11 @@ class OperatorCache:
         return view
 
     # -- geometry ----------------------------------------------------------
+
+    @property
+    def origin(self) -> np.ndarray:
+        """The box-local frame's centre."""
+        return np.zeros(self.dim)
 
     def half_width(self, level: int) -> float:
         """Half-width ``r`` of a box at ``level``."""
@@ -257,8 +259,8 @@ class OperatorCache:
         key = 0 if h is not None else level
         base = self._entry("uc2ue", key, lambda: regularized_pinv(
             self.kernel.matrix(
-                self.up_check_points(np.zeros(3), key),
-                self.up_equiv_points(np.zeros(3), key),
+                self.up_check_points(self.origin, key),
+                self.up_equiv_points(self.origin, key),
             ),
             self.rcond,
         ))
@@ -272,8 +274,8 @@ class OperatorCache:
         key = 0 if h is not None else level
         base = self._entry("dc2de", key, lambda: regularized_pinv(
             self.kernel.matrix(
-                self.down_check_points(np.zeros(3), key),
-                self.down_equiv_points(np.zeros(3), key),
+                self.down_check_points(self.origin, key),
+                self.down_equiv_points(self.origin, key),
             ),
             self.rcond,
         ))
@@ -295,9 +297,9 @@ class OperatorCache:
         h = self._homog
         key = 1 if h is not None else child_level
         base = self._entry("m2m", (key, octant), lambda: self.kernel.matrix(
-            self.up_check_points(np.zeros(3), key - 1),
+            self.up_check_points(self.origin, key - 1),
             self.up_equiv_points(
-                octant_offset(octant) * self.half_width(key - 1), key
+                octant_offset(octant, self.dim) * self.half_width(key - 1), key
             ),
         ))
         if h is None or child_level == key:
@@ -315,15 +317,15 @@ class OperatorCache:
         key = 1 if h is not None else child_level
         base = self._entry("l2l", (key, octant), lambda: self.kernel.matrix(
             self.down_check_points(
-                octant_offset(octant) * self.half_width(key - 1), key
+                octant_offset(octant, self.dim) * self.half_width(key - 1), key
             ),
-            self.down_equiv_points(np.zeros(3), key - 1),
+            self.down_equiv_points(self.origin, key - 1),
         ))
         if h is None or child_level == key:
             return base
         return base * self._scale(child_level, key) ** h
 
-    def m2l_check(self, level: int, offset: tuple[int, int, int]) -> np.ndarray:
+    def m2l_check(self, level: int, offset: tuple[int, ...]) -> np.ndarray:
         """Source upward equivalent density -> target downward check potential.
 
         First arrow of the M2L translation (Figure 2.2 middle, eq. 2.4) for
@@ -343,7 +345,7 @@ class OperatorCache:
                     * (2.0 * self.half_width(key)),
                     key,
                 ),
-                self.up_equiv_points(np.zeros(3), key),
+                self.up_equiv_points(self.origin, key),
             ),
         )
         if h is None or level == key:
@@ -378,7 +380,7 @@ class OperatorCache:
         return 0, self._scale(level, 0) ** h
 
     def _m2l_rsvd_factors(
-        self, key: int, offset: tuple[int, int, int]
+        self, key: int, offset: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Reference-level rSVD factors ``(uf, vf)`` of one offset.
 
@@ -391,9 +393,10 @@ class OperatorCache:
         offsets get a fresh ``(T uf_c, vf_c T^T)`` — same rank, same
         singular values.  A kernel without a declared symmetry has
         every offset as its own class.  The sketch seed is a base-7
-        encoding of the canonical offset (components lie in [-3, 3]),
-        making the factors a pure function of the offset — bitwise
-        identical across setups, call orders and processes.
+        encoding of the canonical offset (components lie in [-3, 3]; the
+        last axis is the lowest digit), making the factors a pure
+        function of the offset — bitwise identical across setups, call
+        orders and processes.
         """
         if max(abs(o) for o in offset) < 2:
             raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
@@ -407,8 +410,9 @@ class OperatorCache:
                 )
 
         def factor():
-            o0, o1, o2 = offset
-            seed = 1 + (o0 + 3) * 49 + (o1 + 3) * 7 + (o2 + 3)
+            seed = 1 + sum(
+                (o + 3) * 7**digit for digit, o in enumerate(offset[::-1])
+            )
             u, s, vt = randomized_svd(
                 self.m2l_check(key, offset), self.rsvd_tol, seed=seed
             )
@@ -419,8 +423,8 @@ class OperatorCache:
     def _moved(
         self,
         rows: np.ndarray,
-        axes: tuple[int, int, int],
-        signs: tuple[int, int, int],
+        axes: tuple[int, ...],
+        signs: tuple[int, ...],
         axis: int = 0,
     ) -> np.ndarray:
         """``T @ rows`` for the cube symmetry ``(Q x)[a] = signs[a] x[axes[a]]``.
@@ -429,7 +433,7 @@ class OperatorCache:
         ``axis=1``, holds surface vectors as rows and the result is
         ``rows @ T^T``.  ``T`` sends the block of node ``i`` to node
         ``pi[i]`` (where ``Q`` carries it) and, for a tensor kernel,
-        applies ``Q`` to the ``dof = 3`` components inside the block.
+        applies ``Q`` to the ``dof = d`` components inside the block.
         """
         pi = surface_node_permutation(self.p, axes, signs)
         shape = rows.shape
@@ -439,13 +443,13 @@ class OperatorCache:
         if self.kernel.symmetry == "tensor":
             blocks = np.take(blocks, axes, axis=axis + 1) * np.array(
                 signs, np.float64
-            ).reshape((3,) + (1,) * (1 - axis))
+            ).reshape((self.dim,) + (1,) * (1 - axis))
         return np.take(blocks, np.argsort(pi), axis=axis).reshape(shape)
 
     def m2l_rsvd(
         self,
         level: int,
-        offset: tuple[int, int, int],
+        offset: tuple[int, ...],
         dtype: str = "float64",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Compressed M2L factors: ``m2l_check(level, offset) ≈ uf @ vf``.
@@ -476,7 +480,7 @@ class OperatorCache:
             ))
         return (uf, vf) if scale == 1.0 else (uf * uf.dtype.type(scale), vf)
 
-    def m2l_rsvd_rank(self, level: int, offset: tuple[int, int, int]) -> int:
+    def m2l_rsvd_rank(self, level: int, offset: tuple[int, ...]) -> int:
         """Compression rank of one offset class (dtype independent),
         read off the class's canonical factor: no moved pair is built.
         Remembered — an rsvd step asks for every class on every apply."""
@@ -497,11 +501,12 @@ class OperatorCache:
         ``M_o x = R M_{Ro} R x`` with those components of ``o`` negated."""
         if not mask:
             return rows
-        signs = tuple(-1 if mask >> a & 1 else 1 for a in range(3))
-        return self._moved(rows, (0, 1, 2), signs, axis=1)
+        axes = tuple(range(self.dim))
+        signs = tuple(-1 if mask >> a & 1 else 1 for a in axes)
+        return self._moved(rows, axes, signs, axis=1)
 
     def m2l_stacks(
-        self, key: int, direction: tuple[int, int, int], dtype: str = "float64"
+        self, key: int, direction: tuple[int, ...], dtype: str = "float64"
     ) -> tuple:
         """Direction-stacked rsvd factors of one parent-pair direction.
 
@@ -509,12 +514,12 @@ class OperatorCache:
         child ``o_t`` to child ``o_s`` at offset ``2 direction + v(o_t)
         - v(o_s)`` — a V pair unless adjacent, which has no slot.
         Returns ``(mask, V, UT, vcut, ucut, moves)`` at reference level
-        ``key`` (:meth:`m2l_reference`).  Stacks exist for the 7
+        ``key`` (:meth:`m2l_reference`).  Stacks exist for the ``2^d - 1``
         non-negative directions; another one runs through the stack of
         its magnitudes with the axes of ``mask`` mirrored
         (:meth:`reflect`: rows going in and coming out, octants XOR
-        ``mask``) — without a declared symmetry all 26 are stored and
-        the mask is 0.  ``V[vcut[o_s]:vcut[o_s + 1]]`` stacks the ``vf``
+        ``mask``) — without a declared symmetry all ``3^d - 1`` are
+        stored and the mask is 0 (7 and 26 in 3D).  ``V[vcut[o_s]:vcut[o_s + 1]]`` stacks the ``vf``
         of the slots of source octant ``o_s`` (by ``o_t``),
         ``UT[ucut[o_t]:ucut[o_t + 1]]`` the ``uf.T`` of the slots of
         target octant ``o_t`` (by ``o_s``), and ``moves`` lists the
@@ -524,14 +529,14 @@ class OperatorCache:
         """
         mask = 0
         if self.kernel.symmetry is not None:
-            mask = sum(1 << a for a in range(3) if direction[a] < 0)
+            mask = sum(1 << a for a, c in enumerate(direction) if c < 0)
             direction = tuple(abs(c) for c in direction)
         cache_key = (key, direction, dtype)
         return (mask, *self._entry(
             "m2l_stacks", cache_key, lambda: self._stacked(*cache_key)
         ))
 
-    def _stacked(self, key: int, direction: tuple[int, int, int], dtype: str):
+    def _stacked(self, key: int, direction: tuple[int, ...], dtype: str):
         """The stored ``(V, UT, vcut, ucut, moves)`` of :meth:`m2l_stacks`."""
         if dtype == "float32":
             # Cast from a transient float64 build: a float32 cache keeps
@@ -543,8 +548,9 @@ class OperatorCache:
                 *cuts,
             )
         offs = child_pair_offsets(direction)  # [o_t, o_s]
+        nchild = 1 << self.dim
         slots = [
-            (ot, os_) for ot in range(8) for os_ in range(8)
+            (ot, os_) for ot in range(nchild) for os_ in range(nchild)
             if np.abs(offs[ot, os_]).max() >= 2
         ]
         by_source = sorted(slots, key=lambda slot: slot[::-1])
@@ -558,7 +564,7 @@ class OperatorCache:
         ))
         cuts = [
             np.concatenate([[0], np.cumsum(
-                np.bincount([slot[side] for slot in slots], rank, 8)
+                np.bincount([slot[side] for slot in slots], rank, nchild)
             )]).astype(np.int64)
             for side in (1, 0)
         ]

@@ -9,7 +9,9 @@ location ``y`` and evaluation point ``x`` with ``r = x - y``, ``r = |r|``:
 
 plus, as an extension exercised by the paper's introduction (linearly
 elastic materials, fracture mechanics), the Navier/Kelvin kernel of
-linear elastostatics.
+linear elastostatics, and the plane's Laplace, modified Laplace and
+Stokes kernels (:mod:`repro.kernels.planar`, ``dim = 2``: Section 2
+poses the method for ``d = 2, 3``).
 
 The KIFMM algorithm never needs anything from a kernel beyond point
 evaluation — that is the paper's headline property — so the interface in
@@ -24,9 +26,17 @@ from repro.kernels.base import Kernel
 from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.modified_laplace import ModifiedLaplaceKernel
 from repro.kernels.navier import NavierKernel
+from repro.kernels.planar import (
+    Laplace2DKernel,
+    ModifiedLaplace2DKernel,
+    Stokes2DKernel,
+)
 from repro.kernels.stokes import StokesKernel
 
-ALL_KERNELS = (LaplaceKernel, ModifiedLaplaceKernel, StokesKernel, NavierKernel)
+ALL_KERNELS = (
+    LaplaceKernel, ModifiedLaplaceKernel, StokesKernel, NavierKernel,
+    Laplace2DKernel, ModifiedLaplace2DKernel, Stokes2DKernel,
+)
 
 __all__ = [
     "Kernel",
@@ -34,5 +44,8 @@ __all__ = [
     "ModifiedLaplaceKernel",
     "StokesKernel",
     "NavierKernel",
+    "Laplace2DKernel",
+    "ModifiedLaplace2DKernel",
+    "Stokes2DKernel",
     "ALL_KERNELS",
 ]

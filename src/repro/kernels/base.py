@@ -59,11 +59,22 @@ TILE_ENTRIES = 1 << 17
 CLOSE_PAIR = 4e-3
 
 
-def _points(points: np.ndarray, name: str) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"{name} must be (n, 3), got {points.shape}")
-    return points
+def _points(
+    targets: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both point sets as float64 ``(n, d)`` arrays of one dimension
+    ``d``, the column count."""
+    t = np.asarray(targets, dtype=np.float64)
+    s = np.asarray(sources, dtype=np.float64)
+    for name, points in (("targets", t), ("sources", s)):
+        if points.ndim != 2:
+            raise ValueError(f"{name} must be (n, d), got {points.shape}")
+    if t.shape[1] != s.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: targets are {t.shape[1]}-D points, "
+            f"sources {s.shape[1]}-D"
+        )
+    return t, s
 
 
 def difference_planes(
@@ -72,22 +83,22 @@ def difference_planes(
     """Exact pairwise differences as planes, and ``r^2`` reduced from them.
 
     Returns ``(d, r2)``: ``d[k, t, s] = targets[t, k] - sources[s, k]`` as
-    a contiguous ``(3, nt, ns)`` array and ``r2 = d[0]^2 + d[1]^2 + d[2]^2``
-    with ``inf`` written where the pair is coincident (``r2 == 0``), so
-    that ``1 / sqrt(r2)`` is the exact zero that drops singular self-pairs
-    out of every kernel.  Both arrays are fresh; callers finish in place.
+    a contiguous ``(dim, nt, ns)`` array and ``r2 = d[0]^2 + ... +
+    d[dim-1]^2`` with ``inf`` written where the pair is coincident (``r2
+    == 0``), so that ``1 / sqrt(r2)`` is the exact zero that drops
+    singular self-pairs out of every kernel.  Both arrays are fresh;
+    callers finish in place.
     """
-    t = _points(targets, "targets")
-    s = _points(sources, "sources")
-    nt, ns = t.shape[0], s.shape[0]
+    t, s = _points(targets, sources)
+    (nt, dim), ns = t.shape, s.shape[0]
     # [t_k, 1] @ [1; -s_k] per axis: a product by one is exact and the
     # two-term sum rounds once, so this *is* the subtraction — at GEMM
     # speed instead of numpy's stride-0 broadcasting loop (3x slower).
-    left = np.ones((3, nt, 2))
+    left = np.ones((dim, nt, 2))
     left[:, :, 0] = t.T
-    right = np.ones((3, 2, ns))
+    right = np.ones((dim, 2, ns))
     np.negative(s.T, out=right[:, 1, :])
-    d = np.empty((3, nt, ns))
+    d = np.empty((dim, nt, ns))
     np.matmul(left, right, out=d)
     r2 = np.einsum("kts,kts->ts", d, d)
     zero = np.flatnonzero(r2 == 0.0)
@@ -107,8 +118,7 @@ def plane_matrix(
     output — so whatever the block size, the planes and the temporaries
     ``fill`` makes of them stay cache-sized.
     """
-    t = _points(targets, "targets")
-    s = _points(sources, "sources")
+    t, s = _points(targets, sources)
     nt, ns = t.shape[0], s.shape[0]
     out = np.empty((nt, q, ns, m))
     step = max(1, TILE_ENTRIES // max(1, q * m * ns))
@@ -122,7 +132,7 @@ def local_r2(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """``r^2`` of every pair in a *box-local* frame, from one GEMM.
 
     ``r^2 = |t|^2 + |s|^2 - 2 t.s`` is the single product
-    ``[-2t, |t|^2, 1] @ [s, 1, |s|^2]^T`` (inner dimension 5).  The sum
+    ``[-2t, |t|^2, 1] @ [s, 1, |s|^2]^T`` (inner dimension ``d + 2``).  The sum
     cancels for close pairs, so entries at or below
     ``CLOSE_PAIR * (max|t|^2 + max|s|^2)`` — among them every coincident
     pair, whose computed ``r^2`` is a rounding residual rather than an
@@ -133,19 +143,18 @@ def local_r2(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
     the repair covers O(1e-3) of a box-local block and all of a block
     far from the origin.
     """
-    t = _points(targets, "targets")
-    s = _points(sources, "sources")
-    nt, ns = t.shape[0], s.shape[0]
+    t, s = _points(targets, sources)
+    (nt, dim), ns = t.shape, s.shape[0]
     if nt == 0 or ns == 0:
         return np.empty((nt, ns))
-    left = np.empty((nt, 5))
-    np.multiply(t, -2.0, out=left[:, :3])
-    t2 = np.einsum("id,id->i", t, t, out=left[:, 3])
-    left[:, 4] = 1.0
-    right = np.empty((5, ns))
-    right[:3] = s.T
-    right[3] = 1.0
-    s2 = np.einsum("id,id->i", s, s, out=right[4])
+    left = np.empty((nt, dim + 2))
+    np.multiply(t, -2.0, out=left[:, :dim])
+    t2 = np.einsum("id,id->i", t, t, out=left[:, dim])
+    left[:, dim + 1] = 1.0
+    right = np.empty((dim + 2, ns))
+    right[:dim] = s.T
+    right[dim] = 1.0
+    s2 = np.einsum("id,id->i", s, s, out=right[dim + 1])
     r2 = left @ right
     # fmax skips NaN: a NaN coordinate stays in its own row or column
     # (the comparison is false there) and the rest is repaired as usual.
@@ -193,26 +202,30 @@ def kelvin_matrix(
 
 
 class Kernel(ABC):
-    """A single-layer kernel ``G(x, y)`` of an elliptic PDE in 3D.
+    """A single-layer kernel ``G(x, y)`` of an elliptic PDE in 2D or 3D.
 
     Attributes
     ----------
     name:
         Human-readable identifier (``"laplace"``, ``"stokes"``, ...).
     dim:
-        Spatial dimension; all paper experiments are in 3D.
+        Spatial dimension ``d``; all paper experiments are in 3D, and
+        Section 2 poses the method for ``d = 2, 3``.  The tree, surfaces
+        and operators of an FMM over this kernel are ``d``-dimensional.
     source_dof / target_dof:
         Components per source density / target potential.  Scalar kernels
-        have 1; Stokes and Navier have 3.
+        have 1; Stokes and Navier have ``d``.
     homogeneity:
         Degree ``h`` with ``G(a*x, a*y) = a**h * G(x, y)`` for ``a > 0``,
-        or ``None`` for inhomogeneous kernels (modified Laplace).  Used to
-        rescale precomputed translation operators between tree levels.
+        or ``None`` for inhomogeneous kernels (modified Laplace, the
+        logarithmic 2D kernels).  Used to rescale precomputed
+        translation operators between tree levels.
     symmetry:
-        How ``G`` transforms under the 48 signed axis permutations ``Q``
-        of the cube: ``"scalar"`` — ``G(Qx, Qy) = G(x, y)`` (Laplace,
-        modified Laplace); ``"tensor"`` — ``G(Qx, Qy) = Q G(x, y) Q^T``
-        with ``source_dof = target_dof = 3`` (Stokes, Navier); ``None``
+        How ``G`` transforms under the ``2^d d!`` signed axis
+        permutations ``Q`` of the cube (48 in 3D): ``"scalar"`` —
+        ``G(Qx, Qy) = G(x, y)`` (Laplace, modified Laplace); ``"tensor"``
+        — ``G(Qx, Qy) = Q G(x, y) Q^T`` with ``source_dof = target_dof =
+        d`` (Stokes, Navier); ``None``
         — no such rule.  Like ``homogeneity`` it only saves precompute:
         the compressed M2L factors of a kernel that declares a rule are
         computed for one offset per symmetry class and permuted onto
@@ -240,9 +253,9 @@ class Kernel(ABC):
         Parameters
         ----------
         targets:
-            ``(nt, 3)`` evaluation points.
+            ``(nt, d)`` evaluation points.
         sources:
-            ``(ns, 3)`` singularity locations.
+            ``(ns, d)`` singularity locations.
 
         Returns
         -------

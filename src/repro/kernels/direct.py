@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.base import Kernel
+from repro.octree.tree import require_points
 from repro.util.flops import FlopCounter
 
 
@@ -28,9 +29,10 @@ def direct_evaluate(
     kernel:
         Any :class:`~repro.kernels.base.Kernel`.
     targets:
-        ``(nt, 3)`` evaluation points ``x_i``.
+        ``(nt, d)`` evaluation points ``x_i``, ``d`` the kernel's
+        dimension (a mismatch is the setup paths' named error).
     sources:
-        ``(ns, 3)`` source points ``y_j``.
+        ``(ns, d)`` source points ``y_j``.
     density:
         ``(ns, source_dof)`` or flat source densities ``phi_j``.
     block:
@@ -46,6 +48,10 @@ def direct_evaluate(
     -------
     ``(nt, target_dof)`` potentials.
     """
+    targets = np.asarray(targets, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.float64)
+    require_points(targets, "targets", kernel.dim)
+    require_points(sources, "sources", kernel.dim)
     result = kernel.apply(targets, sources, density, block=block)
     if flops is not None:
         flops.add_pairs(

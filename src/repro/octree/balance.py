@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.octree.lists import build_lists
 from repro.octree.morton import MAX_DEPTH
-from repro.octree.topology import COLLEAGUE_OFFSETS, cell_uid
+from repro.octree.topology import cell_uid, colleague_offsets
 from repro.octree.tree import Octree, build_global_tree
 
 
@@ -29,7 +29,7 @@ def balanced_split_set(tree: Octree) -> np.ndarray:
     closed under the 2:1 rule, ascending."""
     topo = tree.topology
     split = [np.empty(0, dtype=np.uint64)]
-    forced = np.empty((0, 3), dtype=np.int64)
+    forced = np.empty((0, topo.dim), dtype=np.int64)
     # Deepest level first: the closure only ever adds coarser cells.
     for level in range(topo.depth - 1, -1, -1):
         here = topo.level_boxes(level)
@@ -37,7 +37,9 @@ def balanced_split_set(tree: Octree) -> np.ndarray:
             np.vstack([topo.anchor[here[~topo.is_leaf[here]]], forced]), axis=0
         )
         split.append(cell_uid(level, anchors))
-        near = (anchors[:, None, :] + COLLEAGUE_OFFSETS).reshape(-1, 3)
+        near = (anchors[:, None, :] + colleague_offsets(topo.dim)).reshape(
+            -1, topo.dim
+        )
         forced = near[((near >= 0) & (near < (1 << level))).all(axis=1)] >> 1
     return np.sort(np.concatenate(split))
 

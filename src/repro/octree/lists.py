@@ -18,12 +18,12 @@ The construction is array code over :attr:`Octree.topology`, a chunk
 of consecutive boxes (so: level by level) at a time
 (``docs/architecture.md``, "Setup as array code"):
 
-- **V** — the children of a parent's 27 colleagues are the ``6**3`` cells
-  ``[2P - 2, 2P + 3]**3`` around the parent anchor ``P``; which of them
-  are not adjacent to a child depends only on the child's octant (a
-  fixed ``(8, 216)`` table), so a level's V lists are one colleague
-  lookup per parent, one gather through the child table and one row
-  sort.
+- **V** — the children of a parent's ``3^d`` colleagues are the ``6^d``
+  cells ``[2P - 2, 2P + 3]^d`` around the parent anchor ``P``; which of
+  them are not adjacent to a child depends only on the child's octant (a
+  fixed ``(2^d, 6^d)`` table, ``(8, 216)`` for the octree), so a level's
+  V lists are one colleague lookup per parent, one gather through the
+  child table and one row sort.
 - **U, W, X** — a frontier of ``(leaf, box)`` pairs starts at the
   leaves' colleagues and descends only through boxes adjacent to the
   leaf: an adjacent leaf is a U partner (the relation is symmetric, so
@@ -40,13 +40,15 @@ per-box set-based walk it replaced is kept as the test oracle
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.octree.topology import (
-    COLLEAGUE_OFFSETS,
-    OCTANT_VECTORS,
-    SELF_OFFSET,
     TreeTopology,
+    colleague_offsets,
+    octant_vectors,
+    self_offset,
 )
 from repro.octree.tree import Octree
 from repro.util.segments import chunk_segments
@@ -54,15 +56,22 @@ from repro.util.segments import chunk_segments
 _FAMILIES = ("U", "V", "W", "X")
 
 #: Boxes plus their children one chunk of the tree may hold.  A chunk's
-#: scratch is 27 colleague lookups per box, ``6**3`` V candidates per
-#: child and the U/W/X frontier of its leaves: ~15 MB at this size,
+#: scratch is ``3^d`` colleague lookups per box, ``6^d`` V candidates per
+#: child and the U/W/X frontier of its leaves: ~15 MB at this size in 3D,
 #: whatever the tree's.
 _CHUNK = 4096
 
-#: ``_FAR[o, 8 * j + c]``: whether child ``c`` of colleague ``j`` of a
-#: parent is *not* adjacent to the parent's own child in octant ``o``.
-_CELLS = (2 * COLLEAGUE_OFFSETS[:, None, :] + OCTANT_VECTORS).reshape(216, 3)
-_FAR = (np.abs(_CELLS - OCTANT_VECTORS[:, None, :]) > 1).any(axis=2)
+
+@lru_cache(maxsize=None)
+def far_table(dim: int) -> np.ndarray:
+    """``far_table(d)[o, 2^d j + c]``: whether child ``c`` of colleague
+    ``j`` of a parent is *not* adjacent to the parent's own child in
+    octant ``o``."""
+    vectors = octant_vectors(dim)
+    cells = 2 * colleague_offsets(dim)[:, None, :] + vectors
+    far = (np.abs(cells.reshape(-1, dim) - vectors[:, None, :]) > 1).any(axis=2)
+    far.setflags(write=False)
+    return far
 
 
 class InteractionLists:
@@ -124,13 +133,14 @@ def _csr(
 def build_lists(tree: Octree) -> InteractionLists:
     """Construct U, V, W, X lists for every box of ``tree``."""
     topo = tree.topology
-    nb = topo.nboxes
+    nb, dim = topo.nboxes, topo.dim
+    far = far_table(dim)
     none = np.empty(0, dtype=np.int64)
     # Row -1 (a missing colleague) has no children.
-    child = np.vstack([topo.child, np.full((1, 8), -1)])
+    child = np.vstack([topo.child, np.full((1, 1 << dim), -1)])
     weight = np.zeros(nb + 1, dtype=np.int64)
     np.cumsum(1 + (topo.child >= 0).sum(axis=1), out=weight[1:])
-    cells = np.arange(216)
+    cells = np.arange(far.shape[1])
 
     v_count = np.zeros(nb, dtype=np.int64)
     v_idx = [none]
@@ -146,8 +156,8 @@ def build_lists(tree: Octree) -> InteractionLists:
         kids = topo.child[boxes]
         has = kids >= 0
         row, kid = np.nonzero(has)[0], kids[has]
-        cand = child[coll[row]].reshape(kid.size, 216)
-        cand = np.where(_FAR[topo.octant[kid]] & (cand >= 0), cand, nb)
+        cand = child[coll[row]].reshape(kid.size, cells.size)
+        cand = np.where(far[topo.octant[kid]] & (cand >= 0), cand, nb)
         cand.sort(axis=1)
         v_count[kid] = found = (cand < nb).sum(axis=1)
         v_idx.append(cand[cells < found[:, None]])
@@ -155,7 +165,7 @@ def build_lists(tree: Octree) -> InteractionLists:
         # U, W, X of the chunk's leaves.
         leaf = topo.is_leaf[boxes]
         near = coll[leaf]
-        near[:, SELF_OFFSET] = -1
+        near[:, self_offset(dim)] = -1
         has = near >= 0
         trg, box = np.broadcast_to(boxes[leaf, None], near.shape)[has], near[has]
         while trg.size:

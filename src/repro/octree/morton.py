@@ -1,4 +1,4 @@
-"""Morton (Z-order) keys for 3D octrees.
+"""Morton (Z-order) keys for trees in ``d = 2`` or ``3`` dimensions.
 
 Morton ordering is the backbone of both the tree construction (points
 sorted by deep Morton key make every box's points a contiguous range) and
@@ -6,12 +6,16 @@ the parallel partitioning of Section 3.1 ("we use Morton curve
 partitioning"), following the hashed-octree tradition of Warren & Salmon
 (refs [23], [24] of the paper).
 
-Keys interleave 21 bits per dimension into a ``uint64``:
-``key = z20 y20 x20 ... z0 y0 x0``, so the top 3 bits select the level-1
-octant and each further 3-bit group descends one level.
+Keys interleave 21 bits per dimension into a ``uint64``, ``d`` bits per
+level: in 3D ``key = z20 y20 x20 ... z0 y0 x0``, so the top 3 bits
+select the level-1 octant and each further 3-bit group descends one
+level; in 2D the groups are ``y x`` pairs.  One key layout and one depth
+range serve both dimensions.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,51 +24,62 @@ MAX_DEPTH = 21
 
 _U = np.uint64  # shorthand for literal casts
 
-
-def _part1by2(x: np.ndarray) -> np.ndarray:
-    """Spread the low 21 bits of each entry: bit i -> bit 3*i."""
-    x = x.astype(np.uint64) & _U(0x1FFFFF)
-    x = (x | (x << _U(32))) & _U(0x1F00000000FFFF)
-    x = (x | (x << _U(16))) & _U(0x1F0000FF0000FF)
-    x = (x | (x << _U(8))) & _U(0x100F00F00F00F00F)
-    x = (x | (x << _U(4))) & _U(0x10C30C30C30C30C3)
-    x = (x | (x << _U(2))) & _U(0x1249249249249249)
-    return x
+#: Spread rounds, coarsest first: chunks of 16, 8, 4, 2, 1 bits.
+_CHUNKS = (16, 8, 4, 2, 1)
 
 
-def _compact1by2(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_part1by2`: gather every third bit."""
-    x = x.astype(np.uint64) & _U(0x1249249249249249)
-    x = (x ^ (x >> _U(2))) & _U(0x10C30C30C30C30C3)
-    x = (x ^ (x >> _U(4))) & _U(0x100F00F00F00F00F)
-    x = (x ^ (x >> _U(8))) & _U(0x1F0000FF0000FF)
-    x = (x ^ (x >> _U(16))) & _U(0x1F00000000FFFF)
-    x = (x ^ (x >> _U(32))) & _U(0x1FFFFF)
-    return x
-
-
-def anchor_to_key(ix, iy, iz) -> np.ndarray:
-    """Interleave integer coordinates into Morton keys (vectorised)."""
-    return _part1by2(np.asarray(ix)) | (_part1by2(np.asarray(iy)) << _U(1)) | (
-        _part1by2(np.asarray(iz)) << _U(2)
+@lru_cache(maxsize=None)
+def _spread_masks(dim: int) -> tuple[tuple[int, int], ...]:
+    """``(shift, mask)`` of each round that moves bit ``i`` to bit
+    ``dim * i``: after the round of chunk ``c``, bit ``i`` sits at ``i
+    mod c + dim c (i // c)``, so the round moves the upper half of every
+    ``2c`` chunk up by ``(dim - 1) c`` and the mask keeps those
+    positions.  In 3D these are the classical magic numbers."""
+    return tuple(
+        (
+            (dim - 1) * c,
+            sum(1 << (i % c + dim * c * (i // c)) for i in range(MAX_DEPTH)),
+        )
+        for c in _CHUNKS
     )
 
 
-def key_to_anchor(key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """De-interleave Morton keys back into ``(ix, iy, iz)``."""
+def _spread(x: np.ndarray, dim: int) -> np.ndarray:
+    """Spread the low 21 bits of each entry: bit i -> bit ``dim * i``."""
+    x = x.astype(np.uint64) & _U((1 << MAX_DEPTH) - 1)
+    for shift, mask in _spread_masks(dim):
+        x = (x | (x << _U(shift))) & _U(mask)
+    return x
+
+
+def _compact(x: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`_spread`: gather every ``dim``-th bit."""
+    shifts, masks = zip(*_spread_masks(dim)[::-1])
+    x = x.astype(np.uint64) & _U(masks[0])
+    for shift, mask in zip(shifts, masks[1:] + ((1 << MAX_DEPTH) - 1,)):
+        x = (x ^ (x >> _U(shift))) & _U(mask)
+    return x
+
+
+def anchor_to_key(*coords) -> np.ndarray:
+    """Interleave integer coordinates ``(ix, iy[, iz])`` into Morton
+    keys (vectorised); the number of coordinates is the dimension."""
+    dim = len(coords)
+    key = _spread(np.asarray(coords[0]), dim)
+    for axis in range(1, dim):
+        key |= _spread(np.asarray(coords[axis]), dim) << _U(axis)
+    return key
+
+
+def key_to_anchor(key, dim: int) -> tuple[np.ndarray, ...]:
+    """De-interleave ``dim``-dimensional Morton keys into ``(ix, iy[, iz])``."""
     key = np.asarray(key, dtype=np.uint64)
-    return (
-        _compact1by2(key),
-        _compact1by2(key >> _U(1)),
-        _compact1by2(key >> _U(2)),
-    )
+    return tuple(_compact(key >> _U(axis), dim) for axis in range(dim))
 
 
-def decode_key(key: int, level: int) -> tuple[int, int, int]:
+def decode_key(key: int, level: int, dim: int) -> tuple[int, ...]:
     """Anchor of a single depth-``MAX_DEPTH`` key truncated to ``level``."""
-    shifted = np.uint64(key) >> _U(3 * (MAX_DEPTH - level))
-    ix, iy, iz = key_to_anchor(shifted)
-    return int(ix), int(iy), int(iz)
+    return tuple(int(c) for c in key_to_anchor(key_prefix(key, level, dim), dim))
 
 
 def encode_points(
@@ -75,8 +90,9 @@ def encode_points(
     Parameters
     ----------
     points:
-        ``(n, 3)`` coordinates; must lie inside the root box (points
-        exactly on the far face are clamped into the last cell).
+        ``(n, d)`` coordinates; must lie inside the root box (points
+        exactly on the far face are clamped into the last cell).  The
+        column count is the dimension.
     corner:
         Minimum corner of the root box.
     side:
@@ -87,8 +103,8 @@ def encode_points(
     ``(n,)`` uint64 Morton keys at depth :data:`MAX_DEPTH`.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must be (n, 3), got {points.shape}")
+    if points.ndim != 2:
+        raise ValueError(f"points must be (n, d), got {points.shape}")
     if side <= 0:
         raise ValueError(f"root box side must be positive, got {side}")
     scaled = (points - np.asarray(corner, dtype=np.float64)) / side
@@ -97,14 +113,9 @@ def encode_points(
     cells = np.clip(
         (scaled * (1 << MAX_DEPTH)).astype(np.int64), 0, (1 << MAX_DEPTH) - 1
     )
-    return anchor_to_key(cells[:, 0], cells[:, 1], cells[:, 2])
+    return anchor_to_key(*cells.T)
 
 
-def key_prefix(key: np.ndarray, level: int) -> np.ndarray:
+def key_prefix(key: np.ndarray, level: int, dim: int) -> np.ndarray:
     """Truncate depth-``MAX_DEPTH`` keys to the box key at ``level``."""
-    return np.asarray(key, dtype=np.uint64) >> _U(3 * (MAX_DEPTH - level))
-
-
-def child_of(key_at_level: np.ndarray, parent_level: int) -> np.ndarray:
-    """Octant index (0..7) of a key one level below ``parent_level``."""
-    return (np.asarray(key_at_level, dtype=np.uint64) & _U(7)).astype(np.int64)
+    return np.asarray(key, dtype=np.uint64) >> _U(dim * (MAX_DEPTH - level))

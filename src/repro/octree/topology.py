@@ -10,25 +10,33 @@ walk boxes one at a time on purpose, derive theirs from these arrays
 
 Boxes are stored level by level, children in Morton order under parents
 in Morton order.  A box's *uid* is its Morton key at its own level plus
-the number of cells of all coarser levels, ``(8**level - 1) / 7``, so the
-uids of one level fill their own interval, storage order is ascending
-uid order, and the lookup ``(level, anchor) -> box`` is a binary search.
+the number of cells of all coarser levels, ``(2^(d level) - 1) / (2^d -
+1)`` in ``d`` dimensions, so the uids of one level fill their own
+interval, storage order is ascending uid order, and the lookup ``(level,
+anchor) -> box`` is a binary search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.octree.morton import MAX_DEPTH, anchor_to_key
 
-#: Child-anchor offset of each octant (row ``o`` satisfies
-#: ``anchor(child) = 2 * anchor(parent) + OCTANT_VECTORS[o]`` for the
-#: octant numbering ``o = x | y << 1 | z << 2`` used throughout).
-OCTANT_VECTORS = np.array(
-    [[o & 1, (o >> 1) & 1, (o >> 2) & 1] for o in range(8)], dtype=np.int64
-)
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def octant_vectors(dim: int) -> np.ndarray:
+    """Child-anchor offset of each of the ``2^dim`` octants: row ``o``
+    satisfies ``anchor(child) = 2 * anchor(parent) + octant_vectors(dim)[o]``
+    for the octant numbering ``o = x | y << 1 | z << 2`` used throughout."""
+    return _frozen((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1)
 
 
 def child_pair_offsets(parent_offset) -> np.ndarray:
@@ -36,33 +44,43 @@ def child_pair_offsets(parent_offset) -> np.ndarray:
     box ``parent_offset`` cells away, as ``[o_t, o_s, axis]``: ``2
     parent_offset + v(o_t) - v(o_s)``.  A V pair unless every component
     is below 2 in magnitude (the children are adjacent)."""
+    vectors = octant_vectors(len(parent_offset))
     return (
-        2 * np.asarray(parent_offset)
-        + OCTANT_VECTORS[:, None] - OCTANT_VECTORS[None, :]
+        2 * np.asarray(parent_offset) + vectors[:, None] - vectors[None, :]
     )
 
 
-#: Anchor offsets of a box's 27 same-level neighbours, itself included
-#: (row :data:`SELF_OFFSET`).
-COLLEAGUE_OFFSETS = np.array(
-    [[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
-    dtype=np.int64,
-)
-SELF_OFFSET = 13
+@lru_cache(maxsize=None)
+def colleague_offsets(dim: int) -> np.ndarray:
+    """Anchor offsets of a box's ``3^dim`` same-level neighbours, itself
+    included (row :func:`self_offset`), lexicographic in the axes."""
+    return _frozen(
+        np.indices((3,) * dim).reshape(dim, -1).T.astype(np.int64) - 1
+    )
 
-#: Cells of all levels coarser than ``l``: the first uid of level ``l``.
-#: The last uid of level 21 is below ``2**64``.
-LEVEL_BASE = np.array(
-    [(8**lvl - 1) // 7 for lvl in range(MAX_DEPTH + 1)], dtype=np.uint64
-)
+
+def self_offset(dim: int) -> int:
+    """Row of the zero offset in :func:`colleague_offsets`."""
+    return (3**dim - 1) // 2
+
+
+@lru_cache(maxsize=None)
+def level_base(dim: int) -> np.ndarray:
+    """Cells of all levels coarser than ``l``: the first uid of level
+    ``l``.  The last uid of level 21 is below ``2**64``."""
+    cells = 1 << dim
+    return _frozen(np.array(
+        [(cells**lvl - 1) // (cells - 1) for lvl in range(MAX_DEPTH + 1)],
+        dtype=np.uint64,
+    ))
 
 
 def cell_uid(level, anchor: np.ndarray) -> np.ndarray:
-    """uid of the cells ``(level, anchor)``; ``anchor`` is ``(..., 3)``
+    """uid of the cells ``(level, anchor)``; ``anchor`` is ``(..., d)``
     inside the root cube and ``level`` broadcasts against its leading
     axes."""
-    return LEVEL_BASE[level] + anchor_to_key(
-        anchor[..., 0], anchor[..., 1], anchor[..., 2]
+    return level_base(anchor.shape[-1])[level] + anchor_to_key(
+        *np.moveaxis(anchor, -1, 0)
     )
 
 
@@ -70,7 +88,8 @@ def cell_uid(level, anchor: np.ndarray) -> np.ndarray:
 class TreeTopology:
     """Per-box arrays of one tree, all of length ``nboxes`` (tree order).
 
-    ``child[b, o]`` is the child of ``b`` in octant ``o`` or ``-1``;
+    ``child[b, o]`` is the child of ``b`` in octant ``o`` (``2^d``
+    columns) or ``-1``;
     ``level_ptr[l] : level_ptr[l + 1]`` is the index range of level
     ``l``; ``uid`` is ascending (see the module docstring).  The arrays
     are shared by every reader and made read-only on construction.
@@ -98,6 +117,11 @@ class TreeTopology:
         return self.level.size
 
     @property
+    def dim(self) -> int:
+        """Spatial dimension: the anchors' column count."""
+        return self.anchor.shape[1]
+
+    @property
     def depth(self) -> int:
         """Deepest level with boxes."""
         return self.level_ptr.size - 2
@@ -118,7 +142,7 @@ class TreeTopology:
         """Index of the box at ``(level, anchor)``, ``-1`` where there
         is none (outside the root cube, or a pruned or unrefined cell).
 
-        ``anchor`` is ``(..., 3)``; ``level`` broadcasts against its
+        ``anchor`` is ``(..., d)``; ``level`` broadcasts against its
         leading axes.
         """
         anchor = np.asarray(anchor)
@@ -129,10 +153,10 @@ class TreeTopology:
         return np.where(inside & (self.uid[pos] == uid), pos, -1)
 
     def colleagues(self, boxes: np.ndarray) -> np.ndarray:
-        """``(len(boxes), 27)`` same-level neighbours of ``boxes`` in
-        :data:`COLLEAGUE_OFFSETS` order (column :data:`SELF_OFFSET` is
+        """``(len(boxes), 3^d)`` same-level neighbours of ``boxes`` in
+        :func:`colleague_offsets` order (column :func:`self_offset` is
         the box itself), ``-1`` where the neighbour does not exist."""
         return self.find(
             self.level[boxes, None],
-            self.anchor[boxes, None, :] + COLLEAGUE_OFFSETS,
+            self.anchor[boxes, None, :] + colleague_offsets(self.dim),
         )

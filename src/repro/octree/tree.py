@@ -28,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.octree.morton import MAX_DEPTH, encode_points, key_to_anchor
-from repro.octree.topology import LEVEL_BASE, TreeTopology
+from repro.octree.topology import TreeTopology, level_base
 
 _U = np.uint64
 
-#: ``splits(uid, counts) -> (n,) bool`` and ``keeps(counts) -> (n, 8)
+#: ``splits(uid, counts) -> (n,) bool`` and ``keeps(counts) -> (n, 2^d)
 #: bool``: which boxes of a level split, given their uids and ``(n, 2)``
-#: global source/target counts, and which of a splitting box's eight
-#: candidate children exist, given their ``(n, 8, 2)`` global counts.
+#: global source/target counts, and which of a splitting box's ``2^d``
+#: candidate children exist, given their ``(n, 2^d, 2)`` global counts.
 Rules = tuple[
     Callable[[np.ndarray, np.ndarray], np.ndarray],
     Callable[[np.ndarray], np.ndarray],
@@ -63,6 +63,11 @@ class Octree:
     topology: TreeTopology
 
     # -- structure queries -------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        """Spatial dimension, read off the points."""
+        return self.topology.dim
 
     @property
     def depth(self) -> int:
@@ -119,11 +124,22 @@ class Octree:
 # -- input validation: one for every builder ------------------------------
 
 
-def require_finite(points: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` naming the first point of ``what`` that has
-    a NaN or infinite coordinate — before a bounding cube or a Morton
-    key is computed from it (a NaN casts to an arbitrary cell and the
-    apply is silently wrong)."""
+def require_points(
+    points: np.ndarray, what: str, dim: int | None = None
+) -> None:
+    """Raise ``ValueError`` unless ``points`` are ``(n, 2)`` or ``(n,
+    3)`` coordinates of dimension ``dim`` (the kernel's, when given),
+    naming both dimensions on a mismatch — and naming the first point of
+    ``what`` that has a NaN or infinite coordinate.  All before a
+    bounding cube or a Morton key is computed from them (a NaN casts to
+    an arbitrary cell and the apply is silently wrong)."""
+    if points.ndim != 2 or points.shape[1] not in (2, 3):
+        raise ValueError(f"{what} must be (n, 2) or (n, 3), got {points.shape}")
+    if dim is not None and points.shape[1] != dim:
+        raise ValueError(
+            f"dimension mismatch: {what} are {points.shape[1]}-D points "
+            f"but the kernel is {dim}-D"
+        )
     finite = np.isfinite(points)
     if not finite.all():
         i = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -184,23 +200,25 @@ def occupancy_rules(max_points: int) -> Rules:
 
 def grow_tree(
     keys: list[np.ndarray],
+    dim: int,
     max_depth: int,
     rules: Rules,
     allreduce: Callable[[np.ndarray], np.ndarray] = _one_rank,
 ) -> tuple[TreeTopology, np.ndarray]:
     """Grow the tree over Morton-sorted deep keys, one level per round.
 
-    ``keys`` holds this rank's sorted source keys and, unless sources
-    are the targets, its sorted target keys.  Per level: one
-    ``searchsorted`` of the nine child bounds of every splitting box (a
-    level's boxes are in ascending key order, so all their bounds are
-    monotone), one ``allreduce`` of the ``(nsplit, 8, 2)`` source/target
-    counts, and one row appended per kept child.  Returns the topology —
-    point ranges local, everything else global — and the ``(2, nboxes)``
-    global source/target counts.
+    ``keys`` holds this rank's sorted ``dim``-dimensional source keys
+    and, unless sources are the targets, its sorted target keys.  Per
+    level: one ``searchsorted`` of the ``2^d + 1`` child bounds of every
+    splitting box (a level's boxes are in ascending key order, so all
+    their bounds are monotone), one ``allreduce`` of the ``(nsplit, 2^d,
+    2)`` source/target counts, and one row appended per kept child.
+    Returns the topology — point ranges local, everything else global —
+    and the ``(2, nboxes)`` global source/target counts.
     """
     splits, keeps = rules
-    octants = np.arange(9, dtype=np.uint64)
+    base = level_base(dim)
+    octants = np.arange((1 << dim) + 1, dtype=np.uint64)
     npoints = np.array([keys[0].size, keys[-1].size])
     key = np.zeros(1, dtype=np.uint64)
     count = allreduce(npoints)[None, :]
@@ -210,11 +228,11 @@ def grow_tree(
     )]
     first = 0  # index of the level's first box
     for level in range(max_depth):
-        split = np.flatnonzero(splits(LEVEL_BASE[level] + key, count))
+        split = np.flatnonzero(splits(base[level] + key, count))
         if not split.size:
             break
-        bounds = ((key[split, None] << _U(3)) + octants) << _U(
-            3 * (MAX_DEPTH - level - 1)
+        bounds = ((key[split, None] << _U(dim)) + octants) << _U(
+            dim * (MAX_DEPTH - level - 1)
         )
         found = [np.searchsorted(sorted_keys, bounds) for sorted_keys in keys]
         cuts = np.stack([found[0], found[-1]], axis=-1)
@@ -222,7 +240,7 @@ def grow_tree(
         row, octant = np.nonzero(keeps(counts))
         parent = first + split[row]
         first += key.size
-        key = (key[split[row]] << _U(3)) + octant.astype(np.uint64)
+        key = (key[split[row]] << _U(dim)) + octant.astype(np.uint64)
         count = counts[row, octant]
         rows.append(
             (key, parent, octant, cuts[row, octant], cuts[row, octant + 1], count)
@@ -231,7 +249,7 @@ def grow_tree(
     sizes = [row[0].size for row in rows]
     key, parent, octant, start, stop, count = map(np.concatenate, zip(*rows))
     level = np.repeat(np.arange(len(rows)), sizes)
-    child = np.full((key.size, 8), -1, dtype=np.int64)
+    child = np.full((key.size, 1 << dim), -1, dtype=np.int64)
     child[parent[1:], octant[1:]] = np.arange(1, key.size)
     (src_start, trg_start), (src_stop, trg_stop) = (
         np.ascontiguousarray(cut.T) for cut in (start, stop)
@@ -239,7 +257,7 @@ def grow_tree(
     topology = TreeTopology(
         level=level,
         parent=parent,
-        anchor=np.stack(key_to_anchor(key), axis=1).astype(np.int64),
+        anchor=np.stack(key_to_anchor(key, dim), axis=1).astype(np.int64),
         octant=octant,
         child=child,
         is_leaf=(child < 0).all(axis=1),
@@ -248,7 +266,7 @@ def grow_tree(
         trg_start=trg_start,
         trg_stop=trg_stop,
         level_ptr=np.concatenate([[0], np.cumsum(sizes)]),
-        uid=LEVEL_BASE[level] + key,
+        uid=base[level] + key,
     )
     return topology, np.ascontiguousarray(count.T)
 
@@ -262,21 +280,27 @@ def build_global_tree(
     rules: Rules | None = None,
     allreduce=_one_rank,
     who: str = "",
+    dim: int | None = None,
 ) -> tuple[Octree, np.ndarray]:
     """What every builder is: validate this rank's points (``who`` names
-    the rank in errors), agree on the root cube unless ``root`` pins it,
-    sort by Morton key and grow the tree — adaptively unless ``rules``
-    says otherwise.  Returns the :class:`Octree` and :func:`grow_tree`'s
-    global counts."""
+    the rank in errors; ``dim``, the kernel's dimension, must be theirs
+    when given), agree on the root cube unless ``root`` pins it, sort by
+    Morton key and grow the tree — adaptively unless ``rules`` says
+    otherwise — in the points' dimension.  Returns the :class:`Octree`
+    and :func:`grow_tree`'s global counts."""
     sources = np.ascontiguousarray(sources, dtype=np.float64)
     targets = sources if targets is None else np.ascontiguousarray(targets, np.float64)
     point_sets = [("sources", sources)]
     if targets is not sources:
         point_sets.append(("targets", targets))
     for what, points in point_sets:
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"{who}{what} must be (n, 3), got {points.shape}")
-        require_finite(points, who + what)
+        require_points(points, who + what, dim)
+    dim = sources.shape[1]
+    if targets.shape[1] != dim:
+        raise ValueError(
+            f"dimension mismatch: {who}sources are {dim}-D points but "
+            f"{who}targets are {targets.shape[1]}-D"
+        )
     check_tree_parameters(max_points, max_depth)
     if root is None:
         root = _root_cube(
@@ -290,7 +314,7 @@ def build_global_tree(
         perms.append(np.argsort(key, kind="stable"))
         keys.append(key[perms[-1]])
     topology, counts = grow_tree(
-        keys, max_depth, rules or occupancy_rules(max_points), allreduce
+        keys, dim, max_depth, rules or occupancy_rules(max_points), allreduce
     )
     tree = Octree(
         sources=sources,
@@ -312,15 +336,17 @@ def build_tree(
     max_points: int = 60,
     max_depth: int = MAX_DEPTH,
     root: tuple[np.ndarray, float] | None = None,
+    dim: int | None = None,
 ) -> Octree:
     """Build the adaptive computation tree.
 
     Parameters
     ----------
     sources:
-        ``(ns, 3)`` source point coordinates.
+        ``(ns, d)`` source point coordinates, ``d`` = 2 or 3: the tree is
+        a quadtree or an octree.
     targets:
-        ``(nt, 3)`` target coordinates, or ``None`` to reuse ``sources``
+        ``(nt, d)`` target coordinates, or ``None`` to reuse ``sources``
         (the paper's experiments assume identical source and target sets).
     max_points:
         The ``s`` of the paper: a box is subdivided while it holds more
@@ -331,9 +357,14 @@ def build_tree(
     root:
         Optional ``(corner, side)`` overriding the automatic bounding
         cube, used by the parallel code so all ranks agree on the domain.
+    dim:
+        The kernel's dimension, if the caller has one: points of another
+        dimension are a named error.
 
     Returns
     -------
     A fully built :class:`Octree`.
     """
-    return build_global_tree(sources, targets, max_points, max_depth, root)[0]
+    return build_global_tree(
+        sources, targets, max_points, max_depth, root, dim=dim
+    )[0]

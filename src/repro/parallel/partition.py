@@ -78,7 +78,7 @@ def points_for_ranks(
     pts, idx = [], []
     for r in range(nranks):
         if len(assignment[r]) == 0:
-            pts.append(np.empty((0, 3)))
+            pts.append(np.empty((0, patches[0].points.shape[1])))
             idx.append(np.empty(0, dtype=np.int64))
             continue
         pts.append(np.vstack([patches[i].points for i in assignment[r]]))

@@ -61,7 +61,7 @@ from repro.core.steps import BufferSpec, Step, StepList, run_steps
 from repro.kernels.base import Kernel
 from repro.octree.balance import balance_tree
 from repro.octree.lists import InteractionLists, build_lists
-from repro.octree.tree import Octree, _root_cube, require_finite
+from repro.octree.tree import Octree, _root_cube, require_points
 from repro.parallel.exchange import (
     PHASES,
     ApplyExchange,
@@ -460,6 +460,7 @@ def rank_setup(
         ptree = parallel_build_tree(
             comm, np.asarray(local_points, dtype=np.float64),
             max_points=opts.max_points, max_depth=opts.max_depth, root=root,
+            dim=kernel.dim,
         )
         if opts.balance:
             ptree = one_rank_tree(ptree.tree, balance=True)
@@ -726,7 +727,7 @@ def _shared_setup(
     """What a driver holding the full point set hands every rank: the
     agreed root cube, one operator cache taken to it
     (:meth:`OperatorCache.for_root`), and the Morton partition."""
-    require_finite(points, "sources")
+    require_points(points, "sources", kernel.dim)
     # The cube the ranks would agree on collectively (elementwise min/max
     # commute with the Allreduce of agree_root_cube) — and KIFMM's own.
     corner, side = _root_cube(points)

@@ -62,6 +62,7 @@ def parallel_build_tree(
     max_points: int = 60,
     max_depth: int = MAX_DEPTH,
     root: tuple[np.ndarray, float] | None = None,
+    dim: int | None = None,
 ) -> ParallelTree:
     """Build the global tree topology with local point ranges.
 
@@ -71,6 +72,6 @@ def parallel_build_tree(
     """
     tree, (global_nsrc, global_ntrg) = build_global_tree(
         local_sources, local_targets, max_points, max_depth, root,
-        allreduce=comm.allreduce, who=f"rank {comm.rank}'s ",
+        allreduce=comm.allreduce, who=f"rank {comm.rank}'s ", dim=dim,
     )
     return ParallelTree(tree, global_nsrc, global_ntrg)

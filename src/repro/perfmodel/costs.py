@@ -123,7 +123,7 @@ def compute_work(
         np.array([b == name for b in backends])[level]
         for name in ("dense", "fft", "rsvd")
     )
-    n_surf = n_surface_points(p)
+    n_surf = n_surface_points(p, topo.dim)
     md, qd = kernel.source_dof, kernel.target_dof
     fpp = float(kernel.flops_per_pair)
 
@@ -141,7 +141,7 @@ def compute_work(
     l2l_flops = m2m_flops
     m2l_dense_flops = m2m_flops
     grid = 2 * p
-    nfreq = grid * grid * (grid // 2 + 1)
+    nfreq = grid ** (topo.dim - 1) * (grid // 2 + 1)
     hadamard_flops = 8.0 * qd * md * nfreq
     # Forward/inverse transforms are GEMM-DFTs over the n_surf surface
     # nodes (two real GEMMs each).
@@ -188,7 +188,7 @@ def compute_work(
                 "OperatorCache.m2l_rsvd_rank)"
             )
         tb, sb = vb[compressed], va[compressed]
-        shape = (topo.depth + 1, 7, 7, 7)  # level, offset + 3 per axis
+        shape = (topo.depth + 1,) + (7,) * topo.dim  # level, offset + 3
         offset = topo.anchor[tb] - topo.anchor[sb]
         classes, which = np.unique(
             np.ravel_multi_index((level[tb], *(offset.T + 3)), shape),
@@ -253,7 +253,8 @@ def communication_volumes(
     once regardless of the block width — the reason a blocked exchange
     beats ``nrhs`` single-RHS exchanges on latency *and* volume.
     """
-    n_surf = n_surface_points(p)
+    topo = tree.topology
+    n_surf = n_surface_points(p, topo.dim)
     md = kernel.source_dof
 
     def uses(*families):
@@ -264,7 +265,6 @@ def communication_volumes(
         other = box != user
         return box[other], user[other]
 
-    topo = tree.topology
     equiv_bytes = np.full(topo.nboxes, 8.0 * n_surf * md * nrhs)
-    source_bytes = 8.0 * topo.nsrc * (3 + md * nrhs)
+    source_bytes = 8.0 * topo.nsrc * (topo.dim + md * nrhs)
     return uses("V", "W"), uses("X", "U"), equiv_bytes, source_bytes

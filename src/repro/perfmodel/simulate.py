@@ -32,7 +32,7 @@ from repro.geometry.patches import partition_weights
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists
 from repro.octree.morton import MAX_DEPTH
-from repro.octree.topology import LEVEL_BASE
+from repro.octree.topology import level_base
 from repro.octree.tree import Octree
 from repro.perfmodel.costs import PhaseWork, communication_volumes, compute_work
 from repro.perfmodel.machine import MachineModel
@@ -106,8 +106,8 @@ def _check_ranks(P) -> None:
 def _deep_keys(topo) -> tuple[np.ndarray, np.ndarray]:
     """First and last deepest-level Morton key inside every box: the
     box's stretch of the curve, whatever points it holds."""
-    shift = (3 * (MAX_DEPTH - topo.level)).astype(np.uint64)
-    first = (topo.uid - LEVEL_BASE[topo.level]) << shift
+    shift = (topo.dim * (MAX_DEPTH - topo.level)).astype(np.uint64)
+    first = (topo.uid - level_base(topo.dim)[topo.level]) << shift
     return first, first + ((np.uint64(1) << shift) - np.uint64(1))
 
 
@@ -465,7 +465,7 @@ def tree_top_model(
     split = sorted(coarse_split_levels(np.diff(topo.level_ptr).tolist(), P))
     boxes = np.flatnonzero(np.isin(topo.level, split) & (work.down_v > 0))
     sec = work.down_v[boxes] / machine.rate("down_v", kernel.name)
-    dc_bytes = 8.0 * n_surface_points(p) * kernel.target_dof * nrhs
+    dc_bytes = 8.0 * n_surface_points(p, topo.dim) * kernel.target_dof * nrhs
     span = (hi - lo + 1)[boxes]
     v_red = _over_ranks(P, lo[boxes], hi[boxes], sec)
     v_spl = np.bincount(

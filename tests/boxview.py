@@ -36,7 +36,7 @@ class Box:
 
     index: int
     level: int
-    anchor: tuple[int, int, int]
+    anchor: tuple[int, ...]
     parent: int
     src_start: int
     src_stop: int
@@ -65,7 +65,7 @@ def boxes_adjacent(a: Box, b: Box) -> bool:
     """
     level = max(a.level, b.level)
     sa, sb = 1 << (level - a.level), 1 << (level - b.level)
-    for d in range(3):
+    for d in range(len(a.anchor)):
         lo_a, hi_a = a.anchor[d] * sa, (a.anchor[d] + 1) * sa
         lo_b, hi_b = b.anchor[d] * sb, (b.anchor[d] + 1) * sb
         if lo_a > hi_b or lo_b > hi_a:
@@ -80,7 +80,7 @@ def box_contains(outer: Box, inner: Box) -> bool:
     s = 1 << (inner.level - outer.level)
     return all(
         outer.anchor[d] * s <= inner.anchor[d] < (outer.anchor[d] + 1) * s
-        for d in range(3)
+        for d in range(len(inner.anchor))
     )
 
 

@@ -65,6 +65,19 @@ def uniform_cloud(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(n, 3))
 
 
+def cloud(
+    rng: np.random.Generator, n: int, dim: int, clustered: bool = False
+) -> np.ndarray:
+    """``n`` points in ``dim`` dimensions: uniform in ``[-1, 1]^dim``, or
+    piled into the ``2^dim`` corners of the unit cube (deep adaptive
+    trees, non-empty W/X lists)."""
+    if not clustered:
+        return rng.uniform(-1.0, 1.0, size=(n, dim))
+    corners = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    pts = corners[rng.integers(0, 1 << dim, n)]
+    return np.abs(pts - 0.08 * np.abs(rng.standard_normal((n, dim))))
+
+
 def clustered_cloud(rng: np.random.Generator, n: int) -> np.ndarray:
     """Corner-clustered points: deep adaptive trees, non-empty W/X lists."""
     corners = np.array(

@@ -192,7 +192,7 @@ def evaluate(
                             continue
                         a = boxes[ai]
                         offset = tuple(
-                            b.anchor[d] - a.anchor[d] for d in range(3)
+                            b.anchor[d] - a.anchor[d] for d in range(len(b.anchor))
                         )
                         if backend == "dense":
                             T = cache.m2l_check(level, offset)

@@ -25,7 +25,7 @@ def tensor_hat(cache, level, offset):
 
 def fft_m2l(cache, level, pairs):
     """Check potential of the ``(offset, ue)`` sources, by FFT."""
-    m, at = 2 * cache.p, tuple(surface_lattice_indices(cache.p).T)
+    m, at = 2 * cache.p, tuple(surface_lattice_indices(cache.p, 3).T)
     acc = 0.0
     for offset, ue in pairs:
         grid = np.zeros((m, m, m, cache.kernel.source_dof))

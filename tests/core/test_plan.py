@@ -32,7 +32,7 @@ from repro.geometry.distributions import corner_clusters, uniform_cube
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.kernels.derived import LaplaceDipoleKernel, LaplaceGradientKernel
 from repro.kernels.direct import direct_evaluate, relative_error
-from repro.octree.topology import OCTANT_VECTORS
+from repro.octree.topology import octant_vectors
 from repro.util.segments import chunk_segments
 
 from tests.conftest import clustered_cloud, uniform_cloud
@@ -189,7 +189,7 @@ def _block_pairs(vp, lo, sp, vl):
         assert real.min() >= lo and real.max() < lo + vp.rows.size
         for ot in range(8):
             for os_ in range(8):
-                off = 2 * np.array(po) + OCTANT_VECTORS[ot] - OCTANT_VECTORS[os_]
+                off = 2 * np.array(po) + octant_vectors(3)[ot] - octant_vectors(3)[os_]
                 if np.abs(off).max() < 2:
                     continue  # adjacent: no slot
                 m = (trg[:, ot] < sp.inv_rows.size) & (src[:, os_] < sp.nrows - 1)

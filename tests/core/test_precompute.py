@@ -11,7 +11,13 @@ from repro.core.precompute import (
     octant_offset,
 )
 from repro.core.surfaces import n_surface_points
-from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
+from repro.kernels import (
+    Laplace2DKernel,
+    LaplaceKernel,
+    ModifiedLaplaceKernel,
+    Stokes2DKernel,
+    StokesKernel,
+)
 from repro.kernels.base import Kernel, difference_planes
 
 from tests.conftest import count_factorisations
@@ -29,24 +35,24 @@ def _fresh_cache(kernel, p=4, root=2.0, **kw):
 
 class TestOctantOffset:
     def test_all_octants_distinct(self):
-        offsets = {tuple(octant_offset(c)) for c in range(8)}
+        offsets = {tuple(octant_offset(c, 3)) for c in range(8)}
         assert len(offsets) == 8
 
     def test_magnitude(self):
         for c in range(8):
-            assert np.all(np.abs(octant_offset(c)) == 0.5)
+            assert np.all(np.abs(octant_offset(c, 3)) == 0.5)
 
     def test_bit_convention(self):
-        assert np.allclose(octant_offset(0), [-0.5, -0.5, -0.5])
-        assert np.allclose(octant_offset(1), [0.5, -0.5, -0.5])
-        assert np.allclose(octant_offset(2), [-0.5, 0.5, -0.5])
-        assert np.allclose(octant_offset(4), [-0.5, -0.5, 0.5])
+        assert np.allclose(octant_offset(0, 3), [-0.5, -0.5, -0.5])
+        assert np.allclose(octant_offset(1, 3), [0.5, -0.5, -0.5])
+        assert np.allclose(octant_offset(2, 3), [-0.5, 0.5, -0.5])
+        assert np.allclose(octant_offset(4, 3), [-0.5, -0.5, 0.5])
 
     def test_rejects_bad_octant(self):
         with pytest.raises(ValueError):
-            octant_offset(8)
+            octant_offset(8, 3)
         with pytest.raises(ValueError):
-            octant_offset(-1)
+            octant_offset(-1, 3)
 
 
 class TestShapes:
@@ -55,7 +61,7 @@ class TestShapes:
     )
     def test_operator_shapes(self, kernel):
         p = 4
-        n = n_surface_points(p)
+        n = n_surface_points(p, 3)
         m, q = kernel.source_dof, kernel.target_dof
         cache = _fresh_cache(kernel, p=p)
         assert cache.uc2ue(2).shape == (n * m, n * q)
@@ -377,3 +383,67 @@ class TestReference:
                           lambda self, name, level, *o: (
                               getattr(self, name)(level, *o), 1.0))
                 assert np.array_equal(fmm.apply(phi), u)
+
+
+class TestPlane:
+    """The one operator cache at ``Kernel.dim = 2``."""
+
+    def test_octant_offsets(self):
+        offsets = [tuple(octant_offset(c, 2)) for c in range(4)]
+        assert offsets == [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)]
+        with pytest.raises(ValueError):
+            octant_offset(4, 2)
+
+    @pytest.mark.parametrize(
+        "kernel", [Laplace2DKernel(), Stokes2DKernel()], ids=["laplace2d", "stokes2d"]
+    )
+    def test_operator_shapes(self, kernel):
+        p = 5
+        n = n_surface_points(p, 2)
+        m, q = kernel.source_dof, kernel.target_dof
+        cache = _fresh_cache(kernel, p=p)
+        assert cache.dim == 2 and cache.n_surf == n == 4 * p - 4
+        assert cache.uc2ue(2).shape == (n * m, n * q)
+        assert cache.m2m_check(2, 3).shape == (n * q, n * m)
+        assert cache.l2l_check(2, 1).shape == (n * q, n * m)
+        assert cache.m2l_check(2, (2, -1)).shape == (n * q, n * m)
+
+    def test_uc2ue_reconstructs_far_field(self, rng):
+        """Equation (2.1) end to end in the plane."""
+        kernel = Laplace2DKernel()
+        cache = OperatorCache(kernel, p=10, root_side=2.0)
+        level = 1
+        r = cache.half_width(level)
+        src = rng.uniform(-r, r, size=(15, 2))
+        phi = rng.standard_normal(15)
+        phi -= phi.mean()  # zero total charge: no far log-growth mismatch
+        check = kernel.matrix(cache.up_check_points(np.zeros(2), level), src) @ phi
+        ue = cache.uc2ue(level) @ check
+        theta = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+        far = 6 * r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        exact = kernel.matrix(far, src) @ phi
+        approx = kernel.matrix(far, cache.up_equiv_points(np.zeros(2), level)) @ ue
+        assert np.allclose(approx, exact, atol=1e-8)
+
+    def test_m2l_rejects_adjacent(self):
+        cache = OperatorCache(Laplace2DKernel(), 4, 1.0)
+        with pytest.raises(ValueError):
+            cache.m2l_check(2, (1, 0))
+
+    @pytest.mark.parametrize(
+        "kernel", [Laplace2DKernel(), Stokes2DKernel()], ids=["laplace2d", "stokes2d"]
+    )
+    def test_derived_factors_reproduce_every_offset(self, kernel):
+        """The 8 symmetries of the square carry the canonical factors to
+        every one of the ``7^2 - 3^2 = 40`` offsets."""
+        cache = _fresh_cache(kernel, p=5)
+        offsets = [
+            o for o in itertools.product(range(-3, 4), repeat=2)
+            if max(abs(c) for c in o) >= 2
+        ]
+        assert len(offsets) == 40
+        for o in offsets:
+            uf, vf = cache.m2l_rsvd(2, o)
+            exact = cache.m2l_check(2, o)
+            err = np.linalg.norm(uf @ vf - exact) / np.linalg.norm(exact)
+            assert err < 2 * cache.rsvd_tol * 10

@@ -334,8 +334,8 @@ def test_layout_is_a_function_of_plan_statistics():
     )
     assert "rsvd" in sched.backends.values() and not sched.blocked
     # The model itself: emptier blocks cost the blocked layout alone.
-    full = rsvd_layout_seconds((3000, 60, 60, 50, 3000), 304, 28)
-    sparse = rsvd_layout_seconds((3000, 60, 60, 500, 30000), 304, 28)
+    full = rsvd_layout_seconds((3000, 60, 60, 50, 3000), 304, 28, 3)
+    sparse = rsvd_layout_seconds((3000, 60, 60, 500, 30000), 304, 28, 3)
     assert sparse[0] == full[0] and sparse[1] > full[1]
 
 

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import k0
 
 from repro.kernels import (
+    Laplace2DKernel,
     LaplaceKernel,
+    ModifiedLaplace2DKernel,
     ModifiedLaplaceKernel,
     NavierKernel,
+    Stokes2DKernel,
     StokesKernel,
 )
 from repro.kernels.derived import (
@@ -29,20 +33,30 @@ ALL = [
     LaplaceDipoleKernel(),
     ModifiedLaplaceGradientKernel(0.9),
     ModifiedLaplaceDipoleKernel(0.9),
+    Laplace2DKernel(),
+    ModifiedLaplace2DKernel(1.3),
+    Stokes2DKernel(0.8),
 ]
 IDS = [k.name for k in ALL]
+
+
+def _log_floor(kernel) -> float:
+    """Absolute error floor of a relative error of ``r``: ``1 / 2 pi``
+    for the plane's logarithmic kernels, whose entries cross zero at
+    ``r = 1`` (and ``K_0`` tends to the logarithm), 0 for the others."""
+    return 1.0 / (2.0 * np.pi) if kernel.dim == 2 else 0.0
 
 
 @pytest.mark.parametrize("kernel", ALL, ids=IDS)
 class TestKernelContract:
     def test_matrix_shape(self, kernel, rng):
-        x = rng.standard_normal((5, 3))
-        y = rng.standard_normal((7, 3)) + 5.0
+        x = rng.standard_normal((5, kernel.dim))
+        y = rng.standard_normal((7, kernel.dim)) + 5.0
         K = kernel.matrix(x, y)
         assert K.shape == (5 * kernel.target_dof, 7 * kernel.source_dof)
 
     def test_coincident_pairs_vanish(self, kernel, rng):
-        pts = rng.standard_normal((3, 3))
+        pts = rng.standard_normal((3, kernel.dim))
         K = kernel.matrix(pts, pts)
         q, m = kernel.target_dof, kernel.source_dof
         for i in range(3):
@@ -50,21 +64,21 @@ class TestKernelContract:
             assert np.all(block == 0.0), f"diagonal block {i} nonzero"
 
     def test_all_entries_finite(self, kernel, rng):
-        x = rng.standard_normal((6, 3))
+        x = rng.standard_normal((6, kernel.dim))
         K = kernel.matrix(x, x)
         assert np.all(np.isfinite(K))
 
     def test_row_ordering_point_major(self, kernel, rng):
-        x = rng.standard_normal((3, 3))
-        y = rng.standard_normal((2, 3)) + 4.0
+        x = rng.standard_normal((3, kernel.dim))
+        y = rng.standard_normal((2, kernel.dim)) + 4.0
         K = kernel.matrix(x, y)
         q = kernel.target_dof
         K1 = kernel.matrix(x[1:2], y)
         assert np.allclose(K[q : 2 * q], K1)
 
     def test_apply_consistent(self, kernel, rng):
-        x = rng.standard_normal((4, 3))
-        y = rng.standard_normal((6, 3)) + 3.0
+        x = rng.standard_normal((4, kernel.dim))
+        y = rng.standard_normal((6, kernel.dim)) + 3.0
         phi = rng.standard_normal((6, kernel.source_dof))
         assert np.allclose(
             kernel.apply(x, y, phi).ravel(), kernel.matrix(x, y) @ phi.ravel()
@@ -76,8 +90,8 @@ class TestKernelContract:
     def test_homogeneity_declaration_consistent(self, kernel, rng):
         if kernel.homogeneity is None:
             return
-        x = rng.standard_normal((3, 3))
-        y = rng.standard_normal((3, 3)) + 4.0
+        x = rng.standard_normal((3, kernel.dim))
+        y = rng.standard_normal((3, kernel.dim)) + 4.0
         a = 1.7
         assert np.allclose(
             kernel.matrix(a * x, a * y),
@@ -99,15 +113,15 @@ def _pair_error(kernel, got, ref, nt, ns):
     return err, size
 
 
-def _local_frame(rng, h, nt, ns):
+def _local_frame(rng, h, nt, ns, dim):
     """A leaf against its neighbourhood, in the leaf's frame, with traps.
 
     Half the sources coincide with targets and up to three more sit at a
     relative distance of 1e-12 from one: the pairs the GEMM form of
     ``r^2`` gets wrong and the repair must catch.
     """
-    t = rng.uniform(-h, h, (nt, 3))
-    s = rng.uniform(-3 * h, 3 * h, (ns, 3))
+    t = rng.uniform(-h, h, (nt, dim))
+    s = rng.uniform(-3 * h, 3 * h, (ns, dim))
     if nt:
         half = ns // 2
         s[:half] = t[rng.integers(0, nt, half)]
@@ -130,7 +144,7 @@ class TestMatrixLocal:
     )
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_matrix_in_box_frames(self, kernel, h, nt, ns, seed):
-        t, s = _local_frame(np.random.default_rng(seed), h, nt, ns)
+        t, s = _local_frame(np.random.default_rng(seed), h, nt, ns, kernel.dim)
         ref = kernel.matrix(t, s)
         got = kernel.matrix_local(t, s)
         assert got.shape == ref.shape
@@ -142,7 +156,9 @@ class TestMatrixLocal:
         # Below the normal range (screened kernels at h = 1e3) an entry
         # has no relative accuracy left to compare.
         tiny = np.finfo(np.float64).tiny
-        assert np.all(err <= 1e-13 * amplification * size + tiny)
+        assert np.all(
+            err <= 1e-13 * (amplification * size + _log_floor(kernel)) + tiny
+        )
         # Same zero pattern: exact zeros at coincident pairs, and only
         # there unless the reference itself underflowed.
         got_size = np.abs(_pair_blocks(kernel, got, nt, ns)).max(
@@ -153,6 +169,7 @@ class TestMatrixLocal:
 
     def test_identical_points_give_zero_matrix(self, kernel):
         for point in (np.zeros(3), np.array([0.3, -1.7, 2.9])):
+            point = point[: kernel.dim]
             t = np.tile(point, (4, 1))
             s = np.tile(point, (6, 1))
             for K in (kernel.matrix(t, s), kernel.matrix_local(t, s)):
@@ -161,8 +178,8 @@ class TestMatrixLocal:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_stays_in_its_row(self, kernel, rng, bad):
-        t = rng.uniform(-1.0, 1.0, (5, 3))
-        s = rng.uniform(-3.0, 3.0, (9, 3))
+        t = rng.uniform(-1.0, 1.0, (5, kernel.dim))
+        s = rng.uniform(-3.0, 3.0, (9, kernel.dim))
         s[:2] = t[:2]
         clean = kernel.matrix(t, s)
         t[3, 1] = bad
@@ -216,20 +233,47 @@ def _reference_derived(kernel, targets, sources):
     return block.reshape(nt, ns * 3)
 
 
-TEXTBOOK = [_reference_radial] * 2 + [_reference_kelvin] * 2 + [_reference_derived] * 4
+def _reference_planar(kernel, targets, sources):
+    """The plane's kernels as the per-box 2D evaluator assembled them."""
+    diff = targets[:, None, :] - sources[None, :, :]
+    r2 = np.einsum("tsd,tsd->ts", diff, diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.where(r2 > 0.0, -0.5 * np.log(r2), 0.0)
+        inv_r2 = np.where(r2 > 0.0, 1.0 / r2, 0.0)
+        screened = np.where(
+            r2 > 0.0, k0(getattr(kernel, "lam", 1.0) * np.sqrt(r2)), 0.0
+        )
+    if isinstance(kernel, Laplace2DKernel):
+        return log / (2.0 * np.pi)
+    if isinstance(kernel, ModifiedLaplace2DKernel):
+        return screened / (2.0 * np.pi)
+    nt, ns = r2.shape
+    blocks = np.einsum("tsi,tsj->tsij", diff, diff) * inv_r2[:, :, None, None]
+    idx = np.arange(2)
+    blocks[:, :, idx, idx] += log[:, :, None]
+    blocks /= 4.0 * np.pi * kernel.mu
+    return blocks.transpose(0, 2, 1, 3).reshape(nt * 2, ns * 2)
+
+
+TEXTBOOK = (
+    [_reference_radial] * 2 + [_reference_kelvin] * 2 + [_reference_derived] * 4
+    + [_reference_planar] * 3
+)
 
 
 @pytest.mark.parametrize("kernel, reference", list(zip(ALL, TEXTBOOK)), ids=IDS)
 def test_matrix_matches_textbook_formula(kernel, reference, rng):
     """The plane assemblies against the einsum/``where`` forms they replaced."""
-    t = rng.uniform(-1.0, 1.0, (17, 3))
-    s = rng.uniform(-3.0, 3.0, (23, 3)) + np.array([0.5, 0.0, -0.25])
+    t = rng.uniform(-1.0, 1.0, (17, kernel.dim))
+    s = rng.uniform(-3.0, 3.0, (23, kernel.dim)) + np.array([0.5, 0.0, -0.25])[
+        : kernel.dim
+    ]
     s[:6] = t[:6]
     ref = reference(kernel, t, s)
     got = kernel.matrix(t, s)
     assert got.shape == ref.shape
     err, size = _pair_error(kernel, got, ref, 17, 23)
-    assert np.all(err <= 1e-14 * size)
+    assert np.all(err <= 1e-14 * (size + _log_floor(kernel)))
     assert np.all(err[:6, :6][np.eye(6, dtype=bool)] == 0.0)
 
 

@@ -1,9 +1,9 @@
-"""2D kernel tests."""
+"""The plane's kernels (``dim = 2``): values, PDEs, shapes."""
 
 import numpy as np
 import pytest
 
-from repro.twod import (
+from repro.kernels import (
     Laplace2DKernel,
     ModifiedLaplace2DKernel,
     Stokes2DKernel,
@@ -122,5 +122,17 @@ class TestInterface:
         )
 
     def test_rejects_3d_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             Laplace2DKernel().matrix(np.zeros((3, 3)), np.zeros((3, 2)))
+
+    def test_declarations(self):
+        """Dimension 2, no homogeneity (the logarithm shifts under
+        scaling), the square's symmetries, no compiled profile."""
+        for k in (Laplace2DKernel(), ModifiedLaplace2DKernel(), Stokes2DKernel()):
+            assert k.dim == 2 and k.homogeneity is None
+            assert k.profile() is None
+        assert Laplace2DKernel().symmetry == "scalar"
+        assert ModifiedLaplace2DKernel().symmetry == "scalar"
+        stokes = Stokes2DKernel()
+        assert stokes.symmetry == "tensor"
+        assert stokes.source_dof == stokes.target_dof == 2

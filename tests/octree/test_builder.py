@@ -60,12 +60,12 @@ def adaptive_cells(src_keys, trg_keys, s, max_depth):
     for level in range(1, max_depth + 1):
         held = [
             dict(zip(*(a.tolist() for a in np.unique(
-                key_prefix(keys, level - 1), return_counts=True
+                key_prefix(keys, level - 1, 3), return_counts=True
             ))))
             for keys in (src_keys, trg_keys)
         ]
-        occupied = set(key_prefix(src_keys, level).tolist()) | set(
-            key_prefix(trg_keys, level).tolist()
+        occupied = set(key_prefix(src_keys, level, 3).tolist()) | set(
+            key_prefix(trg_keys, level, 3).tolist()
         )
         cells |= {
             (level, key) for key in occupied
@@ -113,7 +113,7 @@ def oracle_topology(cells, src_keys, trg_keys):
         child[parent[i], key & 7] = i
     ranges = {
         name: np.array(
-            [np.searchsorted(key_prefix(keys, lv), key, side) for lv, key in cells],
+            [np.searchsorted(key_prefix(keys, lv, 3), key, side) for lv, key in cells],
             dtype=np.int64,
         )
         for name, keys, side in (

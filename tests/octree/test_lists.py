@@ -24,7 +24,7 @@ from repro.parallel.ptree import parallel_build_tree
 from repro.parallel.simmpi import PerRank, run_spmd
 
 from tests import boxview
-from tests.conftest import clustered_cloud, traced_peak, uniform_cloud
+from tests.conftest import cloud, clustered_cloud, traced_peak, uniform_cloud
 from tests.octree.reference_lists import build_lists_reference
 
 
@@ -299,3 +299,42 @@ class TestListsAreArrays:
         # 17 MB: 2 x 5 MB of V partners while the chunks are joined plus
         # one chunk's candidates.
         assert peak <= 32 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+DIMS = pytest.mark.parametrize("dim", [2, 3])
+
+
+class TestDimensions:
+    """``build_lists`` in the plane: the same array construction, the
+    ``(4, 36)`` far table, against the same per-box oracle."""
+
+    @DIMS
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_equal_reference(self, rng, dim, clustered):
+        tree = build_tree(cloud(rng, 500, dim, clustered), max_points=15)
+        lists = _assert_lists_equal_reference(tree)
+        counts = lists.counts()
+        assert counts["W"] == counts["X"]
+
+    @DIMS
+    def test_v_list_bound(self, rng, dim):
+        """At most ``6^d - 3^d`` V-list entries per box (27 in 2D)."""
+        tree = build_tree(cloud(rng, 2000, dim), max_points=15)
+        assert np.diff(build_lists(tree).flat("V")[0]).max() <= 6**dim - 3**dim
+
+    @DIMS
+    def test_u_symmetric(self, rng, dim):
+        tree = build_tree(cloud(rng, 400, dim, clustered=True), max_points=15)
+        U = boxview.per_box(build_lists(tree)).U
+        for i in boxview.leaves(tree):
+            for j in U[i]:
+                assert i in set(U[j])
+
+    @DIMS
+    def test_completeness(self, rng, dim):
+        tree = build_tree(cloud(rng, 300, dim, clustered=True), max_points=15)
+        lists = boxview.per_box(build_lists(tree))
+        leaves = boxview.leaves(tree)
+        for t in leaves:
+            for s in leaves:
+                assert _coverage_count(tree, lists, s, t) == 1

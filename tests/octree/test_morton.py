@@ -22,7 +22,7 @@ class TestInterleave:
     @settings(max_examples=200)
     def test_roundtrip(self, ix, iy, iz):
         key = anchor_to_key(ix, iy, iz)
-        jx, jy, jz = key_to_anchor(key)
+        jx, jy, jz = key_to_anchor(key, 3)
         assert (int(jx), int(jy), int(jz)) == (ix, iy, iz)
 
     def test_origin_is_zero(self):
@@ -39,7 +39,7 @@ class TestInterleave:
         iy = rng.integers(0, 1 << MAX_DEPTH, size=100)
         iz = rng.integers(0, 1 << MAX_DEPTH, size=100)
         keys = anchor_to_key(ix, iy, iz)
-        jx, jy, jz = key_to_anchor(keys)
+        jx, jy, jz = key_to_anchor(keys, 3)
         assert np.array_equal(jx, ix.astype(np.uint64))
         assert np.array_equal(jy, iy.astype(np.uint64))
         assert np.array_equal(jz, iz.astype(np.uint64))
@@ -97,9 +97,84 @@ class TestPrefix:
     def test_key_prefix_levels(self):
         key = anchor_to_key(5, 3, 7)  # a level-3 anchor
         full = np.uint64(int(key) << (3 * (MAX_DEPTH - 3)))
-        assert int(key_prefix(full, 3)) == int(key)
-        assert int(key_prefix(full, 0)) == 0
+        assert int(key_prefix(full, 3, 3)) == int(key)
+        assert int(key_prefix(full, 0, 3)) == 0
 
     def test_decode_key(self):
         key = int(anchor_to_key(5, 3, 7)) << (3 * (MAX_DEPTH - 3))
-        assert decode_key(key, 3) == (5, 3, 7)
+        assert decode_key(key, 3, 3) == (5, 3, 7)
+
+
+DIMS = pytest.mark.parametrize("dim", [2, 3])
+POINT = st.lists(COORD, min_size=3, max_size=3)
+
+
+class TestDimensions:
+    """One key layout for the quadtree and the octree: ``dim`` bits per
+    level, 21 levels."""
+
+    @DIMS
+    @given(a=POINT)
+    @settings(max_examples=150)
+    def test_roundtrip_and_range(self, dim, a):
+        key = anchor_to_key(*a[:dim])
+        assert 0 <= int(key) < 1 << (dim * MAX_DEPTH)
+        assert [int(c) for c in key_to_anchor(key, dim)] == a[:dim]
+
+    @DIMS
+    @given(a=POINT, b=POINT)
+    @settings(max_examples=150)
+    def test_injective(self, dim, a, b):
+        ka, kb = int(anchor_to_key(*a[:dim])), int(anchor_to_key(*b[:dim]))
+        assert (ka == kb) == (a[:dim] == b[:dim])
+
+    @DIMS
+    @given(a=POINT)
+    @settings(max_examples=100)
+    def test_bit_interleaving_structure(self, dim, a):
+        """Bit ``dim * level + axis`` of the key is bit ``level`` of the
+        coordinate of ``axis``."""
+        key = int(anchor_to_key(*a[:dim]))
+        for axis in range(dim):
+            got = sum(
+                ((key >> (dim * bit + axis)) & 1) << bit
+                for bit in range(MAX_DEPTH)
+            )
+            assert got == a[axis]
+
+    @DIMS
+    def test_vectorised_matches_scalar(self, rng, dim):
+        coords = rng.integers(0, 1 << MAX_DEPTH, size=(dim, 50))
+        keys = anchor_to_key(*coords)
+        for i in range(50):
+            assert int(keys[i]) == int(anchor_to_key(*coords[:, i]))
+
+    @DIMS
+    def test_unit_steps(self, dim):
+        for axis in range(dim):
+            unit = [0] * dim
+            unit[axis] = 1
+            assert int(anchor_to_key(*unit)) == 1 << axis
+        assert int(anchor_to_key(*[1] * dim)) == (1 << dim) - 1
+
+    @DIMS
+    def test_orthant_runs(self, rng, dim):
+        """Points sorted by key: each level-1 orthant is one run."""
+        pts = rng.random((300, dim))
+        order = np.argsort(encode_points(pts, np.zeros(dim), 1.0))
+        orthant = ((pts[order] >= 0.5) << np.arange(dim)).sum(axis=1)
+        assert np.all(np.diff(orthant) >= 0)
+
+    @DIMS
+    def test_outside_raises(self, dim):
+        with pytest.raises(ValueError):
+            encode_points(np.full((1, dim), 2.0), np.zeros(dim), 1.0)
+
+    @DIMS
+    def test_prefix_and_decode(self, dim):
+        anchor = (5, 3, 7)[:dim]  # a level-3 anchor
+        full = int(anchor_to_key(*anchor)) << (dim * (MAX_DEPTH - 3))
+        assert int(key_prefix(np.uint64(full), 3, dim)) == int(
+            anchor_to_key(*anchor)
+        )
+        assert decode_key(full, 3, dim) == anchor

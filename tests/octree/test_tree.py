@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.octree import build_tree
-from repro.octree.topology import SELF_OFFSET
+from repro.octree.topology import self_offset
 
 from tests import boxview
 from tests.boxview import Box, box_contains, boxes_adjacent
-from tests.conftest import clustered_cloud, uniform_cloud
+from tests.conftest import cloud, clustered_cloud, uniform_cloud
 
 
 def _check_invariants(tree):
@@ -113,8 +113,9 @@ class TestConstruction:
         _check_invariants(tree)
 
     def test_rejects_bad_input(self, rng):
+        # (n, 2) is the quadtree now: four columns are no dimension.
         with pytest.raises(ValueError):
-            build_tree(np.zeros((5, 2)))
+            build_tree(np.zeros((5, 4)))
         with pytest.raises(ValueError):
             build_tree(np.zeros((5, 3)), max_points=0)
         with pytest.raises(ValueError):
@@ -143,8 +144,8 @@ class TestColleagues:
     def test_include_self(self, rng):
         tree = build_tree(uniform_cloud(rng, 200), max_points=20)
         coll = tree.topology.colleagues(np.arange(tree.nboxes))
-        assert np.array_equal(coll[:, SELF_OFFSET], np.arange(tree.nboxes))
-        assert not (np.delete(coll, SELF_OFFSET, axis=1)
+        assert np.array_equal(coll[:, self_offset(3)], np.arange(tree.nboxes))
+        assert not (np.delete(coll, self_offset(3), axis=1)
                     == np.arange(tree.nboxes)[:, None]).any()
 
     def test_colleagues_are_adjacent(self, rng):
@@ -198,3 +199,49 @@ class TestAdjacency:
         small_far = Box(2, 2, (3, 3, 3), -1, 0, 0, 0, 0)
         assert boxes_adjacent(big, small_touching)
         assert not boxes_adjacent(big, small_far)
+
+
+DIMS = pytest.mark.parametrize("dim", [2, 3])
+
+
+class TestDimensions:
+    """The quadtree is the octree code at ``dim = 2``: the dimension is
+    the points' column count."""
+
+    @DIMS
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_invariants(self, rng, dim, clustered):
+        tree = build_tree(cloud(rng, 600, dim, clustered), max_points=25)
+        _check_invariants(tree)
+        topo = tree.topology
+        assert tree.dim == topo.dim == dim
+        assert topo.anchor.shape == (tree.nboxes, dim)
+        assert topo.child.shape == (tree.nboxes, 1 << dim)
+        assert topo.nsrc[topo.is_leaf].max() <= 25
+
+    @DIMS
+    def test_colleagues_brute_force(self, rng, dim):
+        tree = build_tree(cloud(rng, 400, dim), max_points=20)
+        boxes = boxview.boxes(tree)
+        coll = tree.topology.colleagues(np.arange(tree.nboxes))
+        assert coll.shape == (tree.nboxes, 3**dim)
+        assert np.array_equal(coll[:, self_offset(dim)], np.arange(tree.nboxes))
+        for b, found in zip(boxes, _colleagues(tree)):
+            expected = {
+                o.index
+                for o in boxes
+                if o.level == b.level
+                and all(abs(o.anchor[d] - b.anchor[d]) <= 1 for d in range(dim))
+            }
+            assert set(found) == expected and len(found) == len(expected)
+
+    @DIMS
+    def test_rejects_bad_input(self, dim):
+        with pytest.raises(ValueError, match=r"must be \(n, 2\) or \(n, 3\)"):
+            build_tree(np.zeros((5, 4)))
+        with pytest.raises(ValueError, match=r"must be \(n, 2\) or \(n, 3\)"):
+            build_tree(np.zeros((5, 1)))
+        with pytest.raises(ValueError):
+            build_tree(np.zeros((5, dim)), max_points=0)
+        with pytest.raises(ValueError, match="targets are"):
+            build_tree(np.zeros((5, dim)), np.zeros((5, 5 - dim)))

@@ -173,10 +173,13 @@ class TestOneValidation:
         from repro.parallel.simmpi import single_rank_comm
 
         comm, pts = single_rank_comm(), rng.uniform(-1.0, 1.0, (20, 3))
-        with pytest.raises(ValueError, match=r"rank 0's sources must be \(n, 3\)"):
-            parallel_build_tree(comm, pts[:, :2])
-        with pytest.raises(ValueError, match=r"rank 0's targets must be \(n, 3\)"):
+        shape = r"must be \(n, 2\) or \(n, 3\)"
+        with pytest.raises(ValueError, match=r"rank 0's sources " + shape):
+            parallel_build_tree(comm, np.hstack([pts, pts[:, :1]]))
+        with pytest.raises(ValueError, match=r"rank 0's targets " + shape):
             parallel_build_tree(comm, pts, pts.ravel())
+        with pytest.raises(ValueError, match=r"rank 0's targets are 2-D"):
+            parallel_build_tree(comm, pts, pts[:, :2])
         with pytest.raises(ValueError, match="max_points must be >= 1, got 0"):
             parallel_build_tree(comm, pts, max_points=0)
 
@@ -209,3 +212,46 @@ class TestListsAfterEdgeCases:
         u = fmm.apply(phi)
         exact = direct_evaluate(LaplaceKernel(), pts, pts, phi)
         assert relative_error(u, exact) < 1e-3
+
+
+class TestDimensionMismatch:
+    """A kernel of one dimension on points of the other is one named
+    error from the one validation, before a root cube or a key exists."""
+
+    CASES = [("laplace", 2), ("laplace2d", 3)]
+
+    @staticmethod
+    def _kernel(name):
+        from repro.kernels import Laplace2DKernel, LaplaceKernel
+
+        return {"laplace": LaplaceKernel, "laplace2d": Laplace2DKernel}[name]()
+
+    @pytest.mark.parametrize("name, dim", CASES)
+    def test_every_setup_path_names_both_dimensions(
+        self, rng, monkeypatch, name, dim
+    ):
+        from repro.core.fmm import FMMOptions, KIFMM
+        from repro.kernels.direct import direct_evaluate
+        from repro.octree import tree as tree_module
+        from repro.parallel.pfmm import ParallelFMM
+        from repro.serve.service import OperatorRegistry
+
+        def never(*args, **kwargs):
+            raise AssertionError("a root cube was computed")
+
+        monkeypatch.setattr(tree_module, "_root_cube", never)
+        kernel = self._kernel(name)
+        pts = rng.uniform(-1.0, 1.0, (50, dim))
+        message = (
+            rf"dimension mismatch: sources are {dim}-D points but the "
+            rf"kernel is {kernel.dim}-D"
+        )
+        opts = FMMOptions(p=3, max_points=10)
+        with pytest.raises(ValueError, match=message):
+            KIFMM(kernel, opts).setup(pts)
+        with pytest.raises(ValueError, match=message):
+            ParallelFMM(2, kernel, opts).setup(pts)
+        with pytest.raises(ValueError, match=message):
+            OperatorRegistry().register(kernel, pts, opts)
+        with pytest.raises(ValueError, match=message.replace("sources", "targets")):
+            direct_evaluate(kernel, pts, pts, np.ones(50 * kernel.source_dof))

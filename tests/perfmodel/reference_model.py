@@ -68,7 +68,7 @@ def compute_work(
     nb = tree.nboxes
     boxes = boxview.boxes(tree)
     lists = boxview.per_box(lists)
-    n_surf = n_surface_points(p)
+    n_surf = n_surface_points(p, tree.topology.dim)
     md, qd = kernel.source_dof, kernel.target_dof
     fpp = float(kernel.flops_per_pair)
     nsrc = (
@@ -210,7 +210,7 @@ def communication_volumes(
     equivalent density (V/W) or its ghost sources (U/X), and the per-box
     message sizes."""
     nb = tree.nboxes
-    n_surf = n_surface_points(p)
+    n_surf = n_surface_points(p, tree.topology.dim)
     md = kernel.source_dof
     equiv_uses: list[list[int]] = [[] for _ in range(nb)]
     source_uses: list[list[int]] = [[] for _ in range(nb)]
@@ -230,7 +230,7 @@ def communication_volumes(
                     source_uses[a].append(i)
     equiv_bytes = np.full(nb, 8.0 * n_surf * md * nrhs)
     source_bytes = np.array(
-        [8.0 * b.nsrc * (3 + md * nrhs) for b in boxes],
+        [8.0 * b.nsrc * (tree.dim + md * nrhs) for b in boxes],
         dtype=np.float64,
     )
     return equiv_uses, source_uses, equiv_bytes, source_bytes
@@ -527,7 +527,7 @@ def tree_top_model(
     v_red = np.zeros(P + 1)
     v_spl = np.zeros(P + 1)
     rate = machine.rate("down_v", kernel.name)
-    dc_bytes = 8.0 * n_surface_points(p) * kernel.target_dof * nrhs
+    dc_bytes = 8.0 * n_surface_points(p, tree.topology.dim) * kernel.target_dof * nrhs
     next_assignee = 0
     for lvl in split:
         for b in levels[lvl]:
