@@ -1,15 +1,14 @@
 """Static, trace-based and runtime correctness analysis.
 
-Three pillars (see ``docs/architecture.md`` § "Analysis & correctness
-tooling" and § "Race detection & sanitizers"):
+See ``docs/architecture.md`` § "Analysis & correctness tooling" and
+§ "Race detection & sanitizers":
 
-- :mod:`repro.analysis.trace` / :mod:`repro.analysis.commcheck` — a
-  per-rank communication event trace recorded by the simulated MPI
-  runtime (Lamport + vector clocks on every send/recv/collective) and an
-  offline analyzer that builds the happens-before relation and proves an
-  execution free of leaked messages, wait-for deadlock cycles,
-  collective divergence, channel-order nondeterminism and un-waited
-  receive requests.
+- :mod:`repro.analysis.trace` — a per-rank communication event trace
+  recorded by the simulated MPI runtime (a vector clock on every
+  send/recv/collective, one region per ``run_spmd``), read by the race
+  detector and by ``commir``'s conformance check.  The runtime itself
+  names a dropped message (``MailboxLeakError``) and a stuck receive
+  (``TimeoutError`` with rank, peer and tag) on every run.
 - :mod:`repro.analysis.racecheck` / :mod:`repro.analysis.sanitize` — a
   happens-before data-race detector over instrumented shared-array
   accesses of the overlapped parallel path (``repro racecheck``), and
@@ -33,16 +32,15 @@ tooling" and § "Race detection & sanitizers"):
   plan inputs as a CommIR for arbitrary rank counts (P=4096 included)
   and certified without executing an apply — send/recv matching, tag
   discipline, deadlock-freedom, payload conservation against the box
-  roles, and conformance of dynamic traces — plus exhaustive
-  schedule-space model checking (``repro dpor``) proving deadlock-freedom
-  and observable determinism over *every* interleaving at small rank
-  counts.
+  roles, and conformance of every traced run, region by region — plus
+  exhaustive schedule-space model checking (``repro dpor``) proving
+  deadlock-freedom and observable determinism over *every* interleaving
+  at small rank counts.
 """
 
-from repro.analysis.commcheck import CommReport, Finding, check_trace, compare_traces
 from repro.analysis.racecheck import AccessRecord, Race, RaceDetector, RaceReport
 from repro.analysis.sanitize import SanitizerError
-from repro.analysis.trace import CommTrace, TraceEvent, payload_digest
+from repro.analysis.trace import CommTrace, TraceEvent
 
 # The plan-verifier modules import the evaluation core, whose modules in
 # turn import this package (for the runtime sanitizers) — so their names
@@ -79,10 +77,8 @@ __all__ = [
     "AccessRecord",
     "CommIR",
     "CommOp",
-    "CommReport",
     "CommTrace",
     "DporReport",
-    "Finding",
     "StaticCommReport",
     "PlanIR",
     "PlanReport",
@@ -92,12 +88,9 @@ __all__ = [
     "SanitizerError",
     "TraceEvent",
     "certify_parallel",
-    "check_trace",
-    "compare_traces",
     "extract_comm_ir",
     "extract_rank_ir",
     "static_plan_inputs",
-    "payload_digest",
     "run_checks",
     "run_selftests",
 ]

@@ -33,16 +33,16 @@ the properties an execution at that rank count would exhibit:
     payload flow), keeping each seeded defect attributable to exactly
     one check.
 ``conformance``
-    Every *dynamic* :class:`~repro.analysis.trace.CommTrace` of the
-    same configuration must replay the IR: per rank, the traced
-    protocol events (sends, receive posts, receive completions of the
-    :data:`~repro.analysis.commir.PROTOCOL_FAMILIES` tag families) must
-    equal the rank's program op for op.  A rank interprets its slice of
-    the very program the IR holds, so a divergence means a driver ran
-    the phases in another order than
-    :func:`~repro.parallel.pfmm.exchange_schedule`, or the offline plan
-    inputs differ from what the ranks assembled.  Requires in-memory
-    traces (JSONL round-trips stringify tags).
+    Every traced :class:`~repro.analysis.trace.CommTrace` of the same
+    configuration must replay the IR region by region: per rank, the
+    traced protocol events (sends, receive posts, receive completions
+    of the :data:`~repro.analysis.commir.PROTOCOL_FAMILIES` tag
+    families) of the setup region must equal the rank's setup ops, and
+    those of every later region — one apply each — its apply ops, op
+    for op.  A rank interprets its slice of the very program the IR
+    holds, so a divergence means a driver ran the phases in another
+    order than :func:`~repro.parallel.pfmm.exchange_schedule`, or the
+    offline plan inputs differ from what the ranks assembled.
 
 There is no waiver mechanism: a finding fails certification.  The
 ``seed_*`` functions plant one defect each (a dropped relay forward, a
@@ -59,7 +59,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from repro.analysis.commir import PROTOCOL_FAMILIES, CommIR, gc_paused
-from repro.analysis.trace import CommTrace
+from repro.analysis.trace import CommTrace, TraceEvent
 from repro.parallel.exchange import CommOp
 from repro.parallel.simmpi import TAG_FAMILIES, mk_tag
 
@@ -444,13 +444,11 @@ def check_conservation(
 _TRACE_KIND = {"send": "send", "recv-post": "post", "recv": "complete"}
 
 
-def trace_protocol_events(
-    trace: CommTrace, rank: int
-) -> list[tuple[str, int, tuple]]:
-    """One rank's dynamic protocol events as ``(kind, peer, tag)`` —
-    the shape the IR's ops project to."""
+def protocol_events(events: list[TraceEvent]) -> list[tuple[str, int, tuple]]:
+    """A rank's traced protocol events as ``(kind, peer, tag)`` — the
+    shape the IR's ops project to."""
     out = []
-    for ev in trace.events_by_rank[rank]:
+    for ev in events:
         kind = _TRACE_KIND.get(ev.kind)
         if kind is None:
             continue
@@ -463,8 +461,10 @@ def trace_protocol_events(
 
 
 def check_conformance(ir: CommIR, trace: CommTrace) -> list[Finding]:
-    """Every rank's dynamic protocol event sequence must equal its
-    program, op for op."""
+    """Every rank's traced protocol events must equal its program op for
+    op: the first region its setup ops, every later region (one apply
+    each) its apply ops.  One finding per rank, at the first region
+    that diverges."""
     findings: list[Finding] = []
     if trace.nranks != ir.nranks:
         return [Finding(
@@ -472,24 +472,27 @@ def check_conformance(ir: CommIR, trace: CommTrace) -> list[Finding]:
             f"trace ran {trace.nranks} ranks, IR describes {ir.nranks}",
         )]
     for rank in range(ir.nranks):
-        expected = [
-            (op.kind, op.peer, op.tag) for op in ir.programs[rank]
-        ]
-        got = trace_protocol_events(trace, rank)
-        if got == expected:
-            continue
-        n = min(len(expected), len(got))
-        at = next(
-            (i for i in range(n) if expected[i] != got[i]), n
-        )
-        exp = expected[at] if at < len(expected) else "(end of schedule)"
-        act = got[at] if at < len(got) else "(end of trace)"
-        findings.append(Finding(
-            "conformance", f"rank {rank} event {at}",
-            f"trace diverges from the static schedule: expected "
-            f"{exp!r}, traced {act!r} "
-            f"({len(got)} traced vs {len(expected)} scheduled events)",
-        ))
+        program = [(op.kind, op.peer, op.tag) for op in ir.programs[rank]]
+        cut = ir.setup_ops[rank]
+        for region, events in enumerate(trace.region_events(rank)):
+            expected = program[:cut] if region == 0 else program[cut:]
+            got = protocol_events(events)
+            if got == expected:
+                continue
+            n = min(len(expected), len(got))
+            at = next(
+                (i for i in range(n) if expected[i] != got[i]), n
+            )
+            exp = expected[at] if at < len(expected) else "(end of region)"
+            act = got[at] if at < len(got) else "(end of region)"
+            findings.append(Finding(
+                "conformance", f"rank {rank} region {region} event {at}",
+                f"trace diverges from the static schedule: expected "
+                f"{exp!r}, traced {act!r} "
+                f"({len(got)} traced vs {len(expected)} scheduled events "
+                f"in {'the setup' if region == 0 else 'an apply'})",
+            ))
+            break
     return findings
 
 
@@ -676,26 +679,27 @@ def run_selftests(ir: CommIR) -> list[tuple[str, bool, str]]:
 def traced_run(
     kernel,
     points,
-    density,
+    densities,
     opts,
     nranks: int,
     *,
+    trace: CommTrace | None = None,
     schedule_seed: int = 0,
     overlap: bool = True,
-    napplies: int = 1,
     cache=None,
 ) -> CommTrace:
-    """One traced parallel run for the conformance cross-check.
+    """A traced :class:`~repro.parallel.pfmm.ParallelFMM` run: one setup
+    and one apply per entry of ``densities``, each a region of
+    ``trace`` (a fresh :class:`CommTrace` unless given — ``repro
+    racecheck`` passes a race detector) under ``schedule_seed``.
 
-    Returns the in-memory trace (tags intact — a JSONL round-trip would
-    stringify them and break matching against the IR).  ``cache`` shares
-    one operator cache between the runs of a sweep.
+    ``cache`` shares one operator cache between the runs of a sweep.
     """
     from repro.parallel.pfmm import ParallelFMM
 
-    trace = CommTrace()
+    trace = CommTrace() if trace is None else trace
     op = ParallelFMM(nranks, kernel, opts, overlap=overlap)
     op.setup(points, trace=trace, schedule_seed=schedule_seed, cache=cache)
-    for _ in range(napplies):
+    for density in densities:
         op.apply(density, trace=trace, schedule_seed=schedule_seed)
     return trace

@@ -1,7 +1,8 @@
 """Static communication IR of the parallel exchange protocol.
 
-The dynamic analyzers (:mod:`repro.analysis.commcheck`,
-:mod:`repro.analysis.racecheck`) certify *executions*: they need a
+The runtime's own errors (a leaked mailbox, a receive that times out
+naming rank, peer and tag) and the race detector
+(:mod:`repro.analysis.racecheck`) see *executions*: they need a
 :class:`~repro.parallel.simmpi.SimComm` run, so they stop where the
 simulated runtime stops — a few dozen ranks.  The protocol claims of the
 paper (and the ROADMAP's 3000-CPU projection) live far beyond that.
@@ -39,7 +40,8 @@ function of the points:
 Each rank's ops appear in its exact program order, which is what lets
 :mod:`repro.analysis.commcheck_static` check deadlock-freedom and
 :func:`~repro.analysis.commcheck_static.check_conformance` require every
-dynamic trace to *equal* the rank's program, op for op.
+traced run to *equal* the rank's program, op for op: the setup region
+its setup ops, every apply region its apply ops.
 
 The checks over the IR live in :mod:`repro.analysis.commcheck_static`;
 the exhaustive schedule-space exploration in
@@ -133,8 +135,9 @@ class StaticPlanInputs:
 class CommIR:
     """The complete static message schedule of one configuration.
 
-    ``programs[r]`` is rank ``r``'s ops in exact program order.
-    ``roles[kind][ids]`` declares ``(owner, contributors, users)`` per
+    ``programs[r]`` is rank ``r``'s ops in exact program order: its
+    setup's first (``setup_ops[r]`` of them), then one apply's — the
+    ops every further apply repeats.  ``roles[kind][ids]`` declares ``(owner, contributors, users)`` per
     exchanged box — the ground truth the conservation check interprets
     the message edges against.  ``meta`` carries the configuration and
     summary counts.
@@ -143,6 +146,7 @@ class CommIR:
     nranks: int
     programs: list[list[CommOp]]
     roles: dict[str, dict[tuple, tuple[int, frozenset, frozenset]]]
+    setup_ops: list[int]
     meta: dict = field(default_factory=dict)
 
     def nops(self) -> int:
@@ -277,13 +281,9 @@ def role_table(
     }
 
 
-def extract_comm_ir(
-    inputs: StaticPlanInputs,
-    *,
-    napplies: int = 1,
-    include_setup: bool = True,
-) -> CommIR:
-    """The complete static message schedule of one configuration.
+def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
+    """The complete static message schedule of one configuration: a
+    setup and one apply.
 
     Compiles every payload kind for all ranks
     (:func:`~repro.parallel.exchange.compile_exchange` — the function
@@ -293,8 +293,7 @@ def extract_comm_ir(
     schedule takes neither the kernel, the right-hand-side width nor
     the overlap flag: overlap only moves *compute* relative to the fixed
     communication order, and an RHS block rides the same messages with
-    wider rows.  ``napplies`` repeats the per-apply exchange (channels
-    then carry one message per apply, in FIFO order).
+    wider rows.
     """
     with gc_paused():
         src = box_roles(
@@ -315,15 +314,17 @@ def extract_comm_ir(
         }
         for lvl, roles in vsp.items():
             compiled[f"vsp@{lvl}"] = compile_exchange("vsp", roles)
-        programs: list[list[CommOp]] = [[] for _ in range(inputs.nranks)]
-        for name, phase in exchange_schedule(
-            list(vsp), napplies, include_setup
-        ):
-            for rank, program in compiled[name].items():
-                programs[rank] += [
-                    op for op in getattr(program, phase)
-                    if op.tag is not None
-                ]
+
+        def ops(calls: list[tuple[str, str]], rank: int) -> list[CommOp]:
+            return [
+                op for name, phase in calls if rank in compiled[name]
+                for op in getattr(compiled[name][rank], phase)
+                if op.tag is not None
+            ]
+
+        setup_calls, apply_calls = exchange_schedule(list(vsp))
+        setup = [ops(setup_calls, r) for r in range(inputs.nranks)]
+        apply = [ops(apply_calls, r) for r in range(inputs.nranks)]
         src_table = role_table(src)
         role_tables = {
             "geo": src_table,
@@ -333,11 +334,10 @@ def extract_comm_ir(
         }
     return CommIR(
         nranks=inputs.nranks,
-        programs=programs,
+        programs=[s + a for s, a in zip(setup, apply)],
         roles=role_tables,
+        setup_ops=[len(s) for s in setup],
         meta={
-            "napplies": napplies,
-            "include_setup": include_setup,
             "npoints": int(inputs.tree.sources.shape[0]),
             "nboxes": int(inputs.tree.nboxes),
             "nsrc_boxes": int(inputs.src_boxes.size),

@@ -28,8 +28,8 @@ per-rank program counters (channel send counts are a function of the
 PCs), so dynamic-programming over reachable states counts the *exact*
 number of interleavings — typically astronomically more than could be
 run — while visiting each state once.  This is the sense in which the
-check is exhaustive where :mod:`repro.analysis.commcheck` (one traced
-schedule per seed) is a spot check.
+check is exhaustive where a traced run (one schedule per seed, held to
+the programs by ``commir``'s conformance check) is a spot check.
 
 :func:`bitwise_determinism` complements the model-level proof with an
 end-to-end harness: the same problem solved under several randomized

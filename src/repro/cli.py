@@ -8,7 +8,6 @@ Examples::
         --n 3200000 --model-n 100000 --procs 1,16,256,1024
     python -m repro scaling --mode isogranular --kernel stokes \
         --grain 200000 --procs 1,64,1024 --cap 200000
-    python -m repro commcheck --ranks 4 --n 600 --schedules 5
     python -m repro racecheck --ranks 4 --schedules 5 --applies 2
     python -m repro racecheck --seed-race
     python -m repro plancheck --json plancheck.json
@@ -236,89 +235,6 @@ def _block_density(rng, n: int, kernel, nrhs: int) -> np.ndarray:
     return rng.random((n, kernel.source_dof, nrhs))
 
 
-def _traced_run(args, kernel, pts, density, opts, trace, seed, overlap):
-    """One ``ParallelFMM`` setup and ``--applies`` applies at
-    ``--ranks``, each a region of ``trace`` under schedule ``seed``:
-    the operator and its last potential (``None`` without applies)."""
-    from repro.parallel.pfmm import ParallelFMM
-
-    op = ParallelFMM(args.ranks, kernel, opts, overlap=overlap)
-    op.setup(pts, trace=trace, schedule_seed=seed)
-    potential = None
-    for _ in range(args.applies):
-        potential = op.apply(density, trace=trace, schedule_seed=seed)
-    return op, potential
-
-
-def _cmd_commcheck(args: argparse.Namespace) -> int:
-    """Run the parallel FMM under perturbed schedules; verify the traces.
-
-    The CI "analysis" job runs this as the commcheck smoke: a multi-rank
-    evaluation per schedule seed, each trace checked for leaked
-    messages, deadlock structure, collective divergence and FIFO order,
-    the set compared for observable determinism, and the potentials
-    asserted bitwise identical across schedules.
-    """
-    from repro.analysis import CommTrace, check_trace, compare_traces
-    from repro.parallel.simmpi import CommStats
-
-    if args.traces:
-        # Offline mode: no live run — analyze saved traces (files, or
-        # directories of *.jsonl).  Exit 2 on missing/empty inputs so
-        # "nothing analyzed" never reads as "certified".
-        from repro.analysis.commcheck import main as commcheck_main
-
-        return commcheck_main(args.traces)
-
-    kernel = _make_kernel(args.kernel)
-    rng = np.random.default_rng(args.seed)
-    pts = _WORKLOADS[args.workload](args.n, rng)
-    density = _block_density(rng, pts.shape[0], kernel, args.nrhs)
-    opts = FMMOptions(p=args.p, max_points=args.s, m2l=args.m2l,
-                      dtype=args.dtype)
-    failed = False
-    traces: list[CommTrace] = []
-    reference = None
-    for i in range(args.schedules):
-        trace = CommTrace()
-        op, potential = _traced_run(
-            args, kernel, pts, density, opts, trace, args.seed + i,
-            overlap=args.overlap == "on",
-        )
-        report = check_trace(trace, stats=op.comm_stats)
-        total = CommStats.total(op.comm_stats)
-        print(f"schedule {i}: {report.summary()}")
-        print(f"  traffic: {total.messages_sent} msgs / {total.bytes_sent} B "
-              f"sent, {total.messages_received} msgs / "
-              f"{total.bytes_received} B received")
-        if args.collectives:
-            print("  collectives:")
-            for prim in CommStats.COLLECTIVES:
-                calls = getattr(total, f"{prim}_calls")
-                nbytes = getattr(total, f"{prim}_bytes")
-                print(f"    {prim:>9}: {calls} calls / {nbytes} B")
-            phases = sorted(total.by_phase.items())
-            if phases:
-                print("  p2p bytes by phase: "
-                      + ", ".join(f"{ph}={b}" for ph, b in phases))
-        failed |= not report.ok
-        traces.append(trace)
-        if reference is None:
-            reference = potential
-        elif not np.array_equal(reference, potential):
-            print(f"schedule {i}: potentials differ from schedule 0 "
-                  f"(nondeterministic result)")
-            failed = True
-    cross = compare_traces(traces)
-    print(cross.summary())
-    failed |= not cross.ok
-    if args.save_trace:
-        traces[0].to_jsonl(args.save_trace)
-        print(f"trace of schedule 0 written to {args.save_trace}")
-    print("commcheck:", "FAILED" if failed else "all schedules clean")
-    return 1 if failed else 0
-
-
 def _seeded_race_main(comm) -> None:
     """Deliberate use-after-send, run under a race detector: rank 0
     mutates a buffer it just sent.
@@ -355,6 +271,7 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
     flags it — the self-test that proves the certification can fail.
     """
     from repro.analysis import RaceDetector
+    from repro.analysis.commcheck_static import traced_run
 
     if args.seed_race:
         from repro.parallel.simmpi import run_spmd
@@ -378,9 +295,11 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
     failed = False
     for overlap in (True, False):
         for i in range(args.schedules):
-            det = RaceDetector()
-            _traced_run(args, kernel, pts, density, opts, det,
-                        args.seed + i, overlap)
+            det = traced_run(
+                kernel, pts, [density] * args.applies, opts, args.ranks,
+                trace=RaceDetector(), schedule_seed=args.seed + i,
+                overlap=overlap,
+            )
             report = det.report()
             print(f"overlap={'on' if overlap else 'off'} schedule {i}: "
                   f"{report.summary()}")
@@ -588,8 +507,10 @@ def _cmd_commir(args: argparse.Namespace) -> int:
 
     For rank counts small enough to execute (``--conform-ranks``), a
     traced run on ``--conform-n`` points per listed kernel, overlap on
-    and off, cross-checks conformance: the dynamic trace must equal
-    each rank's program op for op.  The seeded-defect self-tests
+    and off — a setup and two applies, the second with a 4-column
+    density block — cross-checks conformance: the setup region must
+    equal each rank's setup ops, and each apply region its apply ops,
+    op for op.  The seeded-defect self-tests
     (dropped relay, reused tag, swapped post/wait, starved user) run at
     ``--selftest-ranks`` unless ``--no-selftest``.  There is no waiver
     mechanism.
@@ -608,7 +529,6 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         static_plan_inputs,
     )
     from repro.core.precompute import OperatorCache
-    from repro.kernels import Laplace2DKernel, Stokes2DKernel
     from repro.octree.tree import _root_cube
 
     rng = np.random.default_rng(args.seed)
@@ -654,14 +574,16 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         record(report, {"ranks": nranks})
 
     # One operator cache per kernel serves every traced run: they all
-    # solve on the same points, hence the same root cube.
+    # solve on the same points, hence the same root cube.  Each run
+    # applies a single density, then a 4-column block.
     side = _root_cube(conform_pts)[1]
     traced = []
     for kname in kernels:
         kernel = _make_kernel(kname)
+        shape = (conform_pts.shape[0], kernel.source_dof)
         traced.append((
             kname, kernel,
-            rng.random((conform_pts.shape[0], kernel.source_dof)),
+            [rng.random(shape), rng.random(shape + (4,))],
             OperatorCache(kernel, args.p, side),
         ))
     for nranks in sorted(conform_ranks):
@@ -670,10 +592,10 @@ def _cmd_commir(args: argparse.Namespace) -> int:
             options=FMMOptions(p=args.p, max_points=args.s),
         )
         ir = extract_comm_ir(inputs)
-        for kname, kernel, density, cache in traced:
+        for kname, kernel, densities, cache in traced:
             for overlap in (True, False):
                 trace = traced_run(
-                    kernel, conform_pts, density,
+                    kernel, conform_pts, densities,
                     FMMOptions(p=args.p, max_points=args.s),
                     nranks, schedule_seed=args.seed,
                     overlap=overlap, cache=cache,
@@ -904,39 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fail (exit 1) unless the flat->hierarchical "
                          "crossover rank exists and is at most this")
     pj.set_defaults(func=_cmd_project, p=4, s=60)
-
-    pc = sub.add_parser(
-        "commcheck",
-        help="run the parallel FMM under perturbed schedules and verify "
-             "the communication traces race- and deadlock-free",
-    )
-    common(pc)
-    pc.add_argument("--n", type=int, default=600)
-    pc.add_argument("--ranks", type=int, default=4)
-    pc.add_argument("--schedules", type=int, default=5,
-                    help="number of perturbed schedules to fuzz")
-    m2l_flags(pc)
-    pc.add_argument("--applies", type=int, default=1,
-                    help="persistent-operator applies per schedule (setup "
-                         "once, apply N times, each a region of one trace)")
-    pc.add_argument("--overlap", default="on", choices=("on", "off"),
-                    help="overlap the equivalent-density exchange with "
-                         "owned-data compute in the planned applies")
-    pc.add_argument("--nrhs", type=int, default=1,
-                    help="stack this many densities into one multi-RHS "
-                         "block per apply (the whole block rides one "
-                         "overlapped exchange)")
-    pc.add_argument("--save-trace", default=None, metavar="PATH",
-                    help="write schedule 0's event trace as JSON lines")
-    pc.add_argument("--collectives", action="store_true",
-                    help="print the per-primitive collective summary "
-                         "(allreduce/allgather call and byte counts)")
-    pc.add_argument("--traces", nargs="+", default=None, metavar="PATH",
-                    help="offline mode: analyze saved *.jsonl traces "
-                         "(files or directories) instead of running; "
-                         "exits 2 if a path is missing or a directory "
-                         "holds no trace files")
-    pc.set_defaults(func=_cmd_commcheck, p=4, s=40)
 
     pr = sub.add_parser(
         "racecheck",

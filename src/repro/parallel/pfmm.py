@@ -138,20 +138,19 @@ def vsp_roles(
 
 
 def exchange_schedule(
-    vsp_levels: list[int], napplies: int = 1, include_setup: bool = True
-) -> list[tuple[str, str]]:
-    """``(program name, phase)`` in the order a rank runs them:
-    :func:`rank_setup` the ``geo`` phases; every apply each phase over
-    :data:`APPLY_KINDS` (the ``post`` / ``relay`` / ``wait`` steps of
-    :meth:`RankFMM.compile`) and then, split level by split level, the
-    ``vsp`` phases."""
-    calls = [("geo", phase) for phase in PHASES] if include_setup else []
-    for _ in range(napplies):
-        calls += [(kind, phase) for phase in PHASES for kind in APPLY_KINDS]
-        calls += [
-            (f"vsp@{lvl}", phase) for lvl in vsp_levels for phase in PHASES
-        ]
-    return calls
+    vsp_levels: list[int],
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """``(program name, phase)`` in the order a rank runs them, as the
+    setup's calls and one apply's: :func:`rank_setup` the ``geo``
+    phases; every apply each phase over :data:`APPLY_KINDS` (the
+    ``post`` / ``relay`` / ``wait`` steps of :meth:`RankFMM.compile`)
+    and then, split level by split level, the ``vsp`` phases."""
+    setup = [("geo", phase) for phase in PHASES]
+    apply = [(kind, phase) for phase in PHASES for kind in APPLY_KINDS]
+    apply += [
+        (f"vsp@{lvl}", phase) for lvl in vsp_levels for phase in PHASES
+    ]
+    return setup, apply
 
 
 @dataclass(eq=False)

@@ -25,8 +25,7 @@ each rank sends and receives O(log P) messages per call instead of the
 O(P) fan-in of a flat root-style reduce — the tree-top pattern the
 paper needs at thousands of ranks.  Every internal message is a
 first-class traced/accounted send, so the collectives run on either
-world and the commcheck/racecheck analyzers certify them like any other
-traffic.  The exchange layer (:mod:`repro.parallel.exchange`) lays the
+world and the race detector orders them like any other traffic.  The exchange layer (:mod:`repro.parallel.exchange`) lays the
 same binomial shape (:func:`tree_order` / :func:`tree_children`) over a
 rank *subset* rooted at a box's owner.
 
@@ -43,9 +42,10 @@ inside one, never a network.
 Correctness tooling (see ``docs/architecture.md``):
 
 - pass ``trace=CommTrace()`` to :func:`run_spmd` to record every
-  communication event with Lamport/vector clocks for the offline
-  analyzer in :mod:`repro.analysis.commcheck`; a trace passed to
-  several runs appends them as regions of one execution;
+  communication event with its vector clock; a trace passed to several
+  runs appends them as regions of one execution, and ``repro commir``
+  requires each region of a traced ``ParallelFMM`` run to equal the
+  compiled exchange programs op for op;
 - pass a :class:`repro.analysis.racecheck.RaceDetector` as the trace to
   also install a per-rank access recorder (reachable from instrumented
   code via :func:`current_recorder`) for the happens-before race
@@ -54,7 +54,10 @@ Correctness tooling (see ``docs/architecture.md``):
   seeded random yields, so tests can fuzz schedules reproducibly;
 - at exit, :func:`run_spmd` asserts every mailbox is drained and raises
   :class:`MailboxLeakError` naming the leaked ``(src, dst, tag)`` keys —
-  a dropped message is an algorithmic bug, never silent.
+  a dropped message is an algorithmic bug, never silent — and a receive
+  that waits out ``recv_timeout`` (a wait-for cycle, a peer that never
+  sends, two ranks in different collectives) raises
+  :class:`TimeoutError` naming the rank, its peer and the tag.
 
 Error propagation is deterministic: when any rank fails, the others are
 aborted (their blocked receives raise :class:`RankAbortedError`), and
@@ -193,10 +196,10 @@ register_tag_family(
 class CommStats:
     """Per-rank communication accounting (both directions).
 
-    Send- and receive-side counters are symmetric so the comm-trace
-    analyzer can cross-check them against the event trace: over a whole
-    world, ``sum(messages_sent) == sum(messages_received)`` exactly when
-    no message was dropped.
+    Send- and receive-side counters are symmetric: over a whole world,
+    ``sum(messages_sent) == sum(messages_received)`` exactly when no
+    message was dropped, and the parity suites hold each rank's counts
+    to its compiled exchange programs' send and completion ops.
     """
 
     messages_sent: int = 0
@@ -238,10 +241,6 @@ class CommStats:
     def record_allgather(self, nbytes: int) -> None:
         self.allgather_calls += 1
         self.allgather_bytes += nbytes
-
-    #: The collectives, by the name their ``<name>_calls`` /
-    #: ``<name>_bytes`` counters and their trace events carry.
-    COLLECTIVES = ("allreduce", "allgather")
 
     #: Counter fields accumulated by :meth:`merge` — every integer/float
     #: counter above except the ``by_phase`` dict.  Enumerated once so a
@@ -712,13 +711,14 @@ def run_spmd(
     ``trace`` (a :class:`~repro.analysis.trace.CommTrace`, or the
     :class:`~repro.analysis.racecheck.RaceDetector` that extends it with
     per-rank shared-array access recorders) records every communication
-    event for offline analysis; it is filled even when the run fails,
-    which is when the analyzer matters most.  A trace passed to several
-    runs appends each as one region (:meth:`CommTrace.begin_region`).
+    event; it is filled even when the run fails.  A trace passed to
+    several runs appends each as one region
+    (:meth:`CommTrace.begin_region`).
     ``schedule_seed`` enables seeded schedule perturbation (random
     yields before every communication call).  ``recv_timeout`` overrides
     :attr:`SimComm.TIMEOUT` — deadlock-detection tests use a small value
-    so a wait-for cycle surfaces in milliseconds, not minutes.
+    so a wait-for cycle surfaces as a :class:`TimeoutError` naming rank,
+    peer and tag in milliseconds, not minutes.
 
     After a successful run every mailbox must be empty; leftover
     messages raise :class:`MailboxLeakError` naming the leaked

@@ -7,6 +7,7 @@ traced executions at small rank counts.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -59,11 +60,14 @@ class TestExtraction:
                 assert op.tag[0] in PROTOCOL_FAMILIES
                 assert op.kind in ("send", "post", "complete")
 
-    def test_napplies_repeats_the_exchange(self, cloud):
-        inputs = static_plan_inputs(cloud, 4, OPTS)
-        one = extract_comm_ir(inputs, include_setup=False)
-        two = extract_comm_ir(inputs, include_setup=False, napplies=2)
-        assert two.nops() == 2 * one.nops()
+    def test_setup_ops_split_the_setup_from_the_apply(self, cloud):
+        """A program is the setup's ``geo`` exchange, then one apply's."""
+        ir = extract_comm_ir(static_plan_inputs(cloud, 4, OPTS))
+        assert len(ir.setup_ops) == 4 and sum(ir.setup_ops) > 0
+        setup = ("geo", "geog")
+        for prog, cut in zip(ir.programs, ir.setup_ops):
+            assert all(op.group in setup for op in prog[:cut])
+            assert all(op.group not in setup for op in prog[cut:])
 
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError, match="zero points"):
@@ -114,14 +118,59 @@ class TestConformance:
         inputs = static_plan_inputs(cloud, nranks, OPTS)
         ir = extract_comm_ir(inputs)
         trace = traced_run(
-            LaplaceKernel(), cloud, density, OPTS, nranks, overlap=overlap,
+            LaplaceKernel(), cloud, [density], OPTS, nranks, overlap=overlap,
         )
         report = run_checks(ir, traces=(trace,))
         assert report.ok, [str(f) for f in report.findings[:5]]
 
+    @pytest.fixture(scope="class")
+    def three_applies(self, cloud, density):
+        """A P = 4 setup and three applies, the second a 4-column
+        block, against the IR of a setup and one apply."""
+        ir = extract_comm_ir(static_plan_inputs(cloud, 4, OPTS))
+        block = np.random.default_rng(3).standard_normal(
+            (cloud.shape[0], 1, 4)
+        )
+        trace = traced_run(
+            LaplaceKernel(), cloud, [density, block, density], OPTS, 4,
+        )
+        return ir, trace
+
+    def test_every_apply_region_conforms(self, three_applies):
+        ir, trace = three_applies
+        assert trace.regions == 4
+        report = run_checks(ir, traces=(trace,))
+        assert report.ok, [str(f) for f in report.findings[:5]]
+
+    def test_extra_op_in_the_second_apply_diverges(self, three_applies):
+        """Seeded defect of ``conformance`` on a multi-apply trace: one
+        rank's second apply sends one ``phi`` message more than its
+        program.  The other regions still match."""
+        ir, trace = three_applies
+        seeded = copy.deepcopy(trace)
+        rank, extra = next(
+            (r, ev) for r in range(ir.nranks)
+            for ev in seeded.region_events(r)[2]
+            if ev.kind == "send" and ev.tag[0] == "phi"
+        )
+        end = seeded.region_starts[3][rank]
+        seeded.events_by_rank[rank].insert(
+            end, dataclasses.replace(extra, seq=end)
+        )
+        start = seeded.region_starts[3]
+        seeded.region_starts[3] = (
+            start[:rank] + (start[rank] + 1,) + start[rank + 1:]
+        )
+        report = run_checks(ir, traces=(seeded,))
+        assert {c for c, n in report.counts.items() if n} == {"conformance"}
+        napply = len(ir.programs[rank]) - ir.setup_ops[rank]
+        assert [f.where for f in report.findings] == [
+            f"rank {rank} region 2 event {napply}"
+        ]
+
     def test_coarse_split_broadcast_conforms(self):
         """Two tight clusters at 8 ranks split V level 2: the ``vsp``
-        programs run, twice, after the owner exchange of each apply."""
+        programs run after the owner exchange of each of two applies."""
         rng = np.random.default_rng(12)
         pts = np.vstack([
             rng.uniform(0.0, 0.12, (300, 3)),
@@ -129,23 +178,23 @@ class TestConformance:
         ])
         opts = FMMOptions(p=4, max_points=20)
         inputs = static_plan_inputs(pts, 8, opts)
-        ir = extract_comm_ir(inputs, napplies=2)
+        ir = extract_comm_ir(inputs)
         assert any(op.group == "vsp" for p in ir.programs for op in p)
         trace = traced_run(
-            LaplaceKernel(), pts, rng.standard_normal(600), opts, 8,
-            napplies=2,
+            LaplaceKernel(), pts, [rng.standard_normal(600)] * 2, opts, 8,
         )
         report = run_checks(ir, traces=(trace,))
         assert report.ok, [str(f) for f in report.findings[:5]]
 
     def test_swapped_sends_diverge_from_the_trace(self, cloud, density):
         """Seeded defect of ``conformance``: one rank's two consecutive
-        sends on distinct channels swap places in the IR.  Counts,
-        tags, waits and payload flows are untouched, so a real trace is
-        the only witness — and the check must name that rank and op."""
+        sends on distinct channels of one region swap places in the IR.
+        Counts, tags, waits and payload flows are untouched, so a real
+        trace is the only witness — and the check must name that rank,
+        region and op."""
         inputs = static_plan_inputs(cloud, 4, OPTS)
         ir = extract_comm_ir(inputs)
-        trace = traced_run(LaplaceKernel(), cloud, density, OPTS, 4)
+        trace = traced_run(LaplaceKernel(), cloud, [density], OPTS, 4)
         assert run_checks(ir, traces=(trace,)).ok
         seeded = copy.deepcopy(ir)
         rank, i = next(
@@ -154,13 +203,16 @@ class TestConformance:
             if prog[i].kind == prog[i + 1].kind == "send"
             and (prog[i].peer, prog[i].tag)
             != (prog[i + 1].peer, prog[i + 1].tag)
+            and i + 1 != seeded.setup_ops[r]
         )
         prog = seeded.programs[rank]
         prog[i], prog[i + 1] = prog[i + 1], prog[i]
         report = run_checks(seeded, traces=(trace,))
         assert {c for c, n in report.counts.items() if n} == {"conformance"}
+        cut = seeded.setup_ops[rank]
+        region, at = (0, i) if i < cut else (1, i - cut)
         assert [f.where for f in report.findings] == [
-            f"rank {rank} event {i}"
+            f"rank {rank} region {region} event {at}"
         ]
 
 

@@ -33,7 +33,9 @@ def _roles(kind, contrib, users_src, users_equiv, owner):
 
 def exchange_ir(contrib, users_src, users_equiv, owner):
     """The static schedule of the round :func:`run_exchange` runs:
-    every rank's compiled programs, phase by phase over both kinds."""
+    every rank's compiled programs, phase by phase over both kinds.
+    The round is one ``run_spmd``, so one trace region: all of it is
+    the IR's first region (``setup_ops``)."""
     nranks = contrib.shape[0]
     roles = {
         kind: _roles(kind, contrib, users_src, users_equiv, owner)
@@ -42,15 +44,17 @@ def exchange_ir(contrib, users_src, users_equiv, owner):
     compiled = {
         kind: compile_exchange(kind, roles[kind]) for kind in KINDS
     }
+    programs = [
+        [op for phase in PHASES for kind in KINDS
+         for op in getattr(compiled[kind][rank], phase)
+         if op.tag is not None]
+        for rank in range(nranks)
+    ]
     return CommIR(
         nranks=nranks,
-        programs=[
-            [op for phase in PHASES for kind in KINDS
-             for op in getattr(compiled[kind][rank], phase)
-             if op.tag is not None]
-            for rank in range(nranks)
-        ],
+        programs=programs,
         roles={kind: role_table(roles[kind]) for kind in KINDS},
+        setup_ops=[len(p) for p in programs],
     )
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from repro.analysis import CommTrace
 from repro.analysis.commcheck_static import (
     check_deadlock,
+    protocol_events,
     run_checks,
-    trace_protocol_events,
 )
 from repro.parallel.exchange import compile_exchange, fold_slots
 from repro.parallel.simmpi import combine_tree, tree_children, tree_order
@@ -127,7 +127,7 @@ def test_compiled_program_is_certified_run_and_traced(case):
     report = run_checks(ir, traces=(trace,))
     assert report.ok, [str(f) for f in report.findings[:5]]
     for rank in range(nranks):
-        assert trace_protocol_events(trace, rank) == [
+        assert protocol_events(trace.events_by_rank[rank]) == [
             (op.kind, op.peer, op.tag) for op in ir.programs[rank]
         ]
     for b in range(nboxes):

@@ -1,21 +1,32 @@
-"""Seeded schedule-perturbation stress tests (satellite of the analysis PR).
+"""Seeded schedule-perturbation stress tests.
 
-The per-apply exchange (``ApplyExchange``, both payload kinds) and the
-LET gather protocol must be schedule independent: whatever interleaving
-the thread scheduler produces, every rank must end up with
-bitwise-identical data.  We fuzz 10 perturbed schedules per
-protocol (seeded random yields inside every SimComm call) and compare
-against an unperturbed reference run.
+The per-apply exchange (``ApplyExchange``, both payload kinds), the LET
+gather protocol and the whole parallel FMM must be schedule
+independent: whatever interleaving the thread scheduler produces, every
+rank must end up with bitwise-identical data.  We fuzz perturbed
+schedules (seeded random yields inside every SimComm call), compare
+against an unperturbed reference run, and require every traced run
+that has a compiled schedule to conform to it.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis import CommTrace, check_trace, compare_traces
+from repro.analysis import CommTrace
+from repro.analysis.commcheck_static import run_checks
+from repro.analysis.commir import extract_comm_ir, static_plan_inputs
+from repro.core.fmm import FMMOptions
+from repro.kernels import LaplaceKernel
 from repro.parallel.let import LETUsage, gather_users
+from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import run_spmd
 
-from tests.parallel.exchange_harness import flatten, run_exchange
+from tests.conftest import uniform_cloud
+from tests.parallel.exchange_harness import (
+    exchange_ir,
+    flatten,
+    run_exchange,
+)
 
 NRANKS = 4
 NBOXES = 24
@@ -34,7 +45,8 @@ def _random_topology(rng):
 
 
 def _exchange_once(contrib, users, owner, kind, seed):
-    """One traced ApplyExchange round of one payload kind.
+    """One traced ApplyExchange round of one payload kind, which must
+    conform to the compiled programs.
 
     ``phi`` ships rank- and box-tagged density rows (concatenated at the
     owner), ``pue`` random partial equivalent densities (summed).
@@ -51,28 +63,26 @@ def _exchange_once(contrib, users, owner, kind, seed):
     else:
         values = np.random.default_rng(7).standard_normal(partials.shape)
         partials[contrib] = values[contrib]
+    users_src = users if kind == "phi" else none
+    users_equiv = users if kind == "pue" else none
     trace = CommTrace()
     results = run_exchange(
-        contrib,
-        users if kind == "phi" else none,
-        users if kind == "pue" else none,
-        owner, pieces, partials,
+        contrib, users_src, users_equiv, owner, pieces, partials,
         trace=trace, schedule_seed=seed,
     )
-    report = check_trace(trace)
-    assert report.ok, report.summary()
-    return flatten(results), trace
+    report = run_checks(
+        exchange_ir(contrib, users_src, users_equiv, owner), traces=(trace,)
+    )
+    assert report.ok, [str(f) for f in report.findings[:5]]
+    return flatten(results)
 
 
 def _assert_schedule_independent(contrib, users, owner, kind):
-    reference, _ = _exchange_once(contrib, users, owner, kind, None)
+    reference = _exchange_once(contrib, users, owner, kind, None)
     assert reference, "the random topology must move some data"
-    traces = []
     for seed in range(NSCHEDULES):
-        got, trace = _exchange_once(contrib, users, owner, kind, seed)
+        got = _exchange_once(contrib, users, owner, kind, seed)
         assert got == reference, f"schedule {seed} diverged"
-        traces.append(trace)
-    assert compare_traces(traces).ok
 
 
 def test_ghost_exchange_bitwise_identical_across_schedules(rng):
@@ -100,17 +110,46 @@ def test_let_gather_users_bitwise_identical_across_schedules(rng):
     reference = run_spmd(NRANKS, main)
     assert all(r == reference[0] for r in reference)  # identical everywhere
     for seed in range(NSCHEDULES):
-        trace = CommTrace()
-        results = run_spmd(NRANKS, main, trace=trace, schedule_seed=seed)
+        results = run_spmd(NRANKS, main, schedule_seed=seed)
         assert results == reference, f"schedule {seed} diverged"
-        report = check_trace(trace)
-        assert report.ok, report.summary()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_perturbation_is_reproducible(seed, rng):
-    """Same seed, same trace digests: the fuzzing itself is deterministic."""
+    """Same seed, same received bytes: the fuzzing itself is
+    deterministic."""
     contrib, users, owner = _random_topology(rng)
-    _, t1 = _exchange_once(contrib, users, owner, "phi", seed)
-    _, t2 = _exchange_once(contrib, users, owner, "phi", seed)
-    assert compare_traces([t1, t2]).ok
+    first = _exchange_once(contrib, users, owner, "phi", seed)
+    assert _exchange_once(contrib, users, owner, "phi", seed) == first
+
+
+@pytest.mark.parametrize("overlap", [True, False])
+@pytest.mark.parametrize("case", ["uniform-p4", "clusters-p8"])
+def test_parallel_fmm_bitwise_identical_across_schedules(case, overlap):
+    """The whole operator under three ``schedule_seed``s: every traced
+    setup + apply conforms to the compiled programs, and the potentials
+    agree bit for bit — at P = 4 on uniform points, and at P = 8 on two
+    corner clusters, where the coarse V split runs its broadcasts."""
+    rng = np.random.default_rng(21)
+    if case == "uniform-p4":
+        nranks, pts = 4, uniform_cloud(rng, 500)
+    else:
+        nranks, pts = 8, np.vstack([
+            rng.uniform(0.0, 0.12, (120, 3)),
+            rng.uniform(0.88, 1.0, (120, 3)),
+        ])
+    opts = FMMOptions(p=3, max_points=20)
+    density = rng.standard_normal(pts.shape[0])
+    inputs = static_plan_inputs(pts, nranks, opts)
+    assert bool(inputs.vsp_levels) == (case == "clusters-p8")
+    ir = extract_comm_ir(inputs)
+    potentials = []
+    for seed in range(3):
+        trace = CommTrace()
+        op = ParallelFMM(nranks, LaplaceKernel(), opts, overlap=overlap)
+        op.setup(pts, trace=trace, schedule_seed=seed)
+        potentials.append(op.apply(density, trace=trace, schedule_seed=seed))
+        report = run_checks(ir, traces=(trace,))
+        assert report.ok, [str(f) for f in report.findings[:5]]
+    for pot in potentials[1:]:
+        assert np.array_equal(pot, potentials[0])

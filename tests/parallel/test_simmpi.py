@@ -37,6 +37,8 @@ class TestPointToPoint:
         assert results[1] == ("alpha", "beta")
 
     def test_many_messages_preserve_order(self):
+        """One FIFO queue per ``(src, dst, tag)`` channel: a channel
+        delivers in send order."""
         def main(comm):
             if comm.rank == 0:
                 for i in range(50):
@@ -421,3 +423,137 @@ class TestNonblockingReceive:
 
         with pytest.raises(MailboxLeakError):
             run_spmd(2, main)
+
+
+class TestInjectedDefects:
+    """Protocol bugs planted in small SPMD programs: the runtime names
+    each one — a stuck receive times out within ``recv_timeout``
+    naming rank, peer and tag, a dropped message is a
+    :class:`MailboxLeakError` naming its channel."""
+
+    TIMEOUT = 0.2
+
+    def _times_out(self, nranks, fn, pattern):
+        t0 = time.perf_counter()
+        with pytest.raises(TimeoutError, match=pattern):
+            run_spmd(nranks, fn, recv_timeout=self.TIMEOUT)
+        assert time.perf_counter() - t0 < self.TIMEOUT + 3.0
+
+    def test_crossed_blocking_receives(self):
+        """Two ranks receive from each other before either sends."""
+        def crossed(comm):
+            other = 1 - comm.rank
+            got = comm.recv(other, tag="x")
+            comm.send(other, comm.rank, tag="x")
+            return got
+
+        self._times_out(
+            2, crossed, r"rank [01] timed out receiving from [01] tag 'x'"
+        )
+
+    def test_three_rank_cycle(self):
+        def ring(comm):
+            nxt = (comm.rank + 1) % comm.size
+            prv = (comm.rank - 1) % comm.size
+            got = comm.recv(prv, tag="ring")
+            comm.send(nxt, comm.rank, tag="ring")
+            return got
+
+        self._times_out(
+            3, ring, r"rank \d timed out receiving from \d tag 'ring'"
+        )
+
+    def test_orphan_wait_on_a_finished_peer(self):
+        def lonely(comm):
+            if comm.rank == 0:
+                return comm.recv(1, tag="never")
+            return None  # rank 1 exits without sending
+
+        self._times_out(
+            2, lonely, r"rank 0 timed out receiving from 1 tag 'never'"
+        )
+
+    def test_diverging_collectives(self):
+        """Two collectives at one generation mint different tags, so
+        each rank waits for a message of its own primitive that never
+        comes: the error names the collective's tag."""
+        def diverge(comm):
+            if comm.rank == 0:
+                comm.allreduce(np.zeros(2))
+            else:
+                comm.allgather(0)
+
+        self._times_out(
+            2, diverge, r"tag \('__coll__', 'all(reduce|gather)', 0\)"
+        )
+
+    def test_dropped_message(self):
+        def dropper(comm):
+            if comm.rank == 0:
+                comm.send(1, np.ones(3), tag="lost")
+                comm.send(1, np.ones(3), tag="lost")
+            elif comm.rank == 1:
+                comm.recv(0, tag="lost")  # consumes only one of two
+
+        with pytest.raises(MailboxLeakError, match=r"0->1 tag='lost' x1"):
+            run_spmd(2, dropper)
+
+    def test_unwaited_irecv(self):
+        def leaky(comm):
+            if comm.rank == 0:
+                comm.send(1, np.ones(2), tag="t")
+            elif comm.rank == 1:
+                comm.irecv(0, tag="t")  # never waited
+
+        with pytest.raises(MailboxLeakError, match=r"0->1 tag='t' x1"):
+            run_spmd(2, leaky)
+
+    def test_clean_exchange_completes(self):
+        def main(comm):
+            nxt = (comm.rank + 1) % comm.size
+            comm.send(nxt, np.full(4, comm.rank), tag="ring")
+            got = comm.recv((comm.rank - 1) % comm.size, tag="ring")
+            comm.allgather(comm.rank)
+            return comm.allreduce(got)
+
+        results = run_spmd(4, main)
+        for total in results:
+            assert np.array_equal(total, np.full(4, 6.0))
+
+    def test_promptly_waited_requests_leave_no_leak(self):
+        """isend/irecv pairs waited before the next collective drain
+        every mailbox: the run returns instead of raising
+        :class:`MailboxLeakError`."""
+        def main(comm):
+            other = 1 - comm.rank
+            comm.isend(other, np.full(3, comm.rank), tag="x")
+            got = comm.irecv(other, tag="x").wait()
+            comm.allreduce(np.zeros(1))
+            return got
+
+        results = run_spmd(2, main)
+        assert np.array_equal(results[0], np.full(3, 1))
+        assert np.array_equal(results[1], np.full(3, 0))
+
+    def test_fifo_order_on_a_tagged_channel(self):
+        """Ten sends on one tagged channel arrive in send order, and the
+        drained run raises no leak."""
+        def main(comm):
+            if comm.rank == 0:
+                for i in range(10):
+                    comm.send(1, i, tag="seq")
+                return None
+            return [comm.recv(0, tag="seq") for _ in range(10)]
+
+        assert run_spmd(2, main)[1] == list(range(10))
+
+    def test_mismatched_allreduce_lengths(self):
+        """Vectors of different lengths on two ranks are a ValueError
+        naming both shapes, not a silent broadcast."""
+        def main(comm):
+            comm.allreduce(np.zeros(2 if comm.rank == 0 else 3))
+
+        with pytest.raises(ValueError, match="shape mismatch") as exc:
+            run_spmd(2, main)
+        assert "(2,)" in str(exc.value)
+        assert "(3,)" in str(exc.value)

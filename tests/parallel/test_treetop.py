@@ -168,17 +168,20 @@ class TestCoarseSplitRuntime:
         assert err < 5e-3
 
     def test_split_trace_and_race_clean(self, rng):
-        from repro.analysis import RaceDetector, check_trace
+        from repro.analysis import RaceDetector
+        from repro.analysis.commcheck_static import run_checks
 
         pts = clustered_points(120, rng)
         dens = rng.standard_normal(len(pts))
         kern = LaplaceKernel()
         opts = FMMOptions(p=4, max_points=20)
+        ir = extract_comm_ir(static_plan_inputs(pts, 8, opts))
+        assert any(op.group == "vsp" for p in ir.programs for op in p)
         for overlap in (True, False):
             race = RaceDetector()
             op = ParallelFMM(8, kern, opts, overlap=overlap)
             op.setup(pts, trace=race).apply(dens, trace=race)
-            assert check_trace(race, op.comm_stats).ok
+            assert run_checks(ir, traces=(race,)).ok
             assert race.report().ok
 
     def test_split_certifies_statically(self, rng):

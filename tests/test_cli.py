@@ -16,8 +16,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["evaluate", "--kernel", "warp", "--n", "10"])
 
+    def test_commcheck_is_not_a_command(self, capsys):
+        """Traced runs are checked by ``commir``'s conformance check
+        and the runtime's own errors; there is no one-trace analyzer."""
+        with pytest.raises(SystemExit) as exc:
+            main(["commcheck"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'commcheck'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "command", ["evaluate", "commcheck", "racecheck", "serve"]
+        "command", ["evaluate", "racecheck", "serve"]
     )
     @pytest.mark.parametrize("flag", ["--m2l", "--dtype"])
     def test_unknown_backend_exits_2_naming_choices(
@@ -34,7 +42,7 @@ class TestParser:
             assert choice in err
 
     @pytest.mark.parametrize(
-        "command", ["evaluate", "commcheck", "racecheck", "serve"]
+        "command", ["evaluate", "racecheck", "serve"]
     )
     def test_fft_m2l_exits_2_naming_the_remaining_choices(
         self, command, capsys
@@ -90,25 +98,6 @@ class TestEvaluate:
         )
         assert rc == 0
         assert "dtype=float32" in capsys.readouterr().out
-
-
-class TestCommcheck:
-    def test_collectives_prints_the_commstats_counters(self, capsys):
-        """``--collectives`` prints one row per ``CommStats`` collective
-        counter pair — allreduce, then allgather at 2 calls per rank —
-        and nothing else."""
-        assert main([
-            "commcheck", "--ranks", "4", "--n", "300", "--schedules", "1",
-            "--collectives",
-        ]) == 0
-        out = capsys.readouterr().out
-        rows = [
-            line.split(":")[0].strip() for line in out.splitlines()
-            if " calls / " in line
-        ]
-        assert rows == ["allreduce", "allgather"]
-        assert re.search(r"allreduce: \d+ calls / \d+ B", out)
-        assert re.search(r"allgather: 8 calls / \d+ B", out)
 
 
 class TestAccuracy:

@@ -116,7 +116,7 @@ class TestOneParallelDriver:
         allreduce per level (the driver pins the root cube), then one
         allgather of the contributor masks and one of the user masks —
         each ``2 x nboxes`` bytes."""
-        from repro.analysis import CommTrace, check_trace
+        from repro.analysis import CommTrace
         from repro.parallel import ParallelFMM
 
         pts = rng.uniform(-1.0, 1.0, (600, 3))
@@ -125,7 +125,7 @@ class TestOneParallelDriver:
             nranks, repro.LaplaceKernel(), repro.FMMOptions(p=3, max_points=20)
         ).setup(pts, trace=trace)
         tree = op.states[0].tree
-        assert check_trace(trace, stats=op.comm_stats).ok
+        assert trace.completed and trace.leaked == []
         for stats, events in zip(op.comm_stats, trace.events_by_rank):
             assert stats.allreduce_calls == 1 + tree.depth
             assert stats.allgather_calls == 2
@@ -133,6 +133,23 @@ class TestOneParallelDriver:
             assert [e.coll for e in events if e.kind == "coll-enter"] == (
                 ["allreduce"] * (1 + tree.depth) + ["allgather"] * 2
             )
+
+    def test_untraced_setup_counts_its_collectives(self, rng):
+        """Without a trace, ``CommStats`` still counts each collective:
+        per rank one allreduce per level plus the root's, and two
+        allgathers — 8 over 4 ranks — each with its payload bytes."""
+        from repro.parallel import ParallelFMM
+
+        pts = rng.uniform(-1.0, 1.0, (300, 3))
+        op = ParallelFMM(
+            4, repro.LaplaceKernel(), repro.FMMOptions(p=3, max_points=20)
+        ).setup(pts)
+        depth = op.states[0].tree.depth
+        assert sum(s.allgather_calls for s in op.comm_stats) == 8
+        for stats in op.comm_stats:
+            assert stats.allreduce_calls == 1 + depth
+            assert stats.allreduce_bytes > 0
+            assert stats.allgather_bytes > 0
 
 
 class TestCompiledPairLoopSource:
