@@ -11,8 +11,8 @@ x {sequential KIFMM; sequential KIFMM on the numpy near-field stages
 (``seq-numpy``: the compiled pair loops of ``repro.kernels.native``
 patched out); ParallelFMM at 1, 2, 4 ranks overlap on; 4 ranks overlap
 off; 8 ranks}.  The two-cluster set keeps
-two boxes per coarse level, so at 8 ranks its V level 2 runs the coarse
-split and its broadcasts.  The plane adds {Laplace2D, Stokes2D} x m2l
+two boxes per coarse level, so at 8 ranks its V level 2 has fewer boxes
+than ranks, and every contributor computes it.  The plane adds {Laplace2D, Stokes2D} x m2l
 {dense, rsvd, auto} x {uniform, corner-clustered square} x {sequential
 KIFMM, ParallelFMM at 1 and 2 ranks}: the same tree, plan and evaluator
 at ``dim = 2`` (which has no compiled loops to patch out).  Each cell records the sha256 of the

@@ -138,9 +138,8 @@ class IRIndex:
                     chan = (rank, op.peer, op.tag)
                     self.sends[chan] = self.sends.get(chan, 0) + 1
                     group = op.group
-                    if group.endswith("g") or group == "vsp":
-                        kind = group[:-1] if group.endswith("g") else "vsp"
-                        self.scatter_edges[(kind, op.ids)].append(
+                    if group.endswith("g"):
+                        self.scatter_edges[(group[:-1], op.ids)].append(
                             (rank, op.peer)
                         )
                     else:

@@ -10,8 +10,8 @@ This module closes the gap: it assembles the **complete message
 schedule** — every point-to-point send, receive post and receive
 completion with ``(src, dst, tag)``, in the program order of every
 rank — as a static ``CommIR``, directly from the plan inputs
-(partition, contributor matrix, owner map, LET usage, coarse-split
-schedule), **without executing an apply**, for arbitrary rank counts
+(partition, contributor matrix, owner map, LET usage), **without
+executing an apply**, for arbitrary rank counts
 including P=4096.  Next to the programs it keeps the roles they were
 compiled from — per exchanged box its owner, contributors and users —
 which is what the ``conservation`` check reads the message edges
@@ -33,9 +33,7 @@ function of the points:
   what the ``gather_contributors`` Allgather assembles, and
   :func:`~repro.parallel.owners.assign_owners` is already pure;
 - the LET usage masks replicate :func:`~repro.parallel.let.classify_let`
-  (vectorised across all ranks at once);
-- the coarse-split broadcast schedule is shared verbatim via
-  :func:`~repro.parallel.pfmm.v_split_bcast_schedule`.
+  (vectorised across all ranks at once).
 
 Each rank's ops appear in its exact program order, which is what lets
 :mod:`repro.analysis.commcheck_static` check deadlock-freedom and
@@ -57,7 +55,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.fmm import FMMOptions
-from repro.core.m2lschedule import coarse_split_levels
 from repro.octree.lists import InteractionLists, build_lists
 from repro.octree.tree import Octree, _root_cube, build_tree
 from repro.parallel.exchange import (
@@ -68,20 +65,16 @@ from repro.parallel.exchange import (
 )
 from repro.parallel.owners import assign_owners, static_contributors
 from repro.parallel.partition import partition_points
-from repro.parallel.pfmm import (
-    exchange_schedule,
-    v_split_bcast_schedule,
-    vsp_roles,
-)
+from repro.parallel.pfmm import exchange_schedule
 from repro.parallel.simmpi import TAG_FAMILIES
 
 #: Tag families a planned parallel run exchanges point-to-point: the
-#: setup geometry exchange, the per-apply density/equivalent-density
-#: exchange, and the coarse-split broadcast.  Used by the conformance
-#: check to filter dynamic traces down to the protocol under proof.
+#: setup geometry exchange and the per-apply density/equivalent-density
+#: exchange.  Used by the conformance check to filter dynamic traces
+#: down to the protocol under proof.
 PROTOCOL_FAMILIES = tuple(
     name for name, family in TAG_FAMILIES.items()
-    if family.kind in ("exchange", "split")
+    if family.kind == "exchange"
 )
 
 
@@ -126,9 +119,6 @@ class StaticPlanInputs:
     gsrc: np.ndarray  # (nboxes,) global per-box source counts
     src_boxes: np.ndarray  # boxes whose source data circulates
     ue_boxes: np.ndarray  # boxes whose equivalent densities circulate
-    #: Per split level: the ``(box, root, participants)`` broadcast
-    #: schedule of :func:`~repro.parallel.pfmm.v_split_bcast_schedule`.
-    vsp_levels: list[tuple[int, list[tuple[int, int, tuple[int, ...]]]]]
 
 
 @dataclass
@@ -216,8 +206,8 @@ def static_plan_inputs(
 
     What :func:`~repro.parallel.pfmm.rank_setup` assembles with
     collectives, computed without one: one global tree with the agreed root
-    cube, the offline contributor matrices, the pure owner assignment,
-    the vectorised LET usage, and the coarse-split broadcast schedule.
+    cube, the offline contributor matrices, the pure owner assignment
+    and the vectorised LET usage.
     """
     opts = options or FMMOptions()
     points = np.asarray(points, dtype=np.float64)
@@ -242,18 +232,6 @@ def static_plan_inputs(
     )
     src_boxes = np.nonzero(users_src.any(axis=0))[0]
     ue_boxes = np.nonzero(users_equiv.any(axis=0))[0]
-    split_levels = coarse_split_levels(
-        np.diff(tree.topology.level_ptr), nranks
-    )
-    vsp_levels = []
-    for lvl in range(2, tree.depth + 1):
-        if lvl not in split_levels:
-            continue
-        schedule = v_split_bcast_schedule(
-            tree.topology.level_boxes(lvl), lists, contrib_trg, gsrc
-        )
-        if schedule:
-            vsp_levels.append((lvl, schedule))
     return StaticPlanInputs(
         nranks=nranks,
         tree=tree,
@@ -267,7 +245,6 @@ def static_plan_inputs(
         gsrc=gsrc,
         src_boxes=src_boxes,
         ue_boxes=ue_boxes,
-        vsp_levels=vsp_levels,
     )
 
 
@@ -304,16 +281,10 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
             inputs.ue_boxes, inputs.owner, inputs.contrib_src,
             inputs.users_equiv,
         )
-        vsp = {
-            lvl: vsp_roles(lvl, schedule)
-            for lvl, schedule in inputs.vsp_levels
-        }
         compiled = {
             kind: compile_exchange(kind, roles)
             for kind, roles in (("geo", src), ("phi", src), ("pue", ue))
         }
-        for lvl, roles in vsp.items():
-            compiled[f"vsp@{lvl}"] = compile_exchange("vsp", roles)
 
         def ops(calls: list[tuple[str, str]], rank: int) -> list[CommOp]:
             return [
@@ -322,7 +293,7 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
                 if op.tag is not None
             ]
 
-        setup_calls, apply_calls = exchange_schedule(list(vsp))
+        setup_calls, apply_calls = exchange_schedule()
         setup = [ops(setup_calls, r) for r in range(inputs.nranks)]
         apply = [ops(apply_calls, r) for r in range(inputs.nranks)]
         src_table = role_table(src)
@@ -330,7 +301,6 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
             "geo": src_table,
             "phi": src_table,
             "pue": role_table(ue),
-            "vsp": role_table(sum(vsp.values(), [])),
         }
     return CommIR(
         nranks=inputs.nranks,
@@ -342,7 +312,6 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
             "nboxes": int(inputs.tree.nboxes),
             "nsrc_boxes": int(inputs.src_boxes.size),
             "nue_boxes": int(inputs.ue_boxes.size),
-            "nvsp_levels": len(inputs.vsp_levels),
             "families": PROTOCOL_FAMILIES,
         },
     )

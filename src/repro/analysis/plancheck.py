@@ -324,7 +324,6 @@ def rank_ir(
         global_nsrc=state.ptree.global_nsrc,
         global_ntrg=topo.ntrg,
         nrhs=nrhs, up_nsrc=topo.nsrc,
-        v_targets=state.v_compute,
     ).totals()
     return ir, expected
 

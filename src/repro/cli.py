@@ -165,11 +165,11 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
     Builds a real model tree, then sweeps simulated processor counts in
     powers of two, comparing the flat owner gather/scatter (the paper's
-    Algorithm 1 as published, priced by the model only — no rank runs
-    it; per-box fan-in grows O(P) at the critical rank) against the
-    hierarchical exchange the ranks run (segmented binomial collectives
-    plus the coarse-level V split, O(log P) fan-in).  ``--out`` writes
-    ``BENCH_scaling.json``;
+    Algorithm 1 as published; per-box fan-in grows O(P) at the critical
+    rank) against segmented binomial collectives (O(log P) fan-in) plus
+    a coarse-level V split.  The ranks run the binomial exchange with a
+    redundant tree-top V; the flat exchange and the split are priced by
+    the model only.  ``--out`` writes ``BENCH_scaling.json``;
     ``--min-speedup`` / ``--max-crossover`` turn the report into CI
     assertions.
     """
@@ -807,7 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
         "project",
         help="project the tree-top exchange to thousands of simulated "
              "ranks: flat owner gather/scatter vs hierarchical binomial "
-             "collectives + coarse V split",
+             "collectives + coarse V split (the ranks run the binomial "
+             "exchange with a redundant tree-top V; the split is "
+             "modelled only)",
     )
     common(pj)
     pj.add_argument("--n", type=int, default=20_000,

@@ -184,10 +184,9 @@ class RankOperands:
     """What a rank's apply runs over, beside the plan.
 
     ``near`` holds the ``(U, W)`` blocks over owned and over ghost
-    partners; ``v_splits`` the matching per-V-level passes.  The
+    partners; ``v_by_owner`` the matching per-V-level passes.  The
     exchange arrives as ready steps — ``post`` / ``relay`` / ``wait`` of
-    each payload kind and, per coarse split level, the ``vsp``
-    broadcast pair — which :meth:`PlanStages.compile` only places;
+    each payload kind — which :meth:`PlanStages.compile` only places;
     ``buffers`` declares the split regions those steps deliver.
     ``phi_kind`` and ``ue_kind`` hold, per box, the delivery code of
     the source densities / upward densities a pass reads there (index
@@ -198,11 +197,10 @@ class RankOperands:
     """
 
     near: dict[str, tuple[NearBlocks, NearBlocks]]
-    v_splits: list[VSplit]
+    v_by_owner: list[VSplit]
     post: list[Step]
     relay: list[Step]
     wait: list[Step]
-    vsp: dict[int, list[Step]]
     buffers: dict[str, BufferSpec]
     phi_kind: np.ndarray
     ue_kind: np.ndarray
@@ -286,8 +284,7 @@ class PlanStages:
         """Order the stages of one apply into its step list.
 
         Up, ``post`` + ``relay``, U/W/V over owned partners, V over
-        ghost partners (split levels ending in their ``vsp``
-        broadcast), the downward sweep, U/W over ghost partners — with
+        ghost partners, the downward sweep, U/W over ghost partners — with
         the scatter ``wait`` before the owned passes, or after them
         when ``overlap`` hides the in-flight exchange behind them.  The
         computation order is the same either way.
@@ -388,7 +385,7 @@ class PlanStages:
             key = cache.m2l_reference(lvl)[0]
             if rsvd and sched.blocked:
                 stage = "v_blocked", lambda b: self.v_blocked(
-                    vl, sp, vp, lo, b["ue"], b["dc"])
+                    vl, vp, lo, b["ue"], b["dc"])
             else:
                 stage = "v_direct", lambda b: self.v_direct(
                     vl, vp.classes, b["ue"], b["dc"])
@@ -413,12 +410,10 @@ class PlanStages:
                  operators=operators)
 
         def v_pass(split):
-            for vl, sp in zip(plan.v_levels, rank.v_splits):
+            for vl, sp in zip(plan.v_levels, rank.v_by_owner):
                 vp = getattr(sp, split)
                 if vp.npairs:
                     v_direct(vl, sp, vp, split)
-                if split == "ghost":
-                    steps.extend(rank.vsp.get(vl.level, []))
 
         def down(dl: DownLevel):
             lvl = dl.level
@@ -598,8 +593,7 @@ class PlanStages:
                     dc[r][tb] += mid @ ufT
 
     def v_blocked(
-        self, vl: VLevel, sp: VSplit, vp: VPass, lo: int, ue: np.ndarray,
-        dc: np.ndarray,
+        self, vl: VLevel, vp: VPass, lo: int, ue: np.ndarray, dc: np.ndarray
     ) -> None:
         """Rsvd M2L of one pass of a level, parent-pair blocked.
 
@@ -625,7 +619,7 @@ class PlanStages:
         """
         cache, pool, dtype = self.cache, self.pool, self.sched.dtype
         key, scale = cache.m2l_reference(vl.level)
-        boxes, targets = vl.src_boxes[vp.rows], vl.trg_boxes[sp.inv_rows]
+        boxes, targets = vl.src_boxes[vp.rows], vl.trg_boxes
         nr, nt = boxes.size, targets.size
         wm, wq = self.n_surf * self.md, self.n_surf * self.qd
         nchild = 1 << cache.dim

@@ -64,11 +64,6 @@ class FMMOptions:
         SVD cutoff for the regularised inversions.
     max_depth:
         Tree refinement cut-off, 1 to 21 (the Morton key capacity).
-    balance:
-        Apply 2:1 tree balancing after construction (optional; the
-        adaptive lists handle unbalanced trees — see
-        :mod:`repro.octree.balance`).  One rank only: balancing needs
-        the complete tree.
     sanitize:
         Run the planned applies under the runtime sanitizers
         (:mod:`repro.analysis.sanitize`): BufferPool lifecycle with
@@ -86,7 +81,6 @@ class FMMOptions:
     outer: float = OUTER_RADIUS
     rcond: float = 1e-12
     max_depth: int = 21
-    balance: bool = False
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -181,17 +175,14 @@ class KIFMM:
 
         opts = self.options
         with self.timer.phase("tree"):
-            ptree = one_rank_tree(
-                build_tree(
-                    sources,
-                    targets,
-                    max_points=opts.max_points,
-                    max_depth=opts.max_depth,
-                    root=root,
-                    dim=self.kernel.dim,
-                ),
-                opts.balance,
-            )
+            ptree = one_rank_tree(build_tree(
+                sources,
+                targets,
+                max_points=opts.max_points,
+                max_depth=opts.max_depth,
+                root=root,
+                dim=self.kernel.dim,
+            ))
         self.tree = ptree.tree
         if cache is not None:
             self.cache = cache.for_root(self.tree.root_side)

@@ -54,22 +54,6 @@ M2L_DTYPES = ("float64", "float32")
 _SKINNY_RATE, _STACKED_RATE, _STREAM_RATE, _MOVE_RATE = 25e9, 45e9, 10e9, 5e9
 
 
-def coarse_split_levels(
-    level_counts, nranks: int
-) -> frozenset[int]:
-    """Levels whose box count is below the rank count.
-
-    ``level_counts[l]`` is the number of tree boxes at level ``l``.
-    These are the levels where the redundant tree-top V work leaves
-    ranks idle — the levels the coarse split distributes.  Empty at
-    ``nranks == 1`` (every populated level has at least one box).
-    """
-    return frozenset(
-        lvl for lvl, count in enumerate(level_counts)
-        if 0 < count < nranks
-    )
-
-
 @dataclass
 class M2LSchedule:
     """A resolved per-level V-list backend assignment.

@@ -302,7 +302,7 @@ class VPass:
     rows: np.ndarray
     counts: dict[tuple[int, ...], int]
     po_groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]
-    of: tuple[VLevel, np.ndarray, np.ndarray] = field(repr=False)
+    of: tuple[VLevel, np.ndarray] = field(repr=False)
 
     @property
     def npairs(self) -> int:
@@ -310,9 +310,9 @@ class VPass:
 
     @cached_property
     def classes(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
-        vl, mine, trg_keep = self.of
+        vl, mine = self.of
         kept = (
-            (offset, spos, tpos, mine[spos] & trg_keep[tpos])
+            (offset, spos, tpos, mine[spos])
             for offset, spos, tpos in vl.classes
         )
         return [(o, s[m], t[m]) for o, s, t, m in kept if m.any()]
@@ -327,25 +327,12 @@ class VSplit:
     after the owner relay); pairs over ghost sources wait for the
     scatter.  At one rank everything is owned.
 
-    At *coarse split levels* (box count below the rank count — see
-    :func:`repro.core.m2lschedule.coarse_split_levels`) the redundant
-    tree-top translations are divided instead: ``own`` is empty,
-    ``ghost`` is restricted to the target boxes *assigned* to this rank
-    by the deterministic cyclic assignment, ``inv_rows`` lists the
-    assigned positions into ``trg_boxes`` (elsewhere: all of them — the
-    rows this rank accumulates), and ``bcast`` holds the per-box
-    ``(box, root_rank, participant_ranks)`` broadcast schedule that
-    delivers every participant the assigned rank's downward-check rows.
-
     The source rows of a blocked split (the rsvd slabs) are the ``own``
-    rows, then the ``ghost`` rows, then the zero sentinel; the
-    accumulator rows the ``inv_rows``, then the discarded sentinel.
+    rows, then the ``ghost`` rows, then the zero sentinel.
     """
 
     own: VPass
     ghost: VPass
-    inv_rows: np.ndarray
-    bcast: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
 
     @property
     def nrows(self) -> int:
@@ -353,25 +340,18 @@ class VSplit:
         return self.own.rows.size + self.ghost.rows.size + 1
 
 
-def split_v_level(
-    vl: VLevel, src_own: np.ndarray, trg_keep: np.ndarray, blocked: bool
-) -> VSplit:
-    """Split ``vl``'s pairs by ``src_own`` (a mask over ``src_boxes``),
-    dropping those whose target ``trg_keep`` (over ``trg_boxes``) does
-    not mark.
+def split_v_level(vl: VLevel, src_own: np.ndarray, blocked: bool) -> VSplit:
+    """Split ``vl``'s pairs by ``src_own`` (a mask over ``src_boxes``).
 
-    A pass reads the sources of its mask that meet a kept target in
-    some slot of a block.  With ``blocked`` each pass also gets the
-    level's parent-pair blocks renumbered to the split's rows: every
-    source child row outside the pass and every target child row
-    outside ``trg_keep`` points at the sentinel, and blocks left
-    without a source or without a target are dropped — so a pass
-    gathers only rows on hand so far, and the two passes cover each
-    kept pair exactly once.
+    A pass reads the sources of its mask that meet a target in some
+    slot of a block.  With ``blocked`` each pass also gets the level's
+    parent-pair blocks renumbered to the split's rows: every source
+    child row outside the pass points at the sentinel, and blocks left
+    without a source are dropped — so a pass gathers only rows on hand
+    so far, and the two passes cover each pair exactly once.
     """
     nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
-    inv_rows = np.flatnonzero(trg_keep)
-    trg_ok = np.append(trg_keep, False)
+    trg_ok = np.arange(ntb + 1) < ntb
     passes = []
     for mine in (src_own, ~src_own):
         used = np.zeros(nsb + 1, dtype=bool)
@@ -381,22 +361,20 @@ def split_v_level(
         used &= np.append(mine, False)
         passes.append(VPass(
             np.flatnonzero(used), _class_counts(vl.po_groups, used, trg_ok),
-            [], (vl, mine, trg_keep),
+            [], (vl, mine),
         ))
-    split = VSplit(passes[0], passes[1], inv_rows)
+    split = VSplit(*passes)
     if not blocked:
         return split
-    src_none, trg_none = split.nrows - 1, inv_rows.size  # the sentinels
-    trg_map = np.full(ntb + 1, trg_none, dtype=np.int64)
-    trg_map[inv_rows] = np.arange(inv_rows.size)
+    src_none = split.nrows - 1  # the sentinel
     for vp, lo in ((split.own, 0), (split.ghost, split.own.rows.size)):
         src_map = np.full(nsb + 1, src_none, dtype=np.int64)
         src_map[vp.rows] = lo + np.arange(vp.rows.size)
         for po, src_rows, trg_rows in vl.po_groups:
-            s, t = src_map[src_rows], trg_map[trg_rows]
-            keep = (s != src_none).any(axis=1) & (t != trg_none).any(axis=1)
+            s = src_map[src_rows]
+            keep = (s != src_none).any(axis=1) & (trg_rows != ntb).any(axis=1)
             if keep.any():
-                vp.po_groups.append((po, s[keep], t[keep]))
+                vp.po_groups.append((po, s[keep], trg_rows[keep]))
     return split
 
 

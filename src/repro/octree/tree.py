@@ -12,12 +12,12 @@ Morton-curve partitioning of Section 3.1 relies on too.
 
 :func:`grow_tree` is that loop, written once over the sorted keys and
 appending rows of the :class:`~repro.octree.topology.TreeTopology`
-arrays.  What varies between the builders is passed in: the reduction
-(the identity for :func:`build_tree`, ``comm.allreduce`` for
+arrays.  What varies between the builders is the reduction passed in:
+the identity for :func:`build_tree`, ``comm.allreduce`` for
 :func:`repro.parallel.ptree.parallel_build_tree` — the sequential tree
-is the one-rank build) and two rules, *which boxes split* and *which
-children are kept* (:func:`occupancy_rules` here, the 2:1-closed split
-set of :func:`repro.octree.balance.balance_tree`).
+is the one-rank build.  The paper's adaptive algorithm needs no balance
+condition (the W and X lists handle any level jump between adjacent
+leaves), so there is no 2:1 balancing.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ from repro.octree.morton import MAX_DEPTH, encode_points, key_to_anchor
 from repro.octree.topology import TreeTopology, level_base
 
 _U = np.uint64
-
-#: ``splits(uid, counts) -> (n,) bool`` and ``keeps(counts) -> (n, 2^d)
-#: bool``: which boxes of a level split, given their uids and ``(n, 2)``
-#: global source/target counts, and which of a splitting box's ``2^d``
-#: candidate children exist, given their ``(n, 2^d, 2)`` global counts.
-Rules = tuple[
-    Callable[[np.ndarray, np.ndarray], np.ndarray],
-    Callable[[np.ndarray], np.ndarray],
-]
 
 
 @dataclass
@@ -188,25 +179,18 @@ def _root_cube(
 # -- the level loop --------------------------------------------------------
 
 
-def occupancy_rules(max_points: int) -> Rules:
-    """The adaptive tree of Section 2.1: a box splits while it holds
-    more than ``s`` sources or targets, and empty octants are pruned —
-    globally, so every rank takes the same decisions."""
-    return (
-        lambda uid, counts: (counts > max_points).any(axis=1),
-        lambda counts: counts.any(axis=2),
-    )
-
-
 def grow_tree(
     keys: list[np.ndarray],
     dim: int,
     max_depth: int,
-    rules: Rules,
+    max_points: int,
     allreduce: Callable[[np.ndarray], np.ndarray] = _one_rank,
 ) -> tuple[TreeTopology, np.ndarray]:
     """Grow the tree over Morton-sorted deep keys, one level per round.
 
+    The adaptive tree of Section 2.1: a box splits while it holds more
+    than ``max_points`` sources or targets, and empty octants are
+    pruned — on global counts, so every rank takes the same decisions.
     ``keys`` holds this rank's sorted ``dim``-dimensional source keys
     and, unless sources are the targets, its sorted target keys.  Per
     level: one ``searchsorted`` of the ``2^d + 1`` child bounds of every
@@ -216,7 +200,6 @@ def grow_tree(
     Returns the topology — point ranges local, everything else global —
     and the ``(2, nboxes)`` global source/target counts.
     """
-    splits, keeps = rules
     base = level_base(dim)
     octants = np.arange((1 << dim) + 1, dtype=np.uint64)
     npoints = np.array([keys[0].size, keys[-1].size])
@@ -228,7 +211,7 @@ def grow_tree(
     )]
     first = 0  # index of the level's first box
     for level in range(max_depth):
-        split = np.flatnonzero(splits(base[level] + key, count))
+        split = np.flatnonzero((count > max_points).any(axis=1))
         if not split.size:
             break
         bounds = ((key[split, None] << _U(dim)) + octants) << _U(
@@ -237,7 +220,7 @@ def grow_tree(
         found = [np.searchsorted(sorted_keys, bounds) for sorted_keys in keys]
         cuts = np.stack([found[0], found[-1]], axis=-1)
         counts = allreduce(np.diff(cuts, axis=1))
-        row, octant = np.nonzero(keeps(counts))
+        row, octant = np.nonzero(counts.any(axis=2))
         parent = first + split[row]
         first += key.size
         key = (key[split[row]] << _U(dim)) + octant.astype(np.uint64)
@@ -277,7 +260,6 @@ def build_global_tree(
     max_points: int,
     max_depth: int,
     root: tuple[np.ndarray, float] | None,
-    rules: Rules | None = None,
     allreduce=_one_rank,
     who: str = "",
     dim: int | None = None,
@@ -285,9 +267,8 @@ def build_global_tree(
     """What every builder is: validate this rank's points (``who`` names
     the rank in errors; ``dim``, the kernel's dimension, must be theirs
     when given), agree on the root cube unless ``root`` pins it, sort by
-    Morton key and grow the tree — adaptively unless ``rules`` says
-    otherwise — in the points' dimension.  Returns the :class:`Octree`
-    and :func:`grow_tree`'s global counts."""
+    Morton key and grow the adaptive tree in the points' dimension.
+    Returns the :class:`Octree` and :func:`grow_tree`'s global counts."""
     sources = np.ascontiguousarray(sources, dtype=np.float64)
     targets = sources if targets is None else np.ascontiguousarray(targets, np.float64)
     point_sets = [("sources", sources)]
@@ -314,7 +295,7 @@ def build_global_tree(
         perms.append(np.argsort(key, kind="stable"))
         keys.append(key[perms[-1]])
     topology, counts = grow_tree(
-        keys, dim, max_depth, rules or occupancy_rules(max_points), allreduce
+        keys, dim, max_depth, max_points, allreduce
     )
     tree = Octree(
         sources=sources,

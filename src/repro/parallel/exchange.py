@@ -34,10 +34,9 @@ boxes in the same ascending order, waiting, folding and forwarding *per
 node*; the wait chains are therefore well-founded and the protocol is
 deadlock-free (``repro commir`` checks exactly this at P=4096).
 
-Four bindings run on the one interpreter: ``geo`` once at setup (source
-positions), ``phi`` and ``pue`` per apply (densities, partial upward
-equivalent densities) and ``vsp`` (the coarse-split broadcast — a
-scatter whose root is the assigned rank).
+Three bindings run on the one interpreter: ``geo`` once at setup
+(source positions), ``phi`` and ``pue`` per apply (densities, partial
+upward equivalent densities).
 """
 
 from __future__ import annotations
@@ -69,24 +68,17 @@ PHASES = ("post", "relay", "wait")
 # Tag families of the payload kinds.  Each owner-centric box exchange
 # owns a gather family (contributor -> owner direction) and a scatter
 # family (owner -> user direction, suffixed ``g``), its tags carrying
-# the box index; the coarse-split broadcast ``("vsp", level, box)`` only
-# scatters.
+# the box index.
 for _kind in ("geo", "phi", "pue"):
     register_tag_family(_kind, fields=("box",), phases=(f"{_kind}_gather",))
     register_tag_family(
         _kind + "g", fields=("box",), phases=(f"{_kind}_scatter",)
     )
-register_tag_family(
-    "vsp", fields=("level", "box"), phases=("v_split",), kind="split",
-)
 
 
 def exchange_tag_families(kind: str) -> tuple[str, str]:
-    """The ``(gather, scatter)`` tag families of one payload kind.
-
-    A scatter-only kind (``vsp``) has a single family, its own name.
-    """
-    return kind, (kind + "g" if kind + "g" in TAG_FAMILIES else kind)
+    """The ``(gather, scatter)`` tag families of one payload kind."""
+    return kind, kind + "g"
 
 
 @dataclass(slots=True)
@@ -96,10 +88,9 @@ class CommOp:
     The communication kinds are ``"send"`` (buffered, nonblocking),
     ``"post"`` (receive posted) and ``"complete"`` (the wait that
     consumes the message — blocking); ``group`` is the tag family,
-    ``ids`` the tag discriminators (box, or ``(level, box)`` for the
-    coarse-split broadcast).  ``note`` is the payload role of a send:
-    ``"inject"`` own piece, ``"relay"`` partial fold forward,
-    ``"scatter"`` combined data downward.  ``slot`` is, for the
+    ``ids`` the tag discriminators (the box).  ``note`` is the payload
+    role of a send: ``"inject"`` own piece, ``"relay"`` partial fold
+    forward, ``"scatter"`` combined data downward.  ``slot`` is, for the
     completion of a gather message, the child's relative tree position —
     the slot its piece folds at — and 0 otherwise.
 
@@ -267,8 +258,7 @@ class Binding(NamedTuple):
     of a box this rank uses."""
 
     piece: Callable[[tuple], np.ndarray]
-    #: None for a kind with one contributor per box: nothing to reduce.
-    combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     store: Callable[[tuple, np.ndarray], None]
 
 
@@ -352,25 +342,12 @@ def pue_binding(ue: np.ndarray) -> Binding:
     return Binding(piece, _add, store)
 
 
-def vsp_binding(dc: np.ndarray) -> Binding:
-    """Coarse-split downward-check rows ``dc[:, box]``, from the
-    assigned rank to the other target contributors (no reduction: the
-    root is the one contributor, and its single-piece fold copies the
-    rows the downward sweep keeps writing)."""
-
-    def store(ids, data):
-        dc[:, ids[1]] = data
-
-    return Binding(lambda ids: dc[:, ids[1]], None, store)
-
-
 @dataclass
 class GhostLayout:
     """Persistent layout of the per-apply exchange (one rank's view)."""
 
     phi: Program  # combined source densities over ``uses_source`` boxes
     pue: Program  # global upward equivalent densities over ``uses_equiv``
-    vsp: dict[int, Program]  # per coarse split level this rank takes part in
     src_start: np.ndarray  # per-box rows of the rank's own sorted sources
     src_stop: np.ndarray
     ext_start: np.ndarray  # per-box rows into the combined source arrays
@@ -408,12 +385,12 @@ class ApplyExchange:
         self._slots: dict[tuple, dict[int, np.ndarray]] = defaultdict(dict)
         self._data: dict[tuple, np.ndarray] = {}
 
-    def run(self, name: str, phase: str, timed: str | None = None) -> None:
+    def run(self, name: str, phase: str) -> None:
         """Walk ``phase`` of program ``name``, timed under ``pack``
-        (post) / ``wait`` (relay, wait) unless ``timed`` names a phase."""
+        (post) / ``wait`` (relay, wait)."""
         program, bind = self._bound[name]
         comm, rec, data = self._comm, self._rec, self._data
-        with self._timer.phase(timed or self._TIMED[phase]):
+        with self._timer.phase(self._TIMED[phase]):
             for op in getattr(program, phase):
                 kind, ids = op.kind, op.ids
                 if kind == "post":

@@ -44,7 +44,6 @@ from repro.core.evaluator import (
 from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import (
     M2LSchedule,
-    coarse_split_levels,
     resolve_m2l_schedule,
     v_stats_from_lists,
     v_stats_from_plan,
@@ -59,7 +58,6 @@ from repro.core.plan import (
 from repro.core.precompute import OperatorCache
 from repro.core.steps import BufferSpec, Step, StepList, run_steps
 from repro.kernels.base import Kernel
-from repro.octree.balance import balance_tree
 from repro.octree.lists import InteractionLists, build_lists
 from repro.octree.tree import Octree, _root_cube, require_points
 from repro.parallel.exchange import (
@@ -74,7 +72,6 @@ from repro.parallel.exchange import (
     geo_binding,
     phi_binding,
     pue_binding,
-    vsp_binding,
 )
 from repro.parallel.let import classify_let, gather_users
 from repro.parallel.owners import assign_owners, gather_contributors
@@ -95,61 +92,15 @@ from repro.util.timing import PhaseTimer
 APPLY_KINDS = ("phi", "pue")
 
 
-def v_split_bcast_schedule(
-    lvl_boxes: np.ndarray,
-    lists: InteractionLists,
-    contrib_trg: np.ndarray,
-    gsrc: np.ndarray,
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The coarse-split broadcast schedule of one tree level.
-
-    Pure function of the plan inputs (level boxes, interaction lists,
-    target-contributor matrix, global source counts): the level's active
-    V target boxes — some rank contributes targets and some V partner
-    holds global sources — each assigned cyclically to one of their
-    contributor ranks, who broadcasts the computed downward-check rows
-    to the other contributors.  Returns ``(box, root_rank, participants)``
-    rows, identical on every rank (everything derives from replicated
-    matrices).  Shared by :func:`rank_setup` and the static
-    communication verifier (:mod:`repro.analysis.commir`), so the
-    runtime schedule and the certified one cannot drift apart.
-    """
-    trg, idx = lists.pairs("V")
-    fed = np.zeros(gsrc.size, dtype=bool)  # some V partner has sources
-    fed[trg[gsrc[idx] > 0]] = True
-    cand = lvl_boxes[fed[lvl_boxes] & contrib_trg[:, lvl_boxes].any(axis=0)]
-    schedule: list[tuple[int, int, tuple[int, ...]]] = []
-    for j, bx in enumerate(cand.tolist()):
-        parts = tuple(np.flatnonzero(contrib_trg[:, bx]).tolist())
-        schedule.append((bx, parts[j % len(parts)], parts))
-    return schedule
-
-
-def vsp_roles(
-    level: int, schedule: list[tuple[int, int, tuple[int, ...]]]
-) -> Roles:
-    """Exchange roles of one split level's broadcasts: the assigned
-    rank owns and alone contributes the rows, the other target
-    contributors use them."""
-    return [
-        ((level, bx), root, [root], [r for r in parts if r != root])
-        for bx, root, parts in schedule
-    ]
-
-
-def exchange_schedule(
-    vsp_levels: list[int],
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+def exchange_schedule() -> tuple[
+    list[tuple[str, str]], list[tuple[str, str]]
+]:
     """``(program name, phase)`` in the order a rank runs them, as the
     setup's calls and one apply's: :func:`rank_setup` the ``geo``
     phases; every apply each phase over :data:`APPLY_KINDS` (the
-    ``post`` / ``relay`` / ``wait`` steps of :meth:`RankFMM.compile`)
-    and then, split level by split level, the ``vsp`` phases."""
+    ``post`` / ``relay`` / ``wait`` steps of :meth:`RankFMM.compile`)."""
     setup = [("geo", phase) for phase in PHASES]
     apply = [(kind, phase) for phase in PHASES for kind in APPLY_KINDS]
-    apply += [
-        (f"vsp@{lvl}", phase) for lvl in vsp_levels for phase in PHASES
-    ]
     return setup, apply
 
 
@@ -183,16 +134,11 @@ class RankFMM:
     ext_points: np.ndarray
     #: ``(U, W)`` blocks over ``"own"`` and over ``"ghost"`` partners.
     near: dict[str, tuple[NearBlocks, NearBlocks]]
-    v_splits: list[VSplit]
+    v_by_owner: list[VSplit]
     #: The (source, target, direct) kernels an apply uses unless it
     #: names its own.
     kernels: tuple[Kernel, Kernel, Kernel]
     m2l_schedule: M2LSchedule
-    #: Which boxes this rank performs V target-side work for.  Every
-    #: box with local targets, except at coarse split levels, where
-    #: only the cyclically-assigned boxes remain (the flop model's
-    #: ``v_targets`` mask).
-    v_compute: np.ndarray
     #: Flops of this rank's applies, by phase.
     flops: FlopCounter = field(default_factory=FlopCounter)
 
@@ -222,8 +168,7 @@ class RankFMM:
         The shared stages over the owned-then-ghost splits of the
         LET-local plan (:meth:`PlanStages.compile` orders them) plus
         the exchange as steps: ``post`` / ``relay`` / ``wait`` of each
-        payload kind and the ``vsp`` broadcast pair of each coarse split
-        level.  ``exch`` binds those steps to one apply; the plan
+        payload kind.  ``exch`` binds those steps to one apply; the plan
         verifier compiles without it and reads only the declarations.
         ``kernels`` replaces the state's own triple for this apply (the
         gradient apply shares the plan).
@@ -275,7 +220,7 @@ class RankFMM:
 
         rank = RankOperands(
             near=self.near,
-            v_splits=self.v_splits,
+            v_by_owner=self.v_by_owner,
             post=[
                 exchange_step("post", k, reads=sent[k]) for k in APPLY_KINDS
             ],
@@ -288,7 +233,6 @@ class RankFMM:
                 exchange_step("wait", k, writes=delivers[k, "ghost"])
                 for k in APPLY_KINDS
             ],
-            vsp={lvl: self._v_split_steps(exch, lvl) for lvl in lay.vsp},
             buffers=buffers,
             phi_kind=kinds["phi"],
             ue_kind=kinds["pue"],
@@ -310,33 +254,6 @@ class RankFMM:
             for step in self.compile().steps:
                 if step.operators is not None:
                     step.operators()
-
-    def _v_split_steps(
-        self, exch: ApplyExchange | None, lvl: int
-    ) -> list[Step]:
-        """The broadcast of one split level's downward-check rows.
-
-        ``post`` posts the receives and, on the assigned rank, packs
-        and ships the rows; ``wait`` completes, forwards along the rank
-        tree and stores the other participants' rows.  At this point
-        ``dc[:, bx]`` holds exactly the level's V contribution (L2L and
-        X accumulate later, own classes are empty at split levels), so
-        the root's rows can be assigned verbatim.
-        """
-        name = f"vsp@{lvl}"
-
-        def post(b) -> None:
-            exch.run(name, "post", timed="down_v")
-            exch.run(name, "relay", timed="down_v")
-
-        return [
-            Step(f"post:{name}", "down_v", post, kind="post",
-                 stage="ApplyExchange.run", reads=(f"dc@{lvl}",)),
-            Step(f"wait:{name}", "down_v",
-                 lambda b: exch.run(name, "wait", timed="down_v"),
-                 kind="wait", stage="ApplyExchange.run",
-                 writes=(f"dc@{lvl}",)),
-        ]
 
     def apply(
         self,
@@ -409,14 +326,12 @@ class RankFMM:
             "de": pool.zeros("de", (nrhs, nb, n_surf * md)),
             "pot": pool.zeros("pot", (nrhs, nt, out_dof)),
         }
-        vsp = vsp_binding(live["dc"])
         exch = ApplyExchange(comm, timer, {
             "phi": (lay.phi, phi_binding(
                 phi_rows[:ns], lay.src_start, lay.src_stop,
                 phi_rows, lay.ext_start, lay.ext_stop,
             )),
             "pue": (lay.pue, pue_binding(ue_rows)),
-            **{f"vsp@{lvl}": (prog, vsp) for lvl, prog in lay.vsp.items()},
         })
         run_steps(
             self.compile(overlap, exch, kernels), live, pool, nrhs,
@@ -428,12 +343,9 @@ class RankFMM:
         return potential
 
 
-def one_rank_tree(tree: Octree, balance: bool = False) -> ParallelTree:
+def one_rank_tree(tree: Octree) -> ParallelTree:
     """A sequential tree as the one-rank :class:`ParallelTree`: every
-    count is global.  The one place ``FMMOptions.balance`` is honoured —
-    2:1 balancing rebuilds the tree from one rank's complete view."""
-    if balance:
-        tree = balance_tree(tree)
+    count is global."""
     topo = tree.topology
     return ParallelTree(tree=tree, global_nsrc=topo.nsrc, global_ntrg=topo.ntrg)
 
@@ -453,7 +365,6 @@ def rank_setup(
     """Per-rank setup of the persistent parallel operator: the parallel
     tree, then :func:`setup_on_tree`."""
     opts = options or FMMOptions()
-    _require_one_rank_balance(opts, comm.size)
     timer = timer if timer is not None else PhaseTimer()
     with timer.phase("tree"):
         ptree = parallel_build_tree(
@@ -461,8 +372,6 @@ def rank_setup(
             max_points=opts.max_points, max_depth=opts.max_depth, root=root,
             dim=kernel.dim,
         )
-        if opts.balance:
-            ptree = one_rank_tree(ptree.tree, balance=True)
     return setup_on_tree(
         comm, kernel, ptree, opts,
         cache=cache, kernels=kernels, timer=timer,
@@ -554,8 +463,6 @@ def setup_on_tree(
     for phase in PHASES:
         geo.run("geo", phase)
 
-    vsp_programs: dict[int, Program] = {}
-
     with timer.phase("plan"):
         plan, near = compile_plan(
             tree, lists,
@@ -579,48 +486,13 @@ def setup_on_tree(
         # partners only after the scatter completes.
         owned = owner == me
 
-        # Coarse split levels: fewer boxes than ranks, where the fully
-        # redundant tree-top V translations leave ranks idle.  Each
-        # active target box there is assigned to exactly one of its
-        # contributor ranks (cyclic over the level's active boxes), and
-        # the assigned rank broadcasts the computed downward-check rows
-        # — every quantity below derives from replicated matrices, so
-        # all ranks agree without communication.
-        split_levels = coarse_split_levels(
-            np.diff(tree.topology.level_ptr), comm.size
-        )
-        # default: every box with local targets
-        v_compute = near.trg_stop > near.trg_start
-        v_splits: list[VSplit] = []
-        for vl in plan.v_levels:
-            backend = sched.backend(vl.level)
-            blocked = backend == "rsvd" and sched.blocked
-            if vl.level not in split_levels:
-                v_splits.append(split_v_level(
-                    vl, owned[vl.src_boxes],
-                    np.ones(vl.trg_boxes.size, dtype=bool), blocked,
-                ))
-                continue
-            lvl_boxes = tree.topology.level_boxes(vl.level)
-            # The level's global V target set, gated like the plan:
-            # some rank contributes targets and some partner holds
-            # global sources.
-            schedule = v_split_bcast_schedule(
-                lvl_boxes, lists, contrib_trg, ptree.global_nsrc
+        v_by_owner = [
+            split_v_level(
+                vl, owned[vl.src_boxes],
+                sched.backend(vl.level) == "rsvd" and sched.blocked,
             )
-            mine = [bx for bx, root_r, _ in schedule if root_r == me]
-            v_compute[lvl_boxes] = False
-            v_compute[mine] = True
-            split = split_v_level(
-                vl, np.zeros(vl.src_boxes.size, dtype=bool),
-                np.isin(vl.trg_boxes, mine), blocked,
-            )
-            split.bcast = [row for row in schedule if me in row[2]]
-            if split.bcast:
-                vsp_programs[int(vl.level)] = my_program(
-                    "vsp", vsp_roles(int(vl.level), schedule)
-                )
-            v_splits.append(split)
+            for vl in plan.v_levels
+        ]
 
     state = RankFMM(
         kernel=kernel,
@@ -632,7 +504,6 @@ def setup_on_tree(
         layout=GhostLayout(
             phi=my_program("phi", src_roles),
             pue=my_program("pue", ue_roles),
-            vsp=vsp_programs,
             src_start=src_start,
             src_stop=src_stop,
             ext_start=ext_start,
@@ -642,10 +513,9 @@ def setup_on_tree(
             [plan.sources_sorted] + [ghost_pts[int(b)] for b in ghost]
         ),
         near={"own": near.blocks(owned), "ghost": near.blocks(~owned)},
-        v_splits=v_splits,
+        v_by_owner=v_by_owner,
         kernels=kernels or (kernel, kernel, kernel),
         m2l_schedule=sched,
-        v_compute=v_compute,
     )
     if operators:
         state.build_operators(timer)
@@ -657,8 +527,8 @@ def exchange_traffic(states: list[RankFMM]) -> tuple[np.ndarray, np.ndarray]:
     bytes)``, the second an upper bound per right-hand side.
 
     Read off the send ops of every rank's compiled programs: an
-    equivalent-density or check-potential message is one surface
-    vector, a density message at most the box's global sources.  This
+    equivalent-density message is one surface vector, a density message
+    at most the box's global sources.  This
     is what sizes the process world's channels, and the message counts
     are what its ``CommStats`` must read.
     """
@@ -669,12 +539,7 @@ def exchange_traffic(states: list[RankFMM]) -> tuple[np.ndarray, np.ndarray]:
         lay, n_surf = st.layout, st.cache.n_surf
         nsrc, sdof = st.ptree.global_nsrc, st.kernels[0].source_dof
         # Doubles per message; a density message's depend on its box.
-        sized = [
-            (lay.phi, None),
-            (lay.pue, n_surf * st.kernel.source_dof),
-            *((program, n_surf * st.kernel.target_dof)
-              for program in lay.vsp.values()),
-        ]
+        sized = [(lay.phi, None), (lay.pue, n_surf * st.kernel.source_dof)]
         for program, doubles in sized:
             for op in (op for phase in program for op in phase):
                 if op.kind == "send":
@@ -706,14 +571,6 @@ def _require_nranks(nranks: int) -> None:
         nranks, numbers.Integral
     ) or nranks < 1:
         raise ValueError(f"nranks must be an integer >= 1, got {nranks!r}")
-
-
-def _require_one_rank_balance(opts: FMMOptions, nranks: int) -> None:
-    if opts.balance and nranks > 1:
-        raise ValueError(
-            "balance=True needs one rank's complete view of the tree "
-            f"(KIFMM, or one rank); got {nranks} ranks"
-        )
 
 
 def _shared_setup(
@@ -803,7 +660,6 @@ class ParallelFMM:
         self.kernels = resolve_kernels(
             kernel, source_kernel, target_kernel, direct_kernel
         )
-        _require_one_rank_balance(self.options, nranks)
         self._states: list[RankFMM] | None = None
         self._parts: list[np.ndarray] | None = None
         self._npoints = 0

@@ -125,18 +125,18 @@ class TagFamily:
 
     name: str
     #: Names of the discriminator fields following the family name
-    #: (e.g. ``("box",)`` or ``("level", "box")``).
+    #: (e.g. ``("box",)`` or ``("primitive", "seq")``).
     fields: tuple[str, ...]
     #: Trace phases this family's messages are recorded under.
     phases: tuple[str, ...]
-    #: ``"exchange"`` (owner-centric box exchange), ``"split"`` (coarse
-    #: V-split broadcast) or ``"collective"`` (binomial collectives).
+    #: ``"exchange"`` (owner-centric box exchange) or ``"collective"``
+    #: (binomial collectives).
     kind: str = "exchange"
 
 
 #: family name -> :class:`TagFamily`; populated by the modules that own
 #: each protocol (this module for the collectives, ``exchange.py`` for
-#: the box exchanges, ``pfmm.py`` for the coarse V split).
+#: the box exchanges).
 TAG_FAMILIES: dict[str, TagFamily] = {}
 
 

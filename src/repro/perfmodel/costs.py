@@ -68,7 +68,6 @@ def compute_work(
     nrhs: int = 1,
     up_nsrc: np.ndarray | None = None,
     rsvd_rank=None,
-    v_targets: np.ndarray | None = None,
 ) -> PhaseWork:
     """Flop volumes of one interaction evaluation.
 
@@ -96,14 +95,8 @@ def compute_work(
     compressed per-pair cost depends on each offset class's numerical
     rank.
 
-    ``v_targets`` optionally overrides which boxes this rank performs
-    V-list *target-side* work for (Hadamard/dense/rsvd accumulation plus
-    the inverse transform), as a boolean mask over boxes; the forward
-    transforms follow (a source box is transformed iff it feeds at least
-    one ``v_targets`` box on an fft level).  Defaults to every box with
-    targets — the fully redundant tree top.  The parallel coarse-level
-    split passes its per-rank assignment mask (``RankFMM.v_compute``)
-    so the per-rank flop identity stays exact.
+    Every box with targets does its V-list target-side work — the fully
+    redundant tree top of the paper's parallel algorithm.
     """
     if not nrhs >= 1:
         raise ValueError(f"nrhs must be >= 1, got {nrhs}")
@@ -134,7 +127,6 @@ def compute_work(
     ntrg = counts(global_ntrg, topo.ntrg)
     unsrc = counts(up_nsrc, nsrc)
     has_trg = ntrg > 0
-    vtm = has_trg if v_targets is None else np.asarray(v_targets, dtype=bool)
 
     pinv_flops = 2.0 * (n_surf * md) * (n_surf * qd)
     m2m_flops = 2.0 * (n_surf * qd) * (n_surf * md)  # per child matvec
@@ -176,10 +168,10 @@ def compute_work(
     # two stacked GEMMs through its offset class's rank-k factors
     # (mirrors _rsvd_pair_flops), looked up once per class.
     fed = per_box(vb)
-    nv = fed * vtm
+    nv = fed * has_trg
     down_v = nv * (dense * m2l_dense_flops + fft * hadamard_flops)
     down_v += (nv > 0) * fft * (qd * fft_flops)  # inverse DFT
-    compressed = (vtm & rsvd)[vb]
+    compressed = (has_trg & rsvd)[vb]
     if compressed.any():
         if rsvd_rank is None:
             raise ValueError(
@@ -204,7 +196,7 @@ def compute_work(
     # holds sources and feeds a target this rank computes for on an
     # fft-scheduled level (V lists are same-level).
     feeds = np.zeros(nb, dtype=bool)
-    feeds[v_pairs[1][(vtm & fft)[v_pairs[0]]]] = True
+    feeds[v_pairs[1][(has_trg & fft)[v_pairs[0]]]] = True
     down_v += (feeds & (nsrc > 0)) * (md * fft_flops)
 
     # Which boxes carry downward data: a box inverts its check potential

@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.m2lschedule import coarse_split_levels
 from repro.core.surfaces import n_surface_points
 from repro.geometry.patches import partition_weights
 from repro.kernels.base import Kernel
@@ -303,6 +302,23 @@ def simulate_run(
     )
 
 
+def coarse_split_levels(
+    level_counts, nranks: int
+) -> frozenset[int]:
+    """Levels whose box count is below the rank count.
+
+    ``level_counts[l]`` is the number of tree boxes at level ``l``.
+    These are the levels where the redundant tree-top V work leaves
+    ranks idle — the levels a coarse split would distribute
+    (:func:`tree_top_model` prices it; no rank runs it).  Empty at
+    ``nranks == 1`` (every populated level has at least one box).
+    """
+    return frozenset(
+        lvl for lvl, count in enumerate(level_counts)
+        if 0 < count < nranks
+    )
+
+
 @dataclass
 class TreeTopPoint:
     """Modelled tree-top cost of one simulated processor count.
@@ -318,10 +334,15 @@ class TreeTopPoint:
     of fully redundant translation).  Total message counts are
     identical by construction — a binomial tree over ``C`` participants
     has exactly ``C-1`` edges — only the critical path and the per-rank
-    fan-in change.  ``tree`` is what the ranks execute
-    (:func:`~repro.parallel.exchange.compile_exchange`); ``flat`` is
-    modelled only, the paper's Algorithm 1 as published and the
-    baseline the crossover and speedup are quoted against.
+    fan-in change.
+
+    The ranks run the binomial exchange
+    (:func:`~repro.parallel.exchange.compile_exchange`) with a
+    redundant tree-top V, as the paper does; the coarse V split is
+    priced here only, as is ``flat``.  ``flat_total`` (the paper's
+    Algorithm 1 as published, redundant V) is the baseline the
+    crossover and speedup are quoted against, ``tree_total`` (binomial
+    exchange, split V) the modelled large-P variant.
     """
 
     P: int
@@ -385,8 +406,9 @@ def tree_top_model(
     count: per-rank time and message-count arrays are accumulated over
     all shared boxes at once (difference arrays over rank intervals, so
     the sweep stays cheap at thousands of ranks), then reduced to the
-    critical rank.  The flat side is a modelled baseline, not a second
-    executor path (see :class:`TreeTopPoint`).
+    critical rank.  The flat exchange and the coarse V split are
+    priced here only; the ranks run the binomial exchange and compute
+    the tree-top V redundantly (see :class:`TreeTopPoint`).
     """
     _check_ranks(P)
     if work is None:

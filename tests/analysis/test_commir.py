@@ -29,6 +29,8 @@ from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
 from repro.parallel.simmpi import TAG_FAMILIES
 
+from tests.conftest import coarse_v_levels
+
 OPTS = FMMOptions(p=4)
 
 
@@ -169,8 +171,9 @@ class TestConformance:
         ]
 
     def test_coarse_split_broadcast_conforms(self):
-        """Two tight clusters at 8 ranks split V level 2: the ``vsp``
-        programs run after the owner exchange of each of two applies."""
+        """Two tight clusters at 8 ranks: V level 2 has fewer boxes than
+        ranks, every contributor computes it, and each of two applies
+        runs the owner exchange alone."""
         rng = np.random.default_rng(12)
         pts = np.vstack([
             rng.uniform(0.0, 0.12, (300, 3)),
@@ -178,8 +181,8 @@ class TestConformance:
         ])
         opts = FMMOptions(p=4, max_points=20)
         inputs = static_plan_inputs(pts, 8, opts)
+        assert 2 in coarse_v_levels(inputs.tree, 8)
         ir = extract_comm_ir(inputs)
-        assert any(op.group == "vsp" for p in ir.programs for op in p)
         trace = traced_run(
             LaplaceKernel(), pts, [rng.standard_normal(600)] * 2, opts, 8,
         )

@@ -29,6 +29,8 @@ from repro.kernels.laplace import LaplaceKernel
 from repro.kernels.stokes import StokesKernel
 from repro.parallel import ParallelFMM
 
+from tests.conftest import coarse_v_levels
+
 
 @pytest.fixture(scope="module")
 def points():
@@ -119,8 +121,8 @@ def test_ir_flops_match_measured_apply(points, compiled):
     static totals equal the dynamic FlopCounter of the apply.  The
     sequential plan, and every rank of a 2- and a 4-rank operator.  The
     4-rank operators run on two tight opposite-corner clusters, whose
-    two boxes per coarse level put V level 2 under the coarse split
-    (restricted inverse transforms, per-box broadcasts).
+    two boxes per coarse level leave V level 2 with fewer boxes than
+    ranks: every contributor computes it.
     """
     rng = np.random.default_rng(11)
     clusters = np.vstack([
@@ -161,14 +163,13 @@ def test_ir_flops_match_measured_apply(points, compiled):
                     rng.standard_normal(pts.shape[0] * kernel.source_dof),
                     schedule_seed=0,
                 )
-                split = False
                 for state in op.states:
-                    split |= any(sp.bcast for sp in state.v_splits)
                     assert_equal(
                         state.plan, lambda: extract_rank_ir(state, nrhs=1),
                         state.flops,
                     )
-                assert split == (nranks == 4)
+                coarse = coarse_v_levels(op.states[0].tree, nranks)
+                assert bool(coarse) == (nranks == 4)
 
 
 def test_seeded_wait_reorder_caught_by_schedule_only(parallel_ir):

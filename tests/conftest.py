@@ -16,6 +16,7 @@ from repro.kernels import (
     NavierKernel,
     StokesKernel,
 )
+from repro.perfmodel.simulate import coarse_split_levels
 
 
 @pytest.fixture
@@ -88,6 +89,14 @@ def clustered_cloud(rng: np.random.Generator, n: int) -> np.ndarray:
         c + 0.08 * np.abs(rng.standard_normal((per, 3))) for c in corners
     ]
     return np.vstack(blocks)[:n]
+
+
+def coarse_v_levels(tree, nranks: int) -> list[int]:
+    """The V levels (level 2 and deeper) with fewer boxes than ranks:
+    the tree top every contributor computes redundantly, where the
+    performance model prices a coarse split."""
+    coarse = coarse_split_levels(np.diff(tree.topology.level_ptr), nranks)
+    return sorted(lvl for lvl in coarse if lvl >= 2)
 
 
 @contextmanager

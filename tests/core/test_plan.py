@@ -178,12 +178,12 @@ def test_po_groups_structure(rng):
 def _block_pairs(vp, lo, sp, vl):
     """``(target row, source row)`` of ``vl`` reachable through the
     non-sentinel entries of one pass's blocks (source rows from ``lo``
-    on are the pass's ``rows``; accumulator rows are ``inv_rows``)."""
-    pairs = []
+    on are the pass's ``rows``; accumulator rows are the level's)."""
+    pairs, ntrg = [], vl.trg_boxes.size
     for po, src, trg in vp.po_groups:
         # No block is all sentinel on either side.
         assert (src < sp.nrows - 1).any(axis=1).all()
-        assert (trg < sp.inv_rows.size).any(axis=1).all()
+        assert (trg < ntrg).any(axis=1).all()
         # A pass gathers only the source rows it reads itself.
         real = src[src < sp.nrows - 1]
         assert real.min() >= lo and real.max() < lo + vp.rows.size
@@ -192,10 +192,9 @@ def _block_pairs(vp, lo, sp, vl):
                 off = 2 * np.array(po) + octant_vectors(3)[ot] - octant_vectors(3)[os_]
                 if np.abs(off).max() < 2:
                     continue  # adjacent: no slot
-                m = (trg[:, ot] < sp.inv_rows.size) & (src[:, os_] < sp.nrows - 1)
+                m = (trg[:, ot] < ntrg) & (src[:, os_] < sp.nrows - 1)
                 pairs += zip(
-                    sp.inv_rows[trg[m, ot]].tolist(),
-                    vp.rows[src[m, os_] - lo].tolist(),
+                    trg[m, ot].tolist(), vp.rows[src[m, os_] - lo].tolist()
                 )
     assert len(set(pairs)) == len(pairs)
     return set(pairs)
@@ -204,23 +203,20 @@ def _block_pairs(vp, lo, sp, vl):
 @pytest.mark.parametrize("cloud", [uniform_cloud, clustered_cloud])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_split_po_groups_partition_the_level(cloud, seed):
-    """The own and the ghost blocks of a split cover each kept pair of
-    the level exactly once, for any ownership mask — and, as at a coarse
-    split level, for any set of assigned targets."""
+    """The own and the ghost blocks of a split cover each pair of the
+    level exactly once, for any ownership mask."""
     rng = np.random.default_rng(seed)
     fmm = KIFMM(LaplaceKernel(), FMMOptions(p=3, max_points=12))
     plan = fmm.setup(cloud(rng, 500)).state.plan
     assert plan.v_levels
     for vl in plan.v_levels:
-        nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
-        everything = np.ones(ntb, dtype=bool)
-        for src_own, trg_keep in (
-            (rng.random(nsb) < 0.5, everything),           # a rank
-            (np.ones(nsb, dtype=bool), everything),        # one rank
-            (np.zeros(nsb, dtype=bool), rng.random(ntb) < 0.4),  # coarse
+        nsb = vl.src_boxes.size
+        for src_own in (
+            rng.random(nsb) < 0.5,          # a rank
+            np.ones(nsb, dtype=bool),       # one rank
+            np.zeros(nsb, dtype=bool),      # no source owned
         ):
-            sp = split_v_level(vl, src_own, trg_keep, blocked=True)
-            assert np.array_equal(sp.inv_rows, np.flatnonzero(trg_keep))
+            sp = split_v_level(vl, src_own, blocked=True)
             own = _block_pairs(sp.own, 0, sp, vl)
             ghost = _block_pairs(sp.ghost, sp.own.rows.size, sp, vl)
             assert not own & ghost
@@ -232,14 +228,13 @@ def test_split_po_groups_partition_the_level(cloud, seed):
                     for _, spos, tpos in vp.classes
                     for s, t in zip(spos.tolist(), tpos.tolist())
                 }
-                assert all(mine[s] and trg_keep[t] for t, s in pairs)
+                assert all(mine[s] for t, s in pairs)
             assert own | ghost == {
                 (t, s)
                 for _, spos, tpos in vl.classes
                 for s, t in zip(spos.tolist(), tpos.tolist())
-                if trg_keep[t]
             }
-            unblocked = split_v_level(vl, src_own, trg_keep, blocked=False)
+            unblocked = split_v_level(vl, src_own, blocked=False)
             assert not unblocked.own.po_groups + unblocked.ghost.po_groups
 
 

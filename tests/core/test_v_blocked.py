@@ -34,6 +34,8 @@ from repro.kernels.direct import relative_error
 from repro.octree import build_lists, build_tree
 from repro.parallel import ParallelFMM
 
+from tests.conftest import coarse_v_levels
+
 
 class UndeclaredLaplace(LaplaceKernel):
     """Laplace without its symmetry: every offset its own class, stacks
@@ -50,7 +52,8 @@ def missing_siblings(n, rng):
 
 
 def two_clusters(n, rng):
-    """Two boxes per coarse level: V level 2 is a coarse split at P = 8."""
+    """Two boxes per coarse level: V level 2 has fewer boxes than ranks
+    at P = 8."""
     return np.vstack([
         rng.uniform(0.0, 0.12, (n // 2, 3)), rng.uniform(0.88, 1.0, (n // 2, 3))
     ])
@@ -99,9 +102,9 @@ def v_contributions(fmm, ue, dtype="float64"):
         dc = np.zeros((nrhs, plan.nboxes, cache.n_surf * state.kernel.target_dof))
         for vl in plan.v_levels:
             ones = np.ones(vl.src_boxes.size, bool)
-            sp = split_v_level(vl, ones, np.ones(vl.trg_boxes.size, bool), True)
+            sp = split_v_level(vl, ones, True)
             if blocked:
-                stages.v_blocked(vl, sp, sp.own, 0, ue, dc)
+                stages.v_blocked(vl, sp.own, 0, ue, dc)
             else:
                 stages.v_direct(vl, sp.own.classes, ue, dc)
         out[name] = dc
@@ -250,8 +253,8 @@ def test_owned_and_ghost_passes_match_sequential(nranks, layout):
     par = ParallelFMM(nranks, LaplaceKernel(), opts).setup(pts)
     assert all(
         s.m2l_schedule.blocked
-        and any(sp.own.npairs for sp in s.v_splits)
-        and any(sp.ghost.npairs for sp in s.v_splits)
+        and any(sp.own.npairs for sp in s.v_by_owner)
+        and any(sp.ghost.npairs for sp in s.v_by_owner)
         for s in par.states
     )
     # Identical factors, blocks chunked by pass: round-off only (the
@@ -263,8 +266,8 @@ def test_owned_and_ghost_passes_match_sequential(nranks, layout):
 
 
 def test_coarse_split_level_and_sanitized_ghost_rows(layout):
-    """P = 8 on two clusters puts V level 2 under the coarse split
-    (assigned targets only, then the broadcast); sanitized, the rows of
+    """P = 8 on two clusters leaves V level 2 with fewer boxes than
+    ranks, which every contributor computes; sanitized, the rows of
     ghost boxes not yet delivered are NaN behind the sentinel."""
     layout(True)
     rng = np.random.default_rng(13)
@@ -273,7 +276,7 @@ def test_coarse_split_level_and_sanitized_ghost_rows(layout):
     opts = FMMOptions(p=4, max_points=12, m2l="rsvd")
     seq = KIFMM(LaplaceKernel(), opts).setup(pts).apply(phi)
     par = ParallelFMM(8, LaplaceKernel(), opts).setup(pts)
-    assert any(s.layout.vsp for s in par.states)
+    assert 2 in coarse_v_levels(par.states[0].tree, 8)
     assert relative_error(par.apply(phi), seq) < 1e-12
     clean = ParallelFMM(
         4, LaplaceKernel(), dataclasses.replace(opts, sanitize=True)
@@ -355,12 +358,11 @@ def test_every_rank_resolves_the_tree_s_schedule():
     n=st.integers(60, 400),
     clustered=st.booleans(),
     own_share=st.floats(0.0, 1.0),
-    keep_share=st.floats(0.2, 1.0),
 )
-def test_every_pair_in_one_slot_of_one_pass(seed, n, clustered, own_share, keep_share):
+def test_every_pair_in_one_slot_of_one_pass(seed, n, clustered, own_share):
     """Every effective V pair of a level lies in exactly one block slot
-    of exactly one pass, for any ownership and any kept-target mask; a
-    pass's rows, counts and class-major view describe those pairs."""
+    of exactly one pass, for any ownership; a pass's rows, counts and
+    class-major view describe those pairs."""
     rng = np.random.default_rng(seed)
     pts = corner_clusters(n, rng) if clustered else uniform_cube(n, rng)
     tree = build_tree(pts, max_points=8)
@@ -368,12 +370,11 @@ def test_every_pair_in_one_slot_of_one_pass(seed, n, clustered, own_share, keep_
     for vl in plan.v_levels:
         nsb, ntb = vl.src_boxes.size, vl.trg_boxes.size
         src_own = rng.random(nsb) < own_share
-        trg_keep = rng.random(ntb) < keep_share
-        sp = split_v_level(vl, src_own, trg_keep, blocked=True)
+        sp = split_v_level(vl, src_own, blocked=True)
         want = {
             (int(t), int(s))
             for _, spos, tpos in vl.classes
-            for s, t in zip(spos, tpos) if trg_keep[t]
+            for s, t in zip(spos, tpos)
         }
         seen: list[tuple[int, int]] = []
         for vp, lo, mine in (
@@ -383,10 +384,8 @@ def test_every_pair_in_one_slot_of_one_pass(seed, n, clustered, own_share, keep_
             for po, src, trg in vp.po_groups:
                 ot, os_ = np.nonzero(block_slots(po) >= 0)
                 s, t = src[:, os_], trg[:, ot]
-                m = (s < sp.nrows - 1) & (t < sp.inv_rows.size)
-                pairs += zip(
-                    sp.inv_rows[t[m]].tolist(), vp.rows[s[m] - lo].tolist()
-                )
+                m = (s < sp.nrows - 1) & (t < ntb)
+                pairs += zip(t[m].tolist(), vp.rows[s[m] - lo].tolist())
             assert all(mine[s] for _, s in pairs)
             assert sorted(pairs) == sorted(
                 (int(t), int(s))

@@ -4,12 +4,10 @@
 the tree (``Octree.topology``).  The oracle below shares nothing with it
 but the Morton keys: per level it takes the distinct key prefixes and
 their counts with ``np.unique`` and keeps a cell iff its parent exists
-and holds more than ``s`` sources or targets; the 2:1 closure is a
-fixed-point iteration over a set of cells.
+and holds more than ``s`` sources or targets.
 """
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.octree import build_tree
-from repro.octree.balance import balance_tree, balanced_split_set
 from repro.octree.morton import MAX_DEPTH, encode_points, key_prefix
 from repro.octree.topology import TreeTopology
 from repro.parallel.partition import partition_points
@@ -73,32 +70,6 @@ def adaptive_cells(src_keys, trg_keys, s, max_depth):
             and max(h.get(key >> 3, 0) for h in held) > s
         }
     return cells
-
-
-def closed_split_set(tree):
-    """The splitting cells ``(level, key)`` of ``tree`` closed under the
-    2:1 rule, by fixed-point iteration: a neighbour's parent of a cell
-    that splits splits too."""
-    split = {(b.level, b.anchor) for b in boxview.boxes(tree) if not b.is_leaf}
-    todo = list(split)
-    while todo:
-        level, anchor = todo.pop()
-        for offset in itertools.product((-1, 0, 1), repeat=3):
-            near = tuple(a + d for a, d in zip(anchor, offset))
-            forced = (level - 1, tuple(c >> 1 for c in near))
-            inside = all(0 <= c < 1 << level for c in near)
-            if level and inside and forced not in split:
-                split.add(forced)
-                todo.append(forced)
-    return {(level, _key(anchor)) for level, anchor in split}
-
-
-def balanced_cells(split):
-    """The root and all eight children of every cell that splits."""
-    return {(0, 0)} | {
-        (level + 1, 8 * key + octant)
-        for level, key in split for octant in range(8)
-    }
 
 
 def oracle_topology(cells, src_keys, trg_keys):
@@ -190,23 +161,6 @@ class TestAgainstTheOracle:
         assert_same_topology(
             tree.topology, oracle_topology(adaptive_cells(*keys, 1, MAX_DEPTH), *keys)
         )
-
-    @given(point_sets())
-    @settings(max_examples=30, deadline=None)
-    def test_balanced_tree_is_the_closed_split_set(self, case):
-        """``balance_tree`` splits exactly the cells of
-        ``balanced_split_set`` and keeps complete sibling sets."""
-        sources, targets, s, max_depth = case
-        tree = build_tree(sources, targets, max_points=s, max_depth=min(max_depth, 6))
-        split = closed_split_set(tree)
-        assert balanced_split_set(tree).tolist() == sorted(
-            FIRST_UID[level] + key for level, key in split
-        )
-        balanced = balance_tree(tree)
-        want = oracle_topology(balanced_cells(split), *sorted_keys(balanced))
-        assert_same_topology(balanced.topology, want)
-        assert np.array_equal(balanced.src_perm, tree.src_perm)
-        assert np.array_equal(balanced.trg_perm, tree.trg_perm)
 
 
 def _build_on_ranks(pts, nranks, s, root=None):

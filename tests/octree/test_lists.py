@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.geometry.distributions import corner_clusters, uniform_cube
 from repro.octree import build_lists, build_tree
-from repro.octree.balance import balance_tree
 from repro.octree.lists import InteractionLists, verify_lists
 from repro.parallel.partition import partition_points
 from repro.parallel.ptree import parallel_build_tree
@@ -203,13 +202,11 @@ def adaptive_tree(draw):
 
 
 class TestArrayListsEqualReference:
-    @given(adaptive_tree(), st.booleans())
+    @given(adaptive_tree())
     @settings(max_examples=60, deadline=None)
-    def test_any_adaptive_tree(self, case, balance):
+    def test_any_adaptive_tree(self, case):
         sources, targets, s, depth_cap = case
         tree = build_tree(sources, targets, max_points=s, max_depth=depth_cap)
-        if balance:
-            tree = balance_tree(tree)
         _assert_lists_equal_reference(tree)
 
     @given(
@@ -238,11 +235,6 @@ class TestArrayListsEqualReference:
         tree = build_tree(pts, max_points=1)
         assert tree.depth == 21
         _assert_lists_equal_reference(tree)
-        # balance_tree used to shift by a negative bit count here (found
-        # by the property above).
-        balanced = balance_tree(tree)
-        assert balanced.depth == 21
-        _assert_lists_equal_reference(balanced)
 
 
 class TestListsAreArrays:

@@ -180,14 +180,6 @@ def test_matvec_shape_for_gmres(rng):
     assert out.shape == (900,)
 
 
-def test_parallel_fmm_rejects_balance_beyond_one_rank():
-    """2:1 balancing needs one rank's complete tree; it used to be
-    ignored silently (every rank of 2 built the unbalanced 437 boxes)."""
-    balanced = FMMOptions(balance=True)
-    with pytest.raises(ValueError, match="balance"):
-        ParallelFMM(2, LaplaceKernel(), balanced)
-
-
 @pytest.mark.parametrize("nranks", [0, -1, 2.5, "2", True, None])
 def test_entry_points_reject_a_bad_rank_count(nranks):
     """Checked where ``ParallelFMM`` is entered, not first inside the
@@ -195,20 +187,6 @@ def test_entry_points_reject_a_bad_rank_count(nranks):
     or a string died with a bare ``TypeError`` from ``range``."""
     with pytest.raises(ValueError, match="nranks"):
         ParallelFMM(nranks, LaplaceKernel())
-
-
-def test_one_rank_balances_like_kifmm(rng):
-    """The shared driver honours ``balance`` in one place, for both
-    one-rank operators."""
-    pts = clustered_cloud(rng, 1500)
-    phi = rng.standard_normal((1500, 1))
-    opts = FMMOptions(p=4, max_points=30, balance=True)
-    plain = KIFMM(LaplaceKernel(), FMMOptions(p=4, max_points=30)).setup(pts)
-    seq = KIFMM(LaplaceKernel(), opts).setup(pts)
-    one = ParallelFMM(1, LaplaceKernel(), opts).setup(pts)
-    assert seq.tree.nboxes > plain.tree.nboxes
-    assert one.states[0].tree.nboxes == seq.tree.nboxes
-    assert np.array_equal(seq.apply(phi), one.apply(phi))
 
 
 def test_rank_statistics_sum_to_the_sequential_ones(rng):

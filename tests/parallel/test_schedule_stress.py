@@ -21,7 +21,7 @@ from repro.parallel.let import LETUsage, gather_users
 from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import run_spmd
 
-from tests.conftest import uniform_cloud
+from tests.conftest import coarse_v_levels, uniform_cloud
 from tests.parallel.exchange_harness import (
     exchange_ir,
     flatten,
@@ -129,7 +129,7 @@ def test_parallel_fmm_bitwise_identical_across_schedules(case, overlap):
     """The whole operator under three ``schedule_seed``s: every traced
     setup + apply conforms to the compiled programs, and the potentials
     agree bit for bit — at P = 4 on uniform points, and at P = 8 on two
-    corner clusters, where the coarse V split runs its broadcasts."""
+    corner clusters, whose V level 2 has fewer boxes than ranks."""
     rng = np.random.default_rng(21)
     if case == "uniform-p4":
         nranks, pts = 4, uniform_cloud(rng, 500)
@@ -141,7 +141,9 @@ def test_parallel_fmm_bitwise_identical_across_schedules(case, overlap):
     opts = FMMOptions(p=3, max_points=20)
     density = rng.standard_normal(pts.shape[0])
     inputs = static_plan_inputs(pts, nranks, opts)
-    assert bool(inputs.vsp_levels) == (case == "clusters-p8")
+    assert bool(coarse_v_levels(inputs.tree, nranks)) == (
+        case == "clusters-p8"
+    )
     ir = extract_comm_ir(inputs)
     potentials = []
     for seed in range(3):

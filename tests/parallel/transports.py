@@ -70,7 +70,7 @@ def program_op_counts(op):
         lay = st.layout
         ops = [
             o.kind
-            for program in (lay.phi, lay.pue, *lay.vsp.values())
+            for program in (lay.phi, lay.pue)
             for phase in program for o in phase
         ]
         counts.append((ops.count("send"), ops.count("complete")))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from repro.core.m2lschedule import M2LSchedule, coarse_split_levels
+from repro.core.m2lschedule import M2LSchedule
 from repro.core.surfaces import n_surface_points
 from repro.geometry.patches import partition_weights
 from repro.kernels.base import Kernel
@@ -35,6 +35,7 @@ from repro.perfmodel.simulate import (
     RunReport,
     TreeTopPoint,
     _uniform_intervals,
+    coarse_split_levels,
     simulate_tree_time,
 )
 
@@ -52,7 +53,6 @@ def compute_work(
     nrhs: int = 1,
     up_nsrc: np.ndarray | None = None,
     rsvd_rank=None,
-    v_targets: np.ndarray | None = None,
 ) -> PhaseWork:
     """Flop volumes of one evaluation, box by box (see
     :func:`repro.perfmodel.costs.compute_work` for the arguments)."""
@@ -105,11 +105,7 @@ def compute_work(
     down_x = np.zeros(nb)
     evalw = np.zeros(nb)
 
-    vtm = (
-        np.asarray(v_targets, dtype=bool)
-        if v_targets is not None
-        else ntrg > 0
-    )
+    vtm = ntrg > 0
 
     # Which V-graph source boxes feed at least one target this rank
     # performs V work for *on an fft-scheduled level*: exactly those get

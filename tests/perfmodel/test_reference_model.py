@@ -70,22 +70,19 @@ def _schedules(depth):
     }
 
 
-def _rank_arguments(tree, rng):
+def _rank_arguments(tree):
     """What plancheck passes for one rank of a parallel run: local
-    counts for the upward pass, global ones for the partners, and the
-    boxes the coarse split assigned to this rank."""
+    counts for the upward pass, global ones for the partners."""
     topo = tree.topology
     cut_src, cut_trg = tree.sources.shape[0] // 2, tree.targets.shape[0] // 3
 
     def below(start, stop, cut):
         return np.minimum(stop, cut) - np.minimum(start, cut)
 
-    ntrg = below(topo.trg_start, topo.trg_stop, cut_trg)
     return dict(
         up_nsrc=below(topo.src_start, topo.src_stop, cut_src),
         global_nsrc=topo.nsrc,
-        global_ntrg=ntrg,
-        v_targets=(ntrg > 0) & (rng.random(topo.nboxes) < 0.7),
+        global_ntrg=below(topo.trg_start, topo.trg_stop, cut_trg),
     )
 
 
@@ -101,7 +98,7 @@ def test_work_arrays_equal_the_walk(trees, kind, m2l, nrhs):
     tree, lists = trees[kind]
     kernel = StokesKernel() if kind == "two-cluster" else LaplaceKernel()
     sched = _schedules(tree.depth)[m2l]
-    for rank_args in ({}, _rank_arguments(tree, np.random.default_rng(7))):
+    for rank_args in ({}, _rank_arguments(tree)):
         args = dict(m2l=sched, nrhs=nrhs, rsvd_rank=_synthetic_rank, **rank_args)
         _assert_same_work(
             compute_work(tree, lists, kernel, 4, **args),

@@ -20,6 +20,7 @@ from repro.perfmodel.metrics import (
     mflops_per_processor,
     work_efficiency,
 )
+from repro.perfmodel.simulate import coarse_split_levels
 
 from tests.conftest import clustered_cloud, uniform_cloud
 
@@ -123,6 +124,14 @@ class TestTreeTime:
         gather = n * 24.0 / TCS1.bandwidth
         t4096 = simulate_tree_time(tree, 4096, TCS1)
         assert t4096 >= gather
+
+
+class TestCoarseSplitLevels:
+    def test_levels_below_rank_count(self):
+        assert coarse_split_levels([1, 8, 64], 16) == frozenset({0, 1})
+        assert coarse_split_levels([1, 8, 64], 4) == frozenset({0})
+        assert coarse_split_levels([1, 2, 2], 1) == frozenset()
+        assert coarse_split_levels([0, 4], 8) == frozenset({1})
 
 
 class TestTreeTopModel:

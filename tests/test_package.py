@@ -50,9 +50,14 @@ class TestTheArraysAreTheOnlyTree:
         for name in "UVWX":
             assert not hasattr(lists, name), name
         fields = [f.name for f in dataclasses.fields(repro.FMMOptions)]
-        assert len(fields) == 10 and "plan" not in fields
+        assert len(fields) == 9
+        assert "plan" not in fields and "balance" not in fields
         with pytest.raises(TypeError):
             repro.FMMOptions(plan="naive")
+        # No 2:1 balancing either: the tree is the paper's adaptive one.
+        assert importlib.util.find_spec("repro.octree.balance") is None
+        with pytest.raises(TypeError):
+            repro.FMMOptions(balance=True)
 
 
 class TestOneOwnerExchangeShape:
@@ -108,7 +113,7 @@ class TestOneParallelDriver:
                 "self", "points", "density", "trace", "schedule_seed",
                 "cache",
             }, fn.__name__
-        assert len(dataclasses.fields(repro.FMMOptions)) == 10
+        assert len(dataclasses.fields(repro.FMMOptions)) == 9
 
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_setup_collective_sequence(self, rng, nranks):
