@@ -27,15 +27,13 @@ See ``docs/architecture.md`` § "Analysis & correctness tooling" and
   overlap-schedule happens-before consistency, and an exact flop-budget
   identity against the performance model, plus seeded-defect self-tests.
 - :mod:`repro.analysis.commir` / :mod:`repro.analysis.commcheck_static`
-  / :mod:`repro.analysis.dpor` — the static *communication* verifier
-  (``repro commir``): the complete message schedule extracted from the
-  plan inputs as a CommIR for arbitrary rank counts (P=4096 included)
-  and certified without executing an apply — send/recv matching, tag
-  discipline, deadlock-freedom, payload conservation against the box
-  roles, and conformance of every traced run, region by region — plus
-  exhaustive schedule-space model checking (``repro dpor``) proving
-  deadlock-freedom and observable determinism over *every* interleaving
-  at small rank counts.
+  — the static *communication* verifier (``repro commir``): the
+  complete message schedule extracted from the plan inputs as a CommIR
+  for arbitrary rank counts (P=4096 included) and certified without
+  executing an apply — send/recv matching, tag discipline,
+  deadlock-freedom under *every* interleaving (one greedy run decides
+  them all: no op ever disables another), payload conservation against
+  the box roles, and conformance of every traced run, region by region.
 """
 
 from repro.analysis.racecheck import AccessRecord, Race, RaceDetector, RaceReport
@@ -57,7 +55,6 @@ _PLAN_EXPORTS = {
     "extract_comm_ir": "commir",
     "static_plan_inputs": "commir",
     "StaticCommReport": "commcheck_static",
-    "DporReport": "dpor",
 }
 
 
@@ -78,7 +75,6 @@ __all__ = [
     "CommIR",
     "CommOp",
     "CommTrace",
-    "DporReport",
     "StaticCommReport",
     "PlanIR",
     "PlanReport",

@@ -304,13 +304,20 @@ def check_deadlock(
     The wait graph (program-order edges plus completion -> FIFO-matched
     send) is monotone: executing an op never disables another, so the
     greedy maximal execution retires every op iff the graph is acyclic.
-    We run exactly that execution — each rank advances until its next
-    completion's matching send has not yet executed, and a send wakes
-    the (single, since a channel has one destination) rank blocked on
-    its channel.  O(ops) total, which is what admits millions of ops at
-    P=4096.  A completion whose FIFO ordinal exceeds the channel's
-    total send count never blocks — an unmatched completion is
-    ``matching``'s defect, not a wait edge.
+    That one run decides every interleaving.  Sends and posts are always
+    enabled and a completion is enabled once its channel has more sends
+    than its FIFO ordinal, a count no op ever lowers, so the schedule is
+    persistent, and in a persistent system every maximal execution
+    fires the same ops (Keller's confluence).  A channel has one sender
+    and one receiver, so the k-th completion pairs with the k-th send
+    under every interleaving and each receive's payload is
+    schedule-invariant.  We run exactly that execution — each rank
+    advances until its next completion's matching send has not yet
+    executed, and a send wakes the (single, since a channel has one
+    destination) rank blocked on its channel.  O(ops) total, which is
+    what admits millions of ops at P=4096.  A completion whose FIFO
+    ordinal exceeds the channel's total send count never blocks — an
+    unmatched completion is ``matching``'s defect, not a wait edge.
     """
     sends_total = (index or IRIndex(ir)).sends
     nranks = ir.nranks

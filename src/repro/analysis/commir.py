@@ -41,9 +41,9 @@ Each rank's ops appear in its exact program order, which is what lets
 traced run to *equal* the rank's program, op for op: the setup region
 its setup ops, every apply region its apply ops.
 
-The checks over the IR live in :mod:`repro.analysis.commcheck_static`;
-the exhaustive schedule-space exploration in
-:mod:`repro.analysis.dpor`.  CLI: ``python -m repro commir``.
+The checks over the IR live in :mod:`repro.analysis.commcheck_static`,
+whose ``deadlock`` check decides every interleaving of the programs at
+once.  CLI: ``python -m repro commir``.
 """
 
 from __future__ import annotations

@@ -273,11 +273,19 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
     from repro.analysis import RaceDetector
     from repro.analysis.commcheck_static import traced_run
 
+    for flag, value, least in (("--ranks", args.ranks, 2),
+                               ("--n", args.n, 1),
+                               ("--schedules", args.schedules, 1),
+                               ("--applies", args.applies, 1)):
+        if value < least:
+            print(f"racecheck: nothing to certify ({flag} {value} "
+                  f"is below {least})")
+            return 2
     if args.seed_race:
         from repro.parallel.simmpi import run_spmd
 
         det = RaceDetector()
-        run_spmd(max(2, args.ranks), _seeded_race_main, trace=det)
+        run_spmd(args.ranks, _seeded_race_main, trace=det)
         report = det.report()
         print(report.summary())
         if report.ok:
@@ -665,77 +673,6 @@ def _cmd_commir(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_dpor(args: argparse.Namespace) -> int:
-    """Exhaustively model-check the schedule space at tiny rank counts.
-
-    Builds the static communication IR for each requested rank count
-    and explores *every* reachable scheduler interleaving (memoized
-    over program-counter states): no reachable deadlock, persistence
-    certified at every state, and the exact interleaving count
-    reported.  An end-to-end harness then re-solves the same problem
-    under several randomized runtime schedules and asserts bitwise
-    identical potentials.
-    """
-    import json
-
-    from repro.analysis.commir import extract_comm_ir, static_plan_inputs
-    from repro.analysis.dpor import bitwise_determinism, explore
-
-    rng = np.random.default_rng(args.seed)
-    ranks_list = _parse_ints(args.ranks)
-    if not ranks_list:
-        print("dpor: nothing to explore (empty --ranks)")
-        return 2
-    if args.n <= 0:
-        print(f"dpor: need a positive point count, got {args.n}")
-        return 2
-    pts = _WORKLOADS[args.workload](args.n, rng)
-    kernel = _make_kernel(args.kernel)
-    density = rng.random((pts.shape[0], kernel.source_dof))
-    failed = False
-    rows: list[dict] = []
-    for nranks in ranks_list:
-        inputs = static_plan_inputs(
-            pts, nranks, options=FMMOptions(p=args.p, max_points=args.s)
-        )
-        report = explore(extract_comm_ir(inputs), max_states=args.max_states)
-        print(f"ranks{nranks}: {report.summary()}")
-        for d in report.deadlocks:
-            print(f"  deadlock: {d}")
-        for v in report.persistence_violations:
-            print(f"  persistence: {v}")
-        rows.append({
-            "ranks": nranks, "ok": report.ok,
-            "states": report.nstates,
-            "interleavings": str(report.ninterleavings),
-            "classes": report.nclasses,
-            "deadlocks": report.deadlocks,
-            "persistence_violations": report.persistence_violations,
-        })
-        failed |= not report.ok
-        same, diff = bitwise_determinism(
-            kernel, pts, density,
-            FMMOptions(p=args.p, max_points=args.s),
-            nranks, seeds=tuple(range(args.seed, args.seed
-                                      + args.schedules)),
-        )
-        print(f"ranks{nranks}: bitwise determinism across "
-              f"{args.schedules} schedules: "
-              f"{'ok' if same else f'FAILED (max diff {diff:g})'}")
-        rows.append({
-            "ranks": nranks, "bitwise": same,
-            "schedules": args.schedules,
-        })
-        failed |= not same
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows, "ok": not failed}, fh, indent=2)
-        print(f"dpor: JSON report written to {args.json}")
-    print("dpor:", "FAILED" if failed
-          else "schedule space exhaustively verified")
-    return 1 if failed else 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import main as lint_main
 
@@ -907,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated kernels of the traced "
                           "conformance runs (the schedule itself takes "
                           "no kernel)")
-    pci.add_argument("--ranks", default="2,4,8,64,4096",
+    pci.add_argument("--ranks", default="2,3,4,8,64,4096",
                      help="comma-separated rank counts to certify")
     pci.add_argument("--conform-ranks", default="2,4,8",
                      help="rank counts for the dynamic-trace "
@@ -925,28 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the machine-readable certification "
                           "report")
     pci.set_defaults(func=_cmd_commir, p=4, s=40)
-
-    pd = sub.add_parser(
-        "dpor",
-        help="exhaustively explore every scheduler interleaving of the "
-             "static communication IR at tiny rank counts; prove "
-             "deadlock-freedom and observable determinism over the "
-             "full schedule space",
-    )
-    common(pd)
-    pd.add_argument("--n", type=int, default=120)
-    pd.add_argument("--ranks", default="2,3",
-                    help="comma-separated rank counts to explore "
-                         "(state space grows fast; keep tiny)")
-    pd.add_argument("--max-states", type=int, default=2_000_000,
-                    help="abort exploration beyond this many scheduler "
-                         "states")
-    pd.add_argument("--schedules", type=int, default=4,
-                    help="randomized runtime schedules for the bitwise "
-                         "determinism harness")
-    pd.add_argument("--json", default=None, metavar="PATH",
-                    help="write the machine-readable report")
-    pd.set_defaults(func=_cmd_dpor, p=4, s=40)
 
     pl = sub.add_parser(
         "lint", help="run the repo-invariant AST lint over source trees"

@@ -2,21 +2,26 @@
 
 The verifier must certify clean schedules (including degenerate
 partition shapes at rank counts far beyond execution), catch each
-seeded defect with exactly the intended check, and agree with real
-traced executions at small rank counts.
+seeded defect with exactly the intended check, agree with real traced
+executions at small rank counts, and — its one greedy deadlock run —
+agree with an exhaustive walk of every interleaving.
 """
 
 import copy
 import dataclasses
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from repro.analysis.commcheck_static import (
     SEEDS,
+    check_deadlock,
+    check_matching,
     run_checks,
     run_selftests,
     seed_dropped_relay,
+    seed_swapped_post_wait,
     traced_run,
 )
 from repro.analysis.commir import (
@@ -76,8 +81,72 @@ class TestExtraction:
             static_plan_inputs(np.empty((0, 3)), 2, OPTS)
 
 
+@pytest.fixture(scope="module")
+def small_cloud():
+    """Small enough that every interleaving can be walked at P = 3."""
+    return np.random.default_rng(0).uniform(-1.0, 1.0, (120, 3))
+
+
+def deadlock_reachable(ir) -> bool:
+    """Exhaustive oracle for ``check_deadlock``: a memoized DFS over the
+    per-rank program counters (the channel send counts are a function of
+    them).  True iff some interleaving reaches a state where no rank can
+    move but some rank has ops left.  Sends and posts can always move; a
+    completion can once its sender's PC is past its FIFO-matched send —
+    never, if that send does not exist."""
+    progs = ir.programs
+    sends = defaultdict(list)
+    for r, prog in enumerate(progs):
+        for i, op in enumerate(prog):
+            if op.kind == "send":
+                sends[(r, op.peer, op.tag)].append(i)
+    need = []  # need[r][i] = (q, j): rank r's op i can run once pc[q] > j
+    for r, prog in enumerate(progs):
+        done = defaultdict(int)
+        need.append([])
+        for op in prog:
+            if op.kind != "complete":
+                need[r].append((r, -1))
+                continue
+            chan = (op.peer, r, op.tag)
+            k = done[chan]
+            done[chan] += 1
+            at = sends[chan][k] if k < len(sends[chan]) else float("inf")
+            need[r].append((op.peer, at))
+    final = tuple(len(p) for p in progs)
+    seen, stack = set(), [(0,) * ir.nranks]
+    while stack:
+        pcs = stack.pop()
+        if pcs in seen:
+            continue
+        seen.add(pcs)
+        moves = [
+            pcs[:r] + (pc + 1,) + pcs[r + 1:]
+            for r, pc in enumerate(pcs)
+            if pc < final[r] and pcs[need[r][pc][0]] > need[r][pc][1]
+        ]
+        if not moves and pcs != final:
+            return True
+        stack += moves
+    return False
+
+
+def mutants(ir, rng, count, drop):
+    """``count`` copies of ``ir``, each with 1-3 ops of one rank's
+    program moved elsewhere in it — or, with ``drop``, each op deleted
+    instead with probability 1/2."""
+    for _ in range(count):
+        programs = [list(p) for p in ir.programs]
+        prog = programs[int(rng.integers(ir.nranks))]
+        for _ in range(int(rng.integers(1, 4))):
+            op = prog.pop(int(rng.integers(len(prog))))
+            if not (drop and rng.random() < 0.5):
+                prog.insert(int(rng.integers(len(prog) + 1)), op)
+        yield dataclasses.replace(ir, programs=programs)
+
+
 class TestFiveChecksClean:
-    @pytest.mark.parametrize("nranks", [2, 4, 8])
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 8])
     def test_small_p_certifies(self, cloud, nranks):
         inputs = static_plan_inputs(cloud, nranks, OPTS)
         report = run_checks(extract_comm_ir(inputs))
@@ -253,6 +322,49 @@ class TestSeededDefects:
             (name, ok) for name, ok, _ in run_selftests(ir)
         )
         assert rows["dropped-relay"] is False
+
+    def test_swapped_post_wait_at_p3_caught_by_deadlock_alone(
+        self, small_cloud
+    ):
+        """The post/wait swap at P = 3 deadlocks under every
+        interleaving, not only some: ``deadlock`` catches it alone, the
+        exhaustive walk agrees, and the clean IR certifies."""
+        ir = extract_comm_ir(static_plan_inputs(small_cloud, 3, OPTS))
+        bad = seed_swapped_post_wait(ir)
+        report = run_checks(bad)
+        assert {c for c, n in report.counts.items() if n} == {"deadlock"}
+        assert "FAILED" in report.summary()
+        assert deadlock_reachable(bad)
+        assert run_checks(ir).ok
+        assert not deadlock_reachable(ir)
+
+    @pytest.mark.parametrize("nranks", [2, 3])
+    def test_greedy_deadlock_decides_every_interleaving(
+        self, small_cloud, nranks
+    ):
+        """Against the exhaustive oracle on seeded reorder and drop
+        mutants: every reachable deadlock is flagged by ``matching`` or
+        ``deadlock``, and wherever ``matching`` passes, the one greedy
+        run's verdict is the verdict of every interleaving."""
+        ir = extract_comm_ir(static_plan_inputs(small_cloud, nranks, OPTS))
+        assert not deadlock_reachable(ir)
+        rng = np.random.default_rng(nranks)
+        verdicts = defaultdict(int)
+        for drop in (False, True):
+            for m in mutants(ir, rng, 200, drop):
+                exhaustive = deadlock_reachable(m)
+                matching = bool(check_matching(m))
+                greedy = bool(check_deadlock(m))
+                if exhaustive:
+                    assert matching or greedy
+                if not matching:
+                    assert greedy == exhaustive
+                verdicts[drop, exhaustive, matching] += 1
+        # Not vacuous: both kinds deadlock, and some drop mutant that
+        # ``matching`` passes deadlocks too.
+        assert verdicts[False, True, False] > 0
+        assert verdicts[True, True, True] > 0
+        assert verdicts[True, True, False] > 0
 
     def test_seeds_do_not_mutate_the_input(self, deep):
         before = [list(p) for p in deep.programs]

@@ -305,3 +305,20 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "certified race-free" in out
         assert "overlap=on" in out and "overlap=off" in out
+
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--schedules", 0, 1), ("--applies", 0, 1), ("--ranks", 1, 2),
+        ("--n", 0, 1),
+    ])
+    def test_run_that_certifies_nothing_exits_2(
+        self, capsys, flag, value, least
+    ):
+        """No schedule, no apply (the overlap window never runs), one
+        rank (no message) or no points: refused, not certified."""
+        from repro.cli import main
+
+        assert main(["racecheck", flag, str(value)]) == 2
+        assert capsys.readouterr().out == (
+            f"racecheck: nothing to certify ({flag} {value} is below "
+            f"{least})\n"
+        )

@@ -124,15 +124,16 @@ def test_perturbation_is_reproducible(seed, rng):
 
 
 @pytest.mark.parametrize("overlap", [True, False])
-@pytest.mark.parametrize("case", ["uniform-p4", "clusters-p8"])
+@pytest.mark.parametrize("case", ["uniform-p3", "uniform-p4", "clusters-p8"])
 def test_parallel_fmm_bitwise_identical_across_schedules(case, overlap):
     """The whole operator under three ``schedule_seed``s: every traced
     setup + apply conforms to the compiled programs, and the potentials
-    agree bit for bit — at P = 4 on uniform points, and at P = 8 on two
-    corner clusters, whose V level 2 has fewer boxes than ranks."""
+    agree bit for bit — at P = 3 and 4 on uniform points, and at P = 8
+    on two corner clusters, whose V level 2 has fewer boxes than
+    ranks."""
     rng = np.random.default_rng(21)
-    if case == "uniform-p4":
-        nranks, pts = 4, uniform_cloud(rng, 500)
+    if case.startswith("uniform"):
+        nranks, pts = int(case[-1]), uniform_cloud(rng, 500)
     else:
         nranks, pts = 8, np.vstack([
             rng.uniform(0.0, 0.12, (120, 3)),

@@ -24,6 +24,14 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'commcheck'" in capsys.readouterr().err
 
+    def test_dpor_is_not_a_command(self, capsys):
+        """``commir``'s one greedy deadlock run decides every
+        interleaving; there is no exhaustive explorer."""
+        with pytest.raises(SystemExit) as exc:
+            main(["dpor"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dpor'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command", ["evaluate", "racecheck", "serve"]
     )
