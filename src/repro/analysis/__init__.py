@@ -1,20 +1,20 @@
 """Static, trace-based and runtime correctness analysis.
 
 See ``docs/architecture.md`` § "Analysis & correctness tooling" and
-§ "Race detection & sanitizers":
+§ "Messages are values & sanitizers":
 
 - :mod:`repro.analysis.trace` — a per-rank communication event trace
-  recorded by the simulated MPI runtime (a vector clock on every
-  send/recv/collective, one region per ``run_spmd``), read by the race
-  detector and by ``commir``'s conformance check.  The runtime itself
-  names a dropped message (``MailboxLeakError``) and a stuck receive
-  (``TimeoutError`` with rank, peer and tag) on every run.
-- :mod:`repro.analysis.racecheck` / :mod:`repro.analysis.sanitize` — a
-  happens-before data-race detector over instrumented shared-array
-  accesses of the overlapped parallel path (``repro racecheck``), and
-  the ``REPRO_SANITIZE=1`` runtime sanitizers (BufferPool lifecycle
-  with NaN poisoning, phase-boundary finite checks, GEMM aliasing
-  guards).
+  recorded by the simulated MPI runtime (every send/recv/collective in
+  program order, one region per ``run_spmd``), read by ``commir``'s
+  conformance check.  The runtime itself names a dropped message
+  (``MailboxLeakError``) and a stuck receive (``TimeoutError`` with
+  rank, peer and tag) on every run.  There is no race detector: a
+  message is a value on both worlds, so ranks share no array the
+  exchange touches
+  (``tests/parallel/test_simmpi.py::TestMessagesAreValues``).
+- :mod:`repro.analysis.sanitize` — the ``REPRO_SANITIZE=1`` runtime
+  sanitizers (BufferPool lifecycle with NaN poisoning, phase-boundary
+  finite checks, GEMM aliasing guards).
 - :mod:`repro.analysis.lint` — an ``ast``-based lint of repo invariants
   (flop accounting, thread confinement, dtype width, buffer-pool
   escapes, mutable defaults, request completion, message tags)
@@ -36,7 +36,6 @@ See ``docs/architecture.md`` § "Analysis & correctness tooling" and
   the box roles, and conformance of every traced run, region by region.
 """
 
-from repro.analysis.racecheck import AccessRecord, Race, RaceDetector, RaceReport
 from repro.analysis.sanitize import SanitizerError
 from repro.analysis.trace import CommTrace, TraceEvent
 
@@ -71,16 +70,12 @@ def __getattr__(name: str):
     )
 
 __all__ = [
-    "AccessRecord",
     "CommIR",
     "CommOp",
     "CommTrace",
     "StaticCommReport",
     "PlanIR",
     "PlanReport",
-    "Race",
-    "RaceDetector",
-    "RaceReport",
     "SanitizerError",
     "TraceEvent",
     "certify_parallel",

@@ -689,21 +689,19 @@ def traced_run(
     opts,
     nranks: int,
     *,
-    trace: CommTrace | None = None,
     schedule_seed: int = 0,
     overlap: bool = True,
     cache=None,
 ) -> CommTrace:
     """A traced :class:`~repro.parallel.pfmm.ParallelFMM` run: one setup
-    and one apply per entry of ``densities``, each a region of
-    ``trace`` (a fresh :class:`CommTrace` unless given — ``repro
-    racecheck`` passes a race detector) under ``schedule_seed``.
+    and one apply per entry of ``densities``, each a region of one
+    :class:`CommTrace`, under ``schedule_seed``.
 
     ``cache`` shares one operator cache between the runs of a sweep.
     """
     from repro.parallel.pfmm import ParallelFMM
 
-    trace = CommTrace() if trace is None else trace
+    trace = CommTrace()
     op = ParallelFMM(nranks, kernel, opts, overlap=overlap)
     op.setup(points, trace=trace, schedule_seed=schedule_seed, cache=cache)
     for density in densities:

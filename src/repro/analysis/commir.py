@@ -1,8 +1,7 @@
 """Static communication IR of the parallel exchange protocol.
 
 The runtime's own errors (a leaked mailbox, a receive that times out
-naming rank, peer and tag) and the race detector
-(:mod:`repro.analysis.racecheck`) see *executions*: they need a
+naming rank, peer and tag) see *executions*: they need a
 :class:`~repro.parallel.simmpi.SimComm` run, so they stop where the
 simulated runtime stops — a few dozen ranks.  The protocol claims of the
 paper (and the ROADMAP's 3000-CPU projection) live far beyond that.

@@ -2,8 +2,8 @@
 
 Enabled via the ``REPRO_SANITIZE=1`` environment variable or the
 ``FMMOptions.sanitize`` flag, four checkers run inside the core and
-parallel evaluators (see ``docs/architecture.md`` § "Race detection &
-sanitizers"):
+parallel evaluators (see ``docs/architecture.md`` § "Messages are
+values & sanitizers"):
 
 - **BufferPool lifecycle** — :class:`~repro.core.plan.BufferPool` gains
   explicit ``release``: released buffers are poisoned with NaN (so any

@@ -1,21 +1,19 @@
 """Communication event traces for the simulated MPI runtime.
 
 Every :class:`~repro.parallel.simmpi.SimComm` operation can be recorded
-as a :class:`TraceEvent` carrying the rank's vector clock, so the
-happens-before relation between any two events of a run is a clock
-comparison.  Two analyses read a trace: the race detector
-(:mod:`repro.analysis.racecheck`) orders shared-array accesses by these
-clocks, and the conformance check
-(:func:`~repro.analysis.commcheck_static.check_conformance`) requires
-each rank's traced messages to equal its compiled exchange program.
+as a :class:`TraceEvent` of its rank, in program order.  The
+conformance check
+(:func:`~repro.analysis.commcheck_static.check_conformance`) reads a
+trace: it requires each rank's traced messages to equal its compiled
+exchange program, region by region.
 
 A receive emits *two* events: ``recv-post`` when it is posted and
 ``recv`` when it completes.  A collective is point-to-point messages
 between a ``coll-enter`` and a ``coll-exit`` event.
 
-This module is runtime-agnostic: it only defines the event model and
-clock bookkeeping.  The instrumentation hooks live in
-``repro/parallel/simmpi.py``; nothing here imports ``threading``.
+This module is runtime-agnostic: it only defines the event model.  The
+instrumentation hooks live in ``repro/parallel/simmpi.py``; nothing
+here imports ``threading``.
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ EVENT_KINDS = ("send", "recv-post", "recv", "coll-enter", "coll-exit")
 class TraceEvent:
     """One communication event of one rank.
 
-    ``clock`` is the rank's vector clock *after* the event.  ``peer``
-    is the destination rank for sends and the source rank for receives
-    (``None`` for collectives).
+    ``peer`` is the destination rank for sends and the source rank for
+    receives (``None`` for collectives).
     """
 
     rank: int
@@ -42,7 +39,6 @@ class TraceEvent:
     peer: int | None = None
     tag: Any = None
     nbytes: int = 0
-    clock: tuple[int, ...] = ()
     coll: str | None = None  # allreduce / allgather
     coll_index: int | None = None
     op: str | None = None
@@ -57,28 +53,17 @@ class TraceEvent:
         return None
 
 
-@dataclass
-class Envelope:
-    """Wire wrapper carrying the sender's vector clock alongside a
-    traced payload."""
-
-    payload: Any
-    clock: tuple[int, ...]
-
-
 class RankTracer:
-    """Per-rank clock state and event emitter.
+    """Per-rank event emitter.
 
     Owned by exactly one rank thread; appends to that rank's private
-    event list, so no locking is needed.  Starts from the
-    ``(vector clock, collective index)`` its region opens at
-    (:meth:`CommTrace.begin_region`).
+    event list, so no locking is needed.  Starts from the collective
+    index its region opens at (:meth:`CommTrace.begin_region`).
     """
 
-    def __init__(self, trace: "CommTrace", rank: int, start: tuple) -> None:
+    def __init__(self, trace: "CommTrace", rank: int, coll_index: int) -> None:
         self.rank = rank
-        clock, self.coll_index = start
-        self.clock = list(clock)
+        self.coll_index = coll_index
         self._events = trace.events_by_rank[rank]
 
     def _emit(self, kind: str, **fields: Any) -> None:
@@ -86,37 +71,24 @@ class RankTracer:
             rank=self.rank,
             seq=len(self._events),
             kind=kind,
-            clock=tuple(self.clock),
             **fields,
         ))
 
-    def _tick(self) -> None:
-        self.clock[self.rank] += 1
-
     # -- point to point ----------------------------------------------------
 
-    def on_send(self, dst: int, tag: Any, obj: Any, nbytes: int) -> Envelope:
-        """Record a send; returns the envelope to put on the wire."""
-        self._tick()
+    def on_send(self, dst: int, tag: Any, nbytes: int) -> None:
         self._emit("send", peer=dst, tag=tag, nbytes=nbytes)
-        return Envelope(payload=obj, clock=tuple(self.clock))
 
     def on_recv_post(self, src: int, tag: Any) -> None:
-        """Record that a blocking receive was posted (no clock tick)."""
         self._emit("recv-post", peer=src, tag=tag)
 
-    def on_recv(self, src: int, tag: Any, env: Envelope, nbytes: int) -> None:
-        """Record a completed receive, merging the sender's clock."""
-        self._tick()
-        for i, c in enumerate(env.clock):
-            self.clock[i] = max(self.clock[i], c)
+    def on_recv(self, src: int, tag: Any, nbytes: int) -> None:
         self._emit("recv", peer=src, tag=tag, nbytes=nbytes)
 
     # -- collectives -------------------------------------------------------
     #
     # A collective is messages (``simmpi.SimComm._collective``): its
-    # enter and exit events bracket the sends and receives that carry
-    # every clock merge, so neither merges anything itself.
+    # enter and exit events bracket the sends and receives it is made of.
 
     def on_coll_enter(
         self,
@@ -125,7 +97,6 @@ class RankTracer:
         op: str | None = None,
         shape: tuple[int, ...] | None = None,
     ) -> None:
-        self._tick()
         self._emit(
             "coll-enter",
             coll=coll,
@@ -136,18 +107,8 @@ class RankTracer:
         )
 
     def on_coll_exit(self, coll: str) -> None:
-        self._tick()
         self._emit("coll-exit", coll=coll, coll_index=self.coll_index)
         self.coll_index += 1
-
-    def position(self) -> int:
-        """Number of events emitted so far — this rank's event cursor.
-
-        The race detector stamps each access record with the cursor so
-        the offline analysis can locate the communication events that
-        surround an access without timestamps.
-        """
-        return len(self._events)
 
 
 class CommTrace:
@@ -177,22 +138,17 @@ class CommTrace:
         #: Per region recorded so far, the index of each rank's first
         #: event of that region in ``events_by_rank``.
         self.region_starts: list[tuple[int, ...]] = []
-        #: ``(vector clock, collective index)`` the open region's ranks
-        #: start from, and the ranks' tracers.
-        self._start = ((0,) * nranks, 0)
+        #: The collective index the open region's ranks start from, and
+        #: the ranks' tracers.
+        self._coll_start = 0
         self._tracers: list[RankTracer | None] = []
 
     def begin_region(self, nranks: int) -> None:
         """Open one ``run_spmd`` region of ``nranks`` ranks.
 
-        The first region sizes the trace; later ones must match it.  A
-        region boundary joins every rank thread and spawns new ones:
-        each rank's exit is an event, and every rank of the next region
-        starts after all of them — one tick past the element-wise
-        maximum of the ranks' final clocks, at the largest collective
-        index reached.  That is the happens-before edge the boundary
-        provides, and without it accesses of consecutive regions would
-        read as concurrent.
+        The first region sizes the trace; later ones must match it.
+        Every rank of the next region continues at the largest
+        collective index the previous region reached.
         """
         if self.nranks == 0:
             self.reset(nranks)
@@ -203,10 +159,7 @@ class CommTrace:
             )
         done = [t for t in self._tracers if t is not None]
         if done:
-            self._start = (
-                tuple(max(c) + 1 for c in zip(*(t.clock for t in done))),
-                max(t.coll_index for t in done),
-            )
+            self._coll_start = max(t.coll_index for t in done)
         self._tracers = [None] * nranks
         self.region_starts.append(
             tuple(len(evs) for evs in self.events_by_rank)
@@ -225,14 +178,9 @@ class CommTrace:
 
     def tracer(self, rank: int) -> RankTracer:
         """Rank ``rank``'s event emitter for the open region."""
-        tracer = RankTracer(self, rank, self._start)
+        tracer = RankTracer(self, rank, self._coll_start)
         self._tracers[rank] = tracer
         return tracer
-
-    def recorder_for(self, rank: int, tracer: RankTracer) -> Any:
-        """The access recorder the runtime installs on ``rank``'s thread:
-        none for a plain trace (the race detector overrides this)."""
-        return None
 
     def end_region(
         self,

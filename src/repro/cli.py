@@ -8,8 +8,6 @@ Examples::
         --n 3200000 --model-n 100000 --procs 1,16,256,1024
     python -m repro scaling --mode isogranular --kernel stokes \
         --grain 200000 --procs 1,64,1024 --cap 200000
-    python -m repro racecheck --ranks 4 --schedules 5 --applies 2
-    python -m repro racecheck --seed-race
     python -m repro plancheck --json plancheck.json
     python -m repro lint src/
 """
@@ -225,95 +223,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
         print(f"project: FAILED (speedup {report['speedup_at_max']:.2f}x "
               f"below {args.min_speedup:.2f}x at P={args.max_ranks})")
         failed = True
-    return 1 if failed else 0
-
-
-def _block_density(rng, n: int, kernel, nrhs: int) -> np.ndarray:
-    """A single density or an ``nrhs``-column stacked block."""
-    if nrhs <= 1:
-        return rng.random((n, kernel.source_dof))
-    return rng.random((n, kernel.source_dof, nrhs))
-
-
-def _seeded_race_main(comm) -> None:
-    """Deliberate use-after-send, run under a race detector: rank 0
-    mutates a buffer it just sent.
-
-    The simulated MPI passes payloads by reference, so rank 1's read of
-    the received array is a cross-rank access on rank 0's allocation.
-    The only edge between the ranks is the send itself — which predates
-    the write — so the pair is concurrent and the detector must flag it
-    naming channel ``0->1 tag='race'``.
-    """
-    from repro.parallel.simmpi import current_recorder
-
-    rec = current_recorder()
-    if comm.rank == 0:
-        buf = np.arange(8.0)
-        rec.register("seeded:buf", buf)
-        comm.isend(1, buf, tag="race")
-        rec.write(buf, "mutate-after-send")
-        buf[:4] = -1.0
-    elif comm.rank == 1:
-        payload = comm.irecv(0, tag="race").wait()
-        rec.read(payload, "read-received-payload")
-    comm.allreduce(np.zeros(1))
-
-
-def _cmd_racecheck(args: argparse.Namespace) -> int:
-    """Happens-before race certification of the overlapped parallel path.
-
-    Replays the persistent-operator apply at ``--ranks`` under perturbed
-    schedules with the access recorder installed, for overlap on *and*
-    off, and certifies every execution race-free (no waiver mechanism
-    exists: any reported pair fails the run).  ``--seed-race`` instead
-    runs a deliberately racy SPMD fixture and verifies the detector
-    flags it — the self-test that proves the certification can fail.
-    """
-    from repro.analysis import RaceDetector
-    from repro.analysis.commcheck_static import traced_run
-
-    for flag, value, least in (("--ranks", args.ranks, 2),
-                               ("--n", args.n, 1),
-                               ("--schedules", args.schedules, 1),
-                               ("--applies", args.applies, 1)):
-        if value < least:
-            print(f"racecheck: nothing to certify ({flag} {value} "
-                  f"is below {least})")
-            return 2
-    if args.seed_race:
-        from repro.parallel.simmpi import run_spmd
-
-        det = RaceDetector()
-        run_spmd(args.ranks, _seeded_race_main, trace=det)
-        report = det.report()
-        print(report.summary())
-        if report.ok:
-            print("racecheck: seeded race NOT detected — detector broken")
-            return 1
-        print("racecheck: seeded race detected (self-test passed)")
-        return 0
-
-    kernel = _make_kernel(args.kernel)
-    rng = np.random.default_rng(args.seed)
-    pts = _WORKLOADS[args.workload](args.n, rng)
-    density = _block_density(rng, pts.shape[0], kernel, args.nrhs)
-    opts = FMMOptions(p=args.p, max_points=args.s, m2l=args.m2l,
-                      dtype=args.dtype)
-    failed = False
-    for overlap in (True, False):
-        for i in range(args.schedules):
-            det = traced_run(
-                kernel, pts, [density] * args.applies, opts, args.ranks,
-                trace=RaceDetector(), schedule_seed=args.seed + i,
-                overlap=overlap,
-            )
-            report = det.report()
-            print(f"overlap={'on' if overlap else 'off'} schedule {i}: "
-                  f"{report.summary()}")
-            failed |= not report.ok
-    print("racecheck:", "FAILED" if failed
-          else "all schedules certified race-free (zero waivers)")
     return 1 if failed else 0
 
 
@@ -765,27 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fail (exit 1) unless the flat->hierarchical "
                          "crossover rank exists and is at most this")
     pj.set_defaults(func=_cmd_project, p=4, s=60)
-
-    pr = sub.add_parser(
-        "racecheck",
-        help="replay the overlapped parallel apply under the "
-             "happens-before race detector and certify it race-free",
-    )
-    common(pr)
-    pr.add_argument("--n", type=int, default=600)
-    pr.add_argument("--ranks", type=int, default=4)
-    pr.add_argument("--schedules", type=int, default=5,
-                    help="perturbed schedules per overlap mode")
-    m2l_flags(pr)
-    pr.add_argument("--applies", type=int, default=2,
-                    help="persistent-operator applies per schedule")
-    pr.add_argument("--nrhs", type=int, default=1,
-                    help="stack this many densities into one multi-RHS "
-                         "block per apply")
-    pr.add_argument("--seed-race", action="store_true",
-                    help="run the deliberately racy fixture instead and "
-                         "verify the detector flags it (self-test)")
-    pr.set_defaults(func=_cmd_racecheck, p=4, s=40)
 
     pv = sub.add_parser(
         "serve",

@@ -53,7 +53,6 @@ from repro.parallel.simmpi import (
     Request,
     SimComm,
     combine_tree,
-    current_recorder,
     mk_tag,
     register_tag_family,
     tree_children,
@@ -293,51 +292,29 @@ def phi_binding(
     ext_stop: np.ndarray,
 ) -> Binding:
     """Source densities: concatenated into the ghost rows of
-    ``ext_phi``.  The slices of ``phi_sorted`` are never written during
-    an apply, so they ship as views."""
-    rec = current_recorder()
+    ``ext_phi``.  A piece is a view of ``phi_sorted``'s rows."""
 
     def piece(ids):
         b = ids[0]
-        rows = phi_sorted[src_start[b]:src_stop[b]]
-        if rec is not None:
-            rec.read(rows, f"piece:phi box {b}")
-        return rows
+        return phi_sorted[src_start[b]:src_stop[b]]
 
     def store(ids, data):
         b = ids[0]
-        dst = ext_phi[ext_start[b]:ext_stop[b]]
-        if rec is not None:
-            rec.read(data, f"store:recv box {b}")
-            rec.write(dst, f"store:ghost-phi box {b}")
-        dst[...] = data
+        ext_phi[ext_start[b]:ext_stop[b]] = data
 
     return Binding(piece, _concatenate, store)
 
 
 def pue_binding(ue: np.ndarray) -> Binding:
     """Partial upward equivalent densities: summed (linearity of
-    eq. 2.1/2.3) into the global ``ue[box]``.
-
-    The piece is a copy: the simulated MPI passes object references,
-    and ``store`` later overwrites ``ue[b]`` with the *global*
-    densities — an uncopied row view would let a slow receiver observe
-    the mutated value.
-    """
-    rec = current_recorder()
+    eq. 2.1/2.3) into the global ``ue[box]``.  A piece is a view of the
+    row ``ue[box]``."""
 
     def piece(ids):
-        b = ids[0]
-        if rec is not None:
-            rec.read(ue[b], f"piece:pue box {b}")
-        return ue[b].copy()
+        return ue[ids[0]]
 
     def store(ids, data):
-        b = ids[0]
-        if rec is not None:
-            rec.read(data, f"store:recv box {b}")
-            rec.write(ue[b], f"store:global-ue box {b}")
-        ue[b] = data
+        ue[ids[0]] = data
 
     return Binding(piece, _add, store)
 
@@ -376,9 +353,6 @@ class ApplyExchange:
         self._comm = comm
         self._timer = timer
         self._bound = bound
-        #: Race-detector hook: the per-rank recorder of a run traced by
-        #: a ``RaceDetector``, or None on uninstrumented runs.
-        self._rec = current_recorder()
         self._requests: dict[tuple, Request] = {}
         #: Per (program name, ids): the gathered pieces by slot, then
         #: the box's data.
@@ -389,7 +363,7 @@ class ApplyExchange:
         """Walk ``phase`` of program ``name``, timed under ``pack``
         (post) / ``wait`` (relay, wait)."""
         program, bind = self._bound[name]
-        comm, rec, data = self._comm, self._rec, self._data
+        comm, data = self._comm, self._data
         with self._timer.phase(self._TIMED[phase]):
             for op in getattr(program, phase):
                 kind, ids = op.kind, op.ids
@@ -400,11 +374,6 @@ class ApplyExchange:
                     )
                 elif kind == "complete":
                     value = self._requests.pop((op.peer, op.tag)).wait()
-                    if rec is not None:
-                        # Pieces arrive by reference: reading one is a
-                        # cross-rank access on the sender's arrays,
-                        # ordered by the message.
-                        rec.read(value, f"{phase}:recv {name} {ids}")
                     if op.slot:
                         self._slots[name, ids][op.slot] = value
                     else:
@@ -424,12 +393,10 @@ class ApplyExchange:
                         bind.combine,
                     )
                     # A fold of a single piece returns that piece — a
-                    # view of this rank's arrays or of a peer's buffer;
+                    # view of this rank's arrays when it is the own one;
                     # copy it so the data is always freshly allocated.
                     if len(pieces) + own == 1:
                         total = total.copy()
-                    if rec is not None:
-                        rec.write(total, f"relay:fold {name} {ids}")
                     data[name, ids] = total
                 else:  # store
                     bind.store(ids, data[name, ids])

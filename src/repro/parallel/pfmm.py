@@ -82,7 +82,6 @@ from repro.parallel.simmpi import (
     CommStats,
     PerRank,
     SimComm,
-    current_recorder,
     run_spmd,
 )
 from repro.util.flops import FlopCounter
@@ -303,7 +302,8 @@ class RankFMM:
         phi3, nrhs, single = coerce_density(local_density, ns, sdof)
         if pool.sanitize:
             _san.check_finite(phi3, "input", "density", rows_are="points")
-        # A fresh array per apply: its head ships to peers as views.
+        # This rank's sorted densities, then the ghost rows the exchange
+        # fills.
         phi = np.empty((self.ext_points.shape[0], sdof, nrhs))
         phi[:ns] = phi3[tree.src_perm]
         # The exchange payloads keep points / boxes on the leading axis
@@ -311,14 +311,6 @@ class RankFMM:
         # nrhs-wide.
         phi_rows = phi.reshape(-1, sdof * nrhs)
         ue_rows = pool.zeros("ue", (nb, nrhs * n_surf * md))
-        rec = current_recorder()
-        if rec is not None:
-            # No message separates these records from the upward pass,
-            # so they carry the clock of its writes.
-            rec.register(f"rank{comm.rank}:phi", phi_rows)
-            rec.write(phi_rows[:ns], "sort-density")
-            rec.register(f"rank{comm.rank}:ue", ue_rows)
-            rec.write(ue_rows, "upward-partial")
         live = {
             "phi": phi,
             "ue": ue_rows.reshape(nb, nrhs, n_surf * md),
@@ -635,10 +627,9 @@ class ParallelFMM:
     and with this object.
 
     The verifiers drive it like any caller: one
-    :class:`~repro.analysis.trace.CommTrace` (or
-    :class:`~repro.analysis.racecheck.RaceDetector`) passed to
-    :meth:`setup` and to every :meth:`apply` records them as the
-    consecutive regions of one execution.
+    :class:`~repro.analysis.trace.CommTrace` passed to :meth:`setup` and
+    to every :meth:`apply` records them as the consecutive regions of
+    one execution.
     """
 
     def __init__(

@@ -4,7 +4,7 @@
 ``Request``, ``CommStats``, tag matching, the binomial collectives —
 over a *world* that only has to provide a mailbox, ``box(src, dst,
 tag)`` with ``put`` / ``get``, and an abort flag.  Its thread world
-(``queue.Queue`` per key, payloads by reference, one interpreter lock)
+(``queue.Queue`` per key holding payload copies, one interpreter lock)
 is the deterministic substrate of the verifiers; this module is the
 world measured parallelism runs on:
 

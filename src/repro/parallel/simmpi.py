@@ -12,11 +12,19 @@ The communicator (:class:`SimComm`, :class:`Request`,
 a *world* whose whole contract is the mailbox — ``box(src, dst, tag)``
 with ``put`` / ``get`` — and the abort flag.  Two worlds exist.  The
 one here puts ranks on threads of this process (:func:`run_spmd`):
-``queue.Queue`` mailboxes, payloads by reference, deterministic and
-instrumented — every setup and every verifier runs on it.
+``queue.Queue`` mailboxes, deterministic and instrumented — every setup
+and every verifier runs on it.
 :mod:`repro.parallel.procworld` puts them in forked processes with
 shared-memory mailboxes: what :class:`~repro.parallel.pfmm.ParallelFMM`
 applies on beyond one rank.
+
+A message is a value on both worlds: ranks share no array the exchange
+touches.  The process world copies every payload into shared memory;
+the thread world's mailbox stores a private copy of each payload
+(:class:`_Mailbox`).  So a sender may overwrite its buffer the
+moment :meth:`SimComm.send` returns, and a receiver may write into
+what it received, on either world
+(``tests/parallel/test_simmpi.py::TestMessagesAreValues``).
 
 Every collective is messages: ``allreduce`` and ``allgather`` are a
 reduction to rank 0 along a deterministic binomial tree of real
@@ -25,7 +33,7 @@ each rank sends and receives O(log P) messages per call instead of the
 O(P) fan-in of a flat root-style reduce — the tree-top pattern the
 paper needs at thousands of ranks.  Every internal message is a
 first-class traced/accounted send, so the collectives run on either
-world and the race detector orders them like any other traffic.  The exchange layer (:mod:`repro.parallel.exchange`) lays the
+world.  The exchange layer (:mod:`repro.parallel.exchange`) lays the
 same binomial shape (:func:`tree_order` / :func:`tree_children`) over a
 rank *subset* rooted at a box's owner.
 
@@ -42,14 +50,10 @@ inside one, never a network.
 Correctness tooling (see ``docs/architecture.md``):
 
 - pass ``trace=CommTrace()`` to :func:`run_spmd` to record every
-  communication event with its vector clock; a trace passed to several
-  runs appends them as regions of one execution, and ``repro commir``
-  requires each region of a traced ``ParallelFMM`` run to equal the
-  compiled exchange programs op for op;
-- pass a :class:`repro.analysis.racecheck.RaceDetector` as the trace to
-  also install a per-rank access recorder (reachable from instrumented
-  code via :func:`current_recorder`) for the happens-before race
-  analysis;
+  communication event; a trace passed to several runs appends them as
+  regions of one execution, and ``repro commir`` requires each region
+  of a traced ``ParallelFMM`` run to equal the compiled exchange
+  programs op for op;
 - pass ``schedule_seed=`` to perturb the thread interleaving with
   seeded random yields, so tests can fuzz schedules reproducibly;
 - at exit, :func:`run_spmd` asserts every mailbox is drained and raises
@@ -62,12 +66,13 @@ Correctness tooling (see ``docs/architecture.md``):
 Error propagation is deterministic: when any rank fails, the others are
 aborted (their blocked receives raise :class:`RankAbortedError`), and
 the caller receives the first *primary* exception in rank order — never
-a secondary abort artifact — so racecheck/sanitizer failures reproduce
+a secondary abort artifact — so sanitizer failures reproduce
 identically across schedules.
 """
 
 from __future__ import annotations
 
+import copy
 import queue
 import random
 import threading
@@ -78,25 +83,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.analysis.trace import CommTrace, Envelope, RankTracer
-
-#: Thread-local context of the executing rank.  Lives here — not in the
-#: analysis layer — because ``threading`` imports are confined to this
-#: module (the ``thread-confinement`` lint rule); the trace's
-#: ``recorder_for`` hook supplies the recorder, so this module never
-#: imports the race analyzer.
-_thread_ctx = threading.local()
-
-
-def current_recorder():
-    """The calling rank thread's race-access recorder, if installed.
-
-    Instrumented code (``exchange.py``/``pfmm.py``) fetches the recorder
-    through this accessor; outside a :func:`run_spmd` traced by a race
-    detector it returns ``None`` and instrumentation costs one attribute
-    lookup.
-    """
-    return getattr(_thread_ctx, "recorder", None)
+from repro.analysis.trace import CommTrace, RankTracer
 
 
 class RankAbortedError(RuntimeError):
@@ -379,6 +366,18 @@ def combine_tree(values: list, combine: Callable[[Any, Any], Any]):
     return vals[0] if vals else None
 
 
+class _Mailbox(queue.Queue):
+    """One ``(src, dst, tag)`` key of the thread world: a FIFO of
+    private payload copies — an array's own buffer, a deep copy of
+    anything else — so a message is a value here as it is in the
+    process world's shared memory."""
+
+    def put(self, obj: Any) -> None:  # type: ignore[override]
+        super().put(
+            obj.copy() if isinstance(obj, np.ndarray) else copy.deepcopy(obj)
+        )
+
+
 class _World:
     """State shared by all ranks of one SPMD run."""
 
@@ -390,7 +389,7 @@ class _World:
         recv_timeout: float | None = None,
     ) -> None:
         self.size = size
-        self.mailbox: dict[tuple[int, int, Any], queue.Queue] = {}
+        self.mailbox: dict[tuple[int, int, Any], _Mailbox] = {}
         self._mailbox_lock = threading.Lock()
         self.trace = trace
         self.schedule_seed = schedule_seed
@@ -399,12 +398,12 @@ class _World:
         #: abort promptly instead of timing out minutes later.
         self.aborted = threading.Event()
 
-    def box(self, src: int, dst: int, tag: Any) -> queue.Queue:
+    def box(self, src: int, dst: int, tag: Any) -> _Mailbox:
         key = (src, dst, tag)
         with self._mailbox_lock:
             q = self.mailbox.get(key)
             if q is None:
-                q = self.mailbox[key] = queue.Queue()
+                q = self.mailbox[key] = _Mailbox()
             return q
 
     def leaked_messages(self) -> list[tuple[tuple[int, int, Any], int]]:
@@ -440,9 +439,6 @@ class SimComm:
         self._tracer: RankTracer | None = None
         if world.trace is not None:
             self._tracer = world.trace.tracer(rank)
-            # A race detector's trace hands out this rank's access
-            # recorder (its vector clocks order the accesses).
-            _thread_ctx.recorder = world.trace.recorder_for(rank, self._tracer)
         if world.schedule_seed is not None:
             self._rng: random.Random | None = random.Random(
                 world.schedule_seed * 1_000_003 + rank * 7_919
@@ -468,14 +464,18 @@ class SimComm:
     # -- point to point ----------------------------------------------------
 
     def send(self, dst: int, obj: Any, tag: Any = 0, phase: str | None = None) -> None:
-        """Buffered send (MPI_Isend semantics: never blocks)."""
+        """Buffered send (MPI_Isend semantics: never blocks).
+
+        The world's mailbox keeps its own copy of ``obj``, so the caller
+        may reuse its buffer at once and the receiver gets a value.
+        """
         if not 0 <= dst < self.size:
             raise ValueError(f"invalid destination rank {dst}")
         self._jitter()
         nbytes = _payload_bytes(obj)
         self.stats.record_send(nbytes, phase)
         if self._tracer is not None:
-            obj = self._tracer.on_send(dst, tag, obj, nbytes)
+            self._tracer.on_send(dst, tag, nbytes)
         self._world.box(self.rank, dst, tag).put(obj)
 
     isend = send  # buffered sends complete immediately
@@ -519,13 +519,9 @@ class SimComm:
                         f"tag {tag!r}"
                     ) from None
         self.stats.record_wait(time.perf_counter() - t0)
-        if isinstance(obj, Envelope):
-            env, obj = obj, obj.payload
-            nbytes = _payload_bytes(obj)
-            if self._tracer is not None:
-                self._tracer.on_recv(src, tag, env, nbytes)
-        else:
-            nbytes = _payload_bytes(obj)
+        nbytes = _payload_bytes(obj)
+        if self._tracer is not None:
+            self._tracer.on_recv(src, tag, nbytes)
         self.stats.record_recv(nbytes, phase)
         return obj
 
@@ -574,11 +570,7 @@ class SimComm:
         return value
 
     def _bcast_from_root(self, value: Any, tag: Any) -> Any:
-        """Binomial broadcast of rank 0's ``value`` over the world.
-
-        Forwards the payload *by reference*; callers that hand the
-        result to user code must copy mutable payloads first.
-        """
+        """Binomial broadcast of rank 0's ``value`` over the world."""
         if self.rank:
             value = self.recv(tree_parent(self.rank), tag=tag)
         for child in reversed(tree_children(self.rank, self.size)):
@@ -592,7 +584,7 @@ class SimComm:
         """Every collective: the reduction of ``value`` to rank 0, then
         the broadcast of the total down the same edges — O(log P)
         messages per rank, traced between a ``coll-enter`` and a
-        ``coll-exit`` whose clocks those messages already merge."""
+        ``coll-exit``."""
         self._jitter()
         if self._tracer is not None:
             self._tracer.on_coll_enter(name, **meta)
@@ -641,6 +633,8 @@ class SimComm:
             "allreduce", array, combine,
             nbytes=array.nbytes, op=op, shape=array.shape,
         )
+        # At one rank no message was sent: ``total`` is the caller's own
+        # array.
         return np.array(total, copy=True)
 
     def allgather(self, obj: Any) -> list[Any]:
@@ -648,15 +642,14 @@ class SimComm:
 
         The reduction's combine is list concatenation: a node's partial
         lists its subtree's consecutive ranks, so appending each child's
-        keeps rank order.  The objects travel by reference on the thread
-        world and must be treated as read-only.
+        keeps rank order.
         """
         nbytes = _payload_bytes(obj)
         self.stats.record_allgather(nbytes)
-        return list(self._collective(
+        return self._collective(
             "allgather", [obj], lambda acc, part, _: acc + part,
             nbytes=nbytes,
-        ))
+        )
 
 
 class Request:
@@ -708,10 +701,8 @@ def run_spmd(
     Any rank exception is re-raised in the caller.  ``timeout`` bounds
     the whole run, not each rank's join.
 
-    ``trace`` (a :class:`~repro.analysis.trace.CommTrace`, or the
-    :class:`~repro.analysis.racecheck.RaceDetector` that extends it with
-    per-rank shared-array access recorders) records every communication
-    event; it is filled even when the run fails.  A trace passed to
+    ``trace`` (a :class:`~repro.analysis.trace.CommTrace`) records every
+    communication event; it is filled even when the run fails.  A trace passed to
     several runs appends each as one region
     (:meth:`CommTrace.begin_region`).
     ``schedule_seed`` enables seeded schedule perturbation (random
@@ -743,8 +734,6 @@ def run_spmd(
         except BaseException as exc:  # noqa: BLE001 - re-raised in caller
             errors[rank] = exc
             world.aborted.set()  # interrupt peers blocked in receives
-        finally:
-            _thread_ctx.recorder = None
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}")

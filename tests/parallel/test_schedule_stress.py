@@ -16,6 +16,7 @@ from repro.analysis import CommTrace
 from repro.analysis.commcheck_static import run_checks
 from repro.analysis.commir import extract_comm_ir, static_plan_inputs
 from repro.core.fmm import FMMOptions
+from repro.geometry import corner_clusters, uniform_cube
 from repro.kernels import LaplaceKernel
 from repro.parallel.let import LETUsage, gather_users
 from repro.parallel.pfmm import ParallelFMM
@@ -156,3 +157,40 @@ def test_parallel_fmm_bitwise_identical_across_schedules(case, overlap):
         assert report.ok, [str(f) for f in report.findings[:5]]
     for pot in potentials[1:]:
         assert np.array_equal(pot, potentials[0])
+
+
+#: ``(nranks, workload, nrhs, m2l, dtype)``: 600 points, p = 4, 40 per
+#: leaf — the persistent apply at 4 ranks with single and 4-column
+#: densities and with float32 rsvd factors, and the tree-top path of 8
+#: ranks on corner clusters.
+SANITIZED = {
+    "p4": (4, uniform_cube, 1, "auto", "float64"),
+    "p4-nrhs4": (4, uniform_cube, 4, "auto", "float64"),
+    "p4-rsvd-float32": (4, uniform_cube, 1, "rsvd", "float32"),
+    "p8-corners": (8, corner_clusters, 1, "auto", "float64"),
+}
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "no-overlap"])
+@pytest.mark.parametrize("case", sorted(SANITIZED))
+def test_sanitized_applies_bitwise_identical_across_schedules(case, overlap):
+    """With the runtime sanitizers armed, a setup and two applies under
+    three ``schedule_seed``s give the potentials of the unperturbed run
+    (whose applies run on rank processes) bit for bit; a sanitizer
+    diagnosis raises."""
+    nranks, workload, nrhs, m2l, dtype = SANITIZED[case]
+    rng = np.random.default_rng(0)
+    pts = workload(600, rng)
+    density = rng.random((600, 1, nrhs) if nrhs > 1 else (600, 1))
+    opts = FMMOptions(p=4, max_points=40, m2l=m2l, dtype=dtype, sanitize=True)
+    runs = []
+    for seed in (None, 0, 1, 2):
+        with ParallelFMM(nranks, LaplaceKernel(), opts, overlap=overlap) as op:
+            op.setup(pts, schedule_seed=seed)
+            runs.append([
+                op.apply(density, schedule_seed=seed) for _ in range(2)
+            ])
+    reference = runs[0][0]
+    for seed, pots in zip((None, 0, 1, 2), runs):
+        for pot in pots:
+            assert np.array_equal(pot, reference), f"schedule {seed}"

@@ -5,12 +5,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.parallel.procworld import RankProcesses
 from repro.parallel.simmpi import (
     CommStats,
     MailboxLeakError,
     PerRank,
     run_spmd,
 )
+
+from tests.parallel.transports import rank_pids
 
 
 class TestPointToPoint:
@@ -55,6 +58,61 @@ class TestPointToPoint:
 
         with pytest.raises(ValueError):
             run_spmd(2, main)
+
+
+def _use_after_send(comm, wrap):
+    """Rank 0 sends a buffer, overwrites it, then sends "go"; rank 1
+    reads the payload only after "go", keeps a copy of what it saw, and
+    writes into it; rank 0 looks at its buffer once rank 1 is done.
+
+    ``wrap`` is ``"array"`` (the payload is the buffer) or ``"list"``
+    (the payload is a list holding it, as allgather ships).
+    """
+    if comm.rank == 0:
+        buf = np.arange(8.0)
+        comm.isend(1, buf if wrap == "array" else [buf], tag="data")
+        buf[:4] = -1.0
+        comm.send(1, None, tag="go")
+        comm.recv(1, tag="done")
+        return buf
+    data = comm.irecv(0, tag="data")
+    comm.recv(0, tag="go")
+    payload = data.wait()
+    arr = payload if wrap == "array" else payload[0]
+    seen = arr.copy()
+    arr[:] = 99.0
+    comm.send(0, None, tag="done")
+    return seen
+
+
+class TestMessagesAreValues:
+    """A message is a value on both worlds: the sender may overwrite its
+    buffer as soon as the send returns, and the receiver owns what it
+    received — no array the exchange touches is shared between ranks.
+    The process world gets this from its shared-memory copies, the
+    thread world from its mailbox's."""
+
+    SENT = np.arange(8.0)
+    OVERWRITTEN = np.r_[[-1.0] * 4, np.arange(4.0, 8.0)]
+
+    def _check(self, results):
+        sender, seen = results
+        assert np.array_equal(seen, self.SENT)  # the pre-send bytes
+        assert np.array_equal(sender, self.OVERWRITTEN)  # not the 99s
+
+    @pytest.mark.parametrize("wrap", ["array", "list"])
+    def test_thread_world(self, wrap):
+        self._check(run_spmd(2, _use_after_send, wrap))
+
+    @pytest.mark.parametrize("wrap", ["array", "list"])
+    def test_process_world(self, wrap):
+        ranks = RankProcesses(2)
+        ranks.start(_use_after_send, np.full((2, 2), 4096))
+        try:
+            self._check(ranks.call([wrap, wrap]))
+        finally:
+            ranks.stop()
+        assert rank_pids() == []
 
 
 class TestCollectives:

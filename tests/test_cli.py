@@ -33,7 +33,7 @@ class TestParser:
         assert "invalid choice: 'dpor'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", ["evaluate", "racecheck", "serve"]
+        "command", ["evaluate", "serve"]
     )
     @pytest.mark.parametrize("flag", ["--m2l", "--dtype"])
     def test_unknown_backend_exits_2_naming_choices(
@@ -50,7 +50,7 @@ class TestParser:
             assert choice in err
 
     @pytest.mark.parametrize(
-        "command", ["evaluate", "racecheck", "serve"]
+        "command", ["evaluate", "serve"]
     )
     def test_fft_m2l_exits_2_naming_the_remaining_choices(
         self, command, capsys

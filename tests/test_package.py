@@ -90,13 +90,11 @@ class TestOneOwnerExchangeShape:
 class TestOneParallelDriver:
     def test_one_driver_and_only_the_collectives_setup_calls(self):
         """``ParallelFMM`` is the one parallel driver; the runtime has
-        the two collectives a setup calls; the race detector is a trace,
-        not a runtime argument."""
+        the two collectives a setup calls and no race argument."""
         import dataclasses
         import inspect
 
         from repro import parallel
-        from repro.analysis import CommTrace, RaceDetector
         from repro.parallel import pfmm, simmpi
 
         for name in ("run_parallel_fmm", "ParallelFMMResult"):
@@ -107,7 +105,6 @@ class TestOneParallelDriver:
         assert not hasattr(simmpi, "coll_scatter_tag")
         assert "__coll_scatter__" not in simmpi.TAG_FAMILIES
         assert "race" not in inspect.signature(simmpi.run_spmd).parameters
-        assert issubclass(RaceDetector, CommTrace)
         for fn in (parallel.ParallelFMM.setup, parallel.ParallelFMM.apply):
             assert set(inspect.signature(fn).parameters) <= {
                 "self", "points", "density", "trace", "schedule_seed",
