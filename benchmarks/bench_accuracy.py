@@ -5,7 +5,9 @@ companion paper [25] controls accuracy through the surface order p.  This
 bench sweeps p for every kernel, measuring the error against direct
 summation and the *measured* wall time per interaction evaluation — the
 accuracy/cost trade-off of the actual Python implementation (no machine
-model involved).
+model involved).  The default ``m2l="auto"`` runs every kernel; Laplace
+also runs the uncompressed ``dense`` M2L, whose error has no rsvd
+tolerance under it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ KERNELS = {
     "stokes": StokesKernel(),
     "navier": NavierKernel(),
 }
-P_SWEEP = (2, 4, 6, 8)
+P_SWEEP = (2, 4, 6, 8, 10)
 N = 3000
 
 
-def _sweep(kernel):
+def _sweep(kernel, m2l="auto"):
     rng = np.random.default_rng(45)
     pts = rng.uniform(-1, 1, size=(N, 3))
     phi = rng.random((N, kernel.source_dof))  # densities in [0,1], as in §4
@@ -43,7 +45,8 @@ def _sweep(kernel):
     exact = direct_evaluate(kernel, pts[sample], pts, phi)
     rows = []
     for p in P_SWEEP:
-        fmm = KIFMM(kernel, FMMOptions(p=p, max_points=60)).setup(pts)
+        fmm = KIFMM(kernel, FMMOptions(p=p, max_points=60, m2l=m2l))
+        fmm.setup(pts)
         t0 = time.perf_counter()
         u = fmm.apply(phi)
         dt = time.perf_counter() - t0
@@ -67,6 +70,25 @@ def test_accuracy_sweep(benchmark, name):
     errs = [r[1] for r in rows]
     assert errs[-1] < errs[0], "error must decrease with p"
     assert errs[2] < 1e-4, "p=6 should deliver the paper's accuracy regime"
+    if name == "laplace":
+        assert all(b < a for a, b in zip(errs, errs[1:])), errs
+
+
+def test_laplace_dense_sweep(benchmark):
+    """Laplace under the dense M2L: the error falls strictly through
+    p = 10, with no round-off floor from the inversions."""
+    rows = benchmark.pedantic(
+        _sweep, args=(LaplaceKernel(), "dense"), rounds=1, iterations=1
+    )
+    print()
+    print(format_table(
+        ("p", "rel. error", "eval seconds"),
+        rows,
+        title=f"Accuracy sweep / laplace, dense M2L (N={N})",
+    ))
+    errs = [r[1] for r in rows]
+    assert all(b < a for a, b in zip(errs, errs[1:])), errs
+    assert errs[-1] < 1e-8
 
 
 def test_paper_operating_point(benchmark):

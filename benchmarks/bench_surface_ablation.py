@@ -3,8 +3,11 @@
 DESIGN.md's design choices 1 and 2: the surfaces sit at ``inner = 1.05``
 and ``outer = 2.95`` box half-widths (the kifmm3d constants), and the
 first-kind density solves use a truncated-SVD pseudo-inverse with
-relative cutoff ``rcond``.  This bench sweeps both and measures the
-resulting end-to-end accuracy — evidence for the defaults.
+relative cutoff ``rcond``, applied as its two factors.  This bench
+sweeps both and measures the resulting end-to-end accuracy — evidence
+for the defaults.  ``rcond`` is not an :class:`FMMOptions` field, so the
+sweep passes it to the :class:`OperatorCache` it sets up with; it varies
+the inversion cutoff only.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pytest
 
 from repro.core.error import estimate_error
 from repro.core.fmm import FMMOptions, KIFMM
+from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel
 from repro.util.tables import format_table
 
@@ -24,10 +28,11 @@ def _error_for(inner, outer, rcond):
     rng = np.random.default_rng(51)
     pts = rng.uniform(-1, 1, size=(N, 3))
     phi = rng.random((N, 1))
+    kernel = LaplaceKernel()
+    cache = OperatorCache(kernel, 6, 2.0, inner=inner, outer=outer, rcond=rcond)
     fmm = KIFMM(
-        LaplaceKernel(),
-        FMMOptions(p=6, max_points=50, inner=inner, outer=outer, rcond=rcond),
-    ).setup(pts)
+        kernel, FMMOptions(p=6, max_points=50, inner=inner, outer=outer),
+    ).setup(pts, cache=cache)
     return estimate_error(fmm, phi, nsamples=200, rng=rng)
 
 

@@ -23,7 +23,7 @@ The package is organised bottom-up:
   paper's scalability tables and figures.
 - :mod:`repro.geometry` — the paper's workloads (512 spheres,
   corner-clustered points, uniform cube).
-- :mod:`repro.linalg` — restarted GMRES and regularised pseudo-inverses.
+- :mod:`repro.linalg` — restarted GMRES and truncated SVDs.
 - :mod:`repro.bie` — Stokes boundary-integral application layer
   (the Figure 4.1 fluid-structure showcase).
 """

@@ -321,6 +321,7 @@ def rank_ir(
     expected = compute_work(
         state.tree, state.lists, kernel, opts.p, m2l=state.m2l_schedule,
         rsvd_rank=state.cache.m2l_rsvd_rank,
+        inverse_rank=state.cache.inverse_rank,
         global_nsrc=state.ptree.global_nsrc,
         global_ntrg=topo.ntrg,
         nrhs=nrhs, up_nsrc=topo.nsrc,

@@ -315,6 +315,11 @@ class PlanStages:
                 flops=flops, **more,
             ))
 
+        def inverse_flops(name, lvl, nboxes):
+            # (check @ u) @ w: 2 k (rows + cols) at the factors' kept rank
+            k = cache.inverse_rank
+            return lambda: nboxes * 2.0 * k(name, lvl) * n_surf * (md + qd)
+
         def phi_of(boxes):
             return tuple(
                 "phi" + _DELIVERED[k] for k in np.unique(rank.phi_kind[boxes])
@@ -362,7 +367,8 @@ class PlanStages:
                      ])
             emit(f"uc2ue@{lvl}", "up", "uc2ue",
                  lambda b: self.uc2ue(ul, b["check"], b["ue"]),
-                 (chk,), (ue,), ul.boxes.size * matvec, releases=(chk,),
+                 (chk,), (ue,), inverse_flops("uc2ue", lvl, ul.boxes.size),
+                 releases=(chk,),
                  operators=lambda: cache.reference("uc2ue", lvl))
 
         def v_direct(vl: VLevel, sp: VSplit, vp: VPass, split):
@@ -441,7 +447,8 @@ class PlanStages:
             if dl.dc_boxes.size:
                 emit(f"dc2de@{lvl}", "eval", "dc2de",
                      lambda b: self.dc2de(dl, b["dc"], b["de"]),
-                     (dc,), (de,), dl.dc_boxes.size * matvec,
+                     (dc,), (de,),
+                     inverse_flops("dc2de", lvl, dl.dc_boxes.size),
                      operators=lambda: cache.reference("dc2de", lvl))
             if dl.l2t_boxes.size:
                 l2t = partial(self.l2t, dl)
@@ -543,13 +550,12 @@ class PlanStages:
                 check[r][rows] += _scaled(ue[kids, r] @ MT, f)
 
     def uc2ue(self, ul: UpLevel, check: np.ndarray, ue: np.ndarray) -> None:
-        """One regularised inversion per source box of the level."""
-        U, f = self.cache.reference("uc2ue", ul.level)
+        """One inversion per source box of the level, through its factors."""
+        (U, W), f = self.cache.reference("uc2ue", ul.level)
         if self.pool.sanitize:
-            _san.guard_gemm(ue, check, U, site=f"uc2ue level {ul.level}")
-        UT = U.T
+            _san.guard_gemm(ue, check, U, W, site=f"uc2ue level {ul.level}")
         for r in range(check.shape[0]):
-            ue[ul.boxes, r] = _scaled(check[r] @ UT, f)
+            ue[ul.boxes, r] = _scaled((check[r] @ U) @ W, f)
 
     def v_direct(
         self, vl: VLevel, classes: list, ue: np.ndarray, dc: np.ndarray
@@ -694,13 +700,12 @@ class PlanStages:
                 dc[r, bi] += K @ xs[r]
 
     def dc2de(self, dl: DownLevel, dc: np.ndarray, de: np.ndarray) -> None:
-        """One regularised inversion per box carrying downward data."""
-        D, f = self.cache.reference("dc2de", dl.level)
+        """One inversion per box carrying downward data, through its factors."""
+        (U, W), f = self.cache.reference("dc2de", dl.level)
         if self.pool.sanitize:
-            _san.guard_gemm(de, dc, D, site=f"dc2de level {dl.level}")
-        DT = D.T
+            _san.guard_gemm(de, dc, U, W, site=f"dc2de level {dl.level}")
         for r in range(dc.shape[0]):
-            de[r][dl.dc_boxes] = _scaled(dc[r][dl.dc_boxes] @ DT, f)
+            de[r][dl.dc_boxes] = _scaled((dc[r][dl.dc_boxes] @ U) @ W, f)
 
     def l2t(self, dl: DownLevel, de: np.ndarray, pot: np.ndarray) -> None:
         """Leaf boxes' downward densities to their targets."""

@@ -15,6 +15,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,8 +61,6 @@ class FMMOptions:
     inner, outer:
         Equivalent/check surface radius factors (Section 2.1 constraints
         require ``1 < inner < outer < 3``).
-    rcond:
-        SVD cutoff for the regularised inversions.
     max_depth:
         Tree refinement cut-off, 1 to 21 (the Morton key capacity).
     sanitize:
@@ -79,9 +78,11 @@ class FMMOptions:
     dtype: str = "float64"
     inner: float = INNER_RADIUS
     outer: float = OUTER_RADIUS
-    rcond: float = 1e-12
     max_depth: int = 21
     sanitize: bool = False
+    #: The inversions' SVD cutoff, a constant: applied as their two
+    #: factors they have no round-off trade-off to tune.
+    rcond: ClassVar[float] = 1e-12
 
     def __post_init__(self) -> None:
         if self.p < 2:

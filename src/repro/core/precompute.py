@@ -10,6 +10,7 @@ For kernels homogeneous of degree ``h`` (``G(a x, a y) = a^h G(x, y)``,
 i.e. Laplace, Stokes, Navier) the operators at any level are rescalings
 of a reference level: evaluation matrices scale by ``a^h`` and the
 pseudo-inverses by ``a^-h``, where ``a`` is the box half-width ratio.
+The pseudo-inverses are kept as their two SVD factors, never formed.
 Inhomogeneous kernels (modified Laplace) are precomputed per level.
 
 The surfaces are a regular cube lattice, so the ``7^d - 3^d`` V-list
@@ -38,7 +39,7 @@ from repro.core.surfaces import (
     surface_node_permutation,
 )
 from repro.kernels.base import Kernel
-from repro.linalg.pinv import regularized_pinv
+from repro.linalg.pinv import truncated_svd
 from repro.linalg.rsvd import randomized_svd
 from repro.octree.topology import child_pair_offsets, octant_vectors
 
@@ -94,8 +95,13 @@ class OperatorCache:
     inner, outer:
         Surface radius factors (see :mod:`repro.core.surfaces`).
     rcond:
-        Relative SVD cutoff of the regularised pseudo-inverses.
+        Relative SVD cutoff of the inversions :meth:`uc2ue` / :meth:`dc2de`.
     """
+
+    #: Relative tolerance of the rSVD-compressed M2L factors: headroom
+    #: for accumulation over a box's V list, below the p-discretisation
+    #: error at the paper's operating points.
+    rsvd_tol = 1e-7
 
     def __init__(
         self,
@@ -133,16 +139,9 @@ class OperatorCache:
         self.inner = float(inner)
         self.outer = float(outer)
         self.rcond = float(rcond)
-        # Relative tolerance of the rSVD-compressed M2L factors, tied to
-        # the inversion cutoff: the per-operator truncation noise sits a
-        # decade below the square root of the pseudo-inverse
-        # regularisation floor, leaving headroom for accumulation across
-        # a box's full V list while staying well below the
-        # p-discretisation error at the paper's operating points.
-        self.rsvd_tol = float(0.1 * np.sqrt(self.rcond))
         self.n_surf = surface_grid(p, self.dim).shape[0]
-        self._uc2ue: dict[int, np.ndarray] = {}
-        self._dc2de: dict[int, np.ndarray] = {}
+        self._uc2ue: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._dc2de: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._m2m: dict[tuple[int, int], np.ndarray] = {}
         self._l2l: dict[tuple[int, int], np.ndarray] = {}
         self._m2l: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
@@ -216,10 +215,11 @@ class OperatorCache:
         The same cache when the side matches.  Otherwise, for a
         homogeneous kernel, a new cache holding every operator computed
         so far rescaled by the root ratio ``a`` — evaluation matrices by
-        ``a^h``, pseudo-inverses by ``a^-h``, the factors that already
-        carry the reference level to the other levels — so a moved
-        geometry pays no precompute again.  An inhomogeneous kernel's
-        operators belong to one root, and a mismatch is an error.
+        ``a^h``, pseudo-inverses by ``a^-h`` (their second factor), the
+        factors that already carry the reference level to the other
+        levels — so a moved geometry pays no precompute again.  An
+        inhomogeneous kernel's operators belong to one root, and a
+        mismatch is an error.
         """
         if root_side == self.root_side:
             return self
@@ -236,8 +236,8 @@ class OperatorCache:
             inner=self.inner, outer=self.outer, rcond=self.rcond,
         )
         up = (root_side / self.root_side) ** h
-        out._uc2ue = {k: m / up for k, m in self._uc2ue.items()}
-        out._dc2de = {k: m / up for k, m in self._dc2de.items()}
+        out._uc2ue = {k: (u, w / up) for k, (u, w) in self._uc2ue.items()}
+        out._dc2de = {k: (u, w / up) for k, (u, w) in self._dc2de.items()}
         out._m2m = {k: m * up for k, m in self._m2m.items()}
         out._l2l = {k: m * up for k, m in self._l2l.items()}
         out._m2l = {k: m * up for k, m in self._m2l.items()}
@@ -253,35 +253,42 @@ class OperatorCache:
 
     # -- inversion operators -----------------------------------------------
 
-    def uc2ue(self, level: int) -> np.ndarray:
-        """Upward check potential -> upward equivalent density (eq. 2.1)."""
+    def _inverse(self, name: str, level: int, check, equiv):
+        """Truncated-SVD factors ``(u, w)`` of the pseudo-inverse of
+        ``kernel.matrix(check, equiv)``: it maps a check potential ``c``
+        to ``w.T @ (u.T @ c)``, with ``w = vt / s`` of the kept rank."""
         h = self._homog
         key = 0 if h is not None else level
-        base = self._entry("uc2ue", key, lambda: regularized_pinv(
-            self.kernel.matrix(
-                self.up_check_points(self.origin, key),
-                self.up_equiv_points(self.origin, key),
-            ),
-            self.rcond,
-        ))
-        if h is None or level == key:
-            return base
-        return base * self._scale(level, key) ** (-h)
 
-    def dc2de(self, level: int) -> np.ndarray:
-        """Downward check potential -> downward equivalent density (eq. 2.2)."""
-        h = self._homog
-        key = 0 if h is not None else level
-        base = self._entry("dc2de", key, lambda: regularized_pinv(
-            self.kernel.matrix(
-                self.down_check_points(self.origin, key),
-                self.down_equiv_points(self.origin, key),
-            ),
-            self.rcond,
-        ))
+        def factor():
+            o = self.origin
+            u, s, vt = truncated_svd(
+                self.kernel.matrix(check(o, key), equiv(o, key)), self.rcond
+            )
+            return u, vt / s[:, None]
+
+        u, w = self._entry(name, key, factor)
         if h is None or level == key:
-            return base
-        return base * self._scale(level, key) ** (-h)
+            return u, w
+        return u, w * self._scale(level, key) ** (-h)
+
+    def uc2ue(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Upward check potential -> upward equivalent density (eq. 2.1),
+        as the factors ``(u, w)`` of :meth:`_inverse`."""
+        return self._inverse(
+            "uc2ue", level, self.up_check_points, self.up_equiv_points
+        )
+
+    def dc2de(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Downward check potential -> downward equivalent density
+        (eq. 2.2), as the factors ``(u, w)`` of :meth:`_inverse`."""
+        return self._inverse(
+            "dc2de", level, self.down_check_points, self.down_equiv_points
+        )
+
+    def inverse_rank(self, name: str, level: int) -> int:
+        """Kept rank of inversion ``name``'s factors at ``level``."""
+        return int(self.reference(name, level)[0][0].shape[1])
 
     # -- evaluation operators ------------------------------------------------
 
@@ -354,10 +361,11 @@ class OperatorCache:
 
     def reference(
         self, name: str, level: int, *octant: int
-    ) -> tuple[np.ndarray, float]:
+    ) -> tuple:
         """Level operator ``name`` (``"uc2ue"``, ``"dc2de"``,
         ``"m2m_check"`` or ``"l2l_check"``) of ``level`` as its
-        reference-level matrix and the factor that carries its products
+        reference-level matrix (the inversions: their factor pair) and
+        the factor that carries its products
         to ``level`` — :meth:`m2l_reference`'s rule, so a stage scales
         its product instead of the operator.  The factor is ``a^-h`` for
         the inversions, ``a^h`` for the evaluations, and 1 for an

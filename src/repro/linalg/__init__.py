@@ -2,11 +2,11 @@
 
 The paper relies on PETSc for its Krylov iterative solvers; here the
 application layer (:mod:`repro.bie`) uses our own restarted GMRES, and
-the KIFMM density solves (equations 2.1–2.5) use a truncated-SVD
-regularised pseudo-inverse.
+the KIFMM density solves (equations 2.1–2.5) use the factors of a
+truncated SVD.
 """
 
-from repro.linalg.pinv import regularized_pinv, svd_rank, truncated_svd
+from repro.linalg.pinv import svd_rank, truncated_svd
 from repro.linalg.rsvd import randomized_svd
 from repro.linalg.gmres import (
     BlockGMRESResult,
@@ -16,7 +16,6 @@ from repro.linalg.gmres import (
 )
 
 __all__ = [
-    "regularized_pinv",
     "svd_rank",
     "truncated_svd",
     "randomized_svd",

@@ -1,4 +1,4 @@
-"""Regularised pseudo-inverse for the equivalent-density solves.
+"""Truncated SVD for the equivalent-density solves.
 
 Equations (2.1)–(2.5) of the paper are first-kind integral equations —
 matching potentials on a check surface to recover an equivalent density —
@@ -6,15 +6,14 @@ and their discretisations are severely ill-conditioned (the singular
 values of the check-to-equivalent kernel matrix decay exponentially).
 Following the sequential companion paper [25], we invert them with a
 truncated-SVD pseudo-inverse: singular values strictly below
-``rcond * s_max`` are discarded rather than amplified.  The cutoff
+``rcond * s_max`` are discarded rather than amplified.  The operator
+cache keeps that inverse as its two factors and never forms their
+product (:meth:`repro.core.precompute.OperatorCache.uc2ue`).  The cutoff
 boundary is *inclusive-keep*: a singular value exactly equal to
 ``rcond * s_max`` survives truncation (see :func:`svd_rank`).
 
-Dtype contract: every function here computes in and returns float64.
-Inputs are coerced up front with ``np.asarray(..., dtype=np.float64)``
-and every result — including the degenerate fallbacks for empty or
-exactly-zero matrices — is explicitly float64; the dtype of an
-un-coerced input never leaks into a return value.
+Dtype contract: every function here computes in and returns float64,
+rank-0 factors of an empty or exactly-zero matrix included.
 """
 
 from __future__ import annotations
@@ -42,8 +41,9 @@ def truncated_svd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-truncated SVD factors of a real matrix.
 
-    Shared between :func:`regularized_pinv` and the rSVD-compressed M2L
-    backend (:mod:`repro.linalg.rsvd` falls back to it when a sketch
+    Shared between the check-to-equivalent inversions
+    (:meth:`repro.core.precompute.OperatorCache.uc2ue` / ``dc2de``) and
+    the rSVD-compressed M2L backend (:mod:`repro.linalg.rsvd` falls back to it when a sketch
     would be no cheaper than the full decomposition), so both apply the
     same inclusive-keep boundary and float64 contract.
 
@@ -73,28 +73,3 @@ def truncated_svd(
         np.ascontiguousarray(s[:k]),
         np.ascontiguousarray(vt[:k]),
     )
-
-
-def regularized_pinv(matrix: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with relative singular-value cutoff.
-
-    Parameters
-    ----------
-    matrix:
-        ``(m, n)`` real matrix.
-    rcond:
-        Relative cutoff: singular values strictly below
-        ``rcond * max(s)`` are treated as zero; a value exactly at the
-        cutoff is kept (the inclusive boundary of :func:`svd_rank`).
-
-    Returns
-    -------
-    ``(n, m)`` float64 pseudo-inverse.  A degenerate spectrum (empty or
-    exactly-zero matrix) yields explicit float64 zeros — the module's
-    dtype contract holds on this path too.
-    """
-    u, s, vt = truncated_svd(matrix, rcond)
-    if s.size == 0:
-        m, n = np.shape(matrix)
-        return np.zeros((n, m), dtype=np.float64)
-    return (vt.T / s) @ u.T

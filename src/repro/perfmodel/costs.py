@@ -68,6 +68,7 @@ def compute_work(
     nrhs: int = 1,
     up_nsrc: np.ndarray | None = None,
     rsvd_rank=None,
+    inverse_rank=None,
 ) -> PhaseWork:
     """Flop volumes of one interaction evaluation.
 
@@ -93,7 +94,8 @@ def compute_work(
     additionally needs ``rsvd_rank``, a ``(level, offset) -> rank``
     callable (typically ``cache.m2l_rsvd_rank``), because the
     compressed per-pair cost depends on each offset class's numerical
-    rank.
+    rank.  ``inverse_rank`` (``cache.inverse_rank``) does the same for
+    the inversions by ``(name, level)``; without it they are full rank.
 
     Every box with targets does its V-list target-side work — the fully
     redundant tree top of the paper's parallel algorithm.
@@ -128,7 +130,11 @@ def compute_work(
     unsrc = counts(up_nsrc, nsrc)
     has_trg = ntrg > 0
 
-    pinv_flops = 2.0 * (n_surf * md) * (n_surf * qd)
+    def pinv_flops(name):  # per box, as PlanStages.compile's inverse_flops
+        rank = [n_surf * min(md, qd)] * (topo.depth + 1)
+        if inverse_rank is not None:
+            rank = [inverse_rank(name, lvl) for lvl in range(topo.depth + 1)]
+        return 2.0 * np.array(rank, np.float64)[level] * n_surf * (md + qd)
     m2m_flops = 2.0 * (n_surf * qd) * (n_surf * md)  # per child matvec
     l2l_flops = m2m_flops
     m2l_dense_flops = m2m_flops
@@ -160,7 +166,8 @@ def compute_work(
     carries = unsrc > 0
     kids = per_box(parent[1:][carries[1:]])
     up = carries * (
-        np.where(leaf, n_surf * unsrc * fpp, kids * m2m_flops) + pinv_flops
+        np.where(leaf, n_surf * unsrc * fpp, kids * m2m_flops)
+        + pinv_flops("uc2ue")
     )
 
     # V list.  Target side: the live pairs of every box this rank
@@ -209,7 +216,7 @@ def compute_work(
     from_parent[1:] = has_down[parent[1:]]
     evalw = has_trg * (
         from_parent * l2l_flops
-        + has_down * (pinv_flops + leaf * (ntrg * n_surf * fpp))  # + L2T
+        + has_down * (pinv_flops("dc2de") + leaf * (ntrg * n_surf * fpp))  # + L2T
     )
 
     down_x = has_trg * per_box(xb, n_surf * nsrc[xa] * fpp)

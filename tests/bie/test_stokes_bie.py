@@ -125,7 +125,7 @@ class TestFMMPath:
         with count_factorisations() as calls:
             op.refresh_geometry()
             moved = op.matvec(phi)
-        assert calls == {"randomized_svd": 0, "regularized_pinv": 0}
+        assert calls == {"randomized_svd": 0, "truncated_svd": 0}
         assert (op._pfmm or op._fmm).cache.root_side != side
         cold = StokesSingleLayer(
             [falling, held], options=opts, parallel_ranks=parallel_ranks

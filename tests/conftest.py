@@ -103,11 +103,12 @@ def coarse_v_levels(tree, nranks: int) -> list[int]:
 def count_factorisations():
     """Count the factorisations :class:`OperatorCache` runs inside the block.
 
-    Yields a dict ``{"randomized_svd": n, "regularized_pinv": n}`` that
+    Yields a dict ``{"randomized_svd": n, "truncated_svd": n}`` that
     counting wrappers around the two functions (as ``core.precompute``
-    calls them) keep up to date; the wrappers forward every call.
+    calls them: the rsvd M2L factors and the check-to-equivalent
+    inversions) keep up to date; the wrappers forward every call.
     """
-    calls = {"randomized_svd": 0, "regularized_pinv": 0}
+    calls = {"randomized_svd": 0, "truncated_svd": 0}
 
     def counting(name):
         inner = getattr(precompute, name)
@@ -118,5 +119,5 @@ def count_factorisations():
 
         return mock.patch.object(precompute, name, wrapper)
 
-    with counting("randomized_svd"), counting("regularized_pinv"):
+    with counting("randomized_svd"), counting("truncated_svd"):
         yield calls

@@ -151,10 +151,10 @@ def evaluate(
                         M = cache.m2m_check(child.level, octant)
                         check += M @ ue[ci]
                         flops.add("up", _matvec_flops(M.shape))
-                U = cache.uc2ue(level)
-                ue[bi] = U @ check
+                U, W = cache.uc2ue(level)
+                ue[bi] = W.T @ (U.T @ check)
                 has_ue[bi] = True
-                flops.add("up", _matvec_flops(U.shape))
+                flops.add("up", 2.0 * U.shape[1] * (U.shape[0] + W.shape[1]))
 
     # ---------------- downward pass ----------------
     dc = np.zeros((nb, n_surf * qd))
@@ -234,10 +234,10 @@ def evaluate(
             # One inversion per box.
             if has_dc[bi]:
                 with timer.phase("eval"):
-                    D = cache.dc2de(level)
-                    de[bi] = D @ dc[bi]
+                    U, W = cache.dc2de(level)
+                    de[bi] = W.T @ (U.T @ dc[bi])
                     has_de[bi] = True
-                    flops.add("eval", _matvec_flops(D.shape))
+                    flops.add("eval", 2.0 * U.shape[1] * (U.shape[0] + W.shape[1]))
 
             if not b.is_leaf:
                 continue

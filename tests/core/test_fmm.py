@@ -1,13 +1,32 @@
 """End-to-end KIFMM accuracy and API tests."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 
 from repro.core.fmm import FMMOptions, KIFMM
+from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.kernels.direct import direct_evaluate, relative_error
 
 from tests.conftest import clustered_cloud, uniform_cloud
+
+
+@cache
+def _uniform_error(p, m2l, rcond=FMMOptions.rcond):
+    """Laplace error against direct summation on 300 of 6 000 uniform
+    points in the unit cube (s = 60), the inversions cut at ``rcond``."""
+    rng = np.random.default_rng(7)
+    pts = rng.random((6000, 3))
+    phi = rng.standard_normal((6000, 1))
+    trg = rng.choice(6000, 300, replace=False)
+    kernel = LaplaceKernel()
+    fmm = KIFMM(kernel, FMMOptions(p=p, m2l=m2l)).setup(
+        pts, cache=OperatorCache(kernel, p, 1.0, rcond=rcond)
+    )
+    exact = direct_evaluate(kernel, pts[trg], pts, phi)
+    return relative_error(fmm.apply(phi)[trg], exact)
 
 
 class TestAccuracy:
@@ -41,6 +60,26 @@ class TestAccuracy:
             errs.append(relative_error(u, exact))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-4
+
+    @pytest.mark.parametrize("m2l", ["dense", "auto"])
+    def test_error_falls_through_p10(self, m2l):
+        """Past p = 6 the error keeps falling: the inversions are applied
+        as their two SVD factors, so no round-off floor stops it at
+        p = 8.  With ``auto`` the rsvd tolerance flattens it at p = 10."""
+        errs = [_uniform_error(p, m2l) for p in (6, 8, 10)]
+        assert errs[2] < errs[1] < errs[0]
+        if m2l == "dense":
+            assert errs[2] < 1e-8
+
+    def test_error_does_not_follow_the_inversion_cutoff(self):
+        """The cutoff trades no accuracy against round-off any more.
+
+        At p = 8 a formed pseudo-inverse spreads the error over 17-80x
+        across these cutoffs (3e-8 to 1e-6 here); the factors move it by
+        0.3 % from 1e-15 to 1e-12, and by 18 % at 1e-9, which truncates
+        modes of the discretisation itself."""
+        errs = [_uniform_error(8, "dense", rc) for rc in (1e-15, 1e-12, 1e-9)]
+        assert max(errs) < 1.25 * min(errs)
 
     def test_disjoint_targets(self, rng):
         kernel = LaplaceKernel()

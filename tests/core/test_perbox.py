@@ -20,23 +20,23 @@ def roundoff_bound(fmm: KIFMM) -> float:
 
     The planned and the per-box path sum the same terms in different
     orders, and every difference of one ulp in a check potential passes
-    through the regularised ``uc2ue`` / ``dc2de`` inversions, whose
-    condition number grows with ``p`` (Laplace 2e5 / 1e9 / 3e11 and
-    Stokes 5e5 / 2e10 / 9e11 at p = 4 / 6 / 8).  Measured over p in
-    {4, 6, 8}, rcond in {1e-12, 1e-9, 1e-6}, N in {2k, 20k} and both
-    kernels, the disagreement is 0.003-0.011 x eps x that condition
-    number — six decades on one line — so the bound is 0.1 x eps x
-    cond.  A fixed 1e-10 only ever holds at p = 4; at the default p = 6
-    the two sit 7e-10 to 3e-8 apart.  A gating difference would show at
-    the method's own truncation error (1e-7 Laplace, 1e-5 Stokes at
-    p = 6) or far above it.
+    through the ``uc2ue`` / ``dc2de`` inversions, whose kept spectrum
+    has a condition number that grows with ``p`` (Laplace 2e5 / 1e9 /
+    3e11 and Stokes 5e5 / 2e10 / 9e11 at p = 4 / 6 / 8), read here off
+    the factors: the rows of ``w = vt / s`` have norms ``1 / s``.
+    Applied as those two factors, the inversions keep the amplified
+    round-off in the small singular directions the next evaluation
+    damps.  Measured over p in {4, 6, 8}, rcond in {1e-12, 1e-9, 1e-6}
+    and both kernels at N = 2k, and at p = 6 at N = 20k, the
+    disagreement is at most 2e-5 x eps x that condition number (1e-15
+    to 1.4e-12 in absolute terms), so the bound is 1e-4 x eps x cond.
+    A gating difference would show at the method's own truncation error
+    (1e-7 Laplace, 1e-5 Stokes at p = 6) or far above it.
     """
-    cache, zero = fmm.cache, np.zeros(3)
-    forward = fmm.kernel.matrix(
-        cache.up_check_points(zero, 0), cache.up_equiv_points(zero, 0)
-    )
-    cond = np.linalg.norm(forward, 2) * np.linalg.norm(cache.uc2ue(0), 2)
-    return float(0.1 * np.finfo(np.float64).eps * cond)
+    _, w = fmm.cache.uc2ue(0)
+    inv_s = np.linalg.norm(w, axis=1)
+    cond = inv_s.max() / inv_s.min()
+    return float(1e-4 * np.finfo(np.float64).eps * cond)
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,15 @@
 
 The execution plan reorganises the exact same translations into
 level-major batches; nothing about the mathematics changes.  These tests
-pin that equivalence: potentials agree to ~1e-12 and the phase flop
+pin that equivalence: potentials agree to ~1e-13 and the phase flop
 counts are *bit-identical* (the plan executes the same matvecs, only in
 a different order).
 
 Parity tolerance note: stacked GEMMs accumulate in a different order
-than per-box matvecs, and that rounding noise is amplified by the
-regularised inversions (roughly by ``1/rcond``).  The parity tests use
-``rcond=1e-5`` so the comparison isolates the reordering itself; the
-accuracy-vs-direct test runs at the default ``rcond``.
+than per-box matvecs.  The inversions are applied as their two SVD
+factors, which keep that rounding noise in the small singular directions
+the next evaluation damps, so the parity holds at the default ``rcond``
+(measured <= 2e-15 on these cases at p = 4).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def ellipse_surface(rng: np.random.Generator, n: int) -> np.ndarray:
 def _run_both(kernel, pts, phi, m2l, **kernel_roles):
     """Apply with the planned driver and the per-box oracle; return both."""
     out = {}
-    opts = FMMOptions(p=4, max_points=25, m2l=m2l, rcond=1e-5)
+    opts = FMMOptions(p=4, max_points=25, m2l=m2l)
     for plan, make in (("batched", KIFMM), ("naive", PerBoxFMM)):
         fmm = make(kernel, opts, **kernel_roles).setup(pts)
         out[plan] = (fmm.apply(phi), fmm.flops.by_phase())
@@ -64,7 +64,7 @@ def _run_both(kernel, pts, phi, m2l, **kernel_roles):
 def _assert_parity(out):
     u_b, flops_b = out["batched"]
     u_n, flops_n = out["naive"]
-    assert relative_error(u_b, u_n) < 1e-12
+    assert relative_error(u_b, u_n) < 1e-13
     # Same translations, same per-pair flop model: identical accounting.
     assert flops_b == flops_n
 
@@ -130,7 +130,7 @@ def test_planned_matches_naive_custom_stokes_roles(rng):
 
 
 def test_planned_accuracy_against_direct(rng):
-    """The planned path at default rcond vs O(N^2) truth."""
+    """The planned path vs O(N^2) truth."""
     n = 700
     pts = ellipse_surface(rng, n)
     phi = rng.standard_normal((n, 1))

@@ -33,6 +33,12 @@ def _fresh_cache(kernel, p=4, root=2.0, **kw):
     return OperatorCache(kernel, p, root, **kw)
 
 
+def _formed(factors):
+    """The pseudo-inverse an inversion's factor pair ``(u, w)`` applies."""
+    u, w = factors
+    return w.T @ u.T
+
+
 class TestOctantOffset:
     def test_all_octants_distinct(self):
         offsets = {tuple(octant_offset(c, 3)) for c in range(8)}
@@ -64,8 +70,8 @@ class TestShapes:
         n = n_surface_points(p, 3)
         m, q = kernel.source_dof, kernel.target_dof
         cache = _fresh_cache(kernel, p=p)
-        assert cache.uc2ue(2).shape == (n * m, n * q)
-        assert cache.dc2de(2).shape == (n * m, n * q)
+        for u, w in (cache.uc2ue(2), cache.dc2de(2)):
+            assert u.shape == (n * q, n * m) and w.shape == (n * m, n * m)
         assert cache.m2m_check(2, 3).shape == (n * q, n * m)
         assert cache.l2l_check(2, 5).shape == (n * q, n * m)
         assert cache.m2l_check(2, (2, 0, -1)).shape == (n * q, n * m)
@@ -97,8 +103,13 @@ class TestHomogeneousScaling:
         direct = _fresh_cache(kernel, p=p)
         direct.kernel = _Inhomog(kernel)
         for level in (1, 3):
-            assert np.allclose(cache.uc2ue(level), direct.uc2ue(level), atol=1e-10)
-            assert np.allclose(cache.dc2de(level), direct.dc2de(level))
+            assert np.allclose(
+                _formed(cache.uc2ue(level)), _formed(direct.uc2ue(level)),
+                atol=1e-10,
+            )
+            assert np.allclose(
+                _formed(cache.dc2de(level)), _formed(direct.dc2de(level))
+            )
             assert np.allclose(
                 cache.m2l_check(level, (0, 2, 0)),
                 direct.m2l_check(level, (0, 2, 0)),
@@ -177,7 +188,7 @@ class TestInversionQuality:
         src = rng.uniform(-r, r, size=(20, 3))
         phi = rng.standard_normal(20)
         check = kernel.matrix(cache.up_check_points(center, level), src) @ phi
-        ue = cache.uc2ue(level) @ check
+        ue = _formed(cache.uc2ue(level)) @ check
         far = rng.standard_normal((15, 3))
         far = center + (far / np.linalg.norm(far, axis=1, keepdims=True)) * (6 * r)
         exact = kernel.matrix(far, src) @ phi
@@ -315,16 +326,18 @@ class TestForRoot:
                 moved.l2l_check(2, 3), moved.m2l_check(2, o),
                 moved.m2l_rsvd(2, o), moved.m2l_rsvd(2, o, dtype="float32"),
             )
-        assert calls == {"randomized_svd": 0, "regularized_pinv": 0}
+        assert calls == {"randomized_svd": 0, "truncated_svd": 0}
         assert moved.root_side == 3.4 and moved.rcond == cache.rcond
         cold = _fresh_cache(kernel, root=3.4)
         for mine, theirs in zip(got[2:5], (
             cold.m2m_check(2, 5), cold.l2l_check(2, 3), cold.m2l_check(2, o)
         )):
             assert np.allclose(mine, theirs, rtol=1e-13, atol=0.0)
-        # h = -1: pseudo-inverses grow with the box, evaluations shrink
-        assert np.allclose(got[0], cache.uc2ue(2) * 1.7, rtol=1e-15)
-        assert np.allclose(got[1], cache.dc2de(2) * 1.7, rtol=1e-15)
+        # h = -1: pseudo-inverses grow with the box, evaluations shrink;
+        # an inversion scales its second factor only
+        for (u, w), (u0, w0) in zip(got[:2], (cache.uc2ue(2), cache.dc2de(2))):
+            assert u is u0
+            assert np.allclose(w, w0 * 1.7, rtol=1e-15)
         uf, vf = got[5]
         assert np.allclose(uf @ vf, cache.m2l_check(2, o) / 1.7, rtol=1e-6,
                            atol=1e-6 * np.abs(uf @ vf).max())
@@ -352,8 +365,17 @@ class TestReference:
                 for level in (1, 2, 5):
                     base, factor = cache.reference(name, level, *octant)
                     scaled = getattr(cache, name)(level, *octant)
-                    assert np.array_equal(base * factor, scaled)
                     assert factor == 2.0 ** round(np.log2(factor))
+                    if name in ("uc2ue", "dc2de"):
+                        # The factor pair: the level scales the second.
+                        (u, w), (su, sw) = base, scaled
+                        assert u is su and np.array_equal(w * factor, sw)
+                        x = rng.standard_normal((7, u.shape[0]))
+                        product = (x @ u) @ w
+                        product *= factor
+                        assert np.array_equal(product, (x @ u) @ sw)
+                        continue
+                    assert np.array_equal(base * factor, scaled)
                     x = rng.standard_normal((7, base.shape[1]))
                     product = x @ base.T
                     product *= factor
@@ -403,7 +425,7 @@ class TestPlane:
         m, q = kernel.source_dof, kernel.target_dof
         cache = _fresh_cache(kernel, p=p)
         assert cache.dim == 2 and cache.n_surf == n == 4 * p - 4
-        assert cache.uc2ue(2).shape == (n * m, n * q)
+        assert _formed(cache.uc2ue(2)).shape == (n * m, n * q)
         assert cache.m2m_check(2, 3).shape == (n * q, n * m)
         assert cache.l2l_check(2, 1).shape == (n * q, n * m)
         assert cache.m2l_check(2, (2, -1)).shape == (n * q, n * m)
@@ -418,7 +440,7 @@ class TestPlane:
         phi = rng.standard_normal(15)
         phi -= phi.mean()  # zero total charge: no far log-growth mismatch
         check = kernel.matrix(cache.up_check_points(np.zeros(2), level), src) @ phi
-        ue = cache.uc2ue(level) @ check
+        ue = _formed(cache.uc2ue(level)) @ check
         theta = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         far = 6 * r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         exact = kernel.matrix(far, src) @ phi

@@ -72,9 +72,8 @@ class TestUpwardLocal:
             cache.up_check_points(tree.center(leaf), level),
             tree.src_points(leaf),
         )
-        expected = cache.uc2ue(level) @ (
-            K @ phi[tree.src_indices(leaf)].reshape(-1)
-        )
+        u, w = cache.uc2ue(level)
+        expected = w.T @ (u.T @ (K @ phi[tree.src_indices(leaf)].reshape(-1)))
         assert np.allclose(ue[leaf], expected)
         # every box with sources has a density
         assert np.array_equal(ue.any(axis=1), topo.nsrc > 0)

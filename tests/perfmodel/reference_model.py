@@ -53,6 +53,7 @@ def compute_work(
     nrhs: int = 1,
     up_nsrc: np.ndarray | None = None,
     rsvd_rank=None,
+    inverse_rank=None,
 ) -> PhaseWork:
     """Flop volumes of one evaluation, box by box (see
     :func:`repro.perfmodel.costs.compute_work` for the arguments)."""
@@ -87,7 +88,13 @@ def compute_work(
         else nsrc
     )
 
-    pinv_flops = 2.0 * (n_surf * md) * (n_surf * qd)
+    def pinv_flops(name, level):
+        """Two GEMMs through the inversion's factors, at full rank unless
+        ``inverse_rank`` says otherwise."""
+        rank = n_surf * min(md, qd)
+        if inverse_rank is not None:
+            rank = inverse_rank(name, level)
+        return 2.0 * rank * (n_surf * md + n_surf * qd)
     m2m_flops = 2.0 * (n_surf * qd) * (n_surf * md)  # per child matvec
     l2l_flops = m2m_flops
     m2l_dense_flops = m2m_flops
@@ -139,7 +146,7 @@ def compute_work(
             else:
                 nkids = sum(1 for c in b.children if unsrc[c] > 0)
                 up[i] += nkids * m2m_flops
-            up[i] += pinv_flops  # uc2ue inversion
+            up[i] += pinv_flops("uc2ue", b.level)
         if nsrc[i] > 0 and v_feeds[i]:
             down_v[i] += md * fft_flops  # forward transform of this source
 
@@ -175,7 +182,7 @@ def compute_work(
         if b.level >= 1 and b.parent >= 0 and has_down[b.parent]:
             evalw[i] += l2l_flops  # L2L from the parent's density
         if has_down[i]:
-            evalw[i] += pinv_flops  # dc2de inversion
+            evalw[i] += pinv_flops("dc2de", b.level)
         for a in lists.X[i]:
             if nsrc[a] > 0:
                 down_x[i] += n_surf * nsrc[a] * fpp

@@ -31,6 +31,7 @@ def test_work_matches_evaluator_flops(rng, m2l, cloud):
     model = compute_work(
         fmm.tree, fmm.lists, kernel, p, m2l=fmm.m2l_schedule,
         rsvd_rank=fmm.cache.m2l_rsvd_rank,
+        inverse_rank=fmm.cache.inverse_rank,
     ).totals()
     # Every phase agrees bitwise: all per-stage terms are integer-valued
     # floats, so float summation is exact and the model is an identity
@@ -38,6 +39,24 @@ def test_work_matches_evaluator_flops(rng, m2l, cloud):
     # certifies statically.  (The model's FFT terms have no executed
     # counterpart; tests/perfmodel/test_reference_model.py certifies
     # them against the per-box walk.)
+    for phase, value in model.items():
+        assert value == measured.get(phase, 0.0), phase
+
+
+def test_work_follows_the_kept_inversion_rank(rng):
+    """At p = 8 the cutoff drops inversion modes (rank 292 of 296): the
+    model prices the kept rank and stays the evaluator's identity."""
+    kernel = LaplaceKernel()
+    pts = uniform_cloud(rng, 400)
+    fmm = KIFMM(kernel, FMMOptions(p=8, max_points=40, m2l="rsvd")).setup(pts)
+    fmm.apply(rng.standard_normal((400, 1)))
+    assert fmm.cache.inverse_rank("uc2ue", 2) < fmm.cache.n_surf
+    model = compute_work(
+        fmm.tree, fmm.lists, kernel, 8, m2l=fmm.m2l_schedule,
+        rsvd_rank=fmm.cache.m2l_rsvd_rank,
+        inverse_rank=fmm.cache.inverse_rank,
+    ).totals()
+    measured = fmm.flops.by_phase()
     for phase, value in model.items():
         assert value == measured.get(phase, 0.0), phase
 

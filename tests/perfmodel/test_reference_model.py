@@ -60,6 +60,12 @@ def _synthetic_rank(level, offset):
     return 40 + level + offset[0] + 2 * offset[1] + 3 * offset[2]
 
 
+def _synthetic_inverse_rank(name, level):
+    """A kept rank per inversion and level, below the full 56 at p = 4."""
+    assert name in ("uc2ue", "dc2de") and type(level) is int
+    return 30 + level + 5 * (name == "dc2de")
+
+
 def _schedules(depth):
     mixed = {lvl: ("fft", "rsvd", "dense")[lvl % 3] for lvl in range(2, depth + 1)}
     return {
@@ -98,8 +104,13 @@ def test_work_arrays_equal_the_walk(trees, kind, m2l, nrhs):
     tree, lists = trees[kind]
     kernel = StokesKernel() if kind == "two-cluster" else LaplaceKernel()
     sched = _schedules(tree.depth)[m2l]
-    for rank_args in ({}, _rank_arguments(tree)):
-        args = dict(m2l=sched, nrhs=nrhs, rsvd_rank=_synthetic_rank, **rank_args)
+    for rank_args, inverse in (
+        ({}, None), (_rank_arguments(tree), _synthetic_inverse_rank)
+    ):
+        args = dict(
+            m2l=sched, nrhs=nrhs, rsvd_rank=_synthetic_rank,
+            inverse_rank=inverse, **rank_args,
+        )
         _assert_same_work(
             compute_work(tree, lists, kernel, 4, **args),
             reference.compute_work(tree, lists, kernel, 4, **args),

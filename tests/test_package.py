@@ -50,10 +50,15 @@ class TestTheArraysAreTheOnlyTree:
         for name in "UVWX":
             assert not hasattr(lists, name), name
         fields = [f.name for f in dataclasses.fields(repro.FMMOptions)]
-        assert len(fields) == 9
+        assert len(fields) == 8
         assert "plan" not in fields and "balance" not in fields
         with pytest.raises(TypeError):
             repro.FMMOptions(plan="naive")
+        # The inversion cutoff is a constant: the inversions are applied
+        # as their SVD factors, so it has nothing to tune.
+        assert "rcond" not in fields and repro.FMMOptions.rcond == 1e-12
+        with pytest.raises(TypeError):
+            repro.FMMOptions(rcond=1e-9)
         # No 2:1 balancing either: the tree is the paper's adaptive one.
         assert importlib.util.find_spec("repro.octree.balance") is None
         with pytest.raises(TypeError):
@@ -110,7 +115,7 @@ class TestOneParallelDriver:
                 "self", "points", "density", "trace", "schedule_seed",
                 "cache",
             }, fn.__name__
-        assert len(dataclasses.fields(repro.FMMOptions)) == 9
+        assert len(dataclasses.fields(repro.FMMOptions)) == 8
 
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_setup_collective_sequence(self, rng, nranks):
