@@ -162,12 +162,14 @@ def _cmd_project(args: argparse.Namespace) -> int:
     """Project tree-top exchange cost to thousands of simulated ranks.
 
     Builds a real model tree, then sweeps simulated processor counts in
-    powers of two, comparing the flat owner gather/scatter (the paper's
+    powers of two over the runtime's roles (its partition, owners and
+    users), comparing the flat owner gather/scatter (the paper's
     Algorithm 1 as published; per-box fan-in grows O(P) at the critical
-    rank) against segmented binomial collectives (O(log P) fan-in) plus
-    a coarse-level V split.  The ranks run the binomial exchange with a
-    redundant tree-top V; the flat exchange and the split are priced by
-    the model only.  ``--out`` writes ``BENCH_scaling.json``;
+    rank) against the binomial trees the ranks run (O(log P) fan-in,
+    counted rank by rank) plus a coarse-level V split.  The ranks run
+    the binomial exchange with a redundant tree-top V; the flat exchange
+    and the split are priced by the model only.  ``--out`` writes
+    ``BENCH_scaling.json``;
     ``--min-speedup`` / ``--max-crossover`` turn the report into CI
     assertions.
     """

@@ -19,9 +19,12 @@ tree of :func:`~repro.parallel.simmpi.tree_parent` /
 :func:`~repro.parallel.simmpi.tree_children` over its participants in
 :func:`~repro.parallel.simmpi.tree_order` (owner first), the edges the
 collectives use too.  Every rank — the owner included — touches
-O(log P) messages per box.  The paper's literal star (the owner of a
-coarse box handles O(P) messages) survives only as the baseline the
-performance model prices (:func:`~repro.perfmodel.simulate.tree_top_model`);
+O(log P) messages per box.  The performance model counts these same
+trees over the same roles
+(:func:`~repro.perfmodel.simulate.simulate_run` prices each rank's
+sends and receives of an apply); the paper's literal star (the owner of
+a coarse box handles O(P) messages) survives only as the baseline it
+prices next to them (:func:`~repro.perfmodel.simulate.tree_top_model`);
 no rank runs it.
 
 A gather node places its own piece in slot 0 and each child's piece in

@@ -84,31 +84,35 @@ def assign_owners(contrib: np.ndarray) -> np.ndarray:
     total) fall to rank 0.
     """
     nranks, nboxes = contrib.shape
-    owner = np.full(nboxes, -1, dtype=np.int64)
-    ncontrib = contrib.sum(axis=0)
-    # step 1: sole contributors take their boxes (one vectorised argmax;
-    # their load lands before any balancing decision, like the paper's
-    # "taken" pre-pass)
-    sole = np.nonzero(ncontrib == 1)[0]
-    if sole.size:
-        owner[sole] = np.argmax(contrib[:, sole], axis=0)
-        load = np.bincount(owner[sole], minlength=nranks).astype(np.int64)
-    else:
-        load = np.zeros(nranks, dtype=np.int64)
+    box, ranks = np.nonzero(contrib.T)
+    return balance_owners(
+        nranks, np.searchsorted(box, np.arange(nboxes + 1)), ranks
+    )
+
+
+def balance_owners(
+    nranks: int, ptr: np.ndarray, ranks: np.ndarray
+) -> np.ndarray:
+    """:func:`assign_owners` over the contributor lists in CSR form: box
+    ``b``'s contributors are ``ranks[ptr[b]:ptr[b + 1]]``, ascending.
+
+    The performance model calls it with the rank intervals of its
+    partition, so it prices the owners the ranks agree on without a
+    ``(nranks, nboxes)`` matrix.
+    """
+    count = np.diff(ptr)
+    owner = np.zeros(count.size, dtype=np.int64)
+    # step 1: sole contributors take their boxes; their load lands
+    # before any balancing decision, like the paper's "taken" pre-pass
+    sole = count == 1
+    owner[sole] = ranks[ptr[:-1][sole]]
+    load = np.bincount(owner[sole], minlength=nranks).tolist()
     # steps 2-3: deterministic balancing of the rest.  The selection is
     # inherently sequential (each assignment feeds the next load
-    # comparison), but the per-box contributor lists come from one
-    # nonzero sweep in CSR form instead of a column slice per box.
-    multi = np.nonzero(ncontrib != 1)[0]
-    if multi.size:
-        box_pos, rank_flat = np.nonzero(contrib[:, multi].T)
-        seg = np.searchsorted(box_pos, np.arange(multi.size + 1))
-        for j, b in enumerate(multi):
-            ranks = rank_flat[seg[j]:seg[j + 1]]
-            if ranks.size == 0:
-                owner[b] = 0
-                continue
-            r = int(ranks[np.argmin(load[ranks])])
-            owner[b] = r
-            load[r] += 1
+    # comparison); ``min`` keeps the first, i.e. lowest, least-loaded
+    # rank of the ascending list.
+    for b in np.flatnonzero(count > 1).tolist():
+        r = min(ranks[ptr[b]:ptr[b + 1]].tolist(), key=load.__getitem__)
+        owner[b] = r
+        load[r] += 1
     return owner

@@ -61,7 +61,18 @@ def partition_points(points: np.ndarray, nranks: int) -> list[np.ndarray]:
         return [np.empty(0, dtype=np.int64) for _ in range(nranks)]
     corner, side = _root_cube(points)
     order = np.argsort(encode_points(points, corner, side), kind="stable")
-    return [np.array(chunk, dtype=np.int64) for chunk in np.array_split(order, nranks)]
+    bounds = split_offsets(order.size, nranks)[1:-1]
+    return [np.array(chunk, dtype=np.int64) for chunk in np.split(order, bounds)]
+
+
+def split_offsets(npoints: int, nranks: int) -> np.ndarray:
+    """Where each rank's run of :func:`partition_points`' Morton order
+    starts, then ``npoints``: equal shares, one point more on each of
+    the first ``npoints % nranks`` ranks (``np.array_split``'s rule), so
+    the ranks past ``npoints`` hold nothing."""
+    base, extra = divmod(npoints, nranks)
+    rank = np.arange(nranks + 1)
+    return rank * base + np.minimum(rank, extra)
 
 
 def points_for_ranks(

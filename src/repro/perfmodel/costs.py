@@ -228,42 +228,3 @@ def compute_work(
         down_w=down_w * nrhs, down_x=down_x * nrhs, eval=evalw * nrhs,
     )
 
-
-def communication_volumes(
-    tree: Octree,
-    lists: InteractionLists,
-    kernel: Kernel,
-    p: int,
-    nrhs: int = 1,
-) -> tuple[
-    tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray],
-    np.ndarray, np.ndarray,
-]:
-    """Raw material for the communication model.
-
-    Returns ``(equiv_uses, source_uses, equiv_bytes, source_bytes)``.
-    The two ``uses`` are ``(box, user)`` index arrays, one entry per
-    list pair: *target* box ``user`` consumes ``box``'s upward
-    equivalent density (V/W lists) or its ghost source data (U/X lists,
-    a leaf's own U entry excluded).  The byte arrays are the per-box
-    message sizes.  ``nrhs`` widens the per-box
-    density payloads (equivalent densities and ghost source strengths
-    carry one column per right-hand side) while coordinates are sent
-    once regardless of the block width — the reason a blocked exchange
-    beats ``nrhs`` single-RHS exchanges on latency *and* volume.
-    """
-    topo = tree.topology
-    n_surf = n_surface_points(p, topo.dim)
-    md = kernel.source_dof
-
-    def uses(*families):
-        user, box = (
-            np.concatenate(side)
-            for side in zip(*(lists.pairs(which) for which in families))
-        )
-        other = box != user
-        return box[other], user[other]
-
-    equiv_bytes = np.full(topo.nboxes, 8.0 * n_surf * md * nrhs)
-    source_bytes = 8.0 * topo.nsrc * (topo.dim + md * nrhs)
-    return uses("V", "W"), uses("X", "U"), equiv_bytes, source_bytes

@@ -89,19 +89,6 @@ class MachineModel:
         rounds = math.ceil(math.log2(nprocs))
         return rounds * (self.latency + nbytes / self.bandwidth)
 
-    def tree_collective_time(self, nbytes: float, nprocs: int) -> float:
-        """Critical path of one binomial-tree reduce or broadcast.
-
-        The segmented per-box collectives of the hierarchical tree-top
-        exchange complete in ``ceil(log2(C))`` rounds over ``C``
-        participants, each round one latency plus the payload; a rank's
-        fan-in per box is bounded by the round count instead of ``C-1``.
-        """
-        if nprocs <= 1:
-            return 0.0
-        rounds = math.ceil(math.log2(nprocs))
-        return rounds * (self.latency + nbytes / self.bandwidth)
-
     def flat_fanin_time(self, nbytes: float, nprocs: int) -> float:
         """Critical path of a flat owner gather (or scatter).
 

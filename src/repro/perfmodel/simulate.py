@@ -1,18 +1,20 @@
 """Parallel-run simulation: work + communication volumes -> time.
 
-The simulation reproduces the structure of the parallel algorithm of
-Section 3 exactly:
+The simulation prices the run the ranks make (Section 3), from the
+roles the runtime compiles:
 
-- leaves are partitioned over ``P`` ranks along the Morton curve with
-  equal particle weights (Section 3.1's partitioning);
-- every box's *contributor ranks* form a contiguous rank interval (its
-  subtree's leaves are contiguous on the curve);
+- the points are split as ``ParallelFMM.setup`` splits them
+  (:func:`~repro.parallel.partition.partition_points`: equal shares of
+  the Morton order), so every box's *contributor ranks* form a
+  contiguous rank interval;
 - upward/downward work of a shared box is paid redundantly by each
   contributor (the paper's deliberate design: "a disadvantage is the
   redundant computation at the nodes which are close to the root");
-- the upward-equivalent-density and ghost-source exchanges follow the
-  owner gather/scatter of Algorithm 1, with the first contributor as
-  owner, producing per-rank byte and message counts.
+- each exchanged box's owner is the one the ranks agree on
+  (:func:`~repro.parallel.owners.assign_owners`), and its gather and
+  scatter are the binomial trees
+  :func:`~repro.parallel.exchange.compile_exchange` writes, producing
+  per-rank byte and message counts of one apply.
 
 Flops and bytes are *measured* from the tree; the machine model converts
 them to seconds.  ``grain_scale`` supports isogranular extrapolation:
@@ -23,20 +25,28 @@ with its 2/3 power (surface-to-volume), documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.surfaces import n_surface_points
-from repro.geometry.patches import partition_weights
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists
-from repro.octree.morton import MAX_DEPTH
-from repro.octree.topology import level_base
 from repro.octree.tree import Octree
-from repro.perfmodel.costs import PhaseWork, communication_volumes, compute_work
+from repro.parallel.owners import balance_owners
+from repro.parallel.partition import split_offsets
+from repro.perfmodel.costs import PhaseWork, compute_work
 from repro.perfmodel.machine import MachineModel
+from repro.util.segments import distinct, multi_arange
 
 PHASES = ("up", "down_u", "down_v", "down_w", "down_x", "eval")
+
+#: The list rows that name each payload kind's users: a box's upward
+#: equivalent density goes to the targets whose V or W list holds it, its
+#: source densities to those whose U or X list does.  V and U are
+#: symmetric and X is W's dual, so those targets are the box's own V and
+#: X (U and W) rows.
+_USERS = {"pue": ("V", "X"), "phi": ("U", "W")}
 
 
 @dataclass
@@ -97,40 +107,31 @@ class RunReport:
         return best
 
 
-def _check_ranks(P) -> None:
+def _partition(tree: Octree, P) -> tuple[np.ndarray, ...]:
+    """The runtime's roles at ``P`` ranks: ``(offsets, lo, hi, owner)``.
+
+    :func:`~repro.parallel.partition.partition_points` gives rank ``r``
+    the run ``offsets[r]:offsets[r + 1]`` of the Morton order, the
+    tree's source order, so a box's contributors are the ranks ``lo ..
+    hi`` of its first and last source (none past the point count), and
+    its owner is :func:`~repro.parallel.owners.assign_owners`' pick.
+    """
     if isinstance(P, bool) or not isinstance(P, (int, np.integer)) or P < 1:
         raise ValueError(f"P must be an integer >= 1, got {P!r}")
-
-
-def _deep_keys(topo) -> tuple[np.ndarray, np.ndarray]:
-    """First and last deepest-level Morton key inside every box: the
-    box's stretch of the curve, whatever points it holds."""
-    shift = (topo.dim * (MAX_DEPTH - topo.level)).astype(np.uint64)
-    first = (topo.uid - level_base(topo.dim)[topo.level]) << shift
-    return first, first + ((np.uint64(1) << shift) - np.uint64(1))
-
-
-def _leaf_ranks(tree: Octree, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """The leaves in Morton order and the rank owning each: contiguous
-    runs of near-equal particle weight along the curve (Section 3.1)."""
+    if not tree.shared_points:
+        raise ValueError(
+            "the performance model prices ParallelFMM runs, whose targets "
+            "are their sources (ParallelFMM.setup(points)); this tree's "
+            "targets are not its sources"
+        )
     topo = tree.topology
-    leaves = np.flatnonzero(topo.is_leaf)
-    leaves = leaves[np.argsort(_deep_keys(topo)[0][leaves])]
-    weights = np.maximum(topo.nsrc, topo.ntrg)[leaves]
-    return leaves, partition_weights(weights, P)
-
-
-def _box_rank_intervals(
-    tree: Octree, leaves: np.ndarray, leaf_rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contributor rank interval [lo, hi] per box (inclusive): the ranks
-    of the first and the last leaf on the box's stretch of the curve."""
-    first, last = _deep_keys(tree.topology)
-    at = first[leaves]
-    return (
-        leaf_rank[np.searchsorted(at, first)],
-        leaf_rank[np.searchsorted(at, last, side="right") - 1],
+    offsets = split_offsets(tree.sources.shape[0], P)
+    lo, hi = (
+        np.searchsorted(offsets, at, side="right") - 1
+        for at in (topo.src_start, topo.src_stop - 1)
     )
+    ptr = np.concatenate([[0], np.cumsum(hi - lo + 1)])
+    return offsets, lo, hi, balance_owners(P, ptr, multi_arange(lo, hi + 1))
 
 
 def _over_ranks(P: int, lo: np.ndarray, hi: np.ndarray, value) -> np.ndarray:
@@ -143,27 +144,151 @@ def _over_ranks(P: int, lo: np.ndarray, hi: np.ndarray, value) -> np.ndarray:
     return np.cumsum(diff[:-1])
 
 
-def _merged_users(
-    uses: tuple[np.ndarray, np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rank intervals of every box's users, merged where they touch
-    or overlap: ``(box, lo, hi, holds_owner)`` per merged interval, the
-    last saying whether the box's owner (its first contributor) is one
-    of the users.  A sort by ``(box, lo)`` and a running maximum of
-    ``hi`` that restarts with each box."""
-    box, user = uses
-    stride = hi.max(initial=0) + 2
-    # One integer sort: the hi of equal (box, lo) may come in any order.
-    key = (box * stride + lo[user]) * stride + hi[user]
-    key.sort()
-    key, uhi = np.divmod(key, stride)
-    box, ulo = np.divmod(key, stride)
-    reach = np.maximum.accumulate(box * stride + uhi) - box * stride
-    opens = np.ones(box.size, dtype=bool)
-    opens[1:] = (box[1:] != box[:-1]) | (ulo[1:] > reach[:-1] + 1)
+def _merged(
+    box: np.ndarray, lo: np.ndarray, hi: np.ndarray, P: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank intervals ``[lo, hi]`` merged per box where they touch or
+    overlap, grouped by box and ascending: a sort by ``(box, lo)`` and
+    a running maximum of ``hi``, on keys offset by ``box * (P + 1)`` so
+    that each box's stay below the next box's."""
+    if not box.size:
+        return box, lo, hi
+    row = box * (P + 1)
+    start = row + lo
+    # The sort is skipped where the rows arrive in order: a V row is one
+    # level, whose boxes are in Morton order, like their ranks.
+    if np.any(start[1:] < start[:-1]):
+        order = np.argsort(start)
+        box, row, start, hi = box[order], row[order], start[order], hi[order]
+    reach = np.maximum.accumulate(row + hi)
+    opens = np.flatnonzero(np.r_[True, start[1:] > reach[:-1] + 1])
     # An interval closes where the next one opens (the last: at the end).
-    box, ulo, uhi = box[opens], ulo[opens], reach[np.roll(opens, -1)]
-    return box, ulo, uhi, (ulo <= lo[box]) & (lo[box] <= uhi)
+    closes = np.r_[opens[1:] - 1, box.size - 1]
+    row = row[opens]
+    return box[opens], start[opens] - row, reach[closes] - row
+
+
+def _rounds(n) -> np.ndarray:
+    """``ceil(log2(n))`` for integers ``n >= 1``: bits of ``n - 1``."""
+    return np.frexp(np.asarray(n, dtype=np.float64) - 1.0)[1]
+
+
+class _Trees(NamedTuple):
+    """Every participant of some boxes' binomial trees: its box, rank,
+    place in :func:`~repro.parallel.simmpi.tree_order` (the ranks
+    ascending, rotated to start at the owner), the box's participant
+    count and ``len(tree_children(pos, n))``."""
+
+    box: np.ndarray
+    rank: np.ndarray
+    pos: np.ndarray
+    n: np.ndarray
+    kids: np.ndarray
+
+
+def _trees(
+    box: np.ndarray, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray
+) -> _Trees:
+    """The trees over the disjoint ascending rank intervals ``lo .. hi``
+    of each box (grouped by box), the owner among them.  A position's
+    children are ``pos + 2**k`` for each bit ``k`` below its lowest set
+    one (every ``k`` at the root) that stay inside the tree."""
+    size = hi - lo + 1
+    first = np.cumsum(size) - size  # where each interval's ranks start
+    n = np.bincount(box, weights=size, minlength=owner.size).astype(np.int64)
+    root = np.zeros(owner.size, dtype=np.int64)
+    mine = (lo <= owner[box]) & (owner[box] <= hi)
+    root[box[mine]] = (first + owner[box] - lo)[mine]
+    box = np.repeat(box, size)
+    n = n[box]
+    pos = np.arange(box.size) - root[box]
+    pos += n * (pos < 0)
+    below = np.where(pos > 0, np.frexp(pos & -pos)[1] - 1, n)
+    return _Trees(
+        box, multi_arange(lo, hi + 1), pos, n,
+        np.minimum(below, _rounds(n - pos)),
+    )
+
+
+def _exchange(
+    lists: InteractionLists, roles: tuple, kind: str
+) -> tuple[_Trees, _Trees]:
+    """The ``(gather, scatter)`` trees of one payload kind over its used
+    boxes: the gather over the contributors, the scatter over the users
+    and the owner.  The users are the contributors of the targets in
+    the box's :data:`_USERS` rows — ``classify_let``'s rule on a
+    sources = targets tree, where every box holds sources and targets
+    and only leaves have U and W lists."""
+    offsets, lo, hi, owner = roles
+    merged = []
+    for family in _USERS[kind]:
+        ptr, target = lists.flat(family)
+        box = np.repeat(np.arange(owner.size), np.diff(ptr))
+        merged.append(_merged(box, lo[target], hi[target], offsets.size - 1))
+    used = distinct(np.concatenate([box for box, _, _ in merged]), owner.size)
+    merged.append((used, owner[used], owner[used]))
+    users = (np.concatenate(side) for side in zip(*merged))
+    return (
+        _trees(used, lo[used], hi[used], owner),
+        _trees(*_merged(*users, offsets.size - 1), owner),
+    )
+
+
+def _apply_traffic(
+    tree: Octree,
+    lists: InteractionLists,
+    kernel: Kernel,
+    p: int,
+    roles: tuple,
+    nrhs: int = 1,
+) -> np.ndarray:
+    """What one apply sends and receives per rank, ``(2, 2, P)``:
+    ``[sent | received][messages | bytes]``.
+
+    A message is a node's edge to its parent in a gather tree and to a
+    child in a scatter tree.  An upward-equivalent-density message is
+    one surface vector; a scatter of source densities carries the box's
+    sources, a gather message those of the sender's subtree.  An apply
+    ships no coordinates: they went once, at setup (``geo``).
+    """
+    offsets, _, hi, owner = roles
+    P, topo = offsets.size - 1, tree.topology
+    row = 8.0 * kernel.source_dof * nrhs  # bytes of one source's density
+    traffic = np.zeros((2, 2, P))
+
+    def add(trees, sent, received, bytes_sent, bytes_received):
+        for out, weights in zip(
+            traffic.reshape(4, P), (sent, bytes_sent, received, bytes_received)
+        ):
+            out += np.bincount(trees.rank, weights=weights, minlength=P)
+
+    pue = row * n_surface_points(p, topo.dim)
+    gather, scatter = _exchange(lists, roles, "pue")
+    up, down = gather.pos > 0, scatter.pos > 0
+    add(gather, up, gather.kids, up * pue, gather.kids * pue)
+    add(scatter, scatter.kids, down, scatter.kids * pue, down * pue)
+
+    gather, scatter = _exchange(lists, roles, "phi")
+    down, size = scatter.pos > 0, row * topo.nsrc[scatter.box]
+    add(scatter, scatter.kids, down, scatter.kids * size, down * size)
+    b, pos = gather.box, gather.pos
+    start, count = topo.src_start[b], topo.nsrc[b]
+
+    def held(at):
+        """Box ``b``'s sources on tree positions ``0 .. at - 1`` (the
+        ranks owner, ..., hi, lo, ..., owner - 1), plus a constant."""
+        x = owner[b] + at - 1
+        wrap = x > hi[b]
+        x = x - wrap * gather.n
+        return wrap * count + np.clip(offsets[x + 1] - start, 0, count)
+
+    # A gather node's subtree: its positions up to the next multiple of
+    # its lowest set bit.
+    end = np.where(pos > 0, np.minimum(pos + (pos & -pos), gather.n), gather.n)
+    subtree = (held(end) - held(pos)) * row
+    own = (held(pos + 1) - held(pos)) * row
+    add(gather, pos > 0, gather.kids, (pos > 0) * subtree, subtree - own)
+    return traffic
 
 
 def simulate_run(
@@ -199,7 +324,7 @@ def simulate_run(
     n_override:
         Report this N instead of the model tree's particle count.
     """
-    _check_ranks(P)
+    roles = _partition(tree, P)
     if not (np.isfinite(grain_scale) and grain_scale > 0):
         raise ValueError(
             f"grain_scale must be finite and positive, got {grain_scale}"
@@ -208,9 +333,8 @@ def simulate_run(
         work = compute_work(tree, lists, kernel, p, m2l=m2l)
     N = n_override if n_override is not None else tree.sources.shape[0]
 
-    box_lo, box_hi = _box_rank_intervals(tree, *_leaf_ranks(tree, P))
-
     # ---- per-rank flops (redundant work on shared boxes included) ----
+    _, box_lo, box_hi, _ = roles
     rank_flops = np.stack(
         [_over_ranks(P, box_lo, box_hi, getattr(work, ph)) for ph in PHASES],
         axis=1,
@@ -218,33 +342,11 @@ def simulate_run(
     rank_flops *= grain_scale
 
     # ---- communication (owner gather/scatter, Algorithm 1) ----
-    equiv_uses, source_uses, equiv_bytes, source_bytes = communication_volumes(
-        tree, lists, kernel, p
+    (msgs_out, bytes_out), (msgs_in, bytes_in) = _apply_traffic(
+        tree, lists, kernel, p, roles
     )
-    traffic = np.zeros((2, 2, P))  # [bytes | messages][received | sent]
-    for uses, size in ((equiv_uses, equiv_bytes), (source_uses, source_bytes)):
-        used = np.zeros(tree.nboxes, dtype=bool)
-        used[uses[0]] = True
-        box, lo, hi, holds_owner = _merged_users(uses, box_lo, box_hi)
-        owner = box_lo[box]
-        nusers = np.bincount(
-            box, weights=hi - lo + 1 - holds_owner, minlength=tree.nboxes
-        )
-        for unit, (received, sent) in zip((size * used, 1.0 * used), traffic):
-            # gather: the other contributors -> the owner, the first one
-            sent += _over_ranks(P, box_lo + 1, box_hi, unit)
-            received += np.bincount(
-                box_lo, weights=(box_hi - box_lo) * unit, minlength=P
-            )
-            # scatter: the owner -> every user rank but itself
-            received += _over_ranks(P, lo, hi, unit[box])
-            received -= np.bincount(
-                owner, weights=unit[box] * holds_owner, minlength=P
-            )
-            sent += np.bincount(box_lo, weights=nusers * unit, minlength=P)
     scale23 = grain_scale ** (2.0 / 3.0)
-    (rank_bytes_in, rank_bytes_out), (rank_msgs_in, rank_msgs_out) = traffic
-    rank_bytes_in, rank_bytes_out = rank_bytes_in * scale23, rank_bytes_out * scale23
+    bytes_out, bytes_in = bytes_out * scale23, bytes_in * scale23
 
     # ---- convert to time ----
     rank_phase_sec = rank_flops / np.array(
@@ -254,25 +356,15 @@ def simulate_run(
     # posting buffered sends costs the sender unhideable time; waiting
     # on in-flight receives overlaps with the owned-data near-field and
     # V/W work, so only the part of the wait the overlap window cannot
-    # cover is paid.  The Allreduce of the owner/"taken" combination
-    # (Section 3.2) is a synchronisation, i.e. wait-side.
-    pack_sec = (
-        rank_msgs_out * machine.latency + rank_bytes_out / machine.bandwidth
-    )
-    wait_raw = (
-        rank_msgs_in * machine.latency + rank_bytes_in / machine.bandwidth
-    )
-    wait_raw += machine.allreduce_time(
-        tree.nboxes * machine.tree_entry_bytes, P
-    )
+    # cover is paid.  An apply runs no collective: the owners were
+    # agreed at setup.
+    pack_sec = msgs_out * machine.latency + bytes_out / machine.bandwidth
+    wait_raw = msgs_in * machine.latency + bytes_in / machine.bandwidth
     overlappable = rank_phase_sec[
         :, [PHASES.index(ph) for ph in ("down_u", "down_v", "down_w")]
     ].sum(axis=1)
     hidden = np.minimum(wait_raw, machine.overlap_fraction * overlappable)
     wait_sec = wait_raw - hidden
-    if P == 1:
-        pack_sec = np.zeros(P)
-        wait_sec = np.zeros(P)
     comm_sec = pack_sec + wait_sec
     rank_total = rank_phase_sec.sum(axis=1) + comm_sec
 
@@ -323,26 +415,26 @@ def coarse_split_levels(
 class TreeTopPoint:
     """Modelled tree-top cost of one simulated processor count.
 
-    "Tree top" means the shared boxes — boxes whose leaf descendants
-    span more than one rank, i.e. the boxes whose partial upward
-    densities ride the owner gather/scatter and whose coarse V
-    translations are performed redundantly.  The point compares two
-    exchange shapes on identical traffic: ``flat`` (owner serialises
-    ``C-1`` point-to-point transfers per box) against ``tree``
-    (segmented binomial collectives, ``ceil(log2 C)`` rounds) plus the
-    coarse-level V split (assigned-rank compute + row broadcast instead
-    of fully redundant translation).  Total message counts are
-    identical by construction — a binomial tree over ``C`` participants
-    has exactly ``C-1`` edges — only the critical path and the per-rank
-    fan-in change.
+    "Tree top" means the shared boxes — boxes whose sources span more
+    than one rank, i.e. the boxes whose partial upward densities ride
+    the owner gather/scatter and whose coarse V translations are
+    performed redundantly.  The point compares two exchange shapes over
+    the same roles (the owner, contributors and users of the ``pue``
+    exchange): ``flat`` (the owner serialises a point-to-point transfer
+    with every other participant) against ``tree`` (the binomial
+    gather and scatter :func:`~repro.parallel.exchange.compile_exchange`
+    writes, counted rank by rank) plus the coarse-level V split
+    (assigned-rank compute + row broadcast instead of fully redundant
+    translation).  Total message counts are identical by construction —
+    a tree over ``n`` participants has ``n-1`` edges, like the star —
+    only the critical path and the per-rank fan-in change.
 
-    The ranks run the binomial exchange
-    (:func:`~repro.parallel.exchange.compile_exchange`) with a
-    redundant tree-top V, as the paper does; the coarse V split is
-    priced here only, as is ``flat``.  ``flat_total`` (the paper's
-    Algorithm 1 as published, redundant V) is the baseline the
-    crossover and speedup are quoted against, ``tree_total`` (binomial
-    exchange, split V) the modelled large-P variant.
+    The ranks run the binomial exchange with a redundant tree-top V, as
+    the paper does; the coarse V split is priced here only, as is
+    ``flat``.  ``flat_total`` (the paper's Algorithm 1 as published,
+    redundant V) is the baseline the crossover and speedup are quoted
+    against, ``tree_total`` (binomial exchange, split V) the modelled
+    large-P variant.
     """
 
     P: int
@@ -375,19 +467,29 @@ class TreeTopPoint:
         return self.flat_total / t if t > 0 else float("inf")
 
 
-def _uniform_intervals(tree: Octree, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contributor rank interval per box under equal-particle splitting.
-
-    Rank of source ``i`` is ``floor(i * P / N)``; a box's contributors
-    are the ranks its contiguous Morton source range touches.  Unlike
-    :func:`_leaf_ranks` this stays exact for ``P`` far beyond the model
-    tree's leaf count, which the 4096-rank projection needs.
-    """
-    N = max(1, tree.sources.shape[0])
-    starts, stops = tree.topology.src_start, tree.topology.src_stop
-    lo = np.clip(starts * P // N, 0, P - 1)
-    hi = np.clip(np.maximum(stops - 1, starts) * P // N, 0, P - 1)
-    return lo, np.maximum(hi, lo)
+def _tree_top_msgs(
+    lists: InteractionLists, roles: tuple
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per rank, the message endpoints of the shared boxes' ``pue``
+    exchange as a star (the owner takes ``n - 1``, every other
+    participant one) and as the binomial trees the ranks run, and the
+    message total, the same for both.  Unshared boxes are left out: the
+    tree top is where the shapes differ."""
+    offsets, lo, hi, _ = roles
+    P, shared = offsets.size - 1, hi > lo
+    flat, binomial = np.zeros((2, P))
+    total = 0
+    for trees in _exchange(lists, roles, "pue"):
+        trees = _Trees(*(a[shared[trees.box]] for a in trees))
+        inner = trees.pos > 0
+        flat += np.bincount(
+            trees.rank, weights=np.where(inner, 1, trees.n - 1), minlength=P
+        )
+        binomial += np.bincount(
+            trees.rank, weights=inner + trees.kids, minlength=P
+        )
+        total += int(inner.sum())
+    return flat, binomial, total
 
 
 def tree_top_model(
@@ -403,82 +505,24 @@ def tree_top_model(
     """Model the tree-top exchange and coarse V work at ``P`` ranks.
 
     Produces the flat-vs-hierarchical comparison of one processor
-    count: per-rank time and message-count arrays are accumulated over
-    all shared boxes at once (difference arrays over rank intervals, so
-    the sweep stays cheap at thousands of ranks), then reduced to the
-    critical rank.  The flat exchange and the coarse V split are
-    priced here only; the ranks run the binomial exchange and compute
-    the tree-top V redundantly (see :class:`TreeTopPoint`).
+    count: per-rank message counts of the shared boxes' ``pue`` trees
+    under both shapes, and per-rank coarse V seconds (difference arrays
+    over rank intervals, so the sweep stays cheap at thousands of
+    ranks), each reduced to the critical rank.  The flat exchange and
+    the coarse V split are priced here only; the ranks run the binomial
+    exchange and compute the tree-top V redundantly (see
+    :class:`TreeTopPoint`).
     """
-    _check_ranks(P)
+    roles = _partition(tree, P)
+    _, lo, hi, _ = roles
     if work is None:
         work = compute_work(tree, lists, kernel, p, nrhs=nrhs)
     topo = tree.topology
-    lo, hi = _uniform_intervals(tree, P)
-    equiv_uses, _, equiv_bytes, _ = communication_volumes(
-        tree, lists, kernel, p, nrhs=nrhs
+    flat, binomial, total_msgs = _tree_top_msgs(lists, roles)
+    unit = machine.latency + (
+        8.0 * n_surface_points(p, topo.dim) * kernel.source_dof * nrhs
+        / machine.bandwidth
     )
-
-    def rounds(n):
-        """``ceil(log2(n))`` for integers ``n >= 1``: bits of ``n - 1``."""
-        return np.frexp(n - 1.0)[1]
-
-    # Unshared boxes are identical under both schemes: leave them out.
-    shared = np.flatnonzero(hi > lo)
-    owner = lo[shared]
-    C = (hi - lo + 1)[shared]
-    box, user = equiv_uses
-    mine = hi[box] > lo[box]
-    ubox, ulo, uhi, holds_owner = _merged_users(
-        (box[mine], user[mine]), lo, hi
-    )
-    u_other = np.bincount(
-        ubox, weights=uhi - ulo + 1 - holds_owner, minlength=topo.nboxes
-    )
-    unit = machine.latency + equiv_bytes / machine.bandwidth
-    endpoints = C - 1 + u_other[shared]
-
-    def flat_cost(unit):
-        """Per rank, at ``unit[box]`` per message: the owner serialises
-        every gather receive and scatter send; each peer pays one
-        transfer."""
-        return (
-            np.bincount(owner, weights=endpoints * unit[shared], minlength=P)
-            + _over_ranks(P, lo[shared] + 1, hi[shared], unit[shared])
-            + _over_ranks(P, ulo, uhi, unit[ubox])
-            - np.bincount(lo[ubox], weights=unit[ubox] * holds_owner, minlength=P)
-        )
-
-    # tree: segmented binomial reduce + broadcast over the same C-1
-    # edges.  Each edge has two endpoints, so total per-rank traffic is
-    # conserved (2(C-1) message endpoints, like flat); what changes is
-    # the distribution — the root handles at most ceil(log2 C) edges
-    # instead of C-1, the rest amortise over the other participants.
-    # Scatter participants are the owner plus the other user ranks.
-    gather_rounds = rounds(C)
-    gather_share = (2.0 * (C - 1) - gather_rounds) / (C - 1)
-    scatters = np.flatnonzero(u_other)
-    scatter_rounds = np.zeros(topo.nboxes)
-    scatter_rounds[scatters] = rounds(u_other[scatters] + 1)
-    scatter_share = np.zeros(topo.nboxes)
-    scatter_share[scatters] = (
-        2.0 * u_other[scatters] - scatter_rounds[scatters]
-    ) / u_other[scatters]
-
-    def tree_cost(unit):
-        return (
-            _over_ranks(P, lo[shared], hi[shared], gather_share * unit[shared])
-            + np.bincount(
-                owner, weights=(gather_rounds - gather_share) * unit[shared],
-                minlength=P,
-            )
-            + np.bincount(lo, weights=scatter_rounds * unit, minlength=P)
-            + _over_ranks(P, ulo, uhi, scatter_share[ubox] * unit[ubox])
-            - np.bincount(
-                lo[ubox], weights=scatter_share[ubox] * unit[ubox] * holds_owner,
-                minlength=P,
-            )
-        )
 
     # Coarse-level V translation: fully redundant (every contributor
     # computes every shared box it touches) versus the deterministic
@@ -494,19 +538,18 @@ def tree_top_model(
         lo[boxes] + np.arange(boxes.size) % span, weights=sec, minlength=P
     ) + _over_ranks(
         P, lo[boxes], hi[boxes],
-        rounds(span) * (machine.latency + dc_bytes / machine.bandwidth),
+        _rounds(span) * (machine.latency + dc_bytes / machine.bandwidth),
     )
 
-    ones = np.ones(topo.nboxes)
     return TreeTopPoint(
         P=P,
-        shared_boxes=shared.size,
+        shared_boxes=int((hi > lo).sum()),
         split_levels=[int(lv) for lv in split],
-        flat_seconds=float(flat_cost(unit).max()),
-        tree_seconds=float(tree_cost(unit).max()),
-        flat_max_rank_msgs=int(round(flat_cost(ones).max())),
-        tree_max_rank_msgs=int(round(tree_cost(ones).max())),
-        total_msgs=int(endpoints.sum()),
+        flat_seconds=float(flat.max() * unit),
+        tree_seconds=float(binomial.max() * unit),
+        flat_max_rank_msgs=int(flat.max()),
+        tree_max_rank_msgs=int(binomial.max()),
+        total_msgs=total_msgs,
         v_redundant_seconds=float(v_red.max()),
         v_split_seconds=float(v_spl.max()),
     )

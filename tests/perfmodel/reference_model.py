@@ -1,19 +1,20 @@
-"""The per-box performance-model walkers: the oracle of ``repro.perfmodel``.
+"""The oracles of ``repro.perfmodel``: a per-box work walker, and the
+runtime's own message schedule.
 
-``compute_work``, ``communication_volumes``, ``simulate_run`` and
-``tree_top_model`` as they stood in ``perfmodel/costs.py`` and
-``simulate.py`` before they became array code over ``TreeTopology`` and
-the CSR lists — one Python iteration per box and per list entry over the
-:mod:`tests.boxview` records, unchanged otherwise.  Every flop and byte
-term is an integer-valued float below 2**53, so the array code must
-reproduce the work arrays *exactly*; the rank times agree to round-off
-(the latency/bandwidth terms are summed in another order).
+``compute_work`` is the flop model as it stood in
+``perfmodel/costs.py`` before it became array code over
+``TreeTopology`` and the CSR lists — one Python iteration per box and
+per list entry over the :mod:`tests.boxview` records.  Every flop term
+is an integer-valued float below 2**53, so the array code must
+reproduce the work arrays *exactly*.
 
-One known defect is kept on purpose: ``_leaf_ranks`` orders leaves by
-``src_start`` and ``_box_rank_intervals`` looks boxes up by their source
-range, which is the Morton order only when every leaf holds sources.
-The rank comparisons therefore run on sources = targets trees; the
-ownership invariants on other trees have their own test.
+:func:`coarse_v` is the tree top's coarse V pricing box by box over
+the runtime's contributor matrix.
+
+The traffic has no second model to mirror: :func:`ir_traffic` and
+:func:`ir_tree_top` read it op by op off
+:func:`~repro.analysis.commir.extract_comm_ir`, the programs every rank
+runs, so the model must equal them exactly too.
 """
 
 from __future__ import annotations
@@ -22,22 +23,16 @@ import math
 
 import numpy as np
 
+from repro.analysis.commir import StaticPlanInputs, extract_comm_ir
 from repro.core.m2lschedule import M2LSchedule
 from repro.core.surfaces import n_surface_points
-from repro.geometry.patches import partition_weights
 from repro.kernels.base import Kernel
 from repro.octree.lists import InteractionLists
 from repro.octree.tree import Octree
+from repro.parallel.simmpi import tree_order
 from repro.perfmodel.costs import PhaseWork
 from repro.perfmodel.machine import MachineModel
-from repro.perfmodel.simulate import (
-    PHASES,
-    RunReport,
-    TreeTopPoint,
-    _uniform_intervals,
-    coarse_split_levels,
-    simulate_tree_time,
-)
+from repro.perfmodel.simulate import coarse_split_levels
 
 from tests import boxview
 
@@ -202,365 +197,103 @@ def compute_work(
     )
 
 
-def communication_volumes(
-    tree: Octree,
-    lists: InteractionLists,
-    kernel: Kernel,
-    p: int,
-    nrhs: int = 1,
-) -> tuple[list[list[int]], list[list[int]], np.ndarray, np.ndarray]:
-    """Per box, the *lists* of target boxes that consume its upward
-    equivalent density (V/W) or its ghost sources (U/X), and the per-box
-    message sizes."""
-    nb = tree.nboxes
-    n_surf = n_surface_points(p, tree.topology.dim)
-    md = kernel.source_dof
-    equiv_uses: list[list[int]] = [[] for _ in range(nb)]
-    source_uses: list[list[int]] = [[] for _ in range(nb)]
-    boxes = boxview.boxes(tree)
-    lists = boxview.per_box(lists)
-    for b in boxes:
-        i = b.index
-        for a in lists.V[i]:
-            equiv_uses[a].append(i)
-        for a in lists.X[i]:
-            source_uses[a].append(i)
-        if b.is_leaf:
-            for a in lists.W[i]:
-                equiv_uses[a].append(i)
-            for a in lists.U[i]:
-                if a != i:
-                    source_uses[a].append(i)
-    equiv_bytes = np.full(nb, 8.0 * n_surf * md * nrhs)
-    source_bytes = np.array(
-        [8.0 * b.nsrc * (tree.dim + md * nrhs) for b in boxes],
-        dtype=np.float64,
-    )
-    return equiv_uses, source_uses, equiv_bytes, source_bytes
+def ir_traffic(
+    inputs: StaticPlanInputs, kernel: Kernel, p: int, nrhs: int = 1
+) -> np.ndarray:
+    """Per rank, what one apply's programs send and receive, ``(2, 2,
+    P)``: ``[sent | received][messages | bytes]``.
 
-
-def _leaf_ranks(tree: Octree, P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition leaves over ranks; return (leaf indices, starts, rank)."""
-    boxes = boxview.boxes(tree)
-    leaves = np.array(boxview.leaves(tree), dtype=np.int64)
-    starts = np.array([boxes[i].src_start for i in leaves], dtype=np.int64)
-    order = np.argsort(starts, kind="stable")
-    leaves, starts = leaves[order], starts[order]
-    weights = np.array(
-        [max(boxes[i].nsrc, boxes[i].ntrg) for i in leaves], float
-    )
-    rank = partition_weights(weights, P)
-    return leaves, starts, rank
-
-
-def _box_rank_intervals(
-    tree: Octree, leaf_starts: np.ndarray, leaf_rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contributor rank interval [lo, hi] per box (inclusive)."""
-    nb = tree.nboxes
-    lo = np.zeros(nb, dtype=np.int64)
-    hi = np.zeros(nb, dtype=np.int64)
-    for b in boxview.boxes(tree):
-        first = np.searchsorted(leaf_starts, b.src_start, side="left")
-        last = np.searchsorted(leaf_starts, b.src_stop, side="left") - 1
-        last = max(last, first)
-        lo[b.index] = leaf_rank[min(first, len(leaf_rank) - 1)]
-        hi[b.index] = leaf_rank[min(last, len(leaf_rank) - 1)]
-    return lo, hi
-
-
-def _interval_add(diff: np.ndarray, lo: int, hi: int, value: float) -> None:
-    """Add ``value`` to ranks ``lo..hi`` via a difference array."""
-    diff[lo] += value
-    diff[hi + 1] -= value
-
-
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    if not intervals:
-        return []
-    intervals.sort()
-    merged = [list(intervals[0])]
-    for lo, hi in intervals[1:]:
-        if lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
-
-
-def simulate_run(
-    tree: Octree,
-    lists: InteractionLists,
-    kernel: Kernel,
-    p: int,
-    P: int,
-    machine: MachineModel,
-    m2l: str = "fft",
-    work: PhaseWork | None = None,
-    grain_scale: float = 1.0,
-    n_override: int | None = None,
-) -> RunReport:
-    """One evaluation on ``P`` processors, rank intervals and traffic
-    accumulated box by box (arguments as
-    :func:`repro.perfmodel.simulate.simulate_run`)."""
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    if grain_scale <= 0:
-        raise ValueError(f"grain_scale must be positive, got {grain_scale}")
-    if work is None:
-        work = compute_work(tree, lists, kernel, p, m2l=m2l)
-    N = n_override if n_override is not None else tree.sources.shape[0]
-
-    leaves, leaf_starts, leaf_rank = _leaf_ranks(tree, P)
-    box_lo, box_hi = _box_rank_intervals(tree, leaf_starts, leaf_rank)
-
-    # ---- per-rank flops (redundant work on shared boxes included) ----
-    phase_arrays = {
-        "up": work.up, "down_u": work.down_u, "down_v": work.down_v,
-        "down_w": work.down_w, "down_x": work.down_x, "eval": work.eval,
-    }
-    rank_flops = np.zeros((P, len(PHASES)))
-    for pi, phase in enumerate(PHASES):
-        diff = np.zeros(P + 1)
-        arr = phase_arrays[phase]
-        for b in range(tree.nboxes):
-            if arr[b] > 0:
-                _interval_add(diff, box_lo[b], box_hi[b], arr[b])
-        rank_flops[:, pi] = np.cumsum(diff[:-1])
-    rank_flops *= grain_scale
-
-    # ---- communication (owner gather/scatter, Algorithm 1) ----
-    equiv_uses, source_uses, equiv_bytes, source_bytes = communication_volumes(
-        tree, lists, kernel, p
-    )
-    bytes_in = np.zeros(P + 1)
-    bytes_out = np.zeros(P + 1)
-    msgs_in = np.zeros(P + 1)
-    msgs_out = np.zeros(P + 1)
-    for uses, size in ((equiv_uses, equiv_bytes), (source_uses, source_bytes)):
-        for a in range(tree.nboxes):
-            if not uses[a]:
+    Messages are the send and complete ops; a message's bytes follow
+    from its box and the roles: a ``pue`` message is one surface
+    vector, a ``phi`` scatter the box's sources, a ``phi`` gather the
+    pieces of the sender's binomial subtree.
+    """
+    ir = extract_comm_ir(inputs)
+    P, tree = inputs.nranks, inputs.tree
+    topo = tree.topology
+    rank_of = np.empty(tree.sources.shape[0], dtype=np.int64)
+    for r, idx in enumerate(inputs.parts):
+        rank_of[idx] = r
+    row = 8.0 * kernel.source_dof * nrhs
+    traffic = np.zeros((2, 2, P))
+    for r, program in enumerate(ir.programs):
+        for op in program[ir.setup_ops[r]:]:
+            if op.kind == "complete":
+                traffic[1, 0, r] += 1
+            if op.kind != "send":
                 continue
-            owner = int(box_lo[a])
-            nbytes = float(size[a])
-            # gather: non-owner contributors -> owner
-            ncontrib = int(box_hi[a] - box_lo[a])
-            if ncontrib > 0:
-                _interval_add(bytes_out, box_lo[a] + 1, box_hi[a], nbytes)
-                _interval_add(msgs_out, box_lo[a] + 1, box_hi[a], 1.0)
-                bytes_in[owner] += ncontrib * nbytes
-                bytes_in[owner + 1] -= ncontrib * nbytes  # keep diff form
-                msgs_in[owner] += ncontrib
-                msgs_in[owner + 1] -= ncontrib
-            # scatter: owner -> user ranks (excluding itself)
-            merged = _merge_intervals([(int(box_lo[t]), int(box_hi[t]))
-                                       for t in uses[a]])
-            nusers = 0
-            for lo, hi in merged:
-                _interval_add(bytes_in, lo, hi, nbytes)
-                _interval_add(msgs_in, lo, hi, 1.0)
-                nusers += hi - lo + 1
-                if lo <= owner <= hi:
-                    _interval_add(bytes_in, owner, owner, -nbytes)
-                    _interval_add(msgs_in, owner, owner, -1.0)
-                    nusers -= 1
-            bytes_out[owner] += nusers * nbytes
-            bytes_out[owner + 1] -= nusers * nbytes
-            msgs_out[owner] += nusers
-            msgs_out[owner + 1] -= nusers
-    scale23 = grain_scale ** (2.0 / 3.0)
-    rank_bytes_in = np.cumsum(bytes_in[:-1]) * scale23
-    rank_bytes_out = np.cumsum(bytes_out[:-1]) * scale23
-    rank_msgs_in = np.cumsum(msgs_in[:-1])
-    rank_msgs_out = np.cumsum(msgs_out[:-1])
+            b = op.ids[0]
+            if op.group in ("pue", "pueg"):
+                size = row * n_surface_points(p, topo.dim)
+            elif op.group == "phig":
+                size = row * topo.nsrc[b]
+            else:
+                owner, contribs, _ = ir.roles["phi"][op.ids]
+                order = tree_order(contribs, owner)
+                pos = order.index(r)
+                held = np.bincount(
+                    rank_of[tree.src_perm[topo.src_start[b]:topo.src_stop[b]]],
+                    minlength=P,
+                )
+                size = row * held[order[pos:pos + (pos & -pos)]].sum()
+            traffic[0, :, r] += (1, size)
+            traffic[1, 1, op.peer] += size
+    return traffic
 
-    # ---- convert to time ----
-    rank_phase_sec = rank_flops / np.array(
-        [machine.rate(ph, kernel.name) for ph in PHASES]
-    )
-    # Pack/wait split of the persistent apply's nonblocking exchange:
-    # posting buffered sends costs the sender unhideable time; waiting
-    # on in-flight receives overlaps with the owned-data near-field and
-    # V/W work, so only the part of the wait the overlap window cannot
-    # cover is paid.  The Allreduce of the owner/"taken" combination
-    # (Section 3.2) is a synchronisation, i.e. wait-side.
-    pack_sec = (
-        rank_msgs_out * machine.latency + rank_bytes_out / machine.bandwidth
-    )
-    wait_raw = (
-        rank_msgs_in * machine.latency + rank_bytes_in / machine.bandwidth
-    )
-    wait_raw += machine.allreduce_time(
-        tree.nboxes * machine.tree_entry_bytes, P
-    )
-    overlappable = rank_phase_sec[
-        :, [PHASES.index(ph) for ph in ("down_u", "down_v", "down_w")]
-    ].sum(axis=1)
-    hidden = np.minimum(wait_raw, machine.overlap_fraction * overlappable)
-    wait_sec = wait_raw - hidden
-    if P == 1:
-        pack_sec = np.zeros(P)
-        wait_sec = np.zeros(P)
-    comm_sec = pack_sec + wait_sec
-    rank_total = rank_phase_sec.sum(axis=1) + comm_sec
 
-    phase_flops_total = {ph: float(rank_flops[:, i].sum())
-                         for i, ph in enumerate(PHASES)}
-    return RunReport(
-        P=P,
-        N=int(round(N * grain_scale)) if n_override is None else N,
-        kernel=kernel.name,
-        phase_seconds={
-            **{ph: float(rank_phase_sec[:, i].mean()) for i, ph in enumerate(PHASES)},
-            "comm": float(comm_sec.mean()),
-            "pack": float(pack_sec.mean()),
-            "wait": float(wait_sec.mean()),
-        },
-        rank_seconds=rank_total,
-        rank_phase_seconds=rank_phase_sec,
-        rank_comm_seconds=comm_sec,
-        total_flops=float(rank_flops.sum()),
-        phase_flops=phase_flops_total,
-        tree_seconds=simulate_tree_time(
-            tree, P, machine,
-            n_effective=(N if n_override is not None
-                         else N * grain_scale),
-            grain_scale=grain_scale,
-        ),
-    )
+def ir_tree_top(inputs: StaticPlanInputs) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per rank, the ``pue`` message endpoints of the shared boxes
+    (contributed by more than one rank) under the paper's star — the
+    owner one per other participant, every other participant one — and
+    in the programs, with the programs' message total."""
+    ir = extract_comm_ir(inputs)
+    shared = inputs.contrib_src.sum(axis=0) > 1
+    flat, tree = np.zeros((2, inputs.nranks))
+    for (b,), (owner, contribs, users) in ir.roles["pue"].items():
+        if shared[b]:
+            for members in (contribs, users | {owner}):
+                for m in members:
+                    flat[m] += len(members) - 1 if m == owner else 1
+    total = 0
+    for r, program in enumerate(ir.programs):
+        for op in program[ir.setup_ops[r]:]:
+            if op.group in ("pue", "pueg") and shared[op.ids[0]]:
+                tree[r] += op.kind in ("send", "complete")
+                total += op.kind == "send"
+    return flat, tree, total
 
-def tree_top_model(
-    tree: Octree,
-    lists: InteractionLists,
+
+def coarse_v(
+    inputs: StaticPlanInputs,
     kernel: Kernel,
     p: int,
-    P: int,
+    work: PhaseWork,
     machine: MachineModel,
-    work: PhaseWork | None = None,
     nrhs: int = 1,
-) -> TreeTopPoint:
-    """The flat-vs-hierarchical tree-top comparison at ``P`` ranks, box
-    by box over the shared boxes."""
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    if work is None:
-        work = compute_work(tree, lists, kernel, p, nrhs=nrhs)
-    lo, hi = _uniform_intervals(tree, P)
-    equiv_uses, _, equiv_bytes, _ = communication_volumes(
-        tree, lists, kernel, p, nrhs=nrhs
-    )
-
-    flat_t = np.zeros(P + 1)
-    tree_t = np.zeros(P + 1)
-    flat_m = np.zeros(P + 1)
-    tree_m = np.zeros(P + 1)
-    total_msgs = 0
-    shared = 0
-    for b in range(tree.nboxes):
-        C = int(hi[b] - lo[b] + 1)
-        if C <= 1:
-            continue  # unshared: identical under both schemes
-        shared += 1
-        owner = int(lo[b])
-        unit = machine.latency + float(equiv_bytes[b]) / machine.bandwidth
-        users = _merge_intervals(
-            [(int(lo[t]), int(hi[t])) for t in equiv_uses[b]]
-        )
-        nusers = sum(h - l + 1 for l, h in users)
-        u_other = nusers - sum(
-            1 for l, h in users if l <= owner <= h
-        )
-        total_msgs += (C - 1) + u_other
-
-        # flat: the owner serialises every gather receive and scatter
-        # send; each peer pays one transfer.
-        _interval_add(flat_t, owner, owner, (C - 1 + u_other) * unit)
-        _interval_add(flat_m, owner, owner, C - 1 + u_other)
-        _interval_add(flat_t, int(lo[b]), int(hi[b]), unit)
-        _interval_add(flat_m, int(lo[b]), int(hi[b]), 1.0)
-        _interval_add(flat_t, owner, owner, -unit)
-        _interval_add(flat_m, owner, owner, -1.0)
-        for l, h in users:
-            _interval_add(flat_t, l, h, unit)
-            _interval_add(flat_m, l, h, 1.0)
-            if l <= owner <= h:
-                _interval_add(flat_t, owner, owner, -unit)
-                _interval_add(flat_m, owner, owner, -1.0)
-
-        # tree: segmented binomial reduce + broadcast over the same
-        # C-1 edges.  Each edge has two endpoints, so total per-rank
-        # traffic is conserved (2(C-1) message endpoints, like flat);
-        # what changes is the distribution — the root handles at most
-        # ceil(log2 C) edges instead of C-1, the rest amortise over the
-        # other participants.
-        def charge(diff_t, diff_m, l, h, root, n):
-            if n <= 1:
-                return
-            rounds = math.ceil(math.log2(n))
-            per_other = (2.0 * (n - 1) - rounds) / (n - 1)
-            _interval_add(diff_t, l, h, per_other * unit)
-            _interval_add(diff_m, l, h, per_other)
-            _interval_add(diff_t, root, root, (rounds - per_other) * unit)
-            _interval_add(diff_m, root, root, rounds - per_other)
-
-        charge(tree_t, tree_m, int(lo[b]), int(hi[b]), owner, C)
-        if u_other:
-            # scatter participants: the owner plus the other user ranks
-            # (their intervals may be disjoint, so charge per interval
-            # with the owner's correction applied once).
-            S = u_other + 1
-            rounds = math.ceil(math.log2(S))
-            per_other = (2.0 * (S - 1) - rounds) / (S - 1)
-            _interval_add(tree_t, owner, owner, rounds * unit)
-            _interval_add(tree_m, owner, owner, float(rounds))
-            for l, h in users:
-                _interval_add(tree_t, l, h, per_other * unit)
-                _interval_add(tree_m, l, h, per_other)
-                if l <= owner <= h:
-                    _interval_add(tree_t, owner, owner, -per_other * unit)
-                    _interval_add(tree_m, owner, owner, -per_other)
-
-    # Coarse-level V translation: fully redundant (every contributor
-    # computes every shared box it touches) versus the deterministic
-    # cyclic split (one assignee computes, then tree-broadcasts the
-    # downward-check rows to the other contributors).
-    levels = boxview.levels(tree)
-    level_counts = [len(lv) for lv in levels]
-    split = sorted(coarse_split_levels(level_counts, P))
-    v_red = np.zeros(P + 1)
-    v_spl = np.zeros(P + 1)
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The split levels and, per rank, the coarse V seconds of the tree
+    top, box by box: every contributor of a split level's box computes
+    it (redundant), or its cyclic assignee computes it and every
+    contributor pays the ``ceil(log2 C)`` rounds of the check rows'
+    broadcast (split)."""
+    P = inputs.nranks
+    levels = boxview.levels(inputs.tree)
+    split = sorted(coarse_split_levels([len(lv) for lv in levels], P))
+    v_red, v_spl = np.zeros((2, P))
     rate = machine.rate("down_v", kernel.name)
-    dc_bytes = 8.0 * n_surface_points(p, tree.topology.dim) * kernel.target_dof * nrhs
-    next_assignee = 0
+    rows = machine.message_time(
+        8.0 * n_surface_points(p, inputs.tree.topology.dim)
+        * kernel.target_dof * nrhs
+    )
+    assignee = 0
     for lvl in split:
         for b in levels[lvl]:
-            fl = float(work.down_v[b])
-            if fl <= 0:
+            if work.down_v[b] <= 0:
                 continue
-            C = int(hi[b] - lo[b] + 1)
-            sec = fl / rate
-            _interval_add(v_red, int(lo[b]), int(hi[b]), sec)
-            assignee = int(lo[b]) + next_assignee % C
-            next_assignee += 1
-            _interval_add(v_spl, assignee, assignee, sec)
-            _interval_add(
-                v_spl, int(lo[b]), int(hi[b]),
-                machine.tree_collective_time(dc_bytes, C),
-            )
-
-    def peak(diff: np.ndarray) -> float:
-        return float(np.cumsum(diff[:-1]).max()) if P > 0 else 0.0
-
-    return TreeTopPoint(
-        P=P,
-        shared_boxes=shared,
-        split_levels=[int(lv) for lv in split],
-        flat_seconds=peak(flat_t),
-        tree_seconds=peak(tree_t),
-        flat_max_rank_msgs=int(round(peak(flat_m))),
-        tree_max_rank_msgs=int(round(peak(tree_m))),
-        total_msgs=int(total_msgs),
-        v_redundant_seconds=peak(v_red),
-        v_split_seconds=peak(v_spl),
-    )
-
+            ranks = np.flatnonzero(inputs.contrib_src[:, b])
+            sec = float(work.down_v[b]) / rate
+            v_red[ranks] += sec
+            v_spl[ranks[assignee % ranks.size]] += sec
+            assignee += 1
+            v_spl[ranks] += math.ceil(math.log2(ranks.size)) * rows
+    return split, v_red, v_spl

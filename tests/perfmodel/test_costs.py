@@ -5,13 +5,12 @@ evaluator run on the same tree: the performance model then provably
 times the work the implementation performs.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.octree import build_lists, build_tree
-from repro.perfmodel.costs import communication_volumes, compute_work
+from repro.perfmodel.costs import compute_work
 
 from tests.conftest import clustered_cloud, uniform_cloud
 
@@ -103,18 +102,3 @@ def test_rsvd_requires_rank_callable(rng):
     with pytest.raises(ValueError, match="rsvd_rank"):
         compute_work(tree, lists, LaplaceKernel(), 4, m2l="rsvd")
 
-
-def test_communication_volumes_duality(rng):
-    """Equiv users come from V/W lists; source users from U/X lists."""
-    tree = build_tree(clustered_cloud(rng, 500), max_points=20)
-    lists = build_lists(tree)
-    equiv_uses, source_uses, equiv_bytes, source_bytes = communication_volumes(
-        tree, lists, LaplaceKernel(), 4
-    )
-    counts = lists.counts()
-    assert equiv_uses[0].size == counts["V"] + counts["W"]
-    nleaves = int(tree.topology.is_leaf.sum())  # a leaf's own U entry is no use
-    assert source_uses[0].size == counts["X"] + counts["U"] - nleaves
-    assert np.all(equiv_bytes > 0)
-    # source bytes proportional to leaf population
-    assert np.array_equal(source_bytes, 8.0 * tree.topology.nsrc * 4)

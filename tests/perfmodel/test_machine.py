@@ -32,24 +32,14 @@ class TestMachineModel:
         with pytest.raises(KeyError):
             TCS1.rate("warp_drive")
 
-    def test_tree_collective_time(self):
-        m = MachineModel(latency=1e-6, bandwidth=1e9)
-        assert m.tree_collective_time(1000, 1) == 0.0
-        t2 = m.tree_collective_time(1000, 2)
-        assert t2 == pytest.approx(1e-6 + 1000 / 1e9)
-        # log2 rounds: 16 participants -> 4 rounds
-        assert m.tree_collective_time(1000, 16) == pytest.approx(4 * t2)
-        # non-power-of-two rounds up
-        assert m.tree_collective_time(1000, 9) == pytest.approx(4 * t2)
-
     def test_flat_fanin_time(self):
         m = MachineModel(latency=1e-6, bandwidth=1e9)
         assert m.flat_fanin_time(1000, 1) == 0.0
         per = 1e-6 + 1000 / 1e9
         assert m.flat_fanin_time(1000, 16) == pytest.approx(15 * per)
-        # the whole point: flat fan-in is linear, tree is logarithmic
-        assert (m.flat_fanin_time(100, 1024)
-                > m.tree_collective_time(100, 1024))
+        # the whole point: flat fan-in is linear, a binomial tree's
+        # ceil(log2 P) rounds are logarithmic
+        assert m.flat_fanin_time(100, 1024) > 10 * m.message_time(100)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
-"""The array-code performance model against its per-box oracle.
+"""The array-code performance model against its oracles.
 
-``repro.perfmodel`` computes per-box work, rank ownership and traffic
-as segment sums, binary searches and difference arrays over
-``TreeTopology`` and the CSR lists; ``reference_model`` is the box-by-box
-walk it replaced.  Work arrays must agree *exactly* (integer-valued
-floats below 2**53 sum exactly in any order); rank times to round-off.
+``repro.perfmodel`` computes per-box work as segment sums over
+``TreeTopology`` and the CSR lists, and per-rank traffic by counting the
+binomial trees of the runtime's partition and owners.
+``reference_model.compute_work`` is the box-by-box work walk it
+replaced; the traffic's oracle is the runtime itself — the programs
+``extract_comm_ir`` compiles, and the ``CommStats`` of a real apply.
+Both must agree *exactly* (integer-valued floats below 2**53 sum
+exactly in any order); rank times to round-off.
 """
 
 import dataclasses
@@ -12,12 +15,24 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.commir import static_plan_inputs
+from repro.core.fmm import FMMOptions
 from repro.core.m2lschedule import M2LSchedule
+from repro.core.surfaces import n_surface_points
 from repro.kernels import LaplaceKernel, StokesKernel
 from repro.octree import build_lists, build_tree
+from repro.parallel import ParallelFMM
+from repro.parallel.owners import static_contributors
+from repro.parallel.partition import partition_points
 from repro.perfmodel import TCS1, simulate_run, tree_top_model
-from repro.perfmodel.costs import communication_volumes, compute_work
-from repro.perfmodel.simulate import PHASES, _box_rank_intervals, _leaf_ranks
+from repro.perfmodel.costs import compute_work
+from repro.perfmodel.simulate import (
+    PHASES,
+    _apply_traffic,
+    _partition,
+    _tree_top_msgs,
+    simulate_tree_time,
+)
 
 from tests.conftest import clustered_cloud, uniform_cloud
 from tests.perfmodel import reference_model as reference
@@ -35,7 +50,7 @@ def _point_sets(rng):
         "uniform": (uniform_cloud(rng, 1500), None),
         "corner": (clustered_cloud(rng, 1500), None),
         "two-cluster": (_two_clusters(rng, 1200), None),
-        # the tree of the ownership defect: no leaf holds both kinds
+        # targets of their own: no ParallelFMM run, so the model refuses them
         "disjoint-targets": (half, 0.5 + rng.uniform(0.0, 0.5, size=(2000, 3))),
         "mixed-targets": (uniform_cloud(rng, 900), 0.6 * uniform_cloud(rng, 700)),
     }
@@ -117,20 +132,6 @@ def test_work_arrays_equal_the_walk(trees, kind, m2l, nrhs):
         )
 
 
-@pytest.mark.parametrize("kind", TREE_KINDS)
-def test_communication_volumes_equal_the_walk(trees, kind):
-    tree, lists = trees[kind]
-    got = communication_volumes(tree, lists, StokesKernel(), 4, nrhs=3)
-    want = reference.communication_volumes(tree, lists, StokesKernel(), 4, nrhs=3)
-    for (box, user), per_box in zip(got[:2], want[:2]):
-        users = [set() for _ in range(tree.nboxes)]
-        for b, u in zip(box.tolist(), user.tolist()):
-            users[b].add(u)
-        assert box.size == sum(len(u) for u in per_box)  # no pair twice
-        assert users == [set(u) for u in per_box]
-    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
-
-
 def _assert_close(got, want, what):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0), what
 
@@ -138,59 +139,146 @@ def _assert_close(got, want, what):
 @pytest.mark.parametrize("P", [1, 3, 8, 64, 5000])
 @pytest.mark.parametrize("kind", ["uniform", "corner", "two-cluster"])
 def test_run_report_matches_the_walk(trees, kind, P):
-    """Sources = targets trees, where the walk's ownership is right."""
-    tree, lists = trees[kind]
-    kernel = LaplaceKernel()
+    """Each rank pays the work of every box it contributes to, and the
+    exchange time of the messages its programs send and receive; the
+    tree top's two shapes count the programs' ``pue`` messages of the
+    shared boxes, and its coarse V is priced box by box over the
+    programs' contributors."""
+    tree, _ = trees[kind]
+    inputs = static_plan_inputs(tree.sources, P, FMMOptions(max_points=30))
+    tree, lists, kernel = inputs.tree, inputs.lists, LaplaceKernel()
     work = compute_work(tree, lists, kernel, 4)
-    args = (tree, lists, kernel, 4, P, TCS1)
-    got = simulate_run(*args, work=work, grain_scale=3.3)
-    want = reference.simulate_run(*args, work=work, grain_scale=3.3)
-    assert (got.P, got.N, got.kernel) == (want.P, want.N, want.kernel)
-    for name in ("rank_seconds", "rank_phase_seconds", "rank_comm_seconds",
-                 "total_flops", "tree_seconds"):
-        _assert_close(getattr(got, name), getattr(want, name), name)
-    for name in ("phase_seconds", "phase_flops"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.keys() == b.keys()
-        for key in a:
-            _assert_close(a[key], b[key], (name, key))
-    got, want = (
-        model(*args, work=work, nrhs=1)
-        for model in (tree_top_model, reference.tree_top_model)
+    run = simulate_run(tree, lists, kernel, 4, P, TCS1, work=work,
+                       grain_scale=3.3)
+    rank_flops = 3.3 * np.stack(
+        [inputs.contrib_src @ getattr(work, ph) for ph in PHASES], axis=1
     )
-    for field in dataclasses.fields(got):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(a, float):
-            _assert_close(a, b, field.name)
-        else:
-            assert a == b, field.name
+    phase_sec = rank_flops / [TCS1.rate(ph, kernel.name) for ph in PHASES]
+    (msgs_out, bytes_out), (msgs_in, bytes_in) = reference.ir_traffic(
+        inputs, kernel, 4
+    )
+    scale = 3.3 ** (2 / 3)
+    pack = msgs_out * TCS1.latency + scale * bytes_out / TCS1.bandwidth
+    wait = msgs_in * TCS1.latency + scale * bytes_in / TCS1.bandwidth
+    window = phase_sec[:, [PHASES.index(ph) for ph in ("down_u", "down_v", "down_w")]]
+    wait -= np.minimum(wait, TCS1.overlap_fraction * window.sum(axis=1))
+    _assert_close(run.rank_phase_seconds, phase_sec, "rank_phase_seconds")
+    _assert_close(run.rank_comm_seconds, pack + wait, "rank_comm_seconds")
+    _assert_close(run.rank_seconds, phase_sec.sum(axis=1) + pack + wait,
+                  "rank_seconds")
+    _assert_close(run.total_flops, rank_flops.sum(), "total_flops")
+    n = tree.sources.shape[0]
+    assert (run.P, run.N, run.kernel) == (P, round(3.3 * n), kernel.name)
+    want = {
+        **dict(zip(PHASES, phase_sec.mean(axis=0))),
+        "comm": (pack + wait).mean(), "pack": pack.mean(), "wait": wait.mean(),
+    }
+    assert run.phase_seconds.keys() == want.keys()
+    for key, value in want.items():
+        _assert_close(run.phase_seconds[key], value, ("phase_seconds", key))
+    assert run.phase_flops.keys() == set(PHASES)
+    for i, phase in enumerate(PHASES):
+        _assert_close(run.phase_flops[phase], rank_flops[:, i].sum(),
+                      ("phase_flops", phase))
+    _assert_close(
+        run.tree_seconds,
+        simulate_tree_time(tree, P, TCS1, n_effective=3.3 * n, grain_scale=3.3),
+        "tree_seconds",
+    )
+
+    point = tree_top_model(tree, lists, kernel, 4, P, TCS1, work=work)
+    flat, binomial, total = reference.ir_tree_top(inputs)
+    unit = TCS1.message_time(8.0 * n_surface_points(4, 3))
+    assert point.shared_boxes == (inputs.contrib_src.sum(axis=0) > 1).sum()
+    assert (point.flat_max_rank_msgs, point.tree_max_rank_msgs,
+            point.total_msgs) == (flat.max(), binomial.max(), total)
+    _assert_close(point.flat_seconds, flat.max() * unit, "flat_seconds")
+    _assert_close(point.tree_seconds, binomial.max() * unit, "tree_seconds")
+    split, v_red, v_spl = reference.coarse_v(inputs, kernel, 4, work, TCS1)
+    assert point.split_levels == split
+    _assert_close(point.v_redundant_seconds, v_red.max(), "v_redundant_seconds")
+    _assert_close(point.v_split_seconds, v_spl.max(), "v_split_seconds")
+
+
+@pytest.mark.parametrize("P", [2, 3, 64])
+@pytest.mark.parametrize("cloud", [uniform_cloud, clustered_cloud])
+def test_traffic_equals_the_programs(cloud, P):
+    """Per rank, the model's apply messages and bytes, and its tree-top
+    endpoints of both shapes, are the compiled programs'."""
+    points = cloud(np.random.default_rng(17), 3000)
+    inputs = static_plan_inputs(points, P, FMMOptions(max_points=30))
+    tree, lists = inputs.tree, inputs.lists
+    roles = _partition(tree, P)
+    assert np.array_equal(
+        _apply_traffic(tree, lists, StokesKernel(), 4, roles, nrhs=2),
+        reference.ir_traffic(inputs, StokesKernel(), 4, nrhs=2),
+    )
+    flat, binomial, total = _tree_top_msgs(lists, roles)
+    want = reference.ir_tree_top(inputs)
+    assert np.array_equal(flat, want[0]) and np.array_equal(binomial, want[1])
+    assert total == want[2]
+
+
+@pytest.fixture(scope="module")
+def apply_points():
+    return uniform_cloud(np.random.default_rng(5), 800)
+
+
+@pytest.mark.parametrize("kernel", [LaplaceKernel(), StokesKernel()],
+                         ids=["laplace", "stokes"])
+@pytest.mark.parametrize("P", [2, 3, 4])
+def test_traffic_equals_a_real_apply(apply_points, kernel, P):
+    """The model's per-rank apply messages and bytes are the
+    ``CommStats`` one ``ParallelFMM`` apply adds, for one and for three
+    right-hand sides — and an apply runs no collective."""
+    options = FMMOptions(p=4, max_points=20)
+    tree = build_tree(apply_points, max_points=20)
+    lists, roles = build_lists(tree), _partition(tree, P)
+    rng = np.random.default_rng(P)
+    with ParallelFMM(P, kernel, options) as op:
+        op.setup(apply_points)
+        for nrhs in (1, 3):
+            before = [dataclasses.replace(c) for c in op.comm_stats]
+            op.apply(rng.standard_normal((800, kernel.source_dof, nrhs)))
+            delta = np.array([
+                [getattr(new, f) - getattr(old, f) for f in (
+                    "messages_sent", "bytes_sent", "messages_received",
+                    "bytes_received", "allreduce_calls",
+                )]
+                for old, new in zip(before, op.comm_stats)
+            ]).T
+            model = _apply_traffic(tree, lists, kernel, 4, roles, nrhs=nrhs)
+            assert np.array_equal(model.reshape(4, P), delta[:4]), nrhs
+            assert not delta[4].any()
 
 
 @pytest.mark.parametrize("P", [1, 8, 64, 100_000])
 @pytest.mark.parametrize("kind", ["uniform", "disjoint-targets", "mixed-targets"])
 def test_ownership_follows_the_morton_leaf_order(trees, kind, P):
-    """Every leaf's interval is exactly its rank and every parent's the
-    hull of its children's — whatever mix of sources and targets the
-    leaves hold.  (Keyed on source ranges, the disjoint tree put 277 of
-    605 leaves on an interval that was not their rank at P = 8.)"""
+    """A box's contributors are the ranks ``partition_points`` gives its
+    points: one rank interval, since the split and the tree both follow
+    the Morton order.  The runtime runs sources = targets only, so the
+    model refuses other trees by name; ranks past the point count hold
+    nothing, and are priced at zero work and zero messages."""
     tree, lists = trees[kind]
-    topo = tree.topology
-    leaves, rank = _leaf_ranks(tree, P)
-    if P == 100_000:
-        assert P > leaves.size  # the idle-ranks case
-    assert np.array_equal(np.sort(leaves), np.flatnonzero(topo.is_leaf))
-    assert np.all(np.diff(rank) >= 0) and rank.min() >= 0 and rank.max() < P
-    lo, hi = _box_rank_intervals(tree, leaves, rank)
-    assert np.array_equal(lo[leaves], rank) and np.array_equal(hi[leaves], rank)
-    hull_lo, hull_hi = np.full(topo.nboxes, P), np.full(topo.nboxes, -1)
-    np.minimum.at(hull_lo, topo.parent[1:], lo[1:])
-    np.maximum.at(hull_hi, topo.parent[1:], hi[1:])
-    inner = ~topo.is_leaf
-    assert np.array_equal(lo[inner], hull_lo[inner])
-    assert np.array_equal(hi[inner], hull_hi[inner])
-    # what the fix is for: the model's flops sit on the ranks that own them
-    run = simulate_run(tree, lists, LaplaceKernel(), 4, P, TCS1)
-    assert run.rank_seconds.shape == (P,) and np.isfinite(run.rank_seconds).all()
+    kernel = LaplaceKernel()
+    if not tree.shared_points:
+        for model in (simulate_run, tree_top_model):
+            with pytest.raises(ValueError, match="targets are not its sources"):
+                model(tree, lists, kernel, 4, P, TCS1)
+        return
+    roles = _partition(tree, P)
+    _, lo, hi, _ = roles
+    ranks = np.arange(P)[:, None]
+    assert np.array_equal(
+        static_contributors(tree, partition_points(tree.sources, P))[0],
+        (lo <= ranks) & (ranks <= hi),
+    )
+    run = simulate_run(tree, lists, kernel, 4, P, TCS1)
+    idle = ranks[:, 0] >= tree.sources.shape[0]
+    assert idle.any() == (P == 100_000)
+    assert not run.rank_seconds[idle].any()
+    assert not _apply_traffic(tree, lists, kernel, 4, roles)[..., idle].any()
 
 
 @pytest.mark.parametrize(
