@@ -8,6 +8,12 @@ accuracy/cost trade-off of the actual Python implementation (no machine
 model involved).  The default ``m2l="auto"`` runs every kernel; Laplace
 also runs the uncompressed ``dense`` M2L, whose error has no rsvd
 tolerance under it.
+
+It also runs the cells of the accuracy contract
+(``tests/core/test_accuracy_contract.py``: ``auto`` within 1.2x of
+``dense``, and under a ceiling) too heavy for the test suite: p = 10
+for the scalar and the plane's kernels, and p = 8 for the 3D tensor
+kernels, whose dense M2L there holds 316 operators of 888^2 (2 GB).
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from repro.kernels import (
 )
 from repro.kernels.direct import direct_evaluate, relative_error
 from repro.util.tables import format_table
+from tests.core.test_accuracy_contract import KERNELS as CONTRACT_KERNELS
+from tests.core.test_accuracy_contract import RATIO, contract_cells
 
 KERNELS = {
     "laplace": LaplaceKernel(),
@@ -105,3 +113,32 @@ def test_paper_operating_point(benchmark):
     err = relative_error(u[sample], exact)
     print(f"\nLaplace p=6 s=60: relative error = {err:.2e} (paper: 1e-5)")
     assert err < 1e-5
+
+
+#: The contract's heavy cells: ``(p, ceiling)`` per kernel, the ceiling
+#: twice the worst measured cell, rounded up.
+HEAVY = {
+    "laplace": (10, 3e-9),
+    "modified_laplace": (10, 3e-9),
+    "stokes": (8, 4e-6),
+    "navier": (8, 3e-6),
+    "laplace2d": (10, 2e-9),
+    "stokes2d": (10, 7e-8),
+}
+
+
+@pytest.mark.parametrize("name", list(HEAVY))
+def test_contract_heavy_cells(benchmark, name):
+    p, ceiling = HEAVY[name]
+    cells = benchmark.pedantic(
+        contract_cells, args=(CONTRACT_KERNELS[name], p),
+        rounds=1, iterations=1,
+    )
+    print()
+    print(format_table(
+        ("points", "seed", "density", "auto", "dense", "auto / dense"),
+        [(*cell, auto, dense, auto / dense) for cell, auto, dense in cells],
+        title=f"Accuracy contract / {name}, p = {p}",
+    ))
+    assert all(auto <= RATIO * dense for _, auto, dense in cells), cells
+    assert all(auto <= ceiling for _, auto, _ in cells), cells

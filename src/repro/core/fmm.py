@@ -48,8 +48,9 @@ class FMMOptions:
         (randomized-SVD-compressed operators applied as stacked BLAS-3
         GEMMs), or ``"auto"`` (default), which prices the two per tree
         level from the level's V-list statistics and the operator
-        cache's measured ranks (:mod:`repro.core.m2lschedule`): ``rsvd``
-        at ``p = 6`` and ``dense`` at ``p = 4``.  The paper's FFT M2L
+        cache's measured ranks (:mod:`repro.core.m2lschedule`): in 3D
+        ``rsvd`` from ``p = 4`` on and ``dense`` below, where the
+        operators are too small to compress.  The paper's FFT M2L
         was measured slower than that choice on every level of the
         benchmark trees and is not executed; the performance model
         still prices it (:mod:`repro.perfmodel.costs`).

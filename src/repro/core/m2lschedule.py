@@ -246,7 +246,7 @@ def resolve_m2l_schedule(
             rsvd = npairs * 2.0 * ranks[level] * ns * (md + qd)
             backends[level] = "dense" if dense <= rsvd else "rsvd"
     # The probed class is the closest one; at p = 6 its rank is about
-    # twice the mean of the 316 (56 vs 26.6 Laplace, 161 vs 78 Stokes).
+    # twice the mean of the 316 (42 vs 20.0 Laplace, 124 vs 57.9 Stokes).
     by_class, blocked = np.sum([(0.0, 0.0)] + [
         rsvd_layout_seconds(
             stats[level], ns * (md + qd), ranks[level] / 2, cache.dim

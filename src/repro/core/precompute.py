@@ -98,10 +98,22 @@ class OperatorCache:
         Relative SVD cutoff of the inversions :meth:`uc2ue` / :meth:`dc2de`.
     """
 
-    #: Relative tolerance of the rSVD-compressed M2L factors: headroom
-    #: for accumulation over a box's V list, below the p-discretisation
-    #: error at the paper's operating points.
-    rsvd_tol = 1e-7
+    @property
+    def rsvd_tol(self) -> float:
+        """Relative tolerance of the rSVD-compressed M2L factors:
+        ``10^-p``, and ``10^-4`` below ``p = 4``.
+
+        It follows the surface order, the method's one accuracy knob, so
+        the truncation does no work under the error ``p`` delivers and
+        sets no floor above it (``tests/core/test_accuracy_contract.py``
+        holds ``auto`` within 1.2x of the dense M2L's error).  At
+        ``p = 3`` the operators are too small for their spectrum to fall
+        far past a ``10^-3`` cut: 3D Laplace's error doubled on corner
+        clusters, so the cut stays at ``10^-4`` and ``auto`` runs dense
+        there.  A pure function of ``p``: every rank and process factors
+        the same operators bit for bit.
+        """
+        return 10.0 ** -max(self.p, 4)
 
     def __init__(
         self,

@@ -89,20 +89,6 @@ class MachineModel:
         rounds = math.ceil(math.log2(nprocs))
         return rounds * (self.latency + nbytes / self.bandwidth)
 
-    def flat_fanin_time(self, nbytes: float, nprocs: int) -> float:
-        """Critical path of a flat owner gather (or scatter).
-
-        The owner serialises ``C-1`` point-to-point receives (sends),
-        so its cost grows linearly in the participant count — the
-        coarse-level scalability barrier the tree collectives remove.
-        Modelled, not executed: the star is the paper's Algorithm 1 as
-        published, priced as the baseline of the tree-top projection;
-        the ranks run only the binomial exchange.
-        """
-        if nprocs <= 1:
-            return 0.0
-        return (nprocs - 1) * (self.latency + nbytes / self.bandwidth)
-
 
 #: The paper's platform.
 TCS1 = MachineModel()

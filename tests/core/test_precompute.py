@@ -222,9 +222,19 @@ def _spectral_error(cache, level, offset):
     return np.linalg.norm(uf @ vf - exact, 2) / np.linalg.norm(exact, 2)
 
 
+def test_rsvd_tol_follows_p_and_is_read_only():
+    """``10^-p``, clamped to ``10^-4`` below p = 4; no setter."""
+    for p in range(2, 11):
+        cache = _fresh_cache(LaplaceKernel(), p=p)
+        assert cache.rsvd_tol == 10.0 ** -max(p, 4)
+    with pytest.raises(AttributeError):
+        cache.rsvd_tol = 1e-3
+
+
 #: The truncation keeps the singular values >= rsvd_tol * s_max of the
 #: *sketched* matrix, so a reconstruction is off by rsvd_tol plus the
-#: sketch's own error (1.2e-7 at worst over all offsets and kernels).
+#: sketch's own error (1.31 * rsvd_tol at worst over all offsets and
+#: kernels at p = 4).
 _RECONSTRUCTION = 2.0
 
 
@@ -338,9 +348,13 @@ class TestForRoot:
         for (u, w), (u0, w0) in zip(got[:2], (cache.uc2ue(2), cache.dc2de(2))):
             assert u is u0
             assert np.allclose(w, w0 * 1.7, rtol=1e-15)
-        uf, vf = got[5]
-        assert np.allclose(uf @ vf, cache.m2l_check(2, o) / 1.7, rtol=1e-6,
-                           atol=1e-6 * np.abs(uf @ vf).max())
+        # The rescaled factors are the ones a cold cache factors at the
+        # new root (same sketch seed, same rank) up to round-off: the
+        # rSVD of a scaled matrix is the scaled rSVD.
+        for mine, theirs in zip(got[5], cold.m2l_rsvd(2, o)):
+            assert mine.shape == theirs.shape
+            assert np.allclose(mine, theirs, rtol=0.0,
+                               atol=1e-11 * np.abs(theirs).max())
         assert got[6][0].dtype == np.float32
 
     def test_inhomogeneous_kernel_keeps_the_error(self):

@@ -32,15 +32,6 @@ class TestMachineModel:
         with pytest.raises(KeyError):
             TCS1.rate("warp_drive")
 
-    def test_flat_fanin_time(self):
-        m = MachineModel(latency=1e-6, bandwidth=1e9)
-        assert m.flat_fanin_time(1000, 1) == 0.0
-        per = 1e-6 + 1000 / 1e9
-        assert m.flat_fanin_time(1000, 16) == pytest.approx(15 * per)
-        # the whole point: flat fan-in is linear, a binomial tree's
-        # ceil(log2 P) rounds are logarithmic
-        assert m.flat_fanin_time(100, 1024) > 10 * m.message_time(100)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MachineModel(clock_hz=0)
