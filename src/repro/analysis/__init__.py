@@ -1,17 +1,13 @@
-"""Static, trace-based and runtime correctness analysis.
+"""Static and runtime correctness analysis.
 
 See ``docs/architecture.md`` § "Analysis & correctness tooling" and
-§ "Messages are values & sanitizers":
+§ "Messages are values & sanitizers".  Nothing here records an
+execution: the runtime itself names a dropped message
+(``MailboxLeakError``) and a stuck receive (``TimeoutError`` with rank,
+peer and tag) on every run, and a message is a value on both worlds, so
+ranks share no array the exchange touches
+(``tests/parallel/test_simmpi.py::TestMessagesAreValues``).
 
-- :mod:`repro.analysis.trace` — a per-rank communication event trace
-  recorded by the simulated MPI runtime (every send/recv/collective in
-  program order, one region per ``run_spmd``), read by ``commir``'s
-  conformance check.  The runtime itself names a dropped message
-  (``MailboxLeakError``) and a stuck receive (``TimeoutError`` with
-  rank, peer and tag) on every run.  There is no race detector: a
-  message is a value on both worlds, so ranks share no array the
-  exchange touches
-  (``tests/parallel/test_simmpi.py::TestMessagesAreValues``).
 - :mod:`repro.analysis.sanitize` — the ``REPRO_SANITIZE=1`` runtime
   sanitizers (BufferPool lifecycle with NaN poisoning, phase-boundary
   finite checks, GEMM aliasing guards).
@@ -33,11 +29,11 @@ See ``docs/architecture.md`` § "Analysis & correctness tooling" and
   executing an apply — send/recv matching, tag discipline,
   deadlock-freedom under *every* interleaving (one greedy run decides
   them all: no op ever disables another), payload conservation against
-  the box roles, and conformance of every traced run, region by region.
+  the box roles, and conformance: the programs a real setup left on
+  every rank are the IR's, op for op.
 """
 
 from repro.analysis.sanitize import SanitizerError
-from repro.analysis.trace import CommTrace, TraceEvent
 
 # The plan-verifier modules import the evaluation core, whose modules in
 # turn import this package (for the runtime sanitizers) — so their names
@@ -72,12 +68,10 @@ def __getattr__(name: str):
 __all__ = [
     "CommIR",
     "CommOp",
-    "CommTrace",
     "StaticCommReport",
     "PlanIR",
     "PlanReport",
     "SanitizerError",
-    "TraceEvent",
     "certify_parallel",
     "extract_comm_ir",
     "extract_rank_ir",

@@ -33,23 +33,25 @@ the properties an execution at that rank count would exhibit:
     payload flow), keeping each seeded defect attributable to exactly
     one check.
 ``conformance``
-    Every traced :class:`~repro.analysis.trace.CommTrace` of the same
-    configuration must replay the IR region by region: per rank, the
-    traced protocol events (sends, receive posts, receive completions
-    of the :data:`~repro.analysis.commir.PROTOCOL_FAMILIES` tag
-    families) of the setup region must equal the rank's setup ops, and
-    those of every later region — one apply each — its apply ops, op
-    for op.  A rank interprets its slice of the very program the IR
-    holds, so a divergence means a driver ran the phases in another
-    order than :func:`~repro.parallel.pfmm.exchange_schedule`, or the
-    offline plan inputs differ from what the ranks assembled.
+    The programs a real setup of the same configuration left on every
+    rank must *be* the IR's: per rank, the message ops of its
+    :class:`~repro.parallel.exchange.GhostLayout` programs in
+    :func:`~repro.analysis.commir.rank_ops` order must equal its IR
+    program, op for op.  A rank runs nothing else — its setup walks the
+    ``geo`` program and every apply the ``phi`` / ``pue`` ones, both in
+    :func:`~repro.parallel.pfmm.exchange_schedule`'s order, through the
+    one interpreter :class:`~repro.parallel.exchange.ApplyExchange` —
+    so a divergence means the offline plan inputs differ from what the
+    ranks assembled, or the IR was changed after compilation.
 
 There is no waiver mechanism: a finding fails certification.  The
 ``seed_*`` functions plant one defect each (a dropped relay forward, a
 gather message retagged into a concurrent phase's family, a leaf's
 gather send reordered after its scatter wait, a scatter edge deleted
 whole) and :func:`run_selftests` asserts each is caught by *exactly*
-the intended check.  CLI: ``python -m repro commir``.
+the intended check; ``conformance`` needs the ranks' states, and its
+seeded defect (two sends of one rank swapped in the IR) is a test.
+CLI: ``python -m repro commir``.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ import copy
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from repro.analysis.commir import PROTOCOL_FAMILIES, CommIR, gc_paused
-from repro.analysis.trace import CommTrace, TraceEvent
+from repro.analysis.commir import CommIR, gc_paused, rank_ops
 from repro.parallel.exchange import CommOp
 from repro.parallel.simmpi import TAG_FAMILIES, mk_tag
 
@@ -447,69 +448,43 @@ def check_conservation(
     return findings
 
 
-_TRACE_KIND = {"send": "send", "recv-post": "post", "recv": "complete"}
-
-
-def protocol_events(events: list[TraceEvent]) -> list[tuple[str, int, tuple]]:
-    """A rank's traced protocol events as ``(kind, peer, tag)`` — the
-    shape the IR's ops project to."""
-    out = []
-    for ev in events:
-        kind = _TRACE_KIND.get(ev.kind)
-        if kind is None:
-            continue
-        tag = ev.tag
-        if not (isinstance(tag, tuple) and tag
-                and tag[0] in PROTOCOL_FAMILIES):
-            continue
-        out.append((kind, int(ev.peer), tag))
-    return out
-
-
-def check_conformance(ir: CommIR, trace: CommTrace) -> list[Finding]:
-    """Every rank's traced protocol events must equal its program op for
-    op: the first region its setup ops, every later region (one apply
-    each) its apply ops.  One finding per rank, at the first region
-    that diverges."""
-    findings: list[Finding] = []
-    if trace.nranks != ir.nranks:
+def check_conformance(ir: CommIR, states) -> list[Finding]:
+    """Every rank's stored programs must be its IR program op for op
+    (``states`` are the ranks' :class:`~repro.parallel.pfmm.RankFMM`
+    setup products, in rank order).  One finding per rank, at the first
+    op that differs."""
+    if len(states) != ir.nranks:
         return [Finding(
-            "conformance", "trace",
-            f"trace ran {trace.nranks} ranks, IR describes {ir.nranks}",
+            "conformance", "states",
+            f"{len(states)} rank states, IR describes {ir.nranks} ranks",
         )]
-    for rank in range(ir.nranks):
-        program = [(op.kind, op.peer, op.tag) for op in ir.programs[rank]]
-        cut = ir.setup_ops[rank]
-        for region, events in enumerate(trace.region_events(rank)):
-            expected = program[:cut] if region == 0 else program[cut:]
-            got = protocol_events(events)
-            if got == expected:
-                continue
-            n = min(len(expected), len(got))
-            at = next(
-                (i for i in range(n) if expected[i] != got[i]), n
-            )
-            exp = expected[at] if at < len(expected) else "(end of region)"
-            act = got[at] if at < len(got) else "(end of region)"
-            findings.append(Finding(
-                "conformance", f"rank {rank} region {region} event {at}",
-                f"trace diverges from the static schedule: expected "
-                f"{exp!r}, traced {act!r} "
-                f"({len(got)} traced vs {len(expected)} scheduled events "
-                f"in {'the setup' if region == 0 else 'an apply'})",
-            ))
-            break
+    findings: list[Finding] = []
+    for rank, state in enumerate(states):
+        lay = state.layout
+        held = rank_ops({"geo": lay.geo, "phi": lay.phi, "pue": lay.pue})
+        expected = ir.programs[rank]
+        if held == expected:
+            continue
+        n = min(len(expected), len(held))
+        at = next((i for i in range(n) if expected[i] != held[i]), n)
+        exp = expected[at] if at < len(expected) else "(end of program)"
+        got = held[at] if at < len(held) else "(end of program)"
+        findings.append(Finding(
+            "conformance", f"rank {rank} op {at}",
+            f"the rank holds {got!r} where the schedule has {exp!r} "
+            f"({len(held)} held vs {len(expected)} scheduled ops)",
+        ))
     return findings
 
 
 def run_checks(
     ir: CommIR,
     *,
-    traces: tuple[CommTrace, ...] = (),
+    states=None,
     name: str = "commir",
 ) -> StaticCommReport:
     """All checks over one IR (one :class:`IRIndex` shared by all);
-    ``traces`` enables conformance."""
+    ``states`` (every rank's setup product) enables conformance."""
     with gc_paused():
         index = IRIndex(ir)
         findings: list[Finding] = []
@@ -521,8 +496,8 @@ def run_checks(
             ir, skip=_mismatched_boxes(ir, index) if matching else set(),
             index=index,
         )
-        for trace in traces:
-            findings += check_conformance(ir, trace)
+        if states is not None:
+            findings += check_conformance(ir, states)
     counts = {c: 0 for c in CHECKS}
     for f in findings:
         counts[f.check] = counts.get(f.check, 0) + 1
@@ -680,30 +655,3 @@ def run_selftests(ir: CommIR) -> list[tuple[str, bool, str]]:
                 f"({report.counts[intended]} finding(s))",
             ))
     return results
-
-
-def traced_run(
-    kernel,
-    points,
-    densities,
-    opts,
-    nranks: int,
-    *,
-    schedule_seed: int = 0,
-    overlap: bool = True,
-    cache=None,
-) -> CommTrace:
-    """A traced :class:`~repro.parallel.pfmm.ParallelFMM` run: one setup
-    and one apply per entry of ``densities``, each a region of one
-    :class:`CommTrace`, under ``schedule_seed``.
-
-    ``cache`` shares one operator cache between the runs of a sweep.
-    """
-    from repro.parallel.pfmm import ParallelFMM
-
-    trace = CommTrace()
-    op = ParallelFMM(nranks, kernel, opts, overlap=overlap)
-    op.setup(points, trace=trace, schedule_seed=schedule_seed, cache=cache)
-    for density in densities:
-        op.apply(density, trace=trace, schedule_seed=schedule_seed)
-    return trace

@@ -34,11 +34,11 @@ function of the points:
 - the LET usage masks replicate :func:`~repro.parallel.let.classify_let`
   (vectorised across all ranks at once).
 
-Each rank's ops appear in its exact program order, which is what lets
-:mod:`repro.analysis.commcheck_static` check deadlock-freedom and
-:func:`~repro.analysis.commcheck_static.check_conformance` require every
-traced run to *equal* the rank's program, op for op: the setup region
-its setup ops, every apply region its apply ops.
+Each rank's ops appear in its exact program order (:func:`rank_ops`),
+which is what lets :mod:`repro.analysis.commcheck_static` check
+deadlock-freedom, and
+:func:`~repro.analysis.commcheck_static.check_conformance` require the
+programs a real setup left on every rank to *be* the IR's, op for op.
 
 The checks over the IR live in :mod:`repro.analysis.commcheck_static`,
 whose ``deadlock`` check decides every interleaving of the programs at
@@ -48,6 +48,7 @@ once.  CLI: ``python -m repro commir``.
 from __future__ import annotations
 
 import gc
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -58,6 +59,7 @@ from repro.octree.lists import InteractionLists, build_lists
 from repro.octree.tree import Octree, _root_cube, build_tree
 from repro.parallel.exchange import (
     CommOp,
+    Program,
     Roles,
     box_roles,
     compile_exchange,
@@ -69,8 +71,7 @@ from repro.parallel.simmpi import TAG_FAMILIES
 
 #: Tag families a planned parallel run exchanges point-to-point: the
 #: setup geometry exchange and the per-apply density/equivalent-density
-#: exchange.  Used by the conformance check to filter dynamic traces
-#: down to the protocol under proof.
+#: exchange — every tag the IR's ops carry.
 PROTOCOL_FAMILIES = tuple(
     name for name, family in TAG_FAMILIES.items()
     if family.kind == "exchange"
@@ -125,17 +126,16 @@ class CommIR:
     """The complete static message schedule of one configuration.
 
     ``programs[r]`` is rank ``r``'s ops in exact program order: its
-    setup's first (``setup_ops[r]`` of them), then one apply's — the
-    ops every further apply repeats.  ``roles[kind][ids]`` declares ``(owner, contributors, users)`` per
-    exchanged box — the ground truth the conservation check interprets
-    the message edges against.  ``meta`` carries the configuration and
-    summary counts.
+    setup's ``geo`` exchange first, then one apply's — the ops every
+    further apply repeats.  ``roles[kind][ids]`` declares ``(owner,
+    contributors, users)`` per exchanged box — the ground truth the
+    conservation check interprets the message edges against.  ``meta``
+    carries the configuration and summary counts.
     """
 
     nranks: int
     programs: list[list[CommOp]]
     roles: dict[str, dict[tuple, tuple[int, frozenset, frozenset]]]
-    setup_ops: list[int]
     meta: dict = field(default_factory=dict)
 
     def nops(self) -> int:
@@ -257,19 +257,29 @@ def role_table(
     }
 
 
+def rank_ops(programs: Mapping[str, Program]) -> list[CommOp]:
+    """One rank's message ops, in the order it runs them: its programs
+    by name, walked in :func:`~repro.parallel.pfmm.exchange_schedule`'s
+    setup-then-apply order.  The local ``fold`` / ``store`` ops carry no
+    message and are dropped."""
+    setup_calls, apply_calls = exchange_schedule()
+    return [
+        op for name, phase in setup_calls + apply_calls if name in programs
+        for op in getattr(programs[name], phase) if op.tag is not None
+    ]
+
+
 def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
     """The complete static message schedule of one configuration: a
     setup and one apply.
 
     Compiles every payload kind for all ranks
     (:func:`~repro.parallel.exchange.compile_exchange` — the function
-    each rank runs its own slice of) and concatenates the phases in the
-    order of :func:`~repro.parallel.pfmm.exchange_schedule`; the local
-    ``fold`` / ``store`` ops carry no message and are dropped.  The
-    schedule takes neither the kernel, the right-hand-side width nor
-    the overlap flag: overlap only moves *compute* relative to the fixed
-    communication order, and an RHS block rides the same messages with
-    wider rows.
+    each rank runs its own slice of) and keeps each rank's
+    :func:`rank_ops`.  The schedule takes neither the kernel, the
+    right-hand-side width nor the overlap flag: overlap only moves
+    *compute* relative to the fixed communication order, and an RHS
+    block rides the same messages with wider rows.
     """
     with gc_paused():
         src = box_roles(
@@ -284,17 +294,13 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
             kind: compile_exchange(kind, roles)
             for kind, roles in (("geo", src), ("phi", src), ("pue", ue))
         }
-
-        def ops(calls: list[tuple[str, str]], rank: int) -> list[CommOp]:
-            return [
-                op for name, phase in calls if rank in compiled[name]
-                for op in getattr(compiled[name][rank], phase)
-                if op.tag is not None
-            ]
-
-        setup_calls, apply_calls = exchange_schedule()
-        setup = [ops(setup_calls, r) for r in range(inputs.nranks)]
-        apply = [ops(apply_calls, r) for r in range(inputs.nranks)]
+        programs = [
+            rank_ops({
+                name: by_rank[r] for name, by_rank in compiled.items()
+                if r in by_rank
+            })
+            for r in range(inputs.nranks)
+        ]
         src_table = role_table(src)
         role_tables = {
             "geo": src_table,
@@ -303,9 +309,8 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
         }
     return CommIR(
         nranks=inputs.nranks,
-        programs=[s + a for s, a in zip(setup, apply)],
+        programs=programs,
         roles=role_tables,
-        setup_ops=[len(s) for s in setup],
         meta={
             "npoints": int(inputs.tree.sources.shape[0]),
             "nboxes": int(inputs.tree.nboxes),

@@ -139,10 +139,10 @@ class ThreadConfinementRule(Rule):
         "rank threads in parallel/simmpi.py, rank processes and their "
         "shared-memory mailbox in parallel/procworld.py; numerics, tree "
         "code and the analyzers are single-threaded by contract, which "
-        "is what makes the comm-trace analysis sound (per-rank event "
-        "lists need no locks) and keeps the rest of the codebase "
-        "schedule independent.  A fork or a shared mapping elsewhere is "
-        "a second process world no verifier knows about."
+        "keeps the rest of the codebase schedule independent, so the "
+        "static schedule certificate speaks for every run.  A fork or a "
+        "shared mapping elsewhere is a second process world no verifier "
+        "knows about."
     )
 
     #: Top-level modules, and the one function, only a transport may use.

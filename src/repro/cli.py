@@ -424,12 +424,12 @@ def _cmd_commir(args: argparse.Namespace) -> int:
     schedule depends only on the point set and the rank count, so each
     rank count is one certified schedule and one reported row.
 
-    For rank counts small enough to execute (``--conform-ranks``), a
-    traced run on ``--conform-n`` points per listed kernel, overlap on
-    and off — a setup and two applies, the second with a 4-column
-    density block — cross-checks conformance: the setup region must
-    equal each rank's setup ops, and each apply region its apply ops,
-    op for op.  The seeded-defect self-tests
+    For rank counts small enough to execute (``--conform-ranks``), one
+    real setup on ``--conform-n`` points (rank threads, no apply, the
+    ``--kernel``; the schedule takes none, so none is swept)
+    cross-checks conformance: the exchange programs every rank holds
+    must be its certified program, op for op.  The seeded-defect
+    self-tests
     (dropped relay, reused tag, swapped post/wait, starved user) run at
     ``--selftest-ranks`` unless ``--no-selftest``.  There is no waiver
     mechanism.
@@ -437,28 +437,24 @@ def _cmd_commir(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from repro.analysis.commcheck_static import (
-        run_checks,
-        run_selftests,
-        traced_run,
-    )
+    from repro.analysis.commcheck_static import run_checks, run_selftests
     from repro.analysis.commir import (
         extract_comm_ir,
         gc_paused,
         static_plan_inputs,
     )
-    from repro.core.precompute import OperatorCache
-    from repro.octree.tree import _root_cube
+    from repro.analysis.plancheck import rank_states
 
     rng = np.random.default_rng(args.seed)
-    kernels = [k for k in args.kernels.split(",") if k]
     ranks_list = _parse_ints(args.ranks)
-    if not ranks_list or not kernels:
-        print("commir: nothing to certify (empty --ranks or --kernels)")
+    if not ranks_list:
+        print("commir: nothing to certify (empty --ranks)")
         return 2
     pts = _WORKLOADS[args.workload](args.n, rng)
     conform_pts = _WORKLOADS[args.workload](args.conform_n, rng)
     conform_ranks = set(_parse_ints(args.conform_ranks))
+    opts = FMMOptions(p=args.p, max_points=args.s)
+    kernel = _make_kernel(args.kernel)
     t_start = time.time()
     failed = False
     configs: list[dict] = []
@@ -479,9 +475,7 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         failed |= not report.ok
 
     for nranks in ranks_list:
-        inputs = static_plan_inputs(
-            pts, nranks, options=FMMOptions(p=args.p, max_points=args.s)
-        )
+        inputs = static_plan_inputs(pts, nranks, options=opts)
         # The collector stays paused from extraction to certification:
         # resuming it in between costs a full scan of the live IR (at
         # P=4096, millions of ops), resuming it once the IR is freed (by
@@ -492,42 +486,13 @@ def _cmd_commir(args: argparse.Namespace) -> int:
             )
         record(report, {"ranks": nranks})
 
-    # One operator cache per kernel serves every traced run: they all
-    # solve on the same points, hence the same root cube.  Each run
-    # applies a single density, then a 4-column block.
-    side = _root_cube(conform_pts)[1]
-    traced = []
-    for kname in kernels:
-        kernel = _make_kernel(kname)
-        shape = (conform_pts.shape[0], kernel.source_dof)
-        traced.append((
-            kname, kernel,
-            [rng.random(shape), rng.random(shape + (4,))],
-            OperatorCache(kernel, args.p, side),
-        ))
     for nranks in sorted(conform_ranks):
-        inputs = static_plan_inputs(
-            conform_pts, nranks,
-            options=FMMOptions(p=args.p, max_points=args.s),
+        ir = extract_comm_ir(static_plan_inputs(conform_pts, nranks, opts))
+        states = rank_states(kernel, conform_pts, opts, nranks)
+        report = run_checks(
+            ir, states=states, name=f"conform/ranks{nranks}"
         )
-        ir = extract_comm_ir(inputs)
-        for kname, kernel, densities, cache in traced:
-            for overlap in (True, False):
-                trace = traced_run(
-                    kernel, conform_pts, densities,
-                    FMMOptions(p=args.p, max_points=args.s),
-                    nranks, schedule_seed=args.seed,
-                    overlap=overlap, cache=cache,
-                )
-                ov = "on" if overlap else "off"
-                report = run_checks(
-                    ir, traces=(trace,),
-                    name=f"conform/{kname}/ranks{nranks}/overlap-{ov}",
-                )
-                record(report, {
-                    "kernel": kname, "ranks": nranks, "overlap": overlap,
-                    "conformance": True,
-                })
+        record(report, {"ranks": nranks, "conformance": True})
 
     selftests: list[dict] = []
     if not args.no_selftest:
@@ -540,11 +505,9 @@ def _cmd_commir(args: argparse.Namespace) -> int:
         st_ir = None
         cand = args.selftest_ranks
         for _ in range(5):
-            st_inputs = static_plan_inputs(
-                conform_pts, cand,
-                options=FMMOptions(p=args.p, max_points=args.s),
+            ir = extract_comm_ir(
+                static_plan_inputs(conform_pts, cand, options=opts)
             )
-            ir = extract_comm_ir(st_inputs)
             try:
                 for seed_fn, _intended in SEEDS.values():
                     seed_fn(ir)
@@ -579,7 +542,7 @@ def _cmd_commir(args: argparse.Namespace) -> int:
     nconform = sum(1 for c in configs if c.get("conformance"))
     print("commir:", "FAILED" if failed
           else f"all {len(configs) - nconform} schedules certified, "
-               f"{nconform} traced runs conform "
+               f"{nconform} rank setups conform "
                f"(zero waivers) in {elapsed:.1f}s")
     return 1 if failed else 0
 
@@ -725,23 +688,20 @@ def build_parser() -> argparse.ArgumentParser:
         "commir",
         help="statically certify the complete message schedule "
              "(matching, tags, deadlock-freedom, payload conservation, "
-             "trace conformance) without running an apply — works at "
+             "conformance of the ranks' programs) without running an "
+             "apply — works at "
              "rank counts like 4096",
     )
     common(pci)
     pci.add_argument("--n", type=int, default=20000)
-    pci.add_argument("--kernels", default="laplace,stokes",
-                     help="comma-separated kernels of the traced "
-                          "conformance runs (the schedule itself takes "
-                          "no kernel)")
     pci.add_argument("--ranks", default="2,3,4,8,64,4096",
                      help="comma-separated rank counts to certify")
     pci.add_argument("--conform-ranks", default="2,4,8",
-                     help="rank counts for the dynamic-trace "
-                          "conformance cross-check (must be small "
+                     help="rank counts whose real setup's programs "
+                          "must be the certified ones (must be small "
                           "enough to execute)")
     pci.add_argument("--conform-n", type=int, default=600,
-                     help="point count of the traced conformance runs")
+                     help="point count of the conformance setups")
     pci.add_argument("--selftest-ranks", type=int, default=32,
                      help="rank count hosting the seeded-defect "
                           "self-tests (needs boxes with deep gather "

@@ -454,11 +454,14 @@ class OperatorCache:
         ``rows @ T^T``.  ``T`` sends the block of node ``i`` to node
         ``pi[i]`` (where ``Q`` carries it) and, for a tensor kernel,
         applies ``Q`` to the ``dof = d`` components inside the block.
+        A rank-0 factor (the class's operator underflowed) moves to a
+        rank-0 factor.
         """
         pi = surface_node_permutation(self.p, axes, signs)
         shape = rows.shape
         blocks = rows.reshape(
-            shape[:axis] + (self.n_surf, -1) + shape[axis + 1:]
+            shape[:axis] + (self.n_surf, shape[axis] // self.n_surf)
+            + shape[axis + 1:]
         )
         if self.kernel.symmetry == "tensor":
             blocks = np.take(blocks, axes, axis=axis + 1) * np.array(

@@ -324,8 +324,10 @@ def pue_binding(ue: np.ndarray) -> Binding:
 
 @dataclass
 class GhostLayout:
-    """Persistent layout of the per-apply exchange (one rank's view)."""
+    """Persistent layout of the exchange (one rank's view): the rank's
+    slice of every program it runs, and the rows they fill."""
 
+    geo: Program  # source positions, run once by the setup
     phi: Program  # combined source densities over ``uses_source`` boxes
     pue: Program  # global upward equivalent densities over ``uses_equiv``
     src_start: np.ndarray  # per-box rows of the rank's own sorted sources

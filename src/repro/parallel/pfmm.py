@@ -95,9 +95,13 @@ def exchange_schedule() -> tuple[
     list[tuple[str, str]], list[tuple[str, str]]
 ]:
     """``(program name, phase)`` in the order a rank runs them, as the
-    setup's calls and one apply's: :func:`rank_setup` the ``geo``
-    phases; every apply each phase over :data:`APPLY_KINDS` (the
-    ``post`` / ``relay`` / ``wait`` steps of :meth:`RankFMM.compile`)."""
+    setup's calls and one apply's: :func:`setup_on_tree` the ``geo``
+    phases; every apply each phase over :data:`APPLY_KINDS`.
+
+    The one statement of that order: :func:`setup_on_tree` runs the
+    setup's calls, :meth:`RankFMM.compile` makes the apply's into its
+    ``post`` / ``relay`` / ``wait`` steps, and ``repro commir``
+    concatenates the programs in it."""
     setup = [("geo", phase) for phase in PHASES]
     apply = [(kind, phase) for phase in PHASES for kind in APPLY_KINDS]
     return setup, apply
@@ -182,6 +186,7 @@ class RankFMM:
             "pue": tuple(f"ue@{ul.level}" for ul in plan.up_levels),
         }
         buffers: dict[str, BufferSpec] = {}
+        # Per (kind, phase): the split region that phase delivers.
         delivers: dict[tuple[str, str], tuple[str, ...]] = {}
         kinds = {k: np.zeros(plan.nboxes, dtype=np.int8) for k in APPLY_KINDS}
         for kind, family in (("phi", "phi"), ("pue", "ue")):
@@ -193,7 +198,6 @@ class RankFMM:
                     op.ids[0] for op in getattr(program, phase)
                     if op.kind == "store"
                 ]
-                delivers[kind, split] = ()
                 if not boxes:
                     continue
                 kinds[kind][boxes] = code
@@ -205,33 +209,26 @@ class RankFMM:
                     )
                 name = f"{family}:{split}"
                 buffers[name] = BufferSpec(name, shape, "float64")
-                delivers[kind, split] = (name,)
+                delivers[kind, phase] = (name,)
 
-        def exchange_step(phase, kind, reads=(), writes=()) -> Step:
+        def exchange_step(kind, phase) -> Step:
             # The exchange holds its own views of phi / ue (bound in
             # ``apply``) and times itself as pack / wait.
             return Step(
                 f"{phase}:{kind}", "exchange",
                 lambda b: exch.run(kind, phase),
                 kind=phase, stage="ApplyExchange.run",
-                reads=reads, writes=writes,
+                reads=() if phase == "wait" else sent[kind],
+                writes=delivers.get((kind, phase), ()),
             )
 
+        exchange: dict[str, list[Step]] = {phase: [] for phase in PHASES}
+        for kind, phase in exchange_schedule()[1]:
+            exchange[phase].append(exchange_step(kind, phase))
         rank = RankOperands(
             near=self.near,
             v_by_owner=self.v_by_owner,
-            post=[
-                exchange_step("post", k, reads=sent[k]) for k in APPLY_KINDS
-            ],
-            relay=[
-                exchange_step("relay", k, reads=sent[k],
-                              writes=delivers[k, "own"])
-                for k in APPLY_KINDS
-            ],
-            wait=[
-                exchange_step("wait", k, writes=delivers[k, "ghost"])
-                for k in APPLY_KINDS
-            ],
+            **exchange,
             buffers=buffers,
             phi_kind=kinds["phi"],
             ue_kind=kinds["pue"],
@@ -447,13 +444,18 @@ def setup_on_tree(
     def my_program(kind: str, roles: Roles) -> Program:
         return compile_exchange(kind, roles, only=me)[me]
 
+    programs = {
+        "geo": my_program("geo", src_roles),
+        "phi": my_program("phi", src_roles),
+        "pue": my_program("pue", ue_roles),
+    }
     # Setup-time geometry exchange (Algorithm 1 over positions).
     ghost_pts: dict[int, np.ndarray] = {}
-    geo = ApplyExchange(comm, timer, {"geo": (
-        my_program("geo", src_roles), geo_binding(tree.src_points, ghost_pts)
-    )})
-    for phase in PHASES:
-        geo.run("geo", phase)
+    geo = ApplyExchange(comm, timer, {
+        "geo": (programs["geo"], geo_binding(tree.src_points, ghost_pts))
+    })
+    for name, phase in exchange_schedule()[0]:
+        geo.run(name, phase)
 
     with timer.phase("plan"):
         plan, near = compile_plan(
@@ -494,8 +496,7 @@ def setup_on_tree(
         cache=cache,
         plan=plan,
         layout=GhostLayout(
-            phi=my_program("phi", src_roles),
-            pue=my_program("pue", ue_roles),
+            **programs,
             src_start=src_start,
             src_stop=src_stop,
             ext_start=ext_start,
@@ -620,16 +621,14 @@ class ParallelFMM:
     ``cache`` stay this process's objects; each apply's timings, flops
     and traffic are merged into ``timers``, ``states[r].flops`` and
     ``comm_stats``.  The potentials are bit for bit those of the
-    thread world, which still runs an apply given ``trace`` or
-    ``schedule_seed`` (its instruments), every setup, and everything on
-    a host that cannot fork.  The processes end with :meth:`close`
-    (also on leaving a ``with`` block), with the next :meth:`setup`,
-    and with this object.
+    thread world, which still runs an apply given ``schedule_seed`` (its
+    instrument), every setup, and everything on a host that cannot
+    fork.  The processes end with :meth:`close` (also on leaving a
+    ``with`` block), with the next :meth:`setup`, and with this object.
 
-    The verifiers drive it like any caller: one
-    :class:`~repro.analysis.trace.CommTrace` passed to :meth:`setup` and
-    to every :meth:`apply` records them as the consecutive regions of
-    one execution.
+    The verifiers read its setup product: ``repro commir`` requires the
+    :attr:`states`' exchange programs to be the certified schedule,
+    ``repro plancheck`` certifies their step lists.
     """
 
     def __init__(
@@ -675,7 +674,6 @@ class ParallelFMM:
     def setup(
         self,
         points: np.ndarray,
-        trace=None,
         schedule_seed: int | None = None,
         cache: OperatorCache | None = None,
     ) -> "ParallelFMM":
@@ -684,8 +682,8 @@ class ParallelFMM:
         ``cache`` (default: this operator's own from an earlier setup)
         is taken through :meth:`OperatorCache.for_root`, so operators
         computed for another bounding cube are rescaled, not rebuilt.
-        ``trace`` records the setup's rank threads as one region and
-        ``schedule_seed`` perturbs their interleaving.
+        ``schedule_seed`` perturbs the interleaving of the setup's rank
+        threads.
         """
         points = np.asarray(points, dtype=np.float64)
         opts = self.options
@@ -707,7 +705,7 @@ class ParallelFMM:
 
             outputs = run_spmd(
                 self.nranks, rank_main, PerRank(parts),
-                trace=trace, schedule_seed=schedule_seed,
+                schedule_seed=schedule_seed,
             )
             self._states = [state for state, _ in outputs]
             for mine, (_, stats) in zip(self.comm_stats, outputs):
@@ -731,7 +729,6 @@ class ParallelFMM:
     def apply(
         self,
         density: np.ndarray,
-        trace=None,
         schedule_seed: int | None = None,
     ) -> np.ndarray:
         """Evaluate the operator for one density (original point order).
@@ -742,9 +739,8 @@ class ParallelFMM:
         overlapped exchange.  Returns ``(n, target_dof)`` potentials,
         with a trailing ``nrhs`` axis for stacked blocks.
 
-        ``trace`` and ``schedule_seed`` are the thread world's
-        instruments: an apply given either runs there, and the trace
-        appends it as one region.  Concurrent calls on one operator take
+        ``schedule_seed`` is the thread world's instrument: an apply
+        given one runs there.  Concurrent calls on one operator take
         turns.
         """
         if self._states is None or self._parts is None:
@@ -753,14 +749,12 @@ class ParallelFMM:
             density, self._npoints, self.kernels[0].source_dof
         )
         on_threads = (
-            self.nranks == 1 or trace is not None
-            or schedule_seed is not None or not RankProcesses.available
+            self.nranks == 1 or schedule_seed is not None
+            or not RankProcesses.available
         )
         with self._ranks.lock:
             if on_threads:
-                outputs = self._apply_on_threads(
-                    density3, trace, schedule_seed
-                )
+                outputs = self._apply_on_threads(density3, schedule_seed)
             else:
                 outputs = self._apply_on_processes(density3, nrhs)
             for mine, (_, stats) in zip(self.comm_stats, outputs):
@@ -770,7 +764,7 @@ class ParallelFMM:
             self._parts, [pot for pot, _ in outputs], single
         )
 
-    def _apply_on_threads(self, density3, trace, schedule_seed) -> list:
+    def _apply_on_threads(self, density3, schedule_seed) -> list:
         """Every rank's ``(potential, traffic)`` from one SPMD region of
         rank threads over this process's states."""
         overlap = self.overlap
@@ -784,7 +778,7 @@ class ParallelFMM:
 
         return run_spmd(
             self.nranks, rank_main, PerRank(self._states),
-            PerRank(self._parts), trace=trace, schedule_seed=schedule_seed,
+            PerRank(self._parts), schedule_seed=schedule_seed,
         )
 
     def _apply_on_processes(self, density3, nrhs: int) -> list:

@@ -209,14 +209,14 @@ class ProcessWorld:
     """What the rank processes of one operator share.
 
     ``capacity[src][dst]`` is the bytes rank ``src`` may send rank
-    ``dst`` in one round.  The instruments of the thread world
-    (``trace``, ``schedule_seed``) have no meaning across address spaces
-    and stay ``None``, a receive times out after ``SimComm.TIMEOUT``;
+    ``dst`` in one round.  The thread world's instrument,
+    ``schedule_seed``, has no meaning across address spaces and stays
+    ``None``, a receive times out after ``SimComm.TIMEOUT``;
     the collectives are point-to-point messages and work here within
     those capacities.
     """
 
-    trace = schedule_seed = recv_timeout = None
+    schedule_seed = recv_timeout = None
 
     def __init__(self, ctx, capacity) -> None:
         self.size = len(capacity)

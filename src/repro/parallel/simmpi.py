@@ -12,8 +12,8 @@ The communicator (:class:`SimComm`, :class:`Request`,
 a *world* whose whole contract is the mailbox — ``box(src, dst, tag)``
 with ``put`` / ``get`` — and the abort flag.  Two worlds exist.  The
 one here puts ranks on threads of this process (:func:`run_spmd`):
-``queue.Queue`` mailboxes, deterministic and instrumented — every setup
-and every verifier runs on it.
+``queue.Queue`` mailboxes, deterministic and seedable — every setup
+runs on it.
 :mod:`repro.parallel.procworld` puts them in forked processes with
 shared-memory mailboxes: what :class:`~repro.parallel.pfmm.ParallelFMM`
 applies on beyond one rank.
@@ -32,9 +32,9 @@ point-to-point messages followed by a broadcast down the same edges, so
 each rank sends and receives O(log P) messages per call instead of the
 O(P) fan-in of a flat root-style reduce — the tree-top pattern the
 paper needs at thousands of ranks.  Every internal message is a
-first-class traced/accounted send, so the collectives run on either
-world.  The exchange layer (:mod:`repro.parallel.exchange`) lays the
-same binomial shape (:func:`tree_order` / :func:`tree_children`) over a
+first-class accounted send, so the collectives run on either world.
+The exchange layer (:mod:`repro.parallel.exchange`) lays the same
+binomial shape (:func:`tree_order` / :func:`tree_children`) over a
 rank *subset* rooted at a box's owner.
 
 The binomial association is fixed (:func:`combine_tree` reproduces it
@@ -49,11 +49,10 @@ inside one, never a network.
 
 Correctness tooling (see ``docs/architecture.md``):
 
-- pass ``trace=CommTrace()`` to :func:`run_spmd` to record every
-  communication event; a trace passed to several runs appends them as
-  regions of one execution, and ``repro commir`` requires each region
-  of a traced ``ParallelFMM`` run to equal the compiled exchange
-  programs op for op;
+- the schedule a run follows is checked offline, not recorded:
+  ``repro commir`` certifies the compiled exchange programs and
+  requires every rank's stored programs to *be* them, op for op
+  (:func:`~repro.analysis.commcheck_static.check_conformance`);
 - pass ``schedule_seed=`` to perturb the thread interleaving with
   seeded random yields, so tests can fuzz schedules reproducibly;
 - at exit, :func:`run_spmd` asserts every mailbox is drained and raises
@@ -83,8 +82,6 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.analysis.trace import CommTrace, RankTracer
-
 
 class RankAbortedError(RuntimeError):
     """A rank's blocked receive was interrupted because a peer failed.
@@ -101,8 +98,8 @@ class RankAbortedError(RuntimeError):
 # :func:`mk_tag` from a family registered here: a single source of truth
 # the static verifier (:mod:`repro.analysis.commir`) introspects to know
 # which tag families exist, how many discriminator fields each carries
-# and which trace phases its messages appear in.  Ad-hoc literal tags
-# are rejected statically by the ``tag-registry`` lint rule.
+# and which traffic phases its messages are counted under.  Ad-hoc
+# literal tags are rejected statically by the ``tag-registry`` lint rule.
 # ---------------------------------------------------------------------------
 
 
@@ -114,7 +111,8 @@ class TagFamily:
     #: Names of the discriminator fields following the family name
     #: (e.g. ``("box",)`` or ``("primitive", "seq")``).
     fields: tuple[str, ...]
-    #: Trace phases this family's messages are recorded under.
+    #: ``CommStats.by_phase`` keys this family's messages are counted
+    #: under.
     phases: tuple[str, ...]
     #: ``"exchange"`` (owner-centric box exchange) or ``"collective"``
     #: (binomial collectives).
@@ -384,14 +382,12 @@ class _World:
     def __init__(
         self,
         size: int,
-        trace: CommTrace | None = None,
         schedule_seed: int | None = None,
         recv_timeout: float | None = None,
     ) -> None:
         self.size = size
         self.mailbox: dict[tuple[int, int, Any], _Mailbox] = {}
         self._mailbox_lock = threading.Lock()
-        self.trace = trace
         self.schedule_seed = schedule_seed
         self.recv_timeout = recv_timeout
         #: Set when any rank fails; blocked receives poll it so they can
@@ -436,9 +432,6 @@ class SimComm:
         self._timeout = (
             world.recv_timeout if world.recv_timeout is not None else self.TIMEOUT
         )
-        self._tracer: RankTracer | None = None
-        if world.trace is not None:
-            self._tracer = world.trace.tracer(rank)
         if world.schedule_seed is not None:
             self._rng: random.Random | None = random.Random(
                 world.schedule_seed * 1_000_003 + rank * 7_919
@@ -472,10 +465,7 @@ class SimComm:
         if not 0 <= dst < self.size:
             raise ValueError(f"invalid destination rank {dst}")
         self._jitter()
-        nbytes = _payload_bytes(obj)
-        self.stats.record_send(nbytes, phase)
-        if self._tracer is not None:
-            self._tracer.on_send(dst, tag, nbytes)
+        self.stats.record_send(_payload_bytes(obj), phase)
         self._world.box(self.rank, dst, tag).put(obj)
 
     isend = send  # buffered sends complete immediately
@@ -485,8 +475,6 @@ class SimComm:
         if not 0 <= src < self.size:
             raise ValueError(f"invalid source rank {src}")
         self._jitter()
-        if self._tracer is not None:
-            self._tracer.on_recv_post(src, tag)
         return self._complete_recv(src, tag, phase)
 
     def _complete_recv(self, src: int, tag: Any, phase: str | None) -> Any:
@@ -519,27 +507,21 @@ class SimComm:
                         f"tag {tag!r}"
                     ) from None
         self.stats.record_wait(time.perf_counter() - t0)
-        nbytes = _payload_bytes(obj)
-        if self._tracer is not None:
-            self._tracer.on_recv(src, tag, nbytes)
-        self.stats.record_recv(nbytes, phase)
+        self.stats.record_recv(_payload_bytes(obj), phase)
         return obj
 
     def irecv(self, src: int, tag: Any = 0, phase: str | None = None) -> "Request":
         """Nonblocking receive: post now, complete later with ``wait()``.
 
-        The receive is *posted* immediately (it appears at its program
-        position in the event trace, like MPI_Irecv), but the message is
-        only pulled from the mailbox — and counted in :class:`CommStats`
-        — when :meth:`Request.wait` is called.  Waits on one
+        The receive is *posted* immediately (like MPI_Irecv), but the
+        message is only pulled from the mailbox — and counted in
+        :class:`CommStats` — when :meth:`Request.wait` is called.  Waits on one
         ``(src, tag)`` channel must be issued in posting order (the
         mailbox is FIFO per channel).
         """
         if not 0 <= src < self.size:
             raise ValueError(f"invalid source rank {src}")
         self._jitter()
-        if self._tracer is not None:
-            self._tracer.on_recv_post(src, tag)
         return Request(self, src, tag, phase)
 
     # -- collectives ---------------------------------------------------------
@@ -578,23 +560,16 @@ class SimComm:
         return value
 
     def _collective(
-        self, name: str, value: Any, combine: Callable[[Any, Any, int], Any],
-        **meta: Any,
+        self, name: str, value: Any, combine: Callable[[Any, Any, int], Any]
     ) -> Any:
         """Every collective: the reduction of ``value`` to rank 0, then
         the broadcast of the total down the same edges — O(log P)
-        messages per rank, traced between a ``coll-enter`` and a
-        ``coll-exit``."""
+        messages per rank."""
         self._jitter()
-        if self._tracer is not None:
-            self._tracer.on_coll_enter(name, **meta)
         tag = self._next_coll_tag(name)
-        total = self._bcast_from_root(
+        return self._bcast_from_root(
             self._reduce_to_root(value, tag, combine), tag
         )
-        if self._tracer is not None:
-            self._tracer.on_coll_exit(name)
-        return total
 
     def allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
         """MPI_Allreduce over numpy arrays (sum/max/min).
@@ -629,10 +604,7 @@ class SimComm:
             return fold(acc, other)
 
         self.stats.record_allreduce(array.nbytes)
-        total = self._collective(
-            "allreduce", array, combine,
-            nbytes=array.nbytes, op=op, shape=array.shape,
-        )
+        total = self._collective("allreduce", array, combine)
         # At one rank no message was sent: ``total`` is the caller's own
         # array.
         return np.array(total, copy=True)
@@ -644,11 +616,9 @@ class SimComm:
         lists its subtree's consecutive ranks, so appending each child's
         keeps rank order.
         """
-        nbytes = _payload_bytes(obj)
-        self.stats.record_allgather(nbytes)
+        self.stats.record_allgather(_payload_bytes(obj))
         return self._collective(
-            "allgather", [obj], lambda acc, part, _: acc + part,
-            nbytes=nbytes,
+            "allgather", [obj], lambda acc, part, _: acc + part
         )
 
 
@@ -690,7 +660,6 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     timeout: float = 600.0,
-    trace: CommTrace | None = None,
     schedule_seed: int | None = None,
     recv_timeout: float | None = None,
 ) -> list[Any]:
@@ -701,10 +670,6 @@ def run_spmd(
     Any rank exception is re-raised in the caller.  ``timeout`` bounds
     the whole run, not each rank's join.
 
-    ``trace`` (a :class:`~repro.analysis.trace.CommTrace`) records every
-    communication event; it is filled even when the run fails.  A trace passed to
-    several runs appends each as one region
-    (:meth:`CommTrace.begin_region`).
     ``schedule_seed`` enables seeded schedule perturbation (random
     yields before every communication call).  ``recv_timeout`` overrides
     :attr:`SimComm.TIMEOUT` — deadlock-detection tests use a small value
@@ -717,11 +682,8 @@ def run_spmd(
     """
     if nranks < 1:
         raise ValueError(f"nranks must be >= 1, got {nranks}")
-    if trace is not None:
-        trace.begin_region(nranks)
     world = _World(
-        nranks, trace=trace, schedule_seed=schedule_seed,
-        recv_timeout=recv_timeout,
+        nranks, schedule_seed=schedule_seed, recv_timeout=recv_timeout
     )
     results: list[Any] = [None] * nranks
     errors: list[BaseException | None] = [None] * nranks
@@ -759,12 +721,6 @@ def run_spmd(
             (e for e in failed if not isinstance(e, RankAbortedError)),
             failed[0] if failed else None,
         )
-        if trace is not None:
-            trace.end_region(
-                leaked, first,
-                completed=first is None and not leaked
-                and not any(t.is_alive() for t in threads),
-            )
     if first is not None:
         raise first
     if leaked:

@@ -95,9 +95,6 @@ class ServiceStats:
     def mean_batch(self) -> float:
         return self.batched_requests / self.batches if self.batches else 0.0
 
-    def latency_percentiles(self) -> dict[str, float]:
-        return percentile_summary(self.latencies)
-
 
 class EvaluationService:
     """Asyncio front door: single-density requests, blocked applies.

@@ -2,9 +2,10 @@
 
 The verifier must certify clean schedules (including degenerate
 partition shapes at rank counts far beyond execution), catch each
-seeded defect with exactly the intended check, agree with real traced
-executions at small rank counts, and — its one greedy deadlock run —
-agree with an exhaustive walk of every interleaving.
+seeded defect with exactly the intended check, find the IR in the
+programs real setups leave on the ranks at small rank counts — and in
+what those ranks then ask of their communicators — and, its one greedy
+deadlock run, agree with an exhaustive walk of every interleaving.
 """
 
 import copy
@@ -22,19 +23,26 @@ from repro.analysis.commcheck_static import (
     run_selftests,
     seed_dropped_relay,
     seed_swapped_post_wait,
-    traced_run,
 )
 from repro.analysis.commir import (
     PROTOCOL_FAMILIES,
     extract_comm_ir,
     static_plan_inputs,
 )
+from repro.analysis.plancheck import rank_states
 from repro.cli import main as cli_main
 from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
+from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import TAG_FAMILIES
 
 from tests.conftest import coarse_v_levels
+from tests.parallel.recording import (
+    assert_regions_follow,
+    divergent_regions,
+    recorded_runs,
+    region_messages,
+)
 
 OPTS = FMMOptions(p=4)
 
@@ -70,11 +78,11 @@ class TestExtraction:
     def test_setup_ops_split_the_setup_from_the_apply(self, cloud):
         """A program is the setup's ``geo`` exchange, then one apply's."""
         ir = extract_comm_ir(static_plan_inputs(cloud, 4, OPTS))
-        assert len(ir.setup_ops) == 4 and sum(ir.setup_ops) > 0
         setup = ("geo", "geog")
-        for prog, cut in zip(ir.programs, ir.setup_ops):
+        for prog in ir.programs:
+            cut = sum(op.group in setup for op in prog)
+            assert 0 < cut < len(prog)
             assert all(op.group in setup for op in prog[:cut])
-            assert all(op.group not in setup for op in prog[cut:])
 
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError, match="zero points"):
@@ -180,19 +188,34 @@ class TestFiveChecksClean:
         assert run_checks(ir).ok
 
 
+def run_recorded(points, densities, opts, nranks, overlap=True):
+    """A :class:`ParallelFMM` setup and one apply per density on rank
+    threads, every region recorded: ``(states, regions)``."""
+    op = ParallelFMM(nranks, LaplaceKernel(), opts, overlap=overlap)
+    with recorded_runs() as regions:
+        op.setup(points)
+        for density in densities:
+            op.apply(density, schedule_seed=0)
+    return op.states, regions
+
+
 class TestConformance:
     @pytest.mark.parametrize("nranks", [2, 4, 8])
     @pytest.mark.parametrize("overlap", [True, False])
     def test_dynamic_trace_is_linearization(
         self, cloud, density, nranks, overlap
     ):
-        inputs = static_plan_inputs(cloud, nranks, OPTS)
-        ir = extract_comm_ir(inputs)
-        trace = traced_run(
-            LaplaceKernel(), cloud, [density], OPTS, nranks, overlap=overlap,
+        """The programs a real setup leaves on the ranks are the IR's,
+        and what the ranks then ask of their communicators (recorded
+        test-side) is the IR's: the setup's ops, then the apply's, in
+        order, with and without overlap."""
+        ir = extract_comm_ir(static_plan_inputs(cloud, nranks, OPTS))
+        states, regions = run_recorded(
+            cloud, [density], OPTS, nranks, overlap
         )
-        report = run_checks(ir, traces=(trace,))
+        report = run_checks(ir, states=states)
         assert report.ok, [str(f) for f in report.findings[:5]]
+        assert_regions_follow(ir, regions)
 
     @pytest.fixture(scope="class")
     def three_applies(self, cloud, density):
@@ -202,42 +225,29 @@ class TestConformance:
         block = np.random.default_rng(3).standard_normal(
             (cloud.shape[0], 1, 4)
         )
-        trace = traced_run(
-            LaplaceKernel(), cloud, [density, block, density], OPTS, 4,
+        _, regions = run_recorded(
+            cloud, [density, block, density], OPTS, 4
         )
-        return ir, trace
+        return ir, regions
 
     def test_every_apply_region_conforms(self, three_applies):
-        ir, trace = three_applies
-        assert trace.regions == 4
-        report = run_checks(ir, traces=(trace,))
-        assert report.ok, [str(f) for f in report.findings[:5]]
+        """Every apply makes the one apply's ops of the IR."""
+        ir, regions = three_applies
+        assert len(regions) == 4
+        assert_regions_follow(ir, regions)
 
     def test_extra_op_in_the_second_apply_diverges(self, three_applies):
-        """Seeded defect of ``conformance`` on a multi-apply trace: one
-        rank's second apply sends one ``phi`` message more than its
-        program.  The other regions still match."""
-        ir, trace = three_applies
-        seeded = copy.deepcopy(trace)
+        """Seeded defect on a multi-apply recording: one rank's second
+        apply sends one ``phi`` message more than its program.  Exactly
+        that rank and region diverge; the other regions still match."""
+        ir, regions = three_applies
+        seeded = region_messages(regions)
         rank, extra = next(
-            (r, ev) for r in range(ir.nranks)
-            for ev in seeded.region_events(r)[2]
-            if ev.kind == "send" and ev.tag[0] == "phi"
+            (r, msg) for r in range(ir.nranks) for msg in seeded[2][r]
+            if msg[0] == "send" and msg[2][0] == "phi"
         )
-        end = seeded.region_starts[3][rank]
-        seeded.events_by_rank[rank].insert(
-            end, dataclasses.replace(extra, seq=end)
-        )
-        start = seeded.region_starts[3]
-        seeded.region_starts[3] = (
-            start[:rank] + (start[rank] + 1,) + start[rank + 1:]
-        )
-        report = run_checks(ir, traces=(seeded,))
-        assert {c for c, n in report.counts.items() if n} == {"conformance"}
-        napply = len(ir.programs[rank]) - ir.setup_ops[rank]
-        assert [f.where for f in report.findings] == [
-            f"rank {rank} region 2 event {napply}"
-        ]
+        seeded[2][rank].append(extra)
+        assert divergent_regions(ir, seeded) == [(rank, 2)]
 
     def test_coarse_split_broadcast_conforms(self):
         """Two tight clusters at 8 ranks: V level 2 has fewer boxes than
@@ -252,22 +262,21 @@ class TestConformance:
         inputs = static_plan_inputs(pts, 8, opts)
         assert 2 in coarse_v_levels(inputs.tree, 8)
         ir = extract_comm_ir(inputs)
-        trace = traced_run(
-            LaplaceKernel(), pts, [rng.standard_normal(600)] * 2, opts, 8,
+        states, regions = run_recorded(
+            pts, [rng.standard_normal(600)] * 2, opts, 8,
         )
-        report = run_checks(ir, traces=(trace,))
+        report = run_checks(ir, states=states)
         assert report.ok, [str(f) for f in report.findings[:5]]
+        assert_regions_follow(ir, regions)
 
-    def test_swapped_sends_diverge_from_the_trace(self, cloud, density):
+    def test_swapped_sends_are_flagged_by_conformance(self, cloud):
         """Seeded defect of ``conformance``: one rank's two consecutive
-        sends on distinct channels of one region swap places in the IR.
-        Counts, tags, waits and payload flows are untouched, so a real
-        trace is the only witness — and the check must name that rank,
-        region and op."""
-        inputs = static_plan_inputs(cloud, 4, OPTS)
-        ir = extract_comm_ir(inputs)
-        trace = traced_run(LaplaceKernel(), cloud, [density], OPTS, 4)
-        assert run_checks(ir, traces=(trace,)).ok
+        sends on distinct channels swap places in the IR.  Counts, tags,
+        waits and payload flows are untouched, so only the programs the
+        ranks hold witness it — and the check names that rank and op."""
+        ir = extract_comm_ir(static_plan_inputs(cloud, 4, OPTS))
+        states = rank_states(LaplaceKernel(), cloud, OPTS, 4)
+        assert run_checks(ir, states=states).ok
         seeded = copy.deepcopy(ir)
         rank, i = next(
             (r, i) for r, prog in enumerate(seeded.programs)
@@ -275,16 +284,23 @@ class TestConformance:
             if prog[i].kind == prog[i + 1].kind == "send"
             and (prog[i].peer, prog[i].tag)
             != (prog[i + 1].peer, prog[i + 1].tag)
-            and i + 1 != seeded.setup_ops[r]
         )
         prog = seeded.programs[rank]
         prog[i], prog[i + 1] = prog[i + 1], prog[i]
-        report = run_checks(seeded, traces=(trace,))
+        report = run_checks(seeded, states=states)
         assert {c for c, n in report.counts.items() if n} == {"conformance"}
-        cut = seeded.setup_ops[rank]
-        region, at = (0, i) if i < cut else (1, i - cut)
-        assert [f.where for f in report.findings] == [
-            f"rank {rank} region {region} event {at}"
+        assert [f.where for f in report.findings] == [f"rank {rank} op {i}"]
+
+    def test_another_setup_does_not_conform(self, cloud):
+        """States of other points, or of another rank count, are not
+        the IR's ranks."""
+        ir = extract_comm_ir(static_plan_inputs(cloud, 4, OPTS))
+        other = rank_states(LaplaceKernel(), cloud[:300], OPTS, 4)
+        report = run_checks(ir, states=other)
+        assert {c for c, n in report.counts.items() if n} == {"conformance"}
+        three = rank_states(LaplaceKernel(), cloud, OPTS, 3)
+        assert [f.where for f in run_checks(ir, states=three).findings] == [
+            "states"
         ]
 
 
@@ -296,8 +312,8 @@ class TestSeededDefects:
         return extract_comm_ir(static_plan_inputs(cloud, 32, OPTS))
 
     def test_each_seed_caught_by_exactly_its_check(self, deep):
-        """One seed per IR-only check (``conformance`` needs a trace:
-        ``test_swapped_sends_diverge_from_the_trace``)."""
+        """One seed per IR-only check (``conformance`` needs the ranks'
+        states: ``test_swapped_sends_are_flagged_by_conformance``)."""
         assert {intended for _, intended in SEEDS.values()} == {
             "matching", "tags", "deadlock", "conservation"
         }
@@ -386,8 +402,12 @@ class TestCLI:
         assert exc.value.code == 2
         assert "unrecognized arguments: --schemes" in capsys.readouterr().err
 
-    def test_empty_kernels_exits_2(self):
-        assert cli_main(["commir", "--kernels", ""]) == 2
+    def test_kernels_is_not_an_option(self, capsys):
+        """The schedule takes no kernel, and conformance sweeps none."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["commir", "--kernels", "laplace"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
     def test_small_sweep_certifies(self, capsys, tmp_path):
         json_path = tmp_path / "commir.json"
@@ -398,5 +418,7 @@ class TestCLI:
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
+        assert "conform/ranks2: certified" in out
+        assert "2 schedules certified, 1 rank setups conform" in out
         assert "zero waivers" in out
         assert json_path.exists()

@@ -108,3 +108,47 @@ def test_auto_error_within_the_contract(name, p):
     over_ceiling = [c for c in cells if c[1] > ceiling]
     assert not over_ratio, f"auto > {RATIO} x dense: {over_ratio}"
     assert not over_ceiling, f"auto > {ceiling:g}: {over_ceiling}"
+
+
+@pytest.mark.parametrize("scale", [10.0, 1000.0])
+def test_underflowed_m2l_class_contributes_nothing(scale):
+    """Modified Laplace (``lam = 1``) over ``[-scale, scale]^3``: at
+    scale 10^3 the far interaction underflows, so some of the rsvd
+    level's offset classes have rank 0.  Such a class contributes
+    nothing: the apply stays within the p = 6 ceiling, and plancheck's
+    flop identity holds with the class priced at 0 flops (pricing it
+    at rank 1 adds exactly its pairs' one-rank cost)."""
+    from repro.analysis.plancheck import rank_ir, run_checks
+    from repro.perfmodel.costs import compute_work
+
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-scale, scale, (300, 3))
+    kernel = KERNELS["modified_laplace"]
+    op = KIFMM(kernel, FMMOptions(p=6, max_points=20)).setup(pts)
+    state = op.state
+    cache, sched = state.cache, state.m2l_schedule
+    zero = {
+        (vl.level, offset): n
+        for vl in state.plan.v_levels if sched.backend(vl.level) == "rsvd"
+        for offset, n in vl.counts.items()
+        if cache.m2l_rsvd_rank(vl.level, offset) == 0
+    }
+    assert bool(zero) == (scale > 100)
+    phi = rng.standard_normal(pts.shape[0])
+    exact = direct_evaluate(kernel, pts, pts, phi)
+    ceiling = CEILING["modified_laplace"][6 - 2]
+    assert relative_error(op.apply(phi), exact) < ceiling
+
+    ir, expected = rank_ir(state)
+    assert run_checks(ir, expected).ok
+    bumped = compute_work(
+        state.tree, state.lists, kernel, 6, m2l=sched,
+        rsvd_rank=lambda level, offset: max(
+            cache.m2l_rsvd_rank(level, offset), 1
+        ),
+        inverse_rank=cache.inverse_rank,
+    ).totals()
+    one_rank = 2.0 * cache.n_surf * (kernel.source_dof + kernel.target_dof)
+    assert bumped["down_v"] - expected["down_v"] == one_rank * sum(
+        zero.values()
+    )

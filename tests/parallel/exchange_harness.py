@@ -8,17 +8,19 @@ so its gather, reduction and scatter can be checked value by value.
 
 import numpy as np
 
-from repro.analysis.commir import CommIR, role_table
+from repro.analysis.commir import CommIR, rank_ops, role_table
 from repro.parallel.exchange import (
-    PHASES,
     ApplyExchange,
     box_roles,
     compile_exchange,
     phi_binding,
     pue_binding,
 )
+from repro.parallel.pfmm import exchange_schedule
 from repro.parallel.simmpi import run_spmd
 from repro.util.timing import PhaseTimer
+
+from tests.parallel.recording import RecordingComm
 
 
 KINDS = ("phi", "pue")
@@ -33,9 +35,8 @@ def _roles(kind, contrib, users_src, users_equiv, owner):
 
 def exchange_ir(contrib, users_src, users_equiv, owner):
     """The static schedule of the round :func:`run_exchange` runs:
-    every rank's compiled programs, phase by phase over both kinds.
-    The round is one ``run_spmd``, so one trace region: all of it is
-    the IR's first region (``setup_ops``)."""
+    every rank's compiled programs, phase by phase over both kinds (an
+    apply's order)."""
     nranks = contrib.shape[0]
     roles = {
         kind: _roles(kind, contrib, users_src, users_equiv, owner)
@@ -44,30 +45,29 @@ def exchange_ir(contrib, users_src, users_equiv, owner):
     compiled = {
         kind: compile_exchange(kind, roles[kind]) for kind in KINDS
     }
-    programs = [
-        [op for phase in PHASES for kind in KINDS
-         for op in getattr(compiled[kind][rank], phase)
-         if op.tag is not None]
-        for rank in range(nranks)
-    ]
     return CommIR(
         nranks=nranks,
-        programs=programs,
+        programs=[
+            rank_ops({kind: compiled[kind][rank] for kind in KINDS})
+            for rank in range(nranks)
+        ],
         roles={kind: role_table(roles[kind]) for kind in KINDS},
-        setup_ops=[len(p) for p in programs],
     )
 
 
 def run_exchange(
-    contrib, users_src, users_equiv, owner, pieces, partials, **spmd
+    contrib, users_src, users_equiv, owner, pieces, partials, record=None,
+    **spmd
 ):
-    """One post/relay/wait round (both payload kinds) on every rank.
+    """One apply's exchange round (both payload kinds) on every rank.
 
     ``pieces[r][b]`` are the density rows rank ``r`` contributes to box
     ``b`` (the ``phi`` kind: concatenated at the owner) and
     ``partials[r]`` its ``(nboxes, width)`` partial equivalent densities
     (the ``pue`` kind: summed).  Returns per rank ``(ghost, equiv)``: the
     combined rows / the global density of every box that rank uses.
+    A ``record`` dict receives every rank's
+    :class:`~tests.parallel.recording.RecordingComm`.
     """
     nranks, nboxes = contrib.shape
     boxes = np.arange(nboxes)
@@ -85,6 +85,8 @@ def run_exchange(
 
     def main(comm):
         me = comm.rank
+        if record is not None:
+            comm = record[me] = RecordingComm(comm)
         src_stop = np.cumsum(rows[me])
         src_start = src_stop - rows[me]
         phi_sorted = np.vstack(
@@ -109,9 +111,8 @@ def run_exchange(
             )
             for kind in KINDS
         })
-        for phase in PHASES:
-            for kind in KINDS:
-                exch.run(kind, phase)
+        for kind, phase in exchange_schedule()[1]:
+            exch.run(kind, phase)
         ghost = {
             int(b): ext_phi[ext_start[b]:ext_stop[b]].copy()
             for b in boxes if users_src[me, b]

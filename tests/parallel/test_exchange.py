@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import CommTrace
-from repro.analysis.commcheck_static import (
-    check_deadlock,
-    protocol_events,
-    run_checks,
-)
+from repro.analysis.commcheck_static import check_deadlock, run_checks
 from repro.parallel.exchange import compile_exchange, fold_slots
 from repro.parallel.simmpi import combine_tree, tree_children, tree_order
 
@@ -21,6 +16,7 @@ from tests.parallel.exchange_harness import (
     flatten,
     run_exchange,
 )
+from tests.parallel.recording import program_messages
 
 
 def test_source_data_gather_scatter():
@@ -88,7 +84,7 @@ def test_empty_exchange():
     assert flatten(results) == []
 
 
-# -- the compiled program: certified, run, and traced --------------------
+# -- the compiled program: certified, and run as written -----------------
 
 
 @st.composite
@@ -109,6 +105,12 @@ def role_matrices(draw):
 @settings(max_examples=25, deadline=None)
 @given(role_matrices())
 def test_compiled_program_is_certified_run_and_traced(case):
+    """The IR of random roles certifies, and the interpreter runs it as
+    written: what each rank asks of its communicator (recorded
+    test-side) is exactly its program's sends, posts and waits, in
+    order, and the same again on a second round with the same
+    programs (a second apply of one state).  Every user receives the
+    owner's concatenation and binomial sum, bit for bit."""
     contrib, users, owner, rng = case
     nranks, nboxes = contrib.shape
     pieces = [
@@ -118,18 +120,17 @@ def test_compiled_program_is_certified_run_and_traced(case):
     ]
     partials = rng.standard_normal((nranks, nboxes, 5))
     ir = exchange_ir(contrib, users, users, owner)
-    trace = CommTrace()
-    results = run_exchange(
-        contrib, users, users, owner, pieces, partials, trace=trace
-    )
-    # matching, tags, deadlock, conservation — and the traced
-    # send/post/complete sequence of every rank IS its program.
-    report = run_checks(ir, traces=(trace,))
+    report = run_checks(ir)
     assert report.ok, [str(f) for f in report.findings[:5]]
+    rounds = [{}, {}]
+    for record in rounds:
+        results = run_exchange(
+            contrib, users, users, owner, pieces, partials, record=record
+        )
     for rank in range(nranks):
-        assert protocol_events(trace.events_by_rank[rank]) == [
-            (op.kind, op.peer, op.tag) for op in ir.programs[rank]
-        ]
+        want = program_messages(ir.programs[rank])
+        for record in rounds:
+            assert record[rank].messages() == want
     for b in range(nboxes):
         order = tree_order(np.flatnonzero(contrib[:, b]), owner[b])
         held = [r for r in order if contrib[r, b]]

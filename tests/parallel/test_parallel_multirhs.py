@@ -14,7 +14,6 @@ rank; ``apply_on_both`` pins each block to the rank threads' bits.
 import numpy as np
 import pytest
 
-from repro.analysis import CommTrace
 from repro.analysis.commcheck_static import run_checks
 from repro.analysis.commir import extract_comm_ir, static_plan_inputs
 from repro.core.fmm import FMMOptions, KIFMM
@@ -25,6 +24,7 @@ from repro.parallel.simmpi import CommStats
 
 from tests.conftest import clustered_cloud, uniform_cloud
 from tests.core.perbox import PerBoxFMM
+from tests.parallel.recording import assert_regions_follow, recorded_runs
 from tests.parallel.transports import apply_on_both
 
 KERNELS = {
@@ -125,21 +125,24 @@ def test_blocked_exchange_message_count_matches_single(rng):
 
 def test_blocked_apply_race_free_and_trace_clean(rng):
     """Certification invariants hold for multi-RHS overlapped applies:
-    each block apply conforms to the compiled programs (race freedom
-    holds by construction: a message is a value on both worlds)."""
+    the setup leaves the certified programs on the ranks and each block
+    apply makes exactly their apply ops (recorded test-side; race
+    freedom holds by construction: a message is a value on both
+    worlds)."""
     kern, n, mp = KERNELS["laplace"]
     pts = uniform_cloud(rng, 400)
     block = rng.standard_normal((400, 1, 3))
     opts = FMMOptions(p=4, max_points=mp)
     ir = extract_comm_ir(static_plan_inputs(pts, 4, opts))
     for overlap in (True, False):
-        trace = CommTrace()
         op = ParallelFMM(4, kern, opts, overlap=overlap)
-        op.setup(pts, trace=trace, schedule_seed=3)
-        for _ in range(2):
-            op.apply(block, trace=trace, schedule_seed=3)
-        assert trace.regions == 3
-        assert run_checks(ir, traces=(trace,)).ok
+        with recorded_runs() as regions:
+            op.setup(pts, schedule_seed=3)
+            for _ in range(2):
+                op.apply(block, schedule_seed=3)
+        assert len(regions) == 3
+        assert run_checks(ir, states=op.states).ok
+        assert_regions_follow(ir, regions)
 
 
 def test_blocked_schedule_independence(rng):

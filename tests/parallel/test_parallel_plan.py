@@ -12,7 +12,6 @@ processes; ``apply_on_both`` pins them to the rank threads bit for bit.
 import numpy as np
 import pytest
 
-from repro.analysis import CommTrace
 from repro.core.fmm import FMMOptions, KIFMM
 from repro.core.precompute import OperatorCache
 from repro.kernels import LaplaceKernel, ModifiedLaplaceKernel, StokesKernel
@@ -126,16 +125,14 @@ def test_rank_processes_equal_rank_threads(
 
 
 def test_napplies_driver_matches_single_apply(rng):
-    """A setup and three applies recorded as the regions of one trace
-    give the potential of an untraced operator's one apply."""
+    """A setup and three applies on rank threads give the potential of
+    another operator's one apply on rank processes."""
     pts = uniform_cloud(rng, 500)
     phi = rng.standard_normal((500, 1))
     opts = FMMOptions(p=4, max_points=30)
     one = ParallelFMM(2, LaplaceKernel(), opts).setup(pts).apply(phi)
-    trace = CommTrace()
-    op = ParallelFMM(2, LaplaceKernel(), opts).setup(pts, trace=trace)
-    three = [op.apply(phi, trace=trace) for _ in range(3)]
-    assert trace.regions == 4 and trace.completed
+    op = ParallelFMM(2, LaplaceKernel(), opts).setup(pts)
+    three = [op.apply(phi, schedule_seed=0) for _ in range(3)]
     for pot in three:
         assert np.array_equal(one, pot)
 

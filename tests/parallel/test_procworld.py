@@ -19,7 +19,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.analysis import CommTrace
 from repro.analysis.sanitize import NonFiniteError
 from repro.core.fmm import FMMOptions
 from repro.kernels import LaplaceKernel
@@ -161,21 +160,18 @@ def test_unreceived_message_is_a_leak_naming_its_channel():
 # -- which world an apply runs on ---------------------------------------------
 
 
-def test_one_rank_traced_seeded_and_forkless_applies_stay_on_threads(case):
+def test_one_rank_seeded_and_forkless_applies_stay_on_threads(case):
     pts, phi = case
     one = ParallelFMM(1, LaplaceKernel(), OPTS).setup(pts)
     one.apply(phi)
     op = ParallelFMM(2, LaplaceKernel(), OPTS).setup(pts)
-    trace = CommTrace()
-    traced = op.apply(phi, trace=trace)
     seeded = op.apply(phi, schedule_seed=3)
     with thread_world():
         forkless = op.apply(phi)
     assert rank_pids() == []  # nobody forked so far
-    assert trace.completed and trace.nevents() > 0
     on_processes = op.apply(phi)
     assert len(rank_pids()) == 2
-    for other in (traced, seeded, forkless):
+    for other in (seeded, forkless):
         assert np.array_equal(on_processes, other)
     op.close()
 

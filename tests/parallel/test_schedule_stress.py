@@ -5,14 +5,15 @@ gather protocol and the whole parallel FMM must be schedule
 independent: whatever interleaving the thread scheduler produces, every
 rank must end up with bitwise-identical data.  We fuzz perturbed
 schedules (seeded random yields inside every SimComm call), compare
-against an unperturbed reference run, and require every traced run
-that has a compiled schedule to conform to it.
+against an unperturbed reference run, and require every run that has a
+compiled schedule to follow it: each rank asks of its communicator
+exactly its program (recorded test-side), or holds exactly the
+certified programs.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis import CommTrace
 from repro.analysis.commcheck_static import run_checks
 from repro.analysis.commir import extract_comm_ir, static_plan_inputs
 from repro.core.fmm import FMMOptions
@@ -28,6 +29,7 @@ from tests.parallel.exchange_harness import (
     flatten,
     run_exchange,
 )
+from tests.parallel.recording import program_messages
 
 NRANKS = 4
 NBOXES = 24
@@ -46,8 +48,8 @@ def _random_topology(rng):
 
 
 def _exchange_once(contrib, users, owner, kind, seed):
-    """One traced ApplyExchange round of one payload kind, which must
-    conform to the compiled programs.
+    """One recorded ApplyExchange round of one payload kind, which must
+    run the compiled programs as written.
 
     ``phi`` ships rank- and box-tagged density rows (concatenated at the
     owner), ``pue`` random partial equivalent densities (summed).
@@ -66,15 +68,16 @@ def _exchange_once(contrib, users, owner, kind, seed):
         partials[contrib] = values[contrib]
     users_src = users if kind == "phi" else none
     users_equiv = users if kind == "pue" else none
-    trace = CommTrace()
+    record = {}
     results = run_exchange(
         contrib, users_src, users_equiv, owner, pieces, partials,
-        trace=trace, schedule_seed=seed,
+        record=record, schedule_seed=seed,
     )
-    report = run_checks(
-        exchange_ir(contrib, users_src, users_equiv, owner), traces=(trace,)
-    )
+    ir = exchange_ir(contrib, users_src, users_equiv, owner)
+    report = run_checks(ir)
     assert report.ok, [str(f) for f in report.findings[:5]]
+    for rank, program in enumerate(ir.programs):
+        assert record[rank].messages() == program_messages(program)
     return flatten(results)
 
 
@@ -127,8 +130,8 @@ def test_perturbation_is_reproducible(seed, rng):
 @pytest.mark.parametrize("overlap", [True, False])
 @pytest.mark.parametrize("case", ["uniform-p3", "uniform-p4", "clusters-p8"])
 def test_parallel_fmm_bitwise_identical_across_schedules(case, overlap):
-    """The whole operator under three ``schedule_seed``s: every traced
-    setup + apply conforms to the compiled programs, and the potentials
+    """The whole operator under three ``schedule_seed``s: every setup
+    leaves the certified programs on the ranks, and the potentials
     agree bit for bit — at P = 3 and 4 on uniform points, and at P = 8
     on two corner clusters, whose V level 2 has fewer boxes than
     ranks."""
@@ -149,11 +152,10 @@ def test_parallel_fmm_bitwise_identical_across_schedules(case, overlap):
     ir = extract_comm_ir(inputs)
     potentials = []
     for seed in range(3):
-        trace = CommTrace()
         op = ParallelFMM(nranks, LaplaceKernel(), opts, overlap=overlap)
-        op.setup(pts, trace=trace, schedule_seed=seed)
-        potentials.append(op.apply(density, trace=trace, schedule_seed=seed))
-        report = run_checks(ir, traces=(trace,))
+        op.setup(pts, schedule_seed=seed)
+        potentials.append(op.apply(density, schedule_seed=seed))
+        report = run_checks(ir, states=op.states)
         assert report.ok, [str(f) for f in report.findings[:5]]
     for pot in potentials[1:]:
         assert np.array_equal(pot, potentials[0])

@@ -8,8 +8,8 @@ Covers the two tree-top behaviours:
   more;
 - the coarse levels (fewer boxes than ranks) of a two-cluster tree at
   8 ranks are computed redundantly by every contributor, as in the
-  paper, and the run stays correct, race-free, trace-clean and
-  statically certified.
+  paper, and the run stays correct, race-free, follows its certified
+  programs and is statically certified.
 """
 
 from collections import Counter, defaultdict
@@ -110,10 +110,16 @@ class TestCoarseSplitRuntime:
         assert err < 5e-3
 
     def test_split_trace_and_race_clean(self, rng):
-        """Every region conforms to the compiled programs (race freedom
-        holds by construction: a message is a value on both worlds)."""
-        from repro.analysis import CommTrace
+        """The setup leaves the certified programs on the ranks, and
+        every region makes exactly its ops of them (recorded test-side;
+        race freedom holds by construction: a message is a value on
+        both worlds)."""
         from repro.analysis.commcheck_static import run_checks
+
+        from tests.parallel.recording import (
+            assert_regions_follow,
+            recorded_runs,
+        )
 
         pts = clustered_points(120, rng)
         dens = rng.standard_normal(len(pts))
@@ -121,10 +127,11 @@ class TestCoarseSplitRuntime:
         opts = FMMOptions(p=4, max_points=20)
         ir = extract_comm_ir(static_plan_inputs(pts, 8, opts))
         for overlap in (True, False):
-            trace = CommTrace()
             op = ParallelFMM(8, kern, opts, overlap=overlap)
-            op.setup(pts, trace=trace).apply(dens, trace=trace)
-            assert run_checks(ir, traces=(trace,)).ok
+            with recorded_runs() as regions:
+                op.setup(pts).apply(dens, schedule_seed=0)
+            assert run_checks(ir, states=op.states).ok
+            assert_regions_follow(ir, regions)
 
     def test_split_certifies_statically(self, rng):
         from repro.analysis.plancheck import certify_parallel

@@ -4,9 +4,9 @@ Shared by the parity suites: whatever they assert about a parallel
 potential, they assert it about the *process* world's (the default
 beyond one rank), and :func:`apply_on_both` first pins that potential,
 the per-rank flops and the per-rank traffic to the thread world's, bit
-for bit and count for count.  The process world has no event trace, so
+for bit and count for count.  The process world records no calls, so
 its traffic equal to the send / completion ops of the compiled programs
-is its "trace == program".
+is its "run == program".
 """
 
 import dataclasses

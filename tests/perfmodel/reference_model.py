@@ -197,6 +197,11 @@ def compute_work(
     )
 
 
+def apply_ops(program):
+    """A program's ops after the setup's ``geo`` exchange: one apply's."""
+    return [op for op in program if op.group not in ("geo", "geog")]
+
+
 def ir_traffic(
     inputs: StaticPlanInputs, kernel: Kernel, p: int, nrhs: int = 1
 ) -> np.ndarray:
@@ -217,7 +222,7 @@ def ir_traffic(
     row = 8.0 * kernel.source_dof * nrhs
     traffic = np.zeros((2, 2, P))
     for r, program in enumerate(ir.programs):
-        for op in program[ir.setup_ops[r]:]:
+        for op in apply_ops(program):
             if op.kind == "complete":
                 traffic[1, 0, r] += 1
             if op.kind != "send":
@@ -256,7 +261,7 @@ def ir_tree_top(inputs: StaticPlanInputs) -> tuple[np.ndarray, np.ndarray, int]:
                     flat[m] += len(members) - 1 if m == owner else 1
     total = 0
     for r, program in enumerate(ir.programs):
-        for op in program[ir.setup_ops[r]:]:
+        for op in apply_ops(program):
             if op.group in ("pue", "pueg") and shared[op.ids[0]]:
                 tree[r] += op.kind in ("send", "complete")
                 total += op.kind == "send"

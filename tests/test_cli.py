@@ -17,8 +17,9 @@ class TestParser:
             main(["evaluate", "--kernel", "warp", "--n", "10"])
 
     def test_commcheck_is_not_a_command(self, capsys):
-        """Traced runs are checked by ``commir``'s conformance check
-        and the runtime's own errors; there is no one-trace analyzer."""
+        """The schedule is certified by ``commir`` (its conformance
+        check compares the ranks' programs with it) and runs are checked
+        by the runtime's own errors; there is no trace analyzer."""
         with pytest.raises(SystemExit) as exc:
             main(["commcheck"])
         assert exc.value.code == 2

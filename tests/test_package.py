@@ -112,39 +112,67 @@ class TestOneParallelDriver:
         assert "race" not in inspect.signature(simmpi.run_spmd).parameters
         for fn in (parallel.ParallelFMM.setup, parallel.ParallelFMM.apply):
             assert set(inspect.signature(fn).parameters) <= {
-                "self", "points", "density", "trace", "schedule_seed",
-                "cache",
+                "self", "points", "density", "schedule_seed", "cache",
             }, fn.__name__
         assert len(dataclasses.fields(repro.FMMOptions)) == 8
 
+    def test_no_execution_trace(self):
+        """The schedule is checked by identity, not by recording runs:
+        no runtime entry point takes a ``trace``, the analysis package
+        has no trace, and the runtime imports nothing from it."""
+        import ast
+        import inspect
+
+        from repro import analysis, parallel
+        from repro.parallel import simmpi
+
+        for fn in (
+            simmpi.run_spmd, parallel.ParallelFMM.setup,
+            parallel.ParallelFMM.apply,
+        ):
+            assert "trace" not in inspect.signature(fn).parameters, fn
+        assert not hasattr(analysis, "CommTrace")
+        tree = ast.parse(inspect.getsource(simmpi))
+        imported = [
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ] + [
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+        ]
+        assert not [m for m in imported if m.startswith("repro.analysis")]
+
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_setup_collective_sequence(self, rng, nranks):
-        """Per rank, a traced setup runs the root's counts and one
-        allreduce per level (the driver pins the root cube), then one
-        allgather of the contributor masks and one of the user masks —
-        each ``2 x nboxes`` bytes."""
-        from repro.analysis import CommTrace
+        """Per rank, a setup runs the root's counts and one allreduce
+        per level (the driver pins the root cube), then one allgather
+        of the contributor masks and one of the user masks — each
+        ``2 x nboxes`` bytes.  The order is what each rank asks of its
+        communicator, recorded test-side."""
         from repro.parallel import ParallelFMM
 
+        from tests.parallel.recording import recorded_runs
+
         pts = rng.uniform(-1.0, 1.0, (600, 3))
-        trace = CommTrace()
         op = ParallelFMM(
             nranks, repro.LaplaceKernel(), repro.FMMOptions(p=3, max_points=20)
-        ).setup(pts, trace=trace)
+        )
+        with recorded_runs() as regions:
+            op.setup(pts)
         tree = op.states[0].tree
-        assert trace.completed and trace.leaked == []
-        for stats, events in zip(op.comm_stats, trace.events_by_rank):
+        (setup,) = regions
+        for stats, comm in zip(op.comm_stats, setup):
             assert stats.allreduce_calls == 1 + tree.depth
             assert stats.allgather_calls == 2
             assert stats.allgather_bytes == 2 * (2 * tree.nboxes)
-            assert [e.coll for e in events if e.kind == "coll-enter"] == (
-                ["allreduce"] * (1 + tree.depth) + ["allgather"] * 2
+            assert [call for call in comm.ops if len(call) == 1] == (
+                [("allreduce",)] * (1 + tree.depth) + [("allgather",)] * 2
             )
 
     def test_untraced_setup_counts_its_collectives(self, rng):
-        """Without a trace, ``CommStats`` still counts each collective:
-        per rank one allreduce per level plus the root's, and two
-        allgathers — 8 over 4 ranks — each with its payload bytes."""
+        """Unrecorded, ``CommStats`` counts each collective: per rank
+        one allreduce per level plus the root's, and two allgathers — 8
+        over 4 ranks — each with its payload bytes."""
         from repro.parallel import ParallelFMM
 
         pts = rng.uniform(-1.0, 1.0, (300, 3))
