@@ -9,10 +9,10 @@ This module closes the gap: it assembles the **complete message
 schedule** — every point-to-point send, receive post and receive
 completion with ``(src, dst, tag)``, in the program order of every
 rank — as a static ``CommIR``, directly from the plan inputs
-(partition, contributor matrix, owner map, LET usage), **without
-executing an apply**, for arbitrary rank counts
-including P=4096.  Next to the programs it keeps the roles they were
-compiled from — per exchanged box its owner, contributors and users —
+(partition, contributor matrices, roles), **without executing an
+apply**, for arbitrary rank counts including P=4096.  Next to the
+programs it keeps the roles they were compiled from — per circulating
+box its owner, contributors and users, the very roles the ranks run —
 which is what the ``conservation`` check reads the message edges
 against.
 
@@ -29,10 +29,11 @@ function of the points:
   :func:`~repro.octree.tree.build_tree` over all points reproduces every
   box boundary;
 - :func:`~repro.parallel.owners.static_contributors` computes offline
-  what the ``gather_contributors`` Allgather assembles, and
-  :func:`~repro.parallel.owners.assign_owners` is already pure;
-- the LET usage masks replicate :func:`~repro.parallel.let.classify_let`
-  (vectorised across all ranks at once).
+  what the ``gather_contributors`` Allgather assembles;
+- from there on the ranks' own function takes over:
+  :func:`~repro.parallel.let.let_roles` derives owners, users and the
+  roles of the circulating boxes from the contributor matrices, on a
+  rank and here alike.
 
 Each rank's ops appear in its exact program order (:func:`rank_ops`),
 which is what lets :mod:`repro.analysis.commcheck_static` check
@@ -61,10 +62,10 @@ from repro.parallel.exchange import (
     CommOp,
     Program,
     Roles,
-    box_roles,
     compile_exchange,
 )
-from repro.parallel.owners import assign_owners, static_contributors
+from repro.parallel.let import LETRoles, let_roles
+from repro.parallel.owners import static_contributors
 from repro.parallel.partition import partition_points
 from repro.parallel.pfmm import exchange_schedule
 from repro.parallel.simmpi import TAG_FAMILIES
@@ -105,6 +106,8 @@ class StaticPlanInputs:
     ``(points, nranks, tree options)`` — the communication schedule does
     not depend on the kernel, the right-hand-side width or the overlap
     flag, so one input set serves the whole configuration sweep.
+    ``roles`` is what :func:`~repro.parallel.let.let_roles` returns on
+    every rank of that run.
     """
 
     nranks: int
@@ -112,13 +115,7 @@ class StaticPlanInputs:
     lists: InteractionLists
     parts: list[np.ndarray]
     contrib_src: np.ndarray  # (nranks, nboxes) bool
-    contrib_trg: np.ndarray
-    owner: np.ndarray  # (nboxes,) int
-    users_src: np.ndarray  # (nranks, nboxes) bool, gated by global nsrc
-    users_equiv: np.ndarray
-    gsrc: np.ndarray  # (nboxes,) global per-box source counts
-    src_boxes: np.ndarray  # boxes whose source data circulates
-    ue_boxes: np.ndarray  # boxes whose equivalent densities circulate
+    roles: LETRoles
 
 
 @dataclass
@@ -154,48 +151,6 @@ class CommIR:
         )
 
 
-def _vectorized_users(
-    tree: Octree,
-    lists: InteractionLists,
-    contrib_trg: np.ndarray,
-    gsrc: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All ranks' gated LET usage matrices in one pass.
-
-    Replicates :func:`~repro.parallel.let.classify_let` (V/X gate on
-    target activity, W/U additionally on leafness) followed by the
-    ``rank_setup`` global-source gating, but iterates *target boxes*
-    instead of ranks: for every list entry ``t -> s`` the users column
-    ``s`` inherits the activity column ``t`` across all ranks at once,
-    so the cost is independent of the rank count (P=4096 included).
-    """
-    nb = tree.nboxes
-    nranks = contrib_trg.shape[0]
-    # Box-major throughout: a box's activity across ranks is one
-    # contiguous row, and so is every users row it is or-ed into.
-    active = np.ascontiguousarray(contrib_trg.T)
-    leaf = tree.topology.is_leaf
-    active_leaf = active & leaf[:, None]
-    users_equiv = np.zeros((nb, nranks), dtype=bool)
-    users_src = np.zeros((nb, nranks), dtype=bool)
-    for which, out, act in (
-        ("V", users_equiv, active),
-        ("X", users_src, active),
-        ("W", users_equiv, active_leaf),
-        ("U", users_src, active_leaf),
-    ):
-        ptr, idx = lists.flat(which)
-        for t in range(nb):
-            partners = idx[ptr[t]:ptr[t + 1]]
-            if partners.size and act[t].any():
-                out[partners] |= act[t]
-    gate = (gsrc > 0)[:, None]
-    return (
-        np.ascontiguousarray((users_equiv & gate).T),
-        np.ascontiguousarray((users_src & gate).T),
-    )
-
-
 def static_plan_inputs(
     points: np.ndarray,
     nranks: int,
@@ -204,9 +159,10 @@ def static_plan_inputs(
     """Derive the replicated plan inputs of a planned parallel run.
 
     What :func:`~repro.parallel.pfmm.rank_setup` assembles with
-    collectives, computed without one: one global tree with the agreed root
-    cube, the offline contributor matrices, the pure owner assignment
-    and the vectorised LET usage.
+    collectives, computed without one: one global tree with the agreed
+    root cube and the offline contributor matrices, from which
+    :func:`~repro.parallel.let.let_roles` derives the roles as a rank
+    does.
     """
     opts = options or FMMOptions()
     points = np.asarray(points, dtype=np.float64)
@@ -224,26 +180,15 @@ def static_plan_inputs(
     )
     lists = build_lists(tree)
     contrib_src, contrib_trg = static_contributors(tree, parts)
-    owner = assign_owners(contrib_src | contrib_trg)
-    gsrc = tree.topology.nsrc
-    users_equiv, users_src = _vectorized_users(
-        tree, lists, contrib_trg, gsrc
-    )
-    src_boxes = np.nonzero(users_src.any(axis=0))[0]
-    ue_boxes = np.nonzero(users_equiv.any(axis=0))[0]
     return StaticPlanInputs(
         nranks=nranks,
         tree=tree,
         lists=lists,
         parts=parts,
         contrib_src=contrib_src,
-        contrib_trg=contrib_trg,
-        owner=owner,
-        users_src=users_src,
-        users_equiv=users_equiv,
-        gsrc=gsrc,
-        src_boxes=src_boxes,
-        ue_boxes=ue_boxes,
+        roles=let_roles(
+            tree, lists, contrib_src, contrib_trg, tree.topology.nsrc
+        ),
     )
 
 
@@ -273,7 +218,7 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
     """The complete static message schedule of one configuration: a
     setup and one apply.
 
-    Compiles every payload kind for all ranks
+    Compiles every payload kind of the given roles for all ranks
     (:func:`~repro.parallel.exchange.compile_exchange` — the function
     each rank runs its own slice of) and keeps each rank's
     :func:`rank_ops`.  The schedule takes neither the kernel, the
@@ -281,15 +226,8 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
     *compute* relative to the fixed communication order, and an RHS
     block rides the same messages with wider rows.
     """
+    src, ue = inputs.roles.src, inputs.roles.ue
     with gc_paused():
-        src = box_roles(
-            inputs.src_boxes, inputs.owner, inputs.contrib_src,
-            inputs.users_src,
-        )
-        ue = box_roles(
-            inputs.ue_boxes, inputs.owner, inputs.contrib_src,
-            inputs.users_equiv,
-        )
         compiled = {
             kind: compile_exchange(kind, roles)
             for kind, roles in (("geo", src), ("phi", src), ("pue", ue))
@@ -314,8 +252,8 @@ def extract_comm_ir(inputs: StaticPlanInputs) -> CommIR:
         meta={
             "npoints": int(inputs.tree.sources.shape[0]),
             "nboxes": int(inputs.tree.nboxes),
-            "nsrc_boxes": int(inputs.src_boxes.size),
-            "nue_boxes": int(inputs.ue_boxes.size),
+            "nsrc_boxes": len(src),
+            "nue_boxes": len(ue),
             "families": PROTOCOL_FAMILIES,
         },
     )

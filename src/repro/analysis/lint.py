@@ -215,7 +215,8 @@ class DtypeWidthRule(Rule):
         "assumes float64 end to end; a narrowing constructor "
         "in core/ or linalg/ silently degrades the 1e-5 accuracy target "
         "of the paper's experiments.  Narrow dtypes are fine elsewhere "
-        "(e.g. the uint8 usage-mask compression in parallel/let.py)."
+        "(e.g. the uint8 contributor-mask compression in "
+        "parallel/owners.py)."
     )
 
     _NARROW = {

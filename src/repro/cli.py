@@ -702,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "enough to execute)")
     pci.add_argument("--conform-n", type=int, default=600,
                      help="point count of the conformance setups")
-    pci.add_argument("--selftest-ranks", type=int, default=32,
+    pci.add_argument("--selftest-ranks", type=int, default=128,
                      help="rank count hosting the seeded-defect "
                           "self-tests (needs boxes with deep gather "
                           "trees)")

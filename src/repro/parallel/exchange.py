@@ -141,21 +141,6 @@ def box_roles(
     ]
 
 
-def circulating(
-    owner: np.ndarray, contrib: np.ndarray, users: np.ndarray
-) -> np.ndarray:
-    """Mask of the boxes some rank other than the owner contributes to
-    or uses.
-
-    The rest send no message, and their data is already where the owner
-    reads it (its own sorted sources, its own upward densities); a
-    driver keeps them out of the roles, so at one rank every program is
-    empty.
-    """
-    foreign = np.arange(contrib.shape[0])[:, None] != owner
-    return ((contrib | users) & foreign).any(axis=0)
-
-
 def compile_exchange(
     kind: str, roles: Roles, only: int | None = None
 ) -> dict[int, Program]:
@@ -328,8 +313,8 @@ class GhostLayout:
     slice of every program it runs, and the rows they fill."""
 
     geo: Program  # source positions, run once by the setup
-    phi: Program  # combined source densities over ``uses_source`` boxes
-    pue: Program  # global upward equivalent densities over ``uses_equiv``
+    phi: Program  # combined source densities over the ``src`` roles
+    pue: Program  # global upward equivalent densities over the ``ue`` roles
     src_start: np.ndarray  # per-box rows of the rank's own sorted sources
     src_stop: np.ndarray
     ext_start: np.ndarray  # per-box rows into the combined source arrays

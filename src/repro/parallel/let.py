@@ -1,4 +1,4 @@
-"""Local essential tree (LET) classification (Sections 3.1–3.2).
+"""Local essential tree (LET) roles (Sections 3.1–3.2).
 
 The LET of a processor P (Warren & Salmon, ref [23]) "first contains the
 boxes which contain points belonging to P and second the boxes in the U,
@@ -8,65 +8,99 @@ P contributes to B ... If B is of the second kind, we say P uses B."
 We split "uses" by what data is needed, matching the two communication
 sub-steps of Section 3.2:
 
-- ``uses_equiv`` — P needs the *global upward equivalent density* of the
-  box: it appears in the V list of a box P computes the downward pass
-  for, or in the W list of a leaf with local targets;
-- ``uses_source`` — P needs the box's *source positions and densities*
+- ``users_equiv`` — P needs the *global upward equivalent density* of
+  the box: it appears in the V list of a box P computes the downward
+  pass for, or in the W list of a leaf with local targets;
+- ``users_src`` — P needs the box's *source positions and densities*
   (ghosts): it appears in the U list of a leaf with local targets, or in
   the X list of a box with local targets.
+
+Like the owners, the users of every rank are computed by every rank
+from the replicated contributor matrices — "the same sequential
+algorithm" on the same data — so a setup needs no collective beyond the
+contributor allgather, and the static verifier
+(:mod:`repro.analysis.commir`) derives the same roles from
+:func:`~repro.parallel.owners.static_contributors` offline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.octree.lists import InteractionLists
 from repro.octree.tree import Octree
+from repro.parallel.exchange import Roles, box_roles
+from repro.parallel.owners import assign_owners
+from repro.util.segments import multi_arange
 
 
-@dataclass
-class LETUsage:
-    """Which global data this rank needs for its downward computation."""
+def let_users(
+    lists: InteractionLists,
+    is_leaf: np.ndarray,
+    contrib_trg: np.ndarray,
+    nsrc: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(users_equiv, users_src)`` of every rank, each ``(nranks,
+    nboxes)`` bool, from the ``(nranks, nboxes)`` target contributor
+    matrix.
 
-    uses_equiv: np.ndarray  # (nboxes,) bool
-    uses_source: np.ndarray  # (nboxes,) bool
+    ``contrib_trg[r, t]`` says rank ``r`` performs box ``t``'s downward
+    computation; each such pair is expanded over ``t``'s V and X list
+    rows, and over its W and U rows when ``t`` is a leaf.  A box without
+    global sources (``nsrc``) has nothing to send and is used by no one.
+    """
+    nranks, nboxes = contrib_trg.shape
+    users = np.zeros((2, nranks * nboxes), dtype=bool)
+    rank, box = np.nonzero(contrib_trg)
+    leaf = is_leaf[box]
+    for which, out, sel in (
+        ("V", users[0], slice(None)),
+        ("X", users[1], slice(None)),
+        ("W", users[0], leaf),
+        ("U", users[1], leaf),
+    ):
+        ptr, idx = lists.flat(which)
+        r, t = rank[sel], box[sel]
+        out[np.repeat(r * nboxes, ptr[t + 1] - ptr[t])
+            + idx[multi_arange(ptr[t], ptr[t + 1])]] = True
+    users = users.reshape(2, nranks, nboxes) & (nsrc > 0)
+    return users[0], users[1]
 
 
-def classify_let(
+class LETRoles(NamedTuple):
+    """The replicated exchange roles of one geometry."""
+
+    owner: np.ndarray  # (nboxes,) int
+    src: Roles  # circulating boxes whose sources move (geo, phi)
+    ue: Roles  # circulating boxes whose equivalent densities move (pue)
+
+
+def let_roles(
     tree: Octree,
     lists: InteractionLists,
-    local_trg: np.ndarray,
-) -> LETUsage:
-    """Compute the usage masks for a rank with targets in ``local_trg`` boxes.
+    contrib_src: np.ndarray,
+    contrib_trg: np.ndarray,
+    nsrc: np.ndarray,
+) -> LETRoles:
+    """Owners and the roles of the circulating boxes, from the
+    replicated contributor matrices and the global source counts.
 
-    ``local_trg[b]`` is True when box ``b``'s subtree holds targets owned
-    by this rank — exactly the boxes whose downward computation the rank
-    performs (ignoring other processors, per Section 3).
+    A used box circulates when some rank other than its owner
+    contributes to it or uses it; the rest send no message and never
+    leave their owner, whose passes read them in place — so at one rank
+    no box circulates and every program is empty.
     """
-    nb = tree.nboxes
-    uses_equiv = np.zeros(nb, dtype=bool)
-    uses_source = np.zeros(nb, dtype=bool)
-    active = np.asarray(local_trg, dtype=bool)
-    leaf = tree.topology.is_leaf
-    for which, out, gate in (
-        ("V", uses_equiv, active),
-        ("X", uses_source, active),
-        ("W", uses_equiv, active & leaf),
-        ("U", uses_source, active & leaf),
-    ):
-        trg, idx = lists.pairs(which)
-        out[idx[gate[trg]]] = True
-    return LETUsage(uses_equiv=uses_equiv, uses_source=uses_source)
-
-
-def gather_users(
-    comm, usage: LETUsage
-) -> tuple[np.ndarray, np.ndarray]:
-    """Allgather the usage masks into (nranks, nboxes) user matrices."""
-    stacked = comm.allgather(
-        np.stack([usage.uses_equiv, usage.uses_source]).astype(np.uint8)
+    owner = assign_owners(contrib_src | contrib_trg)
+    users_equiv, users_src = let_users(
+        lists, tree.topology.is_leaf, contrib_trg, nsrc
     )
-    arr = np.stack(stacked).astype(bool)
-    return arr[:, 0, :], arr[:, 1, :]
+    boxes = np.arange(owner.size)
+
+    def roles(users: np.ndarray) -> Roles:
+        part = contrib_src | users
+        moves = users.any(axis=0) & (part.sum(axis=0) > part[owner, boxes])
+        return box_roles(np.flatnonzero(moves), owner, contrib_src, users)
+
+    return LETRoles(owner, roles(users_src), roles(users_equiv))

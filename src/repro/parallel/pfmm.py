@@ -66,15 +66,13 @@ from repro.parallel.exchange import (
     GhostLayout,
     Program,
     Roles,
-    box_roles,
-    circulating,
     compile_exchange,
     geo_binding,
     phi_binding,
     pue_binding,
 )
-from repro.parallel.let import classify_let, gather_users
-from repro.parallel.owners import assign_owners, gather_contributors
+from repro.parallel.let import let_roles
+from repro.parallel.owners import gather_contributors
 from repro.parallel.partition import partition_points
 from repro.parallel.procworld import MESSAGE_OVERHEAD, RankProcesses
 from repro.parallel.ptree import ParallelTree, parallel_build_tree
@@ -381,11 +379,12 @@ def setup_on_tree(
 ) -> RankFMM:
     """Everything of a setup downstream of the tree, on every rank count.
 
-    Runs once per geometry: lists, LET classification, owner
-    assignment, the exchange programs, the setup-time ghost *geometry*
-    exchange, the LET-local execution plan, the M2L schedule, the
-    owned/ghost work splits and — the schedule and the plan being known
-    — every operator the rank's applies read
+    Runs once per geometry: lists, the contributor allgather, the
+    owners and users every rank derives from it
+    (:func:`~repro.parallel.let.let_roles`), the exchange programs, the
+    setup-time ghost *geometry* exchange, the LET-local execution plan,
+    the M2L schedule, the owned/ghost work splits and — the schedule
+    and the plan being known — every operator the rank's applies read
     (:meth:`RankFMM.build_operators`), so that an apply builds none.
     ``cache`` may be shared across ranks (its entries are
     deterministic, so concurrent population is benign); when omitted it
@@ -405,37 +404,23 @@ def setup_on_tree(
         contrib_src, contrib_trg = gather_contributors(
             comm, ptree.local_contributes_src(), ptree.local_contributes_trg()
         )
-        owner = assign_owners(contrib_src | contrib_trg)
-        usage = classify_let(tree, lists, ptree.local_contributes_trg())
-        usage.uses_equiv &= ptree.global_nsrc > 0
-        usage.uses_source &= ptree.global_nsrc > 0
-        users_equiv, users_src = gather_users(comm, usage)
+        owner, src_roles, ue_roles = let_roles(
+            tree, lists, contrib_src, contrib_trg, ptree.global_nsrc
+        )
 
     if cache is None:
         cache = OperatorCache(
             kernel, opts.p, tree.root_side,
             inner=opts.inner, outer=opts.outer, rcond=opts.rcond,
         )
-    # What circulates — positions and densities under the same roles —
-    # are the used boxes some other rank contributes to or uses.  The
-    # rest never leave their owner, whose passes read them in place.
-    moves_src = users_src.any(axis=0) & circulating(
-        owner, contrib_src, users_src
-    )
-    moves_ue = users_equiv.any(axis=0) & circulating(
-        owner, contrib_src, users_equiv
-    )
-    src_roles = box_roles(
-        np.nonzero(moves_src)[0], owner, contrib_src, users_src
-    )
-    ue_roles = box_roles(
-        np.nonzero(moves_ue)[0], owner, contrib_src, users_equiv
-    )
     # Layout of the combined source array: this rank's sorted sources,
     # then the circulating boxes it uses in ascending order, each
     # holding its *global* sources in the owner's concatenation order.
     src_start, src_stop = tree.topology.src_start, tree.topology.src_stop
-    ghost = np.flatnonzero(usage.uses_source & moves_src)
+    ghost = np.array(
+        [ids[0] for ids, _, _, users in src_roles if me in users],
+        dtype=np.int64,
+    )
     stops = tree.sources.shape[0] + np.cumsum(ptree.global_nsrc[ghost])
     ext_start, ext_stop = src_start.copy(), src_stop.copy()
     ext_start[ghost] = stops - ptree.global_nsrc[ghost]

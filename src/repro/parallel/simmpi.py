@@ -3,7 +3,7 @@
 Provides the MPI subset the paper's implementation uses — buffered
 send, blocking and nonblocking receives, ``Allreduce`` over the global
 tree array (Section 3.1) and ``Allgather`` of the per-box contributor
-and user masks (Section 3.2) — with per-rank traffic accounting so
+masks (Section 3.2) — with per-rank traffic accounting so
 tests and the performance model can inspect communication volumes.
 Point-to-point messages go through per-``(src, dst, tag)`` mailboxes.
 

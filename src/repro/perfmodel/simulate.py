@@ -216,9 +216,11 @@ def _exchange(
     """The ``(gather, scatter)`` trees of one payload kind over its used
     boxes: the gather over the contributors, the scatter over the users
     and the owner.  The users are the contributors of the targets in
-    the box's :data:`_USERS` rows — ``classify_let``'s rule on a
+    the box's :data:`_USERS` rows —
+    :func:`~repro.parallel.let.let_users`' rule in interval form, on a
     sources = targets tree, where every box holds sources and targets
-    and only leaves have U and W lists."""
+    and only leaves have U and W lists; it never builds the ``(nranks,
+    nboxes)`` matrices the ranks do."""
     offsets, lo, hi, owner = roles
     merged = []
     for family in _USERS[kind]:

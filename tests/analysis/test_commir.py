@@ -36,7 +36,7 @@ from repro.kernels import LaplaceKernel
 from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import TAG_FAMILIES
 
-from tests.conftest import coarse_v_levels
+from tests.conftest import clustered_cloud, coarse_v_levels
 from tests.parallel.recording import (
     assert_regions_follow,
     divergent_regions,
@@ -182,10 +182,38 @@ class TestFiveChecksClean:
         assert run_checks(extract_comm_ir(inputs)).ok
 
     def test_single_rank_is_silent(self, cloud):
+        """At one rank no box circulates: no roles, no ops."""
         inputs = static_plan_inputs(cloud, 1, OPTS)
         ir = extract_comm_ir(inputs)
-        assert ir.nmessages() == 0
+        assert ir.roles == {"geo": {}, "phi": {}, "pue": {}}
+        assert ir.nops() == 0
         assert run_checks(ir).ok
+
+
+class TestRolesAreTheRuntimes:
+    """The roles the IR is compiled from, and certified against, are
+    the roles the ranks run: no role without a message."""
+
+    @pytest.mark.parametrize("nranks", [2, 3, 8])
+    @pytest.mark.parametrize("workload", ["uniform", "corners"])
+    def test_roles_are_the_programs_boxes(self, cloud, workload, nranks):
+        """Every role has a participant besides its owner, and each
+        kind's role boxes are the boxes the ranks' programs of that
+        kind name."""
+        pts = cloud if workload == "uniform" else clustered_cloud(
+            np.random.default_rng(5), 600
+        )
+        ir = extract_comm_ir(static_plan_inputs(pts, nranks, OPTS))
+        states = rank_states(LaplaceKernel(), pts, OPTS, nranks)
+        assert ir.nmessages() > 0
+        for kind, table in ir.roles.items():
+            for owner, contribs, users in table.values():
+                assert (contribs | users) - {owner}, kind
+            held = {
+                op.ids for state in states
+                for phase in getattr(state.layout, kind) for op in phase
+            }
+            assert held == set(table), kind
 
 
 def run_recorded(points, densities, opts, nranks, overlap=True):
@@ -422,3 +450,19 @@ class TestCLI:
         assert "2 schedules certified, 1 rank setups conform" in out
         assert "zero waivers" in out
         assert json_path.exists()
+
+    def test_default_selftest_ranks_host_every_seed(self, capsys):
+        """The default ``--selftest-ranks`` hosts all four seeds on the
+        default conformance points: no deeper rank count is probed.
+        (``--ranks 1`` keeps the sweep trivial; ``--n`` stays default,
+        so the conformance points are the default run's.)"""
+        rc = cli_main(["commir", "--ranks", "1", "--conform-ranks", ""])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "self-tests host at" not in out
+        rows = [line for line in out.splitlines()
+                if line.startswith("selftest ")]
+        assert sorted(row.split(":")[0] for row in rows) == sorted(
+            f"selftest {name}" for name in SEEDS
+        )
+        assert all(": ok (" in row for row in rows)

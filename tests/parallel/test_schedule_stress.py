@@ -1,7 +1,8 @@
 """Seeded schedule-perturbation stress tests.
 
-The per-apply exchange (``ApplyExchange``, both payload kinds), the LET
-gather protocol and the whole parallel FMM must be schedule
+The per-apply exchange (``ApplyExchange``, both payload kinds), the
+contributor allgather every rank derives its roles from and the whole
+parallel FMM must be schedule
 independent: whatever interleaving the thread scheduler produces, every
 rank must end up with bitwise-identical data.  We fuzz perturbed
 schedules (seeded random yields inside every SimComm call), compare
@@ -19,7 +20,7 @@ from repro.analysis.commir import extract_comm_ir, static_plan_inputs
 from repro.core.fmm import FMMOptions
 from repro.geometry import corner_clusters, uniform_cube
 from repro.kernels import LaplaceKernel
-from repro.parallel.let import LETUsage, gather_users
+from repro.parallel.owners import gather_contributors
 from repro.parallel.pfmm import ParallelFMM
 from repro.parallel.simmpi import run_spmd
 
@@ -99,20 +100,21 @@ def test_equiv_density_reduction_bitwise_identical_across_schedules(rng):
     _assert_schedule_independent(contrib, users, owner, "pue")
 
 
-def test_let_gather_users_bitwise_identical_across_schedules(rng):
-    """parallel/let.py: the allgathered usage matrices are schedule free."""
+def test_gather_contributors_bitwise_identical_across_schedules(rng):
+    """parallel/owners.py: the allgathered contributor matrices — every
+    rank's roles are derived from them — are schedule free."""
     masks = rng.random((NRANKS, 2, NBOXES)) < 0.5
 
     def main(comm):
-        usage = LETUsage(
-            uses_equiv=masks[comm.rank, 0].copy(),
-            uses_source=masks[comm.rank, 1].copy(),
+        cs, ct = gather_contributors(
+            comm, masks[comm.rank, 0].copy(), masks[comm.rank, 1].copy()
         )
-        ue, us = gather_users(comm, usage)
-        return ue.tobytes(), us.tobytes()
+        return cs.tobytes(), ct.tobytes()
 
     reference = run_spmd(NRANKS, main)
-    assert all(r == reference[0] for r in reference)  # identical everywhere
+    # identical everywhere, and the stacked masks
+    assert all(r == reference[0] for r in reference)
+    assert reference[0] == (masks[:, 0].tobytes(), masks[:, 1].tobytes())
     for seed in range(NSCHEDULES):
         results = run_spmd(NRANKS, main, schedule_seed=seed)
         assert results == reference, f"schedule {seed} diverged"

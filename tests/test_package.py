@@ -146,9 +146,9 @@ class TestOneParallelDriver:
     def test_setup_collective_sequence(self, rng, nranks):
         """Per rank, a setup runs the root's counts and one allreduce
         per level (the driver pins the root cube), then one allgather
-        of the contributor masks and one of the user masks — each
-        ``2 x nboxes`` bytes.  The order is what each rank asks of its
-        communicator, recorded test-side."""
+        of the contributor masks, ``2 x nboxes`` bytes: every rank
+        derives the users from those.  The order is what each rank asks
+        of its communicator, recorded test-side."""
         from repro.parallel import ParallelFMM
 
         from tests.parallel.recording import recorded_runs
@@ -163,15 +163,15 @@ class TestOneParallelDriver:
         (setup,) = regions
         for stats, comm in zip(op.comm_stats, setup):
             assert stats.allreduce_calls == 1 + tree.depth
-            assert stats.allgather_calls == 2
-            assert stats.allgather_bytes == 2 * (2 * tree.nboxes)
+            assert stats.allgather_calls == 1
+            assert stats.allgather_bytes == 2 * tree.nboxes
             assert [call for call in comm.ops if len(call) == 1] == (
-                [("allreduce",)] * (1 + tree.depth) + [("allgather",)] * 2
+                [("allreduce",)] * (1 + tree.depth) + [("allgather",)]
             )
 
     def test_untraced_setup_counts_its_collectives(self, rng):
         """Unrecorded, ``CommStats`` counts each collective: per rank
-        one allreduce per level plus the root's, and two allgathers — 8
+        one allreduce per level plus the root's, and one allgather — 4
         over 4 ranks — each with its payload bytes."""
         from repro.parallel import ParallelFMM
 
@@ -179,12 +179,13 @@ class TestOneParallelDriver:
         op = ParallelFMM(
             4, repro.LaplaceKernel(), repro.FMMOptions(p=3, max_points=20)
         ).setup(pts)
-        depth = op.states[0].tree.depth
-        assert sum(s.allgather_calls for s in op.comm_stats) == 8
+        tree = op.states[0].tree
+        depth, nboxes = tree.depth, tree.nboxes
+        assert sum(s.allgather_calls for s in op.comm_stats) == 4
         for stats in op.comm_stats:
             assert stats.allreduce_calls == 1 + depth
             assert stats.allreduce_bytes > 0
-            assert stats.allgather_bytes > 0
+            assert stats.allgather_bytes == 2 * nboxes
 
 
 class TestCompiledPairLoopSource:
