@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.commir import CommIR, gc_paused, rank_ops
 from repro.parallel.exchange import CommOp
@@ -513,17 +513,27 @@ def run_checks(
 # ---------------------------------------------------------------------------
 
 
+def _edited(ir: CommIR, edits: dict[int, list[CommOp]]) -> CommIR:
+    """``ir`` with rank ``r``'s program replaced by ``edits[r]``.
+
+    Copy on write: the IR is copied shallowly and only the edited
+    programs are new lists, whose changed ops are new ops, so a seed
+    leaves its input as it was without copying the whole schedule.
+    """
+    out = copy.copy(ir)
+    out.programs = [edits.get(r, prog) for r, prog in enumerate(ir.programs)]
+    return out
+
+
 def seed_dropped_relay(ir: CommIR) -> CommIR:
     """Delete an interior gather node's forward send — the partial fold
     silently vanishes.  Caught by ``matching`` (the parent's posted
     receive never completes against a send); ``conservation`` skips the
     box precisely because matching owns it."""
-    out = copy.deepcopy(ir)
-    for prog in out.programs:
+    for rank, prog in enumerate(ir.programs):
         for i, op in enumerate(prog):
             if op.kind == "send" and op.note == "relay":
-                del prog[i]
-                return out
+                return _edited(ir, {rank: prog[:i] + prog[i + 1:]})
     raise ValueError(
         "IR has no interior relay send to drop — needs a box whose "
         "binomial gather tree has an interior node (>= 4 participants)"
@@ -535,27 +545,25 @@ def seed_reused_tag(ir: CommIR) -> CommIR:
     together) into the concurrently posted ``phi`` family.  Endpoints
     still balance and no wait cycle appears — only the tag-space
     discipline is broken."""
-    out = copy.deepcopy(ir)
     fresh = 1 + max(
-        (ids[-1] for boxes in out.roles.values() for ids in boxes),
+        (ids[-1] for boxes in ir.roles.values() for ids in boxes),
         default=0,
     )
-    target = None
-    for rank, prog in enumerate(out.programs):
-        for op in prog:
-            if op.kind == "send" and op.group == "pue":
-                target = _channel(op, rank)
-                break
-        if target is not None:
-            break
+    target = next((
+        _channel(op, rank)
+        for rank, prog in enumerate(ir.programs) for op in prog
+        if op.kind == "send" and op.group == "pue"
+    ), None)
     if target is None:
         raise ValueError("IR exchanges no equivalent densities to retag")
     bad = mk_tag("phi", fresh)
-    for rank, prog in enumerate(out.programs):
-        for op in prog:
-            if _channel(op, rank) == target:
-                op.tag = bad
-    return out
+    return _edited(ir, {
+        rank: [
+            replace(op, tag=bad) if _channel(op, rank) == target else op
+            for op in ir.programs[rank]
+        ]
+        for rank in {target[0], target[1]}
+    })
 
 
 def seed_swapped_post_wait(ir: CommIR) -> CommIR:
@@ -563,8 +571,7 @@ def seed_swapped_post_wait(ir: CommIR) -> CommIR:
     wait.  Every message still matches and every tag is disciplined,
     but the owner's scatter (transitively) waits on the very send the
     rank withholds until the scatter arrives — a wait cycle."""
-    out = copy.deepcopy(ir)
-    for rank, prog in enumerate(out.programs):
+    for rank, prog in enumerate(ir.programs):
         for i, op in enumerate(prog):
             if not (op.kind == "send" and op.note == "inject"
                     and op.group in ("phi", "pue")):
@@ -578,11 +585,11 @@ def seed_swapped_post_wait(ir: CommIR) -> CommIR:
             )
             if j is None:
                 continue
-            moved = prog.pop(i)
+            moved = prog[:i] + prog[i + 1:]
             if j > i:
                 j -= 1
-            prog.insert(j + 1, moved)
-            return out
+            moved.insert(j + 1, replace(op))
+            return _edited(ir, {rank: moved})
     raise ValueError(
         "IR has no rank that both contributes to and uses a box — "
         "cannot seed the post/wait inversion"
@@ -595,17 +602,17 @@ def seed_starved_user(ir: CommIR) -> CommIR:
     matches, no tag changes family and no wait is added, but the box's
     combined data never reaches that child — only ``conservation``
     sees it."""
-    out = copy.deepcopy(ir)
     target = next((
         _channel(op, rank)
-        for rank, prog in enumerate(out.programs) for op in prog
+        for rank, prog in enumerate(ir.programs) for op in prog
         if op.kind == "send" and op.note == "scatter"
     ), None)
     if target is None:
         raise ValueError("IR scatters no combined data to starve a user of")
-    for rank, prog in enumerate(out.programs):
-        prog[:] = [op for op in prog if _channel(op, rank) != target]
-    return out
+    return _edited(ir, {
+        rank: [op for op in ir.programs[rank] if _channel(op, rank) != target]
+        for rank in {target[0], target[1]}
+    })
 
 
 SEEDS = {

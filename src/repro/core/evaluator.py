@@ -229,12 +229,11 @@ class PlanStages:
     then loop the columns over 2-D products with exactly the single-RHS
     shapes, so column ``r`` of a block apply is *bit-identical* to the
     single-RHS apply of column ``r`` (the inversions amplify round-off
-    differences by ~1e6, so
-    merely equivalent batched arithmetic would not stay within the
-    1e-12 column-parity budget).  U and W go straight to potentials, so
-    their numpy stages fold the RHS axis into one GEMM that streams the
-    kernel block once; the ~1e-16 GEMM-vs-GEMV rounding gap stays far
-    below that bound.
+    differences by ~1e6, so merely equivalent batched arithmetic would
+    not stay within the 1e-12 column-parity budget).  U and W go
+    straight to potentials, so their numpy stages fold the RHS axis into
+    one GEMM that streams the kernel block once; the ~1e-16 GEMM-vs-GEMV
+    rounding gap stays far below that bound.
 
     S2M, U, W, X and L2T of a kernel with compiled pair loops
     (:func:`repro.kernels.native.loops_for`: Laplace, Stokes and Navier
@@ -394,20 +393,21 @@ class PlanStages:
                     vl, vp, lo, b["ue"], b["dc"])
             else:
                 stage = "v_direct", lambda b: self.v_direct(
-                    vl, vp.classes, b["ue"], b["dc"])
+                    vl, vp, b["ue"], b["dc"])
 
             def operators():
-                if not rsvd:
-                    for offset, _, _ in vp.classes:
-                        cache.m2l_check(key, offset)
-                    return
-                if sched.blocked:
+                if rsvd and sched.blocked:
                     for po, _, _ in vp.po_groups:
                         cache.m2l_stacks(key, po, sched.dtype)
-                else:
+                else:  # one operator per symmetry class, and the folds
                     for offset, _, _ in vp.classes:
-                        cache.m2l_rsvd(key, offset, sched.dtype)
-                rsvd_flops()  # the ranks the count reads
+                        canonical = cache.m2l_fold(offset)[0]
+                        if rsvd:
+                            cache.m2l_rsvd(key, canonical, sched.dtype)
+                        else:
+                            cache.m2l_check(key, canonical)
+                if rsvd:
+                    rsvd_flops()  # the ranks the count reads
 
             emit(f"v:{split}@{lvl}", "down_v", *stage,
                  ue_of(vl.src_boxes[vp.rows]), (f"dc@{lvl}",),
@@ -558,45 +558,38 @@ class PlanStages:
             ue[ul.boxes, r] = _scaled((check[r] @ U) @ W, f)
 
     def v_direct(
-        self, vl: VLevel, classes: list, ue: np.ndarray, dc: np.ndarray
+        self, vl: VLevel, vp: VPass, ue: np.ndarray, dc: np.ndarray
     ) -> None:
-        """Dense or class-major rsvd M2L of some offset classes of one
-        level.
-
-        One stacked GEMM per class (dense) or two through the compressed
-        factors (rsvd: the reference level's, the level factor applied
-        to the narrow intermediate).  Mixed precision narrows the source
-        block to the factor dtype; the ``+=`` into the float64 check
-        buffers upcasts, keeping the accumulation double.
-        """
-        cache, pool, sched = self.cache, self.pool, self.sched
-        dense = sched.backend(vl.level) == "dense"
-        nrhs = dc.shape[0]
+        """Dense or class-major rsvd M2L of one pass of a level: per
+        offset, one stacked GEMM through its symmetry class's dense
+        operator or two through its compressed factors (the reference
+        level's, the level factor applied to the narrow intermediate),
+        between the permuted gather and scatter-add of
+        :meth:`~repro.core.precompute.OperatorCache.m2l_fold` (movement
+        loops bound to the pass on first use).  Mixed precision gathers
+        in the factor dtype; the scatter-add into float64 upcasts."""
+        cache, sanitize, sched = self.cache, self.pool.sanitize, self.sched
         key, scale = cache.m2l_reference(vl.level)
-        for offset, src_pos, trg_pos in classes:
-            sb = vl.src_boxes[src_pos]
-            tb = vl.trg_boxes[trg_pos]
-            if dense:
-                T = cache.m2l_check(vl.level, offset)
-                if pool.sanitize:
-                    _san.guard_gemm(dc, ue, T, site=f"m2l level {vl.level}")
-                TT = T.T
-                for r in range(nrhs):
-                    dc[r][tb] += ue[sb, r] @ TT
-            else:
-                uf, vf = cache.m2l_rsvd(key, offset, sched.dtype)
-                if pool.sanitize:
-                    _san.guard_gemm(dc, ue, uf,
-                                    site=f"m2l-rsvd level {vl.level}")
-                ufT, vfT = uf.T, vf.T
-                for r in range(nrhs):
-                    src = ue[sb, r]
-                    if sched.dtype == "float32":
-                        src = src.astype(np.float32)  # lint: allow(dtype-width)
-                    mid = src @ vfT
-                    if scale != 1.0:
-                        mid *= scale
-                    dc[r][tb] += mid @ ufT
+        if cache not in vp.moves:
+            vp.moves[cache] = native.move_loops().bind(
+                vp.classes, vl.src_boxes, vl.trg_boxes, ue.shape[0],
+                cache.m2l_fold, sanitize,
+            )
+        dense = sched.backend(vl.level) == "dense"
+        read = {  # once per class: (M.T,) dense, (vf.T, uf.T) rsvd
+            c: (cache.m2l_check(vl.level, c).T,) if dense
+            else tuple(f.T for f in cache.m2l_rsvd(key, c, sched.dtype)[::-1])
+            for c, _, _ in vp.moves[cache]
+        }
+        for canonical, gather, scatter_add in vp.moves[cache]:
+            ops = read[canonical]
+            if sanitize:
+                _san.guard_gemm(dc, ue, *ops, site=f"m2l level {vl.level}")
+            for r in range(dc.shape[0]):
+                out = gather(ue, r, ops[0].dtype) @ ops[0]
+                for op in ops[1:]:  # rsvd: the level factor, then uf.T
+                    out = _scaled(out, scale) @ op
+                scatter_add(dc[r], out)
 
     def v_blocked(
         self, vl: VLevel, vp: VPass, lo: int, ue: np.ndarray, dc: np.ndarray

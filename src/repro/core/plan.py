@@ -47,6 +47,7 @@ two produce identical flop statistics.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -245,8 +246,8 @@ class VLevel:
     count.  ``classes`` regroup the pairs class-major, ``(offset,
     src_pos, trg_pos)`` with positions into the box arrays, targets
     ascending; for a fixed offset every target appears at most once, so
-    class accumulation is a plain fancy-indexed ``+=``.  Built on first
-    use: a blocked level never asks.
+    a class's scatter-add writes each row once.  Built on first use: a
+    blocked level never asks.
     """
 
     level: int
@@ -296,13 +297,16 @@ class VPass:
     ``counts`` its pairs per offset class; ``po_groups`` the pairs as
     parent-pair blocks over the split's rows (blocked levels only, else
     empty); ``classes`` the same pairs class-major in the level's
-    positions, filtered from the level's on first use.
+    positions, filtered from the level's on first use; ``moves`` the
+    class-major stage's movement loops bound to them, per operator cache.
     """
 
     rows: np.ndarray
     counts: dict[tuple[int, ...], int]
     po_groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]
     of: tuple[VLevel, np.ndarray] = field(repr=False)
+    moves: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
 
     @property
     def npairs(self) -> int:

@@ -16,17 +16,18 @@ Inhomogeneous kernels (modified Laplace) are precomputed per level.
 The surfaces are a regular cube lattice, so the ``7^d - 3^d`` V-list
 offsets (316 in 3D) fall into orbits of the cube's ``2^d d!`` signed
 axis permutations (16 orbits of 48 in 3D).  For a kernel that declares
-how it transforms under them (``Kernel.symmetry``) the compressed M2L
-factors are computed for the one offset ``a >= b >= c >= 0`` of each
-orbit and carried to the others by a node permutation (and, for tensor
-kernels, a signed component permutation).  Everything here is in the
-kernel's dimension ``Kernel.dim``.
+how it transforms under them (``Kernel.symmetry``) the M2L operators
+are kept for the one offset ``a >= b >= c >= 0`` of each orbit only:
+another's is ``T M_c T^T``, ``T`` a signed permutation of the surface
+vector, folded into the data by the class-major V stage
+(:meth:`OperatorCache.m2l_fold`).  Everything is in ``Kernel.dim``.
 """
 
 from __future__ import annotations
 
 import copy
 from collections.abc import Callable, Hashable
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from repro.analysis.sanitize import OperatorMissError
 from repro.core.surfaces import (
     INNER_RADIUS,
     OUTER_RADIUS,
+    _frozen,
     scaled_surface,
     surface_grid,
     surface_node_permutation,
@@ -56,6 +58,7 @@ def octant_offset(octant: int, dim: int) -> np.ndarray:
     return octant_vectors(dim)[octant] - 0.5
 
 
+@lru_cache(maxsize=None)
 def canonical_offset(
     offset: tuple[int, ...],
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -165,6 +168,7 @@ class OperatorCache:
         ] = {}
         self._m2l_stacks: dict[tuple[int, tuple[int, ...], str], tuple] = {}
         self._m2l_rank: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._m2l_fold: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
 
     _sealed = False
 
@@ -256,6 +260,7 @@ class OperatorCache:
         out._m2l_rsvd = {
             k: (uf * up, vf) for k, (uf, vf) in self._m2l_rsvd.items()
         }
+        out._m2l_fold = self._m2l_fold  # independent of the root: shared
         out._m2l_stacks = {
             k: (V, UT * up, *cuts)
             for k, (V, UT, *cuts) in self._m2l_stacks.items()
@@ -356,20 +361,18 @@ class OperatorCache:
             raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
         h = self._homog
         key = 0 if h is not None else level
-        base = self._entry(
-            "m2l", (key, tuple(int(o) for o in offset)),
-            lambda: self.kernel.matrix(
-                self.down_check_points(
-                    np.asarray(offset, dtype=np.float64)
-                    * (2.0 * self.half_width(key)),
-                    key,
-                ),
-                self.up_equiv_points(self.origin, key),
-            ),
-        )
+        base = self._entry("m2l", (key, tuple(map(int, offset))),
+                           lambda: self._m2l_matrix(key, offset))
         if h is None or level == key:
             return base
         return base * self._scale(level, key) ** h
+
+    def _m2l_matrix(self, key: int, offset: tuple[int, ...]) -> np.ndarray:
+        """The check operator of :meth:`m2l_check` at ``key``, uncached."""
+        at = np.asarray(offset, dtype=np.float64) * (2.0 * self.half_width(key))
+        return self.kernel.matrix(
+            self.down_check_points(at, key), self.up_equiv_points(self.origin, key)
+        )
 
     def reference(
         self, name: str, level: int, *octant: int
@@ -377,12 +380,10 @@ class OperatorCache:
         """Level operator ``name`` (``"uc2ue"``, ``"dc2de"``,
         ``"m2m_check"`` or ``"l2l_check"``) of ``level`` as its
         reference-level matrix (the inversions: their factor pair) and
-        the factor that carries its products
-        to ``level`` — :meth:`m2l_reference`'s rule, so a stage scales
-        its product instead of the operator.  The factor is ``a^-h`` for
-        the inversions, ``a^h`` for the evaluations, and 1 for an
-        inhomogeneous kernel, whose operators are per level.
-        """
+        the factor that carries its products to ``level`` —
+        :meth:`m2l_reference`'s rule, so a stage scales its product
+        instead of the operator: ``a^-h`` for the inversions, ``a^h`` for
+        the evaluations, 1 for an inhomogeneous kernel (per level)."""
         h = self._homog
         if h is None:
             return getattr(self, name)(level, *octant), 1.0
@@ -400,45 +401,68 @@ class OperatorCache:
         return 0, self._scale(level, 0) ** h
 
     def _m2l_rsvd_factors(
-        self, key: int, offset: tuple[int, ...]
+        self, key: int, offset: tuple[int, ...], dtype: str = "float64"
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Reference-level rSVD factors ``(uf, vf)`` of one offset.
-
-        ``uf = u * s`` is ``(n_surf * target_dof, k)`` and ``vf = vt`` is
-        ``(k, n_surf * source_dof)``, so ``m2l_check ≈ uf @ vf`` to the
-        cache's ``rsvd_tol``.  Only the canonical offset of a symmetry
-        class (:func:`canonical_offset`) is factored and kept; with
-        ``o = Q c`` the check matrix is ``M_o = T M_c T^T`` for the
-        signed permutation ``T`` of :meth:`_moved`, so the class's other
-        offsets get a fresh ``(T uf_c, vf_c T^T)`` — same rank, same
-        singular values.  A kernel without a declared symmetry has
-        every offset as its own class.  The sketch seed is a base-7
-        encoding of the canonical offset (components lie in [-3, 3]; the
-        last axis is the lowest digit), making the factors a pure
-        function of the offset — bitwise identical across setups, call
-        orders and processes.
+        """Reference-level rSVD factors ``(uf, vf)``, ``m2l_check ≈ uf @
+        vf`` to ``rsvd_tol``: ``uf = u * s`` is ``(n_surf * target_dof,
+        k)``, ``vf = vt`` is ``(k, n_surf * source_dof)``.  Only a class's
+        canonical offset (:meth:`m2l_class`) is factored, from a transient
+        check matrix, and kept; with ``o = Q c``, ``M_o = T M_c T^T`` for
+        the ``T`` of :meth:`_moved`, so another offset gets a fresh ``(T
+        uf_c, vf_c T^T)`` that nothing keeps.  The sketch seed is a base-7
+        encoding of the canonical offset (last axis lowest), so the
+        factors are bitwise the same across setups, orders and processes.
         """
         if max(abs(o) for o in offset) < 2:
             raise ValueError(f"offset {offset} is adjacent; not a V-list pair")
-        if self.kernel.symmetry is not None:
-            canonical, axes, signs = canonical_offset(offset)
-            if canonical != offset:
-                uf, vf = self._m2l_rsvd_factors(key, canonical)
-                return (
-                    self._moved(uf, axes, signs),
-                    self._moved(vf, axes, signs, axis=1),
-                )
+        canonical, axes, signs = self.m2l_class(offset)
 
         def factor():
             seed = 1 + sum(
-                (o + 3) * 7**digit for digit, o in enumerate(offset[::-1])
+                (o + 3) * 7**digit for digit, o in enumerate(canonical[::-1])
             )
             u, s, vt = randomized_svd(
-                self.m2l_check(key, offset), self.rsvd_tol, seed=seed
+                self._m2l_matrix(key, canonical), self.rsvd_tol, seed=seed
             )
             return u * s, vt
 
-        return self._entry("m2l_rsvd", (key, offset), factor)
+        uf, vf = self._entry("m2l_rsvd", (key, canonical), factor)
+        if dtype == "float32":
+            uf, vf = self._entry("m2l_rsvd_f32", (key, canonical), lambda: (
+                uf.astype(np.float32),  # lint: allow(dtype-width)
+                vf.astype(np.float32),  # lint: allow(dtype-width)
+            ))
+        if canonical == offset:
+            return uf, vf
+        return self._moved(uf, axes, signs), self._moved(vf, axes, signs, axis=1)
+
+    def m2l_class(self, offset: tuple[int, ...]) -> tuple:
+        """``(canonical, axes, signs)`` of :func:`canonical_offset`, or the
+        identity for a kernel without a declared symmetry."""
+        if self.kernel.symmetry is None:
+            return offset, tuple(range(self.dim)), (1,) * self.dim
+        return canonical_offset(offset)
+
+    def m2l_fold(self, offset: tuple[int, ...]) -> tuple:
+        """``(canonical, gather, scatter)``: how the class-major V stage
+        reads ``offset`` through its class's operator.  ``gather = (idx,
+        sgn)`` takes a source row ``x`` to ``sgn * x[idx] = x T``, and
+        ``scatter`` a product row ``y`` to ``sgn * y[idx] = y T^T`` (``T``
+        of :meth:`_moved`); one group element's tables, built at setup."""
+        canonical, axes, signs = self.m2l_class(tuple(offset))
+
+        def table(dof):  # T (1, ..., W) = sgn * (idx + 1)
+            t = self._moved(np.arange(1.0, self.n_surf * dof + 1)[:, None],
+                            axes, signs)[:, 0]
+            return np.abs(t).astype(np.int64) - 1, np.sign(t)
+
+        def tables():
+            (idx, sgn), scatter = map(table, (self.kernel.source_dof,
+                                              self.kernel.target_dof))
+            inv = np.argsort(idx)  # read-only: the loops' bound indices
+            return tuple(map(_frozen, (inv, sgn[inv]))), tuple(map(_frozen, scatter))
+
+        return canonical, *self._entry("m2l_fold", (axes, signs), tables)
 
     def _moved(
         self,
@@ -447,16 +471,11 @@ class OperatorCache:
         signs: tuple[int, ...],
         axis: int = 0,
     ) -> np.ndarray:
-        """``T @ rows`` for the cube symmetry ``(Q x)[a] = signs[a] x[axes[a]]``.
-
-        ``rows`` is point-major ``(n_surf * dof, k)`` — or, with
-        ``axis=1``, holds surface vectors as rows and the result is
-        ``rows @ T^T``.  ``T`` sends the block of node ``i`` to node
-        ``pi[i]`` (where ``Q`` carries it) and, for a tensor kernel,
-        applies ``Q`` to the ``dof = d`` components inside the block.
-        A rank-0 factor (the class's operator underflowed) moves to a
-        rank-0 factor.
-        """
+        """``T @ rows`` for the cube symmetry ``(Q x)[a] = signs[a] x[axes[a]]``
+        (``rows @ T^T`` with ``axis=1``, surface vectors as rows): ``T``
+        sends node ``i``'s block to node ``pi[i]`` and, for a tensor
+        kernel, applies ``Q`` to its ``d`` components.  A rank-0 factor
+        moves to a rank-0 factor."""
         pi = surface_node_permutation(self.p, axes, signs)
         shape = rows.shape
         blocks = rows.reshape(
@@ -465,7 +484,7 @@ class OperatorCache:
         )
         if self.kernel.symmetry == "tensor":
             blocks = np.take(blocks, axes, axis=axis + 1) * np.array(
-                signs, np.float64
+                signs, rows.dtype
             ).reshape((self.dim,) + (1,) * (1 - axis))
         return np.take(blocks, np.argsort(pi), axis=axis).reshape(shape)
 
@@ -477,30 +496,20 @@ class OperatorCache:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Compressed M2L factors: ``m2l_check(level, offset) ≈ uf @ vf``.
 
-        The class-major rsvd stage applies a V-list class as two
-        stacked BLAS-3 GEMMs, ``(ue @ vf.T) @ uf.T``; every offset's
-        pair is kept once asked for.  Homogeneous kernels rescale like
-        :meth:`m2l_check`, the level factor folded into a fresh ``uf``
-        — the stage asks for the level of :meth:`m2l_reference` and
-        scales its narrow intermediate instead.  ``dtype="float32"``
-        returns single-precision factors — the mixed-precision mode's
-        declared narrowing; accumulation into the downward-check
-        buffers stays float64 at the call sites.
+        The class-major stage reads the canonical pair of the offset's
+        class only, as ``((ue T) @ vf.T) @ uf.T`` then ``T^T``
+        (:meth:`m2l_fold`); another offset's pair is moved afresh per
+        call.  Homogeneous kernels rescale like :meth:`m2l_check` into a
+        fresh ``uf`` (the stage scales its narrow intermediate instead).
+        ``dtype="float32"`` is the mixed-precision mode's declared
+        narrowing; the check buffers still accumulate in float64.
         """
         if dtype not in ("float64", "float32"):
             raise ValueError(
                 f"m2l_rsvd dtype must be 'float64' or 'float32', got {dtype!r}"
             )
         key, scale = self.m2l_reference(level)
-        cache_key = (key, tuple(int(o) for o in offset))
-        uf, vf = self._entry(
-            "m2l_rsvd", cache_key, lambda: self._m2l_rsvd_factors(*cache_key)
-        )
-        if dtype == "float32":
-            uf, vf = self._entry("m2l_rsvd_f32", cache_key, lambda: (
-                uf.astype(np.float32),  # lint: allow(dtype-width)
-                vf.astype(np.float32),  # lint: allow(dtype-width)
-            ))
+        uf, vf = self._m2l_rsvd_factors(key, tuple(map(int, offset)), dtype)
         return (uf, vf) if scale == 1.0 else (uf * uf.dtype.type(scale), vf)
 
     def m2l_rsvd_rank(self, level: int, offset: tuple[int, ...]) -> int:
@@ -508,14 +517,8 @@ class OperatorCache:
         read off the class's canonical factor: no moved pair is built.
         Remembered — an rsvd step asks for every class on every apply."""
         key = self.m2l_reference(level)[0]
-
-        def rank():
-            exact = tuple(int(o) for o in offset)
-            if self.kernel.symmetry is not None:
-                exact = canonical_offset(exact)[0]
-            return int(self._m2l_rsvd_factors(key, exact)[1].shape[0])
-
-        return self._entry("m2l_rank", (key, offset), rank)
+        return self._entry("m2l_rank", (key, offset), lambda: int(
+            self._m2l_rsvd_factors(key, self.m2l_class(offset)[0])[1].shape[0]))
 
     # -- parent-pair blocked rsvd ------------------------------------------
 
@@ -547,8 +550,8 @@ class OperatorCache:
         ``UT[ucut[o_t]:ucut[o_t + 1]]`` the ``uf.T`` of the slots of
         target octant ``o_t`` (by ``o_s``), and ``moves`` lists the
         ``(dst, stop, src)`` row slabs taking the first order to the
-        second.  Cut from the canonical factors the class-major stage
-        moves too; a cache serves one layout, so builds one.
+        second.  Cut from transient moved copies of the canonical
+        factors; a cache serves one layout, so builds one.
         """
         mask = 0
         if self.kernel.symmetry is not None:

@@ -1,5 +1,6 @@
 /* Fused pair loops of two kernel profiles: the U, W and X lists, and S2M
- * and L2T run as an X and a W loop.
+ * and L2T run as an X and a W loop; and the two kernel-independent
+ * movement loops of the class-major V list (at the end of the file).
  *
  *   inv_r   a / r                                 (1 component)
  *   kelvin  a delta_ij / r + b d_i d_j / r^3      (3 components; Stokes
@@ -34,7 +35,8 @@
  *
  * repro/kernels/native.py builds, loads and binds this file and checks
  * every index the loops dereference before a call; the numpy stages of
- * repro/core/evaluator.py are the oracle of every loop.
+ * repro/core/evaluator.py are the oracle of every pair loop, and the
+ * numpy fold of native.py that of the movement loops.
  */
 
 #include <stdint.h>
@@ -397,5 +399,58 @@ int near_x(int64_t kind, double a, double b, int64_t nblocks,
     }
     free(cx);
     free(g.x);
+    return 0;
+}
+
+/* The class-major V list reads one M2L operator per symmetry class of the
+ * cube and folds each member offset's signed surface permutation into its
+ * data: M_o = T M_c T^T, so the sources of an offset are gathered as
+ * src . T and its products scattered back as out . T^T.  A signed
+ * permutation is (idx, sgn) over one surface vector of w entries: entry k
+ * reads entry idx[k] times sgn[k] (+1 or -1, so every product is exact).
+ * With single != 0 the slab (gather) or the products (scatter) are float,
+ * the mixed-precision factors' dtype; the source and check rows stay
+ * double.
+ *
+ *   gather_perm       slab[i][k] = sgn[k] * src[rows[i] * ld + idx[k]]
+ *   scatter_add_perm  dst[rows[i] * ld + j] += sgn[j] * out[i][idx[j]]
+ *
+ * Each output entry is one exact product and, for the scatter, one
+ * rounded add: the numpy fold's results bit for bit. */
+int gather_perm(int64_t n, const int64_t *rows, const double *src,
+                int64_t ld, int64_t w, const int64_t *idx, const double *sgn,
+                void *slab, int64_t single)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const double *restrict row = src + rows[i] * ld;
+        if (single) {
+            float *restrict out = (float *)slab + i * w;
+            for (int64_t k = 0; k < w; ++k)
+                out[k] = (float)(sgn[k] * row[idx[k]]);
+        } else {
+            double *restrict out = (double *)slab + i * w;
+            for (int64_t k = 0; k < w; ++k)
+                out[k] = sgn[k] * row[idx[k]];
+        }
+    }
+    return 0;
+}
+
+int scatter_add_perm(int64_t n, const int64_t *rows, const void *out,
+                     int64_t single, int64_t w, const int64_t *idx,
+                     const double *sgn, double *dst, int64_t ld)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        double *restrict row = dst + rows[i] * ld;
+        if (single) {
+            const float *restrict o = (const float *)out + i * w;
+            for (int64_t j = 0; j < w; ++j)
+                row[j] += sgn[j] * (double)o[idx[j]];
+        } else {
+            const double *restrict o = (const double *)out + i * w;
+            for (int64_t j = 0; j < w; ++j)
+                row[j] += sgn[j] * o[idx[j]];
+        }
+    }
     return 0;
 }

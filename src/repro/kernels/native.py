@@ -1,14 +1,20 @@
-"""The compiled pair loops, and the one module that loads foreign code.
+"""The compiled pair and movement loops, and the one module that loads
+foreign code.
 
 ``native.c`` (beside this file, shipped as package data) holds the U, W
 and X lists of two kernel profiles — ``a / r`` and the Kelvin tensor ``a
 delta_ij / r + b d_i d_j / r^3`` — as fused C loops over the blocks the
 execution plan already holds; S2M runs as an X loop and L2T as a W loop
-(``docs/architecture.md``, "The compiled pair loop").  This module finds
+(``docs/architecture.md``, "The compiled pair loop").  It also holds the
+two kernel-independent movement loops of the class-major V list, which
+reads one M2L operator per cube-symmetry class and folds each offset's
+signed surface permutation into its data: a permuted row gather and a
+permuted scatter-add (:class:`MoveLoops`, whose numpy fold is their
+oracle and runs wherever the library does not).  This module finds
 the host's C compiler, builds the source once per host into a
 content-addressed cache, loads the result with :mod:`ctypes` — whose
-calls release the interpreter lock — and binds the three loops for one
-kernel (:class:`PairLoops`).
+calls release the interpreter lock — and binds the three pair loops for
+one kernel (:class:`PairLoops`).
 
 Selection is observed, not configured.  A kernel whose
 :meth:`~repro.kernels.base.Kernel.profile` is one the C source implements
@@ -32,7 +38,8 @@ zero at coincident pairs and their NaN propagation need IEEE arithmetic.
 The loops dereference the blocks' indices unchecked, so :class:`PairLoops`
 checks every index against the arrays it will pass — once per block set
 and extents, and again before every call of a sanitized apply — and the
-dtype, contiguity and shape of every array before each call.
+dtype, contiguity and shape of every array before each call;
+:class:`MoveLoops` checks its rows and its permutation when bound.
 """
 
 from __future__ import annotations
@@ -77,6 +84,9 @@ _SIGNATURES = {
     "near_w": _HEAD + [_PTR] * 8 + [_I64, _PTR, _PTR, _I64, _I64, _PTR,
                                     _I64, _I64],
     "near_x": _HEAD + [_PTR] * 7 + [_I64, _PTR, _I64, _I64],
+    "gather_perm": [_I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _I64],
+    "scatter_add_perm": [_I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR,
+                         _I64],
 }
 
 
@@ -406,3 +416,138 @@ class PairLoops:
             )
 
         return run
+
+
+def check_moves(rows: np.ndarray, nrows: int, perm: tuple) -> None:
+    """Check what a movement loop dereferences: ``rows`` C-contiguous
+    int64 inside ``[0, nrows)``, and ``perm = (idx, sgn)`` a signed
+    permutation — ``idx`` C-contiguous int64 holding each of ``range(W)``
+    once, ``sgn`` C-contiguous float64 of ``W`` entries.  Raises
+    :class:`NativeIndexError` or :class:`ValueError`."""
+    idx, sgn = perm
+    for name, arr, dtype in (("rows", rows, np.int64), ("idx", idx, np.int64),
+                             ("sgn", sgn, np.float64)):
+        if arr.dtype != dtype or arr.ndim != 1 or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"movement loop: {name} must be a C-contiguous vector of "
+                f"{np.dtype(dtype)}, got {arr.dtype} of shape {arr.shape}"
+            )
+    _in_range(rows, 0, nrows, "rows")
+    if sgn.size != idx.size:
+        raise ValueError(
+            f"movement loop: {sgn.size} signs for {idx.size} indices"
+        )
+    _in_range(idx, 0, idx.size, "idx")
+    seen = np.bincount(idx, minlength=idx.size)
+    if (seen != 1).any():
+        bad = int(np.flatnonzero(seen != 1)[0])
+        raise NativeIndexError(
+            f"movement loop: idx is not a permutation of range({idx.size}): "
+            f"{bad} occurs {int(seen[bad])} times"
+        )
+
+
+@dataclass(frozen=True)
+class MoveLoops:
+    """The movement loops of the class-major V list: the compiled
+    ``gather_perm`` / ``scatter_add_perm`` of ``lib``, or the numpy fold
+    when ``lib`` is None (a host without a compiler) — their oracle,
+    equal bit for bit: every entry is one exact signed product and, for
+    the scatter, one rounded add.
+
+    :meth:`gather` and :meth:`scatter_add` bind a loop to one offset's
+    rows and signed permutation ``(idx, sgn)``, checking both now
+    (:func:`check_moves`), and return its ``run``; each run checks the
+    layout of its arrays, and again the indices when bound with
+    ``recheck`` (a sanitized apply).
+    """
+
+    lib: ctypes.CDLL | None
+
+    def gather(
+        self, rows: np.ndarray, nrows: int, perm: tuple, recheck: bool,
+    ) -> Callable[[np.ndarray, int, np.dtype], np.ndarray]:
+        """``run(ue, r, dtype)``: the slab ``sgn * ue[rows, r][:, idx]``
+        of right-hand side ``r`` of ``ue[box, rhs, W]`` (``nrows``
+        boxes), as a fresh ``(rows, W)`` array of ``dtype`` (float64, or
+        float32 for mixed-precision factors)."""
+        check_moves(rows, nrows, perm)
+        idx, sgn = perm
+        n, w = rows.size, idx.size
+
+        def run(ue: np.ndarray, r: int, dtype=np.float64) -> np.ndarray:
+            if recheck:
+                check_moves(rows, nrows, perm)
+            if self.lib is None:
+                slab = np.take(ue[rows, r], idx, axis=1)  # row-major, as compiled
+                return (slab * sgn).astype(dtype, copy=False)
+            nrhs = ue.shape[1]
+            _array(ue, (nrows, nrhs, w), "ue")
+            if not 0 <= r < nrhs:
+                raise NativeIndexError(
+                    f"movement loop: right-hand side {r} of {nrhs}")
+            slab = np.empty((n, w), dtype)
+            self.lib.gather_perm(
+                n, _ptr(rows), _ptr(ue) + r * w * ue.itemsize, nrhs * w, w,
+                _ptr(idx), _ptr(sgn), _ptr(slab), int(slab.dtype == np.float32),
+            )
+            return slab
+
+        return run
+
+    def scatter_add(
+        self, rows: np.ndarray, nrows: int, perm: tuple, recheck: bool,
+    ) -> Callable[[np.ndarray, np.ndarray], None]:
+        """``run(dc, out)``: ``dc[rows] += sgn * out[:, idx]`` for one
+        right-hand side's check rows ``dc`` (``(nrows, W)``) and the
+        ``(rows, W)`` products ``out`` (float64 or float32)."""
+        check_moves(rows, nrows, perm)
+        idx, sgn = perm
+        n, w = rows.size, idx.size
+
+        def run(dc: np.ndarray, out: np.ndarray) -> None:
+            if recheck:
+                check_moves(rows, nrows, perm)
+            if self.lib is None:
+                dc[rows] += out[:, idx] * sgn
+                return
+            _array(dc, (nrows, w), "dc")
+            if out.shape != (n, w) or out.dtype not in (
+                np.float64, np.float32
+            ) or not out.flags.c_contiguous:
+                raise ValueError(
+                    f"movement loop: out must be C-contiguous float64 or "
+                    f"float32 of shape {(n, w)}, got {out.dtype} {out.shape}"
+                )
+            self.lib.scatter_add_perm(
+                n, _ptr(rows), _ptr(out), int(out.dtype == np.float32), w,
+                _ptr(idx), _ptr(sgn), _ptr(dc), w,
+            )
+
+        return run
+
+    def bind(
+        self, classes: list, src_boxes: np.ndarray, trg_boxes: np.ndarray,
+        nrows: int, fold: Callable, recheck: bool,
+    ) -> list[tuple]:
+        """Both loops bound to every offset class ``(offset, src_pos,
+        trg_pos)`` of a class-major V pass: ``(canonical, gather run,
+        scatter-add run)`` per class, the rows ``src_boxes[src_pos]`` /
+        ``trg_boxes[trg_pos]`` of buffers of ``nrows`` boxes, and the
+        permutations of ``fold(offset) = (canonical, gather, scatter)``
+        (:meth:`~repro.core.precompute.OperatorCache.m2l_fold`)."""
+        bound = []
+        for offset, src_pos, trg_pos in classes:
+            canonical, gather, scatter = fold(offset)
+            bound.append((
+                canonical,
+                self.gather(src_boxes[src_pos], nrows, gather, recheck),
+                self.scatter_add(trg_boxes[trg_pos], nrows, scatter, recheck),
+            ))
+        return bound
+
+
+def move_loops() -> MoveLoops:
+    """The class-major V list's movement loops: compiled wherever the
+    pair loops' library builds, the numpy fold elsewhere."""
+    return MoveLoops(library())

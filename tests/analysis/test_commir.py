@@ -417,6 +417,28 @@ class TestSeededDefects:
         assert [list(p) for p in deep.programs] == before
         assert run_checks(deep).ok
 
+    @pytest.mark.parametrize("name", sorted(SEEDS))
+    def test_seed_copies_on_write(self, deep, name):
+        """A seed copies only what it edits: the input keeps every op's
+        value (an op retagged in place would pass the identity check of
+        ``test_seeds_do_not_mutate_the_input``), the programs it leaves
+        alone are shared, and the copy is caught by exactly its check."""
+        seed_fn, intended = SEEDS[name]
+        snapshot = copy.deepcopy(deep.programs)
+        seeded = seed_fn(deep)
+        assert deep.programs == snapshot
+        edited = [
+            r for r, (mine, theirs) in enumerate(
+                zip(seeded.programs, deep.programs))
+            if mine is not theirs
+        ]
+        assert 1 <= len(edited) <= 2
+        assert all(seeded.programs[r] != deep.programs[r] for r in edited)
+        assert seeded.roles is deep.roles
+        report = run_checks(seeded)
+        assert {c for c, n in report.counts.items() if n} == {intended}
+        assert run_checks(deep).ok
+
 
 class TestCLI:
     def test_empty_ranks_exits_2(self, capsys):

@@ -98,6 +98,7 @@ def evaluate(
     md, qd = kernel.source_dof, kernel.target_dof
     out_dof = trg_k.target_dof
     ns, nt = tree.sources.shape[0], tree.targets.shape[0]
+    pairs: dict = {}  # (level, offset) -> the moved rsvd pair
     phi3, nrhs, single = coerce_density(density, ns, src_k.source_dof)
     if not single:
         # The per-box reference path stays single-RHS: a stacked block
@@ -199,9 +200,15 @@ def evaluate(
                             dc[bi] += T @ ue[ai]
                             flops.add("down_v", _matvec_flops(T.shape))
                         else:
-                            uf, vf = cache.m2l_rsvd(
-                                level, offset, sched.dtype
-                            )
+                            # The cache keeps each symmetry class's
+                            # canonical pair only and moves another
+                            # offset's afresh per call: this walk keeps
+                            # the pairs it has moved.
+                            if (level, offset) not in pairs:
+                                pairs[level, offset] = cache.m2l_rsvd(
+                                    level, offset, sched.dtype
+                                )
+                            uf, vf = pairs[level, offset]
                             src = ue[ai]
                             if sched.dtype == "float32":
                                 src = src.astype(np.float32)  # lint: allow(dtype-width)

@@ -280,12 +280,20 @@ class TestCubeSymmetry:
         uf, vf = cache.m2l_rsvd(0, o)
         assert uf.flags.c_contiguous and vf.flags.c_contiguous
         assert uf.dtype == vf.dtype == np.float64
-        assert cache.m2l_rsvd(0, o)[0] is uf  # materialised once per offset
+        # Only the class's canonical pair is kept; a member's is moved
+        # afresh from it on every call, equal bit for bit.
+        again = cache.m2l_rsvd(0, o)
+        assert again[0] is not uf and np.array_equal(again[0], uf)
+        c = canonical_offset(o)[0]
+        assert list(cache._m2l_rsvd) == [(0, c)]
+        assert cache.m2l_rsvd(0, c)[0] is cache._m2l_rsvd[0, c][0]
         uf3, vf3 = cache.m2l_rsvd(3, o)
-        assert np.array_equal(uf3, uf * 8.0) and vf3 is vf
+        assert np.array_equal(uf3, uf * 8.0) and np.array_equal(vf3, vf)
         uf32, vf32 = cache.m2l_rsvd(0, o, dtype="float32")
         assert np.array_equal(uf32, uf.astype(np.float32))
         assert np.array_equal(vf32, vf.astype(np.float32))
+        assert uf32.dtype == vf32.dtype == np.float32
+        assert list(cache._m2l_rsvd_f32) == [(0, c)]  # moved from this
 
     def test_kernel_without_symmetry_is_factored_per_offset(self):
         kernel = _StretchedLaplace()

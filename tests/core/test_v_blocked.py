@@ -106,7 +106,7 @@ def v_contributions(fmm, ue, dtype="float64"):
             if blocked:
                 stages.v_blocked(vl, sp.own, 0, ue, dc)
             else:
-                stages.v_direct(vl, sp.own.classes, ue, dc)
+                stages.v_direct(vl, sp.own, ue, dc)
         out[name] = dc
     dense = np.zeros_like(out["blocked"])
     for vl in plan.v_levels:

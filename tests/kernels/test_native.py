@@ -440,6 +440,51 @@ class TestForeignCallSafety:
             assert np.array_equal(got, want)
 
 
+def signed_perm(width: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    return (rng.permutation(width).astype(np.int64),
+            rng.choice([-1.0, 1.0], width))
+
+
+class TestMovementLoopSafety:
+    """The V movement loops check their rows against the buffer's row
+    count, and their permutation, when bound."""
+
+    @pytest.mark.parametrize("loop", ["gather", "scatter_add"])
+    def test_bad_row_is_refused_at_binding(self, rng, loop):
+        bind = getattr(native.move_loops(), loop)
+        perm = signed_perm(12, rng)
+        bind(np.array([0, 4], dtype=np.int64), 5, perm, False)
+        for bad in (5, -1):
+            with pytest.raises(native.NativeIndexError, match="rows"):
+                bind(np.array([0, bad], dtype=np.int64), 5, perm, False)
+
+    @pytest.mark.parametrize("loop", ["gather", "scatter_add"])
+    def test_bad_permutation_entry_is_refused_at_binding(self, rng, loop):
+        bind = getattr(native.move_loops(), loop)
+        rows = np.array([1, 3], dtype=np.int64)
+        for planted in (7, 12, -1):  # a repeat, then out of range
+            idx, sgn = signed_perm(12, rng)
+            idx[np.flatnonzero(idx != 7)[0]] = planted
+            with pytest.raises(native.NativeIndexError, match="idx"):
+                bind(rows, 5, (idx, sgn), False)
+
+    def test_sanitized_run_rechecks_and_layouts_are_checked(self, rng):
+        loops = native.move_loops()
+        rows = np.array([0, 2], dtype=np.int64)
+        idx, sgn = signed_perm(6, rng)
+        gather = loops.gather(rows, 3, (idx, sgn), True)
+        ue = rng.standard_normal((3, 2, 6))
+        gather(ue, 1)
+        with pytest.raises(ValueError, match="ue"):
+            gather(ue[:, :, :5].copy(), 1)
+        rows[1] = 3
+        with pytest.raises(native.NativeIndexError, match="rows"):
+            gather(ue, 1)
+        scatter = loops.scatter_add(rows[:1], 3, (idx, sgn), False)
+        with pytest.raises(ValueError, match="out"):
+            scatter(np.zeros((3, 6)), np.zeros((2, 6)))
+
+
 @pytest.fixture
 def fresh_library():
     """Forget the loaded library around a test; reload it afterwards."""
