@@ -166,6 +166,15 @@ def _scaled(product: np.ndarray, factor: float) -> np.ndarray:
     return product
 
 
+def _per_cache(owner, cache: OperatorCache, what: str, build):
+    """``build()`` once per plan part (its ``memo``) and operator cache:
+    what a stage derives from both keeps across applies."""
+    memo = owner.memo.setdefault(cache, {})
+    if what not in memo:
+        memo[what] = build()
+    return memo[what]
+
+
 def _near_pairs(blocks: NearBlocks) -> int:
     """Total (target point × partner) count of a near-field block set."""
     return int(
@@ -249,7 +258,10 @@ class PlanStages:
     at their reference level (:meth:`~repro.core.precompute.
     OperatorCache.reference`), and the stages scale their products by
     the level factor — a power of two for the homogeneous kernels, so
-    the result is the rescaled operator's bit for bit.
+    the result is the rescaled operator's bit for bit.  M2M and L2L read
+    one of them per level, octant 0's, and fold each octant's
+    reflection into their data (:meth:`by_octant`), as the class-major
+    V stage folds each offset's symmetry.
     """
 
     def __init__(
@@ -360,8 +372,9 @@ class PlanStages:
                      lambda b: self.m2m(ul, b["ue"], check(b)),
                      (f"ue@{lvl + 1}",), (chk,),
                      sum(k.size for _, k, _ in ul.m2m_groups) * matvec,
-                     operators=lambda: [
-                         cache.reference("m2m_check", lvl + 1, octant)
+                     operators=lambda: [  # the stored ones, and the folds
+                         cache.reference("m2m_check", lvl + 1,
+                                         cache.octant_fold(octant)[0])
                          for octant, _, _ in ul.m2m_groups
                      ])
             emit(f"uc2ue@{lvl}", "up", "uc2ue",
@@ -378,13 +391,14 @@ class PlanStages:
 
             def rsvd_flops():
                 # The pairs, whichever layout runs them: an empty slot
-                # of a block is not counted.
-                return sum(
+                # of a block is not counted.  The ranks are fixed once
+                # factored, so the sum is taken once.
+                return _per_cache(vp, cache, "flops", lambda: sum(
                     n * _rsvd_pair_flops(
                         cache.m2l_rsvd_rank(lvl, offset), n_surf, md, qd
                     )
                     for offset, n in vp.counts.items()
-                )
+                ))
 
             # The factors live at the reference level; the stages scale.
             key = cache.m2l_reference(lvl)[0]
@@ -429,8 +443,9 @@ class PlanStages:
                      lambda b: self.l2l(dl, b["de"], b["dc"]),
                      (f"de@{lvl - 1}",), (dc,),
                      sum(k.size for _, k, _ in dl.l2l_groups) * matvec,
-                     operators=lambda: [
-                         cache.reference("l2l_check", lvl, octant)
+                     operators=lambda: [  # the stored ones, and the folds
+                         cache.reference("l2l_check", lvl,
+                                         cache.octant_fold(octant)[0])
                          for octant, _, _ in dl.l2l_groups
                      ])
             if dl.x.boxes.size:
@@ -538,16 +553,10 @@ class PlanStages:
                 check[r][rows] += np.add.reduceat(vals, cols, axis=1).T
 
     def m2m(self, ul: UpLevel, ue: np.ndarray, check: np.ndarray) -> None:
-        """Children's upward densities to their parents' check potentials."""
-        for octant, kids, rows in ul.m2m_groups:
-            M, f = self.cache.reference("m2m_check", ul.level + 1, octant)
-            if self.pool.sanitize:
-                # Fancy-indexed operands materialise copies, so the
-                # aliasing hazard is between the backing stacks.
-                _san.guard_gemm(check, ue, M, site=f"m2m level {ul.level}")
-            MT = M.T
-            for r in range(check.shape[0]):
-                check[r][rows] += _scaled(ue[kids, r] @ MT, f)
+        """Children's upward densities to their parents' check potentials
+        (:meth:`by_octant`)."""
+        self.by_octant(ul, "m2m_check", ul.level + 1, ul.m2m_groups, ue,
+                       check, f"m2m level {ul.level}")
 
     def uc2ue(self, ul: UpLevel, check: np.ndarray, ue: np.ndarray) -> None:
         """One inversion per source box of the level, through its factors."""
@@ -570,18 +579,17 @@ class PlanStages:
         in the factor dtype; the scatter-add into float64 upcasts."""
         cache, sanitize, sched = self.cache, self.pool.sanitize, self.sched
         key, scale = cache.m2l_reference(vl.level)
-        if cache not in vp.moves:
-            vp.moves[cache] = native.move_loops().bind(
-                vp.classes, vl.src_boxes, vl.trg_boxes, ue.shape[0],
-                cache.m2l_fold, sanitize,
-            )
+        moves = _per_cache(vp, cache, "moves", lambda: native.move_loops().bind(
+            [(o, vl.src_boxes[s], vl.trg_boxes[t]) for o, s, t in vp.classes],
+            cache.m2l_fold, ue.shape[0], dc.shape[1], sanitize,
+        ))
         dense = sched.backend(vl.level) == "dense"
         read = {  # once per class: (M.T,) dense, (vf.T, uf.T) rsvd
             c: (cache.m2l_check(vl.level, c).T,) if dense
             else tuple(f.T for f in cache.m2l_rsvd(key, c, sched.dtype)[::-1])
-            for c, _, _ in vp.moves[cache]
+            for c in {c for c, _, _ in moves}
         }
-        for canonical, gather, scatter_add in vp.moves[cache]:
+        for canonical, gather, scatter_add in moves:
             ops = read[canonical]
             if sanitize:
                 _san.guard_gemm(dc, ue, *ops, site=f"m2l level {vl.level}")
@@ -669,14 +677,56 @@ class PlanStages:
             dc[r][targets] += total
 
     def l2l(self, dl: DownLevel, de: np.ndarray, dc: np.ndarray) -> None:
-        """Parents' downward densities to the level's check potentials."""
-        for octant, kids, parents in dl.l2l_groups:
-            L, f = self.cache.reference("l2l_check", dl.level, octant)
+        """Parents' downward densities to the level's check potentials
+        (:meth:`by_octant`, over ``de`` read box-major)."""
+        self.by_octant(
+            dl, "l2l_check", dl.level,
+            [(o, parents, kids) for o, kids, parents in dl.l2l_groups],
+            de.transpose(1, 0, 2), dc, f"l2l level {dl.level}",
+        )
+
+    def by_octant(
+        self, owner, name: str, level: int, groups: list, src: np.ndarray,
+        dst: np.ndarray, site: str,
+    ) -> None:
+        """M2M or L2L of one level: ``dst[r][to] += M_o src[from, r]``
+        for every octant group ``(o, from, to)`` of box rows, through the
+        operator octant ``o`` is stored as (octant 0's for a kernel with
+        a declared symmetry: ``M_o = R_o M_0 R_o``,
+        :meth:`~repro.core.precompute.OperatorCache.octant_fold`).  Per
+        stored operator and right-hand side one GEMM over the slab of its
+        octants' source rows, each gathered through the octant's
+        reflection; each octant's block of products is scatter-added
+        back through it (movement loops bound on first use, per cache).
+        With a declared symmetry a level runs one GEMM; without, one per
+        octant, and the folds are the identity.  ``src`` is box-major
+        ``[box, rhs, W]``, ``dst`` RHS-major ``[rhs, row, W]``."""
+        cache = self.cache
+
+        def bind():
+            bound = native.move_loops().bind(
+                groups, cache.octant_fold, src.shape[0], dst.shape[1],
+                self.pool.sanitize,
+            )
+            runs: dict[int, list] = {}  # stored octant -> its slab's moves
+            for (stored, gather, scatter_add), (_, rows, _) in zip(bound, groups):
+                moves = runs.setdefault(stored, [])
+                lo = moves[-1][3] if moves else 0
+                moves.append((gather, scatter_add, lo, lo + rows.size))
+            return list(runs.items())
+
+        for stored, moves in _per_cache(owner, cache, "moves", bind):
+            M, f = cache.reference(name, level, stored)
             if self.pool.sanitize:
-                _san.guard_gemm(dc, de, L, site=f"l2l level {dl.level}")
-            LT = L.T
-            for r in range(dc.shape[0]):
-                dc[r][kids] += _scaled(de[r][parents] @ LT, f)
+                _san.guard_gemm(dst, src, M, site=site)
+            MT = M.T
+            slab = np.empty((moves[-1][3], MT.shape[0]))
+            for r in range(dst.shape[0]):
+                for gather, _, lo, hi in moves:
+                    gather(src, r, out=slab[lo:hi])
+                out = _scaled(slab @ MT, f)
+                for _, scatter_add, lo, hi in moves:
+                    scatter_add(dst[r], out[lo:hi])
 
     def x(self, dl: DownLevel, phi: np.ndarray, dc: np.ndarray) -> None:
         """X list: partner sources straight to check potentials."""

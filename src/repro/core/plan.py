@@ -12,8 +12,10 @@ every rank alike — :func:`repro.parallel.pfmm.setup_on_tree`), so every
 
 - **Upward pass** — per level, one batched kernel-matrix block per chunk
   of concatenated leaf sources (S2M via segment-summed columns), one
-  stacked GEMM per occupied child octant (M2M), and one stacked GEMM for
-  the ``uc2ue`` inversion of every source box at the level.
+  stacked GEMM over every child of the level for M2M (one per occupied
+  child octant for a kernel without a declared symmetry: the octants'
+  reflections fold into the gather and scatter-add), and one stacked
+  GEMM for the ``uc2ue`` inversion of every source box at the level.
 - **M2L** — V-list pairs grouped by (target parent, source parent) in
   the ≤ ``3^d - 1`` parent-pair directions (26 in 3D): blocked rsvd
   levels run these blocks through direction-stacked factors.  The ≤
@@ -22,9 +24,9 @@ every rank alike — :func:`repro.parallel.pfmm.setup_on_tree`), so every
   rsvd, for trees whose blocks are mostly empty: two skinny ones) are
   derived from the blocks on first use; :func:`split_v_level` divides a
   level into a rank's owned and ghost passes.
-- **Downward pass** — stacked GEMMs per (level, octant) for L2L and per
-  level for ``dc2de``; L2T as chunked kernel blocks over concatenated
-  leaf targets.
+- **Downward pass** — per level one stacked GEMM for L2L (per octant
+  without a declared symmetry, as M2M) and one for ``dc2de``; L2T as
+  chunked kernel blocks over concatenated leaf targets.
 - **Near field** — U/W/X interactions evaluated with one kernel matrix
   per *target box* over the concatenated partner sources (instead of one
   per box *pair*); the U/W pairs leave here ungrouped
@@ -163,6 +165,8 @@ class UpLevel:
     the Morton-sorted source order, and the per-leaf point offsets.
     ``m2m_groups`` stack the children (at ``level + 1``) by octant;
     ``rows`` are positions into ``boxes`` of the receiving parents.
+    ``memo`` keeps, per operator cache, what the M2M stage derives from
+    both across applies (its bound movement loops).
     """
 
     level: int
@@ -172,6 +176,8 @@ class UpLevel:
     s2m_src_pos: np.ndarray
     s2m_seg: np.ndarray
     m2m_groups: list[tuple[int, np.ndarray, np.ndarray]]
+    memo: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
 
     @cached_property
     def s2m(self) -> NearBlocks:
@@ -297,15 +303,17 @@ class VPass:
     ``counts`` its pairs per offset class; ``po_groups`` the pairs as
     parent-pair blocks over the split's rows (blocked levels only, else
     empty); ``classes`` the same pairs class-major in the level's
-    positions, filtered from the level's on first use; ``moves`` the
-    class-major stage's movement loops bound to them, per operator cache.
+    positions, filtered from the level's on first use; ``memo`` what the
+    V stage derives from them and one operator cache, per cache, across
+    applies (the class-major stage's bound movement loops, an rsvd
+    pass's flops).
     """
 
     rows: np.ndarray
     counts: dict[tuple[int, ...], int]
     po_groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]
     of: tuple[VLevel, np.ndarray] = field(repr=False)
-    moves: weakref.WeakKeyDictionary = field(
+    memo: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
 
     @property
@@ -391,7 +399,8 @@ class DownLevel:
     ``dc2de`` rows); ``l2t_*`` describe the leaf targets (box-frame
     coordinates, sorted-order positions, per-leaf offsets); ``x`` holds
     the X-list pairs as per-target-box blocks of partner source
-    positions.
+    positions.  ``memo`` keeps, per operator cache, what the L2L stage
+    derives from both across applies (its bound movement loops).
     """
 
     level: int
@@ -402,6 +411,8 @@ class DownLevel:
     l2t_trg_pos: np.ndarray
     l2t_seg: np.ndarray
     x: NearBlocks
+    memo: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
 
     @cached_property
     def l2t(self) -> NearBlocks:

@@ -2,9 +2,9 @@
 
 Every KIFMM translation is "evaluate a check potential, then invert the
 check-to-equivalent integral equation".  The matrices involved depend
-only on the tree level (and, for M2M/L2L, the child octant; for M2L, the
-relative box offset) — never on the box position — so they are computed
-once and cached.
+only on the tree level (and, for M2L, the relative box offset; for
+M2M/L2L, the child octant) — never on the box position — so they are
+computed once and cached.
 
 For kernels homogeneous of degree ``h`` (``G(a x, a y) = a^h G(x, y)``,
 i.e. Laplace, Stokes, Navier) the operators at any level are rescalings
@@ -20,7 +20,12 @@ how it transforms under them (``Kernel.symmetry``) the M2L operators
 are kept for the one offset ``a >= b >= c >= 0`` of each orbit only:
 another's is ``T M_c T^T``, ``T`` a signed permutation of the surface
 vector, folded into the data by the class-major V stage
-(:meth:`OperatorCache.m2l_fold`).  Everything is in ``Kernel.dim``.
+(:meth:`OperatorCache.m2l_fold`).  The ``2^d`` child octants are the
+mirror images of octant 0 under the reflections of the same group, so
+such a kernel keeps the M2M and L2L operators of octant 0 only, and the
+M2M / L2L stages fold each octant's reflection ``R_o`` into their data
+the same way (``M_o = R_o M_0 R_o``, :meth:`OperatorCache.octant_fold`).
+Everything is in ``Kernel.dim``.
 """
 
 from __future__ import annotations
@@ -168,7 +173,7 @@ class OperatorCache:
         ] = {}
         self._m2l_stacks: dict[tuple[int, tuple[int, ...], str], tuple] = {}
         self._m2l_rank: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._m2l_fold: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+        self._fold: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
 
     _sealed = False
 
@@ -233,9 +238,11 @@ class OperatorCache:
         so far rescaled by the root ratio ``a`` — evaluation matrices by
         ``a^h``, pseudo-inverses by ``a^-h`` (their second factor), the
         factors that already carry the reference level to the other
-        levels — so a moved geometry pays no precompute again.  An
-        inhomogeneous kernel's operators belong to one root, and a
-        mismatch is an error.
+        levels — so a moved geometry pays no precompute again.  Only
+        what is stored is carried (for a kernel with a declared symmetry
+        the canonical M2L operators and octant 0's M2M / L2L); the fold
+        tables are shared.  An inhomogeneous kernel's operators belong
+        to one root, and a mismatch is an error.
         """
         if root_side == self.root_side:
             return self
@@ -260,7 +267,7 @@ class OperatorCache:
         out._m2l_rsvd = {
             k: (uf * up, vf) for k, (uf, vf) in self._m2l_rsvd.items()
         }
-        out._m2l_fold = self._m2l_fold  # independent of the root: shared
+        out._fold = self._fold  # independent of the root: shared
         out._m2l_stacks = {
             k: (V, UT * up, *cuts)
             for k, (V, UT, *cuts) in self._m2l_stacks.items()
@@ -314,37 +321,47 @@ class OperatorCache:
 
         The first arrow of the M2M translation (Figure 2.2 left, eq. 2.3);
         the parent's ``uc2ue`` completes the translation after all child
-        contributions are accumulated.
+        contributions are accumulated.  Any octant's matrix; a kernel
+        with a declared symmetry stores octant 0's only (what the stage
+        reads, :meth:`octant_fold`) and moves another's afresh.
         """
-        if child_level < 1:
-            raise ValueError(f"child_level must be >= 1, got {child_level}")
-        h = self._homog
-        key = 1 if h is not None else child_level
-        base = self._entry("m2m", (key, octant), lambda: self.kernel.matrix(
+        return self._octant_operator("m2m", child_level, octant, lambda key, o: (
             self.up_check_points(self.origin, key - 1),
             self.up_equiv_points(
-                octant_offset(octant, self.dim) * self.half_width(key - 1), key
+                octant_offset(o, self.dim) * self.half_width(key - 1), key
             ),
         ))
-        if h is None or child_level == key:
-            return base
-        return base * self._scale(child_level, key) ** h
 
     def l2l_check(self, child_level: int, octant: int) -> np.ndarray:
         """Parent downward equivalent density -> child downward check potential.
 
-        First arrow of the L2L translation (Figure 2.2 right, eq. 2.5).
+        First arrow of the L2L translation (Figure 2.2 right, eq. 2.5);
+        stored for octant 0 only as :meth:`m2m_check` is.
         """
+        return self._octant_operator("l2l", child_level, octant, lambda key, o: (
+            self.down_check_points(
+                octant_offset(o, self.dim) * self.half_width(key - 1), key
+            ),
+            self.down_equiv_points(self.origin, key - 1),
+        ))
+
+    def _octant_operator(
+        self, name: str, child_level: int, octant: int, surfaces: Callable,
+    ) -> np.ndarray:
+        """Table ``name``'s operator of ``octant`` at ``child_level``:
+        ``kernel.matrix(*surfaces(key, o))`` at the reference level
+        ``key``, stored for the octant :meth:`octant_fold` reads it
+        through, and moved from there (``R_o M_0 R_o``) for another."""
         if child_level < 1:
             raise ValueError(f"child_level must be >= 1, got {child_level}")
         h = self._homog
         key = 1 if h is not None else child_level
-        base = self._entry("l2l", (key, octant), lambda: self.kernel.matrix(
-            self.down_check_points(
-                octant_offset(octant, self.dim) * self.half_width(key - 1), key
-            ),
-            self.down_equiv_points(self.origin, key - 1),
+        stored, axes, signs = self.octant_class(octant)
+        base = self._entry(name, (key, stored), lambda: self.kernel.matrix(
+            *surfaces(key, stored)
         ))
+        if stored != octant:
+            base = self._moved(self._moved(base, axes, signs), axes, signs, axis=1)
         if h is None or child_level == key:
             return base
         return base * self._scale(child_level, key) ** h
@@ -445,11 +462,39 @@ class OperatorCache:
 
     def m2l_fold(self, offset: tuple[int, ...]) -> tuple:
         """``(canonical, gather, scatter)``: how the class-major V stage
-        reads ``offset`` through its class's operator.  ``gather = (idx,
+        reads ``offset`` through its class's operator (:meth:`fold`)."""
+        canonical, axes, signs = self.m2l_class(tuple(offset))
+        return canonical, *self.fold(axes, signs)
+
+    def octant_class(self, octant: int) -> tuple:
+        """``(stored, axes, signs)``: the octant whose M2M / L2L operator
+        serves ``octant`` and the group element from it — octant 0 and
+        the reflection ``R_o`` in the axes of ``octant``'s set bits for a
+        kernel with a declared symmetry, else ``octant`` itself and the
+        identity."""
+        if self.kernel.symmetry is None:
+            return octant, *self._reflection(0)
+        return 0, *self._reflection(octant)
+
+    def _reflection(self, mask: int) -> tuple:
+        """``(axes, signs)`` of the reflection in the axes of ``mask``'s
+        set bits."""
+        axes = tuple(range(self.dim))
+        return axes, tuple(-1 if mask >> a & 1 else 1 for a in axes)
+
+    def octant_fold(self, octant: int) -> tuple:
+        """``(stored, gather, scatter)``: how the M2M / L2L stages read
+        ``octant``'s operator ``R_o M_0 R_o`` through the stored one
+        (:meth:`octant_class`, :meth:`fold`)."""
+        stored, axes, signs = self.octant_class(octant)
+        return stored, *self.fold(axes, signs)
+
+    def fold(self, axes: tuple[int, ...], signs: tuple[int, ...]) -> tuple:
+        """``(gather, scatter)`` of one group element: ``gather = (idx,
         sgn)`` takes a source row ``x`` to ``sgn * x[idx] = x T``, and
         ``scatter`` a product row ``y`` to ``sgn * y[idx] = y T^T`` (``T``
-        of :meth:`_moved`); one group element's tables, built at setup."""
-        canonical, axes, signs = self.m2l_class(tuple(offset))
+        of :meth:`_moved`); one frozen table pair per element, built at
+        setup and shared by M2M, M2L and L2L."""
 
         def table(dof):  # T (1, ..., W) = sgn * (idx + 1)
             t = self._moved(np.arange(1.0, self.n_surf * dof + 1)[:, None],
@@ -462,7 +507,7 @@ class OperatorCache:
             inv = np.argsort(idx)  # read-only: the loops' bound indices
             return tuple(map(_frozen, (inv, sgn[inv]))), tuple(map(_frozen, scatter))
 
-        return canonical, *self._entry("m2l_fold", (axes, signs), tables)
+        return self._entry("fold", (axes, signs), tables)
 
     def _moved(
         self,
@@ -527,9 +572,7 @@ class OperatorCache:
         ``M_o x = R M_{Ro} R x`` with those components of ``o`` negated."""
         if not mask:
             return rows
-        axes = tuple(range(self.dim))
-        signs = tuple(-1 if mask >> a & 1 else 1 for a in axes)
-        return self._moved(rows, axes, signs, axis=1)
+        return self._moved(rows, *self._reflection(mask), axis=1)
 
     def m2l_stacks(
         self, key: int, direction: tuple[int, ...], dtype: str = "float64"

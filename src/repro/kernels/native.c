@@ -403,9 +403,10 @@ int near_x(int64_t kind, double a, double b, int64_t nblocks,
 }
 
 /* The class-major V list reads one M2L operator per symmetry class of the
- * cube and folds each member offset's signed surface permutation into its
- * data: M_o = T M_c T^T, so the sources of an offset are gathered as
- * src . T and its products scattered back as out . T^T.  A signed
+ * cube, and M2M / L2L read octant 0's operator for every octant; each
+ * folds a member's signed surface permutation into its data:
+ * M_o = T M_c T^T, so the sources of a member are gathered as src . T and
+ * its products scattered back as out . T^T.  A signed
  * permutation is (idx, sgn) over one surface vector of w entries: entry k
  * reads entry idx[k] times sgn[k] (+1 or -1, so every product is exact).
  * With single != 0 the slab (gather) or the products (scatter) are float,

@@ -6,11 +6,12 @@ and X lists of two kernel profiles — ``a / r`` and the Kelvin tensor ``a
 delta_ij / r + b d_i d_j / r^3`` — as fused C loops over the blocks the
 execution plan already holds; S2M runs as an X loop and L2T as a W loop
 (``docs/architecture.md``, "The compiled pair loop").  It also holds the
-two kernel-independent movement loops of the class-major V list, which
-reads one M2L operator per cube-symmetry class and folds each offset's
-signed surface permutation into its data: a permuted row gather and a
-permuted scatter-add (:class:`MoveLoops`, whose numpy fold is their
-oracle and runs wherever the library does not).  This module finds
+two kernel-independent movement loops of the folded translations — the
+class-major V list, which reads one M2L operator per cube-symmetry
+class, and M2M / L2L, which read octant 0's operator for every octant —
+each folding a signed surface permutation into its data: a permuted row
+gather and a permuted scatter-add (:class:`MoveLoops`, whose numpy fold
+is their oracle and runs wherever the library does not).  This module finds
 the host's C compiler, builds the source once per host into a
 content-addressed cache, loads the result with :mod:`ctypes` — whose
 calls release the interpreter lock — and binds the three pair loops for
@@ -447,51 +448,87 @@ def check_moves(rows: np.ndarray, nrows: int, perm: tuple) -> None:
         )
 
 
+def _rows_of(ue: np.ndarray, nrows: int, w: int) -> None:
+    """Refuse a source ``ue[box, rhs, W]`` a gather cannot stride
+    through: float64, ``nrows`` boxes of ``W`` unit-stride entries, and
+    non-negative box and right-hand-side strides of whole entries (a
+    view, such as a transposed RHS-major buffer, is fine)."""
+    if (
+        not isinstance(ue, np.ndarray) or ue.dtype != np.float64
+        or ue.ndim != 3 or ue.shape[0] != nrows or ue.shape[2] != w
+        or ue.strides[2] != ue.itemsize
+        or any(st < 0 or st % ue.itemsize for st in ue.strides[:2])
+    ):
+        got = (getattr(ue, "dtype", type(ue)), getattr(ue, "shape", None))
+        raise ValueError(
+            f"movement loop: ue must be float64 of shape ({nrows}, nrhs, "
+            f"{w}) with unit stride along the last axis, got {got}"
+        )
+
+
+def _slab(out: np.ndarray, n: int, w: int) -> None:
+    """Refuse a slab or product block a movement loop cannot write or
+    read: C-contiguous float64 or float32 of shape ``(n, w)``."""
+    if out.shape != (n, w) or out.dtype not in (
+        np.float64, np.float32
+    ) or not out.flags.c_contiguous:
+        raise ValueError(
+            f"movement loop: out must be C-contiguous float64 or "
+            f"float32 of shape {(n, w)}, got {out.dtype} {out.shape}"
+        )
+
+
 @dataclass(frozen=True)
 class MoveLoops:
-    """The movement loops of the class-major V list: the compiled
-    ``gather_perm`` / ``scatter_add_perm`` of ``lib``, or the numpy fold
-    when ``lib`` is None (a host without a compiler) — their oracle,
-    equal bit for bit: every entry is one exact signed product and, for
-    the scatter, one rounded add.
+    """The movement loops of the folded translations (M2M, the
+    class-major V list, L2L): the compiled ``gather_perm`` /
+    ``scatter_add_perm`` of ``lib``, or the numpy fold when ``lib`` is
+    None (a host without a compiler) — their oracle, equal bit for bit:
+    every entry is one exact signed product and, for the scatter, one
+    rounded add.
 
-    :meth:`gather` and :meth:`scatter_add` bind a loop to one offset's
+    :meth:`gather` and :meth:`scatter_add` bind a loop to one group's
     rows and signed permutation ``(idx, sgn)``, checking both now
-    (:func:`check_moves`), and return its ``run``; each run checks the
-    layout of its arrays, and again the indices when bound with
-    ``recheck`` (a sanitized apply).
+    (:func:`check_moves`) and resolving their addresses once, and return
+    its ``run``; each run checks the layout of its arrays, and again the
+    indices when bound with ``recheck`` (a sanitized apply).
     """
 
     lib: ctypes.CDLL | None
 
     def gather(
         self, rows: np.ndarray, nrows: int, perm: tuple, recheck: bool,
-    ) -> Callable[[np.ndarray, int, np.dtype], np.ndarray]:
-        """``run(ue, r, dtype)``: the slab ``sgn * ue[rows, r][:, idx]``
-        of right-hand side ``r`` of ``ue[box, rhs, W]`` (``nrows``
-        boxes), as a fresh ``(rows, W)`` array of ``dtype`` (float64, or
-        float32 for mixed-precision factors)."""
+    ) -> Callable[..., np.ndarray]:
+        """``run(ue, r, dtype, out)``: the slab ``sgn * ue[rows, r][:,
+        idx]`` of right-hand side ``r`` of ``ue[box, rhs, W]`` (``nrows``
+        boxes), into ``out`` (C-contiguous ``(rows, W)``) or a fresh
+        array of ``dtype`` (float64, or float32 for mixed-precision
+        factors)."""
         check_moves(rows, nrows, perm)
         idx, sgn = perm
         n, w = rows.size, idx.size
+        bound = _ptr(rows), _ptr(idx), _ptr(sgn)
 
-        def run(ue: np.ndarray, r: int, dtype=np.float64) -> np.ndarray:
+        def run(ue: np.ndarray, r: int, dtype=np.float64,
+                out: np.ndarray | None = None) -> np.ndarray:
             if recheck:
                 check_moves(rows, nrows, perm)
-            if self.lib is None:
-                slab = np.take(ue[rows, r], idx, axis=1)  # row-major, as compiled
-                return (slab * sgn).astype(dtype, copy=False)
-            nrhs = ue.shape[1]
-            _array(ue, (nrows, nrhs, w), "ue")
-            if not 0 <= r < nrhs:
+            if out is None:
+                out = np.empty((n, w), dtype)
+            _slab(out, n, w)
+            if self.lib is None:  # row-major, as compiled
+                return np.multiply(np.take(ue[rows, r], idx, axis=1), sgn,
+                                   out=out)
+            _rows_of(ue, nrows, w)
+            if not 0 <= r < ue.shape[1]:
                 raise NativeIndexError(
-                    f"movement loop: right-hand side {r} of {nrhs}")
-            slab = np.empty((n, w), dtype)
+                    f"movement loop: right-hand side {r} of {ue.shape[1]}")
             self.lib.gather_perm(
-                n, _ptr(rows), _ptr(ue) + r * w * ue.itemsize, nrhs * w, w,
-                _ptr(idx), _ptr(sgn), _ptr(slab), int(slab.dtype == np.float32),
+                n, bound[0], _ptr(ue) + r * ue.strides[1],
+                ue.strides[0] // ue.itemsize, w, *bound[1:], _ptr(out),
+                int(out.dtype == np.float32),
             )
-            return slab
+            return out
 
         return run
 
@@ -504,6 +541,7 @@ class MoveLoops:
         check_moves(rows, nrows, perm)
         idx, sgn = perm
         n, w = rows.size, idx.size
+        bound = _ptr(rows), _ptr(idx), _ptr(sgn)
 
         def run(dc: np.ndarray, out: np.ndarray) -> None:
             if recheck:
@@ -512,42 +550,38 @@ class MoveLoops:
                 dc[rows] += out[:, idx] * sgn
                 return
             _array(dc, (nrows, w), "dc")
-            if out.shape != (n, w) or out.dtype not in (
-                np.float64, np.float32
-            ) or not out.flags.c_contiguous:
-                raise ValueError(
-                    f"movement loop: out must be C-contiguous float64 or "
-                    f"float32 of shape {(n, w)}, got {out.dtype} {out.shape}"
-                )
+            _slab(out, n, w)
             self.lib.scatter_add_perm(
-                n, _ptr(rows), _ptr(out), int(out.dtype == np.float32), w,
-                _ptr(idx), _ptr(sgn), _ptr(dc), w,
+                n, bound[0], _ptr(out), int(out.dtype == np.float32), w,
+                *bound[1:], _ptr(dc), w,
             )
 
         return run
 
     def bind(
-        self, classes: list, src_boxes: np.ndarray, trg_boxes: np.ndarray,
-        nrows: int, fold: Callable, recheck: bool,
+        self, groups: list, fold: Callable, nsrc: int, ndst: int,
+        recheck: bool,
     ) -> list[tuple]:
-        """Both loops bound to every offset class ``(offset, src_pos,
-        trg_pos)`` of a class-major V pass: ``(canonical, gather run,
-        scatter-add run)`` per class, the rows ``src_boxes[src_pos]`` /
-        ``trg_boxes[trg_pos]`` of buffers of ``nrows`` boxes, and the
-        permutations of ``fold(offset) = (canonical, gather, scatter)``
-        (:meth:`~repro.core.precompute.OperatorCache.m2l_fold`)."""
+        """Both loops bound to every group ``(key, src_rows, dst_rows)``
+        of a folded translation — an offset of a class-major V pass, an
+        octant of an M2M or L2L level: ``(operator, gather run,
+        scatter-add run)`` per group, gathering from the ``src_rows`` of
+        a source of ``nsrc`` boxes and adding into the ``dst_rows`` of a
+        destination of ``ndst``, through ``fold(key) = (operator, gather,
+        scatter)`` (:meth:`~repro.core.precompute.OperatorCache.m2l_fold`,
+        :meth:`~repro.core.precompute.OperatorCache.octant_fold`)."""
         bound = []
-        for offset, src_pos, trg_pos in classes:
-            canonical, gather, scatter = fold(offset)
+        for key, src_rows, dst_rows in groups:
+            operator, gather, scatter = fold(key)
             bound.append((
-                canonical,
-                self.gather(src_boxes[src_pos], nrows, gather, recheck),
-                self.scatter_add(trg_boxes[trg_pos], nrows, scatter, recheck),
+                operator,
+                self.gather(src_rows, nsrc, gather, recheck),
+                self.scatter_add(dst_rows, ndst, scatter, recheck),
             ))
         return bound
 
 
 def move_loops() -> MoveLoops:
-    """The class-major V list's movement loops: compiled wherever the
+    """The folded translations' movement loops: compiled wherever the
     pair loops' library builds, the numpy fold elsewhere."""
     return MoveLoops(library())

@@ -611,6 +611,14 @@ class ParallelFMM:
     fork.  The processes end with :meth:`close` (also on leaving a
     ``with`` block), with the next :meth:`setup`, and with this object.
 
+    Pin the BLAS threads before numpy is imported (for example
+    ``OPENBLAS_NUM_THREADS=1``): each rank process inherits this
+    process's BLAS thread pool, so with one BLAS thread per core the
+    ranks oversubscribe the host.  On 2 vCPUs, applies of
+    ``ParallelFMM(2)`` on 50 000 points took 0.64–10.4 s with the
+    default threads against 0.26–0.41 s pinned
+    (``docs/parallel_algorithm.md``, "Transport: ranks as processes").
+
     The verifiers read its setup product: ``repro commir`` requires the
     :attr:`states`' exchange programs to be the certified schedule,
     ``repro plancheck`` certifies their step lists.

@@ -404,10 +404,15 @@ class TestReference:
                     assert np.array_equal(product, x @ scaled.T)
 
     def test_inhomogeneous_kernel_reads_its_own_level(self):
+        """Per level, octant 0's operator only: another octant's is
+        moved from it afresh and nothing keeps it."""
         cache = _fresh_cache(ModifiedLaplaceKernel(lam=2.0))
-        base, factor = cache.reference("m2m_check", 3, 4)
-        assert factor == 1.0 and base is cache.m2m_check(3, 4)
-        assert (3, 4) in cache._m2m and (1, 4) not in cache._m2m
+        base, factor = cache.reference("m2m_check", 3, 0)
+        assert factor == 1.0 and base is cache.m2m_check(3, 0)
+        moved, factor = cache.reference("m2m_check", 3, 4)
+        assert factor == 1.0 and moved is not cache.m2m_check(3, 4)
+        assert np.array_equal(moved, cache.m2m_check(3, 4))
+        assert list(cache._m2m) == [(3, 0)]
 
     def test_apply_builds_no_rescaled_copy(self, monkeypatch):
         """Potentials on a depth-5 corner tree are those of the stages
